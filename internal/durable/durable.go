@@ -9,6 +9,9 @@
 //     journal. Records are replayed in append order on the next Open.
 //   - Checkpoint atomically replaces the snapshot (tmp + rename) and resets
 //     the journal, so recovery cost stays bounded by the snapshot cadence.
+//     CheckpointStream is the same for a payload produced in pieces, which
+//     is how the daemon writes its multi-megabyte shard state without ever
+//     holding it whole.
 //   - Open reads the snapshot (if any), replays the journal's intact
 //     prefix, and truncates any torn tail left by a crash mid-write.
 //
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -47,6 +51,11 @@ const (
 
 	// headerLen is magic + little-endian uint64 epoch.
 	headerLen = 8 + 8
+
+	// snapshotHeaderLen adds the payload's uint32 length and CRC32, which
+	// is why a snapshot payload is capped at maxSnapshotLen.
+	snapshotHeaderLen = headerLen + 8
+	maxSnapshotLen    = math.MaxUint32
 
 	// maxRecordLen rejects absurd lengths during scan: a length field that
 	// large is certainly a torn or corrupt frame, not a record.
@@ -91,6 +100,9 @@ type Store struct {
 	truncated   int64 // torn-tail bytes cut at Open
 	dirSyncErrs int64 // failed directory fsyncs after snapshot rename
 
+	snapshotBytes int64 // size of the snapshot file on disk (0: none yet)
+	maxSnapshot   int64 // maxSnapshotLen; a field so a test can reach the limit
+
 	scratch [8]byte
 	batch   []byte // reused frame-assembly buffer for AppendBatch
 }
@@ -107,6 +119,7 @@ type Stats struct {
 	StaleRecords   int    `json:"stale_records"`
 	TruncatedBytes int64  `json:"truncated_bytes"`
 	DirSyncErrors  int64  `json:"dir_sync_errors"`
+	SnapshotBytes  int64  `json:"snapshot_bytes"`
 }
 
 // OpenResult is what recovery has to work with: the latest snapshot (nil if
@@ -131,7 +144,7 @@ func Open(dir string, fsync bool) (*Store, OpenResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, res, fmt.Errorf("durable: %w", err)
 	}
-	s := &Store{dir: dir, fsync: fsync}
+	s := &Store{dir: dir, fsync: fsync, maxSnapshot: maxSnapshotLen}
 
 	snapEpoch, snap, err := readSnapshot(filepath.Join(dir, snapshotName))
 	if err != nil {
@@ -139,6 +152,9 @@ func Open(dir string, fsync bool) (*Store, OpenResult, error) {
 	}
 	res.Snapshot = snap
 	s.epoch = snapEpoch
+	if snap != nil {
+		s.snapshotBytes = snapshotHeaderLen + int64(len(snap))
+	}
 
 	jpath := filepath.Join(dir, journalName)
 	f, err := os.OpenFile(jpath, os.O_CREATE|os.O_RDWR, 0o644)
@@ -188,6 +204,14 @@ func Open(dir string, fsync bool) (*Store, OpenResult, error) {
 	return s, res, nil
 }
 
+// ReadSnapshot returns the verified payload of dir's snapshot (nil if none
+// was ever written) without opening, creating or repairing anything — for
+// read-only tools that must leave a data directory as they found it.
+func ReadSnapshot(dir string) ([]byte, error) {
+	_, payload, err := readSnapshot(filepath.Join(dir, snapshotName))
+	return payload, err
+}
+
 // readSnapshot loads and verifies the snapshot file. A missing file is a
 // clean first boot; a corrupt one is an error (the tmp+rename protocol
 // never leaves a torn snapshot behind, so corruption means external damage
@@ -200,13 +224,13 @@ func readSnapshot(path string) (uint64, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("durable: %w", err)
 	}
-	if len(b) < headerLen+8 || string(b[:8]) != snapshotMagic {
+	if len(b) < snapshotHeaderLen || string(b[:8]) != snapshotMagic {
 		return 0, nil, fmt.Errorf("durable: %s is not a snapshot file", path)
 	}
 	epoch := binary.LittleEndian.Uint64(b[8:16])
 	length := binary.LittleEndian.Uint32(b[16:20])
 	sum := binary.LittleEndian.Uint32(b[20:24])
-	payload := b[24:]
+	payload := b[snapshotHeaderLen:]
 	if uint32(len(payload)) != length || crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, fmt.Errorf("durable: snapshot %s failed its checksum", path)
 	}
@@ -399,6 +423,7 @@ func (s *Store) Stats() Stats {
 		StaleRecords:   s.stale,
 		TruncatedBytes: s.truncated,
 		DirSyncErrors:  s.dirSyncErrs,
+		SnapshotBytes:  s.snapshotBytes,
 	}
 }
 
@@ -421,12 +446,27 @@ func (s *Store) Checkpoint(payload []byte) error {
 // (see EpochBand). The target must move the epoch forward; going backwards
 // would un-fence already-discarded records.
 func (s *Store) CheckpointAt(payload []byte, epoch uint64) error {
+	return s.CheckpointStream(epoch, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// CheckpointStream is CheckpointAt for a payload produced in pieces: write
+// streams it into the snapshot file through w, which keeps the running
+// length and CRC, so a multi-megabyte state never has to exist as one
+// buffer. Any failure — write's own error, a payload past the header's
+// 32-bit length, the disk — leaves the old snapshot and journal intact and
+// no tmp file behind.
+func (s *Store) CheckpointStream(epoch uint64, write func(w io.Writer) error) error {
 	if epoch <= s.epoch {
 		return fmt.Errorf("durable: checkpoint epoch %d does not advance current epoch %d", epoch, s.epoch)
 	}
-	if err := writeSnapshot(filepath.Join(s.dir, snapshotName), epoch, payload); err != nil {
+	size, err := writeSnapshot(filepath.Join(s.dir, snapshotName), epoch, s.maxSnapshot, write)
+	if err != nil {
 		return err
 	}
+	s.snapshotBytes = size
 	// The rename is on disk but its directory entry may not be: fsync the
 	// directory, counting — and for unsupported filesystems tolerating —
 	// failure. Returning before the journal reset is crash-consistent
@@ -447,38 +487,67 @@ func (s *Store) CheckpointAt(payload []byte, epoch uint64) error {
 	return nil
 }
 
-// writeSnapshot writes the framed snapshot via tmp + rename + dir sync.
-func writeSnapshot(path string, epoch uint64, payload []byte) error {
+// snapshotSink is the io.Writer a checkpoint's payload streams through: it
+// forwards to the tmp file, keeping the length and CRC the header needs and
+// refusing a payload the header's 32-bit length field cannot describe (it
+// would wrap silently and fail the next Open's checksum).
+type snapshotSink struct {
+	f   *os.File
+	n   int64
+	max int64
+	sum uint32
+}
+
+func (w *snapshotSink) Write(p []byte) (int, error) {
+	if w.n+int64(len(p)) > w.max {
+		return 0, fmt.Errorf("snapshot payload exceeds the format's %d-byte limit", w.max)
+	}
+	w.sum = crc32.Update(w.sum, crc32.IEEETable, p)
+	w.n += int64(len(p))
+	return w.f.Write(p)
+}
+
+// writeSnapshot writes the framed snapshot via tmp + rename and returns the
+// file's size. The header goes in last, once the streamed payload's length
+// and CRC are known; until the rename the file is only ever the tmp.
+func writeSnapshot(path string, epoch uint64, max int64, write func(w io.Writer) error) (size int64, err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
+		return 0, fmt.Errorf("durable: %w", err)
 	}
-	var hdr [headerLen + 8]byte
+	defer func() {
+		if err != nil {
+			f.Close() // harmless if Close itself was what failed
+			os.Remove(tmp)
+			err = fmt.Errorf("durable: %w", err)
+		}
+	}()
+	var hdr [snapshotHeaderLen]byte
+	if _, err = f.Write(hdr[:]); err != nil {
+		return 0, err
+	}
+	sink := &snapshotSink{f: f, max: max}
+	if err = write(sink); err != nil {
+		return 0, err
+	}
 	copy(hdr[:8], snapshotMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(sink.n))
+	binary.LittleEndian.PutUint32(hdr[20:24], sink.sum)
+	if _, err = f.WriteAt(hdr[:], 0); err != nil {
+		return 0, err
 	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
+	if err = f.Sync(); err != nil {
+		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("durable: %w", err)
+	if err = f.Close(); err != nil {
+		return 0, err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: %w", err)
+	if err = os.Rename(tmp, path); err != nil {
+		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	return nil
+	return snapshotHeaderLen + sink.n, nil
 }
 
 // resetJournal truncates the journal to a fresh header carrying the current

@@ -3,10 +3,13 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +20,19 @@ func openT(t *testing.T, dir string) (*Store, OpenResult) {
 		t.Fatal(err)
 	}
 	return s, res
+}
+
+// writeSnapshotFile lays down a snapshot and nothing else — a checkpoint's
+// first durable step — for simulating a crash right after the rename.
+func writeSnapshotFile(t *testing.T, dir string, epoch uint64, payload string) {
+	t.Helper()
+	_, err := writeSnapshot(filepath.Join(dir, snapshotName), epoch, maxSnapshotLen, func(w io.Writer) error {
+		_, err := io.WriteString(w, payload)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func appendAll(t *testing.T, s *Store, recs ...string) {
@@ -153,9 +169,7 @@ func TestStaleJournalDiscardedAfterCrashBetweenSnapshotAndReset(t *testing.T) {
 	// A checkpoint's first durable step is the snapshot rename; simulate a
 	// crash right after it by writing the new snapshot directly and leaving
 	// the epoch-0 journal untouched.
-	if err := writeSnapshot(filepath.Join(dir, snapshotName), 1, []byte("NEWER")); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, dir, 1, "NEWER")
 	s.Close()
 
 	s2, res := openT(t, dir)
@@ -385,5 +399,136 @@ func TestBatchStatsCountMembers(t *testing.T) {
 	batchAppend(t, s, "five", "six")
 	if got := s.SinceCheckpoint(); got != 2 {
 		t.Fatalf("since after checkpoint+batch = %d, want 2", got)
+	}
+}
+
+// assertNoTmp fails if a checkpoint left its staging file behind.
+func assertNoTmp(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.bin.tmp left behind (stat err %v)", err)
+	}
+}
+
+// TestOversizedSnapshotIsRefused pins the 32-bit length field's limit: a
+// payload the header cannot describe used to wrap silently and fail the next
+// Open's checksum. Now the checkpoint is refused, whether the payload
+// arrives whole or streamed, and the refusal costs nothing — the old
+// snapshot, the journal and the epoch are as they were, with no tmp file.
+// The limit is lowered on the store so the test need not write 4 GiB.
+func TestOversizedSnapshotIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.Checkpoint([]byte("STATE")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "post-1", "post-2")
+	s.maxSnapshot = 1 << 10
+
+	err := s.Checkpoint(make([]byte, 1<<10+1))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the format's 1024-byte limit") {
+		t.Fatalf("oversized payload: err = %v", err)
+	}
+	assertNoTmp(t, dir)
+	// Streamed: the limit trips mid-stream, after bytes already hit the tmp.
+	err = s.CheckpointStream(s.Epoch()+1, func(w io.Writer) error {
+		for i := 0; i < 5; i++ {
+			if _, err := w.Write(make([]byte, 256)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the format's 1024-byte limit") {
+		t.Fatalf("oversized stream: err = %v", err)
+	}
+	assertNoTmp(t, dir)
+	if s.Epoch() != 1 || s.SinceCheckpoint() != 2 {
+		t.Fatalf("refused checkpoint moved the store: epoch %d, since %d", s.Epoch(), s.SinceCheckpoint())
+	}
+	// Exactly at the limit is fine.
+	if err := s.Checkpoint(make([]byte, 1<<10)); err != nil {
+		t.Fatalf("payload at the limit: %v", err)
+	}
+	if err := s.CheckpointAt([]byte("STATE-2"), 1); err == nil {
+		t.Fatal("non-advancing epoch accepted")
+	}
+	assertNoTmp(t, dir)
+	s.Close()
+
+	s2, res := openT(t, dir)
+	defer s2.Close()
+	if len(res.Snapshot) != 1<<10 || len(res.Records) != 0 {
+		t.Fatalf("reopen: snapshot %d bytes, %d records", len(res.Snapshot), len(res.Records))
+	}
+}
+
+// TestFailedCheckpointKeepsOldState: the payload producer itself failing
+// mid-stream is the same non-event — old snapshot and journal replay, no tmp.
+func TestFailedCheckpointKeepsOldState(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.Checkpoint([]byte("STATE")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "post-1")
+	boom := errors.New("encoder failed")
+	err := s.CheckpointStream(s.Epoch()+1, func(w io.Writer) error {
+		io.WriteString(w, "half a payl")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the producer's", err)
+	}
+	assertNoTmp(t, dir)
+	s.Close()
+
+	s2, res := openT(t, dir)
+	defer s2.Close()
+	if string(res.Snapshot) != "STATE" {
+		t.Fatalf("snapshot = %q", res.Snapshot)
+	}
+	wantRecords(t, res, "post-1")
+}
+
+// TestStreamedCheckpointMatchesWhole: a payload streamed in uneven pieces
+// lands as the same file a single write produces, and Stats reports its size.
+func TestStreamedCheckpointMatchesWhole(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 4099)
+	files := make([][]byte, 2)
+	for i, piece := range []int{len(payload), 1000} {
+		dir := t.TempDir()
+		s, _ := openT(t, dir)
+		err := s.CheckpointStream(1, func(w io.Writer) error {
+			for rest := payload; len(rest) > 0; {
+				n := min(piece, len(rest))
+				if _, err := w.Write(rest[:n]); err != nil {
+					return err
+				}
+				rest = rest[n:]
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Stats().SnapshotBytes, int64(snapshotHeaderLen+len(payload)); got != want {
+			t.Fatalf("Stats().SnapshotBytes = %d, want %d", got, want)
+		}
+		s.Close()
+		if files[i], err = os.ReadFile(filepath.Join(dir, snapshotName)); err != nil {
+			t.Fatal(err)
+		}
+		s2, res := openT(t, dir)
+		if !bytes.Equal(res.Snapshot, payload) {
+			t.Fatal("streamed payload did not read back")
+		}
+		if got := s2.Stats().SnapshotBytes; got != int64(len(files[i])) {
+			t.Fatalf("reopened Stats().SnapshotBytes = %d, file is %d", got, len(files[i]))
+		}
+		s2.Close()
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("streamed and whole snapshot files differ")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"syscall"
 	"testing"
 )
@@ -66,8 +65,8 @@ func FuzzScanJournal(f *testing.F) {
 	f.Add(buildJournal(1))
 	f.Add(buildJournal(3, plainFrame(rec), plainFrame([]byte("x"))))
 	f.Add(buildJournal(9, batchFrame(rec, []byte("y"), []byte("z"))))
-	f.Add(buildJournal(2, plainFrame(rec))[:headerLen+11])        // torn mid-frame
-	f.Add(append(buildJournal(4, plainFrame(rec)), 0xff, 0x00))   // trailing garbage
+	f.Add(buildJournal(2, plainFrame(rec))[:headerLen+11])      // torn mid-frame
+	f.Add(append(buildJournal(4, plainFrame(rec)), 0xff, 0x00)) // trailing garbage
 	f.Add(buildJournal(5, append(plainFrame(rec), plainFrame(rec)...))[:headerLen+20])
 	// Hostile length words: zero, oversized, batch flag over garbage.
 	f.Add(buildJournal(1, []byte{0, 0, 0, 0, 1, 2, 3, 4}))
@@ -172,9 +171,7 @@ func TestBandSnapshotFencesStaleJournal(t *testing.T) {
 	// The new generation's state arrives as a snapshot in its epoch band
 	// (what a rejoining follower persists when it adopts the new primary's
 	// snapshot), while the band-0 journal is left as the crash left it.
-	if err := writeSnapshot(filepath.Join(dir, snapshotName), EpochBand, []byte("adopted")); err != nil {
-		t.Fatal(err)
-	}
+	writeSnapshotFile(t, dir, EpochBand, "adopted")
 	s2, res := openT(t, dir)
 	defer s2.Close()
 	if string(res.Snapshot) != "adopted" {

@@ -1,16 +1,18 @@
 package lease
 
-// Crash-recovery support: CaptureState serializes the manager's complete
+// Crash-recovery support: EncodeState serializes the manager's complete
 // mutable state — the lease table, reputation history, activity records and
-// operation counters — into plain exported structs, and RestoreState
-// rebuilds an empty manager from such a capture, re-scheduling the pending
-// term-check and deferral-restore events at their original due instants.
+// operation counters — in the shard snapshot's binary encoding,
+// DecodeManagerState reads it back into plain exported structs, and
+// RestoreState rebuilds an empty manager from those, re-scheduling the
+// pending term-check and deferral-restore events at their original due
+// instants.
 //
 // This file is additive: the simulation path never calls it, so the
-// experiment goldens are untouched. Capture ordering is deterministic
-// (leases by id, per-app tables by uid) so two captures of equal state are
-// byte-identical once serialized, which is what the leased daemon's
-// crash-equality tests compare.
+// experiment goldens are untouched. Encoding order is deterministic
+// (leases by id, per-app tables by uid) so two encodings of equal state are
+// byte-identical, which is what the leased daemon's crash-equality tests
+// compare.
 //
 // Two pieces of manager state are deliberately out of scope, and the
 // networked daemon that consumes this API uses neither: custom utility
@@ -19,12 +21,13 @@ package lease
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/android/hooks"
 	"repro/internal/power"
 	"repro/internal/simclock"
+	"repro/internal/snapenc"
 )
 
 // LeaseState is one lease's complete serialized state.
@@ -93,73 +96,295 @@ type ManagerState struct {
 	Leases          []LeaseState      `json:"leases,omitempty"`
 }
 
-// CaptureState snapshots every piece of manager state a restart must
-// reconstruct. The capture is deterministic: leases sorted by id, per-app
-// tables by uid.
-func (m *Manager) CaptureState() ManagerState {
-	st := ManagerState{
-		NextID:          m.nextID,
-		CreatedTotal:    m.createdTotal,
-		DeadTotal:       m.deadTotal,
-		TermChecks:      m.TermChecks,
-		Deferrals:       m.Deferrals,
-		Renewals:        m.Renewals,
-		TermAdaptations: m.TermAdaptations,
-	}
-	if len(m.deadRecords) > 0 {
-		st.DeadRecords = append([]ActivityRecord(nil), m.deadRecords...)
+// EncodeState walks the manager's live state into w — the one state walk:
+// the daemon's checkpoint streams it straight to disk, and CaptureState is
+// its decode. Iteration is deterministic (leases by id, per-app tables by
+// uid), so equal states produce equal bytes. Section order and field
+// encodings are part of the shard snapshot format (DESIGN.md's layout
+// table); changing either needs a version bump there.
+func (m *Manager) EncodeState(w *snapenc.Writer) {
+	w.Uvarint(m.nextID)
+	w.Int(m.createdTotal)
+	w.Int(m.deadTotal)
+	w.Int(m.TermChecks)
+	w.Int(m.Deferrals)
+	w.Int(m.Renewals)
+	w.Int(m.TermAdaptations)
+
+	w.Uvarint(uint64(len(m.deadRecords)))
+	for _, d := range m.deadRecords {
+		w.Varint(int64(d.Active))
+		w.Int(d.Terms)
 	}
 
 	uids := make([]int, 0, len(m.reputations))
 	for uid := range m.reputations {
 		uids = append(uids, int(uid))
 	}
-	sort.Ints(uids)
+	slices.Sort(uids)
+	w.Uvarint(uint64(len(uids)))
 	for _, uid := range uids {
 		r := m.reputations[power.UID(uid)]
-		st.Reputations = append(st.Reputations, ReputationState{
-			UID: uid, Normals: r.normals, Deferrals: r.deferrals,
-		})
+		w.Int(uid)
+		w.Int(r.normals)
+		w.Int(r.deferrals)
 	}
 
 	uids = uids[:0]
 	for uid := range m.eubTime {
 		uids = append(uids, int(uid))
 	}
-	sort.Ints(uids)
+	slices.Sort(uids)
+	w.Uvarint(uint64(len(uids)))
 	for _, uid := range uids {
-		st.EUBTimes = append(st.EUBTimes, EUBState{UID: uid, T: m.eubTime[power.UID(uid)]})
+		w.Int(uid)
+		w.Varint(int64(m.eubTime[power.UID(uid)]))
 	}
 
 	ids := make([]uint64, 0, len(m.leases))
 	for id := range m.leases {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
-		l := m.leases[id]
-		ls := LeaseState{
-			ID: l.id, ObjID: l.obj.ID, UID: int(l.obj.UID), Kind: int(l.obj.Kind),
-			State: int(l.state), CreatedAt: l.createdAt, TermStart: l.termStart,
-			Term: l.term, TermIndex: l.termIndex,
-			Held: l.held, NormalStreak: l.normalStreak,
-			MisbehaveStreak: l.misbehaveStreak, Escalation: l.escalation,
-			LastCPU: l.lastCPU, LastExc: l.lastExc, LastUI: l.lastUI, LastInter: l.lastInter,
-			DeadAt: l.deadAt, LastIdle: l.lastIdle, IdleTotal: l.idleTotal,
-			ActiveSince: l.activeSince, ActiveTotal: l.activeTotal,
+		m.leases[id].encodeState(w)
+	}
+}
+
+func (l *Lease) encodeState(w *snapenc.Writer) {
+	w.Uvarint(l.id)
+	w.Uvarint(l.obj.ID)
+	w.Int(int(l.obj.UID))
+	w.Int(int(l.obj.Kind))
+	w.Int(int(l.state))
+	w.Varint(int64(l.createdAt))
+	w.Varint(int64(l.termStart))
+	w.Varint(int64(l.term))
+	w.Int(l.termIndex)
+	w.Bool(l.held)
+	w.Int(l.normalStreak)
+	w.Int(l.misbehaveStreak)
+	w.Int(l.escalation)
+	w.Varint(int64(l.lastCPU))
+	w.Int(l.lastExc)
+	w.Int(l.lastUI)
+	w.Int(l.lastInter)
+	// Pending events: a presence byte, then the due instant only if set.
+	w.Bool(l.checkEvent != 0)
+	if l.checkEvent != 0 {
+		w.Varint(int64(l.checkAt))
+	}
+	w.Bool(l.restoreEvent != 0)
+	if l.restoreEvent != 0 {
+		w.Varint(int64(l.restoreAt))
+	}
+	w.Varint(int64(l.deadAt))
+	w.Varint(int64(l.lastIdle))
+	w.Varint(int64(l.idleTotal))
+	w.Varint(int64(l.activeSince))
+	w.Varint(int64(l.activeTotal))
+	w.Uvarint(uint64(len(l.history)))
+	for i := range l.history {
+		t := &l.history[i]
+		w.Int(t.Index)
+		w.Varint(int64(t.Start))
+		w.Varint(int64(t.Duration))
+		w.Varint(int64(t.Held))
+		w.Varint(int64(t.Active))
+		w.Varint(int64(t.Used))
+		w.Varint(int64(t.RequestTime))
+		w.Varint(int64(t.FailedRequestTime))
+		w.Varint(int64(t.CPUTime))
+		w.Int(t.DataPoints)
+		w.Float64(t.DistanceM)
+		w.Int(t.Exceptions)
+		w.Int(t.UIUpdates)
+		w.Int(t.Interactions)
+		w.Float64(t.SuccessRatio)
+		w.Float64(t.Utilization)
+		w.Float64(t.UtilityScore)
+		w.Int(int(t.Behavior))
+	}
+}
+
+// Minimum encoded sizes, for the decoder's count checks: one byte per
+// varint or bool, eight per float.
+const (
+	minDeadRecordBytes = 2
+	minReputationBytes = 3
+	minEUBBytes        = 2
+	minLeaseBytes      = 25
+	minTermRecordBytes = 14 + 4*8
+)
+
+// DecodeManagerState reads what EncodeState wrote. Errors are the reader's
+// (sticky); the caller checks r.Err or r.Done once its own sections are
+// read too.
+func DecodeManagerState(r *snapenc.Reader) ManagerState {
+	st := ManagerState{
+		NextID:          r.Uvarint(),
+		CreatedTotal:    r.Int(),
+		DeadTotal:       r.Int(),
+		TermChecks:      r.Int(),
+		Deferrals:       r.Int(),
+		Renewals:        r.Int(),
+		TermAdaptations: r.Int(),
+	}
+	if n := r.Count(minDeadRecordBytes); n > 0 {
+		st.DeadRecords = make([]ActivityRecord, n)
+		for i := range st.DeadRecords {
+			st.DeadRecords[i] = ActivityRecord{Active: time.Duration(r.Varint()), Terms: r.Int()}
 		}
-		if len(l.history) > 0 {
-			ls.History = append([]TermRecord(nil), l.history...)
+	}
+	if n := r.Count(minReputationBytes); n > 0 {
+		st.Reputations = make([]ReputationState, n)
+		for i := range st.Reputations {
+			st.Reputations[i] = ReputationState{UID: r.Int(), Normals: r.Int(), Deferrals: r.Int()}
 		}
-		if l.checkEvent != 0 {
-			ls.HasCheck, ls.CheckAt = true, l.checkAt
+	}
+	if n := r.Count(minEUBBytes); n > 0 {
+		st.EUBTimes = make([]EUBState, n)
+		for i := range st.EUBTimes {
+			st.EUBTimes[i] = EUBState{UID: r.Int(), T: time.Duration(r.Varint())}
 		}
-		if l.restoreEvent != 0 {
-			ls.HasRestor, ls.RestoreAt = true, l.restoreAt
+	}
+	if n := r.Count(minLeaseBytes); n > 0 {
+		st.Leases = make([]LeaseState, n)
+		for i := range st.Leases {
+			decodeLeaseState(r, &st.Leases[i])
 		}
-		st.Leases = append(st.Leases, ls)
 	}
 	return st
+}
+
+func decodeLeaseState(r *snapenc.Reader, ls *LeaseState) {
+	ls.ID = r.Uvarint()
+	ls.ObjID = r.Uvarint()
+	ls.UID = r.Int()
+	ls.Kind = r.Int()
+	ls.State = r.Int()
+	ls.CreatedAt = simclock.Time(r.Varint())
+	ls.TermStart = simclock.Time(r.Varint())
+	ls.Term = time.Duration(r.Varint())
+	ls.TermIndex = r.Int()
+	ls.Held = r.Bool()
+	ls.NormalStreak = r.Int()
+	ls.MisbehaveStreak = r.Int()
+	ls.Escalation = r.Int()
+	ls.LastCPU = time.Duration(r.Varint())
+	ls.LastExc = r.Int()
+	ls.LastUI = r.Int()
+	ls.LastInter = r.Int()
+	if ls.HasCheck = r.Bool(); ls.HasCheck {
+		ls.CheckAt = simclock.Time(r.Varint())
+	}
+	if ls.HasRestor = r.Bool(); ls.HasRestor {
+		ls.RestoreAt = simclock.Time(r.Varint())
+	}
+	ls.DeadAt = simclock.Time(r.Varint())
+	ls.LastIdle = simclock.Time(r.Varint())
+	ls.IdleTotal = time.Duration(r.Varint())
+	ls.ActiveSince = simclock.Time(r.Varint())
+	ls.ActiveTotal = time.Duration(r.Varint())
+	n := r.Count(minTermRecordBytes)
+	if n == 0 {
+		return
+	}
+	ls.History = make([]TermRecord, n)
+	for i := range ls.History {
+		t := &ls.History[i]
+		t.Index = r.Int()
+		t.Start = simclock.Time(r.Varint())
+		t.Duration = time.Duration(r.Varint())
+		t.Held = time.Duration(r.Varint())
+		t.Active = time.Duration(r.Varint())
+		t.Used = time.Duration(r.Varint())
+		t.RequestTime = time.Duration(r.Varint())
+		t.FailedRequestTime = time.Duration(r.Varint())
+		t.CPUTime = time.Duration(r.Varint())
+		t.DataPoints = r.Int()
+		t.DistanceM = r.Float64()
+		t.Exceptions = r.Int()
+		t.UIUpdates = r.Int()
+		t.Interactions = r.Int()
+		t.SuccessRatio = r.Float64()
+		t.Utilization = r.Float64()
+		t.UtilityScore = r.Float64()
+		t.Behavior = Behavior(r.Int())
+	}
+}
+
+// CaptureState returns the manager's complete state as plain structs: the
+// decode of EncodeState, so the two can never disagree about what a
+// snapshot holds.
+func (m *Manager) CaptureState() ManagerState {
+	w := snapenc.NewWriter(nil)
+	m.EncodeState(w)
+	r := snapenc.NewReader(w.Payload())
+	st := DecodeManagerState(r)
+	if err := r.Done(); err != nil {
+		panic("lease: EncodeState output does not decode: " + err.Error())
+	}
+	return st
+}
+
+// EncodeState writes the policy field by field, in declaration order. A
+// checkpoint pins the policy it was written under; the daemon refuses to
+// reopen a data directory under a different one.
+func (c Config) EncodeState(w *snapenc.Writer) {
+	w.Varint(int64(c.Term))
+	w.Varint(int64(c.Tau))
+	w.Bool(c.NoAdaptiveTerms)
+	w.Int(c.NormalStreakForMinute)
+	w.Int(c.NormalStreakForFiveMin)
+	w.Varint(int64(c.MinuteTerm))
+	w.Varint(int64(c.FiveMinuteTerm))
+	w.Int(c.MisbehaviorWindow)
+	w.Bool(c.NoTauEscalation)
+	w.Varint(int64(c.TauMax))
+	w.Float64(c.UtilizationThreshold)
+	w.Float64(c.UtilityThreshold)
+	w.Float64(c.FABSuccessThreshold)
+	w.Float64(c.FABMinAskFraction)
+	w.Float64(c.LHBHoldFraction)
+	w.Float64(c.EUBUtilizationFloor)
+	w.Float64(c.CustomUtilityFloor)
+	w.Bool(c.NoExceptionSignal)
+	w.Int(c.HistoryLen)
+	w.Bool(c.EnableReputation)
+	w.Int(c.ReputationDeferralFloor)
+	w.Int(c.ReputationTrustFloor)
+	w.Bool(c.RecordTransitions)
+}
+
+// DecodeConfig reads what Config.EncodeState wrote.
+func DecodeConfig(r *snapenc.Reader) Config {
+	return Config{
+		Term:                    time.Duration(r.Varint()),
+		Tau:                     time.Duration(r.Varint()),
+		NoAdaptiveTerms:         r.Bool(),
+		NormalStreakForMinute:   r.Int(),
+		NormalStreakForFiveMin:  r.Int(),
+		MinuteTerm:              time.Duration(r.Varint()),
+		FiveMinuteTerm:          time.Duration(r.Varint()),
+		MisbehaviorWindow:       r.Int(),
+		NoTauEscalation:         r.Bool(),
+		TauMax:                  time.Duration(r.Varint()),
+		UtilizationThreshold:    r.Float64(),
+		UtilityThreshold:        r.Float64(),
+		FABSuccessThreshold:     r.Float64(),
+		FABMinAskFraction:       r.Float64(),
+		LHBHoldFraction:         r.Float64(),
+		EUBUtilizationFloor:     r.Float64(),
+		CustomUtilityFloor:      r.Float64(),
+		NoExceptionSignal:       r.Bool(),
+		HistoryLen:              r.Int(),
+		EnableReputation:        r.Bool(),
+		ReputationDeferralFloor: r.Int(),
+		ReputationTrustFloor:    r.Int(),
+		RecordTransitions:       r.Bool(),
+	}
 }
 
 // RestoreState rebuilds a freshly-created manager from a capture. resolve

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/power"
 	"repro/internal/simclock"
+	"repro/internal/snapenc"
 )
 
 // snapCtrl is a deliberately stateless Controller: every term pull reports a
@@ -35,8 +37,9 @@ func snapObj(ctrl *snapCtrl, id uint64, uid power.UID) hooks.Object {
 // serialized facet populated — an active lease with a pending term check, a
 // deferred lease with a pending restore, a destroyed lease's activity
 // record, reputation history — then checks that (a) the capture survives a
-// JSON round trip, (b) a fresh manager restored from it captures
-// identically, and (c) both managers evolve identically afterwards.
+// JSON round trip (the -dump-snapshot view), (b) a fresh manager restored
+// from it captures — and encodes — identically, and (c) both managers evolve
+// identically afterwards.
 func TestCaptureRestoreRoundTrip(t *testing.T) {
 	eng := simclock.NewEngine()
 	stats := newFakeStats()
@@ -102,6 +105,9 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if got := mgr2.CaptureState(); !reflect.DeepEqual(st, got) {
 		t.Fatalf("restored capture differs:\n pre: %+v\npost: %+v", st, got)
 	}
+	if !bytes.Equal(encodeManager(mgr), encodeManager(mgr2)) {
+		t.Fatal("restored manager encodes to different bytes")
+	}
 
 	// Both managers must now evolve in lockstep: the deferred lease is
 	// restored at 30s (before being re-deferred at its 35s term check), the
@@ -126,6 +132,43 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	eng2.RunUntil(40 * time.Second)
 	if !reflect.DeepEqual(mgr.CaptureState(), mgr2.CaptureState()) {
 		t.Fatal("evolution diverged between 32s and 40s")
+	}
+}
+
+func encodeManager(m *Manager) []byte {
+	w := snapenc.NewWriter(nil)
+	m.EncodeState(w)
+	return w.Payload()
+}
+
+// TestConfigRoundTripEveryField sets every field of Config to a distinct
+// non-zero value by reflection, so a field added to the policy but not to
+// its codec — which would let a changed policy reopen old journals
+// unnoticed — fails here.
+func TestConfigRoundTripEveryField(t *testing.T) {
+	var c Config
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(1000003 * (i + 1)))
+		case reflect.Float64:
+			f.SetFloat(0.125 * float64(i+1))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Config.%s: kind %s has no snapshot encoding", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	w := snapenc.NewWriter(nil)
+	c.EncodeState(w)
+	r := snapenc.NewReader(w.Payload())
+	got := DecodeConfig(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if got != c {
+		t.Fatalf("Config changed across its codec:\n got %+v\nwant %+v", got, c)
 	}
 }
 

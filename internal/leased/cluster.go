@@ -12,6 +12,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/lease"
 	"repro/internal/power"
+	"repro/internal/snapenc"
 )
 
 // Replication glue: the Server plays both sides of the internal/cluster
@@ -201,12 +202,12 @@ func (s *Server) SnapshotShard(shard int, sub *cluster.Subscriber) (payload []by
 	}
 	sh := s.shards[shard]
 	sh.do(func() {
-		payload, err = json.Marshal(sh.captureState())
-		if err == nil {
-			seq = sh.repl.Attach(sub)
-		}
+		w := snapenc.NewWriter(nil)
+		sh.encodeState(w)
+		payload = w.Payload()
+		seq = sh.repl.Attach(sub)
 	})
-	return payload, seq, err
+	return payload, seq, nil
 }
 
 // ObserveEpoch implements cluster.Source: proof of a later generation
@@ -266,9 +267,9 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 		return fmt.Errorf("leased: no shard %d", shard)
 	}
 	sh := s.shards[shard]
-	var st persistedState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return fmt.Errorf("leased: corrupt replicated snapshot: %w", err)
+	st, err := decodeSnapshot(payload)
+	if err != nil {
+		return fmt.Errorf("leased: unreadable replicated snapshot: %w", err)
 	}
 	if st.Config != sh.mgr.Config() {
 		return fmt.Errorf("leased: replicated snapshot carries a different lease policy")
@@ -280,7 +281,6 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	// zero, then forward to the snapshot instant (no events exist to fire).
 	sh.clock.ResetVirtual()
 	sh.clock.RunVirtual(st.Now)
-	var err error
 	sh.do(func() {
 		sh.reinitLocked()
 		if err = sh.restoreStateLocked(st); err != nil {

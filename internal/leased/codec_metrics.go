@@ -240,11 +240,13 @@ func (e *ienc) durability(d *DurabilityStats) {
 	e.intKey(&first, "stale_records", int64(d.StaleRecords))
 	e.intKey(&first, "truncated_bytes", d.TruncatedBytes)
 	e.intKey(&first, "dir_sync_errors", d.DirSyncErrors)
+	e.intKey(&first, "snapshot_bytes", d.SnapshotBytes)
 	e.intKey(&first, "snapshot_every", int64(d.SnapshotEvery))
 	e.boolKey(&first, "fsync", d.Fsync)
 	e.intKey(&first, "journal_errors", d.JournalErrors)
 	e.intKey(&first, "checkpoints", d.Checkpoints)
 	e.intKey(&first, "dedup_entries", int64(d.DedupEntries))
+	e.intKey(&first, "checkpoint_last_us", d.CheckpointLastUS)
 	e.close('}', first)
 }
 

@@ -60,8 +60,9 @@ func TestMetricsEncoderMatchesStdlib(t *testing.T) {
 		Deduped:            42,
 		Durability: &DurabilityStats{
 			Stats: durable.Stats{Epoch: 3, AppendedTotal: 5000, SinceSnapshot: 17, SnapshotsTotal: 4,
-				StaleRecords: 2, TruncatedBytes: 64, DirSyncErrors: 1},
+				StaleRecords: 2, TruncatedBytes: 64, DirSyncErrors: 1, SnapshotBytes: 1593344},
 			SnapshotEvery: 1024, Fsync: true, JournalErrors: 1, Checkpoints: 4, DedupEntries: 99,
+			CheckpointLastUS: 1830,
 		},
 		Recovery: &RecoveryInfo{SnapshotLoaded: true, SnapshotNow: 777, Replayed: 17, TruncatedBytes: 12, StaleRecords: 3},
 		Cluster: &ClusterStatus{
@@ -138,4 +139,9 @@ func TestMetricsEncoderMatchesStdlibLive(t *testing.T) {
 
 	snap := d.s.snapshot()
 	checkSnapshotEncoding(t, "live", &snap)
+	// Each shard wrote its initial checkpoint at Open: the totals carry the
+	// two files' sizes and the longer of the two stalls.
+	if ds := snap.Durability; ds == nil || ds.SnapshotBytes <= 0 || ds.CheckpointLastUS <= 0 {
+		t.Fatalf("durability section after two checkpoints: %+v", ds)
+	}
 }

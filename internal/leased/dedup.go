@@ -1,5 +1,7 @@
 package leased
 
+import "repro/internal/snapenc"
+
 // dedupCache makes mutations idempotent across retries: a client that lost a
 // response (crash, dropped connection, timeout) resends the same request
 // with the same X-Request-ID and gets the stored response back instead of a
@@ -24,7 +26,7 @@ type dedupCache struct {
 // dedupEntry is one cached response in the checkpoint payload.
 type dedupEntry struct {
 	ID   string `json:"id"`
-	Resp []byte `json:"resp"`
+	Resp []byte `json:"resp"` // base64 in the -dump-snapshot view; raw bytes on disk
 }
 
 func newDedupCache(capacity int) *dedupCache {
@@ -64,15 +66,28 @@ func (c *dedupCache) put(id string, resp []byte) {
 	c.m[id] = resp
 }
 
-// entries lists the cache oldest-first, for the checkpoint payload.
-func (c *dedupCache) entries() []dedupEntry {
-	if c.n == 0 {
-		return nil
-	}
-	out := make([]dedupEntry, 0, c.n)
+// encodeState writes the cache oldest-first into the checkpoint payload:
+// a count, then each id and its stored response as raw bytes.
+func (c *dedupCache) encodeState(w *snapenc.Writer) {
+	w.Uvarint(uint64(c.n))
 	for i := 0; i < c.n; i++ {
 		id := c.ring[(c.head+i)%c.cap]
-		out = append(out, dedupEntry{ID: id, Resp: c.m[id]})
+		w.String(id)
+		w.Bytes(c.m[id])
+	}
+}
+
+// decodeDedupState reads what encodeState wrote. A row is at least two
+// bytes (two length prefixes), which bounds the count — see
+// snapenc.Reader.Count.
+func decodeDedupState(r *snapenc.Reader) []dedupEntry {
+	n := r.Count(2)
+	if n == 0 {
+		return nil
+	}
+	out := make([]dedupEntry, n)
+	for i := range out {
+		out[i] = dedupEntry{ID: r.String(), Resp: r.Bytes()}
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package leased
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/snapenc"
 )
 
 // TestDedupBoundedRetention fills the cache many times over its cap and
@@ -42,6 +44,13 @@ func TestDedupBoundedRetention(t *testing.T) {
 			t.Fatalf("req-%03d = %q, want %q", i, raw, want)
 		}
 	}
+}
+
+// entries lists the cache oldest-first, as a checkpoint would carry it.
+func (c *dedupCache) entries() []dedupEntry {
+	w := snapenc.NewWriter(nil)
+	c.encodeState(w)
+	return decodeDedupState(snapenc.NewReader(w.Payload()))
 }
 
 // TestDedupFIFOOrder pins the eviction order and the entries() listing:

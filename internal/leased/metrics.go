@@ -194,6 +194,8 @@ type shardMetrics struct {
 	deduped       atomic.Int64 // idempotent retries answered from cache
 	journalErrors atomic.Int64 // failed journal appends / checkpoints
 	checkpoints   atomic.Int64 // successful snapshots
+
+	checkpointLastUS atomic.Int64 // how long the last one held the shard clock
 }
 
 // LeaseCounts is the per-state lease census in a metrics snapshot.
@@ -301,6 +303,10 @@ type DurabilityStats struct {
 	JournalErrors int64 `json:"journal_errors"`
 	Checkpoints   int64 `json:"checkpoints"`
 	DedupEntries  int   `json:"dedup_entries"`
+	// CheckpointLastUS is how long the most recent checkpoint held the
+	// shard clock — the stall every request routed to that shard waited
+	// out. Merged across shards it is the worst of them.
+	CheckpointLastUS int64 `json:"checkpoint_last_us"`
 }
 
 func (d *DurabilityStats) merge(o DurabilityStats) {
@@ -313,9 +319,11 @@ func (d *DurabilityStats) merge(o DurabilityStats) {
 	d.StaleRecords += o.StaleRecords
 	d.TruncatedBytes += o.TruncatedBytes
 	d.DirSyncErrors += o.DirSyncErrors
+	d.SnapshotBytes += o.SnapshotBytes
 	d.JournalErrors += o.JournalErrors
 	d.Checkpoints += o.Checkpoints
 	d.DedupEntries += o.DedupEntries
+	d.CheckpointLastUS = max(d.CheckpointLastUS, o.CheckpointLastUS)
 	d.SnapshotEvery = o.SnapshotEvery
 	d.Fsync = o.Fsync
 }
@@ -391,12 +399,13 @@ func (sh *shard) collect() ShardSnapshot {
 	sh.do(func() {
 		if sh.store != nil {
 			snap.Durability = &DurabilityStats{
-				Stats:         sh.store.Stats(),
-				SnapshotEvery: sh.opts.SnapshotEvery,
-				Fsync:         sh.opts.Fsync,
-				JournalErrors: sh.metrics.journalErrors.Load(),
-				Checkpoints:   sh.metrics.checkpoints.Load(),
-				DedupEntries:  sh.dedup.size(),
+				Stats:            sh.store.Stats(),
+				SnapshotEvery:    sh.opts.SnapshotEvery,
+				Fsync:            sh.opts.Fsync,
+				JournalErrors:    sh.metrics.journalErrors.Load(),
+				Checkpoints:      sh.metrics.checkpoints.Load(),
+				DedupEntries:     sh.dedup.size(),
+				CheckpointLastUS: sh.metrics.checkpointLastUS.Load(),
 			}
 			rec := sh.recovery
 			snap.Recovery = &rec

@@ -3,9 +3,9 @@ package leased
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +16,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
+	"repro/internal/snapenc"
 )
 
 // Crash safety. A shard's whole mutable state is a deterministic function of
@@ -43,9 +44,9 @@ import (
 //
 // A periodic checkpoint (every Options.SnapshotEvery records per shard)
 // serializes the shard's full state — manager, resource table, client/UID
-// map, app counters, dedup cache — so replay cost stays bounded; the
-// durable store guarantees the snapshot+journal pair is consistent across a
-// crash at any instant.
+// map, app counters, dedup cache — in the binary snapshot encoding
+// (snapshot.go), so replay cost stays bounded; the durable store guarantees
+// the snapshot+journal pair is consistent across a crash at any instant.
 
 // opRecord is one journaled external mutation. At is the virtual instant the
 // operation executed; replay advances the clock there before re-applying.
@@ -67,8 +68,10 @@ type opRecord struct {
 	ReqID string `json:"req_id,omitempty"`
 }
 
-// persistedState is the checkpoint payload: everything a fresh process needs
-// to stand one shard back up at one virtual instant.
+// persistedState is the decoded checkpoint payload: everything a fresh
+// process needs to stand one shard back up at one virtual instant. On disk
+// and on the replication wire it is the binary encoding in snapshot.go; the
+// JSON tags serve only the -dump-snapshot view.
 type persistedState struct {
 	Now     simclock.Time      `json:"now"`
 	Config  lease.Config       `json:"config"`
@@ -260,9 +263,9 @@ func recoverShard(id int, store *durable.Store, res durable.OpenResult, opts Opt
 	info := RecoveryInfo{TruncatedBytes: res.TruncatedBytes, StaleRecords: res.StaleRecords}
 
 	if res.Snapshot != nil {
-		var st persistedState
-		if err := json.Unmarshal(res.Snapshot, &st); err != nil {
-			return nil, info, fmt.Errorf("leased: corrupt snapshot payload: %w", err)
+		st, err := decodeSnapshot(res.Snapshot)
+		if err != nil {
+			return nil, info, fmt.Errorf("leased: unreadable snapshot payload: %w", err)
 		}
 		if st.Config != sh.mgr.Config() {
 			return nil, info, fmt.Errorf("leased: lease policy changed since the snapshot was written; refusing to reinterpret the journal (wipe the data dir or restore the old policy)")
@@ -319,24 +322,30 @@ func (sh *shard) journalLocked(rec *opRecord) {
 	}
 }
 
-// checkpointLocked serializes the shard's full state and swaps it in as the
-// new snapshot. Callers hold the shard clock.
+// checkpointLocked streams the shard's full state into a new snapshot and
+// swaps it in. Callers hold the shard clock, so the shard serves nothing
+// until this returns: checkpoint_last_us in /metrics is that stall. The
+// encoder's one small buffer is dropped with it — nothing snapshot-sized is
+// ever allocated, let alone kept.
 func (sh *shard) checkpointLocked() {
 	if sh.store == nil {
 		return
 	}
-	payload, err := json.Marshal(sh.captureState())
-	if err == nil {
-		// The durable epoch is floored into the current leadership
-		// generation's band, so a promotion's first checkpoints jump past
-		// every epoch a stale ex-primary could have written under.
-		err = sh.store.CheckpointAt(payload, sh.checkpointEpochTarget())
-	}
+	start := time.Now()
+	// The durable epoch is floored into the current leadership generation's
+	// band, so a promotion's first checkpoints jump past every epoch a
+	// stale ex-primary could have written under.
+	err := sh.store.CheckpointStream(sh.checkpointEpochTarget(), func(out io.Writer) error {
+		w := snapenc.NewWriter(out)
+		sh.encodeState(w)
+		return w.Flush()
+	})
 	if err != nil {
 		sh.metrics.journalErrors.Add(1)
 		return
 	}
 	sh.metrics.checkpoints.Add(1)
+	sh.metrics.checkpointLastUS.Store(time.Since(start).Microseconds())
 }
 
 // Checkpoint forces a snapshot of every shard now; the daemon calls it on
@@ -345,53 +354,6 @@ func (s *Server) Checkpoint() {
 	for _, sh := range s.shards {
 		sh.do(func() { sh.checkpointLocked() })
 	}
-}
-
-// captureState serializes one shard. Callers hold the shard clock.
-// Iteration over every map is sorted, so equal states produce equal
-// payloads.
-func (sh *shard) captureState() persistedState {
-	st := persistedState{
-		Now:       sh.clock.Now(),
-		Config:    sh.mgr.Config(),
-		Manager:   sh.mgr.CaptureState(),
-		Shard:     sh.id,
-		Shards:    sh.opts.Shards,
-		NextUID:   int(sh.nextUID),
-		NextObjID: sh.res.nextID,
-	}
-	if sh.cepoch != nil {
-		st.ClusterEpoch = sh.cepoch.Load()
-	}
-	for _, uid := range sortedUIDs(sh.clientName) {
-		st.Clients = append(st.Clients, clientEntry{Name: sh.clientName[uid], UID: int(uid)})
-	}
-	ids := make([]uint64, 0, len(sh.res.objs))
-	for id := range sh.res.objs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		o := sh.res.objs[id]
-		st.Objects = append(st.Objects, objState{
-			ID: o.id, UID: int(o.uid), Kind: int(o.kind), Client: o.client,
-			LeaseID: o.leaseID, Held: o.held, Suppressed: o.suppressed,
-			LastSettle: o.lastSettle,
-			AccHeld:    int64(o.accHeld), AccActive: int64(o.accActive),
-			Used: int64(o.used), ReqTime: int64(o.reqTime),
-			FailedReqTime: int64(o.failedReqTime),
-			DataPoints:    o.dataPoints, DistanceM: o.distanceM,
-			Acquires: o.acquires,
-		})
-	}
-	for _, uid := range sortedStatUIDs(sh.apps) {
-		st.Apps = append(st.Apps, appEntry{
-			UID: int(uid), CPU: int64(sh.apps.cpu[uid]),
-			Exc: sh.apps.exc[uid], UI: sh.apps.ui[uid], Inter: sh.apps.inter[uid],
-		})
-	}
-	st.Dedup = sh.dedup.entries()
-	return st
 }
 
 // restoreState rebuilds one shard from a checkpoint. The clock must be
@@ -469,44 +431,4 @@ func (sh *shard) replayRecord(rec opRecord) {
 		// (the crash-equality tests DeepEqual the dedup contents).
 		sh.dedup.put(rec.ReqID, appendLeaseResponse(nil, &resp))
 	}
-}
-
-// --- small helpers ---
-
-func sortUID(uids []power.UID) {
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-}
-
-func sortedUIDs(m map[power.UID]string) []power.UID {
-	uids := make([]power.UID, 0, len(m))
-	for uid := range m {
-		uids = append(uids, uid)
-	}
-	sortUID(uids)
-	return uids
-}
-
-func sortedStatUIDs(a *appStats) []power.UID {
-	seen := make(map[power.UID]bool)
-	var uids []power.UID
-	add := func(uid power.UID) {
-		if !seen[uid] {
-			seen[uid] = true
-			uids = append(uids, uid)
-		}
-	}
-	for uid := range a.cpu {
-		add(uid)
-	}
-	for uid := range a.exc {
-		add(uid)
-	}
-	for uid := range a.ui {
-		add(uid)
-	}
-	for uid := range a.inter {
-		add(uid)
-	}
-	sortUID(uids)
-	return uids
 }

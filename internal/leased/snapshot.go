@@ -1,0 +1,224 @@
+package leased
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"path/filepath"
+	"slices"
+
+	"repro/internal/durable"
+	"repro/internal/lease"
+	"repro/internal/power"
+	"repro/internal/simclock"
+	"repro/internal/snapenc"
+)
+
+// The shard snapshot payload: one versioned binary encoding, written by the
+// periodic checkpoint, read by recovery, and shipped whole to a follower as
+// its catch-up state — the same bytes in all three places. encodeState is
+// the only walk over a shard's live state and decodeSnapshot the only
+// reader; persistedState (recovery.go) is the decoded form. DESIGN.md's
+// durability section has the layout table.
+
+// snapshotVersion is the payload's first byte. A decoder refuses a version
+// it does not know, so changing any section order or field encoding below
+// (or in lease.Manager.EncodeState) means a new version — and a build that
+// still reads the previous one, if a cluster is to be rolled across the
+// change.
+const snapshotVersion = 1
+
+// errLegacySnapshot refuses the JSON payload checkpoints carried before the
+// binary codec. '{' can never be a version byte by accident: versions count
+// up from 1.
+var errLegacySnapshot = errors.New("snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version byte 1) — start from a fresh data directory, or let the node catch up from a peer running this build")
+
+// encodeState walks the shard's full state into w. Callers hold the shard
+// clock. Iteration over every map is sorted, so equal states produce equal
+// bytes.
+func (sh *shard) encodeState(w *snapenc.Writer) {
+	w.Byte(snapshotVersion)
+	w.Varint(int64(sh.clock.Now()))
+	w.Int(sh.id)
+	w.Int(sh.opts.Shards)
+	var cepoch uint64
+	if sh.cepoch != nil {
+		cepoch = sh.cepoch.Load()
+	}
+	w.Uvarint(cepoch)
+	sh.mgr.Config().EncodeState(w)
+
+	w.Int(int(sh.nextUID))
+	uids := make([]power.UID, 0, len(sh.clientName))
+	for uid := range sh.clientName {
+		uids = append(uids, uid)
+	}
+	slices.Sort(uids)
+	w.Uvarint(uint64(len(uids)))
+	for _, uid := range uids {
+		w.String(sh.clientName[uid])
+		w.Int(int(uid))
+	}
+
+	w.Uvarint(sh.res.nextID)
+	ids := make([]uint64, 0, len(sh.res.objs))
+	for id := range sh.res.objs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	w.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
+		o := sh.res.objs[id]
+		w.Uvarint(o.id)
+		w.Int(int(o.uid))
+		w.Int(int(o.kind))
+		w.String(o.client)
+		w.Uvarint(o.leaseID)
+		w.Bool(o.held)
+		w.Bool(o.suppressed)
+		w.Varint(int64(o.lastSettle))
+		w.Varint(int64(o.accHeld))
+		w.Varint(int64(o.accActive))
+		w.Varint(int64(o.used))
+		w.Varint(int64(o.reqTime))
+		w.Varint(int64(o.failedReqTime))
+		w.Int(o.dataPoints)
+		w.Float64(o.distanceM)
+		w.Varint(o.acquires)
+	}
+
+	// One row per uid any of the four per-app tables has heard of.
+	uids = uids[:0]
+	for uid := range sh.apps.cpu {
+		uids = append(uids, uid)
+	}
+	for _, m := range [...]map[power.UID]int{sh.apps.exc, sh.apps.ui, sh.apps.inter} {
+		for uid := range m {
+			uids = append(uids, uid)
+		}
+	}
+	slices.Sort(uids)
+	uids = slices.Compact(uids)
+	w.Uvarint(uint64(len(uids)))
+	for _, uid := range uids {
+		w.Int(int(uid))
+		w.Varint(int64(sh.apps.cpu[uid]))
+		w.Int(sh.apps.exc[uid])
+		w.Int(sh.apps.ui[uid])
+		w.Int(sh.apps.inter[uid])
+	}
+
+	sh.dedup.encodeState(w)
+	sh.mgr.EncodeState(w)
+}
+
+// Minimum encoded sizes for the decoder's count checks (see
+// snapenc.Reader.Count): one byte per varint, bool or length prefix, eight
+// per float.
+const (
+	minClientBytes = 2
+	minObjectBytes = 15 + 8
+	minAppBytes    = 5
+)
+
+// decodeSnapshot reads one shard's payload. It never panics on any input,
+// never allocates more than a small multiple of len(payload), and refuses
+// an unknown version byte, the old JSON format, and trailing bytes.
+func decodeSnapshot(payload []byte) (persistedState, error) {
+	var st persistedState
+	if len(payload) == 0 {
+		return st, snapenc.ErrTruncated
+	}
+	if payload[0] == '{' {
+		return st, errLegacySnapshot
+	}
+	if payload[0] != snapshotVersion {
+		return st, fmt.Errorf("unknown snapshot version byte %d (this build reads version %d)", payload[0], snapshotVersion)
+	}
+	r := snapenc.NewReader(payload[1:])
+	st.Now = simclock.Time(r.Varint())
+	st.Shard = r.Int()
+	st.Shards = r.Int()
+	st.ClusterEpoch = r.Uvarint()
+	st.Config = lease.DecodeConfig(r)
+
+	st.NextUID = r.Int()
+	if n := r.Count(minClientBytes); n > 0 {
+		st.Clients = make([]clientEntry, n)
+		for i := range st.Clients {
+			st.Clients[i] = clientEntry{Name: r.String(), UID: r.Int()}
+		}
+	}
+
+	st.NextObjID = r.Uvarint()
+	if n := r.Count(minObjectBytes); n > 0 {
+		st.Objects = make([]objState, n)
+		for i := range st.Objects {
+			o := &st.Objects[i]
+			o.ID = r.Uvarint()
+			o.UID = r.Int()
+			o.Kind = r.Int()
+			o.Client = r.String()
+			o.LeaseID = r.Uvarint()
+			o.Held = r.Bool()
+			o.Suppressed = r.Bool()
+			o.LastSettle = simclock.Time(r.Varint())
+			o.AccHeld = r.Varint()
+			o.AccActive = r.Varint()
+			o.Used = r.Varint()
+			o.ReqTime = r.Varint()
+			o.FailedReqTime = r.Varint()
+			o.DataPoints = r.Int()
+			o.DistanceM = r.Float64()
+			o.Acquires = r.Varint()
+		}
+	}
+
+	if n := r.Count(minAppBytes); n > 0 {
+		st.Apps = make([]appEntry, n)
+		for i := range st.Apps {
+			st.Apps[i] = appEntry{UID: r.Int(), CPU: r.Varint(), Exc: r.Int(), UI: r.Int(), Inter: r.Int()}
+		}
+	}
+
+	st.Dedup = decodeDedupState(r)
+	st.Manager = lease.DecodeManagerState(r)
+	return st, r.Done()
+}
+
+// DumpSnapshot writes each shard's on-disk snapshot under dir to w as
+// indented JSON, one document per shard in shard order (null for a shard
+// with no snapshot yet) — the human-readable view of the binary payload. It
+// only reads the snapshot files: no journal is replayed, reset or
+// truncated, so it is safe beside a crashed daemon's data directory.
+func DumpSnapshot(dir string, w io.Writer) error {
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil {
+		return err
+	}
+	if len(paths) == 0 {
+		return fmt.Errorf("leased: %s holds no shard directories", dir)
+	}
+	slices.Sort(paths)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	for _, p := range paths {
+		payload, err := durable.ReadSnapshot(p)
+		if err != nil {
+			return err
+		}
+		var st *persistedState
+		if payload != nil {
+			decoded, err := decodeSnapshot(payload)
+			if err != nil {
+				return fmt.Errorf("leased: %s: %w", filepath.Base(p), err)
+			}
+			st = &decoded
+		}
+		if err := enc.Encode(st); err != nil {
+			return fmt.Errorf("leased: %s: %w", filepath.Base(p), err)
+		}
+	}
+	return nil
+}

@@ -1,0 +1,400 @@
+package leased
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	goruntime "runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/durable"
+	"repro/internal/runtime"
+	"repro/internal/snapenc"
+)
+
+// encodeShard is the payload a checkpoint of sh would carry.
+func encodeShard(sh *shard) []byte {
+	w := snapenc.NewWriter(nil)
+	sh.encodeState(w)
+	return w.Payload()
+}
+
+// captureState is the shard's state as plain structs: the decode of the one
+// encoder, so the crash-equality tests compare exactly what a snapshot
+// would carry. Callers hold the shard clock (or own an unstarted shard).
+func (sh *shard) captureState() persistedState {
+	st, err := decodeSnapshot(encodeShard(sh))
+	if err != nil {
+		panic("leased: encodeState output does not decode: " + err.Error())
+	}
+	return st
+}
+
+// populatedShard builds one unstarted in-memory shard the way recovery
+// would — virtual time plus replayed records, no wall clock — holding
+// `leases` leases that have each lived `terms` terms (a tenth of them idle
+// holders, so deferrals, escalation and suppressed objects appear) and a
+// dedup cache filled by the renewals' request ids.
+func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
+	tb.Helper()
+	opts = opts.withDefaults()
+	sh := newShard(0, opts, runtime.NewWallUnstarted(), new(atomic.Uint64))
+	ids := make([]uint64, leases)
+	for i := range ids {
+		rec := opRecord{Op: "acquire", Client: fmt.Sprintf("client-%04d", i), Kind: []string{"wakelock", "gps", "sensor"}[i%3]}
+		status, resp, msg := sh.applyRecord(&rec)
+		if status != 200 {
+			tb.Fatalf("acquire: %d %s", status, msg)
+		}
+		_, ids[i] = decodeLeaseID(resp.LeaseID)
+	}
+	term := opts.Lease.Term
+	for n := 1; n <= terms; n++ {
+		at := time.Duration(n)*term - term/4
+		sh.clock.RunVirtual(at)
+		for i, id := range ids {
+			if i%10 == 9 {
+				continue // idle holder
+			}
+			rep := usageReport{CPUMS: 40 + float64(i%7), UsedMS: 300, DataPoints: i % 5, DistanceM: float64(i%11) * 1.5, UIUpdates: 1 + i%3}
+			sh.replayRecord(opRecord{At: at, Op: "renew", LeaseID: id, Report: &rep, ReqID: fmt.Sprintf("req-%d-%d", n, i)})
+		}
+	}
+	return sh
+}
+
+// snapTestOptions keeps every lease on the base term so `terms` terms of
+// virtual time give every lease `terms` history rows.
+func snapTestOptions() Options {
+	o := benchOptions(1)
+	o.Lease.NoAdaptiveTerms = true
+	return o
+}
+
+// restoredFrom stands a fresh shard up from a payload, as recovery does.
+func restoredFrom(t *testing.T, opts Options, payload []byte) *shard {
+	t.Helper()
+	st, err := decodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShard(st.Shard, opts.withDefaults(), runtime.NewWallUnstarted(), new(atomic.Uint64))
+	if err := sh.restoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// bitwiseEqual is reflect.DeepEqual with floats compared by their bits: NaN
+// equals the same NaN, and 0 does not equal −0.
+func bitwiseEqual(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !bitwiseEqual(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !bitwiseEqual(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
+}
+
+// fillRandom sets every leaf under v: integers across the varint widths and
+// both signs, floats from raw bits (so NaNs with payloads, −0 and infinities
+// all occur), one to three elements per slice. A field added to any
+// snapshot struct is filled — and so must round-trip — without touching
+// this test.
+func fillRandom(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillRandom(v.Field(i), rng)
+		}
+	case reflect.Slice:
+		n := 1 + rng.Intn(3)
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := 0; i < n; i++ {
+			fillRandom(v.Index(i), rng)
+		}
+	case reflect.Int, reflect.Int64:
+		x := rng.Int63() >> uint(rng.Intn(56)+8) // up to 2^55: instants stay addable
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Uint64:
+		v.SetUint(rng.Uint64() >> uint(rng.Intn(64)))
+	case reflect.Uint8:
+		v.SetUint(uint64(rng.Intn(256)))
+	case reflect.Float64:
+		switch rng.Intn(4) {
+		case 0:
+			v.SetFloat(math.Copysign(0, -1))
+		case 1:
+			v.SetFloat(math.Float64frombits(0x7ff8000000000000 | uint64(rng.Int63n(1<<40)))) // NaN with a payload
+		default:
+			v.SetFloat(math.Float64frombits(rng.Uint64()))
+		}
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 0)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%x", rng.Int63()))
+	default:
+		panic("fillRandom: unhandled kind " + v.Kind().String())
+	}
+}
+
+// randomState is a fully random persistedState made just consistent enough
+// to restore: the shard's own identity and policy, unique sorted keys in
+// every table, each lease bound to the object of the same rank, and no due
+// instant on an event that is not pending.
+func randomState(rng *rand.Rand, sh *shard) persistedState {
+	var st persistedState
+	fillRandom(reflect.ValueOf(&st).Elem(), rng)
+	st.Config = sh.mgr.Config()
+	st.Shard, st.Shards = sh.id, sh.opts.Shards
+	if st.Now < 0 {
+		st.Now = -st.Now
+	}
+	for i := range st.Clients {
+		st.Clients[i].UID = i + 1
+	}
+	for i := range st.Apps {
+		st.Apps[i].UID = 10 * (i + 1)
+	}
+	for i := range st.Manager.Reputations {
+		st.Manager.Reputations[i].UID = 7 * (i + 1)
+	}
+	for i := range st.Manager.EUBTimes {
+		st.Manager.EUBTimes[i].UID = 3 * (i + 1)
+	}
+	st.Manager.Leases = st.Manager.Leases[:min(len(st.Manager.Leases), len(st.Objects))]
+	st.Objects = st.Objects[:len(st.Manager.Leases)]
+	for i := range st.Objects {
+		o, ls := &st.Objects[i], &st.Manager.Leases[i]
+		o.ID, o.LeaseID = uint64(100+i), uint64(200+i)
+		ls.ID, ls.ObjID, ls.UID, ls.Kind = o.LeaseID, o.ID, o.UID, o.Kind
+		if !ls.HasCheck {
+			ls.CheckAt = 0
+		}
+		if !ls.HasRestor {
+			ls.RestoreAt = 0
+		}
+	}
+	return st
+}
+
+// TestSnapshotRoundTripEveryField is decode(encode(x)) == x with x ranging
+// over every field of the snapshot: a random persistedState is restored into
+// a live shard, encoded by the one walk, and decoded — and must come back
+// bit for bit, including the −0s and NaNs JSON could not carry. An encoder,
+// decoder or restore that drops or reorders a field fails here.
+func TestSnapshotRoundTripEveryField(t *testing.T) {
+	opts := snapTestOptions().withDefaults()
+	for seed := int64(1); seed <= 200; seed++ {
+		sh := newShard(0, opts, runtime.NewWallUnstarted(), new(atomic.Uint64))
+		want := randomState(rand.New(rand.NewSource(seed)), sh)
+		if err := sh.restoreState(want); err != nil {
+			t.Fatalf("seed %d: restore: %v", seed, err)
+		}
+		payload := encodeShard(sh)
+		got, err := decodeSnapshot(payload)
+		if err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		if !bitwiseEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("seed %d: state changed across restore→encode→decode:\n got %+v\nwant %+v", seed, got, want)
+		}
+		// And the bytes are a fixed point: a shard restored from them
+		// encodes to the same bytes.
+		if again := encodeShard(restoredFrom(t, opts, payload)); !bytes.Equal(payload, again) {
+			t.Fatalf("seed %d: re-encoding a restored shard changed the payload", seed)
+		}
+	}
+}
+
+// TestSnapshotEqualStatesEqualBytes: two shards driven through the same
+// history — their maps hashed and grown independently — encode to the same
+// bytes, and so does one shard encoded twice. The crash-equality tests and
+// cluster convergence checks compare payloads on that promise.
+func TestSnapshotEqualStatesEqualBytes(t *testing.T) {
+	a := populatedShard(t, snapTestOptions(), 60, 6)
+	b := populatedShard(t, snapTestOptions(), 60, 6)
+	pa := encodeShard(a)
+	if !bytes.Equal(pa, encodeShard(a)) {
+		t.Fatal("back-to-back encodings of one shard differ")
+	}
+	if !bytes.Equal(pa, encodeShard(b)) {
+		t.Fatal("equal states encoded to different bytes")
+	}
+	st := a.captureState()
+	if len(st.Dedup) == 0 || len(st.Manager.Leases) != 60 || st.Manager.Deferrals == 0 {
+		t.Fatalf("populated shard is missing a facet: %d dedup, %d leases, %d deferrals", len(st.Dedup), len(st.Manager.Leases), st.Manager.Deferrals)
+	}
+	// A restored shard is an equal state too.
+	if !bytes.Equal(pa, encodeShard(restoredFrom(t, snapTestOptions(), pa))) {
+		t.Fatal("restored shard encodes differently")
+	}
+}
+
+// TestSnapshotSizePlateaus: history is bounded by HistoryLen, so once every
+// lease holds that many terms the payload stops growing — the property that
+// keeps a long-lived daemon's checkpoint cost flat.
+func TestSnapshotSizePlateaus(t *testing.T) {
+	opts := snapTestOptions()
+	opts.Lease.HistoryLen = 4
+	opts.DedupWindow = 64
+	size := func(terms int, wantFull bool) int {
+		sh := populatedShard(t, opts, 40, terms)
+		full := true
+		for _, ls := range sh.captureState().Manager.Leases {
+			full = full && len(ls.History) == opts.Lease.HistoryLen
+		}
+		if full != wantFull {
+			t.Fatalf("after %d terms: every history full = %v, want %v", terms, full, wantFull)
+		}
+		return len(encodeShard(sh))
+	}
+	// The idle holders spend most of their time deferred, so they fill
+	// their histories last — well before 80 terms of virtual time.
+	growing, full, later := size(2, false), size(80, true), size(240, true)
+	if growing >= full {
+		t.Fatalf("payload did not grow while histories filled: %d bytes at 2 terms, %d at 80", growing, full)
+	}
+	// Instants and counters gain the odd varint byte with uptime; a
+	// thirtieth is far below one more history row per lease.
+	if later > full+full/30 {
+		t.Fatalf("payload kept growing past HistoryLen: %d bytes at 80 terms, %d at 240", full, later)
+	}
+}
+
+// TestDecodeSnapshotRefusals pins what the decoder will not read, and the
+// messages an operator sees.
+func TestDecodeSnapshotRefusals(t *testing.T) {
+	good := encodeShard(populatedShard(t, snapTestOptions(), 3, 2))
+	if _, err := decodeSnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"legacy JSON", []byte(`{"now":0,"config":{}}`), "old JSON format (first byte '{')"},
+		{"future version", append([]byte{snapshotVersion + 1}, good[1:]...), "unknown snapshot version byte 2 (this build reads version 1)"},
+		{"trailing garbage", append(append([]byte(nil), good...), 0), "1 trailing bytes"},
+		{"empty", nil, "truncated"},
+	} {
+		_, err := decodeSnapshot(tc.payload)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		if _, err := decodeSnapshot(good[:n]); err == nil {
+			t.Fatalf("payload truncated to %d of %d bytes decoded", n, len(good))
+		}
+	}
+}
+
+// TestOldFormatSnapshotRefused: a data directory, or a peer, still carrying
+// the JSON payload is refused by name — not misread, not silently wiped.
+func TestOldFormatSnapshotRefused(t *testing.T) {
+	const want = "snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version byte 1)"
+	legacy := []byte(`{"now":0,"config":{"Term":40000000},"manager":{"next_id":0},"shard":0,"shards":1}`)
+
+	dir := t.TempDir()
+	store, _, err := durable.Open(filepath.Join(dir, shardDir(0)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint(legacy); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	opts := testOptions()
+	opts.Shards = 1
+	_, _, err = Open(dir, opts)
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "shard-00: leased: unreadable snapshot payload") {
+		t.Fatalf("Open over a JSON snapshot: err = %v", err)
+	}
+
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	fol := NewServer(opts)
+	defer fol.Close()
+	err = fol.ApplySnapshot(0, legacy)
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "unreadable replicated snapshot") {
+		t.Fatalf("ApplySnapshot of a JSON payload: err = %v", err)
+	}
+}
+
+// TestDecodeSnapshotBoundsAllocation: no count or length prefix, wherever
+// in the payload it sits, can make the decoder allocate beyond what the
+// remaining input could hold. Every offset of a valid payload is overwritten
+// with a million-element count and the tail cut: whatever the decoder makes
+// of it (nearly always an error; a count landing on a plain integer field is
+// just a big integer), it allocates next to nothing — an unchecked make
+// would be ≥ 16 MB.
+func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
+	good := encodeShard(populatedShard(t, snapTestOptions(), 2, 2))
+	huge := binary.AppendUvarint(nil, 1<<20)
+	var before, after goruntime.MemStats
+	for off := 1; off < len(good); off++ {
+		bad := append(append([]byte(nil), good[:off]...), huge...)
+		goruntime.ReadMemStats(&before)
+		decodeSnapshot(bad)
+		goruntime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("offset %d: decoder allocated %d bytes for a %d-byte input", off, grew, len(bad))
+		}
+	}
+}
+
+// FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
+// any input it returns — never panics, never trusts a length — and what it
+// accepts is exactly one version-1 value: no other first byte, nothing
+// after it.
+func FuzzDecodeSnapshot(f *testing.F) {
+	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(encodeShard(populatedShard(f, snapTestOptions(), 0, 0)))
+	f.Add([]byte(`{"now":0}`))
+	f.Add([]byte{snapshotVersion})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if data[0] != snapshotVersion {
+			t.Fatalf("accepted version byte %d", data[0])
+		}
+		if _, err := decodeSnapshot(append(data[:len(data):len(data)], 0)); err == nil {
+			t.Fatal("accepted the same payload with a trailing byte")
+		}
+		if n := len(st.Objects) + len(st.Manager.Leases) + len(st.Dedup) + len(st.Clients); n > len(data) {
+			t.Fatalf("decoded %d rows from %d bytes", n, len(data))
+		}
+	})
+}

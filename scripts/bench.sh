@@ -8,12 +8,14 @@
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME      iterations per micro-bench   (default 1000x)
 #   E2E_BENCHTIME  iterations per e2e bench     (default 5x)
+#   SNAPSHOT_BENCHTIME  iterations per checkpoint/recovery bench (default 100x)
 set -euo pipefail
 
-OUT="${1:-BENCH_9.json}"
+OUT="${1:-BENCH_12.json}"
 BENCHTIME="${BENCHTIME:-1000x}"
 E2E_BENCHTIME="${E2E_BENCHTIME:-5x}"
 FLEET_BENCHTIME="${FLEET_BENCHTIME:-2000x}"
+SNAPSHOT_BENCHTIME="${SNAPSHOT_BENCHTIME:-100x}"
 
 cd "$(dirname "$0")/.."
 
@@ -36,6 +38,14 @@ go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" \
 go test -run '^$' -bench '^(BenchmarkShardedApply|BenchmarkBatchApply|BenchmarkReplicatedApply|BenchmarkReplicationStream)$' \
 	-benchmem -benchtime "$BENCHTIME" ./internal/leased | tee -a "$tmp"
 
+# The durable layer's two big-ticket operations on one populated shard
+# (1 000 leases x 20 terms of history, full dedup cache): a checkpoint as
+# the op stream pays it (walk + encode + write + fsync + rename) and a
+# restart from that snapshot. ms-scale and fsync-bound, so their own,
+# smaller iteration count; snapshot_bytes is the file on disk.
+go test -run '^$' -bench '^(BenchmarkCheckpoint|BenchmarkRecoverSnapshot)$' \
+	-benchmem -benchtime "$SNAPSHOT_BENCHTIME" ./internal/leased | tee -a "$tmp"
+
 # End-to-end: the three experiment regenerations the perf work is judged on.
 go test -run '^$' -bench '^(BenchmarkBatteryLife|BenchmarkFigure12|BenchmarkTable5)$' \
 	-benchmem -benchtime "$E2E_BENCHTIME" . | tee -a "$tmp"
@@ -53,10 +63,12 @@ awk '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	ns = ""; allocs = "0"; dps = ""; fps = ""; lag = ""
+	ns = ""; allocs = "0"; bytes = ""; dps = ""; fps = ""; lag = ""; snap = ""
 	for (i = 2; i < NF; i++) {
 		if ($(i + 1) == "ns/op") ns = $i
 		if ($(i + 1) == "allocs/op") allocs = $i
+		if ($(i + 1) == "B/op") bytes = $i
+		if ($(i + 1) == "snapshot_bytes") snap = $i
 		if ($(i + 1) == "devices/sec") dps = $i
 		if ($(i + 1) == "frames/s") fps = $i
 		if ($(i + 1) == "lag_records") lag = $i
@@ -67,6 +79,7 @@ awk '
 	if (dps != "") printf ", \"devices_sec\": %s", dps
 	if (fps != "") printf ", \"frames_sec\": %s", fps
 	if (lag != "") printf ", \"lag_records\": %s", lag
+	if (snap != "") printf ", \"bytes_op\": %s, \"snapshot_bytes\": %s", bytes, snap
 	printf "}"
 }
 BEGIN { print "[" }

@@ -22,7 +22,8 @@
 #      and require the final checkpoint made replay unnecessary on every
 #      shard (chaosverify -require-zero-replay).
 #
-# Artifacts (metrics snapshots, load reports, journal files, daemon logs)
+# Artifacts (metrics snapshots, load reports, journal and snapshot files —
+# the snapshots also decoded to JSON by leased -dump-snapshot — daemon logs)
 # are collected in ARTIFACTS (default chaos_artifacts/) for CI upload.
 #
 # Usage: scripts/chaos_leased.sh
@@ -102,6 +103,10 @@ for d in "$data"/shard-*; do
     cp "$d/journal.log" "$ARTIFACTS/journal_postcrash_$s.log"
     [ ! -f "$d/snapshot.bin" ] || cp "$d/snapshot.bin" "$ARTIFACTS/snapshot_postcrash_$s.bin"
 done
+# The snapshots are binary; keep the decoded view beside them. The dump only
+# reads snapshot.bin, so the crashed directory is left exactly as it was.
+"$bin/leased" -dump-snapshot "$data" > "$ARTIFACTS/snapshot_postcrash.json" \
+    || fail "could not decode the post-crash snapshots"
 
 # Damage exactly one shard's store: a torn tail on shard-00's journal, as a
 # power cut mid-append would leave. Recovery must truncate it on that shard
@@ -127,7 +132,14 @@ echo "== phase 2: fault injection + self-healing =="
 kill -TERM "$daemon"; wait "$daemon" || true; daemon=""
 rm -rf "$data"
 
-start_daemon "$ARTIFACTS/leased_3.log" -faults "http.drop=0.07" -fault-seed 7
+# These daemons (3 and 4: same data dir, so the same pinned policy) defer for
+# a minute, not 5 s: the crash clients vanish ~1 s into each 6 s load, so at
+# tau 5s their first deferral expired within milliseconds of the phase-3
+# shutdown, and whether the expiry fell before or after the pre-SIGTERM
+# scrape decided "DEFERRED before, ACTIVE after — restart pardoned it". A
+# deferral that cannot expire inside the script leaves only real pardons.
+long_tau=(-tau 60s -tau-max 240s)
+start_daemon "$ARTIFACTS/leased_3.log" "${long_tau[@]}" -faults "http.drop=0.07" -fault-seed 7
 "$bin/leaseload" -addr "http://$ADDR" -duration "$DURATION" -beat 5ms \
     -mix normal=4,crash=2 -retries 6 -seed 3 \
     -faults "client.drop=0.05" -require-no-doubles \
@@ -172,7 +184,7 @@ rc=0; wait "$daemon" || rc=$?; daemon=""
 grep -q 'final checkpoint written' "$ARTIFACTS/leased_3.log" \
     || fail "no final-checkpoint marker in daemon log"
 
-start_daemon "$ARTIFACTS/leased_4.log"
+start_daemon "$ARTIFACTS/leased_4.log" "${long_tau[@]}"
 curl -sf "http://$ADDR/metrics" > "$ARTIFACTS/metrics_postterm.json"
 "$bin/chaosverify" -pre "$ARTIFACTS/metrics_preterm.json" \
     -post "$ARTIFACTS/metrics_postterm.json" -shards "$SHARDS" -require-zero-replay
