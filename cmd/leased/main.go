@@ -64,7 +64,7 @@ func main() {
 		window      = flag.Int("misbehavior-window", 1, "consecutive bad terms before deferring")
 		reputation  = flag.Bool("reputation", false, "enable the §8 reputation extension")
 		maxInflight = flag.Int("max-inflight", 256, "bounded in-flight admission limit")
-		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "per-request handling timeout")
+		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "request deadline: a request that has not reached its shard by then fails 503, unapplied; also the socket read and write timeouts")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain limit")
 		dataDir     = flag.String("data", "", "durable data directory (empty = in-memory, no crash safety)")
 		snapEvery   = flag.Int("snapshot-every", 1024, "journal records between checkpoints")
@@ -201,10 +201,18 @@ func main() {
 		log.Printf("cluster role=%s epoch=%d", srv.Role(), srv.ClusterEpoch())
 	}
 
+	// The handler checks -request-timeout only where the daemon itself
+	// blocks; a body that never arrives or a reader that never drains is
+	// bounded here. IdleTimeout is explicit because it would otherwise fall
+	// back to ReadTimeout and close every paced client's keep-alive
+	// connection between beats.
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       *reqTimeout,
+		WriteTimeout:      *reqTimeout,
+		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)
 	go func() {

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // batchMaxBodyBytes bounds a batch request body. Larger than the single-op
@@ -81,6 +82,8 @@ type batchEnv struct {
 	ops []batchOp
 	rec opRecord // per-op journal record scratch (reused within a group)
 
+	deadline time.Time // the request's (record's stamp); zero means none
+
 	counts [MaxShards]int32 // ops per shard (routed only)
 	starts [MaxShards]int32 // group offsets into idx
 	idx    []int32          // op indices, grouped by shard, request order within
@@ -103,6 +106,7 @@ func putBatchEnv(e *batchEnv) {
 	}
 	e.ops = e.ops[:0]
 	e.rec = opRecord{}
+	e.deadline = time.Time{}
 	e.p.buf = nil
 	batchEnvPool.Put(e)
 }
@@ -225,9 +229,17 @@ func (env *batchEnv) groupByShard(shards int) {
 
 // applyBatchGroup executes one shard's ops inside a single clock section —
 // every op in the group applies at the same frozen instant — and journals
-// the group's successful ops as one atomic batch frame.
+// the group's successful ops as one atomic batch frame. A group that reaches
+// its clock after the request's deadline is not applied: each of its ops
+// fails 503, as a single op would (applyOp); groups already applied stand.
 func (sh *shard) applyBatchGroup(env *batchEnv, group []int32) {
 	sh.do(func() {
+		if expired(env.deadline) {
+			for _, i := range group {
+				env.ops[i].fail(http.StatusServiceUnavailable, msgTimedOut)
+			}
+			return
+		}
 		now := sh.clock.Now()
 		env.jbuf = env.jbuf[:0]
 		env.spans = env.spans[:0]
@@ -300,6 +312,7 @@ func (sh *shard) applyBatchGroup(env *batchEnv, group []int32) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	env := getBatchEnv()
 	defer putBatchEnv(env)
+	env.deadline = deadlineOf(w)
 	body, err := readBody(r, &env.body, batchMaxBodyBytes)
 	if err != nil {
 		writeBodyError(w, err)
@@ -357,7 +370,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	b = append(b, ']', '}', '\n')
 	env.out = b
-	setHeader(w.Header(), "Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 }

@@ -3,7 +3,9 @@ package leased
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,6 +111,65 @@ func BenchmarkBatchApply(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchHandler runs body-carrying POSTs through s.Handler().ServeHTTP with no
+// socket: the mux, record, admit and the route's handler, response discarded.
+// It is the rung between a bare apply (BenchmarkShardedApply) and a request
+// over TCP, and what a wrapper around the routes costs shows up here first.
+// The durable variant journals every request to a real file; checkpoints are
+// pushed out of reach so ns/op is the per-request path alone.
+func benchHandler(b *testing.B, durable bool, target func(wire uint64) (path string, body []byte)) {
+	opts := benchOptions(1)
+	var s *Server
+	if durable {
+		opts.SnapshotEvery = 1 << 30
+		var err error
+		if s, _, err = Open(b.TempDir(), opts); err != nil {
+			b.Fatal(err)
+		}
+	} else {
+		s = NewServer(opts)
+	}
+	defer s.Close()
+	sh, local := benchAcquire(b, s, "handler-bench")
+	path, body := target(encodeLeaseID(sh.id, local))
+
+	handler := s.Handler()
+	req, rb := newReplayRequest("POST", path, body)
+	w := newNullWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.off = 0
+		w.reset()
+		handler.ServeHTTP(w, req)
+	}
+	b.StopTimer()
+	if w.status != http.StatusOK {
+		b.Fatalf("status %d", w.status)
+	}
+}
+
+func benchHandlerModes(b *testing.B, target func(wire uint64) (string, []byte)) {
+	b.Run("mem", func(b *testing.B) { benchHandler(b, false, target) })
+	b.Run("durable", func(b *testing.B) { benchHandler(b, true, target) })
+}
+
+// BenchmarkHandlerRenew is one renew per request, the per-op routes' unit.
+func BenchmarkHandlerRenew(b *testing.B) {
+	benchHandlerModes(b, func(wire uint64) (string, []byte) {
+		return fmt.Sprintf("/v1/leases/%d/renew", wire), []byte(`{"cpu_ms":1,"ui_updates":1}`)
+	})
+}
+
+// BenchmarkHandlerBatch64 is 64 renews in one POST /v1/batch; ns/op is per
+// request, so /64 compares with BenchmarkHandlerRenew.
+func BenchmarkHandlerBatch64(b *testing.B) {
+	benchHandlerModes(b, func(wire uint64) (string, []byte) {
+		op := fmt.Sprintf(`{"op":"renew","lease_id":%d,"report":{"cpu_ms":1,"ui_updates":1}}`, wire)
+		return "/v1/batch", []byte(`{"ops":[` + strings.Repeat(op+",", 63) + op + `]}`)
+	})
 }
 
 // checkpointBenchShard is the shard the two snapshot benchmarks work on:

@@ -422,7 +422,7 @@ func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if role := s.role.Load(); role != rolePrimary || !s.writable.Load() {
 			if l := s.LeaderHint(); l != "" {
-				setHeader(w.Header(), "Leader", l)
+				w.Header().Set("Leader", l)
 			}
 			msg := "not the primary; retry at the leader"
 			if role == rolePrimary {

@@ -390,26 +390,12 @@ func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	if err := s.StartAutoFailover(); err != nil {
 		t.Fatal(err)
 	}
-	lr := httpAcquire(t, s, "alloc-repl-client")
 	sub := cluster.NewSubscriber(0, "alloc-test")
 	s.shards[0].repl.Attach(sub)
 	defer s.shards[0].repl.Detach(sub)
 
-	handler := s.record(routeRenew, s.admit(s.gate(s.handleRenew)))
-	req, rb := newReplayRequest("POST", fmt.Sprintf("/v1/leases/%d/renew", lr), []byte(`{"cpu_ms":1.5,"ui_updates":1}`))
-	req.SetPathValue("id", fmt.Sprintf("%d", lr))
-	w := &nullWriter{h: http.Header{"Content-Type": {""}}}
-
-	run := func() {
-		rb.off = 0
-		w.status = 0
-		handler(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("renew: status %d", w.status)
-		}
-	}
 	before := s.shards[0].repl.Seq()
-	if avg := measureAllocs(t, 200, run); avg > 0 {
+	if avg := renewAllocs(t, s, "alloc-repl-client", s.record(routeRenew, s.admit(s.gate(s.handleRenew)))); avg > 0 {
 		t.Errorf("replicated renew serve path allocates %.2f times per request, want 0", avg)
 	}
 	if got := s.shards[0].repl.Seq() - before; got < 200 {

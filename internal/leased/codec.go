@@ -44,6 +44,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -1064,6 +1065,9 @@ type opEnv struct {
 	result  []byte
 	status  int
 	deduped bool
+
+	// deadline is the request's (record's stamp); zero means none.
+	deadline time.Time
 }
 
 var opEnvPool = sync.Pool{New: func() any { return new(opEnv) }}
@@ -1079,6 +1083,7 @@ func putOpEnv(e *opEnv) {
 	e.result = nil
 	e.status = 0
 	e.deduped = false
+	e.deadline = time.Time{}
 	e.p.buf = nil
 	opEnvPool.Put(e)
 }

@@ -176,27 +176,31 @@ func TestInjectedErrorAndDelayFaults(t *testing.T) {
 		t.Fatal("injected-error request still applied")
 	}
 
-	// Swap to a delay longer than the request timeout: the TimeoutHandler
-	// must fire (503 with its own body).
+	// Swap to a delay longer than the request timeout: the stall ends at
+	// the deadline — not 200 ms later, when the delay would have — with the
+	// timeout 503, billed once, and the request never reaches its handler.
 	inj.Site("http.error").SetProb(0)
 	if err := inj.Configure("http.delay=1:300ms"); err != nil {
 		t.Fatal(err)
 	}
-	if code := r.call("POST", "/v1/leases", acquireRequest{Client: "a", Kind: "wakelock"}, nil); code != 503 {
-		t.Fatalf("slow handler: status %d, want timeout 503", code)
+	before := r.s.snapshot().Requests["acquire"]
+	start := time.Now()
+	code, body, _ := r.callWithID("POST", "/v1/leases", "", acquireRequest{Client: "a", Kind: "wakelock"})
+	took := time.Since(start)
+	if code != 503 || string(body) != timedOutBody {
+		t.Fatalf("slow handler: %d %q, want 503 %q", code, body, timedOutBody)
 	}
-	// The timed-out request must be accounted as an error even though the
-	// stalled inner handler eventually "succeeded" against the dead writer.
-	// The observation lands when the handler unblocks (~300ms), so poll.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if errs := r.s.snapshot().Requests["acquire"].Errors; errs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed-out acquire never counted as an error in /metrics")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if took < opts.RequestTimeout || took >= 300*time.Millisecond {
+		t.Fatalf("slow handler answered after %v, want the %v timeout (the injected delay is 300ms)", took, opts.RequestTimeout)
+	}
+	after := r.s.snapshot().Requests["acquire"]
+	if after.Count != before.Count+1 || after.Errors != before.Errors+1 {
+		t.Fatalf("timed-out acquire moved count %d→%d errors %d→%d, want +1/+1",
+			before.Count, after.Count, before.Errors, after.Errors)
+	}
+	sh.do(func() { created = sh.mgr.CreatedTotal() })
+	if created != 0 {
+		t.Fatal("timed-out request still applied")
 	}
 }
 

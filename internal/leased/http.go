@@ -1,7 +1,6 @@
 package leased
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -108,17 +107,19 @@ func (sh *shard) leaseView(o *robj, withExplain bool) leaseResponse {
 // --- handlers ---
 
 // Handler returns the daemon's HTTP surface, with per-route latency
-// recording, bounded-in-flight admission on the lease mutations, fault
-// injection (when configured), and the global request timeout.
+// recording, the request deadline, bounded-in-flight admission on the lease
+// mutations and fault injection (when configured). Every wrapper runs on the
+// serving goroutine: there is no per-request goroutine, timer or context.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// record is outermost: it stamps the deadline everything inside checks.
 	// Mutations additionally pass the cluster role gate: followers and
 	// fenced ex-primaries answer 421 + Leader instead of applying.
-	mux.HandleFunc("POST /v1/leases", s.chaos(s.record(routeAcquire, s.admit(s.gate(s.handleAcquire)))))
-	mux.HandleFunc("POST /v1/leases/{id}/renew", s.chaos(s.record(routeRenew, s.admit(s.gate(s.handleRenew)))))
-	mux.HandleFunc("DELETE /v1/leases/{id}", s.chaos(s.record(routeRelease, s.admit(s.gate(s.handleRelease)))))
-	mux.HandleFunc("GET /v1/leases/{id}", s.chaos(s.record(routeGet, s.admit(s.handleGet))))
-	mux.HandleFunc("POST /v1/batch", s.chaos(s.record(routeBatch, s.admit(s.gate(s.handleBatch)))))
+	mux.HandleFunc("POST /v1/leases", s.record(routeAcquire, s.chaos(s.admit(s.gate(s.handleAcquire)))))
+	mux.HandleFunc("POST /v1/leases/{id}/renew", s.record(routeRenew, s.chaos(s.admit(s.gate(s.handleRenew)))))
+	mux.HandleFunc("DELETE /v1/leases/{id}", s.record(routeRelease, s.chaos(s.admit(s.gate(s.handleRelease)))))
+	mux.HandleFunc("GET /v1/leases/{id}", s.record(routeGet, s.chaos(s.admit(s.handleGet))))
+	mux.HandleFunc("POST /v1/batch", s.record(routeBatch, s.chaos(s.admit(s.gate(s.handleBatch)))))
 	// Observability and admin stay reachable under overload and chaos: no
 	// admission gate, no fault injection, no role gate (promote must work
 	// on a follower — that is its whole point).
@@ -126,16 +127,27 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	mux.HandleFunc("GET /v1/election", s.handleElection)
-	return http.TimeoutHandler(mux, s.opts.RequestTimeout, `{"error":"request timed out"}`)
+	return mux
 }
 
-// chaos threads the configured fault sites through a route. http.delay
-// stalls the handler (tripping the request timeout when the payload exceeds
-// it); http.error fails the request before the handler runs (the op is NOT
-// applied — the client must retry); http.drop runs the handler for real but
-// discards its response and aborts the connection — the op IS applied and
-// the client cannot know, which is exactly the ambiguity idempotent retries
-// resolve.
+// msgTimedOut is the error of the one 503 that promises "not applied": the
+// request's deadline passed before it reached its mutation.
+const msgTimedOut = "request timed out"
+
+// expired reports whether a request deadline has passed; the zero deadline
+// (an env that did not come through record) never does.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && time.Now().After(deadline)
+}
+
+// chaos threads the configured fault sites through a route; it sits inside
+// record, so w is that request's *statusWriter. http.delay stalls the
+// handler, but only up to the request deadline, where the request fails 503
+// unapplied; http.error fails the request before the handler runs (the op is
+// NOT applied — the client must retry); http.drop runs the handler for real
+// but discards its response and aborts the connection — the op IS applied
+// and the client cannot know, which is exactly the ambiguity idempotent
+// retries resolve.
 func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 	if s.faults == nil {
 		return h
@@ -144,8 +156,13 @@ func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 	errSite := s.faults.Site("http.error")
 	drop := s.faults.Site("http.drop")
 	return func(w http.ResponseWriter, r *http.Request) {
+		sw := w.(*statusWriter)
 		if delay.Fire() {
-			time.Sleep(delay.Delay())
+			time.Sleep(min(delay.Delay(), time.Until(sw.deadline)))
+			if expired(sw.deadline) {
+				writeError(w, http.StatusServiceUnavailable, msgTimedOut)
+				return
+			}
 		}
 		if errSite.Fire() {
 			code := errSite.Code()
@@ -156,7 +173,8 @@ func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		if drop.Fire() {
-			h(&discardWriter{h: make(http.Header)}, r)
+			sw.ResponseWriter = &discardWriter{h: make(http.Header)}
+			h(w, r)
 			panic(http.ErrAbortHandler)
 		}
 		h(w, r)
@@ -172,12 +190,14 @@ func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(int)             {}
 
 // statusWriter captures the response code for error accounting, and carries
-// the shard a handler routed to so record can bill the observation to that
-// shard's histograms. Pooled: one is borrowed per request.
+// the request's deadline and the shard a handler routed to, so record can
+// bill the observation to that shard's histograms. Pooled: one is borrowed
+// per request.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	shard  *shard
+	status   int
+	shard    *shard
+	deadline time.Time
 }
 
 var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -197,33 +217,38 @@ func markShard(w http.ResponseWriter, sh *shard) {
 	}
 }
 
+// deadlineOf returns the deadline record stamped on this request: zero (no
+// deadline) for a writer that did not come through record.
+func deadlineOf(w http.ResponseWriter) time.Time {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw.deadline
+	}
+	return time.Time{}
+}
+
 // record wraps a handler with the route's latency histogram — the routed
-// shard's when the handler reached one, the server's unrouted set otherwise.
-//
-// A request that trips http.TimeoutHandler is counted as an error even
-// though the inner handler never wrote a failure status: the handler keeps
-// running against a dead ResponseWriter, finishes "successfully", and the
-// statusWriter still says 200 — but the client got a 503. The tell is the
-// request context, which TimeoutHandler arms with the deadline; if it has
-// expired by the time the handler returns, the observation is an error, not
-// a success (and its — necessarily huge — latency stays out of the success
-// accounting's good graces).
+// shard's when the handler reached one, the server's unrouted set otherwise
+// — and starts the request's clock: Options.RequestTimeout is a deadline
+// counted from here, which the daemon checks wherever it can block before
+// mutating (chaos's delay, the wait for a shard clock). Those checks answer
+// 503 themselves, so a timeout is billed like any other failure, from the
+// status written. The observation is deferred so that a request http.drop
+// aborts after applying (a panic, by net/http's contract) is still billed.
 func (s *Server) record(route int, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := statusWriterPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.status, sw.shard = w, http.StatusOK, nil
 		start := time.Now()
+		*sw = statusWriter{ResponseWriter: w, status: http.StatusOK, deadline: start.Add(s.opts.RequestTimeout)}
+		defer func() {
+			hists := &s.metrics.unrouted
+			if sw.shard != nil {
+				hists = &sw.shard.metrics.routes
+			}
+			hists[route].observe(time.Since(start), sw.status >= 400)
+			*sw = statusWriter{}
+			statusWriterPool.Put(sw)
+		}()
 		h(sw, r)
-		isError := sw.status >= 400 ||
-			errors.Is(r.Context().Err(), context.DeadlineExceeded)
-		d := time.Since(start)
-		if sw.shard != nil {
-			sw.shard.metrics.routes[route].observe(d, isError)
-		} else {
-			s.metrics.unrouted[route].observe(d, isError)
-		}
-		sw.ResponseWriter, sw.shard = nil, nil
-		statusWriterPool.Put(sw)
 	}
 }
 
@@ -248,18 +273,17 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// setHeader sets a single-valued header without allocating when the map
-// already holds a slot for the key (the pooled-writer case).
-func setHeader(h http.Header, key, value string) {
-	if v := h[key]; len(v) == 1 {
-		v[0] = value
-		return
-	}
-	h[key] = []string{value}
-}
+// Single-valued response headers are shared value slices: net/http hands
+// every request a fresh header map, so building []string{v} per response is
+// one allocation each. Nothing mutates a header value in place (Set replaces
+// the slice, Add appends past its capacity), so sharing is safe.
+var (
+	jsonContentType = []string{"application/json"}
+	dedupedMarker   = []string{"1"}
+)
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	b := appendErrorResponse(nil, msg)
 	b = append(b, '\n')
@@ -337,9 +361,10 @@ func requestID(r *http.Request) (string, error) {
 // write sends the op outcome carried by env: status, optional dedup marker,
 // and the response body plus trailing newline.
 func (env *opEnv) write(w http.ResponseWriter) {
-	setHeader(w.Header(), "Content-Type", "application/json")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
 	if env.deduped {
-		setHeader(w.Header(), "X-Deduped", "1")
+		h["X-Deduped"] = dedupedMarker
 	}
 	w.WriteHeader(env.status)
 	w.Write(env.result)
@@ -356,8 +381,19 @@ var newline = []byte("\n")
 // env.status/env.result/env.deduped carry the outcome; env.result points
 // either at env.out (freshly encoded) or at a cache-owned body (dedup hit),
 // both stable until the env is recycled.
+//
+// The wait for the clock is where a request can outlive env.deadline (a
+// checkpoint, an fsync, a pile-up ahead of it), so that is where it is
+// checked: an expired request fails 503 with nothing stamped, journaled,
+// published or cached. Past that point there is no check — an applied op is
+// answered with its result, however late.
 func (sh *shard) applyOp(env *opEnv, reqID string) {
 	sh.do(func() {
+		if expired(env.deadline) {
+			env.out = appendErrorResponse(env.out[:0], msgTimedOut)
+			env.status, env.result = http.StatusServiceUnavailable, env.out
+			return
+		}
 		if reqID != "" {
 			if raw, ok := sh.dedup.get(reqID); ok {
 				sh.metrics.deduped.Add(1)
@@ -418,6 +454,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardFor(client)
 	markShard(w, sh)
 	env.rec = opRecord{Op: "acquire", Client: client, Kind: kind.String()}
+	env.deadline = deadlineOf(w)
 	sh.applyOp(env, reqID)
 	env.write(w)
 }
@@ -469,6 +506,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	env.rec = opRecord{Op: "renew", LeaseID: local, Report: &env.rep}
+	env.deadline = deadlineOf(w)
 	sh.applyOp(env, reqID)
 	env.write(w)
 }
@@ -486,6 +524,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	env := getOpEnv()
 	defer putOpEnv(env)
 	env.rec = opRecord{Op: "release", LeaseID: local, Destroy: queryFlag(r, "destroy")}
+	env.deadline = deadlineOf(w)
 	sh.applyOp(env, reqID)
 	env.write(w)
 }
@@ -524,13 +563,21 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	env := getOpEnv()
 	defer putOpEnv(env)
 	var resp leaseResponse
-	found := false
+	found, late := false, false
+	deadline := deadlineOf(w)
 	sh.do(func() {
+		if late = expired(deadline); late {
+			return
+		}
 		if o := sh.byLease[local]; o != nil {
 			found = true
 			resp = sh.leaseView(o, true)
 		}
 	})
+	if late {
+		writeError(w, http.StatusServiceUnavailable, msgTimedOut)
+		return
+	}
 	if !found {
 		writeError(w, http.StatusNotFound, "unknown or dead lease")
 		return

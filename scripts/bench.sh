@@ -11,7 +11,7 @@
 #   SNAPSHOT_BENCHTIME  iterations per checkpoint/recovery bench (default 100x)
 set -euo pipefail
 
-OUT="${1:-BENCH_12.json}"
+OUT="${1:-BENCH_13.json}"
 BENCHTIME="${BENCHTIME:-1000x}"
 E2E_BENCHTIME="${E2E_BENCHTIME:-5x}"
 FLEET_BENCHTIME="${FLEET_BENCHTIME:-2000x}"
@@ -35,7 +35,10 @@ go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" \
 # replication stream attached (the zero-alloc pin with the cluster layer in
 # the path); ReplicationStream pushes records through a real TCP follower
 # and reports frames/s plus the publish-end backlog as lag_records.
-go test -run '^$' -bench '^(BenchmarkShardedApply|BenchmarkBatchApply|BenchmarkReplicatedApply|BenchmarkReplicationStream)$' \
+# HandlerRenew and HandlerBatch64 are the next rung up: a whole request
+# through Handler().ServeHTTP (mux, record, admit, decode, apply, encode), no
+# socket, in-memory and journaled; Batch64's ns/op is per 64-op request.
+go test -run '^$' -bench '^(BenchmarkShardedApply|BenchmarkBatchApply|BenchmarkReplicatedApply|BenchmarkReplicationStream|BenchmarkHandlerRenew|BenchmarkHandlerBatch64)$' \
 	-benchmem -benchtime "$BENCHTIME" ./internal/leased | tee -a "$tmp"
 
 # The durable layer's two big-ticket operations on one populated shard

@@ -12,9 +12,11 @@
 #     must stay at exactly 0 regardless of what the old file says.
 #   - ns/op on the PINNED set must not regress by more than THRESHOLD
 #     (default 10%). The default set is the daemon serving path
-#     (ShardedApply, BatchApply, ReplicatedApply) plus Checkpoint — the
-#     stall the durable layer imposes on a shard once per SnapshotEvery
-#     records — benches slow enough that 10% means something; the ~100 ns
+#     (ShardedApply, BatchApply, ReplicatedApply, and HandlerRenew — the
+#     same renew through the whole of Handler(), where a wrapper around the
+#     routes would land) plus Checkpoint — the stall the durable layer
+#     imposes on a shard once per SnapshotEvery records — benches slow
+#     enough that 10% means something; the ~100 ns
 #     kernel micros swing ±25% run-to-run on a shared box, so they are
 #     alloc-gated only. Widen via PINNED when running on a quiet machine.
 #
@@ -30,7 +32,7 @@ set -euo pipefail
 OLD="$1"
 NEW="$2"
 THRESHOLD="${THRESHOLD:-0.10}"
-PINNED="${PINNED:-^Benchmark(ShardedApply|BatchApply|ReplicatedApply|Checkpoint$)}"
+PINNED="${PINNED:-^Benchmark(ShardedApply|BatchApply|ReplicatedApply|HandlerRenew|Checkpoint$)}"
 
 [ -f "$OLD" ] || { echo "bench_gate: missing $OLD" >&2; exit 2; }
 [ -f "$NEW" ] || { echo "bench_gate: missing $NEW" >&2; exit 2; }
