@@ -23,11 +23,13 @@
 // With -data the daemon is crash-safe: every mutation is journaled to a
 // write-ahead log before its response leaves, checkpoints bound replay, and
 // a restart rebuilds the exact pre-crash lease state (see DESIGN.md §11).
-// Snapshots are a compact binary encoding; to read one,
+// Snapshots and journal records are a compact binary encoding; to read them,
 //
 //	leased -dump-snapshot /var/lib/leased
 //
-// prints every shard's decoded state as indented JSON and exits.
+// prints, shard by shard, the decoded snapshot as indented JSON followed by
+// the journal records a restart would replay, one JSON object per line, and
+// exits.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains, a final
 // checkpoint is written (so the next boot replays zero records), the clock
@@ -77,7 +79,7 @@ func main() {
 		primary   = flag.String("primary", "", "the current primary's replication address to follow (followers)")
 		advertise = flag.String("advertise", "", "this node's client-facing base URL, handed to followers as the Leader hint")
 		promote   = flag.String("promote", "", "admin verb: POST /v1/promote to the daemon at this base URL, print the result, exit")
-		dumpSnap  = flag.String("dump-snapshot", "", "admin verb: print each shard's snapshot under this data directory as indented JSON, exit (reads only; serves nothing)")
+		dumpSnap  = flag.String("dump-snapshot", "", "admin verb: print each shard's snapshot under this data directory as indented JSON, then its journal's records one JSON object per line, exit (reads only; serves nothing)")
 
 		nodeID       = flag.String("node-id", "", "this node's stable identity within -peers (auto-failover)")
 		peersSpec    = flag.String("peers", "", `cluster membership "id,url,repladdr;id,url,repladdr;..." — every node lists all peers, itself included`)

@@ -44,7 +44,10 @@ package cluster
 import "time"
 
 // Proto is the wire protocol version pinned in the Hello/Welcome handshake.
-const Proto = 1
+// It moves whenever the bytes inside the frames do — 2 is the binary journal
+// record — so a mixed-build cluster is refused here, once, rather than
+// looping on records it cannot decode.
+const Proto = 2
 
 // Tuning sets the heartbeat cadence and failure-detection threshold shared
 // by both ends of a replication session. Zero fields take the defaults; the

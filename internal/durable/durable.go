@@ -212,6 +212,33 @@ func ReadSnapshot(dir string) ([]byte, error) {
 	return payload, err
 }
 
+// ReadJournal returns the records a later Open of dir would replay — the
+// journal's intact prefix, batch frames flattened, nil when the journal is
+// missing, empty or stale against the snapshot's epoch — with ReadSnapshot's
+// guarantee: nothing is created, truncated, reset or repaired.
+func ReadJournal(dir string) ([][]byte, error) {
+	f, err := os.Open(filepath.Join(dir, journalName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("durable: %w", err)
+	}
+	defer f.Close()
+	jEpoch, records, _, _, err := scanJournal(f)
+	if err != nil {
+		return nil, err
+	}
+	snapEpoch, _, err := readSnapshot(filepath.Join(dir, snapshotName))
+	if err != nil {
+		return nil, err
+	}
+	if jEpoch != snapEpoch {
+		return nil, nil
+	}
+	return records, nil
+}
+
 // readSnapshot loads and verifies the snapshot file. A missing file is a
 // clean first boot; a corrupt one is an error (the tmp+rename protocol
 // never leaves a torn snapshot behind, so corruption means external damage

@@ -532,3 +532,57 @@ func TestStreamedCheckpointMatchesWhole(t *testing.T) {
 		t.Fatal("streamed and whole snapshot files differ")
 	}
 }
+
+// TestReadJournalIsReadOnly: ReadJournal reports exactly what the next Open
+// would replay — batch frames flattened, a torn tail and a stale-epoch
+// journal left out — and, unlike Open, leaves the directory byte for byte as
+// it found it: no truncation, no reset, nothing created.
+func TestReadJournalIsReadOnly(t *testing.T) {
+	if recs, err := ReadJournal(filepath.Join(t.TempDir(), "never-created")); err != nil || recs != nil {
+		t.Fatalf("missing directory: %q, %v", recs, err)
+	}
+
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.Checkpoint([]byte("STATE")); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, s, "alpha")
+	if err := s.AppendBatch([][]byte{[]byte("b1"), []byte("b2")}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, journalName)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{100, 0, 0, 0, 1, 2, 3, 4, 'x'}) // a frame whose payload never arrived
+	f.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, OpenResult{Records: recs}, "alpha", "b1", "b2")
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Fatal("ReadJournal modified the journal")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 2 {
+		t.Fatalf("ReadJournal left %d files in the directory, want the 2 it found", len(names))
+	}
+
+	// A snapshot newer than the journal: Open would discard every record.
+	writeSnapshotFile(t, dir, s.Epoch()+1, "NEWER")
+	if recs, err := ReadJournal(dir); err != nil || recs != nil {
+		t.Fatalf("stale journal: %q, %v", recs, err)
+	}
+	_, res := openT(t, dir)
+	if res.StaleRecords != 3 || len(res.Records) != 0 {
+		t.Fatalf("Open disagrees: %d stale, %d replayed", res.StaleRecords, len(res.Records))
+	}
+}

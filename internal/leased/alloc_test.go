@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/lease"
 )
 
@@ -208,13 +209,13 @@ func httpAcquire(t *testing.T, s *Server, client string) uint64 {
 	sh := s.shardFor(client)
 	env := getOpEnv()
 	defer putOpEnv(env)
-	env.rec = opRecord{Op: "acquire", Client: client, Kind: "wakelock"}
-	sh.applyOp(env, "")
-	if env.status != http.StatusOK {
-		t.Fatalf("acquire: status %d (%s)", env.status, env.result)
+	env.slot.rec = opRecord{Op: opAcquire, Client: client, Kind: hooks.Wakelock}
+	env.apply(sh, time.Time{})
+	if env.slot.status != http.StatusOK {
+		t.Fatalf("acquire: status %d (%s)", env.slot.status, env.slot.errMsg)
 	}
 	var wire uint64
-	env.p.begin(env.result)
+	env.p.begin(env.slot.body)
 	if err := env.p.doc(func(key []byte) error {
 		if keyIs(key, "lease_id") {
 			return env.p.uint64Field(&wire)

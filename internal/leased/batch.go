@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // batchMaxBodyBytes bounds a batch request body. Larger than the single-op
@@ -38,59 +37,40 @@ const batchMaxBodyBytes = 256 << 10
 // maxBatchOps bounds how many ops one batch may carry.
 const maxBatchOps = 4096
 
-// batchOp is one decoded batch operation plus its routing and outcome. The
-// byte-slice fields are views into the batch env's body/arena, valid until
-// the response is written.
+// batchOp is one decoded batch operation, its routing, and the pipeline slot
+// that carries it through its shard's apply. The byte-slice fields are views
+// into the batch env's body/arena, valid until the response is written.
 type batchOp struct {
 	opName  []byte
 	client  []byte
 	kindRaw []byte
 	wire    uint64
 	destroy bool
-	report  usageReport
-	hasRep  bool
+	hasRep  bool // the report itself decodes straight into slot.rep
 	reqID   []byte
 
-	// resolved by routing
-	op     string // canonical static: "acquire" | "renew" | "release"
-	kind   string // canonical static kind name (acquire)
-	local  uint64 // shard-local lease ID (renew/release)
+	// resolved by routing, with slot.rec
 	shard  int32
 	routed bool
 
-	// outcome
-	status    int
-	errMsg    string
-	deduped   bool
-	dedupBody []byte // cache-owned single-op lease body (dedup hits)
-	resp      leaseResponse
-}
-
-func (op *batchOp) fail(status int, msg string) {
-	op.status, op.errMsg = status, msg
+	slot opSlot
 }
 
 // batchEnv is the pooled per-request scratch for the batch path: one body
-// buffer, one parser, the decoded op table, the shard-grouping index and
-// the journal/response build buffers. Everything is reused; a steady-state
-// batch of renews performs O(1) allocations regardless of op count.
+// buffer, one parser, the decoded op table, the shard-grouping index and the
+// response build buffers. Everything is reused; a steady-state batch of
+// renews performs O(1) allocations regardless of op count.
 type batchEnv struct {
-	p    jparser
-	body []byte
-	out  []byte
+	p      jparser
+	body   []byte
+	out    []byte
+	leases []byte // the groups' encoded lease bodies (shard.apply's out)
 
 	ops []batchOp
-	rec opRecord // per-op journal record scratch (reused within a group)
-
-	deadline time.Time // the request's (record's stamp); zero means none
 
 	counts [MaxShards]int32 // ops per shard (routed only)
-	starts [MaxShards]int32 // group offsets into idx
-	idx    []int32          // op indices, grouped by shard, request order within
-
-	jbuf   []byte   // journal batch-frame build buffer
-	spans  [][2]int // per-record spans into jbuf
-	frames [][]byte // views over jbuf handed to AppendBatch
+	starts [MaxShards]int32 // group offsets into groups
+	groups []*opSlot        // routed ops' slots, grouped by shard, request order within
 }
 
 var batchEnvPool = sync.Pool{New: func() any { return new(batchEnv) }}
@@ -101,12 +81,8 @@ func getBatchEnv() *batchEnv {
 
 func putBatchEnv(e *batchEnv) {
 	// Release references into request-scoped data; keep every buffer.
-	for i := range e.ops {
-		e.ops[i] = batchOp{}
-	}
+	clear(e.ops)
 	e.ops = e.ops[:0]
-	e.rec = opRecord{}
-	e.deadline = time.Time{}
 	e.p.buf = nil
 	batchEnvPool.Put(e)
 }
@@ -143,7 +119,7 @@ func (e *batchEnv) decodeOp() error {
 			}
 			op.hasRep = true
 			return e.p.object(func(k []byte) error {
-				return e.p.decodeUsageFields(&op.report, k)
+				return e.p.decodeUsageFields(&op.slot.rep, k)
 			})
 		default:
 			return e.p.skipValue()
@@ -151,53 +127,60 @@ func (e *batchEnv) decodeOp() error {
 	})
 }
 
-// routeBatch resolves every op to its shard, validating as the single-op
-// handlers do. Invalid ops get their error outcome here and are skipped by
-// the apply stage; they never abort the batch.
+// routeBatchOps resolves every op to its shard and builds its record,
+// validating as the single-op handlers do. Invalid ops get their error
+// outcome here and never reach a shard; they never abort the batch. It runs
+// once decoding is done, so pointers into env.ops are stable.
 func (s *Server) routeBatchOps(env *batchEnv) {
 	for i := range env.ops {
 		op := &env.ops[i]
+		sl := &op.slot
 		switch {
 		case string(op.opName) == "acquire":
-			op.op = "acquire"
 			if len(op.client) == 0 || len(op.client) > 128 {
-				op.fail(http.StatusBadRequest, "client must be a non-empty name (≤128 chars)")
+				sl.fail(http.StatusBadRequest, "client must be a non-empty name (≤128 chars)")
 				continue
 			}
 			k, ok := kindFromBytes(op.kindRaw)
 			if !ok {
-				op.fail(http.StatusBadRequest, fmt.Sprintf("unknown resource kind %q", op.kindRaw))
+				sl.fail(http.StatusBadRequest, fmt.Sprintf("unknown resource kind %q", op.kindRaw))
 				continue
 			}
-			op.kind = k.String()
 			op.shard = int32(shardIndexBytes(op.client, len(s.shards)))
+			sl.rec = opRecord{Op: opAcquire, Client: string(op.client), Kind: k}
 		case string(op.opName) == "renew" || string(op.opName) == "release":
-			if string(op.opName) == "renew" {
-				op.op = "renew"
-			} else {
-				op.op = "release"
-			}
 			_, local, ok := s.shardByWireID(op.wire)
 			if !ok {
-				op.fail(http.StatusNotFound, "unknown or dead lease")
+				sl.fail(http.StatusNotFound, "unknown or dead lease")
 				continue
 			}
 			idx, _ := decodeLeaseID(op.wire)
-			op.local, op.shard = local, int32(idx)
+			op.shard = int32(idx)
+			if string(op.opName) == "release" {
+				sl.rec = opRecord{Op: opRelease, LeaseID: local, Destroy: op.destroy}
+			} else {
+				sl.rec = opRecord{Op: opRenew, LeaseID: local}
+				if op.hasRep {
+					sl.rec.Report = &sl.rep
+				}
+			}
 		default:
-			op.fail(http.StatusBadRequest, fmt.Sprintf("unknown op %q", op.opName))
+			sl.fail(http.StatusBadRequest, fmt.Sprintf("unknown op %q", op.opName))
 			continue
 		}
 		if len(op.reqID) > 128 {
-			op.fail(http.StatusBadRequest, "req_id exceeds 128 bytes")
+			sl.fail(http.StatusBadRequest, "req_id exceeds 128 bytes")
 			continue
 		}
+		// The same key X-Request-ID feeds: a single-op retry of a batched
+		// op (or the reverse) dedups cleanly.
+		sl.rec.ReqID = string(op.reqID)
 		op.routed = true
 	}
 }
 
-// groupByShard counting-sorts routed op indices by shard (stable: request
-// order survives within each group).
+// groupByShard counting-sorts the routed ops' slots by shard (stable:
+// request order survives within each group).
 func (env *batchEnv) groupByShard(shards int) {
 	for i := 0; i < shards; i++ {
 		env.counts[i] = 0
@@ -212,107 +195,24 @@ func (env *batchEnv) groupByShard(shards int) {
 		env.starts[i] = sum
 		sum += env.counts[i]
 	}
-	if cap(env.idx) < int(sum) {
-		env.idx = make([]int32, sum)
+	if cap(env.groups) < int(sum) {
+		env.groups = make([]*opSlot, sum)
 	} else {
-		env.idx = env.idx[:sum]
+		env.groups = env.groups[:sum]
 	}
 	cursor := env.starts // copy (arrays copy by value)
 	for i := range env.ops {
 		op := &env.ops[i]
 		if op.routed {
-			env.idx[cursor[op.shard]] = int32(i)
+			env.groups[cursor[op.shard]] = &op.slot
 			cursor[op.shard]++
 		}
 	}
 }
 
-// applyBatchGroup executes one shard's ops inside a single clock section —
-// every op in the group applies at the same frozen instant — and journals
-// the group's successful ops as one atomic batch frame. A group that reaches
-// its clock after the request's deadline is not applied: each of its ops
-// fails 503, as a single op would (applyOp); groups already applied stand.
-func (sh *shard) applyBatchGroup(env *batchEnv, group []int32) {
-	sh.do(func() {
-		if expired(env.deadline) {
-			for _, i := range group {
-				env.ops[i].fail(http.StatusServiceUnavailable, msgTimedOut)
-			}
-			return
-		}
-		now := sh.clock.Now()
-		env.jbuf = env.jbuf[:0]
-		env.spans = env.spans[:0]
-		for _, i := range group {
-			op := &env.ops[i]
-			if len(op.reqID) > 0 {
-				if raw, ok := sh.dedup.get(string(op.reqID)); ok {
-					sh.metrics.deduped.Add(1)
-					op.status, op.deduped, op.dedupBody = http.StatusOK, true, raw
-					continue
-				}
-			}
-			rec := &env.rec
-			*rec = opRecord{At: now, Op: op.op}
-			switch op.op {
-			case "acquire":
-				rec.Client, rec.Kind = string(op.client), op.kind
-			case "renew":
-				rec.LeaseID = op.local
-				if op.hasRep {
-					rec.Report = &op.report
-				}
-			case "release":
-				rec.LeaseID, rec.Destroy = op.local, op.destroy
-			}
-			if len(op.reqID) > 0 {
-				rec.ReqID = string(op.reqID)
-			}
-			status, resp, errMsg := sh.applyRecord(rec)
-			op.status = status
-			if status != http.StatusOK {
-				op.errMsg = errMsg
-				continue
-			}
-			op.resp = resp
-			if sh.store != nil || sh.repl != nil {
-				start := len(env.jbuf)
-				env.jbuf = appendOpRecord(env.jbuf, rec)
-				env.spans = append(env.spans, [2]int{start, len(env.jbuf)})
-			}
-			if rec.ReqID != "" {
-				// Same cache entry a single-op request would store: the
-				// plain lease body. A single-op retry of a batched op (or
-				// the reverse) dedups cleanly.
-				sh.dedup.put(rec.ReqID, appendLeaseResponse(nil, &resp))
-			}
-		}
-		if (sh.store != nil || sh.repl != nil) && len(env.spans) > 0 {
-			env.frames = env.frames[:0]
-			for _, sp := range env.spans {
-				env.frames = append(env.frames, env.jbuf[sp[0]:sp[1]])
-			}
-			if sh.repl != nil {
-				// One atomic frame on the wire, mirroring the one batch
-				// frame on disk: followers replay the whole group at one
-				// instant or not at all.
-				sh.repl.PublishBatch(env.frames)
-			}
-			if sh.store != nil {
-				if err := sh.store.AppendBatch(env.frames); err != nil {
-					sh.metrics.journalErrors.Add(1)
-				} else if sh.store.SinceCheckpoint() >= sh.opts.SnapshotEvery {
-					sh.checkpointLocked()
-				}
-			}
-		}
-	})
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	env := getBatchEnv()
 	defer putBatchEnv(env)
-	env.deadline = deadlineOf(w)
 	body, err := readBody(r, &env.body, batchMaxBodyBytes)
 	if err != nil {
 		writeBodyError(w, err)
@@ -335,36 +235,49 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.routeBatchOps(env)
 	env.groupByShard(len(s.shards))
-	for shardID := 0; shardID < len(s.shards); shardID++ {
+	// Each shard group is a trip through that shard's pipeline (shard.apply):
+	// one clock section, one instant, one journal frame. A group that
+	// reaches its clock after the request's deadline is not applied — its
+	// ops fail 503, as a single op would; groups already applied stand.
+	deadline := deadlineOf(w)
+	env.leases = env.leases[:0]
+	var only *shard
+	touched := 0
+	for shardID, sh := range s.shards {
 		n := int(env.counts[shardID])
 		if n == 0 {
 			continue
 		}
 		start := int(env.starts[shardID])
-		s.shards[shardID].applyBatchGroup(env, env.idx[start:start+n])
+		env.leases = sh.apply(env.groups[start:start+n], env.leases, deadline)
+		only = sh
+		touched++
 	}
-	// Results in request order. Cross-shard batches bill to the unrouted
-	// histograms (no single shard owns the request).
+	// A batch that stayed on one shard bills to that shard's histograms;
+	// cross-shard (and empty) batches bill to the unrouted ones — no single
+	// shard owns the request.
+	if touched == 1 {
+		markShard(w, only)
+	}
+	// Results in request order.
 	b := env.out[:0]
 	b = append(b, `{"results":[`...)
 	for i := range env.ops {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		op := &env.ops[i]
+		sl := &env.ops[i].slot
 		b = append(b, `{"status":`...)
-		b = strconv.AppendInt(b, int64(op.status), 10)
-		if op.status == http.StatusOK {
-			if op.deduped {
-				b = append(b, `,"deduped":true,"lease":`...)
-				b = append(b, op.dedupBody...)
-			} else {
-				b = append(b, `,"lease":`...)
-				b = appendLeaseResponse(b, &op.resp)
+		b = strconv.AppendInt(b, int64(sl.status), 10)
+		if sl.status == http.StatusOK {
+			if sl.deduped {
+				b = append(b, `,"deduped":true`...)
 			}
+			b = append(b, `,"lease":`...)
+			b = append(b, sl.body...)
 		} else {
 			b = append(b, `,"error":`...)
-			b = appendJSONString(b, op.errMsg)
+			b = appendJSONString(b, sl.errMsg)
 		}
 		b = append(b, '}')
 	}

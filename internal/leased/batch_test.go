@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/simclock"
 )
 
 // batchResult is one member of the endpoint's results array.
@@ -301,15 +303,13 @@ func TestBatchGroupSharesOneFrozenInstant(t *testing.T) {
 		t.Fatalf("journal holds %d records, want ≥ 4 (acquire + 3 batch members)", len(recs))
 	}
 	group := recs[len(recs)-3:]
-	var at []int64
-	for _, rec := range group {
-		var r struct {
-			At int64 `json:"at"`
+	var at []simclock.Time
+	for _, payload := range group {
+		var rec opRecord
+		if err := decodeOpRecord(payload, &rec, new(usageReport)); err != nil {
+			t.Fatalf("journal record %x: %v", payload, err)
 		}
-		if err := json.Unmarshal(rec, &r); err != nil {
-			t.Fatalf("journal record %q: %v", rec, err)
-		}
-		at = append(at, r.At)
+		at = append(at, rec.At)
 	}
 	if at[0] != at[1] || at[1] != at[2] {
 		t.Errorf("batch group timestamps differ: %v (must share one frozen instant)", at)

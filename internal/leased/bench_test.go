@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
 )
@@ -33,10 +34,10 @@ func benchAcquire(b *testing.B, s *Server, name string) (*shard, uint64) {
 	sh := s.shardFor(name)
 	env := getOpEnv()
 	defer putOpEnv(env)
-	env.rec = opRecord{Op: "acquire", Client: name, Kind: "wakelock"}
-	sh.applyOp(env, "")
+	env.slot.rec = opRecord{Op: opAcquire, Client: name, Kind: hooks.Wakelock}
+	env.apply(sh, time.Time{})
 	var lr leaseResponse
-	if err := json.Unmarshal(env.result, &lr); err != nil {
+	if err := json.Unmarshal(env.slot.body, &lr); err != nil {
 		b.Fatal(err)
 	}
 	_, local := decodeLeaseID(lr.LeaseID)
@@ -45,7 +46,8 @@ func benchAcquire(b *testing.B, s *Server, name string) (*shard, uint64) {
 
 // BenchmarkShardedApply measures the serialization point the sharding work
 // exists to split: concurrent goroutines driving renew operations through
-// applyOp (dedup check + clock section + mutation + wire encode), at
+// shard.apply as a group of one (clock section + dedup check + mutation +
+// wire encode), at
 // increasing shard counts. On a multi-core machine throughput should scale
 // with shards up to GOMAXPROCS; on one core the curve is flat — the point
 // of recording it per shard count is exactly to see which machine you're
@@ -68,8 +70,8 @@ func BenchmarkShardedApply(b *testing.B) {
 				env := getOpEnv()
 				defer putOpEnv(env)
 				for pb.Next() {
-					env.rec = opRecord{Op: "renew", LeaseID: local, Report: &rep}
-					sh.applyOp(env, "")
+					env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &rep}
+					env.apply(sh, time.Time{})
 				}
 			})
 		})
@@ -77,7 +79,7 @@ func BenchmarkShardedApply(b *testing.B) {
 }
 
 // BenchmarkBatchApply measures the amortized path: one shard group of
-// renews applied under a single clock crossing via applyBatchGroup, the
+// renews applied under a single clock crossing via shard.apply, the
 // core of POST /v1/batch. ns/op is per operation (b.N ops run in
 // b.N/size batches), so the ratio to BenchmarkShardedApply/shards=1 is the
 // per-op saving from batching alone, with HTTP out of the picture.
@@ -96,18 +98,17 @@ func BenchmarkBatchApply(b *testing.B) {
 				env.ops = append(env.ops, batchOp{
 					opName: []byte("renew"),
 					wire:   wire,
-					report: usageReport{CPUMS: 1, UIUpdates: 1},
 					hasRep: true,
+					slot:   opSlot{rep: usageReport{CPUMS: 1, UIUpdates: 1}},
 				})
 			}
 			s.routeBatchOps(env)
 			env.groupByShard(len(s.shards))
-			group := env.idx
 
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n += size {
-				s.shards[0].applyBatchGroup(env, group)
+				env.leases = s.shards[0].apply(env.groups, env.leases[:0], time.Time{})
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package leased
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -20,7 +19,7 @@ import (
 // the per-shard publish streams the journal path feeds; as a cluster.Applier
 // (follower side) it replays replicated frames onto its unstarted walls via
 // the exact recovery machinery Open uses — restoreState for snapshots,
-// RunVirtual + replayRecord for records — so a follower is a continuously
+// shard.replay for records — so a follower is a continuously
 // recovering daemon, and promotion is just "finish recovering, bind the
 // clocks to real time, start a new leadership generation".
 //
@@ -294,79 +293,23 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	return err
 }
 
-// ApplyRecord implements cluster.Applier: one record, replayed exactly as
-// recovery would — clock to the record's instant (firing due term checks),
-// then the mutation — and journaled locally in the primary's own bytes.
+// ApplyRecord implements cluster.Applier: one record is a batch of one.
 func (s *Server) ApplyRecord(shard int, payload []byte) error {
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("leased: no shard %d", shard)
-	}
-	sh := s.shards[shard]
-	var rec opRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("leased: corrupt replicated record: %w", err)
-	}
-	sh.clock.RunVirtual(rec.At)
-	sh.do(func() {
-		sh.replayRecord(rec)
-		sh.journalRawLocked(payload)
-	})
-	return nil
+	return s.ApplyBatch(shard, [][]byte{payload})
 }
 
-// ApplyBatch implements cluster.Applier: an atomic group shares one virtual
-// instant (the primary stamps the whole group inside one Do section), so it
-// replays under one clock section and journals as one batch frame — the
-// same atomicity it had on the primary's disk.
+// ApplyBatch implements cluster.Applier: the group is replayed exactly as
+// recovery would — clock to its instant (firing due term checks), then the
+// mutations under one clock section — and journaled locally in the primary's
+// own bytes as one frame, the same atomicity it had on the primary's disk.
 func (s *Server) ApplyBatch(shard int, payloads [][]byte) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("leased: no shard %d", shard)
 	}
-	sh := s.shards[shard]
-	recs := make([]opRecord, len(payloads))
-	for i, p := range payloads {
-		if err := json.Unmarshal(p, &recs[i]); err != nil {
-			return fmt.Errorf("leased: corrupt replicated batch member %d: %w", i, err)
-		}
-		if recs[i].At != recs[0].At {
-			return fmt.Errorf("leased: replicated batch members disagree on their instant")
-		}
+	if err := s.shards[shard].replay(payloads, true); err != nil {
+		return fmt.Errorf("leased: corrupt replicated record: %w", err)
 	}
-	if len(recs) == 0 {
-		return nil
-	}
-	sh.clock.RunVirtual(recs[0].At)
-	sh.do(func() {
-		for i := range recs {
-			sh.replayRecord(recs[i])
-		}
-		if sh.store == nil {
-			return
-		}
-		if err := sh.store.AppendBatch(payloads); err != nil {
-			sh.metrics.journalErrors.Add(1)
-			return
-		}
-		if sh.store.SinceCheckpoint() >= sh.opts.SnapshotEvery {
-			sh.checkpointLocked()
-		}
-	})
 	return nil
-}
-
-// journalRawLocked persists already-encoded record bytes (a replicated
-// frame) to the local store. Callers hold the shard clock.
-func (sh *shard) journalRawLocked(raw []byte) {
-	if sh.store == nil {
-		return
-	}
-	if err := sh.store.Append(raw); err != nil {
-		sh.metrics.journalErrors.Add(1)
-		return
-	}
-	if sh.store.SinceCheckpoint() >= sh.opts.SnapshotEvery {
-		sh.checkpointLocked()
-	}
 }
 
 // reinitLocked resets the shard's in-memory containers for a wholesale

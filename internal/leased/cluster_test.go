@@ -294,6 +294,61 @@ func TestClusterFailoverPreservesState(t *testing.T) {
 	}
 }
 
+// refusedHello opens a replication connection to addr, sends h, and returns
+// the refusal the primary answers with; anything but an error frame fails the
+// test.
+func refusedHello(t *testing.T, addr string, h cluster.Hello) cluster.ErrMsg {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hb, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(durable.AppendFrame(nil, 'H', hb)); err != nil {
+		t.Fatal(err)
+	}
+	tag, payload, err := durable.NewStreamReader(conn).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != 'E' {
+		t.Fatalf("primary answered frame %q, want an error frame", tag)
+	}
+	var em cluster.ErrMsg
+	if err := json.Unmarshal(payload, &em); err != nil {
+		t.Fatal(err)
+	}
+	return em
+}
+
+// TestOldProtoRefusedAtHandshake: a follower from a build that still speaks
+// protocol 1 (JSON journal records) is turned away by name at the handshake —
+// it never gets a snapshot, let alone a stream of records it would misread —
+// and the primary keeps serving.
+func TestOldProtoRefusedAtHandshake(t *testing.T) {
+	opts := testOptions()
+	opts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}
+	s := NewServer(opts)
+	defer s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ServeReplication(ln)
+
+	em := refusedHello(t, ln.Addr().String(), cluster.Hello{Proto: 1, Shard: 0, Shards: 1, Config: s.configSig()})
+	if want := fmt.Sprintf("protocol 1, want %d", cluster.Proto); em.Error != want {
+		t.Fatalf("refusal %q, want %q", em.Error, want)
+	}
+	if got := s.Role(); got != "primary" {
+		t.Fatalf("role after an old-protocol hello: %s", got)
+	}
+}
+
 // TestStalePrimaryFencedByHandshake: a primary that hears a Hello from a
 // later leadership generation must fence itself — refuse the connection
 // with a leader hint, answer writes with 421, and promote past the epoch it
@@ -312,30 +367,7 @@ func TestStalePrimaryFencedByHandshake(t *testing.T) {
 
 	// Hand-rolled handshake claiming cluster epoch 99 — what a follower of a
 	// newer generation sends when a stale ex-primary reappears.
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hb, err := json.Marshal(cluster.Hello{Proto: cluster.Proto, Shard: 0, Shards: 1, Epoch: 99, Config: d.s.configSig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(durable.AppendFrame(nil, 'H', hb)); err != nil {
-		t.Fatal(err)
-	}
-	sr := durable.NewStreamReader(conn)
-	tag, payload, err := sr.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != 'E' {
-		t.Fatalf("deposed primary answered frame %q, want an error frame", tag)
-	}
-	var em cluster.ErrMsg
-	if err := json.Unmarshal(payload, &em); err != nil {
-		t.Fatal(err)
-	}
+	em := refusedHello(t, ln.Addr().String(), cluster.Hello{Proto: cluster.Proto, Shard: 0, Shards: 1, Epoch: 99, Config: d.s.configSig()})
 	if em.Leader != "http://primary.invalid" {
 		t.Fatalf("refusal leader hint %q", em.Leader)
 	}
@@ -426,8 +458,8 @@ func BenchmarkReplicatedApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.rec = opRecord{Op: "renew", LeaseID: local, Report: &rep}
-		sh.applyOp(env, "")
+		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &rep}
+		env.apply(sh, time.Time{})
 	}
 }
 
@@ -471,14 +503,14 @@ func BenchmarkReplicationStream(b *testing.B) {
 	rep := usageReport{CPUMS: 1, UIUpdates: 1}
 	env := getOpEnv()
 	defer putOpEnv(env)
-	env.rec = opRecord{Op: "renew", LeaseID: local, Report: &rep}
-	sh.applyOp(env, "")
-	b.SetBytes(int64(len(appendOpRecord(nil, &env.rec))))
+	env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &rep}
+	env.apply(sh, time.Time{})
+	b.SetBytes(int64(len(encodeRecord(&env.slot.rec))))
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.rec = opRecord{Op: "renew", LeaseID: local, Report: &rep}
-		sh.applyOp(env, "")
+		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &rep}
+		env.apply(sh, time.Time{})
 	}
 	target := p.prim.Stream(0).Seq()
 	st, _ := f.replicaStats()

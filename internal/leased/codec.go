@@ -11,7 +11,7 @@ package leased
 //     are parsed with an exact Clinger fast path that only falls back to
 //     strconv for >19-significant-digit pathologies;
 //   - append-style encoders (the PR 3 strconv renderer pattern) that build
-//     responses and journal records into pooled []byte scratch.
+//     responses into pooled []byte scratch.
 //
 // The codec is deliberately NOT a different dialect: for every request and
 // response type it accepts exactly what encoding/json accepts and emits
@@ -20,9 +20,8 @@ package leased
 // replacement, null tolerance). codec_test.go enforces this differentially
 // — fuzzed inputs must produce identical accept/reject decisions and
 // identical values, and fuzzed values must encode to identical bytes — so
-// journal records written by this encoder stay readable by json.Unmarshal
-// during replay, and any client built on a stock JSON library sees a stock
-// JSON protocol.
+// any client built on a stock JSON library sees a stock JSON protocol. (The
+// journal is not JSON: its record codec is in recovery.go.)
 //
 // Semantics intentionally mirrored from encoding/json:
 //
@@ -44,7 +43,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -892,30 +890,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendJSONFloat appends f exactly as encoding/json formats float64:
-// shortest representation, 'e' only outside [1e-6, 1e21), with the
-// two-digit negative exponent un-padded. Non-finite values cannot reach
-// the wire — every float the daemon emits originated in a decode that
-// rejects them — and encode as 0 defensively.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return append(b, '0')
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // appendLeaseResponse appends r encoded byte-identically to json.Marshal.
 func appendLeaseResponse(b []byte, r *leaseResponse) []byte {
 	b = append(b, `{"lease_id":`...)
@@ -953,121 +927,18 @@ func appendErrorResponse(b []byte, msg string) []byte {
 	return append(b, '}')
 }
 
-// appendUsageReport appends rep with per-field omitempty, byte-identical
-// to json.Marshal. Note omitempty drops -0.0 as well (it compares == 0),
-// exactly as encoding/json does.
-func appendUsageReport(b []byte, rep *usageReport) []byte {
-	b = append(b, '{')
-	n := len(b)
-	if rep.CPUMS != 0 {
-		b = append(b, `"cpu_ms":`...)
-		b = appendJSONFloat(b, rep.CPUMS)
-	}
-	comma := func(b []byte) []byte {
-		if len(b) > n {
-			return append(b, ',')
-		}
-		return b
-	}
-	if rep.UsedMS != 0 {
-		b = comma(b)
-		b = append(b, `"used_ms":`...)
-		b = appendJSONFloat(b, rep.UsedMS)
-	}
-	if rep.RequestMS != 0 {
-		b = comma(b)
-		b = append(b, `"request_ms":`...)
-		b = appendJSONFloat(b, rep.RequestMS)
-	}
-	if rep.FailedRequestMS != 0 {
-		b = comma(b)
-		b = append(b, `"failed_request_ms":`...)
-		b = appendJSONFloat(b, rep.FailedRequestMS)
-	}
-	if rep.DataPoints != 0 {
-		b = comma(b)
-		b = append(b, `"data_points":`...)
-		b = strconv.AppendInt(b, int64(rep.DataPoints), 10)
-	}
-	if rep.DistanceM != 0 {
-		b = comma(b)
-		b = append(b, `"distance_m":`...)
-		b = appendJSONFloat(b, rep.DistanceM)
-	}
-	if rep.UIUpdates != 0 {
-		b = comma(b)
-		b = append(b, `"ui_updates":`...)
-		b = strconv.AppendInt(b, int64(rep.UIUpdates), 10)
-	}
-	if rep.Interactions != 0 {
-		b = comma(b)
-		b = append(b, `"interactions":`...)
-		b = strconv.AppendInt(b, int64(rep.Interactions), 10)
-	}
-	if rep.Exceptions != 0 {
-		b = comma(b)
-		b = append(b, `"exceptions":`...)
-		b = strconv.AppendInt(b, int64(rep.Exceptions), 10)
-	}
-	return append(b, '}')
-}
-
-// appendOpRecord appends rec encoded byte-identically to json.Marshal, so
-// journal frames written by the fast path remain plain JSON that replay's
-// json.Unmarshal (and any external tool) reads back.
-func appendOpRecord(b []byte, rec *opRecord) []byte {
-	b = append(b, `{"at":`...)
-	b = strconv.AppendInt(b, int64(rec.At), 10)
-	b = append(b, `,"op":`...)
-	b = appendJSONString(b, rec.Op)
-	if rec.Client != "" {
-		b = append(b, `,"client":`...)
-		b = appendJSONString(b, rec.Client)
-	}
-	if rec.Kind != "" {
-		b = append(b, `,"kind":`...)
-		b = appendJSONString(b, rec.Kind)
-	}
-	if rec.LeaseID != 0 {
-		b = append(b, `,"lease_id":`...)
-		b = strconv.AppendUint(b, rec.LeaseID, 10)
-	}
-	if rec.Destroy {
-		b = append(b, `,"destroy":true`...)
-	}
-	if rec.Report != nil {
-		b = append(b, `,"report":`...)
-		b = appendUsageReport(b, rec.Report)
-	}
-	if rec.ReqID != "" {
-		b = append(b, `,"req_id":`...)
-		b = appendJSONString(b, rec.ReqID)
-	}
-	return append(b, '}')
-}
-
 // --- pooled per-request scratch ---
 
-// opEnv is the single-op hot path's per-request scratch: body buffer,
-// parser (with its unescape arena), decoded record, and response build
-// buffer. One env cycles through the pool per request; in steady state the
-// whole decode → apply → encode path performs zero heap allocations.
+// opEnv is the single-op front end's per-request scratch: body buffer,
+// parser (with its unescape arena), the op's pipeline slot and the response
+// build buffer. One env cycles through the pool per request; in steady state
+// the whole decode → apply → encode path performs zero heap allocations.
 type opEnv struct {
 	p    jparser
 	body []byte // request body accumulation buffer
-	out  []byte // response build buffer
+	out  []byte // response build buffer; slot.body points into it
 
-	rec opRecord
-	rep usageReport
-
-	// result is what the handler writes: out for fresh responses, or a
-	// stable cache-owned slice for deduped replays.
-	result  []byte
-	status  int
-	deduped bool
-
-	// deadline is the request's (record's stamp); zero means none.
-	deadline time.Time
+	slot opSlot // the one op: handed to shard.apply as a group of one
 }
 
 var opEnvPool = sync.Pool{New: func() any { return new(opEnv) }}
@@ -1078,12 +949,7 @@ func getOpEnv() *opEnv {
 
 func putOpEnv(e *opEnv) {
 	// Drop references into request-scoped data; keep the buffers.
-	e.rec = opRecord{}
-	e.rep = usageReport{}
-	e.result = nil
-	e.status = 0
-	e.deduped = false
-	e.deadline = time.Time{}
+	e.slot = opSlot{}
 	e.p.buf = nil
 	opEnvPool.Put(e)
 }

@@ -1,6 +1,7 @@
 package leased
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +58,7 @@ func (r usageReport) failedRequest() time.Duration { return msDur(r.FailedReques
 // so subsequent renew/release/get requests route by arithmetic alone.
 //
 // The struct's json tags remain authoritative for the wire format, but the
-// hot path encodes it with appendLeaseResponse (codec.go), which the codec
+// pipeline encodes it with appendLeaseResponse (codec.go), which the codec
 // tests pin byte-identical to json.Marshal — change the fields and both
 // must move together.
 type leaseResponse struct {
@@ -358,69 +359,32 @@ func requestID(r *http.Request) (string, error) {
 	return id, nil
 }
 
-// write sends the op outcome carried by env: status, optional dedup marker,
-// and the response body plus trailing newline.
+// apply runs env's one op — a batch of one — through sh's pipeline.
+func (env *opEnv) apply(sh *shard, deadline time.Time) {
+	group := [1]*opSlot{&env.slot}
+	env.out = sh.apply(group[:], env.out[:0], deadline)
+}
+
+// write sends the op outcome carried by env's slot: status, optional dedup
+// marker, and the lease or error body plus trailing newline.
 func (env *opEnv) write(w http.ResponseWriter) {
+	sl := &env.slot
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	if env.deduped {
+	if sl.deduped {
 		h["X-Deduped"] = dedupedMarker
 	}
-	w.WriteHeader(env.status)
-	w.Write(env.result)
+	body := sl.body
+	if sl.status != http.StatusOK {
+		env.out = appendErrorResponse(env.out[:0], sl.errMsg)
+		body = env.out
+	}
+	w.WriteHeader(sl.status)
+	w.Write(body)
 	w.Write(newline)
 }
 
 var newline = []byte("\n")
-
-// applyOp runs env's decoded mutation through this shard's full durability
-// pipeline inside a single clock section: dedup check, virtual-time stamp,
-// state mutation, journal append, response cache. Failed ops (4xx) change
-// no state and are not journaled. env.rec.LeaseID, if set, is already
-// shard-local — the handler decoded the wire ID to route here. On return
-// env.status/env.result/env.deduped carry the outcome; env.result points
-// either at env.out (freshly encoded) or at a cache-owned body (dedup hit),
-// both stable until the env is recycled.
-//
-// The wait for the clock is where a request can outlive env.deadline (a
-// checkpoint, an fsync, a pile-up ahead of it), so that is where it is
-// checked: an expired request fails 503 with nothing stamped, journaled,
-// published or cached. Past that point there is no check — an applied op is
-// answered with its result, however late.
-func (sh *shard) applyOp(env *opEnv, reqID string) {
-	sh.do(func() {
-		if expired(env.deadline) {
-			env.out = appendErrorResponse(env.out[:0], msgTimedOut)
-			env.status, env.result = http.StatusServiceUnavailable, env.out
-			return
-		}
-		if reqID != "" {
-			if raw, ok := sh.dedup.get(reqID); ok {
-				sh.metrics.deduped.Add(1)
-				env.status, env.result, env.deduped = http.StatusOK, raw, true
-				return
-			}
-		}
-		env.rec.At = sh.clock.Now()
-		env.rec.ReqID = reqID
-		status, resp, errMsg := sh.applyRecord(&env.rec)
-		if status != http.StatusOK {
-			env.out = appendErrorResponse(env.out[:0], errMsg)
-			env.status, env.result = status, env.out
-			return
-		}
-		// Journal AFTER a successful apply but inside the same frozen
-		// instant: the mutation cannot fail after being logged, and the
-		// log order equals the clock order.
-		sh.journalLocked(&env.rec)
-		env.out = appendLeaseResponse(env.out[:0], &resp)
-		if reqID != "" {
-			// The cache must own a stable copy — env.out is recycled.
-			sh.dedup.put(reqID, append([]byte(nil), env.out...))
-		}
-		env.status, env.result = http.StatusOK, env.out
-	})
-}
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	env := getOpEnv()
@@ -453,9 +417,8 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	client := string(aw.client) // the acquire path's one materialization
 	sh := s.shardFor(client)
 	markShard(w, sh)
-	env.rec = opRecord{Op: "acquire", Client: client, Kind: kind.String()}
-	env.deadline = deadlineOf(w)
-	sh.applyOp(env, reqID)
+	env.slot.rec = opRecord{Op: opAcquire, Client: client, Kind: kind, ReqID: reqID}
+	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
 
@@ -496,7 +459,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	env.p.begin(body)
-	if err := env.p.decodeUsage(&env.rep); err != nil {
+	if err := env.p.decodeUsage(&env.slot.rep); err != nil {
 		writeBodyError(w, err)
 		return
 	}
@@ -505,9 +468,8 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	env.rec = opRecord{Op: "renew", LeaseID: local, Report: &env.rep}
-	env.deadline = deadlineOf(w)
-	sh.applyOp(env, reqID)
+	env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &env.slot.rep, ReqID: reqID}
+	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
 
@@ -523,9 +485,8 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	env := getOpEnv()
 	defer putOpEnv(env)
-	env.rec = opRecord{Op: "release", LeaseID: local, Destroy: queryFlag(r, "destroy")}
-	env.deadline = deadlineOf(w)
-	sh.applyOp(env, reqID)
+	env.slot.rec = opRecord{Op: opRelease, LeaseID: local, Destroy: queryFlag(r, "destroy"), ReqID: reqID}
+	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
 
@@ -583,14 +544,16 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	env.out = appendLeaseResponse(env.out[:0], &resp)
-	env.status, env.result = http.StatusOK, env.out
+	env.slot.status, env.slot.body = http.StatusOK, env.out
 	env.write(w)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot()
-	b := appendSnapshotIndent(make([]byte, 0, 8<<10), &snap)
-	b = append(b, '\n')
+	b, err := json.MarshalIndent(s.snapshot(), "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	w.Write(append(b, '\n'))
 }

@@ -32,7 +32,6 @@
 package leased
 
 import (
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -46,6 +45,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
+	"repro/internal/snapenc"
 )
 
 // Options configures the daemon.
@@ -302,8 +302,8 @@ type shard struct {
 	recovery RecoveryInfo
 
 	// Replication (nil repl = standalone daemon). repl is this shard's
-	// stream fan-out; journalLocked and applyBatchGroup publish the exact
-	// journal bytes into it. cepoch aliases the server's cluster epoch.
+	// stream fan-out; commitLocked publishes the exact journal bytes into
+	// it. cepoch aliases the server's cluster epoch.
 	repl   *cluster.ShardStream
 	cepoch *atomic.Uint64
 
@@ -312,9 +312,11 @@ type shard struct {
 	// per-request Config() copy + conversion is hoisted here.
 	termMS int64
 
-	// jbuf is the journal encode scratch; touched only under the shard
-	// clock, like everything else here.
-	jbuf []byte
+	// jw and frames are applyLocked's record-encode scratch — frames are
+	// views into jw's buffer — touched only under the shard clock, like
+	// everything else here.
+	jw     *snapenc.Writer
+	frames [][]byte
 
 	metrics *shardMetrics
 }
@@ -377,6 +379,7 @@ func newShard(id int, opts Options, clock *runtime.Wall, ce *atomic.Uint64) *sha
 		byLease:    make(map[uint64]*robj),
 		dedup:      newDedupCache(opts.DedupWindow),
 		cepoch:     ce,
+		jw:         snapenc.NewWriter(nil),
 		metrics:    &shardMetrics{},
 	}
 	sh.res = &resources{clock: sh.clock, objs: make(map[uint64]*robj)}
@@ -513,21 +516,123 @@ func (sh *shard) destroy(o *robj) {
 	delete(sh.res.objs, o.id)
 }
 
+// The write path is one pipeline. Every mutation — a single-op request (a
+// group of one), a batch's shard group, a record replayed from the journal
+// or from the primary's stream — crosses the same three steps under the
+// shard clock: applyLocked runs each op through dedup → stamp → applyRecord
+// → encode, commitLocked makes the group's records durable, and the front
+// end (http.go, batch.go, replay in recovery.go) answers from the slots.
+
+// opSlot carries one operation through the pipeline: the front end fills rec
+// (everything but At, which the clock section stamps); applyLocked fills the
+// outcome.
+type opSlot struct {
+	rec opRecord
+	rep usageReport // rec.Report's storage, when the op carries a report
+
+	status  int
+	errMsg  string // status != 200
+	deduped bool
+	// body is the encoded lease (status 200): a view into the buffer
+	// applyLocked appended to, or a cache-owned slice on a dedup hit — both
+	// stable until the front end has answered.
+	body []byte
+}
+
+func (sl *opSlot) fail(status int, msg string) {
+	sl.status, sl.errMsg = status, msg
+}
+
+// apply is the live front ends' door to the pipeline: one clock section in
+// which the whole group applies at one frozen instant and is committed as one
+// frame. Response bodies are appended to out, which is returned.
+//
+// The wait for the clock is where a request can outlive its deadline (a
+// checkpoint, an fsync, a pile-up ahead of it), so that is where it is
+// checked: an expired group fails 503, op by op, with nothing stamped,
+// journaled, published or cached. Past that point there is no check — an
+// applied op is answered with its result, however late.
+func (sh *shard) apply(group []*opSlot, out []byte, deadline time.Time) []byte {
+	sh.do(func() {
+		if expired(deadline) {
+			for _, sl := range group {
+				sl.fail(http.StatusServiceUnavailable, msgTimedOut)
+			}
+			return
+		}
+		out = sh.applyLocked(group, out, true)
+		// Commit AFTER the apply but inside the same frozen instant: a
+		// mutation cannot fail after being logged, and the log order equals
+		// the clock order.
+		sh.commitLocked(sh.frames, true)
+	})
+	return out
+}
+
+// applyLocked runs a group through dedup lookup, stamp, applyRecord, record
+// encode, response encode and dedup put, in that order per op, all at the
+// clock's current instant. Failed ops (4xx) change no state and are neither
+// journaled nor cached; they never fail the group. Live, each op is stamped
+// with the instant and its record encoded into sh.frames for commitLocked.
+// On replay (live false) the records already exist, carry their instant, and
+// by construction were not dedup hits; the only outcome kept is the dedup
+// entry, rebuilt in log order so an overflowed cache evicts as it did live.
+// Callers hold the shard clock.
+func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
+	now := sh.clock.Now()
+	sh.jw.Reset()
+	sh.frames = sh.frames[:0]
+	for _, sl := range group {
+		rec := &sl.rec
+		if live {
+			if rec.ReqID != "" {
+				if raw, ok := sh.dedup.get(rec.ReqID); ok {
+					sh.metrics.deduped.Add(1)
+					sl.status, sl.deduped, sl.body = http.StatusOK, true, raw
+					continue
+				}
+			}
+			rec.At = now
+		}
+		var view leaseResponse
+		sl.status, view, sl.errMsg = sh.applyRecord(rec)
+		if sl.status != http.StatusOK {
+			continue
+		}
+		if live && (sh.store != nil || sh.repl != nil) {
+			// A frame stays valid if a later record grows the buffer: it
+			// keeps the old array, whose bytes nothing rewrites.
+			start := len(sh.jw.Payload())
+			encodeOpRecord(sh.jw, rec)
+			sh.frames = append(sh.frames, sh.jw.Payload()[start:])
+		}
+		if !live && rec.ReqID == "" {
+			continue
+		}
+		// Encoded once: the same bytes answer the request and, under a
+		// request ID, any retry of it — single or batched, before or after
+		// a restart (the crash-equality tests DeepEqual the cache).
+		start := len(out)
+		out = appendLeaseResponse(out, &view)
+		sl.body = out[start:len(out):len(out)]
+		if rec.ReqID != "" {
+			// The cache must own a stable copy — out is recycled.
+			sh.dedup.put(rec.ReqID, append([]byte(nil), sl.body...))
+		}
+	}
+	return out
+}
+
 // applyRecord executes one external mutation at the shard clock's current
-// frozen instant. It is the single mutation codepath — live requests run it
-// inside applyOp (which journals it first), and recovery runs it during
-// replay — so a replayed history reproduces the live history exactly.
+// frozen instant. It is the single state transition — applyLocked is its
+// only caller — so a replayed history reproduces the live history exactly.
 // Record lease IDs are shard-local (the journal is per-shard; the shard tag
 // is implied by the directory). Callers hold the shard clock.
 func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, errMsg string) {
 	switch rec.Op {
-	case "acquire":
-		kind, err := kindFromName(rec.Kind)
-		if err != nil {
-			return http.StatusBadRequest, resp, err.Error()
-		}
-		return http.StatusOK, sh.leaseView(sh.acquire(rec.Client, kind), false), ""
-	case "renew":
+	case opAcquire:
+		return http.StatusOK, sh.leaseView(sh.acquire(rec.Client, rec.Kind), false), ""
+	case opRenew:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
 			return http.StatusNotFound, resp, "unknown or dead lease"
@@ -538,7 +643,7 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, err
 		}
 		sh.renew(o, rep)
 		return http.StatusOK, sh.leaseView(o, false), ""
-	case "release":
+	case opRelease:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
 			return http.StatusNotFound, resp, "unknown or dead lease"
@@ -549,12 +654,10 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, err
 			sh.release(o)
 		}
 		return http.StatusOK, sh.leaseView(o, false), ""
-	case "mark":
-		// A no-op record: tests journal it to pin an exact replay stop
-		// point; replaying it does nothing.
+	case opMark:
 		return http.StatusOK, resp, ""
 	}
-	return http.StatusBadRequest, resp, "unknown op " + rec.Op
+	return http.StatusBadRequest, resp, "unknown op"
 }
 
 // foldReport adds a usage report to the object's pending term stats and the
@@ -738,19 +841,9 @@ var _ lease.AppStats = (*appStats)(nil)
 // per call, which the request path cannot afford.
 var allKinds = hooks.Kinds()
 
-// kindFromName resolves a resource-kind name ("wakelock", "gps", ...).
-func kindFromName(name string) (hooks.Kind, error) {
-	for _, k := range allKinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown resource kind %q", name)
-}
-
-// kindFromBytes is kindFromName for an unmaterialized name; the returned
-// canonical name (k.String(), a static string) is what goes into records,
-// so valid requests never copy the client's bytes.
+// kindFromBytes resolves a resource-kind name ("wakelock", "gps", ...)
+// straight from the request body's bytes: nothing of a valid request's kind
+// is copied.
 func kindFromBytes(name []byte) (hooks.Kind, bool) {
 	for _, k := range allKinds {
 		if string(name) == k.String() {

@@ -151,3 +151,47 @@ func TestShardRoutingAndMergedMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBillsItsShard: a batch whose ops all land on one shard is billed
+// to that shard's batch histogram — on a default one-shard daemon that is
+// every batch — while a cross-shard batch, and one whose ops all fail
+// routing, own no shard and bill to the unrouted histograms: counted in the
+// merged total, in no per_shard row.
+func TestBatchBillsItsShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		opts := testOptions()
+		opts.Shards = shards
+		r := newRig(t, opts)
+		// One client per shard (the second lands wherever it lands on a
+		// one-shard daemon).
+		names := make([]string, 2)
+		for i, want := 0, 0; want < 2; i++ {
+			if name := fmt.Sprintf("bill-%d", i); shardIndex(name, shards) == want%shards {
+				names[want] = name
+				want++
+			}
+		}
+		a, b := r.acquire(names[0], "wakelock"), r.acquire(names[1], "wakelock")
+
+		r.batch([]map[string]any{{"op": "renew", "lease_id": a.LeaseID}, {"op": "renew", "lease_id": a.LeaseID}})
+		r.batch([]map[string]any{{"op": "renew", "lease_id": a.LeaseID}, {"op": "renew", "lease_id": b.LeaseID}})
+		r.batch([]map[string]any{{"op": "nonsense"}})
+
+		var snap Snapshot
+		if code := r.call("GET", "/metrics", nil, &snap); code != 200 {
+			t.Fatalf("metrics: %d", code)
+		}
+		if got := snap.Requests["batch"].Count; got != 3 {
+			t.Fatalf("shards=%d: merged batch count %d, want 3", shards, got)
+		}
+		want := []int64{2} // both routed batches stayed on the only shard
+		if shards == 2 {
+			want = []int64{1, 0} // the second one crossed shards
+		}
+		for i, ps := range snap.PerShard {
+			if got := ps.Requests["batch"].Count; got != want[i] {
+				t.Errorf("shards=%d: per_shard[%d] batch count %d, want %d", shards, i, got, want[i])
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/lease"
 	"repro/internal/netchaos"
 )
 
@@ -290,6 +289,16 @@ func (m *clusterMonitor) check(t *testing.T) {
 	}
 }
 
+// defaulterOf finds client in s's defaulter list.
+func defaulterOf(s *Server, client string) (Defaulter, bool) {
+	for _, d := range s.snapshot().Defaulters {
+		if d.Client == client {
+			return d, true
+		}
+	}
+	return Defaulter{}, false
+}
+
 // TestAutoFailoverLeaderIsolated is the tentpole scenario: the leader is
 // blackholed (not killed), the followers detect the silence, the
 // deterministic winner self-promotes with no operator involvement, the loser
@@ -301,10 +310,14 @@ func TestAutoFailoverLeaderIsolated(t *testing.T) {
 
 	// Seed real state, including a detected defaulter, then let everyone
 	// catch up so the failover has something to preserve.
-	torchID := driveDefaulter(a.rig)
+	driveDefaulter(a.rig)
 	survivor := a.acquire("survivor", "gps")
 	c.waitFollowerSynced("a", "b")
 	c.waitFollowerSynced("a", "c")
+	preCut, ok := defaulterOf(a.s, "torch")
+	if !ok {
+		t.Fatal("the leader does not list its defaulter")
+	}
 
 	mon := c.startMonitor()
 	c.isolate("a")
@@ -334,7 +347,11 @@ func TestAutoFailoverLeaderIsolated(t *testing.T) {
 	// land byte-equal on c. (Exact equality with a pre-cut capture is not a
 	// meaningful target — the lease engine is time-driven, so state lawfully
 	// evolves during the failover; continuity is asserted through the
-	// defaulter and survivor-lease checks below instead.)
+	// defaulter and survivor-lease checks below instead. For the same reason
+	// the defaulter's lease state is not read: it is DEFERRED for τ, then
+	// ACTIVE for a term, whatever instant these steps happen to finish at.
+	// What failover must preserve is the verdict: the client is still a
+	// listed defaulter, with no deferral forgotten.)
 	c.waitFollowerSynced("b", "c")
 	bState := markAndCapture(b.s)
 	c.waitFollowerSynced("b", "c")
@@ -342,12 +359,8 @@ func TestAutoFailoverLeaderIsolated(t *testing.T) {
 		t.Fatalf("loser diverged from the new leader\n pre: %s\npost: %s",
 			stateJSON(t, bState), stateJSON(t, postState))
 	}
-	var got leaseResponse
-	if code := b.call("GET", fmt.Sprintf("/v1/leases/%d", torchID), nil, &got); code != 200 {
-		t.Fatalf("defaulter lease lookup on the new leader: status %d", code)
-	}
-	if got.State != lease.Deferred.String() {
-		t.Fatalf("defaulter state after failover = %q, want %s", got.State, lease.Deferred)
+	if got, ok := defaulterOf(b.s, "torch"); !ok || got.Deferrals < preCut.Deferrals {
+		t.Fatalf("defaulter after failover = %+v (listed %v), want ≥ %d deferrals", got, ok, preCut.Deferrals)
 	}
 	if code := b.call("POST", fmt.Sprintf("/v1/leases/%d/renew", survivor.LeaseID), usageReport{CPUMS: 5}, nil); code != 200 {
 		t.Fatalf("renew on the new leader: status %d", code)

@@ -1,7 +1,7 @@
 package leased
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -48,24 +48,130 @@ import (
 // (snapshot.go), so replay cost stays bounded; the durable store guarantees
 // the snapshot+journal pair is consistent across a crash at any instant.
 
+// opCode names a journaled mutation. The values are the record encoding's op
+// byte, so they only ever grow: a retired op keeps its number.
+type opCode uint8
+
+const (
+	opAcquire opCode = 1 + iota
+	opRenew
+	opRelease
+	// opMark is a no-op record: tests journal it to pin an exact replay stop
+	// point; replaying it does nothing.
+	opMark
+)
+
+var opNames = [...]string{opAcquire: "acquire", opRenew: "renew", opRelease: "release", opMark: "mark"}
+
+func (c opCode) valid() bool { return c >= opAcquire && c <= opMark }
+
 // opRecord is one journaled external mutation. At is the virtual instant the
 // operation executed; replay advances the clock there before re-applying.
 // LeaseID is shard-local: the journal belongs to one shard, and the shard
 // tag lives in the directory name, not in every record.
 type opRecord struct {
-	At simclock.Time `json:"at"`
-	Op string        `json:"op"` // acquire | renew | release | mark
+	At simclock.Time
+	Op opCode
 
-	Client string `json:"client,omitempty"` // acquire
-	Kind   string `json:"kind,omitempty"`   // acquire
+	Client string     // acquire
+	Kind   hooks.Kind // acquire
 
-	LeaseID uint64       `json:"lease_id,omitempty"` // renew | release
-	Destroy bool         `json:"destroy,omitempty"`  // release
-	Report  *usageReport `json:"report,omitempty"`   // renew
+	LeaseID uint64       // renew | release
+	Destroy bool         // release
+	Report  *usageReport // renew
 
 	// ReqID is the client's idempotency key, if it sent one; replay uses it
 	// to rebuild the dedup cache in the same order the live run filled it.
-	ReqID string `json:"req_id,omitempty"`
+	ReqID string
+}
+
+// The journal record: one versioned binary encoding (snapenc primitives, as
+// the snapshot payload uses), written by encodeOpRecord on the primary and
+// read by decodeOpRecord in recovery and on a follower — the same bytes on
+// disk and on the replication stream. Every field is always present, in
+// struct order, so any opRecord value round-trips; DESIGN.md's durability
+// section has the layout table.
+
+// recordVersion is a record's first byte. A decoder refuses a version it
+// does not know, so changing the layout below means a new version, and a
+// new cluster.Proto with it: records cross the replication stream.
+const recordVersion = 1
+
+// errLegacyRecord refuses the JSON records journals carried before the
+// binary codec. '{' can never be a version byte by accident: versions count
+// up from 1.
+var errLegacyRecord = errors.New("journal record is in the old JSON format (first byte '{'); this build reads only the binary record format (version byte 1) — start from a fresh data directory, or let the node catch up from a peer running this build")
+
+// encodeOpRecord appends rec to w.
+func encodeOpRecord(w *snapenc.Writer, rec *opRecord) {
+	w.Byte(recordVersion)
+	w.Varint(int64(rec.At))
+	w.Byte(byte(rec.Op))
+	w.String(rec.Client)
+	w.Int(int(rec.Kind))
+	w.Uvarint(rec.LeaseID)
+	w.Bool(rec.Destroy)
+	w.Bool(rec.Report != nil)
+	if rep := rec.Report; rep != nil {
+		w.Float64(rep.CPUMS)
+		w.Float64(rep.UsedMS)
+		w.Float64(rep.RequestMS)
+		w.Float64(rep.FailedRequestMS)
+		w.Int(rep.DataPoints)
+		w.Float64(rep.DistanceM)
+		w.Int(rep.UIUpdates)
+		w.Int(rep.Interactions)
+		w.Int(rep.Exceptions)
+	}
+	w.String(rec.ReqID)
+}
+
+// decodeOpRecord reads one record into rec, with its usage report, if it
+// carries one, in *rep. It never panics on any input, allocates nothing but
+// the record's two strings, and refuses the old JSON format, an unknown
+// version byte, an op code or resource kind this build does not have, and
+// trailing bytes.
+func decodeOpRecord(payload []byte, rec *opRecord, rep *usageReport) error {
+	if len(payload) == 0 {
+		return snapenc.ErrTruncated
+	}
+	if payload[0] == '{' {
+		return errLegacyRecord
+	}
+	if payload[0] != recordVersion {
+		return fmt.Errorf("unknown record version byte %d (this build reads version %d)", payload[0], recordVersion)
+	}
+	r := snapenc.NewReader(payload[1:])
+	rec.At = simclock.Time(r.Varint())
+	rec.Op = opCode(r.Byte())
+	rec.Client = r.String()
+	rec.Kind = hooks.Kind(r.Int())
+	rec.LeaseID = r.Uvarint()
+	rec.Destroy = r.Bool()
+	rec.Report = nil
+	if r.Bool() {
+		rep.CPUMS = r.Float64()
+		rep.UsedMS = r.Float64()
+		rep.RequestMS = r.Float64()
+		rep.FailedRequestMS = r.Float64()
+		rep.DataPoints = r.Int()
+		rep.DistanceM = r.Float64()
+		rep.UIUpdates = r.Int()
+		rep.Interactions = r.Int()
+		rep.Exceptions = r.Int()
+		rec.Report = rep
+	}
+	rec.ReqID = r.String()
+	if err := r.Done(); err != nil {
+		return err
+	}
+	if !rec.Op.valid() {
+		return fmt.Errorf("unknown op code %d", rec.Op)
+	}
+	if rec.Kind < 0 || int(rec.Kind) >= len(allKinds) {
+		return fmt.Errorf("unknown resource kind %d", rec.Kind)
+	}
+	return nil
 }
 
 // persistedState is the decoded checkpoint payload: everything a fresh
@@ -278,42 +384,67 @@ func recoverShard(id int, store *durable.Store, res durable.OpenResult, opts Opt
 		}
 		info.SnapshotLoaded, info.SnapshotNow = true, st.Now
 	}
-	for _, raw := range res.Records {
-		var rec opRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, info, fmt.Errorf("leased: corrupt journal record %d: %w", info.Replayed, err)
+	for i := range res.Records {
+		if err := sh.replay(res.Records[i:i+1], false); err != nil {
+			return nil, info, fmt.Errorf("leased: corrupt journal record %d: %w", i, err)
 		}
-		sh.clock.RunVirtual(rec.At)
-		sh.replayRecord(rec)
 		info.Replayed++
 	}
 	sh.recovery = info
 	return sh, info, nil
 }
 
-// journalLocked appends rec to this shard's journal and triggers the
-// periodic checkpoint. Callers hold the shard clock (so log order is clock
-// order). Append failures degrade durability, not availability: the daemon
-// keeps serving and surfaces the error count in /metrics.
-func (sh *shard) journalLocked(rec *opRecord) {
-	if sh.store == nil && sh.repl == nil {
-		return
+// replay is the pipeline's other front end: records arrive already encoded —
+// from this shard's own journal (recovery) or from the primary's stream (a
+// follower; journal is set, and the group is persisted in the primary's own
+// bytes, one frame as it was there) — and are decoded, then re-applied at
+// their instant through the same applyLocked live requests use. A group
+// shares one instant: the primary stamped it inside one clock section. The
+// clock must be unstarted.
+func (sh *shard) replay(payloads [][]byte, journal bool) error {
+	slots := make([]opSlot, len(payloads))
+	group := make([]*opSlot, len(payloads))
+	for i, p := range payloads {
+		sl := &slots[i]
+		if err := decodeOpRecord(p, &sl.rec, &sl.rep); err != nil {
+			return err
+		}
+		if sl.rec.At != slots[0].rec.At {
+			return errors.New("batch members disagree on their instant")
+		}
+		group[i] = sl
 	}
-	// Hand-rolled, byte-identical to json.Marshal (codec.go) — the journal
-	// stays plain JSON for replay and external tools, without the per-op
-	// reflection or garbage. The Append copies to the kernel before
-	// returning, so the shard-owned scratch is free to be reused.
-	sh.jbuf = appendOpRecord(sh.jbuf[:0], rec)
-	if sh.repl != nil {
-		// Publish the exact journal bytes to followers. Still inside the Do
-		// section, so stream order is clock order, same as the log. The
-		// subscriber copies into its own buffer; jbuf stays shard-owned.
-		sh.repl.Publish(sh.jbuf)
+	if len(group) == 0 {
+		return nil
+	}
+	sh.clock.RunVirtual(slots[0].rec.At)
+	sh.do(func() {
+		sh.applyLocked(group, nil, false)
+		if journal {
+			sh.commitLocked(payloads, false)
+		}
+	})
+	return nil
+}
+
+// commitLocked makes a group's encoded records durable: one frame on the
+// replication stream (publish is off on a follower, which re-journals what
+// it was sent), one frame in the journal — PublishBatch and AppendBatch both
+// degrade a group of one to a plain frame and ignore an empty one (every op
+// deduped or failed) — and the periodic checkpoint.
+// Callers hold the shard clock, inside the section that applied the group:
+// log and stream order equal clock order, and no response precedes its
+// record. Both sinks copy before returning, so frames may be scratch. Append
+// failures degrade durability, not availability: the daemon keeps serving
+// and surfaces the error count in /metrics.
+func (sh *shard) commitLocked(frames [][]byte, publish bool) {
+	if publish && sh.repl != nil {
+		sh.repl.PublishBatch(frames)
 	}
 	if sh.store == nil {
 		return
 	}
-	if err := sh.store.Append(sh.jbuf); err != nil {
+	if err := sh.store.AppendBatch(frames); err != nil {
 		sh.metrics.journalErrors.Add(1)
 		return
 	}
@@ -415,20 +546,4 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		}
 		return sh.res.hookObject(r), true
 	})
-}
-
-// replayRecord re-applies one journaled mutation during recovery. The clock
-// already sits at rec.At. Outcomes are discarded — they were already sent to
-// the client in the previous life — except the dedup cache entry, which is
-// rebuilt so a retry arriving after the restart still dedups. Replay
-// insertions happen in log order, so an overflowed cache evicts in the same
-// order it did live and ends up with identical contents.
-func (sh *shard) replayRecord(rec opRecord) {
-	status, resp, _ := sh.applyRecord(&rec)
-	if rec.ReqID != "" && status == 200 {
-		// Encode with the same appender the live path uses so the rebuilt
-		// cache entry is byte-identical to the one the previous life stored
-		// (the crash-equality tests DeepEqual the dedup contents).
-		sh.dedup.put(rec.ReqID, appendLeaseResponse(nil, &resp))
-	}
 }

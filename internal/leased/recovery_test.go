@@ -62,7 +62,9 @@ func markAndCapture(s *Server) []persistedState {
 	for i, sh := range s.shards {
 		i, sh := i, sh
 		sh.do(func() {
-			sh.journalLocked(&opRecord{At: sh.clock.Now(), Op: "mark"})
+			mark := opSlot{rec: opRecord{Op: opMark}}
+			sh.applyLocked([]*opSlot{&mark}, nil, true)
+			sh.commitLocked(sh.frames, true)
 			pre[i] = sh.captureState()
 		})
 	}

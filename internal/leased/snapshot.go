@@ -187,10 +187,24 @@ func decodeSnapshot(payload []byte) (persistedState, error) {
 	return st, r.Done()
 }
 
-// DumpSnapshot writes each shard's on-disk snapshot under dir to w as
-// indented JSON, one document per shard in shard order (null for a shard
-// with no snapshot yet) — the human-readable view of the binary payload. It
-// only reads the snapshot files: no journal is replayed, reset or
+// journalEntry is the -dump-snapshot rendering of one journal record: the
+// fields an operator reads, names instead of codes.
+type journalEntry struct {
+	At      simclock.Time `json:"at"`
+	Op      string        `json:"op"`
+	Client  string        `json:"client,omitempty"`
+	Kind    string        `json:"kind,omitempty"`
+	LeaseID uint64        `json:"lease_id,omitempty"`
+	Destroy bool          `json:"destroy,omitempty"`
+	Report  *usageReport  `json:"report,omitempty"`
+	ReqID   string        `json:"req_id,omitempty"`
+}
+
+// DumpSnapshot writes the human-readable view of the binary files under dir
+// to w, shard by shard in shard order: the shard's on-disk snapshot as one
+// indented JSON document (null for a shard with no snapshot yet), then the
+// journal records a restart would replay on top of it, one compact JSON
+// object per line. It only reads: no journal is replayed, reset or
 // truncated, so it is safe beside a crashed daemon's data directory.
 func DumpSnapshot(dir string, w io.Writer) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "shard-*"))
@@ -201,8 +215,8 @@ func DumpSnapshot(dir string, w io.Writer) error {
 		return fmt.Errorf("leased: %s holds no shard directories", dir)
 	}
 	slices.Sort(paths)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	indented, compact := json.NewEncoder(w), json.NewEncoder(w)
+	indented.SetIndent("", "  ")
 	for _, p := range paths {
 		payload, err := durable.ReadSnapshot(p)
 		if err != nil {
@@ -216,8 +230,25 @@ func DumpSnapshot(dir string, w io.Writer) error {
 			}
 			st = &decoded
 		}
-		if err := enc.Encode(st); err != nil {
+		if err := indented.Encode(st); err != nil {
 			return fmt.Errorf("leased: %s: %w", filepath.Base(p), err)
+		}
+		records, err := durable.ReadJournal(p)
+		if err != nil {
+			return err
+		}
+		for i, raw := range records {
+			var rec opRecord
+			if err := decodeOpRecord(raw, &rec, new(usageReport)); err != nil {
+				return fmt.Errorf("leased: %s: journal record %d: %w", filepath.Base(p), i, err)
+			}
+			e := journalEntry{At: rec.At, Op: opNames[rec.Op], Client: rec.Client, LeaseID: rec.LeaseID, Destroy: rec.Destroy, Report: rec.Report, ReqID: rec.ReqID}
+			if rec.Op == opAcquire {
+				e.Kind = rec.Kind.String()
+			}
+			if err := compact.Encode(e); err != nil {
+				return fmt.Errorf("leased: %s: journal record %d: %w", filepath.Base(p), i, err)
+			}
 		}
 	}
 	return nil

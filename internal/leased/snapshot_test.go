@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/runtime"
 	"repro/internal/snapenc"
@@ -48,23 +49,25 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 	sh := newShard(0, opts, runtime.NewWallUnstarted(), new(atomic.Uint64))
 	ids := make([]uint64, leases)
 	for i := range ids {
-		rec := opRecord{Op: "acquire", Client: fmt.Sprintf("client-%04d", i), Kind: []string{"wakelock", "gps", "sensor"}[i%3]}
-		status, resp, msg := sh.applyRecord(&rec)
-		if status != 200 {
-			tb.Fatalf("acquire: %d %s", status, msg)
+		rec := opRecord{Op: opAcquire, Client: fmt.Sprintf("client-%04d", i), Kind: []hooks.Kind{hooks.Wakelock, hooks.GPSListener, hooks.SensorListener}[i%3]}
+		if err := sh.replay([][]byte{encodeRecord(&rec)}, false); err != nil {
+			tb.Fatal(err)
 		}
-		_, ids[i] = decodeLeaseID(resp.LeaseID)
+		ids[i] = sh.byKey[clientKey{sh.clients[rec.Client], rec.Kind}].leaseID
 	}
 	term := opts.Lease.Term
 	for n := 1; n <= terms; n++ {
 		at := time.Duration(n)*term - term/4
-		sh.clock.RunVirtual(at)
+		var group [][]byte
 		for i, id := range ids {
 			if i%10 == 9 {
 				continue // idle holder
 			}
 			rep := usageReport{CPUMS: 40 + float64(i%7), UsedMS: 300, DataPoints: i % 5, DistanceM: float64(i%11) * 1.5, UIUpdates: 1 + i%3}
-			sh.replayRecord(opRecord{At: at, Op: "renew", LeaseID: id, Report: &rep, ReqID: fmt.Sprintf("req-%d-%d", n, i)})
+			group = append(group, encodeRecord(&opRecord{At: at, Op: opRenew, LeaseID: id, Report: &rep, ReqID: fmt.Sprintf("req-%d-%d", n, i)}))
+		}
+		if err := sh.replay(group, false); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return sh

@@ -1,9 +1,10 @@
 // Package snapenc holds the primitive encodings of the shard snapshot
-// payload: integers as varints (zig-zag when signed), floats as their raw
+// payload and the journal record: integers as varints (zig-zag when signed), floats as their raw
 // IEEE-754 bits so a restore is bit-exact (−0 and NaN payloads included),
 // booleans as one byte, strings and byte slices as a uvarint length plus the
 // raw bytes. internal/lease walks the manager with them and internal/leased
-// the rest of a shard; DESIGN.md has the payload's layout table.
+// the rest of a shard and each journal record; DESIGN.md has both layout
+// tables.
 //
 // A Writer either accumulates the whole payload (nil sink: the replication
 // catch-up path, which must hand a []byte to the wire) or streams it to a
@@ -86,6 +87,10 @@ func (w *Writer) Flush() error {
 
 // Payload returns what an accumulating Writer has collected.
 func (w *Writer) Payload() []byte { return w.buf }
+
+// Reset empties an accumulating Writer, keeping its buffer: the journal
+// path encodes every record through one long-lived Writer.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Byte appends one raw byte.
 func (w *Writer) Byte(b byte) {

@@ -11,7 +11,7 @@
 #   SNAPSHOT_BENCHTIME  iterations per checkpoint/recovery bench (default 100x)
 set -euo pipefail
 
-OUT="${1:-BENCH_13.json}"
+OUT="${1:-BENCH_14.json}"
 BENCHTIME="${BENCHTIME:-1000x}"
 E2E_BENCHTIME="${E2E_BENCHTIME:-5x}"
 FLEET_BENCHTIME="${FLEET_BENCHTIME:-2000x}"

@@ -23,8 +23,8 @@
 #      shard (chaosverify -require-zero-replay).
 #
 # Artifacts (metrics snapshots, load reports, journal and snapshot files —
-# the snapshots also decoded to JSON by leased -dump-snapshot — daemon logs)
-# are collected in ARTIFACTS (default chaos_artifacts/) for CI upload.
+# both binary, so also decoded to JSON by leased -dump-snapshot — daemon
+# logs) are collected in ARTIFACTS (default chaos_artifacts/) for CI upload.
 #
 # Usage: scripts/chaos_leased.sh
 #   ADDR       listen address      (default 127.0.0.1:7072)
@@ -103,10 +103,13 @@ for d in "$data"/shard-*; do
     cp "$d/journal.log" "$ARTIFACTS/journal_postcrash_$s.log"
     [ ! -f "$d/snapshot.bin" ] || cp "$d/snapshot.bin" "$ARTIFACTS/snapshot_postcrash_$s.bin"
 done
-# The snapshots are binary; keep the decoded view beside them. The dump only
-# reads snapshot.bin, so the crashed directory is left exactly as it was.
-"$bin/leased" -dump-snapshot "$data" > "$ARTIFACTS/snapshot_postcrash.json" \
-    || fail "could not decode the post-crash snapshots"
+# Both files are binary; keep the decoded view — per shard, the snapshot
+# document, then the journal's records one per line — beside them. The dump
+# only reads, so the crashed directory is left exactly as it was.
+"$bin/leased" -dump-snapshot "$data" > "$ARTIFACTS/datadir_postcrash.json" \
+    || fail "could not decode the post-crash snapshots and journals"
+grep -q '"op":"renew"' "$ARTIFACTS/datadir_postcrash.json" \
+    || fail "the decoded post-crash journals hold no renew record"
 
 # Damage exactly one shard's store: a torn tail on shard-00's journal, as a
 # power cut mid-append would leave. Recovery must truncate it on that shard
