@@ -82,23 +82,14 @@ func main() {
 		log.Printf("shard %d: %d clients, %d ops, %.0f ops/sec", sl.Shard, sl.Clients, sl.Ops, sl.OpsPerSec)
 	}
 
-	if *requireDet {
-		if rep.MisbehavingDeferred < rep.MisbehavingClients {
-			fmt.Fprintf(os.Stderr, "leaseload: FAIL: only %d/%d misbehaving clients deferred\n",
-				rep.MisbehavingDeferred, rep.MisbehavingClients)
-			os.Exit(2)
-		}
-		if rep.NormalDeferred > 0 {
-			fmt.Fprintf(os.Stderr, "leaseload: FAIL: %d well-behaved clients deferred\n", rep.NormalDeferred)
-			os.Exit(2)
+	// One exit status per gate, in the order the flags are documented.
+	gate := func(on bool, status int, check error) {
+		if on && check != nil {
+			fmt.Fprintf(os.Stderr, "leaseload: FAIL: %v\n", check)
+			os.Exit(status)
 		}
 	}
-	if *minOps > 0 && rep.Ops < *minOps {
-		fmt.Fprintf(os.Stderr, "leaseload: FAIL: %d ops < required %d\n", rep.Ops, *minOps)
-		os.Exit(3)
-	}
-	if *requireND && rep.DoubleAcquires > 0 {
-		fmt.Fprintf(os.Stderr, "leaseload: FAIL: %d acquires applied more than once\n", rep.DoubleAcquires)
-		os.Exit(4)
-	}
+	gate(*requireDet, 2, rep.CheckDefaulters())
+	gate(*minOps > 0, 3, rep.CheckMinOps(*minOps))
+	gate(*requireND, 4, rep.CheckNoDoubles())
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -40,9 +39,9 @@ import (
 // the PR 9 machinery; the autopilot only decides *when* to pull the same
 // levers an operator would.
 
-// electionState is the /v1/election document — the per-node facts the
+// ElectionDoc is the /v1/election document — the per-node facts the
 // succession protocol exchanges.
-type electionState struct {
+type ElectionDoc struct {
 	Node        string `json:"node_id"`
 	Role        string `json:"role"`
 	Epoch       uint64 `json:"cluster_epoch"`
@@ -53,9 +52,9 @@ type electionState struct {
 	Leader      string `json:"leader,omitempty"`
 }
 
-// electionState snapshots this node's own document.
-func (s *Server) electionState() electionState {
-	es := electionState{
+// electionDoc snapshots this node's own document.
+func (s *Server) electionDoc() ElectionDoc {
+	es := ElectionDoc{
 		Role:     s.Role(),
 		Epoch:    s.ClusterEpoch(),
 		Writable: s.Writable(),
@@ -76,32 +75,9 @@ func (s *Server) electionState() electionState {
 	return es
 }
 
-// handleElection is GET /v1/election. Hand-rolled like handlePromote so the
-// read side of the succession protocol allocates nothing surprising.
+// handleElection is GET /v1/election.
 func (s *Server) handleElection(w http.ResponseWriter, r *http.Request) {
-	es := s.electionState()
-	w.Header().Set("Content-Type", "application/json")
-	b := make([]byte, 0, 224)
-	b = append(b, `{"node_id":`...)
-	b = strconv.AppendQuote(b, es.Node)
-	b = append(b, `,"role":"`...)
-	b = append(b, es.Role...)
-	b = append(b, `","cluster_epoch":`...)
-	b = strconv.AppendUint(b, es.Epoch, 10)
-	b = append(b, `,"writable":`...)
-	b = strconv.AppendBool(b, es.Writable)
-	b = append(b, `,"suspect":`...)
-	b = strconv.AppendBool(b, es.Suspect)
-	b = append(b, `,"applied_seq":`...)
-	b = strconv.AppendInt(b, es.AppliedSeq, 10)
-	b = append(b, `,"last_heard_ms":`...)
-	b = strconv.AppendInt(b, es.LastHeardMS, 10)
-	if es.Leader != "" {
-		b = append(b, `,"leader":`...)
-		b = strconv.AppendQuote(b, es.Leader)
-	}
-	b = append(b, '}', '\n')
-	w.Write(b)
+	writeDoc(w, s.electionDoc())
 }
 
 // StartAutoFailover arms the failure detector, leader lease and election.
@@ -256,7 +232,7 @@ func (s *Server) electTick(client *http.Client, tune cluster.Tuning, term time.D
 		if p.ID == cc.NodeID || p.URL == "" {
 			continue
 		}
-		es, err := fetchElectionState(client, p.URL)
+		es, err := fetchElectionDoc(client, p.URL)
 		if err != nil {
 			continue
 		}
@@ -340,9 +316,9 @@ func electWinner(cands []candidate) candidate {
 	return win
 }
 
-// fetchElectionState polls one peer's /v1/election document.
-func fetchElectionState(client *http.Client, baseURL string) (electionState, error) {
-	var es electionState
+// fetchElectionDoc polls one peer's /v1/election document.
+func fetchElectionDoc(client *http.Client, baseURL string) (ElectionDoc, error) {
+	var es ElectionDoc
 	resp, err := client.Get(baseURL + "/v1/election")
 	if err != nil {
 		return es, err

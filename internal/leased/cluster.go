@@ -2,10 +2,8 @@ package leased
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
@@ -378,51 +376,64 @@ func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// PromoteResult is the POST /v1/promote document.
+type PromoteResult struct {
+	Role         string `json:"role"`
+	ClusterEpoch uint64 `json:"cluster_epoch"`
+	Promoted     bool   `json:"promoted"`
+}
+
 // handlePromote is POST /v1/promote: the explicit failover verb. It always
 // answers with the node's (possibly new) primary standing.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	epoch, promoted := s.Promote()
-	w.Header().Set("Content-Type", "application/json")
-	b := make([]byte, 0, 64)
-	b = append(b, `{"role":"primary","cluster_epoch":`...)
-	b = strconv.AppendUint(b, epoch, 10)
-	b = append(b, `,"promoted":`...)
-	b = strconv.AppendBool(b, promoted)
-	b = append(b, '}', '\n')
-	w.Write(b)
+	writeDoc(w, PromoteResult{Role: "primary", ClusterEpoch: epoch, Promoted: promoted})
 }
 
-// handleHealthz reports liveness plus cluster standing. Standalone daemons
-// keep the original shape with the role added; cluster members add the
-// epoch, and followers their replication connectivity and lag, so scripts
-// can wait for "synced" by polling connected == shards && lag_records == 0.
+// Health is the GET /healthz document: liveness plus cluster standing.
+// Standalone daemons report only ok and role; cluster members add the epoch
+// and the write gate's verdict, and followers their replication connectivity
+// and lag, so a harness can wait for "synced" by polling
+// connected == shards && lag_records == 0. The two optional sections are
+// embedded pointers, not omitempty fields: a follower with nothing connected
+// must still say "connected":0.
+type Health struct {
+	OK   bool   `json:"ok"`
+	Role string `json:"role"`
+	*ClusterHealth
+	*FollowerHealth
+}
+
+// ClusterHealth is the part of Health every cluster member reports.
+type ClusterHealth struct {
+	ClusterEpoch uint64 `json:"cluster_epoch"`
+	Writable     bool   `json:"writable"`
+}
+
+// FollowerHealth is the part of Health only a following node reports.
+type FollowerHealth struct {
+	Connected   int   `json:"connected"`
+	Shards      int   `json:"shards"`
+	LagRecords  int64 `json:"lag_records"`
+	Suspect     bool  `json:"suspect"`
+	LastHeardMS int64 `json:"last_heard_ms"`
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.opts.Cluster == nil {
-		io.WriteString(w, `{"ok":true,"role":"primary"}`+"\n")
-		return
+	h := Health{OK: true, Role: s.Role()}
+	if s.opts.Cluster != nil {
+		h.ClusterHealth = &ClusterHealth{ClusterEpoch: s.ClusterEpoch(), Writable: s.Writable()}
+		if rs, ok := s.replicaStats(); ok {
+			h.FollowerHealth = &FollowerHealth{
+				Connected:   rs.Connected,
+				Shards:      len(s.shards),
+				LagRecords:  rs.Lag(),
+				Suspect:     rs.Suspect,
+				LastHeardMS: rs.LastHeardMS,
+			}
+		}
 	}
-	b := make([]byte, 0, 192)
-	b = append(b, `{"ok":true,"role":"`...)
-	b = append(b, s.Role()...)
-	b = append(b, `","cluster_epoch":`...)
-	b = strconv.AppendUint(b, s.ClusterEpoch(), 10)
-	b = append(b, `,"writable":`...)
-	b = strconv.AppendBool(b, s.Writable())
-	if rs, ok := s.replicaStats(); ok {
-		b = append(b, `,"connected":`...)
-		b = strconv.AppendInt(b, int64(rs.Connected), 10)
-		b = append(b, `,"shards":`...)
-		b = strconv.AppendInt(b, int64(len(s.shards)), 10)
-		b = append(b, `,"lag_records":`...)
-		b = strconv.AppendInt(b, rs.Lag(), 10)
-		b = append(b, `,"suspect":`...)
-		b = strconv.AppendBool(b, rs.Suspect)
-		b = append(b, `,"last_heard_ms":`...)
-		b = strconv.AppendInt(b, rs.LastHeardMS, 10)
-	}
-	b = append(b, '}', '\n')
-	w.Write(b)
+	writeDoc(w, h)
 }
 
 // Writable reports whether this node is currently accepting writes: a

@@ -283,6 +283,15 @@ var (
 	dedupedMarker   = []string{"1"}
 )
 
+// writeDoc answers a control-plane route (/healthz, /v1/election,
+// /v1/promote) with encoding/json's rendering of its exported document type,
+// so whatever node ID or advertise URL an operator configures reaches the
+// peer, the chaos harness and the benchmark as JSON their decoders accept.
+func writeDoc(w http.ResponseWriter, doc any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(doc) // a write that fails is the poller's timeout to report
+}
+
 func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)

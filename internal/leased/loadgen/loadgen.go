@@ -202,6 +202,38 @@ type Report struct {
 	Clients []ClientReport `json:"clients"`
 }
 
+// The load gates: what a run must have seen for the daemon to pass. The
+// leaseload flags and the chaos harness both ask these.
+
+// CheckDefaulters fails unless every misbehaving client was deferred at
+// least once and no well-behaved one was.
+func (r Report) CheckDefaulters() error {
+	if r.MisbehavingDeferred < r.MisbehavingClients {
+		return fmt.Errorf("only %d/%d misbehaving clients deferred", r.MisbehavingDeferred, r.MisbehavingClients)
+	}
+	if r.NormalDeferred > 0 {
+		return fmt.Errorf("%d well-behaved clients deferred", r.NormalDeferred)
+	}
+	return nil
+}
+
+// CheckNoDoubles fails when the server applied any acquire more than once
+// despite idempotent retries.
+func (r Report) CheckNoDoubles() error {
+	if r.DoubleAcquires > 0 {
+		return fmt.Errorf("%d acquires applied more than once", r.DoubleAcquires)
+	}
+	return nil
+}
+
+// CheckMinOps fails when fewer than min ops completed.
+func (r Report) CheckMinOps(min int64) error {
+	if r.Ops < min {
+		return fmt.Errorf("%d ops < required %d", r.Ops, min)
+	}
+	return nil
+}
+
 // ShardLoad is the load one daemon shard absorbed during the run.
 type ShardLoad struct {
 	Shard     int     `json:"shard"`

@@ -26,6 +26,31 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// The gates leaseload's flags and the chaos harness share: each passes a
+// clean report and names its own figure when it trips.
+func TestReportGates(t *testing.T) {
+	clean := Report{Ops: 100, MisbehavingClients: 3, MisbehavingDeferred: 3}
+	for _, check := range []error{clean.CheckDefaulters(), clean.CheckNoDoubles(), clean.CheckMinOps(100)} {
+		if check != nil {
+			t.Errorf("clean report: %v", check)
+		}
+	}
+	missed, harmed, doubled := clean, clean, clean
+	missed.MisbehavingDeferred = 2
+	harmed.NormalDeferred = 1
+	doubled.DoubleAcquires = 1
+	for want, got := range map[string]error{
+		"only 2/3 misbehaving clients deferred": missed.CheckDefaulters(),
+		"1 well-behaved clients deferred":       harmed.CheckDefaulters(),
+		"1 acquires applied more than once":     doubled.CheckNoDoubles(),
+		"100 ops < required 101":                clean.CheckMinOps(101),
+	} {
+		if got == nil || got.Error() != want {
+			t.Errorf("gate said %v, want %q", got, want)
+		}
+	}
+}
+
 // TestEndToEndDetection runs the full loop: a live daemon with short terms,
 // a mixed fleet, and the assertion the whole subsystem exists for — every
 // misbehaving client is deferred, no well-behaved client is.
