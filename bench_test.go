@@ -41,9 +41,7 @@ func BenchmarkTable5(b *testing.B)   { runExperiment(b, exp.Table5) }
 func BenchmarkUsability(b *testing.B) {
 	runExperiment(b, exp.Usability)
 }
-func BenchmarkFigure12(b *testing.B) {
-	runExperiment(b, func() exp.Result { return exp.Figure12(3) })
-}
+func BenchmarkFigure12(b *testing.B) { runExperiment(b, figure12) }
 func BenchmarkFigure13(b *testing.B) {
 	runExperiment(b, func() exp.Result { return exp.Figure13(2) })
 }
@@ -269,9 +267,44 @@ func BenchmarkCrossDevice(b *testing.B) { runExperiment(b, exp.CrossDevice) }
 // pooled world reset + 30 simulated minutes + streamed aggregation) and
 // devices/sec is the fleet engine's single-box throughput.
 func BenchmarkFleetDevice(b *testing.B) {
-	rep := exp.RunFleet(exp.FleetConfig{Devices: b.N, Seed: 1})
-	if len(rep.PerPolicy) == 0 {
-		b.Fatal("empty fleet report")
-	}
+	fleet(b, b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
+}
+
+func figure12() exp.Result { return exp.Figure12(3) }
+
+func fleet(tb testing.TB, devices int) {
+	rep := exp.RunFleet(exp.FleetConfig{Devices: devices, Seed: 1})
+	if len(rep.PerPolicy) == 0 {
+		tb.Fatal("empty fleet report")
+	}
+}
+
+// TestSimulatorAllocCeilings holds the simulator's allocs/op in tier-1, over
+// the same functions the benchmarks of the same names loop. World reuse
+// (PR 8) cut a regeneration's allocations 18–300× — BatteryLife 64 k → 202,
+// Table5 119 k → 3.2 k, Figure12 40 k → 2.2 k, 640 a fleet device — and each
+// ceiling is a tenth of the old cost (a fleet device shares BatteryLife's):
+// far above the few-per-cent drift worker scheduling causes run to run, far
+// below what a world rebuilt per run, or a closure allocated per event, would
+// cost.
+func TestSimulatorAllocCeilings(t *testing.T) {
+	const devices = 64
+	for _, pin := range []struct {
+		name    string
+		ceiling float64
+		ops     float64 // operations one run performs
+		run     func()
+	}{
+		{"BatteryLife", 6400, 1, func() { exp.BatteryLife() }},
+		{"Table5", 12000, 1, func() { exp.Table5() }},
+		{"Figure12", 4000, 1, func() { figure12() }},
+		{"FleetDevice", 6400, devices, func() { fleet(t, devices) }},
+	} {
+		got := testing.AllocsPerRun(1, pin.run) / pin.ops
+		t.Logf("%s: %.0f allocs/op", pin.name, got)
+		if got > pin.ceiling {
+			t.Errorf("%s: %.0f allocs/op, pinned at ≤ %.0f", pin.name, got, pin.ceiling)
+		}
+	}
 }

@@ -94,7 +94,7 @@ const (
 	frameHello    = 'H' // follower → primary: Hello JSON
 	frameWelcome  = 'W' // primary → follower: Welcome JSON
 	frameError    = 'E' // primary → follower: ErrMsg JSON, then close
-	frameSnapshot = 'S' // primary → follower: full shard state (persisted-state JSON)
+	frameSnapshot = 'S' // primary → follower: full shard state (the binary snapshot payload)
 	frameRecord   = 'R' // primary → follower: one journal record
 	frameBatch    = 'B' // primary → follower: one atomic batch (durable.PackBatch payload)
 	framePing     = 'P' // primary → follower: u64 LE stream sequence (heartbeat)
@@ -175,8 +175,7 @@ type Applier interface {
 	Redirect(leader string)
 	// ApplySnapshot replaces the shard's state wholesale.
 	ApplySnapshot(shard int, payload []byte) error
-	// ApplyRecord replays one journal record onto the shard.
-	ApplyRecord(shard int, payload []byte) error
-	// ApplyBatch replays an atomic batch group onto the shard.
+	// ApplyBatch replays an atomic group of journal records — one, for a
+	// record frame — onto the shard.
 	ApplyBatch(shard int, payloads [][]byte) error
 }

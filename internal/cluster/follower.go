@@ -303,6 +303,7 @@ func (f *Follower) session(shard int) (progressed bool, err error) {
 	acked := int64(-1)
 	var ackBuf []byte
 	var seqb [8]byte
+	one := make([][]byte, 1) // a record frame's group, reused
 	// force re-acks the current offset even when nothing new applied: the
 	// primary's leadership lease is renewed by ack arrival times, so on an
 	// idle stream the ping response doubles as the liveness heartbeat.
@@ -330,22 +331,14 @@ func (f *Follower) session(shard int) (progressed bool, err error) {
 		}
 		rep.lastHeard.Store(time.Now().UnixNano())
 		switch tag {
-		case frameRecord:
-			if err := f.app.ApplyRecord(shard, payload); err != nil {
-				return true, err
-			}
-			applied++
-			rep.records.Add(1)
-			rep.applied.Store(applied)
-			if applied-acked >= ackEvery {
-				if err := ack(false); err != nil {
-					return true, err
+		case frameRecord, frameBatch:
+			// A record frame is a group of one.
+			recs := append(one[:0], payload)
+			if tag == frameBatch {
+				var ok bool
+				if recs, ok = durable.SplitBatch(payload); !ok {
+					return true, errors.New("malformed batch frame")
 				}
-			}
-		case frameBatch:
-			recs, ok := durable.SplitBatch(payload)
-			if !ok {
-				return true, errors.New("malformed batch frame")
 			}
 			if err := f.app.ApplyBatch(shard, recs); err != nil {
 				return true, err

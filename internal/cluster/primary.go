@@ -33,7 +33,7 @@ const (
 )
 
 // ShardStream is one shard's replication fan-out point. The daemon calls
-// Publish/PublishBatch under the shard's clock mutex — the same ordering
+// PublishBatch under the shard's clock mutex — the same ordering
 // the journal gets, so stream order is log order. Sequence numbers count
 // records (a batch of k advances the sequence by k) and persist for the
 // process lifetime; they are connection-scoped in meaning only through
@@ -54,45 +54,29 @@ func (st *ShardStream) Seq() int64 {
 	return st.seq
 }
 
-// Publish streams one record to every attached subscriber. Zero-alloc in
-// steady state: frames append into each subscriber's reused pending buffer.
-func (st *ShardStream) Publish(rec []byte) {
-	st.mu.Lock()
-	st.seq++
-	seq := st.seq
-	live := st.subs[:0]
-	for _, sub := range st.subs {
-		if sub.closed.Load() {
-			continue
-		}
-		sub.enqueue(frameRecord, rec, seq)
-		live = append(live, sub)
-	}
-	clearTail(st.subs, len(live))
-	st.subs = live
-	st.mu.Unlock()
-}
-
-// PublishBatch streams a group of records as one atomic batch frame,
-// preserving end-to-end the atomicity AppendBatch gave them on disk.
+// PublishBatch streams a group of records to every attached subscriber as
+// one frame, preserving end-to-end the atomicity AppendBatch gave them on
+// disk: a group of one is a plain record frame, a larger one a batch frame,
+// an empty one nothing. Zero-alloc in steady state: frames append into each
+// subscriber's reused pending buffer.
 func (st *ShardStream) PublishBatch(recs [][]byte) {
 	if len(recs) == 0 {
-		return
-	}
-	if len(recs) == 1 {
-		st.Publish(recs[0])
 		return
 	}
 	st.mu.Lock()
 	st.seq += int64(len(recs))
 	seq := st.seq
-	st.scratch = durable.PackBatch(st.scratch[:0], recs)
+	tag, payload := byte(frameRecord), recs[0]
+	if len(recs) > 1 {
+		st.scratch = durable.PackBatch(st.scratch[:0], recs)
+		tag, payload = frameBatch, st.scratch
+	}
 	live := st.subs[:0]
 	for _, sub := range st.subs {
 		if sub.closed.Load() {
 			continue
 		}
-		sub.enqueue(frameBatch, st.scratch, seq)
+		sub.enqueue(tag, payload, seq)
 		live = append(live, sub)
 	}
 	clearTail(st.subs, len(live))
@@ -112,7 +96,7 @@ func (st *ShardStream) Attach(sub *Subscriber) int64 {
 	return st.seq
 }
 
-// Detach unregisters sub (idempotent; Publish also reaps closed subs).
+// Detach unregisters sub (idempotent; PublishBatch also reaps closed subs).
 func (st *ShardStream) Detach(sub *Subscriber) {
 	sub.closed.Store(true)
 	st.mu.Lock()

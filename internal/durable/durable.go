@@ -103,8 +103,7 @@ type Store struct {
 	snapshotBytes int64 // size of the snapshot file on disk (0: none yet)
 	maxSnapshot   int64 // maxSnapshotLen; a field so a test can reach the limit
 
-	scratch [8]byte
-	batch   []byte // reused frame-assembly buffer for AppendBatch
+	frame []byte // reused frame-assembly buffer: header + payload, one write
 }
 
 // Stats is a point-in-time view of the store's activity, for /metrics. The
@@ -313,7 +312,7 @@ func scanJournal(f *os.File) (epoch uint64, records [][]byte, goodLen, total int
 			// a frame is append order, and the frame CRC already proved the
 			// whole group intact, so the records are equivalent to — and
 			// atomically stronger than — the same sequence of plain frames.
-			subs, ok := splitBatch(payload)
+			subs, ok := SplitBatch(payload)
 			if !ok {
 				return epoch, records, goodLen, total, nil // malformed group: torn
 			}
@@ -325,60 +324,11 @@ func scanJournal(f *os.File) (epoch uint64, records [][]byte, goodLen, total int
 	}
 }
 
-// splitBatch unpacks a batch frame payload into its member records (views
-// into payload, which scanJournal allocated per frame).
-func splitBatch(payload []byte) ([][]byte, bool) {
-	if len(payload) < 4 {
-		return nil, false
-	}
-	count := binary.LittleEndian.Uint32(payload[:4])
-	// Each member costs at least 5 bytes (length word + one payload byte).
-	if count == 0 || int64(count)*5+4 > int64(len(payload)) {
-		return nil, false
-	}
-	subs := make([][]byte, 0, count)
-	rest := payload[4:]
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		if n == 0 || int64(n) > int64(len(rest))-4 {
-			return nil, false
-		}
-		subs = append(subs, rest[4:4+n])
-		rest = rest[4+n:]
-	}
-	if len(rest) != 0 {
-		return nil, false
-	}
-	return subs, true
-}
-
-// Append writes one record to the journal. The write reaches the kernel
-// before Append returns; with fsync enabled it also reaches the platter.
+// Append writes one record to the journal: a group of one. The write reaches
+// the kernel before Append returns; with fsync enabled it also reaches the
+// platter.
 func (s *Store) Append(payload []byte) error {
-	if len(payload) == 0 || len(payload) > maxRecordLen {
-		return fmt.Errorf("durable: record of %d bytes", len(payload))
-	}
-	binary.LittleEndian.PutUint32(s.scratch[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.scratch[4:8], crc32.ChecksumIEEE(payload))
-	// One writev-shaped pair of writes; O_APPEND positioning comes from the
-	// maintained file offset (Open seeks to the intact end).
-	if _, err := s.journal.Write(s.scratch[:8]); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if _, err := s.journal.Write(payload); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	if s.fsync {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("durable: %w", err)
-		}
-	}
-	s.since++
-	s.appended++
-	return nil
+	return s.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes a group of records as one atomic journal frame: on
@@ -386,42 +336,39 @@ func (s *Store) Append(payload []byte) error {
 // group shares a single CRC — a crash mid-write is a torn tail that drops
 // the whole frame. Record accounting (Stats, SinceCheckpoint) counts
 // members, not frames, so snapshot cadence is unaffected by batching. A
-// one-record group degrades to a plain frame; an empty group is a no-op.
+// group of one is a plain frame whose payload is the record itself; an
+// empty group is a no-op.
+//
+// Header and payload are assembled in the store's reused buffer and handed
+// to the kernel in a single write: a frame costs one syscall.
 func (s *Store) AppendBatch(payloads [][]byte) error {
-	switch len(payloads) {
-	case 0:
+	if len(payloads) == 0 {
 		return nil
-	case 1:
-		return s.Append(payloads[0])
 	}
-	total := 4
+	packed := 4
 	for _, p := range payloads {
 		if len(p) == 0 || len(p) > maxRecordLen {
 			return fmt.Errorf("durable: record of %d bytes", len(p))
 		}
-		total += 4 + len(p)
+		packed += 4 + len(p)
 	}
-	if total > maxRecordLen {
-		return fmt.Errorf("durable: batch frame of %d bytes", total)
+	buf := append(s.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0)
+	var flag uint32
+	if len(payloads) == 1 {
+		buf = append(buf, payloads[0]...)
+	} else {
+		if packed > maxRecordLen {
+			return fmt.Errorf("durable: batch frame of %d bytes", packed)
+		}
+		buf = PackBatch(buf, payloads)
+		flag = flagBatch
 	}
-	buf := s.batch[:0]
-	if cap(buf) < total {
-		buf = make([]byte, 0, total)
-	}
-	var word [4]byte
-	binary.LittleEndian.PutUint32(word[:], uint32(len(payloads)))
-	buf = append(buf, word[:]...)
-	for _, p := range payloads {
-		binary.LittleEndian.PutUint32(word[:], uint32(len(p)))
-		buf = append(buf, word[:]...)
-		buf = append(buf, p...)
-	}
-	s.batch = buf
-	binary.LittleEndian.PutUint32(s.scratch[:4], uint32(total)|flagBatch)
-	binary.LittleEndian.PutUint32(s.scratch[4:8], crc32.ChecksumIEEE(buf))
-	if _, err := s.journal.Write(s.scratch[:8]); err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
+	s.frame = buf
+	body := buf[8:]
+	binary.LittleEndian.PutUint32(buf[:4], uint32(len(body))|flag)
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
+	// O_APPEND positioning comes from the maintained file offset (Open seeks
+	// to the intact end).
 	if _, err := s.journal.Write(buf); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}

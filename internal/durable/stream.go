@@ -102,5 +102,29 @@ func PackBatch(dst []byte, payloads [][]byte) []byte {
 // from a journal batch frame) into its member records. The members alias
 // payload. ok is false when the structure is malformed.
 func SplitBatch(payload []byte) ([][]byte, bool) {
-	return splitBatch(payload)
+	if len(payload) < 4 {
+		return nil, false
+	}
+	count := binary.LittleEndian.Uint32(payload[:4])
+	// Each member costs at least 5 bytes (length word + one payload byte).
+	if count == 0 || int64(count)*5+4 > int64(len(payload)) {
+		return nil, false
+	}
+	subs := make([][]byte, 0, count)
+	rest := payload[4:]
+	for i := uint32(0); i < count; i++ {
+		if len(rest) < 4 {
+			return nil, false
+		}
+		n := binary.LittleEndian.Uint32(rest[:4])
+		if n == 0 || int64(n) > int64(len(rest))-4 {
+			return nil, false
+		}
+		subs = append(subs, rest[4:4+n])
+		rest = rest[4+n:]
+	}
+	if len(rest) != 0 {
+		return nil, false
+	}
+	return subs, true
 }

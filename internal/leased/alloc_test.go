@@ -1,14 +1,26 @@
 package leased
 
-// Allocation pins for the serving hot path. BenchmarkShardedApply pins the
-// shard-level apply at zero allocations; these tests pin the full HTTP
-// serving path — record → admit → handler → decode → apply → journal →
-// encode → write — because that is where per-request garbage actually
+// Allocation pins for the serving hot path: the daemon's allocs/op figures,
+// held in tier-1 (non-race builds) rather than read off a benchmark run.
+//
+//	benchmark                      allocs/op  held by
+//	ShardedApply                   0          TestServePathDoesNotAllocate
+//	ReplicatedApply                0          TestServePathDoesNotAllocateWithReplication
+//	HandlerRenew/{mem,durable}     1 (≤ 2)    TestHandlerServePathAllocations
+//	BatchApply/size={16,64,256}    0          TestBenchmarkAllocs
+//	HandlerBatch64/{mem,durable}   0          TestBenchmarkAllocs
+//	Checkpoint                     20 (≤ 40)  TestBenchmarkAllocs
+//
+// The first three tests drive the full HTTP serving path — record → admit →
+// handler → decode → apply → journal → encode → write — a superset of the
+// benchmark's op, because that is where per-request garbage actually
 // accumulates under load. The renew path must be allocation-free in steady
 // state; a batch must cost O(1) allocations regardless of how many ops it
 // carries; and the whole of Handler(), mux included, may add only what
 // ServeMux's wildcard match costs, so a wrapper put around the routes
-// outside record cannot hide from the pins.
+// outside record cannot hide from the pins. TestBenchmarkAllocs measures the
+// very closures the remaining benchmarks loop (bench_test.go), so a pin and
+// its benchmark cannot drift apart.
 
 import (
 	"fmt"
@@ -162,6 +174,36 @@ func TestHandlerServePathAllocations(t *testing.T) {
 	s := allocServer(t)
 	if avg := renewAllocs(t, s, "alloc-handler-client", s.Handler()); avg > muxAllocs {
 		t.Errorf("Handler() renew allocates %.2f times per request, want ≤ %d (ServeMux's own)", avg, muxAllocs)
+	}
+}
+
+// TestBenchmarkAllocs holds the figures of the benchmarks no serving-path test
+// above covers. The zeros are equalities; a checkpoint's count moves by one
+// or two with map iteration order and file-system state, so it gets a
+// ceiling at twice today's 20 — per-lease or per-row garbage on a
+// 1 000-lease shard would be in the thousands.
+func TestBenchmarkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses itself under the race detector; allocation pins hold only in normal builds")
+	}
+	checkpoint, _ := checkpointOp(t)
+	for _, pin := range []struct {
+		name    string
+		ceiling float64
+		op      func()
+	}{
+		{"BatchApply/size=16", 0, batchApplyOp(t, 16)},
+		{"BatchApply/size=64", 0, batchApplyOp(t, 64)},
+		{"BatchApply/size=256", 0, batchApplyOp(t, 256)},
+		{"HandlerBatch64/mem", 0, handlerOp(t, false, batch64Target)},
+		{"HandlerBatch64/durable", 0, handlerOp(t, true, batch64Target)},
+		{"Checkpoint", 40, checkpoint},
+	} {
+		got := measureAllocs(t, 20, pin.op)
+		t.Logf("%s: %v allocs/op", pin.name, got)
+		if got > pin.ceiling {
+			t.Errorf("%s: %v allocs/op, pinned at ≤ %v", pin.name, got, pin.ceiling)
+		}
 	}
 }
 

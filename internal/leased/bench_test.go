@@ -29,7 +29,7 @@ func benchOptions(shards int) Options {
 
 // benchAcquire applies one acquire through the env pipeline and returns the
 // shard-local lease ID.
-func benchAcquire(b *testing.B, s *Server, name string) (*shard, uint64) {
+func benchAcquire(b testing.TB, s *Server, name string) (*shard, uint64) {
 	b.Helper()
 	sh := s.shardFor(name)
 	env := getOpEnv()
@@ -51,9 +51,8 @@ func benchAcquire(b *testing.B, s *Server, name string) (*shard, uint64) {
 // increasing shard counts. On a multi-core machine throughput should scale
 // with shards up to GOMAXPROCS; on one core the curve is flat — the point
 // of recording it per shard count is exactly to see which machine you're
-// on. The allocs/op figure is load-bearing: the hot path pools every buffer
-// it touches, and this benchmark (plus TestServePathDoesNotAllocate) pins
-// it at zero.
+// on. The hot path pools every buffer it touches; TestServePathDoesNotAllocate
+// holds its allocs/op at zero.
 func BenchmarkShardedApply(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
@@ -78,134 +77,151 @@ func BenchmarkShardedApply(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchApply measures the amortized path: one shard group of
-// renews applied under a single clock crossing via shard.apply, the
-// core of POST /v1/batch. ns/op is per operation (b.N ops run in
-// b.N/size batches), so the ratio to BenchmarkShardedApply/shards=1 is the
-// per-op saving from batching alone, with HTTP out of the picture.
+// batchApplyOp is the amortized path: one shard group of size renews applied
+// under a single clock crossing via shard.apply, the core of POST /v1/batch.
+func batchApplyOp(tb testing.TB, size int) func() {
+	s := NewServer(benchOptions(1))
+	tb.Cleanup(s.Close)
+	_, local := benchAcquire(tb, s, "batch-bench")
+	wire := encodeLeaseID(0, local)
+
+	env := getBatchEnv()
+	tb.Cleanup(func() { putBatchEnv(env) })
+	env.ops = env.ops[:0]
+	for i := 0; i < size; i++ {
+		env.ops = append(env.ops, batchOp{
+			opName: []byte("renew"),
+			wire:   wire,
+			hasRep: true,
+			slot:   opSlot{rep: usageReport{CPUMS: 1, UIUpdates: 1}},
+		})
+	}
+	s.routeBatchOps(env)
+	env.groupByShard(len(s.shards))
+	return func() {
+		env.leases = s.shards[0].apply(env.groups, env.leases[:0], time.Time{})
+	}
+}
+
+// BenchmarkBatchApply loops batchApplyOp. ns/op is per operation (b.N ops
+// run in b.N/size batches), so the ratio to BenchmarkShardedApply/shards=1
+// is the per-op saving from batching alone, with HTTP out of the picture.
 func BenchmarkBatchApply(b *testing.B) {
 	for _, size := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			s := NewServer(benchOptions(1))
-			defer s.Close()
-			_, local := benchAcquire(b, s, "batch-bench")
-			wire := encodeLeaseID(0, local)
-
-			env := getBatchEnv()
-			defer putBatchEnv(env)
-			env.ops = env.ops[:0]
-			for i := 0; i < size; i++ {
-				env.ops = append(env.ops, batchOp{
-					opName: []byte("renew"),
-					wire:   wire,
-					hasRep: true,
-					slot:   opSlot{rep: usageReport{CPUMS: 1, UIUpdates: 1}},
-				})
-			}
-			s.routeBatchOps(env)
-			env.groupByShard(len(s.shards))
-
+			op := batchApplyOp(b, size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n += size {
-				env.leases = s.shards[0].apply(env.groups, env.leases[:0], time.Time{})
+				op()
 			}
 		})
 	}
 }
 
-// benchHandler runs body-carrying POSTs through s.Handler().ServeHTTP with no
+// handlerOp is one body-carrying POST through s.Handler().ServeHTTP with no
 // socket: the mux, record, admit and the route's handler, response discarded.
 // It is the rung between a bare apply (BenchmarkShardedApply) and a request
 // over TCP, and what a wrapper around the routes costs shows up here first.
 // The durable variant journals every request to a real file; checkpoints are
-// pushed out of reach so ns/op is the per-request path alone.
-func benchHandler(b *testing.B, durable bool, target func(wire uint64) (path string, body []byte)) {
+// pushed out of reach so the op is the per-request path alone.
+func handlerOp(tb testing.TB, durable bool, target func(wire uint64) (path string, body []byte)) func() {
 	opts := benchOptions(1)
 	var s *Server
 	if durable {
 		opts.SnapshotEvery = 1 << 30
 		var err error
-		if s, _, err = Open(b.TempDir(), opts); err != nil {
-			b.Fatal(err)
+		if s, _, err = Open(tb.TempDir(), opts); err != nil {
+			tb.Fatal(err)
 		}
 	} else {
 		s = NewServer(opts)
 	}
-	defer s.Close()
-	sh, local := benchAcquire(b, s, "handler-bench")
+	tb.Cleanup(s.Close)
+	sh, local := benchAcquire(tb, s, "handler-bench")
 	path, body := target(encodeLeaseID(sh.id, local))
 
 	handler := s.Handler()
 	req, rb := newReplayRequest("POST", path, body)
 	w := newNullWriter()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		rb.off = 0
 		w.reset()
 		handler.ServeHTTP(w, req)
-	}
-	b.StopTimer()
-	if w.status != http.StatusOK {
-		b.Fatalf("status %d", w.status)
+		if w.status != http.StatusOK {
+			tb.Fatalf("status %d", w.status)
+		}
 	}
 }
 
 func benchHandlerModes(b *testing.B, target func(wire uint64) (string, []byte)) {
-	b.Run("mem", func(b *testing.B) { benchHandler(b, false, target) })
-	b.Run("durable", func(b *testing.B) { benchHandler(b, true, target) })
+	for _, mode := range []string{"mem", "durable"} {
+		b.Run(mode, func(b *testing.B) { loopOp(b, handlerOp(b, mode == "durable", target)) })
+	}
 }
 
-// BenchmarkHandlerRenew is one renew per request, the per-op routes' unit.
-func BenchmarkHandlerRenew(b *testing.B) {
-	benchHandlerModes(b, func(wire uint64) (string, []byte) {
-		return fmt.Sprintf("/v1/leases/%d/renew", wire), []byte(`{"cpu_ms":1,"ui_updates":1}`)
-	})
+func loopOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }
 
-// BenchmarkHandlerBatch64 is 64 renews in one POST /v1/batch; ns/op is per
-// request, so /64 compares with BenchmarkHandlerRenew.
-func BenchmarkHandlerBatch64(b *testing.B) {
-	benchHandlerModes(b, func(wire uint64) (string, []byte) {
-		op := fmt.Sprintf(`{"op":"renew","lease_id":%d,"report":{"cpu_ms":1,"ui_updates":1}}`, wire)
-		return "/v1/batch", []byte(`{"ops":[` + strings.Repeat(op+",", 63) + op + `]}`)
-	})
+// renewTarget is one renew per request, the per-op routes' unit.
+func renewTarget(wire uint64) (string, []byte) {
+	return fmt.Sprintf("/v1/leases/%d/renew", wire), []byte(`{"cpu_ms":1,"ui_updates":1}`)
 }
+
+// batch64Target is 64 renews in one POST /v1/batch.
+func batch64Target(wire uint64) (string, []byte) {
+	op := fmt.Sprintf(`{"op":"renew","lease_id":%d,"report":{"cpu_ms":1,"ui_updates":1}}`, wire)
+	return "/v1/batch", []byte(`{"ops":[` + strings.Repeat(op+",", 63) + op + `]}`)
+}
+
+func BenchmarkHandlerRenew(b *testing.B) { benchHandlerModes(b, renewTarget) }
+
+// BenchmarkHandlerBatch64's ns/op is per request, so /64 compares with
+// BenchmarkHandlerRenew.
+func BenchmarkHandlerBatch64(b *testing.B) { benchHandlerModes(b, batch64Target) }
 
 // checkpointBenchShard is the shard the two snapshot benchmarks work on:
 // 1 000 leases with 20 terms of history each (the idle tenth fewer — they
 // sit deferred) and the default 4 096-entry dedup cache full.
-func checkpointBenchShard(b *testing.B) *shard {
-	b.Helper()
-	sh := populatedShard(b, snapTestOptions(), 1000, 20)
+func checkpointBenchShard(tb testing.TB) *shard {
+	tb.Helper()
+	sh := populatedShard(tb, snapTestOptions(), 1000, 20)
 	if n := sh.dedup.size(); n != sh.opts.DedupWindow {
-		b.Fatalf("dedup cache holds %d entries, want it full at %d", n, sh.opts.DedupWindow)
+		tb.Fatalf("dedup cache holds %d entries, want it full at %d", n, sh.opts.DedupWindow)
 	}
 	return sh
 }
 
-// BenchmarkCheckpoint is what the op stream pays once per SnapshotEvery
-// records, and what every request routed to the shard waits out: walk the
-// state, encode it, write + fsync + rename the snapshot, reset the journal.
-// snapshot_bytes is the file it leaves.
-func BenchmarkCheckpoint(b *testing.B) {
-	sh := checkpointBenchShard(b)
-	store, _, err := durable.Open(filepath.Join(b.TempDir(), shardDir(0)), false)
+// checkpointOp is what the op stream pays once per SnapshotEvery records,
+// and what every request routed to the shard waits out: walk the state,
+// encode it, write + fsync + rename the snapshot, reset the journal.
+func checkpointOp(tb testing.TB) (op func(), store *durable.Store) {
+	sh := checkpointBenchShard(tb)
+	store, _, err := durable.Open(filepath.Join(tb.TempDir(), shardDir(0)), false)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer store.Close()
+	tb.Cleanup(func() { store.Close() })
 	sh.store = store
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		sh.checkpointLocked()
-	}
+		if n := sh.metrics.journalErrors.Load(); n != 0 {
+			tb.Fatalf("%d checkpoints failed", n)
+		}
+	}, store
+}
+
+// BenchmarkCheckpoint loops checkpointOp; snapshot_bytes is the file it
+// leaves.
+func BenchmarkCheckpoint(b *testing.B) {
+	op, store := checkpointOp(b)
+	loopOp(b, op)
 	b.StopTimer()
-	if n := sh.metrics.journalErrors.Load(); n != 0 {
-		b.Fatalf("%d checkpoints failed", n)
-	}
 	b.ReportMetric(float64(store.Stats().SnapshotBytes), "snapshot_bytes")
 }
 

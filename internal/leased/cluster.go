@@ -291,7 +291,7 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	return err
 }
 
-// ApplyRecord implements cluster.Applier: one record is a batch of one.
+// ApplyRecord replays one replicated record: a batch of one.
 func (s *Server) ApplyRecord(shard int, payload []byte) error {
 	return s.ApplyBatch(shard, [][]byte{payload})
 }

@@ -435,12 +435,12 @@ func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	}
 }
 
-// BenchmarkReplicatedApply is the bench_gate twin of the test above: the
-// renew apply path with a live subscriber attached, pinned at zero
-// allocations per op. With no sender draining it, the subscriber buffers
-// until subBufMax and then marks itself overflowed (a real sender would
-// drop the conn); either way the publish stays allocation-free apart from
-// the handful of amortized buffer growths.
+// BenchmarkReplicatedApply times what the test above pins at zero
+// allocations: the renew apply path with a live subscriber attached. With no
+// sender draining it, the subscriber buffers until subBufMax and then marks
+// itself overflowed (a real sender would drop the conn); either way the
+// publish stays allocation-free apart from the handful of amortized buffer
+// growths.
 func BenchmarkReplicatedApply(b *testing.B) {
 	opts := benchOptions(1)
 	opts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}

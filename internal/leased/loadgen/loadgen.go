@@ -471,7 +471,7 @@ type client struct {
 	intents int64 // acquire ops that reached the wire — the dedup upper bound
 	shard   int   // daemon shard from the acquire response; -1 until known
 
-	ops, errs, deferred int64
+	ops, errs, deferred                                       int64
 	sheds, retried, lost, deduped, doubles, recon, redirected int64
 }
 

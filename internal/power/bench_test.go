@@ -7,6 +7,43 @@ import (
 	"repro/internal/simclock"
 )
 
+// kernels is the package's allocation contract, stated once: each row is one
+// steady-state meter operation on a device with 32 resident owners, and none
+// may touch the heap. BenchmarkMeter/<name> loops the op for timing;
+// TestKernelAllocs holds the zero in tier-1 over the very same closure, so
+// the two cannot drift apart. (The fourth kernel, DrawHandle.Set, is held by
+// TestHandleSetZeroAllocs in handle_test.go.)
+var kernels = []struct {
+	name  string
+	setup func() (op func())
+}{
+	{"Set", setOp},
+	{"EnergyOf", energyOfOp},
+	{"Sampler", samplerOp},
+}
+
+func TestKernelAllocs(t *testing.T) {
+	for _, k := range kernels {
+		if got := testing.AllocsPerRun(1000, k.setup()); got != 0 {
+			t.Errorf("Meter %s: %v allocs/op, pinned at 0", k.name, got)
+		}
+	}
+}
+
+func BenchmarkMeter(b *testing.B) {
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) { benchOp(b, k.setup()) })
+	}
+}
+
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 // meterWithLoad builds a meter with owners 0..nOwners-1 each holding one
 // CPU draw, approximating a device with nOwners installed apps.
 func meterWithLoad(e *simclock.Engine, nOwners int) *Meter {
@@ -17,22 +54,47 @@ func meterWithLoad(e *simclock.Engine, nOwners int) *Meter {
 	return m
 }
 
-// BenchmarkMeterSet measures one draw change on a device with 32 resident
-// owners — the path every service rides on acquire/release. Before the
-// dense-array meter this integrated every owner per call.
-func BenchmarkMeterSet(b *testing.B) {
-	e := simclock.NewEngine()
-	m := meterWithLoad(e, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// toggle advances the clock one millisecond and hands set a draw that
+// alternates between on and off, so every call is a real change.
+func toggle(e *simclock.Engine, set func(w float64)) func() {
+	on := false
+	return func() {
 		e.RunUntil(e.Now() + time.Millisecond)
-		if i%2 == 0 {
-			m.Set(5, GPS, "fix", 0.6)
+		if on = !on; on {
+			set(0.6)
 		} else {
-			m.Set(5, GPS, "fix", 0)
+			set(0)
 		}
 	}
+}
+
+// setOp is one draw change — the path every service rides on
+// acquire/release. Before the dense-array meter this integrated every owner
+// per call.
+func setOp() func() {
+	e := simclock.NewEngine()
+	m := meterWithLoad(e, 32)
+	return toggle(e, func(w float64) { m.Set(5, GPS, "fix", w) })
+}
+
+// energyOfOp is the per-owner energy query used by every utility
+// computation and experiment readout.
+func energyOfOp() func() {
+	e := simclock.NewEngine()
+	m := meterWithLoad(e, 32)
+	return func() {
+		e.RunUntil(e.Now() + time.Millisecond)
+		_ = m.EnergyOfJ(5)
+	}
+}
+
+// samplerOp is one sampler tick, the 100 ms Monsoon / Trepn instrument loop
+// of paper §7.1.
+func samplerOp() func() {
+	e := simclock.NewEngine()
+	m := meterWithLoad(e, 32)
+	NewSystemSampler(e, m, SampleInterval)
+	return func() { e.RunUntil(e.Now() + SampleInterval) }
 }
 
 // BenchmarkDrawHandleSet measures the pre-resolved draw update the app
@@ -40,45 +102,6 @@ func BenchmarkMeterSet(b *testing.B) {
 // a pure indexed store plus three accumulator advances.
 func BenchmarkDrawHandleSet(b *testing.B) {
 	e := simclock.NewEngine()
-	m := meterWithLoad(e, 32)
-	h := m.Handle(5, CPU)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(e.Now() + time.Millisecond)
-		if i%2 == 0 {
-			h.Set(0.6)
-		} else {
-			h.Set(0)
-		}
-	}
-}
-
-// BenchmarkMeterEnergyOf measures the per-owner energy query used by every
-// utility computation and experiment readout.
-func BenchmarkMeterEnergyOf(b *testing.B) {
-	e := simclock.NewEngine()
-	m := meterWithLoad(e, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var j float64
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(e.Now() + time.Millisecond)
-		j = m.EnergyOfJ(5)
-	}
-	_ = j
-}
-
-// BenchmarkMeterSampler measures one sampler tick, the 100 ms Monsoon /
-// Trepn instrument loop of paper §7.1.
-func BenchmarkMeterSampler(b *testing.B) {
-	e := simclock.NewEngine()
-	m := meterWithLoad(e, 32)
-	s := NewSystemSampler(e, m, SampleInterval)
-	defer s.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunUntil(e.Now() + SampleInterval)
-	}
+	h := meterWithLoad(e, 32).Handle(5, CPU)
+	benchOp(b, toggle(e, h.Set))
 }
