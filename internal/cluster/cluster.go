@@ -39,6 +39,14 @@
 // Reconnects re-run the handshake and get a fresh snapshot; there is no
 // historical log read path, which keeps the primary's journal free to
 // checkpoint on its own cadence.
+//
+// The stream commits in groups. A sender writes to its socket at most once
+// per flushEvery, so a busy stream hands the kernel everything published
+// since its last write in one syscall while an idle one still ships a record
+// the moment it is published; the follower takes whatever one read brought in
+// and hands all of its record and batch frames to the Applier as one burst —
+// one clock section, one journal frame, one ack decision. Frames are the
+// same bytes either way; only how many travel per syscall changes.
 package cluster
 
 import "time"
@@ -175,7 +183,10 @@ type Applier interface {
 	Redirect(leader string)
 	// ApplySnapshot replaces the shard's state wholesale.
 	ApplySnapshot(shard int, payload []byte) error
-	// ApplyBatch replays an atomic group of journal records — one, for a
-	// record frame — onto the shard.
-	ApplyBatch(shard int, payloads [][]byte) error
+	// ApplyBurst replays a run of atomic groups of journal records — one
+	// group per record or batch frame, in stream order — onto the shard and
+	// makes them durable together. Each group applies whole or not at all; a
+	// group that cannot be applied ends the burst with an error, the groups
+	// before it standing, and the session with it.
+	ApplyBurst(shard int, groups [][][]byte) error
 }

@@ -15,9 +15,22 @@ import (
 )
 
 const (
-	// ackEvery bounds how many applied records may pass between acks; pings
-	// force an ack regardless, so an idle stream converges to zero lag.
+	// ackEvery bounds how many applied records may pass between acks — the
+	// test is made once a burst, after it is applied; pings force an ack
+	// regardless, so an idle stream converges to zero lag.
 	ackEvery = 32
+	// burstReadBuf sizes the follower's reader on a stream: what one read
+	// can gather, and so roughly the largest burst of ordinary records
+	// (around 45 of them). A paced sender's write is a KiB or two, and past a
+	// few dozen records a burst has nothing left to amortise; the shard's
+	// journal frame buffer grows to the largest burst as well, so every
+	// stream pays for this size about three times over in live heap.
+	burstReadBuf = 4 << 10
+	// burstMaxBytes stops a burst growing past what one journal frame may
+	// hold — it lands on disk as one — however large a snapshot or batch
+	// frame has left the reader's buffer. A frame larger than this is still a
+	// burst, of its own.
+	burstMaxBytes = 1 << 20
 
 	dialTimeout   = 2 * time.Second
 	redialMin     = 100 * time.Millisecond
@@ -33,6 +46,10 @@ type ReplicaStats struct {
 	SourceSeq  int64 // primary's sequence as last heard, summed
 	Snapshots  int64 // snapshots adopted (>= shards; reconnects re-snapshot)
 	Records    int64 // records applied since boot
+	// Bursts counts the Applier calls those records arrived in: Records over
+	// Bursts is how many records one clock section and one journal write
+	// cover — 1 on an idle stream, more the busier it is.
+	Bursts int64
 	// LastHeardMS is milliseconds since ANY shard stream last heard a frame
 	// from the primary (a blackholed primary goes silent on all of them at
 	// once; a single slow stream does not make the primary suspect).
@@ -57,7 +74,8 @@ type shardReplica struct {
 	source    atomic.Int64
 	snapshots atomic.Int64
 	records   atomic.Int64
-	lastHeard atomic.Int64 // UnixNano of the last frame from the primary
+	bursts    atomic.Int64
+	lastHeard atomic.Int64 // UnixNano of the last read that heard the primary
 }
 
 // Follower maintains one replication session per shard against a primary's
@@ -135,6 +153,7 @@ func (f *Follower) Stats() ReplicaStats {
 		out.SourceSeq += rep.source.Load()
 		out.Snapshots += rep.snapshots.Load()
 		out.Records += rep.records.Load()
+		out.Bursts += rep.bursts.Load()
 		if lh := rep.lastHeard.Load(); lh > heard {
 			heard = lh
 		}
@@ -213,17 +232,48 @@ func jitterDelay(delay time.Duration, randn func(int64) int64) time.Duration {
 	return d
 }
 
-// session runs one connect → handshake → snapshot → apply-loop cycle.
-// progressed reports whether the session got far enough to adopt state —
-// the signal that the primary was genuinely alive, used to reset redial
-// backoff.
+// session dials the primary and runs one stream over the connection.
 func (f *Follower) session(shard int) (progressed bool, err error) {
-	tune := f.tuning()
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.Dial("tcp", f.addr)
 	if err != nil {
 		return false, err
 	}
+	return f.stream(shard, conn)
+}
+
+// burst is one read's worth of record and batch frames, gathered for a single
+// Applier call: groups[i] is frame i's records, a window onto recs, and every
+// record aliases the stream reader's buffer.
+type burst struct {
+	recs   [][]byte
+	groups [][][]byte
+	bytes  int
+}
+
+func (b *burst) reset() { b.recs, b.groups, b.bytes = b.recs[:0], b.groups[:0], 0 }
+
+// add appends one frame's records as a group; ok is false for a batch frame
+// that does not parse. A group stays a valid window if a later append moves
+// recs: it keeps the old array, which nothing rewrites before reset.
+func (b *burst) add(tag byte, payload []byte) (ok bool) {
+	start := len(b.recs)
+	if tag == frameRecord {
+		b.recs = append(b.recs, payload)
+	} else if b.recs, ok = durable.SplitBatch(b.recs, payload); !ok {
+		return false
+	}
+	b.groups = append(b.groups, b.recs[start:len(b.recs):len(b.recs)])
+	b.bytes += len(payload)
+	return true
+}
+
+// stream runs one handshake → snapshot → apply-loop cycle over conn, which
+// it closes. progressed reports whether the session got far enough to adopt
+// state — the signal that the primary was genuinely alive, used to reset
+// redial backoff.
+func (f *Follower) stream(shard int, conn net.Conn) (progressed bool, err error) {
+	tune := f.tuning()
 	defer conn.Close()
 	// Unblock the read loop when Stop fires.
 	watchDone := make(chan struct{})
@@ -248,7 +298,7 @@ func (f *Follower) session(shard int) (progressed bool, err error) {
 	if _, err := conn.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
 		return false, err
 	}
-	sr := durable.NewStreamReader(conn)
+	sr := durable.NewStreamReader(conn, burstReadBuf)
 	tag, payload, err := sr.ReadFrame()
 	if err != nil {
 		return false, err
@@ -303,24 +353,11 @@ func (f *Follower) session(shard int) (progressed bool, err error) {
 	acked := int64(-1)
 	var ackBuf []byte
 	var seqb [8]byte
-	one := make([][]byte, 1) // a record frame's group, reused
-	// force re-acks the current offset even when nothing new applied: the
-	// primary's leadership lease is renewed by ack arrival times, so on an
-	// idle stream the ping response doubles as the liveness heartbeat.
-	ack := func(force bool) error {
-		if applied == acked && !force {
-			return nil
-		}
-		binary.LittleEndian.PutUint64(seqb[:], uint64(applied))
-		ackBuf = durable.AppendFrame(ackBuf[:0], frameAck, seqb[:])
-		if _, err := conn.Write(ackBuf); err != nil {
-			return err
-		}
-		acked = applied
-		return nil
-	}
-
+	var b burst
 	for {
+		// Armed once a burst, when the wait for the next one begins: the
+		// primary's silence is measured from the last bytes heard, less the
+		// time this end spent applying them.
 		conn.SetReadDeadline(time.Now().Add(detectAfter))
 		tag, payload, err := sr.ReadFrame()
 		if err != nil {
@@ -330,47 +367,73 @@ func (f *Follower) session(shard int) (progressed bool, err error) {
 			return true, err
 		}
 		rep.lastHeard.Store(time.Now().UnixNano())
-		switch tag {
-		case frameRecord, frameBatch:
-			// A record frame is a group of one.
-			recs := append(one[:0], payload)
-			if tag == frameBatch {
-				var ok bool
-				if recs, ok = durable.SplitBatch(payload); !ok {
-					return true, errors.New("malformed batch frame")
+
+		// Gather the burst: this frame and every whole frame the same read
+		// brought in with it. A frame that ends the session — malformed,
+		// refusing, unknown — ends the burst too, after which what was
+		// gathered before it is still applied: it arrived intact and in
+		// order.
+		b.reset()
+		var ping bool
+		var fatal error
+		for {
+			switch tag {
+			case frameRecord, frameBatch:
+				if !b.add(tag, payload) {
+					fatal = errors.New("malformed batch frame")
 				}
-			}
-			if err := f.app.ApplyBatch(shard, recs); err != nil {
-				return true, err
-			}
-			applied += int64(len(recs))
-			rep.records.Add(int64(len(recs)))
-			rep.applied.Store(applied)
-			if applied-acked >= ackEvery {
-				if err := ack(false); err != nil {
-					return true, err
+			case framePing:
+				if len(payload) == 8 {
+					if src := int64(binary.LittleEndian.Uint64(payload)); src > rep.source.Load() {
+						rep.source.Store(src)
+					}
 				}
-			}
-		case framePing:
-			if len(payload) == 8 {
-				if src := int64(binary.LittleEndian.Uint64(payload)); src > rep.source.Load() {
-					rep.source.Store(src)
+				ping = true
+			case frameError:
+				fatal = errors.New("refused mid-stream")
+				var e ErrMsg
+				if json.Unmarshal(payload, &e) == nil {
+					fatal = errors.New("refused mid-stream: " + e.Error)
 				}
+			default:
+				fatal = fmt.Errorf("unexpected frame %q", tag)
 			}
-			if err := ack(true); err != nil {
-				return true, err
+			if n := sr.Buffered(); fatal != nil || n == 0 || b.bytes+n > burstMaxBytes {
+				break
 			}
-		case frameError:
-			var e ErrMsg
-			if json.Unmarshal(payload, &e) == nil {
-				return true, errors.New("refused mid-stream: " + e.Error)
+			if tag, payload, fatal = sr.ReadFrame(); fatal != nil {
+				break
 			}
-			return true, errors.New("refused mid-stream")
-		default:
-			return true, fmt.Errorf("unexpected frame %q", tag)
 		}
-		if applied > rep.source.Load() {
-			rep.source.Store(applied)
+
+		if len(b.groups) > 0 {
+			if err := f.app.ApplyBurst(shard, b.groups); err != nil {
+				return true, err
+			}
+			applied += int64(len(b.recs))
+			rep.records.Add(int64(len(b.recs)))
+			rep.bursts.Add(1)
+			rep.applied.Store(applied)
+			if applied > rep.source.Load() {
+				rep.source.Store(applied)
+			}
+		}
+		if fatal != nil {
+			return true, fatal
+		}
+		// One ack decision a burst, after the burst is applied and journaled,
+		// so an ack — a ping's answer included — never names a record that is
+		// not. The ping forces a re-ack of the current offset even when
+		// nothing new applied: the primary's leadership lease is renewed by
+		// ack arrival times, so on an idle stream the ping response doubles
+		// as the liveness heartbeat.
+		if ping || applied-acked >= ackEvery {
+			binary.LittleEndian.PutUint64(seqb[:], uint64(applied))
+			ackBuf = durable.AppendFrame(ackBuf[:0], frameAck, seqb[:])
+			if _, err := conn.Write(ackBuf); err != nil {
+				return true, err
+			}
+			acked = applied
 		}
 	}
 }

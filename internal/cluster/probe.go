@@ -33,7 +33,7 @@ func Probe(addr string, h Hello, timeout time.Duration) (ErrMsg, error) {
 	if _, err := conn.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
 		return ErrMsg{}, err
 	}
-	tag, payload, err := durable.NewStreamReader(conn).ReadFrame()
+	tag, payload, err := durable.NewStreamReader(conn, ackReadBuf).ReadFrame()
 	if err != nil {
 		return ErrMsg{}, err
 	}

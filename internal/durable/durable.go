@@ -312,11 +312,10 @@ func scanJournal(f *os.File) (epoch uint64, records [][]byte, goodLen, total int
 			// a frame is append order, and the frame CRC already proved the
 			// whole group intact, so the records are equivalent to — and
 			// atomically stronger than — the same sequence of plain frames.
-			subs, ok := SplitBatch(payload)
-			if !ok {
+			var ok bool
+			if records, ok = SplitBatch(records, payload); !ok {
 				return epoch, records, goodLen, total, nil // malformed group: torn
 			}
-			records = append(records, subs...)
 		} else {
 			records = append(records, payload)
 		}

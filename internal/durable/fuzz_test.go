@@ -213,7 +213,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	wire = AppendFrame(wire, 'H', []byte(`{"proto":1}`))
 	wire = AppendFrame(wire, 'R', []byte(`{"op":"renew"}`))
 	wire = AppendFrame(wire, 'P', nil) // tag-only frame
-	sr := NewStreamReader(bytes.NewReader(wire))
+	sr := NewStreamReader(bytes.NewReader(wire), 64)
 	want := []struct {
 		tag     byte
 		payload string
@@ -236,7 +236,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	frame0 := len(AppendFrame(nil, 'H', []byte(`{"proto":1}`)))
 	bad := bytes.Clone(wire)
 	bad[frame0+8+1+2] ^= 0x40
-	sr = NewStreamReader(bytes.NewReader(bad))
+	sr = NewStreamReader(bytes.NewReader(bad), 64)
 	if _, _, err := sr.ReadFrame(); err != nil {
 		t.Fatalf("first frame should still parse: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	}
 
 	// Truncation mid-frame is ErrUnexpectedEOF, not a misparse.
-	sr = NewStreamReader(bytes.NewReader(wire[:len(wire)-5]))
+	sr = NewStreamReader(bytes.NewReader(wire[:len(wire)-5]), 64)
 	sr.ReadFrame()
 	sr.ReadFrame()
 	if _, _, err := sr.ReadFrame(); err != io.ErrUnexpectedEOF {
@@ -255,7 +255,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	// Batch payload round trip, including the journal's own batch framing.
 	members := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
 	packed := PackBatch(nil, members)
-	got, ok := SplitBatch(packed)
+	got, ok := SplitBatch(nil, packed)
 	if !ok || len(got) != len(members) {
 		t.Fatalf("SplitBatch: ok=%v n=%d", ok, len(got))
 	}
@@ -265,7 +265,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]byte{nil, {1, 0, 0, 0}, {2, 0, 0, 0, 1, 0, 0, 0, 'x'}, append(bytes.Clone(packed), 0)} {
-		if _, ok := SplitBatch(bad); ok {
+		if _, ok := SplitBatch(nil, bad); ok {
 			t.Fatalf("SplitBatch accepted malformed payload %v", bad)
 		}
 	}

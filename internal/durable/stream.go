@@ -40,46 +40,99 @@ func AppendFrame(dst []byte, tag byte, payload []byte) []byte {
 	return dst
 }
 
-// StreamReader reads tagged frames off an io.Reader. The payload returned by
-// ReadFrame aliases an internal buffer and is valid only until the next
-// call — callers that need the bytes later must copy them.
+// frameHeaderLen is a stream frame's length word plus its checksum.
+const frameHeaderLen = 8
+
+// StreamReader reads tagged frames off an io.Reader through a buffer: one
+// Read takes whatever the source has ready — on a socket, every frame the
+// kernel is holding — and the frames are then handed out from memory, so a
+// burst of small frames costs one read, not two apiece.
+//
+// The payload ReadFrame returns aliases that buffer. It stays valid until a
+// ReadFrame call has to read from the source again, which is the only time
+// buffered bytes move: while Buffered reports a whole frame in hand, the next
+// ReadFrame leaves every earlier payload intact, and a caller can hold a run
+// of them together. Callers that need the bytes longer must copy them.
 type StreamReader struct {
-	r   io.Reader
-	hdr [8]byte
-	buf []byte
+	src  io.Reader
+	buf  []byte // buf[r:w] is read but not yet handed out
+	r, w int
 }
 
-// NewStreamReader wraps r for frame reading.
-func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r}
+// NewStreamReader wraps src for frame reading with a buffer of size bytes,
+// which grows to fit any single frame larger than that (and stays grown).
+// Size it for what one read should gather: a burst of records on the
+// follower's end of a replication stream, an ack on the primary's.
+func NewStreamReader(src io.Reader, size int) *StreamReader {
+	return &StreamReader{src: src, buf: make([]byte, max(size, frameHeaderLen))}
 }
 
-// ReadFrame reads the next frame, verifying length and checksum. io.EOF is
+// ReadFrame returns the next frame, verifying length and checksum. io.EOF is
 // returned untouched on a clean boundary; a partial frame surfaces as
 // io.ErrUnexpectedEOF.
 func (sr *StreamReader) ReadFrame() (byte, []byte, error) {
-	if _, err := io.ReadFull(sr.r, sr.hdr[:]); err != nil {
+	if err := sr.fill(frameHeaderLen); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(sr.hdr[:4])
-	sum := binary.LittleEndian.Uint32(sr.hdr[4:8])
+	n := binary.LittleEndian.Uint32(sr.buf[sr.r:])
 	if n == 0 || n > maxRecordLen {
 		return 0, nil, fmt.Errorf("durable: stream frame of %d bytes", n)
 	}
-	if cap(sr.buf) < int(n) {
-		sr.buf = make([]byte, n)
-	}
-	sr.buf = sr.buf[:n]
-	if _, err := io.ReadFull(sr.r, sr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := sr.fill(frameHeaderLen + int(n)); err != nil {
 		return 0, nil, err
 	}
-	if crc32.ChecksumIEEE(sr.buf) != sum {
+	sum := binary.LittleEndian.Uint32(sr.buf[sr.r+4:])
+	body := sr.buf[sr.r+frameHeaderLen : sr.r+frameHeaderLen+int(n)]
+	if crc32.ChecksumIEEE(body) != sum {
 		return 0, nil, fmt.Errorf("durable: stream frame failed its checksum")
 	}
-	return sr.buf[0], sr.buf[1:], nil
+	sr.r += frameHeaderLen + int(n)
+	return body[0], body[1:], nil
+}
+
+// Buffered reports the length (tag plus payload) of the next frame when all
+// of it is already in the buffer — the next ReadFrame will then not touch the
+// source — and 0 otherwise.
+func (sr *StreamReader) Buffered() int {
+	have := sr.w - sr.r
+	if have < frameHeaderLen {
+		return 0
+	}
+	n := binary.LittleEndian.Uint32(sr.buf[sr.r:])
+	if n == 0 || n > maxRecordLen || have < frameHeaderLen+int(n) {
+		return 0
+	}
+	return int(n)
+}
+
+// fill reads until need bytes are buffered, reading from the source only if
+// they are not. It reports the source's error when the bytes cannot be had:
+// io.EOF only when not one byte of the frame arrived.
+func (sr *StreamReader) fill(need int) error {
+	if sr.w-sr.r >= need {
+		return nil
+	}
+	// About to read: move the partial frame to the front, so the read has the
+	// whole buffer to gather into, and grow the buffer if the frame needs it.
+	if need > len(sr.buf) {
+		grown := make([]byte, need)
+		sr.w = copy(grown, sr.buf[sr.r:sr.w])
+		sr.buf, sr.r = grown, 0
+	} else if sr.r > 0 {
+		sr.w = copy(sr.buf, sr.buf[sr.r:sr.w])
+		sr.r = 0
+	}
+	for sr.w < need {
+		n, err := sr.src.Read(sr.buf[sr.w:])
+		sr.w += n
+		if err != nil && sr.w < need {
+			if err == io.EOF && sr.w > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // PackBatch appends the batch-frame payload encoding of payloads to dst:
@@ -99,32 +152,33 @@ func PackBatch(dst []byte, payloads [][]byte) []byte {
 }
 
 // SplitBatch unpacks a batch payload produced by PackBatch (or read back
-// from a journal batch frame) into its member records. The members alias
-// payload. ok is false when the structure is malformed.
-func SplitBatch(payload []byte) ([][]byte, bool) {
+// from a journal batch frame), appending its member records to dst. The
+// members alias payload. ok is false when the structure is malformed, and
+// dst then comes back as it went in.
+func SplitBatch(dst [][]byte, payload []byte) (members [][]byte, ok bool) {
 	if len(payload) < 4 {
-		return nil, false
+		return dst, false
 	}
 	count := binary.LittleEndian.Uint32(payload[:4])
 	// Each member costs at least 5 bytes (length word + one payload byte).
 	if count == 0 || int64(count)*5+4 > int64(len(payload)) {
-		return nil, false
+		return dst, false
 	}
-	subs := make([][]byte, 0, count)
+	members = dst
 	rest := payload[4:]
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
-			return nil, false
+			return dst, false
 		}
 		n := binary.LittleEndian.Uint32(rest[:4])
 		if n == 0 || int64(n) > int64(len(rest))-4 {
-			return nil, false
+			return dst, false
 		}
-		subs = append(subs, rest[4:4+n])
+		members = append(members, rest[4:4+n])
 		rest = rest[4+n:]
 	}
 	if len(rest) != 0 {
-		return nil, false
+		return dst, false
 	}
-	return subs, true
+	return members, true
 }

@@ -10,6 +10,8 @@ package leased
 //	BatchApply/size={16,64,256}    0          TestBenchmarkAllocs
 //	HandlerBatch64/{mem,durable}   0          TestBenchmarkAllocs
 //	Checkpoint                     20 (≤ 40)  TestBenchmarkAllocs
+//	FollowerApply/reqid            2          TestBenchmarkAllocs
+//	FollowerApply/plain            0          TestBenchmarkAllocs
 //
 // The first three tests drive the full HTTP serving path — record → admit →
 // handler → decode → apply → journal → encode → write — a superset of the
@@ -198,6 +200,10 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"HandlerBatch64/mem", 0, handlerOp(t, false, batch64Target)},
 		{"HandlerBatch64/durable", 0, handlerOp(t, true, batch64Target)},
 		{"Checkpoint", 40, checkpoint},
+		// What is left under a request ID is what the dedup cache keeps: the
+		// ID and the response.
+		{"FollowerApply/reqid", 2, followerApplyOp(t, "follower-alloc-1")},
+		{"FollowerApply/plain", 0, followerApplyOp(t, "")},
 	} {
 		got := measureAllocs(t, 20, pin.op)
 		t.Logf("%s: %v allocs/op", pin.name, got)

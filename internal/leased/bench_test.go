@@ -119,6 +119,42 @@ func BenchmarkBatchApply(b *testing.B) {
 	}
 }
 
+// followerApplyOp is what a follower pays for one replicated renew: a burst
+// of one group of one through Server.ApplyBatch — decode, clock section,
+// apply, the dedup entry when the record carries a request ID, and the
+// journal frame (a real file; checkpoints out of reach). The op replays one
+// record at one instant, so no term boundary is ever crossed.
+func followerApplyOp(tb testing.TB, reqID string) func() {
+	opts := benchOptions(1)
+	opts.SnapshotEvery = 1 << 30
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	s, _, err := Open(tb.TempDir(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	acq := opRecord{Op: opAcquire, Client: "follower-bench", Kind: hooks.Wakelock}
+	if err := s.ApplyRecord(0, encodeRecord(&acq)); err != nil {
+		tb.Fatal(err)
+	}
+	sh := s.shards[0]
+	rep := usageReport{CPUMS: 1, UIUpdates: 1}
+	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.byKey[clientKey{sh.clients[acq.Client], acq.Kind}].leaseID, Report: &rep, ReqID: reqID})
+	group := [][]byte{renew}
+	return func() {
+		if err := s.ApplyBatch(0, group); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFollowerApply loops followerApplyOp, with and without the request
+// ID every record of a well-behaved client carries.
+func BenchmarkFollowerApply(b *testing.B) {
+	b.Run("reqid", func(b *testing.B) { loopOp(b, followerApplyOp(b, "follower-bench-1")) })
+	b.Run("plain", func(b *testing.B) { loopOp(b, followerApplyOp(b, "")) })
+}
+
 // handlerOp is one body-carrying POST through s.Handler().ServeHTTP with no
 // socket: the mux, record, admit and the route's handler, response discarded.
 // It is the rung between a bare apply (BenchmarkShardedApply) and a request

@@ -296,15 +296,22 @@ func (s *Server) ApplyRecord(shard int, payload []byte) error {
 	return s.ApplyBatch(shard, [][]byte{payload})
 }
 
-// ApplyBatch implements cluster.Applier: the group is replayed exactly as
-// recovery would — clock to its instant (firing due term checks), then the
-// mutations under one clock section — and journaled locally in the primary's
-// own bytes as one frame, the same atomicity it had on the primary's disk.
+// ApplyBatch replays one replicated group: a burst of one.
 func (s *Server) ApplyBatch(shard int, payloads [][]byte) error {
+	return s.ApplyBurst(shard, [][][]byte{payloads})
+}
+
+// ApplyBurst implements cluster.Applier: under one clock section each group
+// is replayed exactly as recovery would — clock to its instant (firing due
+// term checks), then its mutations, all of them or none — and the burst is
+// journaled locally in the primary's own bytes as one frame: at least the
+// atomicity each group had on the primary's disk. A group that does not
+// decode ends the burst; the groups before it are applied and journaled.
+func (s *Server) ApplyBurst(shard int, groups [][][]byte) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("leased: no shard %d", shard)
 	}
-	if err := s.shards[shard].replay(payloads, true); err != nil {
+	if err := s.shards[shard].replay(groups, true); err != nil {
 		return fmt.Errorf("leased: corrupt replicated record: %w", err)
 	}
 	return nil

@@ -7,14 +7,18 @@ package leased
 // it: role gating, epoch fencing, and promotion.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/cluster"
 	"repro/internal/durable"
 )
@@ -54,7 +58,12 @@ func newClusterRig(t *testing.T, shards int) *clusterRig {
 	if err := fol.s.StartFollowing(); err != nil {
 		t.Fatal(err)
 	}
-	return &clusterRig{t: t, prim: prim, ln: ln, fol: fol, fln: fln}
+	c := &clusterRig{t: t, prim: prim, ln: ln, fol: fol, fln: fln}
+	// Attached before the caller writes anything: a shard stream that
+	// connects later adopts a snapshot taken at the instant it connects,
+	// which is past whatever instant the test captured the primary at.
+	c.waitSynced()
+	return c
 }
 
 // waitSynced blocks until every shard stream is connected and the follower
@@ -160,6 +169,73 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 	}
 	if r := fsnap.Cluster.Replication; r.Connected != 2 || r.LagRecords != 0 || r.RecordsApplied == 0 {
 		t.Fatalf("follower replication status: %+v", r)
+	}
+}
+
+// TestBurstLandsAsOneJournalFrame: a burst of several frames — groups at
+// different instants, a term boundary between them — is on the follower's
+// disk, whole and in stream order, by the time ApplyBurst returns (which is
+// before the follower acks it), as one journal frame; and a follower that
+// dies there recovers from that journal to exactly the state it held. The
+// journal is a prefix of the primary's log record for record; only the
+// framing is the follower's own, and recovery flattens frames either way.
+func TestBurstLandsAsOneJournalFrame(t *testing.T) {
+	opts := testOptions()
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	dir := t.TempDir()
+	fol, _, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := opts.Lease.Term
+	rep := usageReport{CPUMS: 2, UIUpdates: 1}
+	groups := [][][]byte{
+		{encodeRecord(&opRecord{At: term / 4, Op: opAcquire, Client: "burst", Kind: hooks.Wakelock, ReqID: "b-1"})},
+		{ // the first lease on a shard is lease 1
+			encodeRecord(&opRecord{At: term / 2, Op: opRenew, LeaseID: 1, Report: &rep, ReqID: "b-2"}),
+			encodeRecord(&opRecord{At: term / 2, Op: opRenew, LeaseID: 1, Report: &rep}),
+		},
+		{encodeRecord(&opRecord{At: 3 * term, Op: opRelease, LeaseID: 1, ReqID: "b-3"})},
+	}
+	var log [][]byte
+	for _, g := range groups {
+		log = append(log, g...)
+	}
+	journal := filepath.Join(dir, shardDir(0), "journal.log")
+	size := func() int64 {
+		fi, err := os.Stat(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	empty := size()
+	if err := fol.ApplyBurst(0, groups); err != nil {
+		t.Fatal(err)
+	}
+	const frameHeader = 8
+	if got, want := size()-empty, int64(frameHeader+len(durable.PackBatch(nil, log))); got != want {
+		t.Fatalf("the burst grew the journal by %d bytes, want one batch frame of %d", got, want)
+	}
+	onDisk, err := durable.ReadJournal(filepath.Dir(journal))
+	if err != nil || len(onDisk) != len(log) {
+		t.Fatalf("journal holds %d records (%v), want %d", len(onDisk), err, len(log))
+	}
+	for i := range log {
+		if !bytes.Equal(onDisk[i], log[i]) {
+			t.Fatalf("journal record %d is not the primary's record %d", i, i)
+		}
+	}
+
+	pre := captureShards(fol)
+	fol.Close() // no checkpoint: the journal is all there is
+	back, info, err := Open(dir, opts)
+	if err != nil || info.Replayed != len(log) {
+		t.Fatalf("reopen: replayed %d of %d records, %v", info.Replayed, len(log), err)
+	}
+	defer back.Close()
+	if post := captureShards(back); !reflect.DeepEqual(pre, post) {
+		t.Fatalf("recovered follower differs from the one that died:\n pre: %+v\npost: %+v", pre, post)
 	}
 }
 
@@ -311,7 +387,7 @@ func refusedHello(t *testing.T, addr string, h cluster.Hello) cluster.ErrMsg {
 	if _, err := conn.Write(durable.AppendFrame(nil, 'H', hb)); err != nil {
 		t.Fatal(err)
 	}
-	tag, payload, err := durable.NewStreamReader(conn).ReadFrame()
+	tag, payload, err := durable.NewStreamReader(conn, 512).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +545,9 @@ func BenchmarkReplicatedApply(b *testing.B) {
 // drain to zero lag, so frames/s (and the bytes/s figure SetBytes derives)
 // reflect what a follower can actually sustain; lag_records is the backlog
 // at the instant the primary stopped publishing — how far a follower
-// trails a full-speed primary.
+// trails a full-speed primary; records/write and records/burst are the
+// stream's own counts of how many records each of the sender's socket writes
+// carried and each of the follower's apply-and-journal calls covered.
 func BenchmarkReplicationStream(b *testing.B) {
 	popts := benchOptions(1)
 	popts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}
@@ -507,6 +585,8 @@ func BenchmarkReplicationStream(b *testing.B) {
 	env.apply(sh, time.Time{})
 	b.SetBytes(int64(len(encodeRecord(&env.slot.rec))))
 
+	before := p.prim.Followers()[0]
+	fbefore, _ := f.replicaStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &rep}
@@ -534,4 +614,10 @@ func BenchmarkReplicationStream(b *testing.B) {
 		b.ReportMetric(float64(b.N)/secs, "frames/s")
 	}
 	b.ReportMetric(float64(backlog), "lag_records")
+	if after := p.prim.Followers()[0]; after.Flushes > before.Flushes {
+		b.ReportMetric(float64(after.SentSeq-before.SentSeq)/float64(after.Flushes-before.Flushes), "records/write")
+	}
+	if after, _ := f.replicaStats(); after.Bursts > fbefore.Bursts {
+		b.ReportMetric(float64(after.Records-fbefore.Records)/float64(after.Bursts-fbefore.Bursts), "records/burst")
+	}
 }

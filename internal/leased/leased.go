@@ -318,6 +318,8 @@ type shard struct {
 	jw     *snapenc.Writer
 	frames [][]byte
 
+	replayScratch replayScratch
+
 	metrics *shardMetrics
 }
 

@@ -357,6 +357,10 @@ type FollowerReplica struct {
 	SentSeq    int64  `json:"sent_seq"`
 	AckedSeq   int64  `json:"acked_seq"`
 	LagRecords int64  `json:"lag_records"`
+	// Flushes counts the socket writes that carried records on this stream:
+	// Δsent_seq ÷ Δflushes is records per write, 1 when idle and more the
+	// busier the stream (it writes at most once a millisecond).
+	Flushes int64 `json:"flushes"`
 	// LastAckMS is milliseconds since this stream last acked — the
 	// primary-side lease-renewal evidence.
 	LastAckMS int64 `json:"last_ack_ms"`
@@ -372,6 +376,10 @@ type ReplicationStatus struct {
 	LagRecords       int64  `json:"lag_records"`
 	SnapshotsApplied int64  `json:"snapshots_applied"`
 	RecordsApplied   int64  `json:"records_applied"`
+	// BurstsApplied counts the apply calls those records arrived in, each one
+	// clock section and one journal write: Δrecords_applied ÷ Δbursts_applied
+	// is how many records share them.
+	BurstsApplied int64 `json:"bursts_applied"`
 	// LastHeardMS is milliseconds since any shard stream heard the primary;
 	// Suspect is true once that silence exceeds the detection window.
 	LastHeardMS int64 `json:"last_heard_ms"`
@@ -472,7 +480,7 @@ func (s *Server) snapshot() Snapshot {
 			cs.Followers = append(cs.Followers, FollowerReplica{
 				Addr: f.Addr, Node: f.Node, Shard: f.Shard,
 				SentSeq: f.SentSeq, AckedSeq: f.AckedSeq, LagRecords: f.Lag,
-				LastAckMS: f.LastAckMS,
+				Flushes: f.Flushes, LastAckMS: f.LastAckMS,
 			})
 		}
 		if rs, ok := s.replicaStats(); ok {
@@ -491,6 +499,7 @@ func (s *Server) snapshot() Snapshot {
 				LagRecords:       rs.Lag(),
 				SnapshotsApplied: rs.Snapshots,
 				RecordsApplied:   rs.Records,
+				BurstsApplied:    rs.Bursts,
 				LastHeardMS:      rs.LastHeardMS,
 				Suspect:          rs.Suspect,
 			}

@@ -606,7 +606,10 @@ func TestFlakyReplicationConverges(t *testing.T) {
 	pr := httptest.NewServer(prim.Handler())
 	defer pr.Close()
 	prig := &rig{t: t, s: prim, ts: pr, cli: pr.Client()}
-	for i := 0; i < 300; i++ {
+	// The sites fire per socket write, and a paced sender makes one a
+	// millisecond at most: the traffic has to last long enough for a 5 % site
+	// to see a few dozen.
+	for i := 0; i < 600; i++ {
 		if code := prig.call("POST", "/v1/leases", acquireRequest{Client: fmt.Sprintf("flaky-%d", i), Kind: "wakelock"}, nil); code != 200 {
 			t.Fatalf("acquire %d: status %d", i, code)
 		}

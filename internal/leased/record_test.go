@@ -149,7 +149,8 @@ func TestDecodeRecordRefusals(t *testing.T) {
 // TestOldFormatJournalRefused: a data directory, or a peer, still carrying
 // JSON records is refused by name — not misread, not silently dropped — and
 // so are a record version this build does not know and a record with bytes
-// after its end. Nothing of a refused group is applied.
+// after its end. Nothing of a refused group is applied; in the middle of a
+// burst, the groups before it are applied and journaled, and nothing after.
 func TestOldFormatJournalRefused(t *testing.T) {
 	good := encodeRecord(&opRecord{Op: opAcquire, Client: "c", ReqID: "r"})
 	for _, tc := range []struct {
@@ -179,23 +180,37 @@ func TestOldFormatJournalRefused(t *testing.T) {
 		}
 
 		opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
-		fol := NewServer(opts)
-		for _, apply := range []func() error{
-			func() error { return fol.ApplyRecord(0, tc.payload) },
-			func() error { return fol.ApplyBatch(0, [][]byte{good, tc.payload}) },
-		} {
-			err := apply()
+		folDir := t.TempDir()
+		fol, _, err := Open(folDir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "leased: corrupt replicated record") {
-				t.Errorf("%s: follower apply: err = %v", tc.name, err)
+				t.Errorf("%s: follower %s: err = %v", tc.name, what, err)
 			}
 		}
+		refused("record", fol.ApplyRecord(0, tc.payload))
+		refused("group", fol.ApplyBatch(0, [][]byte{good, tc.payload}))
 		sh := fol.shards[0]
 		sh.do(func() {
 			if len(sh.clients) != 0 || sh.dedup.size() != 0 {
 				t.Errorf("%s: a refused group left %d clients and %d dedup entries behind", tc.name, len(sh.clients), sh.dedup.size())
 			}
 		})
+		before := encodeRecord(&opRecord{Op: opAcquire, Client: "before", ReqID: "rb"})
+		after := encodeRecord(&opRecord{Op: opAcquire, Client: "after", ReqID: "ra"})
+		refused("burst", fol.ApplyBurst(0, [][][]byte{{before}, {good, tc.payload}, {after}}))
+		sh.do(func() {
+			if _, ok := sh.clients["before"]; !ok || len(sh.clients) != 1 || sh.dedup.size() != 1 {
+				t.Errorf("%s: a group refused mid-burst left clients %v and %d dedup entries; want the group before it and nothing else", tc.name, sh.clients, sh.dedup.size())
+			}
+		})
 		fol.Close()
+		journal, err := durable.ReadJournal(filepath.Join(folDir, shardDir(0)))
+		if err != nil || len(journal) != 1 || !bytes.Equal(journal[0], before) {
+			t.Errorf("%s: after the refused burst the follower's journal holds %d records (%v); want the one group before the refused one", tc.name, len(journal), err)
+		}
 	}
 }
 

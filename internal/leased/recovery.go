@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -384,8 +385,11 @@ func recoverShard(id int, store *durable.Store, res durable.OpenResult, opts Opt
 		}
 		info.SnapshotLoaded, info.SnapshotNow = true, st.Now
 	}
+	// Record by record — a journal frame's grouping does not survive the
+	// scan, and need not: each record carries its own instant — so an error
+	// can name the record.
 	for i := range res.Records {
-		if err := sh.replay(res.Records[i:i+1], false); err != nil {
+		if err := sh.replay([][][]byte{res.Records[i : i+1]}, false); err != nil {
 			return nil, info, fmt.Errorf("leased: corrupt journal record %d: %w", i, err)
 		}
 		info.Replayed++
@@ -396,34 +400,63 @@ func recoverShard(id int, store *durable.Store, res durable.OpenResult, opts Opt
 
 // replay is the pipeline's other front end: records arrive already encoded —
 // from this shard's own journal (recovery) or from the primary's stream (a
-// follower; journal is set, and the group is persisted in the primary's own
-// bytes, one frame as it was there) — and are decoded, then re-applied at
-// their instant through the same applyLocked live requests use. A group
-// shares one instant: the primary stamped it inside one clock section. The
-// clock must be unstarted.
-func (sh *shard) replay(payloads [][]byte, journal bool) error {
-	slots := make([]opSlot, len(payloads))
-	group := make([]*opSlot, len(payloads))
+// follower; journal is set) — as a burst of groups, each group the records of
+// one frame. Under one clock section every group in turn is decoded, the
+// clock run to its instant — a group shares one: the primary stamped it
+// inside one clock section — and its records re-applied through the same
+// applyLocked live requests use; a group that does not decode applies nothing
+// of itself and ends the burst with its error. On a follower what was applied
+// is then persisted in the primary's own bytes as one journal frame (a burst
+// of several frames is atomically stronger on this disk than it was on the
+// primary's; recovery flattens frames either way). The clock must be
+// unstarted.
+func (sh *shard) replay(groups [][][]byte, journal bool) (err error) {
+	sh.do(func() {
+		rs := &sh.replayScratch
+		rs.applied = rs.applied[:0]
+		for _, payloads := range groups {
+			if len(payloads) == 0 {
+				continue
+			}
+			if err = rs.decode(payloads); err != nil {
+				break
+			}
+			sh.clock.AdvanceVirtual(rs.slots[0].rec.At)
+			rs.out = sh.applyLocked(rs.group, rs.out[:0], false)
+			rs.applied = append(rs.applied, payloads...)
+		}
+		if journal {
+			sh.commitLocked(rs.applied, false)
+		}
+	})
+	return err
+}
+
+// replayScratch is replay's working memory, kept on the shard and touched
+// only under its clock: a follower replays a record without allocating
+// anything but what the dedup cache keeps (the request ID and the response).
+type replayScratch struct {
+	slots   []opSlot  // the current group, decoded
+	group   []*opSlot // → slots, for applyLocked
+	out     []byte    // the current group's encoded responses
+	applied [][]byte  // every applied group's records, for the one commit
+}
+
+// decode fills slots and group from one group's records, all of which must
+// carry the same instant.
+func (rs *replayScratch) decode(payloads [][]byte) error {
+	rs.slots = slices.Grow(rs.slots[:0], len(payloads))[:len(payloads)]
+	rs.group = rs.group[:0]
 	for i, p := range payloads {
-		sl := &slots[i]
+		sl := &rs.slots[i]
 		if err := decodeOpRecord(p, &sl.rec, &sl.rep); err != nil {
 			return err
 		}
-		if sl.rec.At != slots[0].rec.At {
+		if sl.rec.At != rs.slots[0].rec.At {
 			return errors.New("batch members disagree on their instant")
 		}
-		group[i] = sl
+		rs.group = append(rs.group, sl)
 	}
-	if len(group) == 0 {
-		return nil
-	}
-	sh.clock.RunVirtual(slots[0].rec.At)
-	sh.do(func() {
-		sh.applyLocked(group, nil, false)
-		if journal {
-			sh.commitLocked(payloads, false)
-		}
-	})
 	return nil
 }
 

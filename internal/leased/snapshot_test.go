@@ -50,7 +50,7 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 	ids := make([]uint64, leases)
 	for i := range ids {
 		rec := opRecord{Op: opAcquire, Client: fmt.Sprintf("client-%04d", i), Kind: []hooks.Kind{hooks.Wakelock, hooks.GPSListener, hooks.SensorListener}[i%3]}
-		if err := sh.replay([][]byte{encodeRecord(&rec)}, false); err != nil {
+		if err := sh.replay([][][]byte{{encodeRecord(&rec)}}, false); err != nil {
 			tb.Fatal(err)
 		}
 		ids[i] = sh.byKey[clientKey{sh.clients[rec.Client], rec.Kind}].leaseID
@@ -66,7 +66,7 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 			rep := usageReport{CPUMS: 40 + float64(i%7), UsedMS: 300, DataPoints: i % 5, DistanceM: float64(i%11) * 1.5, UIUpdates: 1 + i%3}
 			group = append(group, encodeRecord(&opRecord{At: at, Op: opRenew, LeaseID: id, Report: &rep, ReqID: fmt.Sprintf("req-%d-%d", n, i)}))
 		}
-		if err := sh.replay(group, false); err != nil {
+		if err := sh.replay([][][]byte{group}, false); err != nil {
 			tb.Fatal(err)
 		}
 	}

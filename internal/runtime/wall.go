@@ -75,8 +75,16 @@ func NewWallUnstarted() *Wall {
 func (w *Wall) RunVirtual(t simclock.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.AdvanceVirtual(t)
+}
+
+// AdvanceVirtual is RunVirtual for a caller already inside Do: one critical
+// section can then replay a run of records, each at its own instant, without
+// giving up the clock between them. Like RunVirtual it is only legal before
+// Start.
+func (w *Wall) AdvanceVirtual(t simclock.Time) {
 	if w.started {
-		panic("runtime: Wall.RunVirtual after Start")
+		panic("runtime: virtual advance of a started Wall")
 	}
 	w.eng.RunUntil(t)
 }
