@@ -43,6 +43,10 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
+// NumKinds is how many resource kinds there are: Kind values run from 0 to
+// NumKinds-1, so a table indexed by Kind has this many slots.
+const NumKinds = int(numKinds)
+
 // Kinds lists every resource kind.
 func Kinds() []Kind {
 	ks := make([]Kind, numKinds)

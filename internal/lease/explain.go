@@ -3,6 +3,10 @@ package lease
 import (
 	"fmt"
 	"strings"
+	"time"
+
+	"repro/internal/android/hooks"
+	"repro/internal/power"
 )
 
 // Explain renders a human-readable account of a lease's most recent term
@@ -16,15 +20,54 @@ func (m *Manager) Explain(id uint64) string {
 	if !ok {
 		return fmt.Sprintf("lease %d: unknown or dead", id)
 	}
+	return m.Explanation(l).String()
+}
+
+// Explanation is everything Explain prints, copied out of the manager: the
+// lease header, its last completed term, the policy thresholds that term was
+// judged against and the holder's reputation. Taking one is a few struct
+// copies and no allocation, so a caller that serialises access to the
+// manager (the daemon's shard clock) copies inside its critical section and
+// formats — String, which allocates — outside it.
+type Explanation struct {
+	ID         uint64
+	UID        power.UID
+	Kind       hooks.Kind
+	State      State
+	Terms      int
+	Term       time.Duration
+	Escalation int
+
+	HasLast bool       // false until a term has completed
+	Last    TermRecord // the most recent completed term
+
+	Config     Config
+	Reputation Reputation
+}
+
+// Explanation copies what Explain would print about l, a live lease of m.
+func (m *Manager) Explanation(l *Lease) Explanation {
+	e := Explanation{
+		ID: l.id, UID: l.obj.UID, Kind: l.obj.Kind, State: l.state,
+		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
+		Config: m.cfg, Reputation: m.ReputationOf(l.obj.UID),
+	}
+	if n := len(l.history); n > 0 {
+		e.HasLast, e.Last = true, l.history[n-1]
+	}
+	return e
+}
+
+// String renders the explanation: Explain's text.
+func (e Explanation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lease %d: uid %d, %v, state %v, term #%d (%v)\n",
-		l.id, l.obj.UID, l.obj.Kind, l.state, l.termIndex, l.term)
-	if len(l.history) == 0 {
+		e.ID, e.UID, e.Kind, e.State, e.Terms, e.Term)
+	if !e.HasLast {
 		b.WriteString("  no completed terms yet\n")
 		return b.String()
 	}
-	rec := l.history[len(l.history)-1]
-	cfg := m.cfg
+	rec, cfg := e.Last, e.Config
 	fmt.Fprintf(&b, "  last term: held %v of %v, active %v, cpu %v, %d data points, %.1f m moved\n",
 		rec.Held, rec.Duration, rec.Active, rec.CPUTime, rec.DataPoints, rec.DistanceM)
 	fmt.Fprintf(&b, "  signals: %d exceptions, %d ui updates, %d interactions\n",
@@ -36,7 +79,7 @@ func (m *Manager) Explain(id uint64) string {
 		}
 		return "ok"
 	}
-	if l.obj.Kind.CanFrequentAsk() {
+	if e.Kind.CanFrequentAsk() {
 		fabAsk := float64(rec.RequestTime) >= cfg.FABMinAskFraction*float64(rec.Duration)
 		fabFail := rec.SuccessRatio <= cfg.FABSuccessThreshold
 		fmt.Fprintf(&b, "  frequent-ask: request %v (≥%.0f%% of term: %v), success ratio %.2f (≤%.2f: %s)\n",
@@ -53,15 +96,15 @@ func (m *Manager) Explain(id uint64) string {
 		mark(longHold && rec.Utilization >= cfg.UtilizationThreshold && rec.UtilityScore < cfg.UtilityThreshold))
 	fmt.Fprintf(&b, "  verdict: %v", rec.Behavior)
 	switch {
-	case rec.Behavior.Misbehaving() && l.state == Deferred:
-		fmt.Fprintf(&b, " -> deferred (escalation level %d)", l.escalation)
+	case rec.Behavior.Misbehaving() && e.State == Deferred:
+		fmt.Fprintf(&b, " -> deferred (escalation level %d)", e.Escalation)
 	case rec.Behavior == EUB:
 		b.WriteString(" -> renewed (excessive use is a non-goal; observed only)")
 	default:
 		b.WriteString(" -> renewed")
 	}
 	b.WriteString("\n")
-	if rep := m.ReputationOf(l.obj.UID); rep.Deferrals > 0 || rep.NormalTerms > 0 {
+	if rep := e.Reputation; rep.Deferrals > 0 || rep.NormalTerms > 0 {
 		fmt.Fprintf(&b, "  app history: %d normal terms, %d deferrals\n", rep.NormalTerms, rep.Deferrals)
 	}
 	return b.String()

@@ -264,7 +264,11 @@ func (m *Manager) account(op string) {
 // renewed this way.
 func (m *Manager) Renew(id uint64) bool {
 	l, ok := m.leases[id]
-	if !ok || l.state == Dead || l.state == Deferred {
+	return ok && m.renew(l)
+}
+
+func (m *Manager) renew(l *Lease) bool {
+	if l.state == Dead || l.state == Deferred {
 		return false
 	}
 	if l.state == Inactive {
@@ -333,7 +337,7 @@ func (m *Manager) ObjectCreated(o hooks.Object) { m.Create(o) }
 // if the resource is no longer held then (paper §3.2).
 func (m *Manager) ObjectReleased(o hooks.Object) {
 	if l := m.leaseOf(o); l != nil {
-		l.held = false
+		m.Released(l)
 	}
 }
 
@@ -348,19 +352,39 @@ func (m *Manager) ObjectReacquired(o hooks.Object) {
 		m.Create(o)
 		return
 	}
-	l.held = true
-	if l.state == Inactive {
-		m.Renew(l.id)
-	}
+	m.Reacquired(l)
 }
 
 // ObjectDestroyed implements hooks.Governor: the lease enters the dead
 // state and is cleaned (paper §3.2).
 func (m *Manager) ObjectDestroyed(o hooks.Object) {
 	if l := m.leaseOf(o); l != nil {
-		m.kill(l)
+		m.Destroyed(l)
 	}
 }
+
+// --- the same three upcalls by lease handle ---
+//
+// A proxy that keeps the *Lease it was given for an object (LeaseByID, right
+// after Create or RestoreState) reports the object's lifecycle through these
+// and skips the descriptor lookups; the Governor methods above are leaseOf
+// followed by one of them, so both doors run the same code. l must be a
+// live lease of this manager: a lease dies only through Destroyed, Remove or
+// the holder's ObjectDestroyed, after which its handle must be dropped.
+
+// Released is ObjectReleased for a lease already in hand.
+func (m *Manager) Released(l *Lease) { l.held = false }
+
+// Reacquired is ObjectReacquired for a lease already in hand.
+func (m *Manager) Reacquired(l *Lease) {
+	l.held = true
+	if l.state == Inactive {
+		m.renew(l)
+	}
+}
+
+// Destroyed is ObjectDestroyed for a lease already in hand.
+func (m *Manager) Destroyed(l *Lease) { m.kill(l) }
 
 // AllowBackgroundWork implements hooks.Governor; LeaseOS never gates work
 // directly — it acts through resource revocation.

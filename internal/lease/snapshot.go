@@ -435,21 +435,23 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 		m.byObj[objKey{obj.Control.ServiceName(), obj.ID}] = l.id
 
 		if ls.HasCheck {
-			d := ls.CheckAt - now
-			if d < 0 {
-				d = 0
-			}
 			l.checkAt = ls.CheckAt
-			l.checkEvent = m.clock.Schedule(d, l.checkFn)
+			l.checkEvent = m.clock.Schedule(until(now, ls.CheckAt), l.checkFn)
 		}
 		if ls.HasRestor {
-			d := ls.RestoreAt - now
-			if d < 0 {
-				d = 0
-			}
 			l.restoreAt = ls.RestoreAt
-			l.restoreEvent = m.clock.Schedule(d, l.restoreFn)
+			l.restoreEvent = m.clock.Schedule(until(now, ls.RestoreAt), l.restoreFn)
 		}
 	}
 	return nil
+}
+
+// until is the delay from now to at, zero for an instant already past. The
+// comparison comes first: a corrupt capture's instant may lie so far back
+// that the subtraction would wrap.
+func until(now, at simclock.Time) time.Duration {
+	if at <= now {
+		return 0
+	}
+	return at - now
 }

@@ -3,6 +3,7 @@ package lease
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -197,5 +198,33 @@ func TestRestoreRejectsUnknownObject(t *testing.T) {
 		return hooks.Object{}, false
 	}); err == nil {
 		t.Fatal("RestoreState accepted an unresolvable lease")
+	}
+}
+
+// TestRestoreSurvivesInstantsFarInThePast: a capture comes from disk or a
+// peer, so a due instant may be any int64. One so far back that "due minus
+// now" wraps around must re-arm as already due, not as a delay that carries
+// the clock past the end of time (the engine panics on that).
+func TestRestoreSurvivesInstantsFarInThePast(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10))
+	eng.RunUntil(time.Second)
+	st := mgr.CaptureState()
+	st.Leases[0].HasCheck, st.Leases[0].CheckAt = true, math.MinInt64
+	st.Leases[0].HasRestor, st.Leases[0].RestoreAt = true, math.MinInt64+1
+
+	eng2 := simclock.NewEngine()
+	eng2.RunUntil(time.Second)
+	mgr2 := NewManager(eng2, newFakeStats(), Config{})
+	if err := mgr2.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
+		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng2.RunUntil(2 * time.Second) // both events fire, at once
+	if mgr2.TermChecks == 0 {
+		t.Fatal("the re-armed term check never fired")
 	}
 }

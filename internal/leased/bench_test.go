@@ -1,6 +1,7 @@
 package leased
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -139,7 +140,7 @@ func followerApplyOp(tb testing.TB, reqID string) func() {
 	}
 	sh := s.shards[0]
 	rep := usageReport{CPUMS: 1, UIUpdates: 1}
-	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.byKey[clientKey{sh.clients[acq.Client], acq.Kind}].leaseID, Report: &rep, ReqID: reqID})
+	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).leaseID, Report: &rep, ReqID: reqID})
 	group := [][]byte{renew}
 	return func() {
 		if err := s.ApplyBatch(0, group); err != nil {
@@ -161,7 +162,15 @@ func BenchmarkFollowerApply(b *testing.B) {
 // over TCP, and what a wrapper around the routes costs shows up here first.
 // The durable variant journals every request to a real file; checkpoints are
 // pushed out of reach so the op is the per-request path alone.
-func handlerOp(tb testing.TB, durable bool, target func(wire uint64) (path string, body []byte)) func() {
+//
+// The "+reqid" modes are the path traffic really takes — loadgen, cmd/chaos
+// and the repository benchmark put a request ID on every mutation: each
+// request carries IDs no earlier one did (the X-Request-ID header, or the
+// "req_id":"bench-00000000" member of every op of a body that has them,
+// renumbered in place), and the dedup window is full before the op is handed
+// back, so every ID is a miss whose entry evicts the oldest.
+func handlerOp(tb testing.TB, mode string, target handlerTarget) func() {
+	durable, reqIDs := strings.HasPrefix(mode, "durable"), strings.HasSuffix(mode, "+reqid")
 	opts := benchOptions(1)
 	var s *Server
 	if durable {
@@ -175,12 +184,12 @@ func handlerOp(tb testing.TB, durable bool, target func(wire uint64) (path strin
 	}
 	tb.Cleanup(s.Close)
 	sh, local := benchAcquire(tb, s, "handler-bench")
-	path, body := target(encodeLeaseID(sh.id, local))
+	path, body := target(encodeLeaseID(sh.id, local), reqIDs)
 
 	handler := s.Handler()
 	req, rb := newReplayRequest("POST", path, body)
 	w := newNullWriter()
-	return func() {
+	op := func() {
 		rb.off = 0
 		w.reset()
 		handler.ServeHTTP(w, req)
@@ -188,11 +197,64 @@ func handlerOp(tb testing.TB, durable bool, target func(wire uint64) (path strin
 			tb.Fatalf("status %d", w.status)
 		}
 	}
+	if !reqIDs {
+		return op
+	}
+
+	// Request IDs: body members renumbered in place, or — a body without
+	// them — a header value from a pool twice the window long, so that an ID
+	// comes round again only long after the cache has forgotten it.
+	var members []int
+	for at := 0; ; {
+		i := bytes.Index(body[at:], []byte(benchReqID))
+		if i < 0 {
+			break
+		}
+		at += i + len(benchReqID)
+		members = append(members, at-len(`00000000",`))
+	}
+	var pool []string
+	header := make([]string, 1)
+	if len(members) == 0 {
+		pool = make([]string, 2*opts.withDefaults().DedupWindow)
+		for i := range pool {
+			pool[i] = fmt.Sprintf("bench-%08x", i)
+		}
+		req.Header["X-Request-Id"] = header
+	}
+	var seq uint32
+	unique := func() {
+		if pool != nil {
+			header[0] = pool[seq%uint32(len(pool))]
+			seq++
+		}
+		for _, at := range members {
+			for i, v := 7, seq; i >= 0; i, v = i-1, v>>4 {
+				body[at+i] = "0123456789abcdef"[v&15]
+			}
+			seq++
+		}
+		op()
+	}
+	for sh.dedup.size() < sh.opts.DedupWindow {
+		unique()
+	}
+	if n := sh.metrics.deduped.Load(); n != 0 {
+		tb.Fatalf("%d requests hit the dedup cache; every ID was to be new", n)
+	}
+	return unique
 }
 
-func benchHandlerModes(b *testing.B, target func(wire uint64) (string, []byte)) {
-	for _, mode := range []string{"mem", "durable"} {
-		b.Run(mode, func(b *testing.B) { loopOp(b, handlerOp(b, mode == "durable", target)) })
+// handlerTarget is a request for handlerOp to replay: a path and a body for
+// the given lease, the body's ops carrying benchReqID members if reqIDs.
+type handlerTarget func(wire uint64, reqIDs bool) (path string, body []byte)
+
+// benchReqID is the req_id member handlerOp renumbers.
+const benchReqID = `"req_id":"bench-00000000",`
+
+func benchHandlerModes(b *testing.B, target handlerTarget) {
+	for _, mode := range []string{"mem", "durable", "durable+reqid"} {
+		b.Run(mode, func(b *testing.B) { loopOp(b, handlerOp(b, mode, target)) })
 	}
 }
 
@@ -205,13 +267,17 @@ func loopOp(b *testing.B, op func()) {
 }
 
 // renewTarget is one renew per request, the per-op routes' unit.
-func renewTarget(wire uint64) (string, []byte) {
+func renewTarget(wire uint64, _ bool) (string, []byte) {
 	return fmt.Sprintf("/v1/leases/%d/renew", wire), []byte(`{"cpu_ms":1,"ui_updates":1}`)
 }
 
 // batch64Target is 64 renews in one POST /v1/batch.
-func batch64Target(wire uint64) (string, []byte) {
-	op := fmt.Sprintf(`{"op":"renew","lease_id":%d,"report":{"cpu_ms":1,"ui_updates":1}}`, wire)
+func batch64Target(wire uint64, reqIDs bool) (string, []byte) {
+	member := ""
+	if reqIDs {
+		member = benchReqID
+	}
+	op := fmt.Sprintf(`{"op":"renew","lease_id":%d,%s"report":{"cpu_ms":1,"ui_updates":1}}`, wire, member)
 	return "/v1/batch", []byte(`{"ops":[` + strings.Repeat(op+",", 63) + op + `]}`)
 }
 
@@ -220,6 +286,41 @@ func BenchmarkHandlerRenew(b *testing.B) { benchHandlerModes(b, renewTarget) }
 // BenchmarkHandlerBatch64's ns/op is per request, so /64 compares with
 // BenchmarkHandlerRenew.
 func BenchmarkHandlerBatch64(b *testing.B) { benchHandlerModes(b, batch64Target) }
+
+// dedupOp is one call on a full default-sized dedup cache holding responses
+// of a lease's length: "hit" copies a resident ID's response out, "miss"
+// looks up an ID never stored — a request's first attempt, the common case —
+// and "put-full" stores under a new ID, evicting the oldest entry and
+// recycling its slot. IDs are made beforehand; a pool four windows long
+// keeps every put-full a miss.
+func dedupOp(kind string) func() {
+	const window = 4096
+	c := newDedupCache(window)
+	resp := bytes.Repeat([]byte("r"), 170)
+	ids := make([]string, 4*window)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("bench-%08x", i)
+		if i < window {
+			c.put(ids[i], resp)
+		}
+	}
+	var dst []byte
+	next := 0
+	switch kind {
+	case "hit":
+		return func() { dst, _ = c.get(dst[:0], ids[next%window]); next++ }
+	case "miss":
+		return func() { dst, _ = c.get(dst[:0], ids[window+next%window]); next++ }
+	default:
+		return func() { c.put(ids[(window+next)%len(ids)], resp); next++ }
+	}
+}
+
+func BenchmarkDedup(b *testing.B) {
+	for _, kind := range []string{"hit", "miss", "put-full"} {
+		b.Run(kind, func(b *testing.B) { loopOp(b, dedupOp(kind)) })
+	}
+}
 
 // checkpointBenchShard is the shard the two snapshot benchmarks work on:
 // 1 000 leases with 20 terms of history each (the idle tenth fewer — they

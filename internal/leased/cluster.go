@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/lease"
-	"repro/internal/power"
 	"repro/internal/snapenc"
 )
 
@@ -279,7 +277,9 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	sh.clock.ResetVirtual()
 	sh.clock.RunVirtual(st.Now)
 	sh.do(func() {
-		sh.reinitLocked()
+		// Wholesale replacement, on the same (just-reset) clock: the store,
+		// metrics, recovery info and replication stream survive.
+		sh.shardState = newShardState(sh.clock, sh.opts)
 		if err = sh.restoreStateLocked(st); err != nil {
 			return
 		}
@@ -315,21 +315,6 @@ func (s *Server) ApplyBurst(shard int, groups [][][]byte) error {
 		return fmt.Errorf("leased: corrupt replicated record: %w", err)
 	}
 	return nil
-}
-
-// reinitLocked resets the shard's in-memory containers for a wholesale
-// state replacement, on the same (just-reset) clock. Callers hold the shard
-// clock; the store, metrics, recovery info and replication stream survive.
-func (sh *shard) reinitLocked() {
-	sh.apps = newAppStats()
-	sh.clients = make(map[string]power.UID)
-	sh.clientName = make(map[power.UID]string)
-	sh.nextUID = 1
-	sh.byKey = make(map[clientKey]*robj)
-	sh.byLease = make(map[uint64]*robj)
-	sh.res = &resources{clock: sh.clock, objs: make(map[uint64]*robj)}
-	sh.mgr = lease.NewManager(sh.clock, sh.apps, sh.opts.Lease)
-	sh.dedup = newDedupCache(sh.opts.DedupWindow)
 }
 
 // replicaStats reports follower-side replication progress, when following.

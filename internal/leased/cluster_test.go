@@ -34,10 +34,13 @@ type clusterRig struct {
 	fln  net.Listener // follower's replication listener (used after promotion)
 }
 
-func newClusterRig(t *testing.T, shards int) *clusterRig {
+func newClusterRig(t *testing.T, shards int, mut ...func(*Options)) *clusterRig {
 	t.Helper()
 	popts := testOptions()
 	popts.Shards = shards
+	for _, m := range mut {
+		m(&popts)
+	}
 	popts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}
 	prim := newDurableRig(t, t.TempDir(), popts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,8 +49,7 @@ func newClusterRig(t *testing.T, shards int) *clusterRig {
 	}
 	prim.s.ServeReplication(ln)
 
-	fopts := testOptions()
-	fopts.Shards = shards
+	fopts := popts
 	fopts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: ln.Addr().String(), Advertise: "http://follower.invalid"}
 	fol := newDurableRig(t, t.TempDir(), fopts)
 	fln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -739,9 +739,18 @@ func keyIs(key []byte, name string) bool {
 	return eqFold(key, name)
 }
 
-// eqFold is bytes.EqualFold against a string, allocation-free.
+// eqFold is bytes.EqualFold against a string, allocation-free. Nearly every
+// call is a known key tested against a tag it is not, so the cheap way of
+// saying no comes first: two ASCII bytes fold together only if they differ in
+// the case bit alone (what folds onto ASCII from outside it — ſ onto s, the
+// Kelvin sign onto k — is not ASCII), so a mismatch there ends the comparison
+// without consulting the Unicode tables; for keys that are not a tag that is
+// the first byte or two.
 func eqFold(b []byte, s string) bool {
 	for len(b) > 0 && len(s) > 0 {
+		if b[0] < utf8.RuneSelf && s[0] < utf8.RuneSelf && b[0]|0x20 != s[0]|0x20 {
+			return false
+		}
 		var rb, rs rune
 		if b[0] < utf8.RuneSelf {
 			rb, b = rune(b[0]), b[1:]

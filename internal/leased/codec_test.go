@@ -179,6 +179,16 @@ var decodeCorpus = []string{
 	// deep nesting in an unknown field: 10000 is the shared depth limit
 	`{"nope":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
 	`{"nope":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`,
+	// keys that fold onto a tag from outside ASCII, and so across byte
+	// lengths — ſ (U+017F) onto s, the Kelvin sign (U+212A) onto k — and
+	// ASCII near-misses of every sort: longer, shorter, one byte off
+	"{\"cpu_mſ\":4,\"uſed_mſ\":2,\"ui_updateſ\":3}",
+	"{\"Kind\":\"gps\",\"KIND\":\"b\",\"client\":\"a\"}",
+	`{"\u212aind":"escaped kelvin","\u017f":1}`,
+	"{\"ſ\":1,\"K\":2,\"k\":3,\"s\":4}",
+	`{"cpu_mss":4,"cpu_m":5,"cpu_mt":6,"Cpu_mS":7}`,
+	`{"clienu":"a","clien":"b","clientt":"c","kinD":"d"}`,
+	`{"used_ms":1,"used_m":2,"request_ms":3,"distance_m":4,"ui_updates":5,"exceptions":6}`,
 }
 
 func usageBitsEqual(a, b usageReport) bool {
@@ -322,6 +332,10 @@ func TestDecodeBatchMatchesStdlib(t *testing.T) {
 		`{"ops":[{"op":"x"},]}`,
 		`{"ops":[`,
 		`{"other":true,"ops":[{"op":"acquire","client":"z"}]}`,
+		// non-ASCII folds (ſ onto s, the Kelvin sign onto k) and near-misses
+		"{\"opſ\":[{\"op\":\"release\",\"leaſe_id\":256,\"deſtroy\":true,\"req_id\":\"r\"}]}",
+		"{\"ops\":[{\"op\":\"acquire\",\"client\":\"a\",\"Kind\":\"gps\"}]}",
+		`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_mſ":2},"reporu":{"cpu_ms":1},"req_ie":"x","clienu":"y"}]}`,
 	}
 	for _, body := range corpus {
 		env := getBatchEnv()

@@ -82,8 +82,9 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// leaseView renders o's lease. Callers hold the shard clock.
-func (sh *shard) leaseView(o *robj, withExplain bool) leaseResponse {
+// leaseView renders o's lease; a lease just destroyed shows as DEAD with no
+// terms. Callers hold the shard clock.
+func (sh *shard) leaseView(o *robj) leaseResponse {
 	resp := leaseResponse{
 		LeaseID:  encodeLeaseID(sh.id, o.leaseID),
 		Client:   o.client,
@@ -92,15 +93,11 @@ func (sh *shard) leaseView(o *robj, withExplain bool) leaseResponse {
 		Kind:     o.kind.String(),
 		Held:     o.held,
 		Acquires: o.acquires,
-		State:    lease.Dead.String(),
+		State:    o.lease.State().String(),
 	}
-	if l := sh.mgr.LeaseByID(o.leaseID); l != nil {
-		resp.State = l.State().String()
-		resp.Terms = l.Terms()
+	if o.lease.State() != lease.Dead {
+		resp.Terms = o.lease.Terms()
 		resp.TermMS = sh.termMS
-	}
-	if withExplain {
-		resp.Explain = sh.mgr.Explain(o.leaseID)
 	}
 	return resp
 }
@@ -533,15 +530,19 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	env := getOpEnv()
 	defer putOpEnv(env)
 	var resp leaseResponse
+	var why lease.Explanation
 	found, late := false, false
 	deadline := deadlineOf(w)
+	// Under the clock only copies are taken; the explanation is formatted —
+	// the one allocating step of a GET — after the shard is free again.
 	sh.do(func() {
 		if late = expired(deadline); late {
 			return
 		}
 		if o := sh.byLease[local]; o != nil {
 			found = true
-			resp = sh.leaseView(o, true)
+			resp = sh.leaseView(o)
+			why = sh.mgr.Explanation(o.lease)
 		}
 	})
 	if late {
@@ -552,6 +553,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown or dead lease")
 		return
 	}
+	resp.Explain = why.String()
 	env.out = appendLeaseResponse(env.out[:0], &resp)
 	env.slot.status, env.slot.body = http.StatusOK, env.out
 	env.write(w)

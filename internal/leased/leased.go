@@ -12,7 +12,7 @@
 //	 hash(client)       └► shard N-1
 //
 // Every piece of mutable lease state is keyed by client identity —
-// reputation, EUB, the lease table, the UID map, the dedup cache — so the
+// reputation, EUB, the lease table, the client table, the dedup cache — so the
 // daemon partitions into fully independent shards: each shard is a wall
 // clock, an unmodified manager, a resource table and a durable journal of
 // its own, and a request touches exactly one of them. Acquires route by
@@ -276,29 +276,18 @@ type Server struct {
 	probeBusy  atomic.Bool // one in-flight peer-probe sweep at a time
 }
 
-// shard is one fully independent partition of the daemon: a wall clock, an
-// unmodified lease manager, the server-side resource table, the client/UID
-// map, the dedup cache and (for durable daemons) a journal+snapshot store.
-// All mutable state below is touched only inside clock.Do; nothing in a
-// shard is ever accessed from another shard.
+// shard is one fully independent partition of the daemon: a wall clock, the
+// lease state that runs on it and (for durable daemons) a journal+snapshot
+// store. All mutable state below is touched only inside clock.Do; nothing in
+// a shard is ever accessed from another shard.
 type shard struct {
 	id    int
 	opts  Options
 	clock *runtime.Wall
-	mgr   *lease.Manager
-	res   *resources
-	apps  *appStats
-
-	clients    map[string]power.UID
-	clientName map[power.UID]string
-	nextUID    power.UID
-
-	byKey   map[clientKey]*robj // one kernel object per (uid, kind)
-	byLease map[uint64]*robj    // keyed by shard-local lease ID
+	shardState
 
 	// Durability (nil store = in-memory daemon, the NewServer path).
 	store    *durable.Store
-	dedup    *dedupCache
 	recovery RecoveryInfo
 
 	// Replication (nil repl = standalone daemon). repl is this shard's
@@ -323,9 +312,39 @@ type shard struct {
 	metrics *shardMetrics
 }
 
-type clientKey struct {
-	uid  power.UID
-	kind hooks.Kind
+// shardState is what a snapshot carries and a wholesale replacement
+// (ApplySnapshot) replaces: an unmodified lease manager, the server-side
+// resource table, the client table and the dedup cache. State is reached by
+// handle, not by hashing: an op resolves its lease ID once in byLease (an
+// acquire its client name once in clients) and everything else it touches —
+// the holder's counters, the object, the manager's lease — hangs off the
+// robj or sits in the client table at the robj's uid.
+type shardState struct {
+	mgr *lease.Manager
+	res *resources
+
+	// clients maps a name to its shard-local UID. UIDs are handed out densely
+	// from 1 and never retired, so table is indexed by them: a client's name,
+	// counters and objects are one record. The next UID is len(table.recs).
+	clients map[string]power.UID
+	table   *clientTable
+
+	byLease map[uint64]*robj // keyed by shard-local lease ID
+	dedup   *dedupCache
+}
+
+// newShardState is the one constructor of a shard's replaceable state: an
+// empty shard on clock.
+func newShardState(clock *runtime.Wall, opts Options) shardState {
+	table := &clientTable{recs: make([]clientRec, 1)} // UID 0 is never issued
+	return shardState{
+		mgr:     lease.NewManager(clock, table, opts.Lease),
+		res:     &resources{clock: clock, objs: make(map[uint64]*robj)},
+		clients: make(map[string]power.UID),
+		table:   table,
+		byLease: make(map[uint64]*robj),
+		dedup:   newDedupCache(opts.DedupWindow),
+	}
 }
 
 // NewServer assembles an in-memory daemon (no journals; state dies with the
@@ -373,19 +392,11 @@ func newShard(id int, opts Options, clock *runtime.Wall, ce *atomic.Uint64) *sha
 		id:         id,
 		opts:       opts,
 		clock:      clock,
-		apps:       newAppStats(),
-		clients:    make(map[string]power.UID),
-		clientName: make(map[power.UID]string),
-		nextUID:    1,
-		byKey:      make(map[clientKey]*robj),
-		byLease:    make(map[uint64]*robj),
-		dedup:      newDedupCache(opts.DedupWindow),
+		shardState: newShardState(clock, opts),
 		cepoch:     ce,
 		jw:         snapenc.NewWriter(nil),
 		metrics:    &shardMetrics{},
 	}
-	sh.res = &resources{clock: sh.clock, objs: make(map[uint64]*robj)}
-	sh.mgr = lease.NewManager(sh.clock, sh.apps, opts.Lease)
 	sh.termMS = sh.mgr.Config().Term.Milliseconds()
 	if opts.Faults != nil {
 		site := opts.Faults.Site("wall.delay")
@@ -445,10 +456,9 @@ func (sh *shard) uidOf(client string) power.UID {
 	if uid, ok := sh.clients[client]; ok {
 		return uid
 	}
-	uid := sh.nextUID
-	sh.nextUID++
+	uid := power.UID(len(sh.table.recs))
+	sh.table.recs = append(sh.table.recs, clientRec{name: client})
 	sh.clients[client] = uid
-	sh.clientName[uid] = client
 	return uid
 }
 
@@ -458,14 +468,15 @@ func (sh *shard) uidOf(client string) power.UID {
 // not wire attempts. Callers hold the shard clock.
 func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 	uid := sh.uidOf(client)
-	key := clientKey{uid, kind}
-	o := sh.byKey[key]
-	if o == nil || o.destroyed {
+	slot := &sh.table.recs[uid].objs[kind]
+	o := *slot
+	if o == nil {
 		o = sh.res.create(uid, kind, client)
-		sh.byKey[key] = o
+		*slot = o
 		o.held = true
 		o.acquires = 1
 		o.leaseID = sh.mgr.Create(sh.res.hookObject(o))
+		o.lease = sh.mgr.LeaseByID(o.leaseID)
 		sh.byLease[o.leaseID] = o
 		return o
 	}
@@ -474,7 +485,7 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 		sh.res.settle(o)
 		o.held = true
 	}
-	sh.mgr.ObjectReacquired(sh.res.hookObject(o))
+	sh.mgr.Reacquired(o.lease)
 	return o
 }
 
@@ -488,7 +499,7 @@ func (sh *shard) renew(o *robj, rep usageReport) {
 		sh.res.settle(o)
 		o.held = true
 	}
-	sh.mgr.ObjectReacquired(sh.res.hookObject(o))
+	sh.mgr.Reacquired(o.lease)
 }
 
 // release drops the hold; the lease itself transitions at its next term
@@ -500,11 +511,14 @@ func (sh *shard) release(o *robj) {
 	}
 	sh.res.settle(o)
 	o.held = false
-	sh.mgr.ObjectReleased(sh.res.hookObject(o))
+	sh.mgr.Released(o.lease)
 }
 
 // destroy deallocates the kernel object: the lease dies and the (client,
-// kind) slot is freed for a fresh lease. Callers hold the shard clock.
+// kind) slot is freed for a fresh lease. It is the only way a daemon lease
+// dies, and it drops the object from every table in the same step, so no
+// table ever reaches a robj whose lease handle is dead. Callers hold the
+// shard clock.
 func (sh *shard) destroy(o *robj) {
 	if o.destroyed {
 		return
@@ -512,8 +526,8 @@ func (sh *shard) destroy(o *robj) {
 	sh.res.settle(o)
 	o.destroyed = true
 	o.held = false
-	sh.mgr.ObjectDestroyed(sh.res.hookObject(o))
-	delete(sh.byKey, clientKey{o.uid, o.kind})
+	sh.mgr.Destroyed(o.lease)
+	sh.table.recs[o.uid].objs[o.kind] = nil
 	delete(sh.byLease, o.leaseID)
 	delete(sh.res.objs, o.id)
 }
@@ -536,8 +550,8 @@ type opSlot struct {
 	errMsg  string // status != 200
 	deduped bool
 	// body is the encoded lease (status 200): a view into the buffer
-	// applyLocked appended to, or a cache-owned slice on a dedup hit — both
-	// stable until the front end has answered.
+	// applyLocked appended to — a dedup hit's stored bytes are copied there
+	// too — stable until the front end has answered.
 	body []byte
 }
 
@@ -588,9 +602,13 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 		rec := &sl.rec
 		if live {
 			if rec.ReqID != "" {
-				if raw, ok := sh.dedup.get(rec.ReqID); ok {
+				// A hit is copied out: the cache recycles its buffers, and a
+				// later op of this very group may evict the entry.
+				start := len(out)
+				var hit bool
+				if out, hit = sh.dedup.get(out, rec.ReqID); hit {
 					sh.metrics.deduped.Add(1)
-					sl.status, sl.deduped, sl.body = http.StatusOK, true, raw
+					sl.status, sl.deduped, sl.body = http.StatusOK, true, out[start:len(out):len(out)]
 					continue
 				}
 			}
@@ -618,8 +636,7 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 		out = appendLeaseResponse(out, &view)
 		sl.body = out[start:len(out):len(out)]
 		if rec.ReqID != "" {
-			// The cache must own a stable copy — out is recycled.
-			sh.dedup.put(rec.ReqID, append([]byte(nil), sl.body...))
+			sh.dedup.put(rec.ReqID, sl.body) // copied into the slot's own buffer
 		}
 	}
 	return out
@@ -633,7 +650,7 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, errMsg string) {
 	switch rec.Op {
 	case opAcquire:
-		return http.StatusOK, sh.leaseView(sh.acquire(rec.Client, rec.Kind), false), ""
+		return http.StatusOK, sh.leaseView(sh.acquire(rec.Client, rec.Kind)), ""
 	case opRenew:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
@@ -644,7 +661,7 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, err
 			rep = *rec.Report
 		}
 		sh.renew(o, rep)
-		return http.StatusOK, sh.leaseView(o, false), ""
+		return http.StatusOK, sh.leaseView(o), ""
 	case opRelease:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
@@ -655,7 +672,7 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, err
 		} else {
 			sh.release(o)
 		}
-		return http.StatusOK, sh.leaseView(o, false), ""
+		return http.StatusOK, sh.leaseView(o), ""
 	case opMark:
 		return http.StatusOK, resp, ""
 	}
@@ -674,7 +691,7 @@ func (sh *shard) foldReport(o *robj, rep usageReport) {
 	if rep.DistanceM > 0 {
 		o.distanceM += rep.DistanceM
 	}
-	sh.apps.add(o.uid, rep)
+	sh.table.recs[o.uid].add(rep)
 }
 
 // --- the server-side lease proxy (hooks.Controller) ---
@@ -688,6 +705,10 @@ type robj struct {
 	kind    hooks.Kind
 	client  string
 	leaseID uint64 // shard-local manager lease ID
+	// lease is the manager's record for leaseID, resolved when the lease is
+	// created (acquire) or restored (restoreStateLocked) and valid for as
+	// long as any table holds this robj: destroy kills both together.
+	lease *lease.Lease
 
 	held       bool
 	suppressed bool
@@ -795,49 +816,63 @@ func (r *resources) ServiceName() string { return "leased" }
 
 var _ hooks.Controller = (*resources)(nil)
 
-// --- app-level utility signals (lease.AppStats) ---
+// --- the client table (lease.AppStats) ---
 
-// appStats accumulates the cumulative per-client counters the manager
-// differences per term: CPU time, exceptions, UI updates, interactions.
-// Clients self-report them in renewal payloads; in the simulator the app
-// framework plays this role.
-type appStats struct {
-	cpu   map[power.UID]time.Duration
-	exc   map[power.UID]int
-	ui    map[power.UID]int
-	inter map[power.UID]int
+// clientRec is everything the shard keeps per client, found by UID: the
+// name, the cumulative app-level counters the manager differences per term
+// (CPU time, exceptions, UI updates, interactions — clients self-report them
+// in renewal payloads; in the simulator the app framework plays this role),
+// and the client's kernel object of each kind, nil where it holds none.
+type clientRec struct {
+	name  string
+	cpu   time.Duration
+	exc   int
+	ui    int
+	inter int
+	objs  [hooks.NumKinds]*robj
 }
 
-func newAppStats() *appStats {
-	return &appStats{
-		cpu:   make(map[power.UID]time.Duration),
-		exc:   make(map[power.UID]int),
-		ui:    make(map[power.UID]int),
-		inter: make(map[power.UID]int),
-	}
-}
-
-func (a *appStats) add(uid power.UID, rep usageReport) {
+func (c *clientRec) add(rep usageReport) {
 	if d := rep.cpu(); d > 0 {
-		a.cpu[uid] += d
+		c.cpu += d
 	}
 	if rep.Exceptions > 0 {
-		a.exc[uid] += rep.Exceptions
+		c.exc += rep.Exceptions
 	}
 	if rep.UIUpdates > 0 {
-		a.ui[uid] += rep.UIUpdates
+		c.ui += rep.UIUpdates
 	}
 	if rep.Interactions > 0 {
-		a.inter[uid] += rep.Interactions
+		c.inter += rep.Interactions
 	}
 }
 
-func (a *appStats) CPUTimeOf(uid power.UID) time.Duration { return a.cpu[uid] }
-func (a *appStats) ExceptionsOf(uid power.UID) int        { return a.exc[uid] }
-func (a *appStats) UIUpdatesOf(uid power.UID) int         { return a.ui[uid] }
-func (a *appStats) InteractionsOf(uid power.UID) int      { return a.inter[uid] }
+// reported is whether any counter has ever been reported: the clients a
+// snapshot's apps section has a row for.
+func (c *clientRec) reported() bool {
+	return c.cpu != 0 || c.exc != 0 || c.ui != 0 || c.inter != 0
+}
 
-var _ lease.AppStats = (*appStats)(nil)
+// clientTable is the shard's clients indexed by UID (recs[0] is unused: UIDs
+// start at 1). It is a type of its own, held by pointer, because the manager
+// keeps it as its lease.AppStats while append moves recs.
+type clientTable struct {
+	recs []clientRec
+}
+
+// known reports whether uid has been issued.
+func (t *clientTable) known(uid power.UID) bool {
+	return uid > 0 && int(uid) < len(t.recs)
+}
+
+// The manager asks only about holders of its leases, whose UIDs acquire
+// issued or restore checked.
+func (t *clientTable) CPUTimeOf(uid power.UID) time.Duration { return t.recs[uid].cpu }
+func (t *clientTable) ExceptionsOf(uid power.UID) int        { return t.recs[uid].exc }
+func (t *clientTable) UIUpdatesOf(uid power.UID) int         { return t.recs[uid].ui }
+func (t *clientTable) InteractionsOf(uid power.UID) int      { return t.recs[uid].inter }
+
+var _ lease.AppStats = (*clientTable)(nil)
 
 // allKinds is hooks.Kinds() computed once: Kinds allocates a fresh slice
 // per call, which the request path cannot afford.

@@ -418,7 +418,7 @@ func (sh *shard) collect() ShardSnapshot {
 			rec := sh.recovery
 			snap.Recovery = &rec
 		}
-		snap.Clients = len(sh.clients)
+		snap.Clients = len(sh.table.recs) - 1
 		snap.Leases.CreatedTotal = sh.mgr.CreatedTotal()
 		snap.Leases.Live = sh.mgr.LeaseCount()
 		snap.Leases.Dead = snap.Leases.CreatedTotal - snap.Leases.Live
@@ -438,19 +438,18 @@ func (sh *shard) collect() ShardSnapshot {
 		snap.Manager.Renewals = sh.mgr.Renewals
 		snap.Manager.Deferrals = sh.mgr.Deferrals
 		snap.Manager.TermAdaptations = sh.mgr.TermAdaptations
-		for name, uid := range sh.clients {
+		// Table order is UID order: the list comes out sorted.
+		for i := 1; i < len(sh.table.recs); i++ {
+			uid := power.UID(i)
 			rep := sh.mgr.ReputationOf(uid)
 			if rep.Deferrals > 0 {
 				snap.Defaulters = append(snap.Defaulters, Defaulter{
-					Client: name, UID: int(uid), Shard: sh.id,
+					Client: sh.table.recs[i].name, UID: i, Shard: sh.id,
 					Deferrals: rep.Deferrals, NormalTerms: rep.NormalTerms,
 					State: stateOf[uid],
 				})
 			}
 		}
-	})
-	sort.Slice(snap.Defaulters, func(i, j int) bool {
-		return snap.Defaulters[i].UID < snap.Defaulters[j].UID
 	})
 	return snap
 }

@@ -171,21 +171,12 @@ func TestConcurrentHammer(t *testing.T) {
 				}
 				byID[l.ID()] = true
 			}
-			// Every object the shard tracks maps to a live lease and back.
-			for id, o := range sh.byLease {
-				if o.destroyed {
-					t.Errorf("shard %d: destroyed object still tracked for lease %d", sh.id, id)
-				}
+			// Every object the shard tracks maps to a live lease and back,
+			// through every table and its handle.
+			checkHandles(t, sh)
+			for id := range sh.byLease {
 				if !byID[id] {
 					t.Errorf("shard %d: tracks lease %d the manager does not", sh.id, id)
-				}
-				if got := sh.byKey[clientKey{o.uid, o.kind}]; got != o {
-					t.Errorf("shard %d: byKey/byLease disagree for lease %d", sh.id, id)
-				}
-			}
-			for key, o := range sh.byKey {
-				if sh.byLease[o.leaseID] != o {
-					t.Errorf("shard %d: byKey entry %v not in byLease", sh.id, key)
 				}
 			}
 			if sh.mgr.CreatedTotal() < sh.mgr.LeaseCount() {

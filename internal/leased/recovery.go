@@ -542,15 +542,36 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			}
 		}
 	}
-	sh.nextUID = power.UID(st.NextUID)
-	for _, c := range st.Clients {
+	// Validate before indexing: a table indexed by a decoded number takes
+	// nothing from the payload on trust. Each refusal names the section and
+	// the row.
+	if st.NextUID != len(st.Clients)+1 {
+		return fmt.Errorf("leased: snapshot clients: next_uid %d with %d rows (UIDs are dense from 1)", st.NextUID, len(st.Clients))
+	}
+	for i, c := range st.Clients {
+		if c.UID != i+1 {
+			return fmt.Errorf("leased: snapshot clients row %d: uid %d, want %d (rows are in UID order, dense from 1)", i, c.UID, i+1)
+		}
+		sh.table.recs = append(sh.table.recs, clientRec{name: c.Name})
 		sh.clients[c.Name] = power.UID(c.UID)
-		sh.clientName[power.UID(c.UID)] = c.Name
 	}
 	sh.res.nextID = st.NextObjID
-	for _, os := range st.Objects {
+	for i, os := range st.Objects {
+		uid, kind := power.UID(os.UID), hooks.Kind(os.Kind)
+		switch {
+		case !sh.table.known(uid):
+			return fmt.Errorf("leased: snapshot objects row %d: unknown uid %d", i, os.UID)
+		case kind < 0 || int(kind) >= hooks.NumKinds:
+			return fmt.Errorf("leased: snapshot objects row %d: unknown resource kind %d", i, os.Kind)
+		case sh.table.recs[uid].objs[kind] != nil:
+			return fmt.Errorf("leased: snapshot objects row %d: uid %d already holds a %v object", i, os.UID, kind)
+		case sh.res.objs[os.ID] != nil:
+			return fmt.Errorf("leased: snapshot objects row %d: duplicate object id %d", i, os.ID)
+		case sh.byLease[os.LeaseID] != nil:
+			return fmt.Errorf("leased: snapshot objects row %d: duplicate lease_id %d", i, os.LeaseID)
+		}
 		o := &robj{
-			id: os.ID, uid: power.UID(os.UID), kind: hooks.Kind(os.Kind),
+			id: os.ID, uid: uid, kind: kind,
 			client: os.Client, leaseID: os.LeaseID,
 			held: os.Held, suppressed: os.Suppressed,
 			lastSettle: os.LastSettle,
@@ -561,22 +582,35 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			acquires: os.Acquires,
 		}
 		sh.res.objs[o.id] = o
-		sh.byKey[clientKey{o.uid, o.kind}] = o
+		sh.table.recs[uid].objs[kind] = o
 		sh.byLease[o.leaseID] = o
 	}
-	for _, a := range st.Apps {
+	for i, a := range st.Apps {
 		uid := power.UID(a.UID)
-		sh.apps.cpu[uid] = time.Duration(a.CPU)
-		sh.apps.exc[uid] = a.Exc
-		sh.apps.ui[uid] = a.UI
-		sh.apps.inter[uid] = a.Inter
+		if !sh.table.known(uid) {
+			return fmt.Errorf("leased: snapshot apps row %d: unknown uid %d", i, a.UID)
+		}
+		c := &sh.table.recs[uid]
+		c.cpu, c.exc, c.ui, c.inter = time.Duration(a.CPU), a.Exc, a.UI, a.Inter
 	}
 	sh.dedup.load(st.Dedup)
-	return sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (hooks.Object, bool) {
+	err := sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (hooks.Object, bool) {
 		r := sh.byLease[ls.ID]
 		if r == nil {
 			return hooks.Object{}, false
 		}
 		return sh.res.hookObject(r), true
 	})
+	if err != nil {
+		return err
+	}
+	// The second of the two points a lease handle is resolved at (acquire is
+	// the first). Every object must find its lease: the handle is what ops
+	// reach the manager through.
+	for _, o := range sh.byLease {
+		if o.lease = sh.mgr.LeaseByID(o.leaseID); o.lease == nil {
+			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", o.id, o.leaseID)
+		}
+	}
+	return nil
 }

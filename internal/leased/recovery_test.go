@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/lease"
-	"repro/internal/power"
 )
 
 func newJSONRequest(method, url string, body any) (*http.Request, error) {
@@ -173,7 +172,7 @@ func TestCrashRecoveryRebuildsExactState(t *testing.T) {
 	// The defaulter verdict survived: torch has deferrals on its record.
 	var foundRep bool
 	for _, r := range post[shIdx].Manager.Reputations {
-		if sh2.clientName[power.UID(r.UID)] == "torch" && r.Deferrals > 0 {
+		if sh2.table.recs[r.UID].name == "torch" && r.Deferrals > 0 {
 			foundRep = true
 		}
 	}

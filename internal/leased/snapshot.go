@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/lease"
-	"repro/internal/power"
 	"repro/internal/simclock"
 	"repro/internal/snapenc"
 )
@@ -35,8 +34,8 @@ const snapshotVersion = 1
 var errLegacySnapshot = errors.New("snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version byte 1) — start from a fresh data directory, or let the node catch up from a peer running this build")
 
 // encodeState walks the shard's full state into w. Callers hold the shard
-// clock. Iteration over every map is sorted, so equal states produce equal
-// bytes.
+// clock. The client table is walked in index order — which is UID order —
+// and every map in sorted key order, so equal states produce equal bytes.
 func (sh *shard) encodeState(w *snapenc.Writer) {
 	w.Byte(snapshotVersion)
 	w.Varint(int64(sh.clock.Now()))
@@ -49,16 +48,12 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 	w.Uvarint(cepoch)
 	sh.mgr.Config().EncodeState(w)
 
-	w.Int(int(sh.nextUID))
-	uids := make([]power.UID, 0, len(sh.clientName))
-	for uid := range sh.clientName {
-		uids = append(uids, uid)
-	}
-	slices.Sort(uids)
-	w.Uvarint(uint64(len(uids)))
-	for _, uid := range uids {
-		w.String(sh.clientName[uid])
-		w.Int(int(uid))
+	recs := sh.table.recs
+	w.Int(len(recs)) // the next UID
+	w.Uvarint(uint64(len(recs) - 1))
+	for uid := 1; uid < len(recs); uid++ {
+		w.String(recs[uid].name)
+		w.Int(uid)
 	}
 
 	w.Uvarint(sh.res.nextID)
@@ -88,25 +83,22 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 		w.Varint(o.acquires)
 	}
 
-	// One row per uid any of the four per-app tables has heard of.
-	uids = uids[:0]
-	for uid := range sh.apps.cpu {
-		uids = append(uids, uid)
-	}
-	for _, m := range [...]map[power.UID]int{sh.apps.exc, sh.apps.ui, sh.apps.inter} {
-		for uid := range m {
-			uids = append(uids, uid)
+	// One row per client that has ever reported a counter.
+	reported := 0
+	for uid := 1; uid < len(recs); uid++ {
+		if recs[uid].reported() {
+			reported++
 		}
 	}
-	slices.Sort(uids)
-	uids = slices.Compact(uids)
-	w.Uvarint(uint64(len(uids)))
-	for _, uid := range uids {
-		w.Int(int(uid))
-		w.Varint(int64(sh.apps.cpu[uid]))
-		w.Int(sh.apps.exc[uid])
-		w.Int(sh.apps.ui[uid])
-		w.Int(sh.apps.inter[uid])
+	w.Uvarint(uint64(reported))
+	for uid := 1; uid < len(recs); uid++ {
+		if c := &recs[uid]; c.reported() {
+			w.Int(uid)
+			w.Varint(int64(c.cpu))
+			w.Int(c.exc)
+			w.Int(c.ui)
+			w.Int(c.inter)
+		}
 	}
 
 	sh.dedup.encodeState(w)
@@ -137,7 +129,9 @@ func decodeSnapshot(payload []byte) (persistedState, error) {
 		return st, fmt.Errorf("unknown snapshot version byte %d (this build reads version %d)", payload[0], snapshotVersion)
 	}
 	r := snapenc.NewReader(payload[1:])
-	st.Now = simclock.Time(r.Varint())
+	if st.Now = simclock.Time(r.Varint()); st.Now < 0 {
+		return st, fmt.Errorf("header: negative instant %d", st.Now)
+	}
 	st.Shard = r.Int()
 	st.Shards = r.Int()
 	st.ClusterEpoch = r.Uvarint()

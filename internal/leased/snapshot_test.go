@@ -2,6 +2,7 @@ package leased
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -27,6 +28,21 @@ func encodeShard(sh *shard) []byte {
 	return w.Payload()
 }
 
+// freshShard is an empty shard 0 on an unstarted wall: what recovery restores
+// a snapshot into and replays a journal onto.
+func freshShard(opts Options) *shard {
+	return newShard(0, opts.withDefaults(), runtime.NewWallUnstarted(), new(atomic.Uint64))
+}
+
+// objOf is the client's kernel object of a kind, or nil.
+func (sh *shard) objOf(client string, kind hooks.Kind) *robj {
+	uid, ok := sh.clients[client]
+	if !ok {
+		return nil
+	}
+	return sh.table.recs[uid].objs[kind]
+}
+
 // captureState is the shard's state as plain structs: the decode of the one
 // encoder, so the crash-equality tests compare exactly what a snapshot
 // would carry. Callers hold the shard clock (or own an unstarted shard).
@@ -46,14 +62,14 @@ func (sh *shard) captureState() persistedState {
 func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 	tb.Helper()
 	opts = opts.withDefaults()
-	sh := newShard(0, opts, runtime.NewWallUnstarted(), new(atomic.Uint64))
+	sh := freshShard(opts)
 	ids := make([]uint64, leases)
 	for i := range ids {
 		rec := opRecord{Op: opAcquire, Client: fmt.Sprintf("client-%04d", i), Kind: []hooks.Kind{hooks.Wakelock, hooks.GPSListener, hooks.SensorListener}[i%3]}
 		if err := sh.replay([][][]byte{{encodeRecord(&rec)}}, false); err != nil {
 			tb.Fatal(err)
 		}
-		ids[i] = sh.byKey[clientKey{sh.clients[rec.Client], rec.Kind}].leaseID
+		ids[i] = sh.objOf(rec.Client, rec.Kind).leaseID
 	}
 	term := opts.Lease.Term
 	for n := 1; n <= terms; n++ {
@@ -168,9 +184,10 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 }
 
 // randomState is a fully random persistedState made just consistent enough
-// to restore: the shard's own identity and policy, unique sorted keys in
-// every table, each lease bound to the object of the same rank, and no due
-// instant on an event that is not pending.
+// to restore: the shard's own identity and policy, UIDs dense from 1, unique
+// sorted keys in every table, apps rows and objects owned by known clients
+// (an object per real kind at most), each lease bound to the object of the
+// same rank, and no due instant on an event that is not pending.
 func randomState(rng *rand.Rand, sh *shard) persistedState {
 	var st persistedState
 	fillRandom(reflect.ValueOf(&st).Elem(), rng)
@@ -182,8 +199,10 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 	for i := range st.Clients {
 		st.Clients[i].UID = i + 1
 	}
+	st.NextUID = len(st.Clients) + 1
+	st.Apps = st.Apps[:min(len(st.Apps), len(st.Clients))]
 	for i := range st.Apps {
-		st.Apps[i].UID = 10 * (i + 1)
+		st.Apps[i].UID = i + 1
 	}
 	for i := range st.Manager.Reputations {
 		st.Manager.Reputations[i].UID = 7 * (i + 1)
@@ -196,6 +215,7 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 	for i := range st.Objects {
 		o, ls := &st.Objects[i], &st.Manager.Leases[i]
 		o.ID, o.LeaseID = uint64(100+i), uint64(200+i)
+		o.UID, o.Kind = 1+i%len(st.Clients), i%hooks.NumKinds
 		ls.ID, ls.ObjID, ls.UID, ls.Kind = o.LeaseID, o.ID, o.UID, o.Kind
 		if !ls.HasCheck {
 			ls.CheckAt = 0
@@ -215,7 +235,7 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 func TestSnapshotRoundTripEveryField(t *testing.T) {
 	opts := snapTestOptions().withDefaults()
 	for seed := int64(1); seed <= 200; seed++ {
-		sh := newShard(0, opts, runtime.NewWallUnstarted(), new(atomic.Uint64))
+		sh := freshShard(opts)
 		want := randomState(rand.New(rand.NewSource(seed)), sh)
 		if err := sh.restoreState(want); err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
@@ -257,6 +277,106 @@ func TestSnapshotEqualStatesEqualBytes(t *testing.T) {
 	// A restored shard is an equal state too.
 	if !bytes.Equal(pa, encodeShard(restoredFrom(t, snapTestOptions(), pa))) {
 		t.Fatal("restored shard encodes differently")
+	}
+}
+
+// snapshotScript drives a fixed op script at fixed virtual instants into a
+// 2-shard daemon standing on unstarted walls (a follower: the posture in
+// which records carry their own instants) and returns it. The script visits
+// everything a snapshot section holds: several clients per shard, two kinds
+// for one of them, usage reports with every field, an idle holder deferred
+// and restored, a release, a destroy and a re-acquire into the freed slot,
+// and more request IDs than the dedup window holds, some of them retried.
+func snapshotScript(tb testing.TB) *Server {
+	tb.Helper()
+	opts := snapTestOptions()
+	opts.Shards = 2
+	opts.DedupWindow = 16
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	s := NewServer(opts)
+	tb.Cleanup(s.Close)
+
+	term := opts.Lease.Term
+	created := make([]uint64, opts.Shards) // leases created per shard: local IDs count up from 1
+	apply := func(shard int, recs ...*opRecord) {
+		tb.Helper()
+		group := make([][]byte, len(recs))
+		for i, rec := range recs {
+			group[i] = encodeRecord(rec)
+		}
+		if err := s.ApplyBatch(shard, group); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	type held struct {
+		shard int
+		local uint64
+	}
+	acquire := func(at time.Duration, client string, kind hooks.Kind, reqID string) held {
+		shard := shardIndex(client, opts.Shards)
+		apply(shard, &opRecord{At: at, Op: opAcquire, Client: client, Kind: kind, ReqID: reqID})
+		created[shard]++
+		return held{shard, created[shard]}
+	}
+
+	var leases []held
+	for i := 0; i < 10; i++ {
+		kind := []hooks.Kind{hooks.Wakelock, hooks.GPSListener, hooks.SensorListener, hooks.AudioSession}[i%4]
+		leases = append(leases, acquire(time.Duration(i)*time.Millisecond, fmt.Sprintf("client-%02d", i), kind, fmt.Sprintf("acq-%d", i)))
+	}
+	second := acquire(20*time.Millisecond, "client-03", hooks.WifiLock, "acq-second")
+
+	for n := 1; n <= 8; n++ {
+		at := time.Duration(n)*term - term/4
+		groups := make([][]*opRecord, opts.Shards)
+		for i, l := range leases {
+			if i%5 == 4 {
+				continue // idle holders: deferred, escalated, restored
+			}
+			rep := &usageReport{CPUMS: 40 + float64(i), UsedMS: 300, RequestMS: 20, FailedRequestMS: float64(i % 3), DataPoints: i % 4, DistanceM: float64(i) * 1.5, UIUpdates: 1 + i%3, Interactions: i % 2, Exceptions: i % 7 / 6}
+			groups[l.shard] = append(groups[l.shard], &opRecord{At: at, Op: opRenew, LeaseID: l.local, Report: rep, ReqID: fmt.Sprintf("renew-%d-%d", n, i)})
+		}
+		for shard, g := range groups {
+			apply(shard, g...)
+		}
+	}
+
+	at := 9 * term
+	apply(leases[0].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[0].local, ReqID: "release-0"})
+	apply(leases[1].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[1].local, Destroy: true, ReqID: "destroy-1"})
+	apply(second.shard, &opRecord{At: at, Op: opRelease, LeaseID: second.local, Destroy: true})
+	// The freed (client, kind) slot takes a fresh lease; a released one is
+	// re-acquired in place.
+	acquire(at+time.Millisecond, "client-01", hooks.GPSListener, "acq-again-1")
+	acquire(at+2*time.Millisecond, "client-00", hooks.Wakelock, "")
+	// A record replayed under a request ID the cache still holds replaces the
+	// entry's response without moving it in the eviction order.
+	apply(leases[2].shard, &opRecord{At: at + 3*time.Millisecond, Op: opRenew, LeaseID: leases[2].local, ReqID: "renew-8-2"})
+	return s
+}
+
+// TestSnapshotBytesUnchanged pins the payload itself: the script's two shards
+// encode to bytes with these sums. They were computed by running the script
+// at the last commit whose shard state was runtime maps throughout (PR 17),
+// so they hold the walk order of every table to "equal state, equal bytes"
+// across builds: either build recovers the other's data directory and follows
+// the other's stream. A deliberate format change moves these sums together
+// with snapshotVersion.
+func TestSnapshotBytesUnchanged(t *testing.T) {
+	want := []string{
+		"4cc531464b7ef58e0d89f580f86b89763504946dc2a414ead4a3b05f2bf9407a",
+		"ff77f7b6ae0fd0d9ef9bf6db6c8a9656a2fcc5b56453340180ac9935d9c17218",
+	}
+	s := snapshotScript(t)
+	for i, sh := range s.shards {
+		payload := encodeShard(sh)
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != want[i] {
+			t.Errorf("shard %d: %d-byte payload sums to %s, pinned at %s", i, len(payload), got, want[i])
+		}
+		st := sh.captureState()
+		if len(st.Dedup) != sh.opts.DedupWindow || len(st.Apps) == 0 || len(st.Apps) == len(st.Clients) || st.Manager.Deferrals == 0 {
+			t.Errorf("shard %d: the script no longer fills a facet: %d dedup, %d apps of %d clients, %d deferrals", i, len(st.Dedup), len(st.Apps), len(st.Clients), st.Manager.Deferrals)
+		}
 	}
 }
 
@@ -351,24 +471,47 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 	}
 }
 
-// TestDecodeSnapshotBoundsAllocation: no count or length prefix, wherever
-// in the payload it sits, can make the decoder allocate beyond what the
-// remaining input could hold. Every offset of a valid payload is overwritten
-// with a million-element count and the tail cut: whatever the decoder makes
-// of it (nearly always an error; a count landing on a plain integer field is
-// just a big integer), it allocates next to nothing — an unchecked make
-// would be ≥ 16 MB.
+// loadBounded decodes payload and, if it decodes, restores it into a fresh
+// unstarted shard, as recovery and a follower's catch-up do with bytes from
+// disk and from a peer. Whatever comes of it — nearly always an error — it
+// returns rather than panics, and allocates within a small multiple of the
+// input: tables indexed by decoded numbers are sized by the rows that were
+// really there. (The dedup window is small so that the fresh shard's own
+// fixed tables do not drown the measurement.) It returns the decode's result.
+func loadBounded(t *testing.T, payload []byte) (persistedState, error) {
+	t.Helper()
+	opts := snapTestOptions()
+	opts.DedupWindow = 8
+	sh := freshShard(opts)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	st, err := decodeSnapshot(payload)
+	if err == nil {
+		sh.restoreState(st)
+	}
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+256*uint64(len(payload)) {
+		t.Fatalf("decode and restore allocated %d bytes for a %d-byte input", grew, len(payload))
+	}
+	return st, err
+}
+
+// TestDecodeSnapshotBoundsAllocation: no count, length prefix or table index,
+// wherever in the payload it sits, can make the decoder or the restore
+// allocate beyond what the remaining input could hold. Every offset of a
+// valid payload is overwritten with a million-element count and the tail
+// cut, then — the tail kept, so that more of them decode and reach restore —
+// with a 2⁴⁰ and with a 200: whatever is made of it (nearly always an error;
+// a number landing on a plain integer field is just a big integer), next to
+// nothing is allocated — an unchecked make would be ≥ 16 MB.
 func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 	good := encodeShard(populatedShard(t, snapTestOptions(), 2, 2))
 	huge := binary.AppendUvarint(nil, 1<<20)
-	var before, after goruntime.MemStats
 	for off := 1; off < len(good); off++ {
-		bad := append(append([]byte(nil), good[:off]...), huge...)
-		goruntime.ReadMemStats(&before)
-		decodeSnapshot(bad)
-		goruntime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Fatalf("offset %d: decoder allocated %d bytes for a %d-byte input", off, grew, len(bad))
+		loadBounded(t, append(append([]byte(nil), good[:off]...), huge...))
+		for _, v := range []uint64{1 << 40, 200} {
+			// In place of the one-byte varint at off, where there is one.
+			loadBounded(t, append(binary.AppendUvarint(append([]byte(nil), good[:off]...), v), good[off+1:]...))
 		}
 	}
 }
@@ -376,7 +519,8 @@ func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 value: no other first byte, nothing
-// after it.
+// after it. What it accepts is then restored into a fresh shard, which must
+// hold to the same rule (loadBounded).
 func FuzzDecodeSnapshot(f *testing.F) {
 	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
 	f.Add(good)
@@ -385,8 +529,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"now":0}`))
 	f.Add([]byte{snapshotVersion})
 	f.Add([]byte{})
+	// Payloads that decode but must not restore: an object whose uid and
+	// whose kind would index far out of the client table.
+	for _, corrupt := range []func(*robj){
+		func(o *robj) { o.uid = 1 << 40 },
+		func(o *robj) { o.kind = 200 },
+	} {
+		sh := populatedShard(f, snapTestOptions(), 4, 3)
+		corrupt(sh.byLease[1])
+		f.Add(encodeShard(sh))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeSnapshot(data)
+		st, err := loadBounded(t, data)
 		if err != nil {
 			return
 		}
