@@ -1,9 +1,11 @@
 package appfw
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/power"
 )
 
@@ -98,4 +100,73 @@ func TestAlarmWakeAcquirePattern(t *testing.T) {
 		t.Fatal("CPU should be asleep between syncs")
 	}
 	_ = power.UID(0)
+}
+
+// switchGov gates background work on a flag tests flip.
+type switchGov struct {
+	hooks.Nop
+	allow bool
+}
+
+func (g *switchGov) AllowBackgroundWork(power.UID) bool { return g.allow }
+
+// pendingRig builds a background process whose timers and alarms, created by
+// setup, have all come due behind a shut governor gate.
+func pendingRig(t *testing.T, setup func(p *Process, gov *switchGov, fired *[]string)) (*rig, *switchGov, *[]string) {
+	gov := &switchGov{}
+	r := newRig(gov)
+	p := r.fw.NewProcess(10, "app")
+	r.hold(10)
+	var fired []string
+	setup(p, gov, &fired)
+	r.engine.RunUntil(1500 * time.Millisecond)
+	if len(fired) != 0 {
+		t.Fatalf("gated callbacks fired: %v", fired)
+	}
+	return r, gov, &fired
+}
+
+func note(fired *[]string, name string) func() {
+	return func() { *fired = append(*fired, name) }
+}
+
+// TestReevaluateFlushesTimersBeforeAlarms pins the order one reevaluation
+// delivers pending ticks in: every plain timer, then every alarm, each kind
+// in creation order.
+func TestReevaluateFlushesTimersBeforeAlarms(t *testing.T) {
+	r, gov, fired := pendingRig(t, func(p *Process, _ *switchGov, fired *[]string) {
+		p.AlarmEvery(time.Second, note(fired, "a1"))
+		p.Every(time.Second, note(fired, "t1"))
+		p.AlarmEvery(time.Second, note(fired, "a2"))
+		p.Every(time.Second, note(fired, "t2"))
+	})
+	gov.allow = true
+	r.fw.Reevaluate()
+	if got, want := strings.Join(*fired, " "), "t1 t2 a1 a2"; got != want {
+		t.Fatalf("flush order %q, want %q", got, want)
+	}
+}
+
+// TestReevaluateGates pins who asks which gate: plain timers are flushed on
+// one canRun decision per walk, so a callback that shuts the gate does not
+// hold back the ticks behind it, whereas each alarm asks for itself.
+func TestReevaluateGates(t *testing.T) {
+	r, gov, fired := pendingRig(t, func(p *Process, gov *switchGov, fired *[]string) {
+		p.Every(time.Second, func() {
+			gov.allow = false
+			*fired = append(*fired, "t1")
+		})
+		p.Every(time.Second, note(fired, "t2"))
+		p.AlarmEvery(time.Second, note(fired, "a1"))
+	})
+	gov.allow = true
+	r.fw.Reevaluate()
+	if got, want := strings.Join(*fired, " "), "t1 t2"; got != want {
+		t.Fatalf("fired %q, want %q: t1 shut the gate, t2 rides the walk's decision, a1 asks and is refused", got, want)
+	}
+	gov.allow = true
+	r.fw.Reevaluate()
+	if got, want := strings.Join(*fired, " "), "t1 t2 a1"; got != want {
+		t.Fatalf("fired %q after reopening, want %q", got, want)
+	}
 }

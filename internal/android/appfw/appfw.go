@@ -22,6 +22,7 @@ package appfw
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/android/binder"
@@ -302,8 +303,11 @@ type Process struct {
 	// workHead/workTail hold the live work items in submission order.
 	workHead, workTail *workItem
 
+	// timers holds the plain timers and alarms the wake-capable ones, each
+	// in creation order: reevaluate flushes all of the first before any of
+	// the second.
 	timers []*timer
-	alarms []*alarm
+	alarms []*timer
 	// iter > 0 while reevaluate walks the timer/alarm slices; stops that
 	// land mid-walk defer their removal to a post-walk sweep so the walk
 	// never skips an entry.
@@ -659,36 +663,24 @@ func (p *Process) reevaluate() {
 // sweepStopped compacts the timer and alarm slices, dropping stopped
 // entries while preserving the order of survivors.
 func (p *Process) sweepStopped() {
-	liveT := p.timers[:0]
-	for _, t := range p.timers {
-		if !t.stopped {
-			liveT = append(liveT, t)
-		}
-	}
-	for i := len(liveT); i < len(p.timers); i++ {
-		p.timers[i] = nil
-	}
-	p.timers = liveT
-	liveA := p.alarms[:0]
-	for _, a := range p.alarms {
-		if !a.stopped {
-			liveA = append(liveA, a)
-		}
-	}
-	for i := len(liveA); i < len(p.alarms); i++ {
-		p.alarms[i] = nil
-	}
-	p.alarms = liveA
+	stopped := func(t *timer) bool { return t.stopped }
+	p.timers = slices.DeleteFunc(p.timers, stopped)
+	p.alarms = slices.DeleteFunc(p.alarms, stopped)
 }
 
-// timer is a periodic callback that only fires while the process can run;
-// ticks that come due while gated are delivered once on the next
-// opportunity (like a Handler on a sleeping CPU).
+// timer is a gated periodic callback; ticks that come due while the gate is
+// shut are delivered once on the next opportunity. A plain timer fires only
+// while the process can run (like a Handler on a sleeping CPU). An alarm
+// (wake set) is the AlarmManager analogue: it fires even while the CPU is
+// asleep (the alarm wakes the device momentarily), but it is still gated by
+// the governor's background-work policy (Doze defers alarms to maintenance
+// windows).
 type timer struct {
 	proc    *Process
 	period  time.Duration
 	fn      func()
 	tick    func() // bound onTick, created once so each tick schedules alloc-free
+	wake    bool
 	stopped bool
 	pending bool
 	event   simclock.EventID
@@ -697,32 +689,69 @@ type timer struct {
 // Every schedules fn every period, gated on the process being runnable.
 // The returned stop function cancels the timer.
 func (p *Process) Every(period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		panic("appfw: Every period must be positive")
-	}
-	t := &timer{proc: p, period: period, fn: fn}
-	t.tick = t.onTick
-	p.timers = append(p.timers, t)
-	t.schedule()
-	return t.stop
+	return p.every(period, fn, false)
+}
+
+// AlarmEvery schedules fn every period with wake-capable semantics. The
+// returned stop function cancels the alarm.
+func (p *Process) AlarmEvery(period time.Duration, fn func()) (stop func()) {
+	return p.every(period, fn, true)
 }
 
 // After schedules fn once after delay, gated on the process being runnable.
 func (p *Process) After(delay time.Duration, fn func()) (cancel func()) {
+	return p.once(delay, fn, false)
+}
+
+// AlarmAfter schedules fn once after delay with wake-capable semantics.
+func (p *Process) AlarmAfter(delay time.Duration, fn func()) (cancel func()) {
+	return p.once(delay, fn, true)
+}
+
+func (p *Process) every(period time.Duration, fn func(), wake bool) (stop func()) {
+	if period <= 0 {
+		panic("appfw: Every / AlarmEvery period must be positive")
+	}
+	t := &timer{proc: p, period: period, fn: fn, wake: wake}
+	t.tick = t.onTick
+	list := t.list()
+	*list = append(*list, t)
+	t.schedule()
+	return t.stop
+}
+
+func (p *Process) once(delay time.Duration, fn func(), wake bool) (cancel func()) {
 	done := false
 	var stop func()
-	stop = p.Every(delay, func() {
+	stop = p.every(delay, func() {
 		if done {
 			return
 		}
 		done = true
 		stop()
 		fn()
-	})
+	}, wake)
 	return func() {
 		done = true
 		stop()
 	}
+}
+
+// list is the process slice t lives in.
+func (t *timer) list() *[]*timer {
+	if t.wake {
+		return &t.proc.alarms
+	}
+	return &t.proc.timers
+}
+
+// allowed is t's gate.
+func (t *timer) allowed() bool {
+	p := t.proc
+	if !t.wake {
+		return p.canRun()
+	}
+	return !p.dead && (p.foreground || p.fw.gov.AllowBackgroundWork(p.uid))
 }
 
 func (t *timer) schedule() {
@@ -736,7 +765,7 @@ func (t *timer) onTick() {
 	if t.stopped || t.proc.dead {
 		return
 	}
-	if t.proc.canRun() {
+	if t.allowed() {
 		t.fire()
 	} else {
 		t.pending = true
@@ -752,15 +781,18 @@ func (t *timer) fire() {
 	}
 }
 
-// flush delivers a pending tick now that the process can run.
+// flush delivers a pending tick. reevaluate flushes plain timers only when
+// it found the process runnable, deciding once for the whole walk — a
+// callback that puts the CPU to sleep does not hold back the ticks behind it
+// — whereas each alarm asks its gate itself.
 func (t *timer) flush() {
-	if t.pending && !t.stopped {
+	if t.pending && !t.stopped && (!t.wake || t.allowed()) {
 		t.fire()
 	}
 }
 
-// deactivate cancels the timer without touching the process's timer slice,
-// so callers that are iterating it (reevaluate, Kill) stay safe.
+// deactivate cancels the timer without touching the process's slices, so
+// callers that are iterating them (reevaluate, Kill) stay safe.
 func (t *timer) deactivate() {
 	if t.stopped {
 		return
@@ -778,135 +810,13 @@ func (t *timer) stop() {
 		return
 	}
 	t.deactivate()
-	p := t.proc
-	if p.iter > 0 {
-		p.sweep = true
+	if t.proc.iter > 0 {
+		t.proc.sweep = true
 		return
 	}
-	for i, x := range p.timers {
-		if x == t {
-			copy(p.timers[i:], p.timers[i+1:])
-			p.timers[len(p.timers)-1] = nil
-			p.timers = p.timers[:len(p.timers)-1]
-			break
-		}
-	}
-}
-
-// alarm is a wake-capable periodic callback, the AlarmManager analogue: it
-// fires even while the CPU is asleep (the alarm wakes the device
-// momentarily), but it is still gated by the governor's background-work
-// policy (Doze defers alarms to maintenance windows).
-type alarm struct {
-	proc    *Process
-	period  time.Duration
-	fn      func()
-	tick    func() // bound onTick, created once so each tick schedules alloc-free
-	stopped bool
-	pending bool
-	event   simclock.EventID
-}
-
-// AlarmEvery schedules fn every period with wake-capable semantics. The
-// returned stop function cancels the alarm.
-func (p *Process) AlarmEvery(period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		panic("appfw: AlarmEvery period must be positive")
-	}
-	a := &alarm{proc: p, period: period, fn: fn}
-	a.tick = a.onTick
-	p.alarms = append(p.alarms, a)
-	a.schedule()
-	return a.stop
-}
-
-// AlarmAfter schedules fn once after delay with wake-capable semantics.
-func (p *Process) AlarmAfter(delay time.Duration, fn func()) (cancel func()) {
-	done := false
-	var stop func()
-	stop = p.AlarmEvery(delay, func() {
-		if done {
-			return
-		}
-		done = true
-		stop()
-		fn()
-	})
-	return func() {
-		done = true
-		stop()
-	}
-}
-
-func (a *alarm) allowed() bool {
-	p := a.proc
-	if p.dead {
-		return false
-	}
-	return p.foreground || p.fw.gov.AllowBackgroundWork(p.uid)
-}
-
-func (a *alarm) schedule() {
-	a.event = a.proc.fw.engine.Schedule(a.period, a.tick)
-}
-
-func (a *alarm) onTick() {
-	a.event = 0
-	if a.stopped || a.proc.dead {
-		return
-	}
-	if a.allowed() {
-		a.fire()
-	} else {
-		a.pending = true
-	}
-}
-
-func (a *alarm) fire() {
-	a.pending = false
-	a.fn()
-	if !a.stopped && !a.proc.dead {
-		a.schedule()
-	}
-}
-
-func (a *alarm) flush() {
-	if a.pending && !a.stopped && a.allowed() {
-		a.fire()
-	}
-}
-
-// deactivate cancels the alarm without touching the process's alarm slice,
-// so callers that are iterating it (reevaluate, Kill) stay safe.
-func (a *alarm) deactivate() {
-	if a.stopped {
-		return
-	}
-	a.stopped = true
-	a.pending = false
-	if a.event != 0 {
-		a.proc.fw.engine.Cancel(a.event)
-		a.event = 0
-	}
-}
-
-func (a *alarm) stop() {
-	if a.stopped {
-		return
-	}
-	a.deactivate()
-	p := a.proc
-	if p.iter > 0 {
-		p.sweep = true
-		return
-	}
-	for i, x := range p.alarms {
-		if x == a {
-			copy(p.alarms[i:], p.alarms[i+1:])
-			p.alarms[len(p.alarms)-1] = nil
-			p.alarms = p.alarms[:len(p.alarms)-1]
-			break
-		}
+	list := t.list()
+	if i := slices.Index(*list, t); i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
 	}
 }
 

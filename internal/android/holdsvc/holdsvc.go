@@ -4,76 +4,44 @@
 // locks (WifiManagerService) and audio sessions (AudioService) share this
 // shape and wrap this implementation; wakelocks do not, because they
 // additionally gate CPU sleep and the screen (see package powermgr).
+//
+// It is the smallest service over the shared lease proxy (package proxy): no
+// per-object state, no extra counters, and the hardware follows a change by
+// re-splitting one draw.
 package holdsvc
 
 import (
-	"slices"
-
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
+	"repro/internal/android/proxy"
 	"repro/internal/power"
 	"repro/internal/simclock"
 )
 
-type object struct {
-	token      *binder.Token
-	uid        power.UID
-	held       bool
-	everHeld   bool
-	suppressed bool
-	destroyed  bool
-
-	lastSettle simclock.Time
-	acc        hooks.TermStats
-}
-
-func (o *object) effective() bool { return o.held && !o.suppressed && !o.destroyed }
+type object = proxy.Object[struct{}]
 
 // Service is a generic hold-style resource service.
 type Service struct {
-	engine   *simclock.Engine
-	meter    *power.Meter
-	registry *binder.Registry
-	gov      hooks.Governor
-
-	name   string
-	kind   hooks.Kind
-	comp   power.Component
-	wattsW float64
-
-	objects map[uint64]*object
-
-	// Dense per-uid effective-holder counts, double-buffered across
-	// recomputes exactly as in powermgr, so recompute never allocates.
-	cnt      []int32
-	uids     []power.UID
-	prevUIDs []power.UID
+	proxy.Table[struct{}]
+	holders proxy.Shares
 }
 
-// New creates a hold-style service drawing wattsW per holding uid.
+// New creates a hold-style service whose hardware draws wattsW of comp while
+// anyone holds it, split among the holders.
 func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry, gov hooks.Governor,
 	name string, kind hooks.Kind, comp power.Component, wattsW float64) *Service {
-	return &Service{
-		engine: engine, meter: meter, registry: registry, gov: gov,
-		name: name, kind: kind, comp: comp, wattsW: wattsW,
-		objects: make(map[uint64]*object),
-	}
+	s := &Service{holders: proxy.Shares{Kind: kind}}
+	s.Table = proxy.New(engine, registry, gov, name, func(*object) {
+		s.holders.Split(meter, comp, name, wattsW)
+	}, nil)
+	return s
 }
 
-// SetGovernor replaces the governor before app activity begins.
-func (s *Service) SetGovernor(gov hooks.Governor) { s.gov = gov }
-
-// Reset drops all objects and draw attribution, keeping the dense count
-// tables at capacity, so a recycled service acquires without reallocating.
+// Reset drops all objects and draw attribution, keeping capacity, so a
+// recycled service acquires without reallocating.
 func (s *Service) Reset() {
-	for id := range s.objects {
-		delete(s.objects, id)
-	}
-	for i := range s.cnt {
-		s.cnt[i] = 0
-	}
-	s.uids = s.uids[:0]
-	s.prevUIDs = s.prevUIDs[:0]
+	s.Table.Reset()
+	s.holders.Reset()
 }
 
 // Lock is the app-side descriptor for one held resource instance.
@@ -85,147 +53,20 @@ type Lock struct {
 // NewLock creates a descriptor (and kernel object) for uid. The governor
 // learns about the object on first Acquire.
 func (s *Service) NewLock(uid power.UID) *Lock {
-	tok := s.registry.NewToken(uid, s.name)
-	o := &object{token: tok, uid: uid, lastSettle: s.engine.Now()}
-	s.objects[tok.ID()] = o
-	tok.LinkToDeath(func() { s.destroy(o) })
-	return &Lock{svc: s, obj: o}
+	return &Lock{svc: s, obj: s.Create(uid, &s.holders, struct{}{})}
 }
 
 // Acquire takes the lock; re-acquiring a held lock is a no-op.
-func (l *Lock) Acquire() {
-	s, o := l.svc, l.obj
-	if o.destroyed || o.held {
-		return
-	}
-	s.registry.IPC()
-	wasEver := o.everHeld
-	s.settle(o)
-	o.held = true
-	o.everHeld = true
-	s.recompute()
-	if !wasEver {
-		s.gov.ObjectCreated(s.hookObject(o))
-	} else {
-		s.gov.ObjectReacquired(s.hookObject(o))
-	}
-}
+func (l *Lock) Acquire() { l.svc.Call(l.obj, true) }
 
 // Release drops the lock. Releasing during suppression sticks.
-func (l *Lock) Release() {
-	s, o := l.svc, l.obj
-	if o.destroyed || !o.held {
-		return
-	}
-	s.registry.IPC()
-	s.settle(o)
-	o.held = false
-	s.recompute()
-	s.gov.ObjectReleased(s.hookObject(o))
-}
+func (l *Lock) Release() { l.svc.Call(l.obj, false) }
 
 // IsHeld reports whether the app holds the lock; suppression is invisible.
-func (l *Lock) IsHeld() bool { return l.obj.held && !l.obj.destroyed }
+func (l *Lock) IsHeld() bool { return l.obj.Held }
 
 // ObjectID returns the kernel-object id backing this lock.
-func (l *Lock) ObjectID() uint64 { return l.obj.token.ID() }
+func (l *Lock) ObjectID() uint64 { return l.obj.ID() }
 
 // Destroy deallocates the kernel object.
-func (l *Lock) Destroy() { l.svc.registry.Kill(l.obj.token) }
-
-func (s *Service) destroy(o *object) {
-	if o.destroyed {
-		return
-	}
-	s.settle(o)
-	o.destroyed = true
-	o.held = false
-	delete(s.objects, o.token.ID())
-	s.recompute()
-	s.gov.ObjectDestroyed(s.hookObject(o))
-}
-
-func (s *Service) hookObject(o *object) hooks.Object {
-	return hooks.Object{ID: o.token.ID(), UID: o.uid, Kind: s.kind, Control: s}
-}
-
-func (s *Service) settle(o *object) {
-	now := s.engine.Now()
-	dt := now - o.lastSettle
-	o.lastSettle = now
-	if dt <= 0 || !o.held || o.destroyed {
-		return
-	}
-	o.acc.Held += dt
-	if !o.suppressed {
-		o.acc.Active += dt
-	}
-}
-
-// recompute re-derives the draw attribution without allocating: dense
-// uid-indexed counts with double-buffered uid lists, as in powermgr.
-func (s *Service) recompute() {
-	s.prevUIDs, s.uids = s.uids, s.prevUIDs[:0]
-	for _, uid := range s.prevUIDs {
-		s.cnt[uid] = 0
-	}
-	n := 0
-	for _, o := range s.objects {
-		if o.effective() {
-			s.cnt, s.uids = power.BumpCount(s.cnt, s.uids, o.uid)
-			n++
-		}
-	}
-	// The object map iterates in random order; sort so meter updates land
-	// in a fixed order and float accumulation is run-to-run deterministic.
-	slices.Sort(s.uids)
-	for _, uid := range s.uids {
-		s.meter.Set(uid, s.comp, s.name, s.wattsW*float64(s.cnt[uid])/float64(n))
-	}
-	for _, uid := range s.prevUIDs {
-		if s.cnt[uid] == 0 {
-			s.meter.Clear(uid, s.comp, s.name)
-		}
-	}
-}
-
-// --- hooks.Controller implementation ---
-
-// Suppress implements hooks.Controller.
-func (s *Service) Suppress(id uint64) {
-	o, ok := s.objects[id]
-	if !ok || o.suppressed {
-		return
-	}
-	s.settle(o)
-	o.suppressed = true
-	s.recompute()
-}
-
-// Unsuppress implements hooks.Controller.
-func (s *Service) Unsuppress(id uint64) {
-	o, ok := s.objects[id]
-	if !ok || !o.suppressed {
-		return
-	}
-	s.settle(o)
-	o.suppressed = false
-	s.recompute()
-}
-
-// TermStats implements hooks.Controller.
-func (s *Service) TermStats(id uint64) hooks.TermStats {
-	o, ok := s.objects[id]
-	if !ok {
-		return hooks.TermStats{}
-	}
-	s.settle(o)
-	ts := o.acc
-	o.acc = hooks.TermStats{}
-	return ts
-}
-
-// ServiceName implements hooks.Controller.
-func (s *Service) ServiceName() string { return s.name }
-
-var _ hooks.Controller = (*Service)(nil)
+func (l *Lock) Destroy() { l.svc.Kill(l.obj) }

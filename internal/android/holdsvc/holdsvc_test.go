@@ -39,7 +39,7 @@ func TestSuppressionSemantics(t *testing.T) {
 	e, m, _, s := newSvc(nil)
 	l := s.NewLock(10)
 	l.Acquire()
-	id := l.obj.token.ID()
+	id := l.ObjectID()
 	e.RunUntil(5 * time.Second)
 	s.Suppress(id)
 	if got := m.InstantPowerOfW(10); got != 0 {
@@ -63,7 +63,7 @@ func TestReleaseDuringSuppressionSticks(t *testing.T) {
 	_, m, _, s := newSvc(nil)
 	l := s.NewLock(10)
 	l.Acquire()
-	id := l.obj.token.ID()
+	id := l.ObjectID()
 	s.Suppress(id)
 	l.Release()
 	s.Unsuppress(id)

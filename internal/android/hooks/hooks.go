@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/power"
+	"repro/internal/simclock"
 )
 
 // Kind identifies the type of constrained resource a kernel object backs.
@@ -86,6 +87,52 @@ type TermStats struct {
 	// DistanceM is the distance in metres covered by delivered GPS fixes,
 	// a generic-utility input for location (paper §3.3).
 	DistanceM float64
+}
+
+// Hold is the accounting half of a lease proxy (paper §4.4, §4.6): whether
+// the app holds the kernel object, whether a governor has suppressed it, and
+// the term counters, settled lazily against LastSettle. It reads no clock of
+// its own — the caller passes the instant — so the same arithmetic serves the
+// simulator's services on the virtual clock and the daemon's on the wall
+// clock. Change Held or Suppressed only after Settle, so the elapsed interval
+// is charged to the state that actually held during it.
+type Hold struct {
+	Held       bool
+	Suppressed bool
+	LastSettle simclock.Time
+	Acc        TermStats
+}
+
+// Effective reports whether the backing resource is actually powered: held
+// by the app and not suppressed.
+func (h *Hold) Effective() bool { return h.Held && !h.Suppressed }
+
+// Settle folds the time since the last settle into Acc.Held and Acc.Active
+// under the current state and returns the active share of it, so a service
+// can accrue its kind-specific counters over the same interval.
+func (h *Hold) Settle(now simclock.Time) (active time.Duration) {
+	dt := now - h.LastSettle
+	if dt <= 0 {
+		return 0
+	}
+	h.LastSettle = now
+	if !h.Held {
+		return 0
+	}
+	h.Acc.Held += dt
+	if h.Suppressed {
+		return 0
+	}
+	h.Acc.Active += dt
+	return dt
+}
+
+// Pull returns the counters accumulated since the previous pull and zeroes
+// them. Settle first.
+func (h *Hold) Pull() TermStats {
+	ts := h.Acc
+	h.Acc = TermStats{}
+	return ts
 }
 
 // Object is a governor's view of one kernel object.

@@ -18,11 +18,11 @@
 package location
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
+	"repro/internal/android/proxy"
 	"repro/internal/device"
 	"repro/internal/env"
 	"repro/internal/power"
@@ -41,15 +41,12 @@ type Fix struct {
 	DistanceM float64
 }
 
-type listener struct {
-	token      *binder.Token
-	uid        power.UID
-	interval   time.Duration
-	onFix      func(Fix)
-	registered bool
-	suppressed bool
-	destroyed  bool
-	boundAlive bool
+// search is what the location service keeps per listener beside the shared
+// proxy state: the fix callback, the search / fix schedule and the last
+// delivered position.
+type search struct {
+	interval time.Duration
+	onFix    func(Fix)
 
 	locked    bool
 	fixEvent  simclock.EventID
@@ -61,31 +58,23 @@ type listener struct {
 	lockFn func()
 	fixFn  func()
 
-	lastSettle simclock.Time
 	lastFixPos float64
 	haveFixPos bool
-
-	acc hooks.TermStats
 }
 
-func (l *listener) effective() bool { return l.registered && !l.suppressed && !l.destroyed }
+type listener = proxy.Object[search]
 
 // Service is the location manager.
 type Service struct {
+	proxy.Table[search]
 	engine   *simclock.Engine
 	meter    *power.Meter
 	registry *binder.Registry
 	profile  device.Profile
 	world    *env.Environment
-	gov      hooks.Governor
 
-	listeners map[uint64]*listener
-
-	// Dense per-uid effective-listener counts, double-buffered across
-	// recomputes exactly as in powermgr, so recomputePower never allocates.
-	gpsCnt   []int32
-	gpsUIDs  []power.UID
-	prevUIDs []power.UID
+	// Who the GPS radio's draw is split among.
+	holders proxy.Shares
 
 	// 1-D device position integrated from environment speed.
 	pos     float64
@@ -95,29 +84,20 @@ type Service struct {
 // New creates the service and subscribes it to environment changes.
 func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry, profile device.Profile, world *env.Environment, gov hooks.Governor) *Service {
 	s := &Service{
-		engine: engine, meter: meter, registry: registry, profile: profile,
-		world: world, gov: gov,
-		listeners: make(map[uint64]*listener),
+		engine: engine, meter: meter, registry: registry, profile: profile, world: world,
+		holders: proxy.Shares{Kind: hooks.GPSListener},
 	}
+	s.Table = proxy.New(engine, registry, gov, "location", s.changed, accrue)
 	world.Subscribe(s.onEnvChange)
 	return s
 }
 
-// SetGovernor replaces the governor before app activity begins.
-func (s *Service) SetGovernor(gov hooks.Governor) { s.gov = gov }
-
 // Reset drops all listeners and draw attribution and rewinds the device
-// position, keeping the dense count tables at capacity. The environment
-// subscription wired at construction time stays valid across world reuse.
+// position, keeping capacity. The environment subscription wired at
+// construction time stays valid across world reuse.
 func (s *Service) Reset() {
-	for id := range s.listeners {
-		delete(s.listeners, id)
-	}
-	for i := range s.gpsCnt {
-		s.gpsCnt[i] = 0
-	}
-	s.gpsUIDs = s.gpsUIDs[:0]
-	s.prevUIDs = s.prevUIDs[:0]
+	s.Table.Reset()
+	s.holders.Reset()
 	s.pos = 0
 	s.posTime = 0
 }
@@ -132,9 +112,13 @@ func (s *Service) position() float64 {
 	return s.pos
 }
 
+// onEnvChange restarts every listener's search or fix schedule under the new
+// signal and speed. Listeners are walked in creation order: events scheduled
+// for the same instant fire in scheduling order, so the order of this walk is
+// the order of their next fixes.
 func (s *Service) onEnvChange() {
 	s.position() // settle position under the previous speed
-	for _, l := range s.listeners {
+	for _, l := range s.Objects() {
 		s.reschedule(l)
 	}
 }
@@ -154,250 +138,122 @@ func (s *Service) Register(uid power.UID, interval time.Duration, onFix func(Fix
 		interval = time.Second
 	}
 	s.registry.IPC()
-	tok := s.registry.NewToken(uid, "location")
-	l := &listener{
-		token: tok, uid: uid, interval: interval, onFix: onFix,
-		registered: true, boundAlive: true, lastSettle: s.engine.Now(),
-	}
-	l.lockFn = func() {
-		l.lockEvent = 0
-		s.settle(l)
-		l.locked = true
-		// settle classified the just-finished search interval as failed
+	l := s.Create(uid, &s.holders, search{interval: interval, onFix: onFix})
+	l.X.lockFn = func() {
+		l.X.lockEvent = 0
+		s.Settle(l)
+		l.X.locked = true
+		// Settle classified the just-finished search interval as failed
 		// request time; it succeeded, so reclassify the last LockTime
 		// (it remains counted in RequestTime).
-		if l.acc.FailedRequestTime >= LockTime {
-			l.acc.FailedRequestTime -= LockTime
+		if l.Acc.FailedRequestTime >= LockTime {
+			l.Acc.FailedRequestTime -= LockTime
 		} else {
-			l.acc.FailedRequestTime = 0
+			l.Acc.FailedRequestTime = 0
 		}
 		s.deliver(l)
 	}
-	l.fixFn = func() {
-		l.fixEvent = 0
+	l.X.fixFn = func() {
+		l.X.fixEvent = 0
 		s.deliver(l)
 	}
-	s.listeners[tok.ID()] = l
-	tok.LinkToDeath(func() { s.destroy(l) })
-	s.reschedule(l)
-	s.gov.ObjectCreated(s.hookObject(l))
+	s.SetBoundAlive(l, true)
+	s.SetHeld(l, true)
 	return &Request{svc: s, l: l}
 }
 
 // Unregister stops updates (Android removeUpdates). The kernel object stays
 // alive for possible re-registration through Reregister.
-func (r *Request) Unregister() {
-	s, l := r.svc, r.l
-	if l.destroyed || !l.registered {
-		return
-	}
-	s.registry.IPC()
-	s.settle(l)
-	l.registered = false
-	l.locked = false
-	s.reschedule(l)
-	s.gov.ObjectReleased(s.hookObject(l))
-}
+func (r *Request) Unregister() { r.svc.Call(r.l, false) }
 
 // Reregister resumes updates on the same kernel object.
-func (r *Request) Reregister() {
-	s, l := r.svc, r.l
-	if l.destroyed || l.registered {
-		return
-	}
-	s.registry.IPC()
-	s.settle(l)
-	l.registered = true
-	s.reschedule(l)
-	s.gov.ObjectReacquired(s.hookObject(l))
-}
+func (r *Request) Reregister() { r.svc.Call(r.l, true) }
 
 // SetBoundAlive records whether the app Activity bound to this listener is
 // alive; it drives the Used term statistic.
-func (r *Request) SetBoundAlive(alive bool) {
-	s, l := r.svc, r.l
-	if l.boundAlive == alive {
-		return
-	}
-	s.settle(l)
-	l.boundAlive = alive
-}
+func (r *Request) SetBoundAlive(alive bool) { r.svc.SetBoundAlive(r.l, alive) }
 
 // Registered reports whether updates are currently requested.
-func (r *Request) Registered() bool { return r.l.registered && !r.l.destroyed }
+func (r *Request) Registered() bool { return r.l.Held }
 
 // ObjectID returns the kernel-object id backing this registration, usable
 // with the service's Controller interface (profilers pull TermStats by it).
-func (r *Request) ObjectID() uint64 { return r.l.token.ID() }
+func (r *Request) ObjectID() uint64 { return r.l.ID() }
 
 // Destroy deallocates the kernel object.
-func (r *Request) Destroy() { r.svc.registry.Kill(r.l.token) }
+func (r *Request) Destroy() { r.svc.Kill(r.l) }
 
-func (s *Service) destroy(l *listener) {
-	if l.destroyed {
-		return
+// accrue adds what only GPS counts to a listener's active time: while it is
+// still searching, the whole interval was request time, and it failed (no
+// fix arrived during it).
+func accrue(l *listener, active time.Duration) {
+	if !l.X.locked {
+		l.Acc.RequestTime += active
+		l.Acc.FailedRequestTime += active
 	}
-	s.settle(l)
-	l.destroyed = true
-	l.registered = false
-	delete(s.listeners, l.token.ID())
+}
+
+// changed makes the radio follow a listener's change of state. A listener
+// that stops being effective loses its lock: a fresh search is needed once it
+// is registered or restored again.
+func (s *Service) changed(l *listener) {
+	if !l.Effective() {
+		l.X.locked = false
+	}
 	s.reschedule(l)
-	s.gov.ObjectDestroyed(s.hookObject(l))
-}
-
-func (s *Service) hookObject(l *listener) hooks.Object {
-	return hooks.Object{ID: l.token.ID(), UID: l.uid, Kind: hooks.GPSListener, Control: s}
-}
-
-// settle folds elapsed time into l's accumulators under the state that held
-// since lastSettle.
-func (s *Service) settle(l *listener) {
-	now := s.engine.Now()
-	dt := now - l.lastSettle
-	l.lastSettle = now
-	if dt <= 0 {
-		return
-	}
-	if !l.registered || l.destroyed {
-		return
-	}
-	l.acc.Held += dt
-	if l.suppressed {
-		return
-	}
-	l.acc.Active += dt
-	if l.boundAlive {
-		l.acc.Used += dt
-	}
-	if !l.locked {
-		// Still searching: the whole interval was request time, and it
-		// failed (no fix arrived during it).
-		l.acc.RequestTime += dt
-		l.acc.FailedRequestTime += dt
-	}
 }
 
 // reschedule cancels and re-establishes l's pending search or fix events
 // according to current state and signal quality.
 func (s *Service) reschedule(l *listener) {
-	if l.lockEvent != 0 {
-		s.engine.Cancel(l.lockEvent)
-		l.lockEvent = 0
+	x := &l.X
+	if x.lockEvent != 0 {
+		s.engine.Cancel(x.lockEvent)
+		x.lockEvent = 0
 	}
-	if l.fixEvent != 0 {
-		s.engine.Cancel(l.fixEvent)
-		l.fixEvent = 0
+	if x.fixEvent != 0 {
+		s.engine.Cancel(x.fixEvent)
+		x.fixEvent = 0
 	}
-	s.recomputePower()
-	if !l.effective() {
+	s.holders.Split(s.meter, power.GPS, "gps", s.profile.GPSActiveW)
+	if !l.Effective() {
 		return
 	}
-	quality := s.world.GPS()
-	if quality != env.GPSGood {
-		// Searching without a lock: failed request time accrues via settle.
-		s.settle(l)
-		l.locked = false
+	if s.world.GPS() != env.GPSGood {
+		// Searching without a lock: failed request time accrues via Settle.
+		s.Settle(l)
+		x.locked = false
 		return
 	}
-	if !l.locked {
-		l.lockEvent = s.engine.Schedule(LockTime, l.lockFn)
+	if !x.locked {
+		x.lockEvent = s.engine.Schedule(LockTime, x.lockFn)
 		return
 	}
-	l.fixEvent = s.engine.Schedule(l.interval, l.fixFn)
+	x.fixEvent = s.engine.Schedule(x.interval, x.fixFn)
 }
 
 // deliver sends one fix to l and schedules the next.
 func (s *Service) deliver(l *listener) {
-	if !l.effective() || s.world.GPS() != env.GPSGood {
+	if !l.Effective() || s.world.GPS() != env.GPSGood {
 		return
 	}
-	s.settle(l)
+	s.Settle(l)
+	x := &l.X
 	pos := s.position()
 	dist := 0.0
-	if l.haveFixPos {
-		dist = pos - l.lastFixPos
+	if x.haveFixPos {
+		dist = pos - x.lastFixPos
 		if dist < 0 {
 			dist = -dist
 		}
 	}
-	l.lastFixPos, l.haveFixPos = pos, true
-	l.acc.DataPoints++
-	l.acc.DistanceM += dist
-	if l.onFix != nil {
-		l.onFix(Fix{At: s.engine.Now(), PositionM: pos, DistanceM: dist})
+	x.lastFixPos, x.haveFixPos = pos, true
+	l.Acc.DataPoints++
+	l.Acc.DistanceM += dist
+	if x.onFix != nil {
+		x.onFix(Fix{At: s.engine.Now(), PositionM: pos, DistanceM: dist})
 	}
-	if l.effective() {
-		l.fixEvent = s.engine.Schedule(l.interval, l.fixFn)
-	}
-}
-
-// recomputePower re-derives the GPS radio draw attribution. The counting
-// pass is allocation-free on the steady state: dense uid-indexed counts with
-// double-buffered uid lists, as in powermgr.
-func (s *Service) recomputePower() {
-	s.prevUIDs, s.gpsUIDs = s.gpsUIDs, s.prevUIDs[:0]
-	for _, uid := range s.prevUIDs {
-		s.gpsCnt[uid] = 0
-	}
-	n := 0
-	for _, l := range s.listeners {
-		if l.effective() {
-			s.gpsCnt, s.gpsUIDs = power.BumpCount(s.gpsCnt, s.gpsUIDs, l.uid)
-			n++
-		}
-	}
-	// The listener map iterates in random order; sort so meter updates land
-	// in a fixed order and float accumulation is run-to-run deterministic.
-	slices.Sort(s.gpsUIDs)
-	for _, uid := range s.gpsUIDs {
-		s.meter.Set(uid, power.GPS, "gps", s.profile.GPSActiveW*float64(s.gpsCnt[uid])/float64(n))
-	}
-	for _, uid := range s.prevUIDs {
-		if s.gpsCnt[uid] == 0 {
-			s.meter.Clear(uid, power.GPS, "gps")
-		}
+	if l.Effective() {
+		x.fixEvent = s.engine.Schedule(x.interval, x.fixFn)
 	}
 }
-
-// --- hooks.Controller implementation ---
-
-// Suppress implements hooks.Controller: the listener stops being invoked
-// and the GPS radio is released if this was the last effective listener.
-func (s *Service) Suppress(id uint64) {
-	l, ok := s.listeners[id]
-	if !ok || l.suppressed {
-		return
-	}
-	s.settle(l)
-	l.suppressed = true
-	l.locked = false // a fresh search is needed after restoration
-	s.reschedule(l)
-}
-
-// Unsuppress implements hooks.Controller.
-func (s *Service) Unsuppress(id uint64) {
-	l, ok := s.listeners[id]
-	if !ok || !l.suppressed {
-		return
-	}
-	s.settle(l)
-	l.suppressed = false
-	s.reschedule(l)
-}
-
-// TermStats implements hooks.Controller.
-func (s *Service) TermStats(id uint64) hooks.TermStats {
-	l, ok := s.listeners[id]
-	if !ok {
-		return hooks.TermStats{}
-	}
-	s.settle(l)
-	ts := l.acc
-	l.acc = hooks.TermStats{}
-	return ts
-}
-
-// ServiceName implements hooks.Controller.
-func (s *Service) ServiceName() string { return "location" }
-
-var _ hooks.Controller = (*Service)(nil)

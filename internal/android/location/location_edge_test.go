@@ -100,3 +100,40 @@ func TestGPSQualityDegradesMidTracking(t *testing.T) {
 		t.Fatal("fixes must stop when signal degrades")
 	}
 }
+
+// TestEnvChangeReschedulesInCreationOrder is the regression test for the
+// nondeterminism the service's private listener map hid: an environment
+// change rescheduled listeners in Go map order, so listeners whose searches
+// complete at the same instant got their first fixes in an order that
+// differed between identical runs. The walk is now in creation order.
+func TestEnvChangeReschedulesInCreationOrder(t *testing.T) {
+	firstFixOrder := func() [4]int {
+		r := newRig(nil)
+		r.world.SetGPS(env.GPSWeak)
+		var order [4]int
+		n := 0
+		for i := range order {
+			first := true
+			r.svc.Register(10, time.Second, func(Fix) {
+				if first {
+					first = false
+					order[n] = i
+					n++
+				}
+			})
+		}
+		r.engine.RunUntil(10 * time.Second)
+		r.world.SetGPS(env.GPSGood)
+		r.engine.RunUntil(10*time.Second + LockTime)
+		if n != len(order) {
+			t.Fatalf("%d of %d listeners got a first fix", n, len(order))
+		}
+		return order
+	}
+	want := [4]int{0, 1, 2, 3}
+	for run := 0; run < 200; run++ {
+		if got := firstFixOrder(); got != want {
+			t.Fatalf("run %d: first fixes in order %v, want creation order %v", run, got, want)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func TestWeakSignalNeverLocks(t *testing.T) {
 	if fixes != 0 {
 		t.Fatalf("weak signal delivered %d fixes, want 0", fixes)
 	}
-	ts := r.svc.TermStats(req.l.token.ID())
+	ts := r.svc.TermStats(req.ObjectID())
 	if ts.FailedRequestTime != 10*time.Minute {
 		t.Fatalf("FailedRequestTime = %v, want 10m", ts.FailedRequestTime)
 	}
@@ -86,7 +86,7 @@ func TestSuccessfulSearchNotCountedFailed(t *testing.T) {
 	r := newRig(nil)
 	req := r.svc.Register(10, 10*time.Second, nil)
 	r.engine.RunUntil(30 * time.Second)
-	ts := r.svc.TermStats(req.l.token.ID())
+	ts := r.svc.TermStats(req.ObjectID())
 	if ts.FailedRequestTime != 0 {
 		t.Fatalf("FailedRequestTime = %v, want 0 in good signal", ts.FailedRequestTime)
 	}
@@ -103,7 +103,7 @@ func TestDistanceTracksMovement(t *testing.T) {
 	r.world.SetMotion(true, 2) // 2 m/s
 	req := r.svc.Register(10, 10*time.Second, nil)
 	r.engine.RunUntil(65 * time.Second)
-	ts := r.svc.TermStats(req.l.token.ID())
+	ts := r.svc.TermStats(req.ObjectID())
 	// Fixes at 5,15,...,65 s; distance covered between first and last fix =
 	// 60 s * 2 m/s = 120 m.
 	if !almost(ts.DistanceM, 120) {
@@ -115,7 +115,7 @@ func TestStationaryDeliversZeroDistance(t *testing.T) {
 	r := newRig(nil)
 	req := r.svc.Register(10, 10*time.Second, nil)
 	r.engine.RunUntil(60 * time.Second)
-	ts := r.svc.TermStats(req.l.token.ID())
+	ts := r.svc.TermStats(req.ObjectID())
 	if ts.DistanceM != 0 {
 		t.Fatalf("DistanceM = %v, want 0 when stationary", ts.DistanceM)
 	}
@@ -130,7 +130,7 @@ func TestSuppressStopsFixesAndPower(t *testing.T) {
 	req := r.svc.Register(10, time.Second, func(Fix) { fixes++ })
 	r.engine.RunUntil(10 * time.Second)
 	got := fixes
-	r.svc.Suppress(req.l.token.ID())
+	r.svc.Suppress(req.ObjectID())
 	if p := r.meter.InstantPowerOfW(10); p != 0 {
 		t.Fatalf("suppressed GPS draws %v", p)
 	}
@@ -141,7 +141,7 @@ func TestSuppressStopsFixesAndPower(t *testing.T) {
 	if !req.Registered() {
 		t.Fatal("suppression must be invisible to the app")
 	}
-	r.svc.Unsuppress(req.l.token.ID())
+	r.svc.Unsuppress(req.ObjectID())
 	r.engine.RunUntil(60 * time.Second)
 	if fixes <= got {
 		t.Fatal("fixes should resume after unsuppress (after a new search)")
@@ -151,9 +151,9 @@ func TestSuppressStopsFixesAndPower(t *testing.T) {
 func TestUnregisterDuringSuppressionSticks(t *testing.T) {
 	r := newRig(nil)
 	req := r.svc.Register(10, time.Second, nil)
-	r.svc.Suppress(req.l.token.ID())
+	r.svc.Suppress(req.ObjectID())
 	req.Unregister()
-	r.svc.Unsuppress(req.l.token.ID())
+	r.svc.Unsuppress(req.ObjectID())
 	if req.Registered() {
 		t.Fatal("unregistered-while-suppressed listener must stay unregistered")
 	}
@@ -168,7 +168,7 @@ func TestBoundActivityDrivesUsed(t *testing.T) {
 	r.engine.RunUntil(10 * time.Second)
 	req.SetBoundAlive(false) // activity destroyed, listener leaks
 	r.engine.RunUntil(30 * time.Second)
-	ts := r.svc.TermStats(req.l.token.ID())
+	ts := r.svc.TermStats(req.ObjectID())
 	if ts.Used != 10*time.Second {
 		t.Fatalf("Used = %v, want 10s", ts.Used)
 	}
@@ -231,8 +231,8 @@ func TestLifecycleCallbacksAndDeath(t *testing.T) {
 func TestDefaultIntervalApplied(t *testing.T) {
 	r := newRig(nil)
 	req := r.svc.Register(10, 0, nil)
-	if req.l.interval != time.Second {
-		t.Fatalf("interval = %v, want 1s default", req.l.interval)
+	if req.l.X.interval != time.Second {
+		t.Fatalf("interval = %v, want 1s default", req.l.X.interval)
 	}
 }
 

@@ -15,56 +15,32 @@ package powermgr
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
+	"repro/internal/android/proxy"
 	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/simclock"
 )
 
-// object is the kernel-side record of one wakelock.
-type object struct {
-	token      *binder.Token
-	uid        power.UID
-	kind       hooks.Kind
-	name       string
-	held       bool
-	everHeld   bool
-	suppressed bool
-	destroyed  bool
-
-	// stat accumulators, settled lazily against lastSettle
-	lastSettle simclock.Time
-	accHeld    time.Duration
-	accActive  time.Duration
-}
-
-func (o *object) effective() bool { return o.held && !o.suppressed && !o.destroyed }
+// object is the kernel-side record of one wakelock: the shared proxy state
+// and nothing else.
+type object = proxy.Object[struct{}]
 
 // Service is the power manager.
 type Service struct {
+	proxy.Table[struct{}]
 	engine   *simclock.Engine
 	meter    *power.Meter
 	registry *binder.Registry
 	profile  device.Profile
-	gov      hooks.Governor
 
-	objects map[uint64]*object
-
-	// Dense per-uid effective-lock counts plus the uid lists that say which
-	// entries are live, reused across recomputes so the steady state never
-	// allocates. The "prev" lists remember which uids drew power after the
-	// previous recompute, so stale per-holder draw entries can be cleared
-	// when the last object of a uid disappears.
-	partialCnt      []int32
-	screenCnt       []int32
-	partialUIDs     []power.UID
-	screenUIDs      []power.UID
-	prevPartialUIDs []power.UID
-	prevScreenUIDs  []power.UID
+	// Who holds the CPU awake and who holds the screen on: the two draws
+	// wakelocks are charged for.
+	partial proxy.Shares
+	screen  proxy.Shares
 
 	userScreen bool // screen forced on by active user session
 	awake      bool
@@ -80,41 +56,24 @@ type Service struct {
 // New creates the service. gov must be non-nil (use hooks.Nop{} for vanilla).
 func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry, profile device.Profile, gov hooks.Governor) *Service {
 	s := &Service{
-		engine:   engine,
-		meter:    meter,
-		registry: registry,
-		profile:  profile,
-		gov:      gov,
-		objects:  make(map[uint64]*object),
+		engine: engine, meter: meter, registry: registry, profile: profile,
+		partial: proxy.Shares{Kind: hooks.Wakelock}, screen: proxy.Shares{Kind: hooks.ScreenWakelock},
 	}
+	s.Table = proxy.New(engine, registry, gov, "power", func(*object) { s.recompute() }, nil)
 	// Baseline suspend draw is always present and owned by the system.
 	meter.Set(power.SystemUID, power.System, "suspend-base", profile.SuspendW)
 	return s
 }
 
-// SetGovernor replaces the governor. Intended for simulation assembly before
-// any app activity, not for mid-run swaps.
-func (s *Service) SetGovernor(gov hooks.Governor) { s.gov = gov }
-
-// Reset drops all wakelock objects and accumulated state, keeping the dense
-// count tables and uid lists at capacity. The meter has already been reset
-// by the caller, so the baseline suspend draw is re-registered here exactly
-// as New does. Awake-change subscribers are kept: they were wired at
-// construction time and stay valid across world reuse.
+// Reset drops all wakelock objects and accumulated state, keeping capacity.
+// The meter has already been reset by the caller, so the baseline suspend
+// draw is re-registered here exactly as New does. Awake-change subscribers
+// are kept: they were wired at construction time and stay valid across world
+// reuse.
 func (s *Service) Reset() {
-	for id := range s.objects {
-		delete(s.objects, id)
-	}
-	for i := range s.partialCnt {
-		s.partialCnt[i] = 0
-	}
-	for i := range s.screenCnt {
-		s.screenCnt[i] = 0
-	}
-	s.partialUIDs = s.partialUIDs[:0]
-	s.screenUIDs = s.screenUIDs[:0]
-	s.prevPartialUIDs = s.prevPartialUIDs[:0]
-	s.prevScreenUIDs = s.prevScreenUIDs[:0]
+	s.Table.Reset()
+	s.partial.Reset()
+	s.screen.Reset()
 	s.userScreen = false
 	s.awake = false
 	s.screenOn = false
@@ -131,10 +90,8 @@ func (s *Service) Reset() {
 // defect patterns are written against idempotent acquire/release; call
 // SetReferenceCounted(true) for Android-default semantics.
 type Wakelock struct {
-	svc  *Service
-	obj  *object
-	kind hooks.Kind
-	name string
+	svc *Service
+	obj *object
 
 	refCounted bool
 	refs       int
@@ -151,21 +108,17 @@ func (w *Wakelock) SetReferenceCounted(counted bool) { w.refCounted = counted }
 // (partial, keeps CPU on) or hooks.ScreenWakelock (keeps screen on). The
 // kernel object is created eagerly, matching the one-to-one
 // descriptor/kernel-object mapping; the governor learns about it on first
-// acquire.
+// acquire. name is Android's wakelock tag: it labels the call site and the
+// model makes no other use of it.
 func (s *Service) NewWakelock(uid power.UID, kind hooks.Kind, name string) *Wakelock {
 	if kind != hooks.Wakelock && kind != hooks.ScreenWakelock {
 		panic(fmt.Sprintf("powermgr: invalid wakelock kind %v", kind))
 	}
-	tok := s.registry.NewToken(uid, "power")
-	obj := &object{token: tok, uid: uid, kind: kind, name: name, lastSettle: s.engine.Now()}
-	s.objects[tok.ID()] = obj
-	tok.LinkToDeath(func() { s.destroy(obj) })
-	return &Wakelock{svc: s, obj: obj, kind: kind, name: name}
-}
-
-// hookObject builds the governor view of obj.
-func (s *Service) hookObject(o *object) hooks.Object {
-	return hooks.Object{ID: o.token.ID(), UID: o.uid, Kind: o.kind, Control: s}
+	shares := &s.partial
+	if kind == hooks.ScreenWakelock {
+		shares = &s.screen
+	}
+	return &Wakelock{svc: s, obj: s.Create(uid, shares, struct{}{})}
 }
 
 // Acquire takes the wakelock. On a non-counted lock, acquiring an
@@ -174,7 +127,7 @@ func (s *Service) hookObject(o *object) hooks.Object {
 func (w *Wakelock) Acquire() {
 	s := w.svc
 	o := w.obj
-	if o.destroyed {
+	if o.Destroyed() {
 		return
 	}
 	s.registry.IPC()
@@ -186,19 +139,7 @@ func (w *Wakelock) Acquire() {
 	if w.refCounted {
 		w.refs++
 	}
-	if o.held {
-		return
-	}
-	wasEverHeld := o.everHeld
-	s.settle(o)
-	o.held = true
-	o.everHeld = true
-	s.recompute()
-	if !wasEverHeld {
-		s.gov.ObjectCreated(s.hookObject(o))
-	} else {
-		s.gov.ObjectReacquired(s.hookObject(o))
-	}
+	s.SetHeld(o, true)
 }
 
 // AcquireTimeout takes the wakelock and auto-releases it after d, mirroring
@@ -227,7 +168,7 @@ func (w *Wakelock) AcquireTimeout(d time.Duration) {
 func (w *Wakelock) Release() {
 	s := w.svc
 	o := w.obj
-	if o.destroyed || !o.held {
+	if !o.Held {
 		return
 	}
 	s.registry.IPC()
@@ -238,33 +179,18 @@ func (w *Wakelock) Release() {
 		}
 		w.refs = 0
 	}
-	s.settle(o)
-	o.held = false
-	s.recompute()
-	s.gov.ObjectReleased(s.hookObject(o))
+	s.SetHeld(o, false)
 }
 
 // IsHeld reports whether the app currently holds the lock. Suppression is
 // invisible to the app: a suppressed held lock still reports held.
-func (w *Wakelock) IsHeld() bool { return w.obj.held && !w.obj.destroyed }
+func (w *Wakelock) IsHeld() bool { return w.obj.Held }
 
 // ObjectID returns the kernel-object id backing this wakelock.
-func (w *Wakelock) ObjectID() uint64 { return w.obj.token.ID() }
+func (w *Wakelock) ObjectID() uint64 { return w.obj.ID() }
 
 // Destroy deallocates the kernel object for good.
-func (w *Wakelock) Destroy() { w.svc.registry.Kill(w.obj.token) }
-
-func (s *Service) destroy(o *object) {
-	if o.destroyed {
-		return
-	}
-	s.settle(o)
-	o.destroyed = true
-	o.held = false
-	delete(s.objects, o.token.ID())
-	s.recompute()
-	s.gov.ObjectDestroyed(s.hookObject(o))
-}
+func (w *Wakelock) Destroy() { w.svc.Kill(w.obj) }
 
 // SetUserScreen turns the screen on or off on behalf of the user session
 // (power button / active interaction). Screen wakelocks held by apps keep
@@ -296,80 +222,15 @@ func (s *Service) ScreenOn() bool { return s.screenOn }
 // after the state has changed.
 func (s *Service) OnAwakeChange(fn func(awake bool)) { s.awakeSubs = append(s.awakeSubs, fn) }
 
-// settle folds elapsed time into o's stat accumulators.
-func (s *Service) settle(o *object) {
-	now := s.engine.Now()
-	dt := now - o.lastSettle
-	if dt > 0 {
-		if o.held {
-			o.accHeld += dt
-			if !o.suppressed {
-				o.accActive += dt
-			}
-		}
-		o.lastSettle = now
-	} else if o.lastSettle == 0 {
-		o.lastSettle = now
-	}
-}
-
-// bump increments the dense count for uid, recording first sightings in
-// uids. It returns the (possibly grown) slices.
-func bump(cnt []int32, uids []power.UID, uid power.UID) ([]int32, []power.UID) {
-	if int(uid) >= len(cnt) {
-		grown := make([]int32, int(uid)+1)
-		copy(grown, cnt)
-		cnt = grown
-	}
-	if cnt[uid] == 0 {
-		uids = append(uids, uid)
-	}
-	cnt[uid]++
-	return cnt, uids
-}
-
-// recompute re-derives screen/CPU state and power draws after any change.
-//
-// The counting pass is allocation-free on the steady state: per-uid counts
-// live in dense uid-indexed slices and the uid lists double-buffer against
-// the previous recompute (the old "current" list becomes "previous", its
-// backing array is reused for the new one). Only a uid beyond every uid seen
-// before grows the count slices.
+// recompute re-derives screen/CPU state and power draws after any change: a
+// wakelock's vote has moved, or the user turned the screen on or off. Each
+// component goes clear the system's fallback draw, split among the holders,
+// set the fallback if nobody holds — in that order at every call, because a
+// changed wattage ends an integration interval in the meter and the float
+// sums follow the sequence of intervals.
 func (s *Service) recompute() {
 	now := s.engine.Now()
-
-	// Retire the previous round: its uid lists become the "to clear" sets,
-	// and their counts reset so this round starts from zero.
-	s.prevPartialUIDs, s.partialUIDs = s.partialUIDs, s.prevPartialUIDs[:0]
-	s.prevScreenUIDs, s.screenUIDs = s.screenUIDs, s.prevScreenUIDs[:0]
-	for _, uid := range s.prevPartialUIDs {
-		s.partialCnt[uid] = 0
-	}
-	for _, uid := range s.prevScreenUIDs {
-		s.screenCnt[uid] = 0
-	}
-
-	// Count effective locks per kind and per uid.
-	nPartial, nScreen := 0, 0
-	for _, o := range s.objects {
-		if !o.effective() {
-			continue
-		}
-		switch o.kind {
-		case hooks.Wakelock:
-			s.partialCnt, s.partialUIDs = bump(s.partialCnt, s.partialUIDs, o.uid)
-			nPartial++
-		case hooks.ScreenWakelock:
-			s.screenCnt, s.screenUIDs = bump(s.screenCnt, s.screenUIDs, o.uid)
-			nScreen++
-		}
-	}
-
-	// The object map iterates in random order; sort the uid lists so meter
-	// updates land in a fixed order and float accumulation is run-to-run
-	// deterministic.
-	slices.Sort(s.partialUIDs)
-	slices.Sort(s.screenUIDs)
+	nPartial, nScreen := s.partial.N(), s.screen.N()
 
 	screenOn := s.userScreen || nScreen > 0
 	awake := screenOn || nPartial > 0
@@ -377,15 +238,7 @@ func (s *Service) recompute() {
 	// Screen power: attributed to screen-lock holders if any, else to the
 	// system while the user keeps the screen on.
 	s.meter.Clear(power.SystemUID, power.Screen, "user-screen")
-	for _, uid := range s.screenUIDs {
-		s.meter.Set(uid, power.Screen, "screen-lock",
-			s.profile.ScreenOnW*float64(s.screenCnt[uid])/float64(nScreen))
-	}
-	for _, uid := range s.prevScreenUIDs {
-		if s.screenCnt[uid] == 0 {
-			s.meter.Clear(uid, power.Screen, "screen-lock")
-		}
-	}
+	s.screen.Split(s.meter, power.Screen, "screen-lock", s.profile.ScreenOnW)
 	if nScreen == 0 && screenOn {
 		s.meter.Set(power.SystemUID, power.Screen, "user-screen", s.profile.ScreenOnW)
 	}
@@ -393,15 +246,7 @@ func (s *Service) recompute() {
 	// Idle-awake CPU power: attributed to partial-lock holders if any, else
 	// to the system while the screen keeps the CPU up.
 	s.meter.Clear(power.SystemUID, power.CPU, "awake-idle")
-	for _, uid := range s.partialUIDs {
-		s.meter.Set(uid, power.CPU, "wakelock-idle",
-			s.profile.CPUIdleAwakeW*float64(s.partialCnt[uid])/float64(nPartial))
-	}
-	for _, uid := range s.prevPartialUIDs {
-		if s.partialCnt[uid] == 0 {
-			s.meter.Clear(uid, power.CPU, "wakelock-idle")
-		}
-	}
+	s.partial.Split(s.meter, power.CPU, "wakelock-idle", s.profile.CPUIdleAwakeW)
 	if nPartial == 0 && awake {
 		s.meter.Set(power.SystemUID, power.CPU, "awake-idle", s.profile.CPUIdleAwakeW)
 	}
@@ -419,46 +264,3 @@ func (s *Service) recompute() {
 		}
 	}
 }
-
-// --- hooks.Controller implementation ---
-
-// Suppress implements hooks.Controller: removes the IBinder from the
-// wakelock array without touching the descriptor.
-func (s *Service) Suppress(id uint64) {
-	o, ok := s.objects[id]
-	if !ok || o.suppressed {
-		return
-	}
-	s.settle(o)
-	o.suppressed = true
-	s.recompute()
-}
-
-// Unsuppress implements hooks.Controller: restores a suppressed object if
-// the app still holds it.
-func (s *Service) Unsuppress(id uint64) {
-	o, ok := s.objects[id]
-	if !ok || !o.suppressed {
-		return
-	}
-	s.settle(o)
-	o.suppressed = false
-	s.recompute()
-}
-
-// TermStats implements hooks.Controller.
-func (s *Service) TermStats(id uint64) hooks.TermStats {
-	o, ok := s.objects[id]
-	if !ok {
-		return hooks.TermStats{}
-	}
-	s.settle(o)
-	ts := hooks.TermStats{Held: o.accHeld, Active: o.accActive}
-	o.accHeld, o.accActive = 0, 0
-	return ts
-}
-
-// ServiceName implements hooks.Controller.
-func (s *Service) ServiceName() string { return "power" }
-
-var _ hooks.Controller = (*Service)(nil)

@@ -116,7 +116,7 @@ func TestSuppressRemovesPowerButKeepsHeld(t *testing.T) {
 	r := newRig(nil)
 	wl := r.svc.NewWakelock(10, hooks.Wakelock, "test")
 	wl.Acquire()
-	id := wl.obj.token.ID()
+	id := wl.ObjectID()
 	r.svc.Suppress(id)
 	if !wl.IsHeld() {
 		t.Fatal("suppression must be invisible to the app descriptor")
@@ -137,7 +137,7 @@ func TestReleaseDuringSuppressionSticks(t *testing.T) {
 	r := newRig(nil)
 	wl := r.svc.NewWakelock(10, hooks.Wakelock, "test")
 	wl.Acquire()
-	id := wl.obj.token.ID()
+	id := wl.ObjectID()
 	r.svc.Suppress(id)
 	wl.Release()
 	r.svc.Unsuppress(id)
@@ -150,7 +150,7 @@ func TestAcquireDuringSuppressionPretendsSuccess(t *testing.T) {
 	r := newRig(nil)
 	wl := r.svc.NewWakelock(10, hooks.Wakelock, "test")
 	wl.Acquire()
-	id := wl.obj.token.ID()
+	id := wl.ObjectID()
 	r.svc.Suppress(id)
 	wl.Release()
 	wl.Acquire() // app re-acquires during the deferral window
@@ -170,7 +170,7 @@ func TestTermStatsHeldAndActive(t *testing.T) {
 	r := newRig(nil)
 	wl := r.svc.NewWakelock(10, hooks.Wakelock, "test")
 	wl.Acquire()
-	id := wl.obj.token.ID()
+	id := wl.ObjectID()
 	r.engine.RunUntil(10 * time.Second)
 	r.svc.Suppress(id)
 	r.engine.RunUntil(25 * time.Second)

@@ -9,11 +9,11 @@
 package sensor
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
+	"repro/internal/android/proxy"
 	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/simclock"
@@ -55,16 +55,12 @@ type Event struct {
 	Seq  int
 }
 
-type listener struct {
-	token      *binder.Token
-	uid        power.UID
-	typ        Type
-	rate       time.Duration
-	onEvent    func(Event)
-	registered bool
-	suppressed bool
-	destroyed  bool
-	boundAlive bool
+// feed is what the sensor service keeps per listener beside the shared proxy
+// state: which sensor, how often, whom to call, and the pending tick.
+type feed struct {
+	typ     Type
+	rate    time.Duration
+	onEvent func(Event)
 
 	tickEvent simclock.EventID
 	seq       int
@@ -72,52 +68,37 @@ type listener struct {
 	// tickFn is the delivery callback, bound once at registration so the
 	// per-tick scheduling never allocates a closure.
 	tickFn func()
-
-	lastSettle simclock.Time
-	acc        hooks.TermStats
 }
 
-func (l *listener) effective() bool { return l.registered && !l.suppressed && !l.destroyed }
+type listener = proxy.Object[feed]
 
 // Service is the sensor manager.
 type Service struct {
+	proxy.Table[feed]
 	engine   *simclock.Engine
 	meter    *power.Meter
 	registry *binder.Registry
 	profile  device.Profile
-	gov      hooks.Governor
 
-	listeners map[uint64]*listener
-
-	// Dense per-uid effective-listener counts, double-buffered across
-	// recomputes exactly as in powermgr, so recomputePower never allocates.
-	cnt      []int32
-	uids     []power.UID
-	prevUIDs []power.UID
+	// Who is charged for sampling: every uid with an effective listener.
+	holders proxy.Shares
 }
 
 // New creates the service.
 func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry, profile device.Profile, gov hooks.Governor) *Service {
-	return &Service{
-		engine: engine, meter: meter, registry: registry, profile: profile, gov: gov,
-		listeners: make(map[uint64]*listener),
+	s := &Service{
+		engine: engine, meter: meter, registry: registry, profile: profile,
+		holders: proxy.Shares{Kind: hooks.SensorListener},
 	}
+	s.Table = proxy.New(engine, registry, gov, "sensor", s.reschedule, nil)
+	return s
 }
 
-// SetGovernor replaces the governor before app activity begins.
-func (s *Service) SetGovernor(gov hooks.Governor) { s.gov = gov }
-
-// Reset drops all listeners and draw attribution, keeping the dense count
-// tables at capacity, so a recycled service registers without reallocating.
+// Reset drops all listeners and draw attribution, keeping capacity, so a
+// recycled service registers without reallocating.
 func (s *Service) Reset() {
-	for id := range s.listeners {
-		delete(s.listeners, id)
-	}
-	for i := range s.cnt {
-		s.cnt[i] = 0
-	}
-	s.uids = s.uids[:0]
-	s.prevUIDs = s.prevUIDs[:0]
+	s.Table.Reset()
+	s.holders.Reset()
 }
 
 // Registration is the app-side handle for one sensor listener.
@@ -133,189 +114,61 @@ func (s *Service) Register(uid power.UID, typ Type, rate time.Duration, onEvent 
 		rate = 200 * time.Millisecond
 	}
 	s.registry.IPC()
-	tok := s.registry.NewToken(uid, "sensor")
-	l := &listener{
-		token: tok, uid: uid, typ: typ, rate: rate, onEvent: onEvent,
-		registered: true, boundAlive: true, lastSettle: s.engine.Now(),
-	}
-	l.tickFn = func() {
-		l.tickEvent = 0
+	l := s.Create(uid, &s.holders, feed{typ: typ, rate: rate, onEvent: onEvent})
+	l.X.tickFn = func() {
+		l.X.tickEvent = 0
 		s.deliver(l)
 	}
-	s.listeners[tok.ID()] = l
-	tok.LinkToDeath(func() { s.destroy(l) })
-	s.reschedule(l)
-	s.gov.ObjectCreated(s.hookObject(l))
+	s.SetBoundAlive(l, true)
+	s.SetHeld(l, true)
 	return &Registration{svc: s, l: l}
 }
 
 // Unregister stops events; the kernel object survives for re-registration.
-func (r *Registration) Unregister() {
-	s, l := r.svc, r.l
-	if l.destroyed || !l.registered {
-		return
-	}
-	s.registry.IPC()
-	s.settle(l)
-	l.registered = false
-	s.reschedule(l)
-	s.gov.ObjectReleased(s.hookObject(l))
-}
+func (r *Registration) Unregister() { r.svc.Call(r.l, false) }
 
 // Reregister resumes events on the same kernel object.
-func (r *Registration) Reregister() {
-	s, l := r.svc, r.l
-	if l.destroyed || l.registered {
-		return
-	}
-	s.registry.IPC()
-	s.settle(l)
-	l.registered = true
-	s.reschedule(l)
-	s.gov.ObjectReacquired(s.hookObject(l))
-}
+func (r *Registration) Reregister() { r.svc.Call(r.l, true) }
 
 // SetBoundAlive records whether the listener's bound Activity is alive.
-func (r *Registration) SetBoundAlive(alive bool) {
-	s, l := r.svc, r.l
-	if l.boundAlive == alive {
-		return
-	}
-	s.settle(l)
-	l.boundAlive = alive
-}
+func (r *Registration) SetBoundAlive(alive bool) { r.svc.SetBoundAlive(r.l, alive) }
 
 // Registered reports whether events are currently requested.
-func (r *Registration) Registered() bool { return r.l.registered && !r.l.destroyed }
+func (r *Registration) Registered() bool { return r.l.Held }
 
 // ObjectID returns the kernel-object id backing this registration.
-func (r *Registration) ObjectID() uint64 { return r.l.token.ID() }
+func (r *Registration) ObjectID() uint64 { return r.l.ID() }
 
 // Destroy deallocates the kernel object.
-func (r *Registration) Destroy() { r.svc.registry.Kill(r.l.token) }
+func (r *Registration) Destroy() { r.svc.Kill(r.l) }
 
-func (s *Service) destroy(l *listener) {
-	if l.destroyed {
-		return
-	}
-	s.settle(l)
-	l.destroyed = true
-	l.registered = false
-	delete(s.listeners, l.token.ID())
-	s.reschedule(l)
-	s.gov.ObjectDestroyed(s.hookObject(l))
-}
-
-func (s *Service) hookObject(l *listener) hooks.Object {
-	return hooks.Object{ID: l.token.ID(), UID: l.uid, Kind: hooks.SensorListener, Control: s}
-}
-
-func (s *Service) settle(l *listener) {
-	now := s.engine.Now()
-	dt := now - l.lastSettle
-	l.lastSettle = now
-	if dt <= 0 || !l.registered || l.destroyed {
-		return
-	}
-	l.acc.Held += dt
-	if l.suppressed {
-		return
-	}
-	l.acc.Active += dt
-	if l.boundAlive {
-		l.acc.Used += dt
-	}
-}
-
+// reschedule makes the sensor follow a listener's change of state: its
+// pending tick is dropped, the sampling draw re-applied, and a fresh tick
+// scheduled if the listener is (still, or again) effective.
 func (s *Service) reschedule(l *listener) {
-	if l.tickEvent != 0 {
-		s.engine.Cancel(l.tickEvent)
-		l.tickEvent = 0
+	x := &l.X
+	if x.tickEvent != 0 {
+		s.engine.Cancel(x.tickEvent)
+		x.tickEvent = 0
 	}
-	s.recomputePower()
-	if !l.effective() {
-		return
+	s.holders.Each(s.meter, power.Sensor, "sensor", s.profile.SensorW)
+	if l.Effective() {
+		x.tickEvent = s.engine.Schedule(x.rate, x.tickFn)
 	}
-	l.tickEvent = s.engine.Schedule(l.rate, l.tickFn)
 }
 
 func (s *Service) deliver(l *listener) {
-	if !l.effective() {
+	if !l.Effective() {
 		return
 	}
-	s.settle(l)
-	l.seq++
-	l.acc.DataPoints++
-	if l.onEvent != nil {
-		l.onEvent(Event{At: s.engine.Now(), Type: l.typ, Seq: l.seq})
+	s.Settle(l)
+	x := &l.X
+	x.seq++
+	l.Acc.DataPoints++
+	if x.onEvent != nil {
+		x.onEvent(Event{At: s.engine.Now(), Type: x.typ, Seq: x.seq})
 	}
-	if l.effective() {
-		l.tickEvent = s.engine.Schedule(l.rate, l.tickFn)
-	}
-}
-
-// recomputePower re-derives the sensor draw attribution without allocating:
-// dense uid-indexed counts with double-buffered uid lists, as in powermgr.
-func (s *Service) recomputePower() {
-	s.prevUIDs, s.uids = s.uids, s.prevUIDs[:0]
-	for _, uid := range s.prevUIDs {
-		s.cnt[uid] = 0
-	}
-	for _, l := range s.listeners {
-		if l.effective() {
-			s.cnt, s.uids = power.BumpCount(s.cnt, s.uids, l.uid)
-		}
-	}
-	// The listener map iterates in random order; sort so meter updates land
-	// in a fixed order and float accumulation is run-to-run deterministic.
-	slices.Sort(s.uids)
-	for _, uid := range s.uids {
-		s.meter.Set(uid, power.Sensor, "sensor", s.profile.SensorW)
-	}
-	for _, uid := range s.prevUIDs {
-		if s.cnt[uid] == 0 {
-			s.meter.Clear(uid, power.Sensor, "sensor")
-		}
+	if l.Effective() {
+		x.tickEvent = s.engine.Schedule(x.rate, x.tickFn)
 	}
 }
-
-// --- hooks.Controller implementation ---
-
-// Suppress implements hooks.Controller: event delivery stops.
-func (s *Service) Suppress(id uint64) {
-	l, ok := s.listeners[id]
-	if !ok || l.suppressed {
-		return
-	}
-	s.settle(l)
-	l.suppressed = true
-	s.reschedule(l)
-}
-
-// Unsuppress implements hooks.Controller.
-func (s *Service) Unsuppress(id uint64) {
-	l, ok := s.listeners[id]
-	if !ok || !l.suppressed {
-		return
-	}
-	s.settle(l)
-	l.suppressed = false
-	s.reschedule(l)
-}
-
-// TermStats implements hooks.Controller.
-func (s *Service) TermStats(id uint64) hooks.TermStats {
-	l, ok := s.listeners[id]
-	if !ok {
-		return hooks.TermStats{}
-	}
-	s.settle(l)
-	ts := l.acc
-	l.acc = hooks.TermStats{}
-	return ts
-}
-
-// ServiceName implements hooks.Controller.
-func (s *Service) ServiceName() string { return "sensor" }
-
-var _ hooks.Controller = (*Service)(nil)

@@ -55,7 +55,7 @@ func TestSuppressStopsDelivery(t *testing.T) {
 	n := 0
 	reg := r.svc.Register(10, Accelerometer, time.Second, func(Event) { n++ })
 	r.engine.RunUntil(5 * time.Second)
-	r.svc.Suppress(reg.l.token.ID())
+	r.svc.Suppress(reg.ObjectID())
 	before := n
 	r.engine.RunUntil(15 * time.Second)
 	if n != before {
@@ -64,7 +64,7 @@ func TestSuppressStopsDelivery(t *testing.T) {
 	if !reg.Registered() {
 		t.Fatal("suppression must be invisible to the app")
 	}
-	r.svc.Unsuppress(reg.l.token.ID())
+	r.svc.Unsuppress(reg.ObjectID())
 	r.engine.RunUntil(20 * time.Second)
 	if n <= before {
 		t.Fatal("events should resume after unsuppress")
@@ -77,7 +77,7 @@ func TestTermStatsUsedTracksBoundActivity(t *testing.T) {
 	r.engine.RunUntil(20 * time.Second)
 	reg.SetBoundAlive(false)
 	r.engine.RunUntil(60 * time.Second)
-	ts := r.svc.TermStats(reg.l.token.ID())
+	ts := r.svc.TermStats(reg.ObjectID())
 	if ts.Held != 60*time.Second || ts.Used != 20*time.Second {
 		t.Fatalf("Held/Used = %v/%v, want 60s/20s", ts.Held, ts.Used)
 	}
@@ -107,8 +107,8 @@ func TestUnregisterReregisterLifecycle(t *testing.T) {
 func TestDefaultRate(t *testing.T) {
 	r := newRig()
 	reg := r.svc.Register(10, Proximity, 0, nil)
-	if reg.l.rate != 200*time.Millisecond {
-		t.Fatalf("rate = %v, want 200ms default", reg.l.rate)
+	if reg.l.X.rate != 200*time.Millisecond {
+		t.Fatalf("rate = %v, want 200ms default", reg.l.X.rate)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"testing"
 )
 
@@ -52,6 +53,11 @@ func TestDrawDeviceCoverage(t *testing.T) {
 // report must be byte-identical whether devices run on one worker or eight,
 // and regardless of which worker finishes first. A small chunk size forces
 // many chunks so the ordered-merge path is genuinely contended.
+//
+// The sequential report is also compared against a golden file: a change to
+// any service, the framework or a policy that moves a fleet statistic fails
+// here, in tier-1, not only against benchmark/'s pinned digest. Refresh it
+// only for a change that means to move a simulated statistic.
 func TestFleetOrderIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~4k device-windows")
@@ -68,6 +74,14 @@ func TestFleetOrderIndependence(t *testing.T) {
 
 	if seq != par {
 		t.Fatalf("fleet report differs between 1 and 8 workers:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+	}
+	const golden = "testdata/fleet_2000_seed7.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading fleet golden: %v", err)
+	}
+	if seq != string(want) {
+		t.Fatalf("fleet report differs from %s:\n--- golden ---\n%s\n--- got ---\n%s", golden, want, seq)
 	}
 }
 

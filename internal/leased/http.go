@@ -91,7 +91,7 @@ func (sh *shard) leaseView(o *robj) leaseResponse {
 		UID:      int(o.uid),
 		Shard:    sh.id,
 		Kind:     o.kind.String(),
-		Held:     o.held,
+		Held:     o.Held,
 		Acquires: o.acquires,
 		State:    o.lease.State().String(),
 	}

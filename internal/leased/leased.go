@@ -44,7 +44,6 @@ import (
 	"repro/internal/lease"
 	"repro/internal/power"
 	"repro/internal/runtime"
-	"repro/internal/simclock"
 	"repro/internal/snapenc"
 )
 
@@ -473,7 +472,7 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 	if o == nil {
 		o = sh.res.create(uid, kind, client)
 		*slot = o
-		o.held = true
+		o.Held = true
 		o.acquires = 1
 		o.leaseID = sh.mgr.Create(sh.res.hookObject(o))
 		o.lease = sh.mgr.LeaseByID(o.leaseID)
@@ -481,10 +480,7 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 		return o
 	}
 	o.acquires++
-	if !o.held {
-		sh.res.settle(o)
-		o.held = true
-	}
+	sh.hold(o)
 	sh.mgr.Reacquired(o.lease)
 	return o
 }
@@ -495,22 +491,27 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 // paper's "pretend to succeed"). Callers hold the shard clock.
 func (sh *shard) renew(o *robj, rep usageReport) {
 	sh.foldReport(o, rep)
-	if !o.held {
-		sh.res.settle(o)
-		o.held = true
-	}
+	sh.hold(o)
 	sh.mgr.Reacquired(o.lease)
+}
+
+// hold re-asserts that the client holds o. Callers hold the shard clock.
+func (sh *shard) hold(o *robj) {
+	if !o.Held {
+		o.Settle(sh.clock.Now())
+		o.Held = true
+	}
 }
 
 // release drops the hold; the lease itself transitions at its next term
 // boundary (paper §3.2). Releasing an unheld lease is a no-op. Callers
 // hold the shard clock.
 func (sh *shard) release(o *robj) {
-	if !o.held || o.destroyed {
+	if !o.Held || o.destroyed {
 		return
 	}
-	sh.res.settle(o)
-	o.held = false
+	o.Settle(sh.clock.Now())
+	o.Held = false
 	sh.mgr.Released(o.lease)
 }
 
@@ -523,9 +524,9 @@ func (sh *shard) destroy(o *robj) {
 	if o.destroyed {
 		return
 	}
-	sh.res.settle(o)
+	o.Settle(sh.clock.Now())
 	o.destroyed = true
-	o.held = false
+	o.Held = false
 	sh.mgr.Destroyed(o.lease)
 	sh.table.recs[o.uid].objs[o.kind] = nil
 	delete(sh.byLease, o.leaseID)
@@ -682,14 +683,14 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, err
 // foldReport adds a usage report to the object's pending term stats and the
 // holder's app-level counters. Callers hold the shard clock.
 func (sh *shard) foldReport(o *robj, rep usageReport) {
-	o.used += rep.used()
-	o.reqTime += rep.request()
-	o.failedReqTime += rep.failedRequest()
+	o.Acc.Used += rep.used()
+	o.Acc.RequestTime += rep.request()
+	o.Acc.FailedRequestTime += rep.failedRequest()
 	if rep.DataPoints > 0 {
-		o.dataPoints += rep.DataPoints
+		o.Acc.DataPoints += rep.DataPoints
 	}
 	if rep.DistanceM > 0 {
-		o.distanceM += rep.DistanceM
+		o.Acc.DistanceM += rep.DistanceM
 	}
 	sh.table.recs[o.uid].add(rep)
 }
@@ -697,9 +698,13 @@ func (sh *shard) foldReport(o *robj, rep usageReport) {
 // --- the server-side lease proxy (hooks.Controller) ---
 
 // robj is one kernel object: the server-side record of a (client, kind)
-// resource instance, with lazily-settled hold/active accumulators (the same
-// scheme powermgr uses) plus the client-reported utility extras.
+// resource instance. Its proxy state is the simulator services' hooks.Hold,
+// settled against the shard's wall clock: Held and Active accrue from the
+// clock, the rest of Acc from the usage reports clients send with renewals
+// (foldReport), and the manager pulls the lot each term.
 type robj struct {
+	hooks.Hold
+
 	id      uint64
 	uid     power.UID
 	kind    hooks.Kind
@@ -710,20 +715,7 @@ type robj struct {
 	// long as any table holds this robj: destroy kills both together.
 	lease *lease.Lease
 
-	held       bool
-	suppressed bool
-	destroyed  bool
-
-	lastSettle simclock.Time
-	accHeld    time.Duration
-	accActive  time.Duration
-
-	// client-reported, reset on each TermStats pull
-	used          time.Duration
-	reqTime       time.Duration
-	failedReqTime time.Duration
-	dataPoints    int
-	distanceM     float64
+	destroyed bool
 
 	// acquires counts applied acquire operations (initial create plus
 	// re-acquires). Exposed to clients in every lease response so a
@@ -744,7 +736,7 @@ type resources struct {
 
 func (r *resources) create(uid power.UID, kind hooks.Kind, client string) *robj {
 	r.nextID++
-	o := &robj{id: r.nextID, uid: uid, kind: kind, client: client, lastSettle: r.clock.Now()}
+	o := &robj{Hold: hooks.Hold{LastSettle: r.clock.Now()}, id: r.nextID, uid: uid, kind: kind, client: client}
 	r.objs[o.id] = o
 	return o
 }
@@ -753,40 +745,19 @@ func (r *resources) hookObject(o *robj) hooks.Object {
 	return hooks.Object{ID: o.id, UID: o.uid, Kind: o.kind, Control: r}
 }
 
-// settle folds elapsed wall time into o's hold/active accumulators.
-func (r *resources) settle(o *robj) {
-	now := r.clock.Now()
-	if dt := now - o.lastSettle; dt > 0 {
-		if o.held {
-			o.accHeld += dt
-			if !o.suppressed {
-				o.accActive += dt
-			}
-		}
-		o.lastSettle = now
+func (r *resources) setSuppressed(id uint64, suppressed bool) {
+	if o := r.objs[id]; o != nil && o.Suppressed != suppressed {
+		o.Settle(r.clock.Now())
+		o.Suppressed = suppressed
 	}
 }
 
 // Suppress implements hooks.Controller: the resource is revoked while the
 // client-side lease "pretends to succeed".
-func (r *resources) Suppress(id uint64) {
-	o := r.objs[id]
-	if o == nil || o.suppressed {
-		return
-	}
-	r.settle(o)
-	o.suppressed = true
-}
+func (r *resources) Suppress(id uint64) { r.setSuppressed(id, true) }
 
 // Unsuppress implements hooks.Controller.
-func (r *resources) Unsuppress(id uint64) {
-	o := r.objs[id]
-	if o == nil || !o.suppressed {
-		return
-	}
-	r.settle(o)
-	o.suppressed = false
-}
+func (r *resources) Unsuppress(id uint64) { r.setSuppressed(id, false) }
 
 // TermStats implements hooks.Controller: returns and resets the counters
 // accumulated since the previous pull.
@@ -795,20 +766,8 @@ func (r *resources) TermStats(id uint64) hooks.TermStats {
 	if o == nil {
 		return hooks.TermStats{}
 	}
-	r.settle(o)
-	ts := hooks.TermStats{
-		Held:              o.accHeld,
-		Active:            o.accActive,
-		Used:              o.used,
-		RequestTime:       o.reqTime,
-		FailedRequestTime: o.failedReqTime,
-		DataPoints:        o.dataPoints,
-		DistanceM:         o.distanceM,
-	}
-	o.accHeld, o.accActive = 0, 0
-	o.used, o.reqTime, o.failedReqTime = 0, 0, 0
-	o.dataPoints, o.distanceM = 0, 0
-	return ts
+	o.Settle(r.clock.Now())
+	return o.Pull()
 }
 
 // ServiceName implements hooks.Controller.

@@ -573,12 +573,15 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		o := &robj{
 			id: os.ID, uid: uid, kind: kind,
 			client: os.Client, leaseID: os.LeaseID,
-			held: os.Held, suppressed: os.Suppressed,
-			lastSettle: os.LastSettle,
-			accHeld:    time.Duration(os.AccHeld), accActive: time.Duration(os.AccActive),
-			used: time.Duration(os.Used), reqTime: time.Duration(os.ReqTime),
-			failedReqTime: time.Duration(os.FailedReqTime),
-			dataPoints:    os.DataPoints, distanceM: os.DistanceM,
+			Hold: hooks.Hold{
+				Held: os.Held, Suppressed: os.Suppressed, LastSettle: os.LastSettle,
+				Acc: hooks.TermStats{
+					Held: time.Duration(os.AccHeld), Active: time.Duration(os.AccActive),
+					Used: time.Duration(os.Used), RequestTime: time.Duration(os.ReqTime),
+					FailedRequestTime: time.Duration(os.FailedReqTime),
+					DataPoints:        os.DataPoints, DistanceM: os.DistanceM,
+				},
+			},
 			acquires: os.Acquires,
 		}
 		sh.res.objs[o.id] = o

@@ -165,7 +165,7 @@ func TestCrashRecoveryRebuildsExactState(t *testing.T) {
 		t.Fatalf("torch = state %d hasRestore %v, want deferred with pending restore", torch.State, torch.HasRestor)
 	}
 	// The server-side proxy still suppresses the resource.
-	if o := sh2.byLease[local]; o == nil || !o.suppressed {
+	if o := sh2.byLease[local]; o == nil || !o.Suppressed {
 		t.Fatal("torch robj not suppressed after recovery")
 	}
 

@@ -70,16 +70,16 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 		w.Int(int(o.kind))
 		w.String(o.client)
 		w.Uvarint(o.leaseID)
-		w.Bool(o.held)
-		w.Bool(o.suppressed)
-		w.Varint(int64(o.lastSettle))
-		w.Varint(int64(o.accHeld))
-		w.Varint(int64(o.accActive))
-		w.Varint(int64(o.used))
-		w.Varint(int64(o.reqTime))
-		w.Varint(int64(o.failedReqTime))
-		w.Int(o.dataPoints)
-		w.Float64(o.distanceM)
+		w.Bool(o.Held)
+		w.Bool(o.Suppressed)
+		w.Varint(int64(o.LastSettle))
+		w.Varint(int64(o.Acc.Held))
+		w.Varint(int64(o.Acc.Active))
+		w.Varint(int64(o.Acc.Used))
+		w.Varint(int64(o.Acc.RequestTime))
+		w.Varint(int64(o.Acc.FailedRequestTime))
+		w.Int(o.Acc.DataPoints)
+		w.Float64(o.Acc.DistanceM)
 		w.Varint(o.acquires)
 	}
 

@@ -435,25 +435,6 @@ func (m *Meter) EnergyByComponentJ() map[Component]float64 {
 	return out
 }
 
-// BumpCount increments the dense per-UID count for uid, recording first
-// sightings in uids, and returns the (possibly grown) slices. It is the
-// building block of the allocation-free draw recomputes in the system
-// services: per-uid counts live in dense uid-indexed slices and the uid
-// lists double-buffer across recomputes, so the steady state never touches
-// a map.
-func BumpCount(cnt []int32, uids []UID, uid UID) ([]int32, []UID) {
-	if int(uid) >= len(cnt) {
-		grown := make([]int32, int(uid)+1)
-		copy(grown, cnt)
-		cnt = grown
-	}
-	if cnt[uid] == 0 {
-		uids = append(uids, uid)
-	}
-	cnt[uid]++
-	return cnt, uids
-}
-
 // AvgPowerMW converts an energy delta over a duration into milliwatts.
 func AvgPowerMW(deltaJ float64, over time.Duration) float64 {
 	if over <= 0 {
