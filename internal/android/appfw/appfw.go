@@ -13,10 +13,12 @@
 // layer is engineered to be allocation-free in steady state, mirroring the
 // simclock/power fast paths (DESIGN.md §9): work items are pooled on a
 // per-framework free list and linked into an intrusive per-process list
-// (O(1) completion removal), their completion callbacks and draw slots are
-// bound once per pooled slot, timers reuse a bound tick callback per tick,
-// DVFS repricing walks a dense slice, and per-UID accounting is one dense
-// counters table instead of four maps.
+// (O(1) completion removal), their completion callbacks are bound once per
+// pooled slot and their draw slots when they first start, timers reuse a
+// bound tick callback per tick, DVFS repricing walks a dense slice, and
+// per-UID accounting is one dense counters table instead of four maps.
+// Re-gating costs by what changes state: submitting to a process costs the
+// same whatever backlog it has paused (Process.reevaluate).
 package appfw
 
 import (
@@ -168,11 +170,13 @@ func (fw *Framework) NewProcess(uid power.UID, name string) *Process {
 func (fw *Framework) ProcessOf(uid power.UID) *Process { return fw.procs[uid] }
 
 // CPUTimeOf reports the cumulative CPU busy time attributed to uid
-// (the paper's sysTime+userTime metric, §2.1).
+// (the paper's sysTime+userTime metric, §2.1): what has been billed plus the
+// elapsed time of whatever is in flight. A process whose items are paused has
+// nothing in flight, so its backlog is not walked.
 func (fw *Framework) CPUTimeOf(uid power.UID) time.Duration {
 	t := fw.counterOf(uid).cpuTime
 	p := fw.procs[uid]
-	if p == nil {
+	if p == nil || !p.workRunning {
 		return t
 	}
 	for w := p.workHead; w != nil; w = w.next {
@@ -260,8 +264,9 @@ const (
 // workItem is one pausable unit of execution. Items are pooled value slots:
 // allocWork pops one from the framework free list and releaseWork pushes it
 // back, so steady-state execution churns no heap. The completion callback
-// (completeFn) and the meter draw slot (handle) are bound when the item is
-// prepared, so a pause/resume cycle is pure pointer and index work.
+// (completeFn) is bound once per slot and the meter draw slot (handle) when
+// the item first starts, so a pause/resume cycle is pure pointer and index
+// work.
 type workItem struct {
 	proc      *Process
 	kind      workKind
@@ -275,8 +280,11 @@ type workItem struct {
 	pausedAt  simclock.Time
 	doneEvent simclock.EventID
 
-	// handle is the item's dedicated power-meter draw slot, resolved once
-	// in addWork; pause/resume update it by index (power.DrawHandle).
+	// handle is the item's dedicated power-meter draw slot, resolved on the
+	// first start — an item that has never run draws nothing and holds no
+	// slot, so a paused backlog leaves its owner's slot table as short as
+	// the meter's linear scans assume. Pause/resume update it by index
+	// (power.DrawHandle); the zero handle means not yet resolved.
 	handle power.DrawHandle
 
 	// completeFn is the bound completion callback, created once per pooled
@@ -302,6 +310,13 @@ type Process struct {
 
 	// workHead/workTail hold the live work items in submission order.
 	workHead, workTail *workItem
+	// Gating is per process, so linked items share one state: workRunning is
+	// the state the last reevaluate left them in, and workNew is the first
+	// item linked since, which has never run — nil except inside addWork,
+	// which links and re-gates at once. reevaluate touches the items from
+	// workNew on unless canRun() has flipped.
+	workRunning bool
+	workNew     *workItem
 
 	// timers holds the plain timers and alarms the wake-capable ones, each
 	// in creation order: reevaluate flushes all of the first before any of
@@ -313,6 +328,9 @@ type Process struct {
 	// never skips an entry.
 	iter  int
 	sweep bool
+	// pendingTicks counts the timers and alarms holding an undelivered tick;
+	// at zero reevaluate has nothing to flush and skips both slices.
+	pendingTicks int
 
 	tailEvent  simclock.EventID // pending radio-tail expiry
 	tailFn     func()           // bound expiry callback, created on first tail
@@ -394,6 +412,9 @@ func (p *Process) linkWork(w *workItem) {
 		p.workHead = w
 	}
 	p.workTail = w
+	if p.workNew == nil {
+		p.workNew = w
+	}
 }
 
 // unlinkWork removes w from p's live work list in O(1).
@@ -459,7 +480,6 @@ func (p *Process) NetworkRequest(duration time.Duration, onDone func(err error))
 
 func (p *Process) addWork(w *workItem) {
 	w.pausedAt = p.fw.engine.Now()
-	w.handle = p.fw.meter.Handle(p.uid, w.comp())
 	p.linkWork(w)
 	p.reevaluate()
 }
@@ -537,6 +557,9 @@ func (w *workItem) start() {
 	if w.kind == cpuWork {
 		w.runIdx = int32(len(fw.runningCPU))
 		fw.runningCPU = append(fw.runningCPU, w)
+	}
+	if w.handle == (power.DrawHandle{}) {
+		w.handle = fw.meter.Handle(w.proc.uid, w.comp())
 	}
 	w.handle.Set(w.drawW())
 	fw.refreshCPUDraws()
@@ -628,6 +651,15 @@ func (p *Process) endRadioTail() {
 
 // reevaluate starts or pauses work and flushes due timers per gating state.
 //
+// Its cost follows the items whose state must change, never the backlog
+// (DESIGN.md §9 "Gating follows flips"): every linked item is in the state
+// the previous call left it in, except the ones linked since, so unless
+// canRun() has flipped only those are visited — a listener that keeps
+// submitting to a sleeping process pays for the item it adds, not for the
+// thousands it has queued. A flip walks the whole list in submission order,
+// so items start, and take their engine sequence numbers, in the order they
+// always did.
+//
 // The loops walk the live structures directly (no defensive copies): the
 // work list cannot change mid-walk (start/pause run no user code), and the
 // timer/alarm slices only grow during the walk — newly created entries
@@ -636,13 +668,22 @@ func (p *Process) endRadioTail() {
 // index.
 func (p *Process) reevaluate() {
 	run := p.canRun()
-	for w := p.workHead; w != nil; w = w.next {
+	w := p.workNew
+	if run != p.workRunning {
+		p.workRunning = run
+		w = p.workHead
+	}
+	p.workNew = nil
+	for ; w != nil; w = w.next {
 		switch {
 		case run && !w.running:
 			w.start()
 		case !run && w.running:
 			w.pause()
 		}
+	}
+	if p.pendingTicks == 0 {
+		return
 	}
 	p.iter++
 	if run {
@@ -768,13 +809,27 @@ func (t *timer) onTick() {
 	if t.allowed() {
 		t.fire()
 	} else {
-		t.pending = true
+		t.setPending(true)
+	}
+}
+
+// setPending records whether t holds an undelivered tick, keeping the
+// process's count of such timers in step.
+func (t *timer) setPending(pending bool) {
+	if t.pending == pending {
+		return
+	}
+	t.pending = pending
+	if pending {
+		t.proc.pendingTicks++
+	} else {
+		t.proc.pendingTicks--
 	}
 }
 
 // fire runs the callback and schedules the next tick.
 func (t *timer) fire() {
-	t.pending = false
+	t.setPending(false)
 	t.fn()
 	if !t.stopped && !t.proc.dead {
 		t.schedule()
@@ -798,7 +853,7 @@ func (t *timer) deactivate() {
 		return
 	}
 	t.stopped = true
-	t.pending = false
+	t.setPending(false)
 	if t.event != 0 {
 		t.proc.fw.engine.Cancel(t.event)
 		t.event = 0

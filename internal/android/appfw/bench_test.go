@@ -81,17 +81,21 @@ func timerChurnOp() func() {
 }
 
 // workPauseResumeOp is the suspend path of paper §4.6: a long-running item
-// repeatedly paused by CPU sleep and resumed by wake. Both sides are
-// allocation-free: appfw pools its work items and powermgr.recompute counts
-// holders in dense reused slices (powermgr's TestRecomputeDoesNotAllocate).
+// repeatedly paused by CPU sleep and resumed by wake, and a short one
+// submitted while the CPU is down, which takes its draw slot only as the wake
+// starts it and hands it back when it completes. Both sides are
+// allocation-free: appfw pools its work items, the meter recycles the slot,
+// and powermgr.recompute counts holders in dense reused slices (powermgr's
+// TestRecomputeDoesNotAllocate).
 func workPauseResumeOp() func() {
 	r := newRig(nil)
 	p := r.fw.NewProcess(10, "app")
 	wl := r.hold(10)
 	p.RunWork(time.Hour, nil)
 	return func() {
-		wl.Release() // CPU sleeps, work pauses
-		wl.Acquire() // CPU wakes, work resumes
+		wl.Release()                         // CPU sleeps, work pauses
+		p.RunWork(500*time.Microsecond, nil) // queues behind it, slotless
+		wl.Acquire()                         // CPU wakes, both run
 		r.engine.RunUntil(r.engine.Now() + time.Millisecond)
 	}
 }

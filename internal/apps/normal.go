@@ -139,8 +139,11 @@ func NewHaven(s *sim.Sim, uid power.UID) *Haven {
 func (a *Haven) Start() {
 	wl := a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "haven-monitor")
 	wl.Acquire()
+	// Bound once, like Spotify's decode callback: a closure built inside the
+	// listener would be allocated on every sensor event.
+	analyzed := func() { a.EventsAnalyzed++ }
 	analyze := func(sensor.Event) {
-		a.proc.RunWork(60*time.Millisecond, func() { a.EventsAnalyzed++ })
+		a.proc.RunWork(60*time.Millisecond, analyzed)
 	}
 	a.accel = a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 500*time.Millisecond, analyze)
 	a.camera = a.s.Sensors.Register(a.UID(), sensor.Camera, time.Second, analyze)

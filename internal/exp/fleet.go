@@ -154,21 +154,23 @@ type fleetDevice struct {
 	profile device.Profile
 	mix     *appMix
 	policy  sim.Policy
-	seed    uint64
 }
 
-// drawDevice derives device i's configuration from its seed alone.
-func drawDevice(fleetSeed uint64, i int) (fleetDevice, *rand.Rand) {
-	seed := DeviceSeed(fleetSeed, i)
-	r := stats.NewRand(int64(seed))
+// drawDevice derives a device's configuration from its seed alone: r stands
+// at the start of the stream its DeviceSeed seeds, and is left where the
+// device's app mix picks up. A fleet worker re-seeds one generator
+// per device rather than building one — by math/rand's contract Seed leaves
+// it in the state a new one starts in (TestReseededRandDrawsSameDevices), and
+// a new one is 4.9 KB to zero and fill.
+func drawDevice(r *rand.Rand) fleetDevice {
 	pols := sim.Policies()
-	d := fleetDevice{seed: seed}
+	var d fleetDevice
 	d.profile = fleetProfiles[pickWeighted(r, profileWeightTotal,
 		func(i int) int { return fleetProfiles[i].weight }, len(fleetProfiles))].prof
 	d.mix = &fleetMixes[pickWeighted(r, mixWeightTotal,
 		func(i int) int { return fleetMixes[i].weight }, len(fleetMixes))]
 	d.policy = pols[r.Intn(len(pols))]
-	return d, r
+	return d
 }
 
 // interventions reports how many times the device's governor acted against
@@ -275,9 +277,10 @@ func (a *fleetAccums) merge(o *fleetAccums) {
 }
 
 // runFleetDevice simulates one population member on a pooled world and
-// folds its outcome into acc.
-func runFleetDevice(cfg FleetConfig, pool *sim.Pool, polIndex map[sim.Policy]int, i int, acc *fleetAccums) {
-	d, r := drawDevice(cfg.Seed, i)
+// folds its outcome into acc. r is the worker's generator, re-seeded here.
+func runFleetDevice(cfg FleetConfig, pool *sim.Pool, polIndex map[sim.Policy]int, r *rand.Rand, i int, acc *fleetAccums) {
+	r.Seed(int64(DeviceSeed(cfg.Seed, i)))
+	d := drawDevice(r)
 	s := pool.Get(sim.Options{Device: d.profile, Policy: d.policy})
 	defer pool.Put(s)
 	d.mix.install(s, r)
@@ -329,6 +332,7 @@ func RunFleet(cfg FleetConfig) FleetReport {
 	)
 	worker := func() {
 		defer wg.Done()
+		r := stats.NewRand(0)
 		for {
 			c := int(claim.Add(1)) - 1
 			if c >= nChunks {
@@ -341,7 +345,7 @@ func RunFleet(cfg FleetConfig) FleetReport {
 				hi = cfg.Devices
 			}
 			for i := lo; i < hi; i++ {
-				runFleetDevice(cfg, pool, polIndex, i, acc)
+				runFleetDevice(cfg, pool, polIndex, r, i, acc)
 			}
 			mu.Lock()
 			for mergeTurn != c {

@@ -3,6 +3,8 @@ package exp
 import (
 	"os"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestSplitMix64Golden pins DeviceSeed to the published SplitMix64 reference
@@ -33,7 +35,7 @@ func TestDrawDeviceCoverage(t *testing.T) {
 	mixes := map[string]bool{}
 	policies := map[string]bool{}
 	for i := 0; i < 2000; i++ {
-		d, _ := drawDevice(42, i)
+		d := drawDevice(stats.NewRand(int64(DeviceSeed(42, i))))
 		profiles[d.profile.Name] = true
 		mixes[d.mix.name] = true
 		policies[d.policy.String()] = true
@@ -46,6 +48,29 @@ func TestDrawDeviceCoverage(t *testing.T) {
 	}
 	if wantPols := 6; len(policies) != wantPols {
 		t.Errorf("drew %d/%d policies: %v", len(policies), wantPols, policies)
+	}
+}
+
+// TestReseededRandDrawsSameDevices pins what lets a fleet worker keep one
+// generator: re-seeding a used *rand.Rand yields the stream a new one built
+// from the same seed yields — the same device, and the same numbers after it
+// for the app mix to draw from.
+func TestReseededRandDrawsSameDevices(t *testing.T) {
+	shared := stats.NewRand(0)
+	for i := 0; i < 1000; i++ {
+		seed := int64(DeviceSeed(42, i))
+		fresh := stats.NewRand(seed)
+		shared.Seed(seed)
+		want, got := drawDevice(fresh), drawDevice(shared)
+		if got.profile != want.profile || got.mix != want.mix || got.policy != want.policy {
+			t.Fatalf("device %d: re-seeded draw %s/%s/%v, fresh draw %s/%s/%v", i,
+				got.profile.Name, got.mix.name, got.policy, want.profile.Name, want.mix.name, want.policy)
+		}
+		for k := 0; k < 10; k++ {
+			if g, w := shared.Int63(), fresh.Int63(); g != w {
+				t.Fatalf("device %d: Int63 #%d after the draw is %d re-seeded, %d fresh", i, k, g, w)
+			}
+		}
 	}
 }
 

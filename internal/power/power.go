@@ -402,6 +402,17 @@ func (m *Meter) InstantPowerOfW(owner UID) float64 {
 	return m.owners[owner].watts
 }
 
+// DrawCount reports how many draw entries, tagged or handle, owner holds.
+// An owner's slot table grows to the most it has held at once, and Set scans
+// it: callers keep that to a handful (appfw gives a work item a slot only
+// once it runs, so a paused backlog holds none).
+func (m *Meter) DrawCount(owner UID) int {
+	if owner < 0 || int(owner) >= len(m.owners) {
+		return 0
+	}
+	return m.owners[owner].nLive
+}
+
 // EnergyJ reports total energy consumed so far, in joules, up to the
 // current virtual instant.
 func (m *Meter) EnergyJ() float64 {
