@@ -288,9 +288,9 @@ func failover(h *harness) {
 }
 
 // fabric is the partition scenario's network: for every ordered pair of
-// nodes, the viewer's own links to the target's client and replication
-// ports ("a_b_http", "a_b_repl"). A node reaches a peer only through its
-// own links, so isolating one node touches nobody else's.
+// nodes, the viewer's own link to the target's replication port ("a_b") —
+// the one port nodes talk to each other on. A node reaches a peer only
+// through its own links, so isolating one node touches nobody else's.
 type fabric map[string]*netchaos.Proxy
 
 func (h *harness) newFabric(nodes ...*node) fabric {
@@ -300,12 +300,10 @@ func (h *harness) newFabric(nodes ...*node) fabric {
 			if viewer == target {
 				continue
 			}
-			for kind, addr := range map[string]string{"http": target.addr, "repl": target.repl} {
-				p, err := netchaos.New(addr)
-				must(err, "netchaos link")
-				h.onClose(p.Close)
-				f[viewer.id+"_"+target.id+"_"+kind] = p
-			}
+			p, err := netchaos.New(target.repl)
+			must(err, "netchaos link")
+			h.onClose(p.Close)
+			f[viewer.id+"_"+target.id] = p
 		}
 	}
 	return f
@@ -323,23 +321,16 @@ func (f fabric) set(spec string, links ...string) {
 	}
 }
 
-// blackhole stalls both links of each viewer_target pair.
-func (f fabric) blackhole(pairs ...string) {
-	for _, p := range pairs {
-		f.set("blackhole=1", p+"_http", p+"_repl")
-	}
-}
-
-// peers is viewer's -peers list: itself directly, the others through its
-// own links.
+// peers is viewer's -peers list: the others' replication ports through its
+// own links, everything else direct.
 func (f fabric) peers(viewer *node, nodes ...*node) string {
 	entries := make([]string, len(nodes))
 	for i, n := range nodes {
-		url, repl := n.url(), n.repl
+		repl := n.repl
 		if n != viewer {
-			url, repl = "http://"+f[viewer.id+"_"+n.id+"_http"].Addr(), f[viewer.id+"_"+n.id+"_repl"].Addr()
+			repl = f[viewer.id+"_"+n.id].Addr()
 		}
-		entries[i] = n.id + "," + url + "," + repl
+		entries[i] = n.id + "," + n.url() + "," + repl
 	}
 	return strings.Join(entries, ";")
 }
@@ -369,8 +360,8 @@ func partition(h *harness) {
 
 	phase("1: lossy misbehaving load at A; B and C follow through the fabric")
 	boot(a, "leased_a1.log", "-role", "primary")
-	boot(b, "leased_b.log", "-role", "follower", "-primary", net["b_a_repl"].Addr())
-	boot(c, "leased_c.log", "-role", "follower", "-primary", net["c_a_repl"].Addr())
+	boot(b, "leased_b.log", "-role", "follower", "-primary", net["b_a"].Addr())
+	boot(c, "leased_c.log", "-role", "follower", "-primary", net["c_a"].Addr())
 	mon := h.watch("monitor.jsonl", a, b, c)
 	pre1 := h.baseline(a, b, c)
 
@@ -379,7 +370,7 @@ func partition(h *harness) {
 	// applied offsets, so the tiebreak (lowest node ID) picks B. A write
 	// reaching one follower after the other's link died would — correctly —
 	// crown the more caught-up node instead.
-	net.blackhole("a_b", "a_c", "b_a", "c_a")
+	net.set("blackhole=1", "a_b", "a_c", "b_a", "c_a")
 	// Load spanning the failover is an artifact, not a gate: while the lease
 	// is expired A answers 421, and that unavailability is the design.
 	spanning := make(chan struct{})
@@ -410,21 +401,21 @@ func partition(h *harness) {
 	// Restarting a fenced box as a follower is an operator's action;
 	// promoting is not, and none happens.
 	a.stop(syscall.SIGKILL)
-	boot(a, "leased_a2.log", "-role", "follower", "-primary", net["a_b_repl"].Addr())
+	boot(a, "leased_a2.log", "-role", "follower", "-primary", net["a_b"].Addr())
 	h.synced(a)
-	net.set("drop=s2c", "c_b_repl")
+	net.set("drop=s2c", "c_b")
 	h.waitHealth(c, 10*time.Second, "C never suspected B over the dropped direction", suspects(true))
 	time.Sleep(2 * time.Second) // ample time for a wrong election
 	h.waitHealth(b, 0, "B lost its leadership or its lease over a one-way link", func(hz leased.Health) bool { return hz.Role == "primary" && hz.Writable })
 	h.waitHealth(c, 0, "a one-way link moved C's epoch or role", is("follower", 1))
-	net.set("", "c_b_repl")
+	net.set("", "c_b")
 	h.waitHealth(c, 10*time.Second, "C's suspicion never cleared after the heal", suspects(false))
 	h.synced(c)
 
 	phase("5: split {B} | {A, C} — A self-promotes at epoch 2, B is fenced on heal")
 	h.synced(a)
 	pre2 := h.metrics(b, "metrics_pre2.json")
-	net.blackhole("b_a", "b_c", "a_b", "c_b")
+	net.set("blackhole=1", "b_a", "b_c", "a_b", "c_b")
 	h.waitHealth(b, 10*time.Second, "split leader never went read-only", readOnly)
 	h.waitHealth(a, 30*time.Second, "A never self-promoted at epoch 2 on the majority side", is("primary", 2))
 	h.waitHealth(c, 30*time.Second, "C never re-aimed at A as a follower at epoch 2", is("follower", 2))

@@ -82,7 +82,7 @@ func main() {
 		dumpSnap  = flag.String("dump-snapshot", "", "admin verb: print each shard's snapshot under this data directory as indented JSON, then its journal's records one JSON object per line, exit (reads only; serves nothing)")
 
 		nodeID       = flag.String("node-id", "", "this node's stable identity within -peers (auto-failover)")
-		peersSpec    = flag.String("peers", "", `cluster membership "id,url,repladdr;id,url,repladdr;..." — every node lists all peers, itself included`)
+		peersSpec    = flag.String("peers", "", `cluster membership "id,url,repladdr;id,url,repladdr;..." — every node lists all peers, itself included; nodes reach each other at repladdr only, url is the Leader hint handed to clients`)
 		autoFailover = flag.Bool("auto-failover", false, "run the autopilot: leadership lease on the primary, failure detection + fenced self-promotion on followers")
 		leaseTermF   = flag.Duration("lease-term", 0, "leadership lease: quorum-ack window the primary must renew within (0 = derived from ping cadence)")
 		pingEvery    = flag.Duration("ping-every", 0, "replication ping interval (0 = 250ms default)")

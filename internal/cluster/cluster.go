@@ -109,13 +109,34 @@ const (
 	frameAck      = 'A' // follower → primary: u64 LE applied sequence
 )
 
-// Hello is the follower's opening frame. Probe hellos are the failure
-// detector's epoch-exchange: the dialer wants the refusal (which carries the
-// target's epoch and leader hint), not a stream — the target answers and
-// closes without capturing a snapshot. Because the epoch check runs before
-// the probe check, a probe from a higher epoch still fences a stale primary,
-// which is how a healed minority leader learns it was deposed without
-// anybody re-following it.
+// Node roles, as a Standing names them.
+const (
+	RolePrimary  = "primary"
+	RoleFollower = "follower"
+	RoleFenced   = "fenced"
+)
+
+// Standing is what a node says of itself, the one status document peers
+// trade: served as GET /v1/election, and sent inside every refusal on the
+// replication port, which is how a probing peer reads it.
+type Standing struct {
+	Node     string `json:"node_id"`
+	Role     string `json:"role"`
+	Epoch    uint64 `json:"cluster_epoch"`
+	Writable bool   `json:"writable"` // a primary whose leadership lease, if armed, is held
+	Suspect  bool   `json:"suspect"`  // a follower that has heard nothing for DetectAfter
+	// AppliedSeq is records applied (a follower) or published (a primary),
+	// summed over shards: the election's ranking key.
+	AppliedSeq  int64  `json:"applied_seq"`
+	LastHeardMS int64  `json:"last_heard_ms"`
+	Leader      string `json:"leader,omitempty"` // client-facing URL of the node it believes leads
+}
+
+// Hello is the dialer's opening frame. A probe Hello asks for the target's
+// standing, not a stream: the target refuses it without capturing a snapshot.
+// Either kind shows the target the dialer's epoch first, so a probe from a
+// later generation still fences a stale primary — how a healed minority
+// leader learns it was deposed without anybody re-following it.
 type Hello struct {
 	Proto  int    `json:"proto"`
 	Shard  int    `json:"shard"`
@@ -124,7 +145,7 @@ type Hello struct {
 	Config string `json:"config"`
 	Node   string `json:"node,omitempty"`   // dialer's node ID, for lease accounting
 	Leader string `json:"leader,omitempty"` // dialer's best leader hint (probes)
-	Probe  bool   `json:"probe,omitempty"`  // epoch exchange only; expect a refusal
+	Probe  bool   `json:"probe,omitempty"`  // standing exchange only; expect a refusal
 }
 
 // Welcome is the primary's accepting reply.
@@ -137,25 +158,20 @@ type Welcome struct {
 	SnapSeq int64 `json:"snap_seq"`
 }
 
-// ErrMsg is the primary's refusing reply. Leader, when set, points the
-// follower (and through it, redirected clients) at the node the refuser
-// believes leads the cluster.
+// ErrMsg is the refusing reply: why, and the refuser's standing. A build from
+// before the standing rode here sent only the leader and cluster_epoch keys:
+// its refusal decodes with an empty role.
 type ErrMsg struct {
-	Error  string `json:"error"`
-	Leader string `json:"leader,omitempty"`
-	// Epoch is the refuser's cluster epoch, so a probing peer can tell
-	// whether it is the stale side of the disagreement.
-	Epoch uint64 `json:"cluster_epoch,omitempty"`
+	Error string `json:"error"`
+	Standing
 }
 
 // Meta is the Source's self-description, consulted per handshake so role
 // and epoch changes (promotion, fencing) take effect immediately.
 type Meta struct {
-	Primary bool   // serving as primary right now
-	Shards  int    // shard count — must match the follower's exactly
-	Epoch   uint64 // cluster epoch (leadership generation)
-	Leader  string // client-facing URL for Leader hints
-	Config  string // policy signature — replicas must agree on semantics
+	Standing        // sent verbatim in every refusal
+	Shards   int    // shard count — must match the follower's exactly
+	Config   string // policy signature — replicas must agree on semantics
 }
 
 // Source is the primary daemon as the replication layer sees it.
@@ -166,11 +182,9 @@ type Source interface {
 	// the stream sequence as of the capture. Everything published after
 	// flows to sub; nothing before does — the snapshot covers it.
 	SnapshotShard(shard int, sub *Subscriber) (payload []byte, seq int64, err error)
-	// ObserveEpoch reports proof that cluster epoch e exists somewhere,
-	// together with the observer's best guess at who leads it (may be
-	// empty). A primary at a lower epoch has been deposed and must fence
-	// itself.
-	ObserveEpoch(e uint64, leader string)
+	// Observe reports what a dialing peer's Hello says of it (no role). A
+	// primary shown an epoch above its own has been deposed and fences itself.
+	Observe(Standing)
 }
 
 // Applier is the follower daemon as the replication layer sees it. Calls
@@ -179,8 +193,8 @@ type Applier interface {
 	// AdoptWelcome validates the primary's handshake and adopts its epoch.
 	// An error aborts the session before any state is touched.
 	AdoptWelcome(w Welcome) error
-	// Redirect records a refusing peer's leader hint.
-	Redirect(leader string)
+	// Observe reports the standing a refusing peer sent.
+	Observe(Standing)
 	// ApplySnapshot replaces the shard's state wholesale.
 	ApplySnapshot(shard int, payload []byte) error
 	// ApplyBurst replays a run of atomic groups of journal records — one

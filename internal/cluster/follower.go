@@ -234,8 +234,7 @@ func jitterDelay(delay time.Duration, randn func(int64) int64) time.Duration {
 
 // session dials the primary and runs one stream over the connection.
 func (f *Follower) session(shard int) (progressed bool, err error) {
-	d := net.Dialer{Timeout: dialTimeout}
-	conn, err := d.Dial("tcp", f.addr)
+	conn, err := dial(f.addr, time.Now().Add(dialTimeout))
 	if err != nil {
 		return false, err
 	}
@@ -291,39 +290,19 @@ func (f *Follower) stream(shard int, conn net.Conn) (progressed bool, err error)
 	// tighter ping-derived one.
 	conn.SetReadDeadline(time.Now().Add(tune.HandshakeTimeout))
 
-	hb, err := json.Marshal(f.hello(shard))
-	if err != nil {
-		return false, err
-	}
-	if _, err := conn.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
-		return false, err
-	}
 	sr := durable.NewStreamReader(conn, burstReadBuf)
-	tag, payload, err := sr.ReadFrame()
+	w, refused, err := greet(conn, sr, f.hello(shard))
 	if err != nil {
 		return false, err
 	}
-	if tag == frameError {
-		var e ErrMsg
-		if json.Unmarshal(payload, &e) == nil {
-			if e.Leader != "" {
-				f.app.Redirect(e.Leader)
-			}
-			return false, errors.New("refused: " + e.Error)
-		}
-		return false, errors.New("refused")
-	}
-	if tag != frameWelcome {
-		return false, fmt.Errorf("unexpected frame %q before welcome", tag)
-	}
-	var w Welcome
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return false, err
+	if refused != nil {
+		f.app.Observe(refused.Standing)
+		return false, errors.New("refused: " + refused.Error)
 	}
 	if err := f.app.AdoptWelcome(w); err != nil {
 		return false, err
 	}
-	tag, payload, err = sr.ReadFrame()
+	tag, payload, err := sr.ReadFrame()
 	if err != nil {
 		return false, err
 	}

@@ -426,10 +426,10 @@ func (p *Primary) drop(conn net.Conn) {
 	p.mu.Unlock()
 }
 
-// refuse sends an error frame carrying a leader hint and our epoch, then
-// lets the caller close. The epoch lets probing peers compare generations.
-func (p *Primary) refuse(conn net.Conn, msg, leader string, epoch uint64) {
-	b, _ := json.Marshal(ErrMsg{Error: msg, Leader: leader, Epoch: epoch})
+// refuse sends an error frame carrying this node's standing, then lets the
+// caller close.
+func (p *Primary) refuse(conn net.Conn, msg string, self Standing) {
+	b, _ := json.Marshal(ErrMsg{Error: msg, Standing: self})
 	conn.SetWriteDeadline(time.Now().Add(p.tuning().HandshakeTimeout))
 	conn.Write(durable.AppendFrame(nil, frameError, b))
 }
@@ -450,35 +450,30 @@ func (p *Primary) handle(conn net.Conn) {
 	if err := json.Unmarshal(payload, &h); err != nil {
 		return
 	}
+	// Observed before anything is answered: a Hello from a later leadership
+	// generation deposes this node, and the refusal then carries the fenced
+	// role and the leader hint the observation may just have taught it.
+	p.src.Observe(Standing{Node: h.Node, Epoch: h.Epoch, Leader: h.Leader})
 	meta := p.src.Meta()
+	var why string
 	switch {
 	case h.Epoch > meta.Epoch:
-		// The peer has seen a later leadership generation than ours: we are
-		// (or are about to be) deposed. Fence before refusing, then refuse
-		// with the leader hint the observation may just have taught us.
-		p.src.ObserveEpoch(h.Epoch, h.Leader)
-		meta = p.src.Meta()
-		p.refuse(conn, fmt.Sprintf("peer at cluster epoch %d, this node at %d", h.Epoch, meta.Epoch), meta.Leader, meta.Epoch)
-		return
+		why = fmt.Sprintf("peer at cluster epoch %d, this node at %d", h.Epoch, meta.Epoch)
 	case h.Probe:
-		// Epoch exchange only: the prober wants our generation and leader
-		// hint, which the refusal carries.
-		p.refuse(conn, "probe", meta.Leader, meta.Epoch)
-		return
-	case !meta.Primary:
-		p.refuse(conn, "not the leader", meta.Leader, meta.Epoch)
-		return
+		why = "probe"
+	case meta.Role != RolePrimary:
+		why = "not the leader"
 	case h.Proto != Proto:
-		p.refuse(conn, fmt.Sprintf("protocol %d, want %d", h.Proto, Proto), meta.Leader, meta.Epoch)
-		return
+		why = fmt.Sprintf("protocol %d, want %d", h.Proto, Proto)
 	case h.Shards != meta.Shards:
-		p.refuse(conn, fmt.Sprintf("follower has %d shards, primary %d", h.Shards, meta.Shards), meta.Leader, meta.Epoch)
-		return
+		why = fmt.Sprintf("follower has %d shards, primary %d", h.Shards, meta.Shards)
 	case h.Shard < 0 || h.Shard >= meta.Shards:
-		p.refuse(conn, fmt.Sprintf("no shard %d", h.Shard), meta.Leader, meta.Epoch)
-		return
+		why = fmt.Sprintf("no shard %d", h.Shard)
 	case h.Config != meta.Config:
-		p.refuse(conn, "policy config mismatch: "+h.Config+" vs "+meta.Config, meta.Leader, meta.Epoch)
+		why = "policy config mismatch: " + h.Config + " vs " + meta.Config
+	}
+	if why != "" {
+		p.refuse(conn, why, meta.Standing)
 		return
 	}
 	if p.dropSite.Fire() {
@@ -493,7 +488,7 @@ func (p *Primary) handle(conn net.Conn) {
 	sub.lastAck.Store(time.Now().UnixNano())
 	snap, seq, err := p.src.SnapshotShard(h.Shard, sub)
 	if err != nil {
-		p.refuse(conn, "snapshot: "+err.Error(), meta.Leader, meta.Epoch)
+		p.refuse(conn, "snapshot: "+err.Error(), meta.Standing)
 		return
 	}
 	st := p.streams[h.Shard]

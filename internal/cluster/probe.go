@@ -10,39 +10,69 @@ import (
 	"repro/internal/durable"
 )
 
-// Probe dials a peer's replication address and performs an epoch exchange:
-// it sends h (forced into probe mode) and returns the peer's refusal, which
-// carries the peer's cluster epoch and leader hint. This is the failure
-// detector's side channel — a primary uses it to learn it has been deposed
-// (refusal at a higher epoch) and to depose stale peers (its own epoch rides
-// in the Hello), without either side attaching a replication stream.
-func Probe(addr string, h Hello, timeout time.Duration) (ErrMsg, error) {
-	h.Proto = Proto
-	h.Probe = true
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.Dial("tcp", addr)
-	if err != nil {
-		return ErrMsg{}, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
+// dial is the one place a node opens a connection to a peer: a follower's
+// stream and a probe both go to a replication address through here.
+func dial(addr string, deadline time.Time) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
+	return d.Dial("tcp", addr)
+}
+
+// greet opens every exchange on such a connection: h goes out as the first
+// frame and the peer's first comes back, a Welcome or (refused non-nil) a
+// refusal.
+func greet(conn net.Conn, sr *durable.StreamReader, h Hello) (w Welcome, refused *ErrMsg, err error) {
 	hb, err := json.Marshal(h)
 	if err != nil {
-		return ErrMsg{}, err
+		return w, nil, err
 	}
 	if _, err := conn.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
-		return ErrMsg{}, err
+		return w, nil, err
 	}
-	tag, payload, err := durable.NewStreamReader(conn, ackReadBuf).ReadFrame()
+	tag, payload, err := sr.ReadFrame()
 	if err != nil {
-		return ErrMsg{}, err
+		return w, nil, err
 	}
-	if tag != frameError {
-		return ErrMsg{}, fmt.Errorf("unexpected frame %q in probe reply", tag)
+	switch tag {
+	case frameWelcome:
+		return w, nil, json.Unmarshal(payload, &w)
+	case frameError:
+		refused = new(ErrMsg)
+		if json.Unmarshal(payload, refused) != nil {
+			return w, nil, errors.New("malformed refusal")
+		}
+		return w, refused, nil
 	}
-	var em ErrMsg
-	if err := json.Unmarshal(payload, &em); err != nil {
-		return ErrMsg{}, errors.New("malformed probe refusal")
+	return w, nil, fmt.Errorf("unexpected frame %q before welcome", tag)
+}
+
+// Probe asks the peer at addr for its standing, all within timeout: it sends
+// h (forced into probe mode) and reads the refusal. This is the only evidence
+// the failure detector and the election have of a peer, and it shows the peer
+// the prober's epoch, deposing a stale primary; neither side attaches a
+// stream. A peer that cannot be reached, answers anything else, or names no
+// role did not answer.
+func Probe(addr string, h Hello, timeout time.Duration) (Standing, error) {
+	deadline := time.Now().Add(timeout)
+	conn, err := dial(addr, deadline)
+	if err != nil {
+		return Standing{}, err
 	}
-	return em, nil
+	defer conn.Close()
+	conn.SetDeadline(deadline)
+	return probe(conn, h)
+}
+
+func probe(conn net.Conn, h Hello) (Standing, error) {
+	h.Proto = Proto
+	h.Probe = true
+	_, refused, err := greet(conn, durable.NewStreamReader(conn, ackReadBuf), h)
+	switch {
+	case err != nil:
+		return Standing{}, err
+	case refused == nil:
+		return Standing{}, errors.New("probe was welcomed")
+	case refused.Role == "":
+		return Standing{}, errors.New("refusal without a standing: " + refused.Error)
+	}
+	return refused.Standing, nil
 }

@@ -53,11 +53,13 @@ func eventually(t *testing.T, what string, happened func() bool) {
 // stubSource is a one-shard primary daemon with nothing in it.
 type stubSource struct{ p *Primary }
 
-func (s *stubSource) Meta() Meta { return Meta{Primary: true, Shards: 1, Config: "stub"} }
+func (s *stubSource) Meta() Meta {
+	return Meta{Standing: Standing{Node: "stub", Role: RolePrimary}, Shards: 1, Config: "stub"}
+}
 func (s *stubSource) SnapshotShard(shard int, sub *Subscriber) ([]byte, int64, error) {
 	return []byte("snap"), s.p.Stream(shard).Attach(sub), nil
 }
-func (s *stubSource) ObserveEpoch(uint64, string) {}
+func (s *stubSource) Observe(Standing) {}
 
 // countingConn counts the Write calls made on a connection — the primary's
 // socket writes — and counts each before it blocks.
@@ -283,7 +285,7 @@ type stubApplier struct {
 }
 
 func (a *stubApplier) AdoptWelcome(Welcome) error      { return nil }
-func (a *stubApplier) Redirect(string)                 {}
+func (a *stubApplier) Observe(Standing)                {}
 func (a *stubApplier) ApplySnapshot(int, []byte) error { return nil }
 func (a *stubApplier) ApplyBurst(_ int, groups [][][]byte) error {
 	if a.entered != nil {

@@ -1,83 +1,32 @@
 package leased
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
 )
 
 // Autopilot: the paper's lease discipline applied to the cluster itself.
-// Leadership is a resource; the leader proves liveness by renewing (follower
-// acks within the lease term) and is deposed when it defaults (followers
-// detect the silence and run a deterministic succession). One goroutine per
-// node drives three duties off the same ticker:
-//
-//   - leader lease (primaries): count distinct followers that acked within
-//     the lease term; self plus those short of quorum ⇒ suspend writes
-//     (421 + Leader hint) until the quorum returns. The lease arms on the
-//     first quorum of a leadership stint, so cold boots and fresh promotees
-//     are not read-only while their followers find them.
-//   - peer probes (primaries): an epoch exchange with every configured peer.
-//     Carrying our epoch deposes stale primaries on the other side; hearing
-//     a higher epoch back fences us. This is how a healed minority leader
-//     is fenced without anyone re-following it.
-//   - election (followers): once every shard stream has been silent past the
-//     detection window, poll the peers' /v1/election documents. If a newer
-//     primary exists, re-aim at it; if the old leader is reachable and still
-//     writable, the break is local — keep redialing; otherwise rank the
-//     suspecting candidates by (highest applied offset, lowest node ID) and
-//     the winner self-promotes through the ordinary Promote path. The
-//     winner additionally waits out detection window + lease term of
-//     silence, so the deposed leader's lease has expired before the
-//     successor opens for writes: at most one writable leader at all times
-//     (up to scheduling-pause bounds; DESIGN.md §16).
-//
-// No new consensus protocol: promotion, fencing and epoch bands are exactly
-// the PR 9 machinery; the autopilot only decides *when* to pull the same
-// levers an operator would.
+// Leadership is a resource: the leader renews it (follower acks within the
+// lease term) and is deposed when it defaults (followers detect the silence
+// and run a deterministic succession). As the lease manager settles a lease
+// once a term from one collected record, one goroutine per node settles the
+// node's role once a tick: it observes (its own standing, the acks within
+// the term, the standings a probe sweep of the replication ports brought
+// back), decides — a pure function — and acts, pulling a lever an operator
+// also has: promotion, fencing and epoch bands are the manual-failover
+// machinery, and the autopilot only decides when to use it.
 
-// ElectionDoc is the /v1/election document — the per-node facts the
-// succession protocol exchanges.
-type ElectionDoc struct {
-	Node        string `json:"node_id"`
-	Role        string `json:"role"`
-	Epoch       uint64 `json:"cluster_epoch"`
-	Writable    bool   `json:"writable"`
-	Suspect     bool   `json:"suspect"`
-	AppliedSeq  int64  `json:"applied_seq"`
-	LastHeardMS int64  `json:"last_heard_ms"`
-	Leader      string `json:"leader,omitempty"`
-}
-
-// electionDoc snapshots this node's own document.
-func (s *Server) electionDoc() ElectionDoc {
-	es := ElectionDoc{
-		Role:     s.Role(),
-		Epoch:    s.ClusterEpoch(),
-		Writable: s.Writable(),
-		Leader:   s.LeaderHint(),
-	}
-	if cc := s.opts.Cluster; cc != nil {
-		es.Node = cc.NodeID
-	}
-	if rs, ok := s.replicaStats(); ok {
-		es.Suspect = rs.Suspect
-		es.AppliedSeq = rs.AppliedSeq
-		es.LastHeardMS = rs.LastHeardMS
-	} else if s.prim != nil {
-		for i := range s.shards {
-			es.AppliedSeq += s.prim.Stream(i).Seq()
-		}
-	}
-	return es
-}
+// ElectionDoc is the GET /v1/election document: the node's standing.
+type ElectionDoc = cluster.Standing
 
 // handleElection is GET /v1/election.
 func (s *Server) handleElection(w http.ResponseWriter, r *http.Request) {
-	writeDoc(w, s.electionDoc())
+	st, _ := s.standing()
+	writeDoc(w, st)
 }
 
 // StartAutoFailover arms the failure detector, leader lease and election.
@@ -93,6 +42,11 @@ func (s *Server) StartAutoFailover() error {
 	}
 	if _, ok := cc.peer(cc.NodeID); !ok {
 		return fmt.Errorf("leased: node %q is not in the configured peer set", cc.NodeID)
+	}
+	for _, p := range cc.Peers {
+		if p.ID != cc.NodeID && p.ReplAddr == "" {
+			return fmt.Errorf("leased: peer %q has no replication address: it could never be consulted", p.ID)
+		}
 	}
 	if term, detect := cc.leaseTerm(), cc.tuning().DetectAfter(); term >= detect {
 		return fmt.Errorf("leased: lease term %v must be shorter than the detection window %v (missed-pings × ping-every), or a deposed leader could still hold its lease when a successor finishes detecting it", term, detect)
@@ -111,176 +65,233 @@ func (s *Server) stopAutopilot() {
 	s.autoWG.Wait()
 }
 
+// sweepTimeout bounds a whole sweep: its evidence must be fresh well inside
+// one detection window, or a candidate could promote off stale standings.
+func sweepTimeout(term time.Duration) time.Duration {
+	return max(term/2, 50*time.Millisecond)
+}
+
 func (s *Server) autopilot() {
 	defer s.autoWG.Done()
 	cc := s.opts.Cluster
 	tune := cc.tuning()
-	term := cc.leaseTerm()
-	logf := cc.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	// Election polls must resolve well inside one detection window, or a
-	// candidate could promote off stale peer documents.
-	client := &http.Client{Timeout: maxDuration(term/2, 50*time.Millisecond)}
+	v := view{detect: tune.DetectAfter(), term: cc.leaseTerm(), quorum: cc.quorum()}
 	ticker := time.NewTicker(tune.PingEvery)
 	defer ticker.Stop()
-	var lastProbe time.Time
+	// Sweeps run off this goroutine — the lease decision never waits for a
+	// blackholed peer — one at a time, started on a tick, and the standings
+	// that answered come back here as a tick of their own.
+	swept := make(chan []cluster.Standing, 1)
+	sweeping := false
+	var lastLeaderSweep time.Time
 	for {
+		tick := false
+		v.peers = nil
 		select {
 		case <-s.autoStop:
 			return
 		case <-ticker.C:
+			tick = true
+		case v.peers = <-swept:
+			sweeping = false
 		}
-		switch s.role.Load() {
-		case rolePrimary:
-			s.leaseTick(term, logf)
-			if time.Since(lastProbe) >= term {
-				lastProbe = time.Now()
-				s.probePeers(tune, term, logf)
+		v.self, _ = s.standing()
+		v.armed = s.leaseArmed.Load()
+		v.acked = s.prim.AckedNodes(v.term)
+		s.act(decide(v), v)
+
+		if tick && !sweeping && sweepDue(v.self, time.Since(lastLeaderSweep), v.term) {
+			sweeping = true
+			if v.self.Role == cluster.RolePrimary {
+				lastLeaderSweep = time.Now()
 			}
-		case roleFollower:
-			s.electTick(client, tune, term, logf)
-		case roleFenced:
-			// Terminal in-process: a fenced ex-primary's walls already run
-			// on real time, so it cannot re-adopt snapshots. It keeps
-			// answering 421 with the successor's Leader hint; the operator
-			// restarts it as a follower (or re-promotes it) when ready.
+			s.autoWG.Add(1)
+			go func(timeout time.Duration) {
+				defer s.autoWG.Done()
+				swept <- s.sweep(timeout)
+			}(sweepTimeout(v.term))
 		}
 	}
 }
 
-// leaseTick renews or expires the leadership lease from follower-ack
-// evidence: self plus the distinct nodes that acked within the term,
-// compared against quorum.
-func (s *Server) leaseTick(term time.Duration, logf func(string, ...any)) {
-	cc := s.opts.Cluster
-	quorum := cc.quorum()
-	held := 1+s.prim.AckedNodes(term) >= quorum
-	if held && !s.leaseArmed.Swap(true) {
-		if quorum > 1 {
-			logf("leased: leadership lease armed (quorum %d of %d peers acking)", quorum, len(cc.Peers))
-		}
-		return
+// sweepDue: a leader sweeps once a term, to depose and be deposed — at once
+// when it has just been promoted — and a follower once a tick for as long as
+// it hears nothing.
+func sweepDue(self cluster.Standing, sinceLeaderSweep, term time.Duration) bool {
+	if self.Role == cluster.RolePrimary {
+		return sinceLeaderSweep >= term
 	}
-	if !s.leaseArmed.Load() {
-		return
-	}
-	if was := s.writable.Swap(held); was != held {
-		if held {
-			logf("leased: leadership lease renewed; writes resumed")
-		} else {
-			logf("leased: leadership lease expired (no quorum of acks within %v); writes suspended", term)
-		}
-	}
+	return self.Role == cluster.RoleFollower && self.Suspect
 }
 
-// probePeers runs one asynchronous epoch-exchange sweep over the configured
-// peers (skipped if the previous sweep is still in flight — blackholed
-// peers make a sweep slow, and the lease tick must not fall behind it).
-func (s *Server) probePeers(tune cluster.Tuning, term time.Duration, logf func(string, ...any)) {
-	if !s.probeBusy.CompareAndSwap(false, true) {
-		return
-	}
+// sweep probes every other peer at once and returns the standings of those
+// that answered within timeout, named as this node's configuration names
+// them.
+func (s *Server) sweep(timeout time.Duration) []cluster.Standing {
 	cc := s.opts.Cluster
-	timeout := minDuration(maxDuration(term, 200*time.Millisecond), 2*time.Second)
-	s.autoWG.Add(1)
-	go func() {
-		defer s.autoWG.Done()
-		defer s.probeBusy.Store(false)
-		for _, p := range cc.Peers {
-			if p.ID == cc.NodeID || p.ReplAddr == "" {
-				continue
-			}
-			h := cluster.Hello{
-				Shards: len(s.shards),
-				Epoch:  s.cepoch.Load(),
-				Config: s.configSig(),
-				Node:   cc.NodeID,
-				Leader: s.LeaderHint(),
-			}
-			em, err := cluster.Probe(p.ReplAddr, h, timeout)
-			if err != nil {
-				continue
-			}
-			if em.Epoch > s.cepoch.Load() {
-				logf("leased: peer %s is at cluster epoch %d (ours %d); fencing", p.ID, em.Epoch, s.cepoch.Load())
-				s.ObserveEpoch(em.Epoch, em.Leader)
-				return
-			}
-		}
-	}()
-}
-
-// electTick is the follower side of succession. It acts only when this
-// node's failure detector has tripped (every shard stream silent past the
-// detection window), and then only on the consistent, quorate view the
-// /v1/election polls return.
-func (s *Server) electTick(client *http.Client, tune cluster.Tuning, term time.Duration, logf func(string, ...any)) {
-	fol := s.fol.Load()
-	if fol == nil {
-		return
+	h := cluster.Hello{
+		Shards: len(s.shards),
+		Epoch:  s.cepoch.Load(),
+		Config: s.configSig(),
+		Node:   cc.NodeID,
+		Leader: s.LeaderHint(),
 	}
-	st := fol.Stats()
-	if !st.Suspect {
-		return
-	}
-	cc := s.opts.Cluster
-	myEpoch := s.cepoch.Load()
-	cands := []candidate{{id: cc.NodeID, applied: st.AppliedSeq}}
-	for _, p := range cc.Peers {
-		if p.ID == cc.NodeID || p.URL == "" {
+	answers := make([]*cluster.Standing, len(cc.Peers))
+	var wg sync.WaitGroup
+	for i, p := range cc.Peers {
+		if p.ID == cc.NodeID {
 			continue
 		}
-		es, err := fetchElectionDoc(client, p.URL)
-		if err != nil {
-			continue
+		wg.Add(1)
+		go func(i int, p Peer) {
+			defer wg.Done()
+			if st, err := cluster.Probe(p.ReplAddr, h, timeout); err == nil {
+				st.Node = p.ID
+				answers[i] = &st
+			}
+		}(i, p)
+	}
+	wg.Wait()
+	peers := make([]cluster.Standing, 0, len(answers))
+	for _, st := range answers {
+		if st != nil {
+			peers = append(peers, *st)
 		}
+	}
+	return peers
+}
+
+// view is everything a tick's decision may depend on.
+type view struct {
+	self  cluster.Standing
+	armed bool // the leadership lease is being enforced this stint
+	acked int  // distinct followers that acked within term
+	// peers holds the standings that answered the sweep that has just come
+	// back; nil on a tick no sweep came back on.
+	peers        []cluster.Standing
+	detect, term time.Duration
+	quorum       int
+}
+
+// verb is what a decision asks act to do.
+type verb string
+
+const (
+	none          verb = "none"
+	armLease      verb = "arm lease"
+	suspendWrites verb = "suspend writes"
+	resumeWrites  verb = "resume writes"
+	fence         verb = "fence"
+	refollow      verb = "refollow"
+	promote       verb = "promote"
+)
+
+// action is a decision: the verb, the peer it is about (fence: the proof;
+// refollow: the new primary; a candidate standing by: the winner) and why.
+type action struct {
+	verb   verb
+	peer   cluster.Standing
+	reason string
+}
+
+// decide settles what the node does this tick; the first rule that matches
+// wins. It reads no clock, touches no server and does no I/O, so the failover
+// argument can be enumerated (decide_test.go; DESIGN.md §16 has the table).
+func decide(v view) action {
+	switch v.self.Role {
+	case cluster.RolePrimary:
+		for _, p := range v.peers {
+			if p.Epoch > v.self.Epoch {
+				return action{fence, p, "a peer answered from a later leadership generation"}
+			}
+		}
+		// The lease is enforced from the first quorum of a stint on, so a cold
+		// boot or a fresh promotee is not read-only while its followers find it.
+		held := 1+v.acked >= v.quorum
 		switch {
-		case es.Role == "primary" && es.Epoch > myEpoch:
-			// A successor already exists — adopt it instead of electing.
-			logf("leased: found primary %s at epoch %d; re-aiming replication", p.ID, es.Epoch)
-			s.refollow(p)
-			return
-		case es.Role == "primary" && es.Epoch >= myEpoch && es.Writable:
-			// The leader is alive and holds its lease; the silence is our
-			// own link. Keep redialing, do not depose it.
-			return
-		case es.Role == "follower" && es.Epoch == myEpoch && es.Suspect:
-			cands = append(cands, candidate{id: es.Node, applied: es.AppliedSeq})
+		case held && !v.armed:
+			return action{verb: armLease, reason: "first quorum of acks this stint"}
+		case !v.armed:
+			return action{verb: none, reason: "lease not armed yet"}
+		case held && !v.self.Writable:
+			return action{verb: resumeWrites, reason: "leadership lease renewed"}
+		case !held && v.self.Writable:
+			return action{verb: suspendWrites, reason: "leadership lease expired: no quorum of acks within the term"}
 		}
+		return action{verb: none, reason: "lease unchanged"}
+
+	case cluster.RoleFollower:
+		if !v.self.Suspect {
+			return action{verb: none, reason: "leader heard"}
+		}
+		if v.peers == nil {
+			return action{verb: none, reason: "no sweep came back"}
+		}
+		cands := []cluster.Standing{v.self}
+		var leader, successor *cluster.Standing
+		for i, p := range v.peers {
+			switch {
+			case p.Role == cluster.RolePrimary && p.Epoch > v.self.Epoch:
+				if successor == nil || p.Epoch > successor.Epoch {
+					successor = &v.peers[i]
+				}
+			case p.Epoch != v.self.Epoch:
+			case p.Role == cluster.RolePrimary:
+				leader = &v.peers[i]
+			case p.Role == cluster.RoleFollower && p.Suspect:
+				cands = append(cands, p)
+			}
+		}
+		switch win := electWinner(cands); {
+		case successor != nil:
+			return action{refollow, *successor, "a successor already exists"}
+		case leader != nil:
+			// Probes and streams share a port: whoever can trade standings
+			// with the leader can stream from it, lease held or not.
+			return action{verb: none, peer: *leader, reason: "the leader answers; the silence is a stream's, and it will redial"}
+		case len(cands) < v.quorum:
+			return action{verb: none, reason: "too few suspecting followers to speak for the cluster"}
+		case win.Node != v.self.Node:
+			return action{verb: none, peer: win, reason: "another candidate ranks first; it will promote"}
+		case v.self.LastHeardMS < (v.detect + v.term).Milliseconds():
+			// The leader's last quorum ack is no later than the last frame this
+			// node heard, and term < detect: by then its lease has expired.
+			return action{verb: none, reason: "waiting out the deposed leader's lease"}
+		}
+		return action{verb: promote, reason: "elected by a quorum of suspecting followers"}
 	}
-	quorum := cc.quorum()
-	if len(cands) < quorum {
-		// Minority side of a partition: not enough suspecting followers to
-		// speak for the cluster. Stay a follower.
+	return action{verb: none, reason: "fenced: an operator decides what this node becomes"}
+}
+
+// act carries a decision out and logs it, once, with the numbers behind it.
+func (s *Server) act(a action, v view) {
+	cc := s.opts.Cluster
+	switch a.verb {
+	case none:
 		return
+	case armLease:
+		s.leaseArmed.Store(true)
+	case suspendWrites:
+		s.writable.Store(false)
+	case resumeWrites:
+		s.writable.Store(true)
+	case fence:
+		s.Observe(a.peer)
+	case refollow:
+		p, _ := cc.peer(a.peer.Node)
+		s.refollow(p)
+	case promote:
+		s.Promote()
 	}
-	win := electWinner(cands)
-	if win.id != cc.NodeID {
-		// Deterministic ranking says another candidate succeeds; it will,
-		// and a later tick adopts it via the refollow branch above.
-		return
-	}
-	// Lease handoff: wait until the deposed leader's lease must have
-	// expired (its last possible quorum ack is no later than our last
-	// heard frame) before opening a new writable generation.
-	if st.LastHeardMS < (tune.DetectAfter() + term).Milliseconds() {
-		return
-	}
-	epoch, promoted := s.Promote()
-	if promoted {
-		logf("leased: elected by %d of %d peers after %dms of leader silence; self-promoted to epoch %d",
-			len(cands), len(cc.Peers), st.LastHeardMS, epoch)
+	if cc.Logf != nil {
+		cc.Logf("leased: autopilot: %s: %s (now %s at epoch %d; was %+v; acks 1+%d of quorum %d; peers %+v)",
+			a.verb, a.reason, s.Role(), s.ClusterEpoch(), v.self, v.acked, v.quorum, v.peers)
 	}
 }
 
 // refollow re-aims replication at peer p: stop the old sessions, adopt p as
 // the leader hint, start fresh sessions against its replication address.
 func (s *Server) refollow(p Peer) {
-	if p.ReplAddr == "" {
-		return
-	}
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
 	if s.role.Load() != roleFollower {
@@ -295,54 +306,17 @@ func (s *Server) refollow(p Peer) {
 	s.startFollower(p.ReplAddr)
 }
 
-// candidate is one election entrant.
-type candidate struct {
-	id      string
-	applied int64
-}
-
 // electWinner ranks candidates deterministically: highest applied
 // replication offset first (minimize lost suffix), lowest node ID as the
-// tiebreak. Every node computes the same winner from the same documents —
+// tiebreak. Every node computes the same winner from the same standings —
 // that determinism, plus epoch fencing for the races, stands in for a
 // consensus round.
-func electWinner(cands []candidate) candidate {
+func electWinner(cands []cluster.Standing) cluster.Standing {
 	win := cands[0]
 	for _, c := range cands[1:] {
-		if c.applied > win.applied || (c.applied == win.applied && c.id < win.id) {
+		if c.AppliedSeq > win.AppliedSeq || (c.AppliedSeq == win.AppliedSeq && c.Node < win.Node) {
 			win = c
 		}
 	}
 	return win
-}
-
-// fetchElectionDoc polls one peer's /v1/election document.
-func fetchElectionDoc(client *http.Client, baseURL string) (ElectionDoc, error) {
-	var es ElectionDoc
-	resp, err := client.Get(baseURL + "/v1/election")
-	if err != nil {
-		return es, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return es, fmt.Errorf("election poll: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&es); err != nil {
-		return es, err
-	}
-	return es, nil
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,11 +5,18 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/cluster"
 )
 
 // electWinner must rank identically on every node that evaluates it — the
 // whole election scheme leans on that determinism instead of a ballot round.
 func TestElectWinnerDeterministic(t *testing.T) {
+	type candidate = struct {
+		id      string
+		applied int64
+	}
 	cases := []struct {
 		name  string
 		cands []candidate
@@ -21,16 +28,17 @@ func TestElectWinnerDeterministic(t *testing.T) {
 		{"zero offsets still ordered", []candidate{{"z", 0}, {"m", 0}, {"q", 0}}, "m"},
 	}
 	for _, tc := range cases {
-		if got := electWinner(tc.cands); got.id != tc.want {
-			t.Errorf("%s: winner %q, want %q", tc.name, got.id, tc.want)
-		}
 		// Order independence: reversing the slate cannot change the outcome.
-		rev := make([]candidate, len(tc.cands))
+		slate, rev := make([]cluster.Standing, len(tc.cands)), make([]cluster.Standing, len(tc.cands))
 		for i, c := range tc.cands {
-			rev[len(rev)-1-i] = c
+			slate[i] = cluster.Standing{Node: c.id, AppliedSeq: c.applied}
+			rev[len(rev)-1-i] = slate[i]
 		}
-		if got := electWinner(rev); got.id != tc.want {
-			t.Errorf("%s (reversed): winner %q, want %q", tc.name, got.id, tc.want)
+		if got := electWinner(slate); got.Node != tc.want {
+			t.Errorf("%s: winner %q, want %q", tc.name, got.Node, tc.want)
+		}
+		if got := electWinner(rev); got.Node != tc.want {
+			t.Errorf("%s (reversed): winner %q, want %q", tc.name, got.Node, tc.want)
 		}
 	}
 }
@@ -86,5 +94,78 @@ func TestControlDocumentsAreJSON(t *testing.T) {
 		if got := get(tc.s, tc.method, tc.path); got != tc.want+"\n" {
 			t.Errorf("%s %s:\n got %s want %s", tc.method, tc.path, got, tc.want)
 		}
+	}
+}
+
+// A tick's evidence is bounded by one timeout however many peers are silent:
+// four peers that accept and never answer cost a sweep one timeout together,
+// not one each (polled one after another, as the election's HTTP plane once
+// was, four such peers outlasted the detection window the sweep must resolve
+// inside).
+func TestSweepIsBoundedByOneTimeout(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	peers := []Peer{{ID: "a", ReplAddr: "127.0.0.1:1"}}
+	for _, id := range []string{"b", "c", "d", "e"} {
+		ln := listenTCP(t)
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close() // held open, never answered, until the test ends
+			}
+		}()
+		peers = append(peers, Peer{ID: id, ReplAddr: ln.Addr().String()})
+	}
+	sweeper := func(peers []Peer) *Server {
+		opts := testOptions()
+		opts.Cluster = &ClusterConfig{Role: "primary", NodeID: "a", Peers: peers}
+		s := NewServer(opts)
+		t.Cleanup(s.Close)
+		return s
+	}
+
+	start := time.Now()
+	got := sweeper(peers).sweep(timeout)
+	if took := time.Since(start); took < timeout || took > timeout*3/2 {
+		t.Errorf("a sweep of four mute peers took %v, want one timeout of %v", took, timeout)
+	}
+	if len(got) != 0 {
+		t.Errorf("mute peers answered: %+v", got)
+	}
+
+	// A peer that does answer is reported under the name the configuration
+	// gives it, whatever it calls itself.
+	popts := testOptions()
+	popts.Cluster = &ClusterConfig{Role: "follower", NodeID: "somebody-else", PrimaryAddr: "127.0.0.1:1"}
+	live := NewServer(popts)
+	defer live.Close()
+	ln := listenTCP(t)
+	live.ServeReplication(ln)
+	got = sweeper([]Peer{peers[0], {ID: "b", ReplAddr: ln.Addr().String()}}).sweep(timeout)
+	if len(got) != 1 || got[0].Node != "b" || got[0].Role != "follower" {
+		t.Errorf("sweep of one live follower returned %+v", got)
+	}
+}
+
+// A peer without a replication address could never be consulted — probes and
+// streams have nowhere else to go — so the autopilot refuses to start.
+func TestStartAutoFailoverNeedsEveryReplAddr(t *testing.T) {
+	opts := testOptions()
+	opts.Cluster = &ClusterConfig{Role: "primary", NodeID: "a", AutoFailover: true, Peers: []Peer{
+		{ID: "a", URL: "http://127.0.0.1:1"}, // its own entry needs none
+		{ID: "b", URL: "http://127.0.0.1:2", ReplAddr: "127.0.0.1:3"},
+		{ID: "c", URL: "http://127.0.0.1:4"},
+	}}
+	s := NewServer(opts)
+	defer s.Close()
+	if err := s.StartAutoFailover(); err == nil || !strings.Contains(err.Error(), `peer "c" has no replication address`) {
+		t.Fatalf("StartAutoFailover with an unreachable peer: %v", err)
+	}
+	opts.Cluster.Peers[2].ReplAddr = "127.0.0.1:5"
+	if err := s.StartAutoFailover(); err != nil {
+		t.Fatalf("StartAutoFailover with every peer addressed: %v", err)
 	}
 }

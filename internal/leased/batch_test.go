@@ -5,12 +5,15 @@ package leased
 // routes, per-shard-group journal atomicity, and replay equivalence.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -314,4 +317,87 @@ func TestBatchGroupSharesOneFrozenInstant(t *testing.T) {
 	if at[0] != at[1] || at[1] != at[2] {
 		t.Errorf("batch group timestamps differ: %v (must share one frozen instant)", at)
 	}
+}
+
+// opsKeys counts the top-level keys of a JSON object that name its ops. More
+// than one and encoding/json merges the arrays element by element, which the
+// daemon does not imitate (TestDecodeBatchMatchesStdlib).
+func opsKeys(body []byte) (n int) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return 0
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		var val json.RawMessage
+		if err != nil || dec.Decode(&val) != nil {
+			return n
+		}
+		if k, ok := key.(string); ok && strings.EqualFold(k, "ops") {
+			n++
+		}
+	}
+	return n
+}
+
+// FuzzBatchBody posts arbitrary bytes at the one route whose body parser
+// (the "ops" array around the per-op decoders FuzzDecodeAcquire and
+// FuzzDecodeUsage cover) no fuzzer reached: no panic; the body is accepted
+// exactly when encoding/json accepts it; an accepted body gets one result an
+// op, each with a status an op can have; and the daemon still answers after.
+func FuzzBatchBody(f *testing.F) {
+	for _, body := range batchCorpus {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"ops":[{"op":"acquire","client":"a","kind":"gps","req_id":"r1"},{"op":"acquire","client":"a","kind":"gps","req_id":"r1"}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		opts := testOptions()
+		opts.Shards = 2
+		s := NewServer(opts)
+		defer s.Close()
+		post := func(method, path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			return rec
+		}
+		rec := post("POST", "/v1/batch", body)
+		var ref batchBodyWire
+		refErr := refDecode(body, &ref)
+		switch rec.Code {
+		case 200:
+			if refErr != nil {
+				t.Fatalf("body %q accepted; encoding/json says %v", body, refErr)
+			}
+			var out batchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("body %q: the response %q is not JSON: %v", body, rec.Body, err)
+			}
+			if opsKeys(body) <= 1 && len(out.Results) != len(ref.Ops) {
+				t.Fatalf("body %q: %d results for %d ops", body, len(out.Results), len(ref.Ops))
+			}
+			for i, res := range out.Results {
+				switch res.Status {
+				case 200:
+					if res.Lease == nil {
+						t.Fatalf("body %q: result %d succeeded without a lease", body, i)
+					}
+				case 400, 404:
+					if res.Error == "" {
+						t.Fatalf("body %q: result %d failed %d without saying why", body, i, res.Status)
+					}
+				default:
+					t.Fatalf("body %q: result %d has status %d", body, i, res.Status)
+				}
+			}
+		case 400:
+			if refErr == nil {
+				t.Fatalf("body %q refused (%s); encoding/json takes it", body, rec.Body)
+			}
+		default:
+			t.Fatalf("body %q: status %d", body, rec.Code)
+		}
+		if rec := post("GET", "/healthz", nil); rec.Code != 200 {
+			t.Fatalf("body %q: /healthz answers %d afterwards", body, rec.Code)
+		}
+	})
 }

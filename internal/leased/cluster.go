@@ -38,7 +38,7 @@ const (
 	roleFenced
 )
 
-var roleNames = [...]string{"primary", "follower", "fenced"}
+var roleNames = [...]string{cluster.RolePrimary, cluster.RoleFollower, cluster.RoleFenced}
 
 // Role reports the node's current cluster role ("primary" for standalone
 // daemons, which are primaries of a cluster of one).
@@ -175,17 +175,39 @@ func (s *Server) Promote() (epoch uint64, promoted bool) {
 	return next, true
 }
 
+// standing reads this node's standing, once: /v1/election serves it, every
+// refusal on the replication port carries it, and /healthz and /metrics are
+// cut from it and from the follower's replication stats it was read with
+// (nil unless this node follows, or did before it was promoted).
+func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
+	st := cluster.Standing{
+		Role:     s.Role(),
+		Epoch:    s.cepoch.Load(),
+		Writable: s.Writable(),
+		Leader:   s.LeaderHint(),
+	}
+	if cc := s.opts.Cluster; cc != nil {
+		st.Node = cc.NodeID
+	}
+	if f := s.fol.Load(); f != nil {
+		rs := f.Stats()
+		st.Suspect, st.AppliedSeq, st.LastHeardMS = rs.Suspect, rs.AppliedSeq, rs.LastHeardMS
+		return st, &rs
+	}
+	if s.prim != nil {
+		for i := range s.shards {
+			st.AppliedSeq += s.prim.Stream(i).Seq()
+		}
+	}
+	return st, nil
+}
+
 // --- cluster.Source (primary side) ---
 
 // Meta implements cluster.Source.
 func (s *Server) Meta() cluster.Meta {
-	return cluster.Meta{
-		Primary: s.role.Load() == rolePrimary,
-		Shards:  len(s.shards),
-		Epoch:   s.cepoch.Load(),
-		Leader:  s.LeaderHint(),
-		Config:  s.configSig(),
-	}
+	st, _ := s.standing()
+	return cluster.Meta{Standing: st, Shards: len(s.shards), Config: s.configSig()}
 }
 
 // SnapshotShard implements cluster.Source: capture + attach under one
@@ -205,22 +227,28 @@ func (s *Server) SnapshotShard(shard int, sub *cluster.Subscriber) (payload []by
 	return payload, seq, nil
 }
 
-// ObserveEpoch implements cluster.Source: proof of a later generation
-// fences a serving primary. The observer's leader hint (when it names
-// anyone) is adopted first, so the 421s a just-fenced primary starts
-// answering already point clients at the successor.
-func (s *Server) ObserveEpoch(e uint64, leader string) {
+// Observe implements cluster.Source and cluster.Applier: every standing this
+// node learns of a peer — from a Hello it receives, a refusal it is sent, a
+// probe's reply — lands here. Proof of a later leadership generation fences a
+// serving primary, the peer's leader hint (when it names anyone) adopted
+// first, so the 421s a just-fenced primary starts answering already point
+// clients at the successor. A follower takes the hint of any peer that
+// answered for itself (a Hello names no role) from its own generation on.
+func (s *Server) Observe(p cluster.Standing) {
 	for {
 		cur := s.seenEpoch.Load()
-		if e <= cur || s.seenEpoch.CompareAndSwap(cur, e) {
+		if p.Epoch <= cur || s.seenEpoch.CompareAndSwap(cur, p.Epoch) {
 			break
 		}
 	}
-	if e > s.cepoch.Load() {
-		if leader != "" {
-			s.leader.Store(leader)
+	cur := s.cepoch.Load()
+	if p.Leader != "" && (p.Epoch > cur || p.Epoch == cur && p.Role != "" && s.role.Load() == roleFollower) {
+		s.leader.Store(p.Leader)
+	}
+	if p.Epoch > cur && s.role.CompareAndSwap(rolePrimary, roleFenced) {
+		if cc := s.opts.Cluster; cc.Logf != nil {
+			cc.Logf("leased: fenced at cluster epoch %d: shown %+v", cur, p)
 		}
-		s.role.CompareAndSwap(rolePrimary, roleFenced)
 	}
 }
 
@@ -242,13 +270,6 @@ func (s *Server) AdoptWelcome(w cluster.Welcome) error {
 		s.leader.Store(w.Leader)
 	}
 	return nil
-}
-
-// Redirect implements cluster.Applier.
-func (s *Server) Redirect(leader string) {
-	if leader != "" {
-		s.leader.Store(leader)
-	}
 }
 
 // ApplySnapshot implements cluster.Applier: replace the shard's state
@@ -315,15 +336,6 @@ func (s *Server) ApplyBurst(shard int, groups [][][]byte) error {
 		return fmt.Errorf("leased: corrupt replicated record: %w", err)
 	}
 	return nil
-}
-
-// replicaStats reports follower-side replication progress, when following.
-func (s *Server) replicaStats() (cluster.ReplicaStats, bool) {
-	f := s.fol.Load()
-	if f == nil {
-		return cluster.ReplicaStats{}, false
-	}
-	return f.Stats(), true
 }
 
 // checkpointEpochTarget is the durable epoch the next checkpoint should
@@ -412,16 +424,17 @@ type FollowerHealth struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{OK: true, Role: s.Role()}
+	st, rs := s.standing()
+	h := Health{OK: true, Role: st.Role}
 	if s.opts.Cluster != nil {
-		h.ClusterHealth = &ClusterHealth{ClusterEpoch: s.ClusterEpoch(), Writable: s.Writable()}
-		if rs, ok := s.replicaStats(); ok {
+		h.ClusterHealth = &ClusterHealth{ClusterEpoch: st.Epoch, Writable: st.Writable}
+		if rs != nil {
 			h.FollowerHealth = &FollowerHealth{
 				Connected:   rs.Connected,
 				Shards:      len(s.shards),
 				LagRecords:  rs.Lag(),
-				Suspect:     rs.Suspect,
-				LastHeardMS: rs.LastHeardMS,
+				Suspect:     st.Suspect,
+				LastHeardMS: st.LastHeardMS,
 			}
 		}
 	}

@@ -68,6 +68,15 @@ func newClusterRig(t *testing.T, shards int, mut ...func(*Options)) *clusterRig 
 	return c
 }
 
+// replicaStats is the follower half of standing, as the tests' waits read
+// it: ok is false on a node that has never followed.
+func (s *Server) replicaStats() (cluster.ReplicaStats, bool) {
+	if _, rs := s.standing(); rs != nil {
+		return *rs, true
+	}
+	return cluster.ReplicaStats{}, false
+}
+
 // waitSynced blocks until every shard stream is connected and the follower
 // has applied everything the primary has published. Call it only while the
 // primary is quiesced (no concurrent writers), or the target moves.
@@ -450,8 +459,8 @@ func TestStalePrimaryFencedByHandshake(t *testing.T) {
 		t.Fatalf("refusal leader hint %q", em.Leader)
 	}
 
-	// ObserveEpoch ran before the refusal was written, so by now the node is
-	// fenced: role flipped, writes 421.
+	// The Hello was observed before the refusal was written, so by now the
+	// node is fenced: role flipped, writes 421.
 	if got := d.s.Role(); got != "fenced" {
 		t.Fatalf("role after higher-epoch hello: %s, want fenced", got)
 	}

@@ -297,47 +297,50 @@ type batchBodyWire struct {
 	Ops []batchOpWire `json:"ops"`
 }
 
+// batchCorpus is the batch bodies the differential test and the route's
+// fuzzer start from.
+var batchCorpus = []string{
+	`{"ops":[]}`,
+	`{"ops":null}`,
+	`{}`,
+	`null`,
+	``,
+	`{"ops":[{"op":"acquire","client":"a","kind":"wakelock"}]}`,
+	`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_ms":1.5}}]}`,
+	`{"ops":[{"op":"renew","lease_id":256,"report":null}]}`,
+	`{"ops":[{"op":"renew","lease_id":256,"report":{}}]}`,
+	`{"ops":[{"op":"release","lease_id":256,"destroy":true}]}`,
+	`{"ops":[{"op":"release","lease_id":256,"destroy":false,"req_id":"r-1"}]}`,
+	`{"ops":[{"OP":"acquire","CLIENT":"a","KIND":"gps"}]}`,
+	`{"ops":[{"op":"acquire","client":"a","kind":"gps","nope":[1,{"x":2}]}]}`,
+	`{"ops":[{"op":"acquire"},{"op":"renew","lease_id":1},{"op":"release","lease_id":2}]}`,
+	`{"ops":[{"op":"renew","lease_id":-1}]}`,
+	`{"ops":[{"op":"renew","lease_id":1.5}]}`,
+	`{"ops":[{"op":"renew","lease_id":18446744073709551615}]}`,
+	`{"ops":[{"op":"renew","lease_id":18446744073709551616}]}`,
+	`{"ops":[{"op":"release","destroy":1}]}`,
+	`{"ops":[{"op":"release","destroy":null}]}`,
+	`{"ops":[{"op":"renew","report":{"cpu_ms":"x"}}]}`,
+	`{"ops":[{"op":"renew","report":{"Cpu_MS":3,"unknown":[]}}]}`,
+	`{"ops":[5]}`,
+	`{"ops":5}`,
+	`{"ops":{}}`,
+	`{"ops":[{}]}`,
+	`{"ops":[{"op":"x"},]}`,
+	`{"ops":[`,
+	`{"other":true,"ops":[{"op":"acquire","client":"z"}]}`,
+	// non-ASCII folds (ſ onto s, the Kelvin sign onto k) and near-misses
+	"{\"opſ\":[{\"op\":\"release\",\"leaſe_id\":256,\"deſtroy\":true,\"req_id\":\"r\"}]}",
+	"{\"ops\":[{\"op\":\"acquire\",\"client\":\"a\",\"Kind\":\"gps\"}]}",
+	`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_mſ":2},"reporu":{"cpu_ms":1},"req_ie":"x","clienu":"y"}]}`,
+}
+
 // TestDecodeBatchMatchesStdlib runs batch bodies through the batch env's
 // decoder and the stdlib, comparing decisions and every decoded field.
 // (Bodies with a duplicated "ops" key are excluded: the stdlib's per-element
 // merge semantics for re-decoded slices are not worth replicating.)
 func TestDecodeBatchMatchesStdlib(t *testing.T) {
-	corpus := []string{
-		`{"ops":[]}`,
-		`{"ops":null}`,
-		`{}`,
-		`null`,
-		``,
-		`{"ops":[{"op":"acquire","client":"a","kind":"wakelock"}]}`,
-		`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_ms":1.5}}]}`,
-		`{"ops":[{"op":"renew","lease_id":256,"report":null}]}`,
-		`{"ops":[{"op":"renew","lease_id":256,"report":{}}]}`,
-		`{"ops":[{"op":"release","lease_id":256,"destroy":true}]}`,
-		`{"ops":[{"op":"release","lease_id":256,"destroy":false,"req_id":"r-1"}]}`,
-		`{"ops":[{"OP":"acquire","CLIENT":"a","KIND":"gps"}]}`,
-		`{"ops":[{"op":"acquire","client":"a","kind":"gps","nope":[1,{"x":2}]}]}`,
-		`{"ops":[{"op":"acquire"},{"op":"renew","lease_id":1},{"op":"release","lease_id":2}]}`,
-		`{"ops":[{"op":"renew","lease_id":-1}]}`,
-		`{"ops":[{"op":"renew","lease_id":1.5}]}`,
-		`{"ops":[{"op":"renew","lease_id":18446744073709551615}]}`,
-		`{"ops":[{"op":"renew","lease_id":18446744073709551616}]}`,
-		`{"ops":[{"op":"release","destroy":1}]}`,
-		`{"ops":[{"op":"release","destroy":null}]}`,
-		`{"ops":[{"op":"renew","report":{"cpu_ms":"x"}}]}`,
-		`{"ops":[{"op":"renew","report":{"Cpu_MS":3,"unknown":[]}}]}`,
-		`{"ops":[5]}`,
-		`{"ops":5}`,
-		`{"ops":{}}`,
-		`{"ops":[{}]}`,
-		`{"ops":[{"op":"x"},]}`,
-		`{"ops":[`,
-		`{"other":true,"ops":[{"op":"acquire","client":"z"}]}`,
-		// non-ASCII folds (ſ onto s, the Kelvin sign onto k) and near-misses
-		"{\"opſ\":[{\"op\":\"release\",\"leaſe_id\":256,\"deſtroy\":true,\"req_id\":\"r\"}]}",
-		"{\"ops\":[{\"op\":\"acquire\",\"client\":\"a\",\"Kind\":\"gps\"}]}",
-		`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_mſ":2},"reporu":{"cpu_ms":1},"req_ie":"x","clienu":"y"}]}`,
-	}
-	for _, body := range corpus {
+	for _, body := range batchCorpus {
 		env := getBatchEnv()
 		env.p.begin([]byte(body))
 		env.ops = env.ops[:0]

@@ -131,8 +131,8 @@ type ClusterConfig struct {
 // Peer is one configured cluster member, as seen from a specific node.
 type Peer struct {
 	ID       string // node ID (election identity)
-	URL      string // client-facing base URL (for /v1/election polls and Leader hints)
-	ReplAddr string // replication address (for re-aiming streams and probes)
+	URL      string // client-facing base URL: the Leader hint while this peer leads, nothing else
+	ReplAddr string // replication address: every byte this node sends the peer goes here
 }
 
 // tuning derives the replication-layer tuning from the config.
@@ -272,7 +272,6 @@ type Server struct {
 	autoStop   chan struct{}
 	autoOnce   sync.Once
 	autoWG     sync.WaitGroup
-	probeBusy  atomic.Bool // one in-flight peer-probe sweep at a time
 }
 
 // shard is one fully independent partition of the daemon: a wall clock, the

@@ -468,12 +468,13 @@ func (s *Server) snapshot() Snapshot {
 		snap.Faults = s.faults.Stats()
 	}
 	if cc := s.opts.Cluster; cc != nil {
+		st, rs := s.standing()
 		cs := &ClusterStatus{
-			Role:         s.Role(),
-			ClusterEpoch: s.ClusterEpoch(),
-			NodeID:       cc.NodeID,
-			Writable:     s.Writable(),
-			Leader:       s.LeaderHint(),
+			Role:         st.Role,
+			ClusterEpoch: st.Epoch,
+			NodeID:       st.Node,
+			Writable:     st.Writable,
+			Leader:       st.Leader,
 		}
 		for _, f := range s.prim.Followers() {
 			cs.Followers = append(cs.Followers, FollowerReplica{
@@ -482,25 +483,21 @@ func (s *Server) snapshot() Snapshot {
 				Flushes: f.Flushes, LastAckMS: f.LastAckMS,
 			})
 		}
-		if rs, ok := s.replicaStats(); ok {
-			// The live dial target, not the boot-time config: a re-aimed
-			// follower reports the leader it actually replicates from.
-			primaryAddr := cc.PrimaryAddr
-			if f := s.fol.Load(); f != nil {
-				primaryAddr = f.Addr()
-			}
+		if rs != nil {
 			cs.Replication = &ReplicationStatus{
-				Primary:          primaryAddr,
+				// The live dial target, not the boot-time config: a re-aimed
+				// follower reports the leader it actually replicates from.
+				Primary:          s.fol.Load().Addr(),
 				Connected:        rs.Connected,
 				Shards:           len(s.shards),
-				AppliedSeq:       rs.AppliedSeq,
+				AppliedSeq:       st.AppliedSeq,
 				SourceSeq:        rs.SourceSeq,
 				LagRecords:       rs.Lag(),
 				SnapshotsApplied: rs.Snapshots,
 				RecordsApplied:   rs.Records,
 				BurstsApplied:    rs.Bursts,
-				LastHeardMS:      rs.LastHeardMS,
-				Suspect:          rs.Suspect,
+				LastHeardMS:      st.LastHeardMS,
+				Suspect:          st.Suspect,
 			}
 		}
 		snap.Cluster = cs

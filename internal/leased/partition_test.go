@@ -15,11 +15,11 @@ import (
 	"repro/internal/netchaos"
 )
 
-// Partition matrix: a 3-node auto-failover cluster whose every inter-node
-// link (HTTP for election polls, TCP for replication) runs through its own
-// netchaos proxy, so tests can blackhole, drop one direction of, or flap any
-// directed link independently — the network a real split gives you, inside
-// one process.
+// Partition matrix: a 3-node auto-failover cluster whose every directed
+// node→node link — one: streams and probes both go to the peer's replication
+// port — runs through its own netchaos proxy, so tests can blackhole, drop one
+// direction of, or flap any of the six independently — the network a real
+// split gives you, inside one process.
 //
 // Timing: ping 25ms × 8 missed = 200ms detection window, 50ms leadership
 // lease. A deposed leader's lease expires ≤ 75ms after its last quorum ack
@@ -34,12 +34,6 @@ const (
 
 func partDetect() time.Duration { return time.Duration(partMissed) * partPing }
 
-// linkPair is the two proxies carrying one directed node→node view.
-type linkPair struct {
-	http *netchaos.Proxy
-	repl *netchaos.Proxy
-}
-
 type autoNode struct {
 	*rig
 	id string
@@ -49,15 +43,16 @@ type autoCluster struct {
 	t     *testing.T
 	ids   []string
 	nodes map[string]*autoNode
-	px    map[string]map[string]*linkPair // px[viewer][target]
+	px    map[string]map[string]*netchaos.Proxy // px[viewer][target], in front of target's replication port
 }
 
 // newAutoCluster boots nodes "a" (primary), "b", "c" (followers of a) with
-// auto-failover armed and every inter-node link proxied per viewer.
-func newAutoCluster(t *testing.T, shards int) *autoCluster {
+// auto-failover armed and every inter-node link proxied per viewer; mut, if
+// given, edits each node's cluster configuration first.
+func newAutoCluster(t *testing.T, shards int, mut ...func(*ClusterConfig)) *autoCluster {
 	t.Helper()
 	ids := []string{"a", "b", "c"}
-	c := &autoCluster{t: t, ids: ids, nodes: map[string]*autoNode{}, px: map[string]map[string]*linkPair{}}
+	c := &autoCluster{t: t, ids: ids, nodes: map[string]*autoNode{}, px: map[string]map[string]*netchaos.Proxy{}}
 
 	httpLn := map[string]net.Listener{}
 	replLn := map[string]net.Listener{}
@@ -66,33 +61,28 @@ func newAutoCluster(t *testing.T, shards int) *autoCluster {
 		replLn[id] = listenTCP(t)
 	}
 	for _, v := range ids {
-		c.px[v] = map[string]*linkPair{}
+		c.px[v] = map[string]*netchaos.Proxy{}
 		for _, tgt := range ids {
 			if tgt == v {
 				continue
 			}
-			ph, err := netchaos.New(httpLn[tgt].Addr().String())
+			p, err := netchaos.New(replLn[tgt].Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
-			pr, err := netchaos.New(replLn[tgt].Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { ph.Close(); pr.Close() })
-			c.px[v][tgt] = &linkPair{http: ph, repl: pr}
+			t.Cleanup(func() { p.Close() })
+			c.px[v][tgt] = p
 		}
 	}
 
 	peersFor := func(v string) []Peer {
 		var out []Peer
 		for _, id := range ids {
-			if id == v {
-				out = append(out, Peer{ID: id, URL: "http://" + httpLn[id].Addr().String(), ReplAddr: replLn[id].Addr().String()})
-			} else {
-				lp := c.px[v][id]
-				out = append(out, Peer{ID: id, URL: "http://" + lp.http.Addr(), ReplAddr: lp.repl.Addr()})
+			p := Peer{ID: id, URL: "http://" + httpLn[id].Addr().String(), ReplAddr: replLn[id].Addr().String()}
+			if id != v {
+				p.ReplAddr = c.px[v][id].Addr()
 			}
+			out = append(out, p)
 		}
 		return out
 	}
@@ -114,7 +104,10 @@ func newAutoCluster(t *testing.T, shards int) *autoCluster {
 		}
 		if id != "a" {
 			cc.Role = "follower"
-			cc.PrimaryAddr = c.px[id]["a"].repl.Addr()
+			cc.PrimaryAddr = c.px[id]["a"].Addr()
+		}
+		for _, m := range mut {
+			m(cc)
 		}
 		opts.Cluster = cc
 		s := NewServer(opts)
@@ -158,14 +151,10 @@ func listenTCP(t *testing.T) net.Listener {
 
 func (c *autoCluster) node(id string) *autoNode { return c.nodes[id] }
 
-// cut impairs the directed view→target link (both the HTTP and repl legs).
+// cut impairs the directed viewer→target link.
 func (c *autoCluster) cut(viewer, target, spec string) {
 	c.t.Helper()
-	lp := c.px[viewer][target]
-	if err := lp.http.Configure(spec); err != nil {
-		c.t.Fatal(err)
-	}
-	if err := lp.repl.Configure(spec); err != nil {
+	if err := c.px[viewer][target].Configure(spec); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -184,14 +173,8 @@ func (c *autoCluster) isolate(id string) {
 // healAll clears every impairment in the cluster.
 func (c *autoCluster) healAll() {
 	for _, v := range c.ids {
-		for tgt, lp := range c.px[v] {
-			_ = tgt
-			if err := lp.http.Configure(""); err != nil {
-				c.t.Fatal(err)
-			}
-			if err := lp.repl.Configure(""); err != nil {
-				c.t.Fatal(err)
-			}
+		for tgt := range c.px[v] {
+			c.cut(v, tgt, "")
 		}
 	}
 }
@@ -337,7 +320,7 @@ func TestAutoFailoverLeaderIsolated(t *testing.T) {
 	if got := ch.s.Role(); got != "follower" {
 		t.Fatalf("loser c is %q, want follower", got)
 	}
-	// The loser re-aims at the winner via the election poll's leader hint.
+	// The loser re-aims at the winner, whose standing its sweep brings back.
 	c.waitUntil("c re-aimed at b", 10*time.Second, func() bool {
 		st, ok := ch.s.replicaStats()
 		return ok && ch.s.ClusterEpoch() == 1 && st.Connected == len(b.s.shards)
@@ -383,6 +366,43 @@ func TestAutoFailoverLeaderIsolated(t *testing.T) {
 		t.Fatalf("fenced leader hint = %q, want %q", hint, b.ts.URL)
 	}
 
+	mon.check(t)
+}
+
+// TestFailoverNeedsOnlyTheReplicationPort: nodes reach each other at
+// Peer.ReplAddr and nowhere else. With every Peer.URL naming a port nothing
+// listens on, lease expiry, election, the loser's re-aim and the fencing of
+// the healed ex-leader all still happen — and the Leader hints still name the
+// successor's real address, which travels in standings, not in Peer.URL.
+func TestFailoverNeedsOnlyTheReplicationPort(t *testing.T) {
+	closed := listenTCP(t)
+	nowhere := "http://" + closed.Addr().String()
+	closed.Close()
+	c := newAutoCluster(t, 1, func(cc *ClusterConfig) {
+		peers := append([]Peer(nil), cc.Peers...)
+		for i := range peers {
+			peers[i].URL = nowhere
+		}
+		cc.Peers = peers
+	})
+	a, b, ch := c.node("a"), c.node("b"), c.node("c")
+	a.acquire("seed", "gps")
+	c.waitFollowerSynced("a", "b")
+	c.waitFollowerSynced("a", "c")
+
+	mon := c.startMonitor()
+	c.isolate("a")
+	c.waitUntil("a read-only", 5*time.Second, func() bool { return !a.s.Writable() })
+	c.waitUntil("b self-promoted", 10*time.Second, func() bool {
+		return b.s.Role() == "primary" && b.s.ClusterEpoch() == 1
+	})
+	c.waitUntil("c re-aimed at b", 10*time.Second, func() bool {
+		st, ok := ch.s.replicaStats()
+		return ok && ch.s.ClusterEpoch() == 1 && st.Connected == len(b.s.shards) && ch.s.LeaderHint() == b.ts.URL
+	})
+	c.healAll()
+	c.waitUntil("a fenced", 10*time.Second, func() bool { return a.s.Role() == "fenced" })
+	c.waitUntil("a redirects to b", 5*time.Second, func() bool { return a.s.LeaderHint() == b.ts.URL })
 	mon.check(t)
 }
 
