@@ -205,9 +205,15 @@ func main() {
 
 	// The handler checks -request-timeout only where the daemon itself
 	// blocks; a body that never arrives or a reader that never drains is
-	// bounded here. IdleTimeout is explicit because it would otherwise fall
-	// back to ReadTimeout and close every paced client's keep-alive
-	// connection between beats.
+	// bounded by the socket. These four timeouts govern a connection while it
+	// is net/http's: every connection's first request, and all of an
+	// operator's (/metrics, /healthz, /v1/promote, /v1/election). From a lease
+	// client's first op request on, the daemon serves the connection itself
+	// (internal/leased/conn.go) under the same two figures: 2 minutes idle,
+	// -request-timeout for a request once begun and for its response.
+	// IdleTimeout is explicit because it would otherwise fall back to
+	// ReadTimeout and close every paced client's keep-alive connection
+	// between beats.
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
@@ -216,6 +222,8 @@ func main() {
 		WriteTimeout:      *reqTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Shutdown leaves the connections the daemon took over to the daemon.
+	hs.RegisterOnShutdown(srv.CloseConnections)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (shards %d, term %v, tau %v)", *addr, *shards, *term, *tau)
@@ -236,6 +244,7 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
+	srv.CloseConnections() // Shutdown starts its hooks and does not wait: no op may follow the checkpoint
 	if *dataDir != "" {
 		// Final checkpoint: the next boot loads it and replays nothing.
 		srv.Checkpoint()

@@ -11,6 +11,10 @@ package leased
 //	HandlerBatch64/{mem,durable}   0          TestBenchmarkAllocs
 //	HandlerRenew/durable+reqid     1 (= no ID) TestBenchmarkAllocs
 //	HandlerBatch64/durable+reqid   64         TestBenchmarkAllocs
+//	LoopRenew/{mem,durable}        0          TestBenchmarkAllocs
+//	LoopRenew/durable+reqid        1          TestBenchmarkAllocs
+//	LoopBatch64/{mem,durable}      0          TestBenchmarkAllocs
+//	LoopBatch64/durable+reqid      64         TestBenchmarkAllocs
 //	Dedup/{hit,miss,put-full}      0          TestBenchmarkAllocs
 //	Checkpoint                     17 (≤ 40)  TestBenchmarkAllocs
 //	FollowerApply/reqid            1          TestBenchmarkAllocs
@@ -212,6 +216,15 @@ func TestBenchmarkAllocs(t *testing.T) {
 		// its decoder makes for each of its 64 ops.
 		{"HandlerRenew/durable+reqid", muxOnly, handlerOp(t, "durable+reqid", renewTarget)},
 		{"HandlerBatch64/durable+reqid", 64, handlerOp(t, "durable+reqid", batch64Target)},
+		// The connection loop's turn — read, dispatch, render, write — adds
+		// nothing to what it dispatches to: a renew's one allocation is the ID
+		// string it hands the dedup ring (net/http made the handler's).
+		{"LoopRenew/mem", 0, loopOp(t, "mem", renewTarget)},
+		{"LoopRenew/durable", 0, loopOp(t, "durable", renewTarget)},
+		{"LoopRenew/durable+reqid", 1, loopOp(t, "durable+reqid", renewTarget)},
+		{"LoopBatch64/mem", 0, loopOp(t, "mem", batch64Target)},
+		{"LoopBatch64/durable", 0, loopOp(t, "durable", batch64Target)},
+		{"LoopBatch64/durable+reqid", 64, loopOp(t, "durable+reqid", batch64Target)},
 		{"Checkpoint", 40, checkpoint},
 		// What is left under a request ID is the ID string the record decoder
 		// makes; the response goes into the cache slot's own buffer.

@@ -97,6 +97,41 @@ func TestControlDocumentsAreJSON(t *testing.T) {
 	}
 }
 
+// A promoted node answers for the stream it now publishes, not for the
+// follower it stopped: /v1/election's applied_seq is the primary's summed
+// stream offsets and goes on rising with its writes, last_heard_ms is 0, and
+// /healthz and /metrics drop the follower sections.
+func TestPromotedNodeReportsItsOwnStanding(t *testing.T) {
+	c := newClusterRig(t, 2)
+	defer c.fol.s.Close()
+	c.prim.acquire("before", "wakelock")
+	c.waitSynced()
+	c.prim.crash()
+	if _, promoted := c.fol.s.Promote(); !promoted {
+		t.Fatal("not promoted")
+	}
+	time.Sleep(20 * time.Millisecond) // what a frozen follower's last_heard_ms would have counted
+	c.fol.acquire("after", "gps")
+	c.fol.acquire("after", "wifi")
+
+	var doc ElectionDoc
+	if code := c.fol.call("GET", "/v1/election", nil, &doc); code != 200 {
+		t.Fatalf("GET /v1/election: status %d", code)
+	}
+	var published int64
+	for i := range c.fol.s.shards {
+		published += c.fol.s.prim.Stream(i).Seq()
+	}
+	if doc.Role != "primary" || doc.LastHeardMS != 0 || doc.Suspect || doc.AppliedSeq != published || published < 2 {
+		t.Errorf("promoted node's standing %+v, want a primary's at applied_seq %d", doc, published)
+	}
+	var hz Health
+	c.fol.call("GET", "/healthz", nil, &hz)
+	if hz.FollowerHealth != nil || c.fol.s.snapshot().Cluster.Replication != nil {
+		t.Errorf("promoted node still reports as a follower: /healthz %+v", hz)
+	}
+}
+
 // A tick's evidence is bounded by one timeout however many peers are silent:
 // four peers that accept and never answer cost a sweep one timeout together,
 // not one each (polled one after another, as the election's HTTP plane once

@@ -210,15 +210,21 @@ func (env *batchEnv) groupByShard(shards int) {
 	}
 }
 
+// handleBatch is the route's net/http adapter (see http.go's).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	env := getBatchEnv()
 	defer putBatchEnv(env)
-	body, err := readBody(r, &env.body, batchMaxBodyBytes)
-	if err != nil {
-		writeBodyError(w, err)
+	var q opReq
+	q.body, q.bodyErr = readBody(r, &env.body, batchMaxBodyBytes)
+	s.serveBatch(w, env, &q)
+}
+
+func (s *Server) serveBatch(w http.ResponseWriter, env *batchEnv, q *opReq) {
+	if q.bodyErr != nil {
+		writeBodyError(w, q.bodyErr)
 		return
 	}
-	env.p.begin(body)
+	env.p.begin(q.body)
 	env.ops = env.ops[:0]
 	perr := env.p.doc(func(key []byte) error {
 		if keyIs(key, "ops") {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -152,8 +154,8 @@ func followerApplyOp(tb testing.TB, reqID string) func() {
 // BenchmarkFollowerApply loops followerApplyOp, with and without the request
 // ID every record of a well-behaved client carries.
 func BenchmarkFollowerApply(b *testing.B) {
-	b.Run("reqid", func(b *testing.B) { loopOp(b, followerApplyOp(b, "follower-bench-1")) })
-	b.Run("plain", func(b *testing.B) { loopOp(b, followerApplyOp(b, "")) })
+	b.Run("reqid", func(b *testing.B) { runOp(b, followerApplyOp(b, "follower-bench-1")) })
+	b.Run("plain", func(b *testing.B) { runOp(b, followerApplyOp(b, "")) })
 }
 
 // handlerOp is one body-carrying POST through s.Handler().ServeHTTP with no
@@ -170,21 +172,9 @@ func BenchmarkFollowerApply(b *testing.B) {
 // renumbered in place), and the dedup window is full before the op is handed
 // back, so every ID is a miss whose entry evicts the oldest.
 func handlerOp(tb testing.TB, mode string, target handlerTarget) func() {
-	durable, reqIDs := strings.HasPrefix(mode, "durable"), strings.HasSuffix(mode, "+reqid")
-	opts := benchOptions(1)
-	var s *Server
-	if durable {
-		opts.SnapshotEvery = 1 << 30
-		var err error
-		if s, _, err = Open(tb.TempDir(), opts); err != nil {
-			tb.Fatal(err)
-		}
-	} else {
-		s = NewServer(opts)
-	}
-	tb.Cleanup(s.Close)
-	sh, local := benchAcquire(tb, s, "handler-bench")
-	path, body := target(encodeLeaseID(sh.id, local), reqIDs)
+	reqIDs := strings.HasSuffix(mode, "+reqid")
+	s, sh, wire := handlerBenchServer(tb, mode)
+	path, body := target(wire, reqIDs)
 
 	handler := s.Handler()
 	req, rb := newReplayRequest("POST", path, body)
@@ -216,26 +206,56 @@ func handlerOp(tb testing.TB, mode string, target handlerTarget) func() {
 	var pool []string
 	header := make([]string, 1)
 	if len(members) == 0 {
-		pool = make([]string, 2*opts.withDefaults().DedupWindow)
+		pool = make([]string, 2*sh.opts.DedupWindow)
 		for i := range pool {
 			pool[i] = fmt.Sprintf("bench-%08x", i)
 		}
 		req.Header["X-Request-Id"] = header
 	}
 	var seq uint32
-	unique := func() {
+	return fillDedupWindow(tb, sh, func() {
 		if pool != nil {
 			header[0] = pool[seq%uint32(len(pool))]
 			seq++
 		}
 		for _, at := range members {
-			for i, v := 7, seq; i >= 0; i, v = i-1, v>>4 {
-				body[at+i] = "0123456789abcdef"[v&15]
-			}
+			renumber(body[at:], seq)
 			seq++
 		}
 		op()
+	})
+}
+
+// handlerBenchServer is the daemon handlerOp and loopOp drive — in-memory, or
+// journaling to a real file with checkpoints out of reach — with one lease
+// acquired, whose wire ID it returns.
+func handlerBenchServer(tb testing.TB, mode string) (*Server, *shard, uint64) {
+	opts := benchOptions(1)
+	var s *Server
+	if strings.HasPrefix(mode, "durable") {
+		opts.SnapshotEvery = 1 << 30
+		var err error
+		if s, _, err = Open(tb.TempDir(), opts); err != nil {
+			tb.Fatal(err)
+		}
+	} else {
+		s = NewServer(opts)
 	}
+	tb.Cleanup(s.Close)
+	sh, local := benchAcquire(tb, s, "handler-bench")
+	return s, sh, encodeLeaseID(sh.id, local)
+}
+
+// renumber writes seq as the eight hex digits at the front of dst.
+func renumber(dst []byte, seq uint32) {
+	for i := 7; i >= 0; i, seq = i-1, seq>>4 {
+		dst[i] = "0123456789abcdef"[seq&15]
+	}
+}
+
+// fillDedupWindow runs unique — an op whose every request ID is new — until
+// sh's dedup window is full, and hands it back.
+func fillDedupWindow(tb testing.TB, sh *shard, unique func()) func() {
 	for sh.dedup.size() < sh.opts.DedupWindow {
 		unique()
 	}
@@ -245,6 +265,72 @@ func handlerOp(tb testing.TB, mode string, target handlerTarget) func() {
 	return unique
 }
 
+// memConn is a connection in memory: reads replay in from off, writes are
+// counted and dropped, deadlines ignored.
+type memConn struct {
+	net.Conn
+	in  []byte
+	off int
+	out int
+}
+
+func (m *memConn) Read(p []byte) (int, error) {
+	if m.off >= len(m.in) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.in[m.off:])
+	m.off += n
+	return n, nil
+}
+
+func (m *memConn) Write(p []byte) (int, error)      { m.out += len(p); return len(p), nil }
+func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
+
+// loopOp is handlerOp's request as a taken-over connection serves it: the
+// bytes on the wire read, dispatched and answered by one turn of the
+// connection loop (conn.serveNext), socket excepted. Under "+reqid" a body
+// without request IDs gets an X-Request-ID header; either is renumbered in
+// place, so every ID is new.
+func loopOp(tb testing.TB, mode string, target handlerTarget) func() {
+	reqIDs := strings.HasSuffix(mode, "+reqid")
+	s, sh, wire := handlerBenchServer(tb, mode)
+	path, body := target(wire, reqIDs)
+	head := "POST " + path + " HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\n"
+	if reqIDs && !bytes.Contains(body, []byte(benchReqID)) {
+		head += "X-Request-ID: bench-00000000\r\n"
+	}
+	mc := &memConn{in: []byte(fmt.Sprintf("%sContent-Length: %d\r\n\r\n%s", head, len(body), body))}
+	c := &conn{h: s.routes(), hdr: make(http.Header)}
+	c.adopt(mc, mc)
+	op := func() {
+		mc.off = 0
+		if !c.serveNext() || c.status != http.StatusOK {
+			tb.Fatalf("status %d", c.status)
+		}
+	}
+	if !reqIDs {
+		return op
+	}
+	var ids []int
+	for at := 0; ; {
+		i := bytes.Index(mc.in[at:], []byte("bench-00000000"))
+		if i < 0 {
+			break
+		}
+		at += i + len("bench-")
+		ids = append(ids, at)
+	}
+	var seq uint32
+	return fillDedupWindow(tb, sh, func() {
+		for _, at := range ids {
+			renumber(mc.in[at:], seq)
+			seq++
+		}
+		op()
+	})
+}
+
 // handlerTarget is a request for handlerOp to replay: a path and a body for
 // the given lease, the body's ops carrying benchReqID members if reqIDs.
 type handlerTarget func(wire uint64, reqIDs bool) (path string, body []byte)
@@ -252,13 +338,14 @@ type handlerTarget func(wire uint64, reqIDs bool) (path string, body []byte)
 // benchReqID is the req_id member handlerOp renumbers.
 const benchReqID = `"req_id":"bench-00000000",`
 
-func benchHandlerModes(b *testing.B, target handlerTarget) {
+// benchModes loops a handlerOp or a loopOp in each of its modes.
+func benchModes(b *testing.B, op func(testing.TB, string, handlerTarget) func(), target handlerTarget) {
 	for _, mode := range []string{"mem", "durable", "durable+reqid"} {
-		b.Run(mode, func(b *testing.B) { loopOp(b, handlerOp(b, mode, target)) })
+		b.Run(mode, func(b *testing.B) { runOp(b, op(b, mode, target)) })
 	}
 }
 
-func loopOp(b *testing.B, op func()) {
+func runOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,11 +368,17 @@ func batch64Target(wire uint64, reqIDs bool) (string, []byte) {
 	return "/v1/batch", []byte(`{"ops":[` + strings.Repeat(op+",", 63) + op + `]}`)
 }
 
-func BenchmarkHandlerRenew(b *testing.B) { benchHandlerModes(b, renewTarget) }
+func BenchmarkHandlerRenew(b *testing.B) { benchModes(b, handlerOp, renewTarget) }
 
 // BenchmarkHandlerBatch64's ns/op is per request, so /64 compares with
 // BenchmarkHandlerRenew.
-func BenchmarkHandlerBatch64(b *testing.B) { benchHandlerModes(b, batch64Target) }
+func BenchmarkHandlerBatch64(b *testing.B) { benchModes(b, handlerOp, batch64Target) }
+
+// BenchmarkLoopRenew and BenchmarkLoopBatch64 are the same requests through
+// the connection loop: less BenchmarkHandler*, what reading a request off the
+// wire and rendering its response cost.
+func BenchmarkLoopRenew(b *testing.B)   { benchModes(b, loopOp, renewTarget) }
+func BenchmarkLoopBatch64(b *testing.B) { benchModes(b, loopOp, batch64Target) }
 
 // dedupOp is one call on a full default-sized dedup cache holding responses
 // of a lease's length: "hit" copies a resident ID's response out, "miss"
@@ -318,7 +411,7 @@ func dedupOp(kind string) func() {
 
 func BenchmarkDedup(b *testing.B) {
 	for _, kind := range []string{"hit", "miss", "put-full"} {
-		b.Run(kind, func(b *testing.B) { loopOp(b, dedupOp(kind)) })
+		b.Run(kind, func(b *testing.B) { runOp(b, dedupOp(kind)) })
 	}
 }
 
@@ -357,7 +450,7 @@ func checkpointOp(tb testing.TB) (op func(), store *durable.Store) {
 // leaves.
 func BenchmarkCheckpoint(b *testing.B) {
 	op, store := checkpointOp(b)
-	loopOp(b, op)
+	runOp(b, op)
 	b.StopTimer()
 	b.ReportMetric(float64(store.Stats().SnapshotBytes), "snapshot_bytes")
 }

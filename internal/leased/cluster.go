@@ -178,7 +178,8 @@ func (s *Server) Promote() (epoch uint64, promoted bool) {
 // standing reads this node's standing, once: /v1/election serves it, every
 // refusal on the replication port carries it, and /healthz and /metrics are
 // cut from it and from the follower's replication stats it was read with
-// (nil unless this node follows, or did before it was promoted).
+// (nil unless this node follows: a promoted node's stopped follower has
+// nothing current to say).
 func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 	st := cluster.Standing{
 		Role:     s.Role(),
@@ -189,7 +190,7 @@ func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 	if cc := s.opts.Cluster; cc != nil {
 		st.Node = cc.NodeID
 	}
-	if f := s.fol.Load(); f != nil {
+	if f := s.fol.Load(); f != nil && st.Role == cluster.RoleFollower {
 		rs := f.Stats()
 		st.Suspect, st.AppliedSeq, st.LastHeardMS = rs.Suspect, rs.AppliedSeq, rs.LastHeardMS
 		return st, &rs

@@ -1,10 +1,13 @@
 package leased
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -104,20 +107,44 @@ func (sh *shard) leaseView(o *robj) leaseResponse {
 
 // --- handlers ---
 
+// opReq is what a lease-op route needs of its request, whichever reader took
+// it off the connection: net/http's (the handle* adapters below unpack a
+// *http.Request into one) or the connection loop's (conn.go fills one per
+// connection, straight from the bytes). The cores — serveAcquire, serveRenew,
+// serveRelease, serveGet, serveBatch — see nothing else of the transport.
+type opReq struct {
+	wire    uint64 // the {id} path segment, on the routes that have one
+	destroy bool   // ?destroy=1 (release)
+	reqID   string // X-Request-ID as sent; the core validates it
+	body    []byte // the whole request body, or
+	bodyErr error  // why there is none: over the route's limit, a read that failed
+}
+
 // Handler returns the daemon's HTTP surface, with per-route latency
 // recording, the request deadline, bounded-in-flight admission on the lease
 // mutations and fault injection (when configured). Every wrapper runs on the
 // serving goroutine: there is no per-request goroutine, timer or context.
-func (s *Server) Handler() http.Handler {
+//
+// A connection whose request names one of the five op routes has proved to be
+// a lease client's: the daemon takes it over from net/http and serves the rest
+// of it from its own loop (conn.go), which runs these same chains.
+func (s *Server) Handler() http.Handler { return s.routes().mux }
+
+// routes builds Handler()'s mux, and with it what a taken-over connection
+// needs of the routes.
+func (s *Server) routes() *connHandler {
 	mux := http.NewServeMux()
-	// record is outermost: it stamps the deadline everything inside checks.
-	// Mutations additionally pass the cluster role gate: followers and
-	// fenced ex-primaries answer 421 + Leader instead of applying.
-	mux.HandleFunc("POST /v1/leases", s.record(routeAcquire, s.chaos(s.admit(s.gate(s.handleAcquire)))))
-	mux.HandleFunc("POST /v1/leases/{id}/renew", s.record(routeRenew, s.chaos(s.admit(s.gate(s.handleRenew)))))
-	mux.HandleFunc("DELETE /v1/leases/{id}", s.record(routeRelease, s.chaos(s.admit(s.gate(s.handleRelease)))))
-	mux.HandleFunc("GET /v1/leases/{id}", s.record(routeGet, s.chaos(s.admit(s.handleGet))))
-	mux.HandleFunc("POST /v1/batch", s.record(routeBatch, s.chaos(s.admit(s.gate(s.handleBatch)))))
+	h := &connHandler{s: s, mux: mux}
+	for route, adapter := range [numOpRoutes]http.HandlerFunc{
+		routeAcquire: s.handleAcquire,
+		routeRenew:   s.handleRenew,
+		routeRelease: s.handleRelease,
+		routeGet:     s.handleGet,
+		routeBatch:   s.handleBatch,
+	} {
+		mux.HandleFunc(opPatterns[route], h.takeOver(s.opChain(route, adapter)))
+		h.fast[route] = s.opChain(route, h.fastAdapter(route))
+	}
 	// Observability and admin stay reachable under overload and chaos: no
 	// admission gate, no fault injection, no role gate (promote must work
 	// on a follower — that is its whole point).
@@ -125,7 +152,110 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	mux.HandleFunc("GET /v1/election", s.handleElection)
-	return mux
+	return h
+}
+
+// opPatterns are the op routes as the mux knows them; conn.go's fast reader
+// accepts exactly these request lines.
+var opPatterns = [numOpRoutes]string{
+	routeAcquire: "POST /v1/leases",
+	routeRenew:   "POST /v1/leases/{id}/renew",
+	routeRelease: "DELETE /v1/leases/{id}",
+	routeGet:     "GET /v1/leases/{id}",
+	routeBatch:   "POST /v1/batch",
+}
+
+// opChain wraps an op route's innermost handler — a net/http adapter or the
+// loop's — in the route's checks. record is outermost: it stamps the deadline
+// everything inside checks. Mutations additionally pass the cluster role gate:
+// followers and fenced ex-primaries answer 421 + Leader instead of applying.
+func (s *Server) opChain(route int, inner http.HandlerFunc) http.HandlerFunc {
+	if route != routeGet {
+		inner = s.gate(inner)
+	}
+	return s.record(route, s.chaos(s.admit(inner)))
+}
+
+// connHandler is what Handler()'s routes share: the mux (the loop's slow path
+// serves through it) and each op route's chain over its fastAdapter.
+type connHandler struct {
+	s    *Server
+	mux  *http.ServeMux
+	fast [numOpRoutes]http.HandlerFunc
+}
+
+// takeOver fronts an op route on net/http. A keep-alive HTTP/1.1 request on a
+// connection net/http can give up is served by the route's chain as any other,
+// but into a conn; then the connection is hijacked and the conn's loop writes
+// that response and serves what follows. Whatever fails a test here, or leaves
+// more of its body unread than can be read off, stays with net/http, untouched.
+func (h *connHandler) takeOver(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		hj, ok := w.(http.Hijacker)
+		if !ok || r.ProtoMajor != 1 || r.ProtoMinor != 1 || r.Close || r.ContentLength < 0 || len(r.Header["Expect"]) > 0 {
+			next(w, r)
+			return
+		}
+		c := &conn{h: h, hdr: make(http.Header)}
+		c.begin(r)
+		next(c, r) // a panic (http.drop's) is net/http's to handle: w is untouched
+		if c.keepAfter(r) {
+			if nc, brw, err := hj.Hijack(); err == nil {
+				c.adopt(nc, brw.Reader)
+				if h.s.conns.add(c) {
+					go c.loop()
+				} else { // the server is closing: the response, and no more
+					c.flush(false)
+					nc.Close()
+				}
+				return
+			}
+		}
+		for k, v := range c.hdr {
+			w.Header()[k] = v
+		}
+		if c.status != 0 {
+			w.WriteHeader(c.status)
+		}
+		w.Write(c.body)
+	}
+}
+
+// adopt binds c to its connection; r, the reader net/http hands over, has what
+// arrived behind the first request.
+func (c *conn) adopt(nc net.Conn, r io.Reader) {
+	c.nc, c.src = nc, io.LimitedReader{R: r, N: math.MaxInt64}
+	c.br = bufio.NewReaderSize(&c.src, 4096)
+}
+
+// keepAfter reports whether the connection can carry another request after
+// r's: both sides want it to, and what is unread of r's body can be read off.
+func (c *conn) keepAfter(r *http.Request) bool {
+	_, err := io.CopyN(io.Discard, r.Body, maxDrain+1)
+	return err == io.EOF && !r.Close && r.ProtoAtLeast(1, 1) && len(c.hdr["Connection"]) == 0
+}
+
+// fastAdapter is an op route's innermost handler on the fast path: the core,
+// called with the opReq its connection parsed. It sits in opChain where the
+// net/http adapter does, so w is the request's *statusWriter around the conn.
+func (h *connHandler) fastAdapter(route int) http.HandlerFunc {
+	s := h.s
+	reqOf := func(w http.ResponseWriter) *opReq { return &w.(*statusWriter).ResponseWriter.(*conn).req }
+	if route == routeBatch {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			env := getBatchEnv()
+			defer putBatchEnv(env)
+			s.serveBatch(w, env, reqOf(w))
+		}
+	}
+	core := [...]func(http.ResponseWriter, *opEnv, *opReq){
+		routeAcquire: s.serveAcquire, routeRenew: s.serveRenew, routeRelease: s.serveRelease, routeGet: s.serveGet,
+	}[route]
+	return func(w http.ResponseWriter, _ *http.Request) {
+		env := getOpEnv()
+		defer putOpEnv(env)
+		core(w, env, reqOf(w))
+	}
 }
 
 // msgTimedOut is the error of the one 503 that promises "not applied": the
@@ -171,7 +301,7 @@ func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		if drop.Fire() {
-			sw.ResponseWriter = &discardWriter{h: make(http.Header)}
+			sw.dropped = true
 			h(w, r)
 			panic(http.ErrAbortHandler)
 		}
@@ -179,21 +309,15 @@ func (s *Server) chaos(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// discardWriter swallows a response so http.drop can apply an operation
-// while losing its reply.
-type discardWriter struct{ h http.Header }
-
-func (d *discardWriter) Header() http.Header         { return d.h }
-func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (d *discardWriter) WriteHeader(int)             {}
-
 // statusWriter captures the response code for error accounting, and carries
 // the request's deadline and the shard a handler routed to, so record can
-// bill the observation to that shard's histograms. Pooled: one is borrowed
-// per request.
+// bill the observation to that shard's histograms. Once dropped (http.drop)
+// it swallows the response, so the operation applies while its reply is lost.
+// Pooled: one is borrowed per request.
 type statusWriter struct {
 	http.ResponseWriter
 	status   int
+	dropped  bool
 	shard    *shard
 	deadline time.Time
 }
@@ -202,7 +326,16 @@ var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
-	w.ResponseWriter.WriteHeader(code)
+	if !w.dropped {
+		w.ResponseWriter.WriteHeader(code)
+	}
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	if w.dropped {
+		return len(b), nil
+	}
+	return w.ResponseWriter.Write(b)
 }
 
 // markShard notes which shard handled this request. Handlers call it right
@@ -349,20 +482,28 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
-// requestID extracts and validates the client's idempotency key. An absent
-// key is fine (the request is simply not idempotent); a malformed one is
-// reported so the client learns its retries are unprotected. The header map
-// is indexed directly with the canonical key: Header.Get("X-Request-ID")
-// would re-canonicalize the name — an allocation — on every request.
-func requestID(r *http.Request) (string, error) {
-	var id string
+// maxRequestIDLen bounds the client's idempotency key.
+const maxRequestIDLen = 128
+
+// requestID extracts the client's idempotency key. The header map is indexed
+// directly with the canonical key: Header.Get("X-Request-ID") would
+// re-canonicalize the name — an allocation — on every request.
+func requestID(r *http.Request) string {
 	if v := r.Header["X-Request-Id"]; len(v) > 0 {
-		id = v[0]
+		return v[0]
 	}
-	if len(id) > 128 {
-		return "", errors.New("X-Request-ID exceeds 128 bytes")
+	return ""
+}
+
+// checkRequestID validates an idempotency key. An absent key is fine (the
+// request is simply not idempotent); a malformed one is reported so the client
+// learns its retries are unprotected.
+func checkRequestID(w http.ResponseWriter, id string) bool {
+	if len(id) > maxRequestIDLen {
+		writeError(w, http.StatusBadRequest, "X-Request-ID exceeds 128 bytes")
+		return false
 	}
-	return id, nil
+	return true
 }
 
 // apply runs env's one op — a batch of one — through sh's pipeline.
@@ -392,15 +533,25 @@ func (env *opEnv) write(w http.ResponseWriter) {
 
 var newline = []byte("\n")
 
+// The five op routes, each a net/http adapter over a transport-neutral core.
+// An adapter borrows the request's scratch, unpacks the *http.Request into an
+// opReq — reading the body through r.Body — and calls the core; conn.go's
+// fast path makes the same call with an opReq parsed off the connection.
+
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	env := getOpEnv()
 	defer putOpEnv(env)
-	body, err := readBody(r, &env.body, maxBodyBytes)
-	if err != nil {
-		writeBodyError(w, err)
+	q := opReq{reqID: requestID(r)}
+	q.body, q.bodyErr = readBody(r, &env.body, maxBodyBytes)
+	s.serveAcquire(w, env, &q)
+}
+
+func (s *Server) serveAcquire(w http.ResponseWriter, env *opEnv, q *opReq) {
+	if q.bodyErr != nil {
+		writeBodyError(w, q.bodyErr)
 		return
 	}
-	env.p.begin(body)
+	env.p.begin(q.body)
 	var aw acquireWire
 	if err := env.p.decodeAcquire(&aw); err != nil {
 		writeBodyError(w, err)
@@ -415,34 +566,34 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown resource kind %q", aw.kind))
 		return
 	}
-	reqID, err := requestID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !checkRequestID(w, q.reqID) {
 		return
 	}
 	client := string(aw.client) // the acquire path's one materialization
 	sh := s.shardFor(client)
 	markShard(w, sh)
-	env.slot.rec = opRecord{Op: opAcquire, Client: client, Kind: kind, ReqID: reqID}
+	env.slot.rec = opRecord{Op: opAcquire, Client: client, Kind: kind, ReqID: q.reqID}
 	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
 
-// leaseID parses the {id} path segment (a wire lease ID).
-func leaseID(r *http.Request) (uint64, error) {
-	return strconv.ParseUint(r.PathValue("id"), 10, 64)
-}
-
-// routeLease resolves the {id} path segment to its owning shard and local
-// lease ID, writing the error response itself when it cannot. A wire ID
-// whose shard tag names a shard this daemon does not have is
-// indistinguishable from a dead lease to the caller: 404.
-func (s *Server) routeLease(w http.ResponseWriter, r *http.Request) (*shard, uint64, bool) {
-	wire, err := leaseID(r)
+// pathLeaseID parses the {id} path segment (a wire lease ID) into q, writing
+// the error response itself when it cannot.
+func pathLeaseID(w http.ResponseWriter, r *http.Request, q *opReq) bool {
+	wire, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad lease id")
-		return nil, 0, false
+		return false
 	}
+	q.wire = wire
+	return true
+}
+
+// routeLease resolves a wire lease ID to its owning shard and local lease ID,
+// writing the error response itself when it cannot. A wire ID whose shard tag
+// names a shard this daemon does not have is indistinguishable from a dead
+// lease to the caller: 404.
+func (s *Server) routeLease(w http.ResponseWriter, wire uint64) (*shard, uint64, bool) {
 	sh, local, ok := s.shardByWireID(wire)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown or dead lease")
@@ -453,45 +604,54 @@ func (s *Server) routeLease(w http.ResponseWriter, r *http.Request) (*shard, uin
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := s.routeLease(w, r)
-	if !ok {
+	q := opReq{reqID: requestID(r)}
+	if !pathLeaseID(w, r, &q) {
 		return
 	}
 	env := getOpEnv()
 	defer putOpEnv(env)
-	body, err := readBody(r, &env.body, maxBodyBytes)
-	if err != nil {
-		writeBodyError(w, err)
+	q.body, q.bodyErr = readBody(r, &env.body, maxBodyBytes)
+	s.serveRenew(w, env, &q)
+}
+
+func (s *Server) serveRenew(w http.ResponseWriter, env *opEnv, q *opReq) {
+	sh, local, ok := s.routeLease(w, q.wire)
+	if !ok {
 		return
 	}
-	env.p.begin(body)
+	if q.bodyErr != nil {
+		writeBodyError(w, q.bodyErr)
+		return
+	}
+	env.p.begin(q.body)
 	if err := env.p.decodeUsage(&env.slot.rep); err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	reqID, err := requestID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !checkRequestID(w, q.reqID) {
 		return
 	}
-	env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &env.slot.rep, ReqID: reqID}
+	env.slot.rec = opRecord{Op: opRenew, LeaseID: local, Report: &env.slot.rep, ReqID: q.reqID}
 	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := s.routeLease(w, r)
-	if !ok {
-		return
-	}
-	reqID, err := requestID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	q := opReq{reqID: requestID(r), destroy: queryFlag(r, "destroy")}
+	if !pathLeaseID(w, r, &q) {
 		return
 	}
 	env := getOpEnv()
 	defer putOpEnv(env)
-	env.slot.rec = opRecord{Op: opRelease, LeaseID: local, Destroy: queryFlag(r, "destroy"), ReqID: reqID}
+	s.serveRelease(w, env, &q)
+}
+
+func (s *Server) serveRelease(w http.ResponseWriter, env *opEnv, q *opReq) {
+	sh, local, ok := s.routeLease(w, q.wire)
+	if !ok || !checkRequestID(w, q.reqID) {
+		return
+	}
+	env.slot.rec = opRecord{Op: opRelease, LeaseID: local, Destroy: q.destroy, ReqID: q.reqID}
 	env.apply(sh, deadlineOf(w))
 	env.write(w)
 }
@@ -523,12 +683,20 @@ func queryFlag(r *http.Request, key string) bool {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := s.routeLease(w, r)
-	if !ok {
+	var q opReq
+	if !pathLeaseID(w, r, &q) {
 		return
 	}
 	env := getOpEnv()
 	defer putOpEnv(env)
+	s.serveGet(w, env, &q)
+}
+
+func (s *Server) serveGet(w http.ResponseWriter, env *opEnv, q *opReq) {
+	sh, local, ok := s.routeLease(w, q.wire)
+	if !ok {
+		return
+	}
 	var resp leaseResponse
 	var why lease.Explanation
 	found, late := false, false

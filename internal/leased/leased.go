@@ -32,6 +32,7 @@
 package leased
 
 import (
+	"log"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -245,6 +246,7 @@ type Server struct {
 	metrics  *serverMetrics
 	inflight chan struct{}
 	started  time.Time
+	conns    connSet // the client connections taken over from net/http (conn.go)
 
 	// Replication state (zero-valued and inert for standalone daemons).
 	// cepoch is the cluster epoch — the leadership generation, persisted in
@@ -423,11 +425,13 @@ func (s *Server) shardByWireID(wire uint64) (sh *shard, local uint64, ok bool) {
 	return s.shards[idx], local, true
 }
 
-// Close stops every shard's clock-timer loop and journal, after shutting
-// down replication (the follower loops apply records under the shard
-// clocks, so they stop first). In-flight Do sections finish first; call
-// after the HTTP server has shut down.
+// Close stops every shard's clock-timer loop and journal, after ending the
+// client connections the daemon serves itself and shutting down replication
+// (the follower loops apply records under the shard clocks, so they stop
+// first). In-flight Do sections finish first; call after the HTTP server has
+// shut down.
 func (s *Server) Close() {
+	s.CloseConnections()
 	s.stopAutopilot()
 	if f := s.fol.Load(); f != nil {
 		f.Stop()
@@ -441,6 +445,70 @@ func (s *Server) Close() {
 			sh.store.Close()
 		}
 	}
+}
+
+// connSet is the server's taken-over connections, and the counters /metrics
+// reports of them.
+type connSet struct {
+	mu     sync.Mutex
+	closed bool // CloseConnections has run: connections stay net/http's
+	open   map[*conn]struct{}
+	loops  sync.WaitGroup
+
+	takenOver, nOpen, fast, slow atomic.Int64
+}
+
+func (cs *connSet) add(c *conn) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.closed {
+		return false
+	}
+	if cs.open == nil {
+		cs.open = make(map[*conn]struct{})
+	}
+	cs.open[c] = struct{}{}
+	cs.loops.Add(1)
+	cs.takenOver.Add(1)
+	cs.nOpen.Add(1)
+	return true
+}
+
+func (cs *connSet) done(c *conn) {
+	cs.mu.Lock()
+	delete(cs.open, c)
+	cs.mu.Unlock()
+	cs.nOpen.Add(-1)
+	cs.loops.Done()
+}
+
+// CloseConnections ends the client connections the daemon has taken over from
+// net/http — idle ones at once, busy ones after their response — and returns
+// when their loops have. http.Server's Shutdown and Close leave such
+// connections to their owner: register this with RegisterOnShutdown. Close
+// calls it too. Connections accepted afterwards stay net/http's.
+func (s *Server) CloseConnections() {
+	cs := &s.conns
+	cs.mu.Lock()
+	cs.closed = true
+	for c := range cs.open {
+		// In this order, against flush's arm-then-look: a loop that misses the
+		// flag has armed its idle deadline already, and this one replaces it.
+		c.closing.Store(true)
+		c.nc.SetReadDeadline(time.Now())
+	}
+	cs.mu.Unlock()
+	cs.loops.Wait()
+}
+
+// logf reports what has no request to answer: through the cluster's Logf when
+// there is one, the standard logger otherwise.
+func (s *Server) logf(format string, args ...any) {
+	if cc := s.opts.Cluster; cc != nil && cc.Logf != nil {
+		cc.Logf(format, args...)
+		return
+	}
+	log.Printf(format, args...)
 }
 
 // do runs fn serialized on this shard's clock, with due term checks fired

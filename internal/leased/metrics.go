@@ -165,7 +165,8 @@ func (s histSnap) stats() RouteStats {
 	return st
 }
 
-// routes are the instrumented endpoints, indexed by the constants below.
+// routes are the instrumented endpoints, indexed by the constants below: the
+// five lease-op routes first, then the rest.
 const (
 	routeAcquire = iota
 	routeRenew
@@ -174,6 +175,8 @@ const (
 	routeBatch
 	routeMetrics
 	numRoutes
+
+	numOpRoutes = routeMetrics
 )
 
 var routeNames = [numRoutes]string{"acquire", "renew", "release", "get", "batch", "metrics"}
@@ -258,6 +261,9 @@ type Snapshot struct {
 	// without re-applying the operation.
 	Deduped int64 `json:"deduped"`
 
+	// Connections counts what the daemon serves from its own connection loop.
+	Connections ConnectionStats `json:"connections"`
+
 	// Durability reports the journal/snapshot machinery summed across
 	// shards (epoch is the max shard epoch); absent on in-memory daemons.
 	Durability *DurabilityStats `json:"durability,omitempty"`
@@ -277,6 +283,17 @@ type Snapshot struct {
 
 	// PerShard breaks the merged figures down by shard.
 	PerShard []ShardSnapshot `json:"per_shard,omitempty"`
+}
+
+// ConnectionStats is the connection loop's section of a metrics snapshot: how
+// many client connections the daemon has taken over from net/http, how many
+// are open, and how the requests on them were read — by the fast reader, or
+// handed to the standard library (the share that leaves the fast path).
+type ConnectionStats struct {
+	TakenOver    int64 `json:"taken_over"`
+	Open         int64 `json:"open"`
+	FastRequests int64 `json:"fast_requests"`
+	SlowRequests int64 `json:"slow_requests"`
 }
 
 // ShardSnapshot is one shard's unmerged contribution to the metrics
@@ -464,6 +481,12 @@ func (s *Server) snapshot() Snapshot {
 	snap.Shards = len(s.shards)
 	snap.InflightRejections = s.metrics.rejected.Load()
 	snap.MaxInflight = s.opts.MaxInflight
+	snap.Connections = ConnectionStats{
+		TakenOver:    s.conns.takenOver.Load(),
+		Open:         s.conns.nOpen.Load(),
+		FastRequests: s.conns.fast.Load(),
+		SlowRequests: s.conns.slow.Load(),
+	}
 	if s.faults != nil {
 		snap.Faults = s.faults.Stats()
 	}
