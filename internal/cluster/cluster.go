@@ -53,9 +53,16 @@ import "time"
 
 // Proto is the wire protocol version pinned in the Hello/Welcome handshake.
 // It moves whenever the bytes inside the frames do — 2 is the binary journal
-// record — so a mixed-build cluster is refused here, once, rather than
-// looping on records it cannot decode.
-const Proto = 2
+// record, 3 the snapshot that keeps dedup verdicts — so a follower that could
+// not decode what a primary sends is refused here, once, rather than looping
+// on frames it cannot read.
+const Proto = 3
+
+// OldestProto is the oldest protocol a follower of this build still reads —
+// the bridge that rolls a cluster across a Proto bump: upgrade the followers
+// first, and they keep following a leader of the build before, whose
+// snapshots they still decode; move leadership last.
+const OldestProto = 2
 
 // Tuning sets the heartbeat cadence and failure-detection threshold shared
 // by both ends of a replication session. Zero fields take the defaults; the
@@ -138,7 +145,14 @@ type Standing struct {
 // later generation still fences a stale primary — how a healed minority
 // leader learns it was deposed without anybody re-following it.
 type Hello struct {
+	// Proto is the oldest protocol the dialer reads and Reads, when set, the
+	// newest: a primary accepts a dialer whose range holds its own Proto. A
+	// primary from before Reads existed ignores it and wants Proto equal to
+	// its own, so a dialer of this build opens with OldestProto and is
+	// accepted by both builds, while one of the build before, which reads
+	// only OldestProto, is refused by this one.
 	Proto  int    `json:"proto"`
+	Reads  int    `json:"reads,omitempty"`
 	Shard  int    `json:"shard"`
 	Shards int    `json:"shards"`
 	Epoch  uint64 `json:"cluster_epoch"`
@@ -146,6 +160,11 @@ type Hello struct {
 	Node   string `json:"node,omitempty"`   // dialer's node ID, for lease accounting
 	Leader string `json:"leader,omitempty"` // dialer's best leader hint (probes)
 	Probe  bool   `json:"probe,omitempty"`  // standing exchange only; expect a refusal
+}
+
+// reads reports whether the dialer reads protocol p.
+func (h *Hello) reads(p int) bool {
+	return h.Proto == p || h.Proto < p && p <= h.Reads
 }
 
 // Welcome is the primary's accepting reply.

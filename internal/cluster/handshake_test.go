@@ -61,6 +61,9 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(byte(frameHello), marshal(Hello{Proto: Proto, Shards: 1, Config: "stub", Probe: true, Leader: "http://a"}))
 	f.Add(byte(frameHello), marshal(Hello{Proto: Proto, Shards: 1, Config: "stub", Epoch: 9}))
 	f.Add(byte(frameHello), marshal(Hello{Proto: 1, Shard: 7, Shards: 2, Config: "other"}))
+	f.Add(byte(frameHello), marshal(Hello{Proto: OldestProto, Reads: Proto, Shards: 1, Config: "stub"})) // this build's follower
+	f.Add(byte(frameHello), marshal(Hello{Proto: OldestProto, Shards: 1, Config: "stub"}))               // the build before's
+	f.Add(byte(frameHello), marshal(Hello{Proto: Proto + 1, Reads: Proto + 2, Shards: 1, Config: "stub"}))
 	f.Add(byte(frameHello), []byte(`{"proto":"2"}`))
 	f.Add(byte(frameWelcome), marshal(Welcome{Epoch: 3, Shards: 1, Leader: "http://a", SnapSeq: 10}))
 	f.Add(byte(frameWelcome), []byte(`{"snap_seq":-1}`))
@@ -75,7 +78,8 @@ func FuzzHandshake(f *testing.F) {
 		// Into Primary.handle, as the first frame of an accepted connection.
 		var h Hello
 		streams := tag == frameHello && json.Unmarshal(payload, &h) == nil && !h.Probe &&
-			h.Epoch == 0 && h.Proto == Proto && h.Shards == 1 && h.Shard == 0 && h.Config == "stub"
+			h.Epoch == 0 && (h.Proto == Proto || h.Proto < Proto && h.Reads >= Proto) &&
+			h.Shards == 1 && h.Shard == 0 && h.Config == "stub"
 		src := &countingDaemon{}
 		p := NewPrimary(src, 1)
 		src.p = p

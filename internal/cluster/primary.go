@@ -463,7 +463,7 @@ func (p *Primary) handle(conn net.Conn) {
 		why = "probe"
 	case meta.Role != RolePrimary:
 		why = "not the leader"
-	case h.Proto != Proto:
+	case !h.reads(Proto):
 		why = fmt.Sprintf("protocol %d, want %d", h.Proto, Proto)
 	case h.Shards != meta.Shards:
 		why = fmt.Sprintf("follower has %d shards, primary %d", h.Shards, meta.Shards)

@@ -18,9 +18,10 @@ func dial(addr string, deadline time.Time) (net.Conn, error) {
 }
 
 // greet opens every exchange on such a connection: h goes out as the first
-// frame and the peer's first comes back, a Welcome or (refused non-nil) a
-// refusal.
+// frame, stamped with the protocols this build reads, and the peer's first
+// comes back, a Welcome or (refused non-nil) a refusal.
 func greet(conn net.Conn, sr *durable.StreamReader, h Hello) (w Welcome, refused *ErrMsg, err error) {
+	h.Proto, h.Reads = OldestProto, Proto
 	hb, err := json.Marshal(h)
 	if err != nil {
 		return w, nil, err
@@ -63,7 +64,6 @@ func Probe(addr string, h Hello, timeout time.Duration) (Standing, error) {
 }
 
 func probe(conn net.Conn, h Hello) (Standing, error) {
-	h.Proto = Proto
 	h.Probe = true
 	_, refused, err := greet(conn, durable.NewStreamReader(conn, ackReadBuf), h)
 	switch {

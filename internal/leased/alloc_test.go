@@ -15,7 +15,8 @@ package leased
 //	LoopRenew/durable+reqid        1          TestBenchmarkAllocs
 //	LoopBatch64/{mem,durable}      0          TestBenchmarkAllocs
 //	LoopBatch64/durable+reqid      64         TestBenchmarkAllocs
-//	Dedup/{hit,miss,put-full}      0          TestBenchmarkAllocs
+//	Dedup/{hit,miss,put-full,      0          TestBenchmarkAllocs
+//	  miss+put,hit-rendered}
 //	Checkpoint                     17 (≤ 40)  TestBenchmarkAllocs
 //	FollowerApply/reqid            1          TestBenchmarkAllocs
 //	FollowerApply/plain            0          TestBenchmarkAllocs
@@ -227,11 +228,15 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"LoopBatch64/durable+reqid", 64, loopOp(t, "durable+reqid", batch64Target)},
 		{"Checkpoint", 40, checkpoint},
 		// What is left under a request ID is the ID string the record decoder
-		// makes; the response goes into the cache slot's own buffer.
+		// makes; the cache slot keeps the verdict, and nothing is rendered.
 		{"FollowerApply/reqid", 1, followerApplyOp(t, "follower-alloc-1")},
 		{"Dedup/hit", 0, dedupOp("hit")},
 		{"Dedup/miss", 0, dedupOp("miss")},
 		{"Dedup/put-full", 0, dedupOp("put-full")},
+		{"Dedup/miss+put", 0, dedupOp("miss+put")},
+		// A retry's answer is rendered from its verdict into the op's own
+		// buffer, as a first attempt's is.
+		{"Dedup/hit-rendered", 0, hitOp(t)},
 		{"FollowerApply/plain", 0, followerApplyOp(t, "")},
 	} {
 		got := measureAllocs(t, 20, pin.op)

@@ -380,39 +380,71 @@ func BenchmarkHandlerBatch64(b *testing.B) { benchModes(b, handlerOp, batch64Tar
 func BenchmarkLoopRenew(b *testing.B)   { benchModes(b, loopOp, renewTarget) }
 func BenchmarkLoopBatch64(b *testing.B) { benchModes(b, loopOp, batch64Target) }
 
-// dedupOp is one call on a full default-sized dedup cache holding responses
-// of a lease's length: "hit" copies a resident ID's response out, "miss"
-// looks up an ID never stored — a request's first attempt, the common case —
-// and "put-full" stores under a new ID, evicting the oldest entry and
-// recycling its slot. IDs are made beforehand; a pool four windows long
-// keeps every put-full a miss.
+// dedupOp is one call on a full default-sized dedup cache, the ID hashed as
+// an op hashes it: "hit" finds a resident ID's verdict, "miss" looks up an ID
+// never stored — a request's first attempt, the common case — "put-full"
+// stores under a new ID, evicting the oldest entry and recycling its slot,
+// and "miss+put" is what a live op under a new ID runs: the miss and the put
+// under its one hash. IDs are made beforehand; a pool four windows long keeps
+// every put a miss.
 func dedupOp(kind string) func() {
 	const window = 4096
 	c := newDedupCache(window)
-	resp := bytes.Repeat([]byte("r"), 170)
+	v := verdictN(1)
 	ids := make([]string, 4*window)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("bench-%08x", i)
 		if i < window {
-			c.put(ids[i], resp)
+			c.store(ids[i], v)
 		}
 	}
-	var dst []byte
 	next := 0
+	fresh := func() string { next++; return ids[(window+next)%len(ids)] }
 	switch kind {
 	case "hit":
-		return func() { dst, _ = c.get(dst[:0], ids[next%window]); next++ }
+		return func() { id := ids[next%window]; c.get(id, c.hash(id)); next++ }
 	case "miss":
-		return func() { dst, _ = c.get(dst[:0], ids[window+next%window]); next++ }
+		return func() { id := ids[window+next%window]; c.get(id, c.hash(id)); next++ }
+	case "put-full":
+		return func() { id := fresh(); c.put(id, c.hash(id), v) }
 	default:
-		return func() { c.put(ids[(window+next)%len(ids)], resp); next++ }
+		return func() {
+			id := fresh()
+			h := c.hash(id)
+			if _, hit := c.get(id, h); !hit {
+				c.put(id, h, v)
+			}
+		}
+	}
+}
+
+// hitOp is a renew retried under a request ID the shard holds: the dedup
+// lookup and the hit's answer rendered from its verdict, through the
+// pipeline's front door.
+func hitOp(tb testing.TB) func() {
+	s := NewServer(benchOptions(1))
+	tb.Cleanup(s.Close)
+	sh, local := benchAcquire(tb, s, "hit-client")
+	env := getOpEnv()
+	tb.Cleanup(func() { putOpEnv(env) })
+	renew := func() {
+		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, ReqID: "hit-request"}
+		env.apply(sh, time.Time{})
+	}
+	renew() // the first attempt, which applies
+	return func() {
+		renew()
+		if !env.slot.deduped {
+			tb.Fatalf("the retry was not a hit: status %d", env.slot.status)
+		}
 	}
 }
 
 func BenchmarkDedup(b *testing.B) {
-	for _, kind := range []string{"hit", "miss", "put-full"} {
+	for _, kind := range []string{"hit", "miss", "put-full", "miss+put"} {
 		b.Run(kind, func(b *testing.B) { runOp(b, dedupOp(kind)) })
 	}
+	b.Run("hit-rendered", func(b *testing.B) { runOp(b, hitOp(b)) })
 }
 
 // checkpointBenchShard is the shard the two snapshot benchmarks work on:

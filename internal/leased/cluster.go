@@ -119,7 +119,6 @@ func (s *Server) startFollower(addr string) {
 	cc := s.opts.Cluster
 	fol := cluster.NewFollower(s, addr, len(s.shards), func(shard int) cluster.Hello {
 		return cluster.Hello{
-			Proto:  cluster.Proto,
 			Shard:  shard,
 			Shards: len(s.shards),
 			Epoch:  s.cepoch.Load(),

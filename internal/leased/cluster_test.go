@@ -8,13 +8,16 @@ package leased
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -412,10 +415,14 @@ func refusedHello(t *testing.T, addr string, h cluster.Hello) cluster.ErrMsg {
 	return em
 }
 
-// TestOldProtoRefusedAtHandshake: a follower from a build that still speaks
-// protocol 1 (JSON journal records) is turned away by name at the handshake —
-// it never gets a snapshot, let alone a stream of records it would misread —
-// and the primary keeps serving.
+// TestOldProtoRefusedAtHandshake: a follower from a build that cannot read
+// what this primary sends is turned away by name at the handshake — it never
+// gets a snapshot, let alone a stream of frames it would misread — and the
+// primary keeps serving: protocol 1 (JSON journal records), and protocol 2,
+// the build before snapshot version 2, whose Hello says it reads nothing
+// newer. The bridge's other half: a follower of this build follows a leader
+// of that build (oldLeader), adopts its version-1 snapshots and records, and
+// once promoted answers the retries that build answered, byte for byte.
 func TestOldProtoRefusedAtHandshake(t *testing.T) {
 	opts := testOptions()
 	opts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}
@@ -427,13 +434,136 @@ func TestOldProtoRefusedAtHandshake(t *testing.T) {
 	}
 	s.ServeReplication(ln)
 
-	em := refusedHello(t, ln.Addr().String(), cluster.Hello{Proto: 1, Shard: 0, Shards: 1, Config: s.configSig()})
-	if want := fmt.Sprintf("protocol 1, want %d", cluster.Proto); em.Error != want {
-		t.Fatalf("refusal %q, want %q", em.Error, want)
+	for _, proto := range []int{1, cluster.OldestProto} {
+		em := refusedHello(t, ln.Addr().String(), cluster.Hello{Proto: proto, Shard: 0, Shards: 1, Config: s.configSig()})
+		if want := fmt.Sprintf("protocol %d, want %d", proto, cluster.Proto); em.Error != want {
+			t.Fatalf("refusal %q, want %q", em.Error, want)
+		}
 	}
 	if got := s.Role(); got != "primary" {
 		t.Fatalf("role after an old-protocol hello: %s", got)
 	}
+
+	old := newOldLeader(t)
+	fopts := v1Options()
+	fopts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: old.ln.Addr().String()}
+	fol := newDurableRig(t, t.TempDir(), fopts)
+	defer fol.s.Close()
+	if err := fol.s.StartFollowing(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if st, ok := fol.s.replicaStats(); ok && st.Connected == fopts.Shards && st.AppliedSeq == old.records {
+			break
+		}
+		if time.Now().After(deadline) {
+			st, _ := fol.s.replicaStats()
+			t.Fatalf("the follower never caught up with the old leader's %d records: %+v", old.records, st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if h := old.hello(); h.Proto != cluster.OldestProto || h.Reads != cluster.Proto {
+		t.Fatalf("the follower opened with %+v; want protocols %d to %d", h, cluster.OldestProto, cluster.Proto)
+	}
+	if _, promoted := fol.s.Promote(); !promoted {
+		t.Fatal("follower did not promote")
+	}
+	retryV1(t, "promoted follower of a version-1 leader", fol.rig)
+}
+
+// oldLeader plays a leader of the build before snapshot version 2 on the
+// replication port: its primary accepted a Hello at exactly protocol 2 —
+// knowing nothing of Reads, it ignored it — and streamed each shard's state
+// in version 1, here the version-1 fixture's snapshot and journal records,
+// then pinged. Acks are read and dropped.
+type oldLeader struct {
+	ln      net.Listener
+	records int64 // journal records over all shards
+
+	mu   sync.Mutex
+	last cluster.Hello
+}
+
+func newOldLeader(t *testing.T) *oldLeader {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &oldLeader{ln: ln}
+	snaps, journals := make([][]byte, 2), make([][][]byte, 2)
+	for i := range snaps {
+		snaps[i] = v1Snapshot(t, i)
+		if journals[i], err = durable.ReadJournal(filepath.Join(v1Fixture, "data", shardDir(i))); err != nil {
+			t.Fatal(err)
+		}
+		old.records += int64(len(journals[i]))
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				old.serve(conn, snaps, journals)
+			}()
+		}
+	}()
+	return old
+}
+
+func (old *oldLeader) serve(conn net.Conn, snaps [][]byte, journals [][][]byte) {
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	tag, payload, err := durable.NewStreamReader(conn, 512).ReadFrame()
+	var h cluster.Hello
+	if err != nil || tag != 'H' || json.Unmarshal(payload, &h) != nil {
+		return
+	}
+	old.mu.Lock()
+	old.last = h
+	old.mu.Unlock()
+	if h.Proto != cluster.OldestProto || h.Shard < 0 || h.Shard >= len(snaps) {
+		em, _ := json.Marshal(cluster.ErrMsg{Error: fmt.Sprintf("protocol %d, want %d", h.Proto, cluster.OldestProto)})
+		conn.Write(durable.AppendFrame(nil, 'E', em))
+		return
+	}
+	wb, _ := json.Marshal(cluster.Welcome{Shards: len(snaps), Leader: "http://old-leader.invalid"})
+	out := durable.AppendFrame(nil, 'W', wb)
+	out = durable.AppendFrame(out, 'S', snaps[h.Shard])
+	for _, rec := range journals[h.Shard] {
+		out = durable.AppendFrame(out, 'R', rec)
+	}
+	if _, err := conn.Write(out); err != nil {
+		return
+	}
+	go io.Copy(io.Discard, conn)
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], uint64(len(journals[h.Shard])))
+	for {
+		time.Sleep(50 * time.Millisecond)
+		if _, err := conn.Write(durable.AppendFrame(nil, 'P', seq[:])); err != nil {
+			return
+		}
+	}
+}
+
+// hello is the last Hello the old leader was sent.
+func (old *oldLeader) hello() cluster.Hello {
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	return old.last
 }
 
 // TestStalePrimaryFencedByHandshake: a primary that hears a Hello from a

@@ -9,28 +9,33 @@ import (
 
 // dedupCache makes mutations idempotent across retries: a client that lost a
 // response (crash, dropped connection, timeout) resends the same request
-// with the same X-Request-ID and gets the stored response back instead of a
+// with the same X-Request-ID and gets the first answer again instead of a
 // second application. Bounded FIFO; eviction order is insertion order, so a
 // cache rebuilt by journal replay (insertions in log order) matches the
 // pre-crash cache exactly.
 //
-// The cache is one fixed ring of entries, oldest at head, found through an
+// What an entry keeps is the op's verdict — the fixed-size value its answer
+// was rendered from — not the answer's bytes: a hit renders it again
+// (shard.appendVerdict) with the client name, shard ID and term length,
+// which are fixed for the shard's lifetime, so a retry still gets the first
+// answer byte for byte.
+//
+// The cache is one fixed ring of slots, oldest at head, found through an
 // open-addressed index of ring positions (linear probing, at most half
 // full). Nothing in it is a runtime map and nothing is allocated per entry
 // but the ID string the caller hands over: the entry that evicts a slot
-// overwrites its ID and reuses its body buffer, and its index cell is freed
-// by backward-shift deletion, so there are no tombstones to accumulate.
-// Each cell carries 32 bits of its entry's hash beside the position, so a
-// probe reads the ring only for an entry that very likely is the one sought,
-// and a deletion shifts cells without reading the ring at all.
-// Because a slot's buffer is rewritten by a later put, a hit is handed out
-// as a copy (get appends it to the caller's buffer), never as a view.
+// overwrites it, and its index cell is freed by backward-shift deletion, so
+// there are no tombstones to accumulate. Each cell carries 32 bits of its
+// entry's hash beside the position, so a probe reads the ring only for an
+// entry that very likely is the one sought, and a deletion shifts cells
+// without reading the ring at all.
 //
 // The hash is seeded per cache. Request IDs are chosen by clients, and the
 // daemon exists to contain hostile ones: a fixed hash would let a client
 // pick IDs that all probe from one cell. The seed never leaves the process
 // — the index is rebuilt on load, not serialised — so snapshots of equal
-// caches stay byte-identical.
+// caches stay byte-identical. An op hashes its ID once (hash) and hands the
+// hash to get and put.
 type dedupCache struct {
 	seed maphash.Seed
 	ring []dedupSlot
@@ -46,18 +51,52 @@ type dedupCache struct {
 	mask  uint64
 }
 
-// dedupSlot is one ring entry. hash is kept so that eviction can find the
-// entry's index cell without rehashing the string.
+// dedupSlot is one ring entry, 56 bytes with nothing behind a pointer but
+// the ID. hash is kept so that eviction can find the entry's index cell
+// without rehashing the string.
 type dedupSlot struct {
 	id   string
 	hash uint64
-	body []byte // owned by the slot; recycled by whichever entry evicts it
+	v    dedupVerdict
 }
 
-// dedupEntry is one cached response in the checkpoint payload.
+// dedupVerdict is what an op's answer said, in the fields verdictOf takes
+// from a lease: everything of the lease response but the client name, the
+// shard and the term length, which the shard supplies when it renders one.
+// uid is 32 bits: a shard with 2³² clients would not fit in memory.
+type dedupVerdict struct {
+	lease    uint64 // shard-local lease ID
+	terms    int64  // 0 for a dead lease
+	acquires int64
+	uid      uint32
+	kind     uint8 // hooks.Kind
+	state    uint8 // lease.State
+	held     bool
+	empty    bool // the op answered with no lease (a mark): the zero response
+}
+
+// dedupEntry is one entry in the checkpoint payload, decoded: the request ID
+// and its verdict at full width, so restore can refuse what does not fit.
+// The JSON tags serve -dump-snapshot.
 type dedupEntry struct {
-	ID   string `json:"id"`
-	Resp []byte `json:"resp"` // base64 in the -dump-snapshot view; raw bytes on disk
+	ID       string `json:"id"`
+	Empty    bool   `json:"empty,omitempty"`
+	LeaseID  uint64 `json:"lease_id"` // shard-local
+	UID      int    `json:"uid"`
+	Kind     int    `json:"kind"`
+	State    int    `json:"state"`
+	Held     bool   `json:"held"`
+	Terms    int64  `json:"terms"`
+	Acquires int64  `json:"acquires"`
+}
+
+// verdict is e as the cache keeps it. restoreStateLocked has checked the
+// fields that are narrower there.
+func (e *dedupEntry) verdict() dedupVerdict {
+	if e.Empty {
+		return dedupVerdict{empty: true}
+	}
+	return dedupVerdict{lease: e.LeaseID, terms: e.Terms, acquires: e.Acquires, uid: uint32(e.UID), kind: uint8(e.Kind), state: uint8(e.State), held: e.Held}
 }
 
 func newDedupCache(capacity int) *dedupCache {
@@ -76,6 +115,9 @@ func newDedupCache(capacity int) *dedupCache {
 
 func (c *dedupCache) size() int { return c.n }
 
+// hash is id's hash under this cache's seed, for get and put.
+func (c *dedupCache) hash(id string) uint64 { return maphash.String(c.seed, id) }
+
 // find returns the ring position of id, whose hash is h, or -1. A miss —
 // every first attempt — stops at the first empty cell having compared only
 // hash bits, all of them in the index.
@@ -93,23 +135,23 @@ func (c *dedupCache) find(id string, h uint64) int {
 	}
 }
 
-// get appends id's stored response to dst and reports whether there was one.
-func (c *dedupCache) get(dst []byte, id string) ([]byte, bool) {
-	pos := c.find(id, maphash.String(c.seed, id))
+// get returns the verdict stored under id, whose hash is h, and whether there
+// was one.
+func (c *dedupCache) get(id string, h uint64) (dedupVerdict, bool) {
+	pos := c.find(id, h)
 	if pos < 0 {
-		return dst, false
+		return dedupVerdict{}, false
 	}
-	return append(dst, c.ring[pos].body...), true
+	return c.ring[pos].v, true
 }
 
-// put stores a copy of resp under id. A live id keeps its place in the
-// eviction order and takes the new response; a new one evicts the oldest
+// put stores v under id, whose hash is h. A live id keeps its place in the
+// eviction order and takes the new verdict; a new one evicts the oldest
 // entry once the ring is full.
-func (c *dedupCache) put(id string, resp []byte) {
+func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
 	if len(c.ring) == 0 {
 		return
 	}
-	h := maphash.String(c.seed, id)
 	pos := c.find(id, h)
 	if pos < 0 {
 		if c.n == len(c.ring) {
@@ -128,8 +170,7 @@ func (c *dedupCache) put(id string, resp []byte) {
 		}
 		c.index[i] = h<<32 | uint64(pos+1)
 	}
-	s := &c.ring[pos]
-	s.body = append(s.body[:0], resp...)
+	c.ring[pos].v = v
 }
 
 // unindex frees the index cell that points at ring position pos and closes
@@ -157,20 +198,30 @@ func (c *dedupCache) unindex(pos int) {
 	c.index[hole] = 0
 }
 
-// encodeState writes the cache oldest-first into the checkpoint payload:
-// a count, then each id and its stored response as raw bytes.
+// encodeState writes the cache oldest-first into the checkpoint payload: a
+// count, then each id and its verdict — a presence byte that is 0 for a
+// mark's empty verdict and otherwise 1 and the seven fields.
 func (c *dedupCache) encodeState(w *snapenc.Writer) {
 	w.Uvarint(uint64(c.n))
 	for i := 0; i < c.n; i++ {
 		s := &c.ring[(c.head+i)%len(c.ring)]
 		w.String(s.id)
-		w.Bytes(s.body)
+		w.Bool(!s.v.empty)
+		if !s.v.empty {
+			w.Uvarint(s.v.lease)
+			w.Int(int(s.v.uid))
+			w.Int(int(s.v.kind))
+			w.Int(int(s.v.state))
+			w.Bool(s.v.held)
+			w.Varint(s.v.terms)
+			w.Varint(s.v.acquires)
+		}
 	}
 }
 
 // decodeDedupState reads what encodeState wrote. A row is at least two
-// bytes (two length prefixes), which bounds the count — see
-// snapenc.Reader.Count.
+// bytes (the ID's length prefix and the presence byte), which bounds the
+// count — see snapenc.Reader.Count.
 func decodeDedupState(r *snapenc.Reader) []dedupEntry {
 	n := r.Count(2)
 	if n == 0 {
@@ -178,14 +229,18 @@ func decodeDedupState(r *snapenc.Reader) []dedupEntry {
 	}
 	out := make([]dedupEntry, n)
 	for i := range out {
-		out[i] = dedupEntry{ID: r.String(), Resp: r.Bytes()}
+		e := &out[i]
+		e.ID = r.String()
+		if e.Empty = !r.Bool(); e.Empty {
+			continue
+		}
+		e.LeaseID = r.Uvarint()
+		e.UID = r.Int()
+		e.Kind = r.Int()
+		e.State = r.Int()
+		e.Held = r.Bool()
+		e.Terms = r.Varint()
+		e.Acquires = r.Varint()
 	}
 	return out
-}
-
-// load refills the cache from a checkpoint payload.
-func (c *dedupCache) load(entries []dedupEntry) {
-	for _, e := range entries {
-		c.put(e.ID, e.Resp)
-	}
 }

@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/android/hooks"
+	"repro/internal/durable"
 	"repro/internal/lease"
 	"repro/internal/power"
 )
@@ -148,11 +150,18 @@ func TestRestoreRefusesStateThatIndexesOutOfATable(t *testing.T) {
 		{"apps uid unknown", func(st *persistedState) { st.Apps[1].UID = 77 }, "apps row 1: unknown uid 77"},
 		{"object without a lease", func(st *persistedState) { st.Manager.Leases = st.Manager.Leases[:3] }, "names lease 4, which the manager section does not hold"},
 		{"lease without an object", func(st *persistedState) { st.Objects = st.Objects[:3] }, "no kernel object for lease 4"},
+		{"dedup uid unknown", func(st *persistedState) { st.Dedup[1].UID = 1 << 40 }, "dedup row 1: unknown uid 1099511627776"},
+		{"dedup uid zero", func(st *persistedState) { st.Dedup[0].UID = 0 }, "dedup row 0: unknown uid 0"},
+		{"dedup kind 200", func(st *persistedState) { st.Dedup[2].Kind = 200 }, "dedup row 2: unknown resource kind 200"},
+		{"dedup kind negative", func(st *persistedState) { st.Dedup[2].Kind = -1 }, "dedup row 2: unknown resource kind -1"},
+		{"dedup state past DEAD", func(st *persistedState) { st.Dedup[3].State = int(lease.Dead) + 1 }, "dedup row 3: unknown lease state 4"},
+		{"dedup state negative", func(st *persistedState) { st.Dedup[3].State = -1 }, "dedup row 3: unknown lease state -1"},
 	} {
 		st := good
 		st.Clients = append([]clientEntry(nil), good.Clients...)
 		st.Objects = append([]objState(nil), good.Objects...)
 		st.Apps = append([]appEntry(nil), good.Apps...)
+		st.Dedup = append([]dedupEntry(nil), good.Dedup...)
 		tc.corrupt(&st)
 		sh := freshShard(snapTestOptions())
 		err := sh.restoreState(st)
@@ -213,21 +222,26 @@ func (r *rig) rawBatch(ops string) (leases [][]byte, deduped []bool) {
 	return leases, deduped
 }
 
-// TestRetryIsByteIdentical: an acquire, a renew, a release and a batch member
-// retried under their request IDs get the first answer's exact bytes — from
-// the daemon that gave it, from one reopened on its data directory, and from
-// its promoted follower — until DedupWindow later mutations have pushed an ID
-// out, after which the retry is a miss that applies afresh. With a ring whose
-// slots are rewritten in place, "exact" is the property at risk: a hit must
-// never read a recycled buffer, in particular not one recycled later in the
-// very batch that hit it.
+// TestRetryIsByteIdentical: an acquire, a renew, a release, a destroy and a
+// batch member retried under their request IDs get the first answer's exact
+// bytes — from the daemon that gave it, from one reopened on its data
+// directory by replaying its journal (no snapshot holds the entries), from
+// one reopened from a checkpoint, and from its promoted follower — until
+// DedupWindow later mutations have pushed an ID out, after which the retry is
+// a miss that applies afresh. The window keeps verdicts and renders a hit
+// again, so "exact" is the property at risk: the destroy's DEAD answer, which
+// has no terms and no term_ms, must come back so; and a hit must render what
+// its op answered even when a later member of its own batch evicts the entry.
+// (TestVersion1DataDirAnswersRetries holds the same for a data directory the
+// build before verdicts wrote.)
 func TestRetryIsByteIdentical(t *testing.T) {
 	const window = 8
 	c := newClusterRig(t, 1, func(o *Options) { o.DedupWindow = window })
 	defer c.fol.s.Close()
 
 	p := c.prim.rig
-	id := p.acquire("bystander", "gps").LeaseID // the batch member's lease
+	id := p.acquire("bystander", "gps").LeaseID     // the batch member's lease
+	doomed := p.acquire("doomed", "sensor").LeaseID // the destroy's
 	type attempt struct {
 		name, method, path, reqID, body string
 		first                           []byte
@@ -251,9 +265,13 @@ func TestRetryIsByteIdentical(t *testing.T) {
 	for _, a := range []*attempt{
 		{name: "renew", method: "POST", path: fmt.Sprintf("/v1/leases/%d/renew", alice.LeaseID), reqID: "retry-renew", body: `{"cpu_ms":12.5,"ui_updates":2}`},
 		{name: "release", method: "DELETE", path: fmt.Sprintf("/v1/leases/%d", alice.LeaseID), reqID: "retry-release"},
+		{name: "destroy", method: "DELETE", path: fmt.Sprintf("/v1/leases/%d?destroy=1", doomed), reqID: "retry-destroy"},
 	} {
 		first(a)
 		attempts = append(attempts, a)
+	}
+	if dead := attempts[len(attempts)-1].first; !bytes.Contains(dead, []byte(`"state":"DEAD","held":false,"terms":0,"term_ms":0`)) {
+		t.Fatalf("destroy answered %s; want a DEAD lease with no terms", dead)
 	}
 	member := fmt.Sprintf(`{"op":"renew","lease_id":%d,"req_id":"retry-member","report":{"cpu_ms":3}}`, id)
 	leases, _ := p.rawBatch(member)
@@ -280,9 +298,24 @@ func TestRetryIsByteIdentical(t *testing.T) {
 	c.prim.crash()
 	standalone := c.prim.opts
 	standalone.Cluster = nil
+	if payload, err := durable.ReadSnapshot(filepath.Join(c.prim.dir, shardDir(0))); err != nil {
+		t.Fatal(err)
+	} else if st, err := decodeSnapshot(payload); err != nil || len(st.Dedup) != 0 {
+		t.Fatalf("the crashed primary's snapshot holds %d dedup entries (%v); want the journal to hold them all", len(st.Dedup), err)
+	}
 	reopened := newDurableRig(t, c.prim.dir, standalone)
-	defer reopened.s.Close()
-	retryAll("reopened from the data directory", reopened.rig)
+	if info := reopened.s.PerShardRecovery()[0]; info.Replayed == 0 {
+		t.Fatalf("reopen replayed no journal: %+v", info)
+	}
+	retryAll("reopened by replaying the journal", reopened.rig)
+	reopened.s.Checkpoint()
+	reopened.crash()
+	fromSnapshot := newDurableRig(t, c.prim.dir, standalone)
+	defer fromSnapshot.s.Close()
+	if info := fromSnapshot.s.PerShardRecovery()[0]; !info.SnapshotLoaded || info.Replayed != 0 {
+		t.Fatalf("reopen after a checkpoint: %+v; want the snapshot and no journal", info)
+	}
+	retryAll("reopened from a snapshot", fromSnapshot.rig)
 
 	if _, promoted := c.fol.s.Promote(); !promoted {
 		t.Fatal("follower did not promote")

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/lease"
 )
 
@@ -85,24 +86,54 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// leaseView renders o's lease; a lease just destroyed shows as DEAD with no
-// terms. Callers hold the shard clock.
-func (sh *shard) leaseView(o *robj) leaseResponse {
-	resp := leaseResponse{
-		LeaseID:  encodeLeaseID(sh.id, o.leaseID),
-		Client:   o.client,
-		UID:      int(o.uid),
-		Shard:    sh.id,
-		Kind:     o.kind.String(),
-		Held:     o.Held,
-		Acquires: o.acquires,
-		State:    o.lease.State().String(),
-	}
+// verdictOf is what an op's answer says of o as of now; a lease just
+// destroyed is DEAD with no terms. Callers hold the shard clock.
+func verdictOf(o *robj) dedupVerdict {
+	v := dedupVerdict{lease: o.leaseID, acquires: o.acquires, uid: uint32(o.uid), kind: uint8(o.kind), state: uint8(o.lease.State()), held: o.Held}
 	if o.lease.State() != lease.Dead {
-		resp.Terms = o.lease.Terms()
-		resp.TermMS = sh.termMS
+		v.terms = int64(o.lease.Terms())
+	}
+	return v
+}
+
+// verdictResponse is the lease response v stands for on the given shard,
+// under the given client name and term length; a mark's empty verdict is the
+// zero response. It is the one renderer of an op's answer: live, on a dedup
+// hit, and when a version-1 snapshot's stored answers are checked.
+func verdictResponse(v *dedupVerdict, client string, shard int, termMS int64) leaseResponse {
+	if v.empty {
+		return leaseResponse{}
+	}
+	resp := leaseResponse{
+		LeaseID:  encodeLeaseID(shard, v.lease),
+		Client:   client,
+		UID:      int(v.uid),
+		Shard:    shard,
+		Kind:     hooks.Kind(v.kind).String(),
+		State:    lease.State(v.state).String(),
+		Held:     v.held,
+		Terms:    int(v.terms),
+		Acquires: v.acquires,
+	}
+	if lease.State(v.state) != lease.Dead {
+		resp.TermMS = termMS
 	}
 	return resp
+}
+
+// view is v as this shard answers it. The client name, the shard and the term
+// length are fixed for the shard's lifetime (a name never leaves its UID;
+// recovery refuses a changed policy or shard count), so a verdict renders to
+// the same bytes whenever it is rendered. Callers hold the shard clock.
+func (sh *shard) view(v *dedupVerdict) leaseResponse {
+	return verdictResponse(v, sh.table.recs[v.uid].name, sh.id, sh.termMS)
+}
+
+// appendVerdict appends v's rendered answer to b. Callers hold the shard
+// clock.
+func (sh *shard) appendVerdict(b []byte, v *dedupVerdict) []byte {
+	resp := sh.view(v)
+	return appendLeaseResponse(b, &resp)
 }
 
 // --- handlers ---
@@ -709,7 +740,8 @@ func (s *Server) serveGet(w http.ResponseWriter, env *opEnv, q *opReq) {
 		}
 		if o := sh.byLease[local]; o != nil {
 			found = true
-			resp = sh.leaseView(o)
+			v := verdictOf(o)
+			resp = sh.view(&v)
 			why = sh.mgr.Explanation(o.lease)
 		}
 	})

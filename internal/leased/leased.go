@@ -618,8 +618,8 @@ type opSlot struct {
 	errMsg  string // status != 200
 	deduped bool
 	// body is the encoded lease (status 200): a view into the buffer
-	// applyLocked appended to — a dedup hit's stored bytes are copied there
-	// too — stable until the front end has answered.
+	// applyLocked appended to — a dedup hit's verdict is rendered there too —
+	// stable until the front end has answered.
 	body []byte
 }
 
@@ -657,10 +657,11 @@ func (sh *shard) apply(group []*opSlot, out []byte, deadline time.Time) []byte {
 // encode, response encode and dedup put, in that order per op, all at the
 // clock's current instant. Failed ops (4xx) change no state and are neither
 // journaled nor cached; they never fail the group. Live, each op is stamped
-// with the instant and its record encoded into sh.frames for commitLocked.
-// On replay (live false) the records already exist, carry their instant, and
-// by construction were not dedup hits; the only outcome kept is the dedup
-// entry, rebuilt in log order so an overflowed cache evicts as it did live.
+// with the instant, its record encoded into sh.frames for commitLocked and
+// its answer rendered into out. On replay (live false) the records already
+// exist, carry their instant, by construction were not dedup hits, and
+// nobody reads their answers; the only outcome kept is the dedup entry,
+// rebuilt in log order so an overflowed cache evicts as it did live.
 // Callers hold the shard clock.
 func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 	now := sh.clock.Now()
@@ -668,43 +669,42 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 	sh.frames = sh.frames[:0]
 	for _, sl := range group {
 		rec := &sl.rec
-		if live {
-			if rec.ReqID != "" {
-				// A hit is copied out: the cache recycles its buffers, and a
-				// later op of this very group may evict the entry.
+		var h uint64 // the request ID's hash, for the lookup and the put
+		if rec.ReqID != "" {
+			h = sh.dedup.hash(rec.ReqID)
+			if v, hit := sh.dedup.get(rec.ReqID, h); hit && live {
+				sh.metrics.deduped.Add(1)
 				start := len(out)
-				var hit bool
-				if out, hit = sh.dedup.get(out, rec.ReqID); hit {
-					sh.metrics.deduped.Add(1)
-					sl.status, sl.deduped, sl.body = http.StatusOK, true, out[start:len(out):len(out)]
-					continue
-				}
+				out = sh.appendVerdict(out, &v)
+				sl.status, sl.deduped, sl.body = http.StatusOK, true, out[start:len(out):len(out)]
+				continue
 			}
+		}
+		if live {
 			rec.At = now
 		}
-		var view leaseResponse
-		sl.status, view, sl.errMsg = sh.applyRecord(rec)
+		var v dedupVerdict
+		sl.status, v, sl.errMsg = sh.applyRecord(rec)
 		if sl.status != http.StatusOK {
 			continue
 		}
-		if live && (sh.store != nil || sh.repl != nil) {
-			// A frame stays valid if a later record grows the buffer: it
-			// keeps the old array, whose bytes nothing rewrites.
-			start := len(sh.jw.Payload())
-			encodeOpRecord(sh.jw, rec)
-			sh.frames = append(sh.frames, sh.jw.Payload()[start:])
+		if live {
+			if sh.store != nil || sh.repl != nil {
+				// A frame stays valid if a later record grows the buffer: it
+				// keeps the old array, whose bytes nothing rewrites.
+				start := len(sh.jw.Payload())
+				encodeOpRecord(sh.jw, rec)
+				sh.frames = append(sh.frames, sh.jw.Payload()[start:])
+			}
+			// Rendered by the renderer a hit uses, from the verdict the cache
+			// keeps: a retry — single or batched, before or after a restart,
+			// on a promoted follower — gets these bytes again.
+			start := len(out)
+			out = sh.appendVerdict(out, &v)
+			sl.body = out[start:len(out):len(out)]
 		}
-		if !live && rec.ReqID == "" {
-			continue
-		}
-		// Encoded once: the same bytes answer the request and, under a
-		// request ID, any retry of it — single or batched, before or after
-		// a restart (the crash-equality tests DeepEqual the cache).
-		start := len(out)
-		out = appendLeaseResponse(out, &view)
-		sl.body = out[start:len(out):len(out)]
 		if rec.ReqID != "" {
-			sh.dedup.put(rec.ReqID, sl.body) // copied into the slot's own buffer
+			sh.dedup.put(rec.ReqID, h, v)
 		}
 	}
 	return out
@@ -715,36 +715,36 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 // only caller — so a replayed history reproduces the live history exactly.
 // Record lease IDs are shard-local (the journal is per-shard; the shard tag
 // is implied by the directory). Callers hold the shard clock.
-func (sh *shard) applyRecord(rec *opRecord) (status int, resp leaseResponse, errMsg string) {
+func (sh *shard) applyRecord(rec *opRecord) (status int, v dedupVerdict, errMsg string) {
 	switch rec.Op {
 	case opAcquire:
-		return http.StatusOK, sh.leaseView(sh.acquire(rec.Client, rec.Kind)), ""
+		return http.StatusOK, verdictOf(sh.acquire(rec.Client, rec.Kind)), ""
 	case opRenew:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
-			return http.StatusNotFound, resp, "unknown or dead lease"
+			return http.StatusNotFound, v, "unknown or dead lease"
 		}
 		var rep usageReport
 		if rec.Report != nil {
 			rep = *rec.Report
 		}
 		sh.renew(o, rep)
-		return http.StatusOK, sh.leaseView(o), ""
+		return http.StatusOK, verdictOf(o), ""
 	case opRelease:
 		o := sh.byLease[rec.LeaseID]
 		if o == nil {
-			return http.StatusNotFound, resp, "unknown or dead lease"
+			return http.StatusNotFound, v, "unknown or dead lease"
 		}
 		if rec.Destroy {
 			sh.destroy(o)
 		} else {
 			sh.release(o)
 		}
-		return http.StatusOK, sh.leaseView(o), ""
+		return http.StatusOK, verdictOf(o), ""
 	case opMark:
-		return http.StatusOK, resp, ""
+		return http.StatusOK, dedupVerdict{empty: true}, ""
 	}
-	return http.StatusBadRequest, resp, "unknown op"
+	return http.StatusBadRequest, v, "unknown op"
 }
 
 // foldReport adds a usage report to the object's pending term stats and the

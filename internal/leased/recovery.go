@@ -422,7 +422,7 @@ func (sh *shard) replay(groups [][][]byte, journal bool) (err error) {
 				break
 			}
 			sh.clock.AdvanceVirtual(rs.slots[0].rec.At)
-			rs.out = sh.applyLocked(rs.group, rs.out[:0], false)
+			sh.applyLocked(rs.group, nil, false)
 			rs.applied = append(rs.applied, payloads...)
 		}
 		if journal {
@@ -434,11 +434,10 @@ func (sh *shard) replay(groups [][][]byte, journal bool) (err error) {
 
 // replayScratch is replay's working memory, kept on the shard and touched
 // only under its clock: a follower replays a record without allocating
-// anything but what the dedup cache keeps (the request ID and the response).
+// anything but what the dedup cache keeps (the request ID).
 type replayScratch struct {
 	slots   []opSlot  // the current group, decoded
 	group   []*opSlot // → slots, for applyLocked
-	out     []byte    // the current group's encoded responses
 	applied [][]byte  // every applied group's records, for the one commit
 }
 
@@ -596,7 +595,22 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		c := &sh.table.recs[uid]
 		c.cpu, c.exc, c.ui, c.inter = time.Duration(a.CPU), a.Exc, a.UI, a.Inter
 	}
-	sh.dedup.load(st.Dedup)
+	// A hit renders its verdict by indexing the client table with its uid and
+	// naming its kind and state, so those are checked like any index.
+	for i := range st.Dedup {
+		e := &st.Dedup[i]
+		if !e.Empty {
+			switch {
+			case !sh.table.known(power.UID(e.UID)):
+				return fmt.Errorf("leased: snapshot dedup row %d: unknown uid %d", i, e.UID)
+			case e.Kind < 0 || e.Kind >= hooks.NumKinds:
+				return fmt.Errorf("leased: snapshot dedup row %d: unknown resource kind %d", i, e.Kind)
+			case e.State < int(lease.Active) || e.State > int(lease.Dead):
+				return fmt.Errorf("leased: snapshot dedup row %d: unknown lease state %d", i, e.State)
+			}
+		}
+		sh.dedup.put(e.ID, sh.dedup.hash(e.ID), e.verdict())
+	}
 	err := sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (hooks.Object, bool) {
 		r := sh.byLease[ls.ID]
 		if r == nil {

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/android/hooks"
 	"repro/internal/lease"
+	"repro/internal/simclock"
 )
 
 func newJSONRequest(method, url string, body any) (*http.Request, error) {
@@ -249,6 +251,48 @@ func TestCrashRecoveryMultiShard(t *testing.T) {
 		if s2.shards[shIdx].byLease[local] == nil {
 			t.Errorf("lease %d (client spread-%02d) missing from shard %d after recovery", id, i, shIdx)
 		}
+	}
+}
+
+// TestRecoveryRefiresWhatTimeAloneDid pins what a restart does with the time
+// between a shard's last journaled record and the crash. Term checks and
+// deferrals in that gap are not records — they are what the clock does — so
+// recovery stops at the last record's instant without them, and they fire
+// again, at the same virtual instants and with the same outcome, once the
+// restarted clock passes that gap. A /metrics read right after a reopen can
+// therefore list fewer defaulters than one read just before the crash: what
+// benchmark/'s census check saw on short runs (ROADMAP item 3), nothing lost.
+func TestRecoveryRefiresWhatTimeAloneDid(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions()
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"} // unstarted clocks, records at chosen instants
+	s, _, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, client := range []string{"torch", "flashlight"} {
+		rec := opRecord{At: simclock.Time(time.Millisecond), Op: opAcquire, Client: client, Kind: hooks.Wakelock}
+		if err := s.ApplyRecord(0, encodeRecord(&rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := s.shards[0]
+	last := sh.clock.Now()
+	sh.clock.RunVirtual(last + simclock.Time(10*opts.Lease.Term)) // idle holders, deferred by time alone
+	pre := captureShards(s)
+	if pre[0].Manager.Deferrals == 0 {
+		t.Fatal("no deferral fired after the last record; the test needs one")
+	}
+	s.Close() // a crash: no checkpoint
+
+	s2, _, post := recoverCaptured(t, dir, opts)
+	defer s2.Close()
+	if post[0].Now != last || post[0].Manager.Deferrals != 0 {
+		t.Fatalf("recovered at %v with %d deferrals; want the last record's instant %v and none", post[0].Now, post[0].Manager.Deferrals, last)
+	}
+	s2.shards[0].clock.RunVirtual(pre[0].Now)
+	if again := captureShards(s2); !reflect.DeepEqual(pre, again) {
+		t.Fatalf("the gap re-run differs from the crashed run:\n pre: %+v\npost: %+v", pre, again)
 	}
 }
 

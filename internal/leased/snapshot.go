@@ -1,6 +1,7 @@
 package leased
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,13 +26,14 @@ import (
 // it does not know, so changing any section order or field encoding below
 // (or in lease.Manager.EncodeState) means a new version — and a build that
 // still reads the previous one, if a cluster is to be rolled across the
-// change.
-const snapshotVersion = 1
+// change. Version 2 keeps each dedup entry's verdict where version 1 kept
+// its rendered answer; this build writes 2 and reads both (decodeDedupV1).
+const snapshotVersion = 2
 
 // errLegacySnapshot refuses the JSON payload checkpoints carried before the
 // binary codec. '{' can never be a version byte by accident: versions count
 // up from 1.
-var errLegacySnapshot = errors.New("snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version byte 1) — start from a fresh data directory, or let the node catch up from a peer running this build")
+var errLegacySnapshot = errors.New("snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version bytes 1 and 2) — start from a fresh data directory, or let the node catch up from a peer running this build")
 
 // encodeState walks the shard's full state into w. Callers hold the shard
 // clock. The client table is walked in index order — which is UID order —
@@ -114,9 +116,11 @@ const (
 	minAppBytes    = 5
 )
 
-// decodeSnapshot reads one shard's payload. It never panics on any input,
-// never allocates more than a small multiple of len(payload), and refuses
-// an unknown version byte, the old JSON format, and trailing bytes.
+// decodeSnapshot reads one shard's payload, of either version. It never
+// panics on any input, never allocates more than a small multiple of
+// len(payload), and refuses an unknown version byte, the old JSON format,
+// trailing bytes, and a version-1 dedup answer that is not what its verdict
+// renders to.
 func decodeSnapshot(payload []byte) (persistedState, error) {
 	var st persistedState
 	if len(payload) == 0 {
@@ -125,8 +129,8 @@ func decodeSnapshot(payload []byte) (persistedState, error) {
 	if payload[0] == '{' {
 		return st, errLegacySnapshot
 	}
-	if payload[0] != snapshotVersion {
-		return st, fmt.Errorf("unknown snapshot version byte %d (this build reads version %d)", payload[0], snapshotVersion)
+	if payload[0] != 1 && payload[0] != snapshotVersion {
+		return st, fmt.Errorf("unknown snapshot version byte %d (this build reads versions 1 and %d)", payload[0], snapshotVersion)
 	}
 	r := snapenc.NewReader(payload[1:])
 	if st.Now = simclock.Time(r.Varint()); st.Now < 0 {
@@ -176,9 +180,76 @@ func decodeSnapshot(payload []byte) (persistedState, error) {
 		}
 	}
 
-	st.Dedup = decodeDedupState(r)
+	if payload[0] == 1 {
+		if err := decodeDedupV1(r, &st); err != nil {
+			return st, err
+		}
+	} else {
+		st.Dedup = decodeDedupState(r)
+	}
 	st.Manager = lease.DecodeManagerState(r)
 	return st, r.Done()
+}
+
+// decodeDedupV1 reads a version-1 dedup section — (request ID, rendered
+// answer) rows — into st.Dedup as verdicts: the bridge that lets this build
+// recover a data directory, or follow a leader, of the build before it. A
+// row is kept only if its verdict renders back to exactly the stored bytes
+// under the client the uid names in st's clients section and st's shard and
+// term length, so a retry answered from it still gets its first answer;
+// anything else is refused by row.
+func decodeDedupV1(r *snapenc.Reader, st *persistedState) error {
+	n := r.Count(2)
+	if n == 0 {
+		return nil
+	}
+	st.Dedup = make([]dedupEntry, n)
+	termMS := st.Config.Term.Milliseconds()
+	for i := range st.Dedup {
+		id, body := r.String(), r.Bytes()
+		if r.Err() != nil {
+			return nil // Done reports it
+		}
+		var resp leaseResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			return fmt.Errorf("snapshot dedup row %d: answer does not parse: %v", i, err)
+		}
+		e := dedupEntry{ID: id, Empty: resp == leaseResponse{}}
+		var client string
+		if !e.Empty {
+			kind, kindOK := kindFromBytes([]byte(resp.Kind))
+			state, stateOK := parseState(resp.State)
+			switch {
+			case resp.UID < 1 || resp.UID > len(st.Clients):
+				return fmt.Errorf("snapshot dedup row %d: answer names uid %d, which the clients section does not hold", i, resp.UID)
+			case resp.Client != st.Clients[resp.UID-1].Name:
+				return fmt.Errorf("snapshot dedup row %d: answer names client %q, but uid %d is %q", i, resp.Client, resp.UID, st.Clients[resp.UID-1].Name)
+			case !kindOK || !stateOK:
+				return fmt.Errorf("snapshot dedup row %d: answer names kind %q, state %q", i, resp.Kind, resp.State)
+			}
+			_, local := decodeLeaseID(resp.LeaseID)
+			client = resp.Client
+			e.LeaseID, e.UID, e.Kind, e.State = local, resp.UID, int(kind), int(state)
+			e.Held, e.Terms, e.Acquires = resp.Held, int64(resp.Terms), resp.Acquires
+		}
+		v := e.verdict()
+		again := verdictResponse(&v, client, st.Shard, termMS)
+		if !bytes.Equal(appendLeaseResponse(nil, &again), body) {
+			return fmt.Errorf("snapshot dedup row %d: answer %q does not re-render byte for byte from its verdict on shard %d", i, body, st.Shard)
+		}
+		st.Dedup[i] = e
+	}
+	return nil
+}
+
+// parseState is lease.State.String backwards.
+func parseState(name string) (lease.State, bool) {
+	for s := lease.Active; s <= lease.Dead; s++ {
+		if name == s.String() {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // journalEntry is the -dump-snapshot rendering of one journal record: the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	goruntime "runtime"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
+	"repro/internal/lease"
 	"repro/internal/runtime"
 	"repro/internal/snapenc"
 )
@@ -98,7 +101,7 @@ func snapTestOptions() Options {
 }
 
 // restoredFrom stands a fresh shard up from a payload, as recovery does.
-func restoredFrom(t *testing.T, opts Options, payload []byte) *shard {
+func restoredFrom(t testing.TB, opts Options, payload []byte) *shard {
 	t.Helper()
 	st, err := decodeSnapshot(payload)
 	if err != nil {
@@ -187,7 +190,8 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 // to restore: the shard's own identity and policy, UIDs dense from 1, unique
 // sorted keys in every table, apps rows and objects owned by known clients
 // (an object per real kind at most), each lease bound to the object of the
-// same rank, and no due instant on an event that is not pending.
+// same rank, no due instant on an event that is not pending, and dedup
+// verdicts that name a known client, a real kind and a real state.
 func randomState(rng *rand.Rand, sh *shard) persistedState {
 	var st persistedState
 	fillRandom(reflect.ValueOf(&st).Elem(), rng)
@@ -223,6 +227,14 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 		if !ls.HasRestor {
 			ls.RestoreAt = 0
 		}
+	}
+	for i := range st.Dedup {
+		e := &st.Dedup[i]
+		if e.Empty {
+			*e = dedupEntry{ID: e.ID, Empty: true} // a mark's verdict carries nothing
+			continue
+		}
+		e.UID, e.Kind, e.State = 1+i%len(st.Clients), i%hooks.NumKinds, i%(int(lease.Dead)+1)
 	}
 	return st
 }
@@ -356,16 +368,18 @@ func snapshotScript(tb testing.TB) *Server {
 }
 
 // TestSnapshotBytesUnchanged pins the payload itself: the script's two shards
-// encode to bytes with these sums. They were computed by running the script
-// at the last commit whose shard state was runtime maps throughout (PR 17),
-// so they hold the walk order of every table to "equal state, equal bytes"
-// across builds: either build recovers the other's data directory and follows
-// the other's stream. A deliberate format change moves these sums together
-// with snapshotVersion.
+// encode to bytes with these sums, so the walk order of every table is held
+// to "equal state, equal bytes" across builds: either build recovers the
+// other's data directory and follows the other's stream. A deliberate format
+// change moves these sums together with snapshotVersion. The version-1 sums
+// — pinned from PR 17, when shard state was runtime maps throughout, to PR
+// 24 — now check the fixture that build wrote: its payloads are the script's
+// shards in version 1, and each decodes and restores to a shard that writes
+// exactly the version-2 bytes pinned here.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	want := []string{
-		"4cc531464b7ef58e0d89f580f86b89763504946dc2a414ead4a3b05f2bf9407a",
-		"ff77f7b6ae0fd0d9ef9bf6db6c8a9656a2fcc5b56453340180ac9935d9c17218",
+		"affc7d1edfe438182deb40ea2e37bae18851097cdda8e66310831ec1b2e53956",
+		"1e20e7fb22d5d046076cdd79d195b6c1c8db013cdcaf79ad31b05fe2cd457c22",
 	}
 	s := snapshotScript(t)
 	for i, sh := range s.shards {
@@ -377,7 +391,149 @@ func TestSnapshotBytesUnchanged(t *testing.T) {
 		if len(st.Dedup) != sh.opts.DedupWindow || len(st.Apps) == 0 || len(st.Apps) == len(st.Clients) || st.Manager.Deferrals == 0 {
 			t.Errorf("shard %d: the script no longer fills a facet: %d dedup, %d apps of %d clients, %d deferrals", i, len(st.Dedup), len(st.Apps), len(st.Clients), st.Manager.Deferrals)
 		}
+
+		old := v1Snapshot(t, i)
+		if got := fmt.Sprintf("%x", sha256.Sum256(old)); old[0] != 1 || got != v1Sums[i] {
+			t.Fatalf("shard %d: the version-1 fixture's payload (version byte %d) sums to %s, pinned at %s", i, old[0], got, v1Sums[i])
+		}
+		if again := encodeShard(restoredFrom(t, sh.opts, old)); !bytes.Equal(again, payload) {
+			t.Errorf("shard %d: the version-1 payload of the same state restores to a shard that writes %d other bytes", i, len(again))
+		}
 	}
+}
+
+// The version-1 fixture: a data directory the build before snapshot version
+// 2 (PR 24) wrote and answered from. snapshotScript's two shards were
+// checkpointed there; that build then opened it (v1Options), answered a
+// retry of every request ID in the snapshots' dedup sections, applied an
+// acquire, a renew, a release and a destroy under new IDs — journal records
+// after the snapshots — and was killed without a checkpoint. answers.json is
+// every request it answered whose ID is still in its shard's window, with
+// the exact bytes it answered.
+const v1Fixture = "testdata/snapshot-v1"
+
+// v1Sums are the SHA-256 of the fixture's two snapshot payloads.
+var v1Sums = []string{
+	"4cc531464b7ef58e0d89f580f86b89763504946dc2a414ead4a3b05f2bf9407a",
+	"ff77f7b6ae0fd0d9ef9bf6db6c8a9656a2fcc5b56453340180ac9935d9c17218",
+}
+
+// v1Options are the options the fixture was written and opened under.
+func v1Options() Options {
+	opts := snapTestOptions()
+	opts.Shards = 2
+	opts.DedupWindow = 16
+	return opts
+}
+
+// v1Snapshot is shard i's payload in the fixture.
+func v1Snapshot(t testing.TB, i int) []byte {
+	t.Helper()
+	payload, err := durable.ReadSnapshot(filepath.Join(v1Fixture, "data", shardDir(i)))
+	if err != nil || payload == nil {
+		t.Fatalf("shard %d of the version-1 fixture: %d bytes, %v", i, len(payload), err)
+	}
+	return payload
+}
+
+// v1Answer is one request the version-1 build answered.
+type v1Answer struct {
+	Name   string `json:"name"`
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	ReqID  string `json:"req_id"`
+	Body   string `json:"body"`
+	Answer string `json:"answer"`
+}
+
+func v1Answers(t *testing.T) []v1Answer {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(v1Fixture, "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers []v1Answer
+	if err := json.Unmarshal(raw, &answers); err != nil || len(answers) == 0 {
+		t.Fatalf("answers.json: %d answers, %v", len(answers), err)
+	}
+	return answers
+}
+
+// retryV1 sends every request of the fixture again under its ID and requires
+// the version-1 build's answer, byte for byte, as a dedup hit.
+func retryV1(t *testing.T, where string, r *rig) {
+	t.Helper()
+	for _, a := range v1Answers(t) {
+		code, deduped, raw := r.rawCall(a.Method, a.Path, a.ReqID, a.Body)
+		if code != 200 || !deduped || string(raw) != a.Answer {
+			t.Errorf("%s, %s retried: status %d, deduped %v\n  got %s want %s", where, a.Name, code, deduped, raw, a.Answer)
+		}
+	}
+}
+
+// TestDecodeSnapshotRefusesForeignV1Answers: a version-1 answer becomes a
+// verdict only if the verdict renders back to exactly that answer on this
+// shard; an answer that does not parse, names another client, names no real
+// state, or was rendered for another shard or term length is refused by row.
+// Each edit keeps the answer's length, so the payload still frames.
+func TestDecodeSnapshotRefusesForeignV1Answers(t *testing.T) {
+	old := v1Snapshot(t, 0)
+	if _, err := decodeSnapshot(old); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, from, to, want string }{
+		{"not JSON", `{"lease_id":`, `["lease_id":`, "snapshot dedup row 0: answer does not parse"},
+		{"another client", `"client":"client-01"`, `"client":"client-99"`, `snapshot dedup row 2: answer names client "client-99", but uid 1 is "client-01"`},
+		{"no such state", `"state":"ACTIVE"`, `"state":"ACTIVX"`, `snapshot dedup row 0: answer names kind "gps", state "ACTIVX"`},
+		{"another shard", `"shard":0`, `"shard":1`, "snapshot dedup row 0: answer"},
+		{"another term", `"term_ms":1000`, `"term_ms":2000`, "does not re-render byte for byte from its verdict on shard 0"},
+	} {
+		_, err := decodeSnapshot(bytes.Replace(old, []byte(tc.from), []byte(tc.to), 1))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestVersion1DataDirAnswersRetries: this build opens the data directory the
+// version-1 build left — its snapshots, and the journal records after them —
+// and answers every retry that build answered with that build's exact bytes;
+// a checkpoint then rewrites the directory in version 2, and a reopen from
+// it answers them again.
+func TestVersion1DataDirAnswersRetries(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < v1Options().Shards; i++ {
+		for _, name := range []string{"snapshot.bin", "journal.log"} {
+			b, err := os.ReadFile(filepath.Join(v1Fixture, "data", shardDir(i), name))
+			if err == nil {
+				err = os.MkdirAll(filepath.Join(dir, shardDir(i)), 0o755)
+			}
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, shardDir(i), name), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d := newDurableRig(t, dir, v1Options())
+	for i, info := range d.s.PerShardRecovery() {
+		if !info.SnapshotLoaded || info.Replayed == 0 {
+			t.Fatalf("shard %d: opened the fixture as %+v; want its snapshot and journal records", i, info)
+		}
+	}
+	retryV1(t, "opened from version 1", d.rig)
+	d.s.Checkpoint()
+	d.crash()
+	for i := range d.s.shards {
+		payload, err := durable.ReadSnapshot(filepath.Join(dir, shardDir(i)))
+		if err != nil || len(payload) == 0 || payload[0] != snapshotVersion {
+			t.Fatalf("shard %d: the checkpoint wrote %d bytes (%v), want version %d", i, len(payload), err, snapshotVersion)
+		}
+	}
+	again := newDurableRig(t, dir, v1Options())
+	defer again.s.Close()
+	retryV1(t, "reopened from version 2", again.rig)
 }
 
 // TestSnapshotSizePlateaus: history is bounded by HistoryLen, so once every
@@ -424,7 +580,8 @@ func TestDecodeSnapshotRefusals(t *testing.T) {
 		want    string
 	}{
 		{"legacy JSON", []byte(`{"now":0,"config":{}}`), "old JSON format (first byte '{')"},
-		{"future version", append([]byte{snapshotVersion + 1}, good[1:]...), "unknown snapshot version byte 2 (this build reads version 1)"},
+		{"future version", append([]byte{snapshotVersion + 1}, good[1:]...), "unknown snapshot version byte 3 (this build reads versions 1 and 2)"},
+		{"version 0", append([]byte{0}, good[1:]...), "unknown snapshot version byte 0"},
 		{"trailing garbage", append(append([]byte(nil), good...), 0), "1 trailing bytes"},
 		{"empty", nil, "truncated"},
 	} {
@@ -443,7 +600,7 @@ func TestDecodeSnapshotRefusals(t *testing.T) {
 // TestOldFormatSnapshotRefused: a data directory, or a peer, still carrying
 // the JSON payload is refused by name — not misread, not silently wiped.
 func TestOldFormatSnapshotRefused(t *testing.T) {
-	const want = "snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version byte 1)"
+	const want = "snapshot payload is in the old JSON format (first byte '{'); this build reads only the binary snapshot format (version bytes 1 and 2)"
 	legacy := []byte(`{"now":0,"config":{"Term":40000000},"manager":{"next_id":0},"shard":0,"shards":1}`)
 
 	dir := t.TempDir()
@@ -518,13 +675,17 @@ func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
-// accepts is exactly one version-1 value: no other first byte, nothing
-// after it. What it accepts is then restored into a fresh shard, which must
-// hold to the same rule (loadBounded).
+// accepts is exactly one version-1 or version-2 value: no other first byte,
+// nothing after it. What it accepts is then restored into a fresh shard,
+// which must hold to the same rule (loadBounded). The seeds include the
+// version-1 fixture's payload and the same state in version 2.
 func FuzzDecodeSnapshot(f *testing.F) {
 	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
 	f.Add(good)
 	f.Add(good[:len(good)/2])
+	old := v1Snapshot(f, 0)
+	f.Add(old)
+	f.Add(encodeShard(restoredFrom(f, v1Options(), old)))
 	f.Add(encodeShard(populatedShard(f, snapTestOptions(), 0, 0)))
 	f.Add([]byte(`{"now":0}`))
 	f.Add([]byte{snapshotVersion})
@@ -544,7 +705,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if data[0] != snapshotVersion {
+		if data[0] != 1 && data[0] != snapshotVersion {
 			t.Fatalf("accepted version byte %d", data[0])
 		}
 		if _, err := decodeSnapshot(append(data[:len(data):len(data)], 0)); err == nil {
