@@ -7,6 +7,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/leased"
 )
 
@@ -83,7 +84,7 @@ func TestPreserved(t *testing.T) {
 
 func TestCheckRound(t *testing.T) {
 	node := func(url, role string, epoch uint64, writable bool) monitorNode {
-		return monitorNode{URL: url, OK: true, ElectionDoc: leased.ElectionDoc{Node: url, Role: role, Epoch: epoch, Writable: writable}}
+		return monitorNode{URL: url, OK: true, Standing: cluster.Standing{Node: url, Role: role, Epoch: epoch, Writable: writable}}
 	}
 	down := func(url string) monitorNode { return monitorNode{URL: url} }
 	highest := map[string]uint64{}
@@ -97,7 +98,7 @@ func TestCheckRound(t *testing.T) {
 		// The handoff: the old leader read-only, the successor a generation on.
 		{"handoff", []monitorNode{node("a", "primary", 0, false), node("b", "primary", 1, true), node("c", "follower", 1, false)}, ""},
 		{"two writable primaries", []monitorNode{node("a", "primary", 0, true), node("b", "primary", 1, true), down("c")}, "2 writable primaries at once: a b"},
-		{"epoch regression", []monitorNode{down("a"), node("b", "primary", 1, true), node("c", "follower", 0, false)}, "node c (c) epoch went backwards: 1 → 0"},
+		{"epoch regression", []monitorNode{down("a"), node("b", "primary", 1, true), node("c", "follower", 0, false)}, "node c epoch went backwards: 1 → 0"},
 		// A zero document from a node that did not answer is not an epoch of 0.
 		{"unreachable after an epoch", []monitorNode{down("a"), down("b"), down("c")}, ""},
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/leased"
 )
 
@@ -130,34 +131,20 @@ func (h *harness) verify(what string, pre, post leased.Snapshot, want expect) {
 type monitorNode struct {
 	URL string `json:"url"`
 	OK  bool   `json:"ok"`
-	leased.ElectionDoc
+	cluster.Standing
 }
 
-// checkRound states the two invariants a lease-based failover must hold at
-// every instant, over one sampling round: at most one node is a writable
-// primary, and no node's cluster epoch is below the highest it has shown
-// (highest carries that between rounds). An unreachable node is not a
-// violation — partitions make nodes unreachable by design; the invariants
-// are over what the reachable nodes claim.
+// checkRound checks one sampling round against cluster.CheckLeadership, over
+// what the nodes that answered claim (highest carries each node's epoch
+// between rounds).
 func checkRound(round []monitorNode, highest map[string]uint64) []string {
-	var violations, writable []string
+	var sample []cluster.Standing
 	for _, n := range round {
-		if !n.OK {
-			continue
-		}
-		if n.Writable && n.Role == "primary" {
-			writable = append(writable, n.URL)
-		}
-		if n.Epoch < highest[n.URL] {
-			violations = append(violations, fmt.Sprintf("node %s (%s) epoch went backwards: %d → %d", n.Node, n.URL, highest[n.URL], n.Epoch))
-		} else {
-			highest[n.URL] = n.Epoch
+		if n.OK {
+			sample = append(sample, n.Standing)
 		}
 	}
-	if len(writable) > 1 {
-		violations = append(violations, fmt.Sprintf("%d writable primaries at once: %s", len(writable), strings.Join(writable, " ")))
-	}
-	return violations
+	return cluster.CheckLeadership(sample, highest)
 }
 
 // monitor samples a cluster's election documents on a goroutine until
@@ -186,7 +173,7 @@ func (h *harness) watch(name string, nodes ...*node) *monitor {
 			round := make([]monitorNode, len(nodes))
 			for i, n := range nodes {
 				round[i].URL = n.url()
-				_, err := getJSON(n.url()+"/v1/election", &round[i].ElectionDoc)
+				_, err := getJSON(n.url()+"/v1/election", &round[i].Standing)
 				round[i].OK = err == nil
 			}
 			for _, v := range checkRound(round, highest) {

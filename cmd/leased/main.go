@@ -157,7 +157,6 @@ func main() {
 			LeaseTerm:    *leaseTermF,
 			PingEvery:    *pingEvery,
 			MissedPings:  *missedPings,
-			Logf:         log.Printf,
 		}
 	}
 	var srv *leased.Server

@@ -49,7 +49,11 @@
 // same bytes either way; only how many travel per syscall changes.
 package cluster
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+)
 
 // Proto is the wire protocol version pinned in the Hello/Welcome handshake.
 // It moves whenever the bytes inside the frames do — 2 is the binary journal
@@ -137,6 +141,31 @@ type Standing struct {
 	AppliedSeq  int64  `json:"applied_seq"`
 	LastHeardMS int64  `json:"last_heard_ms"`
 	Leader      string `json:"leader,omitempty"` // client-facing URL of the node it believes leads
+}
+
+// CheckLeadership states the two invariants a lease-based failover holds at
+// every instant, over one sample of standings: at most one node is a writable
+// primary, and no node's epoch is below the highest it has shown (highest,
+// keyed by Node, carries that between samples). A node missing from a sample
+// is not a violation: partitions make nodes unreachable by design.
+func CheckLeadership(sample []Standing, highest map[string]uint64) []string {
+	var violations, writable []string
+	for i := range sample {
+		st := &sample[i]
+		if st.Writable && st.Role == RolePrimary {
+			writable = append(writable, st.Node)
+		}
+		switch top := highest[st.Node]; {
+		case st.Epoch < top:
+			violations = append(violations, fmt.Sprintf("node %s epoch went backwards: %d → %d", st.Node, top, st.Epoch))
+		case st.Epoch > top:
+			highest[st.Node] = st.Epoch
+		}
+	}
+	if len(writable) > 1 {
+		violations = append(violations, fmt.Sprintf("%d writable primaries at once: %s", len(writable), strings.Join(writable, " ")))
+	}
+	return violations
 }
 
 // Hello is the dialer's opening frame. A probe Hello asks for the target's

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sync"
@@ -89,25 +91,23 @@ type Follower struct {
 	per    []shardReplica
 	stop   chan struct{}
 	wg     sync.WaitGroup
-	logf   func(format string, args ...any)
+	log    *slog.Logger
 	closed sync.Once
 }
 
 // NewFollower prepares (but does not start) a follower of the primary at
 // addr. hello builds each shard's handshake — the owner fills in its
 // current cluster epoch and config signature at dial time, so fencing
-// reflects promotions that happen mid-session. logf may be nil.
-func NewFollower(app Applier, addr string, shards int, hello func(shard int) Hello, logf func(string, ...any)) *Follower {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// reflects promotions that happen mid-session. Session errors go to log, or
+// to slog's default logger when it is nil.
+func NewFollower(app Applier, addr string, shards int, hello func(shard int) Hello, log *slog.Logger) *Follower {
 	return &Follower{
 		app:   app,
 		addr:  addr,
 		hello: hello,
 		per:   make([]shardReplica, shards),
 		stop:  make(chan struct{}),
-		logf:  logf,
+		log:   cmp.Or(log, slog.Default()),
 	}
 }
 
@@ -197,7 +197,7 @@ func (f *Follower) run(shard int) {
 		}
 		sleep := jitterDelay(delay, rand.Int63n)
 		if err != nil {
-			f.logf("cluster: shard %d session: %v (redial in %v)", shard, err, sleep.Round(time.Millisecond))
+			f.log.Warn("replication session ended", "shard", shard, "err", err, "redial", sleep.Round(time.Millisecond))
 		}
 		select {
 		case <-f.stop:

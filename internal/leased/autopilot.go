@@ -20,10 +20,7 @@ import (
 // also has: promotion, fencing and epoch bands are the manual-failover
 // machinery, and the autopilot only decides when to use it.
 
-// ElectionDoc is the GET /v1/election document: the node's standing.
-type ElectionDoc = cluster.Standing
-
-// handleElection is GET /v1/election.
+// handleElection is GET /v1/election: the node's standing.
 func (s *Server) handleElection(w http.ResponseWriter, r *http.Request) {
 	st, _ := s.standing()
 	writeDoc(w, st)
@@ -95,9 +92,7 @@ func (s *Server) autopilot() {
 		case v.peers = <-swept:
 			sweeping = false
 		}
-		v.self, _ = s.standing()
-		v.armed = s.leaseArmed.Load()
-		v.acked = s.prim.AckedNodes(v.term)
+		s.observe(&v, s.prim.AckedNodes(v.term))
 		s.act(decide(v), v)
 
 		if tick && !sweeping && sweepDue(v.self, time.Since(lastLeaderSweep), v.term) {
@@ -112,6 +107,13 @@ func (s *Server) autopilot() {
 			}(sweepTimeout(v.term))
 		}
 	}
+}
+
+// observe fills in the rest of a tick's view: the node's own standing and
+// lease, and acked, the followers that acked within the term.
+func (s *Server) observe(v *view, acked int) {
+	v.self, _ = s.standing()
+	v.armed, v.acked = s.leaseArmed.Load(), acked
 }
 
 // sweepDue: a leader sweeps once a term, to depose and be deposed — at once
@@ -283,10 +285,8 @@ func (s *Server) act(a action, v view) {
 	case promote:
 		s.Promote()
 	}
-	if cc.Logf != nil {
-		cc.Logf("leased: autopilot: %s: %s (now %s at epoch %d; was %+v; acks 1+%d of quorum %d; peers %+v)",
-			a.verb, a.reason, s.Role(), s.ClusterEpoch(), v.self, v.acked, v.quorum, v.peers)
-	}
+	s.log.Info("autopilot: "+string(a.verb), "reason", a.reason, "role", s.Role(), "epoch", s.ClusterEpoch(),
+		"was", v.self, "acked", v.acked, "quorum", v.quorum, "peers", v.peers)
 }
 
 // refollow re-aims replication at peer p: stop the old sessions, adopt p as
@@ -297,7 +297,7 @@ func (s *Server) refollow(p Peer) {
 	if s.role.Load() != roleFollower {
 		return
 	}
-	if old := s.fol.Load(); old != nil {
+	if old, ok := s.fol.Load().(replica); ok {
 		old.Stop()
 	}
 	if p.URL != "" {

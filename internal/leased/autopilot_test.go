@@ -63,7 +63,7 @@ func TestControlDocumentsAreJSON(t *testing.T) {
 	opts.Cluster = &ClusterConfig{Role: "primary", NodeID: id, Advertise: url}
 	odd := NewServer(opts)
 	defer odd.Close()
-	var doc ElectionDoc
+	var doc cluster.Standing
 	if err := json.Unmarshal([]byte(get(odd, "GET", "/v1/election")), &doc); err != nil {
 		t.Fatalf("GET /v1/election is not JSON: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestPromotedNodeReportsItsOwnStanding(t *testing.T) {
 	c.fol.acquire("after", "gps")
 	c.fol.acquire("after", "wifi")
 
-	var doc ElectionDoc
+	var doc cluster.Standing
 	if code := c.fol.call("GET", "/v1/election", nil, &doc); code != 200 {
 		t.Fatalf("GET /v1/election: status %d", code)
 	}

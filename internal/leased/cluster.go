@@ -64,6 +64,7 @@ func (s *Server) initCluster() {
 	if cc == nil {
 		return
 	}
+	s.log = s.log.With("node", cc.NodeID)
 	if cc.Role == "follower" {
 		s.role.Store(roleFollower)
 	} else if cc.Advertise != "" {
@@ -81,6 +82,16 @@ func (s *Server) initCluster() {
 	}
 	for i, sh := range s.shards {
 		sh.repl = s.prim.Stream(i)
+	}
+	// The hello reads the live epoch and node identity at dial time, so
+	// fencing and lease accounting survive re-aims and promotions.
+	s.follow = func(addr string) replica {
+		fol := cluster.NewFollower(s, addr, len(s.shards), func(shard int) cluster.Hello {
+			return cluster.Hello{Shard: shard, Shards: len(s.shards), Epoch: s.cepoch.Load(), Config: s.configSig(), Node: cc.NodeID}
+		}, s.log)
+		fol.SetTuning(cc.tuning())
+		fol.Start()
+		return fol
 	}
 }
 
@@ -112,24 +123,17 @@ func (s *Server) StartFollowing() error {
 	return nil
 }
 
-// startFollower builds and starts a follower aimed at addr, replacing
-// s.fol. The hello closure reads the live epoch and node identity at dial
-// time, so fencing and lease accounting survive re-aims and promotions.
-func (s *Server) startFollower(addr string) {
-	cc := s.opts.Cluster
-	fol := cluster.NewFollower(s, addr, len(s.shards), func(shard int) cluster.Hello {
-		return cluster.Hello{
-			Shard:  shard,
-			Shards: len(s.shards),
-			Epoch:  s.cepoch.Load(),
-			Config: s.configSig(),
-			Node:   cc.NodeID,
-		}
-	}, cc.Logf)
-	fol.SetTuning(cc.tuning())
-	s.fol.Store(fol)
-	fol.Start()
+// replica is the follower side of replication as the Server drives it: a
+// *cluster.Follower, started by s.follow, or the failover model's stand-in,
+// which follows a peer without a socket.
+type replica interface {
+	Stats() cluster.ReplicaStats
+	Stop()
+	Addr() string
 }
+
+// startFollower starts a follower aimed at addr, replacing s.fol.
+func (s *Server) startFollower(addr string) { s.fol.Store(s.follow(addr)) }
 
 // Promote makes this node the primary of a new leadership generation:
 // replication sessions stop, the cluster epoch moves past every epoch this
@@ -145,7 +149,7 @@ func (s *Server) Promote() (epoch uint64, promoted bool) {
 	if s.role.Load() == rolePrimary {
 		return s.cepoch.Load(), false
 	}
-	if f := s.fol.Load(); f != nil {
+	if f, ok := s.fol.Load().(replica); ok {
 		f.Stop()
 	}
 	next := s.cepoch.Load()
@@ -189,7 +193,7 @@ func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 	if cc := s.opts.Cluster; cc != nil {
 		st.Node = cc.NodeID
 	}
-	if f := s.fol.Load(); f != nil && st.Role == cluster.RoleFollower {
+	if f, ok := s.fol.Load().(replica); ok && st.Role == cluster.RoleFollower {
 		rs := f.Stats()
 		st.Suspect, st.AppliedSeq, st.LastHeardMS = rs.Suspect, rs.AppliedSeq, rs.LastHeardMS
 		return st, &rs
@@ -246,9 +250,7 @@ func (s *Server) Observe(p cluster.Standing) {
 		s.leader.Store(p.Leader)
 	}
 	if p.Epoch > cur && s.role.CompareAndSwap(rolePrimary, roleFenced) {
-		if cc := s.opts.Cluster; cc.Logf != nil {
-			cc.Logf("leased: fenced at cluster epoch %d: shown %+v", cur, p)
-		}
+		s.log.Warn("fenced", "epoch", cur, "shown", p)
 	}
 }
 

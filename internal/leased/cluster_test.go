@@ -80,6 +80,21 @@ func (s *Server) replicaStats() (cluster.ReplicaStats, bool) {
 	return cluster.ReplicaStats{}, false
 }
 
+// restartAsFollower leaves s as a durable restart with -role follower and
+// -primary at its hint's peer would: the same epoch, nothing seen beyond it
+// and no hint until a welcome (promotion resets the lease state it keeps).
+func (s *Server) restartAsFollower() {
+	hint := s.LeaderHint()
+	s.role.Store(roleFollower)
+	s.seenEpoch.Store(0)
+	s.leader.Store("")
+	for _, p := range s.opts.Cluster.Peers {
+		if p.URL == hint {
+			s.startFollower(p.ReplAddr)
+		}
+	}
+}
+
 // waitSynced blocks until every shard stream is connected and the follower
 // has applied everything the primary has published. Call it only while the
 // primary is quiesced (no concurrent writers), or the target moves.

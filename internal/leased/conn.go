@@ -134,7 +134,7 @@ func (c *conn) awaitRest() {
 func (c *conn) run(h http.HandlerFunc, r *http.Request) (ok bool) {
 	defer func() {
 		if err := recover(); err != nil && err != http.ErrAbortHandler {
-			c.h.s.logf("leased: panic serving %v: %v\n%s", c.nc.RemoteAddr(), err, debug.Stack())
+			c.h.s.log.Error("panic serving connection", "remote", c.nc.RemoteAddr(), "panic", err, "stack", string(debug.Stack()))
 		}
 	}()
 	h(c, r)

@@ -32,7 +32,7 @@
 package leased
 
 import (
-	"log"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -103,8 +103,6 @@ type ClusterConfig struct {
 	// hint handed to followers (and through their 421s, to redirected
 	// clients) while this node leads.
 	Advertise string
-	// Logf, when set, receives replication session diagnostics.
-	Logf func(format string, args ...any)
 
 	// NodeID names this node for lease accounting and election ranking.
 	// Required for auto-failover; node IDs must be unique in the cluster
@@ -247,6 +245,7 @@ type Server struct {
 	inflight chan struct{}
 	started  time.Time
 	conns    connSet // the client connections taken over from net/http (conn.go)
+	log      *slog.Logger
 
 	// Replication state (zero-valued and inert for standalone daemons).
 	// cepoch is the cluster epoch — the leadership generation, persisted in
@@ -258,8 +257,9 @@ type Server struct {
 	role      atomic.Int32  // rolePrimary | roleFollower | roleFenced
 	leader    atomic.Value  // string: current Leader hint
 	prim      *cluster.Primary
-	cfgSig    string                           // immutable policy signature for handshakes
-	fol       atomic.Pointer[cluster.Follower] // swapped when re-aiming at a new leader
+	cfgSig    string                    // immutable policy signature for handshakes
+	fol       atomic.Value              // replica: swapped when re-aiming at a new leader
+	follow    func(addr string) replica // starts the follower startFollower stores
 	promoteMu sync.Mutex
 
 	// Leadership-lease state (auto-failover only). writable is the leader
@@ -378,6 +378,7 @@ func newServerShell(opts Options, ce *atomic.Uint64) *Server {
 		metrics:  &serverMetrics{},
 		inflight: make(chan struct{}, opts.MaxInflight),
 		started:  time.Now(),
+		log:      slog.Default(),
 		cepoch:   ce,
 	}
 	s.writable.Store(true)
@@ -433,7 +434,7 @@ func (s *Server) shardByWireID(wire uint64) (sh *shard, local uint64, ok bool) {
 func (s *Server) Close() {
 	s.CloseConnections()
 	s.stopAutopilot()
-	if f := s.fol.Load(); f != nil {
+	if f, ok := s.fol.Load().(replica); ok {
 		f.Stop()
 	}
 	if s.prim != nil {
@@ -499,16 +500,6 @@ func (s *Server) CloseConnections() {
 	}
 	cs.mu.Unlock()
 	cs.loops.Wait()
-}
-
-// logf reports what has no request to answer: through the cluster's Logf when
-// there is one, the standard logger otherwise.
-func (s *Server) logf(format string, args ...any) {
-	if cc := s.opts.Cluster; cc != nil && cc.Logf != nil {
-		cc.Logf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // do runs fn serialized on this shard's clock, with due term checks fired

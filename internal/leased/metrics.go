@@ -510,7 +510,7 @@ func (s *Server) snapshot() Snapshot {
 			cs.Replication = &ReplicationStatus{
 				// The live dial target, not the boot-time config: a re-aimed
 				// follower reports the leader it actually replicates from.
-				Primary:          s.fol.Load().Addr(),
+				Primary:          s.fol.Load().(replica).Addr(),
 				Connected:        rs.Connected,
 				Shards:           len(s.shards),
 				AppliedSeq:       st.AppliedSeq,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/netchaos"
 )
@@ -88,7 +89,6 @@ func newAutoCluster(t *testing.T, shards int, mut ...func(*ClusterConfig)) *auto
 	}
 
 	for _, id := range ids {
-		id := id
 		opts := testOptions()
 		opts.Shards = shards
 		cc := &ClusterConfig{
@@ -100,7 +100,6 @@ func newAutoCluster(t *testing.T, shards int, mut ...func(*ClusterConfig)) *auto
 			LeaseTerm:    partLease,
 			PingEvery:    partPing,
 			MissedPings:  partMissed,
-			Logf:         func(format string, args ...any) { t.Logf("[%s] "+format, append([]any{id}, args...)...) },
 		}
 		if id != "a" {
 			cc.Role = "follower"
@@ -210,9 +209,8 @@ func (c *autoCluster) waitFollowerSynced(prim, fol string) {
 	})
 }
 
-// clusterMonitor samples every node's (role, writable, epoch) continuously
-// and records two invariant violations: more than one writable node in a
-// sample, and any node's epoch going backwards.
+// clusterMonitor samples every node's standing continuously and records what
+// cluster.CheckLeadership finds in each sample.
 type clusterMonitor struct {
 	mu         sync.Mutex
 	violations []string
@@ -223,7 +221,7 @@ type clusterMonitor struct {
 
 func (c *autoCluster) startMonitor() *clusterMonitor {
 	m := &clusterMonitor{stop: make(chan struct{}), done: make(chan struct{})}
-	lastEpoch := map[string]uint64{}
+	highest := map[string]uint64{}
 	go func() {
 		defer close(m.done)
 		for {
@@ -232,25 +230,14 @@ func (c *autoCluster) startMonitor() *clusterMonitor {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			writable := 0
-			var holders []string
+			var sample []cluster.Standing
+			for _, id := range c.ids {
+				st, _ := c.node(id).s.standing()
+				sample = append(sample, st)
+			}
 			m.mu.Lock()
 			m.samples++
-			for _, id := range c.ids {
-				s := c.node(id).s
-				if s.Writable() {
-					writable++
-					holders = append(holders, id)
-				}
-				e := s.ClusterEpoch()
-				if prev, ok := lastEpoch[id]; ok && e < prev {
-					m.violations = append(m.violations, fmt.Sprintf("node %s epoch went backwards: %d -> %d", id, prev, e))
-				}
-				lastEpoch[id] = e
-			}
-			if writable > 1 {
-				m.violations = append(m.violations, fmt.Sprintf("%d writable leaders at once: %v", writable, holders))
-			}
+			m.violations = append(m.violations, cluster.CheckLeadership(sample, highest)...)
 			m.mu.Unlock()
 		}
 	}()
@@ -615,7 +602,7 @@ func TestFlakyReplicationConverges(t *testing.T) {
 	fopts.Shards = 2
 	fopts.Cluster = &ClusterConfig{
 		Role: "follower", PrimaryAddr: ln.Addr().String(),
-		PingEvery: 20 * time.Millisecond, Logf: t.Logf,
+		PingEvery: 20 * time.Millisecond,
 	}
 	fol := NewServer(fopts)
 	defer fol.Close()
