@@ -5,6 +5,7 @@
 package leaseos_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 	"repro/internal/apps"
 	"repro/internal/exp"
 	"repro/internal/lease"
+	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // runExperiment benches one artefact regeneration.
@@ -271,32 +274,14 @@ func BenchmarkFleetDevice(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
 }
 
-// panelApps is the repository benchmark's panel (benchmark/simfleet.go,
-// panelInstall): the paper's well-behaved and defective apps, one a device.
-var panelApps = []struct {
-	name    string
-	install func(*sim.Sim)
-}{
-	{"Spotify", func(s *sim.Sim) { apps.NewSpotify(s, 100).Start() }},
-	{"RunKeeper", func(s *sim.Sim) { apps.NewRunKeeper(s, 100).Start(); s.World.SetMotion(true, 2.5) }},
-	{"Haven", func(s *sim.Sim) { apps.NewHaven(s, 100).Start() }},
-	{"GPSLogger", func(s *sim.Sim) { apps.NewGPSLogger(s, 100).Start() }},
-	{"K9", func(s *sim.Sim) { apps.NewK9(s, 100).Start(); s.World.SetServerHealthy(false) }},
-	{"Kontalk", func(s *sim.Sim) { apps.NewKontalk(s, 100).Start() }},
-	{"Torch", func(s *sim.Sim) { apps.NewTorch(s, 100).Start() }},
-	{"SyncApp", func(s *sim.Sim) {
-		apps.NewSyncApp(s, 100, "mail-sync", time.Minute, 500*time.Millisecond, time.Second).Start()
-	}},
-}
-
 const panelWindow = 30 * time.Minute
 
 // runPanelCell simulates one panel device for the window on a pooled world —
 // the path a fleet worker takes — one event at a time, so they can be counted.
-func runPanelCell(pool *sim.Pool, pol sim.Policy, install func(*sim.Sim)) (events int) {
+func runPanelCell(pool *sim.Pool, pol sim.Policy, app simtest.PanelApp) (events int) {
 	s := pool.Get(sim.Options{Policy: pol})
 	defer pool.Put(s)
-	install(s)
+	app.Install(s, 100)
 	for {
 		at, ok := s.Engine.Next()
 		if !ok || at > panelWindow {
@@ -315,13 +300,13 @@ func runPanelCell(pool *sim.Pool, pol sim.Policy, install func(*sim.Sim)) (event
 // flips") was found. TestPanelCellsCostAlike holds the table flat in tier-1.
 func BenchmarkPanelDevice(b *testing.B) {
 	for _, pol := range sim.Policies() {
-		for _, app := range panelApps {
-			b.Run(pol.String()+"/"+app.name, func(b *testing.B) {
+		for _, app := range simtest.Panel {
+			b.Run(pol.String()+"/"+app.Name, func(b *testing.B) {
 				pool := sim.NewPool()
-				events := runPanelCell(pool, pol, app.install) // builds the world
+				events := runPanelCell(pool, pol, app) // builds the world
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					events = runPanelCell(pool, pol, app.install)
+					events = runPanelCell(pool, pol, app)
 				}
 				b.ReportMetric(float64(events), "events/op")
 				if events > 0 { // vanilla Torch: a leaked wakelock and nothing else
@@ -338,30 +323,30 @@ func BenchmarkPanelDevice(b *testing.B) {
 // Policies differ by tens of per cent per event; the re-gating quadratic was
 // 24×.
 func TestPanelCellsCostAlike(t *testing.T) {
-	perEvent := func(pool *sim.Pool, pol sim.Policy, install func(*sim.Sim)) (ns float64, events int) {
-		events = runPanelCell(pool, pol, install) // builds the world
+	perEvent := func(pool *sim.Pool, pol sim.Policy, app simtest.PanelApp) (ns float64, events int) {
+		events = runPanelCell(pool, pol, app) // builds the world
 		best := time.Duration(0)
 		for i := 0; i < 5; i++ {
 			t0 := time.Now()
-			runPanelCell(pool, pol, install)
+			runPanelCell(pool, pol, app)
 			if d := time.Since(t0); best == 0 || d < best {
 				best = d
 			}
 		}
 		return float64(best) / float64(events), events
 	}
-	for _, app := range panelApps {
+	for _, app := range simtest.Panel {
 		pool := sim.NewPool()
-		base, _ := perEvent(pool, sim.Vanilla, app.install)
+		base, _ := perEvent(pool, sim.Vanilla, app)
 		for _, pol := range sim.Policies()[1:] {
-			ns, events := perEvent(pool, pol, app.install)
+			ns, events := perEvent(pool, pol, app)
 			if events < 500 {
 				continue
 			}
-			t.Logf("%s/%s: %d events, %.0f ns/event (vanilla %.0f)", pol, app.name, events, ns, base)
+			t.Logf("%s/%s: %d events, %.0f ns/event (vanilla %.0f)", pol, app.Name, events, ns, base)
 			if ns > 4*base {
 				t.Errorf("%s/%s: %.0f ns/event over %d events, more than 4× vanilla's %.0f",
-					pol, app.name, ns, events, base)
+					pol, app.Name, ns, events, base)
 			}
 		}
 	}
@@ -404,5 +389,65 @@ func TestSimulatorAllocCeilings(t *testing.T) {
 		if got > pin.ceiling {
 			t.Errorf("%s: %.0f allocs/op, pinned at ≤ %.0f", pin.name, got, pin.ceiling)
 		}
+	}
+}
+
+// heldBytes builds n worlds, runs each through the panel window, and reports
+// the live heap they hold between them, per world.
+func heldBytes(n int, build func() *sim.Sim) float64 {
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	worlds := make([]*sim.Sim, n)
+	base := live()
+	for i := range worlds {
+		worlds[i] = build()
+		worlds[i].Run(panelWindow)
+	}
+	held := live() - base
+	runtime.KeepAlive(worlds)
+	return float64(held) / float64(n)
+}
+
+// TestWorldFootprint pins what a world holds to the owners that appear in it,
+// not to the largest UID among them: each panel app installed at Android's
+// first application UID (10 000) holds within 8 KiB of the same world at
+// UID 100 (1.26 MiB more while the meter and the framework kept a row per
+// UID below the largest), and the benchmark's 48 panel worlds (sim_fleet's
+// live_heap_mib) hold under 1.2 MiB between them.
+func TestWorldFootprint(t *testing.T) {
+	const worlds = 4
+	for i, app := range simtest.Panel {
+		at := func(uid power.UID) float64 {
+			return heldBytes(worlds, func() *sim.Sim {
+				s := sim.New(sim.Options{Policy: sim.LeaseOS})
+				app.Install(s, uid)
+				return s
+			})
+		}
+		if i == 0 {
+			at(100) // the binary's first reading counts what it frees
+		}
+		low, high := at(100), at(10000)
+		t.Logf("%s: %.1f KiB a world at UID 100, %.1f KiB at UID 10000", app.Name, low/1024, high/1024)
+		if high-low > 8<<10 {
+			t.Errorf("%s: a world at UID 10000 holds %.1f KiB more than at UID 100, pinned at ≤ 8 KiB",
+				app.Name, (high-low)/1024)
+		}
+	}
+	var i int
+	panel := heldBytes(len(sim.Policies())*len(simtest.Panel), func() *sim.Sim {
+		pol, app := sim.Policies()[i/len(simtest.Panel)], simtest.Panel[i%len(simtest.Panel)]
+		i++
+		s := sim.New(sim.Options{Policy: pol})
+		app.Install(s, 100)
+		return s
+	}) * float64(len(sim.Policies())*len(simtest.Panel))
+	t.Logf("48 panel worlds: %.2f MiB", panel/(1<<20))
+	if panel > 1.2*(1<<20) {
+		t.Errorf("the 48 panel worlds hold %.2f MiB, pinned at < 1.2 MiB", panel/(1<<20))
 	}
 }

@@ -16,7 +16,8 @@
 // (O(1) completion removal), their completion callbacks are bound once per
 // pooled slot and their draw slots when they first start, timers reuse a
 // bound tick callback per tick, DVFS repricing walks a dense slice, and
-// per-UID accounting is one dense counters table instead of four maps.
+// each process carries its UID's accounting record and power-meter owner, so
+// billing and drawing for it look nothing up.
 // Re-gating costs by what changes state: submitting to a process costs the
 // same whatever backlog it has paused (Process.reevaluate).
 package appfw
@@ -36,14 +37,20 @@ import (
 	"repro/internal/simclock"
 )
 
-// uidCounters is the per-UID accounting record: the paper's per-app signal
-// vector (§2.1, §3.3) kept dense and map-free, like the power meter's
-// owner table.
-type uidCounters struct {
+// account is one UID's accounting record: the paper's per-app signal vector
+// (§2.1, §3.3), and the UID's live process. The framework keeps one for every
+// UID that has had a process, however large the UID, and finds it by a binary
+// search of the few a world has on the cold paths (ProcessOf, the per-UID
+// getters); a Process carries its own, so billing its work is no lookup.
+// Records outlive their process — CPUTimeOf of a dead uid still reports its
+// total — and Reset zeroes them in place.
+type account struct {
+	uid          power.UID
 	cpuTime      time.Duration
 	exceptions   int
 	uiUpdates    int
 	interactions int
+	proc         *Process // nil once the process has died
 }
 
 // Framework owns processes and their execution.
@@ -56,19 +63,22 @@ type Framework struct {
 	registry *binder.Registry
 	gov      hooks.Governor
 
-	procs map[power.UID]*Process
+	// Every UID that has had a process: uids ascending, accounts[i] uids[i]'s.
+	uids     []power.UID
+	accounts []*account
+	// last is the account found last. The lease manager reads a UID's
+	// signals (CPUTimeOf, ExceptionsOf, …) in a row at every term check, so
+	// the search runs once for the four.
+	last *account
+	// unseen is the zero account lookups answer for a UID without one; it is
+	// never written.
+	unseen account
 	// procList holds the processes in registration order. Reevaluate walks
-	// it instead of ranging the map so that the order in which processes
-	// schedule resume events (and thus engine seq numbers at equal
-	// timestamps) is deterministic across runs.
+	// it so that the order in which processes schedule resume events (and
+	// thus engine seq numbers at equal timestamps) is deterministic.
 	procList  []*Process
 	procIter  int  // > 0 while Reevaluate walks procList
 	procSweep bool // a process died mid-walk; compact afterwards
-
-	// counters is the dense per-UID accounting table, indexed by UID and
-	// grown on demand. Entries survive process death (CPUTimeOf of a dead
-	// uid still reports its total, as the old map did).
-	counters []uidCounters
 
 	// runningCPU tracks the work items currently burning CPU, for the
 	// DVFS-aware draw model (device.Profile.DVFSAlpha). Dense slice with
@@ -89,7 +99,6 @@ func New(engine *simclock.Engine, meter *power.Meter, profile device.Profile, wo
 	fw := &Framework{
 		engine: engine, meter: meter, profile: profile, world: world,
 		pm: pm, registry: registry, gov: gov,
-		procs: make(map[power.UID]*Process),
 	}
 	pm.OnAwakeChange(func(bool) { fw.Reevaluate() })
 	return fw
@@ -99,7 +108,7 @@ func New(engine *simclock.Engine, meter *power.Meter, profile device.Profile, wo
 func (fw *Framework) SetGovernor(gov hooks.Governor) { fw.gov = gov }
 
 // Reset discards all processes and accounting while keeping the work-item
-// pool and the dense counters table at capacity, so a recycled framework
+// pool and the accounting records, zeroed, so a recycled framework
 // runs the next simulation without re-growing its hot structures. It must
 // be called after the engine and meter have been reset: pending events and
 // draw slots are already gone, so work items are scrubbed straight back to
@@ -117,38 +126,33 @@ func (fw *Framework) Reset() {
 		p.workHead, p.workTail = nil, nil
 		p.dead = true
 	}
-	for uid := range fw.procs {
-		delete(fw.procs, uid)
+	for _, a := range fw.accounts {
+		*a = account{uid: a.uid}
 	}
 	clear(fw.procList)
 	fw.procList = fw.procList[:0]
 	fw.procIter = 0
 	fw.procSweep = false
-	for i := range fw.counters {
-		fw.counters[i] = uidCounters{}
-	}
 	clear(fw.runningCPU)
 	fw.runningCPU = fw.runningCPU[:0]
 }
 
-// counter returns the accounting record for uid, growing the dense table
-// on demand (append amortises the growth, like power's owner table).
-func (fw *Framework) counter(uid power.UID) *uidCounters {
-	if uid < 0 {
-		panic(fmt.Sprintf("appfw: negative uid %d", uid))
+// accountOf is the read-only lookup: the zero record for an unseen uid.
+func (fw *Framework) accountOf(uid power.UID) *account {
+	if a := fw.last; a != nil && a.uid == uid {
+		return a
 	}
-	for int(uid) >= len(fw.counters) {
-		fw.counters = append(fw.counters, uidCounters{})
-	}
-	return &fw.counters[uid]
+	return fw.search(uid)
 }
 
-// counterOf is the read-only lookup: no growth, zero value for unseen uids.
-func (fw *Framework) counterOf(uid power.UID) uidCounters {
-	if uid < 0 || int(uid) >= len(fw.counters) {
-		return uidCounters{}
+// search is accountOf past its memo.
+func (fw *Framework) search(uid power.UID) *account {
+	i, ok := slices.BinarySearch(fw.uids, uid)
+	if !ok {
+		return &fw.unseen
 	}
-	return fw.counters[uid]
+	fw.last = fw.accounts[i]
+	return fw.last
 }
 
 // NewProcess registers an app process. Each app has a unique uid, like
@@ -157,25 +161,32 @@ func (fw *Framework) NewProcess(uid power.UID, name string) *Process {
 	if uid == power.SystemUID {
 		panic("appfw: uid 0 is reserved for the system")
 	}
-	if _, ok := fw.procs[uid]; ok {
+	owner := fw.meter.Owner(uid) // panics on a negative uid
+	i, ok := slices.BinarySearch(fw.uids, uid)
+	if !ok {
+		fw.uids = slices.Insert(fw.uids, i, uid)
+		fw.accounts = slices.Insert(fw.accounts, i, &account{uid: uid})
+	}
+	a := fw.accounts[i]
+	if a.proc != nil {
 		panic(fmt.Sprintf("appfw: uid %d already registered", uid))
 	}
-	p := &Process{fw: fw, uid: uid, name: name}
-	fw.procs[uid] = p
+	p := &Process{fw: fw, uid: uid, name: name, acct: a, owner: owner}
+	a.proc = p
 	fw.procList = append(fw.procList, p)
 	return p
 }
 
 // ProcessOf returns the process for uid, or nil.
-func (fw *Framework) ProcessOf(uid power.UID) *Process { return fw.procs[uid] }
+func (fw *Framework) ProcessOf(uid power.UID) *Process { return fw.accountOf(uid).proc }
 
 // CPUTimeOf reports the cumulative CPU busy time attributed to uid
 // (the paper's sysTime+userTime metric, §2.1): what has been billed plus the
 // elapsed time of whatever is in flight. A process whose items are paused has
 // nothing in flight, so its backlog is not walked.
 func (fw *Framework) CPUTimeOf(uid power.UID) time.Duration {
-	t := fw.counterOf(uid).cpuTime
-	p := fw.procs[uid]
+	a := fw.accountOf(uid)
+	t, p := a.cpuTime, a.proc
 	if p == nil || !p.workRunning {
 		return t
 	}
@@ -189,13 +200,13 @@ func (fw *Framework) CPUTimeOf(uid power.UID) time.Duration {
 
 // ExceptionsOf reports the cumulative count of severe exceptions thrown by
 // uid — the generic low-utility signal for wakelocks (paper §3.3, §6).
-func (fw *Framework) ExceptionsOf(uid power.UID) int { return fw.counterOf(uid).exceptions }
+func (fw *Framework) ExceptionsOf(uid power.UID) int { return fw.accountOf(uid).exceptions }
 
 // UIUpdatesOf reports cumulative UI updates posted by uid.
-func (fw *Framework) UIUpdatesOf(uid power.UID) int { return fw.counterOf(uid).uiUpdates }
+func (fw *Framework) UIUpdatesOf(uid power.UID) int { return fw.accountOf(uid).uiUpdates }
 
 // InteractionsOf reports cumulative user interactions received by uid.
-func (fw *Framework) InteractionsOf(uid power.UID) int { return fw.counterOf(uid).interactions }
+func (fw *Framework) InteractionsOf(uid power.UID) int { return fw.accountOf(uid).interactions }
 
 // Reevaluate re-applies work gating to every process. The power manager
 // calls it on CPU transitions; policies call it when their gating changes
@@ -335,6 +346,9 @@ type Process struct {
 	tailEvent  simclock.EventID // pending radio-tail expiry
 	tailFn     func()           // bound expiry callback, created on first tail
 	tailHandle power.DrawHandle // persistent radio-tail draw slot
+
+	acct  *account     // the uid's accounting record
+	owner *power.Owner // the uid's power-meter record, for the draw slots
 }
 
 // UID returns the process uid.
@@ -559,7 +573,7 @@ func (w *workItem) start() {
 		fw.runningCPU = append(fw.runningCPU, w)
 	}
 	if w.handle == (power.DrawHandle{}) {
-		w.handle = fw.meter.Handle(w.proc.uid, w.comp())
+		w.handle = w.proc.owner.Handle(w.comp())
 	}
 	w.handle.Set(w.drawW())
 	fw.refreshCPUDraws()
@@ -578,7 +592,7 @@ func (w *workItem) pause() {
 		w.remaining = 0
 	}
 	if w.kind == cpuWork {
-		fw.counter(w.proc.uid).cpuTime += elapsed
+		w.proc.acct.cpuTime += elapsed
 	}
 	w.running = false
 	w.pausedAt = now
@@ -596,7 +610,7 @@ func (w *workItem) complete() {
 	if w.running {
 		elapsed := fw.engine.Now() - w.startedAt
 		if w.kind == cpuWork {
-			fw.counter(p.uid).cpuTime += elapsed
+			p.acct.cpuTime += elapsed
 		}
 		w.handle.Set(0)
 		w.running = false
@@ -630,7 +644,7 @@ func (p *Process) startRadioTail() {
 		return
 	}
 	if !p.tailHandle.Valid() {
-		p.tailHandle = fw.meter.Handle(p.uid, power.Radio)
+		p.tailHandle = p.owner.Handle(power.Radio)
 	}
 	p.tailHandle.Set(fw.profile.RadioTailW)
 	if p.tailEvent != 0 {
@@ -880,21 +894,21 @@ func (t *timer) stop() {
 // ExceptionNoteHandler).
 func (p *Process) ThrowException() {
 	if !p.dead {
-		p.fw.counter(p.uid).exceptions++
+		p.acct.exceptions++
 	}
 }
 
 // NoteUIUpdate records one UI update posted by p.
 func (p *Process) NoteUIUpdate() {
 	if !p.dead {
-		p.fw.counter(p.uid).uiUpdates++
+		p.acct.uiUpdates++
 	}
 }
 
 // NoteInteraction records one user interaction delivered to p.
 func (p *Process) NoteInteraction() {
 	if !p.dead {
-		p.fw.counter(p.uid).interactions++
+		p.acct.interactions++
 	}
 }
 
@@ -933,6 +947,6 @@ func (p *Process) Kill() {
 	}
 	fw.registry.KillOwner(p.uid)
 	fw.meter.ClearOwner(p.uid)
-	delete(fw.procs, p.uid)
+	p.acct.proc = nil
 	fw.removeProc(p)
 }

@@ -34,6 +34,7 @@ type Service struct {
 	proxy.Table[struct{}]
 	engine   *simclock.Engine
 	meter    *power.Meter
+	sys      *power.Owner // the system's meter record, resolved once
 	registry *binder.Registry
 	profile  device.Profile
 
@@ -56,12 +57,12 @@ type Service struct {
 // New creates the service. gov must be non-nil (use hooks.Nop{} for vanilla).
 func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry, profile device.Profile, gov hooks.Governor) *Service {
 	s := &Service{
-		engine: engine, meter: meter, registry: registry, profile: profile,
+		engine: engine, meter: meter, sys: meter.Owner(power.SystemUID), registry: registry, profile: profile,
 		partial: proxy.Shares{Kind: hooks.Wakelock}, screen: proxy.Shares{Kind: hooks.ScreenWakelock},
 	}
 	s.Table = proxy.New(engine, registry, gov, "power", func(*object) { s.recompute() }, nil)
 	// Baseline suspend draw is always present and owned by the system.
-	meter.Set(power.SystemUID, power.System, "suspend-base", profile.SuspendW)
+	s.sys.Set(power.System, "suspend-base", profile.SuspendW)
 	return s
 }
 
@@ -79,7 +80,7 @@ func (s *Service) Reset() {
 	s.screenOn = false
 	s.AwakeTime = 0
 	s.awakeSince = 0
-	s.meter.Set(power.SystemUID, power.System, "suspend-base", s.profile.SuspendW)
+	s.sys.Set(power.System, "suspend-base", s.profile.SuspendW)
 }
 
 // Wakelock is the app-side descriptor bound to one kernel object. It mirrors
@@ -237,18 +238,18 @@ func (s *Service) recompute() {
 
 	// Screen power: attributed to screen-lock holders if any, else to the
 	// system while the user keeps the screen on.
-	s.meter.Clear(power.SystemUID, power.Screen, "user-screen")
+	s.sys.Clear(power.Screen, "user-screen")
 	s.screen.Split(s.meter, power.Screen, "screen-lock", s.profile.ScreenOnW)
 	if nScreen == 0 && screenOn {
-		s.meter.Set(power.SystemUID, power.Screen, "user-screen", s.profile.ScreenOnW)
+		s.sys.Set(power.Screen, "user-screen", s.profile.ScreenOnW)
 	}
 
 	// Idle-awake CPU power: attributed to partial-lock holders if any, else
 	// to the system while the screen keeps the CPU up.
-	s.meter.Clear(power.SystemUID, power.CPU, "awake-idle")
+	s.sys.Clear(power.CPU, "awake-idle")
 	s.partial.Split(s.meter, power.CPU, "wakelock-idle", s.profile.CPUIdleAwakeW)
 	if nPartial == 0 && awake {
-		s.meter.Set(power.SystemUID, power.CPU, "awake-idle", s.profile.CPUIdleAwakeW)
+		s.sys.Set(power.CPU, "awake-idle", s.profile.CPUIdleAwakeW)
 	}
 
 	s.screenOn = screenOn

@@ -49,8 +49,12 @@ func TestSharesMatchRecount(t *testing.T) {
 			holders = append(holders, uid)
 		}
 		slices.Sort(holders)
-		if !slices.Equal(split.holders, holders) {
-			t.Fatalf("step %d: holders %v, recount %v", step, split.holders, holders)
+		var got []power.UID
+		for _, h := range split.holders {
+			got = append(got, h.uid)
+		}
+		if !slices.Equal(got, holders) {
+			t.Fatalf("step %d: holders %v, recount %v", step, got, holders)
 		}
 		for _, uid := range []power.UID{3, 7, 12, 40, 41, 90} {
 			want := 0.0
@@ -66,7 +70,7 @@ func TestSharesMatchRecount(t *testing.T) {
 	}
 
 	split.Reset()
-	if split.N() != 0 || len(split.holders) != 0 || slices.Max(split.cnt) != 0 {
+	if split.N() != 0 || len(split.holders) != 0 || split.hasLeft {
 		t.Fatalf("Reset left %+v", split)
 	}
 }

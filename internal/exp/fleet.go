@@ -161,7 +161,8 @@ type fleetDevice struct {
 // device's app mix picks up. A fleet worker re-seeds one generator
 // per device rather than building one — by math/rand's contract Seed leaves
 // it in the state a new one starts in (TestReseededRandDrawsSameDevices), and
-// a new one is 4.9 KB to zero and fill.
+// re-seeding a stats.NewRand generator clears a bitmap, where a new one is a
+// 4.9 KB allocation.
 func drawDevice(r *rand.Rand) fleetDevice {
 	pols := sim.Policies()
 	var d fleetDevice
@@ -276,14 +277,21 @@ func (a *fleetAccums) merge(o *fleetAccums) {
 	}
 }
 
-// runFleetDevice simulates one population member on a pooled world and
-// folds its outcome into acc. r is the worker's generator, re-seeded here.
-func runFleetDevice(cfg FleetConfig, pool *sim.Pool, polIndex map[sim.Policy]int, r *rand.Rand, i int, acc *fleetAccums) {
+// installFleetDevice draws population member i and installs its app mix on a
+// pooled world, ready to run. r is the worker's generator, re-seeded here.
+func installFleetDevice(cfg FleetConfig, pool *sim.Pool, r *rand.Rand, i int) (fleetDevice, *sim.Sim) {
 	r.Seed(int64(DeviceSeed(cfg.Seed, i)))
 	d := drawDevice(r)
 	s := pool.Get(sim.Options{Device: d.profile, Policy: d.policy})
-	defer pool.Put(s)
 	d.mix.install(s, r)
+	return d, s
+}
+
+// runFleetDevice simulates one population member on a pooled world and
+// folds its outcome into acc.
+func runFleetDevice(cfg FleetConfig, pool *sim.Pool, polIndex map[sim.Policy]int, r *rand.Rand, i int, acc *fleetAccums) {
+	d, s := installFleetDevice(cfg, pool, r, i)
+	defer pool.Put(s)
 	s.Run(cfg.Window)
 
 	meanW := s.Meter.EnergyJ() / cfg.Window.Seconds()

@@ -6,12 +6,16 @@
 // each owner, each component, and the device total carry their own
 // last-integrated timestamp, so a draw change only integrates the
 // accumulators whose wattage actually changes instead of walking every
-// owner on the device. Accumulators are dense: per-owner state is a slice
-// indexed by UID (grown on demand; Android UIDs are small and dense) and
-// per-component state is a fixed array, so the hot paths touch no maps.
+// owner on the device. The meter keeps one record (Owner) per UID that has
+// appeared, however large: a world costs what its owners do, whether they are
+// UID 100 or Android's 10 000 and up. Cold paths find a record by UID with a
+// binary search of the few a world has; hot ones hold it — a DrawHandle carries
+// its owner's, and callers that re-apply string-tagged draws resolve theirs
+// once (Meter.Owner) — so a draw change looks nothing up. Per-component state
+// is a fixed array.
 // Draw entries live in stable-index slots recycled through per-owner free
 // lists, which supports two registration APIs: the string-tagged Set/Clear
-// for cold callers, and pre-resolved DrawHandles (Meter.Handle) for hot
+// for cold callers, and pre-resolved DrawHandles (Owner.Handle) for hot
 // callers, turning a draw change into a pure array store.
 // Two instruments from the paper's methodology are reproduced on top of it:
 // a system-wide sampler standing in for the Monsoon hardware power monitor
@@ -21,6 +25,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/simclock"
@@ -112,9 +117,13 @@ func (a *accum) addWatts(delta float64) {
 	}
 }
 
-// ownerState is the per-UID accounting record.
-type ownerState struct {
+// Owner is one UID's accounting record: its lazily integrated energy and the
+// draw slots it holds. Records live as long as their meter — Reset zeroes them
+// in place — so a resolved *Owner stays valid across world reuse.
+type Owner struct {
 	accum
+	m     *Meter
+	uid   UID
 	slots []drawSlot
 	free  []int32 // released slot indices awaiting reuse
 	nLive int     // live slots, for the no-draws early-outs
@@ -122,7 +131,7 @@ type ownerState struct {
 
 // acquire takes a slot index from the owner's free list, or grows the slot
 // slice. The returned slot is live with zero watts.
-func (o *ownerState) acquire() int32 {
+func (o *Owner) acquire() int32 {
 	if n := len(o.free); n > 0 {
 		idx := o.free[n-1]
 		o.free = o.free[:n-1]
@@ -139,7 +148,7 @@ func (o *ownerState) acquire() int32 {
 // release returns a slot to the free list, bumping its generation so any
 // outstanding DrawHandle for it stops matching. The caller has already
 // settled the slot's watts to zero against the accumulators.
-func (o *ownerState) release(idx int32) {
+func (o *Owner) release(idx int32) {
 	s := &o.slots[idx]
 	s.tag = ""
 	s.watts = 0
@@ -154,7 +163,9 @@ func (o *ownerState) release(idx int32) {
 type Meter struct {
 	engine *simclock.Engine
 
-	owners []ownerState // indexed by UID, grown on demand
+	// Every owner that has appeared: uids ascending, owners[i] uids[i]'s.
+	uids   []UID
+	owners []*Owner
 	comps  [numComponents]accum
 	total  accum
 }
@@ -164,20 +175,18 @@ func NewMeter(engine *simclock.Engine) *Meter {
 	return &Meter{engine: engine}
 }
 
-// Reset clears all draws, energy, and handles while keeping the dense owner
-// table and every per-owner slot slice at capacity, so a recycled meter
-// re-registers draws without reallocating. Owner accumulators are zeroed in
-// place rather than truncated: a zero-watt accumulator integrates nothing,
-// so a retained owner entry is behaviorally identical to one materialised
-// fresh on first use. Slot generations restart at zero, matching a fresh
-// meter exactly; DrawHandles resolved before the reset must be dropped.
+// Reset clears all draws, energy, and handles while keeping every owner
+// record and its slot slice at capacity, so a recycled meter re-registers
+// draws without reallocating. Records are zeroed in place rather than
+// dropped: a zero-watt accumulator integrates nothing, so a retained record
+// is behaviorally identical to one made fresh on first use, and an *Owner
+// resolved before the reset still addresses its UID's record. Slot
+// generations restart at zero, matching a fresh meter exactly; DrawHandles
+// resolved before the reset must be dropped.
 func (m *Meter) Reset() {
-	for i := range m.owners {
-		o := &m.owners[i]
+	for _, o := range m.owners {
 		o.accum = accum{}
-		for j := range o.slots {
-			o.slots[j] = drawSlot{}
-		}
+		clear(o.slots)
 		o.slots = o.slots[:0]
 		o.free = o.free[:0]
 		o.nLive = 0
@@ -186,31 +195,41 @@ func (m *Meter) Reset() {
 	m.total = accum{}
 }
 
-// owner returns the state for uid, growing the dense table on demand.
-func (m *Meter) owner(uid UID) *ownerState {
+// Owner returns uid's record, making it on the UID's first appearance. Callers
+// on a hot path resolve it once and keep it.
+func (m *Meter) Owner(uid UID) *Owner {
+	i, ok := slices.BinarySearch(m.uids, uid)
+	if ok {
+		return m.owners[i]
+	}
 	if uid < 0 {
 		panic(fmt.Sprintf("power: negative uid %d", uid))
 	}
-	if int(uid) >= len(m.owners) {
-		// Newly materialised owners start integrating from now: they had
-		// zero draw for all time before this instant. append amortises the
-		// growth, so a rising max-UID does not copy the table every time.
-		now := m.engine.Now()
-		for int(uid) >= len(m.owners) {
-			m.owners = append(m.owners, ownerState{accum: accum{last: now}})
-		}
+	// A new owner starts integrating from now: it had zero draw for all time
+	// before this instant.
+	o := &Owner{accum: accum{last: m.engine.Now()}, m: m, uid: uid}
+	m.uids = slices.Insert(m.uids, i, uid)
+	m.owners = slices.Insert(m.owners, i, o)
+	return o
+}
+
+// lookup returns uid's record, or nil if the UID has not appeared.
+func (m *Meter) lookup(uid UID) *Owner {
+	if i, ok := slices.BinarySearch(m.uids, uid); ok {
+		return m.owners[i]
 	}
-	return &m.owners[uid]
+	return nil
 }
 
 // setSlot applies a new wattage to a live slot, integrating the three
 // affected accumulators at the old wattage before the change; everyone
 // else's integral is untouched by this draw, so they stay lazy. This is
 // the one mutation path shared by the string API and DrawHandle.
-func (m *Meter) setSlot(o *ownerState, s *drawSlot, watts float64) {
+func (o *Owner) setSlot(s *drawSlot, watts float64) {
 	if watts == s.watts {
 		return
 	}
+	m := o.m
 	now := m.engine.Now()
 	o.advance(now)
 	m.comps[s.comp].advance(now)
@@ -227,10 +246,20 @@ func (m *Meter) setSlot(o *ownerState, s *drawSlot, watts float64) {
 // hot callers that change one draw repeatedly should resolve a DrawHandle
 // once and update through it instead.
 func (m *Meter) Set(owner UID, comp Component, tag string, watts float64) {
+	m.Owner(owner).Set(comp, tag, watts)
+}
+
+// Clear removes a draw entry.
+func (m *Meter) Clear(owner UID, comp Component, tag string) {
+	m.Owner(owner).Set(comp, tag, 0)
+}
+
+// Set is Meter.Set on a resolved owner: no lookup by UID, one scan of the
+// owner's handful of slots for the tag.
+func (o *Owner) Set(comp Component, tag string, watts float64) {
 	if watts < 0 {
-		panic(fmt.Sprintf("power: negative draw %v W for uid %d %v/%s", watts, owner, comp, tag))
+		panic(fmt.Sprintf("power: negative draw %v W for uid %d %v/%s", watts, o.uid, comp, tag))
 	}
-	o := m.owner(owner)
 	var s *drawSlot
 	var idx int32 = -1
 	for i := range o.slots {
@@ -248,105 +277,96 @@ func (m *Meter) Set(owner UID, comp Component, tag string, watts float64) {
 		s = &o.slots[idx]
 		s.comp, s.tag = comp, tag
 	}
-	m.setSlot(o, s, watts)
+	o.setSlot(s, watts)
 	if watts == 0 {
 		o.release(idx)
 	}
 }
 
-// Clear removes a draw entry.
-func (m *Meter) Clear(owner UID, comp Component, tag string) {
-	m.Set(owner, comp, tag, 0)
-}
+// Clear is Meter.Clear on a resolved owner.
+func (o *Owner) Clear(comp Component, tag string) { o.Set(comp, tag, 0) }
 
-// DrawHandle is a pre-resolved reference to one draw slot: Set updates the
-// slot by index — two bounds checks and three accumulator touches, no
-// string hashing, no scan, no allocation. It is the fast path the app
-// framework rides on every work-item pause/resume; cold callers keep the
-// string Set/Clear API.
+// DrawHandle is a pre-resolved reference to one draw slot: it carries its
+// owner's record, and Set updates the slot by index — a bounds check and
+// three accumulator touches, no lookup, no string hashing, no scan, no
+// allocation. It is the fast path the app framework rides on every work-item
+// pause/resume; cold callers keep the string Set/Clear API.
 //
 // The zero DrawHandle is invalid; Set(>0) on it (or on a handle whose slot
 // was reclaimed by ClearOwner) panics, while Clear and Release degrade to
 // no-ops so teardown paths stay safe after process death.
 type DrawHandle struct {
-	m     *Meter
-	owner UID
-	idx   int32
-	gen   uint32
+	o   *Owner
+	idx int32
+	gen uint32
 }
 
 // Handle allocates a dedicated draw slot for owner/comp and returns the
-// handle to it. The slot starts at zero watts and is anonymous: it can
-// never collide with a string-tagged entry. Release returns the slot to
-// the owner's free list; ClearOwner reclaims it too (bumping the
-// generation, so the stale handle turns inert).
+// handle to it; see Owner.Handle.
 func (m *Meter) Handle(owner UID, comp Component) DrawHandle {
-	o := m.owner(owner)
+	return m.Owner(owner).Handle(comp)
+}
+
+// Handle allocates a dedicated draw slot for comp and returns the handle to
+// it. The slot starts at zero watts and is anonymous: it can never collide
+// with a string-tagged entry. Release returns the slot to the owner's free
+// list; ClearOwner reclaims it too (bumping the generation, so the stale
+// handle turns inert).
+func (o *Owner) Handle(comp Component) DrawHandle {
 	idx := o.acquire()
 	s := &o.slots[idx]
 	s.comp = comp
 	s.anon = true
-	return DrawHandle{m: m, owner: owner, idx: idx, gen: s.gen}
+	return DrawHandle{o: o, idx: idx, gen: s.gen}
 }
 
 // slot resolves the handle, returning nil if the handle is zero, stale, or
 // its slot has been reclaimed.
-func (h DrawHandle) slot() (*ownerState, *drawSlot) {
-	if h.m == nil || h.owner < 0 || int(h.owner) >= len(h.m.owners) {
-		return nil, nil
+func (h DrawHandle) slot() *drawSlot {
+	if h.o == nil || uint(h.idx) >= uint(len(h.o.slots)) {
+		return nil
 	}
-	o := &h.m.owners[h.owner]
-	if h.idx < 0 || int(h.idx) >= len(o.slots) {
-		return nil, nil
-	}
-	s := &o.slots[h.idx]
+	s := &h.o.slots[h.idx]
 	if !s.live || s.gen != h.gen {
-		return nil, nil
+		return nil
 	}
-	return o, s
+	return s
 }
 
 // Valid reports whether the handle still addresses a live slot.
-func (h DrawHandle) Valid() bool {
-	_, s := h.slot()
-	return s != nil
-}
+func (h DrawHandle) Valid() bool { return h.slot() != nil }
 
 // Set updates the slot's draw to watts. Setting a positive draw through a
 // stale or zero handle panics — it would silently drop power accounting;
 // setting zero is a harmless no-op (the slot already draws nothing).
 func (h DrawHandle) Set(watts float64) {
 	if watts < 0 {
-		panic(fmt.Sprintf("power: negative draw %v W for uid %d (handle)", watts, h.owner))
+		panic(fmt.Sprintf("power: negative draw %v W (handle)", watts))
 	}
-	o, s := h.slot()
+	s := h.slot()
 	if s == nil {
 		if watts == 0 {
 			return
 		}
-		panic(fmt.Sprintf("power: Set(%v W) on stale draw handle for uid %d", watts, h.owner))
+		panic(fmt.Sprintf("power: Set(%v W) on stale draw handle", watts))
 	}
-	h.m.setSlot(o, s, watts)
+	h.o.setSlot(s, watts)
 }
 
 // Clear zeroes the slot's draw, keeping the slot for reuse.
 func (h DrawHandle) Clear() {
-	o, s := h.slot()
-	if s == nil {
-		return
+	if s := h.slot(); s != nil {
+		h.o.setSlot(s, 0)
 	}
-	h.m.setSlot(o, s, 0)
 }
 
 // Release zeroes the draw and returns the slot to the owner's free list.
 // Releasing a stale or zero handle is a no-op.
 func (h DrawHandle) Release() {
-	o, s := h.slot()
-	if s == nil {
-		return
+	if s := h.slot(); s != nil {
+		h.o.setSlot(s, 0)
+		h.o.release(h.idx)
 	}
-	h.m.setSlot(o, s, 0)
-	o.release(h.idx)
 }
 
 // ClearOwner removes every draw entry owned by owner, e.g. on process death.
@@ -355,11 +375,8 @@ func (h DrawHandle) Release() {
 // Slots are released individually (generations bumped), so handles held
 // across the owner's death turn inert instead of aliasing later tenants.
 func (m *Meter) ClearOwner(owner UID) {
-	if owner < 0 || int(owner) >= len(m.owners) {
-		return
-	}
-	o := &m.owners[owner]
-	if o.nLive == 0 {
+	o := m.lookup(owner)
+	if o == nil || o.nLive == 0 {
 		return
 	}
 	now := m.engine.Now()
@@ -387,7 +404,7 @@ func (m *Meter) AddEnergyJ(owner UID, j float64) {
 	if j < 0 {
 		panic("power: negative energy charge")
 	}
-	m.owner(owner).energyJ += j
+	m.Owner(owner).energyJ += j
 	m.total.energyJ += j
 }
 
@@ -396,10 +413,10 @@ func (m *Meter) InstantPowerW() float64 { return m.total.watts }
 
 // InstantPowerOfW reports the current draw attributed to owner.
 func (m *Meter) InstantPowerOfW(owner UID) float64 {
-	if owner < 0 || int(owner) >= len(m.owners) {
-		return 0
+	if o := m.lookup(owner); o != nil {
+		return o.watts
 	}
-	return m.owners[owner].watts
+	return 0
 }
 
 // DrawCount reports how many draw entries, tagged or handle, owner holds.
@@ -407,10 +424,10 @@ func (m *Meter) InstantPowerOfW(owner UID) float64 {
 // it: callers keep that to a handful (appfw gives a work item a slot only
 // once it runs, so a paused backlog holds none).
 func (m *Meter) DrawCount(owner UID) int {
-	if owner < 0 || int(owner) >= len(m.owners) {
-		return 0
+	if o := m.lookup(owner); o != nil {
+		return o.nLive
 	}
-	return m.owners[owner].nLive
+	return 0
 }
 
 // EnergyJ reports total energy consumed so far, in joules, up to the
@@ -422,10 +439,10 @@ func (m *Meter) EnergyJ() float64 {
 
 // EnergyOfJ reports the energy attributed to owner so far, in joules.
 func (m *Meter) EnergyOfJ(owner UID) float64 {
-	if owner < 0 || int(owner) >= len(m.owners) {
+	o := m.lookup(owner)
+	if o == nil {
 		return 0
 	}
-	o := &m.owners[owner]
 	o.advance(m.engine.Now())
 	return o.energyJ
 }

@@ -7,16 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
-
-// NewRand returns a deterministic random source for the given seed.
-// Every randomised workload in this repository derives its randomness from
-// one of these so that experiments are reproducible run-to-run.
-func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
