@@ -22,7 +22,7 @@
 //
 // With -data the daemon is crash-safe: every mutation is journaled to a
 // write-ahead log before its response leaves, checkpoints bound replay, and
-// a restart rebuilds the exact pre-crash lease state (see DESIGN.md §11).
+// a restart rebuilds the exact pre-crash lease state (see DESIGN.md §14).
 // Snapshots and journal records are a compact binary encoding; to read them,
 //
 //	leased -dump-snapshot /var/lib/leased
@@ -66,7 +66,7 @@ func main() {
 		window      = flag.Int("misbehavior-window", 1, "consecutive bad terms before deferring")
 		reputation  = flag.Bool("reputation", false, "enable the §8 reputation extension")
 		maxInflight = flag.Int("max-inflight", 256, "bounded in-flight admission limit")
-		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "request deadline: a request that has not reached its shard by then fails 503, unapplied; also the socket read and write timeouts")
+		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "request deadline: a request that has not reached its shard by then fails 503, unapplied; also the socket read timeout; socket writes get a second more")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain limit")
 		dataDir     = flag.String("data", "", "durable data directory (empty = in-memory, no crash safety)")
 		snapEvery   = flag.Int("snapshot-every", 1024, "journal records between checkpoints")
@@ -202,27 +202,7 @@ func main() {
 		log.Printf("cluster role=%s epoch=%d", srv.Role(), srv.ClusterEpoch())
 	}
 
-	// The handler checks -request-timeout only where the daemon itself
-	// blocks; a body that never arrives or a reader that never drains is
-	// bounded by the socket. These four timeouts govern a connection while it
-	// is net/http's: every connection's first request, and all of an
-	// operator's (/metrics, /healthz, /v1/promote, /v1/election). From a lease
-	// client's first op request on, the daemon serves the connection itself
-	// (internal/leased/conn.go) under the same two figures: 2 minutes idle,
-	// -request-timeout for a request once begun and for its response.
-	// IdleTimeout is explicit because it would otherwise fall back to
-	// ReadTimeout and close every paced client's keep-alive connection
-	// between beats.
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       *reqTimeout,
-		WriteTimeout:      *reqTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-	// Shutdown leaves the connections the daemon took over to the daemon.
-	hs.RegisterOnShutdown(srv.CloseConnections)
+	hs := newHTTPServer(*addr, srv, *reqTimeout)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s (shards %d, term %v, tau %v)", *addr, *shards, *term, *tau)
@@ -257,6 +237,35 @@ func main() {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	fmt.Fprintf(os.Stderr, "leased: final metrics:\n%s", rec.Body.String())
 	log.Printf("shutdown complete")
+}
+
+// newHTTPServer puts srv's handler behind net/http at addr.
+//
+// The handler checks -request-timeout only where the daemon itself blocks; a
+// body that never arrives or a reader that never drains is bounded by the
+// socket. These four timeouts govern a connection while it is net/http's:
+// every connection's first request, and all of an operator's (/metrics,
+// /healthz, /v1/promote, /v1/election). From a lease client's first op
+// request on, the daemon serves the connection itself
+// (internal/leased/conn.go) under the same figures. IdleTimeout is explicit
+// because it would otherwise fall back to ReadTimeout and close every paced
+// client's keep-alive connection between beats. WriteTimeout is a second past
+// the request timeout, the margin the daemon's own loop gives its writes:
+// net/http counts it from the end of the request head, the daemon its
+// deadline from handler entry, so at the bare request timeout a 503 decided
+// at the deadline would meet a closed socket.
+func newHTTPServer(addr string, srv *leased.Server, reqTimeout time.Duration) *http.Server {
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       reqTimeout,
+		WriteTimeout:      reqTimeout + time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	// Shutdown leaves the connections the daemon took over to the daemon.
+	hs.RegisterOnShutdown(srv.CloseConnections)
+	return hs
 }
 
 // parsePeers decodes the -peers membership list: semicolon-separated

@@ -6,7 +6,7 @@ package cluster
 // event (with a timeout that only bounds a hang) or spacing between the
 // test's own actions.
 //
-// The invariants (DESIGN.md §15) and the test that holds each:
+// The invariants (DESIGN.md §19) and the test that holds each:
 //
 //	stream order = log order, group boundaries kept    TestBurstIsOneApplyInStreamOrder
 //	a 'B' frame is one group                           TestBurstIsOneApplyInStreamOrder

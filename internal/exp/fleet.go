@@ -410,15 +410,6 @@ func (rep FleetReport) Render() Result {
 	return r
 }
 
-// Fleet runs a sweep and renders it; the experiment-harness entry point.
-// It is intentionally not part of Runners(): its population scale is chosen
-// per invocation (see cmd/fleetsim), not fixed like the paper artefacts.
-func Fleet(cfg FleetConfig) Result {
-	rep := RunFleet(cfg)
-	r := rep.Render()
-	return r
-}
-
 // fleetStatsByPolicy is a test/CLI convenience: the stats row for pol, or a
 // zero row if absent.
 func (rep FleetReport) fleetStatsByPolicy(pol sim.Policy) FleetPolicyStats {

@@ -146,7 +146,7 @@ func (s *Server) routeBatchOps(env *batchEnv) {
 				sl.fail(http.StatusBadRequest, fmt.Sprintf("unknown resource kind %q", op.kindRaw))
 				continue
 			}
-			op.shard = int32(shardIndexBytes(op.client, len(s.shards)))
+			op.shard = int32(shardIndex(op.client, len(s.shards)))
 			sl.rec = opRecord{Op: opAcquire, Client: string(op.client), Kind: k}
 		case string(op.opName) == "renew" || string(op.opName) == "release":
 			_, local, ok := s.shardByWireID(op.wire)

@@ -79,9 +79,10 @@ func serveLikeLeased(t *testing.T, s *Server) string {
 	t.Helper()
 	ln := listenTCP(t)
 	// WriteTimeout is the one that differs: net/http counts it from the end of
-	// the request's head, so at cmd/leased's value (RequestTimeout) an answer
-	// that took RequestTimeout to decide — "request timed out" itself — is cut
-	// off unsent. The loop re-arms its write deadline before it writes.
+	// the request's head, so an answer that took RequestTimeout to decide —
+	// "request timed out" itself — needs a margin past RequestTimeout to be
+	// sent (cmd/leased gives it a second). The loop re-arms its write deadline
+	// before it writes.
 	rt := s.opts.RequestTimeout
 	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second, ReadTimeout: rt, WriteTimeout: 3 * rt, IdleTimeout: idleTimeout}
 	hs.RegisterOnShutdown(s.CloseConnections)

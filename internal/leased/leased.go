@@ -209,20 +209,10 @@ func decodeLeaseID(wire uint64) (shard int, local uint64) {
 }
 
 // shardIndex routes a client name: FNV-1a over the name, mod shard count.
-// Inlined (rather than hash/fnv) to keep the hot path allocation-free.
-func shardIndex(client string, n int) int {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(client); i++ {
-		h ^= uint32(client[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
-// shardIndexBytes is shardIndex for an unmaterialized client name (the
-// batch decoder holds names as views into the request body).
-func shardIndexBytes(client []byte, n int) int {
+// Inlined (rather than hash/fnv) to keep the hot path allocation-free. One
+// body for both forms of a name — a string, or a view into a batch request
+// body — so a batched op lands on the shard its single-op twin does.
+func shardIndex[T string | []byte](client T, n int) int {
 	const offset32, prime32 = 2166136261, 16777619
 	h := uint32(offset32)
 	for i := 0; i < len(client); i++ {

@@ -159,9 +159,6 @@ func New(target string) (*Proxy, error) { return Listen("127.0.0.1:0", target) }
 // Addr is the proxy's listen address — what the impaired side dials.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target is the fixed relay destination.
-func (p *Proxy) Target() string { return p.target }
-
 // Configure replaces the link's impairment state from a spec string.
 func (p *Proxy) Configure(spec string) error {
 	im, err := parseSpec(spec)

@@ -93,7 +93,7 @@ func energyOfOp() func() {
 func samplerOp() func() {
 	e := simclock.NewEngine()
 	m := meterWithLoad(e, 32)
-	NewSystemSampler(e, m, SampleInterval)
+	NewSystemSamplerFor(e, m, SampleInterval, 0)
 	return func() { e.RunUntil(e.Now() + SampleInterval) }
 }
 

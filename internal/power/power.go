@@ -496,13 +496,9 @@ func sampleCap(interval, horizon time.Duration) int {
 	return int(horizon / interval)
 }
 
-// NewSystemSampler starts sampling total system power every interval.
-func NewSystemSampler(engine *simclock.Engine, m *Meter, interval time.Duration) *Sampler {
-	return NewSystemSamplerFor(engine, m, interval, 0)
-}
-
-// NewSystemSamplerFor is NewSystemSampler with a run-horizon hint: Samples
-// is preallocated to hold horizon/interval readings up front.
+// NewSystemSamplerFor starts sampling total system power every interval.
+// Samples is preallocated to hold horizon/interval readings up front (none
+// for a horizon of 0).
 func NewSystemSamplerFor(engine *simclock.Engine, m *Meter, interval, horizon time.Duration) *Sampler {
 	s := &Sampler{Samples: make([]Sample, 0, sampleCap(interval, horizon))}
 	s.stop = engine.Ticker(interval, func() {
@@ -511,13 +507,8 @@ func NewSystemSamplerFor(engine *simclock.Engine, m *Meter, interval, horizon ti
 	return s
 }
 
-// NewAppSampler starts sampling the power attributed to uid every interval.
-func NewAppSampler(engine *simclock.Engine, m *Meter, uid UID, interval time.Duration) *Sampler {
-	return NewAppSamplerFor(engine, m, uid, interval, 0)
-}
-
-// NewAppSamplerFor is NewAppSampler with a run-horizon hint: Samples is
-// preallocated to hold horizon/interval readings up front.
+// NewAppSamplerFor starts sampling the power attributed to uid every
+// interval, with NewSystemSamplerFor's horizon hint.
 func NewAppSamplerFor(engine *simclock.Engine, m *Meter, uid UID, interval, horizon time.Duration) *Sampler {
 	s := &Sampler{Samples: make([]Sample, 0, sampleCap(interval, horizon))}
 	s.stop = engine.Ticker(interval, func() {

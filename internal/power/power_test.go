@@ -185,7 +185,7 @@ func TestSystemSampler(t *testing.T) {
 	e := simclock.NewEngine()
 	m := NewMeter(e)
 	m.Set(1, CPU, "wl", 0.1) // 100 mW
-	s := NewSystemSampler(e, m, SampleInterval)
+	s := NewSystemSamplerFor(e, m, SampleInterval, 0)
 	e.RunUntil(time.Second)
 	s.Stop()
 	e.RunUntil(2 * time.Second)
@@ -202,7 +202,7 @@ func TestAppSamplerIsolation(t *testing.T) {
 	m := NewMeter(e)
 	m.Set(1, CPU, "wl", 0.1)
 	m.Set(2, Screen, "s", 0.5)
-	s := NewAppSampler(e, m, 1, SampleInterval)
+	s := NewAppSamplerFor(e, m, 1, SampleInterval, 0)
 	e.RunUntil(time.Second)
 	if got := s.MeanMW(); !almost(got, 100) {
 		t.Fatalf("per-app sampler leaked other uid's power: %v", got)

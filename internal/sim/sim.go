@@ -242,9 +242,3 @@ func (s *Sim) Now() simclock.Time { return s.Engine.Now() }
 
 // Run advances the simulation by d.
 func (s *Sim) Run(d time.Duration) { s.Engine.RunUntil(s.Engine.Now() + d) }
-
-// AppPowerMW returns the average power attributed to uid over the window
-// since from, in milliwatts.
-func (s *Sim) AppPowerMW(uid power.UID, from simclock.Time, fromEnergyJ float64) float64 {
-	return power.AvgPowerMW(s.Meter.EnergyOfJ(uid)-fromEnergyJ, s.Engine.Now()-from)
-}
