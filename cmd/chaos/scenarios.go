@@ -41,7 +41,8 @@ const misbehaving = "normal=2,lhb=2,lub=1,fab=1"
 // smoke: an in-memory daemon with terms short enough to catch misbehaviour
 // within seconds takes a 10 s mixed burst; it must sustain ≥10k ops, defer
 // every misbehaving client and no honest one, say so in /metrics (left in
-// leased_metrics.json), and shut down cleanly on SIGTERM.
+// leased_metrics.json), read every op body on the fast path, and shut down
+// cleanly on SIGTERM.
 func smoke(h *harness) {
 	d := h.newNode("smoke")
 	h.boot(d, filepath.Join(h.tmp, "leased.log"), "-term", "150ms", "-tau", "300ms", "-tau-max", "1200ms")
@@ -55,6 +56,9 @@ func smoke(h *harness) {
 	}
 	if m.Requests["renew"].LatencyMS.P99 <= 0 {
 		failf("/metrics reports no renew latency percentiles")
+	}
+	if n := m.Connections.SlowBodies; n != 0 {
+		failf("/metrics reports %d op bodies the fast JSON reader handed to encoding/json; loadgen's are all json.Marshal's", n)
 	}
 	h.term(d)
 	if !d.logged("shutdown complete") {

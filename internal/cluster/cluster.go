@@ -80,10 +80,6 @@ type Tuning struct {
 	// tolerates on a stream before killing the session; a node whose every
 	// shard has been silent that long is suspect.
 	MissedPings int // default 4
-	// HandshakeTimeout bounds the dial-to-snapshot portion of a session,
-	// which legitimately takes longer than a ping interval (the snapshot
-	// can be large).
-	HandshakeTimeout time.Duration // default 5s
 }
 
 // WithDefaults fills zero fields with the package defaults.
@@ -93,9 +89,6 @@ func (t Tuning) WithDefaults() Tuning {
 	}
 	if t.MissedPings <= 0 {
 		t.MissedPings = 4
-	}
-	if t.HandshakeTimeout <= 0 {
-		t.HandshakeTimeout = helloTimeout
 	}
 	return t
 }

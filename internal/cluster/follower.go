@@ -288,7 +288,7 @@ func (f *Follower) stream(shard int, conn net.Conn) (progressed bool, err error)
 	// The handshake (through the snapshot, which can be large) gets its own
 	// generous deadline; the streaming loop below switches to the much
 	// tighter ping-derived one.
-	conn.SetReadDeadline(time.Now().Add(tune.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 
 	sr := durable.NewStreamReader(conn, burstReadBuf)
 	w, refused, err := greet(conn, sr, f.hello(shard))

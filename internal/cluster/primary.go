@@ -41,8 +41,10 @@ const (
 	// healthy follower takes it at once, a stalled one may not hold up a
 	// shutdown.
 	closeFlushTimeout = 100 * time.Millisecond
-	// helloTimeout bounds how long an accepted connection may dawdle
-	// before its Hello arrives.
+	// helloTimeout bounds a session's handshake: how long an accepted
+	// connection may dawdle before its Hello arrives, a refusal's write, and
+	// on the follower the dial-to-snapshot portion, which legitimately takes
+	// longer than a ping interval (the snapshot can be large).
 	helloTimeout = 5 * time.Second
 	// ackReadBuf sizes a reader of control frames only — the primary's end of
 	// a follower connection (a Hello, then 17-byte acks a few at a time) and
@@ -430,7 +432,7 @@ func (p *Primary) drop(conn net.Conn) {
 // caller close.
 func (p *Primary) refuse(conn net.Conn, msg string, self Standing) {
 	b, _ := json.Marshal(ErrMsg{Error: msg, Standing: self})
-	conn.SetWriteDeadline(time.Now().Add(p.tuning().HandshakeTimeout))
+	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
 	conn.Write(durable.AppendFrame(nil, frameError, b))
 }
 
@@ -440,7 +442,7 @@ func (p *Primary) handle(conn net.Conn) {
 	defer p.wg.Done()
 	defer p.drop(conn)
 
-	p.setReadDeadline(conn, time.Now().Add(p.tuning().HandshakeTimeout))
+	p.setReadDeadline(conn, time.Now().Add(helloTimeout))
 	sr := durable.NewStreamReader(conn, ackReadBuf)
 	tag, payload, err := sr.ReadFrame()
 	if err != nil || tag != frameHello {

@@ -33,6 +33,7 @@ package leased
 // its benchmark cannot drift apart.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -296,15 +297,9 @@ func httpAcquire(t *testing.T, s *Server, client string) uint64 {
 	if env.slot.status != http.StatusOK {
 		t.Fatalf("acquire: status %d (%s)", env.slot.status, env.slot.errMsg)
 	}
-	var wire uint64
-	env.p.begin(env.slot.body)
-	if err := env.p.doc(func(key []byte) error {
-		if keyIs(key, "lease_id") {
-			return env.p.uint64Field(&wire)
-		}
-		return env.p.skipValue()
-	}); err != nil {
+	var lr leaseResponse
+	if err := json.Unmarshal(env.slot.body, &lr); err != nil {
 		t.Fatal(err)
 	}
-	return wire
+	return lr.LeaseID
 }

@@ -31,15 +31,32 @@ import (
 
 // batchMaxBodyBytes bounds a batch request body. Larger than the single-op
 // limit — that is the point — but still small enough to keep pooled buffers
-// (body, arena, response) bounded.
+// (body, ops, response) bounded.
 const batchMaxBodyBytes = 256 << 10
 
 // maxBatchOps bounds how many ops one batch may carry.
 const maxBatchOps = 4096
 
+// batchBodyWire is the batch body as encoding/json decodes it, when the fast
+// reader declines it (codec.go).
+type batchBodyWire struct {
+	Ops []batchOpWire `json:"ops"`
+}
+
+type batchOpWire struct {
+	Op      string       `json:"op"`
+	Client  string       `json:"client,omitempty"`
+	Kind    string       `json:"kind,omitempty"`
+	LeaseID uint64       `json:"lease_id,omitempty"`
+	Destroy bool         `json:"destroy,omitempty"`
+	ReqID   string       `json:"req_id,omitempty"`
+	Report  *usageReport `json:"report,omitempty"`
+}
+
 // batchOp is one decoded batch operation, its routing, and the pipeline slot
 // that carries it through its shard's apply. The byte-slice fields are views
-// into the batch env's body/arena, valid until the response is written.
+// into the request body when the fast reader took it, valid until the
+// response is written.
 type batchOp struct {
 	opName  []byte
 	client  []byte
@@ -57,11 +74,11 @@ type batchOp struct {
 }
 
 // batchEnv is the pooled per-request scratch for the batch path: one body
-// buffer, one parser, the decoded op table, the shard-grouping index and the
-// response build buffers. Everything is reused; a steady-state batch of
+// buffer, one fast reader, the decoded op table, the shard-grouping index and
+// the response build buffers. Everything is reused; a steady-state batch of
 // renews performs O(1) allocations regardless of op count.
 type batchEnv struct {
-	p      jparser
+	r      reader
 	body   []byte
 	out    []byte
 	leases []byte // the groups' encoded lease bodies (shard.apply's out)
@@ -83,48 +100,82 @@ func putBatchEnv(e *batchEnv) {
 	// Release references into request-scoped data; keep every buffer.
 	clear(e.ops)
 	e.ops = e.ops[:0]
-	e.p.buf = nil
+	e.r = reader{}
 	batchEnvPool.Put(e)
 }
 
-// decodeOp parses one member of the "ops" array into a fresh slot.
-func (e *batchEnv) decodeOp() error {
-	if len(e.ops) >= maxBatchOps {
-		return fmt.Errorf("batch exceeds %d ops", maxBatchOps)
+var batchFields = []field[batchEnv]{
+	{"ops", func(r *reader, e *batchEnv) bool { return r.ops(e) }},
+}
+
+var opFields = []field[batchOp]{
+	{"op", func(r *reader, op *batchOp) bool { return r.str(&op.opName) }},
+	{"client", func(r *reader, op *batchOp) bool { return r.str(&op.client) }},
+	{"kind", func(r *reader, op *batchOp) bool { return r.str(&op.kindRaw) }},
+	{"lease_id", func(r *reader, op *batchOp) bool { return r.uint64(&op.wire) }},
+	{"destroy", func(r *reader, op *batchOp) bool { return r.bool(&op.destroy) }},
+	{"req_id", func(r *reader, op *batchOp) bool { return r.str(&op.reqID) }},
+	{"report", func(r *reader, op *batchOp) bool {
+		op.hasRep = true
+		return readObject(r, usageFields, &op.slot.rep)
+	}},
+}
+
+// ops reads the ops array, each op into a fresh slot. One past maxBatchOps it
+// gives the body up: encoding/json decodes it, and decode refuses it.
+func (r *reader) ops(e *batchEnv) bool {
+	if !r.next('[') {
+		return false
 	}
+	if r.next(']') {
+		return true
+	}
+	for len(e.ops) < maxBatchOps {
+		if !readObject(r, opFields, e.newOp()) {
+			return false
+		}
+		if !r.next(',') {
+			return r.next(']')
+		}
+	}
+	return false
+}
+
+// newOp appends a zero op to the table, reusing its capacity.
+func (e *batchEnv) newOp() *batchOp {
 	if n := len(e.ops); cap(e.ops) > n {
 		e.ops = e.ops[:n+1]
 		e.ops[n] = batchOp{}
 	} else {
 		e.ops = append(e.ops, batchOp{})
 	}
-	op := &e.ops[len(e.ops)-1]
-	return e.p.object(func(key []byte) error {
-		switch {
-		case keyIs(key, "op"):
-			return e.p.stringField(&op.opName)
-		case keyIs(key, "client"):
-			return e.p.stringField(&op.client)
-		case keyIs(key, "kind"):
-			return e.p.stringField(&op.kindRaw)
-		case keyIs(key, "lease_id"):
-			return e.p.uint64Field(&op.wire)
-		case keyIs(key, "destroy"):
-			return e.p.boolField(&op.destroy)
-		case keyIs(key, "req_id"):
-			return e.p.stringField(&op.reqID)
-		case keyIs(key, "report"):
-			if e.p.tryNull() {
-				return nil
-			}
-			op.hasRep = true
-			return e.p.object(func(k []byte) error {
-				return e.p.decodeUsageFields(&op.slot.rep, k)
-			})
-		default:
-			return e.p.skipValue()
+	return &e.ops[len(e.ops)-1]
+}
+
+// decode reads a batch body into the op table; fast reports whether the fast
+// reader took it.
+func (e *batchEnv) decode(body []byte) (fast bool, err error) {
+	e.ops = e.ops[:0]
+	if readFast(&e.r, body, batchFields, e) {
+		return true, nil
+	}
+	e.ops = e.ops[:0]
+	var wire batchBodyWire
+	if err := decodeStd(body, &wire); err != nil {
+		return false, err
+	}
+	if len(wire.Ops) > maxBatchOps {
+		return false, fmt.Errorf("batch exceeds %d ops", maxBatchOps)
+	}
+	for i := range wire.Ops {
+		w, op := &wire.Ops[i], e.newOp()
+		op.opName, op.client, op.kindRaw, op.reqID = []byte(w.Op), []byte(w.Client), []byte(w.Kind), []byte(w.ReqID)
+		op.wire, op.destroy = w.LeaseID, w.Destroy
+		if w.Report != nil {
+			op.hasRep, op.slot.rep = true, *w.Report
 		}
-	})
+	}
+	return false, nil
 }
 
 // routeBatchOps resolves every op to its shard and builds its record,
@@ -224,19 +275,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, env *batchEnv, q *opReq) {
 		writeBodyError(w, q.bodyErr)
 		return
 	}
-	env.p.begin(q.body)
-	env.ops = env.ops[:0]
-	perr := env.p.doc(func(key []byte) error {
-		if keyIs(key, "ops") {
-			if env.p.tryNull() {
-				return nil
-			}
-			return env.p.array(env.decodeOp)
-		}
-		return env.p.skipValue()
-	})
-	if perr != nil {
-		writeBodyError(w, perr)
+	if fast, err := env.decode(q.body); !s.tookBody(w, fast, err) {
 		return
 	}
 	s.routeBatchOps(env)

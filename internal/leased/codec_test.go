@@ -1,12 +1,12 @@
 package leased
 
-// Differential tests pinning the hand-rolled wire codec (codec.go) to
-// encoding/json. The codec's contract is "not a dialect": every body the
-// stdlib path accepted before PR 7 must decode to the same values, every
-// body it rejected must still be rejected, and every response/journal
-// record must encode to the same bytes. The corpus below is shared across
-// all decoders — accept/reject decisions must agree regardless of the
-// target struct — and the fuzz targets extend the same comparison to
+// Differential tests pinning the op routes' body decoding (codec.go) to
+// encoding/json, and its encoders to json.Marshal. A body must decode
+// exactly as json.Decoder.Decode decodes it — the same accept/reject decision
+// and the same values — whether the fast reader takes it or hands it on; and
+// the traffic json.Marshal writes must take the fast path. The corpus below is
+// shared across all decoders — accept/reject decisions must agree regardless
+// of the target struct — and the fuzz targets extend the same comparison to
 // arbitrary inputs.
 
 import (
@@ -132,7 +132,7 @@ var decodeCorpus = []string{
 	`{"cpu_ms":Infinity}`,
 	`{"cpu_ms":-Infinity}`,
 	`{"cpu_ms":nan}`,
-	// precision and range: Clinger fast path vs strconv fallback
+	// precision and range
 	`{"cpu_ms":9007199254740993}`,
 	`{"cpu_ms":1234567890123456789012345}`,
 	`{"cpu_ms":2.2250738585072011e-308}`,
@@ -203,50 +203,74 @@ func usageBitsEqual(a, b usageReport) bool {
 		a.Exceptions == b.Exceptions
 }
 
-// diffAcquire runs one body through both acquire decoders and compares
-// decision and values. Returns a description of the divergence, if any.
-func diffAcquire(body []byte) string {
-	var p jparser
-	p.begin(body)
+// diffAcquire runs one body through the acquire decoder and the stdlib and
+// compares decision and values. It returns whether the fast reader took the
+// body, and a description of the divergence, if any.
+func diffAcquire(body []byte) (fast bool, diff string) {
 	var aw acquireWire
-	codecErr := p.decodeAcquire(&aw)
+	fast, codecErr := new(reader).decodeAcquire(body, &aw)
 	var ref acquireRequest
 	refErr := refDecode(body, &ref)
-	if (codecErr == nil) != (refErr == nil) {
-		return fmt.Sprintf("acquire decision: codec err=%v, stdlib err=%v", codecErr, refErr)
+	switch {
+	case (codecErr == nil) != (refErr == nil):
+		return fast, fmt.Sprintf("acquire decision: codec err=%v, stdlib err=%v", codecErr, refErr)
+	case codecErr == nil && (string(aw.client) != ref.Client || string(aw.kind) != ref.Kind):
+		return fast, fmt.Sprintf("acquire values: codec (%q,%q), stdlib (%q,%q)", aw.client, aw.kind, ref.Client, ref.Kind)
 	}
-	if codecErr != nil {
-		return ""
-	}
-	if string(aw.client) != ref.Client || string(aw.kind) != ref.Kind {
-		return fmt.Sprintf("acquire values: codec (%q,%q), stdlib (%q,%q)",
-			aw.client, aw.kind, ref.Client, ref.Kind)
-	}
-	return ""
+	return fast, ""
 }
 
-func diffUsage(body []byte) string {
-	var p jparser
-	p.begin(body)
+func diffUsage(body []byte) (fast bool, diff string) {
 	var rep usageReport
-	codecErr := p.decodeUsage(&rep)
+	fast, codecErr := new(reader).decodeUsage(body, &rep)
 	var ref usageReport
 	refErr := refDecode(body, &ref)
-	if (codecErr == nil) != (refErr == nil) {
-		return fmt.Sprintf("usage decision: codec err=%v, stdlib err=%v", codecErr, refErr)
+	switch {
+	case (codecErr == nil) != (refErr == nil):
+		return fast, fmt.Sprintf("usage decision: codec err=%v, stdlib err=%v", codecErr, refErr)
+	case codecErr == nil && !usageBitsEqual(rep, ref):
+		return fast, fmt.Sprintf("usage values: codec %+v, stdlib %+v", rep, ref)
 	}
-	if codecErr != nil {
-		return ""
+	return fast, ""
+}
+
+// diffBatch runs one body through the batch env's decoder and the stdlib,
+// comparing decisions and every decoded field.
+func diffBatch(body []byte) (fast bool, diff string) {
+	env := getBatchEnv()
+	defer putBatchEnv(env)
+	fast, codecErr := env.decode(body)
+	var ref batchBodyWire
+	refErr := refDecode(body, &ref)
+	switch {
+	case (codecErr == nil) != (refErr == nil):
+		return fast, fmt.Sprintf("decision: codec err=%v, stdlib err=%v", codecErr, refErr)
+	case codecErr != nil:
+		return fast, ""
+	case len(env.ops) != len(ref.Ops):
+		return fast, fmt.Sprintf("codec decoded %d ops, stdlib %d", len(env.ops), len(ref.Ops))
 	}
-	if !usageBitsEqual(rep, ref) {
-		return fmt.Sprintf("usage values: codec %+v, stdlib %+v", rep, ref)
+	for i := range env.ops {
+		op, want := &env.ops[i], &ref.Ops[i]
+		switch {
+		case string(op.opName) != want.Op,
+			string(op.client) != want.Client,
+			string(op.kindRaw) != want.Kind,
+			op.wire != want.LeaseID,
+			op.destroy != want.Destroy,
+			string(op.reqID) != want.ReqID,
+			op.hasRep != (want.Report != nil):
+			return fast, fmt.Sprintf("op %d: codec %+v, stdlib %+v", i, op, want)
+		case op.hasRep && !usageBitsEqual(op.slot.rep, *want.Report):
+			return fast, fmt.Sprintf("op %d report: codec %+v, stdlib %+v", i, op.slot.rep, *want.Report)
+		}
 	}
-	return ""
+	return fast, ""
 }
 
 func TestDecodeAcquireMatchesStdlib(t *testing.T) {
 	for _, body := range decodeCorpus {
-		if d := diffAcquire([]byte(body)); d != "" {
+		if _, d := diffAcquire([]byte(body)); d != "" {
 			t.Errorf("body %q: %s", body, d)
 		}
 	}
@@ -254,7 +278,7 @@ func TestDecodeAcquireMatchesStdlib(t *testing.T) {
 
 func TestDecodeUsageMatchesStdlib(t *testing.T) {
 	for _, body := range decodeCorpus {
-		if d := diffUsage([]byte(body)); d != "" {
+		if _, d := diffUsage([]byte(body)); d != "" {
 			t.Errorf("body %q: %s", body, d)
 		}
 	}
@@ -265,7 +289,7 @@ func FuzzDecodeAcquire(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if d := diffAcquire(body); d != "" {
+		if _, d := diffAcquire(body); d != "" {
 			t.Errorf("body %q: %s", body, d)
 		}
 	})
@@ -276,25 +300,10 @@ func FuzzDecodeUsage(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if d := diffUsage(body); d != "" {
+		if _, d := diffUsage(body); d != "" {
 			t.Errorf("body %q: %s", body, d)
 		}
 	})
-}
-
-// batchOpWire mirrors the batch op wire format for the stdlib reference.
-type batchOpWire struct {
-	Op      string       `json:"op"`
-	Client  string       `json:"client"`
-	Kind    string       `json:"kind"`
-	LeaseID uint64       `json:"lease_id"`
-	Destroy bool         `json:"destroy"`
-	ReqID   string       `json:"req_id"`
-	Report  *usageReport `json:"report"`
-}
-
-type batchBodyWire struct {
-	Ops []batchOpWire `json:"ops"`
 }
 
 // batchCorpus is the batch bodies the differential test and the route's
@@ -333,59 +342,71 @@ var batchCorpus = []string{
 	"{\"opſ\":[{\"op\":\"release\",\"leaſe_id\":256,\"deſtroy\":true,\"req_id\":\"r\"}]}",
 	"{\"ops\":[{\"op\":\"acquire\",\"client\":\"a\",\"Kind\":\"gps\"}]}",
 	`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_mſ":2},"reporu":{"cpu_ms":1},"req_ie":"x","clienu":"y"}]}`,
+	// repeated keys: encoding/json decodes the second ops array over the
+	// first, element by element, and a null drops what came before it
+	`{"ops":[{"op":"acquire","client":"a","kind":"gps"}],"ops":[{"op":"renew","lease_id":256}]}`,
+	`{"ops":[{"op":"acquire","client":"a","kind":"gps"}],"ops":null}`,
+	`{"ops":[{"op":"renew","lease_id":256,"report":{"cpu_ms":1},"report":null}]}`,
 }
 
-// TestDecodeBatchMatchesStdlib runs batch bodies through the batch env's
-// decoder and the stdlib, comparing decisions and every decoded field.
-// (Bodies with a duplicated "ops" key are excluded: the stdlib's per-element
-// merge semantics for re-decoded slices are not worth replicating.)
 func TestDecodeBatchMatchesStdlib(t *testing.T) {
 	for _, body := range batchCorpus {
-		env := getBatchEnv()
-		env.p.begin([]byte(body))
-		env.ops = env.ops[:0]
-		codecErr := env.p.doc(func(key []byte) error {
-			if keyIs(key, "ops") {
-				if env.p.tryNull() {
-					return nil
-				}
-				return env.p.array(env.decodeOp)
-			}
-			return env.p.skipValue()
-		})
-		var ref batchBodyWire
-		refErr := refDecode([]byte(body), &ref)
-		if (codecErr == nil) != (refErr == nil) {
-			t.Errorf("body %q: decision: codec err=%v, stdlib err=%v", body, codecErr, refErr)
-			putBatchEnv(env)
-			continue
+		if _, d := diffBatch([]byte(body)); d != "" {
+			t.Errorf("body %q: %s", body, d)
 		}
-		if codecErr != nil {
-			putBatchEnv(env)
-			continue
-		}
-		if len(env.ops) != len(ref.Ops) {
-			t.Errorf("body %q: codec decoded %d ops, stdlib %d", body, len(env.ops), len(ref.Ops))
-			putBatchEnv(env)
-			continue
-		}
-		for i := range env.ops {
-			op, want := &env.ops[i], &ref.Ops[i]
-			switch {
-			case string(op.opName) != want.Op,
-				string(op.client) != want.Client,
-				string(op.kindRaw) != want.Kind,
-				op.wire != want.LeaseID,
-				op.destroy != want.Destroy,
-				string(op.reqID) != want.ReqID,
-				op.hasRep != (want.Report != nil):
-				t.Errorf("body %q op %d: codec %+v, stdlib %+v", body, i, op, want)
-			case op.hasRep && !usageBitsEqual(op.slot.rep, *want.Report):
-				t.Errorf("body %q op %d report: codec %+v, stdlib %+v", body, i, op.slot.rep, *want.Report)
-			}
-		}
-		putBatchEnv(env)
 	}
+}
+
+// FuzzMarshaledBodiesTakeTheFastPath builds bodies of the three shapes the
+// tree's clients send (acquire, usage, batch) with json.Marshal, from fuzzed
+// finite numbers and strings json.Marshal leaves unescaped: each must take
+// the fast reader's path, with values bit-equal to encoding/json's.
+func FuzzMarshaledBodiesTakeTheFastPath(f *testing.F) {
+	f.Add("alice", "r-1", 1.5, 0.25, int64(3), uint64(256), true)
+	f.Add("", "", 0.0, math.Copysign(0, -1), int64(-1), uint64(math.MaxUint64), false)
+	f.Add("a b~!#$%'()*+,-./:;=?@[]^_`{|}", "9", 1e-7, 1.7976931348623157e308, int64(math.MinInt64), uint64(1), true)
+	f.Fuzz(func(t *testing.T, client, reqID string, x, y float64, n int64, id uint64, destroy bool) {
+		plain := func(s string) string {
+			return strings.Map(func(r rune) rune {
+				if r < ' ' || r > '~' || strings.ContainsRune(`"\<>&`, r) {
+					return -1
+				}
+				return r
+			}, s)
+		}
+		finite := func(v float64) float64 {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return 0
+			}
+			return v
+		}
+		client, reqID, x, y = plain(client), plain(reqID), finite(x), finite(y)
+		rep := usageReport{CPUMS: x, UsedMS: y, RequestMS: -x, FailedRequestMS: y / 3, DistanceM: x / 7,
+			DataPoints: int(n), UIUpdates: int(n >> 1), Interactions: -int(n), Exceptions: int(id)}
+		batch := batchBodyWire{Ops: []batchOpWire{
+			{Op: "acquire", Client: client, Kind: reqID, ReqID: reqID},
+			{Op: "renew", LeaseID: id, ReqID: reqID, Report: &rep},
+			{Op: "renew", LeaseID: id, Report: &usageReport{}},
+			{Op: "release", LeaseID: id, Destroy: destroy},
+		}}
+		for _, c := range []struct {
+			v    any
+			diff func([]byte) (bool, string)
+		}{
+			{acquireRequest{Client: client, Kind: reqID}, diffAcquire},
+			{rep, diffUsage},
+			{usageReport{}, diffUsage},
+			{batch, diffBatch},
+		} {
+			body, err := json.Marshal(c.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast, d := c.diff(body); !fast || d != "" {
+				t.Errorf("body %s: fast path %v; %s", body, fast, d)
+			}
+		}
+	})
 }
 
 // --- encoder equivalence ---

@@ -352,7 +352,7 @@ func parseFastHead(buf []byte, hd *fastHead) bool {
 			}
 			hd.reqID = val
 		case named(name, "Connection"):
-			if !eqFold(val, "keep-alive") {
+			if !named(val, "keep-alive") {
 				return false
 			}
 		case named(name, "Transfer-Encoding"), named(name, "Expect"), named(name, "Upgrade"), named(name, "Trailer"):
@@ -371,8 +371,26 @@ func crlf(buf []byte, p int) int {
 	return p + i
 }
 
-// named matches a header name the way the codec matches a JSON key.
-func named(name []byte, s string) bool { return len(name) == len(s) && eqFold(name, s) }
+// named matches a header name, or a token, as net/http does: ASCII letters
+// case-insensitively, every other byte exactly.
+func named(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i, ch := range b {
+		if lower(ch) != lower(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lower(ch byte) byte {
+	if 'A' <= ch && ch <= 'Z' {
+		return ch + 'a' - 'A'
+	}
+	return ch
+}
 
 // The fast reader's byte classes: a header name's; a value's (no control byte
 // but HTAB); a plain Host's (fewer than net/http allows); visible ASCII; digits.

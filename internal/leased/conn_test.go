@@ -396,18 +396,21 @@ func TestLoopAnswersLikeNetHTTP(t *testing.T) {
 }
 
 // TestConnectionCounters follows /metrics' connections section over a
-// scripted exchange on one connection.
+// scripted exchange on one connection. A body encoding/json reads is counted
+// once, whether net/http or the loop read its request.
 func TestConnectionCounters(t *testing.T) {
 	w := newDiffWorld(t, "")
 	lease := w.acquire("alice", "wakelock")
 	nc, br := w.dial()
-	renew := rawRequest("POST", fmt.Sprintf("/v1/leases/%d/renew", lease), diffRenew)
+	path := fmt.Sprintf("/v1/leases/%d/renew", lease)
+	renew := rawRequest("POST", path, diffRenew)
+	slowBody := rawRequest("POST", path, `{"cpu_ms":null}`) // the fast JSON reader declines null
 	var snap Snapshot
 	for _, req := range []string{
-		renew,                             // net/http's: the connection is taken over
+		slowBody,                          // net/http's: the connection is taken over; a slow body
 		renew,                             // fast
 		rawRequest("GET", "/healthz", ""), // slow
-		renew + renew,                     // fast, twice
+		renew + slowBody,                  // fast, twice; the second a slow body
 		rawRequest("GET", "/metrics", ""), // slow, and counted in its own answer
 	} {
 		io.WriteString(nc, req)
@@ -419,7 +422,7 @@ func TestConnectionCounters(t *testing.T) {
 			json.Unmarshal([]byte(a.Body), &snap)
 		}
 	}
-	if want := (ConnectionStats{TakenOver: 1, Open: 1, FastRequests: 3, SlowRequests: 2}); snap.Connections != want {
+	if want := (ConnectionStats{TakenOver: 1, Open: 1, FastRequests: 3, SlowRequests: 2, SlowBodies: 2}); snap.Connections != want {
 		t.Errorf("connections = %+v, want %+v", snap.Connections, want)
 	}
 	nc.Close()

@@ -475,7 +475,7 @@ func (e bodyTooLargeError) Error() string {
 
 // readBody slurps r's body into *dst (growing and keeping its capacity for
 // reuse), enforcing limit. This replaces MaxBytesReader + json.Decoder on
-// the hot path: the parser wants the whole body as one slice anyway, and
+// the hot path: the fast reader wants the whole body as one slice anyway, and
 // the pooled buffer makes the read allocation-free in steady state.
 func readBody(r *http.Request, dst *[]byte, limit int) ([]byte, error) {
 	b := (*dst)[:0]
@@ -511,6 +511,18 @@ func writeBodyError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+}
+
+// tookBody counts a body the fast reader declined (codec.go) and answers one
+// encoding/json refused; it reports whether the core goes on.
+func (s *Server) tookBody(w http.ResponseWriter, fast bool, err error) bool {
+	if !fast {
+		s.conns.slowBodies.Add(1)
+	}
+	if err != nil {
+		writeBodyError(w, err)
+	}
+	return err == nil
 }
 
 // maxRequestIDLen bounds the client's idempotency key.
@@ -582,10 +594,8 @@ func (s *Server) serveAcquire(w http.ResponseWriter, env *opEnv, q *opReq) {
 		writeBodyError(w, q.bodyErr)
 		return
 	}
-	env.p.begin(q.body)
-	var aw acquireWire
-	if err := env.p.decodeAcquire(&aw); err != nil {
-		writeBodyError(w, err)
+	aw := &env.acq
+	if fast, err := env.r.decodeAcquire(q.body, aw); !s.tookBody(w, fast, err) {
 		return
 	}
 	if len(aw.client) == 0 || len(aw.client) > 128 {
@@ -654,9 +664,7 @@ func (s *Server) serveRenew(w http.ResponseWriter, env *opEnv, q *opReq) {
 		writeBodyError(w, q.bodyErr)
 		return
 	}
-	env.p.begin(q.body)
-	if err := env.p.decodeUsage(&env.slot.rep); err != nil {
-		writeBodyError(w, err)
+	if fast, err := env.r.decodeUsage(q.body, &env.slot.rep); !s.tookBody(w, fast, err) {
 		return
 	}
 	if !checkRequestID(w, q.reqID) {

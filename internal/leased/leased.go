@@ -439,14 +439,15 @@ func (s *Server) Close() {
 }
 
 // connSet is the server's taken-over connections, and the counters /metrics
-// reports of them.
+// reports of them. slowBodies counts the op-route bodies encoding/json read,
+// on a taken-over connection or not.
 type connSet struct {
 	mu     sync.Mutex
 	closed bool // CloseConnections has run: connections stay net/http's
 	open   map[*conn]struct{}
 	loops  sync.WaitGroup
 
-	takenOver, nOpen, fast, slow atomic.Int64
+	takenOver, nOpen, fast, slow, slowBodies atomic.Int64
 }
 
 func (cs *connSet) add(c *conn) bool {

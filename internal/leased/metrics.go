@@ -289,11 +289,14 @@ type Snapshot struct {
 // many client connections the daemon has taken over from net/http, how many
 // are open, and how the requests on them were read — by the fast reader, or
 // handed to the standard library (the share that leaves the fast path).
+// SlowBodies is the same share for op-route bodies, whichever transport read
+// them: those the fast JSON reader handed to encoding/json.
 type ConnectionStats struct {
 	TakenOver    int64 `json:"taken_over"`
 	Open         int64 `json:"open"`
 	FastRequests int64 `json:"fast_requests"`
 	SlowRequests int64 `json:"slow_requests"`
+	SlowBodies   int64 `json:"slow_bodies"`
 }
 
 // ShardSnapshot is one shard's unmerged contribution to the metrics
@@ -486,6 +489,7 @@ func (s *Server) snapshot() Snapshot {
 		Open:         s.conns.nOpen.Load(),
 		FastRequests: s.conns.fast.Load(),
 		SlowRequests: s.conns.slow.Load(),
+		SlowBodies:   s.conns.slowBodies.Load(),
 	}
 	if s.faults != nil {
 		snap.Faults = s.faults.Stats()
