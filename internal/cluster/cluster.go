@@ -1,12 +1,17 @@
 // Package cluster is the replication layer between leased daemons: a primary
-// streams its journal frames (and a snapshot on connect, for catch-up) over
-// TCP to N followers, each of which replays them onto an unstarted wall —
-// the PR 5 recovery path running continuously instead of once at boot.
+// streams its journal frames (and a snapshot on connect, for catch-up) to N
+// followers, each of which replays them onto an unstarted wall — the
+// recovery path running continuously instead of once at boot.
+//
+// The protocol runs on a runtime.Clock and reaches peers through a Net:
+// every timeout is an event on the clock, bytes arrive as Handler calls on
+// it, and nothing blocks. A daemon runs it on TCP and its Wall; the failover
+// model on a simclock.Engine over netchaos.Fabric.
 //
 // The same stream doubles as the liveness channel. The primary pings every
 // Tuning.PingEvery even when idle; a follower that misses
 // Tuning.MissedPings consecutive ping intervals on every shard considers
-// the primary suspect (its read deadline kills the stalled session — a
+// the primary suspect (its silence deadline kills the stalled session — a
 // blackholed primary looks exactly like a dead one). Symmetrically, the
 // acks followers send back are the primary's leadership lease renewals:
 // AckedNodes reports how many distinct followers acked recently, which the
@@ -19,7 +24,7 @@
 // (durable.AppendFrame / durable.StreamReader), and tracks per-shard
 // replication offsets so lag is observable on both ends.
 //
-// Topology: one TCP connection per (follower, shard). The handshake is a
+// Topology: one connection per (follower, shard). The handshake is a
 // Hello/Welcome JSON exchange that pins protocol version, shard layout,
 // policy signature, and — critically — the cluster epoch, the leadership
 // generation number. Epoch fencing is bidirectional: a primary that hears a
@@ -40,13 +45,13 @@
 // historical log read path, which keeps the primary's journal free to
 // checkpoint on its own cadence.
 //
-// The stream commits in groups. A sender writes to its socket at most once
-// per flushEvery, so a busy stream hands the kernel everything published
-// since its last write in one syscall while an idle one still ships a record
-// the moment it is published; the follower takes whatever one read brought in
-// and hands all of its record and batch frames to the Applier as one burst —
-// one clock section, one journal frame, one ack decision. Frames are the
-// same bytes either way; only how many travel per syscall changes.
+// The stream commits in groups. A stream writes to its connection at most
+// once per flushEvery, so a busy stream hands over everything published since
+// its last write at once while an idle one still ships a record the moment it
+// is published; the follower takes whatever one read brought in and hands all
+// of its record and batch frames to the Applier as one burst — one clock
+// section, one journal frame, one ack decision. Frames are the same bytes
+// either way; only how many travel per write changes.
 package cluster
 
 import (
@@ -54,6 +59,32 @@ import (
 	"strings"
 	"time"
 )
+
+// Conn is one connection as the protocol sees it, on the node's clock. Write
+// queues a copy of b; Backlog is what the peer has yet to be handed; Close
+// drops the connection once the queue has gone, its Handler hearing no more.
+// Kick alone may be called from any goroutine, under any lock: the Handler's
+// Kicked runs on the clock soon, kicks before then folding into one.
+type Conn interface {
+	Write(b []byte)
+	Backlog() int
+	Kick()
+	Close()
+}
+
+// Handler hears one connection's events, each on the node's clock: bytes as
+// they arrive, a Kick, and an end that the peer or the network caused.
+type Handler interface {
+	Recv(b []byte)
+	Kicked()
+	Closed(err error)
+}
+
+// Net is how a node reaches a peer: Dial returns at once, writes queue until
+// the connection is up, and a failed connect reaches h as Closed.
+type Net interface {
+	Dial(addr string, h Handler) Conn
+}
 
 // Proto is the wire protocol version pinned in the Hello/Welcome handshake.
 // It moves whenever the bytes inside the frames do — 2 is the binary journal
@@ -70,7 +101,7 @@ const OldestProto = 2
 
 // Tuning sets the heartbeat cadence and failure-detection threshold shared
 // by both ends of a replication session. Zero fields take the defaults; the
-// two ends should agree on PingEvery (the follower's read deadline is
+// two ends should agree on PingEvery (the follower's silence deadline is
 // derived from it) but nothing breaks if they drift — a follower tuned
 // tighter than its primary pings just suspects it sooner.
 type Tuning struct {
@@ -215,7 +246,8 @@ type Meta struct {
 	Config   string // policy signature — replicas must agree on semantics
 }
 
-// Source is the primary daemon as the replication layer sees it.
+// Source is the primary daemon as the replication layer sees it, called on
+// the node's clock.
 type Source interface {
 	Meta() Meta
 	// SnapshotShard captures the shard's full persisted state and attaches
@@ -228,8 +260,8 @@ type Source interface {
 	Observe(Standing)
 }
 
-// Applier is the follower daemon as the replication layer sees it. Calls
-// for one shard arrive sequentially (one goroutine per shard stream).
+// Applier is the follower daemon as the replication layer sees it. Every
+// call arrives on the node's clock, one at a time.
 type Applier interface {
 	// AdoptWelcome validates the primary's handshake and adopts its epoch.
 	// An error aborts the session before any state is touched.

@@ -7,13 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
-	"net"
-	"sync"
-	"sync/atomic"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/runtime"
+	"repro/internal/simclock"
 )
 
 const (
@@ -23,7 +22,7 @@ const (
 	ackEvery = 32
 	// burstReadBuf sizes the follower's reader on a stream: what one read
 	// can gather, and so roughly the largest burst of ordinary records
-	// (around 45 of them). A paced sender's write is a KiB or two, and past a
+	// (around 45 of them). A paced stream's write is a KiB or two, and past a
 	// few dozen records a burst has nothing left to amortise; the shard's
 	// journal frame buffer grows to the largest burst as well, so every
 	// stream pays for this size about three times over in live heap.
@@ -34,7 +33,6 @@ const (
 	// burst, of its own.
 	burstMaxBytes = 1 << 20
 
-	dialTimeout   = 2 * time.Second
 	redialMin     = 100 * time.Millisecond
 	redialMax     = time.Second
 	redialBackoff = 2
@@ -70,142 +68,111 @@ func (r ReplicaStats) Lag() int64 {
 	return 0
 }
 
-type shardReplica struct {
-	connected atomic.Bool
-	applied   atomic.Int64
-	source    atomic.Int64
-	snapshots atomic.Int64
-	records   atomic.Int64
-	bursts    atomic.Int64
-	lastHeard atomic.Int64 // UnixNano of the last read that heard the primary
-}
-
 // Follower maintains one replication session per shard against a primary's
-// replication address, reconnecting with backoff and re-adopting a fresh
-// snapshot on every (re)connect.
+// replication address, redialling with backoff and re-adopting a fresh
+// snapshot on every (re)connect. It runs on its clock: every method, and
+// every Handler call its connections get.
 type Follower struct {
-	app    Applier
-	addr   string
-	hello  func(shard int) Hello
-	tune   Tuning
-	per    []shardReplica
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	log    *slog.Logger
-	closed sync.Once
+	app     Applier
+	net     Net
+	clock   runtime.Clock
+	addr    string
+	hello   func(shard int) Hello
+	tune    Tuning
+	per     []shardReplica
+	log     *slog.Logger
+	rng     *rand.Rand // redial jitter
+	stopped bool
 }
 
-// NewFollower prepares (but does not start) a follower of the primary at
-// addr. hello builds each shard's handshake — the owner fills in its
-// current cluster epoch and config signature at dial time, so fencing
-// reflects promotions that happen mid-session. Session errors go to log, or
-// to slog's default logger when it is nil.
-func NewFollower(app Applier, addr string, shards int, hello func(shard int) Hello, log *slog.Logger) *Follower {
-	return &Follower{
-		app:   app,
-		addr:  addr,
-		hello: hello,
-		per:   make([]shardReplica, shards),
-		stop:  make(chan struct{}),
-		log:   cmp.Or(log, slog.Default()),
+// shardReplica is one shard's session: the Handler of its connection.
+type shardReplica struct {
+	f     *Follower
+	shard int
+
+	conn       Conn // nil between sessions
+	in         inbox
+	welcomed   bool // the Welcome is adopted; the snapshot comes next
+	connected  bool // the snapshot is applied; the stream runs
+	progressed bool // this session adopted state: see end
+	snapSeq    int64
+	acked      int64
+	b          burst
+	ackBuf     []byte
+	// timer is the handshake's deadline, then the silence's, then the
+	// redial; delay is the redial backoff's ceiling.
+	timer    simclock.EventID
+	delay    time.Duration
+	deadline func()
+	dial     func()
+
+	applied, source, snapshots, records, bursts int64
+	heard                                       simclock.Time // when the primary was last heard
+}
+
+// NewFollower prepares (but does not start) a follower, on clock, of the
+// primary at addr, dialled through n, detecting failures at tune. hello
+// builds each shard's handshake —
+// the owner fills in its current cluster epoch and config signature at dial
+// time, so fencing reflects promotions that happen mid-session. Session
+// errors go to log, or to slog's default logger when it is nil.
+func NewFollower(app Applier, n Net, clock runtime.Clock, addr string, shards int, tune Tuning, hello func(shard int) Hello, log *slog.Logger) *Follower {
+	f := &Follower{app: app, net: n, clock: clock, addr: addr, hello: hello, tune: tune.WithDefaults(),
+		per: make([]shardReplica, shards), log: cmp.Or(log, slog.Default()), rng: rand.New(rand.NewPCG(uint64(clock.Now()), 0))}
+	for i := range f.per {
+		r := &f.per[i]
+		r.f, r.shard, r.delay = f, i, redialMin
+		r.deadline, r.dial = r.expire, r.open
 	}
+	return f
 }
 
 // Addr is the primary replication address this follower dials.
 func (f *Follower) Addr() string { return f.addr }
 
-// SetTuning overrides the failure-detection thresholds. Call before Start.
-func (f *Follower) SetTuning(t Tuning) { f.tune = t.WithDefaults() }
-
-func (f *Follower) tuning() Tuning { return f.tune.WithDefaults() }
-
-// Start launches the per-shard session loops. The suspicion clock starts
-// now: a primary that is already dead at Start turns suspect after one
-// detection window, having never been heard at all.
+// Start opens every shard's session. The suspicion clock starts now: a
+// primary that is already dead at Start turns suspect after one detection
+// window, having never been heard at all.
 func (f *Follower) Start() {
-	now := time.Now().UnixNano()
 	for i := range f.per {
-		f.per[i].lastHeard.Store(now)
-	}
-	for i := range f.per {
-		f.wg.Add(1)
-		go f.run(i)
+		f.per[i].heard = f.clock.Now()
+		f.per[i].open()
 	}
 }
 
-// Stop ends every session and waits for the loops to exit. A stopped
-// follower's shards are quiescent — the promotion path relies on that.
+// Stop ends every session. A stopped follower's shards are quiescent — it
+// applies nothing more — which the promotion path relies on.
 func (f *Follower) Stop() {
-	f.closed.Do(func() { close(f.stop) })
-	f.wg.Wait()
+	f.stopped = true
+	for i := range f.per {
+		r := &f.per[i]
+		f.clock.Cancel(r.timer)
+		if r.conn != nil {
+			r.conn.Close()
+			r.conn, r.connected = nil, false
+		}
+	}
 }
 
 // Stats aggregates progress across shards.
 func (f *Follower) Stats() ReplicaStats {
 	var out ReplicaStats
-	var heard int64
+	var heard simclock.Time
 	for i := range f.per {
-		rep := &f.per[i]
-		if rep.connected.Load() {
+		r := &f.per[i]
+		if r.connected {
 			out.Connected++
 		}
-		out.AppliedSeq += rep.applied.Load()
-		out.SourceSeq += rep.source.Load()
-		out.Snapshots += rep.snapshots.Load()
-		out.Records += rep.records.Load()
-		out.Bursts += rep.bursts.Load()
-		if lh := rep.lastHeard.Load(); lh > heard {
-			heard = lh
-		}
+		out.AppliedSeq += r.applied
+		out.SourceSeq += r.source
+		out.Snapshots += r.snapshots
+		out.Records += r.records
+		out.Bursts += r.bursts
+		heard = max(heard, r.heard)
 	}
-	if heard > 0 {
-		if ms := (time.Now().UnixNano() - heard) / int64(time.Millisecond); ms > 0 {
-			out.LastHeardMS = ms
-		}
-	}
-	stopped := false
-	select {
-	case <-f.stop:
-		stopped = true
-	default:
-	}
-	out.Suspect = !stopped && heard > 0 &&
-		out.LastHeardMS > f.tuning().DetectAfter().Milliseconds()
+	out.LastHeardMS = max(0, (f.clock.Now() - heard).Milliseconds())
+	out.Suspect = !f.stopped && out.LastHeardMS > f.tune.DetectAfter().Milliseconds()
 	return out
-}
-
-func (f *Follower) run(shard int) {
-	defer f.wg.Done()
-	delay := redialMin
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		progressed, err := f.session(shard)
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		// A productive session (snapshot adopted, any records applied) earns
-		// a fresh backoff: the primary was alive moments ago, so redial fast.
-		// Only sessions that die before reaching the stream keep growing it.
-		if progressed {
-			delay = redialMin
-		}
-		sleep := jitterDelay(delay, rand.Int63n)
-		if err != nil {
-			f.log.Warn("replication session ended", "shard", shard, "err", err, "redial", sleep.Round(time.Millisecond))
-		}
-		select {
-		case <-f.stop:
-			return
-		case <-time.After(sleep):
-		}
-		delay = nextRedialDelay(delay)
-	}
 }
 
 // nextRedialDelay grows the backoff ceiling exponentially up to redialMax.
@@ -216,7 +183,7 @@ func nextRedialDelay(delay time.Duration) time.Duration {
 	return delay
 }
 
-// jitterDelay spreads the actual sleep uniformly over (0, delay] ("full
+// jitterDelay spreads the actual wait uniformly over (0, delay] ("full
 // jitter"), with a small floor so redials never hot-spin. Without it, every
 // shard stream of every follower redials in lockstep after a primary bounce
 // and the reconnect stampede lands on one accept loop at the same instant.
@@ -232,13 +199,104 @@ func jitterDelay(delay time.Duration, randn func(int64) int64) time.Duration {
 	return d
 }
 
-// session dials the primary and runs one stream over the connection.
-func (f *Follower) session(shard int) (progressed bool, err error) {
-	conn, err := dial(f.addr, time.Now().Add(dialTimeout))
-	if err != nil {
-		return false, err
+// open dials the primary and says Hello, to be answered within helloTimeout.
+func (r *shardReplica) open() {
+	f := r.f
+	if f.stopped {
+		return
 	}
-	return f.stream(shard, conn)
+	r.in.reset(burstReadBuf)
+	r.welcomed, r.connected, r.progressed = false, false, false
+	r.conn = f.net.Dial(f.addr, r)
+	r.conn.Write(helloFrame(f.hello(r.shard)))
+	r.timer = f.clock.Schedule(helloTimeout, r.deadline)
+}
+
+// end closes the session and schedules the redial. A productive session
+// earns a fresh backoff: the primary was alive moments ago, so redial fast.
+// Only sessions that die before reaching the stream keep growing it.
+func (r *shardReplica) end(err error) {
+	f := r.f
+	r.conn.Close()
+	r.conn, r.connected = nil, false
+	f.clock.Cancel(r.timer)
+	if r.progressed {
+		r.delay = redialMin
+	}
+	wait := jitterDelay(r.delay, f.rng.Int64N)
+	f.log.Warn("replication session ended", "shard", r.shard, "err", err, "redial", wait.Round(time.Millisecond))
+	r.timer = f.clock.Schedule(wait, r.dial)
+	r.delay = nextRedialDelay(r.delay)
+}
+
+// expire is the session's deadline: the handshake's, or — the primary pings
+// every PingEvery even when idle, so a healthy stream is never silent for
+// MissedPings intervals — the silence's, measured from the last bytes heard.
+// That is what tells a blackholed primary from a crashed one: the connection
+// stays up, but nothing arrives.
+func (r *shardReplica) expire() {
+	if !r.connected {
+		r.end(errors.New("no snapshot within the handshake timeout"))
+		return
+	}
+	detect := r.f.tune.DetectAfter()
+	if wait := r.heard + detect - r.f.clock.Now(); wait > 0 {
+		r.timer = r.f.clock.Schedule(wait, r.deadline)
+		return
+	}
+	r.end(fmt.Errorf("primary silent for %v (%d missed pings)", detect, r.f.tune.MissedPings))
+}
+
+// Recv runs the session over what arrived: the handshake, then bursts.
+func (r *shardReplica) Recv(b []byte) {
+	r.in.chunk = b
+	for r.conn != nil {
+		tag, payload, err := r.in.sr.ReadFrame()
+		switch {
+		case err == errMore:
+			return
+		case err == nil && r.connected:
+			r.burst(tag, payload)
+		case err == nil:
+			err = r.handshake(tag, payload)
+		}
+		if err != nil {
+			r.end(err)
+		}
+	}
+}
+
+func (r *shardReplica) Closed(err error) { r.end(err) }
+func (r *shardReplica) Kicked()          {}
+
+// handshake takes the Welcome, then the snapshot the stream starts from.
+func (r *shardReplica) handshake(tag byte, payload []byte) error {
+	f := r.f
+	if !r.welcomed {
+		w, refused, err := reply(tag, payload)
+		switch {
+		case err != nil:
+			return err
+		case refused != nil:
+			f.app.Observe(refused.Standing)
+			return errors.New("refused: " + refused.Error)
+		}
+		r.welcomed, r.snapSeq = true, w.SnapSeq
+		return f.app.AdoptWelcome(w)
+	}
+	if tag != frameSnapshot {
+		return fmt.Errorf("unexpected frame %q before snapshot", tag)
+	}
+	if err := f.app.ApplySnapshot(r.shard, payload); err != nil {
+		return err
+	}
+	r.snapshots++
+	r.applied, r.source, r.acked = r.snapSeq, r.snapSeq, -1
+	r.connected, r.progressed = true, true
+	r.heard = f.clock.Now()
+	f.clock.Cancel(r.timer)
+	r.timer = f.clock.Schedule(f.tune.DetectAfter(), r.deadline)
+	return nil
 }
 
 // burst is one read's worth of record and batch frames, gathered for a single
@@ -267,152 +325,69 @@ func (b *burst) add(tag byte, payload []byte) (ok bool) {
 	return true
 }
 
-// stream runs one handshake → snapshot → apply-loop cycle over conn, which
-// it closes. progressed reports whether the session got far enough to adopt
-// state — the signal that the primary was genuinely alive, used to reset
-// redial backoff.
-func (f *Follower) stream(shard int, conn net.Conn) (progressed bool, err error) {
-	tune := f.tuning()
-	defer conn.Close()
-	// Unblock the read loop when Stop fires.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-f.stop:
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-
-	// The handshake (through the snapshot, which can be large) gets its own
-	// generous deadline; the streaming loop below switches to the much
-	// tighter ping-derived one.
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-
-	sr := durable.NewStreamReader(conn, burstReadBuf)
-	w, refused, err := greet(conn, sr, f.hello(shard))
-	if err != nil {
-		return false, err
-	}
-	if refused != nil {
-		f.app.Observe(refused.Standing)
-		return false, errors.New("refused: " + refused.Error)
-	}
-	if err := f.app.AdoptWelcome(w); err != nil {
-		return false, err
-	}
-	tag, payload, err := sr.ReadFrame()
-	if err != nil {
-		return false, err
-	}
-	if tag != frameSnapshot {
-		return false, fmt.Errorf("unexpected frame %q before snapshot", tag)
-	}
-	if err := f.app.ApplySnapshot(shard, payload); err != nil {
-		return false, err
-	}
-
-	rep := &f.per[shard]
-	rep.snapshots.Add(1)
-	rep.applied.Store(w.SnapSeq)
-	rep.source.Store(w.SnapSeq)
-	rep.lastHeard.Store(time.Now().UnixNano())
-	rep.connected.Store(true)
-	defer rep.connected.Store(false)
-
-	// Failure detection: the primary pings every PingEvery even when idle,
-	// so a healthy stream never goes silent for MissedPings intervals. The
-	// read deadline turns that silence into a dead session — which is what
-	// distinguishes a blackholed primary from a crashed one: the TCP
-	// connection stays "up", but nothing arrives.
-	detectAfter := tune.DetectAfter()
-
-	applied := w.SnapSeq
-	acked := int64(-1)
-	var ackBuf []byte
-	var seqb [8]byte
-	var b burst
+// burst gathers the frame read and every whole frame already buffered behind
+// it, applies their records as one burst, and decides whether to ack. A frame
+// that ends the session — malformed, refusing, unknown — ends the burst too,
+// after which what was gathered before it is still applied: it arrived intact
+// and in order.
+func (r *shardReplica) burst(tag byte, payload []byte) {
+	f := r.f
+	r.heard = f.clock.Now()
+	r.b.reset()
+	var ping bool
+	var fatal error
 	for {
-		// Armed once a burst, when the wait for the next one begins: the
-		// primary's silence is measured from the last bytes heard, less the
-		// time this end spent applying them.
-		conn.SetReadDeadline(time.Now().Add(detectAfter))
-		tag, payload, err := sr.ReadFrame()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return true, fmt.Errorf("primary silent for %v (%d missed pings)", detectAfter, tune.MissedPings)
+		switch tag {
+		case frameRecord, frameBatch:
+			if !r.b.add(tag, payload) {
+				fatal = errors.New("malformed batch frame")
 			}
-			return true, err
+		case framePing:
+			if len(payload) == 8 {
+				r.source = max(r.source, int64(binary.LittleEndian.Uint64(payload)))
+			}
+			ping = true
+		case frameError:
+			fatal = errors.New("refused mid-stream")
+			var e ErrMsg
+			if json.Unmarshal(payload, &e) == nil {
+				fatal = errors.New("refused mid-stream: " + e.Error)
+			}
+		default:
+			fatal = fmt.Errorf("unexpected frame %q", tag)
 		}
-		rep.lastHeard.Store(time.Now().UnixNano())
-
-		// Gather the burst: this frame and every whole frame the same read
-		// brought in with it. A frame that ends the session — malformed,
-		// refusing, unknown — ends the burst too, after which what was
-		// gathered before it is still applied: it arrived intact and in
-		// order.
-		b.reset()
-		var ping bool
-		var fatal error
-		for {
-			switch tag {
-			case frameRecord, frameBatch:
-				if !b.add(tag, payload) {
-					fatal = errors.New("malformed batch frame")
-				}
-			case framePing:
-				if len(payload) == 8 {
-					if src := int64(binary.LittleEndian.Uint64(payload)); src > rep.source.Load() {
-						rep.source.Store(src)
-					}
-				}
-				ping = true
-			case frameError:
-				fatal = errors.New("refused mid-stream")
-				var e ErrMsg
-				if json.Unmarshal(payload, &e) == nil {
-					fatal = errors.New("refused mid-stream: " + e.Error)
-				}
-			default:
-				fatal = fmt.Errorf("unexpected frame %q", tag)
-			}
-			if n := sr.Buffered(); fatal != nil || n == 0 || b.bytes+n > burstMaxBytes {
-				break
-			}
-			if tag, payload, fatal = sr.ReadFrame(); fatal != nil {
-				break
-			}
+		if n := r.in.sr.Buffered(); fatal != nil || n == 0 || r.b.bytes+n > burstMaxBytes {
+			break
 		}
-
-		if len(b.groups) > 0 {
-			if err := f.app.ApplyBurst(shard, b.groups); err != nil {
-				return true, err
-			}
-			applied += int64(len(b.recs))
-			rep.records.Add(int64(len(b.recs)))
-			rep.bursts.Add(1)
-			rep.applied.Store(applied)
-			if applied > rep.source.Load() {
-				rep.source.Store(applied)
-			}
+		if tag, payload, fatal = r.in.sr.ReadFrame(); fatal != nil {
+			break
 		}
-		if fatal != nil {
-			return true, fatal
+	}
+	if len(r.b.groups) > 0 {
+		if err := f.app.ApplyBurst(r.shard, r.b.groups); err != nil {
+			r.end(err)
+			return
 		}
-		// One ack decision a burst, after the burst is applied and journaled,
-		// so an ack — a ping's answer included — never names a record that is
-		// not. The ping forces a re-ack of the current offset even when
-		// nothing new applied: the primary's leadership lease is renewed by
-		// ack arrival times, so on an idle stream the ping response doubles
-		// as the liveness heartbeat.
-		if ping || applied-acked >= ackEvery {
-			binary.LittleEndian.PutUint64(seqb[:], uint64(applied))
-			ackBuf = durable.AppendFrame(ackBuf[:0], frameAck, seqb[:])
-			if _, err := conn.Write(ackBuf); err != nil {
-				return true, err
-			}
-			acked = applied
-		}
+		r.applied += int64(len(r.b.recs))
+		r.records += int64(len(r.b.recs))
+		r.bursts++
+		r.source = max(r.source, r.applied)
+	}
+	if fatal != nil {
+		r.end(fatal)
+		return
+	}
+	// One ack decision a burst, after the burst is applied and journaled,
+	// so an ack — a ping's answer included — never names a record that is
+	// not. The ping forces a re-ack of the current offset even when
+	// nothing new applied: the primary's leadership lease is renewed by
+	// ack arrival times, so on an idle stream the ping response doubles
+	// as the liveness heartbeat.
+	if ping || r.applied-r.acked >= ackEvery {
+		var seqb [8]byte
+		binary.LittleEndian.PutUint64(seqb[:], uint64(r.applied))
+		r.ackBuf = durable.AppendFrame(r.ackBuf[:0], frameAck, seqb[:])
+		r.conn.Write(r.ackBuf)
+		r.acked = r.applied
 	}
 }

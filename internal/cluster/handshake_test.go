@@ -2,18 +2,19 @@ package cluster
 
 import (
 	"encoding/json"
-	"net"
+	"io"
+	"log/slog"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/durable"
+	"repro/internal/simclock"
 )
 
 // The handshake's parsers face a peer: the first frame of an accepted
-// connection (Primary.handle) and the first frame back (Follower.stream and
-// Probe, through greet). Whatever arrives, nothing panics, nothing reaches
-// the daemon's state, and the session ends.
+// connection (Subscriber.hello) and the first frame back (the follower's
+// session and Probe, through reply). Whatever arrives, nothing panics,
+// nothing reaches the daemon's state, and the session ends.
 
 // countingDaemon is both ends' daemon, counting what reaches it.
 type countingDaemon struct {
@@ -36,16 +37,17 @@ func (d *countingDaemon) ApplyBurst(int, [][][]byte) error {
 	return nil
 }
 
-// answerHello plays the far end of a dialer's connection: it reads the Hello
-// the dialer opens with, answers with one frame, and hangs up.
-func answerHello(t *testing.T, near net.Conn, tag byte, payload []byte) {
+// answer plays the far end of a dialer's connection: it reads the Hello the
+// dialer opened with, answers with one frame, and hangs up.
+func answer(t *testing.T, c *testConn, tag byte, payload []byte) {
 	t.Helper()
-	near.SetDeadline(time.Now().Add(hang))
-	if got, _, err := durable.NewStreamReader(near, ackReadBuf).ReadFrame(); err != nil || got != frameHello {
-		t.Fatalf("the dialer opened with frame %q, %v; want a hello", got, err)
+	if tags, _ := c.frames(t); len(tags) != 1 || tags[0] != frameHello {
+		t.Fatalf("the dialer opened with frames %q; want a hello", tags)
 	}
-	near.Write(durable.AppendFrame(nil, tag, payload)) // the dialer may hang up mid-frame
-	near.Close()
+	c.h.Recv(durable.AppendFrame(nil, tag, payload))
+	if !c.closed {
+		c.h.Closed(io.EOF)
+	}
 }
 
 func FuzzHandshake(f *testing.F) {
@@ -75,53 +77,40 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(byte(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, tag byte, payload []byte) {
-		// Into Primary.handle, as the first frame of an accepted connection.
+		eng := simclock.NewEngine()
+		// Into Subscriber.hello, as the first frame of an accepted connection.
 		var h Hello
 		streams := tag == frameHello && json.Unmarshal(payload, &h) == nil && !h.Probe &&
 			h.Epoch == 0 && (h.Proto == Proto || h.Proto < Proto && h.Reads >= Proto) &&
 			h.Shards == 1 && h.Shard == 0 && h.Config == "stub"
 		src := &countingDaemon{}
-		p := NewPrimary(src, 1)
+		p := NewPrimary(src, 1, eng)
 		src.p = p
-		ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-		go p.Serve(ln)
-		near, far := net.Pipe()
-		ln.conns <- far
-		near.SetDeadline(time.Now().Add(hang))
-		if _, err := near.Write(durable.AppendFrame(nil, tag, payload)); err != nil {
-			t.Fatalf("the primary did not read its first frame: %v", err)
-		}
-		sr := durable.NewStreamReader(near, burstReadBuf)
-		got, _, err := sr.ReadFrame()
-		switch {
+		c := &testConn{eng: eng}
+		c.h = p.Accept(c, "peer")
+		c.h.Recv(durable.AppendFrame(nil, tag, payload))
+		switch tags, _ := c.frames(t); {
 		case streams:
-			if err != nil || got != frameWelcome {
-				t.Fatalf("a good hello was answered with frame %q, %v", got, err)
+			if len(tags) == 0 || tags[0] != frameWelcome || c.closed {
+				t.Fatalf("a good hello was answered with frames %q (closed %v)", tags, c.closed)
 			}
-		case err == nil && got != frameError:
-			t.Fatalf("a bad first frame was answered with frame %q", got)
-		case err == nil:
-			if _, _, err := sr.ReadFrame(); err == nil {
-				t.Fatal("the primary kept talking after refusing")
-			}
+		case len(tags) > 1 || len(tags) == 1 && tags[0] != frameError:
+			t.Fatalf("a bad first frame was answered with frames %q", tags)
+		case !c.closed:
+			t.Fatal("the primary kept the connection after refusing")
 		}
-		near.Close()
 		p.Close()
 		if n := src.snapshots.Load(); !streams && n != 0 {
 			t.Fatalf("a refused first frame captured %d snapshots", n)
 		}
 
-		// Into Follower.stream, as the answer to its Hello.
+		// Into the follower's session, as the answer to its Hello.
 		app := &countingDaemon{}
-		fol := NewFollower(app, "pipe", 1, func(shard int) Hello { return Hello{Proto: Proto, Shard: shard, Shards: 1} }, nil)
-		near, far = net.Pipe()
-		done := make(chan bool, 1)
-		go func() {
-			progressed, _ := fol.stream(0, far)
-			done <- progressed
-		}()
-		answerHello(t, near, tag, payload)
-		if <-done {
+		n := &testNet{eng: eng}
+		fol := NewFollower(app, n, eng, "primary", 1, Tuning{}, func(shard int) Hello { return Hello{Shard: shard, Shards: 1} }, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		fol.Start()
+		answer(t, n.conns[0], tag, payload)
+		if fol.per[0].progressed {
 			t.Fatal("a session that never got its snapshot counts as progress")
 		}
 		if n := app.applied.Load(); n != 0 {
@@ -132,19 +121,20 @@ func FuzzHandshake(f *testing.F) {
 		if n := app.observed.Load(); (n == 1) != refusal {
 			t.Fatalf("observed %d standings; a well-formed refusal: %v", n, refusal)
 		}
+		fol.Stop()
 
 		// Into Probe.
-		near, far = net.Pipe()
-		probed := make(chan error, 1)
 		var st Standing
-		go func() {
-			var err error
-			st, err = probe(far, Hello{Shards: 1})
-			far.Close()
-			probed <- err
-		}()
-		answerHello(t, near, tag, payload)
-		if err := <-probed; (err == nil) != (refusal && em.Role != "") {
+		var err error
+		answered := 0
+		n = &testNet{eng: eng}
+		Probe(n, "peer", Hello{Shards: 1}, func(s Standing, e error) { st, err, answered = s, e, answered+1 })
+		answer(t, n.conns[0], tag, payload)
+		eng.RunUntil(eng.Now())
+		if answered != 1 {
+			t.Fatalf("the probe answered %d times", answered)
+		}
+		if (err == nil) != (refusal && em.Role != "") {
 			t.Fatalf("probe returned %+v, %v", st, err)
 		} else if err == nil && st != em.Standing {
 			t.Fatalf("probe returned %+v, the refusal said %+v", st, em.Standing)
@@ -170,17 +160,12 @@ func TestProbeNeedsAStanding(t *testing.T) {
 		{"a welcome", frameWelcome, welcome, false},
 		{"a ping", framePing, make([]byte, 8), false},
 	} {
-		near, far := net.Pipe()
+		n := &testNet{eng: simclock.NewEngine()}
 		var st Standing
-		probed := make(chan error, 1)
-		go func() {
-			var err error
-			st, err = probe(far, Hello{Shards: 1, Node: "a"})
-			far.Close()
-			probed <- err
-		}()
-		answerHello(t, near, tc.tag, tc.payload)
-		if err := <-probed; (err == nil) != tc.ok || (tc.ok && st != standing) {
+		var err error
+		Probe(n, "b", Hello{Shards: 1, Node: "a"}, func(s Standing, e error) { st, err = s, e })
+		answer(t, n.conns[0], tc.tag, tc.payload)
+		if (err == nil) != tc.ok || (tc.ok && st != standing) {
 			t.Errorf("%s: probe returned %+v, %v", tc.name, st, err)
 		}
 	}

@@ -12,39 +12,38 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/faults"
+	"repro/internal/runtime"
+	"repro/internal/simclock"
 )
 
 const (
-	// subBufInit pre-sizes a subscriber's double buffers so steady-state
-	// publishing never grows them: the zero-alloc serving path publishes
-	// into these buffers under the shard clock, and a pre-grown buffer
-	// absorbs hundreds of records between sender drains without a realloc.
+	// subBufInit pre-sizes a subscriber's buffer so steady-state publishing
+	// never grows it: the zero-alloc serving path publishes into it under the
+	// shard clock, and a pre-grown buffer absorbs hundreds of records between
+	// flushes without a realloc.
 	subBufInit = 64 << 10
 	// subBufMax bounds how far a stalled follower can fall behind in the
-	// primary's memory before its connection is dropped. Reconnecting gets
-	// it a fresh snapshot, which is cheaper than unbounded buffering.
+	// primary's memory — queued for the flush or for the connection — before
+	// its connection is dropped. Reconnecting gets it a fresh snapshot, which
+	// is cheaper than unbounded buffering.
 	subBufMax = 8 << 20
 	// pingEvery is the idle heartbeat cadence: it keeps follower lag
 	// readings fresh and acks flowing when no writes are happening.
 	pingEvery = 250 * time.Millisecond
-	// flushEvery is the most often a sender writes to its socket. A stream
-	// whose last write is older ships a record the moment it is published;
-	// a busier one lets records queue until the interval is up and hands
-	// them to the kernel in one write, which the follower then reads, applies
+	// flushEvery is the most often a stream writes to its connection. A
+	// stream whose last write is older ships a record the moment it is
+	// published; a busier one lets records queue until the interval is up and
+	// hands them over in one write, which the follower then reads, applies
 	// and journals as one burst. A constant, not a knob: on the repository
 	// benchmark's three-node workload CPU per operation is flat from 1 ms up
 	// (4 ms measured the same, 250 µs a seventh worse; DESIGN.md §15), and
 	// 1 ms is far inside both the ping interval and the window of
 	// acknowledged writes an asynchronous failover can lose anyway (§16).
 	flushEvery = time.Millisecond
-	// closeFlushTimeout bounds the last write Close lets each sender make: a
-	// healthy follower takes it at once, a stalled one may not hold up a
-	// shutdown.
-	closeFlushTimeout = 100 * time.Millisecond
 	// helloTimeout bounds a session's handshake: how long an accepted
-	// connection may dawdle before its Hello arrives, a refusal's write, and
-	// on the follower the dial-to-snapshot portion, which legitimately takes
-	// longer than a ping interval (the snapshot can be large).
+	// connection may dawdle before its Hello arrives, and on the follower the
+	// dial-to-snapshot portion, which legitimately takes longer than a ping
+	// interval (the snapshot can be large).
 	helloTimeout = 5 * time.Second
 	// ackReadBuf sizes a reader of control frames only — the primary's end of
 	// a follower connection (a Hello, then 17-byte acks a few at a time) and
@@ -78,7 +77,8 @@ func (st *ShardStream) Seq() int64 {
 // one frame, preserving end-to-end the atomicity AppendBatch gave them on
 // disk: a group of one is a plain record frame, a larger one a batch frame,
 // an empty one nothing. Zero-alloc in steady state: frames append into each
-// subscriber's reused pending buffer.
+// subscriber's reused pending buffer, and the connection is only kicked —
+// the flush runs on the node's clock, whose lock is never taken here.
 func (st *ShardStream) PublishBatch(recs [][]byte) {
 	if len(recs) == 0 {
 		return
@@ -97,6 +97,9 @@ func (st *ShardStream) PublishBatch(recs [][]byte) {
 			continue
 		}
 		sub.enqueue(tag, payload, seq)
+		if sub.conn != nil && !sub.kicked.Swap(true) {
+			sub.conn.Kick() // once until the next write takes what is pending
+		}
 		live = append(live, sub)
 	}
 	clearTail(st.subs, len(live))
@@ -110,9 +113,12 @@ func (st *ShardStream) PublishBatch(recs [][]byte) {
 func (st *ShardStream) Attach(sub *Subscriber) int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if sub.pending == nil {
+		sub.pending = make([]byte, 0, subBufInit)
+	}
 	st.subs = append(st.subs, sub)
 	sub.sent.Store(st.seq)
-	sub.acked.Store(st.seq)
+	sub.acked = st.seq
 	return st.seq
 }
 
@@ -137,44 +143,40 @@ func clearTail(subs []*Subscriber, from int) {
 	}
 }
 
-// Subscriber is one follower connection's outbound state: a double-buffered
-// frame queue the publisher appends into and the sender drains. Two buffers
-// so the publisher never appends into memory the sender is writing to the
-// socket.
+// Subscriber is the primary's end of one replication connection: the
+// handshake, then the shard stream it follows — the frames the publisher
+// appends into pending, which the flush copies into the connection.
 type Subscriber struct {
+	p     *Primary
+	conn  Conn
+	in    inbox
 	shard int
 	addr  string
 	node  string // follower's self-declared node ID (Hello.Node); may be ""
 
 	mu       sync.Mutex
 	pending  []byte
-	idle     []byte // the buffer not currently owned by the sender
-	records  bool   // pending holds at least one record, not only heartbeats
+	records  bool // pending holds at least one record, not only heartbeats
 	overflow bool
-	kick     chan struct{}
 
-	sent    atomic.Int64
-	acked   atomic.Int64
-	flushes atomic.Int64 // socket writes that carried records
-	lastAck atomic.Int64 // UnixNano of the last ack frame (attach counts)
-	closed  atomic.Bool
-}
+	sent           atomic.Int64
+	closed, kicked atomic.Bool
 
-// NewSubscriber returns a subscriber for one shard stream; addr is
-// diagnostic (the follower's remote address).
-func NewSubscriber(shard int, addr string) *Subscriber {
-	return &Subscriber{
-		shard:   shard,
-		addr:    addr,
-		pending: make([]byte, 0, subBufInit),
-		idle:    make([]byte, 0, subBufInit),
-		kick:    make(chan struct{}, 1),
-	}
+	// The rest is the node clock's.
+	st      *ShardStream // the stream followed; nil until the handshake attaches it
+	acked   int64
+	flushes int64         // writes that carried records
+	lastAck simclock.Time // when the last ack arrived (attach counts)
+	flushed simclock.Time // when the last write went out
+	// timer is the handshake's deadline, then the flush due, if any; pinger
+	// is the next heartbeat.
+	timer, pinger          simclock.EventID
+	endFn, writeFn, pingFn func()
 }
 
 // enqueue appends one frame to the pending buffer: records up to stream
 // sequence seq, or a heartbeat when seq is negative. Called with the stream
-// mutex held (lock order: stream, then subscriber).
+// mutex held (lock order: stream, then subscriber) or on the clock.
 func (sub *Subscriber) enqueue(tag byte, payload []byte, seq int64) {
 	sub.mu.Lock()
 	if len(sub.pending) > subBufMax {
@@ -187,271 +189,36 @@ func (sub *Subscriber) enqueue(tag byte, payload []byte, seq int64) {
 	if s := sub.sent.Load(); seq > s {
 		sub.sent.Store(seq)
 	}
-	select {
-	case sub.kick <- struct{}{}:
-	default:
-	}
 }
 
-// swap takes the pending buffer for writing, leaving the idle one in its
-// place; records reports whether it holds any (a heartbeat alone does not
-// count). give returns the written buffer once the socket write finished.
-func (sub *Subscriber) swap() (buf []byte, records, overflow bool) {
-	sub.mu.Lock()
-	buf = sub.pending
-	sub.pending = sub.idle[:0]
-	sub.idle = nil
-	records, sub.records = sub.records, false
-	overflow = sub.overflow
-	sub.mu.Unlock()
-	return buf, records, overflow
-}
-
-func (sub *Subscriber) give(buf []byte) {
-	sub.mu.Lock()
-	sub.idle = buf
-	sub.mu.Unlock()
-}
-
-// FollowerStat is one attached subscriber's replication offsets, for
-// /metrics on the primary side.
-type FollowerStat struct {
-	Addr     string `json:"addr"`
-	Node     string `json:"node,omitempty"`
-	Shard    int    `json:"shard"`
-	SentSeq  int64  `json:"sent_seq"`
-	AckedSeq int64  `json:"acked_seq"`
-	Lag      int64  `json:"lag_records"`
-	// Flushes counts the socket writes that carried records (a heartbeat
-	// alone is not one): the change in SentSeq over the change in Flushes is
-	// how many records the stream ships per write — 1 on an idle stream,
-	// more the busier it is.
-	Flushes int64 `json:"flushes"`
-	// LastAckMS is milliseconds since this subscriber last acked — the
-	// primary-side view of the lease renewal stream.
-	LastAckMS int64 `json:"last_ack_ms"`
-}
-
-// Primary owns the replication listener and the per-shard streams. It is
-// constructed at daemon boot whenever clustering is configured — even on
-// followers, whose listener refuses handshakes with a leader hint until
-// promotion flips the Source's Meta.
-type Primary struct {
-	src     Source
-	streams []*ShardStream
-	tune    Tuning
-
-	// Fault-injection sites for flaky-replication tests: drop fires on the
-	// handshake (session dies right after Hello) and before sender writes
-	// (session dies mid-stream); delay stalls sender writes. Nil-safe.
-	dropSite  *faults.Site
-	delaySite *faults.Site
-
-	// flush is flushEvery, held here so a test can stretch the interval until
-	// the pacing decision no longer depends on how fast the test runs.
-	flush time.Duration
-
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	closing chan struct{} // closed by Close: senders flush once more and exit
-	wg      sync.WaitGroup
-}
-
-// NewPrimary builds the streams for shards and returns the (not yet
-// serving) primary endpoint.
-func NewPrimary(src Source, shards int) *Primary {
-	p := &Primary{src: src, flush: flushEvery, conns: make(map[net.Conn]struct{}), closing: make(chan struct{})}
-	p.streams = make([]*ShardStream, shards)
-	for i := range p.streams {
-		p.streams[i] = &ShardStream{shard: i}
-	}
-	return p
-}
-
-// Stream returns shard i's fan-out point for the daemon's publish taps.
-func (p *Primary) Stream(i int) *ShardStream { return p.streams[i] }
-
-// SetTuning overrides the heartbeat cadence. Call before Serve.
-func (p *Primary) SetTuning(t Tuning) { p.tune = t.WithDefaults() }
-
-// SetFaults wires the replication fault-injection sites (repl.drop,
-// repl.delay). Call before Serve; either may be nil.
-func (p *Primary) SetFaults(drop, delay *faults.Site) {
-	p.dropSite, p.delaySite = drop, delay
-}
-
-func (p *Primary) tuning() Tuning { return p.tune.WithDefaults() }
-
-// AckedNodes counts the distinct follower nodes that acked within the last
-// window — the primary's lease-renewal evidence. Distinctness is by
-// Hello.Node when the follower declared one, falling back to remote host so
-// pre-lease followers still count as one node each. The caller adds itself
-// before comparing against its quorum.
-func (p *Primary) AckedNodes(window time.Duration) int {
-	cutoff := time.Now().Add(-window).UnixNano()
-	seen := make(map[string]struct{}, 4)
-	for _, st := range p.streams {
-		st.mu.Lock()
-		for _, sub := range st.subs {
-			if sub.closed.Load() || sub.lastAck.Load() < cutoff {
-				continue
-			}
-			id := sub.node
-			if id == "" {
-				id = sub.addr
-				if host, _, err := net.SplitHostPort(sub.addr); err == nil {
-					id = host
-				}
-			}
-			seen[id] = struct{}{}
-		}
-		st.mu.Unlock()
-	}
-	return len(seen)
-}
-
-// Serve accepts replication connections until the listener closes. Run it
-// on its own goroutine.
-func (p *Primary) Serve(ln net.Listener) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		ln.Close()
-		return
-	}
-	p.ln = ln
-	p.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
+// Recv reads the Hello, then acks.
+func (sub *Subscriber) Recv(b []byte) {
+	sub.in.chunk = b
+	for !sub.closed.Load() {
+		tag, payload, err := sub.in.sr.ReadFrame()
+		switch {
+		case err == errMore:
 			return
+		case err != nil:
+			sub.end()
+		case sub.st == nil:
+			sub.hello(tag, payload)
+		case tag == frameAck && len(payload) == 8:
+			sub.acked = max(sub.acked, int64(binary.LittleEndian.Uint64(payload)))
+			sub.lastAck = sub.p.clock.Now()
 		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return
-		}
-		p.conns[conn] = struct{}{}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go p.handle(conn)
 	}
 }
 
-// Close stops the listener and winds every follower connection down, waiting
-// for the handlers to exit. A connection that is streaming gets one last
-// write first: a paced sender may be sitting on up to flushEvery of records
-// the daemon has already acknowledged, and a clean shutdown strands none of
-// them.
-func (p *Primary) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.closing)
-	}
-	ln := p.ln
-	// Reads fail from now on, which is what ends a handler; writes — one
-	// already blocked on a stalled follower as much as the last one — get a
-	// moment.
-	now := time.Now()
-	for c := range p.conns {
-		c.SetReadDeadline(now)
-		c.SetWriteDeadline(now.Add(closeFlushTimeout))
-	}
-	p.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	p.wg.Wait()
-}
-
-// Followers reports every attached subscriber's offsets, ordered by shard
-// then address so /metrics output is deterministic.
-func (p *Primary) Followers() []FollowerStat {
-	var out []FollowerStat
-	for _, st := range p.streams {
-		st.mu.Lock()
-		for _, sub := range st.subs {
-			if sub.closed.Load() {
-				continue
-			}
-			sent, acked := sub.sent.Load(), sub.acked.Load()
-			ackMS := int64(0)
-			if la := sub.lastAck.Load(); la > 0 {
-				ackMS = (time.Now().UnixNano() - la) / int64(time.Millisecond)
-				if ackMS < 0 {
-					ackMS = 0
-				}
-			}
-			out = append(out, FollowerStat{
-				Addr:      sub.addr,
-				Node:      sub.node,
-				Shard:     sub.shard,
-				SentSeq:   sent,
-				AckedSeq:  acked,
-				Lag:       sent - acked,
-				Flushes:   sub.flushes.Load(),
-				LastAckMS: ackMS,
-			})
-		}
-		st.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
-}
-
-// setReadDeadline is conn.SetReadDeadline for a handler, which must not undo
-// what Close did to the connection: once the primary is closing, reads fail
-// at once. (Set, then look: if Close has not signalled by the look, its sweep
-// of the connections is still to come and overrides this deadline itself.)
-func (p *Primary) setReadDeadline(conn net.Conn, t time.Time) {
-	conn.SetReadDeadline(t)
-	select {
-	case <-p.closing:
-		conn.SetReadDeadline(time.Now())
-	default:
-	}
-}
-
-func (p *Primary) drop(conn net.Conn) {
-	conn.Close()
-	p.mu.Lock()
-	delete(p.conns, conn)
-	p.mu.Unlock()
-}
-
-// refuse sends an error frame carrying this node's standing, then lets the
-// caller close.
-func (p *Primary) refuse(conn net.Conn, msg string, self Standing) {
-	b, _ := json.Marshal(ErrMsg{Error: msg, Standing: self})
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	conn.Write(durable.AppendFrame(nil, frameError, b))
-}
-
-// handle runs one follower connection: handshake, snapshot, then the
-// sender/ack pair until either side drops.
-func (p *Primary) handle(conn net.Conn) {
-	defer p.wg.Done()
-	defer p.drop(conn)
-
-	p.setReadDeadline(conn, time.Now().Add(helloTimeout))
-	sr := durable.NewStreamReader(conn, ackReadBuf)
-	tag, payload, err := sr.ReadFrame()
-	if err != nil || tag != frameHello {
-		return
-	}
+// hello answers a dialer's opening frame: a refusal carrying this node's
+// standing, or a Welcome, the snapshot and the stream.
+func (sub *Subscriber) hello(tag byte, payload []byte) {
 	var h Hello
-	if err := json.Unmarshal(payload, &h); err != nil {
+	if tag != frameHello || json.Unmarshal(payload, &h) != nil {
+		sub.end()
 		return
 	}
+	p := sub.p
 	// Observed before anything is answered: a Hello from a later leadership
 	// generation deposes this node, and the refusal then carries the fenced
 	// role and the leader hint the observation may just have taught it.
@@ -474,134 +241,258 @@ func (p *Primary) handle(conn net.Conn) {
 	case h.Config != meta.Config:
 		why = "policy config mismatch: " + h.Config + " vs " + meta.Config
 	}
-	if why != "" {
-		p.refuse(conn, why, meta.Standing)
-		return
-	}
-	if p.dropSite.Fire() {
+	if why == "" && p.dropSite.Fire() {
 		// Injected handshake failure: accept the Hello, then vanish — the
 		// follower sees a dead session and redials.
+		sub.end()
 		return
 	}
-	p.setReadDeadline(conn, time.Time{})
-
-	sub := NewSubscriber(h.Shard, conn.RemoteAddr().String())
-	sub.node = h.Node
-	sub.lastAck.Store(time.Now().UnixNano())
-	snap, seq, err := p.src.SnapshotShard(h.Shard, sub)
-	if err != nil {
-		p.refuse(conn, "snapshot: "+err.Error(), meta.Standing)
-		return
-	}
-	st := p.streams[h.Shard]
-	defer st.Detach(sub)
-
-	// Welcome + snapshot are written before the sender goroutine exists, so
-	// concurrent publishes pile up in sub.pending and drain strictly after
-	// the snapshot — the order the capture guaranteed.
-	wb, _ := json.Marshal(Welcome{Epoch: meta.Epoch, Shards: meta.Shards, Leader: meta.Leader, SnapSeq: seq})
-	out := durable.AppendFrame(nil, frameWelcome, wb)
-	out = durable.AppendFrame(out, frameSnapshot, snap)
-	if _, err := conn.Write(out); err != nil {
-		return
-	}
-
-	done := make(chan struct{})
-	go p.send(conn, sub, st, done)
-	defer func() {
-		select {
-		case <-p.closing:
-			// Close ended the ack loop; the sender is writing out what is
-			// pending and must not have the connection closed under it.
-			<-done
-		default:
-		}
-		sub.closed.Store(true)
-		conn.Close()
-		<-done
-	}()
-
-	// Ack loop on this goroutine: read follower acks until the conn dies.
-	for {
-		tag, payload, err := sr.ReadFrame()
-		if err != nil {
+	if why == "" {
+		sub.shard, sub.node = h.Shard, h.Node
+		snap, seq, err := p.src.SnapshotShard(h.Shard, sub)
+		if err == nil {
+			// Queued before any flush can run, so what publishes pile up in
+			// pending meanwhile follows them: the order the capture guaranteed.
+			sub.st = p.streams[h.Shard]
+			wb, _ := json.Marshal(Welcome{Epoch: meta.Epoch, Shards: meta.Shards, Leader: meta.Leader, SnapSeq: seq})
+			sub.conn.Write(durable.AppendFrame(durable.AppendFrame(nil, frameWelcome, wb), frameSnapshot, snap))
+			now := p.clock.Now()
+			sub.lastAck, sub.flushed = now, now-flushEvery
+			p.clock.Cancel(sub.timer)
+			sub.timer, sub.pinger = 0, p.clock.Schedule(p.tune.PingEvery, sub.pingFn)
 			return
 		}
-		if tag == frameAck && len(payload) == 8 {
-			if ack := int64(binary.LittleEndian.Uint64(payload)); ack > sub.acked.Load() {
-				sub.acked.Store(ack)
-			}
-			sub.lastAck.Store(time.Now().UnixNano())
+		why = "snapshot: " + err.Error()
+	}
+	b, _ := json.Marshal(ErrMsg{Error: why, Standing: meta.Standing})
+	sub.conn.Write(durable.AppendFrame(nil, frameError, b))
+	sub.end()
+}
+
+// Kicked paces the stream's writes: what was published goes out now if the
+// last write is flushEvery old and the repl.delay site does not stall it,
+// else when the interval or the stall is over.
+func (sub *Subscriber) Kicked() {
+	if sub.st == nil || sub.timer != 0 || sub.closed.Load() {
+		return
+	}
+	wait := sub.flushed + flushEvery - sub.p.clock.Now()
+	if wait <= 0 && sub.p.delaySite.Fire() {
+		wait = sub.p.delaySite.Delay()
+	}
+	if wait > 0 {
+		sub.timer = sub.p.clock.Schedule(wait, sub.writeFn)
+		return
+	}
+	sub.write()
+}
+
+func (sub *Subscriber) write() {
+	sub.timer = 0
+	if sub.closed.Load() {
+		return
+	}
+	sub.kicked.Store(false)
+	sub.mu.Lock()
+	// The follower may have fallen further behind than we are willing to
+	// buffer: drop it, and it reconnects into a fresh snapshot.
+	drop := sub.overflow || sub.conn.Backlog() > subBufMax || len(sub.pending) > 0 && sub.p.dropSite.Fire()
+	if !drop && len(sub.pending) > 0 {
+		sub.conn.Write(sub.pending)
+		sub.flushed = sub.p.clock.Now()
+		if sub.records {
+			sub.flushes++
 		}
+	}
+	sub.pending, sub.records = sub.pending[:0], false
+	sub.mu.Unlock()
+	if drop {
+		sub.end()
 	}
 }
 
-// send drains the subscriber's pending buffer to the socket — at most once
-// per flushEvery, so whatever a busy stream queues in between goes out as one
-// write — and heartbeats when idle. When the primary closes it writes what is
-// pending once more and exits, leaving the connection for its handler to drop.
-func (p *Primary) send(conn net.Conn, sub *Subscriber, st *ShardStream, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(p.tuning().PingEvery)
-	defer ticker.Stop()
-	pace := time.NewTimer(time.Hour)
-	if !pace.Stop() {
-		<-pace.C
+// ping queues a heartbeat carrying the stream's sequence and flushes — or,
+// once the source is fenced, ends the stream: heartbeats from a deposed node
+// would keep its followers in the old generation for good.
+func (sub *Subscriber) ping() {
+	if sub.p.src.Meta().Role != RolePrimary {
+		sub.end()
+		return
 	}
-	defer pace.Stop()
+	sub.pinger = sub.p.clock.Schedule(sub.p.tune.PingEvery, sub.pingFn)
 	var seqb [8]byte
-	var flushed time.Time // when the last write returned
-	for closing := false; !closing && !sub.closed.Load(); {
-		select {
-		case <-sub.kick:
-			if wait := p.flush - time.Since(flushed); wait > 0 {
-				pace.Reset(wait)
-				select {
-				case <-pace.C:
-				case <-p.closing:
-					closing = true
-				}
-				// The swap below takes everything published during the wait;
-				// the kicks that came with it would only start an empty round.
-				select {
-				case <-sub.kick:
-				default:
-				}
-			}
-		case <-ticker.C:
-			binary.LittleEndian.PutUint64(seqb[:], uint64(st.Seq()))
-			sub.enqueue(framePing, seqb[:], -1)
-		case <-p.closing:
-			closing = true
-		}
-		buf, records, overflow := sub.swap()
-		if overflow {
-			// The follower fell further behind than we are willing to
-			// buffer; drop it so it reconnects into a fresh snapshot.
-			conn.Close()
-			sub.give(buf)
-			return
-		}
-		if len(buf) > 0 {
-			if p.delaySite.Fire() {
-				time.Sleep(p.delaySite.Delay())
-			}
-			if p.dropSite.Fire() {
-				// Injected mid-stream failure.
-				conn.Close()
-				sub.give(buf)
-				return
-			}
-			if _, err := conn.Write(buf); err != nil {
-				conn.Close()
-				sub.give(buf)
-				return
-			}
-			flushed = time.Now()
-			if records {
-				sub.flushes.Add(1)
-			}
-		}
-		sub.give(buf)
+	binary.LittleEndian.PutUint64(seqb[:], uint64(sub.st.Seq()))
+	sub.enqueue(framePing, seqb[:], -1)
+	sub.Kicked()
+}
+
+// Closed: the follower hung up, or the network did.
+func (sub *Subscriber) Closed(error) { sub.end() }
+
+// end drops the connection and everything that served it (idempotent).
+func (sub *Subscriber) end() {
+	if sub.closed.Swap(true) {
+		return
 	}
+	sub.conn.Close()
+	sub.p.clock.Cancel(sub.timer)
+	sub.p.clock.Cancel(sub.pinger)
+	if sub.st != nil {
+		sub.st.Detach(sub)
+	}
+	delete(sub.p.subs, sub)
+}
+
+// FollowerStat is one attached subscriber's replication offsets, for
+// /metrics on the primary side.
+type FollowerStat struct {
+	Addr     string `json:"addr"`
+	Node     string `json:"node,omitempty"`
+	Shard    int    `json:"shard"`
+	SentSeq  int64  `json:"sent_seq"`
+	AckedSeq int64  `json:"acked_seq"`
+	Lag      int64  `json:"lag_records"`
+	// Flushes counts the writes that carried records (a heartbeat alone is
+	// not one): the change in SentSeq over the change in Flushes is how many
+	// records the stream ships per write — 1 on an idle stream, more the
+	// busier it is.
+	Flushes int64 `json:"flushes"`
+	// LastAckMS is milliseconds since this subscriber last acked — the
+	// primary-side view of the lease renewal stream.
+	LastAckMS int64 `json:"last_ack_ms"`
+}
+
+// Primary owns the per-shard streams and the primary's end of every
+// replication connection. It is constructed at daemon boot whenever
+// clustering is configured — even on followers, whose Accept refuses
+// handshakes with a leader hint until promotion flips the Source's Meta.
+// Everything but the streams' publishing runs on clock.
+type Primary struct {
+	src     Source
+	clock   runtime.Clock
+	streams []*ShardStream
+	tune    Tuning
+
+	// Fault-injection sites for flaky-replication tests: drop fires on the
+	// handshake (session dies right after Hello) and before stream writes
+	// (session dies mid-stream); delay stalls a write due at once. Nil-safe.
+	dropSite  *faults.Site
+	delaySite *faults.Site
+
+	subs   map[*Subscriber]struct{} // every open connection's end
+	closed bool
+}
+
+// NewPrimary builds the streams for shards on clock and returns the (not
+// yet accepting) primary endpoint.
+func NewPrimary(src Source, shards int, clock runtime.Clock) *Primary {
+	p := &Primary{src: src, clock: clock, tune: Tuning{}.WithDefaults(), subs: make(map[*Subscriber]struct{})}
+	p.streams = make([]*ShardStream, shards)
+	for i := range p.streams {
+		p.streams[i] = &ShardStream{shard: i}
+	}
+	return p
+}
+
+// Stream returns shard i's fan-out point for the daemon's publish taps.
+func (p *Primary) Stream(i int) *ShardStream { return p.streams[i] }
+
+// SetTuning overrides the heartbeat cadence. Call before Accept.
+func (p *Primary) SetTuning(t Tuning) { p.tune = t.WithDefaults() }
+
+// SetFaults wires the replication fault-injection sites (repl.drop,
+// repl.delay). Call before Accept; either may be nil.
+func (p *Primary) SetFaults(drop, delay *faults.Site) {
+	p.dropSite, p.delaySite = drop, delay
+}
+
+// Accept takes a connection a peer opened from remote and returns its
+// Handler: the Hello must arrive within helloTimeout.
+func (p *Primary) Accept(c Conn, remote string) Handler {
+	sub := &Subscriber{p: p, conn: c, addr: remote}
+	sub.in.reset(ackReadBuf)
+	sub.endFn, sub.writeFn, sub.pingFn = sub.end, sub.write, sub.ping
+	p.subs[sub] = struct{}{}
+	if p.closed {
+		sub.end()
+	} else {
+		sub.timer = p.clock.Schedule(helloTimeout, sub.endFn)
+	}
+	return sub
+}
+
+// Close winds every connection down. A streaming one gets what is pending
+// written first: a paced stream may be sitting on up to flushEvery of
+// records the daemon has already acknowledged, and a clean shutdown strands
+// none of them.
+func (p *Primary) Close() {
+	p.closed = true
+	for sub := range p.subs {
+		if sub.st != nil {
+			sub.write()
+		}
+		sub.end()
+	}
+}
+
+// AckedNodes counts the distinct follower nodes that acked within the last
+// window — the primary's lease-renewal evidence. Distinctness is by
+// Hello.Node when the follower declared one, falling back to remote host so
+// pre-lease followers still count as one node each. The caller adds itself
+// before comparing against its quorum.
+func (p *Primary) AckedNodes(window time.Duration) int {
+	cutoff := p.clock.Now() - window
+	seen := make(map[string]struct{}, 4)
+	for _, st := range p.streams {
+		st.mu.Lock()
+		for _, sub := range st.subs {
+			if sub.closed.Load() || sub.lastAck < cutoff {
+				continue
+			}
+			id := sub.node
+			if id == "" {
+				id = sub.addr
+				if host, _, err := net.SplitHostPort(sub.addr); err == nil {
+					id = host
+				}
+			}
+			seen[id] = struct{}{}
+		}
+		st.mu.Unlock()
+	}
+	return len(seen)
+}
+
+// Followers reports every attached subscriber's offsets, ordered by shard
+// then address so /metrics output is deterministic.
+func (p *Primary) Followers() []FollowerStat {
+	var out []FollowerStat
+	now := p.clock.Now()
+	for _, st := range p.streams {
+		st.mu.Lock()
+		for _, sub := range st.subs {
+			if sub.closed.Load() {
+				continue
+			}
+			sent := sub.sent.Load()
+			out = append(out, FollowerStat{
+				Addr:      sub.addr,
+				Node:      sub.node,
+				Shard:     sub.shard,
+				SentSeq:   sent,
+				AckedSeq:  sub.acked,
+				Lag:       sent - sub.acked,
+				Flushes:   sub.flushes,
+				LastAckMS: max(0, (now - sub.lastAck).Milliseconds()),
+			})
+		}
+		st.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Shard != out[j].Shard {
+			return out[i].Shard < out[j].Shard
+		}
+		return out[i].Addr < out[j].Addr
+	})
+	return out
 }

@@ -4,35 +4,42 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"repro/internal/durable"
 )
 
-// dial is the one place a node opens a connection to a peer: a follower's
-// stream and a probe both go to a replication address through here.
-func dial(addr string, deadline time.Time) (net.Conn, error) {
-	d := net.Dialer{Deadline: deadline}
-	return d.Dial("tcp", addr)
+// inbox reads the chunks a Handler is handed as frames: sr, reset with a
+// buffer of size bytes per connection, reads the current chunk and fails
+// with errMore where it runs out, picking up there with the next.
+type inbox struct {
+	chunk []byte
+	sr    *durable.StreamReader
 }
 
-// greet opens every exchange on such a connection: h goes out as the first
-// frame, stamped with the protocols this build reads, and the peer's first
-// comes back, a Welcome or (refused non-nil) a refusal.
-func greet(conn net.Conn, sr *durable.StreamReader, h Hello) (w Welcome, refused *ErrMsg, err error) {
+var errMore = errors.New("cluster: frame incomplete")
+
+func (in *inbox) reset(size int) { in.chunk, in.sr = nil, durable.NewStreamReader(in, size) }
+
+func (in *inbox) Read(p []byte) (int, error) {
+	if len(in.chunk) == 0 {
+		return 0, errMore
+	}
+	n := copy(p, in.chunk)
+	in.chunk = in.chunk[n:]
+	return n, nil
+}
+
+// helloFrame is the frame every dialer opens with: h, stamped with the
+// protocols this build reads.
+func helloFrame(h Hello) []byte {
 	h.Proto, h.Reads = OldestProto, Proto
-	hb, err := json.Marshal(h)
-	if err != nil {
-		return w, nil, err
-	}
-	if _, err := conn.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
-		return w, nil, err
-	}
-	tag, payload, err := sr.ReadFrame()
-	if err != nil {
-		return w, nil, err
-	}
+	hb, _ := json.Marshal(h) // plain fields: it cannot fail
+	return durable.AppendFrame(nil, frameHello, hb)
+}
+
+// reply reads the peer's answer to a Hello: a Welcome or (refused non-nil) a
+// refusal.
+func reply(tag byte, payload []byte) (w Welcome, refused *ErrMsg, err error) {
 	switch tag {
 	case frameWelcome:
 		return w, nil, json.Unmarshal(payload, &w)
@@ -46,33 +53,49 @@ func greet(conn net.Conn, sr *durable.StreamReader, h Hello) (w Welcome, refused
 	return w, nil, fmt.Errorf("unexpected frame %q before welcome", tag)
 }
 
-// Probe asks the peer at addr for its standing, all within timeout: it sends
-// h (forced into probe mode) and reads the refusal. This is the only evidence
-// the failure detector and the election have of a peer, and it shows the peer
-// the prober's epoch, deposing a stale primary; neither side attaches a
-// stream. A peer that cannot be reached, answers anything else, or names no
-// role did not answer.
-func Probe(addr string, h Hello, timeout time.Duration) (Standing, error) {
-	deadline := time.Now().Add(timeout)
-	conn, err := dial(addr, deadline)
-	if err != nil {
-		return Standing{}, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	return probe(conn, h)
+// Probe asks the peer at addr for its standing — the only evidence the
+// failure detector and the election have of it — and shows it the prober's
+// epoch, deposing a stale primary: h goes out in probe mode, and answer hears
+// the refusal on the clock. A peer that cannot be reached, answers anything
+// else or names no role did not answer. Closing the connection returned ends
+// the wait, and answer is not called.
+func Probe(n Net, addr string, h Hello, answer func(Standing, error)) Conn {
+	h.Probe = true
+	pr := &prober{answer: answer}
+	pr.in.reset(ackReadBuf)
+	pr.conn = n.Dial(addr, pr)
+	pr.conn.Write(helloFrame(h))
+	return pr.conn
 }
 
-func probe(conn net.Conn, h Hello) (Standing, error) {
-	h.Probe = true
-	_, refused, err := greet(conn, durable.NewStreamReader(conn, ackReadBuf), h)
-	switch {
-	case err != nil:
-		return Standing{}, err
-	case refused == nil:
-		return Standing{}, errors.New("probe was welcomed")
-	case refused.Role == "":
-		return Standing{}, errors.New("refusal without a standing: " + refused.Error)
-	}
-	return refused.Standing, nil
+type prober struct {
+	conn   Conn
+	in     inbox
+	answer func(Standing, error)
 }
+
+func (pr *prober) Recv(b []byte) {
+	pr.in.chunk = b
+	tag, payload, err := pr.in.sr.ReadFrame()
+	if err == errMore {
+		return
+	}
+	pr.conn.Close()
+	if err == nil {
+		var refused *ErrMsg
+		switch _, refused, err = reply(tag, payload); {
+		case err != nil:
+		case refused == nil:
+			err = errors.New("probe was welcomed")
+		case refused.Role == "":
+			err = errors.New("refusal without a standing: " + refused.Error)
+		default:
+			pr.answer(refused.Standing, nil)
+			return
+		}
+	}
+	pr.answer(Standing{}, err)
+}
+
+func (pr *prober) Closed(err error) { pr.answer(Standing{}, err) }
+func (pr *prober) Kicked()          {}

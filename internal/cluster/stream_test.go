@@ -1,10 +1,8 @@
 package cluster
 
 // Tests for the replication stream itself, both ends, against stub daemons
-// over in-memory pipes. They assert what was written, applied and acked, and
-// how many times — never how long anything took: a wait is either for an
-// event (with a timeout that only bounds a hang) or spacing between the
-// test's own actions.
+// over connections the test drives by hand, on a simclock.Engine: they assert
+// what was written, applied and acked, how many times, and at which instant.
 //
 // The invariants (DESIGN.md §19) and the test that holds each:
 //
@@ -20,121 +18,126 @@ package cluster
 //	the deadline counts from the last byte heard       TestDeadlineCountsFromTheLastByteHeard
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"io"
+	"log/slog"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/simclock"
 )
 
-// hang bounds every wait for an event: reaching it means the event never
-// came, not that it came late.
-const hang = 10 * time.Second
+// testConn is one connection's near end, which the protocol holds: the test
+// reads what it wrote as frames and feeds its Handler by hand.
+type testConn struct {
+	eng    *simclock.Engine
+	h      Handler
+	out    []byte // written, not yet read by the test
+	writes int
+	closed bool
+	kicked bool
+}
 
-// eventually waits for an event that no channel announces.
-func eventually(t *testing.T, what string, happened func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(hang); !happened(); time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("never happened: %s", what)
-		}
+func (c *testConn) Write(b []byte) {
+	if !c.closed {
+		c.out = append(c.out, b...)
+		c.writes++
 	}
+}
+func (c *testConn) Backlog() int { return len(c.out) }
+func (c *testConn) Close()       { c.closed = true }
+func (c *testConn) Kick() {
+	if !c.kicked {
+		c.kicked = true
+		c.eng.Schedule(0, func() {
+			c.kicked = false
+			if !c.closed {
+				c.h.Kicked()
+			}
+		})
+	}
+}
+
+// frames reads off everything written so far.
+func (c *testConn) frames(t *testing.T) (tags []byte, payloads [][]byte) {
+	t.Helper()
+	sr := durable.NewStreamReader(bytes.NewReader(c.out), len(c.out))
+	c.out = nil
+	for {
+		tag, payload, err := sr.ReadFrame()
+		if err == io.EOF {
+			return tags, payloads
+		}
+		if err != nil {
+			t.Fatalf("reading what was written: %v", err)
+		}
+		tags, payloads = append(tags, tag), append(payloads, payload)
+	}
+}
+
+// testNet hands a dialer testConns and keeps them.
+type testNet struct {
+	eng   *simclock.Engine
+	conns []*testConn
+}
+
+func (n *testNet) Dial(addr string, h Handler) Conn {
+	c := &testConn{eng: n.eng, h: h}
+	n.conns = append(n.conns, c)
+	return c
 }
 
 // --- the primary's end, against a hand-driven follower ---
 
-// stubSource is a one-shard primary daemon with nothing in it.
-type stubSource struct{ p *Primary }
+// stubSource is a one-shard primary daemon with nothing in it, leading
+// unless fenced.
+type stubSource struct {
+	p      *Primary
+	fenced bool
+}
 
 func (s *stubSource) Meta() Meta {
-	return Meta{Standing: Standing{Node: "stub", Role: RolePrimary}, Shards: 1, Config: "stub"}
+	role := RolePrimary
+	if s.fenced {
+		role = RoleFenced
+	}
+	return Meta{Standing: Standing{Node: "stub", Role: role}, Shards: 1, Config: "stub"}
 }
 func (s *stubSource) SnapshotShard(shard int, sub *Subscriber) ([]byte, int64, error) {
 	return []byte("snap"), s.p.Stream(shard).Attach(sub), nil
 }
 func (s *stubSource) Observe(Standing) {}
 
-// countingConn counts the Write calls made on a connection — the primary's
-// socket writes — and counts each before it blocks.
-type countingConn struct {
-	net.Conn
-	writes atomic.Int64
-}
-
-func (c *countingConn) Write(b []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(b)
-}
-
-// pipeListener hands Serve the far ends of in-memory pipes.
-type pipeListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
-
-// primaryRig is a serving Primary with one hand-driven follower attached to
-// shard 0: the test reads the stream off sr and sees the primary's writes
-// counted on conn. Heartbeats are tuned out of reach, so every write after
-// the handshake's is the sender's, for records.
+// primaryRig is a Primary with one hand-driven follower attached to shard 0,
+// handshake done. Heartbeats are tuned out of reach, so every write after
+// the handshake's is the stream's, for records.
 type primaryRig struct {
+	eng  *simclock.Engine
+	src  *stubSource
 	p    *Primary
 	st   *ShardStream
-	conn *countingConn         // the primary's end
-	peer net.Conn              // the follower's end
-	sr   *durable.StreamReader // frames off peer
-	base int64                 // writes the handshake cost
+	conn *testConn
 }
 
-func newPrimaryRig(t *testing.T, flush time.Duration) *primaryRig {
+func newPrimaryRig(t *testing.T) *primaryRig {
 	t.Helper()
+	eng := simclock.NewEngine()
 	src := &stubSource{}
-	p := NewPrimary(src, 1)
+	p := NewPrimary(src, 1, eng)
 	src.p = p
-	p.flush = flush
 	p.SetTuning(Tuning{PingEvery: time.Hour})
-	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-	go p.Serve(ln)
-	t.Cleanup(p.Close)
-
-	near, far := net.Pipe()
-	r := &primaryRig{p: p, st: p.Stream(0), conn: &countingConn{Conn: far}, peer: near}
-	ln.conns <- r.conn
-	near.SetDeadline(time.Now().Add(hang))
-	hb, _ := json.Marshal(Hello{Proto: Proto, Shards: 1, Config: "stub"})
-	if _, err := near.Write(durable.AppendFrame(nil, frameHello, hb)); err != nil {
-		t.Fatal(err)
+	r := &primaryRig{eng: eng, src: src, p: p, st: p.Stream(0), conn: &testConn{eng: eng}}
+	r.conn.h = p.Accept(r.conn, "follower")
+	r.conn.h.Recv(helloFrame(Hello{Shards: 1, Config: "stub"}))
+	if tags, _ := r.conn.frames(t); string(tags) != "WS" {
+		t.Fatalf("handshake answered with frames %q, want a welcome and a snapshot", tags)
 	}
-	r.sr = durable.NewStreamReader(near, burstReadBuf)
-	for _, want := range []byte{frameWelcome, frameSnapshot} {
-		if tag, _, err := r.sr.ReadFrame(); err != nil || tag != want {
-			t.Fatalf("handshake: frame %q, %v; want %q", tag, err, want)
-		}
-	}
-	r.base = r.conn.writes.Load()
+	r.conn.writes = 0
 	return r
 }
 
@@ -145,27 +148,20 @@ func (r *primaryRig) publish(names ...string) {
 	}
 }
 
-// next reads one record frame off the stream.
-func (r *primaryRig) next(t *testing.T) string {
-	t.Helper()
-	tag, payload, err := r.sr.ReadFrame()
-	if err != nil || tag != frameRecord {
-		t.Fatalf("stream: frame %q, %v; want a record", tag, err)
-	}
-	return string(payload)
-}
+// run steps the engine d on.
+func (r *primaryRig) run(d time.Duration) { r.eng.RunUntil(r.eng.Now() + d) }
 
-// drain reads records until the stream ends and returns them.
-func (r *primaryRig) drain() (got []string, err error) {
-	for {
-		tag, payload, err := r.sr.ReadFrame()
-		if err != nil {
-			return got, err
-		}
+// records reads the record frames written so far.
+func (r *primaryRig) records(t *testing.T) []string {
+	t.Helper()
+	tags, payloads := r.conn.frames(t)
+	var got []string
+	for i, tag := range tags {
 		if tag == frameRecord {
-			got = append(got, string(payload))
+			got = append(got, string(payloads[i]))
 		}
 	}
+	return got
 }
 
 func names(prefix string, n int) []string {
@@ -176,77 +172,64 @@ func names(prefix string, n int) []string {
 	return out
 }
 
-// TestSenderGroupCommitsWithinTheInterval: with the interval stretched past
-// the test's lifetime, the first record on a fresh stream goes out at once —
-// it is not parked behind a timer — and everything published after it,
-// however it is spaced, waits for the interval and goes out as one write (here
-// Close's, the interval never ending). Two writes, not twenty-one.
+// TestSenderGroupCommitsWithinTheInterval: the first record on a fresh stream
+// goes out at once — it is not parked behind a timer — and everything
+// published after it within the interval, however it is spaced, waits for
+// the interval and goes out as one write. Two writes, not twenty-one.
 func TestSenderGroupCommitsWithinTheInterval(t *testing.T) {
-	r := newPrimaryRig(t, time.Hour)
+	r := newPrimaryRig(t)
 	r.publish("first")
-	if got := r.next(t); got != "first" {
-		t.Fatalf("first record %q", got)
-	}
-	if got := r.conn.writes.Load() - r.base; got != 1 {
-		t.Fatalf("first record took %d writes, want 1", got)
+	r.run(0)
+	if got := r.records(t); len(got) != 1 || got[0] != "first" || r.conn.writes != 1 {
+		t.Fatalf("the first record: %v in %d writes, want it alone in 1", got, r.conn.writes)
 	}
 	rest := names("held", 20)
 	for _, n := range rest {
 		r.publish(n)
-		time.Sleep(100 * time.Microsecond) // let an unpaced sender run between publishes
+		r.run(flushEvery / 25)
 	}
-	eventually(t, "the first write is counted", func() bool { return r.p.Followers()[0].Flushes > 0 })
-	if st := r.p.Followers(); len(st) != 1 || st[0].SentSeq != 21 || st[0].Flushes != 1 {
-		t.Fatalf("before the flush: %+v, want 21 sent in 1 flush", st)
+	if st := r.p.Followers(); len(st) != 1 || st[0].SentSeq != 21 || st[0].Flushes != 1 || r.conn.writes != 1 {
+		t.Fatalf("within the interval: %+v in %d writes, want 21 sent in 1 flush", st, r.conn.writes)
 	}
-	closed := make(chan struct{})
-	go func() { r.p.Close(); close(closed) }()
-	got, _ := r.drain()
-	<-closed
-	if strings.Join(got, ",") != strings.Join(rest, ",") {
+	r.run(flushEvery)
+	if got := r.records(t); strings.Join(got, ",") != strings.Join(rest, ",") {
 		t.Fatalf("the held records arrived as %v", got)
 	}
-	if got := r.conn.writes.Load() - r.base; got != 2 {
-		t.Fatalf("%d records took %d writes, want 2", 1+len(rest), got)
+	if st := r.p.Followers(); r.conn.writes != 2 || st[0].Flushes != 2 {
+		t.Fatalf("21 records took %d writes (%d flushes), want 2", r.conn.writes, st[0].Flushes)
 	}
 }
 
 // TestIdleStreamWritesEachRecordAtOnce: publishes spaced wider than
-// flushEvery cost one write each — by the stream's own counters, exactly one
-// record per flush.
+// flushEvery cost one write each, at the instant of the publish — by the
+// stream's own counters, exactly one record per flush.
 func TestIdleStreamWritesEachRecordAtOnce(t *testing.T) {
-	r := newPrimaryRig(t, flushEvery)
+	r := newPrimaryRig(t)
 	const k = 5
 	for i, n := range names("idle", k) {
 		r.publish(n)
-		if got := r.next(t); got != n {
-			t.Fatalf("record %d arrived as %q", i, got)
+		r.run(0)
+		if got := r.records(t); len(got) != 1 || got[0] != n {
+			t.Fatalf("record %d arrived as %v", i, got)
 		}
-		time.Sleep(5 * flushEvery)
+		r.run(5 * flushEvery)
 	}
-	if got := r.conn.writes.Load() - r.base; got != k {
-		t.Fatalf("%d spaced records took %d writes, want one each", k, got)
-	}
-	eventually(t, "the last write is counted", func() bool { return r.p.Followers()[0].Flushes >= k })
-	if st := r.p.Followers(); len(st) != 1 || st[0].SentSeq != k || st[0].Flushes != k {
-		t.Fatalf("stream counters %+v, want %d records in %d flushes", st, k, k)
+	if st := r.p.Followers(); r.conn.writes != k || len(st) != 1 || st[0].SentSeq != k || st[0].Flushes != k {
+		t.Fatalf("%d spaced records: %d writes, stream counters %+v; want one each", k, r.conn.writes, st)
 	}
 }
 
 // TestCloseFlushesWhatIsPending: a shutdown strands nothing. Whatever the
-// sender was sitting on when Close was called reaches the follower before
-// the connection goes.
+// stream was sitting on when Close was called is written before the
+// connection goes.
 func TestCloseFlushesWhatIsPending(t *testing.T) {
-	r := newPrimaryRig(t, flushEvery)
+	r := newPrimaryRig(t)
 	want := names("rec", 300)
-	var got []string
-	drained := make(chan struct{})
-	go func() { got, _ = r.drain(); close(drained) }()
 	r.publish(want...)
+	r.run(flushEvery / 2)
 	r.p.Close()
-	<-drained
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("follower has %d of %d records after Close (first %v)", len(got), len(want), got[:min(3, len(got))])
+	if got := r.records(t); strings.Join(got, ",") != strings.Join(want, ",") || !r.conn.closed {
+		t.Fatalf("the follower has %d of %d records after Close (closed %v)", len(got), len(want), r.conn.closed)
 	}
 }
 
@@ -254,43 +237,53 @@ func TestCloseFlushesWhatIsPending(t *testing.T) {
 // behind is not buffered for any further — its connection is dropped, and it
 // comes back through a snapshot.
 func TestOverflowDropsTheSubscriber(t *testing.T) {
-	r := newPrimaryRig(t, flushEvery)
+	r := newPrimaryRig(t)
 	big := strings.Repeat("x", 64<<10)
-	// One record for the sender to block on: nobody is reading the pipe.
-	r.publish("head")
-	eventually(t, "the sender writes the first record", func() bool { return r.conn.writes.Load() > r.base })
-	// Everything from here queues behind the blocked write, past the bound.
-	for i := 0; i < subBufMax/len(big)+2; i++ {
+	// Nobody reads: each flush's write queues behind the last.
+	for i := 0; i < subBufMax/len(big)+2 && !r.conn.closed; i++ {
 		r.publish(big)
+		r.run(flushEvery)
 	}
-	got, err := r.drain()
-	if err == nil || len(got) != 1 || got[0] != "head" {
-		t.Fatalf("an overflowed stream delivered %d records and ended with %v; want the first record, then a dropped connection", len(got), err)
+	if !r.conn.closed || len(r.p.Followers()) != 0 {
+		t.Fatalf("a follower %d bytes behind is still attached", r.conn.Backlog())
 	}
-	eventually(t, "the overflowed subscriber is detached", func() bool { return len(r.p.Followers()) == 0 })
+	if n := r.conn.Backlog(); n > subBufMax+2*len(big) {
+		t.Fatalf("%d bytes were queued for the follower, past the bound of %d", n, subBufMax)
+	}
+}
+
+// TestStreamEndsWhenTheSourceStopsLeading: a primary that has been fenced
+// ends its streams at their next heartbeat instead of pinging on — pings
+// from a deposed node would keep its followers in the old generation.
+func TestStreamEndsWhenTheSourceStopsLeading(t *testing.T) {
+	r := newPrimaryRig(t)
+	r.run(time.Hour)
+	if tags, _ := r.conn.frames(t); string(tags) != "P" || r.conn.closed {
+		t.Fatalf("a leader's stream wrote %q (closed %v) in a ping interval, want a ping", tags, r.conn.closed)
+	}
+	r.src.fenced = true
+	r.run(time.Hour)
+	if tags, _ := r.conn.frames(t); len(tags) != 0 || !r.conn.closed || len(r.p.Followers()) != 0 {
+		t.Fatalf("a fenced node's stream wrote %q (closed %v); want it ended", tags, r.conn.closed)
+	}
 }
 
 // --- the follower's end, against a hand-driven primary ---
 
 // stubApplier records the bursts it is handed. It refuses a burst at the
 // first group containing the record "bad", keeping the groups before it, as
-// the daemon does; entered, when set, receives once per ApplyBurst call on
-// entry, and the call then waits for release.
+// the daemon does; applying, when set, runs at the start of each call.
 type stubApplier struct {
-	mu     sync.Mutex
-	bursts [][][]string
-
-	entered chan struct{}
-	release chan struct{}
+	bursts   [][][]string
+	applying func()
 }
 
 func (a *stubApplier) AdoptWelcome(Welcome) error      { return nil }
 func (a *stubApplier) Observe(Standing)                {}
 func (a *stubApplier) ApplySnapshot(int, []byte) error { return nil }
 func (a *stubApplier) ApplyBurst(_ int, groups [][][]byte) error {
-	if a.entered != nil {
-		a.entered <- struct{}{}
-		<-a.release
+	if a.applying != nil {
+		a.applying()
 	}
 	var kept [][]string
 	var err error
@@ -306,67 +299,58 @@ scan:
 		}
 		kept = append(kept, recs)
 	}
-	a.mu.Lock()
 	a.bursts = append(a.bursts, kept)
-	a.mu.Unlock()
 	return err
 }
 
-func (a *stubApplier) applied() [][][]string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.bursts
-}
-
-// followerRig is a Follower running one stream over a pipe whose other end
-// the test drives as the primary, handshake done, snapshot at sequence 10.
+// followerRig is a Follower running one stream over a connection whose other
+// end the test drives as the primary, handshake done, snapshot at sequence
+// 10. What the follower logs — why a session ended — goes to log.
 type followerRig struct {
-	app  *stubApplier
-	conn net.Conn // the primary's end
-	sr   *durable.StreamReader
-	done chan error // the stream's exit
+	eng  *simclock.Engine
+	f    *Follower
+	conn *testConn
+	log  *bytes.Buffer
 }
 
 const rigSnapSeq = 10
 
-func newFollowerRig(t *testing.T, app *stubApplier, tune Tuning) *followerRig {
+func newFollowerRig(t *testing.T, app Applier, tune Tuning) *followerRig {
 	t.Helper()
-	f := NewFollower(app, "pipe", 1, func(shard int) Hello { return Hello{Proto: Proto, Shard: shard, Shards: 1} }, nil)
-	f.SetTuning(tune)
-	near, far := net.Pipe()
-	r := &followerRig{app: app, conn: near, sr: durable.NewStreamReader(near, ackReadBuf), done: make(chan error, 1)}
-	go func() {
-		_, err := f.stream(0, far)
-		r.done <- err
-	}()
-	t.Cleanup(func() { near.Close(); f.Stop() })
-	near.SetDeadline(time.Now().Add(hang))
-	if tag, _, err := r.sr.ReadFrame(); err != nil || tag != frameHello {
-		t.Fatalf("handshake: frame %q, %v; want a hello", tag, err)
+	eng := simclock.NewEngine()
+	n := &testNet{eng: eng}
+	r := &followerRig{eng: eng, log: new(bytes.Buffer)}
+	r.f = NewFollower(app, n, eng, "primary", 1, tune, func(shard int) Hello { return Hello{Shard: shard, Shards: 1} }, slog.New(slog.NewTextHandler(r.log, nil)))
+	r.f.Start()
+	r.conn = n.conns[0]
+	if tags, _ := r.conn.frames(t); string(tags) != "H" {
+		t.Fatalf("the follower opened with frames %q; want a hello", tags)
 	}
-	wb, _ := json.Marshal(Welcome{Shards: 1, SnapSeq: rigSnapSeq})
-	out := durable.AppendFrame(nil, frameWelcome, wb)
-	out = durable.AppendFrame(out, frameSnapshot, []byte("snap"))
-	if _, err := near.Write(out); err != nil {
-		t.Fatal(err)
+	wb := fmt.Sprintf(`{"shards":1,"snap_seq":%d}`, rigSnapSeq)
+	r.conn.h.Recv(wire(nil).frame(frameWelcome, wb).frame(frameSnapshot, "snap"))
+	if !r.f.per[0].connected {
+		t.Fatalf("the session did not reach the stream: %s", r.log)
 	}
 	return r
 }
 
-// ack reads one ack frame off the follower.
+// ack reads the one ack frame written since the last look.
 func (r *followerRig) ack(t *testing.T) int64 {
 	t.Helper()
-	tag, payload, err := r.sr.ReadFrame()
-	if err != nil || tag != frameAck || len(payload) != 8 {
-		t.Fatalf("frame %q (%d bytes), %v; want an ack", tag, len(payload), err)
+	tags, payloads := r.conn.frames(t)
+	if len(tags) != 1 || tags[0] != frameAck || len(payloads[0]) != 8 {
+		t.Fatalf("frames %q written; want one ack", tags)
 	}
-	return int64(binary.LittleEndian.Uint64(payload))
+	return int64(binary.LittleEndian.Uint64(payloads[0]))
 }
 
-// wire builds frames for one Write — so one read, so one burst.
+// wire builds frames for one Recv — so one read, so one burst.
 type wire []byte
 
-func (w wire) record(rec string) wire { return durable.AppendFrame(w, frameRecord, []byte(rec)) }
+func (w wire) frame(tag byte, payload string) wire {
+	return durable.AppendFrame(w, tag, []byte(payload))
+}
+func (w wire) record(rec string) wire { return w.frame(frameRecord, rec) }
 func (w wire) batch(recs ...string) wire {
 	group := make([][]byte, len(recs))
 	for i, r := range recs {
@@ -383,25 +367,18 @@ func (w wire) ping(seq uint64) wire {
 // records together — and the ping among them is answered only once they are
 // applied, with an offset that names all of them.
 func TestBurstIsOneApplyInStreamOrder(t *testing.T) {
-	app := &stubApplier{entered: make(chan struct{}), release: make(chan struct{})}
+	app := &stubApplier{}
 	r := newFollowerRig(t, app, Tuning{})
-	burst := wire(nil).record("r1").batch("b1", "b2", "b3").ping(rigSnapSeq + 5).record("r2")
-	if _, err := r.conn.Write(burst); err != nil {
-		t.Fatal(err)
+	app.applying = func() {
+		if len(r.conn.out) > 0 {
+			t.Error("the ping was answered before the burst was applied")
+		}
 	}
-	// The pipe has no buffer: an ack written before the apply would block the
-	// follower, and ApplyBurst would never be entered.
-	select {
-	case <-app.entered:
-	case <-time.After(hang):
-		t.Fatal("ApplyBurst was not entered: the ping was answered before the burst was applied?")
-	}
-	close(app.release)
+	r.conn.h.Recv(wire(nil).record("r1").batch("b1", "b2", "b3").ping(rigSnapSeq + 5).record("r2"))
 	if got := r.ack(t); got != rigSnapSeq+5 {
 		t.Fatalf("ack names %d, want %d", got, rigSnapSeq+5)
 	}
-	want := "[[[r1] [b1 b2 b3] [r2]]]"
-	if got := fmt.Sprint(app.applied()); got != want {
+	if got, want := fmt.Sprint(app.bursts), "[[[r1] [b1 b2 b3] [r2]]]"; got != want {
 		t.Fatalf("applied %s, want %s", got, want)
 	}
 }
@@ -428,23 +405,15 @@ func TestBadFrameEndsTheBurstAndTheSession(t *testing.T) {
 			r := newFollowerRig(t, app, Tuning{})
 			burst := wire(nil).record("r1").batch("b1", "b2")
 			burst = append(burst, tc.middle...)
-			burst = burst.record("after").ping(99)
-			if _, err := r.conn.Write(burst); err != nil {
-				t.Fatal(err)
+			r.conn.h.Recv(burst.record("after").ping(99))
+			if !r.conn.closed || !strings.Contains(r.log.String(), tc.wantErr) {
+				t.Fatalf("closed %v, logged %q; want the session ended with %q", r.conn.closed, r.log, tc.wantErr)
 			}
-			select {
-			case err := <-r.done:
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("session ended with %v, want %q", err, tc.wantErr)
-				}
-			case <-time.After(hang):
-				t.Fatal("the session survived the frame")
-			}
-			if got, want := fmt.Sprint(app.applied()), "[[[r1] [b1 b2]]]"; got != want {
+			if got, want := fmt.Sprint(app.bursts), "[[[r1] [b1 b2]]]"; got != want {
 				t.Fatalf("applied %s, want %s", got, want)
 			}
-			if tag, _, err := r.sr.ReadFrame(); err == nil {
-				t.Fatalf("the dying session still wrote a frame %q", tag)
+			if len(r.conn.out) > 0 {
+				t.Fatal("the dying session still wrote a frame")
 			}
 		})
 	}
@@ -457,15 +426,13 @@ func TestIdleFollowerAcksEveryPing(t *testing.T) {
 	app := &stubApplier{}
 	r := newFollowerRig(t, app, Tuning{})
 	for i := 0; i < 3; i++ {
-		if _, err := r.conn.Write(wire(nil).ping(rigSnapSeq)); err != nil {
-			t.Fatal(err)
-		}
+		r.conn.h.Recv(wire(nil).ping(rigSnapSeq))
 		if got := r.ack(t); got != rigSnapSeq {
 			t.Fatalf("ping %d acked %d, want %d", i, got, rigSnapSeq)
 		}
 	}
-	if got := app.applied(); len(got) != 0 {
-		t.Fatalf("pings reached the Applier: %v", got)
+	if len(app.bursts) != 0 {
+		t.Fatalf("pings reached the Applier: %v", app.bursts)
 	}
 }
 
@@ -475,26 +442,20 @@ func TestIdleFollowerAcksEveryPing(t *testing.T) {
 func TestAckCadence(t *testing.T) {
 	app := &stubApplier{}
 	r := newFollowerRig(t, app, Tuning{})
-	if _, err := r.conn.Write(wire(nil).ping(rigSnapSeq)); err != nil {
-		t.Fatal(err)
-	}
+	r.conn.h.Recv(wire(nil).ping(rigSnapSeq))
 	if got := r.ack(t); got != rigSnapSeq {
 		t.Fatalf("ping acked %d, want %d", got, rigSnapSeq)
 	}
-	// ackEvery-1 records are not enough: no ack, so wait for the apply.
 	var w wire
 	for i := 0; i < ackEvery-1; i++ {
 		w = w.record("r")
 	}
-	if _, err := r.conn.Write(w); err != nil {
-		t.Fatal(err)
+	r.conn.h.Recv(w)
+	if len(app.bursts) != 1 || len(r.conn.out) > 0 {
+		t.Fatalf("%d records: %d bursts applied, %d bytes written; want one burst and no ack", ackEvery-1, len(app.bursts), len(r.conn.out))
 	}
-	eventually(t, "the burst is applied", func() bool { return len(app.applied()) > 0 })
-	// Three more cross the line. The next frame the follower writes is the
-	// ack for all of them — not one for the burst before.
-	if _, err := r.conn.Write(wire(nil).record("r").record("r").record("r")); err != nil {
-		t.Fatal(err)
-	}
+	// Three more cross the line: the ack names all of them.
+	r.conn.h.Recv(wire(nil).record("r").record("r").record("r"))
 	if got, want := r.ack(t), int64(rigSnapSeq+ackEvery+2); got != want {
 		t.Fatalf("ack names %d, want %d", got, want)
 	}
@@ -502,24 +463,27 @@ func TestAckCadence(t *testing.T) {
 
 // TestDeadlineCountsFromTheLastByteHeard: a stream that keeps hearing from
 // its primary outlives any number of detection windows, and one that stops
-// hearing dies of exactly that, named as missed pings.
+// hearing dies of exactly that, named as missed pings, one detection window
+// after the last byte.
 func TestDeadlineCountsFromTheLastByteHeard(t *testing.T) {
 	tune := Tuning{PingEvery: 100 * time.Millisecond, MissedPings: 3}
 	r := newFollowerRig(t, &stubApplier{}, tune)
 	// Twice the detection window of pings at half the ping interval.
 	for i := 0; i < 12; i++ {
-		if _, err := r.conn.Write(wire(nil).ping(rigSnapSeq)); err != nil {
-			t.Fatalf("ping %d: the session is gone: %v", i, err)
-		}
+		r.conn.h.Recv(wire(nil).ping(rigSnapSeq))
 		r.ack(t)
-		time.Sleep(tune.PingEvery / 2)
-	}
-	select {
-	case err := <-r.done:
-		if err == nil || !strings.Contains(err.Error(), "primary silent for 300ms (3 missed pings)") {
-			t.Fatalf("session ended with %v, want the silence named", err)
+		r.eng.RunUntil(r.eng.Now() + tune.PingEvery/2)
+		if r.conn.closed {
+			t.Fatalf("ping %d: the session is gone: %s", i, r.log)
 		}
-	case <-time.After(hang):
-		t.Fatal("a silent primary was never detected")
+	}
+	last := r.eng.Now() - tune.PingEvery/2
+	r.eng.RunUntil(last + tune.DetectAfter() - 1)
+	if r.conn.closed {
+		t.Fatalf("the session died inside the detection window: %s", r.log)
+	}
+	r.eng.RunUntil(last + tune.DetectAfter())
+	if !r.conn.closed || !strings.Contains(r.log.String(), "primary silent for 300ms (3 missed pings)") {
+		t.Fatalf("closed %v, logged %q; want the silence named", r.conn.closed, r.log)
 	}
 }

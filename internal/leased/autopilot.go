@@ -3,7 +3,6 @@ package leased
 import (
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -13,17 +12,26 @@ import (
 // Leadership is a resource: the leader renews it (follower acks within the
 // lease term) and is deposed when it defaults (followers detect the silence
 // and run a deterministic succession). As the lease manager settles a lease
-// once a term from one collected record, one goroutine per node settles the
-// node's role once a tick: it observes (its own standing, the acks within
-// the term, the standings a probe sweep of the replication ports brought
-// back), decides — a pure function — and acts, pulling a lever an operator
-// also has: promotion, fencing and epoch bands are the manual-failover
-// machinery, and the autopilot only decides when to use it.
+// once a term from one collected record, an event on the node's clock
+// settles the node's role once a tick: it observes (its own standing, the
+// acks within the term, the standings a probe sweep of the replication ports
+// brought back), decides — a pure function — and acts, pulling a lever an
+// operator also has: promotion, fencing and epoch bands are the
+// manual-failover machinery, and the autopilot only decides when to use it.
 
 // handleElection is GET /v1/election: the node's standing.
 func (s *Server) handleElection(w http.ResponseWriter, r *http.Request) {
-	st, _ := s.standing()
+	st, _ := s.readStanding()
 	writeDoc(w, st)
+}
+
+// stopAutopilot ends the loop and the sweep in flight. On the clock.
+func (s *Server) stopAutopilot() {
+	s.autoOn = false
+	s.clock.Cancel(s.autoNext)
+	for _, c := range s.probes {
+		c.Close()
+	}
 }
 
 // StartAutoFailover arms the failure detector, leader lease and election.
@@ -48,18 +56,14 @@ func (s *Server) StartAutoFailover() error {
 	if term, detect := cc.leaseTerm(), cc.tuning().DetectAfter(); term >= detect {
 		return fmt.Errorf("leased: lease term %v must be shorter than the detection window %v (missed-pings × ping-every), or a deposed leader could still hold its lease when a successor finishes detecting it", term, detect)
 	}
-	s.autoStop = make(chan struct{})
-	s.autoWG.Add(1)
-	go s.autopilot()
+	s.onClock(func() {
+		if !s.autoOn {
+			s.autoOn = true
+			s.leaderSwept = s.clock.Now() - cc.leaseTerm() // due at once
+			s.autoNext = s.clock.Schedule(cc.tuning().PingEvery, s.tickFn)
+		}
+	})
 	return nil
-}
-
-func (s *Server) stopAutopilot() {
-	if s.autoStop == nil {
-		return
-	}
-	s.autoOnce.Do(func() { close(s.autoStop) })
-	s.autoWG.Wait()
 }
 
 // sweepTimeout bounds a whole sweep: its evidence must be fresh well inside
@@ -68,52 +72,35 @@ func sweepTimeout(term time.Duration) time.Duration {
 	return max(term/2, 50*time.Millisecond)
 }
 
-func (s *Server) autopilot() {
-	defer s.autoWG.Done()
+// autoTick is the loop's tick, every PingEvery: a decision, and a sweep if
+// one is due. Sweeps run off the tick — the lease decision never waits for a
+// blackholed peer — one at a time, and the standings that answered come back
+// as a decision of their own.
+func (s *Server) autoTick() {
 	cc := s.opts.Cluster
-	tune := cc.tuning()
-	v := view{detect: tune.DetectAfter(), term: cc.leaseTerm(), quorum: cc.quorum()}
-	ticker := time.NewTicker(tune.PingEvery)
-	defer ticker.Stop()
-	// Sweeps run off this goroutine — the lease decision never waits for a
-	// blackholed peer — one at a time, started on a tick, and the standings
-	// that answered come back here as a tick of their own.
-	swept := make(chan []cluster.Standing, 1)
-	sweeping := false
-	var lastLeaderSweep time.Time
-	for {
-		tick := false
-		v.peers = nil
-		select {
-		case <-s.autoStop:
-			return
-		case <-ticker.C:
-			tick = true
-		case v.peers = <-swept:
-			sweeping = false
+	s.autoNext = s.clock.Schedule(cc.tuning().PingEvery, s.tickFn)
+	v := s.decideNow(nil)
+	if now := s.clock.Now(); s.probes == nil && sweepDue(v.self, now-s.leaderSwept, v.term) {
+		if v.self.Role == cluster.RolePrimary {
+			s.leaderSwept = now
 		}
-		s.observe(&v, s.prim.AckedNodes(v.term))
-		s.act(decide(v), v)
-
-		if tick && !sweeping && sweepDue(v.self, time.Since(lastLeaderSweep), v.term) {
-			sweeping = true
-			if v.self.Role == cluster.RolePrimary {
-				lastLeaderSweep = time.Now()
+		s.probes = s.sweep(sweepTimeout(v.term), func(peers []cluster.Standing) {
+			if s.probes = nil; s.autoOn {
+				s.decideNow(peers)
 			}
-			s.autoWG.Add(1)
-			go func(timeout time.Duration) {
-				defer s.autoWG.Done()
-				swept <- s.sweep(timeout)
-			}(sweepTimeout(v.term))
-		}
+		})
 	}
 }
 
-// observe fills in the rest of a tick's view: the node's own standing and
-// lease, and acked, the followers that acked within the term.
-func (s *Server) observe(v *view, acked int) {
+// decideNow is one pass of the loop: observe, decide, act. peers is a sweep
+// just back, or nil.
+func (s *Server) decideNow(peers []cluster.Standing) view {
+	cc := s.opts.Cluster
+	v := view{peers: peers, detect: cc.tuning().DetectAfter(), term: cc.leaseTerm(), quorum: cc.quorum()}
 	v.self, _ = s.standing()
-	v.armed, v.acked = s.leaseArmed.Load(), acked
+	v.armed, v.acked = s.leaseArmed.Load(), s.prim.AckedNodes(v.term)
+	s.act(decide(v), v)
+	return v
 }
 
 // sweepDue: a leader sweeps once a term, to depose and be deposed — at once
@@ -126,41 +113,50 @@ func sweepDue(self cluster.Standing, sinceLeaderSweep, term time.Duration) bool 
 	return self.Role == cluster.RoleFollower && self.Suspect
 }
 
-// sweep probes every other peer at once and returns the standings of those
-// that answered within timeout, named as this node's configuration names
-// them.
-func (s *Server) sweep(timeout time.Duration) []cluster.Standing {
+// sweep probes every other peer at once; done hears the standings that
+// answered, named and ordered as this node's configuration has them, when the
+// last has answered or timeout has passed. It returns the probes'
+// connections, all of which it closes. On the clock.
+func (s *Server) sweep(timeout time.Duration, done func([]cluster.Standing)) []cluster.Conn {
 	cc := s.opts.Cluster
-	h := cluster.Hello{
-		Shards: len(s.shards),
-		Epoch:  s.cepoch.Load(),
-		Config: s.configSig(),
-		Node:   cc.NodeID,
-		Leader: s.LeaderHint(),
-	}
+	// No policy signature: a probe is refused before it would be compared.
+	h := cluster.Hello{Shards: len(s.shards), Epoch: s.cepoch.Load(), Node: cc.NodeID, Leader: s.LeaderHint()}
 	answers := make([]*cluster.Standing, len(cc.Peers))
-	var wg sync.WaitGroup
+	conns := make([]cluster.Conn, 0, len(cc.Peers)) // not nil: a sweep is in flight
+	waiting := 0
+	finish := func() {
+		if waiting < 0 {
+			return
+		}
+		waiting = -1
+		for _, c := range conns {
+			c.Close()
+		}
+		peers := make([]cluster.Standing, 0, len(answers))
+		for _, st := range answers {
+			if st != nil {
+				peers = append(peers, *st)
+			}
+		}
+		done(peers)
+	}
 	for i, p := range cc.Peers {
 		if p.ID == cc.NodeID {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, p Peer) {
-			defer wg.Done()
-			if st, err := cluster.Probe(p.ReplAddr, h, timeout); err == nil {
+		waiting++
+		conns = append(conns, cluster.Probe(s.net, p.ReplAddr, h, func(st cluster.Standing, err error) {
+			if err == nil {
 				st.Node = p.ID
 				answers[i] = &st
 			}
-		}(i, p)
+			if waiting--; waiting == 0 {
+				finish()
+			}
+		}))
 	}
-	wg.Wait()
-	peers := make([]cluster.Standing, 0, len(answers))
-	for _, st := range answers {
-		if st != nil {
-			peers = append(peers, *st)
-		}
-	}
-	return peers
+	s.clock.Schedule(timeout, finish)
+	return conns
 }
 
 // view is everything a tick's decision may depend on.
@@ -203,8 +199,13 @@ func decide(v view) action {
 	switch v.self.Role {
 	case cluster.RolePrimary:
 		for _, p := range v.peers {
-			if p.Epoch > v.self.Epoch {
+			switch {
+			case p.Epoch > v.self.Epoch:
 				return action{fence, p, "a peer answered from a later leadership generation"}
+			case p.Epoch == v.self.Epoch && p.Role == cluster.RolePrimary && p.Writable && !v.armed:
+				// Two candidates that saw different slates can both claim one
+				// generation; the one a quorum never joined stands aside.
+				return action{fence, p, "a primary of this generation holds its lease; this one never did"}
 			}
 		}
 		// The lease is enforced from the first quorum of a stint on, so a cold
@@ -273,17 +274,22 @@ func (s *Server) act(a action, v view) {
 		return
 	case armLease:
 		s.leaseArmed.Store(true)
+		s.writable.Store(true)
 	case suspendWrites:
 		s.writable.Store(false)
 	case resumeWrites:
 		s.writable.Store(true)
 	case fence:
-		s.Observe(a.peer)
+		// Proof of a later generation fences in Observe, with its hint; a
+		// leaseholder of this one does here.
+		if s.Observe(a.peer); a.peer.Epoch == s.cepoch.Load() && s.role.CompareAndSwap(rolePrimary, roleFenced) {
+			s.leader.Store(a.peer.Leader)
+		}
 	case refollow:
 		p, _ := cc.peer(a.peer.Node)
 		s.refollow(p)
 	case promote:
-		s.Promote()
+		s.promote()
 	}
 	s.log.Info("autopilot: "+string(a.verb), "reason", a.reason, "role", s.Role(), "epoch", s.ClusterEpoch(),
 		"was", v.self, "acked", v.acked, "quorum", v.quorum, "peers", v.peers)
@@ -292,13 +298,8 @@ func (s *Server) act(a action, v view) {
 // refollow re-aims replication at peer p: stop the old sessions, adopt p as
 // the leader hint, start fresh sessions against its replication address.
 func (s *Server) refollow(p Peer) {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
 	if s.role.Load() != roleFollower {
 		return
-	}
-	if old, ok := s.fol.Load().(replica); ok {
-		old.Stop()
 	}
 	if p.URL != "" {
 		s.leader.Store(p.URL)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/netchaos"
+	"repro/internal/simclock"
 )
 
 // electWinner must rank identically on every node that evaluates it — the
@@ -139,51 +141,46 @@ func TestPromotedNodeReportsItsOwnStanding(t *testing.T) {
 // inside).
 func TestSweepIsBoundedByOneTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
-	peers := []Peer{{ID: "a", ReplAddr: "127.0.0.1:1"}}
+	eng := simclock.NewEngine()
+	fab := netchaos.NewFabric(eng)
+	peers := []Peer{{ID: "a", ReplAddr: "a"}}
 	for _, id := range []string{"b", "c", "d", "e"} {
-		ln := listenTCP(t)
-		defer ln.Close()
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close() // held open, never answered, until the test ends
-			}
-		}()
-		peers = append(peers, Peer{ID: id, ReplAddr: ln.Addr().String()})
+		fab.Listen(id, func(cluster.Conn, string) cluster.Handler { return mute{} })
+		peers = append(peers, Peer{ID: id, ReplAddr: id})
 	}
-	sweeper := func(peers []Peer) *Server {
+	sweep := func(peers []Peer) (got []cluster.Standing, took time.Duration) {
 		opts := testOptions()
 		opts.Cluster = &ClusterConfig{Role: "primary", NodeID: "a", Peers: peers}
-		s := NewServer(opts)
-		t.Cleanup(s.Close)
-		return s
+		s := onFabric(eng, fab, 1, opts)
+		defer s.Close()
+		start := eng.Now()
+		s.sweep(timeout, func(peers []cluster.Standing) { got, took = peers, eng.Now()-start })
+		eng.Run()
+		return got, took
 	}
 
-	start := time.Now()
-	got := sweeper(peers).sweep(timeout)
-	if took := time.Since(start); took < timeout || took > timeout*3/2 {
-		t.Errorf("a sweep of four mute peers took %v, want one timeout of %v", took, timeout)
-	}
-	if len(got) != 0 {
-		t.Errorf("mute peers answered: %+v", got)
+	if got, took := sweep(peers); took != timeout || len(got) != 0 {
+		t.Errorf("a sweep of four mute peers took %v and returned %+v; want one timeout of %v and nothing", took, got, timeout)
 	}
 
 	// A peer that does answer is reported under the name the configuration
-	// gives it, whatever it calls itself.
+	// gives it, whatever it calls itself — and when every peer has, the
+	// sweep is over.
 	popts := testOptions()
-	popts.Cluster = &ClusterConfig{Role: "follower", NodeID: "somebody-else", PrimaryAddr: "127.0.0.1:1"}
-	live := NewServer(popts)
+	popts.Cluster = &ClusterConfig{Role: "follower", NodeID: "somebody-else", PrimaryAddr: "nowhere"}
+	live := onFabric(eng, fab, 1, popts)
 	defer live.Close()
-	ln := listenTCP(t)
-	live.ServeReplication(ln)
-	got = sweeper([]Peer{peers[0], {ID: "b", ReplAddr: ln.Addr().String()}}).sweep(timeout)
-	if len(got) != 1 || got[0].Node != "b" || got[0].Role != "follower" {
-		t.Errorf("sweep of one live follower returned %+v", got)
+	if got, took := sweep([]Peer{peers[0], {ID: "b", ReplAddr: "somebody-else"}}); len(got) != 1 || got[0].Node != "b" || got[0].Role != "follower" || took != 0 {
+		t.Errorf("a sweep of one live follower took %v and returned %+v", took, got)
 	}
 }
+
+// mute is a peer that accepts connections and never says a word.
+type mute struct{}
+
+func (mute) Recv([]byte)  {}
+func (mute) Kicked()      {}
+func (mute) Closed(error) {}
 
 // A peer without a replication address could never be consulted — probes and
 // streams have nowhere else to go — so the autopilot refuses to start.

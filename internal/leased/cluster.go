@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
+	"repro/internal/runtime"
 	"repro/internal/snapenc"
 )
 
@@ -55,15 +56,39 @@ func (s *Server) LeaderHint() string {
 	return l
 }
 
+// nodeClock is the clock a clustered node's replication and autopilot run
+// on — its TCP's Wall, or a view of the failover model's engine — with Do to
+// enter it from off it: a request, a Start method, Close.
+type nodeClock interface {
+	runtime.Clock
+	Do(fn func())
+}
+
+// onClock runs fn on the node's clock; a standalone daemon, which has none,
+// runs it as it is.
+func (s *Server) onClock(fn func()) {
+	if s.clock == nil {
+		fn()
+		return
+	}
+	s.clock.Do(fn)
+}
+
 // initCluster wires the replication plumbing at construction time, before
-// any traffic: role, leader hint, the Primary endpoint (built on followers
-// too — its listener answers with a leader hint until promotion) and each
-// shard's publish stream.
-func (s *Server) initCluster() {
+// any traffic: the node's clock and net (TCP's when clock is nil), role,
+// leader hint, the Primary endpoint (built on followers too — it answers
+// with a leader hint until promotion) and each shard's publish stream.
+func (s *Server) initCluster(clock nodeClock, net cluster.Net) {
 	cc := s.opts.Cluster
 	if cc == nil {
 		return
 	}
+	if clock == nil {
+		s.tcp = cluster.NewTCP()
+		clock, net = s.tcp.Wall, s.tcp
+	}
+	s.clock, s.net = clock, net
+	s.tickFn = s.autoTick
 	s.log = s.log.With("node", cc.NodeID)
 	if cc.Role == "follower" {
 		s.role.Store(roleFollower)
@@ -75,23 +100,13 @@ func (s *Server) initCluster() {
 	// and reading it live would race a follower's snapshot reinit when this
 	// node's listener answers a probe mid-apply.
 	s.cfgSig = fmt.Sprintf("%+v/shards=%d", s.shards[0].mgr.Config(), len(s.shards))
-	s.prim = cluster.NewPrimary(s, len(s.shards))
+	s.prim = cluster.NewPrimary(s, len(s.shards), clock)
 	s.prim.SetTuning(cc.tuning())
 	if s.opts.Faults != nil {
 		s.prim.SetFaults(s.opts.Faults.Site("repl.drop"), s.opts.Faults.Site("repl.delay"))
 	}
 	for i, sh := range s.shards {
 		sh.repl = s.prim.Stream(i)
-	}
-	// The hello reads the live epoch and node identity at dial time, so
-	// fencing and lease accounting survive re-aims and promotions.
-	s.follow = func(addr string) replica {
-		fol := cluster.NewFollower(s, addr, len(s.shards), func(shard int) cluster.Hello {
-			return cluster.Hello{Shard: shard, Shards: len(s.shards), Epoch: s.cepoch.Load(), Config: s.configSig(), Node: cc.NodeID}
-		}, s.log)
-		fol.SetTuning(cc.tuning())
-		fol.Start()
-		return fol
 	}
 }
 
@@ -100,13 +115,13 @@ func (s *Server) initCluster() {
 // lease policy and shard routing.
 func (s *Server) configSig() string { return s.cfgSig }
 
-// ServeReplication starts accepting follower connections on ln (the
-// daemon's -repl-addr listener). The accept loop runs until Close.
+// ServeReplication starts accepting peers' connections on ln (the daemon's
+// -repl-addr listener). The accept loop runs until Close.
 func (s *Server) ServeReplication(ln net.Listener) {
-	if s.prim == nil {
+	if s.tcp == nil {
 		panic("leased: ServeReplication without Options.Cluster")
 	}
-	go s.prim.Serve(ln)
+	s.tcp.Serve(ln, s.prim.Accept)
 }
 
 // StartFollowing dials the configured primary and begins replicating. The
@@ -119,21 +134,23 @@ func (s *Server) StartFollowing() error {
 	if s.role.Load() != roleFollower {
 		return fmt.Errorf("leased: %s node cannot follow", s.Role())
 	}
-	s.startFollower(cc.PrimaryAddr)
+	s.onClock(func() { s.startFollower(cc.PrimaryAddr) })
 	return nil
 }
 
-// replica is the follower side of replication as the Server drives it: a
-// *cluster.Follower, started by s.follow, or the failover model's stand-in,
-// which follows a peer without a socket.
-type replica interface {
-	Stats() cluster.ReplicaStats
-	Stop()
-	Addr() string
+// startFollower follows the primary at addr instead, on the clock. The hello
+// reads the live epoch and node identity at dial time, so fencing and lease
+// accounting survive re-aims and promotions.
+func (s *Server) startFollower(addr string) {
+	if s.fol != nil {
+		s.fol.Stop()
+	}
+	cc := s.opts.Cluster
+	s.fol = cluster.NewFollower(s, s.net, s.clock, addr, len(s.shards), cc.tuning(), func(shard int) cluster.Hello {
+		return cluster.Hello{Shard: shard, Shards: len(s.shards), Epoch: s.cepoch.Load(), Config: s.configSig(), Node: cc.NodeID}
+	}, s.log)
+	s.fol.Start()
 }
-
-// startFollower starts a follower aimed at addr, replacing s.fol.
-func (s *Server) startFollower(addr string) { s.fol.Store(s.follow(addr)) }
 
 // Promote makes this node the primary of a new leadership generation:
 // replication sessions stop, the cluster epoch moves past every epoch this
@@ -144,13 +161,17 @@ func (s *Server) startFollower(addr string) { s.fol.Store(s.follow(addr)) }
 // promoted=false. Promoting a fenced ex-primary un-fences it into a fresh
 // generation.
 func (s *Server) Promote() (epoch uint64, promoted bool) {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
+	s.onClock(func() { epoch, promoted = s.promote() })
+	return epoch, promoted
+}
+
+// promote is Promote on the clock.
+func (s *Server) promote() (epoch uint64, promoted bool) {
 	if s.role.Load() == rolePrimary {
 		return s.cepoch.Load(), false
 	}
-	if f, ok := s.fol.Load().(replica); ok {
-		f.Stop()
+	if s.fol != nil {
+		s.fol.Stop()
 	}
 	next := s.cepoch.Load()
 	if seen := s.seenEpoch.Load(); seen > next {
@@ -169,11 +190,11 @@ func (s *Server) Promote() (epoch uint64, promoted bool) {
 	if cc := s.opts.Cluster; cc != nil && cc.Advertise != "" {
 		s.leader.Store(cc.Advertise)
 	}
-	// A new leadership stint starts with its lease disarmed: writes open
-	// immediately and stay open until the first quorum of follower acks is
-	// seen, after which the lease is enforced (autopilot.go).
+	// A new stint starts with its lease disarmed; under the autopilot writes
+	// open with it, at the first quorum of acks: the slate a candidate promoted
+	// on may be stale, and only a quorum proves the old lease cannot renew.
 	s.leaseArmed.Store(false)
-	s.writable.Store(true)
+	s.writable.Store(!s.autoOn)
 	s.role.Store(rolePrimary)
 	return next, true
 }
@@ -182,7 +203,7 @@ func (s *Server) Promote() (epoch uint64, promoted bool) {
 // refusal on the replication port carries it, and /healthz and /metrics are
 // cut from it and from the follower's replication stats it was read with
 // (nil unless this node follows: a promoted node's stopped follower has
-// nothing current to say).
+// nothing current to say). On the clock, which it never enters itself.
 func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 	st := cluster.Standing{
 		Role:     s.Role(),
@@ -193,8 +214,8 @@ func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 	if cc := s.opts.Cluster; cc != nil {
 		st.Node = cc.NodeID
 	}
-	if f, ok := s.fol.Load().(replica); ok && st.Role == cluster.RoleFollower {
-		rs := f.Stats()
+	if s.fol != nil && st.Role == cluster.RoleFollower {
+		rs := s.fol.Stats()
 		st.Suspect, st.AppliedSeq, st.LastHeardMS = rs.Suspect, rs.AppliedSeq, rs.LastHeardMS
 		return st, &rs
 	}
@@ -204,6 +225,12 @@ func (s *Server) standing() (cluster.Standing, *cluster.ReplicaStats) {
 		}
 	}
 	return st, nil
+}
+
+// readStanding is standing for a request handler, off the clock.
+func (s *Server) readStanding() (st cluster.Standing, rs *cluster.ReplicaStats) {
+	s.onClock(func() { st, rs = s.standing() })
+	return st, rs
 }
 
 // --- cluster.Source (primary side) ---
@@ -426,7 +453,7 @@ type FollowerHealth struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st, rs := s.standing()
+	st, rs := s.readStanding()
 	h := Health{OK: true, Role: st.Role}
 	if s.opts.Cluster != nil {
 		h.ClusterHealth = &ClusterHealth{ClusterEpoch: st.Epoch, Writable: st.Writable}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/cluster"
 	"repro/internal/durable"
+	"repro/internal/runtime"
 )
 
 // clusterRig is a 2-node cluster: a durable primary serving replication on
@@ -74,7 +75,7 @@ func newClusterRig(t *testing.T, shards int, mut ...func(*Options)) *clusterRig 
 // replicaStats is the follower half of standing, as the tests' waits read
 // it: ok is false on a node that has never followed.
 func (s *Server) replicaStats() (cluster.ReplicaStats, bool) {
-	if _, rs := s.standing(); rs != nil {
+	if _, rs := s.readStanding(); rs != nil {
 		return *rs, true
 	}
 	return cluster.ReplicaStats{}, false
@@ -82,17 +83,45 @@ func (s *Server) replicaStats() (cluster.ReplicaStats, bool) {
 
 // restartAsFollower leaves s as a durable restart with -role follower and
 // -primary at its hint's peer would: the same epoch, nothing seen beyond it
-// and no hint until a welcome (promotion resets the lease state it keeps).
+// and no hint until a welcome (promotion resets the lease state it keeps),
+// its shards on unstarted walls again, waiting for the leader's snapshots.
 func (s *Server) restartAsFollower() {
-	hint := s.LeaderHint()
-	s.role.Store(roleFollower)
-	s.seenEpoch.Store(0)
-	s.leader.Store("")
-	for _, p := range s.opts.Cluster.Peers {
-		if p.URL == hint {
-			s.startFollower(p.ReplAddr)
+	s.onClock(func() {
+		for _, sh := range s.shards {
+			if sh.clock.Started() {
+				sh.clock.Stop()
+				sh.clock = runtime.NewWallUnstarted()
+				sh.shardState = newShardState(sh.clock, sh.opts)
+			}
 		}
+		hint := s.LeaderHint()
+		s.role.Store(roleFollower)
+		s.seenEpoch.Store(0)
+		s.leader.Store("")
+		for _, p := range s.opts.Cluster.Peers {
+			if p.URL == hint {
+				s.startFollower(p.ReplAddr)
+			}
+		}
+	})
+}
+
+func listenTCP(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ln
+}
+
+func stateJSON(t *testing.T, st []persistedState) string {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // waitSynced blocks until every shard stream is connected and the follower
@@ -100,20 +129,7 @@ func (s *Server) restartAsFollower() {
 // primary is quiesced (no concurrent writers), or the target moves.
 func (c *clusterRig) waitSynced() {
 	c.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := c.fol.s.replicaStats()
-		var src int64
-		for i := range c.prim.s.shards {
-			src += c.prim.s.prim.Stream(i).Seq()
-		}
-		if ok && st.Connected == len(c.prim.s.shards) && st.AppliedSeq >= src && st.Lag() == 0 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	st, _ := c.fol.s.replicaStats()
-	c.t.Fatalf("follower never caught up: %+v", st)
+	waitFor(c.t, "the follower to catch up", func() bool { return synced(c.prim.s, c.fol.s) })
 }
 
 // captureShards captures every shard's state at its current (frozen)
@@ -399,6 +415,47 @@ func TestClusterFailoverPreservesState(t *testing.T) {
 	}
 }
 
+// TestAutoFailoverOverTCP is the auto-failover the TCP driver runs in
+// tier-1, as fabric_test.go's run on the engine: three nodes on loopback,
+// every Peer.URL a dead port, so all a node knows of its peers is their
+// replication ports. The leader is closed; the successor must promote off
+// real probes of those ports, the loser re-aim at it, and the Leader hints
+// name the successor's advertised URL.
+func TestAutoFailoverOverTCP(t *testing.T) {
+	dead := listenTCP(t)
+	dead.Close()
+	var peers []Peer
+	var lns []net.Listener
+	for _, id := range []string{"a", "b", "c"} {
+		lns = append(lns, listenTCP(t))
+		peers = append(peers, Peer{ID: id, URL: "http://" + dead.Addr().String(), ReplAddr: lns[len(lns)-1].Addr().String()})
+	}
+	var nodes []*Server
+	for i, p := range peers {
+		opts := testOptions()
+		opts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://" + p.ID + ".invalid", NodeID: p.ID, Peers: peers,
+			AutoFailover: true, LeaseTerm: 150 * time.Millisecond, PingEvery: 50 * time.Millisecond, MissedPings: 6}
+		if i > 0 {
+			opts.Cluster.Role, opts.Cluster.PrimaryAddr = "follower", peers[0].ReplAddr
+		}
+		s := NewServer(opts)
+		t.Cleanup(s.Close)
+		s.ServeReplication(lns[i])
+		if i > 0 && s.StartFollowing() != nil || s.StartAutoFailover() != nil {
+			t.Fatalf("starting %s", p.ID)
+		}
+		nodes = append(nodes, s)
+	}
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	(&rig{t: t, s: a}).acquire("seed", "gps")
+	waitFor(t, "b and c synced to a", func() bool { return synced(a, b) && synced(a, c) })
+	a.Close()
+	waitFor(t, "b promoted, c following it", func() bool { return b.ClusterEpoch() == 1 && synced(b, c) })
+	if code, hint := writeAt(&rig{t: t, s: c}, "late"); code != http.StatusMisdirectedRequest || hint != "http://b.invalid" {
+		t.Fatalf("write on the loser: status %d, Leader %q; want 421 naming http://b.invalid", code, hint)
+	}
+}
+
 // refusedHello opens a replication connection to addr, sends h, and returns
 // the refusal the primary answers with; anything but an error frame fails the
 // test.
@@ -467,17 +524,10 @@ func TestOldProtoRefusedAtHandshake(t *testing.T) {
 	if err := fol.s.StartFollowing(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st, ok := fol.s.replicaStats(); ok && st.Connected == fopts.Shards && st.AppliedSeq == old.records {
-			break
-		}
-		if time.Now().After(deadline) {
-			st, _ := fol.s.replicaStats()
-			t.Fatalf("the follower never caught up with the old leader's %d records: %+v", old.records, st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the follower to catch up with the old leader", func() bool {
+		st, ok := fol.s.replicaStats()
+		return ok && st.Connected == fopts.Shards && st.AppliedSeq == old.records
+	})
 	if h := old.hello(); h.Proto != cluster.OldestProto || h.Reads != cluster.Proto {
 		t.Fatalf("the follower opened with %+v; want protocols %d to %d", h, cluster.OldestProto, cluster.Proto)
 	}
@@ -630,11 +680,25 @@ func TestStalePrimaryFencedByHandshake(t *testing.T) {
 	d.acquire("post-fence", "wakelock")
 }
 
+// TestAdoptWelcomeTakesTheEpoch: a follower joins its leader's generation
+// at the Welcome, before the snapshot that carries it too, and refuses a
+// leader from an earlier one.
+func TestAdoptWelcomeTakesTheEpoch(t *testing.T) {
+	s := NewServer(Options{Cluster: &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}})
+	defer s.Close()
+	if err := s.AdoptWelcome(cluster.Welcome{Epoch: 3, Shards: 1, Leader: "http://b"}); err != nil || s.ClusterEpoch() != 3 || s.LeaderHint() != "http://b" {
+		t.Fatalf("after a Welcome at epoch 3: %v, epoch %d, hint %q", err, s.ClusterEpoch(), s.LeaderHint())
+	}
+	if err := s.AdoptWelcome(cluster.Welcome{Epoch: 2, Shards: 1}); err == nil || s.ClusterEpoch() != 3 {
+		t.Fatalf("a Welcome from epoch 2 was taken: %v, epoch %d", err, s.ClusterEpoch())
+	}
+}
+
 // TestServePathDoesNotAllocateWithReplication re-runs the renew zero-alloc
 // pin with clustering enabled: the role gate in front of the handler and a
 // live subscriber attached to the shard's stream, so every renew publishes
 // its journal bytes. The publish must ride the subscriber's pre-grown
-// double buffer — zero allocations per request, same as standalone.
+// buffer — zero allocations per request, same as standalone.
 func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses itself under the race detector; allocation pins hold only in normal builds")
@@ -654,7 +718,7 @@ func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	if err := s.StartAutoFailover(); err != nil {
 		t.Fatal(err)
 	}
-	sub := cluster.NewSubscriber(0, "alloc-test")
+	sub := new(cluster.Subscriber)
 	s.shards[0].repl.Attach(sub)
 	defer s.shards[0].repl.Detach(sub)
 
@@ -669,8 +733,8 @@ func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 
 // BenchmarkReplicatedApply times what the test above pins at zero
 // allocations: the renew apply path with a live subscriber attached. With no
-// sender draining it, the subscriber buffers until subBufMax and then marks
-// itself overflowed (a real sender would drop the conn); either way the
+// connection draining it, the subscriber buffers until subBufMax and then
+// marks itself overflowed (a real stream would drop the conn); either way the
 // publish stays allocation-free apart from the handful of amortized buffer
 // growths.
 func BenchmarkReplicatedApply(b *testing.B) {
@@ -678,7 +742,7 @@ func BenchmarkReplicatedApply(b *testing.B) {
 	opts.Cluster = &ClusterConfig{Role: "primary", Advertise: "http://primary.invalid"}
 	s := NewServer(opts)
 	defer s.Close()
-	sub := cluster.NewSubscriber(0, "bench")
+	sub := new(cluster.Subscriber)
 	s.prim.Stream(0).Attach(sub)
 	defer s.prim.Stream(0).Detach(sub)
 

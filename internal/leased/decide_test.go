@@ -1,27 +1,37 @@
 package leased
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
+	goruntime "runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/netchaos"
+	"repro/internal/simclock"
 )
 
 // The failover argument, executable: decide is a pure function, so every
-// scenario of the wall-clock partition matrix (partition_test.go) is also a
-// table here, and a model of the cluster can step real Servers — their
-// standing, Observe, AdoptWelcome, decide and act — through random partition
-// schedules on logical time: no sockets, no wall clock.
+// scenario of the partition tests (fabric_test.go) is also a table here, and
+// a model of the cluster steps real Servers — streams, probes, autopilots and
+// all — through random partition schedules on one simclock.Engine, over a
+// netchaos.Fabric: no sockets, no wall clock.
 
-// The tables run at the matrix's tuning: 200 ms to detect, a 50 ms lease, a
-// quorum of 2 of 3.
+// The tables run at the partition tests' tuning: 200 ms to detect, a 50 ms
+// lease, a quorum of 2 of 3.
+var partDetect, partLease = millis(matrixTuning.detect()), millis(matrixTuning.term)
+
 func tableView(self cluster.Standing, peers ...cluster.Standing) view {
-	return view{self: self, peers: peers, detect: partDetect(), term: partLease, quorum: 2}
+	return view{self: self, peers: peers, detect: partDetect, term: partLease, quorum: 2}
 }
 
 func leader(epoch uint64, writable bool) cluster.Standing {
@@ -31,7 +41,7 @@ func leader(epoch uint64, writable bool) cluster.Standing {
 // follower is a follower that last heard its leader heardMS ago.
 func follower(node string, epoch uint64, applied, heardMS int64) cluster.Standing {
 	return cluster.Standing{Node: node, Role: cluster.RoleFollower, Epoch: epoch, AppliedSeq: applied,
-		LastHeardMS: heardMS, Suspect: heardMS > partDetect().Milliseconds()}
+		LastHeardMS: heardMS, Suspect: heardMS > partDetect.Milliseconds()}
 }
 
 type decideCase struct {
@@ -118,7 +128,7 @@ func TestDecideLoserStandsByAndRefollows(t *testing.T) {
 // TestAutoFailoverLeaderIsolated, the winner's side: elected, it still waits
 // until detect + term of silence have passed — the old lease has then expired.
 func TestDecideWinnerWaitsOutTheOldLease(t *testing.T) {
-	wait := (partDetect() + partLease).Milliseconds()
+	wait := (partDetect + partLease).Milliseconds()
 	peer := follower("c", 0, 10, 900)
 	runDecide(t, []decideCase{
 		{"suspect, lease may be held", tableView(follower("b", 0, 10, wait-1), peer), none, ""},
@@ -141,12 +151,25 @@ func TestDecideHealedExLeaderIsFenced(t *testing.T) {
 	})
 }
 
+// Two candidates that ranked different slates can both claim one epoch. The
+// one a quorum never joined stands aside for the one holding its lease; one
+// holding its own ignores a rival of the same epoch, which is standing aside
+// or will.
+func TestDecideSameEpochRivalStandsAside(t *testing.T) {
+	rival := cluster.Standing{Node: "b", Role: cluster.RolePrimary, Epoch: 1, Writable: true}
+	runDecide(t, []decideCase{
+		{"never armed, the rival holds its lease", withLease(tableView(leader(1, false), rival), false, 0), fence, "b"},
+		{"armed: a lease of its own", withLease(tableView(leader(1, true), rival), true, 1), none, ""},
+		{"neither holds one", withLease(tableView(leader(1, false), cluster.Standing{Node: "b", Role: cluster.RolePrimary, Epoch: 1}), false, 0), none, ""},
+	})
+}
+
 // A refusal that names no role — a build from before refusals carried the
 // standing — says nothing decide can use: cluster.Probe already reports such
 // a peer as one that did not answer (TestProbeNeedsAStanding), and a
 // roleless standing that reached decide anyway would count for nothing.
 func TestDecideRefusalWithoutARoleCountsAsUnreachable(t *testing.T) {
-	wait := (partDetect() + partLease).Milliseconds()
+	wait := (partDetect + partLease).Milliseconds()
 	roleless := cluster.Standing{Node: "c", Epoch: 0, Suspect: true, AppliedSeq: 10, Leader: "http://a"}
 	newer := cluster.Standing{Node: "c", Epoch: 1, Writable: true}
 	runDecide(t, []decideCase{
@@ -167,83 +190,117 @@ func (mt modelTuning) detect() int64 { return mt.ping * mt.missed }
 
 var (
 	defaultTuning = modelTuning{ping: 250, missed: 4, term: 750} // cmd/leased's defaults
-	matrixTuning  = modelTuning{ping: 25, missed: 8, term: 50}   // partition_test.go's
+	matrixTuning  = modelTuning{ping: 25, missed: 8, term: 50}   // fabric_test.go's
 )
 
-// modelNode is one node: a real Server, and what the replication layer would
-// hand it, on the node's own clock. The node is also its Server's follower
-// (follow, Stats, Stop, Addr), which streams from leader without a socket.
+func millis(d int64) time.Duration { return time.Duration(d) * time.Millisecond }
+
+// skewed is a node's clock on the model's engine: true time, read at the
+// node's own rate. Everything on an engine runs on the test's goroutine, so
+// entering the clock is just the call.
+type skewed struct {
+	eng  *simclock.Engine
+	rate float64
+}
+
+func (c *skewed) Now() simclock.Time { return simclock.Time(float64(c.eng.Now()) * c.rate) }
+
+// Schedule rounds up, so that the node's clock has moved d when fn runs.
+func (c *skewed) Schedule(d time.Duration, fn func()) simclock.EventID {
+	return c.eng.Schedule(time.Duration(math.Ceil(float64(d)/c.rate)), fn)
+}
+func (c *skewed) Cancel(id simclock.EventID) bool { return c.eng.Cancel(id) }
+func (c *skewed) Do(fn func())                    { fn() }
+
+// onFabric stands a clustered Server up on eng, its clock at rate, reaching
+// its peers through fab, where it listens at its node ID.
+func onFabric(eng *simclock.Engine, fab *netchaos.Fabric, rate float64, opts Options) *Server {
+	id := opts.Cluster.NodeID
+	s := newServer(opts, &skewed{eng, rate}, fab.Node(id))
+	fab.Listen(id, s.prim.Accept)
+	return s
+}
+
+// modelNode is one node: a real Server, its clock's rate against true time,
+// and what the model last saw of it.
 type modelNode struct {
-	m           *model
-	i           int
-	s           *Server
-	alive       bool
-	leader      int     // the node its follower streams from, or -1
-	session     bool    // that stream is open: welcomed, and not silent since
-	heard       int64   // own clock when it last heard its leader
-	applied     int64   // the leader's stream offset it has applied
-	acks        []int64 // own clock when each follower last acked it; 0, never
-	rate        float64 // own clock's rate against true time
-	nextTick    int64   // true time of its next autopilot tick
-	leaderSweep int64   // own clock at its last sweep as leader
-	// The sweep in flight: what answered when it was launched, handed to
-	// decide when true time reaches sweepBack.
-	sweepBack int64
-	sweepGot  []cluster.Standing
-	sweepSaw  int // how many live nodes it reached both ways, itself included
+	s      *Server
+	rate   float64
+	alive  bool
+	diedAt simclock.Time
+	last   cluster.Standing
 }
 
-func (n *modelNode) follow(addr string) replica { // addr is a node's name
-	n.leader, n.session, n.heard, n.applied = int(addr[0]-'a'), false, n.m.clock(n.i), 0
-	return n
-}
-
-func (n *modelNode) Stats() cluster.ReplicaStats {
-	silent := n.m.clock(n.i) - n.heard
-	return cluster.ReplicaStats{AppliedSeq: n.applied, LastHeardMS: silent, Suspect: n.leader >= 0 && silent > n.m.mt.detect()}
-}
-func (n *modelNode) Stop()        { n.leader = -1 }
-func (n *modelNode) Addr() string { return "" }
-
-// model is n nodes under a reachability matrix on logical time.
+// model is n nodes on one engine and one fabric: the model owns true time,
+// the links and the kills, and checks; everything else — the streams, the
+// probes, the autopilots, their timeouts — is the Servers' own code.
 type model struct {
 	mt      modelTuning
 	rng     *rand.Rand
-	now     int64 // true time, ms
+	eng     *simclock.Engine
+	fab     *netchaos.Fabric
 	nodes   []modelNode
 	up      [][]bool          // up[i][j]: bytes i sends reach j
+	lastUp  [][]simclock.Time // when up[i][j] last held, while it does not
 	highest map[string]uint64 // cluster.CheckLeadership's memory
+	sample  []cluster.Standing
 	fails   []string
-	trace   func(format string, args ...any) // when set, receives every event and action
 }
 
-// quiet is the nodes' logger: the model traces their actions itself.
-var quiet = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
-
-// newModel builds n one-shard Servers at the tuning: a the primary, the rest
-// its followers.
-func newModel(n int, mt modelTuning, skew float64, rng *rand.Rand) *model {
-	m := &model{mt: mt, rng: rng, nodes: make([]modelNode, n), up: make([][]bool, n), highest: map[string]uint64{}}
+// newModel builds sc's nodes from opts at its tuning, each clock at a rate
+// within 1 ± sc.skew: a the primary, the rest its followers, every autopilot
+// armed at its own phase of the ping interval. mut edits each node's cluster
+// configuration first. What the nodes log goes to sc.trace, if set.
+func newModel(sc schedule, opts Options, mut ...func(*ClusterConfig)) *model {
+	n, mt := sc.nodes, sc.mt
+	m := &model{mt: mt, rng: rand.New(rand.NewSource(sc.seed)), eng: simclock.NewEngine(), nodes: make([]modelNode, n),
+		up: make([][]bool, n), lastUp: make([][]simclock.Time, n), highest: map[string]uint64{}}
+	m.fab = netchaos.NewFabric(m.eng)
+	log := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
+	if sc.trace != nil {
+		log = slog.New(slog.NewTextHandler(engineLog{m.eng, sc.trace}, nil))
+	}
 	peers := make([]Peer, n)
 	for i := range peers {
-		peers[i], m.up[i] = Peer{ID: m.id(i), URL: "http://" + m.id(i), ReplAddr: m.id(i)}, make([]bool, n)
+		peers[i] = Peer{ID: m.id(i), URL: "http://" + m.id(i), ReplAddr: m.id(i)}
+		m.up[i], m.lastUp[i] = make([]bool, n), make([]simclock.Time, n)
 	}
-	m.regroup(make([]int, n))
 	for i := range m.nodes {
-		ms := func(d int64) time.Duration { return time.Duration(d) * time.Millisecond }
 		cc := &ClusterConfig{Role: "follower", PrimaryAddr: "a", Advertise: peers[i].URL, NodeID: m.id(i), Peers: peers,
-			LeaseTerm: ms(mt.term), PingEvery: ms(mt.ping), MissedPings: int(mt.missed)}
+			AutoFailover: true, LeaseTerm: millis(mt.term), PingEvery: millis(mt.ping), MissedPings: int(mt.missed)}
 		if i == 0 {
 			cc.Role = "primary"
 		}
+		for _, f := range mut {
+			f(cc)
+		}
+		opts.Cluster = cc
 		nd := &m.nodes[i]
-		*nd = modelNode{m: m, i: i, s: NewServer(Options{Shards: 1, DedupWindow: 1, Cluster: cc}), alive: true, leader: -1,
-			acks: make([]int64, n), rate: 1 + skew*(2*rng.Float64()-1), nextTick: rng.Int63n(mt.ping), leaderSweep: -1 << 40, sweepBack: -1}
-		if nd.s.log, nd.s.follow = quiet, nd.follow; i > 0 {
+		*nd = modelNode{rate: 1 + sc.skew*(2*m.rng.Float64()-1), alive: true}
+		nd.s = onFabric(m.eng, m.fab, nd.rate, opts)
+		nd.s.log = log.With("node", m.id(i))
+		if i > 0 {
 			nd.s.StartFollowing()
 		}
+		m.eng.Schedule(millis(m.rng.Int63n(mt.ping)), func() {
+			if nd.alive && cc.AutoFailover {
+				nd.s.StartAutoFailover()
+			}
+		})
 	}
+	m.regroup(make([]int, n))
 	return m
+}
+
+// engineLog hands each line a node logs to logf, stamped with true time.
+type engineLog struct {
+	eng  *simclock.Engine
+	logf func(string, ...any)
+}
+
+func (w engineLog) Write(p []byte) (int, error) {
+	w.logf("t=%dms %s", w.eng.Now().Milliseconds(), bytes.TrimSpace(p))
+	return len(p), nil
 }
 
 func (m *model) close() {
@@ -253,150 +310,138 @@ func (m *model) close() {
 }
 
 func (m *model) failf(format string, args ...any) {
-	m.fails = append(m.fails, fmt.Sprintf("t=%dms: ", m.now)+fmt.Sprintf(format, args...))
+	m.fails = append(m.fails, fmt.Sprintf("t=%dms: ", m.eng.Now().Milliseconds())+fmt.Sprintf(format, args...))
 }
 
-func (m *model) id(i int) string   { return "abcde"[i : i+1] }
-func (m *model) quorum() int       { return len(m.nodes)/2 + 1 }
-func (m *model) clock(i int) int64 { return int64(float64(m.now) * m.nodes[i].rate) }
+func (m *model) id(i int) string { return "abcde"[i : i+1] }
+func (m *model) quorum() int     { return len(m.nodes)/2 + 1 }
 
-// stream is the replication layer at node x's tick. A primary writes about
-// every other tick, and a follower with a stream open from it hears it where
-// its bytes reach the follower; it counts the ack where the follower's reach
-// it. A follower's stream silent past the detection window died on its read
-// deadline; with none open it dials, over both directions: the leader is
-// shown x's epoch, then x takes its refusal (a non-primary's standing) or its
-// Welcome, whose attach counts as an ack.
-func (m *model) stream(x int) {
-	n := &m.nodes[x]
-	if n.s.Role() == cluster.RolePrimary {
-		if n.s.Writable() && m.rng.Intn(2) == 0 {
-			n.s.prim.Stream(0).PublishBatch([][]byte{nil}) // the stream counts records
-		}
-		for f := range m.nodes {
-			if fn := &m.nodes[f]; fn.alive && fn.session && fn.leader == x && m.up[x][f] {
-				if fn.heard, fn.applied = m.clock(f), n.s.prim.Stream(0).Seq(); m.up[f][x] {
-					n.acks[f] = m.clock(x)
-				}
-			}
-		}
-		return
-	}
-	n.session = n.session && !n.Stats().Suspect
-	if l := n.leader; !n.session && l >= 0 && m.nodes[l].alive && m.up[x][l] && m.up[l][x] {
-		m.nodes[l].s.Observe(cluster.Standing{Node: m.id(x), Epoch: n.s.ClusterEpoch()})
-		if st, _ := m.nodes[l].s.standing(); st.Role != cluster.RolePrimary {
-			n.s.Observe(st)
-		} else if n.s.AdoptWelcome(cluster.Welcome{Epoch: st.Epoch, Shards: 1, Leader: st.Leader}) == nil {
-			n.session, n.heard, n.applied, m.nodes[l].acks[x] = true, m.clock(x), st.AppliedSeq, m.clock(l)
-		}
-	}
-}
-
-// sweep is Server.sweep at this instant: i's Hello reaches, and is observed
-// by, every live peer its bytes reach, and the standings of those whose bytes
-// reach i come back some time within the timeout.
-func (m *model) sweep(i int) {
-	n := &m.nodes[i]
-	hello := cluster.Standing{Node: m.id(i), Epoch: n.s.ClusterEpoch(), Leader: n.s.LeaderHint()}
-	n.sweepGot, n.sweepSaw = []cluster.Standing{}, 1
-	for j := range m.nodes {
-		if j != i && m.nodes[j].alive && m.up[i][j] {
-			if m.nodes[j].s.Observe(hello); m.up[j][i] {
-				st, _ := m.nodes[j].s.standing()
-				n.sweepGot, n.sweepSaw = append(n.sweepGot, st), n.sweepSaw+1
-			}
-		}
-	}
-	n.sweepBack = m.now + m.rng.Int63n(sweepTimeout(time.Duration(m.mt.term)*time.Millisecond).Milliseconds())
-}
-
-// tick is a pass of Server.autopilot's loop for node i with the model's acks:
-// observe, decide, act, and sweep if due. peers is a sweep just back, or nil.
-func (m *model) tick(i int, peers []cluster.Standing) {
-	n, cc := &m.nodes[i], m.nodes[i].s.opts.Cluster
-	v := view{peers: peers, detect: cc.tuning().DetectAfter(), term: cc.leaseTerm(), quorum: cc.quorum()}
-	acked := 0
-	for _, at := range n.acks {
-		if at > 0 && m.clock(i)-at <= m.mt.term {
-			acked++
-		}
-	}
-	n.s.observe(&v, acked)
-	a := decide(v)
-	if m.trace != nil && a.verb != none {
-		m.trace("t=%d %s: %s: %s (was %+v; acks 1+%d; peers %+v)", m.now, m.id(i), a.verb, a.reason, v.self, v.acked, v.peers)
-	}
-	if a.verb == promote {
-		if n.sweepSaw < m.quorum() {
-			m.failf("%s promoted having reached %d of %d nodes", m.id(i), n.sweepSaw, len(m.nodes))
-		}
-		clear(n.acks) // a new stint's followers have yet to attach
-	}
-	n.s.act(a, v)
-	if peers == nil && n.sweepBack < 0 && sweepDue(v.self, time.Duration(m.clock(i)-n.leaderSweep)*time.Millisecond, v.term) {
-		if v.self.Role == cluster.RolePrimary {
-			n.leaderSweep = m.clock(i)
-		}
-		m.sweep(i)
-	}
-}
-
-// step advances true time to the next instant anything happens — a node's
-// tick, a sweep coming back — but not past until, and checks the leadership
-// invariants, which must hold at every instant (nothing changes in between).
-func (m *model) step(until int64) {
-	next := until
-	for i := range m.nodes {
-		if n := &m.nodes[i]; n.alive {
-			next = min(next, n.nextTick)
-			if n.sweepBack >= 0 {
-				next = min(next, n.sweepBack)
-			}
-		}
-	}
-	m.now = max(m.now, next)
+// check runs after every event. The leadership invariants must hold at every
+// instant (nothing changes between events, and a sample no node's standing
+// moved in holds nothing new), and a node that has just promoted must have
+// been able to hear a quorum: live peers whose bytes and its own both got
+// through within its sweep's timeout before now.
+func (m *model) check() {
+	changed := false
+	m.sample = m.sample[:0]
 	for i := range m.nodes {
 		n := &m.nodes[i]
 		if !n.alive {
 			continue
 		}
-		if n.sweepBack >= 0 && m.now >= n.sweepBack {
-			n.sweepBack = -1
-			m.tick(i, n.sweepGot)
+		st := cluster.Standing{Node: m.id(i), Role: n.s.Role(), Epoch: n.s.ClusterEpoch(), Writable: n.s.Writable()}
+		if st != n.last {
+			if st.Epoch > n.last.Epoch && st.Role == cluster.RolePrimary {
+				if reached := m.reached(i); reached < m.quorum() {
+					m.failf("%s promoted having reached %d of %d nodes", m.id(i), reached, len(m.nodes))
+				}
+			}
+			n.last, changed = st, true
 		}
-		if m.now >= n.nextTick {
-			n.nextTick += int64(float64(m.mt.ping) / n.rate)
-			m.stream(i)
-			m.tick(i, nil)
-		}
+		m.sample = append(m.sample, st)
 	}
-	sample := make([]cluster.Standing, 0, 5)
-	for i := range m.nodes {
-		if s := m.nodes[i].s; m.nodes[i].alive {
-			sample = append(sample, cluster.Standing{Node: m.id(i), Role: s.Role(), Epoch: s.ClusterEpoch(), Writable: s.Writable()})
+	if changed {
+		for _, v := range cluster.CheckLeadership(m.sample, m.highest) {
+			m.failf("%s", v)
 		}
-	}
-	for _, v := range cluster.CheckLeadership(sample, m.highest) {
-		m.failf("%s", v)
 	}
 }
 
-// run steps the model through d of true time; false once an invariant broke.
-func (m *model) run(d int64) bool {
-	for until := m.now + d; m.now < until && len(m.fails) == 0; {
-		m.step(until)
+// reached counts node i and the peers it could have traded standings with in
+// the sweep that just came back.
+func (m *model) reached(i int) int {
+	now := m.eng.Now()
+	since := now - time.Duration(float64(sweepTimeout(millis(m.mt.term)))/m.nodes[i].rate)
+	upAt := func(a, b int) simclock.Time {
+		if m.up[a][b] {
+			return now
+		}
+		return m.lastUp[a][b]
 	}
-	return len(m.fails) == 0
+	reached := 1
+	for j := range m.nodes {
+		if n := &m.nodes[j]; j != i && (n.alive || n.diedAt >= since) && upAt(i, j) >= since && upAt(j, i) >= since {
+			reached++
+		}
+	}
+	return reached
+}
+
+// run steps the model through d of true time, an event at a time; false once
+// an invariant broke.
+func (m *model) run(d int64) bool {
+	until := m.eng.Now() + millis(d)
+	for len(m.fails) == 0 {
+		if next, ok := m.eng.Next(); !ok || next > until {
+			m.eng.RunUntil(until)
+			return true
+		}
+		m.eng.Step()
+		m.check()
+	}
+	return false
+}
+
+// wait steps the model until cond holds, failing t if an invariant breaks
+// first or ten seconds of true time pass.
+func (m *model) wait(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := m.eng.Now() + 10*time.Second; !cond(); m.check() {
+		if next, ok := m.eng.Next(); !ok || next > deadline || len(m.fails) > 0 {
+			t.Fatalf("waiting for %s: %v", what, m.fails)
+		}
+		m.eng.Step()
+	}
+}
+
+// link sets whether the bytes i sends reach j; relink then hands the matrix
+// to the fabric. A link cut both ways is a blackhole — the connections stay
+// up and hold what is sent until the heal — one cut one way drops.
+func (m *model) link(i, j int, up bool) {
+	if m.up[i][j] && !up {
+		m.lastUp[i][j] = m.eng.Now()
+	}
+	m.up[i][j] = up
+}
+
+func (m *model) relink() {
+	for v := range m.nodes {
+		for t := range m.nodes {
+			spec := ""
+			switch vt, tv := m.up[v][t], m.up[t][v]; {
+			case v == t:
+				continue
+			case !vt && !tv:
+				spec = "blackhole=1"
+			case !vt:
+				spec = "drop=c2s"
+			case !tv:
+				spec = "drop=s2c"
+			}
+			if err := m.fab.Configure(m.id(v), m.id(t), spec); err != nil {
+				panic(err)
+			}
+		}
+	}
 }
 
 // regroup puts links up inside a side and cuts them between sides.
 func (m *model) regroup(sides []int) {
 	for i := range m.up {
 		for j := range m.up[i] {
-			m.up[i][j] = sides[i] == sides[j]
+			m.link(i, j, sides[i] == sides[j])
 		}
 	}
+	m.relink()
+}
+
+// kill stops node i as a crash would: its connections close and nothing
+// answers at its address.
+func (m *model) kill(i int) {
+	n := &m.nodes[i]
+	n.alive, n.diedAt = false, m.eng.Now()
+	m.fab.Listen(m.id(i), nil)
+	n.s.Close()
 }
 
 // converged checks a healed cluster: one writable leader, which every other
@@ -422,8 +467,8 @@ func (m *model) converged() (staleAim string) {
 		case lead < 0 || i == lead || !n.alive || s.Role() == cluster.RoleFenced:
 		case s.Role() != cluster.RoleFollower || s.ClusterEpoch() != m.nodes[lead].s.ClusterEpoch():
 			m.failf("%s is a %s at epoch %d after every link healed, %s leads", m.id(i), s.Role(), s.ClusterEpoch(), m.id(lead))
-		case n.leader != lead && staleAim == "":
-			staleAim = fmt.Sprintf("%s streams from %s at epoch %d, %s leads", m.id(i), m.id(n.leader), s.ClusterEpoch(), m.id(lead))
+		case s.fol.Addr() != m.id(lead) && staleAim == "":
+			staleAim = fmt.Sprintf("%s streams from %s at epoch %d, %s leads", m.id(i), s.fol.Addr(), s.ClusterEpoch(), m.id(lead))
 		}
 	}
 	return staleAim
@@ -454,10 +499,21 @@ func settled(mt modelTuning) int64 { return mt.detect() + mt.term + 6*mt.ping }
 // cluster converged. It returns the invariant violations, the first of which
 // ends it, and any stale aim.
 func (sc schedule) run() (fails []string, staleAim string) {
-	rng := rand.New(rand.NewSource(sc.seed))
-	m := newModel(sc.nodes, sc.mt, sc.skew, rng)
+	m := newModel(sc, Options{Shards: 1, DedupWindow: 1})
 	defer m.close()
-	m.trace = sc.trace
+	rng := m.rng
+	// The client: once a ping interval, each writable node takes a write about
+	// half the time — a mark record, which its followers apply.
+	var write func()
+	write = func() {
+		m.eng.Schedule(millis(sc.mt.ping), write)
+		for i := range m.nodes {
+			if n := &m.nodes[i]; n.alive && n.s.Writable() && rng.Intn(2) == 0 {
+				n.s.shards[0].apply([]*opSlot{{rec: opRecord{Op: opMark}}}, nil, time.Time{})
+			}
+		}
+	}
+	m.eng.Schedule(millis(sc.mt.ping), write)
 	n := sc.nodes
 	kills := 0
 	for events := 3 + rng.Intn(6); events > 0; events-- {
@@ -467,9 +523,6 @@ func (sc schedule) run() (fails []string, staleAim string) {
 		i, j, k := rng.Intn(n), rng.Intn(n), rng.Intn(8)
 		if sc.links && rng.Intn(2) == 0 {
 			k = 8 + rng.Intn(3)
-		}
-		if sc.trace != nil {
-			sc.trace("t=%d event %d on %s, %s", m.now, k, m.id(i), m.id(j))
 		}
 		sides := make([]int, n)
 		switch k {
@@ -485,13 +538,20 @@ func (sc schedule) run() (fails []string, staleAim string) {
 			m.regroup(sides)
 		case 7:
 			if kills < n-m.quorum() {
-				m.nodes[i].alive = false
+				if m.nodes[i].alive {
+					m.kill(i)
+				}
 				kills++
 			}
 		case 8, 9: // what i sends j is lost
-			m.up[i][j] = i == j
+			m.link(i, j, i == j)
+			m.relink()
 		case 10:
-			m.up[i][j] = true
+			m.link(i, j, true)
+			m.relink()
+		}
+		if sc.trace != nil {
+			sc.trace("t=%dms event %d on %s, %s: up %v", m.eng.Now().Milliseconds(), k, m.id(i), m.id(j), m.up)
 		}
 	}
 	if !m.run(sc.dwell) {
@@ -510,37 +570,63 @@ func (sc schedule) run() (fails []string, staleAim string) {
 }
 
 // TestModelFailoverSchedules is the failover argument of DESIGN.md §16, run:
-// real Servers stepped through random schedules of clean partitions that
-// each outlast a failover, clocks true, at both tunings and both cluster
-// sizes. At no instant are two nodes writable, no epoch moves backwards,
-// nobody promotes from a side without a quorum, and a healed cluster
-// converges on one writable leader. A failure names its schedule; add trace:
-// t.Logf to it to see every event and decision.
+// real Servers — their streams, probes and autopilots — stepped through
+// random schedules of clean partitions that each outlast a failover, clocks
+// true, at both tunings and both cluster sizes. At no instant are two nodes
+// writable, no epoch moves backwards, nobody promotes from a side without a
+// quorum, and a healed cluster converges on one writable leader. A failure
+// names its schedule; add trace: t.Logf to it to see every event and action.
 func TestModelFailoverSchedules(t *testing.T) {
 	schedules := 2600
 	if raceEnabled || testing.Short() {
 		schedules /= 10
 	}
-	start := time.Now()
-	total := 0
+	var all []schedule
 	for _, mt := range []modelTuning{matrixTuning, defaultTuning} {
 		for _, n := range []int{3, 5} {
 			for seed := int64(1); seed <= int64(schedules); seed++ {
-				total++
-				sc := schedule{nodes: n, mt: mt, seed: seed, dwell: settled(mt)}
-				if fails, _ := sc.run(); len(fails) > 0 {
-					t.Fatalf("%+v:\n  %s", sc, strings.Join(fails, "\n  "))
-				}
+				all = append(all, schedule{nodes: n, mt: mt, seed: seed, dwell: settled(mt)})
 			}
 		}
 	}
-	t.Logf("%d schedules in %v", total, time.Since(start).Round(time.Millisecond))
+	// Each reconnect in a schedule attaches a stream with the 128 KiB of
+	// buffers a daemon pre-sizes once: garbage the collector need not chase
+	// at the default target.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
+	start := time.Now()
+	fails, _ := runAll(all)
+	for i, f := range fails {
+		if len(f) > 0 {
+			t.Fatalf("%+v:\n  %s", all[i], strings.Join(f, "\n  "))
+		}
+	}
+	t.Logf("%d schedules in %v", len(all), time.Since(start).Round(time.Millisecond))
 }
 
-// TestModelNodeIsTheServer is TestAutoFailoverLeaderIsolated's story on
-// logical time, read through the Servers' own accessors.
+// runAll runs the schedules on every CPU — each owns its engine, fabric and
+// Servers, so it runs as it would alone — and returns what each returned, in
+// the same order.
+func runAll(all []schedule) (fails [][]string, staleAims []string) {
+	fails, staleAims = make([][]string, len(all)), make([]string, len(all))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < goruntime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(all)); i = next.Add(1) - 1 {
+				fails[i], staleAims[i] = all[i].run()
+			}
+		}()
+	}
+	wg.Wait()
+	return fails, staleAims
+}
+
+// TestModelNodeIsTheServer is TestAutoFailoverLeaderIsolated's story in the
+// model, read through the Servers' own accessors.
 func TestModelNodeIsTheServer(t *testing.T) {
-	m := newModel(3, matrixTuning, 0, rand.New(rand.NewSource(1)))
+	m := newModel(schedule{nodes: 3, mt: matrixTuning, seed: 1}, Options{Shards: 1, DedupWindow: 1})
 	defer m.close()
 	a, b, c := m.nodes[0].s, m.nodes[1].s, m.nodes[2].s
 	settle := func(sides ...int) {
@@ -566,8 +652,8 @@ func TestModelNodeIsTheServer(t *testing.T) {
 	settle(0, 0, 0)
 	check("a restarted: a", a, "follower at epoch 1, writable false, hint http://b")
 	check("a restarted: b", b, "primary at epoch 1, writable true, hint http://b")
-	if m.nodes[0].leader != 1 || m.nodes[2].leader != 1 {
-		t.Errorf("a and c stream from nodes %d and %d, want b's, 1", m.nodes[0].leader, m.nodes[2].leader)
+	if a.fol.Addr() != "b" || c.fol.Addr() != "b" {
+		t.Errorf("a and c stream from %s and %s, want b", a.fol.Addr(), c.fol.Addr())
 	}
 }
 
@@ -580,6 +666,7 @@ func TestModelReportsWhereTheArgumentStops(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("a report: run with -v")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(400)) // as for the gate
 	const schedules = 1000
 	relaxations := []struct {
 		name  string
@@ -600,19 +687,22 @@ func TestModelReportsWhereTheArgumentStops(t *testing.T) {
 		for _, n := range []int{3, 5} {
 			row := fmt.Sprintf("%d nodes, ping %dms × %d, term %dms,", n, mt.ping, mt.missed, mt.term)
 			for _, r := range relaxations {
+				all := make([]schedule, schedules)
+				for i := range all {
+					all[i] = schedule{nodes: n, mt: mt, seed: int64(i + 1), dwell: settled(mt)}
+					r.relax(&all[i])
+				}
+				fails, aims := runAll(all)
 				broken, stale, first, firstStale := 0, 0, "", ""
-				for seed := int64(1); seed <= schedules; seed++ {
-					sc := schedule{nodes: n, mt: mt, seed: seed, dwell: settled(mt)}
-					r.relax(&sc)
-					fails, aim := sc.run()
-					if len(fails) > 0 {
+				for i := range all {
+					if len(fails[i]) > 0 {
 						if broken++; first == "" {
-							first = fmt.Sprintf(" — first: seed %d, %s", seed, fails[0])
+							first = fmt.Sprintf(" — first: seed %d, %s", i+1, fails[i][0])
 						}
 					}
-					if aim != "" {
+					if aims[i] != "" {
 						if stale++; firstStale == "" {
-							firstStale = fmt.Sprintf(" — first: seed %d, %s", seed, aim)
+							firstStale = fmt.Sprintf(" — first: seed %d, %s", i+1, aims[i])
 						}
 					}
 				}

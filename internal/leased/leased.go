@@ -45,6 +45,7 @@ import (
 	"repro/internal/lease"
 	"repro/internal/power"
 	"repro/internal/runtime"
+	"repro/internal/simclock"
 	"repro/internal/snapenc"
 )
 
@@ -246,11 +247,25 @@ type Server struct {
 	seenEpoch atomic.Uint64 // highest epoch proven to exist by any peer
 	role      atomic.Int32  // rolePrimary | roleFollower | roleFenced
 	leader    atomic.Value  // string: current Leader hint
-	prim      *cluster.Primary
-	cfgSig    string                    // immutable policy signature for handshakes
-	fol       atomic.Value              // replica: swapped when re-aiming at a new leader
-	follow    func(addr string) replica // starts the follower startFollower stores
-	promoteMu sync.Mutex
+	cfgSig    string        // immutable policy signature for handshakes
+
+	// The node's replication runs on clock and reaches its peers through
+	// net: TCP and its Wall in a daemon (tcp), the failover model's engine
+	// and fabric in its tests. What follows is the clock's.
+	clock nodeClock
+	net   cluster.Net
+	tcp   *cluster.TCP
+	prim  *cluster.Primary
+	fol   *cluster.Follower // the follower last started, nil before
+
+	// The autopilot's loop (autopilot.go): whether it runs, its next tick and
+	// the function that ticks, the sweep in flight (nil when none is), and
+	// when the node last swept as leader.
+	autoOn      bool
+	autoNext    simclock.EventID
+	tickFn      func()
+	probes      []cluster.Conn
+	leaderSwept simclock.Time
 
 	// Leadership-lease state (auto-failover only). writable is the leader
 	// lease verdict the write gate consults alongside the role: a primary
@@ -261,9 +276,6 @@ type Server struct {
 	// promotee whose followers have not re-aimed yet) can take writes.
 	writable   atomic.Bool
 	leaseArmed atomic.Bool
-	autoStop   chan struct{}
-	autoOnce   sync.Once
-	autoWG     sync.WaitGroup
 }
 
 // shard is one fully independent partition of the daemon: a wall clock, the
@@ -340,21 +352,25 @@ func newShardState(clock *runtime.Wall, opts Options) shardState {
 // NewServer assembles an in-memory daemon (no journals; state dies with the
 // process). Call Close when done to stop the shard clocks. For a crash-safe
 // daemon use Open.
-func NewServer(opts Options) *Server {
+func NewServer(opts Options) *Server { return newServer(opts, nil, nil) }
+
+// newServer is NewServer with the cluster's clock and net given, or with
+// TCP's when they are nil.
+func newServer(opts Options, clock nodeClock, net cluster.Net) *Server {
 	opts = opts.withDefaults()
 	ce := new(atomic.Uint64)
 	s := newServerShell(opts, ce)
 	follower := opts.Cluster != nil && opts.Cluster.Role == "follower"
 	for i := 0; i < opts.Shards; i++ {
-		clock := runtime.NewWall()
+		wall := runtime.NewWall()
 		if follower {
 			// Followers live on unstarted walls — the recovery posture,
 			// held continuously while replicated records replay.
-			clock = runtime.NewWallUnstarted()
+			wall = runtime.NewWallUnstarted()
 		}
-		s.shards = append(s.shards, newShard(i, opts, clock, ce))
+		s.shards = append(s.shards, newShard(i, opts, wall, ce))
 	}
-	s.initCluster()
+	s.initCluster(clock, net)
 	return s
 }
 
@@ -418,17 +434,22 @@ func (s *Server) shardByWireID(wire uint64) (sh *shard, local uint64, ok bool) {
 
 // Close stops every shard's clock-timer loop and journal, after ending the
 // client connections the daemon serves itself and shutting down replication
-// (the follower loops apply records under the shard clocks, so they stop
-// first). In-flight Do sections finish first; call after the HTTP server has
-// shut down.
+// (a follower applies records under the shard clocks, so it stops first).
+// In-flight Do sections finish first; call after the HTTP server has shut
+// down.
 func (s *Server) Close() {
 	s.CloseConnections()
-	s.stopAutopilot()
-	if f, ok := s.fol.Load().(replica); ok {
-		f.Stop()
-	}
 	if s.prim != nil {
-		s.prim.Close()
+		s.clock.Do(func() {
+			s.stopAutopilot()
+			if s.fol != nil {
+				s.fol.Stop()
+			}
+			s.prim.Close()
+		})
+	}
+	if s.tcp != nil {
+		s.tcp.Close()
 	}
 	for _, sh := range s.shards {
 		sh.clock.Stop()

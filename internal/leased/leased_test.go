@@ -43,14 +43,20 @@ func newRig(t *testing.T, opts Options) *rig {
 	return &rig{t: t, s: s, ts: ts, cli: ts.Client()}
 }
 
-// call performs one JSON request and decodes the response into out.
-func (r *rig) call(method, path string, body any, out any) int {
+// do sends one JSON request: through the rig's socket, or — a rig with no
+// httptest server — straight into the daemon's handler.
+func (r *rig) do(method, path string, body any) *http.Response {
 	r.t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
 			r.t.Fatal(err)
 		}
+	}
+	if r.ts == nil {
+		rec := httptest.NewRecorder()
+		r.s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, &buf))
+		return rec.Result()
 	}
 	req, err := http.NewRequest(method, r.ts.URL+path, &buf)
 	if err != nil {
@@ -60,6 +66,13 @@ func (r *rig) call(method, path string, body any, out any) int {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	return resp
+}
+
+// call performs one JSON request and decodes the response into out.
+func (r *rig) call(method, path string, body any, out any) int {
+	r.t.Helper()
+	resp := r.do(method, path, body)
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

@@ -474,6 +474,43 @@ func (sh *shard) collect() ShardSnapshot {
 	return snap
 }
 
+// clusterStatus is the snapshot's replication section. On the node's clock.
+func (s *Server) clusterStatus() *ClusterStatus {
+	st, rs := s.standing()
+	cs := &ClusterStatus{
+		Role:         st.Role,
+		ClusterEpoch: st.Epoch,
+		NodeID:       st.Node,
+		Writable:     st.Writable,
+		Leader:       st.Leader,
+	}
+	for _, f := range s.prim.Followers() {
+		cs.Followers = append(cs.Followers, FollowerReplica{
+			Addr: f.Addr, Node: f.Node, Shard: f.Shard,
+			SentSeq: f.SentSeq, AckedSeq: f.AckedSeq, LagRecords: f.Lag,
+			Flushes: f.Flushes, LastAckMS: f.LastAckMS,
+		})
+	}
+	if rs != nil {
+		cs.Replication = &ReplicationStatus{
+			// The live dial target, not the boot-time config: a re-aimed
+			// follower reports the leader it actually replicates from.
+			Primary:          s.fol.Addr(),
+			Connected:        rs.Connected,
+			Shards:           len(s.shards),
+			AppliedSeq:       st.AppliedSeq,
+			SourceSeq:        rs.SourceSeq,
+			LagRecords:       rs.Lag(),
+			SnapshotsApplied: rs.Snapshots,
+			RecordsApplied:   rs.Records,
+			BurstsApplied:    rs.Bursts,
+			LastHeardMS:      st.LastHeardMS,
+			Suspect:          st.Suspect,
+		}
+	}
+	return cs
+}
+
 // snapshot assembles the merged metrics document. Shards are visited one at
 // a time — each under its own clock, never two at once — so the merged view
 // is a per-shard-consistent composite, which is all fleet observability
@@ -494,40 +531,8 @@ func (s *Server) snapshot() Snapshot {
 	if s.faults != nil {
 		snap.Faults = s.faults.Stats()
 	}
-	if cc := s.opts.Cluster; cc != nil {
-		st, rs := s.standing()
-		cs := &ClusterStatus{
-			Role:         st.Role,
-			ClusterEpoch: st.Epoch,
-			NodeID:       st.Node,
-			Writable:     st.Writable,
-			Leader:       st.Leader,
-		}
-		for _, f := range s.prim.Followers() {
-			cs.Followers = append(cs.Followers, FollowerReplica{
-				Addr: f.Addr, Node: f.Node, Shard: f.Shard,
-				SentSeq: f.SentSeq, AckedSeq: f.AckedSeq, LagRecords: f.Lag,
-				Flushes: f.Flushes, LastAckMS: f.LastAckMS,
-			})
-		}
-		if rs != nil {
-			cs.Replication = &ReplicationStatus{
-				// The live dial target, not the boot-time config: a re-aimed
-				// follower reports the leader it actually replicates from.
-				Primary:          s.fol.Load().(replica).Addr(),
-				Connected:        rs.Connected,
-				Shards:           len(s.shards),
-				AppliedSeq:       st.AppliedSeq,
-				SourceSeq:        rs.SourceSeq,
-				LagRecords:       rs.Lag(),
-				SnapshotsApplied: rs.Snapshots,
-				RecordsApplied:   rs.Records,
-				BurstsApplied:    rs.Bursts,
-				LastHeardMS:      st.LastHeardMS,
-				Suspect:          st.Suspect,
-			}
-		}
-		snap.Cluster = cs
+	if s.opts.Cluster != nil {
+		s.clock.Do(func() { snap.Cluster = s.clusterStatus() })
 	}
 
 	var routeSnaps [numRoutes]histSnap

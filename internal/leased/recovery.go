@@ -303,7 +303,7 @@ func Open(dir string, opts Options) (*Server, RecoveryInfo, error) {
 		}
 		merged.merge(infos[i])
 	}
-	s.initCluster()
+	s.initCluster(nil, nil)
 	return s, merged, nil
 }
 

@@ -1,7 +1,8 @@
-// Package netchaos is a scriptable TCP impairment proxy for partition
-// testing: each Proxy fronts one directed link (every connection accepted on
-// its listener is relayed to one fixed target), and a faults-style spec
-// string switches impairments on the live link without dropping it.
+// Package netchaos impairs the links between cluster nodes for partition
+// testing: a Proxy is a real TCP link (every connection accepted on its
+// listener is relayed to one fixed target), and a Fabric is an in-memory
+// network of such links on a clock. A faults-style spec string switches
+// impairments on a live link without dropping it.
 //
 // Spec grammar — comma-separated name=value clauses, the whole spec
 // replacing the previous impairment state ("" or "ok" heals the link):
@@ -15,7 +16,7 @@
 //	delay=15ms           sleep per relayed chunk (slow links)
 //	flap=80ms:200ms      periodic blackhole: down for 80ms at the start of
 //	                     every 200ms cycle, up the rest (anchored at
-//	                     Configure time)
+//	                     Configure time, on the link's clock)
 //
 // Blackholing deliberately does NOT reset connections: a reset is the easy
 // failure (the kernel reports it instantly); a blackhole is the hard one,
@@ -46,18 +47,12 @@ type impair struct {
 	delay      time.Duration
 	flapDown   time.Duration
 	flapPeriod time.Duration
-	since      time.Time // Configure instant; anchors the flap cycle
 }
 
-// down reports whether the link is currently relaying nothing at all.
-func (im impair) down(now time.Time) bool {
-	if im.blackhole {
-		return true
-	}
-	if im.flapPeriod > 0 && now.Sub(im.since)%im.flapPeriod < im.flapDown {
-		return true
-	}
-	return false
+// down reports whether the link relays nothing at all, elapsed after the
+// Configure that set it.
+func (im impair) down(elapsed time.Duration) bool {
+	return im.blackhole || im.flapPeriod > 0 && elapsed%im.flapPeriod < im.flapDown
 }
 
 func (im impair) drops(c2s bool) bool {
@@ -134,6 +129,7 @@ type Proxy struct {
 
 	mu     sync.Mutex
 	im     impair
+	since  time.Time // Configure's instant: anchors the flap cycle
 	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -165,9 +161,8 @@ func (p *Proxy) Configure(spec string) error {
 	if err != nil {
 		return err
 	}
-	im.since = time.Now()
 	p.mu.Lock()
-	p.im = im
+	p.im, p.since = im, time.Now()
 	p.mu.Unlock()
 	return nil
 }
@@ -200,10 +195,11 @@ func (p *Proxy) Close() {
 	p.wg.Wait()
 }
 
-func (p *Proxy) impairment() impair {
+// impairment is the link's state, and whether it is down now.
+func (p *Proxy) impairment() (impair, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.im
+	return p.im, p.im.down(time.Since(p.since))
 }
 
 func (p *Proxy) isClosed() bool {
@@ -277,13 +273,13 @@ func (p *Proxy) pump(pumps *sync.WaitGroup, dst, src net.Conn, c2s bool) {
 		n, err := src.Read(buf)
 		if n > 0 {
 			// Hold the chunk while the link is down: backpressure, not loss.
-			for p.impairment().down(time.Now()) {
+			im, down := p.impairment()
+			for ; down; im, down = p.impairment() {
 				if p.isClosed() {
 					return
 				}
 				time.Sleep(pollEvery / 5)
 			}
-			im := p.impairment()
 			if !im.drops(c2s) {
 				if im.delay > 0 {
 					time.Sleep(im.delay)
