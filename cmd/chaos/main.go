@@ -358,6 +358,22 @@ func (h *harness) metrics(n *node, name string) leased.Snapshot {
 	return s
 }
 
+// successor scrapes a promoted node's /metrics into the named artifact until
+// it passes preserved against every pre, for at most 10 s: its clocks resume
+// from its last replicated record, and its time-driven counters overtake the
+// old leader's within a few terms.
+func (h *harness) successor(n *node, name string, pres ...leased.Snapshot) leased.Snapshot {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		post, ok := h.metrics(n, name), true
+		for _, pre := range pres {
+			ok = ok && len(preserved(pre, post, promoted)) == 0
+		}
+		if ok || time.Now().After(deadline) {
+			return post
+		}
+	}
+}
+
 // write probes the node with one acquire and returns the status and the
 // Leader hint.
 func (h *harness) write(n *node, client string) (status int, leader string) {

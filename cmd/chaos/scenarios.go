@@ -278,12 +278,7 @@ func failover(h *harness) {
 	out, err = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	promotedOK("promote_c.json", out, err)
-	// Let the promoted clock run before the snapshot: term checks are
-	// recomputed on the local timeline, which excises the seconds the dead
-	// leader ran after its last replicated record. C overtakes B's final
-	// figure within a few terms.
-	time.Sleep(3 * time.Second)
-	post := h.metrics(c, "metrics_post.json")
+	post := h.successor(c, "metrics_post.json", pre2, pre1)
 	h.verify("B → C", pre2, post, promoted)
 	h.verify("A → C, the full chain", pre1, post, promoted)
 	if status, _ := h.write(c, "post-failover-probe"); status != http.StatusOK {
@@ -409,7 +404,10 @@ func partition(h *harness) {
 	h.synced(a)
 	net.set("drop=s2c", "c_b")
 	h.waitHealth(c, 10*time.Second, "C never suspected B over the dropped direction", suspects(true))
-	time.Sleep(2 * time.Second) // ample time for a wrong election
+	// Ample time for a wrong election: C silent past detect + lease + two pings.
+	h.waitHealth(c, 10*time.Second, "C heard B over the dropped direction", func(hz leased.Health) bool {
+		return hz.FollowerHealth != nil && hz.LastHeardMS > 500+250+2*100
+	})
 	h.waitHealth(b, 0, "B lost its leadership or its lease over a one-way link", func(hz leased.Health) bool { return hz.Role == "primary" && hz.Writable })
 	h.waitHealth(c, 0, "a one-way link moved C's epoch or role", is("follower", 1))
 	net.set("", "c_b")
@@ -426,8 +424,7 @@ func partition(h *harness) {
 	h.synced(c)
 	net.set("")
 	h.waitHealth(b, 30*time.Second, "healed B was never fenced", func(hz leased.Health) bool { return hz.Role == "fenced" })
-	time.Sleep(time.Second) // let A's clock overtake B's final time-driven counters
-	post := h.metrics(a, "metrics_post.json")
+	post := h.successor(a, "metrics_post.json", pre2, pre1)
 	h.verify("B → A", pre2, post, promoted)
 	h.verify("A → B → A, the full chain", pre1, post, promoted)
 	if status, _ := h.write(a, "post-split-probe"); status != http.StatusOK {

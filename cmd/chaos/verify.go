@@ -22,19 +22,11 @@ type expect struct {
 	epochBump  bool   // post's cluster epoch exceeds pre's: a fenced failover happened
 }
 
-// preserved compares a /metrics snapshot taken before a crash, shutdown or
-// failover with one taken after it, and returns every way the daemon's
-// accumulated judgment failed to survive: a defaulter gone, moved to another
-// shard, short of deferrals or pardoned out of DEFERRED; a cumulative
-// counter — merged or per shard — that moved backwards; a shard count other
-// than want.shards; and the want conditions. The two snapshots need not come
-// from the same node: across a failover pre is the doomed leader and post
-// its successor.
+// preserved is leased.Preserved for a pre→post pair, plus a shard count
+// other than want.shards and the want conditions.
 func preserved(pre, post leased.Snapshot, want expect) []string {
-	var fails []string
+	fails := leased.Preserved(pre, post)
 	failf := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
-
-	sameShards := true
 	for _, s := range []struct {
 		name string
 		snap leased.Snapshot
@@ -42,51 +34,7 @@ func preserved(pre, post leased.Snapshot, want expect) []string {
 		if s.snap.Shards != want.shards || len(s.snap.PerShard) != want.shards {
 			failf("%s snapshot reports %d shards with %d per-shard breakdowns, want %d",
 				s.name, s.snap.Shards, len(s.snap.PerShard), want.shards)
-			sameShards = false
 		}
-	}
-
-	after := make(map[string]leased.Defaulter, len(post.Defaulters))
-	for _, d := range post.Defaulters {
-		after[d.Client] = d
-	}
-	for _, d := range pre.Defaulters {
-		got, ok := after[d.Client]
-		if !ok {
-			failf("defaulter %q vanished", d.Client)
-			continue
-		}
-		if got.Shard != d.Shard {
-			failf("defaulter %q moved from shard %d to shard %d: a client was re-routed", d.Client, d.Shard, got.Shard)
-		}
-		if got.Deferrals < d.Deferrals {
-			failf("defaulter %q lost deferrals: %d before, %d after", d.Client, d.Deferrals, got.Deferrals)
-		}
-		if d.State == "DEFERRED" && got.State != "DEFERRED" {
-			failf("client %q was DEFERRED before but %q after: it was pardoned", d.Client, got.State)
-		}
-	}
-
-	backwards := func(scope, counter string, before, now int) {
-		if now < before {
-			failf("%s%s went backwards: %d → %d", scope, counter, before, now)
-		}
-	}
-	backwards("", "created_total", pre.Leases.CreatedTotal, post.Leases.CreatedTotal)
-	backwards("", "manager deferrals", pre.Manager.Deferrals, post.Manager.Deferrals)
-	backwards("", "manager term_checks", pre.Manager.TermChecks, post.Manager.TermChecks)
-	// Per shard as well: the merged view hides one shard regressing while
-	// another advances.
-	for i := 0; sameShards && i < want.shards; i++ {
-		ps, qs := pre.PerShard[i], post.PerShard[i]
-		scope := fmt.Sprintf("shard %d ", ps.Shard)
-		if ps.Shard != qs.Shard {
-			failf("per-shard order mismatch at index %d: %d vs %d", i, ps.Shard, qs.Shard)
-			continue
-		}
-		backwards(scope, "created_total", ps.Leases.CreatedTotal, qs.Leases.CreatedTotal)
-		backwards(scope, "deferrals", ps.Manager.Deferrals, qs.Manager.Deferrals)
-		backwards(scope, "clients", ps.Clients, qs.Clients)
 	}
 
 	switch r := post.Recovery; {

@@ -182,11 +182,7 @@ func (s *Server) promote() (epoch uint64, promoted bool) {
 	for _, sh := range s.shards {
 		sh.do(func() { sh.checkpointLocked() })
 	}
-	for _, sh := range s.shards {
-		if !sh.clock.Started() {
-			sh.clock.Start()
-		}
-	}
+	s.startShards(s.clock)
 	if cc := s.opts.Cluster; cc != nil && cc.Advertise != "" {
 		s.leader.Store(cc.Advertise)
 	}

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"reflect"
 	goruntime "runtime"
 	"runtime/debug"
 	"strings"
@@ -493,14 +494,19 @@ type schedule struct {
 // successor's first quorum.
 func settled(mt modelTuning) int64 { return mt.detect() + mt.term + 6*mt.ping }
 
-// run drives the schedule — isolations, two- and three-way splits, heals,
-// kills of fewer than half the nodes — then heals every link, restarts each
-// fenced node (the only way out of fenced there is) and, settled, requires the
-// cluster converged. It returns the invariant violations, the first of which
-// ends it, and any stale aim.
+// run plays the schedule on a model of one-shard nodes.
 func (sc schedule) run() (fails []string, staleAim string) {
 	m := newModel(sc, Options{Shards: 1, DedupWindow: 1})
 	defer m.close()
+	return m.play(sc)
+}
+
+// play drives the schedule on m — isolations, two- and three-way splits,
+// heals, kills of fewer than half the nodes — then heals every link, restarts
+// each fenced node (the only way out of fenced there is) and, settled,
+// requires the cluster converged. It returns the invariant violations, the
+// first of which ends it, and any stale aim.
+func (m *model) play(sc schedule) (fails []string, staleAim string) {
 	rng := m.rng
 	// The client: once a ping interval, each writable node takes a write about
 	// half the time — a mark record, which its followers apply.
@@ -601,6 +607,31 @@ func TestModelFailoverSchedules(t *testing.T) {
 		}
 	}
 	t.Logf("%d schedules in %v", len(all), time.Since(start).Round(time.Millisecond))
+}
+
+// TestModelScheduleIsReproducible: every clock in a schedule is a view of the
+// model's engine, the shards' included, so a seed replays byte for byte —
+// lease terms ending, deferrals firing, records stamped — and so any
+// schedule that fails can be replayed with a trace.
+func TestModelScheduleIsReproducible(t *testing.T) {
+	sc := schedule{nodes: 3, mt: matrixTuning, seed: 3, dwell: settled(matrixTuning)}
+	var runs [2][][]persistedState
+	for i := range runs {
+		m := newModel(sc, testOptions())
+		(&rig{t: t, s: m.nodes[0].s}).acquire("holder", "wakelock")
+		if fails, _ := m.play(sc); len(fails) > 0 {
+			t.Fatal(strings.Join(fails, "; "))
+		}
+		for j := range m.nodes {
+			if m.nodes[j].alive {
+				runs[i] = append(runs[i], captureShards(m.nodes[j].s))
+			}
+		}
+		m.close()
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("one seed, two histories:\n%s\n%s", stateJSON(t, runs[0][0]), stateJSON(t, runs[1][0]))
+	}
 }
 
 // runAll runs the schedules on every CPU — each owns its engine, fabric and

@@ -8,8 +8,8 @@
 //
 //	                    ┌► shard 0: runtime.Wall ─► lease.Manager ─► journal
 //	HTTP handlers ──────┤► shard 1: runtime.Wall ─► lease.Manager ─► journal
-//	 route by           │  ...
-//	 hash(client)       └► shard N-1
+//	 route by           │  ...       each Wall on runtime.Realtime
+//	 hash(client)       └► shard N-1  (in the failover model, its engine)
 //
 // Every piece of mutable lease state is keyed by client identity —
 // reputation, EUB, the lease table, the client table, the dedup cache — so the
@@ -354,24 +354,37 @@ func newShardState(clock *runtime.Wall, opts Options) shardState {
 // daemon use Open.
 func NewServer(opts Options) *Server { return newServer(opts, nil, nil) }
 
-// newServer is NewServer with the cluster's clock and net given, or with
-// TCP's when they are nil.
+// newServer is NewServer with the node's clock and net given — its shards
+// follow the clock too — or with TCP's and real time when they are nil.
 func newServer(opts Options, clock nodeClock, net cluster.Net) *Server {
 	opts = opts.withDefaults()
 	ce := new(atomic.Uint64)
 	s := newServerShell(opts, ce)
-	follower := opts.Cluster != nil && opts.Cluster.Role == "follower"
 	for i := 0; i < opts.Shards; i++ {
-		wall := runtime.NewWall()
-		if follower {
-			// Followers live on unstarted walls — the recovery posture,
-			// held continuously while replicated records replay.
-			wall = runtime.NewWallUnstarted()
-		}
-		s.shards = append(s.shards, newShard(i, opts, wall, ce))
+		s.shards = append(s.shards, newShard(i, opts, runtime.NewWallUnstarted(), ce))
 	}
 	s.initCluster(clock, net)
+	// Followers stay on unstarted walls — the recovery posture, held
+	// continuously while replicated records replay — until promote.
+	if opts.Cluster == nil || opts.Cluster.Role != "follower" {
+		s.startShards(clock)
+	}
 	return s
+}
+
+// startShards starts every shard not yet started on clock, or on real time
+// when clock is nil or TCP's Wall: a shard's Do re-arms its wake-up on the
+// clock it follows, and on TCP's Wall that would take the node's lock inside
+// the shard's, against promote's node → shard order.
+func (s *Server) startShards(clock runtime.Clock) {
+	if clock == nil || s.tcp != nil {
+		clock = runtime.Realtime
+	}
+	for _, sh := range s.shards {
+		if !sh.clock.Started() {
+			sh.clock.Start(clock)
+		}
+	}
 }
 
 // newServerShell builds the shard-independent part of a Server; callers

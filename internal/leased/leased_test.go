@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/lease"
+	"repro/internal/simclock"
 )
 
 // testOptions shrinks the policy so wall-clock terms elapse in tens of
@@ -30,6 +31,9 @@ type rig struct {
 	s   *Server
 	ts  *httptest.Server
 	cli *http.Client
+	// step lets d pass on the engine the shards follow; nil when they follow
+	// real time.
+	step func(d time.Duration)
 }
 
 func newRig(t *testing.T, opts Options) *rig {
@@ -42,6 +46,28 @@ func newRig(t *testing.T, opts Options) *rig {
 	})
 	return &rig{t: t, s: s, ts: ts, cli: ts.Client()}
 }
+
+// newEngineRig is a handler-only rig whose shards follow an engine that only
+// the test advances: every term ends at its exact instant, however loaded
+// the machine.
+func newEngineRig(t *testing.T, opts Options) *rig {
+	eng := simclock.NewEngine()
+	s := newServer(opts, &skewed{eng, 1}, nil)
+	t.Cleanup(s.Close)
+	return &rig{t: t, s: s, step: func(d time.Duration) { eng.RunUntil(eng.Now() + d) }}
+}
+
+// wait lets d pass on the clock the rig's shards follow.
+func (r *rig) wait(d time.Duration) {
+	if r.step == nil {
+		time.Sleep(d)
+		return
+	}
+	r.step(d)
+}
+
+// beat is a heartbeating client's period.
+const beat = 5 * time.Millisecond
 
 // do sends one JSON request: through the rig's socket, or — a rig with no
 // httptest server — straight into the daemon's handler.
@@ -100,18 +126,16 @@ func (r *rig) renew(id uint64, rep usageReport) leaseResponse {
 	return lr
 }
 
-// waitState polls (renewing with rep each beat) until the lease reports
-// state want.
-func (r *rig) waitState(id uint64, rep usageReport, want string, timeout time.Duration) leaseResponse {
+// waitState renews with rep each beat, for up to 5 s, until the lease
+// reports state want.
+func (r *rig) waitState(id uint64, rep usageReport, want string) leaseResponse {
 	r.t.Helper()
-	deadline := time.Now().Add(timeout)
 	var last leaseResponse
-	for time.Now().Before(deadline) {
-		last = r.renew(id, rep)
-		if last.State == want {
+	for i := 0; i < int(5*time.Second/beat); i++ {
+		if last = r.renew(id, rep); last.State == want {
 			return last
 		}
-		time.Sleep(5 * time.Millisecond)
+		r.wait(beat)
 	}
 	r.t.Fatalf("lease %d never reached %s (last state %s)", id, want, last.State)
 	return last
@@ -154,14 +178,11 @@ func TestAcquireValidation(t *testing.T) {
 // acquire a wakelock, heartbeat with no usage, never release. The server
 // must classify LHB and defer, then restore after τ.
 func TestSilentHolderIsDeferred(t *testing.T) {
-	r := newRig(t, testOptions())
+	r := newEngineRig(t, testOptions())
 	lr := r.acquire("leaker", "wakelock")
-	got := r.waitState(lr.LeaseID, usageReport{}, "DEFERRED", 5*time.Second)
-	if got.State != "DEFERRED" {
-		t.Fatalf("state %s", got.State)
-	}
+	r.waitState(lr.LeaseID, usageReport{}, "DEFERRED")
 	// The deferral must end: τ elapses and the lease re-activates.
-	r.waitState(lr.LeaseID, usageReport{}, "ACTIVE", 5*time.Second)
+	r.waitState(lr.LeaseID, usageReport{}, "ACTIVE")
 
 	// The detection is on the books.
 	snap := r.s.snapshot()
@@ -182,38 +203,35 @@ func TestSilentHolderIsDeferred(t *testing.T) {
 // TestFrequentAskerIsDeferred drives the BetterWeather pattern: a GPS
 // lease whose reports are dominated by failed request time.
 func TestFrequentAskerIsDeferred(t *testing.T) {
-	r := newRig(t, testOptions())
+	r := newEngineRig(t, testOptions())
 	lr := r.acquire("asker", "gps")
-	rep := usageReport{RequestMS: 20, FailedRequestMS: 19}
-	r.waitState(lr.LeaseID, rep, "DEFERRED", 5*time.Second)
+	r.waitState(lr.LeaseID, usageReport{RequestMS: 20, FailedRequestMS: 19}, "DEFERRED")
 }
 
 // TestBusyUselessClientIsDeferred drives the K-9 pattern: full CPU
 // utilization, an exception storm, no visible utility → LUB.
 func TestBusyUselessClientIsDeferred(t *testing.T) {
-	r := newRig(t, testOptions())
+	r := newEngineRig(t, testOptions())
 	lr := r.acquire("k9ish", "wakelock")
-	rep := usageReport{CPUMS: 8, Exceptions: 3}
-	r.waitState(lr.LeaseID, rep, "DEFERRED", 5*time.Second)
+	r.waitState(lr.LeaseID, usageReport{CPUMS: 8, Exceptions: 3}, "DEFERRED")
 }
 
 // TestWellBehavedClientStaysNormal holds for well under half of each term
 // with real reported work: the lease must never defer.
 func TestWellBehavedClientStaysNormal(t *testing.T) {
-	r := newRig(t, testOptions())
+	r := newEngineRig(t, testOptions())
 	lr := r.acquire("runkeeper", "wakelock")
-	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	for held := time.Duration(0); held < 400*time.Millisecond; held += 15 * time.Millisecond {
 		got := r.renew(lr.LeaseID, usageReport{CPUMS: 4, UIUpdates: 1, Interactions: 1})
 		if got.State == "DEFERRED" {
 			t.Fatal("well-behaved client was deferred")
 		}
 		// Hold briefly, then release so the held fraction stays low.
-		time.Sleep(3 * time.Millisecond)
+		r.wait(3 * time.Millisecond)
 		if code := r.call("DELETE", fmt.Sprintf("/v1/leases/%d", lr.LeaseID), nil, nil); code != 200 {
 			t.Fatalf("release: status %d", code)
 		}
-		time.Sleep(12 * time.Millisecond)
+		r.wait(12 * time.Millisecond)
 	}
 	snap := r.s.snapshot()
 	for _, d := range snap.Defaulters {
@@ -224,23 +242,17 @@ func TestWellBehavedClientStaysNormal(t *testing.T) {
 }
 
 func TestReleaseThenInactiveThenRenew(t *testing.T) {
-	r := newRig(t, testOptions())
+	opts := testOptions()
+	r := newEngineRig(t, opts)
 	lr := r.acquire("cycler", "wakelock")
 	if code := r.call("DELETE", fmt.Sprintf("/v1/leases/%d", lr.LeaseID), nil, nil); code != 200 {
 		t.Fatalf("release: status %d", code)
 	}
 	// At the end of the term the lease rests.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var got leaseResponse
-		r.call("GET", fmt.Sprintf("/v1/leases/%d", lr.LeaseID), nil, &got)
-		if got.State == "INACTIVE" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lease never went INACTIVE (state %s)", got.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	r.wait(opts.Lease.Term)
+	var got leaseResponse
+	if r.call("GET", fmt.Sprintf("/v1/leases/%d", lr.LeaseID), nil, &got); got.State != "INACTIVE" {
+		t.Fatalf("state a term after the release = %s, want INACTIVE", got.State)
 	}
 	// A renew re-activates it.
 	if got := r.renew(lr.LeaseID, usageReport{}); got.State != "ACTIVE" {

@@ -1,10 +1,12 @@
 package leased
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/lease"
@@ -363,27 +365,10 @@ type ClusterStatus struct {
 	Leader string `json:"leader,omitempty"`
 	// Followers lists the primary's attached replication sessions, one per
 	// (follower conn, shard), with their ack-based lag.
-	Followers []FollowerReplica `json:"followers,omitempty"`
+	Followers []cluster.FollowerStat `json:"followers,omitempty"`
 	// Replication is the follower-side view: apply progress against the
 	// primary's stream.
 	Replication *ReplicationStatus `json:"replication,omitempty"`
-}
-
-// FollowerReplica is one attached follower stream, as the primary sees it.
-type FollowerReplica struct {
-	Addr       string `json:"addr"`
-	Node       string `json:"node,omitempty"`
-	Shard      int    `json:"shard"`
-	SentSeq    int64  `json:"sent_seq"`
-	AckedSeq   int64  `json:"acked_seq"`
-	LagRecords int64  `json:"lag_records"`
-	// Flushes counts the socket writes that carried records on this stream:
-	// Δsent_seq ÷ Δflushes is records per write, 1 when idle and more the
-	// busier the stream (it writes at most once a millisecond).
-	Flushes int64 `json:"flushes"`
-	// LastAckMS is milliseconds since this stream last acked — the
-	// primary-side lease-renewal evidence.
-	LastAckMS int64 `json:"last_ack_ms"`
 }
 
 // ReplicationStatus is a follower's apply progress, summed across shards.
@@ -414,6 +399,56 @@ type Defaulter struct {
 	Deferrals   int    `json:"deferrals"`
 	NormalTerms int    `json:"normal_terms"`
 	State       string `json:"state,omitempty"` // current state of its lease(s), if live
+}
+
+// Preserved compares a metrics snapshot taken before a crash, shutdown or
+// failover with one taken after it, and returns every way the daemon's
+// accumulated judgment failed to survive: a defaulter gone, moved to another
+// shard, short of deferrals or pardoned out of DEFERRED; a cumulative
+// counter — merged, or per shard when both list as many shards — that moved
+// backwards. The two need not come from the same node: across a failover pre
+// is the doomed leader and post its successor.
+func Preserved(pre, post Snapshot) []string {
+	var fails []string
+	failf := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
+	after := make(map[string]Defaulter, len(post.Defaulters))
+	for _, d := range post.Defaulters {
+		after[d.Client] = d
+	}
+	for _, d := range pre.Defaulters {
+		switch got, ok := after[d.Client]; {
+		case !ok:
+			failf("defaulter %q vanished", d.Client)
+		case got.Shard != d.Shard:
+			failf("defaulter %q moved from shard %d to shard %d: a client was re-routed", d.Client, d.Shard, got.Shard)
+		case got.Deferrals < d.Deferrals:
+			failf("defaulter %q lost deferrals: %d before, %d after", d.Client, d.Deferrals, got.Deferrals)
+		case d.State == "DEFERRED" && got.State != "DEFERRED":
+			failf("client %q was DEFERRED before but %q after: it was pardoned", d.Client, got.State)
+		}
+	}
+	backwards := func(scope, counter string, before, now int) {
+		if now < before {
+			failf("%s%s went backwards: %d → %d", scope, counter, before, now)
+		}
+	}
+	backwards("", "created_total", pre.Leases.CreatedTotal, post.Leases.CreatedTotal)
+	backwards("", "manager deferrals", pre.Manager.Deferrals, post.Manager.Deferrals)
+	backwards("", "manager term_checks", pre.Manager.TermChecks, post.Manager.TermChecks)
+	// Per shard as well: the merged view hides one shard regressing while
+	// another advances.
+	for i := 0; len(pre.PerShard) == len(post.PerShard) && i < len(pre.PerShard); i++ {
+		ps, qs := pre.PerShard[i], post.PerShard[i]
+		scope := fmt.Sprintf("shard %d ", ps.Shard)
+		if ps.Shard != qs.Shard {
+			failf("per-shard order mismatch at index %d: %d vs %d", i, ps.Shard, qs.Shard)
+			continue
+		}
+		backwards(scope, "created_total", ps.Leases.CreatedTotal, qs.Leases.CreatedTotal)
+		backwards(scope, "deferrals", ps.Manager.Deferrals, qs.Manager.Deferrals)
+		backwards(scope, "clients", ps.Clients, qs.Clients)
+	}
+	return fails
 }
 
 // collect assembles this shard's snapshot section. It takes the shard clock
@@ -483,13 +518,7 @@ func (s *Server) clusterStatus() *ClusterStatus {
 		NodeID:       st.Node,
 		Writable:     st.Writable,
 		Leader:       st.Leader,
-	}
-	for _, f := range s.prim.Followers() {
-		cs.Followers = append(cs.Followers, FollowerReplica{
-			Addr: f.Addr, Node: f.Node, Shard: f.Shard,
-			SentSeq: f.SentSeq, AckedSeq: f.AckedSeq, LagRecords: f.Lag,
-			Flushes: f.Flushes, LastAckMS: f.LastAckMS,
-		})
+		Followers:    s.prim.Followers(),
 	}
 	if rs != nil {
 		cs.Replication = &ReplicationStatus{

@@ -290,12 +290,11 @@ func Open(dir string, opts Options) (*Server, RecoveryInfo, error) {
 	// Followers keep their clocks unstarted: they remain in the recovery
 	// posture — continuously replaying the primary's stream — until
 	// promotion binds the replayed instants to real time.
-	follower := opts.Cluster != nil && opts.Cluster.Role == "follower"
+	if opts.Cluster == nil || opts.Cluster.Role != "follower" {
+		s.startShards(nil)
+	}
 	var merged RecoveryInfo
 	for i, sh := range shards {
-		if !follower {
-			sh.clock.Start()
-		}
 		if !infos[i].SnapshotLoaded && infos[i].Replayed == 0 {
 			// First boot of this shard: write the initial checkpoint so the
 			// policy and shard count are pinned.

@@ -107,8 +107,7 @@ func driveDefaulter(d *rig) (torchID uint64) {
 	if code := d.call("DELETE", fmt.Sprintf("/v1/leases/%d?destroy=1", tourist.LeaseID), nil, nil); code != 200 {
 		t.Fatalf("destroy: status %d", code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	for i := 0; i < int(5*time.Second/beat); i++ {
 		d.renew(worker.LeaseID, usageReport{CPUMS: 20})
 		var got leaseResponse
 		if code := d.call("GET", fmt.Sprintf("/v1/leases/%d", torch.LeaseID), nil, &got); code != 200 {
@@ -117,7 +116,7 @@ func driveDefaulter(d *rig) (torchID uint64) {
 		if got.State == lease.Deferred.String() {
 			return torch.LeaseID
 		}
-		time.Sleep(5 * time.Millisecond)
+		d.wait(beat)
 	}
 	t.Fatal("torch never deferred")
 	return 0

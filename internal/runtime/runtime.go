@@ -6,8 +6,10 @@
 // The Clock interface is the exact scheduling surface lease.Manager needs:
 // the current instant, one-shot scheduling, and cancellation. It is
 // satisfied natively by *simclock.Engine — the simulation path pays no
-// adapter and behaves bit-for-bit as before — and by *Wall, the wall-clock
-// driver that backs the networked leased daemon (cmd/leased).
+// adapter and behaves bit-for-bit as before — by Realtime, the host clock,
+// and by *Wall, which runs an engine on another Clock: the shard clock of
+// the networked leased daemon (cmd/leased), on Realtime or, in its tests, on
+// a view of the test's engine.
 package runtime
 
 import (
@@ -21,8 +23,8 @@ import (
 // Time is virtual: a duration since the clock's origin (simulation start,
 // or Wall creation). Events scheduled on the same Clock fire in timestamp
 // order, ties in scheduling order, and never concurrently with each other —
-// every Clock implementation serializes its callbacks, which is what lets
-// the single-threaded lease manager run unchanged on either driver.
+// every Clock implementation but Realtime serializes its callbacks, which is
+// what lets the single-threaded lease manager run unchanged on either one.
 type Clock interface {
 	// Now reports the current virtual instant.
 	Now() simclock.Time

@@ -148,7 +148,7 @@ func TestWallStopIdempotentAndHaltsFiring(t *testing.T) {
 	w.Stop()
 	w.Stop() // idempotent
 	time.Sleep(80 * time.Millisecond)
-	// The loop is dead, so nothing fired on its own...
+	// The wake-up is cancelled, so nothing fired on its own...
 	if fired {
 		t.Fatal("event fired after Stop without a Do")
 	}
@@ -186,7 +186,7 @@ func TestWallUnstartedReplayThenStart(t *testing.T) {
 		t.Fatalf("replay fired %v, want exactly [10s]", fired)
 	}
 
-	w.Start()
+	w.Start(Realtime)
 	// The 41s event is 21 virtual seconds away — it must not fire now, and
 	// wall time must be rebased so Now() tracks from 20s, not zero.
 	w.Do(func() {
@@ -231,12 +231,12 @@ func TestWallLoopDelayPostponesFiring(t *testing.T) {
 	w.Do(func() {
 		w.Schedule(5*time.Millisecond, func() { fired <- w.Now() })
 	})
-	w.Start()
+	w.Start(Realtime)
 	wallStart := time.Now()
 	select {
 	case at := <-fired:
 		// The event still fires at (or after) its virtual deadline even
-		// though the loop slept first.
+		// though its wake-up waited first.
 		if at < 5*time.Millisecond {
 			t.Fatalf("event fired at virtual %v", at)
 		}
@@ -245,5 +245,39 @@ func TestWallLoopDelayPostponesFiring(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("event never fired")
+	}
+}
+
+// TestWallFollowsTheClockItIsStartedOn: started on an engine, a Wall fires
+// each event when the engine reaches it, from the origin Start found, with
+// one wake-up pending there at a time and none after Stop.
+func TestWallFollowsTheClockItIsStartedOn(t *testing.T) {
+	eng := simclock.NewEngine()
+	eng.RunUntil(5 * time.Second)
+	w := NewWallUnstarted()
+	var fired []simclock.Time
+	at := func(d time.Duration) {
+		w.Schedule(d, func() { fired = append(fired, w.Now()) })
+	}
+	w.Do(func() { at(30 * time.Millisecond); at(10 * time.Millisecond) })
+	w.Start(eng)
+	eng.RunUntil(5*time.Second + 10*time.Millisecond - 1)
+	if len(fired) != 0 || eng.Len() != 1 {
+		t.Fatalf("before the first deadline: fired %v, %d wake-ups pending, want none and 1", fired, eng.Len())
+	}
+	eng.RunUntil(5*time.Second + 10*time.Millisecond)
+	// An earlier deadline set inside Do replaces the wake-up for 30 ms.
+	w.Do(func() { at(5 * time.Millisecond) })
+	if eng.Len() != 1 {
+		t.Fatalf("%d wake-ups pending, want 1", eng.Len())
+	}
+	eng.RunUntil(5*time.Second + 15*time.Millisecond)
+	w.Stop()
+	if eng.Len() != 0 {
+		t.Fatalf("Stop left %d wake-ups pending", eng.Len())
+	}
+	eng.RunUntil(time.Minute)
+	if want := []simclock.Time{10 * time.Millisecond, 15 * time.Millisecond}; len(fired) != 2 || fired[0] != want[0] || fired[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", fired, want)
 	}
 }
