@@ -102,10 +102,20 @@ type accum struct {
 func (a *accum) advance(now simclock.Time) {
 	if dt := now - a.last; dt > 0 {
 		if a.watts != 0 {
-			a.energyJ += a.watts * dt.Seconds()
+			a.energyJ += a.watts * seconds(dt)
 		}
 		a.last = now
 	}
+}
+
+// seconds is dt.Seconds() bit for bit, without its integer division and
+// remainder on the common sub-second step: there Seconds() returns
+// 0 + float64(dt)/1e9, and adding 0 changes no float.
+func seconds(dt time.Duration) float64 {
+	if -time.Second < dt && dt < time.Second {
+		return float64(dt) / 1e9
+	}
+	return dt.Seconds()
 }
 
 // addWatts applies a draw delta, absorbing float drift at zero so that a

@@ -172,6 +172,25 @@ func TestMeterNegativeDrawPanics(t *testing.T) {
 	NewMeter(simclock.NewEngine()).Set(1, CPU, "x", -1)
 }
 
+// TestSecondsIsDurationSeconds holds the integrator's fast path to the bits
+// of time.Duration.Seconds, on both sides of ±1 s and at random.
+func TestSecondsIsDurationSeconds(t *testing.T) {
+	check := func(dt time.Duration) bool {
+		return math.Float64bits(seconds(dt)) == math.Float64bits(dt.Seconds())
+	}
+	for _, dt := range []time.Duration{0, 1, -1, time.Second - 1, time.Second, time.Second + 1,
+		-time.Second + 1, -time.Second, 999_999_937, 100 * time.Millisecond, 3 * time.Hour, math.MaxInt64, math.MinInt64} {
+		if !check(dt) {
+			t.Errorf("seconds(%d) = %v, Seconds() = %v", dt, seconds(dt), dt.Seconds())
+		}
+	}
+	if err := quick.Check(func(ns int64, sub int32) bool {
+		return check(time.Duration(ns)) && check(time.Duration(sub)%time.Second)
+	}, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAvgPowerMW(t *testing.T) {
 	if got := AvgPowerMW(9, 3*time.Second); !almost(got, 3000) {
 		t.Fatalf("AvgPowerMW = %v, want 3000", got)

@@ -14,8 +14,10 @@ var kernels = []struct {
 	setup func() (op func())
 }{
 	{"Schedule", scheduleOp(0)},
+	{"ScheduleShort", scheduleOp(6)},
 	{"ScheduleDeep", scheduleOp(1024)},
 	{"Cancel", cancelOp},
+	{"Rearm", rearmOp},
 	{"Ticker", tickerOp},
 }
 
@@ -42,8 +44,9 @@ func BenchmarkEngine(b *testing.B) {
 
 // scheduleOp is the schedule+fire round trip, the single hottest path in
 // every simulation: one op is one Schedule and the Step that fires it. With
-// pending > 0 a standing population of events is queued first, so sift cost
-// at realistic queue depth is included.
+// pending > 0 a standing population of later events is queued first: 6 is a
+// simulated device's mean depth, kept as a sorted run; 1 024 is a daemon
+// shard's, past maxRun, so the queue is a heap.
 func scheduleOp(pending int) func() func() {
 	return func() func() {
 		e := NewEngine()
@@ -65,6 +68,22 @@ func cancelOp() func() {
 	fn := func() {}
 	return func() {
 		e.Cancel(e.Schedule(time.Millisecond, fn))
+	}
+}
+
+// rearmOp is lease.Manager's renew path on a daemon shard: one far-future
+// term check cancelled and scheduled again among 2 000 standing ones, so the
+// queue is a heap.
+func rearmOp() func() {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 2000; i++ {
+		e.Schedule(time.Duration(i+1)*time.Second, fn)
+	}
+	id := e.Schedule(time.Hour, fn)
+	return func() {
+		e.Cancel(id)
+		id = e.Schedule(time.Hour, fn)
 	}
 }
 

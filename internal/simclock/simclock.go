@@ -9,11 +9,13 @@
 //
 // Internally the engine is allocation-free on the steady state: pending
 // events live in a slice of value slots addressed by index, scheduling
-// reuses slots through a free list, and the priority queue is a slice-backed
-// binary min-heap over (at, seq) value structs sifted inline — no
-// container/heap interface dispatch, no per-event pointer, no id→event map.
-// EventIDs carry a per-slot generation so Cancel is an O(1) slot probe that
-// can never confuse a stale id with the slot's current occupant.
+// reuses slots through a free list, and the queue is one slice of (at, seq)
+// value structs. While it is short — a simulated device has a handful of
+// events pending — the slice is kept sorted latest-first, so the next event
+// is popped off the end without a compare. Once it outgrows maxRun — a
+// daemon shard holds one term check per live lease — it becomes a binary
+// min-heap until Reset. EventIDs carry a per-slot generation so a stale id
+// can never be confused with the slot's current occupant.
 package simclock
 
 import (
@@ -50,7 +52,7 @@ func splitID(id EventID) (idx int32, gen uint32) {
 // slot state machine: free → queued → (firing for periodic slots) → free.
 const (
 	slotFree    = iota
-	slotQueued  // in the heap, waiting to fire
+	slotQueued  // in the queue, waiting to fire
 	slotFiring  // periodic slot popped, callback running
 	slotStopped // periodic slot cancelled from inside its own callback
 )
@@ -60,20 +62,18 @@ const (
 // itself forces an allocation (at the caller, not here).
 type slot struct {
 	fn        func()
-	at        Time
-	seq       uint64 // tie-breaker: preserves scheduling order at equal times
 	period    Time   // > 0 for periodic (Ticker) slots
 	gen       uint32 // bumped on release; stale EventIDs stop matching
 	state     uint8
-	heapIndex int32 // position in Engine.heap while queued, else -1
+	heapIndex int32 // position in Engine.queue while queued in heap form
 }
 
-// heapItem is one entry of the slice-backed min-heap. The ordering key is
-// held inline so sifting touches contiguous memory and never chases the
-// slot pointer; idx links back to the slot for firing and index upkeep.
-type heapItem struct {
+// item is one entry of the queue. The ordering key is held inline so
+// placing and sifting touch contiguous memory and never chase the slot;
+// idx links back to the slot for firing.
+type item struct {
 	at  Time
-	seq uint64
+	seq uint64 // tie-breaker: scheduling order at equal times
 	idx int32
 }
 
@@ -82,7 +82,8 @@ type heapItem struct {
 // single-threaded by design so that runs are reproducible.
 type Engine struct {
 	now     Time
-	heap    []heapItem
+	queue   []item // sorted latest-first, or a min-heap once isHeap
+	isHeap  bool
 	slots   []slot
 	free    []int32 // released slot indices awaiting reuse
 	nextSeq uint64
@@ -99,20 +100,21 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Reset returns the engine to its initial state — virtual time zero, empty
-// queue, sequence counter restarted — while keeping the heap, slot, and
-// free-list capacity so a recycled engine schedules without reallocating.
-// Slot generations restart at zero too: a reset engine is indistinguishable
-// from a fresh NewEngine() apart from retained capacity, which is what makes
-// fresh-vs-reused simulation runs byte-identical. EventIDs issued before the
-// reset must not be used afterwards.
+// queue back in run form, sequence counter restarted — while keeping the
+// queue, slot, and free-list capacity so a recycled engine schedules without
+// reallocating. Slot generations restart at zero too: a reset engine is
+// indistinguishable from a fresh NewEngine() apart from retained capacity,
+// which is what makes fresh-vs-reused simulation runs byte-identical.
+// EventIDs issued before the reset must not be used afterwards.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("simclock: Reset called from inside RunUntil")
 	}
 	for i := range e.slots {
-		e.slots[i] = slot{heapIndex: -1}
+		e.slots[i] = slot{}
 	}
-	e.heap = e.heap[:0]
+	e.queue = e.queue[:0]
+	e.isHeap = false
 	e.slots = e.slots[:0]
 	e.free = e.free[:0]
 	e.now = 0
@@ -120,16 +122,25 @@ func (e *Engine) Reset() {
 }
 
 // Next reports the timestamp of the earliest pending event, or false when
-// the queue is empty. Wall-clock drivers use it to know how long to sleep.
+// the queue is empty. A wall-clock driver arms its one wake-up from it.
 func (e *Engine) Next() (Time, bool) {
-	if len(e.heap) == 0 {
+	if len(e.queue) == 0 {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return e.queue[e.head()].at, true
 }
 
 // Len reports the number of pending events.
-func (e *Engine) Len() int { return len(e.heap) }
+func (e *Engine) Len() int { return len(e.queue) }
+
+// head is the queue position of the earliest pending event; the queue is
+// non-empty.
+func (e *Engine) head() int {
+	if e.isHeap {
+		return 0
+	}
+	return len(e.queue) - 1
+}
 
 // alloc takes a slot index from the free list, or grows the slots slice.
 func (e *Engine) alloc() int32 {
@@ -138,7 +149,7 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return idx
 	}
-	e.slots = append(e.slots, slot{heapIndex: -1})
+	e.slots = append(e.slots, slot{})
 	return int32(len(e.slots) - 1)
 }
 
@@ -150,46 +161,91 @@ func (e *Engine) release(idx int32) {
 	s.fn = nil
 	s.gen++
 	s.state = slotFree
-	s.heapIndex = -1
 	e.free = append(e.free, idx)
 }
 
-// --- inline binary min-heap over (at, seq) ---
+// maxRun is the longest queue kept as a sorted run. Placing an event in the
+// run moves every earlier one, which beats a heap's data-dependent sifts at
+// a device's few pending events but not at a daemon's thousands; at random
+// delays the two cost alike between 56 and 80 pending.
+const maxRun = 64
 
-func (e *Engine) less(a, b heapItem) bool {
+func less(a, b item) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// heapPush appends item and sifts it up.
-func (e *Engine) heapPush(item heapItem) {
-	e.heap = append(e.heap, item)
-	e.siftUp(len(e.heap) - 1)
+// push queues it. Every new entry carries the engine's newest seq, so in the
+// run it goes just past the last entry that fires at or before it.
+func (e *Engine) push(it item) {
+	n := len(e.queue)
+	if n == maxRun && !e.isHeap {
+		e.toHeap()
+	}
+	e.queue = append(e.queue, it)
+	if e.isHeap {
+		e.siftUp(n)
+		return
+	}
+	q := e.queue
+	for n > 0 && q[n-1].at <= it.at {
+		q[n] = q[n-1]
+		n--
+	}
+	q[n] = it
 }
 
-// heapRemove deletes the item at heap position i, keeping the heap ordered.
-func (e *Engine) heapRemove(i int) {
-	n := len(e.heap) - 1
+// toHeap turns the run into a min-heap: reversed, a latest-first run is
+// sorted earliest-first, which is already heap-ordered.
+func (e *Engine) toHeap() {
+	q := e.queue
+	for i, j := 0, len(q)-1; i < j; i, j = i+1, j-1 {
+		q[i], q[j] = q[j], q[i]
+	}
+	for i := range q {
+		e.slots[q[i].idx].heapIndex = int32(i)
+	}
+	e.isHeap = true
+}
+
+// remove deletes the queued entry for slot idx, keeping the queue ordered.
+func (e *Engine) remove(idx int32) {
+	if !e.isHeap {
+		q := e.queue
+		for i := len(q) - 1; ; i-- {
+			if q[i].idx == idx {
+				e.queue = append(q[:i], q[i+1:]...)
+				return
+			}
+		}
+	}
+	i := int(e.slots[idx].heapIndex)
+	n := len(e.queue) - 1
 	if i != n {
-		e.heap[i] = e.heap[n]
-		e.heap = e.heap[:n]
+		e.queue[i] = e.queue[n]
+		e.queue = e.queue[:n]
 		if !e.siftDown(i) {
 			e.siftUp(i)
 		}
 	} else {
-		e.heap = e.heap[:n]
+		e.queue = e.queue[:n]
 	}
 }
 
-// heapPop removes and returns the minimum item. The caller guarantees the
-// heap is non-empty.
-func (e *Engine) heapPop() heapItem {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
+// pop removes and returns the earliest entry. The caller guarantees the
+// queue is non-empty.
+func (e *Engine) pop() item {
+	n := len(e.queue) - 1
+	if !e.isHeap {
+		it := e.queue[n]
+		e.queue = e.queue[:n]
+		return it
+	}
+	top := e.queue[0]
+	e.queue[0] = e.queue[n]
+	e.queue = e.queue[:n]
 	if n > 0 {
 		e.siftDown(0)
 	}
@@ -197,41 +253,41 @@ func (e *Engine) heapPop() heapItem {
 }
 
 func (e *Engine) siftUp(i int) {
-	item := e.heap[i]
+	it := e.queue[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(item, e.heap[parent]) {
+		if !less(it, e.queue[parent]) {
 			break
 		}
-		e.heap[i] = e.heap[parent]
-		e.slots[e.heap[i].idx].heapIndex = int32(i)
+		e.queue[i] = e.queue[parent]
+		e.slots[e.queue[i].idx].heapIndex = int32(i)
 		i = parent
 	}
-	e.heap[i] = item
-	e.slots[item.idx].heapIndex = int32(i)
+	e.queue[i] = it
+	e.slots[it.idx].heapIndex = int32(i)
 }
 
 func (e *Engine) siftDown(i int) bool {
-	item := e.heap[i]
-	start, n := i, len(e.heap)
+	it := e.queue[i]
+	start, n := i, len(e.queue)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		child := left
-		if right := left + 1; right < n && e.less(e.heap[right], e.heap[left]) {
+		if right := left + 1; right < n && less(e.queue[right], e.queue[left]) {
 			child = right
 		}
-		if !e.less(e.heap[child], item) {
+		if !less(e.queue[child], it) {
 			break
 		}
-		e.heap[i] = e.heap[child]
-		e.slots[e.heap[i].idx].heapIndex = int32(i)
+		e.queue[i] = e.queue[child]
+		e.slots[e.queue[i].idx].heapIndex = int32(i)
 		i = child
 	}
-	e.heap[i] = item
-	e.slots[item.idx].heapIndex = int32(i)
+	e.queue[i] = it
+	e.slots[it.idx].heapIndex = int32(i)
 	return i > start
 }
 
@@ -262,11 +318,9 @@ func (e *Engine) ScheduleAt(at Time, fn func()) EventID {
 	idx := e.alloc()
 	s := &e.slots[idx]
 	s.fn = fn
-	s.at = at
-	s.seq = e.nextSeq
 	s.period = 0
 	s.state = slotQueued
-	e.heapPush(heapItem{at: at, seq: e.nextSeq, idx: idx})
+	e.push(item{at: at, seq: e.nextSeq, idx: idx})
 	return makeID(idx, s.gen)
 }
 
@@ -286,12 +340,12 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	switch s.state {
 	case slotQueued:
-		e.heapRemove(int(s.heapIndex))
+		e.remove(idx)
 		e.release(idx)
 		return true
 	case slotFiring:
 		// A periodic slot cancelled from inside its own callback: it is
-		// not in the heap right now, so just tell the fire loop not to
+		// not in the queue right now, so just tell the fire loop not to
 		// reschedule it.
 		s.state = slotStopped
 		return true
@@ -306,40 +360,37 @@ func (e *Engine) Cancel(id EventID) bool {
 // from inside the callback is a no-op — the same semantics the map-based
 // kernel had. Periodic slots are rescheduled in place afterwards.
 func (e *Engine) fire() {
-	item := e.heapPop()
-	s := &e.slots[item.idx]
-	e.now = item.at
+	it := e.pop()
+	s := &e.slots[it.idx]
+	e.now = it.at
 	if s.period <= 0 {
 		fn := s.fn
-		e.release(item.idx)
+		e.release(it.idx)
 		fn()
 		return
 	}
 	s.state = slotFiring
-	s.heapIndex = -1
 	s.fn()
 	// The callback may have scheduled events and grown e.slots, moving the
 	// backing array out from under s — re-fetch the pointer before touching
 	// the slot again.
-	s = &e.slots[item.idx]
+	s = &e.slots[it.idx]
 	if s.state != slotFiring { // stopped from inside the callback
-		e.release(item.idx)
+		e.release(it.idx)
 		return
 	}
 	// Reschedule in place: same slot, same generation (so the ticker's
 	// stop function keeps working), fresh seq — exactly the ordering a
 	// hand-rolled "fn then Schedule(period, tick)" chain would produce.
 	e.nextSeq++
-	s.at = item.at + s.period
-	s.seq = e.nextSeq
 	s.state = slotQueued
-	e.heapPush(heapItem{at: s.at, seq: s.seq, idx: item.idx})
+	e.push(item{at: it.at + s.period, seq: e.nextSeq, idx: it.idx})
 }
 
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports false if the queue was empty.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
 	e.fire()
@@ -358,7 +409,7 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 && e.heap[0].at <= horizon {
+	for len(e.queue) > 0 && e.queue[e.head()].at <= horizon {
 		e.fire()
 	}
 	e.now = horizon
@@ -377,7 +428,7 @@ func (e *Engine) Run() {
 //
 // Tickers are periodic slots inside the engine: each tick reschedules the
 // same slot in place rather than chaining a fresh event per tick, so the
-// steady-state cost is one heap pop + push with no allocation.
+// steady-state cost is one queue pop + push with no allocation.
 func (e *Engine) Ticker(period time.Duration, fn func()) (stop func()) {
 	if period <= 0 {
 		panic("simclock: Ticker period must be positive")
@@ -389,11 +440,9 @@ func (e *Engine) Ticker(period time.Duration, fn func()) (stop func()) {
 	idx := e.alloc()
 	s := &e.slots[idx]
 	s.fn = fn
-	s.at = e.now + period
-	s.seq = e.nextSeq
 	s.period = period
 	s.state = slotQueued
-	e.heapPush(heapItem{at: s.at, seq: s.seq, idx: idx})
+	e.push(item{at: e.now + period, seq: e.nextSeq, idx: idx})
 	id := makeID(idx, s.gen)
 	return func() { e.Cancel(id) }
 }
