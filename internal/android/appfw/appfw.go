@@ -14,10 +14,10 @@
 // simclock/power fast paths (DESIGN.md §9): work items are pooled on a
 // per-framework free list and linked into an intrusive per-process list
 // (O(1) completion removal), their completion callbacks are bound once per
-// pooled slot and their draw slots when they first start, timers reuse a
-// bound tick callback per tick, DVFS repricing walks a dense slice, and
-// each process carries its UID's accounting record and power-meter owner, so
-// billing and drawing for it look nothing up.
+// pooled slot, a process draws for all its work through one meter slot per
+// component, timers reuse a bound tick callback per tick, DVFS repricing
+// walks a dense slice, and each process carries its UID's accounting record
+// and power-meter owner, so billing and drawing for it look nothing up.
 // Re-gating costs by what changes state: submitting to a process costs the
 // same whatever backlog it has paused (Process.reevaluate).
 package appfw
@@ -90,6 +90,11 @@ type Framework struct {
 	// through workItem.next. Steady-state RunWork/NetworkRequest pop a
 	// slot here instead of allocating.
 	freeWork *workItem
+
+	// busyIn → busyOut is RunWork's last busy-time conversion: a listener
+	// submits the same work over and over, so it divides once. The zero
+	// pair is already right: no busy time takes none.
+	busyIn, busyOut time.Duration
 }
 
 // New creates the framework. gov gates background work (hooks.Nop for all
@@ -112,8 +117,8 @@ func (fw *Framework) SetGovernor(gov hooks.Governor) { fw.gov = gov }
 // runs the next simulation without re-growing its hot structures. It must
 // be called after the engine and meter have been reset: pending events and
 // draw slots are already gone, so work items are scrubbed straight back to
-// the pool (their stale draw handles degrade to no-ops). The power-manager
-// awake subscription wired in New stays valid across reuse.
+// the pool and processes are dropped with their stale draw handles. The
+// power-manager awake subscription wired in New stays valid across reuse.
 func (fw *Framework) Reset() {
 	for _, p := range fw.procList {
 		for w := p.workHead; w != nil; {
@@ -275,9 +280,9 @@ const (
 // workItem is one pausable unit of execution. Items are pooled value slots:
 // allocWork pops one from the framework free list and releaseWork pushes it
 // back, so steady-state execution churns no heap. The completion callback
-// (completeFn) is bound once per slot and the meter draw slot (handle) when
-// the item first starts, so a pause/resume cycle is pure pointer and index
-// work.
+// (completeFn) is bound once per slot, and the item draws through its
+// process's meter slot for its component, so a pause/resume cycle is pure
+// pointer work and one delta on that slot.
 type workItem struct {
 	proc      *Process
 	kind      workKind
@@ -291,12 +296,12 @@ type workItem struct {
 	pausedAt  simclock.Time
 	doneEvent simclock.EventID
 
-	// handle is the item's dedicated power-meter draw slot, resolved on the
-	// first start — an item that has never run draws nothing and holds no
-	// slot, so a paused backlog leaves its owner's slot table as short as
-	// the meter's linear scans assume. Pause/resume update it by index
-	// (power.DrawHandle); the zero handle means not yet resolved.
-	handle power.DrawHandle
+	// watts is the item's share of its process's draw slot (Process.draws):
+	// start, pause, completion and DVFS repricing pass the slot the change
+	// new − watts, the very delta a slot of its own would take, so the
+	// meter's sums are bit for bit what a slot per item gives. Zero while
+	// the item is not running.
+	watts float64
 
 	// completeFn is the bound completion callback, created once per pooled
 	// slot (on first allocation) and reused across recycles, so starting
@@ -346,6 +351,13 @@ type Process struct {
 	tailEvent  simclock.EventID // pending radio-tail expiry
 	tailFn     func()           // bound expiry callback, created on first tail
 	tailHandle power.DrawHandle // persistent radio-tail draw slot
+
+	// draws holds the meter slot each work kind draws through, taken when
+	// the first item of that kind runs and kept until Kill: its running
+	// items' watts summed. A backlog that has never run holds none, and one
+	// of any size holds at most one per kind, so the owner's slot table
+	// stays as short as the meter's linear scans assume.
+	draws [netWork + 1]power.DrawHandle
 
 	acct  *account     // the uid's accounting record
 	owner *power.Owner // the uid's power-meter record, for the draw slots
@@ -403,8 +415,7 @@ func (fw *Framework) allocWork() *workItem {
 // caller has already cancelled the slot's event (or it has fired) and
 // unlinked it from its process list.
 func (fw *Framework) releaseWork(w *workItem) {
-	w.handle.Release()
-	w.handle = power.DrawHandle{}
+	w.watts = 0
 	w.proc = nil
 	w.onErr = nil
 	w.onDone = nil
@@ -455,10 +466,14 @@ func (p *Process) RunWork(busyTime time.Duration, onDone func()) {
 	if p.dead {
 		return
 	}
-	w := p.fw.allocWork()
+	fw := p.fw
+	if busyTime != fw.busyIn {
+		fw.busyIn, fw.busyOut = busyTime, time.Duration(float64(busyTime)/fw.profile.CPUSpeed)
+	}
+	w := fw.allocWork()
 	w.proc = p
 	w.kind = cpuWork
-	w.remaining = time.Duration(float64(busyTime) / p.fw.profile.CPUSpeed)
+	w.remaining = fw.busyOut
 	w.onDone = onDone
 	p.addWork(w)
 }
@@ -529,8 +544,17 @@ func (fw *Framework) refreshCPUDraws() {
 		return
 	}
 	for _, w := range fw.runningCPU {
-		w.handle.Set(w.drawW())
+		w.draw(w.drawW())
 	}
+}
+
+// draw moves w's share of its process's slot to watts.
+func (w *workItem) draw(watts float64) {
+	if watts == w.watts {
+		return
+	}
+	w.proc.draws[w.kind].Add(watts - w.watts)
+	w.watts = watts
 }
 
 // removeRunning drops w from the dense running-CPU list by swap-delete.
@@ -572,10 +596,10 @@ func (w *workItem) start() {
 		w.runIdx = int32(len(fw.runningCPU))
 		fw.runningCPU = append(fw.runningCPU, w)
 	}
-	if w.handle == (power.DrawHandle{}) {
-		w.handle = w.proc.owner.Handle(w.comp())
+	if h := &w.proc.draws[w.kind]; *h == (power.DrawHandle{}) {
+		*h = w.proc.owner.Handle(w.comp())
 	}
-	w.handle.Set(w.drawW())
+	w.draw(w.drawW())
 	fw.refreshCPUDraws()
 	w.doneEvent = fw.engine.Schedule(w.remaining, w.completeFn)
 }
@@ -597,7 +621,7 @@ func (w *workItem) pause() {
 	w.running = false
 	w.pausedAt = now
 	fw.removeRunning(w)
-	w.handle.Set(0)
+	w.draw(0)
 	fw.refreshCPUDraws()
 }
 
@@ -612,7 +636,7 @@ func (w *workItem) complete() {
 		if w.kind == cpuWork {
 			p.acct.cpuTime += elapsed
 		}
-		w.handle.Set(0)
+		w.draw(0)
 		w.running = false
 		fw.removeRunning(w)
 		fw.refreshCPUDraws()
@@ -930,6 +954,12 @@ func (p *Process) Kill() {
 		w = next
 	}
 	p.workHead, p.workTail = nil, nil
+	// Everything paused, so the work slots read exactly 0 W: releasing them
+	// integrates nothing.
+	for i := range p.draws {
+		p.draws[i].Release()
+		p.draws[i] = power.DrawHandle{}
+	}
 	for i := 0; i < len(p.timers); i++ {
 		p.timers[i].deactivate()
 	}

@@ -98,3 +98,39 @@ func TestDVFSEnergyConservation(t *testing.T) {
 		t.Fatalf("DVFS extra energy = %v, want %v", dvfsJ-flatJ, wantExtra)
 	}
 }
+
+// TestKillLeavesExactZeros: a process's running items share its one slot
+// per kind, each adding and taking back a DVFS-repriced share, so the slot
+// sums floats that do not cancel exactly. Kill pauses them all, and the slot
+// — and the owner with it — must read exactly 0 W before the meter reclaims
+// it, leaving nothing for ClearOwner to subtract.
+func TestKillLeavesExactZeros(t *testing.T) {
+	r := newDVFSRig(0.3)
+	p := r.fw.NewProcess(10, "a")
+	q := r.fw.NewProcess(20, "b")
+	r.hold(20)
+	for i := 1; i <= 7; i++ {
+		p.RunWork(time.Duration(i)*1300*time.Millisecond, nil)
+		q.RunWork(time.Duration(i)*900*time.Millisecond, nil)
+		p.NetworkRequest(time.Duration(i)*700*time.Millisecond, nil)
+	}
+	r.engine.RunUntil(3100 * time.Millisecond) // some done, most repriced
+	if got := r.meter.DrawCount(10); got != 2 {
+		t.Fatalf("uid 10 runs CPU and network work through %d slots, want 2", got)
+	}
+	p.Kill()
+	if got := r.meter.InstantPowerOfW(10); got != 0 {
+		t.Fatalf("draw after kill = %v W, want exactly 0", got)
+	}
+	if got := r.meter.DrawCount(10); got != 0 {
+		t.Fatalf("%d draw slots after kill, want 0", got)
+	}
+	r.engine.RunUntil(time.Minute) // q's work finishes alone
+	if got, want := r.meter.InstantPowerOfW(20), device.PixelXL.CPUIdleAwakeW; !almost(got, want) {
+		t.Fatalf("uid 20 draws %v W with only its wakelock left, want %v", got, want)
+	}
+	q.Kill()
+	if got := r.meter.InstantPowerOfW(20); got != 0 {
+		t.Fatalf("draw after kill = %v W, want exactly 0", got)
+	}
+}

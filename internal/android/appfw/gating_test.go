@@ -38,6 +38,7 @@ type refProc struct {
 	fg, dead bool
 	items    []*refItem // submission order
 	cpu      time.Duration
+	ran      [2]bool // an item of each kind (CPU, network) has run
 }
 
 type refWorld struct {
@@ -60,7 +61,7 @@ func (m *refWorld) reevaluate(p *refProc) {
 	for _, w := range p.items {
 		switch {
 		case run && !w.running:
-			m.start(w)
+			m.start(p, w)
 		case !run && w.running:
 			m.pause(p, w)
 		}
@@ -73,12 +74,17 @@ func (m *refWorld) reevaluateAll() {
 	}
 }
 
-func (m *refWorld) start(w *refItem) {
+func (m *refWorld) start(p *refProc, w *refItem) {
 	if w.net && !w.timedOut && m.now-w.pausedAt > NetTimeout {
 		w.timedOut = true
 		w.remaining = 0
 	}
 	w.running, w.started, w.startedAt = true, true, m.now
+	if w.net {
+		p.ran[1] = true
+	} else {
+		p.ran[0] = true
+	}
 	m.seq++
 	w.seq = m.seq
 	w.doneAt = m.now + w.remaining
@@ -324,14 +330,22 @@ func (g *gatingPair) check(where string) {
 		if got, want := g.r.fw.CPUTimeOf(p.uid), g.ref.cpuTimeOf(rp); got != want {
 			t.Fatalf("%s: CPUTimeOf(%d) = %v, the full walk reads %v", where, p.uid, got, want)
 		}
-		started := 0
-		for _, w := range rp.items {
-			if w.started {
-				started++
+		// A process draws for its work through one slot per kind it has
+		// run, whatever its backlog, and gives them back at Kill.
+		slots, running := 0, false
+		for _, ran := range rp.ran {
+			if ran && !rp.dead {
+				slots++
 			}
 		}
-		if got := g.r.meter.DrawCount(p.uid); got != started {
-			t.Fatalf("%s: uid %d holds %d draw slots, has %d items that ever ran", where, p.uid, got, started)
+		for _, w := range rp.items {
+			running = running || w.running
+		}
+		if got := g.r.meter.DrawCount(p.uid); got != slots {
+			t.Fatalf("%s: uid %d holds %d draw slots, want %d (kinds run %v, dead %v)", where, p.uid, got, slots, rp.ran, rp.dead)
+		}
+		if got := g.r.meter.InstantPowerOfW(p.uid); !running && got != 0 {
+			t.Fatalf("%s: uid %d runs nothing and draws %v W", where, p.uid, got)
 		}
 	}
 	if len(g.log) != len(g.ref.log) {
@@ -349,8 +363,9 @@ func (g *gatingPair) check(where string) {
 // seeded random order, and after every step requires that every linked item
 // is in the state its process records, that pendingTicks counts the timers
 // holding a tick, and that the full-walk reference agrees on which items run,
-// when and in what order they complete, what CPUTimeOf reads and how many
-// draw slots each uid holds.
+// when and in what order they complete and what CPUTimeOf reads; each uid
+// holds one draw slot per kind of work it has run, and draws exactly 0 W
+// while none runs.
 func TestGatingMatchesFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -400,9 +415,10 @@ func TestBacklogIsLinear(t *testing.T) {
 	}
 }
 
-// TestPausedBacklogHoldsNoDrawSlots: an item that has never run draws
-// nothing, so it takes no slot in its owner's table — which the meter's
-// string-tagged Set scans from the top on every call.
+// TestPausedBacklogHoldsNoDrawSlots: work that has never run draws nothing,
+// so it takes no slot in its owner's table — which the meter's string-tagged
+// Set scans from the top on every call — and once it runs, a backlog of any
+// size draws through one.
 func TestPausedBacklogHoldsNoDrawSlots(t *testing.T) {
 	r, _ := submitPaused(8000)
 	if got := r.meter.DrawCount(10); got != 0 {
@@ -420,10 +436,13 @@ func TestPausedBacklogHoldsNoDrawSlots(t *testing.T) {
 	if got := r.meter.InstantPowerOfW(10); got != 0 {
 		t.Fatalf("draw reads %v W after Clear, want 0", got)
 	}
-	// The backlog still runs once the CPU is up: each item takes its slot
-	// as it starts.
+	// The backlog still runs once the CPU is up, all of it through the
+	// process's one CPU slot.
 	r.hold(10)
-	if got := r.meter.DrawCount(10); got != 8000+1 {
-		t.Fatalf("%d draw slots once everything runs, want 8000 and the wakelock's", got)
+	if got := r.meter.DrawCount(10); got != 1+1 {
+		t.Fatalf("%d draw slots once 8000 items run, want the work's 1 and the wakelock's", got)
+	}
+	if got, want := r.meter.InstantPowerOfW(10), 8000*device.PixelXL.CPUActiveW+device.PixelXL.CPUIdleAwakeW; !almost(got, want) {
+		t.Fatalf("8000 running items draw %v W, want %v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/sim/simtest"
@@ -25,8 +26,9 @@ const fingerprintEvery = 10 * time.Minute
 // energy per uid and component as float bits, CPU time, IPC count, awake time
 // and queue length, every 10 simulated minutes) over the repository
 // benchmark's panel under every policy, each world built fresh and then
-// reset out of a pool, and over the first 256 devices of the seed-1 fleet on
-// the path a fleet worker takes. Where experiments_output.txt and the fleet
+// reset out of a pool, over the first 256 devices of the seed-1 fleet on
+// the path a fleet worker takes, and over the panel again on a Pixel XL with
+// DVFS (alpha 0.3). Where experiments_output.txt and the fleet
 // golden print one decimal, this catches a one-ulp drift: a reordered meter
 // update, a split integration interval. A change that makes the simulator
 // cheaper must leave it as it is; one that means to move a simulated figure
@@ -35,7 +37,7 @@ const fingerprintEvery = 10 * time.Minute
 //	go test ./internal/exp -run TestBitIdentityFingerprint -update-fingerprint
 func TestBitIdentityFingerprint(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates 352 device-windows")
+		t.Skip("simulates 400 device-windows")
 	}
 	var b strings.Builder
 	pool := sim.NewPool()
@@ -63,6 +65,20 @@ func TestBitIdentityFingerprint(t *testing.T) {
 		fp := simtest.Fingerprint(s, cfg.Window, fingerprintEvery, fingerprintUIDs...)
 		pool.Put(s)
 		fmt.Fprintf(&b, "fleet %03d %s/%s/%v %s\n", i, d.profile.Name, d.mix.name, d.policy, fp)
+	}
+
+	// The panel again on a DVFS device, where every CPU start and stop
+	// reprices the items already running (appfw's refreshCPUDraws).
+	dvfs := device.PixelXL.WithDVFS(0.3)
+	pool = sim.NewPool()
+	for _, pol := range sim.Policies() {
+		for _, app := range simtest.Panel {
+			s := pool.Get(sim.Options{Policy: pol, Device: dvfs})
+			app.Install(s, 100)
+			fp := simtest.Fingerprint(s, panelWindow, fingerprintEvery, fingerprintUIDs...)
+			pool.Put(s)
+			fmt.Fprintf(&b, "dvfs %v/%s %s\n", pol, app.Name, fp)
+		}
 	}
 
 	const golden = "testdata/fingerprint.golden"

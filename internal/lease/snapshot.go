@@ -184,9 +184,14 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Varint(int64(l.idleTotal))
 	w.Varint(int64(l.activeSince))
 	w.Varint(int64(l.activeTotal))
-	w.Uvarint(uint64(len(l.history)))
-	for i := range l.history {
-		t := &l.history[i]
+	n := len(l.history)
+	w.Uvarint(uint64(n))
+	for i := range n { // oldest first: the ring from its head
+		j := l.head + i
+		if j >= n {
+			j -= n
+		}
+		t := &l.history[j]
 		w.Int(t.Index)
 		w.Varint(int64(t.Start))
 		w.Varint(int64(t.Duration))
@@ -425,7 +430,7 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			term: ls.Term, termIndex: ls.TermIndex,
 			held: ls.Held, normalStreak: ls.NormalStreak,
 			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
-			history: append([]TermRecord(nil), ls.History...),
+			history: append(make([]TermRecord, 0, len(ls.History)), ls.History...),
 			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
 			deadAt: ls.DeadAt, lastIdle: ls.LastIdle, idleTotal: ls.IdleTotal,
 			activeSince: ls.ActiveSince, activeTotal: ls.ActiveTotal,

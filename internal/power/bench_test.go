@@ -20,6 +20,7 @@ var kernels = []struct {
 	{"Set", setOp},
 	{"EnergyOf", energyOfOp},
 	{"Sampler", samplerOp},
+	{"Add", addOp},
 }
 
 func TestKernelAllocs(t *testing.T) {
@@ -86,6 +87,19 @@ func energyOfOp() func() {
 		e.RunUntil(e.Now() + time.Millisecond)
 		_ = m.EnergyOfJ(5)
 	}
+}
+
+// addOp is one delta on a slot several draws share — appfw's per-process
+// work slot, which every work item's start, pause and completion moves by
+// its own change.
+func addOp() func() {
+	e := simclock.NewEngine()
+	h := meterWithLoad(e, 32).Handle(5, CPU)
+	held := 0.0
+	return toggle(e, func(w float64) {
+		h.Add(w - held)
+		held = w
+	})
 }
 
 // samplerOp is one sampler tick, the 100 ms Monsoon / Trepn instrument loop

@@ -101,11 +101,17 @@ type accum struct {
 // advance integrates the accumulator up to now.
 func (a *accum) advance(now simclock.Time) {
 	if dt := now - a.last; dt > 0 {
-		if a.watts != 0 {
-			a.energyJ += a.watts * seconds(dt)
-		}
-		a.last = now
+		a.step(seconds(dt), now)
 	}
+}
+
+// step integrates the sec seconds that end at now; the caller has checked
+// that the interval runs forward.
+func (a *accum) step(sec float64, now simclock.Time) {
+	if a.watts != 0 {
+		a.energyJ += a.watts * sec
+	}
+	a.last = now
 }
 
 // seconds is dt.Seconds() bit for bit, without its integer division and
@@ -120,11 +126,14 @@ func seconds(dt time.Duration) float64 {
 
 // addWatts applies a draw delta, absorbing float drift at zero so that a
 // fully-released accumulator reads exactly 0 W.
-func (a *accum) addWatts(delta float64) {
-	a.watts += delta
-	if a.watts < 1e-12 && a.watts > -1e-12 {
-		a.watts = 0
+func (a *accum) addWatts(delta float64) { a.watts = snap(a.watts + delta) }
+
+// snap is a sum of draw deltas with float drift at zero absorbed.
+func snap(w float64) float64 {
+	if w < 1e-12 && w > -1e-12 {
+		return 0
 	}
+	return w
 }
 
 // Owner is one UID's accounting record: its lazily integrated energy and the
@@ -231,23 +240,41 @@ func (m *Meter) lookup(uid UID) *Owner {
 	return nil
 }
 
-// setSlot applies a new wattage to a live slot, integrating the three
-// affected accumulators at the old wattage before the change; everyone
-// else's integral is untouched by this draw, so they stay lazy. This is
-// the one mutation path shared by the string API and DrawHandle.
+// setSlot applies a new wattage to a live slot. This is the one mutation
+// path shared by the string API and DrawHandle.Set.
 func (o *Owner) setSlot(s *drawSlot, watts float64) {
 	if watts == s.watts {
 		return
 	}
-	m := o.m
-	now := m.engine.Now()
-	o.advance(now)
-	m.comps[s.comp].advance(now)
-	m.total.advance(now)
 	delta := watts - s.watts
 	s.watts = watts
+	o.shift(s.comp, delta)
+}
+
+// shift moves the owner's, comp's and the total draw by delta, integrating
+// the three at their old wattage first; everyone else's integral is
+// untouched by this draw, so they stay lazy. When the three were last
+// advanced at the same instant they share one seconds conversion: the same
+// dt gives the same float, so each sum takes the very addition advance
+// would have made.
+func (o *Owner) shift(comp Component, delta float64) {
+	m := o.m
+	now := m.engine.Now()
+	c := &m.comps[comp]
+	if last := o.last; c.last == last && m.total.last == last {
+		if dt := now - last; dt > 0 {
+			sec := seconds(dt)
+			o.step(sec, now)
+			c.step(sec, now)
+			m.total.step(sec, now)
+		}
+	} else {
+		o.advance(now)
+		c.advance(now)
+		m.total.advance(now)
+	}
 	o.addWatts(delta)
-	m.comps[s.comp].addWatts(delta)
+	c.addWatts(delta)
 	m.total.addWatts(delta)
 }
 
@@ -297,14 +324,14 @@ func (o *Owner) Set(comp Component, tag string, watts float64) {
 func (o *Owner) Clear(comp Component, tag string) { o.Set(comp, tag, 0) }
 
 // DrawHandle is a pre-resolved reference to one draw slot: it carries its
-// owner's record, and Set updates the slot by index — a bounds check and
-// three accumulator touches, no lookup, no string hashing, no scan, no
+// owner's record, and Set and Add update the slot by index — a bounds check
+// and three accumulator touches, no lookup, no string hashing, no scan, no
 // allocation. It is the fast path the app framework rides on every work-item
-// pause/resume; cold callers keep the string Set/Clear API.
+// start and pause; cold callers keep the string Set/Clear API.
 //
-// The zero DrawHandle is invalid; Set(>0) on it (or on a handle whose slot
-// was reclaimed by ClearOwner) panics, while Clear and Release degrade to
-// no-ops so teardown paths stay safe after process death.
+// The zero DrawHandle is invalid; Set(>0) or Add(≠0) on it (or on a handle
+// whose slot was reclaimed by ClearOwner) panics, while Clear and Release
+// degrade to no-ops so teardown paths stay safe after process death.
 type DrawHandle struct {
 	o   *Owner
 	idx int32
@@ -361,6 +388,29 @@ func (h DrawHandle) Set(watts float64) {
 		panic(fmt.Sprintf("power: Set(%v W) on stale draw handle", watts))
 	}
 	h.o.setSlot(s, watts)
+}
+
+// Add moves the slot's draw by delta watts: the path for a slot that sums
+// several draws, each kept by its caller, which passes the change of one
+// (new − old), so the owner, component and total take the operands, in the
+// order, that a slot per draw would give them. The slot's own sum absorbs
+// float drift at zero as the accumulators do, so it reads exactly 0 W once
+// every draw in it has gone. Adding to a stale or zero handle panics unless
+// delta is zero, and so does a delta that would take the slot below zero.
+func (h DrawHandle) Add(delta float64) {
+	if delta == 0 {
+		return
+	}
+	s := h.slot()
+	if s == nil {
+		panic(fmt.Sprintf("power: Add(%v W) on stale draw handle", delta))
+	}
+	w := snap(s.watts + delta)
+	if w < 0 {
+		panic(fmt.Sprintf("power: Add(%v W) takes a %v W draw negative", delta, s.watts))
+	}
+	s.watts = w
+	h.o.shift(s.comp, delta)
 }
 
 // Clear zeroes the slot's draw, keeping the slot for reuse.
@@ -431,8 +481,8 @@ func (m *Meter) InstantPowerOfW(owner UID) float64 {
 
 // DrawCount reports how many draw entries, tagged or handle, owner holds.
 // An owner's slot table grows to the most it has held at once, and Set scans
-// it: callers keep that to a handful (appfw gives a work item a slot only
-// once it runs, so a paused backlog holds none).
+// it: callers keep that to a handful (appfw's work draws through one slot per
+// component a process has run, whatever its backlog).
 func (m *Meter) DrawCount(owner UID) int {
 	if o := m.lookup(owner); o != nil {
 		return o.nLive
