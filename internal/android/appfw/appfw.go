@@ -90,11 +90,6 @@ type Framework struct {
 	// through workItem.next. Steady-state RunWork/NetworkRequest pop a
 	// slot here instead of allocating.
 	freeWork *workItem
-
-	// busyIn → busyOut is RunWork's last busy-time conversion: a listener
-	// submits the same work over and over, so it divides once. The zero
-	// pair is already right: no busy time takes none.
-	busyIn, busyOut time.Duration
 }
 
 // New creates the framework. gov gates background work (hooks.Nop for all
@@ -353,8 +348,8 @@ type Process struct {
 	tailHandle power.DrawHandle // persistent radio-tail draw slot
 
 	// draws holds the meter slot each work kind draws through, taken when
-	// the first item of that kind runs and kept until Kill: its running
-	// items' watts summed. A backlog that has never run holds none, and one
+	// the first item of that kind runs and kept until Kill; its running
+	// items' watts reach the meter through it. A backlog that has never run holds none, and one
 	// of any size holds at most one per kind, so the owner's slot table
 	// stays as short as the meter's linear scans assume.
 	draws [netWork + 1]power.DrawHandle
@@ -466,14 +461,10 @@ func (p *Process) RunWork(busyTime time.Duration, onDone func()) {
 	if p.dead {
 		return
 	}
-	fw := p.fw
-	if busyTime != fw.busyIn {
-		fw.busyIn, fw.busyOut = busyTime, time.Duration(float64(busyTime)/fw.profile.CPUSpeed)
-	}
-	w := fw.allocWork()
+	w := p.fw.allocWork()
 	w.proc = p
 	w.kind = cpuWork
-	w.remaining = fw.busyOut
+	w.remaining = time.Duration(float64(busyTime) / p.fw.profile.CPUSpeed)
 	w.onDone = onDone
 	p.addWork(w)
 }
@@ -954,8 +945,9 @@ func (p *Process) Kill() {
 		w = next
 	}
 	p.workHead, p.workTail = nil, nil
-	// Everything paused, so the work slots read exactly 0 W: releasing them
-	// integrates nothing.
+	// Everything paused, so every item has taken its draw out of the work
+	// slots, which keep no sum of their own: releasing them integrates and
+	// subtracts nothing.
 	for i := range p.draws {
 		p.draws[i].Release()
 		p.draws[i] = power.DrawHandle{}

@@ -1,6 +1,7 @@
 package appfw
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -100,10 +101,9 @@ func TestDVFSEnergyConservation(t *testing.T) {
 }
 
 // TestKillLeavesExactZeros: a process's running items share its one slot
-// per kind, each adding and taking back a DVFS-repriced share, so the slot
-// sums floats that do not cancel exactly. Kill pauses them all, and the slot
-// — and the owner with it — must read exactly 0 W before the meter reclaims
-// it, leaving nothing for ClearOwner to subtract.
+// per kind, each adding and taking back a DVFS-repriced share. Kill pauses
+// them all and releases the slots, which keep no sum of their own, so the
+// owner must read exactly 0 W with no slots left for ClearOwner.
 func TestKillLeavesExactZeros(t *testing.T) {
 	r := newDVFSRig(0.3)
 	p := r.fw.NewProcess(10, "a")
@@ -132,5 +132,43 @@ func TestKillLeavesExactZeros(t *testing.T) {
 	q.Kill()
 	if got := r.meter.InstantPowerOfW(20); got != 0 {
 		t.Fatalf("draw after kill = %v W, want exactly 0", got)
+	}
+}
+
+// TestBacklogRunsOutAsASlotPerItem: 8000 items run to completion through
+// one slot per kind, at a flat price and DVFS-repriced on every start and
+// completion, so the meter takes millions of deltas whose float sum does not
+// come back to exactly zero. Nothing may panic, Kill leaves no slots, and
+// the owner's draw, the device's, and both energies equal, as float bits,
+// what a meter slot per item gave (the want values were taken from that
+// design), float drift included.
+func TestBacklogRunsOutAsASlotPerItem(t *testing.T) {
+	for _, tc := range []struct {
+		alpha float64
+		want  [5]uint64 // owner W when done, owner W, device W, owner J, device J after Kill
+	}{
+		{0, [5]uint64{0x3f9eb851eb869e00, 0x0, 0x3f80624dd2f2fe90, 0x40ae3e954c98687f, 0x40ae782ee631fc3f}},
+		{0.0001, [5]uint64{0x3f9eb85205a26a00, 0x3e1a1d4b48000000, 0x3f80624e072a9690, 0x40b69cbab9cb4d83, 0x40b6b98786981762}},
+	} {
+		r := newDVFSRig(tc.alpha)
+		p := r.fw.NewProcess(10, "app")
+		for i := 0; i < 8000; i++ {
+			p.RunWork(time.Duration(1+i*7919%997)*time.Millisecond, nil)
+			if i%3 == 0 {
+				p.NetworkRequest(time.Duration(1+i*104729%1009)*time.Millisecond, nil)
+			}
+		}
+		r.hold(10)
+		r.engine.RunUntil(time.Hour)
+		done := r.meter.InstantPowerOfW(10)
+		p.Kill()
+		if got := r.meter.DrawCount(10); got != 0 {
+			t.Fatalf("alpha %v: %d draw slots after kill, want 0", tc.alpha, got)
+		}
+		got := [5]uint64{math.Float64bits(done), math.Float64bits(r.meter.InstantPowerOfW(10)),
+			math.Float64bits(r.meter.InstantPowerW()), math.Float64bits(r.meter.EnergyOfJ(10)), math.Float64bits(r.meter.EnergyJ())}
+		if got != tc.want {
+			t.Fatalf("alpha %v: figures %#x, want %#x", tc.alpha, got, tc.want)
+		}
 	}
 }

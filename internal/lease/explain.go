@@ -52,7 +52,9 @@ func (m *Manager) Explanation(l *Lease) Explanation {
 		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
 		Config: m.cfg, Reputation: m.ReputationOf(l.obj.UID),
 	}
-	e.Last, e.HasLast = l.newest()
+	if n := len(l.history); n > 0 {
+		e.HasLast, e.Last = true, l.history[n-1]
+	}
 	return e
 }
 

@@ -9,14 +9,13 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/power"
 	"repro/internal/simclock"
-	"repro/internal/snapenc"
 )
 
-// TestHistoryRing: a lease keeps its last HistoryLen term records in a ring
-// that grows to the bound and never past it, reads and encodes them oldest
-// first exactly as an append-and-trim slice holds them, and once full takes
+// TestHistoryBackingStaysWithinBound: a lease keeps its last HistoryLen term
+// records in a backing that grows to the bound and never past it, holds them
+// oldest first exactly as an append-and-trim slice does, and once full takes
 // a record in place without touching the heap.
-func TestHistoryRing(t *testing.T) {
+func TestHistoryBackingStaysWithinBound(t *testing.T) {
 	for _, n := range []int{1, 3, 120} {
 		m := &Manager{cfg: Config{HistoryLen: n}}
 		l := &Lease{}
@@ -33,25 +32,19 @@ func TestHistoryRing(t *testing.T) {
 			if got := l.History(); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("HistoryLen %d, term %d: History() = %v, want %v", n, i, got, ref)
 			}
-			if got, ok := l.newest(); !ok || got != rec {
-				t.Fatalf("HistoryLen %d, term %d: newest = %v, %v; want %v", n, i, got, ok, rec)
+			if e := m.Explanation(l); !e.HasLast || e.Last != rec {
+				t.Fatalf("HistoryLen %d, term %d: Explanation's last = %v, %v; want %v", n, i, e.Last, e.HasLast, rec)
 			}
 		}
-		ring, flat := snapenc.NewWriter(nil), snapenc.NewWriter(nil)
-		l.encodeState(ring)
-		(&Lease{history: ref}).encodeState(flat)
-		if !bytes.Equal(ring.Payload(), flat.Payload()) {
-			t.Fatalf("HistoryLen %d: the ring encodes differently from the records in order", n)
-		}
 		if allocs := testing.AllocsPerRun(100, func() { m.record(l, TermRecord{}) }); allocs != 0 {
-			t.Fatalf("HistoryLen %d: a full ring allocates %v times a record", n, allocs)
+			t.Fatalf("HistoryLen %d: a full history allocates %v times a record", n, allocs)
 		}
 	}
 }
 
-// TestHistoryRingRestores: a manager whose leases' rings have wrapped
+// TestFullHistoryRestores: a manager whose leases' histories are full
 // restores to one that encodes the same bytes and keeps evolving in step.
-func TestHistoryRingRestores(t *testing.T) {
+func TestFullHistoryRestores(t *testing.T) {
 	cfg := Config{HistoryLen: 3}
 	eng := simclock.NewEngine()
 	stats := newFakeStats()
@@ -63,8 +56,8 @@ func TestHistoryRingRestores(t *testing.T) {
 	}
 	defer feed(eng, stats)()
 	eng.RunUntil(2 * time.Minute)
-	if l := mgr.Leases()[0]; l.head == 0 || len(l.History()) != 3 {
-		t.Fatalf("after %d terms the ring has not wrapped: head %d, %d records", l.Terms(), l.head, len(l.History()))
+	if l := mgr.Leases()[0]; l.Terms() <= 3 || len(l.History()) != 3 {
+		t.Fatalf("after %d terms the history holds %d records, want a full 3", l.Terms(), len(l.History()))
 	}
 
 	eng2 := simclock.NewEngine()

@@ -1,7 +1,6 @@
 package lease
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/android/hooks"
@@ -37,11 +36,9 @@ type Lease struct {
 	misbehaveStreak int
 	escalation      int
 
-	// history is a ring of the last Config.HistoryLen term records: it
-	// grows geometrically to the bound, then the newest record overwrites
-	// the oldest, at history[head]. Use History for them oldest first.
+	// history holds the last Config.HistoryLen term records, oldest first,
+	// in a backing that grows geometrically to the bound and no further.
 	history []TermRecord
-	head    int
 
 	// Snapshots of cumulative per-uid counters, for per-term deltas.
 	lastCPU   time.Duration
@@ -86,22 +83,9 @@ func (l *Lease) Kind() hooks.Kind { return l.obj.Kind }
 func (l *Lease) Terms() int { return l.termIndex }
 
 // History returns the bounded per-term stat history (most recent last).
-// The returned slice must not be mutated.
-func (l *Lease) History() []TermRecord {
-	if l.head == 0 {
-		return l.history
-	}
-	return slices.Concat(l.history[l.head:], l.history[:l.head])
-}
-
-// newest is the last term's record; ok is false before the first term ends.
-func (l *Lease) newest() (rec TermRecord, ok bool) {
-	n := len(l.history)
-	if n == 0 {
-		return TermRecord{}, false
-	}
-	return l.history[(l.head+n-1)%n], true
-}
+// The returned slice must not be mutated, and holds only until the lease's
+// next term ends: a full history takes the next record in place.
+func (l *Lease) History() []TermRecord { return l.history }
 
 // Manager is the LeaseOS lease manager: it creates, checks, renews, defers
 // and removes leases for every resource in the system (paper §4.3), driven
@@ -544,25 +528,16 @@ func (m *Manager) collect(l *Lease, termDur time.Duration) TermRecord {
 }
 
 // record keeps rec as the lease's newest term record, dropping the oldest
-// once HistoryLen are kept. A full ring takes it in place; one still growing
-// doubles its backing up to the bound, never past it.
+// once HistoryLen are kept. A full history shifts down in place; one still
+// growing doubles its backing up to the bound, never past it.
 func (m *Manager) record(l *Lease, rec TermRecord) {
-	n := m.cfg.HistoryLen
-	if len(l.history) == n {
-		l.history[l.head] = rec
-		if l.head++; l.head == n {
-			l.head = 0
-		}
-		return
-	}
-	h := l.History()
-	if len(h) >= n { // restored under a longer bound
-		h = h[len(h)-(n-1):]
-	}
-	if len(h) == cap(h) {
+	h := l.history
+	if n := m.cfg.HistoryLen; len(h) >= n {
+		h = h[:copy(h, h[len(h)-(n-1):])]
+	} else if len(h) == cap(h) {
 		h = append(make([]TermRecord, 0, min(max(2*len(h), 4), n)), h...)
 	}
-	l.history, l.head = append(h, rec), 0
+	l.history = append(h, rec)
 }
 
 // deferReason maps a behaviour to its constant transition-reason string;

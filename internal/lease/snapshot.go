@@ -184,14 +184,9 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Varint(int64(l.idleTotal))
 	w.Varint(int64(l.activeSince))
 	w.Varint(int64(l.activeTotal))
-	n := len(l.history)
-	w.Uvarint(uint64(n))
-	for i := range n { // oldest first: the ring from its head
-		j := l.head + i
-		if j >= n {
-			j -= n
-		}
-		t := &l.history[j]
+	w.Uvarint(uint64(len(l.history)))
+	for i := range l.history {
+		t := &l.history[i]
 		w.Int(t.Index)
 		w.Varint(int64(t.Start))
 		w.Varint(int64(t.Duration))

@@ -126,14 +126,11 @@ func seconds(dt time.Duration) float64 {
 
 // addWatts applies a draw delta, absorbing float drift at zero so that a
 // fully-released accumulator reads exactly 0 W.
-func (a *accum) addWatts(delta float64) { a.watts = snap(a.watts + delta) }
-
-// snap is a sum of draw deltas with float drift at zero absorbed.
-func snap(w float64) float64 {
-	if w < 1e-12 && w > -1e-12 {
-		return 0
+func (a *accum) addWatts(delta float64) {
+	a.watts += delta
+	if a.watts < 1e-12 && a.watts > -1e-12 {
+		a.watts = 0
 	}
-	return w
 }
 
 // Owner is one UID's accounting record: its lazily integrated energy and the
@@ -390,13 +387,14 @@ func (h DrawHandle) Set(watts float64) {
 	h.o.setSlot(s, watts)
 }
 
-// Add moves the slot's draw by delta watts: the path for a slot that sums
-// several draws, each kept by its caller, which passes the change of one
-// (new − old), so the owner, component and total take the operands, in the
-// order, that a slot per draw would give them. The slot's own sum absorbs
-// float drift at zero as the accumulators do, so it reads exactly 0 W once
-// every draw in it has gone. Adding to a stale or zero handle panics unless
-// delta is zero, and so does a delta that would take the slot below zero.
+// Add moves the slot's draw by delta watts: the path for a slot that
+// carries several draws, each kept by its caller, which passes the change of
+// one (new − old), so the owner, component and total take the operands, in
+// the order, that a slot per draw would give them. The slot keeps no sum of
+// its own — one summed over many deltas would drift off zero — so Release,
+// Clear and ClearOwner take nothing out for it: callers take each draw out
+// before they let the slot go, and move a slot by Set or by Add, not both.
+// Adding to a stale or zero handle panics unless delta is zero.
 func (h DrawHandle) Add(delta float64) {
 	if delta == 0 {
 		return
@@ -405,11 +403,6 @@ func (h DrawHandle) Add(delta float64) {
 	if s == nil {
 		panic(fmt.Sprintf("power: Add(%v W) on stale draw handle", delta))
 	}
-	w := snap(s.watts + delta)
-	if w < 0 {
-		panic(fmt.Sprintf("power: Add(%v W) takes a %v W draw negative", delta, s.watts))
-	}
-	s.watts = w
 	h.o.shift(s.comp, delta)
 }
 

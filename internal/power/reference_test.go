@@ -58,13 +58,12 @@ type meterRig struct {
 	total  refAccum
 
 	// Per owner and component: the per-item handles and the watts each
-	// holds, the shared handle, its items' watts and the slot's own sum,
-	// and the tagged draws' watts.
+	// holds, the shared handle and its items' watts, and the tagged draws'
+	// watts.
 	handles [len(fuzzUIDs)][len(fuzzComps)][fuzzHandles]DrawHandle
 	handleW [len(fuzzUIDs)][len(fuzzComps)][fuzzHandles]float64
 	shared  [len(fuzzUIDs)][len(fuzzComps)]DrawHandle
 	shareW  [len(fuzzUIDs)][len(fuzzComps)][fuzzShares]float64
-	sharedW [len(fuzzUIDs)][len(fuzzComps)]refAccum // watts only
 	taggedW [len(fuzzUIDs)][len(fuzzComps)][len(fuzzTags)]float64
 }
 
@@ -114,7 +113,6 @@ func (r *meterRig) share(u, c, k int, w float64) {
 		return
 	}
 	h.Add(w - old)
-	r.sharedW[u][c].add(w - old)
 	r.change(u, c, w-old)
 	r.shareW[u][c][k] = w
 }
@@ -129,7 +127,8 @@ func (r *meterRig) setTagged(u, c, k int, w float64) {
 	r.taggedW[u][c][k] = w
 }
 
-// release drops per-item handle k, or the shared handle for k past them.
+// release drops per-item handle k, or for k past them the shared handle,
+// whose items first take their draws out: it keeps no sum to release.
 func (r *meterRig) release(u, c, k int) {
 	if k < fuzzHandles {
 		r.handles[u][c][k].Release()
@@ -137,10 +136,13 @@ func (r *meterRig) release(u, c, k int) {
 		r.handleW[u][c][k] = 0
 		return
 	}
+	if !r.shared[u][c].Valid() {
+		return
+	}
+	for k := range fuzzShares {
+		r.share(u, c, k, 0)
+	}
 	r.shared[u][c].Release()
-	r.change(u, c, 0-r.sharedW[u][c].watts)
-	r.sharedW[u][c] = refAccum{}
-	r.shareW[u][c] = [fuzzShares]float64{}
 }
 
 // clearOwner zeroes every draw of owner u through the calls that hold them,
@@ -203,8 +205,7 @@ func (r *meterRig) do(op, target, value byte) {
 	}
 }
 
-// check compares every accumulator with the reference's, as float bits, and
-// every shared slot's sum with the reference's.
+// check compares every accumulator with the reference's, as float bits.
 func (r *meterRig) check(t *testing.T, instr int) {
 	t.Helper()
 	same := func(name any, got accum, want refAccum) {
@@ -217,11 +218,6 @@ func (r *meterRig) check(t *testing.T, instr int) {
 	}
 	for u, uid := range fuzzUIDs {
 		same(uid, r.m.Owner(uid).accum, r.owners[u])
-		for c := range fuzzComps {
-			if s := r.shared[u][c].slot(); s != nil && math.Float64bits(s.watts) != math.Float64bits(r.sharedW[u][c].watts) {
-				t.Fatalf("instruction %d: uid %d's shared %v slot sums %v W, the reference %v W", instr, uid, fuzzComps[c], s.watts, r.sharedW[u][c].watts)
-			}
-		}
 	}
 	for comp := range r.comps {
 		same(Component(comp), r.m.comps[comp], r.comps[comp])
