@@ -19,7 +19,9 @@
 // walks a dense slice, and each process carries its UID's accounting record
 // and power-meter owner, so billing and drawing for it look nothing up.
 // Re-gating costs by what changes state: submitting to a process costs the
-// same whatever backlog it has paused (Process.reevaluate).
+// same whatever backlog it has paused (Process.reevaluate), and work that
+// has never run waits as a small pooled node, taking a work item only when
+// it first starts.
 package appfw
 
 import (
@@ -90,6 +92,8 @@ type Framework struct {
 	// through workItem.next. Steady-state RunWork/NetworkRequest pop a
 	// slot here instead of allocating.
 	freeWork *workItem
+	// freePending pools backlog nodes the same way, through pending.next.
+	freePending *pending
 }
 
 // New creates the framework. gov gates background work (hooks.Nop for all
@@ -108,8 +112,8 @@ func New(engine *simclock.Engine, meter *power.Meter, profile device.Profile, wo
 func (fw *Framework) SetGovernor(gov hooks.Governor) { fw.gov = gov }
 
 // Reset discards all processes and accounting while keeping the work-item
-// pool and the accounting records, zeroed, so a recycled framework
-// runs the next simulation without re-growing its hot structures. It must
+// and backlog-node pools and the accounting records, zeroed, so a recycled
+// framework runs the next simulation without re-growing its hot structures. It must
 // be called after the engine and meter have been reset: pending events and
 // draw slots are already gone, so work items are scrubbed straight back to
 // the pool and processes are dropped with their stale draw handles. The
@@ -124,6 +128,7 @@ func (fw *Framework) Reset() {
 			w = next
 		}
 		p.workHead, p.workTail = nil, nil
+		p.drainBacklog(false)
 		p.dead = true
 	}
 	for _, a := range fw.accounts {
@@ -265,14 +270,43 @@ var ErrTimeout = errors.New("appfw: i/o timeout")
 const NetTimeout = 30 * time.Second
 
 // workKind distinguishes CPU-burning work from radio-burning transfers.
-type workKind int
+type workKind uint8
 
 const (
 	cpuWork workKind = iota
 	netWork
 )
 
-// workItem is one pausable unit of execution. Items are pooled value slots:
+// errCode is the error a submission carries from the instant it was made,
+// small enough for a backlog node to keep.
+type errCode uint8
+
+const (
+	noErr errCode = iota
+	netDown
+	serverFailure
+)
+
+// codeErr maps an errCode to the error its request reports.
+var codeErr = [...]error{noErr: nil, netDown: ErrNetworkDown, serverFailure: ErrServerFailure}
+
+// pending is work submitted to a process that could not run it, waiting in
+// the process's backlog until it first starts (DESIGN.md §9). It holds what
+// the submission decided and nothing a run needs: 48 bytes against a work
+// item's 112, and a listener nobody unregistered can queue thousands.
+// Nodes are pooled on Framework.freePending, threaded through next.
+type pending struct {
+	remaining time.Duration
+	at        simclock.Time // submission instant, for start's NetTimeout check
+	onDone    func()
+	onErr     func(err error)
+	next      *pending
+	kind      workKind
+	err       errCode
+}
+
+// workItem is one pausable unit of execution that has started at least
+// once. Items are pooled value slots:
 // allocWork pops one from the framework free list and releaseWork pushes it
 // back, so steady-state execution churns no heap. The completion callback
 // (completeFn) is bound once per slot, and the item draws through its
@@ -280,13 +314,17 @@ const (
 // pointer work and one delta on that slot.
 type workItem struct {
 	proc      *Process
-	kind      workKind
 	remaining time.Duration // busy time still needed
 	onErr     func(err error)
 	onDone    func()
 	err       error
 
-	running   bool
+	kind    workKind
+	running bool
+	// runIdx is the item's position in Framework.runningCPU while running
+	// CPU work, else -1.
+	runIdx int32
+
 	startedAt simclock.Time
 	pausedAt  simclock.Time
 	doneEvent simclock.EventID
@@ -306,9 +344,6 @@ type workItem struct {
 	// prev/next thread the intrusive per-process work list; next doubles
 	// as the free-list link while the slot is pooled.
 	prev, next *workItem
-	// runIdx is the item's position in Framework.runningCPU while running
-	// CPU work, else -1.
-	runIdx int32
 }
 
 // Process is one app process.
@@ -319,15 +354,18 @@ type Process struct {
 	foreground bool
 	dead       bool
 
-	// workHead/workTail hold the live work items in submission order.
+	// workHead/workTail hold the work items that have started, and
+	// backHead/backTail the submissions that never have, each in submission
+	// order. Items submitted while the process runs start at once, so the
+	// backlog is always the newer part: the two lists in a row are the
+	// process's work in submission order.
 	workHead, workTail *workItem
+	backHead, backTail *pending
 	// Gating is per process, so linked items share one state: workRunning is
-	// the state the last reevaluate left them in, and workNew is the first
-	// item linked since, which has never run — nil except inside addWork,
-	// which links and re-gates at once. reevaluate touches the items from
-	// workNew on unless canRun() has flipped.
+	// the state the last reevaluate left them in. While it is true the
+	// backlog is empty; reevaluate touches the items only when canRun() has
+	// flipped.
 	workRunning bool
-	workNew     *workItem
 
 	// timers holds the plain timers and alarms the wake-capable ones, each
 	// in creation order: reevaluate flushes all of the first before any of
@@ -406,6 +444,31 @@ func (fw *Framework) allocWork() *workItem {
 	return w
 }
 
+// allocPending pops a pooled backlog node, or allocates one.
+func (fw *Framework) allocPending() *pending {
+	if n := fw.freePending; n != nil {
+		fw.freePending = n.next
+		return n
+	}
+	return new(pending)
+}
+
+// drainBacklog empties p's backlog in submission order, starting each
+// node's work if start, and returns the nodes to the pool.
+func (p *Process) drainBacklog(start bool) {
+	fw := p.fw
+	for n := p.backHead; n != nil; {
+		if start {
+			p.startWork(n)
+		}
+		next := n.next
+		*n = pending{next: fw.freePending}
+		fw.freePending = n
+		n = next
+	}
+	p.backHead, p.backTail = nil, nil
+}
+
 // releaseWork scrubs a work slot and pushes it onto the free list. The
 // caller has already cancelled the slot's event (or it has fired) and
 // unlinked it from its process list.
@@ -432,9 +495,6 @@ func (p *Process) linkWork(w *workItem) {
 		p.workHead = w
 	}
 	p.workTail = w
-	if p.workNew == nil {
-		p.workNew = w
-	}
 }
 
 // unlinkWork removes w from p's live work list in O(1).
@@ -461,12 +521,7 @@ func (p *Process) RunWork(busyTime time.Duration, onDone func()) {
 	if p.dead {
 		return
 	}
-	w := p.fw.allocWork()
-	w.proc = p
-	w.kind = cpuWork
-	w.remaining = time.Duration(float64(busyTime) / p.fw.profile.CPUSpeed)
-	w.onDone = onDone
-	p.addWork(w)
+	p.addWork(pending{kind: cpuWork, remaining: time.Duration(float64(busyTime) / p.fw.profile.CPUSpeed), onDone: onDone})
 }
 
 // NetworkRequest performs one network transfer taking duration on the wire,
@@ -479,29 +534,51 @@ func (p *Process) NetworkRequest(duration time.Duration, onDone func(err error))
 	if p.dead {
 		return
 	}
-	w := p.fw.allocWork()
-	w.proc = p
-	w.onErr = onDone
-	if !p.fw.world.NetworkConnected() {
+	switch {
+	case !p.fw.world.NetworkConnected():
 		// Fast local failure: the stack notices immediately.
-		w.kind = cpuWork
-		w.remaining = 50 * time.Millisecond
-		w.err = ErrNetworkDown
-		p.addWork(w)
-		return
+		p.addWork(pending{kind: cpuWork, remaining: 50 * time.Millisecond, onErr: onDone, err: netDown})
+	case !p.fw.world.ServerHealthy():
+		p.addWork(pending{kind: netWork, remaining: duration, onErr: onDone, err: serverFailure})
+	default:
+		p.addWork(pending{kind: netWork, remaining: duration, onErr: onDone})
 	}
-	w.kind = netWork
-	w.remaining = duration
-	if !p.fw.world.ServerHealthy() {
-		w.err = ErrServerFailure
-	}
-	p.addWork(w)
 }
 
-func (p *Process) addWork(w *workItem) {
-	w.pausedAt = p.fw.engine.Now()
-	p.linkWork(w)
+// addWork submits work, stamped with the current instant: a process that
+// runs starts it at once, and one that cannot queues it as a backlog node
+// and re-gates, which starts the backlog if the gate has opened unannounced.
+func (p *Process) addWork(sub pending) {
+	fw := p.fw
+	sub.at = fw.engine.Now()
+	if p.workRunning && p.canRun() {
+		p.startWork(&sub)
+		p.flushTicks(true)
+		return
+	}
+	n := fw.allocPending()
+	*n = sub
+	if p.backTail != nil {
+		p.backTail.next = n
+	} else {
+		p.backHead = n
+	}
+	p.backTail = n
 	p.reevaluate()
+}
+
+// startWork links a pooled item for submission sub and starts it.
+func (p *Process) startWork(sub *pending) {
+	w := p.fw.allocWork()
+	w.proc = p
+	w.kind = sub.kind
+	w.remaining = sub.remaining
+	w.pausedAt = sub.at
+	w.onDone = sub.onDone
+	w.onErr = sub.onErr
+	w.err = codeErr[sub.err]
+	p.linkWork(w)
+	w.start()
 }
 
 func (w *workItem) drawW() float64 {
@@ -682,35 +759,41 @@ func (p *Process) endRadioTail() {
 //
 // Its cost follows the items whose state must change, never the backlog
 // (DESIGN.md §9 "Gating follows flips"): every linked item is in the state
-// the previous call left it in, except the ones linked since, so unless
-// canRun() has flipped only those are visited — a listener that keeps
-// submitting to a sleeping process pays for the item it adds, not for the
-// thousands it has queued. A flip walks the whole list in submission order,
-// so items start, and take their engine sequence numbers, in the order they
-// always did.
+// the previous call left it in, so unless canRun() has flipped none is
+// visited — a listener that keeps submitting to a sleeping process pays for
+// the node it adds, not for the thousands it has queued. A flip to running
+// walks the linked items and then drains the backlog, both in submission
+// order, so items start, and take their engine sequence numbers, in the
+// order one walk over all the process's work gives.
 //
 // The loops walk the live structures directly (no defensive copies): the
-// work list cannot change mid-walk (start/pause run no user code), and the
+// work lists cannot change mid-walk (start/pause run no user code), and the
 // timer/alarm slices only grow during the walk — newly created entries
 // have nothing pending, so visiting them is a no-op, and stops that land
 // mid-walk are swept afterwards instead of shrinking the slice under the
 // index.
 func (p *Process) reevaluate() {
 	run := p.canRun()
-	w := p.workNew
 	if run != p.workRunning {
 		p.workRunning = run
-		w = p.workHead
-	}
-	p.workNew = nil
-	for ; w != nil; w = w.next {
-		switch {
-		case run && !w.running:
-			w.start()
-		case !run && w.running:
-			w.pause()
+		for w := p.workHead; w != nil; w = w.next {
+			switch {
+			case run && !w.running:
+				w.start()
+			case !run && w.running:
+				w.pause()
+			}
 		}
 	}
+	if run && p.backHead != nil {
+		p.drainBacklog(true)
+	}
+	p.flushTicks(run)
+}
+
+// flushTicks delivers the ticks timers and alarms hold: plain timers only if
+// run, the process's gate as reevaluate found it.
+func (p *Process) flushTicks(run bool) {
 	if p.pendingTicks == 0 {
 		return
 	}
@@ -945,6 +1028,7 @@ func (p *Process) Kill() {
 		w = next
 	}
 	p.workHead, p.workTail = nil, nil
+	p.drainBacklog(false)
 	// Everything paused, so every item has taken its draw out of the work
 	// slots, which keep no sum of their own: releasing them integrates and
 	// subtracts nothing.

@@ -3,6 +3,8 @@ package appfw
 import (
 	"testing"
 	"time"
+
+	"repro/internal/android/hooks"
 )
 
 // kernels is the package's allocation contract, stated once: each row is one
@@ -18,6 +20,7 @@ var kernels = []struct {
 	{"NetworkRequest", networkRequestOp},
 	{"TimerChurn", timerChurnOp},
 	{"WorkPauseResume", workPauseResumeOp},
+	{"GatedSubmit", gatedSubmitOp},
 }
 
 func TestKernelAllocs(t *testing.T) {
@@ -97,5 +100,21 @@ func workPauseResumeOp() func() {
 		p.RunWork(500*time.Microsecond, nil) // queues behind it, slotless
 		wl.Acquire()                         // CPU wakes, both run
 		r.engine.RunUntil(r.engine.Now() + time.Millisecond)
+	}
+}
+
+// gatedSubmitOp is the listener nobody unregistered, delivering to a sleeping
+// CPU: the submission waits as a backlog node, the wake turns it into a work
+// item and runs it out, and the CPU sleeps again. Node and item both come
+// from their pools.
+func gatedSubmitOp() func() {
+	r := newRig(nil)
+	p := r.fw.NewProcess(10, "app")
+	wl := r.pm.NewWakelock(10, hooks.Wakelock, "test")
+	return func() {
+		p.RunWork(500*time.Microsecond, nil) // CPU asleep: a backlog node
+		wl.Acquire()                         // CPU wakes, the node starts
+		r.engine.RunUntil(r.engine.Now() + time.Millisecond)
+		wl.Release() // and sleeps again
 	}
 }

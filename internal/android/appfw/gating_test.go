@@ -19,13 +19,15 @@ import (
 // work list — over a model of just enough of the framework to tell the two
 // apart: which items run after each step, the order and instants they
 // complete at (engine order: due time, then the sequence number start took),
-// and what CPUTimeOf reads, in-flight transfers included.
+// the error each request reports, and what CPUTimeOf reads, in-flight
+// transfers included.
 
 type refItem struct {
 	id        int
 	net       bool
-	chain     bool // completing submits one more second of work
-	timedOut  bool
+	chain     bool  // completing submits one more second of work
+	err       error // what the completion reports: fixed at submission, or a timeout at start
+	waited    bool  // it could not start when submitted
 	remaining time.Duration
 
 	running, started            bool
@@ -42,13 +44,18 @@ type refProc struct {
 }
 
 type refWorld struct {
-	now    simclock.Time
-	awake  bool
-	deny   map[power.UID]bool
-	procs  []*refProc // registration order; the dead stay, with no items
-	seq    int
-	nextID int
-	log    []string
+	now       simclock.Time
+	awake     bool
+	connected bool
+	healthy   bool
+	deny      map[power.UID]bool
+	procs     []*refProc // registration order; the dead stay, with no items
+	seq       int
+	nextID    int
+	log       []string
+	// carried counts, by the error each reports, the items that started
+	// after waiting: the framework's backlog nodes.
+	carried map[error]int
 }
 
 func (m *refWorld) canRun(p *refProc) bool {
@@ -75,9 +82,12 @@ func (m *refWorld) reevaluateAll() {
 }
 
 func (m *refWorld) start(p *refProc, w *refItem) {
-	if w.net && !w.timedOut && m.now-w.pausedAt > NetTimeout {
-		w.timedOut = true
+	if w.net && w.err == nil && m.now-w.pausedAt > NetTimeout {
+		w.err = ErrTimeout
 		w.remaining = 0
+	}
+	if w.waited && !w.started {
+		m.carried[w.err]++
 	}
 	w.running, w.started, w.startedAt = true, true, m.now
 	if w.net {
@@ -102,13 +112,23 @@ func (m *refWorld) pause(p *refProc, w *refItem) {
 	w.pausedAt = m.now
 }
 
+// submit queues work; a request reads connectivity and server health as it
+// is made, and one made offline is 50 ms of CPU work that fails.
 func (m *refWorld) submit(p *refProc, net, chain bool, d time.Duration) {
 	if p.dead {
 		return
 	}
 	m.nextID++
-	p.items = append(p.items, &refItem{id: m.nextID, net: net, chain: chain, remaining: d, pausedAt: m.now})
+	w := &refItem{id: m.nextID, net: net, chain: chain, remaining: d, pausedAt: m.now}
+	switch {
+	case net && !m.connected:
+		w.net, w.remaining, w.err = false, 50*time.Millisecond, ErrNetworkDown
+	case net && !m.healthy:
+		w.err = ErrServerFailure
+	}
+	p.items = append(p.items, w)
 	m.reevaluate(p)
+	w.waited = !w.started
 }
 
 func (m *refWorld) advance(to simclock.Time) {
@@ -138,7 +158,7 @@ func (m *refWorld) complete(p *refProc, w *refItem) {
 	}
 	i := slices.Index(p.items, w)
 	p.items = slices.Delete(p.items, i, i+1)
-	m.log = append(m.log, completion(w.id, m.now, w.timedOut))
+	m.log = append(m.log, completion(w.id, m.now, w.err))
 	if w.chain {
 		m.submit(p, false, false, refBusy(time.Second))
 	}
@@ -164,8 +184,8 @@ func (m *refWorld) cpuTimeOf(p *refProc) time.Duration {
 	return t
 }
 
-func completion(id int, at simclock.Time, timedOut bool) string {
-	return fmt.Sprintf("%d@%v timeout=%v", id, at, timedOut)
+func completion(id int, at simclock.Time, err error) string {
+	return fmt.Sprintf("%d@%v err=%v", id, at, err)
 }
 
 // gateGov lets the test shut background work per uid, as Doze does.
@@ -191,7 +211,8 @@ type gatingPair struct {
 
 func newGatingPair(t *testing.T) *gatingPair {
 	gov := &gateGov{deny: map[power.UID]bool{}}
-	g := &gatingPair{t: t, r: newRig(gov), gov: gov, ref: &refWorld{deny: map[power.UID]bool{}}}
+	g := &gatingPair{t: t, r: newRig(gov), gov: gov,
+		ref: &refWorld{connected: true, healthy: true, deny: map[power.UID]bool{}, carried: map[error]int{}}}
 	g.wl = g.r.pm.NewWakelock(500, hooks.Wakelock, "cpu")
 	return g
 }
@@ -219,7 +240,7 @@ func (g *gatingPair) runWork(p *Process, busy time.Duration, chain bool) {
 	g.nextID++
 	id := g.nextID
 	p.RunWork(busy, func() {
-		g.log = append(g.log, completion(id, g.r.engine.Now(), false))
+		g.log = append(g.log, completion(id, g.r.engine.Now(), nil))
 		if chain {
 			g.runWork(p, time.Second, false)
 		}
@@ -233,23 +254,24 @@ func (g *gatingPair) request(p *Process, d time.Duration) {
 	g.nextID++
 	id := g.nextID
 	p.NetworkRequest(d, func(err error) {
-		g.log = append(g.log, completion(id, g.r.engine.Now(), err == ErrTimeout))
+		g.log = append(g.log, completion(id, g.r.engine.Now(), err))
 	})
 }
 
-// step applies one random operation to both sides and names it.
-func (g *gatingPair) step(rng *rand.Rand) string {
-	i := rng.Intn(len(g.procs))
+// step applies one operation to both sides and names it; pick(n) chooses
+// each of its parameters from [0, n).
+func (g *gatingPair) step(pick func(n int) int) string {
+	i := pick(len(g.procs))
 	p, rp := g.procs[i], g.ref.procs[i]
-	switch n := rng.Intn(100); {
+	switch n := pick(106); {
 	case n < 35:
-		busy := time.Duration(1+rng.Intn(3)) * time.Second
-		chain := rng.Intn(4) == 0
+		busy := time.Duration(1+pick(3)) * time.Second
+		chain := pick(4) == 0
 		g.runWork(p, busy, chain)
 		g.ref.submit(rp, false, chain, refBusy(busy))
 		return fmt.Sprintf("RunWork(%d, %v, chain=%v)", p.uid, busy, chain)
 	case n < 45:
-		d := time.Duration(1+rng.Intn(2)) * time.Second
+		d := time.Duration(1+pick(2)) * time.Second
 		g.request(p, d)
 		g.ref.submit(rp, true, false, d)
 		return fmt.Sprintf("NetworkRequest(%d, %v)", p.uid, d)
@@ -266,14 +288,14 @@ func (g *gatingPair) step(rng *rand.Rand) string {
 		// not, and the next submission finds out.
 		deny := !g.gov.deny[p.uid]
 		g.gov.deny[p.uid], g.ref.deny[p.uid] = deny, deny
-		tell := rng.Intn(2) == 0
+		tell := pick(2) == 0
 		if tell {
 			g.r.fw.Reevaluate()
 			g.ref.reevaluateAll()
 		}
 		return fmt.Sprintf("deny[%d]=%v told=%v", p.uid, deny, tell)
 	case n < 75:
-		fg := rng.Intn(2) == 0
+		fg := pick(2) == 0
 		p.SetForeground(fg)
 		if !rp.dead && rp.fg != fg {
 			rp.fg = fg
@@ -281,10 +303,19 @@ func (g *gatingPair) step(rng *rand.Rand) string {
 		}
 		return fmt.Sprintf("SetForeground(%d, %v)", p.uid, fg)
 	case n < 98:
-		d := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 45 * time.Second}[rng.Intn(4)]
+		d := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 45 * time.Second}[pick(4)]
 		g.r.engine.RunUntil(g.r.engine.Now() + d)
 		g.ref.advance(g.ref.now + d)
 		return fmt.Sprintf("advance %v", d)
+	case n < 101:
+		// Wi-Fi, so a transfer leaves no radio tail drawing after it.
+		g.ref.connected = !g.ref.connected
+		g.r.world.SetNetwork(g.ref.connected, true)
+		return fmt.Sprintf("connected=%v", g.ref.connected)
+	case n < 104:
+		g.ref.healthy = !g.ref.healthy
+		g.r.world.SetServerHealthy(g.ref.healthy)
+		return fmt.Sprintf("healthy=%v", g.ref.healthy)
 	default:
 		p.Kill()
 		if !rp.dead {
@@ -295,26 +326,45 @@ func (g *gatingPair) step(rng *rand.Rand) string {
 	}
 }
 
-// check compares the two sides, and the framework against its own invariant.
+// check compares the two sides, and the framework against its own invariant:
+// the linked items, then the backlog nodes, are the reference's items in
+// submission order, the linked ones those it has started and the nodes those
+// it never has, with what they were submitted with.
 func (g *gatingPair) check(where string) {
 	t := g.t
 	t.Helper()
 	for i, rp := range g.ref.procs {
 		p := g.procs[i]
-		if p.workNew != nil {
-			t.Fatalf("%s: uid %d: workNew set outside addWork", where, p.uid)
+		if p.workRunning && p.backHead != nil {
+			t.Fatalf("%s: uid %d: a node waits in the backlog of a process recorded as running", where, p.uid)
 		}
 		n := 0
 		for w := p.workHead; w != nil; w, n = w.next, n+1 {
 			if w.running != p.workRunning {
 				t.Fatalf("%s: uid %d item %d: running=%v, process records %v", where, p.uid, n, w.running, p.workRunning)
 			}
-			if n < len(rp.items) && w.running != rp.items[n].running {
-				t.Fatalf("%s: uid %d item %d: running=%v, the full walk leaves it %v", where, p.uid, n, w.running, rp.items[n].running)
+			if n < len(rp.items) && (w.running != rp.items[n].running || !rp.items[n].started) {
+				t.Fatalf("%s: uid %d item %d: running=%v, the full walk leaves it running=%v started=%v",
+					where, p.uid, n, w.running, rp.items[n].running, rp.items[n].started)
 			}
 		}
+		var last *pending
+		for b := p.backHead; b != nil; b, n = b.next, n+1 {
+			last = b
+			if n >= len(rp.items) {
+				continue
+			}
+			if ri := rp.items[n]; ri.started || b.remaining != ri.remaining || b.at != ri.pausedAt ||
+				(b.kind == netWork) != ri.net || codeErr[b.err] != ri.err {
+				t.Fatalf("%s: uid %d item %d waits as a node (%v at %v, net %v, err %v); the full walk has it started=%v, %v at %v, net %v, err %v",
+					where, p.uid, n, b.remaining, b.at, b.kind == netWork, codeErr[b.err], ri.started, ri.remaining, ri.pausedAt, ri.net, ri.err)
+			}
+		}
+		if last != p.backTail {
+			t.Fatalf("%s: uid %d: backlog tail is not its last node", where, p.uid)
+		}
 		if n != len(rp.items) {
-			t.Fatalf("%s: uid %d: %d items linked, reference has %d", where, p.uid, n, len(rp.items))
+			t.Fatalf("%s: uid %d: %d items linked or waiting, reference has %d", where, p.uid, n, len(rp.items))
 		}
 		pending := 0
 		for _, list := range [][]*timer{p.timers, p.alarms} {
@@ -359,14 +409,16 @@ func (g *gatingPair) check(where string) {
 }
 
 // TestGatingMatchesFullWalk drives submissions, CPU sleep and wake, governor
-// denials (announced and silent), foreground moves, completions and kills in
-// seeded random order, and after every step requires that every linked item
-// is in the state its process records, that pendingTicks counts the timers
-// holding a tick, and that the full-walk reference agrees on which items run,
-// when and in what order they complete and what CPUTimeOf reads; each uid
-// holds one draw slot per kind of work it has run, and draws exactly 0 W
-// while none runs.
+// denials (announced and silent), foreground moves, connectivity and server
+// health, completions and kills in seeded random order, and after every step
+// requires that every linked item is in the state its process records, that
+// no node waits behind a running process, that pendingTicks counts the
+// timers holding a tick, and that the full-walk reference agrees on which
+// items run, which never have, when and in what order they complete, the
+// error each reports, and what CPUTimeOf reads; each uid holds one draw slot
+// per kind of work it has run, and draws exactly 0 W while none runs.
 func TestGatingMatchesFullWalk(t *testing.T) {
+	carried := map[error]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := newGatingPair(t)
@@ -374,13 +426,52 @@ func TestGatingMatchesFullWalk(t *testing.T) {
 			g.newProcess()
 		}
 		for n := 0; n < 600; n++ {
-			op := g.step(rng)
+			op := g.step(rng.Intn)
 			g.check(fmt.Sprintf("seed %d step %d %s", seed, n, op))
 		}
 		if len(g.log) < 50 || g.ticks < 50 {
 			t.Fatalf("seed %d: %d completions, %d ticks — the schedule exercises nothing", seed, len(g.log), g.ticks)
 		}
+		for err, n := range g.ref.carried {
+			carried[err] += n
+		}
 	}
+	// Every error a request can report has reached its completion through
+	// a backlog node.
+	t.Logf("items started after waiting, by error: %v", carried)
+	for _, err := range []error{nil, ErrNetworkDown, ErrServerFailure, ErrTimeout} {
+		if carried[err] < 20 {
+			t.Errorf("%d items started after waiting with err=%v, want ≥ 20", carried[err], err)
+		}
+	}
+}
+
+// FuzzGatingMatchesFullWalk runs TestGatingMatchesFullWalk's steps with every
+// choice read from the input, one byte a choice.
+func FuzzGatingMatchesFullWalk(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		prog := make([]byte, 400)
+		rand.New(rand.NewSource(seed)).Read(prog)
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		g := newGatingPair(t)
+		for i := 0; i < 3; i++ {
+			g.newProcess()
+		}
+		pick := func(n int) int {
+			if len(prog) == 0 {
+				return 0
+			}
+			v := int(prog[0]) % n
+			prog = prog[1:]
+			return v
+		}
+		for n := 0; len(prog) > 0 && n < 200; n++ {
+			op := g.step(pick)
+			g.check(fmt.Sprintf("step %d %s", n, op))
+		}
+	})
 }
 
 // submitPaused times n submissions to a process that cannot run: the listener

@@ -2,6 +2,8 @@ package appfw
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -140,6 +142,126 @@ func TestReevaluateOrderDeterministic(t *testing.T) {
 			if got[i] != first[i] {
 				t.Fatalf("run %d diverged at position %d: %d vs %d", run, i, got[i], first[i])
 			}
+		}
+	}
+}
+
+// TestBacklogNodesArePooled pins what work that has never run costs: 8 000
+// submissions to a process whose CPU sleeps hold at most 56 B each (a 48-byte
+// backlog node, where a work item takes 112), and once a drain, a Kill or a
+// Reset has given the nodes back, another 8 000 allocate nothing.
+func TestBacklogNodesArePooled(t *testing.T) {
+	const n = 8000
+	submit := func(p *Process) {
+		for i := 0; i < n; i++ {
+			p.RunWork(time.Second, nil)
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct {
+		name     string
+		giveBack func(r *rig, p *Process) *Process // returns the process to submit to next
+	}{
+		{"drain", func(r *rig, p *Process) *Process {
+			wl := r.hold(10)
+			r.engine.RunUntil(r.engine.Now() + time.Hour)
+			wl.Release()
+			return p
+		}},
+		{"Kill", func(r *rig, p *Process) *Process {
+			p.Kill()
+			return r.fw.NewProcess(11, "next")
+		}},
+		{"Reset", func(r *rig, p *Process) *Process {
+			r.engine.Reset()
+			r.meter.Reset()
+			r.reg.Reset()
+			r.world.Reset()
+			r.pm.Reset()
+			r.fw.Reset()
+			return r.fw.NewProcess(10, "app")
+		}},
+	} {
+		r := newRig(nil)
+		p := r.fw.NewProcess(10, "app")
+		base := live()
+		submit(p)
+		held := live() - base
+		if p.backHead == nil || p.workHead != nil {
+			t.Fatalf("%s: submissions to a sleeping CPU did not wait as nodes", tc.name)
+		}
+		t.Logf("%s: %d never-run submissions hold %d B, %.1f B each", tc.name, n, held, float64(held)/n)
+		if held > 56*n {
+			t.Errorf("%s: %d never-run submissions hold %.1f B each, pinned at ≤ 56", tc.name, n, float64(held)/n)
+		}
+		p = tc.giveBack(r, p)
+		if got := mallocs(func() { submit(p) }); got != 0 {
+			t.Errorf("after a %s, %d more submissions allocate %d times, want 0", tc.name, n, got)
+		}
+		if p.backHead == nil {
+			t.Fatalf("%s: the second submissions did not wait as nodes", tc.name)
+		}
+		runtime.KeepAlive(r)
+	}
+}
+
+// mallocs counts the heap allocations one call of f makes, on one P as
+// testing.AllocsPerRun counts them; AllocsPerRun's warm-up call would take
+// the pooled nodes the counted call is meant to reuse.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestKillOfNeverRunWorkIsNoWork: work that never ran holds no draw slot, so
+// killing the process behind it must leave its owner's and the device's
+// energy, as float bits, exactly where killing the same process with no
+// work leaves them. A governor denies the process background work while
+// another uid keeps the CPU up, so its backlog never starts; the process
+// draws through a wakelock of its own, or through nothing at all.
+func TestKillOfNeverRunWorkIsNoWork(t *testing.T) {
+	run := func(backlog int, own bool) [4]uint64 {
+		gov := &gateGov{deny: map[power.UID]bool{10: true}}
+		r := newRig(gov)
+		p := r.fw.NewProcess(10, "app")
+		q := r.fw.NewProcess(20, "other")
+		slots := 0
+		if own {
+			r.hold(10)
+			slots = 1
+		}
+		r.hold(20)
+		q.RunWork(90*time.Second, nil)
+		for i := 0; i < backlog; i++ {
+			r.engine.RunUntil(r.engine.Now() + 1700*time.Millisecond)
+			p.RunWork(time.Second, nil)
+			p.NetworkRequest(time.Second, nil)
+		}
+		if (p.backHead != nil) != (backlog > 0) || p.workHead != nil {
+			t.Fatalf("backlog %d: the work did not wait unrun", backlog)
+		}
+		if got := r.meter.DrawCount(10); got != slots {
+			t.Fatalf("backlog %d: uid 10 holds %d draw slots, want %d", backlog, got, slots)
+		}
+		r.engine.RunUntil(time.Minute)
+		p.Kill()
+		r.engine.RunUntil(2 * time.Minute)
+		return [4]uint64{math.Float64bits(r.meter.EnergyOfJ(10)), math.Float64bits(r.meter.EnergyJ()),
+			math.Float64bits(r.meter.InstantPowerOfW(10)), math.Float64bits(r.meter.InstantPowerW())}
+	}
+	for _, own := range []bool{true, false} {
+		if got, want := run(20, own), run(0, own); got != want {
+			t.Errorf("own wakelock %v: killing a never-run backlog leaves owner J, device J, owner W, device W %#x; with no work %#x",
+				own, got, want)
 		}
 	}
 }
