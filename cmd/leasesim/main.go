@@ -65,17 +65,30 @@ func main() {
 		fatal(err)
 	}
 
-	s := leaseos.New(leaseos.Options{
-		Policy: policy,
-		Device: prof,
-		Lease:  lease.Config{RecordTransitions: true},
-	})
+	s := leaseos.New(leaseos.Options{Policy: policy, Device: prof})
 
 	const uid power.UID = 100
 	app, extra := buildApp(s, *appName, uid)
 	var rec *trace.Recorder
 	if *traceJSON != "" || *traceCSV != "" {
 		rec = trace.Attach(s, time.Second, uid)
+	}
+	// One sink keeps what this report reads: each lease's behaviour counts,
+	// the transitions, and the trace's transition events.
+	counts := map[uint64][lease.EUB + 1]int{}
+	var txns []lease.Event
+	if s.Leases != nil {
+		s.Leases.OnEvent = func(ev lease.Event) {
+			switch ev.Op {
+			case lease.EventTermCheck:
+				c := counts[ev.Lease]
+				c[ev.Term.Behavior]++
+				counts[ev.Lease] = c
+			case lease.EventTransition:
+				txns = append(txns, ev)
+			}
+			rec.Note(ev)
+		}
 	}
 	app.Start()
 	s.Run(*duration)
@@ -105,21 +118,15 @@ func main() {
 	if s.Leases != nil {
 		fmt.Printf("leases   : %d created, %d live\n", s.Leases.CreatedTotal(), s.Leases.LeaseCount())
 		for _, l := range s.Leases.Leases() {
-			counts := map[lease.Behavior]int{}
-			for _, rec := range l.History() {
-				counts[rec.Behavior]++
-			}
+			c := counts[l.ID()]
 			fmt.Printf("  lease %d (%v): state %v, %d terms — normal %d, FAB %d, LHB %d, LUB %d, EUB %d\n",
 				l.ID(), l.Kind(), l.State(), l.Terms(),
-				counts[lease.Normal], counts[lease.FAB], counts[lease.LHB], counts[lease.LUB], counts[lease.EUB])
+				c[lease.Normal], c[lease.FAB], c[lease.LHB], c[lease.LUB], c[lease.EUB])
 		}
-		if n := len(s.Leases.Transitions); n > 0 {
+		if n := len(txns); n > 0 {
 			fmt.Printf("transitions (%d):\n", n)
-			limit := n
-			if limit > 12 {
-				limit = 12
-			}
-			for _, tr := range s.Leases.Transitions[:limit] {
+			limit := min(n, 12)
+			for _, tr := range txns[:limit] {
 				fmt.Printf("  %8v  %v -> %v (%s)\n", tr.At.Truncate(time.Second), tr.From, tr.To, tr.Reason)
 			}
 			if limit < n {
@@ -165,8 +172,8 @@ func runScenario(path string) {
 		fmt.Printf("%-24s %-6d %12.1f %12.2f\n", a.Name, a.UID, a.EnergyJ, a.AvgMW)
 	}
 	if res.Sim.Leases != nil {
-		fmt.Printf("leases   : %d created; transitions: %d\n",
-			res.Sim.Leases.CreatedTotal(), len(res.Sim.Leases.Transitions))
+		fmt.Printf("leases   : %d created; deferrals: %d\n",
+			res.Sim.Leases.CreatedTotal(), res.Sim.Leases.Deferrals)
 	}
 }
 

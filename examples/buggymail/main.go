@@ -19,13 +19,17 @@ import (
 
 	leaseos "repro"
 	"repro/internal/apps"
+	"repro/internal/lease"
 )
 
 func main() {
-	s := leaseos.New(leaseos.Options{
-		Policy: leaseos.LeaseOS,
-		Lease:  leaseos.LeaseConfig{RecordTransitions: true},
-	})
+	s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS})
+	var transitions []lease.Event
+	s.Leases.OnEvent = func(ev lease.Event) {
+		if ev.Op == lease.EventTransition {
+			transitions = append(transitions, ev)
+		}
+	}
 
 	const uid leaseos.UID = 100
 	k9 := apps.NewK9(s, uid)
@@ -56,7 +60,7 @@ func main() {
 	report("reconnected")
 
 	fmt.Println("\nlease transitions observed:")
-	for _, tr := range s.Leases.Transitions {
+	for _, tr := range transitions {
 		fmt.Printf("  %8v  %v -> %v  (%s)\n", tr.At.Truncate(time.Second), tr.From, tr.To, tr.Reason)
 	}
 }

@@ -10,11 +10,21 @@ import (
 
 	leaseos "repro"
 	"repro/internal/apps"
+	"repro/internal/lease"
 )
 
 func run(withCounter bool, clicky bool) {
 	s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS})
 
+	lastScore, lubTerms := 0.0, 0
+	s.Leases.OnEvent = func(ev lease.Event) {
+		if ev.Op == lease.EventTermCheck {
+			lastScore = ev.Term.UtilityScore
+			if ev.Term.Behavior == leaseos.LUB {
+				lubTerms++
+			}
+		}
+	}
 	const uid leaseos.UID = 100
 	app := apps.NewTapAndTurn(s, uid)
 	app.Start()
@@ -34,19 +44,9 @@ func run(withCounter bool, clicky bool) {
 	s.Run(30 * time.Minute)
 
 	energy := s.Meter.EnergyOfJ(uid)
-	var lastScore float64
-	deferred := 0
-	for _, l := range s.Leases.Leases() {
-		for _, rec := range l.History() {
-			lastScore = rec.UtilityScore
-			if rec.Behavior == leaseos.LUB {
-				deferred++
-			}
-		}
-	}
 	fmt.Printf("  custom counter %-5v | user clicks %-5v | energy %5.2f J | "+
 		"last utility %3.0f | LUB terms %d\n",
-		withCounter, clicky, energy, lastScore, deferred)
+		withCounter, clicky, energy, lastScore, lubTerms)
 }
 
 func main() {

@@ -25,7 +25,7 @@ func main() {
 
 		if policy == leaseos.LeaseOS {
 			for _, l := range s.Leases.Leases() {
-				last := l.History()[len(l.History())-1]
+				last := s.Leases.Explanation(l).Last
 				fmt.Printf("  lease %d (%v): state %v, last term classified %v "+
 					"(utilization %.2f, utility %.0f)\n",
 					l.ID(), l.Kind(), l.State(), last.Behavior,

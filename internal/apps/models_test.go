@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/android/hooks"
 	"repro/internal/env"
-	"repro/internal/lease"
 	"repro/internal/sim"
 )
 
@@ -14,7 +13,7 @@ import (
 // listener is periodically unregistered and immediately re-registered on
 // the same kernel object, which is what makes it the hardest Table 5 case.
 func TestMozStumblerRebindCycles(t *testing.T) {
-	s := sim.New(sim.Options{Policy: sim.LeaseOS, Lease: lease.Config{RecordTransitions: true}})
+	s := sim.New(sim.Options{Policy: sim.LeaseOS})
 	app := NewMozStumbler(s, appUID)
 	app.Start()
 	s.Run(10 * time.Minute)
@@ -24,13 +23,7 @@ func TestMozStumblerRebindCycles(t *testing.T) {
 	}
 	// The lease cycles through deferrals (the scanner leaks) but the
 	// rebinds keep it alive.
-	defers := 0
-	for _, tr := range s.Leases.Transitions {
-		if tr.To == lease.Deferred {
-			defers++
-		}
-	}
-	if defers == 0 {
+	if s.Leases.Deferrals == 0 {
 		t.Fatal("MozStumbler never deferred")
 	}
 }

@@ -184,9 +184,14 @@ func Table2() Result {
 // edges.
 func Figure5() Result {
 	r := Result{ID: "figure-5", Title: "Lease state transitions (observed)"}
-	s := borrowSim(sim.Options{Policy: sim.LeaseOS,
-		Lease: lease.Config{RecordTransitions: true, NoTauEscalation: true}})
+	s := borrowSim(sim.Options{Policy: sim.LeaseOS, Lease: lease.Config{NoTauEscalation: true}})
 	defer returnSim(s)
+	seen := map[string]int{}
+	s.Leases.OnEvent = func(ev lease.Event) {
+		if ev.Op == lease.EventTransition {
+			seen[fmt.Sprintf("%v -> %v", ev.From, ev.To)]++
+		}
+	}
 	// Drive one lease through every state: misbehave (idle hold), recover
 	// (healthy work), release, re-acquire, die.
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "fsm")
@@ -202,10 +207,6 @@ func Figure5() Result {
 	s.Run(time.Second)
 	wl.Destroy() // → DEAD
 
-	seen := map[string]int{}
-	for _, tr := range s.Leases.Transitions {
-		seen[fmt.Sprintf("%v -> %v", tr.From, tr.To)]++
-	}
 	edges := make([]string, 0, len(seen))
 	for edge := range seen {
 		edges = append(edges, edge)

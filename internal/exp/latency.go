@@ -75,21 +75,19 @@ func DetectionLatency() Result {
 func windowCost(window int) (steadyDetect time.Duration, burstyDeferrals int) {
 	cfg := lease.DefaultConfig()
 	cfg.MisbehaviorWindow = window
-	cfg.RecordTransitions = true
 
 	// Steady defect: time to first deferral.
 	s := borrowSim(sim.Options{Policy: sim.LeaseOS, Lease: cfg})
 	defer returnSim(s)
+	s.Leases.OnEvent = func(ev lease.Event) {
+		if ev.To == lease.Deferred && steadyDetect == 0 {
+			steadyDetect = time.Duration(ev.At)
+		}
+	}
 	s.Apps.NewProcess(100, "leak")
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "leak")
 	wl.Acquire()
 	s.Run(10 * time.Minute)
-	for _, tr := range s.Leases.Transitions {
-		if tr.To == lease.Deferred {
-			steadyDetect = time.Duration(tr.At)
-			break
-		}
-	}
 
 	// Bursty-but-legitimate app: deferral count (misjudgements).
 	b := borrowSim(sim.Options{Policy: sim.LeaseOS, Lease: cfg})
@@ -105,12 +103,7 @@ func windowCost(window int) (steadyDetect time.Duration, burstyDeferrals int) {
 		}
 	})
 	b.Run(10 * time.Minute)
-	for _, tr := range b.Leases.Transitions {
-		if tr.To == lease.Deferred {
-			burstyDeferrals++
-		}
-	}
-	return steadyDetect, burstyDeferrals
+	return steadyDetect, b.Leases.Deferrals
 }
 
 // WindowSweep renders the misbehaviour-window trade-off.

@@ -266,23 +266,13 @@ func Usability() Result {
 		disrupted bool
 	}
 	run := func(pol sim.Policy, build func(s *sim.Sim) (apps.App, func() int)) runResult {
-		s := borrowSim(sim.Options{Policy: pol, ThrottleTerm: time.Minute,
-			Lease: lease.Config{RecordTransitions: true}})
+		s := borrowSim(sim.Options{Policy: pol, ThrottleTerm: time.Minute})
 		defer returnSim(s)
 		app, metric := build(s)
 		app.Start()
 		s.Run(d)
-		disrupted := false
-		if s.Leases != nil {
-			for _, tr := range s.Leases.Transitions {
-				if tr.To == lease.Deferred {
-					disrupted = true
-				}
-			}
-		}
-		if s.ThrottleGov != nil && s.ThrottleGov.Revocations > 0 {
-			disrupted = true
-		}
+		disrupted := s.Leases != nil && s.Leases.Deferrals > 0 ||
+			s.ThrottleGov != nil && s.ThrottleGov.Revocations > 0
 		return runResult{metric: metric(), disrupted: disrupted}
 	}
 	type usabilityCase struct {
@@ -325,20 +315,21 @@ func Usability() Result {
 	return r
 }
 
-// accountingCost charges the measured per-operation CPU cost of lease
-// management (Table 4 scale) to the system, making Figure 13's overhead
-// real rather than assumed.
+// accountingCost is the measured CPU cost of one lease-management
+// operation (Table 4 scale), in joules: Figure 13 charges it to the system
+// for every operation the manager reports, making the overhead real rather
+// than assumed. Transitions ride inside the operation that caused them.
 func accountingCost(op string) float64 {
 	const activeW = 0.9 // Pixel XL active-core watts
 	var ms float64
 	switch op {
-	case "update":
+	case lease.EventTransition:
+		return 0
+	case lease.EventTermCheck:
 		ms = 4.79
-	case "create":
+	case lease.EventCreate:
 		ms = 0.357
-	case "check":
-		ms = 0.498
-	case "renew":
+	case lease.EventRenew:
 		ms = 0.388
 	default:
 		ms = 0.3
@@ -361,9 +352,7 @@ func Figure13(seeds int) Result {
 		s := borrowSim(sim.Options{Policy: pol})
 		defer returnSim(s)
 		if withLease {
-			s.Leases.Accounting = func(op string) {
-				s.Meter.AddEnergyJ(power.SystemUID, accountingCost(op))
-			}
+			s.Leases.OnEvent = func(ev lease.Event) { s.Meter.AddEnergyJ(power.SystemUID, accountingCost(ev.Op)) }
 		}
 		workload.InstallOverheadSetting(s, setting, seed)
 		s.Run(workload.OverheadRunLength)

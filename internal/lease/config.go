@@ -2,7 +2,8 @@ package lease
 
 import "time"
 
-// Config collects the lease policy parameters (paper §5).
+// Config collects the lease policy parameters (paper §5): every field
+// changes a decision, and a daemon checkpoint pins them all.
 type Config struct {
 	// Term is the base lease term. The paper's default is 5 seconds,
 	// chosen from the λ = τ/(n·t) analysis in §5.1.
@@ -62,10 +63,6 @@ type Config struct {
 	// escape the Low-Utility classification.
 	NoExceptionSignal bool
 
-	// HistoryLen bounds the per-lease stat history (paper §4.3: "a bounded
-	// history of the stats and behavior types for the past terms").
-	HistoryLen int
-
 	// EnableReputation turns on the §8 future-work extension: "adjust the
 	// policies dynamically based on app usage history". The manager keeps a
 	// per-app record across leases; apps with repeated deferrals start new
@@ -81,10 +78,6 @@ type Config struct {
 	// ReputationTrustFloor is the per-app normal-term count at which a
 	// clean app's new leases start at MinuteTerm (default 120).
 	ReputationTrustFloor int
-
-	// RecordTransitions keeps a log of lease state transitions for
-	// debugging and for validating the Figure 5 state machine.
-	RecordTransitions bool
 }
 
 // DefaultConfig returns the paper's default policy: 5 s terms, 25 s
@@ -111,7 +104,6 @@ func DefaultConfig() Config {
 		EUBUtilizationFloor:  0.5,
 
 		CustomUtilityFloor: 20,
-		HistoryLen:         120,
 
 		ReputationDeferralFloor: 3,
 		ReputationTrustFloor:    120,
@@ -165,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CustomUtilityFloor <= 0 {
 		c.CustomUtilityFloor = d.CustomUtilityFloor
-	}
-	if c.HistoryLen <= 0 {
-		c.HistoryLen = d.HistoryLen
 	}
 	if c.ReputationDeferralFloor <= 0 {
 		c.ReputationDeferralFloor = d.ReputationDeferralFloor

@@ -26,12 +26,12 @@ func TestEUBObservedButNeverPenalized(t *testing.T) {
 		t.Fatalf("state = %v; EUB must never be deferred (paper §4 non-goal)", l.State())
 	}
 	sawEUB := false
-	for _, rec := range l.History() {
-		if rec.Behavior == EUB {
+	for _, ev := range r.ops(EventTermCheck) {
+		if ev.Term.Behavior == EUB {
 			sawEUB = true
 		}
-		if rec.Behavior.Misbehaving() {
-			t.Fatalf("heavy useful use classified %v", rec.Behavior)
+		if ev.Term.Behavior.Misbehaving() {
+			t.Fatalf("heavy useful use classified %v", ev.Term.Behavior)
 		}
 	}
 	if !sawEUB {

@@ -47,15 +47,12 @@ type Explanation struct {
 
 // Explanation copies what Explain would print about l, a live lease of m.
 func (m *Manager) Explanation(l *Lease) Explanation {
-	e := Explanation{
+	return Explanation{
 		ID: l.id, UID: l.obj.UID, Kind: l.obj.Kind, State: l.state,
 		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
+		HasLast: l.termIndex > 0, Last: l.last,
 		Config: m.cfg, Reputation: m.ReputationOf(l.obj.UID),
 	}
-	if n := len(l.history); n > 0 {
-		e.HasLast, e.Last = true, l.history[n-1]
-	}
-	return e
 }
 
 // String renders the explanation: Explain's text.

@@ -21,7 +21,9 @@ func mkLease(m *Manager, id uint64, uid power.UID, kind hooks.Kind, st State, es
 		term:       5 * time.Second,
 		termIndex:  len(hist),
 		escalation: esc,
-		history:    hist,
+	}
+	if n := len(hist); n > 0 {
+		l.last = hist[n-1]
 	}
 	m.leases[id] = l
 	return l

@@ -15,6 +15,11 @@
 // proxies (they interpose on kernel objects and expose Suppress/Unsuppress/
 // TermStats), and the Manager here is the paper's Lease Manager system
 // service.
+//
+// A lease keeps what its next decision reads, plus its newest term record
+// for Explain. Everything the manager does is reported as it happens to one
+// optional sink, Manager.OnEvent; counts, logs and traces live in the
+// closures their consumers install.
 package lease
 
 import (
@@ -22,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/android/hooks"
+	"repro/internal/power"
 	"repro/internal/simclock"
 )
 
@@ -153,12 +159,26 @@ type UtilityFunc func() float64
 // Score implements UtilityCounter.
 func (f UtilityFunc) Score() float64 { return f() }
 
-// Transition is one recorded lease state change, used to validate the
-// paper's Figure 5 state machine.
-type Transition struct {
-	LeaseID uint64
-	At      simclock.Time
-	From    State
-	To      State
-	Reason  string
+// Event is one report to Manager.OnEvent: a flat value that points into no
+// manager state, so a sink may keep it.
+type Event struct {
+	At    simclock.Time
+	Op    string // one of the Event* constants below
+	Lease uint64
+	UID   power.UID
+	Kind  hooks.Kind
+
+	From, To State         // an EventTransition's edge,
+	Reason   string        // its constant reason
+	Tau      time.Duration // and, into Deferred, the deferral interval τ
+	Term     TermRecord    // an EventTermCheck's classified term
 }
+
+// The operations an Event reports; EventTermCheck is Table 4's "update".
+const (
+	EventCreate     = "create"
+	EventRenew      = "renew"
+	EventTermCheck  = "term-check"
+	EventTransition = "transition"
+	EventRemove     = "remove"
+)

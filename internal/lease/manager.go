@@ -36,9 +36,9 @@ type Lease struct {
 	misbehaveStreak int
 	escalation      int
 
-	// history holds the last Config.HistoryLen term records, oldest first,
-	// in a backing that grows geometrically to the bound and no further.
-	history []TermRecord
+	// last is the newest completed term's record, meaningful once
+	// termIndex > 0. The decision reads the streaks above, not records.
+	last TermRecord
 
 	// Snapshots of cumulative per-uid counters, for per-term deltas.
 	lastCPU   time.Duration
@@ -82,11 +82,6 @@ func (l *Lease) Kind() hooks.Kind { return l.obj.Kind }
 // Terms returns how many terms have completed.
 func (l *Lease) Terms() int { return l.termIndex }
 
-// History returns the bounded per-term stat history (most recent last).
-// The returned slice must not be mutated, and holds only until the lease's
-// next term ends: a full history takes the next record in place.
-func (l *Lease) History() []TermRecord { return l.history }
-
 // Manager is the LeaseOS lease manager: it creates, checks, renews, defers
 // and removes leases for every resource in the system (paper §4.3), driven
 // by lifecycle callbacks from the services and by per-term check events.
@@ -104,15 +99,13 @@ type Manager struct {
 	reputations map[power.UID]*reputation
 	eubTime     map[power.UID]time.Duration
 
-	// Transitions is the optional state-transition log
-	// (Config.RecordTransitions).
-	Transitions []Transition
-
-	// Accounting is invoked once per lease-management operation with the
-	// operation name ("create", "check", "renew", "update", "remove"), so
-	// the simulation can charge the energy cost of lease accounting
-	// (Figure 13's overhead measurement). Nil means free.
-	Accounting func(op string)
+	// OnEvent, if set, hears every create, renew, term check, state
+	// transition and remove, in the order they happen, from inside the
+	// manager's call, so it must not call back into the manager. It is the
+	// one report channel: Figure 13 charges lease accounting from it, and
+	// Figure 5's edges, traces and per-lease counts live in the closures
+	// their consumers install. Nil costs one branch per report.
+	OnEvent func(Event)
 
 	// Lifetime statistics for the §7.2 report.
 	createdTotal int
@@ -187,8 +180,7 @@ func (m *Manager) Reset() {
 		delete(m.eubTime, k)
 	}
 	m.nextID = 0
-	m.Transitions = nil
-	m.Accounting = nil
+	m.OnEvent = nil
 	m.createdTotal = 0
 	m.deadTotal = 0
 	m.deadRecords = m.deadRecords[:0]
@@ -224,7 +216,9 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 	m.leases[l.id] = l
 	m.byObj[key] = l.id
 	m.createdTotal++
-	m.account("create")
+	if m.OnEvent != nil {
+		m.emit(l, Event{Op: EventCreate})
+	}
 	m.applyReputation(l)
 	m.scheduleCheck(l)
 	return l.id
@@ -246,7 +240,6 @@ func (l *Lease) bindEvents(m *Manager) {
 // Check reports whether the lease is active (Table 3's check): within a
 // term, or deferred-but-valid. Dead or unknown leases report false.
 func (m *Manager) Check(id uint64) bool {
-	m.account("check")
 	l, ok := m.leases[id]
 	if !ok {
 		return false
@@ -254,11 +247,11 @@ func (m *Manager) Check(id uint64) bool {
 	return l.state == Active
 }
 
-// account charges one lease-management operation.
-func (m *Manager) account(op string) {
-	if m.Accounting != nil {
-		m.Accounting(op)
-	}
+// emit stamps ev with l's identity and the current instant and hands it to
+// the sink, which the caller has checked is set.
+func (m *Manager) emit(l *Lease, ev Event) {
+	ev.At, ev.Lease, ev.UID, ev.Kind = m.clock.Now(), l.id, l.obj.UID, l.obj.Kind
+	m.OnEvent(ev)
 }
 
 // Renew explicitly renews a lease: an inactive lease returns to Active with
@@ -279,7 +272,9 @@ func (m *Manager) renew(l *Lease) bool {
 		m.transition(l, Active, "renewed on re-acquire")
 	}
 	m.Renewals++
-	m.account("renew")
+	if m.OnEvent != nil {
+		m.emit(l, Event{Op: EventRenew})
+	}
 	l.term = m.cfg.Term
 	m.beginTerm(l)
 	return true
@@ -407,10 +402,12 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 
 func (m *Manager) transition(l *Lease, to State, reason string) {
 	now := m.clock.Now()
-	if m.cfg.RecordTransitions {
-		m.Transitions = append(m.Transitions, Transition{
-			LeaseID: l.id, At: now, From: l.state, To: to, Reason: reason,
-		})
+	if m.OnEvent != nil {
+		ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
+		if to == Deferred {
+			ev.Tau = l.restoreAt - now // defer_ sets restoreAt first
+		}
+		m.emit(l, ev)
 	}
 	// Maintain the per-lease active-time accumulator for the §7.2 report.
 	if l.state == Active && to != Active {
@@ -448,12 +445,14 @@ func (m *Manager) endOfTerm(l *Lease) {
 	}
 
 	m.TermChecks++
-	m.account("update")
 	rec := m.collect(l, termDur)
 	rec.Index = l.termIndex
 	rec.Start = l.termStart
 	l.termIndex++
-	m.record(l, rec)
+	l.last = rec
+	if m.OnEvent != nil {
+		m.emit(l, Event{Op: EventTermCheck, Term: rec})
+	}
 
 	if rec.Behavior.Misbehaving() {
 		l.misbehaveStreak++
@@ -527,36 +526,9 @@ func (m *Manager) collect(l *Lease, termDur time.Duration) TermRecord {
 	return classify(in, m.cfg)
 }
 
-// record keeps rec as the lease's newest term record, dropping the oldest
-// once HistoryLen are kept. A full history shifts down in place; one still
-// growing doubles its backing up to the bound, never past it.
-func (m *Manager) record(l *Lease, rec TermRecord) {
-	h := l.history
-	if n := m.cfg.HistoryLen; len(h) >= n {
-		h = h[:copy(h, h[len(h)-(n-1):])]
-	} else if len(h) == cap(h) {
-		h = append(make([]TermRecord, 0, min(max(2*len(h), 4), n)), h...)
-	}
-	l.history = append(h, rec)
-}
-
-// deferReason maps a behaviour to its constant transition-reason string;
-// concatenating one per deferral was the last allocation on the LeaseOS
-// steady-state path.
-func deferReason(b Behavior) string {
-	switch b {
-	case FAB:
-		return "term classified FAB"
-	case LHB:
-		return "term classified LHB"
-	case LUB:
-		return "term classified LUB"
-	case EUB:
-		return "term classified EUB"
-	default:
-		return "term classified " + b.String()
-	}
-}
+// deferReasons are the constant transition reasons of the three behaviours
+// that defer; concatenating one per deferral would allocate.
+var deferReasons = [...]string{FAB: "term classified FAB", LHB: "term classified LHB", LUB: "term classified LUB"}
 
 // defer_ moves the lease to the deferred state: the resource is temporarily
 // revoked for τ and restored afterwards (paper §3.2, §4.6).
@@ -576,10 +548,9 @@ func (m *Manager) defer_(l *Lease, rec TermRecord) {
 	l.term = m.cfg.Term // revert any adaptive growth
 	m.Deferrals++
 
-	m.transition(l, Deferred, deferReason(rec.Behavior))
-	l.obj.Control.Suppress(l.obj.ID)
-
 	l.restoreAt = m.clock.Now() + tau
+	m.transition(l, Deferred, deferReasons[rec.Behavior])
+	l.obj.Control.Suppress(l.obj.ID)
 	l.restoreEvent = m.clock.Schedule(tau, l.restoreFn)
 }
 
@@ -628,7 +599,9 @@ func (m *Manager) adaptTerm(l *Lease) {
 }
 
 func (m *Manager) kill(l *Lease) {
-	m.account("remove")
+	if m.OnEvent != nil {
+		m.emit(l, Event{Op: EventRemove})
+	}
 	m.deadRecords = append(m.deadRecords, ActivityRecord{
 		Active: l.ActiveTime(m.clock.Now()), Terms: l.termIndex,
 	})

@@ -94,17 +94,53 @@ func TestMultipleLeaseKindsPerApp(t *testing.T) {
 	}
 }
 
-func TestAccountingHookSeesEveryOperation(t *testing.T) {
+// TestSinkSeesEveryOperation: the sink hears each lease-management
+// operation once, in order, stamped with the lease and the instant; the
+// read-only Check reports nothing.
+func TestSinkSeesEveryOperation(t *testing.T) {
 	r := newMgrRig(Config{})
-	ops := map[string]int{}
-	r.mgr.Accounting = func(op string) { ops[op]++ }
 	wl := r.pm.NewWakelock(10, hooks.Wakelock, "x")
-	wl.Acquire() // create
-	r.engine.RunUntil(6 * time.Second)
-	r.mgr.Check(r.mgr.Leases()[0].ID())
-	wl.Destroy() // remove
-	if ops["create"] != 1 || ops["update"] == 0 || ops["check"] != 1 || ops["remove"] != 1 {
-		t.Fatalf("ops = %v", ops)
+	wl.Acquire()                       // create
+	r.engine.RunUntil(6 * time.Second) // term check → deferred
+	id := r.mgr.Leases()[0].ID()
+	r.mgr.Check(id)
+	r.engine.RunUntil(31 * time.Second) // restored
+	wl.Release()
+	r.engine.RunUntil(36 * time.Second) // term check → inactive
+	wl.Acquire()                        // renew
+	wl.Destroy()                        // remove → dead
+	type step struct {
+		op       string
+		at       time.Duration
+		from, to State
+	}
+	want := []step{
+		{EventCreate, 0, 0, 0},
+		{EventTermCheck, 5 * time.Second, 0, 0},
+		{EventTransition, 5 * time.Second, Active, Deferred},
+		{EventTransition, 30 * time.Second, Deferred, Active},
+		{EventTermCheck, 35 * time.Second, 0, 0},
+		{EventTransition, 35 * time.Second, Active, Inactive},
+		{EventTransition, 36 * time.Second, Inactive, Active},
+		{EventRenew, 36 * time.Second, 0, 0},
+		{EventRemove, 36 * time.Second, 0, 0},
+		{EventTransition, 36 * time.Second, Active, Dead},
+	}
+	if len(r.events) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(r.events), len(want), r.events)
+	}
+	for i, ev := range r.events {
+		w := want[i]
+		if ev.Op != w.op || time.Duration(ev.At) != w.at || ev.From != w.from || ev.To != w.to ||
+			ev.Lease != id || ev.UID != 10 || ev.Kind != hooks.Wakelock {
+			t.Fatalf("event %d = %+v, want %+v on lease %d", i, ev, w, id)
+		}
+	}
+	if d := r.events[2]; d.Tau != 25*time.Second || d.Reason != "term classified LHB" {
+		t.Fatalf("deferral = %+v, want τ 25s and its LHB reason", d)
+	}
+	if tc := r.events[1].Term; tc.Index != 0 || tc.Behavior != LHB {
+		t.Fatalf("first term check carries %+v, want term 0 classified LHB", tc)
 	}
 }
 
@@ -147,7 +183,7 @@ func TestConfigAccessorReflectsDefaults(t *testing.T) {
 	if cfg.Term != 5*time.Second || cfg.Tau != 25*time.Second {
 		t.Fatalf("effective config = %+v", cfg)
 	}
-	if cfg.HistoryLen != 120 || cfg.TauMax != 400*time.Second {
+	if cfg.TauMax != 400*time.Second {
 		t.Fatalf("effective config = %+v", cfg)
 	}
 }
@@ -191,7 +227,7 @@ func TestMisbehaviorWindowResetsOnNormalTerm(t *testing.T) {
 	if l.State() == Deferred {
 		t.Fatal("alternating behaviour should never fill a window of 2")
 	}
-	for _, tr := range r.mgr.Transitions {
+	for _, tr := range r.ops(EventTransition) {
 		if tr.To == Deferred {
 			t.Fatalf("unexpected deferral: %+v", tr)
 		}

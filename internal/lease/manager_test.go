@@ -41,6 +41,18 @@ type mgrRig struct {
 	pm     *powermgr.Service
 	stats  *fakeStats
 	mgr    *Manager
+	events []Event // everything the manager reported
+}
+
+// ops returns the recorded events of one op.
+func (r *mgrRig) ops(op string) []Event {
+	var evs []Event
+	for _, ev := range r.events {
+		if ev.Op == op {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
 }
 
 func newMgrRig(cfg Config) *mgrRig {
@@ -48,10 +60,11 @@ func newMgrRig(cfg Config) *mgrRig {
 	m := power.NewMeter(e)
 	r := binder.NewRegistry(e)
 	st := newFakeStats()
-	cfg.RecordTransitions = true
 	mgr := NewManager(e, st, cfg)
 	pm := powermgr.New(e, m, r, device.PixelXL, mgr)
-	return &mgrRig{engine: e, meter: m, reg: r, pm: pm, stats: st, mgr: mgr}
+	rig := &mgrRig{engine: e, meter: m, reg: r, pm: pm, stats: st, mgr: mgr}
+	mgr.OnEvent = func(ev Event) { rig.events = append(rig.events, ev) }
+	return rig
 }
 
 func TestLeaseCreatedOnFirstAcquire(t *testing.T) {
@@ -112,9 +125,9 @@ func TestNormalTermsRenewAndGrow(t *testing.T) {
 	if l.term != time.Minute {
 		t.Fatalf("term = %v, want 1m after 12 normal terms", l.term)
 	}
-	for _, rec := range l.History() {
-		if rec.Behavior.Misbehaving() {
-			t.Fatalf("healthy app classified %v", rec.Behavior)
+	for _, ev := range r.ops(EventTermCheck) {
+		if ev.Term.Behavior.Misbehaving() {
+			t.Fatalf("healthy app classified %v", ev.Term.Behavior)
 		}
 	}
 }
@@ -298,7 +311,7 @@ func TestSetUtilityAffectsClassification(t *testing.T) {
 	if l.State() != Deferred {
 		t.Fatalf("state = %v, want DEFERRED via custom utility", l.State())
 	}
-	if got := l.History()[0].Behavior; got != LUB {
+	if got := r.mgr.Explanation(l).Last.Behavior; got != LUB {
 		t.Fatalf("behavior = %v, want LUB", got)
 	}
 	// Clearing the counter restores generic-only scoring.
@@ -338,8 +351,8 @@ func TestReleaseDuringDeferralEndsInactive(t *testing.T) {
 	}
 }
 
-// TestFigure5Transitions validates that every recorded transition is an
-// edge of the paper's Figure 5 state machine.
+// TestFigure5Transitions validates that every transition the sink hears is
+// an edge of the paper's Figure 5 state machine.
 func TestFigure5Transitions(t *testing.T) {
 	r := newMgrRig(Config{})
 	wl := r.pm.NewWakelock(10, hooks.Wakelock, "x")
@@ -363,10 +376,11 @@ func TestFigure5Transitions(t *testing.T) {
 		{Inactive, Dead}:     true,
 		{Deferred, Dead}:     true,
 	}
-	if len(r.mgr.Transitions) == 0 {
-		t.Fatal("no transitions recorded")
+	txns := r.ops(EventTransition)
+	if len(txns) == 0 {
+		t.Fatal("no transitions reported")
 	}
-	for _, tr := range r.mgr.Transitions {
+	for _, tr := range txns {
 		if !allowed[[2]State{tr.From, tr.To}] {
 			t.Fatalf("illegal transition %v → %v (%s)", tr.From, tr.To, tr.Reason)
 		}
@@ -390,20 +404,6 @@ func TestLeaseAccessors(t *testing.T) {
 	}
 	if r.mgr.CreatedTotal() != 1 {
 		t.Fatal("CreatedTotal wrong")
-	}
-}
-
-func TestHistoryBounded(t *testing.T) {
-	c := DefaultConfig()
-	c.HistoryLen = 3
-	c.NoTauEscalation = true
-	r := newMgrRig(c)
-	wl := r.pm.NewWakelock(10, hooks.Wakelock, "x")
-	wl.Acquire()
-	r.engine.RunUntil(10 * time.Minute)
-	l := r.mgr.Leases()[0]
-	if len(l.History()) > 3 {
-		t.Fatalf("history len = %d, want ≤ 3", len(l.History()))
 	}
 }
 

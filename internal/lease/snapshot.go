@@ -16,8 +16,7 @@ package lease
 //
 // Two pieces of manager state are deliberately out of scope, and the
 // networked daemon that consumes this API uses neither: custom utility
-// counters (live app callbacks — not serializable) and the optional
-// Transitions debug log.
+// counters (live app callbacks — not serializable) and the OnEvent sink.
 
 import (
 	"fmt"
@@ -48,7 +47,9 @@ type LeaseState struct {
 	MisbehaveStreak int  `json:"misbehave_streak"`
 	Escalation      int  `json:"escalation"`
 
-	History []TermRecord `json:"history,omitempty"`
+	// Last is the newest completed term's record: present exactly when
+	// TermIndex > 0.
+	Last *TermRecord `json:"last,omitempty"`
 
 	LastCPU   time.Duration `json:"last_cpu"`
 	LastExc   int           `json:"last_exc"`
@@ -184,28 +185,32 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Varint(int64(l.idleTotal))
 	w.Varint(int64(l.activeSince))
 	w.Varint(int64(l.activeTotal))
-	w.Uvarint(uint64(len(l.history)))
-	for i := range l.history {
-		t := &l.history[i]
-		w.Int(t.Index)
-		w.Varint(int64(t.Start))
-		w.Varint(int64(t.Duration))
-		w.Varint(int64(t.Held))
-		w.Varint(int64(t.Active))
-		w.Varint(int64(t.Used))
-		w.Varint(int64(t.RequestTime))
-		w.Varint(int64(t.FailedRequestTime))
-		w.Varint(int64(t.CPUTime))
-		w.Int(t.DataPoints)
-		w.Float64(t.DistanceM)
-		w.Int(t.Exceptions)
-		w.Int(t.UIUpdates)
-		w.Int(t.Interactions)
-		w.Float64(t.SuccessRatio)
-		w.Float64(t.Utilization)
-		w.Float64(t.UtilityScore)
-		w.Int(int(t.Behavior))
+	// Version 2's term-history list, now of at most one record: the newest.
+	// Snapshot v3 (ROADMAP item 7) drops the count.
+	if l.termIndex <= 0 {
+		w.Uvarint(0)
+		return
 	}
+	w.Uvarint(1)
+	t := &l.last
+	w.Int(t.Index)
+	w.Varint(int64(t.Start))
+	w.Varint(int64(t.Duration))
+	w.Varint(int64(t.Held))
+	w.Varint(int64(t.Active))
+	w.Varint(int64(t.Used))
+	w.Varint(int64(t.RequestTime))
+	w.Varint(int64(t.FailedRequestTime))
+	w.Varint(int64(t.CPUTime))
+	w.Int(t.DataPoints)
+	w.Float64(t.DistanceM)
+	w.Int(t.Exceptions)
+	w.Int(t.UIUpdates)
+	w.Int(t.Interactions)
+	w.Float64(t.SuccessRatio)
+	w.Float64(t.Utilization)
+	w.Float64(t.UtilityScore)
+	w.Int(int(t.Behavior))
 }
 
 // Minimum encoded sizes, for the decoder's count checks: one byte per
@@ -287,13 +292,14 @@ func decodeLeaseState(r *snapenc.Reader, ls *LeaseState) {
 	ls.IdleTotal = time.Duration(r.Varint())
 	ls.ActiveSince = simclock.Time(r.Varint())
 	ls.ActiveTotal = time.Duration(r.Varint())
+	// A build before the one-record form wrote up to 120 records, oldest
+	// first; any count the input can hold reads, and the newest is kept.
 	n := r.Count(minTermRecordBytes)
 	if n == 0 {
 		return
 	}
-	ls.History = make([]TermRecord, n)
-	for i := range ls.History {
-		t := &ls.History[i]
+	t := new(TermRecord)
+	for range n {
 		t.Index = r.Int()
 		t.Start = simclock.Time(r.Varint())
 		t.Duration = time.Duration(r.Varint())
@@ -313,6 +319,7 @@ func decodeLeaseState(r *snapenc.Reader, ls *LeaseState) {
 		t.UtilityScore = r.Float64()
 		t.Behavior = Behavior(r.Int())
 	}
+	ls.Last = t
 }
 
 // CaptureState returns the manager's complete state as plain structs: the
@@ -331,7 +338,11 @@ func (m *Manager) CaptureState() ManagerState {
 
 // EncodeState writes the policy field by field, in declaration order. A
 // checkpoint pins the policy it was written under; the daemon refuses to
-// reopen a data directory under a different one.
+// reopen a data directory under a different one. Two retired fields — the
+// term-history bound and the transition-log flag — are written as the
+// constants every deployed policy held (120 and false), so builds on either
+// side of their removal accept each other's checkpoints; snapshot v3
+// (ROADMAP item 7) drops them.
 func (c Config) EncodeState(w *snapenc.Writer) {
 	w.Varint(int64(c.Term))
 	w.Varint(int64(c.Tau))
@@ -351,40 +362,42 @@ func (c Config) EncodeState(w *snapenc.Writer) {
 	w.Float64(c.EUBUtilizationFloor)
 	w.Float64(c.CustomUtilityFloor)
 	w.Bool(c.NoExceptionSignal)
-	w.Int(c.HistoryLen)
+	w.Int(120) // retired: the term-history bound
 	w.Bool(c.EnableReputation)
 	w.Int(c.ReputationDeferralFloor)
 	w.Int(c.ReputationTrustFloor)
-	w.Bool(c.RecordTransitions)
+	w.Bool(false) // retired: the transition-log flag
 }
 
-// DecodeConfig reads what Config.EncodeState wrote.
+// DecodeConfig reads what Config.EncodeState wrote, skipping the two
+// retired fields whatever they hold.
 func DecodeConfig(r *snapenc.Reader) Config {
-	return Config{
-		Term:                    time.Duration(r.Varint()),
-		Tau:                     time.Duration(r.Varint()),
-		NoAdaptiveTerms:         r.Bool(),
-		NormalStreakForMinute:   r.Int(),
-		NormalStreakForFiveMin:  r.Int(),
-		MinuteTerm:              time.Duration(r.Varint()),
-		FiveMinuteTerm:          time.Duration(r.Varint()),
-		MisbehaviorWindow:       r.Int(),
-		NoTauEscalation:         r.Bool(),
-		TauMax:                  time.Duration(r.Varint()),
-		UtilizationThreshold:    r.Float64(),
-		UtilityThreshold:        r.Float64(),
-		FABSuccessThreshold:     r.Float64(),
-		FABMinAskFraction:       r.Float64(),
-		LHBHoldFraction:         r.Float64(),
-		EUBUtilizationFloor:     r.Float64(),
-		CustomUtilityFloor:      r.Float64(),
-		NoExceptionSignal:       r.Bool(),
-		HistoryLen:              r.Int(),
-		EnableReputation:        r.Bool(),
-		ReputationDeferralFloor: r.Int(),
-		ReputationTrustFloor:    r.Int(),
-		RecordTransitions:       r.Bool(),
+	c := Config{
+		Term:                   time.Duration(r.Varint()),
+		Tau:                    time.Duration(r.Varint()),
+		NoAdaptiveTerms:        r.Bool(),
+		NormalStreakForMinute:  r.Int(),
+		NormalStreakForFiveMin: r.Int(),
+		MinuteTerm:             time.Duration(r.Varint()),
+		FiveMinuteTerm:         time.Duration(r.Varint()),
+		MisbehaviorWindow:      r.Int(),
+		NoTauEscalation:        r.Bool(),
+		TauMax:                 time.Duration(r.Varint()),
+		UtilizationThreshold:   r.Float64(),
+		UtilityThreshold:       r.Float64(),
+		FABSuccessThreshold:    r.Float64(),
+		FABMinAskFraction:      r.Float64(),
+		LHBHoldFraction:        r.Float64(),
+		EUBUtilizationFloor:    r.Float64(),
+		CustomUtilityFloor:     r.Float64(),
+		NoExceptionSignal:      r.Bool(),
 	}
+	r.Int() // retired: the term-history bound
+	c.EnableReputation = r.Bool()
+	c.ReputationDeferralFloor = r.Int()
+	c.ReputationTrustFloor = r.Int()
+	r.Bool() // retired: the transition-log flag
+	return c
 }
 
 // RestoreState rebuilds a freshly-created manager from a capture. resolve
@@ -415,6 +428,9 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 
 	now := m.clock.Now()
 	for _, ls := range st.Leases {
+		if (ls.TermIndex > 0) != (ls.Last != nil) {
+			return fmt.Errorf("lease: RestoreState: lease %d has %d completed terms but last record present = %v", ls.ID, ls.TermIndex, ls.Last != nil)
+		}
 		obj, ok := resolve(ls)
 		if !ok {
 			return fmt.Errorf("lease: RestoreState: no kernel object for lease %d (obj %d)", ls.ID, ls.ObjID)
@@ -425,10 +441,12 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			term: ls.Term, termIndex: ls.TermIndex,
 			held: ls.Held, normalStreak: ls.NormalStreak,
 			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
-			history: append(make([]TermRecord, 0, len(ls.History)), ls.History...),
 			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
 			deadAt: ls.DeadAt, lastIdle: ls.LastIdle, idleTotal: ls.IdleTotal,
 			activeSince: ls.ActiveSince, activeTotal: ls.ActiveTotal,
+		}
+		if ls.Last != nil {
+			l.last = *ls.Last
 		}
 		l.bindEvents(m)
 		m.leases[l.id] = l

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,5 +227,196 @@ func TestRestoreSurvivesInstantsFarInThePast(t *testing.T) {
 	eng2.RunUntil(2 * time.Second) // both events fire, at once
 	if mgr2.TermChecks == 0 {
 		t.Fatal("the re-armed term check never fired")
+	}
+}
+
+// writeV2 writes a manager state in the form builds before the one-record
+// lease wrote it: each lease's term history is a list of hist[id], oldest
+// first. With hist holding only each lease's Last, it is this build's form.
+func writeV2(w *snapenc.Writer, st ManagerState, hist map[uint64][]TermRecord) {
+	w.Uvarint(st.NextID)
+	for _, n := range []int{st.CreatedTotal, st.DeadTotal, st.TermChecks, st.Deferrals, st.Renewals, st.TermAdaptations} {
+		w.Int(n)
+	}
+	w.Uvarint(uint64(len(st.DeadRecords)))
+	for _, d := range st.DeadRecords {
+		w.Varint(int64(d.Active))
+		w.Int(d.Terms)
+	}
+	w.Uvarint(uint64(len(st.Reputations)))
+	for _, r := range st.Reputations {
+		w.Int(r.UID)
+		w.Int(r.Normals)
+		w.Int(r.Deferrals)
+	}
+	w.Uvarint(uint64(len(st.EUBTimes)))
+	for _, e := range st.EUBTimes {
+		w.Int(e.UID)
+		w.Varint(int64(e.T))
+	}
+	w.Uvarint(uint64(len(st.Leases)))
+	for _, ls := range st.Leases {
+		w.Uvarint(ls.ID)
+		w.Uvarint(ls.ObjID)
+		for _, n := range []int{ls.UID, ls.Kind, ls.State} {
+			w.Int(n)
+		}
+		w.Varint(int64(ls.CreatedAt))
+		w.Varint(int64(ls.TermStart))
+		w.Varint(int64(ls.Term))
+		w.Int(ls.TermIndex)
+		w.Bool(ls.Held)
+		w.Int(ls.NormalStreak)
+		w.Int(ls.MisbehaveStreak)
+		w.Int(ls.Escalation)
+		w.Varint(int64(ls.LastCPU))
+		w.Int(ls.LastExc)
+		w.Int(ls.LastUI)
+		w.Int(ls.LastInter)
+		w.Bool(ls.HasCheck)
+		if ls.HasCheck {
+			w.Varint(int64(ls.CheckAt))
+		}
+		w.Bool(ls.HasRestor)
+		if ls.HasRestor {
+			w.Varint(int64(ls.RestoreAt))
+		}
+		for _, t := range []time.Duration{ls.DeadAt, ls.LastIdle, ls.IdleTotal, ls.ActiveSince, ls.ActiveTotal} {
+			w.Varint(int64(t))
+		}
+		w.Uvarint(uint64(len(hist[ls.ID])))
+		for _, t := range hist[ls.ID] {
+			w.Int(t.Index)
+			for _, d := range []time.Duration{t.Start, t.Duration, t.Held, t.Active, t.Used, t.RequestTime, t.FailedRequestTime, t.CPUTime} {
+				w.Varint(int64(d))
+			}
+			w.Int(t.DataPoints)
+			w.Float64(t.DistanceM)
+			w.Int(t.Exceptions)
+			w.Int(t.UIUpdates)
+			w.Int(t.Interactions)
+			w.Float64(t.SuccessRatio)
+			w.Float64(t.Utilization)
+			w.Float64(t.UtilityScore)
+			w.Int(int(t.Behavior))
+		}
+	}
+}
+
+// TestParentFormDecodesToNewest: a payload in the form builds before the
+// one-record lease wrote — three term records per lease, a term-history
+// bound of 120 and no transition log in the policy — decodes to each
+// lease's newest record and restores to a manager that writes the
+// one-record form; and this build writes the same policy bytes those builds
+// wrote, so either side reopens the other's checkpoints.
+func TestParentFormDecodesToNewest(t *testing.T) {
+	eng := simclock.NewEngine()
+	stats := newFakeStats()
+	mgr := NewManager(eng, stats, Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10)) // idle: deferred
+	mgr.Create(snapObj(ctrl, 2, 20)) // busy: renewed
+	stop := eng.Ticker(time.Second, func() { stats.cpu[20] += 500 * time.Millisecond })
+	defer stop()
+	eng.RunUntil(3 * time.Minute)
+	mgr.Create(snapObj(ctrl, 3, 30)) // no completed term
+	st := mgr.CaptureState()
+
+	three, newest := map[uint64][]TermRecord{}, map[uint64][]TermRecord{}
+	for _, ls := range st.Leases {
+		if ls.Last == nil {
+			continue
+		}
+		old1, old2 := *ls.Last, *ls.Last
+		old1.Index, old1.UtilityScore, old1.Behavior = ls.Last.Index-2, 1, FAB
+		old2.Index, old2.Exceptions = ls.Last.Index-1, 99
+		three[ls.ID] = []TermRecord{old1, old2, *ls.Last}
+		newest[ls.ID] = []TermRecord{*ls.Last}
+	}
+	if len(three) != 2 {
+		t.Fatalf("%d leases with completed terms, want 2", len(three))
+	}
+	w := snapenc.NewWriter(nil)
+	writeV2(w, st, three)
+	r := snapenc.NewReader(w.Payload())
+	got := DecodeManagerState(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("the three-record form decodes to\n%+v\nwant\n%+v", got, st)
+	}
+	mgr2 := NewManager(eng, newFakeStats(), Config{})
+	if err := mgr2.RestoreState(got, func(ls LeaseState) (hooks.Object, bool) {
+		return snapObj(newSnapCtrl(), ls.ObjID, power.UID(ls.UID)), true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w = snapenc.NewWriter(nil)
+	writeV2(w, st, newest)
+	if again := encodeManager(mgr2); !bytes.Equal(again, w.Payload()) || !bytes.Equal(again, encodeManager(mgr)) {
+		t.Fatal("the restored manager does not write the one-record form")
+	}
+
+	// The policy: those builds wrote its fields in declaration order,
+	// the term-history bound (default 120) after NoExceptionSignal and the
+	// transition-log flag (default false) last.
+	c := DefaultConfig()
+	w = snapenc.NewWriter(nil)
+	w.Varint(int64(c.Term))
+	w.Varint(int64(c.Tau))
+	w.Bool(c.NoAdaptiveTerms)
+	w.Int(c.NormalStreakForMinute)
+	w.Int(c.NormalStreakForFiveMin)
+	w.Varint(int64(c.MinuteTerm))
+	w.Varint(int64(c.FiveMinuteTerm))
+	w.Int(c.MisbehaviorWindow)
+	w.Bool(c.NoTauEscalation)
+	w.Varint(int64(c.TauMax))
+	for _, f := range []float64{c.UtilizationThreshold, c.UtilityThreshold, c.FABSuccessThreshold, c.FABMinAskFraction, c.LHBHoldFraction, c.EUBUtilizationFloor, c.CustomUtilityFloor} {
+		w.Float64(f)
+	}
+	w.Bool(c.NoExceptionSignal)
+	w.Int(120)
+	w.Bool(c.EnableReputation)
+	w.Int(c.ReputationDeferralFloor)
+	w.Int(c.ReputationTrustFloor)
+	w.Bool(false)
+	parent := w.Payload()
+	r = snapenc.NewReader(parent)
+	if got := DecodeConfig(r); r.Done() != nil || got != c {
+		t.Fatalf("the older builds' policy bytes decode to %+v (%v), want %+v", got, r.Err(), c)
+	}
+	w = snapenc.NewWriter(nil)
+	c.EncodeState(w)
+	if !bytes.Equal(w.Payload(), parent) {
+		t.Fatal("this build writes the default policy in other bytes than older builds")
+	}
+}
+
+// TestRestoreRejectsTermRecordMismatch: a lease's completed-term count and
+// the presence of its last record must agree.
+func TestRestoreRejectsTermRecordMismatch(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10))
+	mgr.Create(snapObj(ctrl, 2, 20))
+	eng.RunUntil(6 * time.Second)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*LeaseState)
+	}{
+		{"terms without a record", func(ls *LeaseState) { ls.Last = nil }},
+		{"a record without terms", func(ls *LeaseState) { ls.TermIndex = 0 }},
+	} {
+		st := mgr.CaptureState()
+		tc.corrupt(&st.Leases[1])
+		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
+			return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
+		})
+		if err == nil || !strings.Contains(err.Error(), "lease 2 has") {
+			t.Errorf("%s: RestoreState err = %v", tc.name, err)
+		}
 	}
 }

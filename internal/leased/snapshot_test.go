@@ -93,7 +93,7 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 }
 
 // snapTestOptions keeps every lease on the base term so `terms` terms of
-// virtual time give every lease `terms` history rows.
+// virtual time give every lease `terms` completed terms.
 func snapTestOptions() Options {
 	o := benchOptions(1)
 	o.Lease.NoAdaptiveTerms = true
@@ -137,13 +137,19 @@ func bitwiseEqual(a, b reflect.Value) bool {
 			}
 		}
 		return true
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return bitwiseEqual(a.Elem(), b.Elem())
 	}
 	return reflect.DeepEqual(a.Interface(), b.Interface())
 }
 
 // fillRandom sets every leaf under v: integers across the varint widths and
 // both signs, floats from raw bits (so NaNs with payloads, −0 and infinities
-// all occur), one to three elements per slice. A field added to any
+// all occur), one to three elements per slice, a pointer nil or set at
+// random. A field added to any
 // snapshot struct is filled — and so must round-trip — without touching
 // this test.
 func fillRandom(v reflect.Value, rng *rand.Rand) {
@@ -157,6 +163,11 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 		v.Set(reflect.MakeSlice(v.Type(), n, n))
 		for i := 0; i < n; i++ {
 			fillRandom(v.Index(i), rng)
+		}
+	case reflect.Pointer:
+		if rng.Intn(2) == 0 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fillRandom(v.Elem(), rng)
 		}
 	case reflect.Int, reflect.Int64:
 		x := rng.Int63() >> uint(rng.Intn(56)+8) // up to 2^55: instants stay addable
@@ -190,7 +201,8 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 // to restore: the shard's own identity and policy, UIDs dense from 1, unique
 // sorted keys in every table, apps rows and objects owned by known clients
 // (an object per real kind at most), each lease bound to the object of the
-// same rank, no due instant on an event that is not pending, and dedup
+// same rank, no due instant on an event that is not pending, a last term
+// record exactly on a lease with completed terms, and dedup
 // verdicts that name a known client, a real kind and a real state.
 func randomState(rng *rand.Rand, sh *shard) persistedState {
 	var st persistedState
@@ -226,6 +238,11 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 		}
 		if !ls.HasRestor {
 			ls.RestoreAt = 0
+		}
+		if ls.Last == nil {
+			ls.TermIndex = min(ls.TermIndex, 0)
+		} else if ls.TermIndex <= 0 {
+			ls.TermIndex = 1 - ls.TermIndex
 		}
 	}
 	for i := range st.Dedup {
@@ -371,15 +388,16 @@ func snapshotScript(tb testing.TB) *Server {
 // encode to bytes with these sums, so the walk order of every table is held
 // to "equal state, equal bytes" across builds: either build recovers the
 // other's data directory and follows the other's stream. A deliberate format
-// change moves these sums together with snapshotVersion. The version-1 sums
+// change moves these sums together with snapshotVersion; a change to what the
+// state holds moves them alone. The version-1 sums
 // — pinned from PR 17, when shard state was runtime maps throughout, to PR
 // 24 — now check the fixture that build wrote: its payloads are the script's
 // shards in version 1, and each decodes and restores to a shard that writes
 // exactly the version-2 bytes pinned here.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	want := []string{
-		"affc7d1edfe438182deb40ea2e37bae18851097cdda8e66310831ec1b2e53956",
-		"1e20e7fb22d5d046076cdd79d195b6c1c8db013cdcaf79ad31b05fe2cd457c22",
+		"2075f652f6e3915454ff2983bbd13473ac1dc56fc0bea83fb1be597eab00b92a",
+		"cb82269812fc9dd3a39079ab1c9f19563d419eba8accd3207228e64833c4865d",
 	}
 	s := snapshotScript(t)
 	for i, sh := range s.shards {
@@ -536,34 +554,31 @@ func TestVersion1DataDirAnswersRetries(t *testing.T) {
 	retryV1(t, "reopened from version 2", again.rig)
 }
 
-// TestSnapshotSizePlateaus: history is bounded by HistoryLen, so once every
-// lease holds that many terms the payload stops growing — the property that
-// keeps a long-lived daemon's checkpoint cost flat.
+// TestSnapshotSizePlateaus: a lease keeps only its newest term record, so
+// under the default policy a shard's payload at 240 terms holds no more
+// records than at 2 — the property that keeps a long-lived daemon's
+// checkpoint cost flat.
 func TestSnapshotSizePlateaus(t *testing.T) {
+	const (
+		leases      = 40
+		recordBytes = 14 + 4*8 // a term record's smallest encoding
+	)
 	opts := snapTestOptions()
-	opts.Lease.HistoryLen = 4
 	opts.DedupWindow = 64
-	size := func(terms int, wantFull bool) int {
-		sh := populatedShard(t, opts, 40, terms)
-		full := true
+	size := func(terms int) int {
+		sh := populatedShard(t, opts, leases, terms)
 		for _, ls := range sh.captureState().Manager.Leases {
-			full = full && len(ls.History) == opts.Lease.HistoryLen
-		}
-		if full != wantFull {
-			t.Fatalf("after %d terms: every history full = %v, want %v", terms, full, wantFull)
+			if ls.TermIndex == 0 || ls.Last == nil {
+				t.Fatalf("after %d terms lease %d has %d completed terms, record %v", terms, ls.ID, ls.TermIndex, ls.Last)
+			}
 		}
 		return len(encodeShard(sh))
 	}
-	// The idle holders spend most of their time deferred, so they fill
-	// their histories last — well before 80 terms of virtual time.
-	growing, full, later := size(2, false), size(80, true), size(240, true)
-	if growing >= full {
-		t.Fatalf("payload did not grow while histories filled: %d bytes at 2 terms, %d at 80", growing, full)
-	}
-	// Instants and counters gain the odd varint byte with uptime; a
-	// thirtieth is far below one more history row per lease.
-	if later > full+full/30 {
-		t.Fatalf("payload kept growing past HistoryLen: %d bytes at 80 terms, %d at 240", full, later)
+	// Instants, cumulative counters and request IDs widen by a varint or
+	// string byte or two with uptime (7 945 → 8 887 bytes here, +12 %); one
+	// more term record per lease would add at least recordBytes each.
+	if early, later := size(2), size(240); later-early >= leases*recordBytes {
+		t.Fatalf("payload grew with uptime: %d bytes at 2 terms, %d at 240", early, later)
 	}
 }
 
@@ -673,12 +688,32 @@ func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 	}
 }
 
+// termRecordBytes is rec as a snapshot encodes it.
+func termRecordBytes(rec lease.TermRecord) []byte {
+	w := snapenc.NewWriter(nil)
+	w.Int(rec.Index)
+	for _, d := range []time.Duration{rec.Start, rec.Duration, rec.Held, rec.Active, rec.Used, rec.RequestTime, rec.FailedRequestTime, rec.CPUTime} {
+		w.Varint(int64(d))
+	}
+	w.Int(rec.DataPoints)
+	w.Float64(rec.DistanceM)
+	w.Int(rec.Exceptions)
+	w.Int(rec.UIUpdates)
+	w.Int(rec.Interactions)
+	w.Float64(rec.SuccessRatio)
+	w.Float64(rec.Utilization)
+	w.Float64(rec.UtilityScore)
+	w.Int(int(rec.Behavior))
+	return w.Payload()
+}
+
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 or version-2 value: no other first byte,
 // nothing after it. What it accepts is then restored into a fresh shard,
 // which must hold to the same rule (loadBounded). The seeds include the
-// version-1 fixture's payload and the same state in version 2.
+// version-1 fixture's payload, the same state in version 2, and payloads
+// that decode but must not restore.
 func FuzzDecodeSnapshot(f *testing.F) {
 	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
 	f.Add(good)
@@ -700,6 +735,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		corrupt(sh.byLease[1])
 		f.Add(encodeShard(sh))
 	}
+	// And a lease with completed terms but no term record: the payload ends
+	// with the last lease's one-record list, which becomes an empty one.
+	sh := populatedShard(f, snapTestOptions(), 4, 3)
+	good = encodeShard(sh)
+	st := sh.captureState()
+	tail := append([]byte{1}, termRecordBytes(*st.Manager.Leases[len(st.Manager.Leases)-1].Last)...)
+	if !bytes.HasSuffix(good, tail) {
+		f.Fatal("the payload does not end with its last lease's term record")
+	}
+	bad := append(good[:len(good)-len(tail):len(good)-len(tail)], 0)
+	got, err := decodeSnapshot(bad)
+	if err == nil {
+		err = freshShard(snapTestOptions()).restoreState(got)
+	}
+	if err == nil || !strings.Contains(err.Error(), "completed terms but last record present = false") {
+		f.Fatalf("a lease that lost its term record: %v", err)
+	}
+	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := loadBounded(t, data)
 		if err != nil {

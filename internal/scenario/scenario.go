@@ -32,7 +32,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/device"
 	"repro/internal/env"
-	"repro/internal/lease"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -234,7 +233,7 @@ func (sc *Scenario) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New(sim.Options{Policy: pol, Device: prof, Lease: lease.Config{RecordTransitions: true}})
+	s := sim.New(sim.Options{Policy: pol, Device: prof})
 
 	installed := make([]apps.App, 0, len(sc.Apps))
 	for _, entry := range sc.Apps {

@@ -135,7 +135,20 @@ func TestSystemEnergyNeverNegativeAndAdditive(t *testing.T) {
 func TestPropertyRandomAppChaos(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := stats.NewRand(seed)
-		s := New(Options{Policy: LeaseOS, Lease: lease.Config{RecordTransitions: true}})
+		s := New(Options{Policy: LeaseOS})
+		allowed := map[[2]lease.State]bool{
+			{lease.Active, lease.Deferred}: true, {lease.Active, lease.Inactive}: true,
+			{lease.Active, lease.Active}: true, {lease.Deferred, lease.Active}: true,
+			{lease.Deferred, lease.Inactive}: true, {lease.Inactive, lease.Active}: true,
+			{lease.Active, lease.Dead}: true, {lease.Inactive, lease.Dead}: true,
+			{lease.Deferred, lease.Dead}: true,
+		}
+		legal := true
+		s.Leases.OnEvent = func(ev lease.Event) {
+			if ev.Op == lease.EventTransition && !allowed[[2]lease.State{ev.From, ev.To}] {
+				legal = false
+			}
+		}
 		const nApps = 4
 		procs := make([]*struct {
 			uid  power.UID
@@ -195,19 +208,7 @@ func TestPropertyRandomAppChaos(t *testing.T) {
 				return false
 			}
 		}
-		allowed := map[[2]lease.State]bool{
-			{lease.Active, lease.Deferred}: true, {lease.Active, lease.Inactive}: true,
-			{lease.Active, lease.Active}: true, {lease.Deferred, lease.Active}: true,
-			{lease.Deferred, lease.Inactive}: true, {lease.Inactive, lease.Active}: true,
-			{lease.Active, lease.Dead}: true, {lease.Inactive, lease.Dead}: true,
-			{lease.Deferred, lease.Dead}: true,
-		}
-		for _, tr := range s.Leases.Transitions {
-			if !allowed[[2]lease.State{tr.From, tr.To}] {
-				return false
-			}
-		}
-		return true
+		return legal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/lease"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -42,24 +43,38 @@ type Event struct {
 
 // Recorder samples a simulation while it runs.
 type Recorder struct {
-	s        *sim.Sim
-	uids     []power.UID
-	events   []Event
-	lastTxns int
-	stop     func()
+	s      *sim.Sim
+	uids   []power.UID
+	events []Event
+	stop   func()
 }
 
 // Attach starts recording on s: a power and lease snapshot every interval,
-// plus any lease transitions that occurred since the previous sample
-// (requires Lease.Config.RecordTransitions for transition events). uids
-// selects the apps whose draw is broken out per sample.
+// and each lease transition as it fires. It installs Note as the lease
+// manager's sink; a caller with its own sink calls Note from it instead.
+// uids selects the apps whose draw is broken out per sample.
 func Attach(s *sim.Sim, interval time.Duration, uids ...power.UID) *Recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	r := &Recorder{s: s, uids: uids}
 	r.stop = s.Engine.Ticker(interval, r.sample)
+	if s.Leases != nil {
+		s.Leases.OnEvent = r.Note
+	}
 	return r
+}
+
+// Note records ev if it is a lease transition and the recorder is running;
+// a nil recorder records nothing.
+func (r *Recorder) Note(ev lease.Event) {
+	if r == nil || r.stop == nil || ev.Op != lease.EventTransition {
+		return
+	}
+	r.events = append(r.events, Event{
+		AtMS: ev.At.Milliseconds(), Kind: "transition",
+		LeaseID: ev.Lease, From: ev.From.String(), To: ev.To.String(), Reason: ev.Reason,
+	})
 }
 
 func (r *Recorder) sample() {
@@ -77,18 +92,10 @@ func (r *Recorder) sample() {
 			AtMS: now, Kind: "leases",
 			LeasesLive: r.s.Leases.LeaseCount(), LeasesActive: r.s.Leases.ActiveLeaseCount(),
 		})
-		txns := r.s.Leases.Transitions
-		for _, tr := range txns[r.lastTxns:] {
-			r.events = append(r.events, Event{
-				AtMS: tr.At.Milliseconds(), Kind: "transition",
-				LeaseID: tr.LeaseID, From: tr.From.String(), To: tr.To.String(), Reason: tr.Reason,
-			})
-		}
-		r.lastTxns = len(txns)
 	}
 }
 
-// Stop halts sampling; recorded events remain available.
+// Stop halts sampling and transition recording; events stay available.
 func (r *Recorder) Stop() {
 	if r.stop != nil {
 		r.stop()

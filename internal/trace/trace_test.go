@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"repro/internal/android/hooks"
-	"repro/internal/lease"
 	"repro/internal/sim"
 )
 
 func buildTracedSim(t *testing.T) (*sim.Sim, *Recorder) {
 	t.Helper()
-	s := sim.New(sim.Options{Policy: sim.LeaseOS, Lease: lease.Config{RecordTransitions: true}})
+	s := sim.New(sim.Options{Policy: sim.LeaseOS})
 	s.Apps.NewProcess(100, "app")
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "x")
 	wl.Acquire()
@@ -28,8 +27,11 @@ func buildTracedSim(t *testing.T) (*sim.Sim, *Recorder) {
 func TestRecorderCapturesAllKinds(t *testing.T) {
 	_, r := buildTracedSim(t)
 	kinds := map[string]int{}
-	for _, ev := range r.Events() {
+	for i, ev := range r.Events() {
 		kinds[ev.Kind]++
+		if i > 0 && ev.AtMS < r.Events()[i-1].AtMS {
+			t.Fatalf("event %d at %d ms follows one at %d ms", i, ev.AtMS, r.Events()[i-1].AtMS)
+		}
 	}
 	if kinds["power"] != 60 {
 		t.Fatalf("power samples = %d, want 60", kinds["power"])

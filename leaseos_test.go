@@ -22,7 +22,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if l.Kind() != leaseos.Wakelock {
 		t.Fatalf("kind = %v", l.Kind())
 	}
-	if got := l.History()[0].Behavior; got != leaseos.LHB {
+	if got := s.Leases.Explanation(l).Last.Behavior; got != leaseos.LHB {
 		t.Fatalf("behavior = %v, want LHB", got)
 	}
 }
