@@ -2,8 +2,7 @@ package lease
 
 import "time"
 
-// Config collects the lease policy parameters (paper §5): every field
-// changes a decision, and a daemon checkpoint pins them all.
+// Config collects the lease policy parameters (paper §5); a checkpoint pins them.
 type Config struct {
 	// Term is the base lease term. The paper's default is 5 seconds,
 	// chosen from the λ = τ/(n·t) analysis in §5.1.

@@ -47,12 +47,15 @@ type Explanation struct {
 
 // Explanation copies what Explain would print about l, a live lease of m.
 func (m *Manager) Explanation(l *Lease) Explanation {
-	return Explanation{
+	e := Explanation{
 		ID: l.id, UID: l.obj.UID, Kind: l.obj.Kind, State: l.state,
 		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
-		HasLast: l.termIndex > 0, Last: l.last,
 		Config: m.cfg, Reputation: m.ReputationOf(l.obj.UID),
 	}
+	if l.last != nil {
+		e.HasLast, e.Last = true, *l.last
+	}
+	return e
 }
 
 // String renders the explanation: Explain's text.

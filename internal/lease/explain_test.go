@@ -23,7 +23,7 @@ func mkLease(m *Manager, id uint64, uid power.UID, kind hooks.Kind, st State, es
 		escalation: esc,
 	}
 	if n := len(hist); n > 0 {
-		l.last = hist[n-1]
+		l.last = &hist[n-1]
 	}
 	m.leases[id] = l
 	return l

@@ -16,10 +16,9 @@
 // TermStats), and the Manager here is the paper's Lease Manager system
 // service.
 //
-// A lease keeps what its next decision reads, plus its newest term record
-// for Explain. Everything the manager does is reported as it happens to one
-// optional sink, Manager.OnEvent; counts, logs and traces live in the
-// closures their consumers install.
+// A lease keeps what its next decision reads and its newest term record;
+// everything the manager does is reported as it happens to one optional
+// sink, Manager.OnEvent, whose consumers keep any counts or logs.
 package lease
 
 import (

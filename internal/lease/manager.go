@@ -36,9 +36,9 @@ type Lease struct {
 	misbehaveStreak int
 	escalation      int
 
-	// last is the newest completed term's record, meaningful once
-	// termIndex > 0. The decision reads the streaks above, not records.
-	last TermRecord
+	// last is the newest completed term's record, which no decision reads;
+	// nil until a term completes, as for a lease renewed within each term.
+	last *TermRecord
 
 	// Snapshots of cumulative per-uid counters, for per-term deltas.
 	lastCPU   time.Duration
@@ -216,9 +216,7 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 	m.leases[l.id] = l
 	m.byObj[key] = l.id
 	m.createdTotal++
-	if m.OnEvent != nil {
-		m.emit(l, Event{Op: EventCreate})
-	}
+	m.emit(l, Event{Op: EventCreate})
 	m.applyReputation(l)
 	m.scheduleCheck(l)
 	return l.id
@@ -247,9 +245,16 @@ func (m *Manager) Check(id uint64) bool {
 	return l.state == Active
 }
 
-// emit stamps ev with l's identity and the current instant and hands it to
-// the sink, which the caller has checked is set.
+// emit reports ev about l to the sink, if there is one. It inlines, so a
+// nil sink costs its callers one branch.
 func (m *Manager) emit(l *Lease, ev Event) {
+	if m.OnEvent != nil {
+		m.send(l, ev)
+	}
+}
+
+// send stamps ev with l's identity and the current instant for the sink.
+func (m *Manager) send(l *Lease, ev Event) {
 	ev.At, ev.Lease, ev.UID, ev.Kind = m.clock.Now(), l.id, l.obj.UID, l.obj.Kind
 	m.OnEvent(ev)
 }
@@ -272,9 +277,7 @@ func (m *Manager) renew(l *Lease) bool {
 		m.transition(l, Active, "renewed on re-acquire")
 	}
 	m.Renewals++
-	if m.OnEvent != nil {
-		m.emit(l, Event{Op: EventRenew})
-	}
+	m.emit(l, Event{Op: EventRenew})
 	l.term = m.cfg.Term
 	m.beginTerm(l)
 	return true
@@ -402,13 +405,11 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 
 func (m *Manager) transition(l *Lease, to State, reason string) {
 	now := m.clock.Now()
-	if m.OnEvent != nil {
-		ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
-		if to == Deferred {
-			ev.Tau = l.restoreAt - now // defer_ sets restoreAt first
-		}
-		m.emit(l, ev)
+	ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
+	if to == Deferred {
+		ev.Tau = l.restoreAt - now // defer_ sets restoreAt first
 	}
+	m.emit(l, ev)
 	// Maintain the per-lease active-time accumulator for the §7.2 report.
 	if l.state == Active && to != Active {
 		l.activeTotal += now - l.activeSince
@@ -449,10 +450,11 @@ func (m *Manager) endOfTerm(l *Lease) {
 	rec.Index = l.termIndex
 	rec.Start = l.termStart
 	l.termIndex++
-	l.last = rec
-	if m.OnEvent != nil {
-		m.emit(l, Event{Op: EventTermCheck, Term: rec})
+	if l.last == nil {
+		l.last = new(TermRecord)
 	}
+	*l.last = rec
+	m.emit(l, Event{Op: EventTermCheck, Term: rec})
 
 	if rec.Behavior.Misbehaving() {
 		l.misbehaveStreak++
@@ -599,9 +601,7 @@ func (m *Manager) adaptTerm(l *Lease) {
 }
 
 func (m *Manager) kill(l *Lease) {
-	if m.OnEvent != nil {
-		m.emit(l, Event{Op: EventRemove})
-	}
+	m.emit(l, Event{Op: EventRemove})
 	m.deadRecords = append(m.deadRecords, ActivityRecord{
 		Active: l.ActiveTime(m.clock.Now()), Terms: l.termIndex,
 	})

@@ -187,12 +187,12 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Varint(int64(l.activeTotal))
 	// Version 2's term-history list, now of at most one record: the newest.
 	// Snapshot v3 (ROADMAP item 7) drops the count.
-	if l.termIndex <= 0 {
+	if l.last == nil {
 		w.Uvarint(0)
 		return
 	}
 	w.Uvarint(1)
-	t := &l.last
+	t := l.last
 	w.Int(t.Index)
 	w.Varint(int64(t.Start))
 	w.Varint(int64(t.Duration))
@@ -446,7 +446,8 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			activeSince: ls.ActiveSince, activeTotal: ls.ActiveTotal,
 		}
 		if ls.Last != nil {
-			l.last = *ls.Last
+			rec := *ls.Last
+			l.last = &rec
 		}
 		l.bindEvents(m)
 		m.leases[l.id] = l
