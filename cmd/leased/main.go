@@ -31,6 +31,10 @@
 // the journal records a restart would replay, one JSON object per line, and
 // exits.
 //
+// With -debug-addr the daemon serves net/http/pprof (/debug/pprof/...) on
+// that address, on a listener and mux of its own: profiles never pass
+// through the client-facing handler, its admission gate or its timeouts.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains, a final
 // checkpoint is written (so the next boot replays zero records), the clock
 // stops, and a final metrics snapshot is logged.
@@ -45,6 +49,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -73,6 +78,7 @@ func main() {
 		fsync       = flag.Bool("fsync", false, "fsync the journal on every append")
 		faultSpec   = flag.String("faults", "", "fault-injection spec, e.g. http.drop=0.05,wall.delay=0.01:20ms")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault injector")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof at this address, on its own listener (empty = off; it is unauthenticated, so bind it to loopback)")
 
 		role      = flag.String("role", "", `cluster role: "primary" or "follower" (empty = standalone, no replication)`)
 		replAddr  = flag.String("repl-addr", "", "replication listen address for follower connections (primaries)")
@@ -202,6 +208,15 @@ func main() {
 		log.Printf("cluster role=%s epoch=%d", srv.Role(), srv.ClusterEpoch())
 	}
 
+	if *debugAddr != "" {
+		dbg, at, err := startDebug(*debugAddr)
+		if err != nil {
+			log.Fatalf("debug listen %s: %v", *debugAddr, err)
+		}
+		defer dbg.Close()
+		log.Printf("pprof listening on %s", at)
+	}
+
 	hs := newHTTPServer(*addr, srv, *reqTimeout)
 	errc := make(chan error, 1)
 	go func() {
@@ -266,6 +281,29 @@ func newHTTPServer(addr string, srv *leased.Server, reqTimeout time.Duration) *h
 	// Shutdown leaves the connections the daemon took over to the daemon.
 	hs.RegisterOnShutdown(srv.CloseConnections)
 	return hs
+}
+
+// startDebug serves net/http/pprof at addr on a listener and mux of its own
+// until the returned server is closed, and reports the address it listens
+// on.
+func startDebug(addr string) (*http.Server, net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		if err := hs.Serve(ln); err != http.ErrServerClosed {
+			log.Printf("pprof: %v", err)
+		}
+	}()
+	return hs, ln.Addr(), nil
 }
 
 // parsePeers decodes the -peers membership list: semicolon-separated

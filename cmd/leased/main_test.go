@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,5 +60,36 @@ func TestTimedOutAnswerReachesAConnectionNetHTTPOwns(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusServiceUnavailable || strings.TrimSpace(string(got)) != `{"error":"request timed out"}` {
 		t.Fatalf("got %d %q, want 503 {\"error\":\"request timed out\"}", resp.StatusCode, got)
+	}
+}
+
+// TestDebugAddrServesPprof: -debug-addr's server answers a heap profile on a
+// loopback port of its own, and the client-facing handler serves no
+// profile.
+func TestDebugAddrServesPprof(t *testing.T) {
+	dbg, addr, err := startDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
+	resp, err := http.Get("http://" + addr.String() + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), "heap profile:") {
+		t.Fatalf("GET /debug/pprof/heap?debug=1: status %d, body %.80q", resp.StatusCode, body)
+	}
+
+	srv := leased.NewServer(leased.Options{})
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/heap?debug=1", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("the client-facing handler answered a profile request with %d, want 404", rec.Code)
 	}
 }

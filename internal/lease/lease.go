@@ -30,8 +30,9 @@ import (
 	"repro/internal/simclock"
 )
 
-// State is a lease's lifecycle state (paper Figure 5).
-type State int
+// State is a lease's lifecycle state (paper Figure 5). It is one byte so a
+// Lease packs it with its held flag.
+type State uint8
 
 const (
 	// Active: within a term; the holder may use the resource freely.

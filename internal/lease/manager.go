@@ -26,12 +26,12 @@ type Lease struct {
 	obj hooks.Object
 
 	state     State
+	held      bool
 	createdAt simclock.Time
 	termStart simclock.Time
 	term      time.Duration
 	termIndex int
 
-	held            bool
 	normalStreak    int
 	misbehaveStreak int
 	escalation      int
@@ -46,21 +46,16 @@ type Lease struct {
 	lastUI    int
 	lastInter int
 
-	checkEvent   simclock.EventID
-	restoreEvent simclock.EventID
-	// checkFn/restoreFn are the end-of-term and deferral-restore callbacks,
-	// bound once per lease (bindEvents) so per-term scheduling never
-	// allocates a closure.
-	checkFn   func()
-	restoreFn func()
-	// checkAt / restoreAt remember the pending events' due instants so a
-	// state snapshot (CaptureState) can re-schedule them on restore. They
-	// are meaningful only while the matching EventID is non-zero.
-	checkAt   simclock.Time
-	restoreAt simclock.Time
+	// event is the one pending event, at due: the term check while the
+	// lease is Active, the deferral's restore while it is Deferred, none
+	// otherwise. fire is its callback, bound once per lease (bindEvent) so
+	// per-term scheduling never allocates a closure; it dispatches on the
+	// state. due lets CaptureState re-arm the event on restore.
+	event simclock.EventID
+	fire  func()
+	due   simclock.Time
 
 	// bookkeeping for the §7.2 lease-activity report
-	deadAt      simclock.Time
 	lastIdle    simclock.Time
 	idleTotal   time.Duration
 	activeSince simclock.Time
@@ -212,7 +207,7 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 		lastUI:    m.apps.UIUpdatesOf(o.UID),
 		lastInter: m.apps.InteractionsOf(o.UID),
 	}
-	l.bindEvents(m)
+	l.bindEvent(m)
 	m.leases[l.id] = l
 	m.byObj[key] = l.id
 	m.createdTotal++
@@ -222,16 +217,16 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 	return l.id
 }
 
-// bindEvents creates the lease's two event callbacks, paid once at creation
-// so that every term check and deferral schedules allocation-free.
-func (l *Lease) bindEvents(m *Manager) {
-	l.checkFn = func() {
-		l.checkEvent = 0
-		m.endOfTerm(l)
-	}
-	l.restoreFn = func() {
-		l.restoreEvent = 0
-		m.restore(l)
+// bindEvent creates the lease's event callback, paid once at creation so
+// that every term check and deferral schedules allocation-free.
+func (l *Lease) bindEvent(m *Manager) {
+	l.fire = func() {
+		l.event = 0
+		if l.state == Deferred {
+			m.restore(l)
+		} else {
+			m.endOfTerm(l)
+		}
 	}
 }
 
@@ -407,7 +402,7 @@ func (m *Manager) transition(l *Lease, to State, reason string) {
 	now := m.clock.Now()
 	ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
 	if to == Deferred {
-		ev.Tau = l.restoreAt - now // defer_ sets restoreAt first
+		ev.Tau = l.due - now // defer_ sets due first
 	}
 	m.emit(l, ev)
 	// Maintain the per-lease active-time accumulator for the §7.2 report.
@@ -426,11 +421,17 @@ func (m *Manager) beginTerm(l *Lease) {
 }
 
 func (m *Manager) scheduleCheck(l *Lease) {
-	if l.checkEvent != 0 {
-		m.clock.Cancel(l.checkEvent)
+	m.cancelEvent(l)
+	l.due = m.clock.Now() + l.term
+	l.event = m.clock.Schedule(l.term, l.fire)
+}
+
+// cancelEvent drops the lease's pending event, if it has one.
+func (m *Manager) cancelEvent(l *Lease) {
+	if l.event != 0 {
+		m.clock.Cancel(l.event)
+		l.event = 0
 	}
-	l.checkAt = m.clock.Now() + l.term
-	l.checkEvent = m.clock.Schedule(l.term, l.checkFn)
 }
 
 // endOfTerm is the heart of the mechanism: collect the term's stats,
@@ -550,10 +551,10 @@ func (m *Manager) defer_(l *Lease, rec TermRecord) {
 	l.term = m.cfg.Term // revert any adaptive growth
 	m.Deferrals++
 
-	l.restoreAt = m.clock.Now() + tau
+	l.due = m.clock.Now() + tau
 	m.transition(l, Deferred, deferReasons[rec.Behavior])
 	l.obj.Control.Suppress(l.obj.ID)
-	l.restoreEvent = m.clock.Schedule(tau, l.restoreFn)
+	l.event = m.clock.Schedule(tau, l.fire)
 }
 
 // restore ends a deferral: the capability and resource are restored and the
@@ -605,16 +606,8 @@ func (m *Manager) kill(l *Lease) {
 	m.deadRecords = append(m.deadRecords, ActivityRecord{
 		Active: l.ActiveTime(m.clock.Now()), Terms: l.termIndex,
 	})
-	if l.checkEvent != 0 {
-		m.clock.Cancel(l.checkEvent)
-		l.checkEvent = 0
-	}
-	if l.restoreEvent != 0 {
-		m.clock.Cancel(l.restoreEvent)
-		l.restoreEvent = 0
-	}
+	m.cancelEvent(l)
 	m.transition(l, Dead, "kernel object deallocated")
-	l.deadAt = m.clock.Now()
 	m.deadTotal++
 	delete(m.byObj, objKey{l.obj.Control.ServiceName(), l.obj.ID})
 	delete(m.leases, l.id)
@@ -629,10 +622,7 @@ func (m *Manager) ForceTermCheck(id uint64) bool {
 	if !ok || l.state != Active {
 		return false
 	}
-	if l.checkEvent != 0 {
-		m.clock.Cancel(l.checkEvent)
-		l.checkEvent = 0
-	}
+	m.cancelEvent(l)
 	m.endOfTerm(l)
 	return true
 }

@@ -19,6 +19,7 @@ package lease
 // counters (live app callbacks — not serializable) and the OnEvent sink.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -56,12 +57,15 @@ type LeaseState struct {
 	LastUI    int           `json:"last_ui"`
 	LastInter int           `json:"last_inter"`
 
-	// Pending events, re-armed by RestoreState when the Has* flag is set.
+	// Pending events, re-armed by RestoreState when the Has* flag is set:
+	// a check only on an Active lease, a restore only on a Deferred one.
 	HasCheck  bool          `json:"has_check,omitempty"`
 	CheckAt   simclock.Time `json:"check_at,omitempty"`
 	HasRestor bool          `json:"has_restore,omitempty"`
 	RestoreAt simclock.Time `json:"restore_at,omitempty"`
 
+	// DeadAt is a retired slot, written as 0: a lease leaves every table as
+	// it dies, so no capture held a non-zero one. Restore ignores it.
 	DeadAt      simclock.Time `json:"dead_at"`
 	LastIdle    simclock.Time `json:"last_idle"`
 	IdleTotal   time.Duration `json:"idle_total"`
@@ -171,16 +175,16 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Int(l.lastExc)
 	w.Int(l.lastUI)
 	w.Int(l.lastInter)
-	// Pending events: a presence byte, then the due instant only if set.
-	w.Bool(l.checkEvent != 0)
-	if l.checkEvent != 0 {
-		w.Varint(int64(l.checkAt))
+	// Pending events, the check's then the restore's: a presence byte, then
+	// the due instant only if set. The state says which one is pending.
+	restore := l.state == Deferred
+	for _, pending := range [2]bool{l.event != 0 && !restore, l.event != 0 && restore} {
+		w.Bool(pending)
+		if pending {
+			w.Varint(int64(l.due))
+		}
 	}
-	w.Bool(l.restoreEvent != 0)
-	if l.restoreEvent != 0 {
-		w.Varint(int64(l.restoreAt))
-	}
-	w.Varint(int64(l.deadAt))
+	w.Varint(0) // retired: the instant the lease died
 	w.Varint(int64(l.lastIdle))
 	w.Varint(int64(l.idleTotal))
 	w.Varint(int64(l.activeSince))
@@ -400,6 +404,11 @@ func DecodeConfig(r *snapenc.Reader) Config {
 	return c
 }
 
+// ErrPendingEvent refuses a capture whose lease has a pending event its
+// state cannot have: a lease awaits its term check only while Active and
+// its restore only while Deferred, so it never has both.
+var ErrPendingEvent = errors.New("a lease's pending event must match its state")
+
 // RestoreState rebuilds a freshly-created manager from a capture. resolve
 // maps each serialized lease back to its live kernel object (the caller
 // owns the object table and its Controller); returning false fails the
@@ -431,35 +440,41 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 		if (ls.TermIndex > 0) != (ls.Last != nil) {
 			return fmt.Errorf("lease: RestoreState: lease %d has %d completed terms but last record present = %v", ls.ID, ls.TermIndex, ls.Last != nil)
 		}
+		state := State(ls.State)
+		switch {
+		case ls.State < int(Active) || ls.State > int(Dead):
+			return fmt.Errorf("lease: RestoreState: lease %d has unknown state %d", ls.ID, ls.State)
+		case ls.HasCheck && state != Active, ls.HasRestor && state != Deferred:
+			return fmt.Errorf("lease: RestoreState: lease %d is %v with a pending check %v and restore %v: %w", ls.ID, state, ls.HasCheck, ls.HasRestor, ErrPendingEvent)
+		}
 		obj, ok := resolve(ls)
 		if !ok {
 			return fmt.Errorf("lease: RestoreState: no kernel object for lease %d (obj %d)", ls.ID, ls.ObjID)
 		}
 		l := &Lease{
 			id: ls.ID, obj: obj,
-			state: State(ls.State), createdAt: ls.CreatedAt, termStart: ls.TermStart,
+			state: state, createdAt: ls.CreatedAt, termStart: ls.TermStart,
 			term: ls.Term, termIndex: ls.TermIndex,
 			held: ls.Held, normalStreak: ls.NormalStreak,
 			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
 			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
-			deadAt: ls.DeadAt, lastIdle: ls.LastIdle, idleTotal: ls.IdleTotal,
+			lastIdle: ls.LastIdle, idleTotal: ls.IdleTotal,
 			activeSince: ls.ActiveSince, activeTotal: ls.ActiveTotal,
 		}
 		if ls.Last != nil {
 			rec := *ls.Last
 			l.last = &rec
 		}
-		l.bindEvents(m)
+		l.bindEvent(m)
 		m.leases[l.id] = l
 		m.byObj[objKey{obj.Control.ServiceName(), obj.ID}] = l.id
 
-		if ls.HasCheck {
-			l.checkAt = ls.CheckAt
-			l.checkEvent = m.clock.Schedule(until(now, ls.CheckAt), l.checkFn)
-		}
-		if ls.HasRestor {
-			l.restoreAt = ls.RestoreAt
-			l.restoreEvent = m.clock.Schedule(until(now, ls.RestoreAt), l.restoreFn)
+		if ls.HasCheck || ls.HasRestor {
+			l.due = ls.CheckAt
+			if ls.HasRestor {
+				l.due = ls.RestoreAt
+			}
+			l.event = m.clock.Schedule(until(now, l.due), l.fire)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package lease
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -208,25 +209,99 @@ func TestRestoreRejectsUnknownObject(t *testing.T) {
 // the clock past the end of time (the engine panics on that).
 func TestRestoreSurvivesInstantsFarInThePast(t *testing.T) {
 	eng := simclock.NewEngine()
-	mgr := NewManager(eng, newFakeStats(), Config{})
+	stats := newFakeStats()
+	mgr := NewManager(eng, stats, Config{})
 	ctrl := newSnapCtrl()
-	mgr.Create(snapObj(ctrl, 1, 10))
-	eng.RunUntil(time.Second)
+	mgr.Create(snapObj(ctrl, 1, 10)) // idle holder: deferred at 5s
+	mgr.Create(snapObj(ctrl, 2, 20)) // busy holder: stays active
+	stop := eng.Ticker(time.Second, func() { stats.cpu[20] += 500 * time.Millisecond })
+	defer stop()
+	eng.RunUntil(7 * time.Second)
 	st := mgr.CaptureState()
-	st.Leases[0].HasCheck, st.Leases[0].CheckAt = true, math.MinInt64
-	st.Leases[0].HasRestor, st.Leases[0].RestoreAt = true, math.MinInt64+1
+	for i := range st.Leases {
+		switch ls := &st.Leases[i]; {
+		case ls.HasCheck:
+			ls.CheckAt = math.MinInt64
+		case ls.HasRestor:
+			ls.RestoreAt = math.MinInt64 + 1
+		}
+	}
+	if State(st.Leases[0].State) != Deferred || State(st.Leases[1].State) != Active {
+		t.Fatalf("states %v and %v, want DEFERRED and ACTIVE", State(st.Leases[0].State), State(st.Leases[1].State))
+	}
 
 	eng2 := simclock.NewEngine()
-	eng2.RunUntil(time.Second)
-	mgr2 := NewManager(eng2, newFakeStats(), Config{})
+	eng2.RunUntil(7 * time.Second)
+	mgr2 := NewManager(eng2, stats, Config{})
 	if err := mgr2.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
 		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng2.RunUntil(2 * time.Second) // both events fire, at once
-	if mgr2.TermChecks == 0 {
+	eng2.RunUntil(7*time.Second + time.Millisecond) // both events fire, at once
+	if mgr2.TermChecks == st.TermChecks {
 		t.Fatal("the re-armed term check never fired")
+	}
+	if mgr2.LeaseByID(st.Leases[0].ID).State() == Deferred {
+		t.Fatal("the re-armed restore never fired")
+	}
+}
+
+// TestRestoreRefusesPendingEventItsStateCannotHave: a lease awaits its term
+// check only while Active and its restore only while Deferred, so the one
+// event a lease keeps is told apart by its state. A capture that breaks that
+// — a check on a lease not Active, a restore on one not Deferred, or both
+// events at once — is refused, not re-armed.
+func TestRestoreRefusesPendingEventItsStateCannotHave(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10))
+	good := mgr.CaptureState()
+	resolve := func(ls LeaseState) (hooks.Object, bool) { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true }
+	for _, tc := range []struct {
+		state            State
+		check, restoring bool
+	}{
+		{Active, true, true},
+		{Active, false, true},
+		{Inactive, true, false},
+		{Inactive, false, true},
+		{Deferred, true, false},
+		{Deferred, true, true},
+		{Dead, true, false},
+		{Dead, false, true},
+	} {
+		st := good
+		st.Leases = append([]LeaseState(nil), good.Leases...)
+		ls := &st.Leases[0]
+		ls.State, ls.HasCheck, ls.HasRestor, ls.CheckAt, ls.RestoreAt = int(tc.state), tc.check, tc.restoring, time.Second, time.Second
+		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, resolve)
+		if !errors.Is(err, ErrPendingEvent) {
+			t.Errorf("%v with check %v, restore %v: err = %v, want ErrPendingEvent", tc.state, tc.check, tc.restoring, err)
+		}
+	}
+	if err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(good, resolve); err != nil {
+		t.Fatalf("the unmodified capture: %v", err)
+	}
+}
+
+// TestRestoreRefusesUnknownState: a State is one byte, so a decoded state
+// past Dead — 256 would wrap to Active — is refused, not truncated.
+func TestRestoreRefusesUnknownState(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10))
+	for _, state := range []int{int(Dead) + 1, 256, -1} {
+		st := mgr.CaptureState()
+		st.Leases[0].State, st.Leases[0].HasCheck = state, false
+		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
+			return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
+		})
+		if err == nil || !strings.Contains(err.Error(), "unknown state") {
+			t.Errorf("state %d: err = %v, want an unknown state", state, err)
+		}
 	}
 }
 

@@ -39,10 +39,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	goruntime "runtime"
 	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/android/hooks"
 	"repro/internal/lease"
@@ -302,4 +304,51 @@ func httpAcquire(t *testing.T, s *Server, client string) uint64 {
 		t.Fatal(err)
 	}
 	return lr.LeaseID
+}
+
+// TestDaemonHeapPerLease: what a distinct client's first lease keeps live —
+// its client table row and name index entry, its kernel object, the
+// manager's lease, index entries and pending term check — bounded per lease
+// over 2 000 acquires, names made beforehand: ≈ 683 B, where a lease with
+// two more index entries, a second callback and copied fields kept ≈ 844 B.
+// The two per-lease records' sizes are pinned first, race detector or not.
+// The acquires and both readings share one clock section, so no term check
+// fires between the readings.
+func TestDaemonHeapPerLease(t *testing.T) {
+	if size := unsafe.Sizeof(robj{}); size > 128 {
+		t.Errorf("a robj is %d bytes, pinned at ≤ 128: what grew it?", size)
+	}
+	if size := unsafe.Sizeof(lease.Lease{}); size > 208 {
+		t.Errorf("a lease.Lease is %d bytes, pinned at ≤ 208: what grew it?", size)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the heap this pins")
+	}
+	const leases, maxPerLease = 2000, 720
+	s := NewServer(benchOptions(1))
+	defer s.Close()
+	sh := s.shards[0]
+	names := make([]string, leases)
+	for i := range names {
+		names[i] = fmt.Sprintf("heap-client-%05d", i)
+	}
+	var before, after goruntime.MemStats
+	sh.do(func() {
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		for _, name := range names {
+			sh.acquire(name, hooks.Wakelock)
+		}
+		goruntime.GC()
+		goruntime.ReadMemStats(&after)
+	})
+	if n := sh.mgr.LeaseCount(); n != leases {
+		t.Fatalf("%d live leases, want %d", n, leases)
+	}
+	perLease := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / leases
+	t.Logf("%d leases kept %.1f B a lease (robj %d B, lease.Lease %d B)", leases, perLease, unsafe.Sizeof(robj{}), unsafe.Sizeof(lease.Lease{}))
+	if perLease > maxPerLease {
+		t.Errorf("%d leases kept %.1f B a lease, pinned at ≤ %d", leases, perLease, maxPerLease)
+	}
+	goruntime.KeepAlive(names)
 }

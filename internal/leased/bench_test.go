@@ -142,7 +142,7 @@ func followerApplyOp(tb testing.TB, reqID string) func() {
 	}
 	sh := s.shards[0]
 	rep := usageReport{CPUMS: 1, UIUpdates: 1}
-	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).leaseID, Report: &rep, ReqID: reqID})
+	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).lease.ID(), Report: &rep, ReqID: reqID})
 	group := [][]byte{renew}
 	return func() {
 		if err := s.ApplyBatch(0, group); err != nil {
@@ -517,8 +517,8 @@ func BenchmarkRecoverSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 		store.Close()
-		if i == 0 && len(got.byLease) != 1000 {
-			b.Fatalf("recovered %d leases", len(got.byLease))
+		if i == 0 && got.mgr.LeaseCount() != 1000 {
+			b.Fatalf("recovered %d leases", got.mgr.LeaseCount())
 		}
 	}
 	b.ReportMetric(float64(size), "snapshot_bytes")

@@ -9,6 +9,7 @@ package leased
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,44 +21,47 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
-	"repro/internal/power"
 )
 
-// checkHandles walks every table that can reach a robj — the client table,
-// byLease, the resource table — and requires them to hold the same live
-// objects, each with the handle of its own lease in the shard's current
-// manager. Callers hold the shard clock (or own an unstarted shard).
-func checkHandles(t *testing.T, sh *shard) {
-	t.Helper()
-	inTable := 0
+// liveObjects is every object in the client table's slots.
+func liveObjects(sh *shard) []*robj {
+	var objs []*robj
 	for uid := 1; uid < len(sh.table.recs); uid++ {
-		for kind, o := range sh.table.recs[uid].objs {
-			if o == nil {
-				continue
-			}
-			inTable++
-			if o.uid != power.UID(uid) || o.kind != hooks.Kind(kind) {
-				t.Errorf("shard %d: client table slot (%d, %d) holds the object of (%d, %v)", sh.id, uid, kind, o.uid, o.kind)
-			}
-			if sh.byLease[o.leaseID] != o || sh.res.objs[o.id] != o {
-				t.Errorf("shard %d: object %d (lease %d) is in the client table but not in byLease and the resource table", sh.id, o.id, o.leaseID)
+		for _, o := range sh.table.recs[uid].objs {
+			if o != nil {
+				objs = append(objs, o)
 			}
 		}
 	}
-	if inTable != len(sh.byLease) || inTable != len(sh.res.objs) || inTable != sh.mgr.LeaseCount() {
-		t.Errorf("shard %d: %d objects in the client table, %d in byLease, %d in the resource table, %d live leases", sh.id, inTable, len(sh.byLease), len(sh.res.objs), sh.mgr.LeaseCount())
-	}
-	for id, o := range sh.byLease {
+	return objs
+}
+
+// checkHandles walks the client table, the one table that holds a robj, and
+// requires each object to sit in its own slot with the handle of its own
+// live lease in the shard's current manager, which resolves back to it; and
+// the manager to hold no lease beyond those. Callers hold the shard clock
+// (or own an unstarted shard).
+func checkHandles(t *testing.T, sh *shard) {
+	t.Helper()
+	objs := liveObjects(sh)
+	for _, o := range objs {
 		switch {
+		case sh.table.recs[o.uid].objs[o.kind] != o:
+			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, o.id, o.uid, o.kind)
 		case o.destroyed:
-			t.Errorf("shard %d: destroyed object still tracked for lease %d", sh.id, id)
+			t.Errorf("shard %d: destroyed object %d still in the client table", sh.id, o.id)
 		case o.lease == nil:
 			t.Errorf("shard %d: object %d has no lease handle", sh.id, o.id)
 		case o.lease.State() == lease.Dead:
 			t.Errorf("shard %d: object %d holds the handle of a dead lease", sh.id, o.id)
-		case o.lease != sh.mgr.LeaseByID(id) || o.lease.ID() != o.leaseID:
-			t.Errorf("shard %d: object %d holds a handle that is not its lease %d in the current manager", sh.id, o.id, id)
+		case o.lease != sh.mgr.LeaseByID(o.lease.ID()):
+			t.Errorf("shard %d: object %d holds a handle that is not lease %d in the current manager", sh.id, o.id, o.lease.ID())
+		case sh.objByLease(o.lease.ID()) != o:
+			t.Errorf("shard %d: lease %d does not resolve to its object %d", sh.id, o.lease.ID(), o.id)
 		}
+	}
+	if len(objs) != sh.mgr.LeaseCount() {
+		t.Errorf("shard %d: %d objects in the client table, %d live leases", sh.id, len(objs), sh.mgr.LeaseCount())
 	}
 }
 
@@ -99,13 +103,9 @@ func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 	// shard 0, through the handles restore resolved.
 	sh := s.shards[0]
 	at := sh.clock.Now() + time.Millisecond
-	var locals []uint64
-	for id := range sh.byLease {
-		locals = append(locals, id)
-	}
-	for _, id := range locals {
-		o := sh.byLease[id]
-		client, kind := o.client, o.kind
+	for _, o := range liveObjects(sh) {
+		id := o.lease.ID()
+		client, kind := sh.table.recs[o.uid].name, o.kind
 		for _, rec := range []*opRecord{
 			{At: at, Op: opRenew, LeaseID: id, Report: &usageReport{CPUMS: 5}},
 			{At: at, Op: opRelease, LeaseID: id, Destroy: true},
@@ -115,7 +115,7 @@ func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if again := sh.objOf(client, kind); again == nil || again == o || again.leaseID == id {
+		if again := sh.objOf(client, kind); again == nil || again == o || again.lease.ID() == id {
 			t.Fatalf("re-acquire after destroy did not mint a fresh object and lease for (%s, %v)", client, kind)
 		}
 	}
@@ -172,6 +172,43 @@ func TestRestoreRefusesStateThatIndexesOutOfATable(t *testing.T) {
 	// Unmodified, the same state restores.
 	if err := freshShard(snapTestOptions()).restoreState(good); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsObjectClientMismatch: an object row carries its
+// holder's name, a copy of its uid's clients row. The live shard names an
+// object's holder by its client table row alone, so restore refuses a row
+// whose copy disagrees rather than keep either.
+func TestRestoreRejectsObjectClientMismatch(t *testing.T) {
+	st := populatedShard(t, snapTestOptions(), 4, 2).captureState()
+	st.Objects[1].Client = st.Clients[2].Name
+	err := freshShard(snapTestOptions()).restoreState(st)
+	if !errors.Is(err, errObjectClientMismatch) || !strings.Contains(err.Error(), "objects row 1") {
+		t.Fatalf("err = %v, want errObjectClientMismatch naming objects row 1", err)
+	}
+}
+
+// TestRestoreRejectsLeaseObjectMismatch: a manager lease carries the object
+// ID, uid and kind of the object row that names it through lease_id. The
+// live lease takes all three from its object, so restore refuses a lease
+// that disagrees in any of them.
+func TestRestoreRejectsLeaseObjectMismatch(t *testing.T) {
+	good := populatedShard(t, snapTestOptions(), 4, 2).captureState()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ls *lease.LeaseState)
+	}{
+		{"object id", func(ls *lease.LeaseState) { ls.ObjID++ }},
+		{"uid", func(ls *lease.LeaseState) { ls.UID++ }},
+		{"kind", func(ls *lease.LeaseState) { ls.Kind = (ls.Kind + 1) % hooks.NumKinds }},
+	} {
+		st := good
+		st.Manager.Leases = append([]lease.LeaseState(nil), good.Manager.Leases...)
+		tc.corrupt(&st.Manager.Leases[2])
+		err := freshShard(snapTestOptions()).restoreState(st)
+		if !errors.Is(err, errLeaseObjectMismatch) {
+			t.Errorf("%s: err = %v, want errLeaseObjectMismatch", tc.name, err)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ type errorResponse struct {
 // verdictOf is what an op's answer says of o as of now; a lease just
 // destroyed is DEAD with no terms. Callers hold the shard clock.
 func verdictOf(o *robj) dedupVerdict {
-	v := dedupVerdict{lease: o.leaseID, acquires: o.acquires, uid: uint32(o.uid), kind: uint8(o.kind), state: uint8(o.lease.State()), held: o.Held}
+	v := dedupVerdict{lease: o.lease.ID(), acquires: o.acquires, uid: uint32(o.uid), kind: uint8(o.kind), state: uint8(o.lease.State()), held: o.Held}
 	if o.lease.State() != lease.Dead {
 		v.terms = int64(o.lease.Terms())
 	}
@@ -746,7 +746,7 @@ func (s *Server) serveGet(w http.ResponseWriter, env *opEnv, q *opReq) {
 		if late = expired(deadline); late {
 			return
 		}
-		if o := sh.byLease[local]; o != nil {
+		if o := sh.objByLease(local); o != nil {
 			found = true
 			v := verdictOf(o)
 			resp = sh.view(&v)

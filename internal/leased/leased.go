@@ -14,7 +14,7 @@
 // Every piece of mutable lease state is keyed by client identity —
 // reputation, EUB, the lease table, the client table, the dedup cache — so the
 // daemon partitions into fully independent shards: each shard is a wall
-// clock, an unmodified manager, a resource table and a durable journal of
+// clock, an unmodified manager, a client table and a durable journal of
 // its own, and a request touches exactly one of them. Acquires route by
 // hash(client name); renew/release/get route by the shard tag carried in
 // the low bits of every lease ID. There are no cross-shard locks on the hot
@@ -25,7 +25,7 @@
 // the simulator runs; the shard clock's Do is the only door to it, so HTTP
 // concurrency is serialized at that clock, term-check events interleave
 // with requests in timestamp order, and the shard's lease table keeps its
-// simulation-grade invariants under load. The resources table plays the
+// simulation-grade invariants under load. Each kernel object (robj) plays the
 // role the Android services play in the simulator: it is the lease proxy
 // that tracks held/active time server-side and folds in the utility signals
 // clients report with their renewals.
@@ -315,15 +315,14 @@ type shard struct {
 }
 
 // shardState is what a snapshot carries and a wholesale replacement
-// (ApplySnapshot) replaces: an unmodified lease manager, the server-side
-// resource table, the client table and the dedup cache. State is reached by
-// handle, not by hashing: an op resolves its lease ID once in byLease (an
-// acquire its client name once in clients) and everything else it touches —
-// the holder's counters, the object, the manager's lease — hangs off the
-// robj or sits in the client table at the robj's uid.
+// (ApplySnapshot) replaces: an unmodified lease manager, the client table
+// with the kernel objects in its slots, and the dedup cache. State is reached
+// by handle, not by hashing: an op resolves its lease ID once in the manager
+// (objByLease; an acquire its client name once in clients) and everything
+// else it touches — the holder's counters, the object — sits in the client
+// table at the lease's uid and kind, or hangs off the robj.
 type shardState struct {
 	mgr *lease.Manager
-	res *resources
 
 	// clients maps a name to its shard-local UID. UIDs are handed out densely
 	// from 1 and never retired, so table is indexed by them: a client's name,
@@ -331,8 +330,8 @@ type shardState struct {
 	clients map[string]power.UID
 	table   *clientTable
 
-	byLease map[uint64]*robj // keyed by shard-local lease ID
-	dedup   *dedupCache
+	nextObjID uint64 // the last kernel object ID issued
+	dedup     *dedupCache
 }
 
 // newShardState is the one constructor of a shard's replaceable state: an
@@ -341,10 +340,8 @@ func newShardState(clock *runtime.Wall, opts Options) shardState {
 	table := &clientTable{recs: make([]clientRec, 1)} // UID 0 is never issued
 	return shardState{
 		mgr:     lease.NewManager(clock, table, opts.Lease),
-		res:     &resources{clock: clock, objs: make(map[uint64]*robj)},
 		clients: make(map[string]power.UID),
 		table:   table,
-		byLease: make(map[uint64]*robj),
 		dedup:   newDedupCache(opts.DedupWindow),
 	}
 }
@@ -553,19 +550,31 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 	slot := &sh.table.recs[uid].objs[kind]
 	o := *slot
 	if o == nil {
-		o = sh.res.create(uid, kind, client)
+		sh.nextObjID++
+		o = &robj{Hold: hooks.Hold{Held: true, LastSettle: sh.clock.Now()}, clock: sh.clock, id: sh.nextObjID, uid: uid, kind: kind, acquires: 1}
 		*slot = o
-		o.Held = true
-		o.acquires = 1
-		o.leaseID = sh.mgr.Create(sh.res.hookObject(o))
-		o.lease = sh.mgr.LeaseByID(o.leaseID)
-		sh.byLease[o.leaseID] = o
+		o.lease = sh.mgr.LeaseByID(sh.mgr.Create(o.hookObject()))
 		return o
 	}
 	o.acquires++
 	sh.hold(o)
 	sh.mgr.Reacquired(o.lease)
 	return o
+}
+
+// objByLease resolves a shard-local lease ID to its kernel object: the
+// manager's lease, then its holder's slot of its kind, which must hold that
+// very lease — so a dead lease, or one whose slot a fresh lease has since
+// taken, is unknown. Callers hold the shard clock.
+func (sh *shard) objByLease(id uint64) *robj {
+	l := sh.mgr.LeaseByID(id)
+	if l == nil {
+		return nil
+	}
+	if o := sh.table.recs[l.UID()].objs[l.Kind()]; o != nil && o.lease == l {
+		return o
+	}
+	return nil
 }
 
 // renew folds the client's usage report into the lease's current term and
@@ -600,9 +609,8 @@ func (sh *shard) release(o *robj) {
 
 // destroy deallocates the kernel object: the lease dies and the (client,
 // kind) slot is freed for a fresh lease. It is the only way a daemon lease
-// dies, and it drops the object from every table in the same step, so no
-// table ever reaches a robj whose lease handle is dead. Callers hold the
-// shard clock.
+// dies, and it empties the object's slot in the same step, so no table ever
+// reaches a robj whose lease handle is dead. Callers hold the shard clock.
 func (sh *shard) destroy(o *robj) {
 	if o.destroyed {
 		return
@@ -612,8 +620,6 @@ func (sh *shard) destroy(o *robj) {
 	o.Held = false
 	sh.mgr.Destroyed(o.lease)
 	sh.table.recs[o.uid].objs[o.kind] = nil
-	delete(sh.byLease, o.leaseID)
-	delete(sh.res.objs, o.id)
 }
 
 // The write path is one pipeline. Every mutation — a single-op request (a
@@ -736,7 +742,7 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, v dedupVerdict, errMsg 
 	case opAcquire:
 		return http.StatusOK, verdictOf(sh.acquire(rec.Client, rec.Kind)), ""
 	case opRenew:
-		o := sh.byLease[rec.LeaseID]
+		o := sh.objByLease(rec.LeaseID)
 		if o == nil {
 			return http.StatusNotFound, v, "unknown or dead lease"
 		}
@@ -747,7 +753,7 @@ func (sh *shard) applyRecord(rec *opRecord) (status int, v dedupVerdict, errMsg 
 		sh.renew(o, rep)
 		return http.StatusOK, verdictOf(o), ""
 	case opRelease:
-		o := sh.byLease[rec.LeaseID]
+		o := sh.objByLease(rec.LeaseID)
 		if o == nil {
 			return http.StatusNotFound, v, "unknown or dead lease"
 		}
@@ -781,21 +787,21 @@ func (sh *shard) foldReport(o *robj, rep usageReport) {
 // --- the server-side lease proxy (hooks.Controller) ---
 
 // robj is one kernel object: the server-side record of a (client, kind)
-// resource instance. Its proxy state is the simulator services' hooks.Hold,
-// settled against the shard's wall clock: Held and Active accrue from the
-// clock, the rest of Acc from the usage reports clients send with renewals
-// (foldReport), and the manager pulls the lot each term.
+// resource instance, and its own lease proxy. Its proxy state is the
+// simulator services' hooks.Hold, settled against the shard's wall clock:
+// Held and Active accrue from the clock, the rest of Acc from the usage
+// reports clients send with renewals (foldReport), and the manager pulls the
+// lot each term. The holder's name is its client table row's.
 type robj struct {
 	hooks.Hold
 
-	id      uint64
-	uid     power.UID
-	kind    hooks.Kind
-	client  string
-	leaseID uint64 // shard-local manager lease ID
-	// lease is the manager's record for leaseID, resolved when the lease is
-	// created (acquire) or restored (restoreStateLocked) and valid for as
-	// long as any table holds this robj: destroy kills both together.
+	clock *runtime.Wall // the shard's
+	id    uint64
+	uid   power.UID
+	kind  hooks.Kind
+	// lease is the manager's lease on this object, resolved when the lease is
+	// created (acquire) or restored (restoreStateLocked) and live for as long
+	// as the object sits in its slot: destroy kills both together.
 	lease *lease.Lease
 
 	destroyed bool
@@ -808,55 +814,47 @@ type robj struct {
 	acquires int64
 }
 
-// resources implements hooks.Controller over one shard's live object table.
-// All methods run with the shard clock held (the manager only calls them
-// from inside term-check events or server operations).
-type resources struct {
-	clock  runtime.Clock
-	objs   map[uint64]*robj
-	nextID uint64
+// hookObject is the manager's view of o, which is its own Controller: the
+// manager's calls reach the object without a lookup.
+func (o *robj) hookObject() hooks.Object {
+	return hooks.Object{ID: o.id, UID: o.uid, Kind: o.kind, Control: o}
 }
 
-func (r *resources) create(uid power.UID, kind hooks.Kind, client string) *robj {
-	r.nextID++
-	o := &robj{Hold: hooks.Hold{LastSettle: r.clock.Now()}, id: r.nextID, uid: uid, kind: kind, client: client}
-	r.objs[o.id] = o
-	return o
-}
+// The manager calls these with the shard clock held: from inside term-check
+// events or server operations. As a service with one object, o answers a
+// call about any other ID, or about itself once destroyed, as about an
+// object it does not have.
 
-func (r *resources) hookObject(o *robj) hooks.Object {
-	return hooks.Object{ID: o.id, UID: o.uid, Kind: o.kind, Control: r}
-}
+func (o *robj) has(id uint64) bool { return id == o.id && !o.destroyed }
 
-func (r *resources) setSuppressed(id uint64, suppressed bool) {
-	if o := r.objs[id]; o != nil && o.Suppressed != suppressed {
-		o.Settle(r.clock.Now())
+func (o *robj) setSuppressed(id uint64, suppressed bool) {
+	if o.has(id) && o.Suppressed != suppressed {
+		o.Settle(o.clock.Now())
 		o.Suppressed = suppressed
 	}
 }
 
 // Suppress implements hooks.Controller: the resource is revoked while the
 // client-side lease "pretends to succeed".
-func (r *resources) Suppress(id uint64) { r.setSuppressed(id, true) }
+func (o *robj) Suppress(id uint64) { o.setSuppressed(id, true) }
 
 // Unsuppress implements hooks.Controller.
-func (r *resources) Unsuppress(id uint64) { r.setSuppressed(id, false) }
+func (o *robj) Unsuppress(id uint64) { o.setSuppressed(id, false) }
 
 // TermStats implements hooks.Controller: returns and resets the counters
 // accumulated since the previous pull.
-func (r *resources) TermStats(id uint64) hooks.TermStats {
-	o := r.objs[id]
-	if o == nil {
+func (o *robj) TermStats(id uint64) hooks.TermStats {
+	if !o.has(id) {
 		return hooks.TermStats{}
 	}
-	o.Settle(r.clock.Now())
+	o.Settle(o.clock.Now())
 	return o.Pull()
 }
 
 // ServiceName implements hooks.Controller.
-func (r *resources) ServiceName() string { return "leased" }
+func (o *robj) ServiceName() string { return "leased" }
 
-var _ hooks.Controller = (*resources)(nil)
+var _ hooks.Controller = (*robj)(nil)
 
 // --- the client table (lease.AppStats) ---
 

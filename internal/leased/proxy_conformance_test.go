@@ -104,23 +104,22 @@ func wakelockRig(kind hooks.Kind) func() proxyRig {
 	}
 }
 
-// daemonRig is a shard's resources on an unstarted wall, driven through the
-// shard operations the HTTP routes apply. The governor is the shard's lease
-// manager; its term is an hour, so no term check pulls the counters or
-// defers the lease during the script.
+// daemonRig is a shard's kernel object on an unstarted wall, driven through
+// the shard operations the HTTP routes apply. The object is its own
+// controller, so it is acquired as the rig is built, at the instant the
+// script's create would have. The governor is the shard's lease manager;
+// its term is an hour, so no term check pulls the counters or defers the
+// lease during the script.
 func daemonRig() proxyRig {
 	sh := freshShard(Options{Lease: lease.Config{Term: time.Hour}})
-	var o *robj
+	o := sh.acquire("conformance", hooks.Wakelock)
 	return proxyRig{
 		advance: func(d time.Duration) { sh.clock.RunVirtual(sh.clock.Now() + d) },
-		create: func() uint64 {
-			o = sh.acquire("conformance", hooks.Wakelock)
-			return o.id
-		},
-		hold: func() { sh.renew(o, usageReport{}) },
-		drop: func() { sh.release(o) },
-		kill: func() { sh.destroy(o) },
-		ctl:  sh.res,
+		create:  func() uint64 { return o.id },
+		hold:    func() { sh.renew(o, usageReport{}) },
+		drop:    func() { sh.release(o) },
+		kill:    func() { sh.destroy(o) },
+		ctl:     o,
 		heard: func() (int, int) {
 			return sh.mgr.CreatedTotal(), sh.mgr.CreatedTotal() - sh.mgr.LeaseCount()
 		},

@@ -174,9 +174,9 @@ func TestConcurrentHammer(t *testing.T) {
 			// Every object the shard tracks maps to a live lease and back,
 			// through every table and its handle.
 			checkHandles(t, sh)
-			for id := range sh.byLease {
-				if !byID[id] {
-					t.Errorf("shard %d: tracks lease %d the manager does not", sh.id, id)
+			for id := range byID {
+				if sh.objByLease(id) == nil {
+					t.Errorf("shard %d: live lease %d reaches no object", sh.id, id)
 				}
 			}
 			if sh.mgr.CreatedTotal() < sh.mgr.LeaseCount() {

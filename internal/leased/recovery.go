@@ -44,8 +44,8 @@ import (
 // exactly as it refuses a changed lease policy.
 //
 // A periodic checkpoint (every Options.SnapshotEvery records per shard)
-// serializes the shard's full state — manager, resource table, client/UID
-// map, app counters, dedup cache — in the binary snapshot encoding
+// serializes the shard's full state — manager, client table with its kernel
+// objects, app counters, dedup cache — in the binary snapshot encoding
 // (snapshot.go), so replay cost stays bounded; the durable store guarantees
 // the snapshot+journal pair is consistent across a crash at any instant.
 
@@ -518,6 +518,13 @@ func (s *Server) Checkpoint() {
 	}
 }
 
+// A snapshot names an object's holder, and a lease's object, twice; restore
+// refuses a payload whose two copies disagree rather than pick one.
+var (
+	errObjectClientMismatch = errors.New("object row's client is not its uid's name")
+	errLeaseObjectMismatch  = errors.New("manager lease disagrees with the object row that names it")
+)
+
 // restoreState rebuilds one shard from a checkpoint. The clock must be
 // unstarted; the manager must be fresh.
 func (sh *shard) restoreState(st persistedState) error {
@@ -553,7 +560,11 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		sh.table.recs = append(sh.table.recs, clientRec{name: c.Name})
 		sh.clients[c.Name] = power.UID(c.UID)
 	}
-	sh.res.nextID = st.NextObjID
+	sh.nextObjID = st.NextObjID
+	// Restore-local indexes, for the duplicate checks and for binding leases
+	// to objects: the live shard reaches an object through its slot.
+	objIDs := make(map[uint64]bool, len(st.Objects))
+	byLease := make(map[uint64]*robj, len(st.Objects))
 	for i, os := range st.Objects {
 		uid, kind := power.UID(os.UID), hooks.Kind(os.Kind)
 		switch {
@@ -563,14 +574,15 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			return fmt.Errorf("leased: snapshot objects row %d: unknown resource kind %d", i, os.Kind)
 		case sh.table.recs[uid].objs[kind] != nil:
 			return fmt.Errorf("leased: snapshot objects row %d: uid %d already holds a %v object", i, os.UID, kind)
-		case sh.res.objs[os.ID] != nil:
+		case os.Client != sh.table.recs[uid].name:
+			return fmt.Errorf("leased: snapshot objects row %d: %w: client %q, but uid %d is %q", i, errObjectClientMismatch, os.Client, os.UID, sh.table.recs[uid].name)
+		case objIDs[os.ID]:
 			return fmt.Errorf("leased: snapshot objects row %d: duplicate object id %d", i, os.ID)
-		case sh.byLease[os.LeaseID] != nil:
+		case byLease[os.LeaseID] != nil:
 			return fmt.Errorf("leased: snapshot objects row %d: duplicate lease_id %d", i, os.LeaseID)
 		}
 		o := &robj{
-			id: os.ID, uid: uid, kind: kind,
-			client: os.Client, leaseID: os.LeaseID,
+			clock: sh.clock, id: os.ID, uid: uid, kind: kind,
 			Hold: hooks.Hold{
 				Held: os.Held, Suppressed: os.Suppressed, LastSettle: os.LastSettle,
 				Acc: hooks.TermStats{
@@ -582,9 +594,9 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			},
 			acquires: os.Acquires,
 		}
-		sh.res.objs[o.id] = o
 		sh.table.recs[uid].objs[kind] = o
-		sh.byLease[o.leaseID] = o
+		objIDs[o.id] = true
+		byLease[os.LeaseID] = o
 	}
 	for i, a := range st.Apps {
 		uid := power.UID(a.UID)
@@ -610,12 +622,19 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		}
 		sh.dedup.put(e.ID, sh.dedup.hash(e.ID), e.verdict())
 	}
+	for _, ls := range st.Manager.Leases {
+		o := byLease[ls.ID]
+		if o != nil && (ls.ObjID != o.id || power.UID(ls.UID) != o.uid || hooks.Kind(ls.Kind) != o.kind) {
+			return fmt.Errorf("leased: snapshot manager lease %d: %w: object %d, uid %d, kind %d, but the object row naming it is object %d, uid %d, kind %d",
+				ls.ID, errLeaseObjectMismatch, ls.ObjID, ls.UID, ls.Kind, o.id, o.uid, o.kind)
+		}
+	}
 	err := sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (hooks.Object, bool) {
-		r := sh.byLease[ls.ID]
-		if r == nil {
+		o := byLease[ls.ID]
+		if o == nil {
 			return hooks.Object{}, false
 		}
-		return sh.res.hookObject(r), true
+		return o.hookObject(), true
 	})
 	if err != nil {
 		return err
@@ -623,9 +642,10 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 	// The second of the two points a lease handle is resolved at (acquire is
 	// the first). Every object must find its lease: the handle is what ops
 	// reach the manager through.
-	for _, o := range sh.byLease {
-		if o.lease = sh.mgr.LeaseByID(o.leaseID); o.lease == nil {
-			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", o.id, o.leaseID)
+	for _, os := range st.Objects {
+		o := byLease[os.LeaseID]
+		if o.lease = sh.mgr.LeaseByID(os.LeaseID); o.lease == nil {
+			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", o.id, os.LeaseID)
 		}
 	}
 	return nil

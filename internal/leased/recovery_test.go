@@ -166,7 +166,7 @@ func TestCrashRecoveryRebuildsExactState(t *testing.T) {
 		t.Fatalf("torch = state %d hasRestore %v, want deferred with pending restore", torch.State, torch.HasRestor)
 	}
 	// The server-side proxy still suppresses the resource.
-	if o := sh2.byLease[local]; o == nil || !o.Suppressed {
+	if o := sh2.objByLease(local); o == nil || !o.Suppressed {
 		t.Fatal("torch robj not suppressed after recovery")
 	}
 
@@ -247,7 +247,7 @@ func TestCrashRecoveryMultiShard(t *testing.T) {
 	// Each lease still routes to the shard that owns it.
 	for i, id := range ids {
 		shIdx, local := decodeLeaseID(id)
-		if s2.shards[shIdx].byLease[local] == nil {
+		if s2.shards[shIdx].objByLease(local) == nil {
 			t.Errorf("lease %d (client spread-%02d) missing from shard %d after recovery", id, i, shIdx)
 		}
 	}

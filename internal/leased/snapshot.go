@@ -2,6 +2,7 @@ package leased
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,7 +38,8 @@ var errLegacySnapshot = errors.New("snapshot payload is in the old JSON format (
 
 // encodeState walks the shard's full state into w. Callers hold the shard
 // clock. The client table is walked in index order — which is UID order —
-// and every map in sorted key order, so equal states produce equal bytes.
+// its objects sorted by ID, and every map in sorted key order, so equal
+// states produce equal bytes.
 func (sh *shard) encodeState(w *snapenc.Writer) {
 	w.Byte(snapshotVersion)
 	w.Varint(int64(sh.clock.Now()))
@@ -58,20 +60,29 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 		w.Int(uid)
 	}
 
-	w.Uvarint(sh.res.nextID)
-	ids := make([]uint64, 0, len(sh.res.objs))
-	for id := range sh.res.objs {
-		ids = append(ids, id)
+	// Objects in ID order, each with the name of the client whose slot holds it.
+	type objRow struct {
+		o      *robj
+		client string
 	}
-	slices.Sort(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		o := sh.res.objs[id]
+	objs := make([]objRow, 0, sh.mgr.LeaseCount())
+	for uid := 1; uid < len(recs); uid++ {
+		for _, o := range &recs[uid].objs {
+			if o != nil {
+				objs = append(objs, objRow{o, recs[uid].name})
+			}
+		}
+	}
+	slices.SortFunc(objs, func(a, b objRow) int { return cmp.Compare(a.o.id, b.o.id) })
+	w.Uvarint(sh.nextObjID)
+	w.Uvarint(uint64(len(objs)))
+	for _, row := range objs {
+		o := row.o
 		w.Uvarint(o.id)
 		w.Int(int(o.uid))
 		w.Int(int(o.kind))
-		w.String(o.client)
-		w.Uvarint(o.leaseID)
+		w.String(row.client)
+		w.Uvarint(o.lease.ID())
 		w.Bool(o.Held)
 		w.Bool(o.Suppressed)
 		w.Varint(int64(o.LastSettle))

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -72,7 +73,7 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 		if err := sh.replay([][][]byte{{encodeRecord(&rec)}}, false); err != nil {
 			tb.Fatal(err)
 		}
-		ids[i] = sh.objOf(rec.Client, rec.Kind).leaseID
+		ids[i] = sh.objOf(rec.Client, rec.Kind).lease.ID()
 	}
 	term := opts.Lease.Term
 	for n := 1; n <= terms; n++ {
@@ -200,10 +201,12 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 // randomState is a fully random persistedState made just consistent enough
 // to restore: the shard's own identity and policy, UIDs dense from 1, unique
 // sorted keys in every table, apps rows and objects owned by known clients
-// (an object per real kind at most), each lease bound to the object of the
-// same rank, no due instant on an event that is not pending, a last term
-// record exactly on a lease with completed terms, and dedup
-// verdicts that name a known client, a real kind and a real state.
+// and named by them (an object per real kind at most), each lease bound to
+// the object of the same rank, in a real state, with at most the one pending
+// event that state has and no due instant on an event that is not pending,
+// the retired dead_at 0, a last term record exactly on a lease with completed
+// terms, and dedup verdicts that name a known client, a real kind and a real
+// state.
 func randomState(rng *rand.Rand, sh *shard) persistedState {
 	var st persistedState
 	fillRandom(reflect.ValueOf(&st).Elem(), rng)
@@ -232,7 +235,12 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 		o, ls := &st.Objects[i], &st.Manager.Leases[i]
 		o.ID, o.LeaseID = uint64(100+i), uint64(200+i)
 		o.UID, o.Kind = 1+i%len(st.Clients), i%hooks.NumKinds
+		o.Client = st.Clients[o.UID-1].Name
 		ls.ID, ls.ObjID, ls.UID, ls.Kind = o.LeaseID, o.ID, o.UID, o.Kind
+		ls.State = rng.Intn(int(lease.Dead) + 1)
+		ls.HasCheck = ls.HasCheck && lease.State(ls.State) == lease.Active
+		ls.HasRestor = ls.HasRestor && lease.State(ls.State) == lease.Deferred
+		ls.DeadAt = 0
 		if !ls.HasCheck {
 			ls.CheckAt = 0
 		}
@@ -732,8 +740,34 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		func(o *robj) { o.kind = 200 },
 	} {
 		sh := populatedShard(f, snapTestOptions(), 4, 3)
-		corrupt(sh.byLease[1])
+		corrupt(sh.objByLease(1))
 		f.Add(encodeShard(sh))
+	}
+	// And two whose copies disagree: an object row that names a client other
+	// than its uid's (lease 1's object moved into the next client's empty
+	// slot of its kind), and a manager lease whose object is not the row that
+	// names it.
+	for _, tc := range []struct {
+		corrupt func(*shard)
+		want    error
+	}{
+		{func(sh *shard) {
+			o := sh.objByLease(1)
+			sh.table.recs[o.uid].objs[o.kind], sh.table.recs[o.uid+1].objs[o.kind] = nil, o
+		}, errObjectClientMismatch},
+		{func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
+	} {
+		sh := populatedShard(f, snapTestOptions(), 4, 3)
+		tc.corrupt(sh)
+		bad := encodeShard(sh)
+		got, err := decodeSnapshot(bad)
+		if err == nil {
+			err = freshShard(snapTestOptions()).restoreState(got)
+		}
+		if !errors.Is(err, tc.want) {
+			f.Fatalf("a payload whose copies disagree: err = %v, want %v", err, tc.want)
+		}
+		f.Add(bad)
 	}
 	// And a lease with completed terms but no term record: the payload ends
 	// with the last lease's one-record list, which becomes an empty one.

@@ -196,6 +196,9 @@ func TestPropertyRandomAppChaos(t *testing.T) {
 					}
 				}
 			}
+			if !onePendingEventMatchingState(s.Leases) {
+				return false
+			}
 		}
 		s.Run(10 * time.Minute)
 
@@ -213,6 +216,19 @@ func TestPropertyRandomAppChaos(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// onePendingEventMatchingState is the manager's event invariant, read from a
+// capture: an Active lease awaits its term check, a Deferred one its restore,
+// and any other has nothing pending.
+func onePendingEventMatchingState(m *lease.Manager) bool {
+	for _, ls := range m.CaptureState().Leases {
+		state := lease.State(ls.State)
+		if ls.HasCheck != (state == lease.Active) || ls.HasRestor != (state == lease.Deferred) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPropertyLeaseTermAnalysis validates the paper's §5.1 analytical model
