@@ -31,9 +31,10 @@
 // the journal records a restart would replay, one JSON object per line, and
 // exits.
 //
-// With -debug-addr the daemon serves net/http/pprof (/debug/pprof/...) on
-// that address, on a listener and mux of its own: profiles never pass
-// through the client-facing handler, its admission gate or its timeouts.
+// With -debug-addr the daemon serves net/http/pprof (/debug/pprof/...) and
+// expvar's runtime metrics (/debug/vars, memstats included) on that address,
+// on a listener and mux of its own: neither passes through the
+// client-facing handler, its admission gate or its timeouts.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains, a final
 // checkpoint is written (so the next boot replays zero records), the clock
@@ -42,6 +43,7 @@ package main
 
 import (
 	"context"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +80,7 @@ func main() {
 		fsync       = flag.Bool("fsync", false, "fsync the journal on every append")
 		faultSpec   = flag.String("faults", "", "fault-injection spec, e.g. http.drop=0.05,wall.delay=0.01:20ms")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for the fault injector")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof at this address, on its own listener (empty = off; it is unauthenticated, so bind it to loopback)")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and /debug/vars at this address, on its own listener (empty = off; it is unauthenticated, so bind it to loopback)")
 
 		role      = flag.String("role", "", `cluster role: "primary" or "follower" (empty = standalone, no replication)`)
 		replAddr  = flag.String("repl-addr", "", "replication listen address for follower connections (primaries)")
@@ -214,7 +216,7 @@ func main() {
 			log.Fatalf("debug listen %s: %v", *debugAddr, err)
 		}
 		defer dbg.Close()
-		log.Printf("pprof listening on %s", at)
+		log.Printf("pprof and /debug/vars listening on %s", at)
 	}
 
 	hs := newHTTPServer(*addr, srv, *reqTimeout)
@@ -283,9 +285,9 @@ func newHTTPServer(addr string, srv *leased.Server, reqTimeout time.Duration) *h
 	return hs
 }
 
-// startDebug serves net/http/pprof at addr on a listener and mux of its own
-// until the returned server is closed, and reports the address it listens
-// on.
+// startDebug serves net/http/pprof and expvar's /debug/vars at addr on a
+// listener and mux of its own until the returned server is closed, and
+// reports the address it listens on.
 func startDebug(addr string) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -297,6 +299,7 @@ func startDebug(addr string) (*http.Server, net.Addr, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
 	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := hs.Serve(ln); err != http.ErrServerClosed {

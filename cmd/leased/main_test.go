@@ -63,33 +63,42 @@ func TestTimedOutAnswerReachesAConnectionNetHTTPOwns(t *testing.T) {
 	}
 }
 
-// TestDebugAddrServesPprof: -debug-addr's server answers a heap profile on a
-// loopback port of its own, and the client-facing handler serves no
-// profile.
+// TestDebugAddrServesPprof: -debug-addr's server answers a heap profile and
+// the runtime's memstats on a loopback port of its own, and the
+// client-facing handler serves neither.
 func TestDebugAddrServesPprof(t *testing.T) {
 	dbg, addr, err := startDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dbg.Close()
-	resp, err := http.Get("http://" + addr.String() + "/debug/pprof/heap?debug=1")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	if code, body := get("/debug/pprof/heap?debug=1"); code != http.StatusOK || !strings.HasPrefix(body, "heap profile:") {
+		t.Fatalf("GET /debug/pprof/heap?debug=1: status %d, body %.80q", code, body)
 	}
-	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(body), "heap profile:") {
-		t.Fatalf("GET /debug/pprof/heap?debug=1: status %d, body %.80q", resp.StatusCode, body)
+	if code, body := get("/debug/vars"); code != http.StatusOK || !strings.Contains(body, `"memstats"`) {
+		t.Fatalf("GET /debug/vars: status %d, body %.80q", code, body)
 	}
 
 	srv := leased.NewServer(leased.Options{})
 	defer srv.Close()
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/heap?debug=1", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("the client-facing handler answered a profile request with %d, want 404", rec.Code)
+	for _, path := range []string{"/debug/pprof/heap?debug=1", "/debug/vars"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("the client-facing handler answered GET %s with %d, want 404", path, rec.Code)
+		}
 	}
 }

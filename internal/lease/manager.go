@@ -85,7 +85,12 @@ type Manager struct {
 	apps  AppStats
 	cfg   Config
 
-	leases  map[uint64]*Lease
+	leases map[uint64]*Lease
+	// byObj indexes live leases by kernel object for the object door (the
+	// Governor methods and Create). It is derived from leases and built by
+	// the first by-object call (indexObjects); until then it is nil and
+	// nothing maintains it, so a caller that reports by handle, like the
+	// daemon, never pays for it.
 	byObj   map[objKey]uint64
 	nextID  uint64
 	proxies map[hooks.Kind]hooks.Controller
@@ -121,6 +126,8 @@ type objKey struct {
 	id      uint64
 }
 
+func keyOf(o hooks.Object) objKey { return objKey{o.Control.ServiceName(), o.ID} }
+
 type counterKey struct {
 	uid  power.UID
 	kind hooks.Kind
@@ -139,7 +146,6 @@ func NewManager(clock runtime.Clock, apps AppStats, cfg Config) *Manager {
 		apps:        apps,
 		cfg:         cfg.withDefaults(),
 		leases:      make(map[uint64]*Lease),
-		byObj:       make(map[objKey]uint64),
 		proxies:     make(map[hooks.Kind]hooks.Controller),
 		counters:    make(map[counterKey]UtilityCounter),
 		reputations: make(map[power.UID]*reputation),
@@ -187,14 +193,21 @@ func (m *Manager) Reset() {
 
 // --- paper Table 3 interface ---
 
-// Create makes a lease for the kernel object o and returns its descriptor.
-// It is normally invoked through the ObjectCreated hook; it is exported to
-// mirror the paper's lease-proxy interface (Table 3).
+// Create makes a lease for the kernel object o and returns its descriptor,
+// or returns the descriptor of o's live lease if it has one. It is normally
+// invoked through the ObjectCreated hook; it is exported to mirror the
+// paper's lease-proxy interface (Table 3).
 func (m *Manager) Create(o hooks.Object) uint64 {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	if id, ok := m.byObj[key]; ok {
-		return id
+	if l := m.leaseOf(o); l != nil {
+		return l.id
 	}
+	return m.CreateLease(o).id
+}
+
+// CreateLease makes a lease for the kernel object o, which must have no live
+// lease, and returns it: Create for a proxy that keeps the handle, without
+// the by-object lookup.
+func (m *Manager) CreateLease(o hooks.Object) *Lease {
 	m.nextID++
 	now := m.clock.Now()
 	l := &Lease{
@@ -209,12 +222,14 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 	}
 	l.bindEvent(m)
 	m.leases[l.id] = l
-	m.byObj[key] = l.id
+	if m.byObj != nil {
+		m.byObj[keyOf(o)] = l.id
+	}
 	m.createdTotal++
 	m.emit(l, Event{Op: EventCreate})
 	m.applyReputation(l)
 	m.scheduleCheck(l)
-	return l.id
+	return l
 }
 
 // bindEvent creates the lease's event callback, paid once at creation so
@@ -361,8 +376,8 @@ func (m *Manager) ObjectDestroyed(o hooks.Object) {
 
 // --- the same three upcalls by lease handle ---
 //
-// A proxy that keeps the *Lease it was given for an object (LeaseByID, right
-// after Create or RestoreState) reports the object's lifecycle through these
+// A proxy that keeps the *Lease it was given for an object (by CreateLease,
+// or LeaseByID after RestoreState) reports the object's lifecycle through these
 // and skips the descriptor lookups; the Governor methods above are leaseOf
 // followed by one of them, so both doors run the same code. l must be a
 // live lease of this manager: a lease dies only through Destroyed, Remove or
@@ -391,11 +406,22 @@ var _ hooks.Governor = (*Manager)(nil)
 // --- internals ---
 
 func (m *Manager) leaseOf(o hooks.Object) *Lease {
-	id, ok := m.byObj[objKey{o.Control.ServiceName(), o.ID}]
+	if m.byObj == nil {
+		m.indexObjects()
+	}
+	id, ok := m.byObj[keyOf(o)]
 	if !ok {
 		return nil
 	}
 	return m.leases[id]
+}
+
+// indexObjects builds byObj from the live leases.
+func (m *Manager) indexObjects() {
+	m.byObj = make(map[objKey]uint64, len(m.leases))
+	for id, l := range m.leases {
+		m.byObj[keyOf(l.obj)] = id
+	}
 }
 
 func (m *Manager) transition(l *Lease, to State, reason string) {
@@ -609,7 +635,9 @@ func (m *Manager) kill(l *Lease) {
 	m.cancelEvent(l)
 	m.transition(l, Dead, "kernel object deallocated")
 	m.deadTotal++
-	delete(m.byObj, objKey{l.obj.Control.ServiceName(), l.obj.ID})
+	if m.byObj != nil {
+		delete(m.byObj, keyOf(l.obj))
+	}
 	delete(m.leases, l.id)
 }
 

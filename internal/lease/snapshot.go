@@ -467,7 +467,6 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 		}
 		l.bindEvent(m)
 		m.leases[l.id] = l
-		m.byObj[objKey{obj.Control.ServiceName(), obj.ID}] = l.id
 
 		if ls.HasCheck || ls.HasRestor {
 			l.due = ls.CheckAt

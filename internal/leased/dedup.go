@@ -28,7 +28,8 @@ import (
 // there are no tombstones to accumulate. Each cell carries 32 bits of its
 // entry's hash beside the position, so a probe reads the ring only for an
 // entry that very likely is the one sought, and a deletion shifts cells
-// without reading the ring at all.
+// without reading the ring at all. Those bits are the only copy of the hash:
+// an eviction hashes the evicted ID again to find its cell.
 //
 // The hash is seeded per cache. Request IDs are chosen by clients, and the
 // daemon exists to contain hostile ones: a fixed hash would let a client
@@ -51,13 +52,11 @@ type dedupCache struct {
 	mask  uint64
 }
 
-// dedupSlot is one ring entry, 56 bytes with nothing behind a pointer but
-// the ID. hash is kept so that eviction can find the entry's index cell
-// without rehashing the string.
+// dedupSlot is one ring entry, 48 bytes with nothing behind a pointer but
+// the ID.
 type dedupSlot struct {
-	id   string
-	hash uint64
-	v    dedupVerdict
+	id string
+	v  dedupVerdict
 }
 
 // dedupVerdict is what an op's answer said, in the fields verdictOf takes
@@ -163,7 +162,7 @@ func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
 			pos = (c.head + c.n) % len(c.ring)
 			c.n++
 		}
-		c.ring[pos].id, c.ring[pos].hash = id, h
+		c.ring[pos].id = id
 		i := h & c.mask
 		for c.index[i] != 0 {
 			i = (i + 1) & c.mask
@@ -177,8 +176,10 @@ func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
 // the gap: each later entry of the same probe run moves back into the hole
 // unless that would put it before its own home cell (backward-shift
 // deletion), so every entry stays reachable from its hash with no tombstone.
+// The search for the cell starts at the home of the entry's ID, hashed
+// again: only a full window evicts, once per new entry.
 func (c *dedupCache) unindex(pos int) {
-	hole := c.ring[pos].hash & c.mask
+	hole := c.hash(c.ring[pos].id) & c.mask
 	for uint32(c.index[hole]) != uint32(pos+1) {
 		hole = (hole + 1) & c.mask
 	}

@@ -256,7 +256,7 @@ func FuzzDedupCache(f *testing.F) {
 
 // TestDedupWindowHoldsNoResponseBytes: filling a default window keeps
 // nothing per entry but the request ID — no copy of the answer. The window's
-// ring and index are fixed at construction (56 + 16 bytes an entry, the slot
+// ring and index are fixed at construction (48 + 16 bytes an entry, the slot
 // size pinned here too); it is then filled twice over through the
 // pipeline's own put with a real lease's verdict, and the live heap that
 // adds, less the IDs (made and held beforehand), is bounded per entry. The
@@ -268,8 +268,8 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
 	}
 	const maxPerEntry = 64
-	if size := unsafe.Sizeof(dedupSlot{}); size > 56 {
-		t.Errorf("a dedup slot is %d bytes, pinned at ≤ 56: what grew it?", size)
+	if size := unsafe.Sizeof(dedupSlot{}); size > 48 {
+		t.Errorf("a dedup slot is %d bytes, pinned at ≤ 48: what grew it?", size)
 	}
 	s := NewServer(benchOptions(1))
 	defer s.Close()
@@ -305,4 +305,23 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 		t.Errorf("filling a %d-entry window kept %.1f B an entry beyond its IDs, pinned at ≤ %d: is an answer's rendering being kept?", window, perEntry, maxPerEntry)
 	}
 	goruntime.KeepAlive(ids)
+}
+
+// TestEmptyShardDedupCost: what an empty shard at the default options pays
+// before its first op is its dedup window's ring and index, 256 KiB at the
+// default 4 096 entries (48-byte slots, 8 192 eight-byte cells). A slot that
+// kept its entry's hash beside the index's copy paid 288 KiB.
+func TestEmptyShardDedupCost(t *testing.T) {
+	const maxBytes = 256 << 10
+	sh := freshShard(Options{})
+	c := sh.dedup
+	if len(c.ring) != 4096 {
+		t.Fatalf("the default window has %d slots, want 4096", len(c.ring))
+	}
+	ring := uintptr(cap(c.ring)) * unsafe.Sizeof(dedupSlot{})
+	index := uintptr(cap(c.index)) * unsafe.Sizeof(c.index[0])
+	t.Logf("an empty default shard's dedup window: ring %d B + index %d B", ring, index)
+	if ring+index > maxBytes {
+		t.Errorf("an empty default shard's dedup window is %d B (ring %d, index %d), pinned at ≤ %d", ring+index, ring, index, maxBytes)
+	}
 }

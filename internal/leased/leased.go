@@ -553,7 +553,7 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 		sh.nextObjID++
 		o = &robj{Hold: hooks.Hold{Held: true, LastSettle: sh.clock.Now()}, clock: sh.clock, id: sh.nextObjID, uid: uid, kind: kind, acquires: 1}
 		*slot = o
-		o.lease = sh.mgr.LeaseByID(sh.mgr.Create(o.hookObject()))
+		o.lease = sh.mgr.CreateLease(o.hookObject())
 		return o
 	}
 	o.acquires++
