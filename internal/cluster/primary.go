@@ -17,11 +17,6 @@ import (
 )
 
 const (
-	// subBufInit pre-sizes a subscriber's buffer so steady-state publishing
-	// never grows it: the zero-alloc serving path publishes into it under the
-	// shard clock, and a pre-grown buffer absorbs hundreds of records between
-	// flushes without a realloc.
-	subBufInit = 64 << 10
 	// subBufMax bounds how far a stalled follower can fall behind in the
 	// primary's memory — queued for the flush or for the connection — before
 	// its connection is dropped. Reconnecting gets it a fresh snapshot, which
@@ -113,9 +108,6 @@ func (st *ShardStream) PublishBatch(recs [][]byte) {
 func (st *ShardStream) Attach(sub *Subscriber) int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if sub.pending == nil {
-		sub.pending = make([]byte, 0, subBufInit)
-	}
 	st.subs = append(st.subs, sub)
 	sub.sent.Store(st.seq)
 	sub.acked = st.seq
@@ -154,7 +146,11 @@ type Subscriber struct {
 	addr  string
 	node  string // follower's self-declared node ID (Hello.Node); may be ""
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// pending starts empty and keeps the capacity its busiest flush interval
+	// grew it to: a flush empties it without freeing it, so once the stream
+	// has seen its traffic the serving path publishes into it without
+	// allocating, and a quiet stream holds no more than its traffic needs.
 	pending  []byte
 	records  bool // pending holds at least one record, not only heartbeats
 	overflow bool

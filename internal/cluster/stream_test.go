@@ -14,6 +14,7 @@ package cluster
 //	an idle stream writes each record at once          TestIdleStreamWritesEachRecordAtOnce
 //	Primary.Close flushes                              TestCloseFlushesWhatIsPending
 //	overflow drops the subscriber to catch-up          TestOverflowDropsTheSubscriber
+//	a warmed stream publishes without allocating       TestPublishAllocatesNothingOnceWarmed
 //	acks: every ackEvery records, or a ping            TestAckCadence, TestIdleFollowerAcksEveryPing
 //	the deadline counts from the last byte heard       TestDeadlineCountsFromTheLastByteHeard
 
@@ -249,6 +250,47 @@ func TestOverflowDropsTheSubscriber(t *testing.T) {
 	}
 	if n := r.conn.Backlog(); n > subBufMax+2*len(big) {
 		t.Fatalf("%d bytes were queued for the follower, past the bound of %d", n, subBufMax)
+	}
+}
+
+// TestPublishAllocatesNothingOnceWarmed: a freshly attached subscriber holds
+// no buffer; its buffer grows with the traffic of its busiest flush interval
+// and keeps that size when a flush empties it; and publishing — a record or a
+// group — into a warmed subscriber allocates nothing, the serving path's
+// share of the daemon's zero-allocation pins.
+func TestPublishAllocatesNothingOnceWarmed(t *testing.T) {
+	r := newPrimaryRig(t)
+	sub := r.st.subs[0]
+	t.Logf("a fresh subscriber's buffer: %d B", cap(sub.pending))
+	if c := cap(sub.pending); c != 0 {
+		t.Fatalf("a fresh subscriber's buffer holds %d B, want none before its first record", c)
+	}
+	rec := []byte(strings.Repeat("r", 40))
+	group := [][]byte{rec, rec, rec, rec}
+	// A busy interval: the first record goes out at once, the rest queue.
+	for i := 0; i < 200; i++ {
+		r.st.PublishBatch(group)
+	}
+	queued := len(sub.pending)
+	r.run(flushEvery)
+	warm := cap(sub.pending)
+	t.Logf("after an interval that queued %d B the buffer holds %d B", queued, warm)
+	if len(sub.pending) != 0 || warm < queued || warm > 2*queued+512 {
+		t.Fatalf("after a flush of %d B the buffer is %d B long with room for %d; want it empty, sized by that traffic", queued, len(sub.pending), warm)
+	}
+	single := [][]byte{rec}
+	for _, tc := range []struct {
+		name string
+		recs [][]byte
+	}{{"record", single}, {"group", group}} {
+		// Fewer runs than the busy interval's groups: they fit the buffer.
+		if avg := testing.AllocsPerRun(100, func() { r.st.PublishBatch(tc.recs) }); avg != 0 {
+			t.Errorf("publishing a %s to a warmed subscriber allocates %.2f times, want 0", tc.name, avg)
+		}
+		r.run(flushEvery)
+	}
+	if c := cap(sub.pending); c != warm {
+		t.Fatalf("the warmed buffer went from %d B to %d B within the traffic that warmed it", warm, c)
 	}
 }
 

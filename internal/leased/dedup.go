@@ -1,11 +1,6 @@
 package leased
 
-import (
-	"hash/maphash"
-	"math"
-
-	"repro/internal/snapenc"
-)
+import "repro/internal/snapenc"
 
 // dedupCache makes mutations idempotent across retries: a client that lost a
 // response (crash, dropped connection, timeout) resends the same request
@@ -20,36 +15,20 @@ import (
 // which are fixed for the shard's lifetime, so a retry still gets the first
 // answer byte for byte.
 //
-// The cache is one fixed ring of slots, oldest at head, found through an
-// open-addressed index of ring positions (linear probing, at most half
-// full). Nothing in it is a runtime map and nothing is allocated per entry
-// but the ID string the caller hands over: the entry that evicts a slot
-// overwrites it, and its index cell is freed by backward-shift deletion, so
-// there are no tombstones to accumulate. Each cell carries 32 bits of its
-// entry's hash beside the position, so a probe reads the ring only for an
-// entry that very likely is the one sought, and a deletion shifts cells
-// without reading the ring at all. Those bits are the only copy of the hash:
-// an eviction hashes the evicted ID again to find its cell.
-//
-// The hash is seeded per cache. Request IDs are chosen by clients, and the
-// daemon exists to contain hostile ones: a fixed hash would let a client
-// pick IDs that all probe from one cell. The seed never leaves the process
-// — the index is rebuilt on load, not serialised — so snapshots of equal
-// caches stay byte-identical. An op hashes its ID once (hash) and hands the
-// hash to get and put.
+// The cache is one fixed ring of slots, oldest at head, found through a
+// cellIndex of ring positions + 1. Nothing in it is a runtime map and
+// nothing is allocated per entry but the ID string the caller hands over:
+// the entry that evicts a slot overwrites it, and its index cell is freed by
+// backward-shift deletion, so there are no tombstones to accumulate. The
+// index cell's 32 hash bits are the only copy of the hash: a probe reads the
+// ring only for an entry that very likely is the one sought, and an eviction
+// hashes the evicted ID again to find its cell. An op hashes its ID once
+// (hash, under the index's own seed) and hands the hash to get and put.
 type dedupCache struct {
-	seed maphash.Seed
 	ring []dedupSlot
 	head int // ring position of the oldest live entry
 	n    int // live entries (≤ len(ring))
-
-	// index maps hash → ring position: a cell is the hash's low 32 bits in
-	// its high half and the position + 1 in its low half (0 is an empty
-	// cell). Its length is a power of two and mask is that minus one; a cell
-	// belongs at its hash & mask — which its own 32 hash bits give, the index
-	// never being that long — or the next free cell after it.
-	index []uint64
-	mask  uint64
+	cellIndex
 }
 
 // dedupSlot is one ring entry, 48 bytes with nothing behind a pointer but
@@ -100,36 +79,25 @@ func (e *dedupEntry) verdict() dedupVerdict {
 
 func newDedupCache(capacity int) *dedupCache {
 	capacity = max(capacity, 0)
-	cells := 2
-	for cells < 2*capacity {
-		cells *= 2
-	}
 	return &dedupCache{
-		seed:  maphash.MakeSeed(),
-		ring:  make([]dedupSlot, capacity),
-		index: make([]uint64, cells),
-		mask:  uint64(cells - 1),
+		ring:      make([]dedupSlot, capacity),
+		cellIndex: newCellIndex(capacity),
 	}
 }
 
 func (c *dedupCache) size() int { return c.n }
 
-// hash is id's hash under this cache's seed, for get and put.
-func (c *dedupCache) hash(id string) uint64 { return maphash.String(c.seed, id) }
-
 // find returns the ring position of id, whose hash is h, or -1. A miss —
 // every first attempt — stops at the first empty cell having compared only
 // hash bits, all of them in the index.
 func (c *dedupCache) find(id string, h uint64) int {
-	for i := h & c.mask; ; i = (i + 1) & c.mask {
-		cell := c.index[i]
-		if cell == 0 {
+	for i := h; ; i++ {
+		var v uint32
+		if i, v = c.probe(i, h); v == 0 {
 			return -1
 		}
-		if cell>>32 == h&math.MaxUint32 {
-			if pos := int(uint32(cell)) - 1; c.ring[pos].id == id {
-				return pos
-			}
+		if pos := int(v) - 1; c.ring[pos].id == id {
+			return pos
 		}
 	}
 }
@@ -154,49 +122,20 @@ func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
 	pos := c.find(id, h)
 	if pos < 0 {
 		if c.n == len(c.ring) {
-			// Full: the oldest entry's slot is the next one to write.
+			// Full: the oldest entry's slot is the next one to write. Only
+			// a full window evicts, once per new entry, so the evicted ID
+			// is hashed again here rather than its hash kept in the slot.
 			pos = c.head
-			c.unindex(pos)
+			c.remove(c.hash(c.ring[pos].id), uint32(pos+1))
 			c.head = (c.head + 1) % len(c.ring)
 		} else {
 			pos = (c.head + c.n) % len(c.ring)
 			c.n++
 		}
 		c.ring[pos].id = id
-		i := h & c.mask
-		for c.index[i] != 0 {
-			i = (i + 1) & c.mask
-		}
-		c.index[i] = h<<32 | uint64(pos+1)
+		c.insert(h, uint32(pos+1))
 	}
 	c.ring[pos].v = v
-}
-
-// unindex frees the index cell that points at ring position pos and closes
-// the gap: each later entry of the same probe run moves back into the hole
-// unless that would put it before its own home cell (backward-shift
-// deletion), so every entry stays reachable from its hash with no tombstone.
-// The search for the cell starts at the home of the entry's ID, hashed
-// again: only a full window evicts, once per new entry.
-func (c *dedupCache) unindex(pos int) {
-	hole := c.hash(c.ring[pos].id) & c.mask
-	for uint32(c.index[hole]) != uint32(pos+1) {
-		hole = (hole + 1) & c.mask
-	}
-	for i := hole; ; {
-		i = (i + 1) & c.mask
-		cell := c.index[i]
-		if cell == 0 {
-			break
-		}
-		// The entry at i may fill the hole if its home is not cyclically
-		// inside (hole, i].
-		if home := cell >> 32 & c.mask; (i-home)&c.mask >= (i-hole)&c.mask {
-			c.index[hole] = cell
-			hole = i
-		}
-	}
-	c.index[hole] = 0
 }
 
 // encodeState writes the cache oldest-first into the checkpoint payload: a

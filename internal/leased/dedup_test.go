@@ -21,7 +21,7 @@ func (c *dedupCache) store(id string, v dedupVerdict) { c.put(id, c.hash(id), v)
 // indexed counts the index's occupied cells.
 func (c *dedupCache) indexed() int {
 	n := 0
-	for _, cell := range c.index {
+	for _, cell := range c.cells {
 		if cell != 0 {
 			n++
 		}
@@ -43,7 +43,7 @@ func verdictN(n int) dedupVerdict {
 func TestDedupBoundedRetention(t *testing.T) {
 	const cap = 8
 	c := newDedupCache(cap)
-	cells := len(c.index)
+	cells := len(c.cells)
 	const total = 10 * cap
 	for i := 0; i < total; i++ {
 		c.store(fmt.Sprintf("req-%03d", i), verdictN(i))
@@ -54,8 +54,8 @@ func TestDedupBoundedRetention(t *testing.T) {
 	if n := c.indexed(); n != cap {
 		t.Fatalf("index holds %d entries, want %d (evicted ids not unindexed)", n, cap)
 	}
-	if len(c.ring) != cap || len(c.index) != cells {
-		t.Fatalf("ring grew to %d slots and index to %d cells, want fixed %d and %d", len(c.ring), len(c.index), cap, cells)
+	if len(c.ring) != cap || len(c.cells) != cells {
+		t.Fatalf("ring grew to %d slots and index to %d cells, want fixed %d and %d", len(c.ring), len(c.cells), cap, cells)
 	}
 	// Only the newest cap survive; everything older is gone.
 	for i := 0; i < total-cap; i++ {
@@ -319,7 +319,7 @@ func TestEmptyShardDedupCost(t *testing.T) {
 		t.Fatalf("the default window has %d slots, want 4096", len(c.ring))
 	}
 	ring := uintptr(cap(c.ring)) * unsafe.Sizeof(dedupSlot{})
-	index := uintptr(cap(c.index)) * unsafe.Sizeof(c.index[0])
+	index := uintptr(cap(c.cells)) * unsafe.Sizeof(c.cells[0])
 	t.Logf("an empty default shard's dedup window: ring %d B + index %d B", ring, index)
 	if ring+index > maxBytes {
 		t.Errorf("an empty default shard's dedup window is %d B (ring %d, index %d), pinned at ≤ %d", ring+index, ring, index, maxBytes)

@@ -140,7 +140,7 @@ func TestDuplicateRequestIDDoesNotDoubleApply(t *testing.T) {
 	r.callWithID("POST", renewPath, "ren-1", usageReport{CPUMS: 100})
 	var cpu time.Duration
 	sh := r.s.shardFor("alice")
-	sh.do(func() { cpu = sh.table.recs[sh.clients["alice"]].cpu })
+	sh.do(func() { cpu = sh.table.recs[sh.uidNamed("alice")].cpu })
 	if cpu != 100*time.Millisecond {
 		t.Fatalf("cpu folded %v, want exactly 100ms (double-applied?)", cpu)
 	}

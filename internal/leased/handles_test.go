@@ -21,6 +21,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
+	"repro/internal/power"
 )
 
 // liveObjects is every object in the client table's slots.
@@ -36,18 +37,36 @@ func liveObjects(sh *shard) []*robj {
 	return objs
 }
 
+// clientNames is every client in the table, in UID order.
+func clientNames(sh *shard) []string {
+	var names []string
+	for _, c := range sh.table.recs[1:] {
+		names = append(names, c.name)
+	}
+	return names
+}
+
 // checkHandles walks the client table, the one table that holds a robj, and
-// requires each object to sit in its own slot with the handle of its own
-// live lease in the shard's current manager, which resolves back to it; and
-// the manager to hold no lease beyond those. Callers hold the shard clock
-// (or own an unstarted shard).
+// requires each row's name to resolve to it through the client index, which
+// holds nothing else; each object to sit in its own slot with the handle of
+// its own live lease in the shard's current manager, which resolves back to
+// it; and the manager to hold no lease beyond those. Callers hold the shard
+// clock (or own an unstarted shard).
 func checkHandles(t *testing.T, sh *shard) {
 	t.Helper()
+	for i, name := range clientNames(sh) {
+		if uid := sh.uidNamed(name); uid != power.UID(i+1) {
+			t.Errorf("shard %d: client %q resolves to uid %d, its row is uid %d", sh.id, name, uid, i+1)
+		}
+	}
+	if n := len(sh.table.recs) - 1; sh.clients.n != n {
+		t.Errorf("shard %d: the client index holds %d names, the table %d rows", sh.id, sh.clients.n, n)
+	}
 	objs := liveObjects(sh)
 	for _, o := range objs {
 		switch {
 		case sh.table.recs[o.uid].objs[o.kind] != o:
-			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, o.id, o.uid, o.kind)
+			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, o.id, o.uid, hooks.Kind(o.kind))
 		case o.destroyed:
 			t.Errorf("shard %d: destroyed object %d still in the client table", sh.id, o.id)
 		case o.lease == nil:
@@ -105,7 +124,7 @@ func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 	at := sh.clock.Now() + time.Millisecond
 	for _, o := range liveObjects(sh) {
 		id := o.lease.ID()
-		client, kind := sh.table.recs[o.uid].name, o.kind
+		client, kind := sh.table.recs[o.uid].name, hooks.Kind(o.kind)
 		for _, rec := range []*opRecord{
 			{At: at, Op: opRenew, LeaseID: id, Report: &usageReport{CPUMS: 5}},
 			{At: at, Op: opRelease, LeaseID: id, Destroy: true},
@@ -185,6 +204,19 @@ func TestRestoreRejectsObjectClientMismatch(t *testing.T) {
 	err := freshShard(snapTestOptions()).restoreState(st)
 	if !errors.Is(err, errObjectClientMismatch) || !strings.Contains(err.Error(), "objects row 1") {
 		t.Fatalf("err = %v, want errObjectClientMismatch naming objects row 1", err)
+	}
+}
+
+// TestRestoreRejectsDuplicateClient: two clients rows that read one name
+// would leave the name reaching only the later row, the earlier one's objects
+// and leases beyond any acquire; restore refuses the payload at the second
+// row instead of indexing either.
+func TestRestoreRejectsDuplicateClient(t *testing.T) {
+	st := populatedShard(t, snapTestOptions(), 4, 2).captureState()
+	st.Clients[1].Name = st.Clients[0].Name
+	err := freshShard(snapTestOptions()).restoreState(st)
+	if !errors.Is(err, errDuplicateClient) || !strings.Contains(err.Error(), "clients row 1") {
+		t.Fatalf("err = %v, want errDuplicateClient naming clients row 1", err)
 	}
 }
 

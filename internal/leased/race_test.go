@@ -183,7 +183,7 @@ func TestConcurrentHammer(t *testing.T) {
 				t.Errorf("shard %d: created %d < live %d", sh.id, sh.mgr.CreatedTotal(), sh.mgr.LeaseCount())
 			}
 			// Every client on this shard actually routes here.
-			for name := range sh.clients {
+			for _, name := range clientNames(sh) {
 				if got := shardIndex(name, len(s.shards)); got != sh.id {
 					t.Errorf("client %q lives on shard %d but routes to %d", name, sh.id, got)
 				}

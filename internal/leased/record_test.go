@@ -194,16 +194,16 @@ func TestOldFormatJournalRefused(t *testing.T) {
 		refused("group", fol.ApplyBatch(0, [][]byte{good, tc.payload}))
 		sh := fol.shards[0]
 		sh.do(func() {
-			if len(sh.clients) != 0 || sh.dedup.size() != 0 {
-				t.Errorf("%s: a refused group left %d clients and %d dedup entries behind", tc.name, len(sh.clients), sh.dedup.size())
+			if sh.clients.n != 0 || len(sh.table.recs) != 1 || sh.dedup.size() != 0 {
+				t.Errorf("%s: a refused group left %d clients (%d table rows) and %d dedup entries behind", tc.name, sh.clients.n, len(sh.table.recs)-1, sh.dedup.size())
 			}
 		})
 		before := encodeRecord(&opRecord{Op: opAcquire, Client: "before", ReqID: "rb"})
 		after := encodeRecord(&opRecord{Op: opAcquire, Client: "after", ReqID: "ra"})
 		refused("burst", fol.ApplyBurst(0, [][][]byte{{before}, {good, tc.payload}, {after}}))
 		sh.do(func() {
-			if _, ok := sh.clients["before"]; !ok || len(sh.clients) != 1 || sh.dedup.size() != 1 {
-				t.Errorf("%s: a group refused mid-burst left clients %v and %d dedup entries; want the group before it and nothing else", tc.name, sh.clients, sh.dedup.size())
+			if sh.uidNamed("before") == 0 || sh.clients.n != 1 || len(sh.table.recs) != 2 || sh.dedup.size() != 1 {
+				t.Errorf("%s: a group refused mid-burst left clients %v and %d dedup entries; want the group before it and nothing else", tc.name, clientNames(sh), sh.dedup.size())
 			}
 		})
 		fol.Close()

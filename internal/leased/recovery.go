@@ -519,10 +519,13 @@ func (s *Server) Checkpoint() {
 }
 
 // A snapshot names an object's holder, and a lease's object, twice; restore
-// refuses a payload whose two copies disagree rather than pick one.
+// refuses a payload whose two copies disagree rather than pick one. It
+// refuses a client named by two rows too: the name would reach only one of
+// them, stranding the other's objects and leases.
 var (
 	errObjectClientMismatch = errors.New("object row's client is not its uid's name")
 	errLeaseObjectMismatch  = errors.New("manager lease disagrees with the object row that names it")
+	errDuplicateClient      = errors.New("client named by two rows")
 )
 
 // restoreState rebuilds one shard from a checkpoint. The clock must be
@@ -557,8 +560,11 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 		if c.UID != i+1 {
 			return fmt.Errorf("leased: snapshot clients row %d: uid %d, want %d (rows are in UID order, dense from 1)", i, c.UID, i+1)
 		}
-		sh.table.recs = append(sh.table.recs, clientRec{name: c.Name})
-		sh.clients[c.Name] = power.UID(c.UID)
+		h := sh.clients.hash(c.Name)
+		if uid := sh.clients.lookup(sh.table.recs, c.Name, h); uid != 0 {
+			return fmt.Errorf("leased: snapshot clients row %d: %w: %q is uid %d already", i, errDuplicateClient, c.Name, uid)
+		}
+		sh.addClient(c.Name, h)
 	}
 	sh.nextObjID = st.NextObjID
 	// Restore-local indexes, for the duplicate checks and for binding leases
@@ -582,7 +588,7 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			return fmt.Errorf("leased: snapshot objects row %d: duplicate lease_id %d", i, os.LeaseID)
 		}
 		o := &robj{
-			clock: sh.clock, id: os.ID, uid: uid, kind: kind,
+			clock: sh.clock, id: os.ID, uid: uint32(uid), kind: uint8(kind),
 			Hold: hooks.Hold{
 				Held: os.Held, Suppressed: os.Suppressed, LastSettle: os.LastSettle,
 				Acc: hooks.TermStats{
@@ -624,7 +630,7 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 	}
 	for _, ls := range st.Manager.Leases {
 		o := byLease[ls.ID]
-		if o != nil && (ls.ObjID != o.id || power.UID(ls.UID) != o.uid || hooks.Kind(ls.Kind) != o.kind) {
+		if o != nil && (ls.ObjID != o.id || ls.UID != int(o.uid) || ls.Kind != int(o.kind)) {
 			return fmt.Errorf("leased: snapshot manager lease %d: %w: object %d, uid %d, kind %d, but the object row naming it is object %d, uid %d, kind %d",
 				ls.ID, errLeaseObjectMismatch, ls.ObjID, ls.UID, ls.Kind, o.id, o.uid, o.kind)
 		}

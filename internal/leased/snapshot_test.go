@@ -21,6 +21,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
+	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/snapenc"
 )
@@ -38,10 +39,15 @@ func freshShard(opts Options) *shard {
 	return newShard(0, opts.withDefaults(), runtime.NewWallUnstarted(), new(atomic.Uint64))
 }
 
+// uidNamed is client's UID by the client index, or 0.
+func (sh *shard) uidNamed(client string) power.UID {
+	return sh.clients.lookup(sh.table.recs, client, sh.clients.hash(client))
+}
+
 // objOf is the client's kernel object of a kind, or nil.
 func (sh *shard) objOf(client string, kind hooks.Kind) *robj {
-	uid, ok := sh.clients[client]
-	if !ok {
+	uid := sh.uidNamed(client)
+	if uid == 0 {
 		return nil
 	}
 	return sh.table.recs[uid].objs[kind]
@@ -734,19 +740,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{snapshotVersion})
 	f.Add([]byte{})
 	// Payloads that decode but must not restore: an object whose uid and
-	// whose kind would index far out of the client table.
+	// whose kind would index out of the client table.
 	for _, corrupt := range []func(*robj){
-		func(o *robj) { o.uid = 1 << 40 },
+		func(o *robj) { o.uid = math.MaxUint32 },
 		func(o *robj) { o.kind = 200 },
 	} {
 		sh := populatedShard(f, snapTestOptions(), 4, 3)
 		corrupt(sh.objByLease(1))
 		f.Add(encodeShard(sh))
 	}
-	// And two whose copies disagree: an object row that names a client other
-	// than its uid's (lease 1's object moved into the next client's empty
-	// slot of its kind), and a manager lease whose object is not the row that
-	// names it.
+	// And three whose copies disagree: an object row that names a client
+	// other than its uid's (lease 1's object moved into the next client's
+	// empty slot of its kind), a manager lease whose object is not the row
+	// that names it, and two clients rows that read one name.
 	for _, tc := range []struct {
 		corrupt func(*shard)
 		want    error
@@ -756,6 +762,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			sh.table.recs[o.uid].objs[o.kind], sh.table.recs[o.uid+1].objs[o.kind] = nil, o
 		}, errObjectClientMismatch},
 		{func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
+		{func(sh *shard) { sh.table.recs[2].name = sh.table.recs[1].name }, errDuplicateClient},
 	} {
 		sh := populatedShard(f, snapTestOptions(), 4, 3)
 		tc.corrupt(sh)
