@@ -103,6 +103,8 @@ func Figure11() Result {
 	r := Result{ID: "figure-11", Title: "Active leases during one hour of normal usage"}
 	s := borrowSim(sim.Options{Policy: sim.LeaseOS})
 	defer returnSim(s)
+	diary := newActivityDiary()
+	s.Leases.OnEvent = diary.note
 	workload.NormalHour(s, 1)
 	var series []int
 	stop := s.Engine.Ticker(30*time.Second, func() {
@@ -119,7 +121,7 @@ func Figure11() Result {
 			peak = n
 		}
 	}
-	rep := s.Leases.Activity()
+	rep := diary.report(s.Engine.Now())
 	r.addf("leases created: %d, peak concurrent active: %d", rep.Created, peak)
 	r.addf("median active period: %v, max: %v; mean terms: %.1f, max: %d",
 		rep.MedianActive.Truncate(time.Second), rep.MaxActive.Truncate(time.Second),

@@ -16,8 +16,8 @@ import (
 // deferred — the question every runtime mitigation system must be able to
 // answer.
 func (m *Manager) Explain(id uint64) string {
-	l, ok := m.leases[id]
-	if !ok {
+	l := m.leases.get(id)
+	if l == nil {
 		return fmt.Sprintf("lease %d: unknown or dead", id)
 	}
 	return m.Explanation(l).String()

@@ -25,7 +25,7 @@ func mkLease(m *Manager, id uint64, uid power.UID, kind hooks.Kind, st State, es
 	if n := len(hist); n > 0 {
 		l.last = &hist[n-1]
 	}
-	m.leases[id] = l
+	m.leases.add(l)
 	return l
 }
 

@@ -1,13 +1,13 @@
 package lease
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/android/hooks"
 	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
-	"repro/internal/stats"
 )
 
 // AppStats supplies the app-level signals the manager folds into utility
@@ -54,12 +54,6 @@ type Lease struct {
 	event simclock.EventID
 	fire  func()
 	due   simclock.Time
-
-	// bookkeeping for the §7.2 lease-activity report
-	lastIdle    simclock.Time
-	idleTotal   time.Duration
-	activeSince simclock.Time
-	activeTotal time.Duration
 }
 
 // ID returns the lease descriptor.
@@ -85,7 +79,7 @@ type Manager struct {
 	apps  AppStats
 	cfg   Config
 
-	leases map[uint64]*Lease
+	leases leaseTable
 	// byObj indexes live leases by kernel object for the object door (the
 	// Governor methods and Create). It is derived from leases and built by
 	// the first by-object call (indexObjects); until then it is nil and
@@ -103,14 +97,14 @@ type Manager struct {
 	// transition and remove, in the order they happen, from inside the
 	// manager's call, so it must not call back into the manager. It is the
 	// one report channel: Figure 13 charges lease accounting from it, and
-	// Figure 5's edges, traces and per-lease counts live in the closures
-	// their consumers install. Nil costs one branch per report.
+	// Figure 5's edges, Figure 11's activity report, traces and per-lease
+	// counts live in the closures their consumers install. Nil costs one
+	// branch per report.
 	OnEvent func(Event)
 
-	// Lifetime statistics for the §7.2 report.
+	// Lifetime statistics.
 	createdTotal int
 	deadTotal    int
-	deadRecords  []ActivityRecord
 
 	// Operation counters for the overhead analysis.
 	TermChecks int
@@ -145,7 +139,6 @@ func NewManager(clock runtime.Clock, apps AppStats, cfg Config) *Manager {
 		clock:       clock,
 		apps:        apps,
 		cfg:         cfg.withDefaults(),
-		leases:      make(map[uint64]*Lease),
 		proxies:     make(map[hooks.Kind]hooks.Controller),
 		counters:    make(map[counterKey]UtilityCounter),
 		reputations: make(map[power.UID]*reputation),
@@ -158,13 +151,11 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // Reset returns the manager to its NewManager state — no leases, no
 // reputation history, counters zeroed — while keeping map buckets and the
-// dead-record slice capacity, so a recycled manager runs the next
-// simulation without reallocating its tables. The caller has already reset
-// the clock, so pending check/restore events need no cancellation.
+// lease table's capacity, so a recycled manager runs the next simulation
+// without reallocating its tables. The caller has already reset the clock,
+// so pending check/restore events need no cancellation.
 func (m *Manager) Reset() {
-	for k := range m.leases {
-		delete(m.leases, k)
-	}
+	m.leases.reset()
 	for k := range m.byObj {
 		delete(m.byObj, k)
 	}
@@ -184,7 +175,6 @@ func (m *Manager) Reset() {
 	m.OnEvent = nil
 	m.createdTotal = 0
 	m.deadTotal = 0
-	m.deadRecords = m.deadRecords[:0]
 	m.TermChecks = 0
 	m.Deferrals = 0
 	m.Renewals = 0
@@ -213,15 +203,14 @@ func (m *Manager) CreateLease(o hooks.Object) *Lease {
 	l := &Lease{
 		id: m.nextID, obj: o,
 		state: Active, createdAt: now, termStart: now,
-		activeSince: now,
-		term:        m.cfg.Term, held: true,
+		term: m.cfg.Term, held: true,
 		lastCPU:   m.apps.CPUTimeOf(o.UID),
 		lastExc:   m.apps.ExceptionsOf(o.UID),
 		lastUI:    m.apps.UIUpdatesOf(o.UID),
 		lastInter: m.apps.InteractionsOf(o.UID),
 	}
 	l.bindEvent(m)
-	m.leases[l.id] = l
+	m.leases.add(l)
 	if m.byObj != nil {
 		m.byObj[keyOf(o)] = l.id
 	}
@@ -248,11 +237,8 @@ func (l *Lease) bindEvent(m *Manager) {
 // Check reports whether the lease is active (Table 3's check): within a
 // term, or deferred-but-valid. Dead or unknown leases report false.
 func (m *Manager) Check(id uint64) bool {
-	l, ok := m.leases[id]
-	if !ok {
-		return false
-	}
-	return l.state == Active
+	l := m.leases.get(id)
+	return l != nil && l.state == Active
 }
 
 // emit reports ev about l to the sink, if there is one. It inlines, so a
@@ -274,8 +260,8 @@ func (m *Manager) send(l *Lease, ev Event) {
 // active lease restarts its term. Deferred and dead leases cannot be
 // renewed this way.
 func (m *Manager) Renew(id uint64) bool {
-	l, ok := m.leases[id]
-	return ok && m.renew(l)
+	l := m.leases.get(id)
+	return l != nil && m.renew(l)
 }
 
 func (m *Manager) renew(l *Lease) bool {
@@ -283,7 +269,6 @@ func (m *Manager) renew(l *Lease) bool {
 		return false
 	}
 	if l.state == Inactive {
-		l.idleTotal += m.clock.Now() - l.lastIdle
 		m.transition(l, Active, "renewed on re-acquire")
 	}
 	m.Renewals++
@@ -296,8 +281,8 @@ func (m *Manager) renew(l *Lease) bool {
 // Remove destroys a lease outright (Table 3's remove), as when the holder
 // process dies.
 func (m *Manager) Remove(id uint64) bool {
-	l, ok := m.leases[id]
-	if !ok || l.state == Dead {
+	l := m.leases.get(id)
+	if l == nil || l.state == Dead {
 		return false
 	}
 	m.kill(l)
@@ -413,29 +398,24 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 	if !ok {
 		return nil
 	}
-	return m.leases[id]
+	return m.leases.get(id)
 }
 
 // indexObjects builds byObj from the live leases.
 func (m *Manager) indexObjects() {
-	m.byObj = make(map[objKey]uint64, len(m.leases))
-	for id, l := range m.leases {
-		m.byObj[keyOf(l.obj)] = id
+	m.byObj = make(map[objKey]uint64, len(m.leases.ids))
+	for _, l := range m.leases.ls {
+		m.byObj[keyOf(l.obj)] = l.id
 	}
 }
 
 func (m *Manager) transition(l *Lease, to State, reason string) {
-	now := m.clock.Now()
-	ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
-	if to == Deferred {
-		ev.Tau = l.due - now // defer_ sets due first
-	}
-	m.emit(l, ev)
-	// Maintain the per-lease active-time accumulator for the §7.2 report.
-	if l.state == Active && to != Active {
-		l.activeTotal += now - l.activeSince
-	} else if l.state != Active && to == Active {
-		l.activeSince = now
+	if m.OnEvent != nil {
+		ev := Event{Op: EventTransition, From: l.state, To: to, Reason: reason}
+		if to == Deferred {
+			ev.Tau = l.due - m.clock.Now() // defer_ sets due first
+		}
+		m.send(l, ev)
 	}
 	l.state = to
 }
@@ -493,7 +473,6 @@ func (m *Manager) endOfTerm(l *Lease) {
 			if l.held {
 				m.beginTerm(l)
 			} else {
-				l.lastIdle = now
 				m.transition(l, Inactive, "term ended with resource released")
 			}
 			return
@@ -517,7 +496,6 @@ func (m *Manager) endOfTerm(l *Lease) {
 
 	if !l.held {
 		// Resource no longer held: the lease rests until re-acquisition.
-		l.lastIdle = now
 		m.transition(l, Inactive, "term ended with resource released")
 		return
 	}
@@ -600,7 +578,6 @@ func (m *Manager) restore(l *Lease) {
 	l.lastInter = m.apps.InteractionsOf(l.obj.UID)
 
 	if !l.held {
-		l.lastIdle = m.clock.Now()
 		m.transition(l, Inactive, "deferral ended with resource released")
 		return
 	}
@@ -629,16 +606,13 @@ func (m *Manager) adaptTerm(l *Lease) {
 
 func (m *Manager) kill(l *Lease) {
 	m.emit(l, Event{Op: EventRemove})
-	m.deadRecords = append(m.deadRecords, ActivityRecord{
-		Active: l.ActiveTime(m.clock.Now()), Terms: l.termIndex,
-	})
 	m.cancelEvent(l)
 	m.transition(l, Dead, "kernel object deallocated")
 	m.deadTotal++
 	if m.byObj != nil {
 		delete(m.byObj, keyOf(l.obj))
 	}
-	delete(m.leases, l.id)
+	m.leases.remove(l.id)
 }
 
 // ForceTermCheck runs an end-of-term evaluation for the lease immediately,
@@ -646,71 +620,13 @@ func (m *Manager) kill(l *Lease) {
 // benchmark (the paper's "update" operation) and for interactive tooling;
 // normal operation relies on the scheduled checks.
 func (m *Manager) ForceTermCheck(id uint64) bool {
-	l, ok := m.leases[id]
-	if !ok || l.state != Active {
+	l := m.leases.get(id)
+	if l == nil || l.state != Active {
 		return false
 	}
 	m.cancelEvent(l)
 	m.endOfTerm(l)
 	return true
-}
-
-// --- reporting (paper §7.2's lease-activity measurements) ---
-
-// ActiveTime reports how long the lease has spent in the Active state up
-// to now.
-func (l *Lease) ActiveTime(now simclock.Time) time.Duration {
-	t := l.activeTotal
-	if l.state == Active {
-		t += now - l.activeSince
-	}
-	return t
-}
-
-// ActivityRecord summarises one lease's lifetime for the activity report.
-type ActivityRecord struct {
-	Active time.Duration
-	Terms  int
-}
-
-// ActivityReport aggregates lease activity, reproducing the paper's §7.2
-// measurements ("160 leases are created. Most leases are short-lived, with
-// a median active period of 5 seconds. But the max period is 18 minutes.
-// The average number of lease terms are 4, and max 52").
-type ActivityReport struct {
-	Created      int
-	MedianActive time.Duration
-	MaxActive    time.Duration
-	MeanTerms    float64
-	MaxTerms     int
-}
-
-// Activity computes the report over every lease ever created.
-func (m *Manager) Activity() ActivityReport {
-	now := m.clock.Now()
-	records := append([]ActivityRecord(nil), m.deadRecords...)
-	for _, l := range m.leases {
-		records = append(records, ActivityRecord{Active: l.ActiveTime(now), Terms: l.termIndex})
-	}
-	rep := ActivityReport{Created: m.createdTotal}
-	if len(records) == 0 {
-		return rep
-	}
-	actives := make([]float64, len(records))
-	termSum := 0
-	for i, r := range records {
-		actives[i] = float64(r.Active)
-		termSum += r.Terms
-		if r.Terms > rep.MaxTerms {
-			rep.MaxTerms = r.Terms
-		}
-	}
-	// Median and max are two quantiles of one series: one sort, one pass.
-	qs := stats.Percentiles(actives, 50, 100)
-	rep.MedianActive = time.Duration(qs[0])
-	rep.MaxActive = time.Duration(qs[1])
-	rep.MeanTerms = float64(termSum) / float64(len(records))
-	return rep
 }
 
 // EUBTimeOf reports the cumulative resource-holding time uid spent in
@@ -724,7 +640,7 @@ func (m *Manager) EUBTimeOf(uid power.UID) time.Duration { return m.eubTime[uid]
 // state (Figure 11's metric).
 func (m *Manager) ActiveLeaseCount() int {
 	n := 0
-	for _, l := range m.leases {
+	for _, l := range m.leases.ls {
 		if l.state == Active {
 			n++
 		}
@@ -733,20 +649,52 @@ func (m *Manager) ActiveLeaseCount() int {
 }
 
 // LeaseCount reports how many live (non-dead) leases exist.
-func (m *Manager) LeaseCount() int { return len(m.leases) }
+func (m *Manager) LeaseCount() int { return len(m.leases.ls) }
 
 // CreatedTotal reports how many leases were ever created.
 func (m *Manager) CreatedTotal() int { return m.createdTotal }
 
 // LeaseByID returns a live lease, or nil.
-func (m *Manager) LeaseByID(id uint64) *Lease { return m.leases[id] }
+func (m *Manager) LeaseByID(id uint64) *Lease { return m.leases.get(id) }
 
-// Leases returns all live leases; the slice is fresh but the pointees are
-// the manager's own records.
-func (m *Manager) Leases() []*Lease {
-	ls := make([]*Lease, 0, len(m.leases))
-	for _, l := range m.leases {
-		ls = append(ls, l)
+// Leases returns all live leases in ID order; the slice is fresh but the
+// pointees are the manager's own records.
+func (m *Manager) Leases() []*Lease { return slices.Clone(m.leases.ls) }
+
+// leaseTable is the live leases in ID order, as two parallel slices: ids[i]
+// is ls[i]'s ID, kept apart so a lookup's binary search reads 8 bytes a
+// probe. IDs are issued in increasing order, so a new lease appends; a
+// removal shifts the tail down one, keeping the order.
+type leaseTable struct {
+	ids []uint64
+	ls  []*Lease
+}
+
+// get returns the live lease with this ID, or nil.
+func (t *leaseTable) get(id uint64) *Lease {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		return t.ls[i]
 	}
-	return ls
+	return nil
+}
+
+// add appends l, whose ID must exceed every ID in the table.
+func (t *leaseTable) add(l *Lease) {
+	t.ids = append(t.ids, l.id)
+	t.ls = append(t.ls, l)
+}
+
+// remove drops the lease with this ID, if the table holds it.
+func (t *leaseTable) remove(id uint64) {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		t.ids = slices.Delete(t.ids, i, i+1)
+		t.ls = slices.Delete(t.ls, i, i+1) // clears the vacated slot
+	}
+}
+
+// reset empties the table, keeping its capacity.
+func (t *leaseTable) reset() {
+	t.ids = t.ids[:0]
+	clear(t.ls)
+	t.ls = t.ls[:0]
 }

@@ -144,39 +144,6 @@ func TestSinkSeesEveryOperation(t *testing.T) {
 	}
 }
 
-func TestActivityReportBasics(t *testing.T) {
-	r := newMgrRig(Config{})
-	// One short-lived lease and one long-running lease.
-	short := r.pm.NewWakelock(10, hooks.Wakelock, "short")
-	short.Acquire()
-	r.engine.RunUntil(2 * time.Second)
-	short.Destroy()
-	long := r.pm.NewWakelock(11, hooks.Wakelock, "long")
-	long.Acquire()
-	stop := r.engine.Ticker(time.Second, func() { r.stats.cpu[11] += 500 * time.Millisecond })
-	defer stop()
-	r.engine.RunUntil(62 * time.Second)
-
-	rep := r.mgr.Activity()
-	if rep.Created != 2 {
-		t.Fatalf("created = %d, want 2", rep.Created)
-	}
-	if rep.MaxActive < 55*time.Second {
-		t.Fatalf("max active = %v, want ~60 s", rep.MaxActive)
-	}
-	if rep.MedianActive > rep.MaxActive {
-		t.Fatal("median exceeds max")
-	}
-	if rep.MaxTerms < 10 {
-		t.Fatalf("max terms = %d, want ≥ 10", rep.MaxTerms)
-	}
-	// Empty manager yields a zero report.
-	empty := newMgrRig(Config{})
-	if rep := empty.mgr.Activity(); rep.Created != 0 || rep.MaxTerms != 0 {
-		t.Fatalf("empty report = %+v", rep)
-	}
-}
-
 func TestConfigAccessorReflectsDefaults(t *testing.T) {
 	r := newMgrRig(Config{})
 	cfg := r.mgr.Config()

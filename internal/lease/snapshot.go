@@ -1,8 +1,8 @@
 package lease
 
 // Crash-recovery support: EncodeState serializes the manager's complete
-// mutable state — the lease table, reputation history, activity records and
-// operation counters — in the shard snapshot's binary encoding,
+// mutable state — the lease table, reputation history and operation
+// counters — in the shard snapshot's binary encoding,
 // DecodeManagerState reads it back into plain exported structs, and
 // RestoreState rebuilds an empty manager from those, re-scheduling the
 // pending term-check and deferral-restore events at their original due
@@ -63,14 +63,6 @@ type LeaseState struct {
 	CheckAt   simclock.Time `json:"check_at,omitempty"`
 	HasRestor bool          `json:"has_restore,omitempty"`
 	RestoreAt simclock.Time `json:"restore_at,omitempty"`
-
-	// DeadAt is a retired slot, written as 0: a lease leaves every table as
-	// it dies, so no capture held a non-zero one. Restore ignores it.
-	DeadAt      simclock.Time `json:"dead_at"`
-	LastIdle    simclock.Time `json:"last_idle"`
-	IdleTotal   time.Duration `json:"idle_total"`
-	ActiveSince simclock.Time `json:"active_since"`
-	ActiveTotal time.Duration `json:"active_total"`
 }
 
 // ReputationState is one app's serialized §8 usage history.
@@ -95,7 +87,6 @@ type ManagerState struct {
 	Deferrals       int               `json:"deferrals"`
 	Renewals        int               `json:"renewals"`
 	TermAdaptations int               `json:"term_adaptations"`
-	DeadRecords     []ActivityRecord  `json:"dead_records,omitempty"`
 	Reputations     []ReputationState `json:"reputations,omitempty"`
 	EUBTimes        []EUBState        `json:"eub_times,omitempty"`
 	Leases          []LeaseState      `json:"leases,omitempty"`
@@ -103,10 +94,10 @@ type ManagerState struct {
 
 // EncodeState walks the manager's live state into w — the one state walk:
 // the daemon's checkpoint streams it straight to disk, and CaptureState is
-// its decode. Iteration is deterministic (leases by id, per-app tables by
-// uid), so equal states produce equal bytes. Section order and field
-// encodings are part of the shard snapshot format (DESIGN.md's layout
-// table); changing either needs a version bump there.
+// its decode. Iteration is deterministic (leases in their table's ID order,
+// per-app tables by uid), so equal states produce equal bytes. Section order
+// and field encodings are part of the shard snapshot format (DESIGN.md's
+// layout table); changing either needs a version bump there.
 func (m *Manager) EncodeState(w *snapenc.Writer) {
 	w.Uvarint(m.nextID)
 	w.Int(m.createdTotal)
@@ -116,11 +107,7 @@ func (m *Manager) EncodeState(w *snapenc.Writer) {
 	w.Int(m.Renewals)
 	w.Int(m.TermAdaptations)
 
-	w.Uvarint(uint64(len(m.deadRecords)))
-	for _, d := range m.deadRecords {
-		w.Varint(int64(d.Active))
-		w.Int(d.Terms)
-	}
+	w.Uvarint(0) // retired: the dead leases' activity records, a list
 
 	uids := make([]int, 0, len(m.reputations))
 	for uid := range m.reputations {
@@ -146,14 +133,9 @@ func (m *Manager) EncodeState(w *snapenc.Writer) {
 		w.Varint(int64(m.eubTime[power.UID(uid)]))
 	}
 
-	ids := make([]uint64, 0, len(m.leases))
-	for id := range m.leases {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		m.leases[id].encodeState(w)
+	w.Uvarint(uint64(len(m.leases.ls)))
+	for _, l := range m.leases.ls {
+		l.encodeState(w)
 	}
 }
 
@@ -184,11 +166,11 @@ func (l *Lease) encodeState(w *snapenc.Writer) {
 			w.Varint(int64(l.due))
 		}
 	}
-	w.Varint(0) // retired: the instant the lease died
-	w.Varint(int64(l.lastIdle))
-	w.Varint(int64(l.idleTotal))
-	w.Varint(int64(l.activeSince))
-	w.Varint(int64(l.activeTotal))
+	// Retired: the instant the lease died and the four §7.2 activity
+	// fields (last idle, idle total, active since, active total).
+	for range 5 {
+		w.Varint(0)
+	}
 	// Version 2's term-history list, now of at most one record: the newest.
 	// Snapshot v3 (ROADMAP item 7) drops the count.
 	if l.last == nil {
@@ -240,11 +222,9 @@ func DecodeManagerState(r *snapenc.Reader) ManagerState {
 		Renewals:        r.Int(),
 		TermAdaptations: r.Int(),
 	}
-	if n := r.Count(minDeadRecordBytes); n > 0 {
-		st.DeadRecords = make([]ActivityRecord, n)
-		for i := range st.DeadRecords {
-			st.DeadRecords[i] = ActivityRecord{Active: time.Duration(r.Varint()), Terms: r.Int()}
-		}
+	for range r.Count(minDeadRecordBytes) { // retired: dead leases' activity records
+		r.Varint()
+		r.Int()
 	}
 	if n := r.Count(minReputationBytes); n > 0 {
 		st.Reputations = make([]ReputationState, n)
@@ -291,11 +271,9 @@ func decodeLeaseState(r *snapenc.Reader, ls *LeaseState) {
 	if ls.HasRestor = r.Bool(); ls.HasRestor {
 		ls.RestoreAt = simclock.Time(r.Varint())
 	}
-	ls.DeadAt = simclock.Time(r.Varint())
-	ls.LastIdle = simclock.Time(r.Varint())
-	ls.IdleTotal = time.Duration(r.Varint())
-	ls.ActiveSince = simclock.Time(r.Varint())
-	ls.ActiveTotal = time.Duration(r.Varint())
+	for range 5 { // retired: dead_at and the four activity fields
+		r.Varint()
+	}
 	// A build before the one-record form wrote up to 120 records, oldest
 	// first; any count the input can hold reads, and the newest is kept.
 	n := r.Count(minTermRecordBytes)
@@ -404,6 +382,12 @@ func DecodeConfig(r *snapenc.Reader) Config {
 	return c
 }
 
+// ErrLeaseID refuses a capture whose lease IDs are not strictly increasing
+// or exceed its next ID: the manager issues IDs in order and never twice, so
+// a repeated ID would overwrite a lease whose object still holds its term
+// check, and one past next_id would be issued again.
+var ErrLeaseID = errors.New("lease IDs must be strictly increasing and at most next_id")
+
 // ErrPendingEvent refuses a capture whose lease has a pending event its
 // state cannot have: a lease awaits its term check only while Active and
 // its restore only while Deferred, so it never has both.
@@ -417,7 +401,7 @@ var ErrPendingEvent = errors.New("a lease's pending event must match its state")
 // captured due instants, so the restored manager's future evolution matches
 // the captured one's.
 func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.Object, bool)) error {
-	if len(m.leases) != 0 || m.createdTotal != 0 {
+	if len(m.leases.ls) != 0 || m.createdTotal != 0 {
 		return fmt.Errorf("lease: RestoreState on a non-empty manager")
 	}
 	m.nextID = st.NextID
@@ -427,7 +411,6 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 	m.Deferrals = st.Deferrals
 	m.Renewals = st.Renewals
 	m.TermAdaptations = st.TermAdaptations
-	m.deadRecords = append([]ActivityRecord(nil), st.DeadRecords...)
 	for _, r := range st.Reputations {
 		m.reputations[power.UID(r.UID)] = &reputation{normals: r.Normals, deferrals: r.Deferrals}
 	}
@@ -435,8 +418,15 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 		m.eubTime[power.UID(e.UID)] = e.T
 	}
 
+	m.leases.ids = slices.Grow(m.leases.ids, len(st.Leases))
+	m.leases.ls = slices.Grow(m.leases.ls, len(st.Leases))
 	now := m.clock.Now()
+	var prev uint64 // IDs are issued from 1
 	for _, ls := range st.Leases {
+		if ls.ID <= prev || ls.ID > st.NextID {
+			return fmt.Errorf("lease: RestoreState: lease %d after lease %d with next_id %d: %w", ls.ID, prev, st.NextID, ErrLeaseID)
+		}
+		prev = ls.ID
 		if (ls.TermIndex > 0) != (ls.Last != nil) {
 			return fmt.Errorf("lease: RestoreState: lease %d has %d completed terms but last record present = %v", ls.ID, ls.TermIndex, ls.Last != nil)
 		}
@@ -458,15 +448,13 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			held: ls.Held, normalStreak: ls.NormalStreak,
 			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
 			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
-			lastIdle: ls.LastIdle, idleTotal: ls.IdleTotal,
-			activeSince: ls.ActiveSince, activeTotal: ls.ActiveTotal,
 		}
 		if ls.Last != nil {
 			rec := *ls.Last
 			l.last = &rec
 		}
 		l.bindEvent(m)
-		m.leases[l.id] = l
+		m.leases.add(l)
 
 		if ls.HasCheck || ls.HasRestor {
 			l.due = ls.CheckAt

@@ -38,8 +38,8 @@ func snapObj(ctrl *snapCtrl, id uint64, uid power.UID) hooks.Object {
 
 // TestCaptureRestoreRoundTrip drives a manager into a state with every
 // serialized facet populated — an active lease with a pending term check, a
-// deferred lease with a pending restore, a destroyed lease's activity
-// record, reputation history — then checks that (a) the capture survives a
+// deferred lease with a pending restore, a destroyed lease's count,
+// reputation history — then checks that (a) the capture survives a
 // JSON round trip (the -dump-snapshot view), (b) a fresh manager restored
 // from it captures — and encodes — identically, and (c) both managers evolve
 // identically afterwards.
@@ -51,7 +51,7 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 
 	mgr.Create(snapObj(ctrl, 1, 10)) // idle holder: LHB -> deferred at 5s
 	mgr.Create(snapObj(ctrl, 2, 20)) // busy holder: stays active
-	mgr.Create(snapObj(ctrl, 3, 30)) // destroyed early: dead record
+	mgr.Create(snapObj(ctrl, 3, 30)) // destroyed early: counted dead
 	stopFeed := eng.Ticker(time.Second, func() { stats.cpu[20] += 500 * time.Millisecond })
 	defer stopFeed()
 
@@ -71,8 +71,8 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if !deferred || !active {
 		t.Fatalf("scenario missing a pending event shape: deferred=%v active=%v", deferred, active)
 	}
-	if len(st.DeadRecords) != 1 || st.DeadTotal != 1 {
-		t.Fatalf("dead records = %d total = %d, want 1/1", len(st.DeadRecords), st.DeadTotal)
+	if len(st.Leases) != 2 || st.DeadTotal != 1 {
+		t.Fatalf("%d live leases, %d dead, want 2 and 1", len(st.Leases), st.DeadTotal)
 	}
 
 	raw, err := json.Marshal(st)
@@ -307,16 +307,24 @@ func TestRestoreRefusesUnknownState(t *testing.T) {
 
 // writeV2 writes a manager state in the form builds before the one-record
 // lease wrote it: each lease's term history is a list of hist[id], oldest
-// first. With hist holding only each lease's Last, it is this build's form.
-func writeV2(w *snapenc.Writer, st ManagerState, hist map[uint64][]TermRecord) {
+// first. With diary set, it also fills the retired §7.2 slots as builds that
+// kept the activity report did: two dead leases' records, and each lease's
+// last idle, idle total, active since and active total. With hist holding
+// only each lease's Last and diary unset, it is this build's form: an empty
+// dead-record list and a 0 in each of a lease's five retired slots.
+func writeV2(w *snapenc.Writer, st ManagerState, hist map[uint64][]TermRecord, diary bool) {
 	w.Uvarint(st.NextID)
 	for _, n := range []int{st.CreatedTotal, st.DeadTotal, st.TermChecks, st.Deferrals, st.Renewals, st.TermAdaptations} {
 		w.Int(n)
 	}
-	w.Uvarint(uint64(len(st.DeadRecords)))
-	for _, d := range st.DeadRecords {
-		w.Varint(int64(d.Active))
-		w.Int(d.Terms)
+	if diary {
+		w.Uvarint(2)
+		w.Varint(int64(7 * time.Second))
+		w.Int(3)
+		w.Varint(int64(time.Minute))
+		w.Int(12)
+	} else {
+		w.Uvarint(0)
 	}
 	w.Uvarint(uint64(len(st.Reputations)))
 	for _, r := range st.Reputations {
@@ -356,8 +364,13 @@ func writeV2(w *snapenc.Writer, st ManagerState, hist map[uint64][]TermRecord) {
 		if ls.HasRestor {
 			w.Varint(int64(ls.RestoreAt))
 		}
-		for _, t := range []time.Duration{ls.DeadAt, ls.LastIdle, ls.IdleTotal, ls.ActiveSince, ls.ActiveTotal} {
-			w.Varint(int64(t))
+		w.Varint(0) // dead_at, retired before the diary
+		for i := range 4 {
+			if diary {
+				w.Varint(int64(ls.ID)*int64(time.Second) + int64(i))
+			} else {
+				w.Varint(0)
+			}
 		}
 		w.Uvarint(uint64(len(hist[ls.ID])))
 		for _, t := range hist[ls.ID] {
@@ -379,10 +392,10 @@ func writeV2(w *snapenc.Writer, st ManagerState, hist map[uint64][]TermRecord) {
 }
 
 // TestParentFormDecodesToNewest: a payload in the form builds before the
-// one-record lease wrote — three term records per lease, a term-history
-// bound of 120 and no transition log in the policy — decodes to each
-// lease's newest record and restores to a manager that writes the
-// one-record form; and this build writes the same policy bytes those builds
+// one-record lease wrote — three term records per lease, activity values in
+// the retired §7.2 slots, a term-history bound of 120 and no transition log
+// in the policy — decodes to each lease's newest record and restores to a
+// manager that writes the one-record form with zeros in those slots; and this build writes the same policy bytes those builds
 // wrote, so either side reopens the other's checkpoints.
 func TestParentFormDecodesToNewest(t *testing.T) {
 	eng := simclock.NewEngine()
@@ -412,7 +425,7 @@ func TestParentFormDecodesToNewest(t *testing.T) {
 		t.Fatalf("%d leases with completed terms, want 2", len(three))
 	}
 	w := snapenc.NewWriter(nil)
-	writeV2(w, st, three)
+	writeV2(w, st, three, true)
 	r := snapenc.NewReader(w.Payload())
 	got := DecodeManagerState(r)
 	if err := r.Done(); err != nil {
@@ -428,7 +441,7 @@ func TestParentFormDecodesToNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = snapenc.NewWriter(nil)
-	writeV2(w, st, newest)
+	writeV2(w, st, newest, false)
 	if again := encodeManager(mgr2); !bytes.Equal(again, w.Payload()) || !bytes.Equal(again, encodeManager(mgr)) {
 		t.Fatal("the restored manager does not write the one-record form")
 	}
@@ -493,5 +506,47 @@ func TestRestoreRejectsTermRecordMismatch(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "lease 2 has") {
 			t.Errorf("%s: RestoreState err = %v", tc.name, err)
 		}
+	}
+}
+
+// TestRestoreRefusesRepeatedOrUnissuedLeaseID: the manager issues lease IDs
+// in order and never twice, so a capture's leases must have strictly rising
+// IDs no greater than its next ID. A repeated row would overwrite the first
+// lease while its term check stays armed on the object, and an ID past
+// next_id would be issued again by the next create.
+func TestRestoreRefusesRepeatedOrUnissuedLeaseID(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	for id := uint64(1); id <= 3; id++ {
+		mgr.Create(snapObj(ctrl, id, power.UID(10*id)))
+	}
+	good := mgr.CaptureState()
+	resolve := func(ls LeaseState) (hooks.Object, bool) { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true }
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*ManagerState)
+	}{
+		{"a repeated row", func(st *ManagerState) { st.Leases = append(st.Leases, st.Leases[2]) }},
+		{"a repeated ID", func(st *ManagerState) { st.Leases[1].ID = 1 }},
+		{"falling IDs", func(st *ManagerState) { st.Leases[0], st.Leases[2] = st.Leases[2], st.Leases[0] }},
+		{"ID 0", func(st *ManagerState) { st.Leases[0].ID = 0 }},
+		{"an ID past next_id", func(st *ManagerState) { st.Leases[2].ID = st.NextID + 1 }},
+		{"next_id below the last ID", func(st *ManagerState) { st.NextID = 2 }},
+	} {
+		st := good
+		st.Leases = append([]LeaseState(nil), good.Leases...)
+		tc.corrupt(&st)
+		fresh := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
+		if err := fresh.RestoreState(st, resolve); !errors.Is(err, ErrLeaseID) {
+			t.Errorf("%s: err = %v, want ErrLeaseID", tc.name, err)
+		}
+	}
+	restored := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
+	if err := restored.RestoreState(good, resolve); err != nil {
+		t.Fatalf("the unmodified capture: %v", err)
+	}
+	if l := restored.CreateLease(snapObj(ctrl, 4, 40)); l.ID() != good.NextID+1 {
+		t.Fatalf("the restored manager issued lease %d, want %d", l.ID(), good.NextID+1)
 	}
 }

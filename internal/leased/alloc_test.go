@@ -145,22 +145,46 @@ func measureAllocs(t *testing.T, runs int, f func()) float64 {
 	return testing.AllocsPerRun(runs, f)
 }
 
-// renewAllocs is the steady-state allocation count of one renew served by
+// measureMallocs is measureAllocs counted exactly: the heap allocations of
+// runs calls of f after two warm-up calls, where AllocsPerRun's integer
+// mean reads fewer allocations than runs as 0.
+func measureMallocs(runs int, f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// renewer acquires a lease for client and returns one renew of it served by
 // handler: a route's chain as Handler() wires it, or Handler() itself.
-func renewAllocs(t *testing.T, s *Server, client string, handler http.Handler) float64 {
+func renewer(t *testing.T, s *Server, client string, handler http.Handler) func() {
 	t.Helper()
 	lr := httpAcquire(t, s, client)
 	req, rb := newReplayRequest("POST", fmt.Sprintf("/v1/leases/%d/renew", lr), []byte(`{"cpu_ms":1.5,"ui_updates":1}`))
 	req.SetPathValue("id", strconv.FormatUint(lr, 10)) // what the mux would have set, for a chain driven without it
 	w := newNullWriter()
-	return measureAllocs(t, 200, func() {
+	return func() {
 		rb.off = 0
 		w.reset()
 		handler.ServeHTTP(w, req)
 		if w.status != http.StatusOK {
 			t.Fatalf("renew: status %d", w.status)
 		}
-	})
+	}
+}
+
+// renewAllocs is the steady-state allocation count of one renew served by
+// handler.
+func renewAllocs(t *testing.T, s *Server, client string, handler http.Handler) float64 {
+	t.Helper()
+	return measureAllocs(t, 200, renewer(t, s, client, handler))
 }
 
 func TestServePathDoesNotAllocate(t *testing.T) {
@@ -307,28 +331,33 @@ func httpAcquire(t *testing.T, s *Server, client string) uint64 {
 }
 
 // TestDaemonHeapPerLease: what a distinct client's first lease keeps live —
-// its client table row and client index cells (one or two of 8 bytes at
-// half load), its kernel object, the manager's lease and its table entry,
-// and its pending term check — bounded per lease over 2 000 acquires, names
-// made beforehand: ≈ 546 B, where a runtime map from name to UID and a
-// 128-byte robj kept ≈ 600 B, and a manager that also indexed every lease by
-// object ≈ 683 B. The same bound holds for the shard rebuilt from its own
-// checkpoint, restored from a payload decoded beforehand, so a restore that
-// indexes what the live shard does not fails it too. The two per-lease
-// records' sizes are pinned first, race detector or not. The acquires and
-// both readings share one clock section, so no term check fires between the
-// readings.
+// its 64-byte client table row and client index cells (one or two of 8
+// bytes at half load), its kernel object, the manager's lease and its 16
+// bytes in the manager's ID-ordered table, and its pending term check —
+// bounded per lease over 2 000 acquires, names made beforehand: ≈ 460 B,
+// where a map for the lease table, a slot per kind in each row and the
+// §7.2 activity fields in each lease kept ≈ 546 B, a runtime map from name
+// to UID and a 128-byte robj ≈ 600 B, and a manager that also indexed every
+// lease by object ≈ 683 B. The same bound holds for the shard rebuilt from
+// its own checkpoint, restored from a payload decoded beforehand, so a
+// restore that indexes what the live shard does not fails it too. The three
+// per-lease records' sizes are pinned first, race detector or not. The
+// acquires and both readings share one clock section, so no term check
+// fires between the readings.
 func TestDaemonHeapPerLease(t *testing.T) {
 	if size := unsafe.Sizeof(robj{}); size > 112 {
 		t.Errorf("a robj is %d bytes, pinned at ≤ 112: what grew it?", size)
 	}
-	if size := unsafe.Sizeof(lease.Lease{}); size > 208 {
-		t.Errorf("a lease.Lease is %d bytes, pinned at ≤ 208: what grew it?", size)
+	if size := unsafe.Sizeof(lease.Lease{}); size > 176 {
+		t.Errorf("a lease.Lease is %d bytes, pinned at ≤ 176: what grew it?", size)
+	}
+	if size := unsafe.Sizeof(clientRec{}); size > 64 {
+		t.Errorf("a clientRec is %d bytes, pinned at ≤ 64: what grew it?", size)
 	}
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
 	}
-	const leases, maxPerLease = 2000, 580
+	const leases, maxPerLease = 2000, 500
 	s := NewServer(benchOptions(1))
 	defer s.Close()
 	sh := s.shards[0]
@@ -379,4 +408,50 @@ func TestDaemonHeapPerLease(t *testing.T) {
 	}
 	check("restored", &before, &after)
 	goruntime.KeepAlive(st)
+}
+
+// TestChurnKeepsNoDeadState: a shard keeps nothing for a lease once it is
+// destroyed. 100 000 acquire+destroy cycles over 100 clients, in one clock
+// section so no term check fires, leave no live lease, grow the heap by
+// less than 64 KiB, and grow the snapshot only by the few bytes its
+// counters and next IDs take as they count up. A manager that kept a
+// 16-byte activity record for every destroyed lease grew the heap by 1.8 MB
+// and the snapshot from 2 161 to 202 169 B over these cycles.
+func TestChurnKeepsNoDeadState(t *testing.T) {
+	const clients, cycles = 100, 100_000
+	s := NewServer(benchOptions(1))
+	defer s.Close()
+	sh := s.shards[0]
+	names := make([]string, clients)
+	for i := range names {
+		names[i] = fmt.Sprintf("churn-client-%03d", i)
+	}
+	cycle := func(i int) { sh.destroy(sh.acquire(names[i%clients], hooks.Wakelock)) }
+	var before, after goruntime.MemStats
+	var start, end []byte
+	sh.do(func() {
+		for i := range clients {
+			cycle(i) // every client's row, and the tables at their working size
+		}
+		start = encodeShard(sh)
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		for i := range cycles {
+			cycle(i)
+		}
+		goruntime.GC()
+		goruntime.ReadMemStats(&after)
+		end = encodeShard(sh)
+	})
+	if n := sh.mgr.LeaseCount(); n != 0 {
+		t.Fatalf("%d live leases after the churn, want 0", n)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d cycles over %d clients: heap %+d B, snapshot %d → %d B", cycles, clients, growth, len(start), len(end))
+	if !raceEnabled && growth > 64<<10 {
+		t.Errorf("the heap grew by %d B over %d acquire+destroy cycles, pinned at < 64 KiB", growth, cycles)
+	}
+	if len(end) > len(start)+16 {
+		t.Errorf("the snapshot grew from %d to %d B over %d acquire+destroy cycles, pinned at ≤ 16 B more", len(start), len(end), cycles)
+	}
 }

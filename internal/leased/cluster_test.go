@@ -694,11 +694,23 @@ func TestAdoptWelcomeTakesTheEpoch(t *testing.T) {
 	}
 }
 
+// discardConn is a replication connection whose peer takes every byte at
+// once: Write counts and drops what it is handed. A Kick does nothing; the
+// test flushes by calling the subscriber's Kicked on the node clock.
+type discardConn struct{ writes int }
+
+func (c *discardConn) Write([]byte) { c.writes++ }
+func (c *discardConn) Backlog() int { return 0 }
+func (c *discardConn) Kick()        {}
+func (c *discardConn) Close()       {}
+
 // TestServePathDoesNotAllocateWithReplication re-runs the renew zero-alloc
 // pin with clustering enabled: the role gate in front of the handler and a
-// live subscriber attached to the shard's stream, so every renew publishes
-// its journal bytes. The publish must ride the subscriber's pre-grown
-// buffer — zero allocations per request, same as standalone.
+// follower's subscriber attached to the shard's stream through a handshake,
+// so every renew publishes its journal bytes. Warmed by twice the measured
+// traffic and flushed into a connection that discards it, the subscriber's
+// buffer has room for every measured publish: 200 renews allocate nothing,
+// counted exactly, same as standalone.
 func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses itself under the race detector; allocation pins hold only in normal builds")
@@ -718,15 +730,34 @@ func TestServePathDoesNotAllocateWithReplication(t *testing.T) {
 	if err := s.StartAutoFailover(); err != nil {
 		t.Fatal(err)
 	}
-	sub := new(cluster.Subscriber)
-	s.shards[0].repl.Attach(sub)
-	defer s.shards[0].repl.Detach(sub)
+	const runs = 200
+	renew := renewer(t, s, "alloc-repl-client", s.record(routeRenew, s.admit(s.gate(s.handleRenew))))
+	hello, err := json.Marshal(cluster.Hello{Proto: cluster.Proto, Shards: 1, Config: s.configSig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := new(discardConn)
+	var sub cluster.Handler
+	s.onClock(func() {
+		sub = s.prim.Accept(conn, "alloc-follower")
+		sub.Recv(durable.AppendFrame(nil, 'H', hello))
+	})
+	if conn.writes != 1 {
+		t.Fatalf("the handshake wrote %d times, want its welcome and snapshot once", conn.writes)
+	}
+	for range 2 * runs {
+		renew()
+	}
+	s.onClock(sub.Kicked)
+	if conn.writes != 2 {
+		t.Fatalf("the warm-up traffic was written %d times, want once", conn.writes-1)
+	}
 
 	before := s.shards[0].repl.Seq()
-	if avg := renewAllocs(t, s, "alloc-repl-client", s.record(routeRenew, s.admit(s.gate(s.handleRenew)))); avg > 0 {
-		t.Errorf("replicated renew serve path allocates %.2f times per request, want 0", avg)
+	if n := measureMallocs(runs, renew); n != 0 {
+		t.Errorf("%d replicated renews allocated %d times, want 0", runs, n)
 	}
-	if got := s.shards[0].repl.Seq() - before; got < 200 {
+	if got := s.shards[0].repl.Seq() - before; got < runs {
 		t.Fatalf("stream advanced %d records during the measurement; replication was not exercised", got)
 	}
 }

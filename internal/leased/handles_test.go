@@ -28,7 +28,7 @@ import (
 func liveObjects(sh *shard) []*robj {
 	var objs []*robj
 	for uid := 1; uid < len(sh.table.recs); uid++ {
-		for _, o := range sh.table.recs[uid].objs {
+		for _, o := range sh.table.recs[uid].objects() {
 			if o != nil {
 				objs = append(objs, o)
 			}
@@ -65,7 +65,7 @@ func checkHandles(t *testing.T, sh *shard) {
 	objs := liveObjects(sh)
 	for _, o := range objs {
 		switch {
-		case sh.table.recs[o.uid].objs[o.kind] != o:
+		case sh.table.recs[o.uid].objOf(hooks.Kind(o.kind)) != o:
 			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, o.id, o.uid, hooks.Kind(o.kind))
 		case o.destroyed:
 			t.Errorf("shard %d: destroyed object %d still in the client table", sh.id, o.id)

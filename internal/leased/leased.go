@@ -555,12 +555,12 @@ func (sh *shardState) addClient(client string, h uint64) power.UID {
 // not wire attempts. Callers hold the shard clock.
 func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 	uid := sh.uidOf(client)
-	slot := &sh.table.recs[uid].objs[kind]
-	o := *slot
+	c := &sh.table.recs[uid]
+	o := c.objOf(kind)
 	if o == nil {
 		sh.nextObjID++
 		o = &robj{Hold: hooks.Hold{Held: true, LastSettle: sh.clock.Now()}, clock: sh.clock, id: sh.nextObjID, uid: uint32(uid), kind: uint8(kind), acquires: 1}
-		*slot = o
+		c.setObj(o)
 		o.lease = sh.mgr.CreateLease(o.hookObject())
 		return o
 	}
@@ -579,7 +579,7 @@ func (sh *shard) objByLease(id uint64) *robj {
 	if l == nil {
 		return nil
 	}
-	if o := sh.table.recs[l.UID()].objs[l.Kind()]; o != nil && o.lease == l {
+	if o := sh.table.recs[l.UID()].objOf(l.Kind()); o != nil && o.lease == l {
 		return o
 	}
 	return nil
@@ -627,7 +627,7 @@ func (sh *shard) destroy(o *robj) {
 	o.destroyed = true
 	o.Held = false
 	sh.mgr.Destroyed(o.lease)
-	sh.table.recs[o.uid].objs[o.kind] = nil
+	sh.table.recs[o.uid].clearObj(o)
 }
 
 // The write path is one pipeline. Every mutation — a single-op request (a
@@ -872,14 +872,59 @@ var _ hooks.Controller = (*robj)(nil)
 // name, the cumulative app-level counters the manager differences per term
 // (CPU time, exceptions, UI updates, interactions — clients self-report them
 // in renewal payloads; in the simulator the app framework plays this role),
-// and the client's kernel object of each kind, nil where it holds none.
+// and the client's kernel objects, at most one of each kind. Almost every
+// client holds one object, so the row keeps one in obj, for a 64-byte row,
+// and the rest in more, by kind, allocated when the client first holds two
+// at once.
 type clientRec struct {
 	name  string
 	cpu   time.Duration
 	exc   int
 	ui    int
 	inter int
-	objs  [hooks.NumKinds]*robj
+	obj   *robj
+	more  *[hooks.NumKinds]*robj
+}
+
+// objOf returns the client's object of kind k, or nil.
+func (c *clientRec) objOf(k hooks.Kind) *robj {
+	if o := c.obj; o != nil && hooks.Kind(o.kind) == k {
+		return o
+	}
+	if c.more != nil {
+		return c.more[k]
+	}
+	return nil
+}
+
+// setObj gives o its kind's slot, which objOf has found empty.
+func (c *clientRec) setObj(o *robj) {
+	if c.obj == nil {
+		c.obj = o
+		return
+	}
+	if c.more == nil {
+		c.more = new([hooks.NumKinds]*robj)
+	}
+	c.more[o.kind] = o
+}
+
+// clearObj empties o's slot.
+func (c *clientRec) clearObj(o *robj) {
+	if c.obj == o {
+		c.obj = nil
+	} else if c.more != nil && c.more[o.kind] == o {
+		c.more[o.kind] = nil
+	}
+}
+
+// objects is the client's objects for a walk, nil where there are none.
+func (c *clientRec) objects() (all [1 + hooks.NumKinds]*robj) {
+	all[0] = c.obj
+	if c.more != nil {
+		copy(all[1:], c.more[:])
+	}
+	return all
 }
 
 func (c *clientRec) add(rep usageReport) {

@@ -578,7 +578,7 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			return fmt.Errorf("leased: snapshot objects row %d: unknown uid %d", i, os.UID)
 		case kind < 0 || int(kind) >= hooks.NumKinds:
 			return fmt.Errorf("leased: snapshot objects row %d: unknown resource kind %d", i, os.Kind)
-		case sh.table.recs[uid].objs[kind] != nil:
+		case sh.table.recs[uid].objOf(kind) != nil:
 			return fmt.Errorf("leased: snapshot objects row %d: uid %d already holds a %v object", i, os.UID, kind)
 		case os.Client != sh.table.recs[uid].name:
 			return fmt.Errorf("leased: snapshot objects row %d: %w: client %q, but uid %d is %q", i, errObjectClientMismatch, os.Client, os.UID, sh.table.recs[uid].name)
@@ -600,7 +600,7 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			},
 			acquires: os.Acquires,
 		}
-		sh.table.recs[uid].objs[kind] = o
+		sh.table.recs[uid].setObj(o)
 		objIDs[o.id] = true
 		byLease[os.LeaseID] = o
 	}

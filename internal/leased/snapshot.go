@@ -67,7 +67,7 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 	}
 	objs := make([]objRow, 0, sh.mgr.LeaseCount())
 	for uid := 1; uid < len(recs); uid++ {
-		for _, o := range &recs[uid].objs {
+		for _, o := range recs[uid].objects() {
 			if o != nil {
 				objs = append(objs, objRow{o, recs[uid].name})
 			}

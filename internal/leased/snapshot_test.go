@@ -50,7 +50,7 @@ func (sh *shard) objOf(client string, kind hooks.Kind) *robj {
 	if uid == 0 {
 		return nil
 	}
-	return sh.table.recs[uid].objs[kind]
+	return sh.table.recs[uid].objOf(kind)
 }
 
 // captureState is the shard's state as plain structs: the decode of the one
@@ -208,10 +208,10 @@ func fillRandom(v reflect.Value, rng *rand.Rand) {
 // to restore: the shard's own identity and policy, UIDs dense from 1, unique
 // sorted keys in every table, apps rows and objects owned by known clients
 // and named by them (an object per real kind at most), each lease bound to
-// the object of the same rank, in a real state, with at most the one pending
-// event that state has and no due instant on an event that is not pending,
-// the retired dead_at 0, a last term record exactly on a lease with completed
-// terms, and dedup verdicts that name a known client, a real kind and a real
+// the object of the same rank, IDs rising and at most next_id, in a real
+// state, with at most the one pending event that state has and no due
+// instant on an event that is not pending, a last term record exactly on a
+// lease with completed terms, and dedup verdicts that name a known client, a real kind and a real
 // state.
 func randomState(rng *rand.Rand, sh *shard) persistedState {
 	var st persistedState
@@ -246,7 +246,6 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 		ls.State = rng.Intn(int(lease.Dead) + 1)
 		ls.HasCheck = ls.HasCheck && lease.State(ls.State) == lease.Active
 		ls.HasRestor = ls.HasRestor && lease.State(ls.State) == lease.Deferred
-		ls.DeadAt = 0
 		if !ls.HasCheck {
 			ls.CheckAt = 0
 		}
@@ -259,6 +258,7 @@ func randomState(rng *rand.Rand, sh *shard) persistedState {
 			ls.TermIndex = 1 - ls.TermIndex
 		}
 	}
+	st.Manager.NextID = max(st.Manager.NextID, uint64(200+len(st.Manager.Leases)))
 	for i := range st.Dedup {
 		e := &st.Dedup[i]
 		if e.Empty {
@@ -410,8 +410,8 @@ func snapshotScript(tb testing.TB) *Server {
 // exactly the version-2 bytes pinned here.
 func TestSnapshotBytesUnchanged(t *testing.T) {
 	want := []string{
-		"2075f652f6e3915454ff2983bbd13473ac1dc56fc0bea83fb1be597eab00b92a",
-		"cb82269812fc9dd3a39079ab1c9f19563d419eba8accd3207228e64833c4865d",
+		"0f9cc09f00bbb594d0f139b80584e2d1efd50eccf54990c8df15a469c9afaa48",
+		"fdbc2d4b7e76a7c01e1c21fa65165d117a1a0f9dd9aa58b2e07c5a26a7b1011a",
 	}
 	s := snapshotScript(t)
 	for i, sh := range s.shards {
@@ -721,13 +721,52 @@ func termRecordBytes(rec lease.TermRecord) []byte {
 	return w.Payload()
 }
 
+// leaseRowBytes is ls as a snapshot encodes it.
+func leaseRowBytes(ls lease.LeaseState) []byte {
+	w := snapenc.NewWriter(nil)
+	w.Uvarint(ls.ID)
+	w.Uvarint(ls.ObjID)
+	for _, n := range []int{ls.UID, ls.Kind, ls.State} {
+		w.Int(n)
+	}
+	for _, d := range []time.Duration{ls.CreatedAt, ls.TermStart, ls.Term} {
+		w.Varint(int64(d))
+	}
+	w.Int(ls.TermIndex)
+	w.Bool(ls.Held)
+	for _, n := range []int{ls.NormalStreak, ls.MisbehaveStreak, ls.Escalation} {
+		w.Int(n)
+	}
+	w.Varint(int64(ls.LastCPU))
+	for _, n := range []int{ls.LastExc, ls.LastUI, ls.LastInter} {
+		w.Int(n)
+	}
+	w.Bool(ls.HasCheck)
+	if ls.HasCheck {
+		w.Varint(int64(ls.CheckAt))
+	}
+	w.Bool(ls.HasRestor)
+	if ls.HasRestor {
+		w.Varint(int64(ls.RestoreAt))
+	}
+	for range 5 {
+		w.Varint(0) // retired: dead_at and the four §7.2 activity fields
+	}
+	if ls.Last == nil {
+		w.Uvarint(0)
+		return w.Payload()
+	}
+	w.Uvarint(1)
+	return append(w.Payload(), termRecordBytes(*ls.Last)...)
+}
+
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 or version-2 value: no other first byte,
 // nothing after it. What it accepts is then restored into a fresh shard,
 // which must hold to the same rule (loadBounded). The seeds include the
 // version-1 fixture's payload, the same state in version 2, and payloads
-// that decode but must not restore.
+// that decode but must not restore, each asserted refused.
 func FuzzDecodeSnapshot(f *testing.F) {
 	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
 	f.Add(good)
@@ -759,7 +798,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}{
 		{func(sh *shard) {
 			o := sh.objByLease(1)
-			sh.table.recs[o.uid].objs[o.kind], sh.table.recs[o.uid+1].objs[o.kind] = nil, o
+			sh.table.recs[o.uid].clearObj(o)
+			sh.table.recs[o.uid+1].setObj(o)
 		}, errObjectClientMismatch},
 		{func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
 		{func(sh *shard) { sh.table.recs[2].name = sh.table.recs[1].name }, errDuplicateClient},
@@ -792,6 +832,30 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "completed terms but last record present = false") {
 		f.Fatalf("a lease that lost its term record: %v", err)
+	}
+	f.Add(bad)
+	// And a manager section that repeats its last lease row. The row agrees
+	// with the object row naming it, so only the manager's ID order refuses
+	// it: restored, it would replace the first copy's lease while that
+	// lease's term check stayed armed on the object.
+	sh = populatedShard(f, snapTestOptions(), 4, 3)
+	good = encodeShard(sh)
+	leases := sh.captureState().Manager.Leases
+	var rows []byte
+	for _, ls := range leases {
+		rows = append(rows, leaseRowBytes(ls)...)
+	}
+	count := len(good) - len(rows) - 1
+	if !bytes.HasSuffix(good, rows) || good[count] != byte(len(leases)) {
+		f.Fatal("the payload does not end with its lease count and rows")
+	}
+	bad = append(append(append(good[:count:count], byte(len(leases)+1)), rows...), leaseRowBytes(leases[len(leases)-1])...)
+	got, err = decodeSnapshot(bad)
+	if err == nil {
+		err = freshShard(snapTestOptions()).restoreState(got)
+	}
+	if !errors.Is(err, lease.ErrLeaseID) {
+		f.Fatalf("a repeated manager lease row: err = %v, want lease.ErrLeaseID", err)
 	}
 	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
