@@ -156,7 +156,8 @@ func TestTable4Shape(t *testing.T) {
 	if len(r.Lines) != 2 {
 		t.Fatalf("lines = %v", r.Lines)
 	}
-	// All four numbers parse as durations and checks are cheapest.
+	// One field per op. They are host-clock timings, so nothing here
+	// compares them (DESIGN.md §18: timing is not a test).
 	fields := strings.Fields(r.Lines[1])
 	if len(fields) != 4 {
 		t.Fatalf("row = %q", r.Lines[1])

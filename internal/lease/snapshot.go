@@ -397,6 +397,8 @@ var ErrPendingEvent = errors.New("a lease's pending event must match its state")
 // maps each serialized lease back to its live kernel object (the caller
 // owns the object table and its Controller); returning false fails the
 // restore — a snapshot that references an unknown object is corrupt.
+// Every row is checked and resolved before the manager is touched, so a
+// refused capture leaves it as empty as it was, with nothing scheduled.
 // Pending term checks and deferral restores are re-scheduled at their
 // captured due instants, so the restored manager's future evolution matches
 // the captured one's.
@@ -404,25 +406,9 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 	if len(m.leases.ls) != 0 || m.createdTotal != 0 {
 		return fmt.Errorf("lease: RestoreState on a non-empty manager")
 	}
-	m.nextID = st.NextID
-	m.createdTotal = st.CreatedTotal
-	m.deadTotal = st.DeadTotal
-	m.TermChecks = st.TermChecks
-	m.Deferrals = st.Deferrals
-	m.Renewals = st.Renewals
-	m.TermAdaptations = st.TermAdaptations
-	for _, r := range st.Reputations {
-		m.reputations[power.UID(r.UID)] = &reputation{normals: r.Normals, deferrals: r.Deferrals}
-	}
-	for _, e := range st.EUBTimes {
-		m.eubTime[power.UID(e.UID)] = e.T
-	}
-
-	m.leases.ids = slices.Grow(m.leases.ids, len(st.Leases))
-	m.leases.ls = slices.Grow(m.leases.ls, len(st.Leases))
-	now := m.clock.Now()
+	built := make([]*Lease, len(st.Leases))
 	var prev uint64 // IDs are issued from 1
-	for _, ls := range st.Leases {
+	for i, ls := range st.Leases {
 		if ls.ID <= prev || ls.ID > st.NextID {
 			return fmt.Errorf("lease: RestoreState: lease %d after lease %d with next_id %d: %w", ls.ID, prev, st.NextID, ErrLeaseID)
 		}
@@ -453,10 +439,29 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			rec := *ls.Last
 			l.last = &rec
 		}
+		built[i] = l
+	}
+
+	m.nextID = st.NextID
+	m.createdTotal = st.CreatedTotal
+	m.deadTotal = st.DeadTotal
+	m.TermChecks = st.TermChecks
+	m.Deferrals = st.Deferrals
+	m.Renewals = st.Renewals
+	m.TermAdaptations = st.TermAdaptations
+	for _, r := range st.Reputations {
+		m.reputations[power.UID(r.UID)] = &reputation{normals: r.Normals, deferrals: r.Deferrals}
+	}
+	for _, e := range st.EUBTimes {
+		m.eubTime[power.UID(e.UID)] = e.T
+	}
+	m.leases.ids = slices.Grow(m.leases.ids, len(built))
+	m.leases.ls = slices.Grow(m.leases.ls, len(built))
+	now := m.clock.Now()
+	for i, l := range built {
 		l.bindEvent(m)
 		m.leases.add(l)
-
-		if ls.HasCheck || ls.HasRestor {
+		if ls := &st.Leases[i]; ls.HasCheck || ls.HasRestor {
 			l.due = ls.CheckAt
 			if ls.HasRestor {
 				l.due = ls.RestoreAt

@@ -550,3 +550,51 @@ func TestRestoreRefusesRepeatedOrUnissuedLeaseID(t *testing.T) {
 		t.Fatalf("the restored manager issued lease %d, want %d", l.ID(), good.NextID+1)
 	}
 }
+
+// TestRefusedRestoreLeavesNothing: a capture refused at its last row leaves
+// the manager as it found it. Every row is checked, and its object resolved,
+// before the manager is touched, so the rows before the bad one are not in
+// its table, their term checks are not on the clock, and its counters and
+// reputations are a fresh manager's.
+func TestRefusedRestoreLeavesNothing(t *testing.T) {
+	eng := simclock.NewEngine()
+	stats := newFakeStats()
+	mgr := NewManager(eng, stats, Config{})
+	ctrl := newSnapCtrl()
+	for id := uint64(1); id <= 3; id++ {
+		mgr.Create(snapObj(ctrl, id, power.UID(10*id)))
+	}
+	stop := eng.Ticker(time.Second, func() { stats.cpu[20] += 500 * time.Millisecond })
+	defer stop()
+	eng.RunUntil(7 * time.Second)
+	st := mgr.CaptureState()
+	armed := 0
+	for _, ls := range st.Leases {
+		if ls.HasCheck || ls.HasRestor {
+			armed++
+		}
+	}
+	if len(st.Leases) != 3 || armed == 0 || st.TermChecks == 0 || len(st.Reputations) == 0 {
+		t.Fatalf("the capture holds %d leases, %d armed, %d term checks, %d reputations; want 3 leases and some of each", len(st.Leases), armed, st.TermChecks, len(st.Reputations))
+	}
+	st.Leases = append(st.Leases, st.Leases[2]) // IDs 1, 2, 3, 3
+
+	eng2 := simclock.NewEngine()
+	fresh := NewManager(eng2, newFakeStats(), Config{})
+	want := fresh.CaptureState()
+	err := fresh.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
+		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
+	})
+	if !errors.Is(err, ErrLeaseID) {
+		t.Fatalf("err = %v, want ErrLeaseID", err)
+	}
+	if n := len(fresh.leases.ls); n != 0 {
+		t.Errorf("the refused restore left %d leases in the table", n)
+	}
+	if n := eng2.Len(); n != 0 {
+		t.Errorf("the refused restore left %d events on the clock", n)
+	}
+	if got := fresh.CaptureState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the refused restore changed the manager:\n got %+v\nwant %+v", got, want)
+	}
+}

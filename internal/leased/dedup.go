@@ -15,20 +15,23 @@ import "repro/internal/snapenc"
 // which are fixed for the shard's lifetime, so a retry still gets the first
 // answer byte for byte.
 //
-// The cache is one fixed ring of slots, oldest at head, found through a
-// cellIndex of ring positions + 1. Nothing in it is a runtime map and
-// nothing is allocated per entry but the ID string the caller hands over:
-// the entry that evicts a slot overwrites it, and its index cell is freed by
-// backward-shift deletion, so there are no tombstones to accumulate. The
+// The cache is one ring of slots, oldest at head, found through a cellIndex
+// of ring positions + 1. The ring grows geometrically with the entries it
+// holds (doubling to 1 024 slots, then by a quarter) up to the window; head
+// stays 0 until the window is full, so growing moves no entry's position.
+// Only a full window evicts. Nothing in it is a runtime map, and once the
+// window is full nothing is allocated per entry but the ID string the caller
+// hands over: the entry that evicts a slot overwrites it, and its index cell
+// is freed by backward-shift deletion, so there are no tombstones. The
 // index cell's 32 hash bits are the only copy of the hash: a probe reads the
 // ring only for an entry that very likely is the one sought, and an eviction
 // hashes the evicted ID again to find its cell. An op hashes its ID once
 // (hash, under the index's own seed) and hands the hash to get and put.
 type dedupCache struct {
-	ring []dedupSlot
-	head int // ring position of the oldest live entry
-	n    int // live entries (≤ len(ring))
-	cellIndex
+	ring      []dedupSlot
+	head      int // ring position of the oldest live entry
+	window    int // the most entries the ring grows to hold
+	cellIndex     // its n counts the live entries (≤ len(ring))
 }
 
 // dedupSlot is one ring entry, 48 bytes with nothing behind a pointer but
@@ -77,12 +80,8 @@ func (e *dedupEntry) verdict() dedupVerdict {
 	return dedupVerdict{lease: e.LeaseID, terms: e.Terms, acquires: e.Acquires, uid: uint32(e.UID), kind: uint8(e.Kind), state: uint8(e.State), held: e.Held}
 }
 
-func newDedupCache(capacity int) *dedupCache {
-	capacity = max(capacity, 0)
-	return &dedupCache{
-		ring:      make([]dedupSlot, capacity),
-		cellIndex: newCellIndex(capacity),
-	}
+func newDedupCache(window int) *dedupCache {
+	return &dedupCache{window: max(window, 0), cellIndex: newCellIndex()}
 }
 
 func (c *dedupCache) size() int { return c.n }
@@ -114,28 +113,45 @@ func (c *dedupCache) get(id string, h uint64) (dedupVerdict, bool) {
 
 // put stores v under id, whose hash is h. A live id keeps its place in the
 // eviction order and takes the new verdict; a new one evicts the oldest
-// entry once the ring is full.
+// entry once the window is full.
 func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
-	if len(c.ring) == 0 {
+	if c.window == 0 {
 		return
 	}
 	pos := c.find(id, h)
 	if pos < 0 {
-		if c.n == len(c.ring) {
+		if c.n == len(c.ring) && c.n < c.window {
+			c.growRing()
+		}
+		if c.n < len(c.ring) {
+			pos = c.n // head is 0 until the window is full
+		} else {
 			// Full: the oldest entry's slot is the next one to write. Only
 			// a full window evicts, once per new entry, so the evicted ID
 			// is hashed again here rather than its hash kept in the slot.
 			pos = c.head
 			c.remove(c.hash(c.ring[pos].id), uint32(pos+1))
 			c.head = (c.head + 1) % len(c.ring)
-		} else {
-			pos = (c.head + c.n) % len(c.ring)
-			c.n++
 		}
 		c.ring[pos].id = id
 		c.insert(h, uint32(pos+1))
 	}
 	c.ring[pos].v = v
+}
+
+// growRing gives a full ring below the window more slots: twice as many up to
+// 1 024, a quarter more after that, at least 16 and at most the window. The
+// entries keep their positions, so the index's values stay valid.
+func (c *dedupCache) growRing() {
+	n := len(c.ring)
+	if n < 1024 {
+		n = max(2*n, 16)
+	} else {
+		n += n / 4
+	}
+	ring := make([]dedupSlot, min(n, c.window))
+	copy(ring, c.ring)
+	c.ring = ring
 }
 
 // encodeState writes the cache oldest-first into the checkpoint payload: a

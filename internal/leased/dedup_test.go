@@ -35,18 +35,25 @@ func verdictN(n int) dedupVerdict {
 }
 
 // TestDedupBoundedRetention fills the cache many times over its cap and
-// checks retention stays bounded: exactly cap live entries, ring and index
-// in lockstep, and only the newest cap ids resident. This is the regression
-// test for the sliced-forward eviction (order = order[1:]) that kept the
-// backing array — and through it every evicted id and response — reachable
-// forever.
+// checks retention stays bounded: the ring never past cap slots, exactly cap
+// live entries, ring and index in lockstep, the index no larger once the
+// window is full, and only the newest cap ids resident. This is the
+// regression test for the sliced-forward eviction (order = order[1:]) that
+// kept the backing array — and through it every evicted id and response —
+// reachable forever.
 func TestDedupBoundedRetention(t *testing.T) {
 	const cap = 8
 	c := newDedupCache(cap)
-	cells := len(c.cells)
+	cells := 0 // the index's size once the window is full
 	const total = 10 * cap
 	for i := 0; i < total; i++ {
 		c.store(fmt.Sprintf("req-%03d", i), verdictN(i))
+		if len(c.ring) > cap {
+			t.Fatalf("after %d inserts the ring has %d slots, capped at %d", i+1, len(c.ring), cap)
+		}
+		if c.size() == cap && cells == 0 {
+			cells = len(c.cells)
+		}
 	}
 	if c.size() != cap {
 		t.Fatalf("size = %d after %d inserts, want %d", c.size(), total, cap)
@@ -54,8 +61,8 @@ func TestDedupBoundedRetention(t *testing.T) {
 	if n := c.indexed(); n != cap {
 		t.Fatalf("index holds %d entries, want %d (evicted ids not unindexed)", n, cap)
 	}
-	if len(c.ring) != cap || len(c.cells) != cells {
-		t.Fatalf("ring grew to %d slots and index to %d cells, want fixed %d and %d", len(c.ring), len(c.cells), cap, cells)
+	if len(c.cells) != cells {
+		t.Fatalf("the index grew from %d cells to %d while the window was full", cells, len(c.cells))
 	}
 	// Only the newest cap survive; everything older is gone.
 	for i := 0; i < total-cap; i++ {
@@ -181,7 +188,8 @@ func (m *dedupModel) put(id string, v dedupVerdict) {
 // encode → load into a fresh cache — run against the cache and the model
 // side by side. IDs come from a small alphabet so that updates, hits and
 // evictions all occur; verdicts include the empty one a mark gets. After
-// every op: same size, and index occupancy equal to it.
+// every op: same size, index occupancy equal to it, a ring that holds the
+// entries and is no longer than the window, and an index at most half full.
 func checkDedupAgainstModel(t *testing.T, capacity int, script []byte) {
 	t.Helper()
 	c := newDedupCache(capacity)
@@ -219,6 +227,9 @@ func checkDedupAgainstModel(t *testing.T, capacity int, script []byte) {
 		if c.size() != len(model.order) || c.indexed() != c.size() {
 			t.Fatalf("op %d: size %d with %d index cells occupied, the model holds %d", pc/2, c.size(), c.indexed(), len(model.order))
 		}
+		if c.size() > len(c.ring) || len(c.ring) > capacity || 2*c.size() > len(c.cells) {
+			t.Fatalf("op %d: %d entries in a ring of %d slots (window %d) and an index of %d cells", pc/2, c.size(), len(c.ring), capacity, len(c.cells))
+		}
 	}
 	for _, id := range model.order {
 		if got, hit := c.lookup(id); !hit || got != model.m[id] {
@@ -227,7 +238,11 @@ func checkDedupAgainstModel(t *testing.T, capacity int, script []byte) {
 	}
 }
 
-var dedupModelCapacities = []int{0, 1, 8}
+// dedupModelCapacities are the windows the model runs at. 5, 20 and 40 are
+// not powers of two, so the ring's last growth stops short at the window;
+// 40 is more than the 24 IDs a script names, so its ring grows and never
+// evicts.
+var dedupModelCapacities = []int{0, 1, 8, 5, 20, 40}
 
 // TestDedupMatchesModel runs seeded random op streams at each capacity.
 func TestDedupMatchesModel(t *testing.T) {
@@ -255,19 +270,20 @@ func FuzzDedupCache(f *testing.F) {
 }
 
 // TestDedupWindowHoldsNoResponseBytes: filling a default window keeps
-// nothing per entry but the request ID — no copy of the answer. The window's
-// ring and index are fixed at construction (48 + 16 bytes an entry, the slot
-// size pinned here too); it is then filled twice over through the
-// pipeline's own put with a real lease's verdict, and the live heap that
-// adds, less the IDs (made and held beforehand), is bounded per entry. The
-// parent build copied each answer's ~170 rendered bytes into a buffer of the
-// slot's own: 176 B or more an entry here, ~240 B with its 48-byte slot and
-// the index.
+// nothing per entry but the request ID — no copy of the answer. An empty
+// cache is filled twice over through the pipeline's own put with a real
+// lease's verdict, and the live heap that adds, less the IDs (made and held
+// beforehand), is bounded per entry: the full window's ring and index cost
+// 48 + 16 bytes an entry (the slot size pinned here too), and the rings it
+// grew through must be garbage. The bound leaves 8 bytes of slack over that
+// for the runtime's own allocations. The parent build copied each answer's
+// ~170 rendered bytes into a buffer of the slot's own: ~240 B an entry with
+// its slot and the index.
 func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
 	}
-	const maxPerEntry = 64
+	const maxPerEntry = 72
 	if size := unsafe.Sizeof(dedupSlot{}); size > 48 {
 		t.Errorf("a dedup slot is %d bytes, pinned at ≤ 48: what grew it?", size)
 	}
@@ -281,7 +297,7 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("request-id-%08x", i)
 	}
-	c := newDedupCache(window)
+	var c *dedupCache
 
 	// Two collections each side: the first moves sync.Pool contents to the
 	// victim caches, the second frees them.
@@ -289,6 +305,7 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	goruntime.GC()
 	goruntime.GC()
 	goruntime.ReadMemStats(&before)
+	c = newDedupCache(window)
 	for i, id := range ids {
 		v.acquires = int64(i)
 		c.put(id, c.hash(id), v)
@@ -300,28 +317,68 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 		t.Fatalf("window holds %d entries, want it full at %d", c.size(), window)
 	}
 	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(window)
-	t.Logf("filling a %d-entry window kept %.1f B an entry beyond its IDs (%d-byte slot)", window, perEntry, unsafe.Sizeof(dedupSlot{}))
+	t.Logf("filling a %d-entry window kept %.1f B an entry beyond its IDs (%d-byte slot, %d index cells)", window, perEntry, unsafe.Sizeof(dedupSlot{}), len(c.cells))
 	if perEntry > maxPerEntry {
 		t.Errorf("filling a %d-entry window kept %.1f B an entry beyond its IDs, pinned at ≤ %d: is an answer's rendering being kept?", window, perEntry, maxPerEntry)
 	}
 	goruntime.KeepAlive(ids)
 }
 
-// TestEmptyShardDedupCost: what an empty shard at the default options pays
-// before its first op is its dedup window's ring and index, 256 KiB at the
-// default 4 096 entries (48-byte slots, 8 192 eight-byte cells). A slot that
-// kept its entry's hash beside the index's copy paid 288 KiB.
+// TestEmptyShardDedupCost: an empty shard at the default options reserves
+// next to nothing for its dedup window before its first op: no ring, and an
+// index of two cells. A ring fixed at the window reserved 256 KiB here
+// (4 096 48-byte slots and 8 192 eight-byte cells).
 func TestEmptyShardDedupCost(t *testing.T) {
-	const maxBytes = 256 << 10
+	const maxBytes = 1 << 10
 	sh := freshShard(Options{})
 	c := sh.dedup
-	if len(c.ring) != 4096 {
-		t.Fatalf("the default window has %d slots, want 4096", len(c.ring))
+	if c.window != 4096 {
+		t.Fatalf("the default window is %d entries, want 4096", c.window)
 	}
-	ring := uintptr(cap(c.ring)) * unsafe.Sizeof(dedupSlot{})
-	index := uintptr(cap(c.cells)) * unsafe.Sizeof(c.cells[0])
+	ring, index := dedupBytes(c)
 	t.Logf("an empty default shard's dedup window: ring %d B + index %d B", ring, index)
 	if ring+index > maxBytes {
 		t.Errorf("an empty default shard's dedup window is %d B (ring %d, index %d), pinned at ≤ %d", ring+index, ring, index, maxBytes)
+	}
+}
+
+// dedupBytes is what c's ring and index occupy.
+func dedupBytes(c *dedupCache) (ring, index uintptr) {
+	return uintptr(cap(c.ring)) * unsafe.Sizeof(dedupSlot{}), uintptr(cap(c.cells)) * unsafe.Sizeof(c.cells[0])
+}
+
+// TestDedupWindowFollowsTraffic: a default window's ring and index grow with
+// the IDs a shard has seen, not with the window. After k distinct IDs the
+// ring has at most max(16, 2k) slots while it doubles (below 1 024) and at
+// most 1.25k once it grows by quarters, and the index at most 4k cells (it
+// doubles before passing half full). Past the window, k = 10 000, the ring
+// is the window and the index no larger than one sized for it at half load:
+// a full window costs what a ring fixed at the window did.
+func TestDedupWindowFollowsTraffic(t *testing.T) {
+	window := Options{}.withDefaults().DedupWindow
+	for _, k := range []int{100, 2100, 10000} {
+		c := newDedupCache(window)
+		for i := 0; i < k; i++ {
+			c.store(fmt.Sprintf("request-%05d", i), verdictN(i))
+		}
+		maxSlots := max(16, 2*k)
+		if k >= 1024 {
+			maxSlots = k + k/4
+		}
+		maxSlots = min(maxSlots, window)
+		ring, index := dedupBytes(c)
+		t.Logf("after %d IDs: %d entries, %d slots (%d B), %d cells (%d B)", k, c.size(), cap(c.ring), ring, cap(c.cells), index)
+		if c.size() != min(k, window) {
+			t.Errorf("after %d IDs the window holds %d entries, want %d", k, c.size(), min(k, window))
+		}
+		if cap(c.ring) > maxSlots {
+			t.Errorf("after %d IDs the ring has %d slots, want ≤ %d", k, cap(c.ring), maxSlots)
+		}
+		if cap(c.cells) > 4*min(k, window) {
+			t.Errorf("after %d IDs the index has %d cells, want ≤ %d", k, cap(c.cells), 4*min(k, window))
+		}
+		if k > window && (cap(c.ring) != window || cap(c.cells) > 2*window) {
+			t.Errorf("a full %d-entry window has %d slots and %d cells, want %d and ≤ %d", window, cap(c.ring), cap(c.cells), window, 2*window)
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // a candidate the probe hands back. The cell count is a power of two and
 // mask is that minus one; a cell belongs at its hash & mask — which its own
 // 32 hash bits give, the index never being that long — or the next free cell
-// after it (linear probing). Owners keep it at most half full, so a miss
-// stops at an empty cell after a short run of hash comparisons, nearly all
-// of them unequal.
+// after it (linear probing). An insert that would fill it past half doubles
+// it first, so a miss stops at an empty cell after a short run of hash
+// comparisons, nearly all of them unequal.
 //
 // The hash is maphash under a seed of the index's own: keys — client names,
 // request IDs — are chosen by clients, and the daemon exists to contain
@@ -28,16 +28,12 @@ type cellIndex struct {
 	seed  maphash.Seed
 	cells []uint64
 	mask  uint64
+	n     int // keys indexed
 }
 
-// newCellIndex is an empty index with room for n keys at half load: a power
-// of two cells, at least two.
-func newCellIndex(n int) cellIndex {
-	cells := 2
-	for cells < 2*n {
-		cells *= 2
-	}
-	return cellIndex{seed: maphash.MakeSeed(), cells: make([]uint64, cells), mask: uint64(cells - 1)}
+// newCellIndex is an empty index of two cells.
+func newCellIndex() cellIndex {
+	return cellIndex{seed: maphash.MakeSeed(), cells: make([]uint64, 2), mask: 1}
 }
 
 // hash is key's hash under this index's seed.
@@ -56,9 +52,15 @@ func (x *cellIndex) probe(i, h uint64) (uint64, uint32) {
 	}
 }
 
-// insert indexes value v under hash h. The caller has checked that the key
-// is absent and that the index has room.
-func (x *cellIndex) insert(h uint64, v uint32) { x.place(h<<32 | uint64(v)) }
+// insert indexes value v under hash h, which the caller has checked is
+// absent, doubling the index first if the key would fill it past half.
+func (x *cellIndex) insert(h uint64, v uint32) {
+	if 2*(x.n+1) > len(x.cells) {
+		x.grow()
+	}
+	x.n++
+	x.place(h<<32 | uint64(v))
+}
 
 // place puts cell at its home, or the first free cell after it.
 func (x *cellIndex) place(cell uint64) {
@@ -78,6 +80,7 @@ func (x *cellIndex) remove(h uint64, v uint32) {
 	for uint32(x.cells[hole]) != v {
 		hole = (hole + 1) & x.mask
 	}
+	x.n--
 	for i := hole; ; {
 		i = (i + 1) & x.mask
 		cell := x.cells[i]
@@ -108,15 +111,11 @@ func (x *cellIndex) grow() {
 
 // clientIndex maps a client name to its shard-local UID: a cellIndex whose
 // values are UIDs, confirmed against the name in the UID's client table row,
-// so a client costs its row and one to two eight-byte cells. It grows by
-// doubling when an insert would fill it past half. UIDs are 32 bits here: a
-// shard with 2³² clients would not fit in memory.
-type clientIndex struct {
-	n int // names indexed
-	cellIndex
-}
+// so a client costs its row and two to four eight-byte cells. UIDs are 32
+// bits here: a shard with 2³² clients would not fit in memory.
+type clientIndex struct{ cellIndex }
 
-func newClientIndex() clientIndex { return clientIndex{cellIndex: newCellIndex(0)} }
+func newClientIndex() clientIndex { return clientIndex{newCellIndex()} }
 
 // lookup returns the UID of name, whose hash is h, or 0 if it has none. recs
 // is the client table the UIDs index.
@@ -130,10 +129,4 @@ func (x *clientIndex) lookup(recs []clientRec, name string, h uint64) power.UID 
 }
 
 // add indexes uid under its name's hash h, which lookup has found absent.
-func (x *clientIndex) add(h uint64, uid power.UID) {
-	if 2*(x.n+1) > len(x.cells) {
-		x.grow()
-	}
-	x.n++
-	x.insert(h, uint32(uid))
-}
+func (x *clientIndex) add(h uint64, uid power.UID) { x.insert(h, uint32(uid)) }

@@ -75,8 +75,9 @@ type Options struct {
 	// just process crash. Off by default: the chaos tests SIGKILL the
 	// process, and the page cache survives that.
 	Fsync bool
-	// DedupWindow bounds each shard's idempotency cache: how many recent
-	// request-IDs a shard remembers (default 4096).
+	// DedupWindow caps each shard's idempotency cache: how many recent
+	// request-IDs a shard remembers (default 4096). It is a cap, not a
+	// reservation: the cache grows with the IDs the shard has seen.
 	DedupWindow int
 
 	// Faults, when set, threads scripted chaos through the daemon: sites
