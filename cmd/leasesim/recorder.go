@@ -1,15 +1,16 @@
-// Package trace records simulation event traces for external analysis:
-// periodic power samples per app, lease-population snapshots, and the full
-// lease transition log. Traces serialise as JSON lines (one event per
-// line) or as a CSV power matrix, using only the standard library.
-package trace
+package main
+
+// A recorder keeps a run's event trace for external analysis (`leasesim run
+// -trace` / `-trace-csv`): periodic power samples per app, lease-population
+// snapshots, and the full lease transition log. Traces serialise as JSON
+// lines (one event per line) or as a CSV power matrix.
 
 import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -18,9 +19,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Event is one trace record. Exactly one of the payload groups is set,
+// traceEvent is one trace record. Exactly one of the payload groups is set,
 // selected by Kind.
-type Event struct {
+type traceEvent struct {
 	// AtMS is the virtual timestamp in milliseconds.
 	AtMS int64 `json:"at_ms"`
 	// Kind is "power", "leases" or "transition".
@@ -41,23 +42,23 @@ type Event struct {
 	Reason  string `json:"reason,omitempty"`
 }
 
-// Recorder samples a simulation while it runs.
-type Recorder struct {
+// recorder samples a simulation while it runs.
+type recorder struct {
 	s      *sim.Sim
 	uids   []power.UID
-	events []Event
+	events []traceEvent
 	stop   func()
 }
 
-// Attach starts recording on s: a power and lease snapshot every interval,
-// and each lease transition as it fires. It installs Note as the lease
-// manager's sink; a caller with its own sink calls Note from it instead.
-// uids selects the apps whose draw is broken out per sample.
-func Attach(s *sim.Sim, interval time.Duration, uids ...power.UID) *Recorder {
+// attachRecorder starts recording on s: a power and lease snapshot every
+// interval, and each lease transition as it fires. It installs Note as the
+// lease manager's sink; a caller with its own sink calls Note from it
+// instead. uids selects the apps whose draw is broken out per sample.
+func attachRecorder(s *sim.Sim, interval time.Duration, uids ...power.UID) *recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	r := &Recorder{s: s, uids: uids}
+	r := &recorder{s: s, uids: uids}
 	r.stop = s.Engine.Ticker(interval, r.sample)
 	if s.Leases != nil {
 		s.Leases.OnEvent = r.Note
@@ -67,28 +68,28 @@ func Attach(s *sim.Sim, interval time.Duration, uids ...power.UID) *Recorder {
 
 // Note records ev if it is a lease transition and the recorder is running;
 // a nil recorder records nothing.
-func (r *Recorder) Note(ev lease.Event) {
+func (r *recorder) Note(ev lease.Event) {
 	if r == nil || r.stop == nil || ev.Op != lease.EventTransition {
 		return
 	}
-	r.events = append(r.events, Event{
+	r.events = append(r.events, traceEvent{
 		AtMS: ev.At.Milliseconds(), Kind: "transition",
 		LeaseID: ev.Lease, From: ev.From.String(), To: ev.To.String(), Reason: ev.Reason,
 	})
 }
 
-func (r *Recorder) sample() {
+func (r *recorder) sample() {
 	now := r.s.Engine.Now().Milliseconds()
 	apps := make(map[string]float64, len(r.uids))
 	for _, uid := range r.uids {
 		apps[fmt.Sprintf("uid%d", uid)] = r.s.Meter.InstantPowerOfW(uid) * 1000
 	}
-	r.events = append(r.events, Event{
+	r.events = append(r.events, traceEvent{
 		AtMS: now, Kind: "power",
 		TotalMW: r.s.Meter.InstantPowerW() * 1000, AppsMW: apps,
 	})
 	if r.s.Leases != nil {
-		r.events = append(r.events, Event{
+		r.events = append(r.events, traceEvent{
 			AtMS: now, Kind: "leases",
 			LeasesLive: r.s.Leases.LeaseCount(), LeasesActive: r.s.Leases.ActiveLeaseCount(),
 		})
@@ -96,18 +97,15 @@ func (r *Recorder) sample() {
 }
 
 // Stop halts sampling and transition recording; events stay available.
-func (r *Recorder) Stop() {
+func (r *recorder) Stop() {
 	if r.stop != nil {
 		r.stop()
 		r.stop = nil
 	}
 }
 
-// Events returns the recorded events in timestamp order.
-func (r *Recorder) Events() []Event { return r.events }
-
 // WriteJSON writes the trace as JSON lines.
-func (r *Recorder) WriteJSON(w io.Writer) error {
+func (r *recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range r.events {
 		if err := enc.Encode(ev); err != nil {
@@ -119,21 +117,16 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 
 // WriteCSV writes the power samples as a CSV matrix: at_ms, total_mw, then
 // one column per tracked uid (sorted by uid label).
-func (r *Recorder) WriteCSV(w io.Writer) error {
+func (r *recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 
 	var cols []string
-	seen := map[string]bool{}
-	for _, ev := range r.events {
-		for k := range ev.AppsMW {
-			if !seen[k] {
-				seen[k] = true
-				cols = append(cols, k)
-			}
-		}
+	for _, uid := range r.uids {
+		cols = append(cols, fmt.Sprintf("uid%d", uid))
 	}
-	sort.Strings(cols)
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
 
 	header := append([]string{"at_ms", "total_mw"}, cols...)
 	if err := cw.Write(header); err != nil {

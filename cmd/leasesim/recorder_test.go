@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"bytes"
@@ -12,13 +12,13 @@ import (
 	"repro/internal/sim"
 )
 
-func buildTracedSim(t *testing.T) (*sim.Sim, *Recorder) {
+func buildTracedSim(t *testing.T) (*sim.Sim, *recorder) {
 	t.Helper()
 	s := sim.New(sim.Options{Policy: sim.LeaseOS})
 	s.Apps.NewProcess(100, "app")
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "x")
 	wl.Acquire()
-	r := Attach(s, time.Second, 100)
+	r := attachRecorder(s, time.Second, 100)
 	s.Run(time.Minute)
 	r.Stop()
 	return s, r
@@ -27,10 +27,10 @@ func buildTracedSim(t *testing.T) (*sim.Sim, *Recorder) {
 func TestRecorderCapturesAllKinds(t *testing.T) {
 	_, r := buildTracedSim(t)
 	kinds := map[string]int{}
-	for i, ev := range r.Events() {
+	for i, ev := range r.events {
 		kinds[ev.Kind]++
-		if i > 0 && ev.AtMS < r.Events()[i-1].AtMS {
-			t.Fatalf("event %d at %d ms follows one at %d ms", i, ev.AtMS, r.Events()[i-1].AtMS)
+		if i > 0 && ev.AtMS < r.events[i-1].AtMS {
+			t.Fatalf("event %d at %d ms follows one at %d ms", i, ev.AtMS, r.events[i-1].AtMS)
 		}
 	}
 	if kinds["power"] != 60 {
@@ -46,9 +46,9 @@ func TestRecorderCapturesAllKinds(t *testing.T) {
 
 func TestRecorderStopsSampling(t *testing.T) {
 	s, r := buildTracedSim(t)
-	n := len(r.Events())
+	n := len(r.events)
 	s.Run(time.Minute)
-	if len(r.Events()) != n {
+	if len(r.events) != n {
 		t.Fatal("recorder kept sampling after Stop")
 	}
 }
@@ -60,10 +60,10 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(r.Events()) {
-		t.Fatalf("lines = %d, events = %d", len(lines), len(r.Events()))
+	if len(lines) != len(r.events) {
+		t.Fatalf("lines = %d, events = %d", len(lines), len(r.events))
 	}
-	var ev Event
+	var ev traceEvent
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("first line is not valid JSON: %v", err)
 	}
@@ -105,13 +105,13 @@ func TestWriteCSVMatrix(t *testing.T) {
 
 func TestAttachDefaults(t *testing.T) {
 	s := sim.New(sim.Options{Policy: sim.Vanilla})
-	r := Attach(s, 0) // default interval, no tracked uids, no lease manager
+	r := attachRecorder(s, 0) // default interval, no tracked uids, no lease manager
 	s.Run(5 * time.Second)
 	r.Stop()
-	if len(r.Events()) != 5 {
-		t.Fatalf("events = %d, want 5 power samples", len(r.Events()))
+	if len(r.events) != 5 {
+		t.Fatalf("events = %d, want 5 power samples", len(r.events))
 	}
-	for _, ev := range r.Events() {
+	for _, ev := range r.events {
 		if ev.Kind != "power" {
 			t.Fatalf("vanilla trace should be power-only, got %q", ev.Kind)
 		}

@@ -1,4 +1,4 @@
-package scenario
+package main
 
 import (
 	"os"
@@ -24,7 +24,7 @@ const sample = `{
 }`
 
 func TestParseValid(t *testing.T) {
-	sc, err := Parse(strings.NewReader(sample))
+	sc, err := parseScenario(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestParseValid(t *testing.T) {
 }
 
 func TestParseDefaults(t *testing.T) {
-	sc, err := Parse(strings.NewReader(`{"apps":[{"name":"Torch","uid":1}]}`))
+	sc, err := parseScenario(strings.NewReader(`{"apps":[{"name":"Torch","uid":1}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,42 +58,30 @@ func TestParseRejectsBadInput(t *testing.T) {
 		`{"apps":[{"name":"Torch","uid":1}],"bogus":true}`,                         // unknown field
 	}
 	for _, in := range bad {
-		if _, err := Parse(strings.NewReader(in)); err == nil {
-			t.Fatalf("Parse accepted %q", in)
+		if _, err := parseScenario(strings.NewReader(in)); err == nil {
+			t.Fatalf("parseScenario accepted %q", in)
 		}
 	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	sc, err := Parse(strings.NewReader(sample))
+	sc, err := parseScenario(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
+	if sc.length != 20*time.Minute {
+		t.Fatalf("duration = %v", sc.length)
 	}
-	if res.Duration != 20*time.Minute {
-		t.Fatalf("duration = %v", res.Duration)
-	}
-	if len(res.Apps) != 2 {
-		t.Fatalf("apps = %+v", res.Apps)
+	s, installed := sc.run()
+	if len(installed) != 2 {
+		t.Fatalf("apps = %+v", installed)
 	}
 	// The tracker keeps working under LeaseOS: meaningful energy.
-	var k9, tracker AppResult
-	for _, a := range res.Apps {
-		switch a.UID {
-		case 100:
-			k9 = a
-		case 101:
-			tracker = a
-		}
-	}
-	if tracker.EnergyJ <= 0 || k9.EnergyJ <= 0 {
-		t.Fatalf("zero energies: %+v", res.Apps)
+	if k9, tracker := s.Meter.EnergyOfJ(100), s.Meter.EnergyOfJ(101); tracker <= 0 || k9 <= 0 {
+		t.Fatalf("zero energies: K-9 %v J, tracker %v J", k9, tracker)
 	}
 	// The outage (5–15 min) triggers K-9's defect; LeaseOS defers it.
-	if res.Sim.Leases.Deferrals == 0 {
+	if s.Leases.Deferrals == 0 {
 		t.Fatal("the scripted outage should have produced a deferral")
 	}
 }
@@ -108,19 +96,16 @@ func TestRunAppliesEnvTimeline(t *testing.T) {
 	     "gps": "none", "motion_mps": -1}
 	  ]
 	}`
-	sc, err := Parse(strings.NewReader(in))
+	sc, err := parseScenario(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := res.Sim.World
+	s, _ := sc.run()
+	w := s.World
 	if w.NetworkOnWiFi() || w.ServerHealthy() || w.Moving() || w.UserPresent() {
 		t.Fatal("final env state not applied")
 	}
-	if res.Sim.Power.ScreenOn() {
+	if s.Power.ScreenOn() {
 		t.Fatal("user away should turn the screen off")
 	}
 }
@@ -128,12 +113,12 @@ func TestRunAppliesEnvTimeline(t *testing.T) {
 func TestFixedAppNamesResolve(t *testing.T) {
 	for _, name := range []string{"K-9 (fixed)", "Kontalk (fixed)", "BetterWeather (fixed)", "spotify", "haven"} {
 		in := `{"apps":[{"name":"` + name + `","uid":7}],"duration":"1m"}`
-		sc, err := Parse(strings.NewReader(in))
+		sc, err := parseScenario(strings.NewReader(in))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := sc.Run(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, installed := sc.run(); len(installed) != 1 {
+			t.Fatalf("%s: apps = %+v", name, installed)
 		}
 	}
 }
@@ -148,7 +133,7 @@ func TestShippedScenarioFilesParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Parse(f)
+		_, err = parseScenario(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

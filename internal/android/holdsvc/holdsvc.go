@@ -2,8 +2,9 @@
 // services: the app acquires a lock-like object and the backing hardware
 // draws constant power while at least one effective object is held. Wi-Fi
 // locks (WifiManagerService) and audio sessions (AudioService) share this
-// shape and wrap this implementation; wakelocks do not, because they
-// additionally gate CPU sleep and the screen (see package powermgr).
+// shape and are two instances of it, built by sim.New; wakelocks do not,
+// because they additionally gate CPU sleep and the screen (see package
+// powermgr).
 //
 // It is the smallest service over the shared lease proxy (package proxy): no
 // per-object state, no extra counters, and the hardware follows a change by

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
+	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/simclock"
 )
@@ -108,3 +109,79 @@ func TestSharedDrawSplit(t *testing.T) {
 		t.Fatalf("total = %v, want 0.016", got)
 	}
 }
+
+// The two instances sim.New builds: Wi-Fi locks and audio sessions, at a
+// Pixel XL's draws.
+func newWifi(gov hooks.Governor) (*simclock.Engine, *power.Meter, *Service) {
+	e := simclock.NewEngine()
+	m := power.NewMeter(e)
+	return e, m, New(e, m, binder.NewRegistry(e), gov, "wifi", hooks.WifiLock, power.WiFi, device.PixelXL.WiFiLockW)
+}
+
+func newAudio(gov hooks.Governor) (*simclock.Engine, *power.Meter, *Service) {
+	e := simclock.NewEngine()
+	m := power.NewMeter(e)
+	return e, m, New(e, m, binder.NewRegistry(e), gov, "audio", hooks.AudioSession, power.Audio, device.PixelXL.AudioW)
+}
+
+func TestWifiLockDrawsRadioPower(t *testing.T) {
+	e, m, svc := newWifi(hooks.Nop{})
+	l := svc.NewLock(10)
+	l.Acquire()
+	e.RunUntil(100 * time.Second)
+	want := device.PixelXL.WiFiLockW * 100
+	if got := m.EnergyOfJ(10); got != want {
+		t.Fatalf("energy = %v, want %v", got, want)
+	}
+	if got := m.EnergyByComponentJ()[power.WiFi]; got != want {
+		t.Fatalf("wifi component energy = %v, want %v", got, want)
+	}
+	l.Release()
+	if m.InstantPowerOfW(10) != 0 {
+		t.Fatal("released lock still draws")
+	}
+}
+
+func TestWifiKindAndService(t *testing.T) {
+	gov := &captureGov{}
+	_, _, svc := newWifi(gov)
+	svc.NewLock(10).Acquire()
+	if gov.created.Kind != hooks.WifiLock {
+		t.Fatalf("kind = %v, want WifiLock", gov.created.Kind)
+	}
+	if gov.created.Control.ServiceName() != "wifi" {
+		t.Fatalf("service = %q", gov.created.Control.ServiceName())
+	}
+}
+
+func TestAudioSessionDrawsAudioPower(t *testing.T) {
+	e, m, svc := newAudio(hooks.Nop{})
+	svc.NewLock(10).Acquire()
+	e.RunUntil(10 * time.Second)
+	want := device.PixelXL.AudioW * 10
+	if got := m.EnergyOfJ(10); got != want {
+		t.Fatalf("energy = %v, want %v", got, want)
+	}
+	if got := m.EnergyByComponentJ()[power.Audio]; got != want {
+		t.Fatalf("audio component energy = %v, want %v", got, want)
+	}
+}
+
+func TestAudioKind(t *testing.T) {
+	gov := &captureGov{}
+	_, _, svc := newAudio(gov)
+	svc.NewLock(10).Acquire()
+	if gov.created.Kind != hooks.AudioSession {
+		t.Fatalf("kind = %v, want AudioSession", gov.created.Kind)
+	}
+	if gov.created.Control.ServiceName() != "audio" {
+		t.Fatalf("service = %q", gov.created.Control.ServiceName())
+	}
+}
+
+type captureGov struct {
+	hooks.Nop
+	created hooks.Object
+}
+
+func (g *captureGov) ObjectCreated(o hooks.Object) { g.created = o }

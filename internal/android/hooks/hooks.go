@@ -137,7 +137,10 @@ func (h *Hold) Pull() TermStats {
 
 // Object is a governor's view of one kernel object.
 type Object struct {
-	// ID is unique per service.
+	// ID is unique among the objects one governor sees, so governors key
+	// by it alone: a simulated world's services all mint their IDs as
+	// tokens of the world's one binder.Registry, and a daemon shard mints
+	// its object IDs from one counter.
 	ID uint64
 	// UID identifies the owning app.
 	UID power.UID

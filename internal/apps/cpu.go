@@ -30,7 +30,7 @@ func NewFacebook(s *sim.Sim, uid power.UID) *Facebook {
 func (a *Facebook) Start() {
 	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "fb-audio-wl")
 	a.wl.Acquire()
-	sess := a.s.Audio.NewSession(a.UID())
+	sess := a.s.Audio.NewLock(a.UID())
 	sess.Acquire() // the leaked audio session: nothing ever plays
 	a.session = sess
 }

@@ -85,7 +85,7 @@ func NewSpotify(s *sim.Sim, uid power.UID) *Spotify {
 func (a *Spotify) Start() {
 	a.session = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "spotify-playback")
 	a.session.Acquire()
-	as := a.s.Audio.NewSession(a.UID())
+	as := a.s.Audio.NewLock(a.UID())
 	as.Acquire()
 	a.audio = as
 	// The decode-complete callback is bound once: building it inside the

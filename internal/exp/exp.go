@@ -1,7 +1,7 @@
 // Package exp contains one runner per table and figure in the paper's
 // evaluation (plus the §2 characterisation figures). Each runner builds the
 // needed simulation(s), drives the workload, and renders the same rows or
-// series the paper reports. The cmd/experiments binary regenerates
+// series the paper reports. `leasesim experiments` (cmd/leasesim) regenerates
 // everything; bench_test.go at the repository root exposes each runner as a
 // benchmark target.
 package exp

@@ -40,7 +40,7 @@ func TestExperimentsOutputGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, res := range All(false) {
-		// Mirror cmd/experiments: each artefact rendered then Println'd.
+		// Mirror leasesim experiments: each artefact rendered then Println'd.
 		b.WriteString(res.String())
 		b.WriteString("\n")
 	}
@@ -54,7 +54,7 @@ func TestExperimentsOutputGolden(t *testing.T) {
 				if len(regen) > 3 {
 					regen = regen[:3]
 				}
-				t.Fatalf("regenerated output diverges from experiments_output.txt at line %d:\n  snapshot: %q\n  regen:    %v\nif the change is intentional, refresh the snapshot: go run ./cmd/experiments > experiments_output.txt",
+				t.Fatalf("regenerated output diverges from experiments_output.txt at line %d:\n  snapshot: %q\n  regen:    %v\nif the change is intentional, refresh the snapshot: go run ./cmd/leasesim experiments > experiments_output.txt",
 					i+1, wl[i], regen)
 			}
 		}

@@ -85,7 +85,7 @@ type Manager struct {
 	// the first by-object call (indexObjects); until then it is nil and
 	// nothing maintains it, so a caller that reports by handle, like the
 	// daemon, never pays for it.
-	byObj   map[objKey]uint64
+	byObj   map[uint64]uint64
 	nextID  uint64
 	proxies map[hooks.Kind]hooks.Controller
 
@@ -114,13 +114,6 @@ type Manager struct {
 	// 1 min → 5 min); reversions to the base term are not adaptations.
 	TermAdaptations int
 }
-
-type objKey struct {
-	service string
-	id      uint64
-}
-
-func keyOf(o hooks.Object) objKey { return objKey{o.Control.ServiceName(), o.ID} }
 
 type counterKey struct {
 	uid  power.UID
@@ -212,7 +205,7 @@ func (m *Manager) CreateLease(o hooks.Object) *Lease {
 	l.bindEvent(m)
 	m.leases.add(l)
 	if m.byObj != nil {
-		m.byObj[keyOf(o)] = l.id
+		m.byObj[o.ID] = l.id
 	}
 	m.createdTotal++
 	m.emit(l, Event{Op: EventCreate})
@@ -394,7 +387,7 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 	if m.byObj == nil {
 		m.indexObjects()
 	}
-	id, ok := m.byObj[keyOf(o)]
+	id, ok := m.byObj[o.ID]
 	if !ok {
 		return nil
 	}
@@ -403,9 +396,9 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 
 // indexObjects builds byObj from the live leases.
 func (m *Manager) indexObjects() {
-	m.byObj = make(map[objKey]uint64, len(m.leases.ids))
+	m.byObj = make(map[uint64]uint64, len(m.leases.ids))
 	for _, l := range m.leases.ls {
-		m.byObj[keyOf(l.obj)] = l.id
+		m.byObj[l.obj.ID] = l.id
 	}
 }
 
@@ -610,7 +603,7 @@ func (m *Manager) kill(l *Lease) {
 	m.transition(l, Dead, "kernel object deallocated")
 	m.deadTotal++
 	if m.byObj != nil {
-		delete(m.byObj, keyOf(l.obj))
+		delete(m.byObj, l.obj.ID)
 	}
 	m.leases.remove(l.id)
 }

@@ -4,13 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/android/audio"
 	"repro/internal/android/binder"
+	"repro/internal/android/holdsvc"
 	"repro/internal/android/hooks"
 	"repro/internal/android/location"
 	"repro/internal/android/powermgr"
 	"repro/internal/android/sensor"
-	"repro/internal/android/wifi"
 	"repro/internal/device"
 	"repro/internal/env"
 	"repro/internal/lease"
@@ -134,13 +133,13 @@ var proxies = []struct {
 	{"powermgr/screen", wakelockRig(hooks.ScreenWakelock)},
 	{"wifi", func() proxyRig {
 		w := newSimWorld()
-		svc := wifi.New(w.engine, w.meter, w.registry, device.PixelXL, w.gov)
+		svc := holdsvc.New(w.engine, w.meter, w.registry, w.gov, "wifi", hooks.WifiLock, power.WiFi, device.PixelXL.WiFiLockW)
 		return w.lockRig(svc, func() lockDesc { return svc.NewLock(10) })
 	}},
 	{"audio", func() proxyRig {
 		w := newSimWorld()
-		svc := audio.New(w.engine, w.meter, w.registry, device.PixelXL, w.gov)
-		return w.lockRig(svc, func() lockDesc { return svc.NewSession(10) })
+		svc := holdsvc.New(w.engine, w.meter, w.registry, w.gov, "audio", hooks.AudioSession, power.Audio, device.PixelXL.AudioW)
+		return w.lockRig(svc, func() lockDesc { return svc.NewLock(10) })
 	}},
 	{"location", func() proxyRig {
 		w := newSimWorld()

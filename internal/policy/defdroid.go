@@ -73,7 +73,7 @@ type DefDroid struct {
 	engine *simclock.Engine
 	cfg    DefDroidConfig
 
-	objects map[objKey]*ddObject
+	objects map[uint64]*ddObject
 
 	// Revocations counts throttling actions, for observability.
 	Revocations int
@@ -103,7 +103,7 @@ func NewDefDroid(engine *simclock.Engine, cfg DefDroidConfig) *DefDroid {
 	if cfg.DutyOff <= 0 {
 		cfg.DutyOff = def.DutyOff
 	}
-	return &DefDroid{engine: engine, cfg: cfg, objects: make(map[objKey]*ddObject)}
+	return &DefDroid{engine: engine, cfg: cfg, objects: make(map[uint64]*ddObject)}
 }
 
 // Reset drops all tracked objects and zeroes the revocation counter,
@@ -121,8 +121,7 @@ func isListener(k hooks.Kind) bool {
 }
 
 func (d *DefDroid) track(o hooks.Object) *ddObject {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	obj, ok := d.objects[key]
+	obj, ok := d.objects[o.ID]
 	if !ok {
 		obj = &ddObject{obj: o}
 		if isListener(o.Kind) {
@@ -166,7 +165,7 @@ func (d *DefDroid) track(o hooks.Object) *ddObject {
 				d.arm(obj)
 			}
 		}
-		d.objects[key] = obj
+		d.objects[o.ID] = obj
 	}
 	return obj
 }
@@ -276,7 +275,7 @@ func (d *DefDroid) ObjectReleased(o hooks.Object) {
 // ObjectDestroyed implements hooks.Governor.
 func (d *DefDroid) ObjectDestroyed(o hooks.Object) {
 	d.ObjectReleased(o)
-	delete(d.objects, objKey{o.Control.ServiceName(), o.ID})
+	delete(d.objects, o.ID)
 }
 
 // AllowBackgroundWork implements hooks.Governor; DefDroid throttles

@@ -57,12 +57,12 @@ type Doze struct {
 	foreground func(uid power.UID) bool
 	reevaluate func()
 
-	objects map[objKey]hooks.Object
-	// order holds the tracked keys in creation order: suppression sweeps
+	objects map[uint64]hooks.Object
+	// order holds the tracked IDs in creation order: suppression sweeps
 	// must visit objects in a fixed order (maps iterate randomly) so meter
 	// updates, and with them float accumulation, are run-to-run
 	// deterministic.
-	order []objKey
+	order []uint64
 
 	dozing        bool
 	inMaintenance bool
@@ -77,11 +77,6 @@ type Doze struct {
 	// metric the fleet sweep reports, comparable to the other governors'
 	// Revocations counters.
 	Suppressions int
-}
-
-type objKey struct {
-	service string
-	id      uint64
 }
 
 // NewDoze creates the Doze governor. foreground and reevaluate may be nil
@@ -106,7 +101,7 @@ func NewDoze(engine *simclock.Engine, world *env.Environment, cfg DozeConfig,
 	d := &Doze{
 		engine: engine, world: world, cfg: cfg,
 		foreground: foreground, reevaluate: reevaluate,
-		objects: make(map[objKey]hooks.Object),
+		objects: make(map[uint64]hooks.Object),
 	}
 	world.Subscribe(d.onEnvChange)
 	if cfg.Forced {
@@ -250,8 +245,8 @@ func (d *Doze) scheduleMaintenance() {
 }
 
 func (d *Doze) applySuppression() {
-	for _, k := range d.order {
-		if o, ok := d.objects[k]; ok && deferrable(o.Kind) && !d.foreground(o.UID) {
+	for _, id := range d.order {
+		if o, ok := d.objects[id]; ok && deferrable(o.Kind) && !d.foreground(o.UID) {
 			d.Suppressions++
 			o.Control.Suppress(o.ID)
 		}
@@ -259,8 +254,8 @@ func (d *Doze) applySuppression() {
 }
 
 func (d *Doze) liftSuppression() {
-	for _, k := range d.order {
-		if o, ok := d.objects[k]; ok && deferrable(o.Kind) {
+	for _, id := range d.order {
+		if o, ok := d.objects[id]; ok && deferrable(o.Kind) {
 			o.Control.Unsuppress(o.ID)
 		}
 	}
@@ -270,11 +265,10 @@ func (d *Doze) liftSuppression() {
 
 // ObjectCreated implements hooks.Governor.
 func (d *Doze) ObjectCreated(o hooks.Object) {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	if _, ok := d.objects[key]; !ok {
-		d.order = append(d.order, key)
+	if _, ok := d.objects[o.ID]; !ok {
+		d.order = append(d.order, o.ID)
 	}
-	d.objects[key] = o
+	d.objects[o.ID] = o
 	if d.dozing && !d.inMaintenance && deferrable(o.Kind) && !d.foreground(o.UID) {
 		d.Suppressions++
 		o.Control.Suppress(o.ID)
@@ -295,11 +289,10 @@ func (d *Doze) ObjectReacquired(o hooks.Object) {
 
 // ObjectDestroyed implements hooks.Governor.
 func (d *Doze) ObjectDestroyed(o hooks.Object) {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	if _, ok := d.objects[key]; ok {
-		delete(d.objects, key)
-		for i, k := range d.order {
-			if k == key {
+	if _, ok := d.objects[o.ID]; ok {
+		delete(d.objects, o.ID)
+		for i, id := range d.order {
+			if id == o.ID {
 				d.order = append(d.order[:i], d.order[i+1:]...)
 				break
 			}

@@ -19,7 +19,7 @@ type Throttle struct {
 	engine *simclock.Engine
 	term   time.Duration
 
-	objects map[objKey]*thrObject
+	objects map[uint64]*thrObject
 
 	// Revocations counts one-shot revocations; Disruptions is incremented
 	// every time a revocation hits (it is the usability-impact metric of
@@ -43,7 +43,7 @@ func NewThrottle(engine *simclock.Engine, term time.Duration) *Throttle {
 	if term <= 0 {
 		term = time.Minute
 	}
-	return &Throttle{engine: engine, term: term, objects: make(map[objKey]*thrObject)}
+	return &Throttle{engine: engine, term: term, objects: make(map[uint64]*thrObject)}
 }
 
 // Reset drops all tracked objects and zeroes the revocation counter,
@@ -57,8 +57,7 @@ func (t *Throttle) Reset() {
 }
 
 func (t *Throttle) onAcquire(o hooks.Object) {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	obj, ok := t.objects[key]
+	obj, ok := t.objects[o.ID]
 	if !ok {
 		obj = &thrObject{obj: o}
 		obj.timerFn = func() {
@@ -69,7 +68,7 @@ func (t *Throttle) onAcquire(o hooks.Object) {
 				obj.obj.Control.Suppress(obj.obj.ID)
 			}
 		}
-		t.objects[key] = obj
+		t.objects[o.ID] = obj
 	}
 	obj.held = true
 	if obj.suppressed {
@@ -91,8 +90,7 @@ func (t *Throttle) ObjectReacquired(o hooks.Object) { t.onAcquire(o) }
 
 // ObjectReleased implements hooks.Governor.
 func (t *Throttle) ObjectReleased(o hooks.Object) {
-	key := objKey{o.Control.ServiceName(), o.ID}
-	obj, ok := t.objects[key]
+	obj, ok := t.objects[o.ID]
 	if !ok {
 		return
 	}
@@ -112,7 +110,7 @@ func (t *Throttle) ObjectReleased(o hooks.Object) {
 // ObjectDestroyed implements hooks.Governor.
 func (t *Throttle) ObjectDestroyed(o hooks.Object) {
 	t.ObjectReleased(o)
-	delete(t.objects, objKey{o.Control.ServiceName(), o.ID})
+	delete(t.objects, o.ID)
 }
 
 // AllowBackgroundWork implements hooks.Governor.

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"repro/internal/android/appfw"
-	"repro/internal/android/audio"
 	"repro/internal/android/binder"
+	"repro/internal/android/holdsvc"
 	"repro/internal/android/hooks"
 	"repro/internal/android/location"
 	"repro/internal/android/powermgr"
 	"repro/internal/android/sensor"
-	"repro/internal/android/wifi"
 	"repro/internal/device"
 	"repro/internal/env"
 	"repro/internal/lease"
@@ -102,8 +101,8 @@ type Sim struct {
 	Power    *powermgr.Service
 	Location *location.Service
 	Sensors  *sensor.Service
-	Wifi     *wifi.Service
-	Audio    *audio.Service
+	Wifi     *holdsvc.Service
+	Audio    *holdsvc.Service
 	Apps     *appfw.Framework
 
 	// Leases is non-nil only under the LeaseOS policy.
@@ -155,8 +154,13 @@ func New(opts Options) *Sim {
 	s.Power = powermgr.New(engine, meter, registry, prof, nop)
 	s.Location = location.New(engine, meter, registry, prof, world, nop)
 	s.Sensors = sensor.New(engine, meter, registry, prof, nop)
-	s.Wifi = wifi.New(engine, meter, registry, prof, nop)
-	s.Audio = audio.New(engine, meter, registry, prof, nop)
+	// Wi-Fi locks keep the radio out of power-save mode while held (the
+	// ConnectBot defect, Table 5, held one off Wi-Fi); audio sessions keep
+	// the output path powered (the Facebook iOS leak of the paper's
+	// introduction left an app "doing nothing but staying awake in the
+	// background draining the battery").
+	s.Wifi = holdsvc.New(engine, meter, registry, nop, "wifi", hooks.WifiLock, power.WiFi, prof.WiFiLockW)
+	s.Audio = holdsvc.New(engine, meter, registry, nop, "audio", hooks.AudioSession, power.Audio, prof.AudioW)
 	s.Apps = appfw.New(engine, meter, prof, world, s.Power, registry, nop)
 
 	var gov hooks.Governor = nop
