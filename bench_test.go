@@ -392,24 +392,46 @@ func TestSimulatorAllocCeilings(t *testing.T) {
 	}
 }
 
+// liveHeap is the heap's live bytes after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // heldBytes builds n worlds, runs each through the panel window, and reports
 // the live heap they hold between them, per world.
 func heldBytes(n int, build func() *sim.Sim) float64 {
-	live := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	worlds := make([]*sim.Sim, n)
-	base := live()
+	base := liveHeap()
 	for i := range worlds {
 		worlds[i] = build()
 		worlds[i].Run(panelWindow)
 	}
-	held := live() - base
+	held := liveHeap() - base
 	runtime.KeepAlive(worlds)
 	return float64(held) / float64(n)
+}
+
+// TestGatedListenerHeapStaysFlat pins what a listener nobody unregistered
+// costs the simulator: Haven under DefDroid, its wakelock revoked while its
+// sensors keep handing the sleeping CPU the same analysis job, grows the live
+// heap by at most 64 KiB between its first simulated half hour and its sixth
+// hour. The backlog counts each run of alike submissions in one node; at a
+// node a submission the heap grew 1.3 MiB.
+func TestGatedListenerHeapStaysFlat(t *testing.T) {
+	s := sim.New(sim.Options{Policy: sim.DefDroid})
+	apps.NewHaven(s, 100).Start()
+	s.Run(panelWindow)
+	base := liveHeap()
+	s.Run(6*time.Hour - panelWindow)
+	grew := liveHeap() - base
+	runtime.KeepAlive(s)
+	t.Logf("Haven under DefDroid: the live heap grew %.1f KiB from 30 min to 6 h", float64(grew)/1024)
+	if grew > 64<<10 {
+		t.Errorf("Haven under DefDroid grew the live heap %.1f KiB from 30 min to 6 h, pinned at ≤ 64 KiB", float64(grew)/1024)
+	}
 }
 
 // TestWorldFootprint pins what a world holds to the owners that appear in it,

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/apps"
@@ -62,7 +64,7 @@ func printList(w io.Writer) {
 	for _, sp := range apps.Table5Specs() {
 		fmt.Fprintf(w, "  %-20s %-12s %-8s %s\n", sp.Name, sp.Category, sp.Resource, sp.Behavior)
 	}
-	fmt.Fprintln(w, "normal apps: runkeeper, spotify, haven")
+	fmt.Fprintf(w, "other apps: %s\n", strings.Join(extraAppNames(), ", "))
 	fmt.Fprintln(w, "devices:")
 	for _, p := range device.All {
 		fmt.Fprintf(w, "  %s\n", p.Name)
@@ -100,6 +102,16 @@ var extraApps = map[string]namedApp{
 	"K-9 (fixed)":           {build: plain(apps.NewFixedK9)},
 	"Kontalk (fixed)":       {build: plain(apps.NewFixedKontalk)},
 	"BetterWeather (fixed)": {build: plain(apps.NewFixedBetterWeather)},
+}
+
+// extraAppNames are extraApps' names in sorted order.
+func extraAppNames() []string {
+	names := make([]string, 0, len(extraApps))
+	for name := range extraApps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func plain[A apps.App](build func(*sim.Sim, power.UID) A) func(*sim.Sim, power.UID) (apps.App, func(io.Writer)) {

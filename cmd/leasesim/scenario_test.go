@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +121,29 @@ func TestFixedAppNamesResolve(t *testing.T) {
 		}
 		if _, installed := sc.run(); len(installed) != 1 {
 			t.Fatalf("%s: apps = %+v", name, installed)
+		}
+	}
+}
+
+// TestListNamesEveryApp: run -list's line of apps besides Table 5's names
+// every app run -app knows by name there, and only those.
+func TestListNamesEveryApp(t *testing.T) {
+	var out bytes.Buffer
+	printList(&out)
+	var listed []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "other apps: "); ok {
+			listed = strings.Split(rest, ", ")
+		}
+	}
+	for _, name := range listed {
+		if _, err := lookupApp(name); err != nil {
+			t.Errorf("run -list names %q, which run -app refuses: %v", name, err)
+		}
+	}
+	for name := range extraApps {
+		if !slices.Contains(listed, name) {
+			t.Errorf("run -app knows %q, which run -list does not name (it lists %q)", name, listed)
 		}
 	}
 }

@@ -20,15 +20,17 @@
 // and power-meter owner, so billing and drawing for it look nothing up.
 // Re-gating costs by what changes state: submitting to a process costs the
 // same whatever backlog it has paused (Process.reevaluate), and work that
-// has never run waits as a small pooled node, taking a work item only when
-// it first starts.
+// has never run waits as a small pooled node, one for each run of identical
+// submissions, taking a work item only when it first starts.
 package appfw
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/android/binder"
 	"repro/internal/android/hooks"
@@ -293,16 +295,40 @@ var codeErr = [...]error{noErr: nil, netDown: ErrNetworkDown, serverFailure: Err
 // pending is work submitted to a process that could not run it, waiting in
 // the process's backlog until it first starts (DESIGN.md §9). It holds what
 // the submission decided and nothing a run needs: 48 bytes against a work
-// item's 112, and a listener nobody unregistered can queue thousands.
-// Nodes are pooled on Framework.freePending, threaded through next.
+// item's 112. One node stands for a run of n submissions in a row that start
+// alike (sameStart), so a listener nobody unregistered, handing one job to a
+// sleeping CPU, holds one node however long it sleeps; draining starts the
+// node's work n times. Nodes are pooled on Framework.freePending, threaded
+// through next.
 type pending struct {
 	remaining time.Duration
-	at        simclock.Time // submission instant, for start's NetTimeout check
+	at        simclock.Time // first submission's instant, for start's NetTimeout check
 	onDone    func()
 	onErr     func(err error)
 	next      *pending
+	n         uint32 // submissions in the run, ≥ 1
 	kind      workKind
 	err       errCode
+}
+
+// sameStart reports whether sub, submitted after the run b stands for,
+// starts exactly as they do, so b may count it instead of a node of its own.
+// Only CPU work qualifies: a request's submission instant decides whether it
+// has timed out, and a CPU node's at is read by nothing.
+func (b *pending) sameStart(sub *pending) bool {
+	return b.kind == cpuWork && sub.kind == cpuWork && b.remaining == sub.remaining &&
+		b.err == sub.err && b.n < math.MaxUint32 &&
+		closure(b.onDone) == closure(sub.onDone) && closure(b.onErr) == closure(sub.onErr)
+}
+
+// closure is the address of the closure object f refers to, nil for a nil
+// func. A func value is one pointer to that object, its code pointer followed
+// by what it captured, so two values with one address run the same code over
+// the same variables: starting either is starting the other. The code pointer
+// alone (reflect's Value.Pointer) would not do, because every closure of one
+// literal shares it whatever each captured.
+func closure[F func() | func(error)](f F) unsafe.Pointer {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&f))
 }
 
 // workItem is one pausable unit of execution that has started at least
@@ -454,12 +480,15 @@ func (fw *Framework) allocPending() *pending {
 }
 
 // drainBacklog empties p's backlog in submission order, starting each
-// node's work if start, and returns the nodes to the pool.
+// node's work, once for each submission it counts, if start, and returns the
+// nodes to the pool.
 func (p *Process) drainBacklog(start bool) {
 	fw := p.fw
 	for n := p.backHead; n != nil; {
 		if start {
-			p.startWork(n)
+			for i := n.n; i > 0; i-- {
+				p.startWork(n)
+			}
 		}
 		next := n.next
 		*n = pending{next: fw.freePending}
@@ -546,8 +575,10 @@ func (p *Process) NetworkRequest(duration time.Duration, onDone func(err error))
 }
 
 // addWork submits work, stamped with the current instant: a process that
-// runs starts it at once, and one that cannot queues it as a backlog node
-// and re-gates, which starts the backlog if the gate has opened unannounced.
+// runs starts it at once, and one that cannot queues it, counted by the
+// backlog's last node if it starts as that node's run does and as a node of
+// its own if not, and re-gates, which starts the backlog if the gate has
+// opened unannounced.
 func (p *Process) addWork(sub pending) {
 	fw := p.fw
 	sub.at = fw.engine.Now()
@@ -556,14 +587,19 @@ func (p *Process) addWork(sub pending) {
 		p.flushTicks(true)
 		return
 	}
-	n := fw.allocPending()
-	*n = sub
-	if p.backTail != nil {
-		p.backTail.next = n
+	if t := p.backTail; t != nil && t.sameStart(&sub) {
+		t.n++
 	} else {
-		p.backHead = n
+		n := fw.allocPending()
+		*n = sub
+		n.n = 1
+		if t != nil {
+			t.next = n
+		} else {
+			p.backHead = n
+		}
+		p.backTail = n
 	}
-	p.backTail = n
 	p.reevaluate()
 }
 

@@ -23,7 +23,7 @@ import (
 // transfers included.
 
 type refItem struct {
-	id        int
+	label     string // what its completion logs as; "" for no callback, which logs nothing
 	net       bool
 	chain     bool  // completing submits one more second of work
 	err       error // what the completion reports: fixed at submission, or a timeout at start
@@ -112,14 +112,33 @@ func (m *refWorld) pause(p *refProc, w *refItem) {
 	w.pausedAt = m.now
 }
 
+// callback is the completion a submission carries: one of its own, logged
+// under the submission's number; the one its process shares, logged under
+// the process's uid; or none.
+type callback uint8
+
+const (
+	ownCallback callback = iota
+	sharedCallback
+	noCallback
+)
+
+func (cb callback) String() string { return [...]string{"own", "shared", "none"}[cb] }
+
 // submit queues work; a request reads connectivity and server health as it
 // is made, and one made offline is 50 ms of CPU work that fails.
-func (m *refWorld) submit(p *refProc, net, chain bool, d time.Duration) {
+func (m *refWorld) submit(p *refProc, net, chain bool, d time.Duration, cb callback) {
 	if p.dead {
 		return
 	}
-	m.nextID++
-	w := &refItem{id: m.nextID, net: net, chain: chain, remaining: d, pausedAt: m.now}
+	w := &refItem{net: net, chain: chain, remaining: d, pausedAt: m.now}
+	switch cb {
+	case ownCallback:
+		m.nextID++
+		w.label = fmt.Sprint(m.nextID)
+	case sharedCallback:
+		w.label = sharedLabel(p.uid)
+	}
 	switch {
 	case net && !m.connected:
 		w.net, w.remaining, w.err = false, 50*time.Millisecond, ErrNetworkDown
@@ -158,9 +177,11 @@ func (m *refWorld) complete(p *refProc, w *refItem) {
 	}
 	i := slices.Index(p.items, w)
 	p.items = slices.Delete(p.items, i, i+1)
-	m.log = append(m.log, completion(w.id, m.now, w.err))
+	if w.label != "" {
+		m.log = append(m.log, completion(w.label, m.now, w.err))
+	}
 	if w.chain {
-		m.submit(p, false, false, refBusy(time.Second))
+		m.submit(p, false, false, refBusy(time.Second), ownCallback)
 	}
 }
 
@@ -184,9 +205,12 @@ func (m *refWorld) cpuTimeOf(p *refProc) time.Duration {
 	return t
 }
 
-func completion(id int, at simclock.Time, err error) string {
-	return fmt.Sprintf("%d@%v err=%v", id, at, err)
+func completion(label string, at simclock.Time, err error) string {
+	return fmt.Sprintf("%s@%v err=%v", label, at, err)
 }
+
+// sharedLabel is what the callback shared by uid's submissions logs as.
+func sharedLabel(uid power.UID) string { return fmt.Sprint("shared-", uid) }
 
 // gateGov lets the test shut background work per uid, as Doze does.
 type gateGov struct {
@@ -198,15 +222,20 @@ func (g *gateGov) AllowBackgroundWork(uid power.UID) bool { return !g.deny[uid] 
 
 // gatingPair drives the framework and the reference through the same steps.
 type gatingPair struct {
-	t      *testing.T
-	r      *rig
-	gov    *gateGov
-	wl     *powermgr.Wakelock // uid 500's: the only thing keeping the CPU up
-	procs  []*Process
-	nextID int
-	log    []string
-	ticks  int
-	ref    *refWorld
+	t     *testing.T
+	r     *rig
+	gov   *gateGov
+	wl    *powermgr.Wakelock // uid 500's: the only thing keeping the CPU up
+	procs []*Process
+	// shared and sharedErr are each process's one callback of each type,
+	// handed to every submission that shares it.
+	shared    []func()
+	sharedErr []func(error)
+	nextID    int
+	runs      int // backlog nodes check has found counting more than one submission
+	log       []string
+	ticks     int
+	ref       *refWorld
 }
 
 func newGatingPair(t *testing.T) *gatingPair {
@@ -221,6 +250,12 @@ func (g *gatingPair) newProcess() {
 	uid := power.UID(100 + len(g.procs))
 	p := g.r.fw.NewProcess(uid, fmt.Sprint("app", uid))
 	g.procs = append(g.procs, p)
+	g.shared = append(g.shared, func() {
+		g.log = append(g.log, completion(sharedLabel(uid), g.r.engine.Now(), nil))
+	})
+	g.sharedErr = append(g.sharedErr, func(err error) {
+		g.log = append(g.log, completion(sharedLabel(uid), g.r.engine.Now(), err))
+	})
 	g.ref.procs = append(g.ref.procs, &refProc{uid: uid})
 	// A timer and an alarm whose ticks come due behind shut gates: not part
 	// of the reference, but check holds pendingTicks to what they hold.
@@ -240,7 +275,7 @@ func (g *gatingPair) runWork(p *Process, busy time.Duration, chain bool) {
 	g.nextID++
 	id := g.nextID
 	p.RunWork(busy, func() {
-		g.log = append(g.log, completion(id, g.r.engine.Now(), nil))
+		g.log = append(g.log, completion(fmt.Sprint(id), g.r.engine.Now(), nil))
 		if chain {
 			g.runWork(p, time.Second, false)
 		}
@@ -254,7 +289,7 @@ func (g *gatingPair) request(p *Process, d time.Duration) {
 	g.nextID++
 	id := g.nextID
 	p.NetworkRequest(d, func(err error) {
-		g.log = append(g.log, completion(id, g.r.engine.Now(), err))
+		g.log = append(g.log, completion(fmt.Sprint(id), g.r.engine.Now(), err))
 	})
 }
 
@@ -263,19 +298,41 @@ func (g *gatingPair) request(p *Process, d time.Duration) {
 func (g *gatingPair) step(pick func(n int) int) string {
 	i := pick(len(g.procs))
 	p, rp := g.procs[i], g.ref.procs[i]
-	switch n := pick(106); {
+	switch n := pick(126); {
 	case n < 35:
 		busy := time.Duration(1+pick(3)) * time.Second
 		chain := pick(4) == 0
 		g.runWork(p, busy, chain)
-		g.ref.submit(rp, false, chain, refBusy(busy))
+		g.ref.submit(rp, false, chain, refBusy(busy), ownCallback)
 		return fmt.Sprintf("RunWork(%d, %v, chain=%v)", p.uid, busy, chain)
 	case n < 45:
 		d := time.Duration(1+pick(2)) * time.Second
 		g.request(p, d)
-		g.ref.submit(rp, true, false, d)
+		g.ref.submit(rp, true, false, d, ownCallback)
 		return fmt.Sprintf("NetworkRequest(%d, %v)", p.uid, d)
-	case n < 57:
+	case n < 65:
+		// The listener nobody unregistered: submissions alike in all but
+		// their instant, which a backlog counts in one node where it may.
+		cb := []callback{sharedCallback, noCallback}[pick(2)]
+		if pick(2) == 0 {
+			d := time.Second
+			onDone := g.sharedErr[i]
+			if cb == noCallback {
+				onDone = nil
+			}
+			p.NetworkRequest(d, onDone)
+			g.ref.submit(rp, true, false, d, cb)
+			return fmt.Sprintf("NetworkRequest(%d, %v, callback %v)", p.uid, d, cb)
+		}
+		busy := time.Duration(1+pick(2)) * time.Second
+		onDone := g.shared[i]
+		if cb == noCallback {
+			onDone = nil
+		}
+		p.RunWork(busy, onDone)
+		g.ref.submit(rp, false, false, refBusy(busy), cb)
+		return fmt.Sprintf("RunWork(%d, %v, callback %v)", p.uid, busy, cb)
+	case n < 77:
 		if g.ref.awake = !g.ref.awake; g.ref.awake {
 			g.wl.Acquire()
 		} else {
@@ -283,7 +340,7 @@ func (g *gatingPair) step(pick func(n int) int) string {
 		}
 		g.ref.reevaluateAll()
 		return fmt.Sprintf("awake=%v", g.ref.awake)
-	case n < 67:
+	case n < 87:
 		// A governor changes its mind, and tells the framework — or does
 		// not, and the next submission finds out.
 		deny := !g.gov.deny[p.uid]
@@ -294,7 +351,7 @@ func (g *gatingPair) step(pick func(n int) int) string {
 			g.ref.reevaluateAll()
 		}
 		return fmt.Sprintf("deny[%d]=%v told=%v", p.uid, deny, tell)
-	case n < 75:
+	case n < 95:
 		fg := pick(2) == 0
 		p.SetForeground(fg)
 		if !rp.dead && rp.fg != fg {
@@ -302,17 +359,17 @@ func (g *gatingPair) step(pick func(n int) int) string {
 			g.ref.reevaluate(rp)
 		}
 		return fmt.Sprintf("SetForeground(%d, %v)", p.uid, fg)
-	case n < 98:
+	case n < 118:
 		d := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 45 * time.Second}[pick(4)]
 		g.r.engine.RunUntil(g.r.engine.Now() + d)
 		g.ref.advance(g.ref.now + d)
 		return fmt.Sprintf("advance %v", d)
-	case n < 101:
+	case n < 121:
 		// Wi-Fi, so a transfer leaves no radio tail drawing after it.
 		g.ref.connected = !g.ref.connected
 		g.r.world.SetNetwork(g.ref.connected, true)
 		return fmt.Sprintf("connected=%v", g.ref.connected)
-	case n < 104:
+	case n < 124:
 		g.ref.healthy = !g.ref.healthy
 		g.r.world.SetServerHealthy(g.ref.healthy)
 		return fmt.Sprintf("healthy=%v", g.ref.healthy)
@@ -349,15 +406,25 @@ func (g *gatingPair) check(where string) {
 			}
 		}
 		var last *pending
-		for b := p.backHead; b != nil; b, n = b.next, n+1 {
+		for b := p.backHead; b != nil; b = b.next {
 			last = b
-			if n >= len(rp.items) {
-				continue
+			if b.n == 0 {
+				t.Fatalf("%s: uid %d: a backlog node counts no submission", where, p.uid)
 			}
-			if ri := rp.items[n]; ri.started || b.remaining != ri.remaining || b.at != ri.pausedAt ||
-				(b.kind == netWork) != ri.net || codeErr[b.err] != ri.err {
-				t.Fatalf("%s: uid %d item %d waits as a node (%v at %v, net %v, err %v); the full walk has it started=%v, %v at %v, net %v, err %v",
-					where, p.uid, n, b.remaining, b.at, b.kind == netWork, codeErr[b.err], ri.started, ri.remaining, ri.pausedAt, ri.net, ri.err)
+			if b.n > 1 {
+				g.runs++
+			}
+			// A node of n stands for the next n items, each as it was
+			// submitted; the instant matters only to a request's timeout.
+			for k := uint32(0); k < b.n; k, n = k+1, n+1 {
+				if n >= len(rp.items) {
+					continue
+				}
+				if ri := rp.items[n]; ri.started || b.remaining != ri.remaining || b.kind == netWork && b.at != ri.pausedAt ||
+					(b.kind == netWork) != ri.net || codeErr[b.err] != ri.err {
+					t.Fatalf("%s: uid %d item %d waits as submission %d of %d of a node (%v at %v, net %v, err %v); the full walk has it started=%v, %v at %v, net %v, err %v",
+						where, p.uid, n, k+1, b.n, b.remaining, b.at, b.kind == netWork, codeErr[b.err], ri.started, ri.remaining, ri.pausedAt, ri.net, ri.err)
+				}
 			}
 		}
 		if last != p.backTail {
@@ -416,9 +483,12 @@ func (g *gatingPair) check(where string) {
 // timers holding a tick, and that the full-walk reference agrees on which
 // items run, which never have, when and in what order they complete, the
 // error each reports, and what CPUTimeOf reads; each uid holds one draw slot
-// per kind of work it has run, and draws exactly 0 W while none runs.
+// per kind of work it has run, and draws exactly 0 W while none runs. Some
+// submissions share their process's callback or have none, so runs of them
+// wait as one node, which must stand for each of the reference's items.
 func TestGatingMatchesFullWalk(t *testing.T) {
 	carried := map[error]int{}
+	runs := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := newGatingPair(t)
@@ -435,6 +505,11 @@ func TestGatingMatchesFullWalk(t *testing.T) {
 		for err, n := range g.ref.carried {
 			carried[err] += n
 		}
+		runs += g.runs
+	}
+	t.Logf("steps that found a node counting a run: %d", runs)
+	if runs < 200 {
+		t.Errorf("%d steps found a node counting a run of submissions, want ≥ 200", runs)
 	}
 	// Every error a request can report has reached its completion through
 	// a backlog node.
@@ -454,6 +529,23 @@ func FuzzGatingMatchesFullWalk(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(prog)
 		f.Add(prog)
 	}
+	// And the listener nobody unregistered, spelt out in step's picks: the
+	// CPU sleeps while uid 100 is handed runs of alike submissions — two
+	// requests 45 s apart, twice over, then CPU work with its process's
+	// callback, of one length and then another, with none, and with a
+	// callback each — and then it wakes and the backlog runs out.
+	var (
+		sharedReq  = []byte{0, 45, 0, 0}    // uid 100, shared op, the shared callback, a request
+		nilReq     = []byte{0, 45, 1, 0}    // the same with no callback
+		sharedCPU1 = []byte{0, 45, 0, 1, 0} // 1 s of CPU work, the shared callback
+		sharedCPU2 = []byte{0, 45, 0, 1, 1} // 2 s of it
+		nilCPU     = []byte{0, 45, 1, 1, 0} // 1 s of it, no callback
+		ownCPU     = []byte{0, 0, 0, 1}     // 1 s of it with a callback of its own, no chain
+		wait       = []byte{0, 100, 3}      // advance 45 s
+		wake       = []byte{0, 65}          // awake=true
+	)
+	f.Add(slices.Concat(sharedReq, wait, sharedReq, nilReq, wait, nilReq,
+		sharedCPU1, sharedCPU1, sharedCPU2, nilCPU, nilCPU, ownCPU, ownCPU, wake, wait, wait))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		g := newGatingPair(t)
 		for i := 0; i < 3; i++ {
@@ -475,13 +567,15 @@ func FuzzGatingMatchesFullWalk(f *testing.F) {
 }
 
 // submitPaused times n submissions to a process that cannot run: the listener
-// nobody unregistered, delivering to a sleeping CPU.
+// nobody unregistered, delivering to a sleeping CPU. Each lasts a second or
+// two, by turns, so no two in a row start alike and each waits as a node of
+// its own.
 func submitPaused(n int) (*rig, time.Duration) {
 	r := newRig(nil)
 	p := r.fw.NewProcess(10, "app")
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
-		p.RunWork(time.Second, nil)
+		p.RunWork(time.Duration(1+i%2)*time.Second, nil)
 	}
 	return r, time.Since(t0)
 }

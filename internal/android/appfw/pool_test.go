@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/device"
 	"repro/internal/power"
 )
 
@@ -147,14 +150,18 @@ func TestReevaluateOrderDeterministic(t *testing.T) {
 }
 
 // TestBacklogNodesArePooled pins what work that has never run costs: 8 000
-// submissions to a process whose CPU sleeps hold at most 56 B each (a 48-byte
-// backlog node, where a work item takes 112), and once a drain, a Kill or a
-// Reset has given the nodes back, another 8 000 allocate nothing.
+// submissions to a process whose CPU sleeps, no two in a row alike, hold at
+// most 56 B each (a 48-byte backlog node, where a work item takes 112), and
+// once a drain, a Kill or a Reset has given the nodes back, another 8 000
+// allocate nothing.
 func TestBacklogNodesArePooled(t *testing.T) {
+	if size := unsafe.Sizeof(pending{}); size != 48 {
+		t.Errorf("a backlog node is %d B, pinned at 48", size)
+	}
 	const n = 8000
 	submit := func(p *Process) {
 		for i := 0; i < n; i++ {
-			p.RunWork(time.Second, nil)
+			p.RunWork(time.Duration(1+i%2)*time.Second, nil)
 		}
 	}
 	live := func() int64 {
@@ -207,6 +214,58 @@ func TestBacklogNodesArePooled(t *testing.T) {
 			t.Fatalf("%s: the second submissions did not wait as nodes", tc.name)
 		}
 		runtime.KeepAlive(r)
+	}
+}
+
+// TestAlikeSubmissionsShareANode: the listener nobody unregistered hands a
+// sleeping CPU the same job 8 000 times — one length, one callback bound
+// once — and its backlog holds one node counting them, allocated once, that
+// starts 8 000 items when the CPU wakes. A closure built per submission is a
+// callback of its own, though every one is of the same literal: those wait
+// as a node each, and each reports to its own closure.
+func TestAlikeSubmissionsShareANode(t *testing.T) {
+	const n = 8000
+	r := newRig(nil)
+	p := r.fw.NewProcess(10, "app")
+	done := 0
+	onDone := func() { done++ }
+	p.RunWork(time.Second, onDone) // the node itself, allocated here
+	if got := mallocs(func() {
+		for i := 1; i < n; i++ {
+			p.RunWork(time.Second, onDone)
+		}
+	}); got != 0 {
+		t.Errorf("%d alike submissions behind the first allocate %d times, want 0", n-1, got)
+	}
+	if p.backHead == nil || p.backHead != p.backTail || p.backHead.n != n {
+		t.Fatalf("%d alike submissions to a sleeping CPU do not wait as one node counting them", n)
+	}
+	r.hold(10)
+	if got, want := r.meter.InstantPowerOfW(10), n*device.PixelXL.CPUActiveW+device.PixelXL.CPUIdleAwakeW; !almost(got, want) {
+		t.Fatalf("the node's %d items draw %v W once the CPU wakes, want %v", n, got, want)
+	}
+	r.engine.RunUntil(time.Hour)
+	if done != n {
+		t.Fatalf("%d alike submissions completed %d times", n, done)
+	}
+
+	var got []int
+	r2 := newRig(nil)
+	q := r2.fw.NewProcess(20, "other")
+	for i := 0; i < 3; i++ {
+		q.RunWork(time.Second, func() { got = append(got, i) })
+	}
+	nodes := 0
+	for b := q.backHead; b != nil; b = b.next {
+		nodes++
+	}
+	if nodes != 3 {
+		t.Fatalf("3 closures of one literal wait as %d nodes, want 3", nodes)
+	}
+	r2.hold(20)
+	r2.engine.RunUntil(time.Hour)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("3 closures of one literal reported %v, want [0 1 2]", got)
 	}
 }
 

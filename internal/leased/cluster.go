@@ -298,11 +298,12 @@ func (s *Server) AdoptWelcome(w cluster.Welcome) error {
 }
 
 // ApplySnapshot implements cluster.Applier: replace the shard's state
-// wholesale — the catch-up path on every (re)connect. The engine reset and
-// virtual advance happen outside the clock mutex's critical section only in
-// the sense that reads interleaving with them may briefly see the old state
-// at the new instant; every actual state swap runs under sh.do, so the race
-// detector stays quiet and readers never see torn structures.
+// wholesale — the catch-up path on every (re)connect. A payload it refuses
+// changes nothing: not the clock, the state or the cluster epoch. The engine
+// reset and virtual advance happen outside the clock mutex's critical section
+// only in the sense that reads interleaving with them may briefly see the old
+// state at the new instant; every actual state swap runs under sh.do, so the
+// race detector stays quiet and readers never see torn structures.
 func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("leased: no shard %d", shard)
@@ -317,6 +318,10 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	}
 	if st.Shards != len(s.shards) || st.Shard != shard {
 		return fmt.Errorf("leased: replicated snapshot is shard %d of %d, want %d of %d", st.Shard, st.Shards, shard, len(s.shards))
+	}
+	// Restore refuses part-way through building, so it is tried first.
+	if err := tryRestore(st, sh.opts); err != nil {
+		return err
 	}
 	// Discard the divergent timeline: empty event queue, clock back to
 	// zero, then forward to the snapshot instant (no events exist to fire).

@@ -535,6 +535,14 @@ func (sh *shard) restoreState(st persistedState) error {
 	return sh.restoreStateLocked(st)
 }
 
+// tryRestore restores st into a throwaway shard, on an unstarted clock of
+// its own and with no cluster epoch to adopt, and returns restore's refusal.
+func tryRestore(st persistedState, opts Options) error {
+	probe := &shard{opts: opts, clock: runtime.NewWallUnstarted()}
+	probe.shardState = newShardState(probe.clock, opts)
+	return probe.restoreState(st)
+}
+
 // restoreStateLocked is restoreState minus the clock advance, for callers
 // already inside a Do section (the replication snapshot path, which resets
 // and advances the clock before entering the critical section).

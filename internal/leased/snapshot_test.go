@@ -760,6 +760,148 @@ func leaseRowBytes(ls lease.LeaseState) []byte {
 	return append(w.Payload(), termRecordBytes(*ls.Last)...)
 }
 
+// refusedSnapshot is a payload that decodes but must not restore, and how
+// restore refuses it: with the error want, or with an error reading wantText.
+type refusedSnapshot struct {
+	name     string
+	payload  []byte
+	want     error
+	wantText string
+}
+
+// refusedAs reports whether err is the refusal r names.
+func (r refusedSnapshot) refusedAs(err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case r.want != nil:
+		return errors.Is(err, r.want)
+	default:
+		return strings.Contains(err.Error(), r.wantText)
+	}
+}
+
+// refusedSnapshots are the payloads FuzzDecodeSnapshot seeds with that decode
+// but must not restore, each asserted refused by a fresh shard. Each is a
+// populated shard's capture, corrupted, at cluster epoch 5: past a fresh
+// node's, so a refusal that adopted it would show.
+func refusedSnapshots(tb testing.TB) []refusedSnapshot {
+	tb.Helper()
+	populated := func() *shard {
+		sh := populatedShard(tb, snapTestOptions(), 4, 3)
+		sh.cepoch.Store(5)
+		return sh
+	}
+	var out []refusedSnapshot
+	// An object whose uid and whose kind would index out of the client
+	// table.
+	for _, tc := range []struct {
+		name, text string
+		corrupt    func(*robj)
+	}{
+		{"object uid out of range", "unknown uid", func(o *robj) { o.uid = math.MaxUint32 }},
+		{"object kind out of range", "unknown resource kind", func(o *robj) { o.kind = 200 }},
+	} {
+		sh := populated()
+		tc.corrupt(sh.objByLease(1))
+		out = append(out, refusedSnapshot{name: tc.name, payload: encodeShard(sh), wantText: tc.text})
+	}
+	// And three whose copies disagree: an object row that names a client
+	// other than its uid's (lease 1's object moved into the next client's
+	// empty slot of its kind), a manager lease whose object is not the row
+	// that names it, and two clients rows that read one name.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*shard)
+		want    error
+	}{
+		{"object row names another client", func(sh *shard) {
+			o := sh.objByLease(1)
+			sh.table.recs[o.uid].clearObj(o)
+			sh.table.recs[o.uid+1].setObj(o)
+		}, errObjectClientMismatch},
+		{"lease names another object", func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
+		{"two clients rows, one name", func(sh *shard) { sh.table.recs[2].name = sh.table.recs[1].name }, errDuplicateClient},
+	} {
+		sh := populated()
+		tc.corrupt(sh)
+		out = append(out, refusedSnapshot{name: tc.name, payload: encodeShard(sh), want: tc.want})
+	}
+	// And a lease with completed terms but no term record: the payload ends
+	// with the last lease's one-record list, which becomes an empty one.
+	sh := populated()
+	good := encodeShard(sh)
+	st := sh.captureState()
+	tail := append([]byte{1}, termRecordBytes(*st.Manager.Leases[len(st.Manager.Leases)-1].Last)...)
+	if !bytes.HasSuffix(good, tail) {
+		tb.Fatal("the payload does not end with its last lease's term record")
+	}
+	out = append(out, refusedSnapshot{name: "lease lost its term record",
+		payload:  append(good[:len(good)-len(tail):len(good)-len(tail)], 0),
+		wantText: "completed terms but last record present = false"})
+	// And a manager section that repeats its last lease row (rows 1, 2, 3,
+	// 3). The row agrees with the object row naming it, so only the
+	// manager's ID order refuses it: restored, it would replace the first
+	// copy's lease while that lease's term check stayed armed on the object.
+	sh = populated()
+	good = encodeShard(sh)
+	leases := sh.captureState().Manager.Leases
+	var rows []byte
+	for _, ls := range leases {
+		rows = append(rows, leaseRowBytes(ls)...)
+	}
+	count := len(good) - len(rows) - 1
+	if !bytes.HasSuffix(good, rows) || good[count] != byte(len(leases)) {
+		tb.Fatal("the payload does not end with its lease count and rows")
+	}
+	out = append(out, refusedSnapshot{name: "repeated manager lease row",
+		payload: append(append(append(good[:count:count], byte(len(leases)+1)), rows...), leaseRowBytes(leases[len(leases)-1])...),
+		want:    lease.ErrLeaseID})
+	for _, r := range out {
+		got, err := decodeSnapshot(r.payload)
+		if err != nil {
+			tb.Fatalf("%s: the payload does not decode: %v", r.name, err)
+		}
+		if err := freshShard(snapTestOptions()).restoreState(got); !r.refusedAs(err) {
+			tb.Fatalf("%s: restore returned %v, want a refusal naming %v%s", r.name, err, r.want, r.wantText)
+		}
+	}
+	return out
+}
+
+// TestRefusedSnapshotChangesNothing: a follower handed a replicated snapshot
+// it refuses keeps what it had. Each of refusedSnapshots, applied to a
+// populated follower shard, is refused by name and leaves the shard's state
+// bytes, its pending events and the cluster epoch exactly as they were.
+func TestRefusedSnapshotChangesNothing(t *testing.T) {
+	opts := snapTestOptions()
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	fol := NewServer(opts)
+	defer fol.Close()
+	if err := fol.ApplySnapshot(0, encodeShard(populatedShard(t, snapTestOptions(), 4, 3))); err != nil {
+		t.Fatal(err)
+	}
+	sh := fol.shards[0]
+	look := func() (state []byte, pending int, epoch uint64) {
+		sh.do(func() { state, pending = encodeShard(sh), sh.clock.Pending() })
+		return state, pending, fol.ClusterEpoch()
+	}
+	state, pending, epoch := look()
+	if pending == 0 {
+		t.Fatal("the populated shard has no pending event a refusal could drop")
+	}
+	for _, r := range refusedSnapshots(t) {
+		if err := fol.ApplySnapshot(0, r.payload); !r.refusedAs(err) {
+			t.Fatalf("%s: ApplySnapshot returned %v, want a refusal naming %v%s", r.name, err, r.want, r.wantText)
+		}
+		gotState, gotPending, gotEpoch := look()
+		if !bytes.Equal(gotState, state) || gotPending != pending || gotEpoch != epoch {
+			t.Fatalf("%s: a refused snapshot left %d state bytes (equal %v), %d pending events and cluster epoch %d; before it %d, %d and %d",
+				r.name, len(gotState), bytes.Equal(gotState, state), gotPending, gotEpoch, len(state), pending, epoch)
+		}
+	}
+}
+
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 or version-2 value: no other first byte,
@@ -778,86 +920,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"now":0}`))
 	f.Add([]byte{snapshotVersion})
 	f.Add([]byte{})
-	// Payloads that decode but must not restore: an object whose uid and
-	// whose kind would index out of the client table.
-	for _, corrupt := range []func(*robj){
-		func(o *robj) { o.uid = math.MaxUint32 },
-		func(o *robj) { o.kind = 200 },
-	} {
-		sh := populatedShard(f, snapTestOptions(), 4, 3)
-		corrupt(sh.objByLease(1))
-		f.Add(encodeShard(sh))
+	for _, r := range refusedSnapshots(f) {
+		f.Add(r.payload)
 	}
-	// And three whose copies disagree: an object row that names a client
-	// other than its uid's (lease 1's object moved into the next client's
-	// empty slot of its kind), a manager lease whose object is not the row
-	// that names it, and two clients rows that read one name.
-	for _, tc := range []struct {
-		corrupt func(*shard)
-		want    error
-	}{
-		{func(sh *shard) {
-			o := sh.objByLease(1)
-			sh.table.recs[o.uid].clearObj(o)
-			sh.table.recs[o.uid+1].setObj(o)
-		}, errObjectClientMismatch},
-		{func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
-		{func(sh *shard) { sh.table.recs[2].name = sh.table.recs[1].name }, errDuplicateClient},
-	} {
-		sh := populatedShard(f, snapTestOptions(), 4, 3)
-		tc.corrupt(sh)
-		bad := encodeShard(sh)
-		got, err := decodeSnapshot(bad)
-		if err == nil {
-			err = freshShard(snapTestOptions()).restoreState(got)
-		}
-		if !errors.Is(err, tc.want) {
-			f.Fatalf("a payload whose copies disagree: err = %v, want %v", err, tc.want)
-		}
-		f.Add(bad)
-	}
-	// And a lease with completed terms but no term record: the payload ends
-	// with the last lease's one-record list, which becomes an empty one.
-	sh := populatedShard(f, snapTestOptions(), 4, 3)
-	good = encodeShard(sh)
-	st := sh.captureState()
-	tail := append([]byte{1}, termRecordBytes(*st.Manager.Leases[len(st.Manager.Leases)-1].Last)...)
-	if !bytes.HasSuffix(good, tail) {
-		f.Fatal("the payload does not end with its last lease's term record")
-	}
-	bad := append(good[:len(good)-len(tail):len(good)-len(tail)], 0)
-	got, err := decodeSnapshot(bad)
-	if err == nil {
-		err = freshShard(snapTestOptions()).restoreState(got)
-	}
-	if err == nil || !strings.Contains(err.Error(), "completed terms but last record present = false") {
-		f.Fatalf("a lease that lost its term record: %v", err)
-	}
-	f.Add(bad)
-	// And a manager section that repeats its last lease row. The row agrees
-	// with the object row naming it, so only the manager's ID order refuses
-	// it: restored, it would replace the first copy's lease while that
-	// lease's term check stayed armed on the object.
-	sh = populatedShard(f, snapTestOptions(), 4, 3)
-	good = encodeShard(sh)
-	leases := sh.captureState().Manager.Leases
-	var rows []byte
-	for _, ls := range leases {
-		rows = append(rows, leaseRowBytes(ls)...)
-	}
-	count := len(good) - len(rows) - 1
-	if !bytes.HasSuffix(good, rows) || good[count] != byte(len(leases)) {
-		f.Fatal("the payload does not end with its lease count and rows")
-	}
-	bad = append(append(append(good[:count:count], byte(len(leases)+1)), rows...), leaseRowBytes(leases[len(leases)-1])...)
-	got, err = decodeSnapshot(bad)
-	if err == nil {
-		err = freshShard(snapTestOptions()).restoreState(got)
-	}
-	if !errors.Is(err, lease.ErrLeaseID) {
-		f.Fatalf("a repeated manager lease row: err = %v, want lease.ErrLeaseID", err)
-	}
-	f.Add(bad)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := loadBounded(t, data)
 		if err != nil {

@@ -200,4 +200,7 @@ func (w *Wall) Schedule(d time.Duration, fn func()) simclock.EventID { return w.
 // Cancel implements Clock.
 func (w *Wall) Cancel(id simclock.EventID) bool { return w.eng.Cancel(id) }
 
+// Pending is the number of events scheduled and not yet fired or cancelled.
+func (w *Wall) Pending() int { return w.eng.Len() }
+
 var _ Clock = (*Wall)(nil)
