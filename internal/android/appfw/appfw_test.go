@@ -29,7 +29,7 @@ func newRig(gov hooks.Governor) *rig {
 	}
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	w := env.New(e)
 	pm := powermgr.New(e, m, r, device.PixelXL, gov)
 	fw := New(e, m, device.PixelXL, w, pm, r, gov)
@@ -104,7 +104,7 @@ func TestWorkPausesWhenCPUSleeps(t *testing.T) {
 func TestWorkScalesWithDeviceSpeed(t *testing.T) {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	w := env.New(e)
 	pm := powermgr.New(e, m, reg, device.MotoG, hooks.Nop{})
 	fw := New(e, m, device.MotoG, w, pm, reg, hooks.Nop{})

@@ -18,7 +18,7 @@ func newDVFSRig(alpha float64) *rig {
 	prof := device.PixelXL.WithDVFS(alpha)
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	w := env.New(e)
 	pm := powermgr.New(e, m, r, prof, hooks.Nop{})
 	fw := New(e, m, prof, w, pm, r, hooks.Nop{})

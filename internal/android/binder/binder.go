@@ -11,10 +11,10 @@ package binder
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/power"
-	"repro/internal/simclock"
 )
 
 // IPCLatency is the simulated cost of one Binder round trip. The paper
@@ -22,14 +22,19 @@ import (
 // (§7.2); we use that as the canonical value.
 const IPCLatency = 2 * time.Millisecond
 
+// DeathRecipient is told when the token it is linked to dies, the shape of
+// Android's IBinder.DeathRecipient.
+type DeathRecipient interface{ BinderDied() }
+
 // Token is a kernel object: the server-side identity of one granted
-// resource instance.
+// resource instance. A token may live inside its owner's own record
+// (Registry.Init), so that a kernel object is one allocation.
 type Token struct {
-	id      uint64
-	owner   power.UID
-	service string
-	dead    bool
-	reapers []func()
+	id        uint64
+	owner     power.UID
+	service   string
+	dead      bool
+	recipient DeathRecipient
 }
 
 // ID returns the token's unique id within its registry.
@@ -48,20 +53,20 @@ func (t *Token) String() string {
 	return fmt.Sprintf("%s/token-%d(uid %d)", t.service, t.id, t.owner)
 }
 
-// LinkToDeath registers fn to run when the token dies, mirroring
-// IBinder.linkToDeath. Registration on a dead token fires immediately.
-func (t *Token) LinkToDeath(fn func()) {
+// LinkToDeath registers r to be told when the token dies, mirroring
+// IBinder.linkToDeath. A token has one recipient: a later link replaces an
+// earlier one. Registration on a dead token fires immediately.
+func (t *Token) LinkToDeath(r DeathRecipient) {
 	if t.dead {
-		fn()
+		r.BinderDied()
 		return
 	}
-	t.reapers = append(t.reapers, fn)
+	t.recipient = r
 }
 
 // Registry issues tokens and tracks liveness per owner so that process death
 // can reap every token the process held.
 type Registry struct {
-	engine  *simclock.Engine
 	nextID  uint64
 	byOwner map[power.UID][]*Token
 
@@ -70,8 +75,8 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty token registry.
-func NewRegistry(engine *simclock.Engine) *Registry {
-	return &Registry{engine: engine, byOwner: make(map[power.UID][]*Token)}
+func NewRegistry() *Registry {
+	return &Registry{byOwner: make(map[power.UID][]*Token)}
 }
 
 // Reset drops every token and restarts the id sequence, returning the
@@ -79,37 +84,31 @@ func NewRegistry(engine *simclock.Engine) *Registry {
 // Death recipients are not notified: a reset models the whole world being
 // torn down, not individual processes dying.
 func (r *Registry) Reset() {
-	for uid := range r.byOwner {
-		delete(r.byOwner, uid)
-	}
+	clear(r.byOwner)
 	r.nextID = 0
 	r.IPCCount = 0
 }
 
-// NewToken mints a live token owned by uid inside service.
-func (r *Registry) NewToken(owner power.UID, service string) *Token {
+// Init mints a live token owned by uid inside service into t, memory the
+// caller owns and that no live token occupies.
+func (r *Registry) Init(t *Token, owner power.UID, service string) {
 	r.nextID++
-	t := &Token{id: r.nextID, owner: owner, service: service}
+	*t = Token{id: r.nextID, owner: owner, service: service}
 	r.byOwner[owner] = append(r.byOwner[owner], t)
-	return t
 }
 
-// Kill destroys a single token, notifying death recipients once.
+// Kill destroys a single token, notifying its death recipient once.
 func (r *Registry) Kill(t *Token) {
 	if t.dead {
 		return
 	}
 	t.dead = true
-	for _, fn := range t.reapers {
-		fn()
+	if t.recipient != nil {
+		t.recipient.BinderDied()
 	}
-	t.reapers = nil
 	tokens := r.byOwner[t.owner]
-	for i, tok := range tokens {
-		if tok == t {
-			r.byOwner[t.owner] = append(tokens[:i], tokens[i+1:]...)
-			break
-		}
+	if i := slices.Index(tokens, t); i >= 0 {
+		r.byOwner[t.owner] = slices.Delete(tokens, i, i+1)
 	}
 }
 

@@ -3,13 +3,24 @@ package binder
 import (
 	"testing"
 
-	"repro/internal/simclock"
+	"repro/internal/power"
 )
 
+// died is a DeathRecipient that runs a function.
+type died func()
+
+func (f died) BinderDied() { f() }
+
+func newToken(r *Registry, owner power.UID, service string) *Token {
+	t := new(Token)
+	r.Init(t, owner, service)
+	return t
+}
+
 func TestTokenIdentity(t *testing.T) {
-	r := NewRegistry(simclock.NewEngine())
-	a := r.NewToken(10, "power")
-	b := r.NewToken(10, "power")
+	r := NewRegistry()
+	a := newToken(r, 10, "power")
+	b := newToken(r, 10, "power")
 	if a.ID() == b.ID() {
 		t.Fatal("token ids must be unique")
 	}
@@ -22,10 +33,10 @@ func TestTokenIdentity(t *testing.T) {
 }
 
 func TestDeathNotification(t *testing.T) {
-	r := NewRegistry(simclock.NewEngine())
-	tok := r.NewToken(10, "power")
+	r := NewRegistry()
+	tok := newToken(r, 10, "power")
 	fired := 0
-	tok.LinkToDeath(func() { fired++ })
+	tok.LinkToDeath(died(func() { fired++ }))
 	r.Kill(tok)
 	r.Kill(tok) // idempotent
 	if fired != 1 {
@@ -37,21 +48,21 @@ func TestDeathNotification(t *testing.T) {
 }
 
 func TestLinkToDeathOnDeadTokenFiresImmediately(t *testing.T) {
-	r := NewRegistry(simclock.NewEngine())
-	tok := r.NewToken(10, "power")
+	r := NewRegistry()
+	tok := newToken(r, 10, "power")
 	r.Kill(tok)
 	fired := false
-	tok.LinkToDeath(func() { fired = true })
+	tok.LinkToDeath(died(func() { fired = true }))
 	if !fired {
 		t.Fatal("recipient on dead token should fire immediately")
 	}
 }
 
 func TestKillOwnerReapsAll(t *testing.T) {
-	r := NewRegistry(simclock.NewEngine())
-	t1 := r.NewToken(10, "power")
-	t2 := r.NewToken(10, "location")
-	t3 := r.NewToken(20, "power")
+	r := NewRegistry()
+	t1 := newToken(r, 10, "power")
+	t2 := newToken(r, 10, "location")
+	t3 := newToken(r, 20, "power")
 	if r.LiveCount(10) != 2 {
 		t.Fatalf("LiveCount = %d, want 2", r.LiveCount(10))
 	}
@@ -68,7 +79,7 @@ func TestKillOwnerReapsAll(t *testing.T) {
 }
 
 func TestIPCAccounting(t *testing.T) {
-	r := NewRegistry(simclock.NewEngine())
+	r := NewRegistry()
 	if d := r.IPC(); d != IPCLatency {
 		t.Fatalf("IPC latency = %v, want %v", d, IPCLatency)
 	}

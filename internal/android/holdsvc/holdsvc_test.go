@@ -17,7 +17,7 @@ func newSvc(gov hooks.Governor) (*simclock.Engine, *power.Meter, *binder.Registr
 	}
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	s := New(e, m, r, gov, "wifi", hooks.WifiLock, power.WiFi, 0.016)
 	return e, m, r, s
 }
@@ -115,13 +115,13 @@ func TestSharedDrawSplit(t *testing.T) {
 func newWifi(gov hooks.Governor) (*simclock.Engine, *power.Meter, *Service) {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	return e, m, New(e, m, binder.NewRegistry(e), gov, "wifi", hooks.WifiLock, power.WiFi, device.PixelXL.WiFiLockW)
+	return e, m, New(e, m, binder.NewRegistry(), gov, "wifi", hooks.WifiLock, power.WiFi, device.PixelXL.WiFiLockW)
 }
 
 func newAudio(gov hooks.Governor) (*simclock.Engine, *power.Meter, *Service) {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	return e, m, New(e, m, binder.NewRegistry(e), gov, "audio", hooks.AudioSession, power.Audio, device.PixelXL.AudioW)
+	return e, m, New(e, m, binder.NewRegistry(), gov, "audio", hooks.AudioSession, power.Audio, device.PixelXL.AudioW)
 }
 
 func TestWifiLockDrawsRadioPower(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 func benchRig() (*simclock.Engine, *Service) {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	return e, New(e, m, r, device.PixelXL, hooks.Nop{})
 }
 

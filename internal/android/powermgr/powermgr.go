@@ -25,10 +25,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// object is the kernel-side record of one wakelock: the shared proxy state
-// and nothing else.
-type object = proxy.Object[struct{}]
-
 // Service is the power manager.
 type Service struct {
 	proxy.Table[struct{}]
@@ -60,7 +56,7 @@ func New(engine *simclock.Engine, meter *power.Meter, registry *binder.Registry,
 		engine: engine, meter: meter, sys: meter.Owner(power.SystemUID), registry: registry, profile: profile,
 		partial: proxy.Shares{Kind: hooks.Wakelock}, screen: proxy.Shares{Kind: hooks.ScreenWakelock},
 	}
-	s.Table = proxy.New(engine, registry, gov, "power", func(*object) { s.recompute() }, nil)
+	s.Table = proxy.New(engine, registry, gov, "power", func(*proxy.Object[struct{}]) { s.recompute() }, nil)
 	// Baseline suspend draw is always present and owned by the system.
 	s.sys.Set(power.System, "suspend-base", profile.SuspendW)
 	return s
@@ -92,7 +88,7 @@ func (s *Service) Reset() {
 // SetReferenceCounted(true) for Android-default semantics.
 type Wakelock struct {
 	svc *Service
-	obj *object
+	obj proxy.Object[struct{}] // the kernel object: the proxy's state alone
 
 	refCounted bool
 	refs       int
@@ -119,7 +115,9 @@ func (s *Service) NewWakelock(uid power.UID, kind hooks.Kind, name string) *Wake
 	if kind == hooks.ScreenWakelock {
 		shares = &s.screen
 	}
-	return &Wakelock{svc: s, obj: s.Create(uid, shares, struct{}{})}
+	w := &Wakelock{svc: s}
+	s.Init(&w.obj, uid, shares, struct{}{})
+	return w
 }
 
 // Acquire takes the wakelock. On a non-counted lock, acquiring an
@@ -127,7 +125,7 @@ func (s *Service) NewWakelock(uid power.UID, kind hooks.Kind, name string) *Wake
 // the count that Release must balance.
 func (w *Wakelock) Acquire() {
 	s := w.svc
-	o := w.obj
+	o := &w.obj
 	if o.Destroyed() {
 		return
 	}
@@ -168,7 +166,7 @@ func (w *Wakelock) AcquireTimeout(d time.Duration) {
 // restored when the suppression lifts.
 func (w *Wakelock) Release() {
 	s := w.svc
-	o := w.obj
+	o := &w.obj
 	if !o.Held {
 		return
 	}
@@ -191,7 +189,7 @@ func (w *Wakelock) IsHeld() bool { return w.obj.Held }
 func (w *Wakelock) ObjectID() uint64 { return w.obj.ID() }
 
 // Destroy deallocates the kernel object for good.
-func (w *Wakelock) Destroy() { w.svc.Kill(w.obj) }
+func (w *Wakelock) Destroy() { w.svc.Kill(&w.obj) }
 
 // SetUserScreen turns the screen on or off on behalf of the user session
 // (power button / active interaction). Screen wakelocks held by apps keep

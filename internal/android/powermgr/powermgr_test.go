@@ -25,7 +25,7 @@ func newRig(gov hooks.Governor) *rig {
 	}
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	return &rig{engine: e, meter: m, reg: r, svc: New(e, m, r, device.PixelXL, gov)}
 }
 

@@ -24,19 +24,20 @@ import (
 	"repro/internal/simclock"
 )
 
-// Object is one kernel object: the proxy's state plus the service's own X.
+// Object is one kernel object: the proxy's state, its binder token and the
+// service's own X, in one record that is its token's death recipient.
 // Services read Held and Suppressed freely but change them only through the
 // Table, which settles the accounting first and tells the governor after.
 type Object[X any] struct {
 	hooks.Hold
 	X X
 
-	token  *binder.Token
+	token  binder.Token
+	table  *Table[X]
 	shares *Shares
 
 	everHeld   bool // the governor has been told of this object
 	voting     bool // shares currently counts this object
-	destroyed  bool
 	boundAlive bool
 }
 
@@ -48,7 +49,10 @@ func (o *Object[X]) UID() power.UID { return o.token.Owner() }
 
 // Destroyed reports whether the kernel object has been deallocated. A
 // destroyed object is never Held.
-func (o *Object[X]) Destroyed() bool { return o.destroyed }
+func (o *Object[X]) Destroyed() bool { return o.token.Dead() }
+
+// BinderDied implements binder.DeathRecipient: the object goes with its token.
+func (o *Object[X]) BinderDied() { o.table.destroy(o) }
 
 // Table holds one service's kernel objects and implements hooks.Controller
 // over them. Services embed it by value.
@@ -92,24 +96,26 @@ func (t *Table[X]) Reset() {
 // keep the slice across a Create or a destroy.
 func (t *Table[X]) Objects() []*Object[X] { return t.live }
 
-// Create mints a kernel object for uid, not yet held, of the kind shares is
-// for and with its draw attributed through them. The governor learns of it
-// at its first SetHeld.
+// Create is new plus Init.
 func (t *Table[X]) Create(uid power.UID, shares *Shares, x X) *Object[X] {
-	o := &Object[X]{
-		Hold:   hooks.Hold{LastSettle: t.engine.Now()},
-		X:      x,
-		token:  t.registry.NewToken(uid, t.name),
-		shares: shares,
-	}
-	t.live = append(t.live, o)
-	o.token.LinkToDeath(func() { t.destroy(o) })
+	o := new(Object[X])
+	t.Init(o, uid, shares, x)
 	return o
+}
+
+// Init mints a kernel object for uid into o (memory the caller owns, holding
+// no live object), not held, of the kind shares is for and attributed through
+// them. The governor learns of it at its first SetHeld.
+func (t *Table[X]) Init(o *Object[X], uid power.UID, shares *Shares, x X) {
+	*o = Object[X]{Hold: hooks.Hold{LastSettle: t.engine.Now()}, X: x, table: t, shares: shares}
+	t.registry.Init(&o.token, uid, t.name)
+	t.live = append(t.live, o)
+	o.token.LinkToDeath(o)
 }
 
 // Kill deallocates o's kernel object for good, as the descriptor's owner
 // asked or as process death does through the registry.
-func (t *Table[X]) Kill(o *Object[X]) { t.registry.Kill(o.token) }
+func (t *Table[X]) Kill(o *Object[X]) { t.registry.Kill(&o.token) }
 
 // Settle brings o's counters up to now under the state it has been in since
 // the last settle. Every state change settles first; a service settles
@@ -133,7 +139,7 @@ func (t *Table[X]) Settle(o *Object[X]) {
 // Setting the state an object is already in, or any state on a destroyed
 // object, is a no-op.
 func (t *Table[X]) SetHeld(o *Object[X], held bool) {
-	if o.destroyed || o.Held == held {
+	if o.Destroyed() || o.Held == held {
 		return
 	}
 	t.Settle(o)
@@ -154,7 +160,7 @@ func (t *Table[X]) SetHeld(o *Object[X], held bool) {
 // SetHeld. A descriptor whose object is destroyed or already in that state
 // answers app-side, without the round trip.
 func (t *Table[X]) Call(o *Object[X], held bool) {
-	if o.destroyed || o.Held == held {
+	if o.Destroyed() || o.Held == held {
 		return
 	}
 	t.registry.IPC()
@@ -173,12 +179,9 @@ func (t *Table[X]) SetBoundAlive(o *Object[X], alive bool) {
 	o.boundAlive = alive
 }
 
+// destroy runs once, as o's token dies.
 func (t *Table[X]) destroy(o *Object[X]) {
-	if o.destroyed {
-		return
-	}
 	t.Settle(o)
-	o.destroyed = true
 	o.Held = false
 	if i, ok := t.index(o.ID()); ok {
 		t.live = slices.Delete(t.live, i, i+1)

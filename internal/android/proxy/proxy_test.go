@@ -15,14 +15,14 @@ import (
 // tokens from too, so ids have gaps.
 func TestTableOrderAndLookup(t *testing.T) {
 	e := simclock.NewEngine()
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	sh := Shares{Kind: hooks.WifiLock}
 	followed := 0
 	tab := New(e, reg, hooks.Nop{}, "test", func(*Object[int]) { followed++ }, nil)
 
 	var objs []*Object[int]
 	for i := 0; i < 6; i++ {
-		reg.NewToken(99, "elsewhere")
+		reg.Init(new(binder.Token), 99, "elsewhere")
 		o := tab.Create(power.UID(10+i%2), &sh, i)
 		tab.SetHeld(o, true)
 		objs = append(objs, o)

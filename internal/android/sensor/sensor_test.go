@@ -21,7 +21,7 @@ type rig struct {
 func newRig() *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	return &rig{engine: e, meter: m, reg: r, svc: New(e, m, r, device.PixelXL, hooks.Nop{})}
 }
 

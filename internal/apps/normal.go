@@ -171,9 +171,22 @@ type SyncApp struct {
 	period   time.Duration
 	workDur  time.Duration
 	netDur   time.Duration
+	free     *syncCycle // finished cycles, their callbacks bound
 
 	// Syncs counts completed cycles.
 	Syncs int
+}
+
+// syncCycle is one sync in flight. Its callbacks are bound when it is first
+// made, and a finished cycle goes back to its app's free list: no callback
+// of it is pending anywhere by then, so a reused cycle's bound callbacks
+// never meet an earlier sync's.
+type syncCycle struct {
+	app       *SyncApp
+	wl        *powermgr.Wakelock
+	fetched   func(err error)
+	processed func()
+	next      *syncCycle
 }
 
 // NewSyncApp builds a periodic-sync app.
@@ -198,30 +211,46 @@ func NewFlym(s *sim.Sim, uid power.UID) *SyncApp {
 
 // Start implements App.
 func (a *SyncApp) Start() {
-	a.stopSync = a.proc.AlarmEvery(a.period, func() {
-		if a.stopped {
-			return
-		}
-		// Real sync adapters create a fresh wakelock instance per cycle, so
-		// every sync is a short-lived kernel object (and lease).
-		wl := a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, a.name+"-sync")
-		a.wl = wl
-		wl.Acquire()
-		done := func() {
-			wl.Release()
-			wl.Destroy()
-		}
-		a.proc.NetworkRequest(a.netDur, func(err error) {
-			if err != nil {
-				done()
-				return
-			}
-			a.proc.RunWork(a.workDur, func() {
-				a.Syncs++
-				done()
-			})
-		})
-	})
+	a.stopSync = a.proc.AlarmEvery(a.period, a.sync)
+}
+
+func (a *SyncApp) sync() {
+	if a.stopped {
+		return
+	}
+	c := a.free
+	if c != nil {
+		a.free, c.next = c.next, nil
+	} else {
+		c = &syncCycle{app: a}
+		c.fetched, c.processed = c.onFetched, c.onProcessed
+	}
+	// Real sync adapters create a fresh wakelock instance per cycle, so
+	// every sync is a short-lived kernel object (and lease).
+	c.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, a.name+"-sync")
+	a.wl = c.wl
+	c.wl.Acquire()
+	a.proc.NetworkRequest(a.netDur, c.fetched)
+}
+
+func (c *syncCycle) onFetched(err error) {
+	if err != nil {
+		c.done()
+		return
+	}
+	c.app.proc.RunWork(c.app.workDur, c.processed)
+}
+
+func (c *syncCycle) onProcessed() {
+	c.app.Syncs++
+	c.done()
+}
+
+func (c *syncCycle) done() {
+	c.wl.Release()
+	c.wl.Destroy()
+	c.wl = nil
+	c.next, c.app.free = c.app.free, c
 }
 
 // Stop implements App.

@@ -58,7 +58,7 @@ func (r *mgrRig) ops(op string) []Event {
 func newMgrRig(cfg Config) *mgrRig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	st := newFakeStats()
 	mgr := NewManager(e, st, cfg)
 	pm := powermgr.New(e, m, r, device.PixelXL, mgr)
@@ -414,7 +414,7 @@ func TestEnergySavingTorch(t *testing.T) {
 	run := func(withLease bool) float64 {
 		e := simclock.NewEngine()
 		m := power.NewMeter(e)
-		reg := binder.NewRegistry(e)
+		reg := binder.NewRegistry()
 		var gov hooks.Governor = hooks.Nop{}
 		if withLease {
 			gov = NewManager(e, newFakeStats(), Config{})

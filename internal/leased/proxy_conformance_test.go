@@ -56,7 +56,7 @@ type simWorld struct {
 
 func newSimWorld() *simWorld {
 	e := simclock.NewEngine()
-	return &simWorld{engine: e, meter: power.NewMeter(e), registry: binder.NewRegistry(e), gov: &lifecycleGov{}}
+	return &simWorld{engine: e, meter: power.NewMeter(e), registry: binder.NewRegistry(), gov: &lifecycleGov{}}
 }
 
 func (w *simWorld) rig(ctl hooks.Controller, create func() uint64, hold, drop, kill func()) proxyRig {

@@ -869,27 +869,38 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 	return out
 }
 
+// populatedFollower is a follower server whose shard 0 has adopted payload,
+// a populated shard's capture at cluster epoch 0, and look reads what a
+// refused snapshot must leave as it was: the shard's state bytes, its
+// pending events and the cluster epoch.
+func populatedFollower(tb testing.TB) (fol *Server, payload []byte, look func() (state []byte, pending int, epoch uint64)) {
+	tb.Helper()
+	opts := snapTestOptions()
+	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
+	fol = NewServer(opts)
+	tb.Cleanup(func() { fol.Close() })
+	payload = encodeShard(populatedShard(tb, snapTestOptions(), 4, 3))
+	if err := fol.ApplySnapshot(0, payload); err != nil {
+		tb.Fatal(err)
+	}
+	sh := fol.shards[0]
+	look = func() (state []byte, pending int, epoch uint64) {
+		sh.do(func() { state, pending = encodeShard(sh), sh.clock.Pending() })
+		return state, pending, fol.ClusterEpoch()
+	}
+	if _, pending, _ := look(); pending == 0 {
+		tb.Fatal("the populated shard has no pending event a refusal could drop")
+	}
+	return fol, payload, look
+}
+
 // TestRefusedSnapshotChangesNothing: a follower handed a replicated snapshot
 // it refuses keeps what it had. Each of refusedSnapshots, applied to a
 // populated follower shard, is refused by name and leaves the shard's state
 // bytes, its pending events and the cluster epoch exactly as they were.
 func TestRefusedSnapshotChangesNothing(t *testing.T) {
-	opts := snapTestOptions()
-	opts.Cluster = &ClusterConfig{Role: "follower", PrimaryAddr: "127.0.0.1:1"}
-	fol := NewServer(opts)
-	defer fol.Close()
-	if err := fol.ApplySnapshot(0, encodeShard(populatedShard(t, snapTestOptions(), 4, 3))); err != nil {
-		t.Fatal(err)
-	}
-	sh := fol.shards[0]
-	look := func() (state []byte, pending int, epoch uint64) {
-		sh.do(func() { state, pending = encodeShard(sh), sh.clock.Pending() })
-		return state, pending, fol.ClusterEpoch()
-	}
+	fol, _, look := populatedFollower(t)
 	state, pending, epoch := look()
-	if pending == 0 {
-		t.Fatal("the populated shard has no pending event a refusal could drop")
-	}
 	for _, r := range refusedSnapshots(t) {
 		if err := fol.ApplySnapshot(0, r.payload); !r.refusedAs(err) {
 			t.Fatalf("%s: ApplySnapshot returned %v, want a refusal naming %v%s", r.name, err, r.want, r.wantText)
@@ -906,11 +917,16 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 or version-2 value: no other first byte,
 // nothing after it. What it accepts is then restored into a fresh shard,
-// which must hold to the same rule (loadBounded). The seeds include the
-// version-1 fixture's payload, the same state in version 2, and payloads
-// that decode but must not restore, each asserted refused.
+// which must hold to the same rule (loadBounded). And any input handed to a
+// populated follower as a replicated snapshot is either adopted or changes
+// nothing: the shard's state bytes, its pending events and the cluster epoch
+// stay as they were (TestRefusedSnapshotChangesNothing's rule, over every
+// input). The seeds include the version-1 fixture's payload, the same state
+// in version 2, and payloads that decode but must not restore, each asserted
+// refused.
 func FuzzDecodeSnapshot(f *testing.F) {
-	good := encodeShard(populatedShard(f, snapTestOptions(), 4, 3))
+	fol, good, look := populatedFollower(f)
+	adopted := false // the follower holds something other than good
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	old := v1Snapshot(f, 0)
@@ -924,6 +940,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Add(r.payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if adopted {
+			if err := fol.ApplySnapshot(0, good); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state, pending, epoch := look()
+		err := fol.ApplySnapshot(0, data)
+		if adopted = err == nil; !adopted {
+			gotState, gotPending, gotEpoch := look()
+			if !bytes.Equal(gotState, state) || gotPending != pending || gotEpoch != epoch {
+				t.Fatalf("refused with %v, yet left %d state bytes (equal %v), %d pending events and cluster epoch %d; before it %d, %d and %d",
+					err, len(gotState), bytes.Equal(gotState, state), gotPending, gotEpoch, len(state), pending, epoch)
+			}
+		}
 		st, err := loadBounded(t, data)
 		if err != nil {
 			return

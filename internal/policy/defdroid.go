@@ -50,15 +50,20 @@ type ddObject struct {
 
 	holdTimer simclock.EventID
 	dutyTimer simclock.EventID
+	// penalties counts rate-limit penalty timers scheduled and not yet
+	// fired. They are never cancelled, so a record is recycled only with
+	// none pending: a stale penalty must not reach the record's next object.
+	penalties int
 
 	activeSince  simclock.Time
 	activeTotal  time.Duration
 	dutyCycling  bool
 	acquireTimes []simclock.Time
 
-	// Bound timer callbacks, created once per tracked object (in track) so
-	// the arm/duty-cycle/penalty scheduling paths never allocate a closure.
-	holdFn    func() // hold-limit or listener-grace expiry, chosen by kind
+	// Bound timer callbacks, created once per record (in newRecord) and kept
+	// when it is recycled, so the arm/duty-cycle/penalty scheduling paths
+	// never allocate a closure.
+	holdFn    func() // hold-limit or listener-grace expiry, by kind
 	dutyEndFn func() // DutyOff expiry: lift suppression, start DutyOn
 	dutyOnFn  func() // DutyOn expiry: back to dutyOff
 	penaltyFn func() // rate-limit penalty expiry
@@ -74,6 +79,7 @@ type DefDroid struct {
 	cfg    DefDroidConfig
 
 	objects map[uint64]*ddObject
+	free    []*ddObject // destroyed objects' records, for the next track
 
 	// Revocations counts throttling actions, for observability.
 	Revocations int
@@ -108,10 +114,12 @@ func NewDefDroid(engine *simclock.Engine, cfg DefDroidConfig) *DefDroid {
 
 // Reset drops all tracked objects and zeroes the revocation counter,
 // returning the governor to its NewDefDroid state. The caller has already
-// reset the engine, so pending timers need no cancellation.
+// reset the engine, so pending timers need no cancellation and every record
+// is free to recycle.
 func (d *DefDroid) Reset() {
-	for k := range d.objects {
+	for k, obj := range d.objects {
 		delete(d.objects, k)
+		d.recycle(obj)
 	}
 	d.Revocations = 0
 }
@@ -123,51 +131,65 @@ func isListener(k hooks.Kind) bool {
 func (d *DefDroid) track(o hooks.Object) *ddObject {
 	obj, ok := d.objects[o.ID]
 	if !ok {
-		obj = &ddObject{obj: o}
-		if isListener(o.Kind) {
-			obj.holdFn = func() {
-				obj.holdTimer = 0
-				if obj.held {
-					obj.dutyCycling = true
-					d.dutyOff(obj)
-				}
-			}
+		if n := len(d.free); n > 0 {
+			obj, d.free = d.free[n-1], d.free[:n-1]
 		} else {
-			obj.holdFn = func() {
-				obj.holdTimer = 0
-				if obj.held && !obj.suppressed {
-					// Continuous hold exceeded the limit: revoke until
-					// re-acquire.
-					obj.suppressed = true
-					d.Revocations++
-					obj.obj.Control.Suppress(obj.obj.ID)
-				}
-			}
+			obj = d.newRecord()
 		}
-		obj.dutyEndFn = func() {
-			obj.dutyTimer = 0
-			if !obj.held {
-				obj.dutyCycling = false
-				return
-			}
-			obj.suppressed = false
-			obj.obj.Control.Unsuppress(obj.obj.ID)
-			obj.dutyTimer = d.engine.Schedule(d.cfg.DutyOn, obj.dutyOnFn)
-		}
-		obj.dutyOnFn = func() {
-			obj.dutyTimer = 0
-			d.dutyOff(obj)
-		}
-		obj.penaltyFn = func() {
-			if obj.suppressed && obj.held {
-				obj.suppressed = false
-				obj.obj.Control.Unsuppress(obj.obj.ID)
-				d.arm(obj)
-			}
-		}
+		obj.obj = o
 		d.objects[o.ID] = obj
 	}
 	return obj
+}
+
+// newRecord makes a record with its timer callbacks bound.
+func (d *DefDroid) newRecord() *ddObject {
+	obj := &ddObject{}
+	obj.holdFn = func() {
+		obj.holdTimer = 0
+		switch {
+		case !obj.held:
+		case isListener(obj.obj.Kind):
+			obj.dutyCycling = true
+			d.dutyOff(obj)
+		case !obj.suppressed:
+			// Continuous hold exceeded the limit: revoke until re-acquire.
+			obj.suppressed = true
+			d.Revocations++
+			obj.obj.Control.Suppress(obj.obj.ID)
+		}
+	}
+	obj.dutyEndFn = func() {
+		obj.dutyTimer = 0
+		if !obj.held {
+			obj.dutyCycling = false
+			return
+		}
+		obj.suppressed = false
+		obj.obj.Control.Unsuppress(obj.obj.ID)
+		obj.dutyTimer = d.engine.Schedule(d.cfg.DutyOn, obj.dutyOnFn)
+	}
+	obj.dutyOnFn = func() {
+		obj.dutyTimer = 0
+		d.dutyOff(obj)
+	}
+	obj.penaltyFn = func() {
+		obj.penalties--
+		if obj.suppressed && obj.held {
+			obj.suppressed = false
+			obj.obj.Control.Unsuppress(obj.obj.ID)
+			d.arm(obj)
+		}
+	}
+	return obj
+}
+
+// recycle clears a record no timer will reach and puts it on the free list,
+// keeping its bound callbacks and its acquireTimes capacity.
+func (d *DefDroid) recycle(obj *ddObject) {
+	*obj = ddObject{acquireTimes: obj.acquireTimes[:0],
+		holdFn: obj.holdFn, dutyEndFn: obj.dutyEndFn, dutyOnFn: obj.dutyOnFn, penaltyFn: obj.penaltyFn}
+	d.free = append(d.free, obj)
 }
 
 func (d *DefDroid) onAcquire(o hooks.Object) {
@@ -237,6 +259,7 @@ func (d *DefDroid) suppressFor(obj *ddObject, penalty time.Duration) {
 		d.Revocations++
 		obj.obj.Control.Suppress(obj.obj.ID)
 	}
+	obj.penalties++
 	d.engine.Schedule(penalty, obj.penaltyFn)
 }
 
@@ -272,10 +295,15 @@ func (d *DefDroid) ObjectReleased(o hooks.Object) {
 	obj.dutyCycling = false
 }
 
-// ObjectDestroyed implements hooks.Governor.
+// ObjectDestroyed implements hooks.Governor. Release cancels the record's
+// hold and duty timers; one with a penalty pending is left to the collector.
 func (d *DefDroid) ObjectDestroyed(o hooks.Object) {
 	d.ObjectReleased(o)
+	obj := d.objects[o.ID]
 	delete(d.objects, o.ID)
+	if obj.penalties == 0 {
+		d.recycle(obj)
+	}
 }
 
 // AllowBackgroundWork implements hooks.Governor; DefDroid throttles

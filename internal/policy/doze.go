@@ -70,6 +70,9 @@ type Doze struct {
 	idleTimer     simclock.EventID
 	maintTimer    simclock.EventID
 
+	// The idle-timer and the two maintenance callbacks, bound once in NewDoze.
+	idleFn, maintFn, windowEndFn func()
+
 	// DozeEnterCount counts how many times doze engaged (observability).
 	DozeEnterCount int
 	// Suppressions counts individual resource deferrals — each Suppress
@@ -103,6 +106,7 @@ func NewDoze(engine *simclock.Engine, world *env.Environment, cfg DozeConfig,
 		foreground: foreground, reevaluate: reevaluate,
 		objects: make(map[uint64]hooks.Object),
 	}
+	d.idleFn, d.maintFn, d.windowEndFn = d.idleExpired, d.maintenanceStart, d.maintenanceEnd
 	world.Subscribe(d.onEnvChange)
 	if cfg.Forced {
 		// Forced doze engages as soon as the simulation starts.
@@ -166,12 +170,14 @@ func (d *Doze) armIdleTimer() {
 	if d.world.UserPresent() || d.world.Moving() {
 		return
 	}
-	d.idleTimer = d.engine.Schedule(d.cfg.IdleThreshold, func() {
-		d.idleTimer = 0
-		if !d.world.UserPresent() && !d.world.Moving() {
-			d.enter()
-		}
-	})
+	d.idleTimer = d.engine.Schedule(d.cfg.IdleThreshold, d.idleFn)
+}
+
+func (d *Doze) idleExpired() {
+	d.idleTimer = 0
+	if !d.world.UserPresent() && !d.world.Moving() {
+		d.enter()
+	}
 }
 
 func (d *Doze) enter() {
@@ -210,12 +216,7 @@ func (d *Doze) exit() {
 	} else {
 		// Forced doze re-engages once activity stops; model that with the
 		// idle timer at a short threshold.
-		d.idleTimer = d.engine.Schedule(time.Minute, func() {
-			d.idleTimer = 0
-			if !d.world.UserPresent() && !d.world.Moving() {
-				d.enter()
-			}
-		})
+		d.idleTimer = d.engine.Schedule(time.Minute, d.idleFn)
 	}
 }
 
@@ -223,25 +224,29 @@ func (d *Doze) scheduleMaintenance() {
 	if d.maintTimer != 0 {
 		d.engine.Cancel(d.maintTimer)
 	}
-	d.maintTimer = d.engine.Schedule(d.cfg.MaintenancePeriod, func() {
-		d.maintTimer = 0
-		if !d.dozing {
-			return
-		}
-		d.inMaintenance = true
-		d.liftSuppression()
-		d.reevaluate()
-		d.maintTimer = d.engine.Schedule(d.cfg.MaintenanceWindow, func() {
-			d.maintTimer = 0
-			if !d.dozing {
-				return
-			}
-			d.inMaintenance = false
-			d.applySuppression()
-			d.reevaluate()
-			d.scheduleMaintenance()
-		})
-	})
+	d.maintTimer = d.engine.Schedule(d.cfg.MaintenancePeriod, d.maintFn)
+}
+
+func (d *Doze) maintenanceStart() {
+	d.maintTimer = 0
+	if !d.dozing {
+		return
+	}
+	d.inMaintenance = true
+	d.liftSuppression()
+	d.reevaluate()
+	d.maintTimer = d.engine.Schedule(d.cfg.MaintenanceWindow, d.windowEndFn)
+}
+
+func (d *Doze) maintenanceEnd() {
+	d.maintTimer = 0
+	if !d.dozing {
+		return
+	}
+	d.inMaintenance = false
+	d.applySuppression()
+	d.reevaluate()
+	d.scheduleMaintenance()
 }
 
 func (d *Doze) applySuppression() {

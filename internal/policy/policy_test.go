@@ -26,7 +26,7 @@ type rig struct {
 func newRig(gov hooks.Governor) *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
-	r := binder.NewRegistry(e)
+	r := binder.NewRegistry()
 	w := env.New(e)
 	pm := powermgr.New(e, m, r, device.PixelXL, gov)
 	loc := location.New(e, m, r, device.PixelXL, w, gov)
@@ -55,7 +55,7 @@ func TestForcedDozeSuppressesBackgroundWakelock(t *testing.T) {
 	w := env.New(e)
 	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second) // forced doze engages at t=0
 	if !d.Dozing() {
@@ -73,7 +73,7 @@ func TestDozeMaintenanceWindowRestores(t *testing.T) {
 	w := env.New(e)
 	d := NewDoze(e, w, DozeConfig{Forced: true, MaintenancePeriod: 5 * time.Minute, MaintenanceWindow: time.Minute}, nil, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "bg")
@@ -94,7 +94,7 @@ func TestDozeNeverDefersScreen(t *testing.T) {
 	w := env.New(e)
 	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second)
 	wl := pm.NewWakelock(10, hooks.ScreenWakelock, "screen")
@@ -109,7 +109,7 @@ func TestUserActivityInterruptsDoze(t *testing.T) {
 	w := env.New(e)
 	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "bg")
@@ -135,7 +135,7 @@ func TestDozeExemptsForegroundApp(t *testing.T) {
 	fgUID := power.UID(42)
 	d := NewDoze(e, w, DozeConfig{Forced: true}, func(u power.UID) bool { return u == fgUID }, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second)
 	wl := pm.NewWakelock(fgUID, hooks.Wakelock, "fg")
@@ -170,7 +170,7 @@ func TestDefDroidRevokesLongHold(t *testing.T) {
 	e := simclock.NewEngine()
 	d := NewDefDroid(e, DefDroidConfig{HoldLimit: time.Minute})
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "leak")
 	wl.Acquire()
@@ -202,7 +202,7 @@ func TestDefDroidRateLimitsFrequentAcquires(t *testing.T) {
 	e := simclock.NewEngine()
 	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "loop")
 	// The K-9 loop: acquire/release every 2 s.
@@ -241,7 +241,7 @@ func TestDefDroidReleaseCancelsThrottling(t *testing.T) {
 	e := simclock.NewEngine()
 	d := NewDefDroid(e, DefDroidConfig{HoldLimit: time.Minute})
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "ok")
 	wl.Acquire()
@@ -260,7 +260,7 @@ func TestThrottleRevokesAfterSingleTerm(t *testing.T) {
 	e := simclock.NewEngine()
 	th := NewThrottle(e, time.Minute)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, th)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "x")
 	wl.Acquire()
@@ -301,7 +301,7 @@ func TestThrottleResetOnReacquire(t *testing.T) {
 	e := simclock.NewEngine()
 	th := NewThrottle(e, time.Minute)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, th)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "x")
 	wl.Acquire()
@@ -347,11 +347,76 @@ func TestDozeObjectCreatedDuringDozeSuppressed(t *testing.T) {
 	w := env.New(e)
 	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
 	m := power.NewMeter(e)
-	reg := binder.NewRegistry(e)
+	reg := binder.NewRegistry()
 	loc := location.New(e, m, reg, device.PixelXL, w, d)
 	e.RunUntil(time.Second) // dozing
 	loc.Register(10, time.Second, nil)
 	if m.InstantPowerOfW(10) != 0 {
 		t.Fatal("a listener registered during doze must start suppressed")
+	}
+}
+
+// --- Recycled records ---
+
+// TestDefDroidStalePenaltyMissesRecycledRecord: a destroyed object's record
+// is recycled for the next object DefDroid tracks, but a rate-limit penalty
+// timer is never cancelled. Object A is rate-limited, so a penalty is
+// pending at 65 s, and destroyed; object B is then rate-limited with its own
+// penalty due at 75 s. A's penalty must not lift B's suppression (nor re-arm
+// B's hold limit): B's CPU stays off until 75 s.
+func TestDefDroidStalePenaltyMissesRecycledRecord(t *testing.T) {
+	e := simclock.NewEngine()
+	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
+	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, d)
+	rateLimit := func(wl *powermgr.Wakelock) {
+		for i := 0; i < 6; i++ {
+			if i > 0 {
+				wl.Release()
+				e.RunUntil(e.Now() + time.Second)
+			}
+			wl.Acquire()
+		}
+		if pm.Awake() {
+			t.Fatal("the sixth acquire in a minute should be suppressed")
+		}
+	}
+	a := pm.NewWakelock(10, hooks.Wakelock, "a")
+	rateLimit(a) // penalty due at 65 s
+	a.Release()
+	a.Destroy()
+	e.RunUntil(10 * time.Second)
+	b := pm.NewWakelock(10, hooks.Wakelock, "b")
+	rateLimit(b) // penalty due at 75 s
+	e.RunUntil(70 * time.Second)
+	if pm.Awake() {
+		t.Fatal("a destroyed object's penalty lifted the next object's suppression")
+	}
+	e.RunUntil(80 * time.Second)
+	if !pm.Awake() {
+		t.Fatal("the object's own penalty should have lifted its suppression at 75 s")
+	}
+}
+
+// TestThrottleStaleTimerMissesRecycledRecord: the same for Throttle's
+// revocation timer. A is acquired (revocation due at 60 s) and destroyed; B,
+// acquired at 20 s on A's recycled record, must hold until 80 s.
+func TestThrottleStaleTimerMissesRecycledRecord(t *testing.T) {
+	e := simclock.NewEngine()
+	th := NewThrottle(e, time.Minute)
+	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, th)
+	a := pm.NewWakelock(10, hooks.Wakelock, "a")
+	a.Acquire()
+	e.RunUntil(10 * time.Second)
+	a.Destroy()
+	e.RunUntil(20 * time.Second)
+	b := pm.NewWakelock(10, hooks.Wakelock, "b")
+	b.Acquire()
+	e.RunUntil(70 * time.Second)
+	if !pm.Awake() || th.Revocations != 0 {
+		t.Fatalf("a destroyed object's revocation timer reached the next object: awake %v, %d revocations", pm.Awake(), th.Revocations)
+	}
+	e.RunUntil(90 * time.Second)
+	if pm.Awake() || th.Revocations != 1 {
+		t.Fatalf("the object's own term should have revoked it at 80 s: awake %v, %d revocations", pm.Awake(), th.Revocations)
 	}
 }

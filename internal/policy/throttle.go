@@ -20,6 +20,7 @@ type Throttle struct {
 	term   time.Duration
 
 	objects map[uint64]*thrObject
+	free    []*thrObject // destroyed objects' records, for the next acquire
 
 	// Revocations counts one-shot revocations; Disruptions is incremented
 	// every time a revocation hits (it is the usability-impact metric of
@@ -32,8 +33,9 @@ type thrObject struct {
 	held       bool
 	suppressed bool
 	timer      simclock.EventID
-	// timerFn is the revocation callback, bound once per tracked object so
-	// every (re-)acquire schedules allocation-free.
+	// timerFn is the revocation callback, bound once per record and kept
+	// when it is recycled, so every (re-)acquire schedules allocation-free.
+	// Release cancels the timer, so none is pending on a recycled record.
 	timerFn func()
 }
 
@@ -50,8 +52,9 @@ func NewThrottle(engine *simclock.Engine, term time.Duration) *Throttle {
 // returning the governor to its NewThrottle state. The caller has already
 // reset the engine, so pending timers need no cancellation.
 func (t *Throttle) Reset() {
-	for k := range t.objects {
+	for k, obj := range t.objects {
 		delete(t.objects, k)
+		t.recycle(obj)
 	}
 	t.Revocations = 0
 }
@@ -59,15 +62,12 @@ func (t *Throttle) Reset() {
 func (t *Throttle) onAcquire(o hooks.Object) {
 	obj, ok := t.objects[o.ID]
 	if !ok {
-		obj = &thrObject{obj: o}
-		obj.timerFn = func() {
-			obj.timer = 0
-			if obj.held && !obj.suppressed {
-				obj.suppressed = true
-				t.Revocations++
-				obj.obj.Control.Suppress(obj.obj.ID)
-			}
+		if n := len(t.free); n > 0 {
+			obj, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			obj = t.newRecord()
 		}
+		obj.obj = o
 		t.objects[o.ID] = obj
 	}
 	obj.held = true
@@ -80,6 +80,26 @@ func (t *Throttle) onAcquire(o hooks.Object) {
 		t.engine.Cancel(obj.timer)
 	}
 	obj.timer = t.engine.Schedule(t.term, obj.timerFn)
+}
+
+// newRecord makes a record with its revocation callback bound.
+func (t *Throttle) newRecord() *thrObject {
+	obj := &thrObject{}
+	obj.timerFn = func() {
+		obj.timer = 0
+		if obj.held && !obj.suppressed {
+			obj.suppressed = true
+			t.Revocations++
+			obj.obj.Control.Suppress(obj.obj.ID)
+		}
+	}
+	return obj
+}
+
+// recycle clears a record no timer will reach and puts it on the free list.
+func (t *Throttle) recycle(obj *thrObject) {
+	*obj = thrObject{timerFn: obj.timerFn}
+	t.free = append(t.free, obj)
 }
 
 // ObjectCreated implements hooks.Governor.
@@ -110,7 +130,10 @@ func (t *Throttle) ObjectReleased(o hooks.Object) {
 // ObjectDestroyed implements hooks.Governor.
 func (t *Throttle) ObjectDestroyed(o hooks.Object) {
 	t.ObjectReleased(o)
-	delete(t.objects, o.ID)
+	if obj, ok := t.objects[o.ID]; ok {
+		delete(t.objects, o.ID)
+		t.recycle(obj)
+	}
 }
 
 // AllowBackgroundWork implements hooks.Governor.

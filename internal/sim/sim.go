@@ -139,7 +139,7 @@ func New(opts Options) *Sim {
 
 	engine := simclock.NewEngine()
 	meter := power.NewMeter(engine)
-	registry := binder.NewRegistry(engine)
+	registry := binder.NewRegistry()
 	world := env.New(engine)
 
 	s := &Sim{
