@@ -100,14 +100,15 @@ func TestHandleAndObjectDoorsAgree(t *testing.T) {
 	// Restore the handle manager on a fresh engine at the same instant.
 	st := h.mgr.CaptureState()
 	r := newDoorRig(h.eng.Now(), h.stats.cpu)
-	if err := r.mgr.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
+	if err := ValidateState(st); err != nil {
+		t.Fatal(err)
+	}
+	r.mgr.RestoreState(st, func(ls LeaseState) hooks.Object {
 		if State(ls.State) == Deferred {
 			r.ctrl.Suppress(ls.ObjID)
 		}
-		return r.obj(ls.ObjID), true
-	}); err != nil {
-		t.Fatal(err)
-	}
+		return r.obj(ls.ObjID)
+	})
 	r.events = h.events
 	h = r
 	noIndex("RestoreState")

@@ -88,12 +88,9 @@ func TestNewestRecordRestores(t *testing.T) {
 	stats2.cpu[20] = stats.cpu[20]
 	mgr2 := NewManager(eng2, stats2, Config{})
 	ctrl2 := newSnapCtrl()
-	err := mgr2.RestoreState(mgr.CaptureState(), func(ls LeaseState) (hooks.Object, bool) {
-		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID)), true
+	mgr2.RestoreState(mgr.CaptureState(), func(ls LeaseState) hooks.Object {
+		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !bytes.Equal(encodeManager(mgr), encodeManager(mgr2)) {
 		t.Fatal("restored manager encodes to different bytes")
 	}

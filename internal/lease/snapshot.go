@@ -3,10 +3,10 @@ package lease
 // Crash-recovery support: EncodeState serializes the manager's complete
 // mutable state — the lease table, reputation history and operation
 // counters — in the shard snapshot's binary encoding,
-// DecodeManagerState reads it back into plain exported structs, and
-// RestoreState rebuilds an empty manager from those, re-scheduling the
-// pending term-check and deferral-restore events at their original due
-// instants.
+// DecodeManagerState reads it back into plain exported structs,
+// ValidateState refuses what cannot be rebuilt, and RestoreState rebuilds an
+// empty manager from the rest, re-scheduling the pending term-check and
+// deferral-restore events at their original due instants.
 //
 // This file is additive: the simulation path never calls it, so the
 // experiment goldens are untouched. Encoding order is deterministic
@@ -393,55 +393,41 @@ var ErrLeaseID = errors.New("lease IDs must be strictly increasing and at most n
 // its restore only while Deferred, so it never has both.
 var ErrPendingEvent = errors.New("a lease's pending event must match its state")
 
-// RestoreState rebuilds a freshly-created manager from a capture. resolve
-// maps each serialized lease back to its live kernel object (the caller
-// owns the object table and its Controller); returning false fails the
-// restore — a snapshot that references an unknown object is corrupt.
-// Every row is checked and resolved before the manager is touched, so a
-// refused capture leaves it as empty as it was, with nothing scheduled.
-// Pending term checks and deferral restores are re-scheduled at their
-// captured due instants, so the restored manager's future evolution matches
-// the captured one's.
-func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.Object, bool)) error {
-	if len(m.leases.ls) != 0 || m.createdTotal != 0 {
-		return fmt.Errorf("lease: RestoreState on a non-empty manager")
-	}
-	built := make([]*Lease, len(st.Leases))
+// ValidateState refuses a capture RestoreState cannot build faithfully: lease
+// IDs out of order or past next_id (ErrLeaseID), a completed-term count that
+// disagrees with the last record's presence, an unknown state, and a pending
+// event the lease's state cannot have (ErrPendingEvent). It reads only st.
+func ValidateState(st ManagerState) error {
 	var prev uint64 // IDs are issued from 1
-	for i, ls := range st.Leases {
+	for _, ls := range st.Leases {
 		if ls.ID <= prev || ls.ID > st.NextID {
-			return fmt.Errorf("lease: RestoreState: lease %d after lease %d with next_id %d: %w", ls.ID, prev, st.NextID, ErrLeaseID)
+			return fmt.Errorf("lease: ValidateState: lease %d after lease %d with next_id %d: %w", ls.ID, prev, st.NextID, ErrLeaseID)
 		}
 		prev = ls.ID
 		if (ls.TermIndex > 0) != (ls.Last != nil) {
-			return fmt.Errorf("lease: RestoreState: lease %d has %d completed terms but last record present = %v", ls.ID, ls.TermIndex, ls.Last != nil)
+			return fmt.Errorf("lease: ValidateState: lease %d has %d completed terms but last record present = %v", ls.ID, ls.TermIndex, ls.Last != nil)
 		}
 		state := State(ls.State)
 		switch {
 		case ls.State < int(Active) || ls.State > int(Dead):
-			return fmt.Errorf("lease: RestoreState: lease %d has unknown state %d", ls.ID, ls.State)
+			return fmt.Errorf("lease: ValidateState: lease %d has unknown state %d", ls.ID, ls.State)
 		case ls.HasCheck && state != Active, ls.HasRestor && state != Deferred:
-			return fmt.Errorf("lease: RestoreState: lease %d is %v with a pending check %v and restore %v: %w", ls.ID, state, ls.HasCheck, ls.HasRestor, ErrPendingEvent)
+			return fmt.Errorf("lease: ValidateState: lease %d is %v with a pending check %v and restore %v: %w", ls.ID, state, ls.HasCheck, ls.HasRestor, ErrPendingEvent)
 		}
-		obj, ok := resolve(ls)
-		if !ok {
-			return fmt.Errorf("lease: RestoreState: no kernel object for lease %d (obj %d)", ls.ID, ls.ObjID)
-		}
-		l := &Lease{
-			id: ls.ID, obj: obj,
-			state: state, createdAt: ls.CreatedAt, termStart: ls.TermStart,
-			term: ls.Term, termIndex: ls.TermIndex,
-			held: ls.Held, normalStreak: ls.NormalStreak,
-			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
-			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
-		}
-		if ls.Last != nil {
-			rec := *ls.Last
-			l.last = &rec
-		}
-		built[i] = l
 	}
+	return nil
+}
 
+// RestoreState builds a freshly-created manager from a capture ValidateState
+// accepted; resolve maps each serialized lease back to its live kernel
+// object (the caller owns the object table and its Controller). Pending term
+// checks and deferral restores are re-scheduled at their captured due
+// instants, so the restored manager's future evolution matches the captured
+// one's. It panics on a manager that already holds state.
+func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) hooks.Object) {
+	if len(m.leases.ls) != 0 || m.createdTotal != 0 {
+		panic("lease: RestoreState on a non-empty manager")
+	}
 	m.nextID = st.NextID
 	m.createdTotal = st.CreatedTotal
 	m.deadTotal = st.DeadTotal
@@ -455,13 +441,25 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 	for _, e := range st.EUBTimes {
 		m.eubTime[power.UID(e.UID)] = e.T
 	}
-	m.leases.ids = slices.Grow(m.leases.ids, len(built))
-	m.leases.ls = slices.Grow(m.leases.ls, len(built))
+	m.leases.ids = slices.Grow(m.leases.ids, len(st.Leases))
+	m.leases.ls = slices.Grow(m.leases.ls, len(st.Leases))
 	now := m.clock.Now()
-	for i, l := range built {
+	for _, ls := range st.Leases {
+		l := &Lease{
+			id: ls.ID, obj: resolve(ls),
+			state: State(ls.State), createdAt: ls.CreatedAt, termStart: ls.TermStart,
+			term: ls.Term, termIndex: ls.TermIndex,
+			held: ls.Held, normalStreak: ls.NormalStreak,
+			misbehaveStreak: ls.MisbehaveStreak, escalation: ls.Escalation,
+			lastCPU: ls.LastCPU, lastExc: ls.LastExc, lastUI: ls.LastUI, lastInter: ls.LastInter,
+		}
+		if ls.Last != nil {
+			rec := *ls.Last
+			l.last = &rec
+		}
 		l.bindEvent(m)
 		m.leases.add(l)
-		if ls := &st.Leases[i]; ls.HasCheck || ls.HasRestor {
+		if ls.HasCheck || ls.HasRestor {
 			l.due = ls.CheckAt
 			if ls.HasRestor {
 				l.due = ls.RestoreAt
@@ -469,7 +467,6 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (hooks.
 			l.event = m.clock.Schedule(until(now, l.due), l.fire)
 		}
 	}
-	return nil
 }
 
 // until is the delay from now to at, zero for an instant already past. The

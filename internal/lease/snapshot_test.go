@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,15 +97,15 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	}
 	mgr2 := NewManager(eng2, stats2, Config{})
 	ctrl2 := newSnapCtrl()
-	err = mgr2.RestoreState(decoded, func(ls LeaseState) (hooks.Object, bool) {
+	if err := ValidateState(decoded); err != nil {
+		t.Fatal(err)
+	}
+	mgr2.RestoreState(decoded, func(ls LeaseState) hooks.Object {
 		if State(ls.State) == Deferred {
 			ctrl2.suppressed[ls.ObjID] = true
 		}
-		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID)), true
+		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := mgr2.CaptureState(); !reflect.DeepEqual(st, got) {
 		t.Fatalf("restored capture differs:\n pre: %+v\npost: %+v", st, got)
 	}
@@ -181,26 +182,14 @@ func TestRestoreRejectsNonEmptyManager(t *testing.T) {
 	ctrl := newSnapCtrl()
 	mgr.Create(snapObj(ctrl, 1, 10))
 	st := mgr.CaptureState()
-	if err := mgr.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
-		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
-	}); err == nil {
-		t.Fatal("RestoreState accepted a non-empty manager")
-	}
-}
-
-func TestRestoreRejectsUnknownObject(t *testing.T) {
-	eng := simclock.NewEngine()
-	mgr := NewManager(eng, newFakeStats(), Config{})
-	ctrl := newSnapCtrl()
-	mgr.Create(snapObj(ctrl, 1, 10))
-	st := mgr.CaptureState()
-
-	mgr2 := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
-	if err := mgr2.RestoreState(st, func(LeaseState) (hooks.Object, bool) {
-		return hooks.Object{}, false
-	}); err == nil {
-		t.Fatal("RestoreState accepted an unresolvable lease")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RestoreState built over a non-empty manager")
+		}
+	}()
+	mgr.RestoreState(st, func(ls LeaseState) hooks.Object {
+		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	})
 }
 
 // TestRestoreSurvivesInstantsFarInThePast: a capture comes from disk or a
@@ -233,11 +222,12 @@ func TestRestoreSurvivesInstantsFarInThePast(t *testing.T) {
 	eng2 := simclock.NewEngine()
 	eng2.RunUntil(7 * time.Second)
 	mgr2 := NewManager(eng2, stats, Config{})
-	if err := mgr2.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
-		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
-	}); err != nil {
+	if err := ValidateState(st); err != nil {
 		t.Fatal(err)
 	}
+	mgr2.RestoreState(st, func(ls LeaseState) hooks.Object {
+		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	})
 	eng2.RunUntil(7*time.Second + time.Millisecond) // both events fire, at once
 	if mgr2.TermChecks == st.TermChecks {
 		t.Fatal("the re-armed term check never fired")
@@ -258,7 +248,6 @@ func TestRestoreRefusesPendingEventItsStateCannotHave(t *testing.T) {
 	ctrl := newSnapCtrl()
 	mgr.Create(snapObj(ctrl, 1, 10))
 	good := mgr.CaptureState()
-	resolve := func(ls LeaseState) (hooks.Object, bool) { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true }
 	for _, tc := range []struct {
 		state            State
 		check, restoring bool
@@ -276,12 +265,11 @@ func TestRestoreRefusesPendingEventItsStateCannotHave(t *testing.T) {
 		st.Leases = append([]LeaseState(nil), good.Leases...)
 		ls := &st.Leases[0]
 		ls.State, ls.HasCheck, ls.HasRestor, ls.CheckAt, ls.RestoreAt = int(tc.state), tc.check, tc.restoring, time.Second, time.Second
-		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, resolve)
-		if !errors.Is(err, ErrPendingEvent) {
+		if err := ValidateState(st); !errors.Is(err, ErrPendingEvent) {
 			t.Errorf("%v with check %v, restore %v: err = %v, want ErrPendingEvent", tc.state, tc.check, tc.restoring, err)
 		}
 	}
-	if err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(good, resolve); err != nil {
+	if err := ValidateState(good); err != nil {
 		t.Fatalf("the unmodified capture: %v", err)
 	}
 }
@@ -296,10 +284,7 @@ func TestRestoreRefusesUnknownState(t *testing.T) {
 	for _, state := range []int{int(Dead) + 1, 256, -1} {
 		st := mgr.CaptureState()
 		st.Leases[0].State, st.Leases[0].HasCheck = state, false
-		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
-			return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
-		})
-		if err == nil || !strings.Contains(err.Error(), "unknown state") {
+		if err := ValidateState(st); err == nil || !strings.Contains(err.Error(), "unknown state") {
 			t.Errorf("state %d: err = %v, want an unknown state", state, err)
 		}
 	}
@@ -435,11 +420,12 @@ func TestParentFormDecodesToNewest(t *testing.T) {
 		t.Fatalf("the three-record form decodes to\n%+v\nwant\n%+v", got, st)
 	}
 	mgr2 := NewManager(eng, newFakeStats(), Config{})
-	if err := mgr2.RestoreState(got, func(ls LeaseState) (hooks.Object, bool) {
-		return snapObj(newSnapCtrl(), ls.ObjID, power.UID(ls.UID)), true
-	}); err != nil {
+	if err := ValidateState(got); err != nil {
 		t.Fatal(err)
 	}
+	mgr2.RestoreState(got, func(ls LeaseState) hooks.Object {
+		return snapObj(newSnapCtrl(), ls.ObjID, power.UID(ls.UID))
+	})
 	w = snapenc.NewWriter(nil)
 	writeV2(w, st, newest, false)
 	if again := encodeManager(mgr2); !bytes.Equal(again, w.Payload()) || !bytes.Equal(again, encodeManager(mgr)) {
@@ -500,11 +486,8 @@ func TestRestoreRejectsTermRecordMismatch(t *testing.T) {
 	} {
 		st := mgr.CaptureState()
 		tc.corrupt(&st.Leases[1])
-		err := NewManager(simclock.NewEngine(), newFakeStats(), Config{}).RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
-			return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
-		})
-		if err == nil || !strings.Contains(err.Error(), "lease 2 has") {
-			t.Errorf("%s: RestoreState err = %v", tc.name, err)
+		if err := ValidateState(st); err == nil || !strings.Contains(err.Error(), "lease 2 has") {
+			t.Errorf("%s: ValidateState err = %v", tc.name, err)
 		}
 	}
 }
@@ -522,7 +505,6 @@ func TestRestoreRefusesRepeatedOrUnissuedLeaseID(t *testing.T) {
 		mgr.Create(snapObj(ctrl, id, power.UID(10*id)))
 	}
 	good := mgr.CaptureState()
-	resolve := func(ls LeaseState) (hooks.Object, bool) { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true }
 	for _, tc := range []struct {
 		name    string
 		corrupt func(*ManagerState)
@@ -537,25 +519,25 @@ func TestRestoreRefusesRepeatedOrUnissuedLeaseID(t *testing.T) {
 		st := good
 		st.Leases = append([]LeaseState(nil), good.Leases...)
 		tc.corrupt(&st)
-		fresh := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
-		if err := fresh.RestoreState(st, resolve); !errors.Is(err, ErrLeaseID) {
+		if err := ValidateState(st); !errors.Is(err, ErrLeaseID) {
 			t.Errorf("%s: err = %v, want ErrLeaseID", tc.name, err)
 		}
 	}
-	restored := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
-	if err := restored.RestoreState(good, resolve); err != nil {
+	if err := ValidateState(good); err != nil {
 		t.Fatalf("the unmodified capture: %v", err)
 	}
+	restored := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
+	restored.RestoreState(good, func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) })
 	if l := restored.CreateLease(snapObj(ctrl, 4, 40)); l.ID() != good.NextID+1 {
 		t.Fatalf("the restored manager issued lease %d, want %d", l.ID(), good.NextID+1)
 	}
 }
 
-// TestRefusedRestoreLeavesNothing: a capture refused at its last row leaves
-// the manager as it found it. Every row is checked, and its object resolved,
-// before the manager is touched, so the rows before the bad one are not in
-// its table, their term checks are not on the clock, and its counters and
-// reputations are a fresh manager's.
+// TestRefusedRestoreLeavesNothing: a capture refused at its last row is
+// refused before anything is built. ValidateState reads only the capture, so
+// the rows before the bad one never reach a table or a clock and the capture
+// comes back as it went in; the same capture without its bad row builds all
+// three leases with their events armed.
 func TestRefusedRestoreLeavesNothing(t *testing.T) {
 	eng := simclock.NewEngine()
 	stats := newFakeStats()
@@ -567,34 +549,30 @@ func TestRefusedRestoreLeavesNothing(t *testing.T) {
 	stop := eng.Ticker(time.Second, func() { stats.cpu[20] += 500 * time.Millisecond })
 	defer stop()
 	eng.RunUntil(7 * time.Second)
-	st := mgr.CaptureState()
+	good := mgr.CaptureState()
 	armed := 0
-	for _, ls := range st.Leases {
+	for _, ls := range good.Leases {
 		if ls.HasCheck || ls.HasRestor {
 			armed++
 		}
 	}
-	if len(st.Leases) != 3 || armed == 0 || st.TermChecks == 0 || len(st.Reputations) == 0 {
-		t.Fatalf("the capture holds %d leases, %d armed, %d term checks, %d reputations; want 3 leases and some of each", len(st.Leases), armed, st.TermChecks, len(st.Reputations))
+	if len(good.Leases) != 3 || armed == 0 || good.TermChecks == 0 || len(good.Reputations) == 0 {
+		t.Fatalf("the capture holds %d leases, %d armed, %d term checks, %d reputations; want 3 leases and some of each", len(good.Leases), armed, good.TermChecks, len(good.Reputations))
 	}
-	st.Leases = append(st.Leases, st.Leases[2]) // IDs 1, 2, 3, 3
+	st := good
+	st.Leases = append(slices.Clone(good.Leases), good.Leases[2]) // IDs 1, 2, 3, 3
+	before := slices.Clone(st.Leases)
+	if err := ValidateState(st); !errors.Is(err, ErrLeaseID) {
+		t.Fatalf("err = %v, want ErrLeaseID", err)
+	}
+	if !reflect.DeepEqual(st.Leases, before) {
+		t.Error("ValidateState changed the capture it refused")
+	}
 
 	eng2 := simclock.NewEngine()
 	fresh := NewManager(eng2, newFakeStats(), Config{})
-	want := fresh.CaptureState()
-	err := fresh.RestoreState(st, func(ls LeaseState) (hooks.Object, bool) {
-		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true
-	})
-	if !errors.Is(err, ErrLeaseID) {
-		t.Fatalf("err = %v, want ErrLeaseID", err)
-	}
-	if n := len(fresh.leases.ls); n != 0 {
-		t.Errorf("the refused restore left %d leases in the table", n)
-	}
-	if n := eng2.Len(); n != 0 {
-		t.Errorf("the refused restore left %d events on the clock", n)
-	}
-	if got := fresh.CaptureState(); !reflect.DeepEqual(got, want) {
-		t.Errorf("the refused restore changed the manager:\n got %+v\nwant %+v", got, want)
+	fresh.RestoreState(good, func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) })
+	if n, events := len(fresh.leases.ls), eng2.Len(); n != 3 || events != armed {
+		t.Errorf("the capture without its bad row built %d leases and %d events, want 3 and %d", n, events, armed)
 	}
 }

@@ -56,7 +56,7 @@ const (
 func checkLeaseTable(t *testing.T, steps []byte) {
 	eng := simclock.NewEngine()
 	ctrl := newSnapCtrl()
-	resolve := func(ls LeaseState) (hooks.Object, bool) { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)), true }
+	resolve := func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) }
 	mgr := NewManager(eng, newFakeStats(), Config{})
 	model := make(map[uint64]*Lease)
 	var issued uint64
@@ -83,9 +83,10 @@ func checkLeaseTable(t *testing.T, steps []byte) {
 			st := mgr.CaptureState()
 			eng = engineAt(eng.Now()) // the old manager's events go with its engine
 			fresh := NewManager(eng, newFakeStats(), Config{})
-			if err := fresh.RestoreState(st, resolve); err != nil {
+			if err := ValidateState(st); err != nil {
 				t.Fatalf("step %d: restoring a capture: %v", i, err)
 			}
+			fresh.RestoreState(st, resolve)
 			mgr = fresh
 			for id := range model {
 				model[id] = mgr.LeaseByID(id)
@@ -106,8 +107,7 @@ func checkLeaseTable(t *testing.T, steps []byte) {
 				rows[n-1].ID = st.NextID + 1 + a
 			}
 			st.Leases = rows
-			fresh := NewManager(engineAt(eng.Now()), newFakeStats(), Config{})
-			if err := fresh.RestoreState(st, resolve); !errors.Is(err, ErrLeaseID) {
+			if err := ValidateState(st); !errors.Is(err, ErrLeaseID) {
 				t.Fatalf("step %d: restoring a capture corrupted by %d: err = %v, want ErrLeaseID", i, a, err)
 			}
 		case advance:

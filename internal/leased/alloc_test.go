@@ -398,7 +398,7 @@ func TestDaemonHeapPerLease(t *testing.T) {
 	restored := freshShard(benchOptions(1))
 	goruntime.GC()
 	goruntime.ReadMemStats(&before)
-	if err := restored.restoreState(st); err != nil {
+	if err := restored.validateAndBuild(st); err != nil {
 		t.Fatal(err)
 	}
 	goruntime.GC()

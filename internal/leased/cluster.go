@@ -15,8 +15,8 @@ import (
 // protocol. As a cluster.Source (primary side) it snapshots shards and owns
 // the per-shard publish streams the journal path feeds; as a cluster.Applier
 // (follower side) it replays replicated frames onto its unstarted walls via
-// the exact recovery machinery Open uses — restoreState for snapshots,
-// shard.replay for records — so a follower is a continuously
+// the exact recovery machinery Open uses — loadSnapshot and build for
+// snapshots, shard.replay for records — so a follower is a continuously
 // recovering daemon, and promotion is just "finish recovering, bind the
 // clocks to real time, start a new leadership generation".
 //
@@ -309,18 +309,8 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 		return fmt.Errorf("leased: no shard %d", shard)
 	}
 	sh := s.shards[shard]
-	st, err := decodeSnapshot(payload)
+	st, err := sh.loadSnapshot(payload, "replicated snapshot")
 	if err != nil {
-		return fmt.Errorf("leased: unreadable replicated snapshot: %w", err)
-	}
-	if st.Config != sh.mgr.Config() {
-		return fmt.Errorf("leased: replicated snapshot carries a different lease policy")
-	}
-	if st.Shards != len(s.shards) || st.Shard != shard {
-		return fmt.Errorf("leased: replicated snapshot is shard %d of %d, want %d of %d", st.Shard, st.Shards, shard, len(s.shards))
-	}
-	// Restore refuses part-way through building, so it is tried first.
-	if err := tryRestore(st, sh.opts); err != nil {
 		return err
 	}
 	// Discard the divergent timeline: empty event queue, clock back to
@@ -330,16 +320,13 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	sh.do(func() {
 		// Wholesale replacement, on the same (just-reset) clock: the store,
 		// metrics, recovery info and replication stream survive.
-		sh.shardState = newShardState(sh.clock, sh.opts)
-		if err = sh.restoreStateLocked(st); err != nil {
-			return
-		}
+		sh.build(&st)
 		// Persist the adopted state so this follower can crash and come
 		// back without a primary, and so its leftover pre-adoption journal
 		// is retired under the stale-epoch rule.
 		sh.checkpointLocked()
 	})
-	return err
+	return nil
 }
 
 // ApplyRecord replays one replicated record: a batch of one.

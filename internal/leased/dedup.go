@@ -57,7 +57,7 @@ type dedupVerdict struct {
 }
 
 // dedupEntry is one entry in the checkpoint payload, decoded: the request ID
-// and its verdict at full width, so restore can refuse what does not fit.
+// and its verdict at full width, so validate can refuse what does not fit.
 // The JSON tags serve -dump-snapshot.
 type dedupEntry struct {
 	ID       string `json:"id"`
@@ -71,8 +71,8 @@ type dedupEntry struct {
 	Acquires int64  `json:"acquires"`
 }
 
-// verdict is e as the cache keeps it. restoreStateLocked has checked the
-// fields that are narrower there.
+// verdict is e as the cache keeps it. validate has checked the fields that
+// are narrower there.
 func (e *dedupEntry) verdict() dedupVerdict {
 	if e.Empty {
 		return dedupVerdict{empty: true}

@@ -142,8 +142,8 @@ func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 }
 
 // TestRestoreRefusesStateThatIndexesOutOfATable: with dense tables a decoded
-// number is an index, so restore checks each before using it and names the
-// section and row it refused.
+// number is an index, so validate checks each before build uses it and names
+// the section and row it refused.
 func TestRestoreRefusesStateThatIndexesOutOfATable(t *testing.T) {
 	good := populatedShard(t, snapTestOptions(), 4, 2).captureState()
 	for _, tc := range []struct {
@@ -182,26 +182,24 @@ func TestRestoreRefusesStateThatIndexesOutOfATable(t *testing.T) {
 		st.Apps = append([]appEntry(nil), good.Apps...)
 		st.Dedup = append([]dedupEntry(nil), good.Dedup...)
 		tc.corrupt(&st)
-		sh := freshShard(snapTestOptions())
-		err := sh.restoreState(st)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := validate(&st); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
 		}
 	}
-	// Unmodified, the same state restores.
-	if err := freshShard(snapTestOptions()).restoreState(good); err != nil {
+	// Unmodified, the same state passes.
+	if err := validate(&good); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRestoreRejectsObjectClientMismatch: an object row carries its
 // holder's name, a copy of its uid's clients row. The live shard names an
-// object's holder by its client table row alone, so restore refuses a row
+// object's holder by its client table row alone, so validate refuses a row
 // whose copy disagrees rather than keep either.
 func TestRestoreRejectsObjectClientMismatch(t *testing.T) {
 	st := populatedShard(t, snapTestOptions(), 4, 2).captureState()
 	st.Objects[1].Client = st.Clients[2].Name
-	err := freshShard(snapTestOptions()).restoreState(st)
+	err := validate(&st)
 	if !errors.Is(err, errObjectClientMismatch) || !strings.Contains(err.Error(), "objects row 1") {
 		t.Fatalf("err = %v, want errObjectClientMismatch naming objects row 1", err)
 	}
@@ -209,12 +207,12 @@ func TestRestoreRejectsObjectClientMismatch(t *testing.T) {
 
 // TestRestoreRejectsDuplicateClient: two clients rows that read one name
 // would leave the name reaching only the later row, the earlier one's objects
-// and leases beyond any acquire; restore refuses the payload at the second
+// and leases beyond any acquire; validate refuses the payload at the second
 // row instead of indexing either.
 func TestRestoreRejectsDuplicateClient(t *testing.T) {
 	st := populatedShard(t, snapTestOptions(), 4, 2).captureState()
 	st.Clients[1].Name = st.Clients[0].Name
-	err := freshShard(snapTestOptions()).restoreState(st)
+	err := validate(&st)
 	if !errors.Is(err, errDuplicateClient) || !strings.Contains(err.Error(), "clients row 1") {
 		t.Fatalf("err = %v, want errDuplicateClient naming clients row 1", err)
 	}
@@ -222,7 +220,7 @@ func TestRestoreRejectsDuplicateClient(t *testing.T) {
 
 // TestRestoreRejectsLeaseObjectMismatch: a manager lease carries the object
 // ID, uid and kind of the object row that names it through lease_id. The
-// live lease takes all three from its object, so restore refuses a lease
+// live lease takes all three from its object, so validate refuses a lease
 // that disagrees in any of them.
 func TestRestoreRejectsLeaseObjectMismatch(t *testing.T) {
 	good := populatedShard(t, snapTestOptions(), 4, 2).captureState()
@@ -237,8 +235,7 @@ func TestRestoreRejectsLeaseObjectMismatch(t *testing.T) {
 		st := good
 		st.Manager.Leases = append([]lease.LeaseState(nil), good.Manager.Leases...)
 		tc.corrupt(&st.Manager.Leases[2])
-		err := freshShard(snapTestOptions()).restoreState(st)
-		if !errors.Is(err, errLeaseObjectMismatch) {
+		if err := validate(&st); !errors.Is(err, errLeaseObjectMismatch) {
 			t.Errorf("%s: err = %v, want errLeaseObjectMismatch", tc.name, err)
 		}
 	}

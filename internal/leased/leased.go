@@ -809,8 +809,8 @@ type robj struct {
 	clock *runtime.Wall // the shard's
 	id    uint64
 	// lease is the manager's lease on this object, resolved when the lease is
-	// created (acquire) or restored (restoreStateLocked) and live for as long
-	// as the object sits in its slot: destroy kills both together.
+	// created (acquire) or restored (build) and live for as long as the
+	// object sits in its slot: destroy kills both together.
 	lease *lease.Lease
 
 	uid       uint32

@@ -1,6 +1,7 @@
 package leased
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
-	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/snapenc"
@@ -369,19 +369,12 @@ func recoverShard(id int, store *durable.Store, res durable.OpenResult, opts Opt
 	info := RecoveryInfo{TruncatedBytes: res.TruncatedBytes, StaleRecords: res.StaleRecords}
 
 	if res.Snapshot != nil {
-		st, err := decodeSnapshot(res.Snapshot)
+		st, err := sh.loadSnapshot(res.Snapshot, "snapshot payload")
 		if err != nil {
-			return nil, info, fmt.Errorf("leased: unreadable snapshot payload: %w", err)
-		}
-		if st.Config != sh.mgr.Config() {
-			return nil, info, fmt.Errorf("leased: lease policy changed since the snapshot was written; refusing to reinterpret the journal (wipe the data dir or restore the old policy)")
-		}
-		if st.Shards != opts.Shards || st.Shard != id {
-			return nil, info, fmt.Errorf("leased: snapshot was written as shard %d of %d but is being opened as shard %d of %d; state partitions by hash(client) mod shard count, so a count change would strand clients on shards that never heard of them (wipe the data dir or restore -shards %d)", st.Shard, st.Shards, id, opts.Shards, st.Shards)
-		}
-		if err := sh.restoreState(st); err != nil {
 			return nil, info, err
 		}
+		sh.clock.RunVirtual(st.Now)
+		sh.build(&st)
 		info.SnapshotLoaded, info.SnapshotNow = true, st.Now
 	}
 	// Record by record — a journal frame's grouping does not survive the
@@ -518,7 +511,7 @@ func (s *Server) Checkpoint() {
 	}
 }
 
-// A snapshot names an object's holder, and a lease's object, twice; restore
+// A snapshot names an object's holder, and a lease's object, twice; validate
 // refuses a payload whose two copies disagree rather than pick one. It
 // refuses a client named by two rows too: the name would reach only one of
 // them, stranding the other's objects and leases.
@@ -528,25 +521,113 @@ var (
 	errDuplicateClient      = errors.New("client named by two rows")
 )
 
-// restoreState rebuilds one shard from a checkpoint. The clock must be
-// unstarted; the manager must be fresh.
-func (sh *shard) restoreState(st persistedState) error {
-	sh.clock.RunVirtual(st.Now)
-	return sh.restoreStateLocked(st)
+// loadSnapshot is the one refusal step between a snapshot's bytes and build,
+// for boot (from disk) and catch-up (from a peer) alike: the payload must
+// decode, carry this shard's lease policy and shard layout, and pass
+// validate. It changes nothing, so a refused payload leaves the shard, its
+// clock and the cluster epoch as they were. from names the payload in a
+// refusal.
+func (sh *shard) loadSnapshot(payload []byte, from string) (persistedState, error) {
+	st, err := decodeSnapshot(payload)
+	if err != nil {
+		return st, fmt.Errorf("leased: unreadable %s: %w", from, err)
+	}
+	if st.Config != sh.mgr.Config() {
+		return st, fmt.Errorf("leased: %s was written under another lease policy; refusing to reinterpret the journal (wipe the data dir or restore the old policy)", from)
+	}
+	if st.Shards != sh.opts.Shards || st.Shard != sh.id {
+		return st, fmt.Errorf("leased: %s was written as shard %d of %d but is being loaded as shard %d of %d; state partitions by hash(client) mod shard count, so a count change would strand clients on shards that never heard of them (wipe the data dir or restore -shards %d)", from, st.Shard, st.Shards, sh.id, sh.opts.Shards, st.Shards)
+	}
+	return st, validate(&st)
 }
 
-// tryRestore restores st into a throwaway shard, on an unstarted clock of
-// its own and with no cluster epoch to adopt, and returns restore's refusal.
-func tryRestore(st persistedState, opts Options) error {
-	probe := &shard{opts: opts, clock: runtime.NewWallUnstarted()}
-	probe.shardState = newShardState(probe.clock, opts)
-	return probe.restoreState(st)
+// validate refuses a decoded snapshot that build cannot stand up as written.
+// It reads only st. A table indexed by a decoded number takes nothing from
+// the payload on trust, and each refusal names the section and the row.
+func validate(st *persistedState) error {
+	if st.NextUID != len(st.Clients)+1 {
+		return fmt.Errorf("leased: snapshot clients: next_uid %d with %d rows (UIDs are dense from 1)", st.NextUID, len(st.Clients))
+	}
+	uids := make(map[string]int, len(st.Clients))
+	for i, c := range st.Clients {
+		if c.UID != i+1 {
+			return fmt.Errorf("leased: snapshot clients row %d: uid %d, want %d (rows are in UID order, dense from 1)", i, c.UID, i+1)
+		}
+		if uid, ok := uids[c.Name]; ok {
+			return fmt.Errorf("leased: snapshot clients row %d: %w: %q is uid %d already", i, errDuplicateClient, c.Name, uid)
+		}
+		uids[c.Name] = c.UID
+	}
+	known := func(uid int) bool { return uid > 0 && uid <= len(st.Clients) }
+	// The client table's slots taken, the object IDs seen, and the object
+	// row naming each lease.
+	slots := make(map[[2]int]bool, len(st.Objects))
+	objIDs := make(map[uint64]bool, len(st.Objects))
+	byLease := make(map[uint64]*objState, len(st.Objects))
+	for i := range st.Objects {
+		os := &st.Objects[i]
+		switch {
+		case !known(os.UID):
+			return fmt.Errorf("leased: snapshot objects row %d: unknown uid %d", i, os.UID)
+		case os.Kind < 0 || os.Kind >= hooks.NumKinds:
+			return fmt.Errorf("leased: snapshot objects row %d: unknown resource kind %d", i, os.Kind)
+		case slots[[2]int{os.UID, os.Kind}]:
+			return fmt.Errorf("leased: snapshot objects row %d: uid %d already holds a %v object", i, os.UID, hooks.Kind(os.Kind))
+		case os.Client != st.Clients[os.UID-1].Name:
+			return fmt.Errorf("leased: snapshot objects row %d: %w: client %q, but uid %d is %q", i, errObjectClientMismatch, os.Client, os.UID, st.Clients[os.UID-1].Name)
+		case objIDs[os.ID]:
+			return fmt.Errorf("leased: snapshot objects row %d: duplicate object id %d", i, os.ID)
+		case byLease[os.LeaseID] != nil:
+			return fmt.Errorf("leased: snapshot objects row %d: duplicate lease_id %d", i, os.LeaseID)
+		}
+		slots[[2]int{os.UID, os.Kind}], objIDs[os.ID], byLease[os.LeaseID] = true, true, os
+	}
+	for i, a := range st.Apps {
+		if !known(a.UID) {
+			return fmt.Errorf("leased: snapshot apps row %d: unknown uid %d", i, a.UID)
+		}
+	}
+	// A hit renders its verdict by indexing the client table with its uid and
+	// naming its kind and state, so those are checked like any index.
+	for i, e := range st.Dedup {
+		switch {
+		case e.Empty:
+		case !known(e.UID):
+			return fmt.Errorf("leased: snapshot dedup row %d: unknown uid %d", i, e.UID)
+		case e.Kind < 0 || e.Kind >= hooks.NumKinds:
+			return fmt.Errorf("leased: snapshot dedup row %d: unknown resource kind %d", i, e.Kind)
+		case e.State < int(lease.Active) || e.State > int(lease.Dead):
+			return fmt.Errorf("leased: snapshot dedup row %d: unknown lease state %d", i, e.State)
+		}
+	}
+	if err := lease.ValidateState(st.Manager); err != nil {
+		return err
+	}
+	// Leases and objects pair off: each lease has the object row naming it,
+	// agreeing on object, uid and kind, and each object row's lease is held.
+	for _, ls := range st.Manager.Leases {
+		os := byLease[ls.ID]
+		switch {
+		case os == nil:
+			return fmt.Errorf("leased: snapshot manager lease %d: no kernel object for lease %d (obj %d)", ls.ID, ls.ID, ls.ObjID)
+		case ls.ObjID != os.ID || ls.UID != os.UID || ls.Kind != os.Kind:
+			return fmt.Errorf("leased: snapshot manager lease %d: %w: object %d, uid %d, kind %d, but the object row naming it is object %d, uid %d, kind %d",
+				ls.ID, errLeaseObjectMismatch, ls.ObjID, ls.UID, ls.Kind, os.ID, os.UID, os.Kind)
+		}
+	}
+	for _, os := range st.Objects {
+		if _, ok := slices.BinarySearchFunc(st.Manager.Leases, os.LeaseID, func(ls lease.LeaseState, id uint64) int { return cmp.Compare(ls.ID, id) }); !ok {
+			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", os.ID, os.LeaseID)
+		}
+	}
+	return nil
 }
 
-// restoreStateLocked is restoreState minus the clock advance, for callers
-// already inside a Do section (the replication snapshot path, which resets
-// and advances the clock before entering the critical section).
-func (sh *shard) restoreStateLocked(st persistedState) error {
+// build replaces the shard's state with st, which validate has accepted, and
+// adopts its cluster epoch. The shard's clock must stand at st.Now, and
+// callers hold it (recovery's clock is not yet started). It cannot fail:
+// every index it takes from st has been checked.
+func (sh *shard) build(st *persistedState) {
 	if sh.cepoch != nil {
 		// Adopt the persisted leadership generation, monotonically: the
 		// server-wide epoch is the max across shards (they are checkpointed
@@ -558,45 +639,14 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 			}
 		}
 	}
-	// Validate before indexing: a table indexed by a decoded number takes
-	// nothing from the payload on trust. Each refusal names the section and
-	// the row.
-	if st.NextUID != len(st.Clients)+1 {
-		return fmt.Errorf("leased: snapshot clients: next_uid %d with %d rows (UIDs are dense from 1)", st.NextUID, len(st.Clients))
-	}
-	for i, c := range st.Clients {
-		if c.UID != i+1 {
-			return fmt.Errorf("leased: snapshot clients row %d: uid %d, want %d (rows are in UID order, dense from 1)", i, c.UID, i+1)
-		}
-		h := sh.clients.hash(c.Name)
-		if uid := sh.clients.lookup(sh.table.recs, c.Name, h); uid != 0 {
-			return fmt.Errorf("leased: snapshot clients row %d: %w: %q is uid %d already", i, errDuplicateClient, c.Name, uid)
-		}
-		sh.addClient(c.Name, h)
+	sh.shardState = newShardState(sh.clock, sh.opts)
+	for _, c := range st.Clients {
+		sh.addClient(c.Name, sh.clients.hash(c.Name))
 	}
 	sh.nextObjID = st.NextObjID
-	// Restore-local indexes, for the duplicate checks and for binding leases
-	// to objects: the live shard reaches an object through its slot.
-	objIDs := make(map[uint64]bool, len(st.Objects))
-	byLease := make(map[uint64]*robj, len(st.Objects))
-	for i, os := range st.Objects {
-		uid, kind := power.UID(os.UID), hooks.Kind(os.Kind)
-		switch {
-		case !sh.table.known(uid):
-			return fmt.Errorf("leased: snapshot objects row %d: unknown uid %d", i, os.UID)
-		case kind < 0 || int(kind) >= hooks.NumKinds:
-			return fmt.Errorf("leased: snapshot objects row %d: unknown resource kind %d", i, os.Kind)
-		case sh.table.recs[uid].objOf(kind) != nil:
-			return fmt.Errorf("leased: snapshot objects row %d: uid %d already holds a %v object", i, os.UID, kind)
-		case os.Client != sh.table.recs[uid].name:
-			return fmt.Errorf("leased: snapshot objects row %d: %w: client %q, but uid %d is %q", i, errObjectClientMismatch, os.Client, os.UID, sh.table.recs[uid].name)
-		case objIDs[os.ID]:
-			return fmt.Errorf("leased: snapshot objects row %d: duplicate object id %d", i, os.ID)
-		case byLease[os.LeaseID] != nil:
-			return fmt.Errorf("leased: snapshot objects row %d: duplicate lease_id %d", i, os.LeaseID)
-		}
-		o := &robj{
-			clock: sh.clock, id: os.ID, uid: uint32(uid), kind: uint8(kind),
+	for _, os := range st.Objects {
+		sh.table.recs[os.UID].setObj(&robj{
+			clock: sh.clock, id: os.ID, uid: uint32(os.UID), kind: uint8(os.Kind),
 			Hold: hooks.Hold{
 				Held: os.Held, Suppressed: os.Suppressed, LastSettle: os.LastSettle,
 				Acc: hooks.TermStats{
@@ -607,60 +657,24 @@ func (sh *shard) restoreStateLocked(st persistedState) error {
 				},
 			},
 			acquires: os.Acquires,
-		}
-		sh.table.recs[uid].setObj(o)
-		objIDs[o.id] = true
-		byLease[os.LeaseID] = o
+		})
 	}
-	for i, a := range st.Apps {
-		uid := power.UID(a.UID)
-		if !sh.table.known(uid) {
-			return fmt.Errorf("leased: snapshot apps row %d: unknown uid %d", i, a.UID)
-		}
-		c := &sh.table.recs[uid]
+	for _, a := range st.Apps {
+		c := &sh.table.recs[a.UID]
 		c.cpu, c.exc, c.ui, c.inter = time.Duration(a.CPU), a.Exc, a.UI, a.Inter
 	}
-	// A hit renders its verdict by indexing the client table with its uid and
-	// naming its kind and state, so those are checked like any index.
 	for i := range st.Dedup {
 		e := &st.Dedup[i]
-		if !e.Empty {
-			switch {
-			case !sh.table.known(power.UID(e.UID)):
-				return fmt.Errorf("leased: snapshot dedup row %d: unknown uid %d", i, e.UID)
-			case e.Kind < 0 || e.Kind >= hooks.NumKinds:
-				return fmt.Errorf("leased: snapshot dedup row %d: unknown resource kind %d", i, e.Kind)
-			case e.State < int(lease.Active) || e.State > int(lease.Dead):
-				return fmt.Errorf("leased: snapshot dedup row %d: unknown lease state %d", i, e.State)
-			}
-		}
 		sh.dedup.put(e.ID, sh.dedup.hash(e.ID), e.verdict())
 	}
-	for _, ls := range st.Manager.Leases {
-		o := byLease[ls.ID]
-		if o != nil && (ls.ObjID != o.id || ls.UID != int(o.uid) || ls.Kind != int(o.kind)) {
-			return fmt.Errorf("leased: snapshot manager lease %d: %w: object %d, uid %d, kind %d, but the object row naming it is object %d, uid %d, kind %d",
-				ls.ID, errLeaseObjectMismatch, ls.ObjID, ls.UID, ls.Kind, o.id, o.uid, o.kind)
-		}
+	// A lease's object is the one in its uid's slot of its kind. Restore is
+	// the second of the two points an object's lease handle is resolved at
+	// (acquire is the first): the handle is what ops reach the manager
+	// through.
+	objOf := func(ls *lease.LeaseState) *robj { return sh.table.recs[ls.UID].objOf(hooks.Kind(ls.Kind)) }
+	sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) hooks.Object { return objOf(&ls).hookObject() })
+	for i := range st.Manager.Leases {
+		ls := &st.Manager.Leases[i]
+		objOf(ls).lease = sh.mgr.LeaseByID(ls.ID)
 	}
-	err := sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (hooks.Object, bool) {
-		o := byLease[ls.ID]
-		if o == nil {
-			return hooks.Object{}, false
-		}
-		return o.hookObject(), true
-	})
-	if err != nil {
-		return err
-	}
-	// The second of the two points a lease handle is resolved at (acquire is
-	// the first). Every object must find its lease: the handle is what ops
-	// reach the manager through.
-	for _, os := range st.Objects {
-		o := byLease[os.LeaseID]
-		if o.lease = sh.mgr.LeaseByID(os.LeaseID); o.lease == nil {
-			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", o.id, os.LeaseID)
-		}
-	}
-	return nil
 }

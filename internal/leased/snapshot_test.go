@@ -115,10 +115,22 @@ func restoredFrom(t testing.TB, opts Options, payload []byte) *shard {
 		t.Fatal(err)
 	}
 	sh := newShard(st.Shard, opts.withDefaults(), runtime.NewWallUnstarted(), new(atomic.Uint64))
-	if err := sh.restoreState(st); err != nil {
+	if err := sh.validateAndBuild(st); err != nil {
 		t.Fatal(err)
 	}
 	return sh
+}
+
+// validateAndBuild stands sh, a fresh shard on an unstarted clock, up from st
+// as recovery does: validate, then build at st.Now. It returns validate's
+// refusal and builds nothing on one.
+func (sh *shard) validateAndBuild(st persistedState) error {
+	if err := validate(&st); err != nil {
+		return err
+	}
+	sh.clock.RunVirtual(st.Now)
+	sh.build(&st)
+	return nil
 }
 
 // bitwiseEqual is reflect.DeepEqual with floats compared by their bits: NaN
@@ -280,7 +292,7 @@ func TestSnapshotRoundTripEveryField(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		sh := freshShard(opts)
 		want := randomState(rand.New(rand.NewSource(seed)), sh)
-		if err := sh.restoreState(want); err != nil {
+		if err := sh.validateAndBuild(want); err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
 		payload := encodeShard(sh)
@@ -657,14 +669,15 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 	}
 }
 
-// loadBounded decodes payload and, if it decodes, restores it into a fresh
-// unstarted shard, as recovery and a follower's catch-up do with bytes from
-// disk and from a peer. Whatever comes of it — nearly always an error — it
-// returns rather than panics, and allocates within a small multiple of the
-// input: tables indexed by decoded numbers are sized by the rows that were
-// really there. (The dedup window is small so that the fresh shard's own
-// fixed tables do not drown the measurement.) It returns the decode's result.
-func loadBounded(t *testing.T, payload []byte) (persistedState, error) {
+// loadBounded decodes payload and, if it decodes and validates, builds it
+// into a fresh unstarted shard, as recovery and a follower's catch-up do with
+// bytes from disk and from a peer. Whatever comes of it — nearly always an
+// error — it returns rather than panics, and allocates within a small
+// multiple of the input: tables indexed by decoded numbers are sized by the
+// rows that were really there. (The dedup window is small so that the fresh
+// shard's own fixed tables do not drown the measurement.) It returns the
+// decode's result and the built shard, nil where decode or validate refused.
+func loadBounded(t *testing.T, payload []byte) (persistedState, *shard, error) {
 	t.Helper()
 	opts := snapTestOptions()
 	opts.DedupWindow = 8
@@ -672,14 +685,15 @@ func loadBounded(t *testing.T, payload []byte) (persistedState, error) {
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
 	st, err := decodeSnapshot(payload)
-	if err == nil {
-		sh.restoreState(st)
+	built := sh
+	if err != nil || sh.validateAndBuild(st) != nil {
+		built = nil
 	}
 	goruntime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+256*uint64(len(payload)) {
 		t.Fatalf("decode and restore allocated %d bytes for a %d-byte input", grew, len(payload))
 	}
-	return st, err
+	return st, built, err
 }
 
 // TestDecodeSnapshotBoundsAllocation: no count, length prefix or table index,
@@ -862,8 +876,8 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 		if err != nil {
 			tb.Fatalf("%s: the payload does not decode: %v", r.name, err)
 		}
-		if err := freshShard(snapTestOptions()).restoreState(got); !r.refusedAs(err) {
-			tb.Fatalf("%s: restore returned %v, want a refusal naming %v%s", r.name, err, r.want, r.wantText)
+		if err := validate(&got); !r.refusedAs(err) {
+			tb.Fatalf("%s: validate returned %v, want a refusal naming %v%s", r.name, err, r.want, r.wantText)
 		}
 	}
 	return out
@@ -916,14 +930,15 @@ func TestRefusedSnapshotChangesNothing(t *testing.T) {
 // FuzzDecodeSnapshot: the decoder faces bytes from disk and from a peer. On
 // any input it returns — never panics, never trusts a length — and what it
 // accepts is exactly one version-1 or version-2 value: no other first byte,
-// nothing after it. What it accepts is then restored into a fresh shard,
-// which must hold to the same rule (loadBounded). And any input handed to a
-// populated follower as a replicated snapshot is either adopted or changes
-// nothing: the shard's state bytes, its pending events and the cluster epoch
-// stay as they were (TestRefusedSnapshotChangesNothing's rule, over every
-// input). The seeds include the version-1 fixture's payload, the same state
-// in version 2, and payloads that decode but must not restore, each asserted
-// refused.
+// nothing after it. What it accepts and validate passes is then built into a
+// fresh shard, which must hold to the same rule (loadBounded) without a
+// panic, and whose own payload must decode and validate again. And any input
+// handed to a populated follower as a replicated snapshot is either adopted
+// or changes nothing: the shard's state bytes, its pending events and the
+// cluster epoch stay as they were (TestRefusedSnapshotChangesNothing's rule,
+// over every input). The seeds include the version-1 fixture's payload, the
+// same state in version 2, and payloads that decode but must not build, each
+// asserted refused by validate.
 func FuzzDecodeSnapshot(f *testing.F) {
 	fol, good, look := populatedFollower(f)
 	adopted := false // the follower holds something other than good
@@ -954,7 +969,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 					err, len(gotState), bytes.Equal(gotState, state), gotPending, gotEpoch, len(state), pending, epoch)
 			}
 		}
-		st, err := loadBounded(t, data)
+		st, built, err := loadBounded(t, data)
 		if err != nil {
 			return
 		}
@@ -966,6 +981,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if n := len(st.Objects) + len(st.Manager.Leases) + len(st.Dedup) + len(st.Clients); n > len(data) {
 			t.Fatalf("decoded %d rows from %d bytes", n, len(data))
+		}
+		if built == nil {
+			return
+		}
+		again, err := decodeSnapshot(encodeShard(built))
+		if err == nil {
+			err = validate(&again)
+		}
+		if err != nil {
+			t.Fatalf("a shard built from a payload validate accepted encodes a payload it refuses: %v", err)
 		}
 	})
 }

@@ -50,10 +50,9 @@ type ddObject struct {
 
 	holdTimer simclock.EventID
 	dutyTimer simclock.EventID
-	// penalties counts rate-limit penalty timers scheduled and not yet
-	// fired. They are never cancelled, so a record is recycled only with
-	// none pending: a stale penalty must not reach the record's next object.
-	penalties int
+	// penaltyTimer is the pending rate-limit penalty: a new penalty replaces
+	// it, so only the latest deadline lifts the suppression.
+	penaltyTimer simclock.EventID
 
 	activeSince  simclock.Time
 	activeTotal  time.Duration
@@ -174,7 +173,7 @@ func (d *DefDroid) newRecord() *ddObject {
 		d.dutyOff(obj)
 	}
 	obj.penaltyFn = func() {
-		obj.penalties--
+		obj.penaltyTimer = 0
 		if obj.suppressed && obj.held {
 			obj.suppressed = false
 			obj.obj.Control.Unsuppress(obj.obj.ID)
@@ -259,8 +258,10 @@ func (d *DefDroid) suppressFor(obj *ddObject, penalty time.Duration) {
 		d.Revocations++
 		obj.obj.Control.Suppress(obj.obj.ID)
 	}
-	obj.penalties++
-	d.engine.Schedule(penalty, obj.penaltyFn)
+	if obj.penaltyTimer != 0 {
+		d.engine.Cancel(obj.penaltyTimer)
+	}
+	obj.penaltyTimer = d.engine.Schedule(penalty, obj.penaltyFn)
 }
 
 // --- hooks.Governor implementation ---
@@ -292,18 +293,20 @@ func (d *DefDroid) ObjectReleased(o hooks.Object) {
 		d.engine.Cancel(obj.dutyTimer)
 		obj.dutyTimer = 0
 	}
+	if obj.penaltyTimer != 0 {
+		d.engine.Cancel(obj.penaltyTimer)
+		obj.penaltyTimer = 0
+	}
 	obj.dutyCycling = false
 }
 
 // ObjectDestroyed implements hooks.Governor. Release cancels the record's
-// hold and duty timers; one with a penalty pending is left to the collector.
+// timers, so the record is recycled at once.
 func (d *DefDroid) ObjectDestroyed(o hooks.Object) {
 	d.ObjectReleased(o)
 	obj := d.objects[o.ID]
 	delete(d.objects, o.ID)
-	if obj.penalties == 0 {
-		d.recycle(obj)
-	}
+	d.recycle(obj)
 }
 
 // AllowBackgroundWork implements hooks.Governor; DefDroid throttles

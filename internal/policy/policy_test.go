@@ -218,6 +218,39 @@ func TestDefDroidRateLimitsFrequentAcquires(t *testing.T) {
 	}
 }
 
+// TestDefDroidLatestPenaltyLiftsSuppression: a new rate-limit penalty
+// replaces the pending one, so only the latest deadline lifts the
+// suppression. A wakelock rate-limited at 5 s (penalty due at 65 s) is
+// released and re-acquired at 30 s, its seventh acquire in the window
+// (penalty due at 90 s): it is still asleep at 70 s and awake by 95 s.
+func TestDefDroidLatestPenaltyLiftsSuppression(t *testing.T) {
+	e := simclock.NewEngine()
+	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
+	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, d)
+	wl := pm.NewWakelock(10, hooks.Wakelock, "loop")
+	for i := 0; i <= 5; i++ {
+		e.RunUntil(time.Duration(i) * time.Second)
+		if i > 0 {
+			wl.Release()
+		}
+		wl.Acquire()
+	}
+	if pm.Awake() {
+		t.Fatal("the sixth acquire in a minute should be suppressed")
+	}
+	wl.Release()
+	e.RunUntil(30 * time.Second)
+	wl.Acquire()
+	e.RunUntil(70 * time.Second)
+	if pm.Awake() {
+		t.Fatal("the first penalty lifted the suppression the second one set")
+	}
+	e.RunUntil(95 * time.Second)
+	if !pm.Awake() {
+		t.Fatal("the second penalty should have lifted the suppression at 90 s")
+	}
+}
+
 func TestDefDroidDutyCyclesGPS(t *testing.T) {
 	r := newRig(nil)
 	d := NewDefDroid(r.engine, DefDroidConfig{ListenerGrace: time.Minute, DutyOn: 30 * time.Second, DutyOff: 30 * time.Second})
@@ -359,8 +392,8 @@ func TestDozeObjectCreatedDuringDozeSuppressed(t *testing.T) {
 // --- Recycled records ---
 
 // TestDefDroidStalePenaltyMissesRecycledRecord: a destroyed object's record
-// is recycled for the next object DefDroid tracks, but a rate-limit penalty
-// timer is never cancelled. Object A is rate-limited, so a penalty is
+// is recycled for the next object DefDroid tracks, so destroy must cancel its
+// pending rate-limit penalty. Object A is rate-limited, so a penalty is
 // pending at 65 s, and destroyed; object B is then rate-limited with its own
 // penalty due at 75 s. A's penalty must not lift B's suppression (nor re-arm
 // B's hold limit): B's CPU stays off until 75 s.
