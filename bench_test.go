@@ -187,7 +187,7 @@ func BenchmarkAblationUtilityVsHoldingTime(b *testing.B) {
 	run := func(b *testing.B, pol sim.Policy) {
 		points := 0
 		for i := 0; i < b.N; i++ {
-			s := sim.New(sim.Options{Policy: pol, ThrottleTerm: time.Minute})
+			s := sim.New(sim.Options{Policy: pol})
 			s.World.SetMotion(true, 2.5)
 			app := apps.NewRunKeeper(s, 100)
 			app.Start()

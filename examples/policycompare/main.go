@@ -22,7 +22,7 @@ const runFor = 30 * time.Minute
 
 // buggyRun measures BetterWeather's power draw under weak GPS signal.
 func buggyRun(policy leaseos.Policy) float64 {
-	s := leaseos.New(leaseos.Options{Policy: policy, ThrottleTerm: time.Minute})
+	s := leaseos.New(leaseos.Options{Policy: policy})
 	s.World.SetGPS(env.GPSWeak)
 	app := apps.NewBetterWeather(s, 100)
 	app.Start()
@@ -33,7 +33,7 @@ func buggyRun(policy leaseos.Policy) float64 {
 // trackerRun measures a fitness tracker's power and how many track points
 // survive the policy.
 func trackerRun(policy leaseos.Policy) (float64, int) {
-	s := leaseos.New(leaseos.Options{Policy: policy, ThrottleTerm: time.Minute})
+	s := leaseos.New(leaseos.Options{Policy: policy})
 	s.World.SetMotion(true, 2.5)
 	app := apps.NewRunKeeper(s, 100)
 	app.Start()

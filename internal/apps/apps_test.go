@@ -115,7 +115,7 @@ func TestRunKeeperKeepsTrackingUnderLeaseOS(t *testing.T) {
 }
 
 func TestRunKeeperDisruptedUnderThrottle(t *testing.T) {
-	s := sim.New(sim.Options{Policy: sim.Throttle, ThrottleTerm: time.Minute})
+	s := sim.New(sim.Options{Policy: sim.Throttle})
 	s.World.SetMotion(true, 2.5)
 	rk := NewRunKeeper(s, appUID)
 	rk.Start()
@@ -127,7 +127,7 @@ func TestRunKeeperDisruptedUnderThrottle(t *testing.T) {
 
 func TestSpotifyPlaybackUnderLeaseOSAndThrottle(t *testing.T) {
 	run := func(pol sim.Policy) int {
-		s := sim.New(sim.Options{Policy: pol, ThrottleTerm: time.Minute})
+		s := sim.New(sim.Options{Policy: pol})
 		sp := NewSpotify(s, appUID)
 		sp.Start()
 		s.Run(10 * time.Minute)

@@ -24,7 +24,7 @@ func DetectionLatency() Result {
 	const onset = 10 * time.Minute
 
 	measure := func(pol sim.Policy) (time.Duration, bool) {
-		s := borrowSim(sim.Options{Policy: pol, ThrottleTerm: time.Minute})
+		s := borrowSim(sim.Options{Policy: pol})
 		defer returnSim(s)
 		s.Apps.NewProcess(100, "leaker")
 		s.Engine.ScheduleAt(onset, func() {

@@ -269,7 +269,7 @@ func Usability() Result {
 		disrupted bool
 	}
 	run := func(pol sim.Policy, build func(s *sim.Sim) (apps.App, func() int)) runResult {
-		s := borrowSim(sim.Options{Policy: pol, ThrottleTerm: time.Minute})
+		s := borrowSim(sim.Options{Policy: pol})
 		defer returnSim(s)
 		app, metric := build(s)
 		app.Start()

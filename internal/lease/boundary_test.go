@@ -19,7 +19,7 @@ func TestUtilizationThresholdBoundary(t *testing.T) {
 		in.cpuTime = time.Duration(util * float64(in.held))
 		return in
 	}
-	// Default threshold 0.05: strictly below is LHB, at or above is not.
+	// utilizationThreshold 0.05: strictly below is LHB, at or above is not.
 	if got := classify(mk(0.049), cfg()).Behavior; got != LHB {
 		t.Fatalf("util 0.049 → %v, want LHB", got)
 	}
@@ -37,7 +37,7 @@ func TestHoldFractionBoundary(t *testing.T) {
 		in.cpuTime = 0
 		return in
 	}
-	// Default LHBHoldFraction 0.5: at or above counts as a long hold.
+	// lhbHoldFraction 0.5: at or above counts as a long hold.
 	if got := classify(mk(0.5), cfg()).Behavior; got != LHB {
 		t.Fatalf("held 50%% idle → %v, want LHB", got)
 	}
@@ -56,7 +56,7 @@ func TestUtilityThresholdBoundary(t *testing.T) {
 		in.custom = UtilityFunc(func() float64 { return custom })
 		return in
 	}
-	// Default UtilityThreshold 25: strictly below is LUB.
+	// utilityThreshold 25: strictly below is LUB.
 	if got := classify(mk(24.9), cfg()).Behavior; got != LUB {
 		t.Fatalf("utility 24.9 → %v, want LUB", got)
 	}
@@ -79,7 +79,7 @@ func TestFABBoundaries(t *testing.T) {
 			failedRequestTime: time.Duration((1 - successRatio) * float64(req)),
 		}
 	}
-	// Default FABMinAskFraction 0.3, FABSuccessThreshold 0.2.
+	// fabMinAskFraction 0.3, fabSuccessThreshold 0.2.
 	if got := classify(mk(0.3, 0.2), cfg()).Behavior; got != FAB {
 		t.Fatalf("ask 30%%, success 20%% → %v, want FAB (inclusive)", got)
 	}
@@ -101,7 +101,7 @@ func TestEUBFloorBoundary(t *testing.T) {
 		in.uiUpdates = 10 // high utility: not LUB
 		return in
 	}
-	// Default EUBUtilizationFloor 0.5: at or above with high utility is EUB.
+	// eubUtilizationFloor 0.5: at or above with high utility is EUB.
 	if got := classify(mk(0.5), cfg()).Behavior; got != EUB {
 		t.Fatalf("util 0.5 useful → %v, want EUB", got)
 	}

@@ -2,7 +2,48 @@ package lease
 
 import "time"
 
-// Config collects the lease policy parameters (paper §5); a checkpoint pins them.
+// Adaptive terms (paper §5.2): after normalStreakForMinute consecutive
+// normal terms the term grows to minuteTerm, and after
+// normalStreakForFiveMin to fiveMinuteTerm; any misbehaving term reverts to
+// the base term.
+const (
+	normalStreakForMinute  = 12
+	normalStreakForFiveMin = 120
+	minuteTerm             = time.Minute
+	fiveMinuteTerm         = 5 * time.Minute
+)
+
+// Classifier thresholds (paper §2.4 derives the three metrics; the
+// thresholds are implementation policy). classifierSlots lists them in the
+// order a checkpoint writes them.
+const (
+	utilizationThreshold float64 = 0.05 // below this, a long hold is LHB
+	utilityThreshold     float64 = 25   // below this 0–100 score, usage is LUB
+	fabSuccessThreshold  float64 = 0.2  // success ratio at or below this is failing
+	fabMinAskFraction    float64 = 0.3  // request time must reach this term share
+	lhbHoldFraction      float64 = 0.5  // held share of term that counts as "long"
+	eubUtilizationFloor  float64 = 0.5  // utilisation at or above this with high utility is EUB
+
+	// customUtilityFloor: an app's custom utility counter is honoured only
+	// when the generic score is at least this (paper §3.3's anti-abuse
+	// rule).
+	customUtilityFloor float64 = 20
+)
+
+var classifierSlots = [...]float64{utilizationThreshold, utilityThreshold, fabSuccessThreshold,
+	fabMinAskFraction, lhbHoldFraction, eubUtilizationFloor, customUtilityFloor}
+
+// Reputation floors (the §8 extension, Config.EnableReputation): an app with
+// reputationDeferralFloor deferrals starts new leases pre-escalated, and one
+// with reputationTrustFloor normal terms and no deferral starts them at
+// minuteTerm.
+const (
+	reputationDeferralFloor = 3
+	reputationTrustFloor    = 120
+)
+
+// Config collects the lease policy parameters (paper §5) that a run may
+// vary; a checkpoint pins them, and the constants above, too.
 type Config struct {
 	// Term is the base lease term. The paper's default is 5 seconds,
 	// chosen from the λ = τ/(n·t) analysis in §5.1.
@@ -12,14 +53,9 @@ type Config struct {
 	Tau time.Duration
 
 	// NoAdaptiveTerms disables the common-case optimisation of §5.2
-	// (enabled by default): after NormalStreakForMinute consecutive normal
-	// terms the term grows to MinuteTerm, and after NormalStreakForFiveMin
-	// to FiveMinuteTerm; any misbehaving term reverts to the base term.
-	NoAdaptiveTerms        bool
-	NormalStreakForMinute  int
-	NormalStreakForFiveMin int
-	MinuteTerm             time.Duration
-	FiveMinuteTerm         time.Duration
+	// (enabled by default): consistently normal leases grow to one-minute
+	// and then five-minute terms.
+	NoAdaptiveTerms bool
 
 	// MisbehaviorWindow is how many consecutive misbehaving terms are
 	// required before a lease is deferred (paper §4.3: "Given the behavior
@@ -42,20 +78,6 @@ type Config struct {
 	NoTauEscalation bool
 	TauMax          time.Duration
 
-	// Classifier thresholds (paper §2.4 derives the three metrics; the
-	// thresholds are implementation policy).
-	UtilizationThreshold float64 // below this, a long hold is LHB
-	UtilityThreshold     float64 // below this 0–100 score, usage is LUB
-	FABSuccessThreshold  float64 // success ratio at or below this is failing
-	FABMinAskFraction    float64 // request time must exceed this term share
-	LHBHoldFraction      float64 // held share of term that counts as "long"
-	EUBUtilizationFloor  float64 // utilisation above this with high utility is EUB
-
-	// CustomUtilityFloor: an app's custom utility counter is honoured only
-	// when the generic score is at least this (paper §3.3's anti-abuse
-	// rule).
-	CustomUtilityFloor float64
-
 	// NoExceptionSignal disables the severe-exception input to the generic
 	// utility score (the §6 ExceptionNoteHandler channel). Ablation only:
 	// without it, exception-storm loops like K-9's look well-utilised and
@@ -71,41 +93,16 @@ type Config struct {
 	// (skipping the 5 s probation and its accounting). Off by default: the
 	// paper's published policy is static.
 	EnableReputation bool
-	// ReputationDeferralFloor is the per-app deferral count at which new
-	// leases start pre-escalated (default 3).
-	ReputationDeferralFloor int
-	// ReputationTrustFloor is the per-app normal-term count at which a
-	// clean app's new leases start at MinuteTerm (default 120).
-	ReputationTrustFloor int
 }
 
 // DefaultConfig returns the paper's default policy: 5 s terms, 25 s
 // deferral, adaptive terms enabled.
 func DefaultConfig() Config {
 	return Config{
-		Term: 5 * time.Second,
-		Tau:  25 * time.Second,
-
-		NormalStreakForMinute:  12,
-		NormalStreakForFiveMin: 120,
-		MinuteTerm:             time.Minute,
-		FiveMinuteTerm:         5 * time.Minute,
-
+		Term:              5 * time.Second,
+		Tau:               25 * time.Second,
 		MisbehaviorWindow: 1,
-
-		TauMax: 400 * time.Second,
-
-		UtilizationThreshold: 0.05,
-		UtilityThreshold:     25,
-		FABSuccessThreshold:  0.2,
-		FABMinAskFraction:    0.3,
-		LHBHoldFraction:      0.5,
-		EUBUtilizationFloor:  0.5,
-
-		CustomUtilityFloor: 20,
-
-		ReputationDeferralFloor: 3,
-		ReputationTrustFloor:    120,
+		TauMax:            400 * time.Second,
 	}
 }
 
@@ -118,50 +115,11 @@ func (c Config) withDefaults() Config {
 	if c.Tau <= 0 {
 		c.Tau = d.Tau
 	}
-	if c.NormalStreakForMinute <= 0 {
-		c.NormalStreakForMinute = d.NormalStreakForMinute
-	}
-	if c.NormalStreakForFiveMin <= 0 {
-		c.NormalStreakForFiveMin = d.NormalStreakForFiveMin
-	}
-	if c.MinuteTerm <= 0 {
-		c.MinuteTerm = d.MinuteTerm
-	}
-	if c.FiveMinuteTerm <= 0 {
-		c.FiveMinuteTerm = d.FiveMinuteTerm
-	}
 	if c.MisbehaviorWindow <= 0 {
 		c.MisbehaviorWindow = d.MisbehaviorWindow
 	}
 	if c.TauMax <= 0 {
 		c.TauMax = d.TauMax
-	}
-	if c.UtilizationThreshold <= 0 {
-		c.UtilizationThreshold = d.UtilizationThreshold
-	}
-	if c.UtilityThreshold <= 0 {
-		c.UtilityThreshold = d.UtilityThreshold
-	}
-	if c.FABSuccessThreshold <= 0 {
-		c.FABSuccessThreshold = d.FABSuccessThreshold
-	}
-	if c.FABMinAskFraction <= 0 {
-		c.FABMinAskFraction = d.FABMinAskFraction
-	}
-	if c.LHBHoldFraction <= 0 {
-		c.LHBHoldFraction = d.LHBHoldFraction
-	}
-	if c.EUBUtilizationFloor <= 0 {
-		c.EUBUtilizationFloor = d.EUBUtilizationFloor
-	}
-	if c.CustomUtilityFloor <= 0 {
-		c.CustomUtilityFloor = d.CustomUtilityFloor
-	}
-	if c.ReputationDeferralFloor <= 0 {
-		c.ReputationDeferralFloor = d.ReputationDeferralFloor
-	}
-	if c.ReputationTrustFloor <= 0 {
-		c.ReputationTrustFloor = d.ReputationTrustFloor
 	}
 	return c
 }

@@ -41,7 +41,6 @@ type Explanation struct {
 	HasLast bool       // false until a term has completed
 	Last    TermRecord // the most recent completed term
 
-	Config     Config
 	Reputation Reputation
 }
 
@@ -50,7 +49,7 @@ func (m *Manager) Explanation(l *Lease) Explanation {
 	e := Explanation{
 		ID: l.id, UID: l.obj.UID, Kind: l.obj.Kind, State: l.state,
 		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
-		Config: m.cfg, Reputation: m.ReputationOf(l.obj.UID),
+		Reputation: m.ReputationOf(l.obj.UID),
 	}
 	if l.last != nil {
 		e.HasLast, e.Last = true, *l.last
@@ -67,7 +66,7 @@ func (e Explanation) String() string {
 		b.WriteString("  no completed terms yet\n")
 		return b.String()
 	}
-	rec, cfg := e.Last, e.Config
+	rec := e.Last
 	fmt.Fprintf(&b, "  last term: held %v of %v, active %v, cpu %v, %d data points, %.1f m moved\n",
 		rec.Held, rec.Duration, rec.Active, rec.CPUTime, rec.DataPoints, rec.DistanceM)
 	fmt.Fprintf(&b, "  signals: %d exceptions, %d ui updates, %d interactions\n",
@@ -80,20 +79,20 @@ func (e Explanation) String() string {
 		return "ok"
 	}
 	if e.Kind.CanFrequentAsk() {
-		fabAsk := float64(rec.RequestTime) >= cfg.FABMinAskFraction*float64(rec.Duration)
-		fabFail := rec.SuccessRatio <= cfg.FABSuccessThreshold
+		fabAsk := float64(rec.RequestTime) >= fabMinAskFraction*float64(rec.Duration)
+		fabFail := rec.SuccessRatio <= fabSuccessThreshold
 		fmt.Fprintf(&b, "  frequent-ask: request %v (≥%.0f%% of term: %v), success ratio %.2f (≤%.2f: %s)\n",
-			rec.RequestTime, 100*cfg.FABMinAskFraction, fabAsk, rec.SuccessRatio,
-			cfg.FABSuccessThreshold, mark(fabAsk && fabFail))
+			rec.RequestTime, 100*fabMinAskFraction, fabAsk, rec.SuccessRatio,
+			fabSuccessThreshold, mark(fabAsk && fabFail))
 	}
-	longHold := float64(rec.Held) >= cfg.LHBHoldFraction*float64(rec.Duration)
+	longHold := float64(rec.Held) >= lhbHoldFraction*float64(rec.Duration)
 	fmt.Fprintf(&b, "  long-holding: held fraction %.2f (≥%.2f: %v), utilization %.3f (<%.2f: %s)\n",
-		ratioOf(rec.Held, rec.Duration), cfg.LHBHoldFraction, longHold,
-		rec.Utilization, cfg.UtilizationThreshold,
-		mark(longHold && rec.Utilization < cfg.UtilizationThreshold))
+		ratioOf(rec.Held, rec.Duration), lhbHoldFraction, longHold,
+		rec.Utilization, utilizationThreshold,
+		mark(longHold && rec.Utilization < utilizationThreshold))
 	fmt.Fprintf(&b, "  low-utility: score %.0f (<%.0f: %s)\n",
-		rec.UtilityScore, cfg.UtilityThreshold,
-		mark(longHold && rec.Utilization >= cfg.UtilizationThreshold && rec.UtilityScore < cfg.UtilityThreshold))
+		rec.UtilityScore, utilityThreshold,
+		mark(longHold && rec.Utilization >= utilizationThreshold && rec.UtilityScore < utilityThreshold))
 	fmt.Fprintf(&b, "  verdict: %v", rec.Behavior)
 	switch {
 	case rec.Behavior.Misbehaving() && e.State == Deferred:

@@ -585,10 +585,10 @@ func (m *Manager) adaptTerm(l *Lease) {
 	}
 	old := l.term
 	switch {
-	case l.normalStreak >= m.cfg.NormalStreakForFiveMin:
-		l.term = m.cfg.FiveMinuteTerm
-	case l.normalStreak >= m.cfg.NormalStreakForMinute:
-		l.term = m.cfg.MinuteTerm
+	case l.normalStreak >= normalStreakForFiveMin:
+		l.term = fiveMinuteTerm
+	case l.normalStreak >= normalStreakForMinute:
+		l.term = minuteTerm
 	default:
 		l.term = m.cfg.Term
 	}

@@ -56,17 +56,17 @@ func (m *Manager) applyReputation(l *Lease) {
 	if r == nil {
 		return
 	}
-	if r.deferrals >= m.cfg.ReputationDeferralFloor && r.deferrals*10 > r.normals {
+	if r.deferrals >= reputationDeferralFloor && r.deferrals*10 > r.normals {
 		// Pre-escalate: each factor of two in past deferrals doubles the
 		// next deferral interval, within the usual TauMax cap.
 		esc := 1
-		for d := r.deferrals; d >= 2*m.cfg.ReputationDeferralFloor; d /= 2 {
+		for d := r.deferrals; d >= 2*reputationDeferralFloor; d /= 2 {
 			esc++
 		}
 		l.escalation = esc
 		return
 	}
-	if r.deferrals == 0 && r.normals >= m.cfg.ReputationTrustFloor && !m.cfg.NoAdaptiveTerms {
-		l.term = m.cfg.MinuteTerm
+	if r.deferrals == 0 && r.normals >= reputationTrustFloor && !m.cfg.NoAdaptiveTerms {
+		l.term = minuteTerm
 	}
 }

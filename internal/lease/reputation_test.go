@@ -53,26 +53,27 @@ func TestReputationPreEscalatesRepeatOffenders(t *testing.T) {
 func TestReputationTrustsCleanApps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableReputation = true
-	cfg.ReputationTrustFloor = 10
 	r := newMgrRig(cfg)
 
-	// Build a clean record: healthy CPU under a held lock for 10+ terms.
+	// Build a clean record: healthy CPU under a held lock for the trust
+	// floor's 120 terms (12 of 5 s, then 108 of a minute: 109 virtual
+	// minutes).
 	stop := r.engine.Ticker(time.Second, func() { r.stats.cpu[10] += 500 * time.Millisecond })
 	defer stop()
 	wl := r.pm.NewWakelock(10, hooks.Wakelock, "clean")
 	wl.Acquire()
-	r.engine.RunUntil(time.Minute)
+	r.engine.RunUntil(110 * time.Minute)
 	wl.Destroy()
-	if rep := r.mgr.ReputationOf(10); rep.NormalTerms < 10 || rep.Deferrals != 0 {
-		t.Fatalf("reputation = %+v, want ≥10 clean terms", rep)
+	if rep := r.mgr.ReputationOf(10); rep.NormalTerms < reputationTrustFloor || rep.Deferrals != 0 {
+		t.Fatalf("reputation = %+v, want ≥%d clean terms", rep, reputationTrustFloor)
 	}
 
 	// A fresh lease starts at the one-minute term: no check fires at 5 s.
 	wl2 := r.pm.NewWakelock(10, hooks.Wakelock, "clean2")
 	wl2.Acquire()
 	l := r.mgr.leaseOf(hooksObjectFor(r, wl2))
-	if l.term != cfg.MinuteTerm {
-		t.Fatalf("trusted app's initial term = %v, want %v", l.term, cfg.MinuteTerm)
+	if l.term != time.Minute {
+		t.Fatalf("trusted app's initial term = %v, want %v", l.term, time.Minute)
 	}
 }
 

@@ -318,68 +318,64 @@ func (m *Manager) CaptureState() ManagerState {
 	return st
 }
 
-// EncodeState writes the policy field by field, in declaration order. A
-// checkpoint pins the policy it was written under; the daemon refuses to
-// reopen a data directory under a different one. Two retired fields — the
-// term-history bound and the transition-log flag — are written as the
-// constants every deployed policy held (120 and false), so builds on either
-// side of their removal accept each other's checkpoints; snapshot v3
-// (ROADMAP item 7) drops them.
+// EncodeState writes the policy field by field, in the order the fields
+// and the constants they replaced were once declared. A checkpoint pins the
+// policy it was written under; the daemon refuses to reopen a data
+// directory under a different one. The slots of the adaptive-term,
+// classifier and reputation constants hold this build's values, and two
+// retired fields — the term-history bound and the transition-log flag — are
+// written as the constants every deployed policy held (120 and false), so
+// builds on either side of a field's removal accept each other's
+// checkpoints; snapshot v3 (ROADMAP item 7) drops the retired two.
 func (c Config) EncodeState(w *snapenc.Writer) {
 	w.Varint(int64(c.Term))
 	w.Varint(int64(c.Tau))
 	w.Bool(c.NoAdaptiveTerms)
-	w.Int(c.NormalStreakForMinute)
-	w.Int(c.NormalStreakForFiveMin)
-	w.Varint(int64(c.MinuteTerm))
-	w.Varint(int64(c.FiveMinuteTerm))
+	w.Int(normalStreakForMinute)
+	w.Int(normalStreakForFiveMin)
+	w.Varint(int64(minuteTerm))
+	w.Varint(int64(fiveMinuteTerm))
 	w.Int(c.MisbehaviorWindow)
 	w.Bool(c.NoTauEscalation)
 	w.Varint(int64(c.TauMax))
-	w.Float64(c.UtilizationThreshold)
-	w.Float64(c.UtilityThreshold)
-	w.Float64(c.FABSuccessThreshold)
-	w.Float64(c.FABMinAskFraction)
-	w.Float64(c.LHBHoldFraction)
-	w.Float64(c.EUBUtilizationFloor)
-	w.Float64(c.CustomUtilityFloor)
+	for _, v := range classifierSlots {
+		w.Float64(v)
+	}
 	w.Bool(c.NoExceptionSignal)
 	w.Int(120) // retired: the term-history bound
 	w.Bool(c.EnableReputation)
-	w.Int(c.ReputationDeferralFloor)
-	w.Int(c.ReputationTrustFloor)
+	w.Int(reputationDeferralFloor)
+	w.Int(reputationTrustFloor)
 	w.Bool(false) // retired: the transition-log flag
 }
 
 // DecodeConfig reads what Config.EncodeState wrote, skipping the two
-// retired fields whatever they hold.
-func DecodeConfig(r *snapenc.Reader) Config {
-	c := Config{
-		Term:                   time.Duration(r.Varint()),
-		Tau:                    time.Duration(r.Varint()),
-		NoAdaptiveTerms:        r.Bool(),
-		NormalStreakForMinute:  r.Int(),
-		NormalStreakForFiveMin: r.Int(),
-		MinuteTerm:             time.Duration(r.Varint()),
-		FiveMinuteTerm:         time.Duration(r.Varint()),
-		MisbehaviorWindow:      r.Int(),
-		NoTauEscalation:        r.Bool(),
-		TauMax:                 time.Duration(r.Varint()),
-		UtilizationThreshold:   r.Float64(),
-		UtilityThreshold:       r.Float64(),
-		FABSuccessThreshold:    r.Float64(),
-		FABMinAskFraction:      r.Float64(),
-		LHBHoldFraction:        r.Float64(),
-		EUBUtilizationFloor:    r.Float64(),
-		CustomUtilityFloor:     r.Float64(),
-		NoExceptionSignal:      r.Bool(),
+// retired fields whatever they hold. ours is false when a constant's slot
+// holds another value than this build's: the checkpoint was written under
+// another policy, which no Config of this build can equal.
+func DecodeConfig(r *snapenc.Reader) (c Config, ours bool) {
+	ours = true
+	pin := func(same bool) { ours = ours && same }
+	c.Term = time.Duration(r.Varint())
+	c.Tau = time.Duration(r.Varint())
+	c.NoAdaptiveTerms = r.Bool()
+	pin(r.Int() == normalStreakForMinute)
+	pin(r.Int() == normalStreakForFiveMin)
+	pin(time.Duration(r.Varint()) == minuteTerm)
+	pin(time.Duration(r.Varint()) == fiveMinuteTerm)
+	c.MisbehaviorWindow = r.Int()
+	c.NoTauEscalation = r.Bool()
+	c.TauMax = time.Duration(r.Varint())
+	for _, v := range classifierSlots {
+		pin(r.Float64() == v)
 	}
+	c.NoExceptionSignal = r.Bool()
 	r.Int() // retired: the term-history bound
 	c.EnableReputation = r.Bool()
-	c.ReputationDeferralFloor = r.Int()
-	c.ReputationTrustFloor = r.Int()
+	pin(r.Int() == reputationDeferralFloor)
+	pin(r.Int() == reputationTrustFloor)
 	r.Bool() // retired: the transition-log flag
-	return c
+	return c, ours
 }
 
 // ErrLeaseID refuses a capture whose lease IDs are not strictly increasing

@@ -167,9 +167,12 @@ func TestConfigRoundTripEveryField(t *testing.T) {
 	w := snapenc.NewWriter(nil)
 	c.EncodeState(w)
 	r := snapenc.NewReader(w.Payload())
-	got := DecodeConfig(r)
+	got, ours := DecodeConfig(r)
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
+	}
+	if !ours {
+		t.Fatal("this build's own encoding decodes as another policy")
 	}
 	if got != c {
 		t.Fatalf("Config changed across its codec:\n got %+v\nwant %+v", got, c)
@@ -434,32 +437,35 @@ func TestParentFormDecodesToNewest(t *testing.T) {
 
 	// The policy: those builds wrote its fields in declaration order,
 	// the term-history bound (default 120) after NoExceptionSignal and the
-	// transition-log flag (default false) last.
+	// transition-log flag (default false) last. The adaptive-term,
+	// classifier and reputation slots, fields then and constants now, hold
+	// the paper's values as literals, so this pins this build's constants
+	// to those builds' bytes.
 	c := DefaultConfig()
 	w = snapenc.NewWriter(nil)
 	w.Varint(int64(c.Term))
 	w.Varint(int64(c.Tau))
 	w.Bool(c.NoAdaptiveTerms)
-	w.Int(c.NormalStreakForMinute)
-	w.Int(c.NormalStreakForFiveMin)
-	w.Varint(int64(c.MinuteTerm))
-	w.Varint(int64(c.FiveMinuteTerm))
+	w.Int(12)
+	w.Int(120)
+	w.Varint(int64(time.Minute))
+	w.Varint(int64(5 * time.Minute))
 	w.Int(c.MisbehaviorWindow)
 	w.Bool(c.NoTauEscalation)
 	w.Varint(int64(c.TauMax))
-	for _, f := range []float64{c.UtilizationThreshold, c.UtilityThreshold, c.FABSuccessThreshold, c.FABMinAskFraction, c.LHBHoldFraction, c.EUBUtilizationFloor, c.CustomUtilityFloor} {
+	for _, f := range []float64{0.05, 25, 0.2, 0.3, 0.5, 0.5, 20} {
 		w.Float64(f)
 	}
 	w.Bool(c.NoExceptionSignal)
 	w.Int(120)
 	w.Bool(c.EnableReputation)
-	w.Int(c.ReputationDeferralFloor)
-	w.Int(c.ReputationTrustFloor)
+	w.Int(3)
+	w.Int(120)
 	w.Bool(false)
 	parent := w.Payload()
 	r = snapenc.NewReader(parent)
-	if got := DecodeConfig(r); r.Done() != nil || got != c {
-		t.Fatalf("the older builds' policy bytes decode to %+v (%v), want %+v", got, r.Err(), c)
+	if got, ours := DecodeConfig(r); r.Done() != nil || !ours || got != c {
+		t.Fatalf("the older builds' policy bytes decode to %+v (ours %v, %v), want %+v", got, ours, r.Err(), c)
 	}
 	w = snapenc.NewWriter(nil)
 	c.EncodeState(w)

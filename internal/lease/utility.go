@@ -137,40 +137,40 @@ func classify(in termInputs, cfg Config) TermRecord {
 	rec.UtilityScore = generic
 	// The custom utility counter is only taken as a hint when the generic
 	// utility is not too low, to prevent abuse of the API (paper §3.3).
-	if in.custom != nil && generic >= cfg.CustomUtilityFloor {
+	if in.custom != nil && generic >= customUtilityFloor {
 		rec.UtilityScore = stats.Clamp(in.custom.Score(), 0, 100)
 	}
 
-	rec.Behavior = decide(in, rec, cfg)
+	rec.Behavior = decide(in, rec)
 	return rec
 }
 
 // decide applies the classification rules in priority order.
-func decide(in termInputs, rec TermRecord, cfg Config) Behavior {
+func decide(in termInputs, rec TermRecord) Behavior {
 	// Frequent-Ask: asking a lot and failing (only possible for GPS).
 	if in.kind.CanFrequentAsk() &&
-		float64(in.requestTime) >= cfg.FABMinAskFraction*float64(in.term) &&
-		rec.SuccessRatio <= cfg.FABSuccessThreshold {
+		float64(in.requestTime) >= fabMinAskFraction*float64(in.term) &&
+		rec.SuccessRatio <= fabSuccessThreshold {
 		return FAB
 	}
 
-	longHold := float64(in.held) >= cfg.LHBHoldFraction*float64(in.term)
+	longHold := float64(in.held) >= lhbHoldFraction*float64(in.term)
 	if !longHold {
 		return Normal
 	}
 
 	// Long-Holding: held long, barely utilised.
-	if rec.Utilization < cfg.UtilizationThreshold {
+	if rec.Utilization < utilizationThreshold {
 		return LHB
 	}
 
 	// Low-Utility: well utilised, but the work is useless.
-	if rec.UtilityScore < cfg.UtilityThreshold {
+	if rec.UtilityScore < utilityThreshold {
 		return LUB
 	}
 
 	// Excessive-Use: heavy, useful usage — observed but never penalised.
-	if rec.Utilization >= cfg.EUBUtilizationFloor {
+	if rec.Utilization >= eubUtilizationFloor {
 		return EUB
 	}
 	return Normal

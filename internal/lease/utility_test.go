@@ -251,7 +251,7 @@ func TestCustomUtilityIgnoredWhenGenericTooLow(t *testing.T) {
 	in.exceptions = 20 // generic collapses to 0
 	in.custom = UtilityFunc(func() float64 { return 100 })
 	rec := classify(in, cfg())
-	if rec.UtilityScore > cfg().CustomUtilityFloor {
+	if rec.UtilityScore > customUtilityFloor {
 		t.Fatalf("UtilityScore = %v; custom counter abused", rec.UtilityScore)
 	}
 	if rec.Behavior != LUB {

@@ -98,8 +98,12 @@ func (s *Server) initCluster(clock nodeClock, net cluster.Net) {
 	// Pinned once here: the policy is immutable for the server's lifetime
 	// (snapshot application rebuilds managers but rejects any other config),
 	// and reading it live would race a follower's snapshot reinit when this
-	// node's listener answers a probe mid-apply.
-	s.cfgSig = fmt.Sprintf("%+v/shards=%d", s.shards[0].mgr.Config(), len(s.shards))
+	// node's listener answers a probe mid-apply. The policy's checkpoint
+	// encoding carries the lease constants with the Config, so builds that
+	// differ in a constant refuse each other here as a checkpoint would.
+	w := snapenc.NewWriter(nil)
+	s.shards[0].mgr.Config().EncodeState(w)
+	s.cfgSig = fmt.Sprintf("%x/shards=%d", w.Payload(), len(s.shards))
 	s.prim = cluster.NewPrimary(s, len(s.shards), clock)
 	s.prim.SetTuning(cc.tuning())
 	if s.opts.Faults != nil {

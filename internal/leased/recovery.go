@@ -521,6 +521,11 @@ var (
 	errDuplicateClient      = errors.New("client named by two rows")
 )
 
+// errOtherPolicy refuses a snapshot whose lease policy is not this shard's:
+// its Config differs, or a slot of one of the policy's constants holds
+// another build's value.
+var errOtherPolicy = errors.New("written under another lease policy")
+
 // loadSnapshot is the one refusal step between a snapshot's bytes and build,
 // for boot (from disk) and catch-up (from a peer) alike: the payload must
 // decode, carry this shard's lease policy and shard layout, and pass
@@ -529,11 +534,14 @@ var (
 // refusal.
 func (sh *shard) loadSnapshot(payload []byte, from string) (persistedState, error) {
 	st, err := decodeSnapshot(payload)
+	if err == nil && st.Config != sh.mgr.Config() {
+		err = errOtherPolicy
+	}
+	if errors.Is(err, errOtherPolicy) {
+		return st, fmt.Errorf("leased: %s was %w; refusing to reinterpret the journal (wipe the data dir or restore the old policy)", from, err)
+	}
 	if err != nil {
 		return st, fmt.Errorf("leased: unreadable %s: %w", from, err)
-	}
-	if st.Config != sh.mgr.Config() {
-		return st, fmt.Errorf("leased: %s was written under another lease policy; refusing to reinterpret the journal (wipe the data dir or restore the old policy)", from)
 	}
 	if st.Shards != sh.opts.Shards || st.Shard != sh.id {
 		return st, fmt.Errorf("leased: %s was written as shard %d of %d but is being loaded as shard %d of %d; state partitions by hash(client) mod shard count, so a count change would strand clients on shards that never heard of them (wipe the data dir or restore -shards %d)", from, st.Shard, st.Shards, sh.id, sh.opts.Shards, st.Shards)

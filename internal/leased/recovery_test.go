@@ -2,11 +2,17 @@ package leased
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +20,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/lease"
 	"repro/internal/simclock"
+	"repro/internal/snapenc"
 )
 
 func newJSONRequest(method, url string, body any) (*http.Request, error) {
@@ -401,6 +408,40 @@ func TestReopenRefusesChangedPolicy(t *testing.T) {
 	if s, _, err := Open(dir, opts); err == nil {
 		s.Close()
 		t.Fatal("Open accepted a changed lease policy over an old journal")
+	}
+
+	// The classifier's thresholds are constants, pinned in their checkpoint
+	// slots: a checkpoint written by a build whose utility threshold is 35
+	// is refused by this build's 25.
+	w := snapenc.NewWriter(nil)
+	d.s.shards[0].mgr.Config().EncodeState(w)
+	policy := w.Payload()
+	path := filepath.Join(dir, shardDir(0), "snapshot.bin")
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = 24 // magic, epoch, payload length, CRC32
+	payload := file[header:]
+	var from, to [8]byte
+	binary.LittleEndian.PutUint64(from[:], math.Float64bits(25))
+	binary.LittleEndian.PutUint64(to[:], math.Float64bits(35))
+	at, slot := bytes.Index(payload, policy), bytes.Index(policy, from[:])
+	if at < 0 || slot < 0 || bytes.Count(policy, from[:]) != 1 {
+		t.Fatal("the checkpoint does not hold its policy with one utility-threshold slot")
+	}
+	copy(payload[at+slot:], to[:])
+	binary.LittleEndian.PutUint32(file[20:header], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := Open(dir, testOptions())
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a checkpoint written under another utility threshold")
+	}
+	if !strings.Contains(err.Error(), "written under another lease policy") {
+		t.Fatalf("Open refused the other threshold with %v, want the lease-policy refusal", err)
 	}
 }
 

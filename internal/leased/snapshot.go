@@ -150,7 +150,10 @@ func decodeSnapshot(payload []byte) (persistedState, error) {
 	st.Shard = r.Int()
 	st.Shards = r.Int()
 	st.ClusterEpoch = r.Uvarint()
-	st.Config = lease.DecodeConfig(r)
+	var ours bool
+	if st.Config, ours = lease.DecodeConfig(r); !ours && r.Err() == nil {
+		return st, errOtherPolicy
+	}
 
 	st.NextUID = r.Int()
 	if n := r.Count(minClientBytes); n > 0 {

@@ -871,6 +871,41 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 	out = append(out, refusedSnapshot{name: "repeated manager lease row",
 		payload: append(append(append(good[:count:count], byte(len(leases)+1)), rows...), leaseRowBytes(leases[len(leases)-1])...),
 		want:    lease.ErrLeaseID})
+	// And an apps row and a dedup row naming a uid past the clients
+	// section's four. The encoder writes an apps row's uid from its client
+	// slot, so that row is rewritten in the payload; the dedup row's uid is
+	// set in the ring.
+	sh = populated()
+	good = encodeShard(sh)
+	decoded, err := decodeSnapshot(good)
+	if err != nil || len(decoded.Apps) == 0 || len(decoded.Apps) >= 128 {
+		tb.Fatalf("the populated payload decodes with %d apps rows (%v)", len(decoded.Apps), err)
+	}
+	w := snapenc.NewWriter(nil)
+	w.Uvarint(uint64(len(decoded.Apps)))
+	for _, a := range decoded.Apps {
+		w.Int(a.UID)
+		w.Varint(a.CPU)
+		w.Int(a.Exc)
+		w.Int(a.UI)
+		w.Int(a.Inter)
+	}
+	apps := w.Payload()
+	at := bytes.Index(good, apps) + 1 // past the one-byte count: the first row's uid
+	if bytes.Count(good, apps) != 1 || good[at] != byte(2*decoded.Apps[0].UID) {
+		tb.Fatal("the payload does not hold its apps section once")
+	}
+	bad := bytes.Clone(good)
+	bad[at] = 2 * 60 // uid 60, zig-zag encoded in the same byte
+	out = append(out, refusedSnapshot{name: "apps row names an unknown uid", payload: bad,
+		wantText: "snapshot apps row 0: unknown uid 60"})
+	sh = populated()
+	if sh.dedup.n == 0 || sh.dedup.ring[sh.dedup.head].v.empty {
+		tb.Fatal("the populated shard's oldest dedup entry is not a lease answer")
+	}
+	sh.dedup.ring[sh.dedup.head].v.uid = 61
+	out = append(out, refusedSnapshot{name: "dedup row names an unknown uid", payload: encodeShard(sh),
+		wantText: "snapshot dedup row 0: unknown uid 61"})
 	for _, r := range out {
 		got, err := decodeSnapshot(r.payload)
 		if err != nil {

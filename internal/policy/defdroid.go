@@ -8,40 +8,25 @@ import (
 	"repro/internal/simclock"
 )
 
-// DefDroidConfig parameterises the DefDroid-style throttler.
-type DefDroidConfig struct {
-	// HoldLimit: a hold-style resource (wakelock, screen, Wi-Fi) held
+// DefDroid's thresholds: the conservative settings the paper ascribes to
+// blind throttling. They must be long to avoid breaking legitimate heavy use,
+// which is exactly why they mitigate less than LeaseOS.
+const (
+	// ddHoldLimit: a hold-style resource (wakelock, screen, Wi-Fi) held
 	// continuously this long is revoked. A re-acquire restores it and
 	// restarts the clock.
-	HoldLimit time.Duration
-	// AcquireRateLimit / RateWindow / RatePenalty: more than
-	// AcquireRateLimit acquisitions within RateWindow triggers a
-	// RatePenalty suppression (DefDroid throttles "excessive requests").
-	AcquireRateLimit int
-	RateWindow       time.Duration
-	RatePenalty      time.Duration
-	// ListenerGrace / DutyOn / DutyOff: a listener-style resource (GPS,
-	// sensor) that has been active for ListenerGrace in total is duty-
-	// cycled DutyOn on / DutyOff off thereafter.
-	ListenerGrace time.Duration
-	DutyOn        time.Duration
-	DutyOff       time.Duration
-}
-
-// DefaultDefDroidConfig uses the conservative settings the paper ascribes
-// to blind throttling: thresholds must be long to avoid breaking legitimate
-// heavy use, which is exactly why they mitigate less than LeaseOS.
-func DefaultDefDroidConfig() DefDroidConfig {
-	return DefDroidConfig{
-		HoldLimit:        5 * time.Minute,
-		AcquireRateLimit: 12,
-		RateWindow:       time.Minute,
-		RatePenalty:      time.Minute,
-		ListenerGrace:    5 * time.Minute,
-		DutyOn:           30 * time.Second,
-		DutyOff:          30 * time.Second,
-	}
-}
+	ddHoldLimit = 5 * time.Minute
+	// More than ddRateLimit acquisitions within ddRateWindow suppress the
+	// object for ddRatePenalty (DefDroid throttles "excessive requests").
+	ddRateLimit   = 12
+	ddRateWindow  = time.Minute
+	ddRatePenalty = time.Minute
+	// ddListenerGrace: a listener-style resource (GPS, sensor) active this
+	// long in total is duty-cycled ddDutyOn on / ddDutyOff off thereafter.
+	ddListenerGrace = 5 * time.Minute
+	ddDutyOn        = 30 * time.Second
+	ddDutyOff       = 30 * time.Second
+)
 
 type ddObject struct {
 	obj        hooks.Object
@@ -63,8 +48,8 @@ type ddObject struct {
 	// when it is recycled, so the arm/duty-cycle/penalty scheduling paths
 	// never allocate a closure.
 	holdFn    func() // hold-limit or listener-grace expiry, by kind
-	dutyEndFn func() // DutyOff expiry: lift suppression, start DutyOn
-	dutyOnFn  func() // DutyOn expiry: back to dutyOff
+	dutyEndFn func() // ddDutyOff expiry: lift suppression, start ddDutyOn
+	dutyOnFn  func() // ddDutyOn expiry: back to dutyOff
 	penaltyFn func() // rate-limit penalty expiry
 }
 
@@ -75,7 +60,6 @@ type ddObject struct {
 // conservative and it cannot tell navigation from a leak.
 type DefDroid struct {
 	engine *simclock.Engine
-	cfg    DefDroidConfig
 
 	objects map[uint64]*ddObject
 	free    []*ddObject // destroyed objects' records, for the next track
@@ -85,30 +69,8 @@ type DefDroid struct {
 }
 
 // NewDefDroid creates the governor.
-func NewDefDroid(engine *simclock.Engine, cfg DefDroidConfig) *DefDroid {
-	def := DefaultDefDroidConfig()
-	if cfg.HoldLimit <= 0 {
-		cfg.HoldLimit = def.HoldLimit
-	}
-	if cfg.AcquireRateLimit <= 0 {
-		cfg.AcquireRateLimit = def.AcquireRateLimit
-	}
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = def.RateWindow
-	}
-	if cfg.RatePenalty <= 0 {
-		cfg.RatePenalty = def.RatePenalty
-	}
-	if cfg.ListenerGrace <= 0 {
-		cfg.ListenerGrace = def.ListenerGrace
-	}
-	if cfg.DutyOn <= 0 {
-		cfg.DutyOn = def.DutyOn
-	}
-	if cfg.DutyOff <= 0 {
-		cfg.DutyOff = def.DutyOff
-	}
-	return &DefDroid{engine: engine, cfg: cfg, objects: make(map[uint64]*ddObject)}
+func NewDefDroid(engine *simclock.Engine) *DefDroid {
+	return &DefDroid{engine: engine, objects: make(map[uint64]*ddObject)}
 }
 
 // Reset drops all tracked objects and zeroes the revocation counter,
@@ -166,7 +128,7 @@ func (d *DefDroid) newRecord() *ddObject {
 		}
 		obj.suppressed = false
 		obj.obj.Control.Unsuppress(obj.obj.ID)
-		obj.dutyTimer = d.engine.Schedule(d.cfg.DutyOn, obj.dutyOnFn)
+		obj.dutyTimer = d.engine.Schedule(ddDutyOn, obj.dutyOnFn)
 	}
 	obj.dutyOnFn = func() {
 		obj.dutyTimer = 0
@@ -198,7 +160,7 @@ func (d *DefDroid) onAcquire(o hooks.Object) {
 	obj.activeSince = now
 
 	// Rate limiting: prune the window, then count.
-	cutoff := now - d.cfg.RateWindow
+	cutoff := now - ddRateWindow
 	kept := obj.acquireTimes[:0]
 	for _, t := range obj.acquireTimes {
 		if t >= cutoff {
@@ -206,8 +168,8 @@ func (d *DefDroid) onAcquire(o hooks.Object) {
 		}
 	}
 	obj.acquireTimes = append(kept, now)
-	if len(obj.acquireTimes) > d.cfg.AcquireRateLimit {
-		d.suppressFor(obj, d.cfg.RatePenalty)
+	if len(obj.acquireTimes) > ddRateLimit {
+		d.penalize(obj)
 		return
 	}
 
@@ -229,14 +191,14 @@ func (d *DefDroid) arm(obj *ddObject) {
 		if obj.dutyCycling {
 			return // duty cycle timers already running
 		}
-		remaining := d.cfg.ListenerGrace - obj.activeTotal
+		remaining := ddListenerGrace - obj.activeTotal
 		if remaining < 0 {
 			remaining = 0
 		}
 		obj.holdTimer = d.engine.Schedule(remaining, obj.holdFn)
 		return
 	}
-	obj.holdTimer = d.engine.Schedule(d.cfg.HoldLimit, obj.holdFn)
+	obj.holdTimer = d.engine.Schedule(ddHoldLimit, obj.holdFn)
 }
 
 // dutyOff begins the off phase of a duty cycle.
@@ -248,11 +210,11 @@ func (d *DefDroid) dutyOff(obj *ddObject) {
 	obj.suppressed = true
 	d.Revocations++
 	obj.obj.Control.Suppress(obj.obj.ID)
-	obj.dutyTimer = d.engine.Schedule(d.cfg.DutyOff, obj.dutyEndFn)
+	obj.dutyTimer = d.engine.Schedule(ddDutyOff, obj.dutyEndFn)
 }
 
-// suppressFor applies a temporary rate-limit penalty.
-func (d *DefDroid) suppressFor(obj *ddObject, penalty time.Duration) {
+// penalize applies a temporary rate-limit penalty.
+func (d *DefDroid) penalize(obj *ddObject) {
 	if !obj.suppressed {
 		obj.suppressed = true
 		d.Revocations++
@@ -261,7 +223,7 @@ func (d *DefDroid) suppressFor(obj *ddObject, penalty time.Duration) {
 	if obj.penaltyTimer != 0 {
 		d.engine.Cancel(obj.penaltyTimer)
 	}
-	obj.penaltyTimer = d.engine.Schedule(penalty, obj.penaltyFn)
+	obj.penaltyTimer = d.engine.Schedule(ddRatePenalty, obj.penaltyFn)
 }
 
 // --- hooks.Governor implementation ---

@@ -14,31 +14,17 @@ import (
 	"repro/internal/simclock"
 )
 
-// DozeConfig parameterises the Doze model.
-type DozeConfig struct {
-	// Forced enters doze immediately instead of waiting for the idle
-	// detector — the paper's "we made it aggressive by forcing it to take
-	// effect at each experiment" (Table 5 footnote).
-	Forced bool
-	// IdleThreshold is how long the device must be screen-off, stationary
-	// and untouched before default doze engages. The paper calls the
-	// default "very conservative (e.g., after the phone is idle for a long
-	// time and there is no angle change in 4 minutes)".
-	IdleThreshold time.Duration
-	// MaintenancePeriod / MaintenanceWindow: dozing is punctuated by
-	// maintenance windows during which deferred work runs.
-	MaintenancePeriod time.Duration
-	MaintenanceWindow time.Duration
-}
-
-// DefaultDozeConfig mirrors stock Doze's conservatism.
-func DefaultDozeConfig() DozeConfig {
-	return DozeConfig{
-		IdleThreshold:     30 * time.Minute,
-		MaintenancePeriod: 6 * time.Minute,
-		MaintenanceWindow: time.Minute,
-	}
-}
+// Doze's schedule. Stock Doze engages once the device has been screen-off,
+// stationary and untouched for dozeIdleThreshold: the paper calls it "very
+// conservative (e.g., after the phone is idle for a long time and there is
+// no angle change in 4 minutes)". Dozing is punctuated every
+// dozeMaintenancePeriod by a dozeMaintenanceWindow in which deferred work
+// runs.
+const (
+	dozeIdleThreshold     = 30 * time.Minute
+	dozeMaintenancePeriod = 6 * time.Minute
+	dozeMaintenanceWindow = time.Minute
+)
 
 // Doze defers background CPU and network activity when the device is
 // unused: background apps' wakelocks, Wi-Fi locks, GPS and sensor listeners
@@ -49,7 +35,10 @@ func DefaultDozeConfig() DozeConfig {
 type Doze struct {
 	engine *simclock.Engine
 	world  *env.Environment
-	cfg    DozeConfig
+	// forced enters doze immediately instead of waiting for the idle
+	// detector: the paper's "we made it aggressive by forcing it to take
+	// effect at each experiment" (Table 5 footnote).
+	forced bool
 
 	// foreground reports whether uid is currently a foreground app;
 	// reevaluate pokes the app framework after gating changes. Both are
@@ -82,19 +71,10 @@ type Doze struct {
 	Suppressions int
 }
 
-// NewDoze creates the Doze governor. foreground and reevaluate may be nil
-// (treated as "nothing is foreground" / no-op).
-func NewDoze(engine *simclock.Engine, world *env.Environment, cfg DozeConfig,
+// NewDoze creates the Doze governor, forced (Doze*) or stock. foreground and
+// reevaluate may be nil (treated as "nothing is foreground" / no-op).
+func NewDoze(engine *simclock.Engine, world *env.Environment, forced bool,
 	foreground func(power.UID) bool, reevaluate func()) *Doze {
-	if cfg.IdleThreshold <= 0 {
-		cfg.IdleThreshold = DefaultDozeConfig().IdleThreshold
-	}
-	if cfg.MaintenancePeriod <= 0 {
-		cfg.MaintenancePeriod = DefaultDozeConfig().MaintenancePeriod
-	}
-	if cfg.MaintenanceWindow <= 0 {
-		cfg.MaintenanceWindow = DefaultDozeConfig().MaintenanceWindow
-	}
 	if foreground == nil {
 		foreground = func(power.UID) bool { return false }
 	}
@@ -102,13 +82,13 @@ func NewDoze(engine *simclock.Engine, world *env.Environment, cfg DozeConfig,
 		reevaluate = func() {}
 	}
 	d := &Doze{
-		engine: engine, world: world, cfg: cfg,
+		engine: engine, world: world, forced: forced,
 		foreground: foreground, reevaluate: reevaluate,
 		objects: make(map[uint64]hooks.Object),
 	}
 	d.idleFn, d.maintFn, d.windowEndFn = d.idleExpired, d.maintenanceStart, d.maintenanceEnd
 	world.Subscribe(d.onEnvChange)
-	if cfg.Forced {
+	if forced {
 		// Forced doze engages as soon as the simulation starts.
 		engine.Schedule(0, d.enter)
 	} else {
@@ -121,7 +101,7 @@ func NewDoze(engine *simclock.Engine, world *env.Environment, cfg DozeConfig,
 func (d *Doze) Dozing() bool { return d.dozing }
 
 // Reset returns the governor to its just-constructed state and re-arms the
-// initial enter event (Forced) or idle timer, exactly as NewDoze does. It
+// initial enter event (forced) or idle timer, exactly as NewDoze does. It
 // must run after every other component's Reset: NewDoze schedules before any
 // app activity exists, so re-arming last reproduces the fresh engine's event
 // sequence numbers and keeps a reused world byte-identical to a new one.
@@ -137,7 +117,7 @@ func (d *Doze) Reset() {
 	d.maintTimer = 0
 	d.DozeEnterCount = 0
 	d.Suppressions = 0
-	if d.cfg.Forced {
+	if d.forced {
 		d.engine.Schedule(0, d.enter)
 	} else {
 		d.armIdleTimer()
@@ -157,7 +137,7 @@ func (d *Doze) onEnvChange() {
 		d.exit()
 		return
 	}
-	if !d.dozing && !d.cfg.Forced {
+	if !d.dozing && !d.forced {
 		d.armIdleTimer()
 	}
 }
@@ -170,7 +150,7 @@ func (d *Doze) armIdleTimer() {
 	if d.world.UserPresent() || d.world.Moving() {
 		return
 	}
-	d.idleTimer = d.engine.Schedule(d.cfg.IdleThreshold, d.idleFn)
+	d.idleTimer = d.engine.Schedule(dozeIdleThreshold, d.idleFn)
 }
 
 func (d *Doze) idleExpired() {
@@ -198,7 +178,7 @@ func (d *Doze) exit() {
 		d.idleTimer = 0
 	}
 	if !d.dozing {
-		if !d.cfg.Forced {
+		if !d.forced {
 			d.armIdleTimer()
 		}
 		return
@@ -211,7 +191,7 @@ func (d *Doze) exit() {
 	}
 	d.liftSuppression()
 	d.reevaluate()
-	if !d.cfg.Forced {
+	if !d.forced {
 		d.armIdleTimer()
 	} else {
 		// Forced doze re-engages once activity stops; model that with the
@@ -224,7 +204,7 @@ func (d *Doze) scheduleMaintenance() {
 	if d.maintTimer != 0 {
 		d.engine.Cancel(d.maintTimer)
 	}
-	d.maintTimer = d.engine.Schedule(d.cfg.MaintenancePeriod, d.maintFn)
+	d.maintTimer = d.engine.Schedule(dozeMaintenancePeriod, d.maintFn)
 }
 
 func (d *Doze) maintenanceStart() {
@@ -235,7 +215,7 @@ func (d *Doze) maintenanceStart() {
 	d.inMaintenance = true
 	d.liftSuppression()
 	d.reevaluate()
-	d.maintTimer = d.engine.Schedule(d.cfg.MaintenanceWindow, d.windowEndFn)
+	d.maintTimer = d.engine.Schedule(dozeMaintenanceWindow, d.windowEndFn)
 }
 
 func (d *Doze) maintenanceEnd() {

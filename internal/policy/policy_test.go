@@ -41,7 +41,7 @@ func TestDefaultDozeTooConservativeForShortRuns(t *testing.T) {
 	// the idle threshold is reached.
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DefaultDozeConfig(), nil, nil)
+	d := NewDoze(e, w, false, nil, nil)
 	r := &rig{engine: e, world: w}
 	_ = r
 	e.RunUntil(29 * time.Minute)
@@ -53,7 +53,7 @@ func TestDefaultDozeTooConservativeForShortRuns(t *testing.T) {
 func TestForcedDozeSuppressesBackgroundWakelock(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
+	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
@@ -71,18 +71,18 @@ func TestForcedDozeSuppressesBackgroundWakelock(t *testing.T) {
 func TestDozeMaintenanceWindowRestores(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{Forced: true, MaintenancePeriod: 5 * time.Minute, MaintenanceWindow: time.Minute}, nil, nil)
+	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	e.RunUntil(time.Second)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "bg")
 	wl.Acquire()
-	e.RunUntil(5*time.Minute + 30*time.Second) // inside maintenance window
+	e.RunUntil(6*time.Minute + 30*time.Second) // inside maintenance window
 	if !pm.Awake() {
 		t.Fatal("maintenance window should restore the wakelock")
 	}
-	e.RunUntil(7 * time.Minute) // window over
+	e.RunUntil(8 * time.Minute) // window over
 	if pm.Awake() {
 		t.Fatal("suppression should resume after the maintenance window")
 	}
@@ -92,7 +92,7 @@ func TestDozeNeverDefersScreen(t *testing.T) {
 	// Table 5: Doze reduces ConnectBot's screen defect by only 0.57%.
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
+	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
@@ -107,7 +107,7 @@ func TestDozeNeverDefersScreen(t *testing.T) {
 func TestUserActivityInterruptsDoze(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
+	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
@@ -133,7 +133,7 @@ func TestDozeExemptsForegroundApp(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
 	fgUID := power.UID(42)
-	d := NewDoze(e, w, DozeConfig{Forced: true}, func(u power.UID) bool { return u == fgUID }, nil)
+	d := NewDoze(e, w, true, func(u power.UID) bool { return u == fgUID }, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
@@ -154,8 +154,8 @@ func TestDozeExemptsForegroundApp(t *testing.T) {
 func TestDefaultDozeEngagesAfterLongIdle(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{IdleThreshold: 10 * time.Minute}, nil, nil)
-	e.RunUntil(11 * time.Minute)
+	d := NewDoze(e, w, false, nil, nil)
+	e.RunUntil(31 * time.Minute)
 	if !d.Dozing() {
 		t.Fatal("default doze should engage after the idle threshold")
 	}
@@ -168,17 +168,17 @@ func TestDefaultDozeEngagesAfterLongIdle(t *testing.T) {
 
 func TestDefDroidRevokesLongHold(t *testing.T) {
 	e := simclock.NewEngine()
-	d := NewDefDroid(e, DefDroidConfig{HoldLimit: time.Minute})
+	d := NewDefDroid(e)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "leak")
 	wl.Acquire()
-	e.RunUntil(59 * time.Second)
+	e.RunUntil(5*time.Minute - time.Second)
 	if !pm.Awake() {
 		t.Fatal("revoked before the hold limit")
 	}
-	e.RunUntil(2 * time.Minute)
+	e.RunUntil(6 * time.Minute)
 	if pm.Awake() {
 		t.Fatal("hold limit exceeded; wakelock should be revoked")
 	}
@@ -200,13 +200,13 @@ func TestDefDroidRevokesLongHold(t *testing.T) {
 
 func TestDefDroidRateLimitsFrequentAcquires(t *testing.T) {
 	e := simclock.NewEngine()
-	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
+	d := NewDefDroid(e)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "loop")
-	// The K-9 loop: acquire/release every 2 s.
-	for i := 0; i < 6; i++ {
+	// The K-9 loop: acquire/release every 2 s, 12 times in 24 s.
+	for i := 0; i < 12; i++ {
 		wl.Acquire()
 		e.RunUntil(e.Now() + time.Second)
 		wl.Release()
@@ -220,15 +220,15 @@ func TestDefDroidRateLimitsFrequentAcquires(t *testing.T) {
 
 // TestDefDroidLatestPenaltyLiftsSuppression: a new rate-limit penalty
 // replaces the pending one, so only the latest deadline lifts the
-// suppression. A wakelock rate-limited at 5 s (penalty due at 65 s) is
-// released and re-acquired at 30 s, its seventh acquire in the window
-// (penalty due at 90 s): it is still asleep at 70 s and awake by 95 s.
+// suppression. A wakelock rate-limited at 12 s (penalty due at 72 s) is
+// released and re-acquired at 30 s, its fourteenth acquire in the window
+// (penalty due at 90 s): it is still asleep at 80 s and awake by 95 s.
 func TestDefDroidLatestPenaltyLiftsSuppression(t *testing.T) {
 	e := simclock.NewEngine()
-	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
+	d := NewDefDroid(e)
 	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, d)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "loop")
-	for i := 0; i <= 5; i++ {
+	for i := 0; i <= 12; i++ {
 		e.RunUntil(time.Duration(i) * time.Second)
 		if i > 0 {
 			wl.Release()
@@ -236,12 +236,12 @@ func TestDefDroidLatestPenaltyLiftsSuppression(t *testing.T) {
 		wl.Acquire()
 	}
 	if pm.Awake() {
-		t.Fatal("the sixth acquire in a minute should be suppressed")
+		t.Fatal("the thirteenth acquire in a minute should be suppressed")
 	}
 	wl.Release()
 	e.RunUntil(30 * time.Second)
 	wl.Acquire()
-	e.RunUntil(70 * time.Second)
+	e.RunUntil(80 * time.Second)
 	if pm.Awake() {
 		t.Fatal("the first penalty lifted the suppression the second one set")
 	}
@@ -253,18 +253,18 @@ func TestDefDroidLatestPenaltyLiftsSuppression(t *testing.T) {
 
 func TestDefDroidDutyCyclesGPS(t *testing.T) {
 	r := newRig(nil)
-	d := NewDefDroid(r.engine, DefDroidConfig{ListenerGrace: time.Minute, DutyOn: 30 * time.Second, DutyOff: 30 * time.Second})
+	d := NewDefDroid(r.engine)
 	r.loc.SetGovernor(d)
 	r.loc.Register(10, time.Second, nil)
-	r.engine.RunUntil(59 * time.Second)
+	r.engine.RunUntil(299 * time.Second)
 	if r.meter.InstantPowerOfW(10) == 0 {
 		t.Fatal("GPS should run during the grace period")
 	}
-	r.engine.RunUntil(75 * time.Second) // off phase 60–90 s
+	r.engine.RunUntil(315 * time.Second) // off phase 300–330 s
 	if r.meter.InstantPowerOfW(10) != 0 {
 		t.Fatal("duty-cycle off phase should cut GPS power")
 	}
-	r.engine.RunUntil(105 * time.Second) // on phase 90–120 s
+	r.engine.RunUntil(345 * time.Second) // on phase 330–360 s
 	if r.meter.InstantPowerOfW(10) == 0 {
 		t.Fatal("duty-cycle on phase should restore GPS power")
 	}
@@ -272,7 +272,7 @@ func TestDefDroidDutyCyclesGPS(t *testing.T) {
 
 func TestDefDroidReleaseCancelsThrottling(t *testing.T) {
 	e := simclock.NewEngine()
-	d := NewDefDroid(e, DefDroidConfig{HoldLimit: time.Minute})
+	d := NewDefDroid(e)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, d)
@@ -280,7 +280,7 @@ func TestDefDroidReleaseCancelsThrottling(t *testing.T) {
 	wl.Acquire()
 	e.RunUntil(30 * time.Second)
 	wl.Release()
-	e.RunUntil(5 * time.Minute) // the old timer must not fire
+	e.RunUntil(25 * time.Minute) // the old timer must not fire
 	wl.Acquire()
 	if !pm.Awake() {
 		t.Fatal("fresh acquire after release should not be throttled")
@@ -291,7 +291,7 @@ func TestDefDroidReleaseCancelsThrottling(t *testing.T) {
 
 func TestThrottleRevokesAfterSingleTerm(t *testing.T) {
 	e := simclock.NewEngine()
-	th := NewThrottle(e, time.Minute)
+	th := NewThrottle(e)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, th)
@@ -315,7 +315,7 @@ func TestThrottleDisruptsLegitimateGPS(t *testing.T) {
 	// The §7.4 usability scenario: a RunKeeper-like tracker loses its GPS
 	// feed under pure throttling.
 	r := newRig(nil)
-	th := NewThrottle(r.engine, time.Minute)
+	th := NewThrottle(r.engine)
 	r.loc.SetGovernor(th)
 	r.world.SetMotion(true, 3)
 	fixes := 0
@@ -332,7 +332,7 @@ func TestThrottleDisruptsLegitimateGPS(t *testing.T) {
 
 func TestThrottleResetOnReacquire(t *testing.T) {
 	e := simclock.NewEngine()
-	th := NewThrottle(e, time.Minute)
+	th := NewThrottle(e)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	pm := powermgr.New(e, m, reg, device.PixelXL, th)
@@ -346,30 +346,40 @@ func TestThrottleResetOnReacquire(t *testing.T) {
 	}
 }
 
+// TestThrottleDefaultTerm pins the single term at one minute: a held
+// wakelock survives 59.999 s and is revoked at 60 s.
 func TestThrottleDefaultTerm(t *testing.T) {
-	th := NewThrottle(simclock.NewEngine(), 0)
-	if th.term != time.Minute {
-		t.Fatalf("default term = %v, want 1m", th.term)
+	e := simclock.NewEngine()
+	th := NewThrottle(e)
+	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, th)
+	pm.NewWakelock(10, hooks.Wakelock, "x").Acquire()
+	e.RunUntil(time.Minute - time.Millisecond)
+	if !pm.Awake() {
+		t.Fatal("revoked before the one-minute term")
+	}
+	e.RunUntil(time.Minute)
+	if pm.Awake() {
+		t.Fatalf("term = %v, want 1m: not revoked at one minute", throttleTerm)
 	}
 }
 
 func TestDefDroidListenerGraceAccumulatesAcrossEpisodes(t *testing.T) {
-	// The listener grace is a *total* active budget, not per-episode: two
-	// 40-second sessions against a 60-second grace leave only 20 seconds
-	// before duty cycling starts in the second session.
+	// The listener grace is a *total* active budget, not per-episode: a
+	// 4-minute session against a 5-minute grace leaves only 1 minute before
+	// duty cycling starts in the second session.
 	r := newRig(nil)
-	d := NewDefDroid(r.engine, DefDroidConfig{ListenerGrace: time.Minute, DutyOn: 30 * time.Second, DutyOff: 30 * time.Second})
+	d := NewDefDroid(r.engine)
 	r.loc.SetGovernor(d)
 	req := r.loc.Register(10, time.Second, nil)
-	r.engine.RunUntil(40 * time.Second)
+	r.engine.RunUntil(240 * time.Second)
 	req.Unregister()
-	r.engine.RunUntil(50 * time.Second)
-	req.Reregister() // 20 s of grace left
-	r.engine.RunUntil(65 * time.Second)
+	r.engine.RunUntil(250 * time.Second)
+	req.Reregister() // 60 s of grace left
+	r.engine.RunUntil(305 * time.Second)
 	if r.meter.InstantPowerOfW(10) == 0 {
 		t.Fatal("still inside the accumulated grace")
 	}
-	r.engine.RunUntil(75 * time.Second) // grace exhausted at 70 s → duty off
+	r.engine.RunUntil(315 * time.Second) // grace exhausted at 310 s → duty off
 	if r.meter.InstantPowerOfW(10) != 0 {
 		t.Fatal("grace should be exhausted across episodes")
 	}
@@ -378,7 +388,7 @@ func TestDefDroidListenerGraceAccumulatesAcrossEpisodes(t *testing.T) {
 func TestDozeObjectCreatedDuringDozeSuppressed(t *testing.T) {
 	e := simclock.NewEngine()
 	w := env.New(e)
-	d := NewDoze(e, w, DozeConfig{Forced: true}, nil, nil)
+	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
 	loc := location.New(e, m, reg, device.PixelXL, w, d)
@@ -394,15 +404,15 @@ func TestDozeObjectCreatedDuringDozeSuppressed(t *testing.T) {
 // TestDefDroidStalePenaltyMissesRecycledRecord: a destroyed object's record
 // is recycled for the next object DefDroid tracks, so destroy must cancel its
 // pending rate-limit penalty. Object A is rate-limited, so a penalty is
-// pending at 65 s, and destroyed; object B is then rate-limited with its own
-// penalty due at 75 s. A's penalty must not lift B's suppression (nor re-arm
-// B's hold limit): B's CPU stays off until 75 s.
+// pending at 72 s, and destroyed; object B is then rate-limited with its own
+// penalty due at 92 s. A's penalty must not lift B's suppression (nor re-arm
+// B's hold limit): B's CPU stays off until 92 s.
 func TestDefDroidStalePenaltyMissesRecycledRecord(t *testing.T) {
 	e := simclock.NewEngine()
-	d := NewDefDroid(e, DefDroidConfig{AcquireRateLimit: 5, RateWindow: time.Minute, RatePenalty: time.Minute})
+	d := NewDefDroid(e)
 	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, d)
 	rateLimit := func(wl *powermgr.Wakelock) {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 13; i++ {
 			if i > 0 {
 				wl.Release()
 				e.RunUntil(e.Now() + time.Second)
@@ -410,23 +420,23 @@ func TestDefDroidStalePenaltyMissesRecycledRecord(t *testing.T) {
 			wl.Acquire()
 		}
 		if pm.Awake() {
-			t.Fatal("the sixth acquire in a minute should be suppressed")
+			t.Fatal("the thirteenth acquire in a minute should be suppressed")
 		}
 	}
 	a := pm.NewWakelock(10, hooks.Wakelock, "a")
-	rateLimit(a) // penalty due at 65 s
+	rateLimit(a) // penalty due at 72 s
 	a.Release()
 	a.Destroy()
-	e.RunUntil(10 * time.Second)
+	e.RunUntil(20 * time.Second)
 	b := pm.NewWakelock(10, hooks.Wakelock, "b")
-	rateLimit(b) // penalty due at 75 s
-	e.RunUntil(70 * time.Second)
+	rateLimit(b) // penalty due at 92 s
+	e.RunUntil(80 * time.Second)
 	if pm.Awake() {
 		t.Fatal("a destroyed object's penalty lifted the next object's suppression")
 	}
-	e.RunUntil(80 * time.Second)
+	e.RunUntil(95 * time.Second)
 	if !pm.Awake() {
-		t.Fatal("the object's own penalty should have lifted its suppression at 75 s")
+		t.Fatal("the object's own penalty should have lifted its suppression at 92 s")
 	}
 }
 
@@ -435,7 +445,7 @@ func TestDefDroidStalePenaltyMissesRecycledRecord(t *testing.T) {
 // acquired at 20 s on A's recycled record, must hold until 80 s.
 func TestThrottleStaleTimerMissesRecycledRecord(t *testing.T) {
 	e := simclock.NewEngine()
-	th := NewThrottle(e, time.Minute)
+	th := NewThrottle(e)
 	pm := powermgr.New(e, power.NewMeter(e), binder.NewRegistry(), device.PixelXL, th)
 	a := pm.NewWakelock(10, hooks.Wakelock, "a")
 	a.Acquire()

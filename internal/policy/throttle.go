@@ -8,6 +8,10 @@ import (
 	"repro/internal/simclock"
 )
 
+// throttleTerm is the throttler's single term, the length of the one lease
+// term in the §7.4 comparison.
+const throttleTerm = time.Minute
+
 // Throttle is the pure time-based throttling scheme of the paper's §7.4
 // comparison: "essentially leases with only a single term". Any resource
 // held continuously longer than the single term is revoked and stays
@@ -17,7 +21,6 @@ import (
 // Haven's monitoring all stop).
 type Throttle struct {
 	engine *simclock.Engine
-	term   time.Duration
 
 	objects map[uint64]*thrObject
 	free    []*thrObject // destroyed objects' records, for the next acquire
@@ -39,13 +42,9 @@ type thrObject struct {
 	timerFn func()
 }
 
-// NewThrottle creates the single-term throttler. A non-positive term
-// defaults to one minute.
-func NewThrottle(engine *simclock.Engine, term time.Duration) *Throttle {
-	if term <= 0 {
-		term = time.Minute
-	}
-	return &Throttle{engine: engine, term: term, objects: make(map[uint64]*thrObject)}
+// NewThrottle creates the single-term throttler.
+func NewThrottle(engine *simclock.Engine) *Throttle {
+	return &Throttle{engine: engine, objects: make(map[uint64]*thrObject)}
 }
 
 // Reset drops all tracked objects and zeroes the revocation counter,
@@ -79,7 +78,7 @@ func (t *Throttle) onAcquire(o hooks.Object) {
 	if obj.timer != 0 {
 		t.engine.Cancel(obj.timer)
 	}
-	obj.timer = t.engine.Schedule(t.term, obj.timerFn)
+	obj.timer = t.engine.Schedule(throttleTerm, obj.timerFn)
 }
 
 // newRecord makes a record with its revocation callback bound.

@@ -78,15 +78,9 @@ type Options struct {
 	// Policy under test.
 	Policy Policy
 	// Lease manager configuration (LeaseOS only); zero fields take
-	// defaults.
+	// defaults. The baselines run at their fixed parameters
+	// (internal/policy).
 	Lease lease.Config
-	// Doze configuration (Doze policies only). Forced is set automatically
-	// for DozeAggressive.
-	Doze policy.DozeConfig
-	// DefDroid configuration (DefDroid only).
-	DefDroid policy.DefDroidConfig
-	// ThrottleTerm is the single term for the Throttle policy (default 1m).
-	ThrottleTerm time.Duration
 }
 
 // Sim is an assembled device simulation.
@@ -125,9 +119,6 @@ type Sim struct {
 func normalize(opts Options) Options {
 	if opts.Device.Name == "" {
 		opts.Device = device.PixelXL
-	}
-	if opts.Policy == DozeAggressive {
-		opts.Doze.Forced = true
 	}
 	return opts
 }
@@ -170,15 +161,13 @@ func New(opts Options) *Sim {
 		s.Leases = lease.NewManager(engine, s.Apps, opts.Lease)
 		gov = s.Leases
 	case DozeDefault, DozeAggressive:
-		cfg := opts.Doze
-		cfg.Forced = opts.Policy == DozeAggressive
-		s.Doze = policy.NewDoze(engine, world, cfg, s.foreground, s.Apps.Reevaluate)
+		s.Doze = policy.NewDoze(engine, world, opts.Policy == DozeAggressive, s.foreground, s.Apps.Reevaluate)
 		gov = s.Doze
 	case DefDroid:
-		s.DefDroidGov = policy.NewDefDroid(engine, opts.DefDroid)
+		s.DefDroidGov = policy.NewDefDroid(engine)
 		gov = s.DefDroidGov
 	case Throttle:
-		s.ThrottleGov = policy.NewThrottle(engine, opts.ThrottleTerm)
+		s.ThrottleGov = policy.NewThrottle(engine)
 		gov = s.ThrottleGov
 	default:
 		panic(fmt.Sprintf("sim: unknown policy %v", opts.Policy))

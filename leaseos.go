@@ -68,8 +68,9 @@ func ParsePolicy(s string) (Policy, error) { return sim.ParsePolicy(s) }
 
 // Lease mechanism.
 type (
-	// LeaseConfig is the lease policy (terms, τ, thresholds); zero fields
-	// take the paper's defaults (5 s term, 25 s deferral).
+	// LeaseConfig is the lease policy's knobs (terms, τ, the ablation
+	// switches); zero fields take the paper's defaults (5 s term, 25 s
+	// deferral). The classifier's thresholds are fixed.
 	LeaseConfig = lease.Config
 	// LeaseManager is the lease manager service.
 	LeaseManager = lease.Manager
