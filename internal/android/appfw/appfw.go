@@ -189,7 +189,8 @@ func (fw *Framework) ProcessOf(uid power.UID) *Process { return fw.accountOf(uid
 
 // CPUTimeOf reports the cumulative CPU busy time attributed to uid
 // (the paper's sysTime+userTime metric, §2.1): what has been billed plus the
-// elapsed time of whatever is in flight. A process whose items are paused has
+// elapsed time of the CPU work in flight. Network transfers are never billed,
+// so they are not counted either. A process whose items are paused has
 // nothing in flight, so its backlog is not walked.
 func (fw *Framework) CPUTimeOf(uid power.UID) time.Duration {
 	a := fw.accountOf(uid)
@@ -198,7 +199,7 @@ func (fw *Framework) CPUTimeOf(uid power.UID) time.Duration {
 		return t
 	}
 	for w := p.workHead; w != nil; w = w.next {
-		if w.running {
+		if w.running && w.kind == cpuWork {
 			t += fw.engine.Now() - w.startedAt
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // work list — over a model of just enough of the framework to tell the two
 // apart: which items run after each step, the order and instants they
 // complete at (engine order: due time, then the sequence number start took),
-// the error each request reports, and what CPUTimeOf reads, in-flight
-// transfers included.
+// the error each request reports, and what CPUTimeOf reads: the billed CPU
+// time plus that of the CPU items in flight.
 
 type refItem struct {
 	label     string // what its completion logs as; "" for no callback, which logs nothing
@@ -198,7 +198,7 @@ func (m *refWorld) kill(p *refProc) {
 func (m *refWorld) cpuTimeOf(p *refProc) time.Duration {
 	t := p.cpu
 	for _, w := range p.items {
-		if w.running {
+		if w.running && !w.net {
 			t += m.now - w.startedAt
 		}
 	}
