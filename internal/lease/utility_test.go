@@ -303,7 +303,7 @@ func TestPropertyClassifierRanges(t *testing.T) {
 			used:              time.Duration(heldMS/2) * time.Millisecond,
 			cpuTime:           time.Duration(cpuMS) * time.Millisecond,
 			requestTime:       time.Duration(reqMS) * time.Millisecond,
-			failedRequestTime: time.Duration(failMS%reqMSOr1(reqMS)) * time.Millisecond,
+			failedRequestTime: time.Duration(uint32(failMS)%(uint32(reqMS)+1)) * time.Millisecond, // at most reqMS
 			dataPoints:        int(dp),
 			distanceM:         abs(dist),
 			exceptions:        int(exc),
@@ -331,13 +331,6 @@ func TestPropertyClassifierRanges(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func reqMSOr1(v uint16) uint16 {
-	if v == 0 {
-		return 1
-	}
-	return v + 1
 }
 
 func abs(x float64) float64 {
