@@ -120,6 +120,9 @@ func main() {
 		return
 	}
 
+	if err := checkServing(*shards, *reqTimeout); err != nil {
+		log.Fatal(err)
+	}
 	var inj *faults.Injector
 	if *faultSpec != "" {
 		inj = faults.New(*faultSeed)
@@ -254,6 +257,21 @@ func main() {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	fmt.Fprintf(os.Stderr, "leased: final metrics:\n%s", rec.Body.String())
 	log.Printf("shutdown complete")
+}
+
+// checkServing refuses the serving flags that leased.Options would rewrite
+// behind the flag's back: a shard count outside 1..MaxShards, which it
+// clamps while the log reports the flag, and a request timeout of zero or
+// less, which it replaces with 5 s while newHTTPServer's socket timeouts
+// keep the flag's value.
+func checkServing(shards int, reqTimeout time.Duration) error {
+	if shards < 1 || shards > leased.MaxShards {
+		return fmt.Errorf("-shards must be within 1..%d, got %d", leased.MaxShards, shards)
+	}
+	if reqTimeout <= 0 {
+		return fmt.Errorf("-request-timeout must be positive, got %v", reqTimeout)
+	}
+	return nil
 }
 
 // newHTTPServer puts srv's handler behind net/http at addr.

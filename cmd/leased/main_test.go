@@ -63,6 +63,31 @@ func TestTimedOutAnswerReachesAConnectionNetHTTPOwns(t *testing.T) {
 	}
 }
 
+// The daemon refuses a shard count or request timeout that leased.Options
+// would rewrite, instead of serving something other than the flags say.
+func TestCheckServingRefusesRewrittenFlags(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		timeout time.Duration
+		err     string
+	}{
+		{1, 5 * time.Second, ""},
+		{leased.MaxShards, time.Millisecond, ""},
+		{0, 5 * time.Second, "-shards must be within 1..256, got 0"},
+		{300, 5 * time.Second, "-shards must be within 1..256, got 300"},
+		{1, 0, "-request-timeout must be positive, got 0s"},
+		{1, -time.Second, "-request-timeout must be positive, got -1s"},
+	} {
+		got := ""
+		if err := checkServing(tc.shards, tc.timeout); err != nil {
+			got = err.Error()
+		}
+		if got != tc.err {
+			t.Errorf("checkServing(%d, %v) = %q, want %q", tc.shards, tc.timeout, got, tc.err)
+		}
+	}
+}
+
 // TestDebugAddrServesPprof: -debug-addr's server answers a heap profile and
 // the runtime's memstats on a loopback port of its own, and the
 // client-facing handler serves neither.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -27,25 +26,15 @@ import (
 func experimentsFlags(fs *flag.FlagSet) func(io.Writer) error {
 	quick := fs.Bool("quick", false, "shrink the randomised sweeps for a fast pass")
 	only := fs.String("only", "", "comma-separated artefact ids to run (e.g. figure-9,table-5)")
-	format := fs.String("format", "text", "output format: text|markdown")
-	outDir := fs.String("out", "", "also write one file per artefact into this directory")
 	par := fs.Int("parallel", 0, "worker count for independent sims (0 = GOMAXPROCS, 1 = sequential)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
 	return func(stdout io.Writer) (err error) {
-		if *format != "text" && *format != "markdown" {
-			return fmt.Errorf("unknown format %q", *format)
-		}
 		// Validate ids before any experiment runs: a typo must fail fast,
 		// not after a full (and possibly hours-long) regeneration pass.
 		selected, err := selectRunners(exp.Runners(*quick), *only)
 		if err != nil {
 			return err
-		}
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				return err
-			}
 		}
 		exp.SetParallelism(*par)
 
@@ -75,22 +64,8 @@ func experimentsFlags(fs *flag.FlagSet) func(io.Writer) error {
 			}()
 		}
 
-		ext := ".txt"
-		if *format == "markdown" {
-			ext = ".md"
-		}
 		for _, result := range exp.RunSelected(selected) {
-			rendered := result.String()
-			if *format == "markdown" {
-				rendered = result.Markdown()
-			}
-			fmt.Fprintln(stdout, rendered)
-			if *outDir != "" {
-				path := filepath.Join(*outDir, result.ID+ext)
-				if err := os.WriteFile(path, []byte(rendered+"\n"), 0o644); err != nil {
-					return err
-				}
-			}
+			fmt.Fprintln(stdout, result.String())
 		}
 		return nil
 	}

@@ -35,6 +35,9 @@ func fleetFlags(fs *flag.FlagSet) func(io.Writer) error {
 		if *devices <= 0 {
 			return errors.New("-devices must be positive")
 		}
+		if *window <= 0 {
+			return fmt.Errorf("-window must be positive, got %v", *window)
+		}
 		exp.SetParallelism(*par)
 
 		start := time.Now()

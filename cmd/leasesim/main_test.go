@@ -57,7 +57,6 @@ func TestBadInvocationsFailFirst(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"experiments", "-only", "table-5,nosuch"}, 1, "unknown ids nosuch; known ids:\n  figure-1\n"},
-		{[]string{"experiments", "-format", "bogus"}, 1, `unknown format "bogus"`},
 		{[]string{"nosuch"}, 2, `unknown command "nosuch"`},
 		{[]string{"-app", "Torch"}, 2, "usage: leasesim <command>"},
 		{nil, 2, "usage: leasesim <command>"},
@@ -65,6 +64,13 @@ func TestBadInvocationsFailFirst(t *testing.T) {
 		{[]string{"run", "-app", "nosuch"}, 1, `unknown Table 5 app "nosuch"`},
 		{[]string{"fleet", "-devices", "0"}, 1, "-devices must be positive"},
 		{[]string{"trace", "-kind", "nosuch"}, 1, `unknown kind "nosuch"`},
+		{[]string{"trace", "-kind", "slices", "-n", "-1"}, 1, "-n must not be negative"},
+		{[]string{"trace", "-max", "0"}, 1, "-max must be positive"},
+		{[]string{"run", "-app", "Torch", "-duration", "-5m"}, 1, "-duration must be positive"},
+		{[]string{"fleet", "-window", "-5m"}, 1, "-window must be positive"},
+		{[]string{"run", "-scenario", "F", "-trace", "T"}, 1, "-trace does not apply to a -scenario run"},
+		{[]string{"run", "-scenario", "F", "-trace-csv", "T"}, 1, "-trace-csv does not apply to a -scenario run"},
+		{[]string{"run", "-scenario", "F", "-explain"}, 1, "-explain does not apply to a -scenario run"},
 	} {
 		code, out, stderr := invoke(tc.args...)
 		if code != tc.code || out != "" || !strings.Contains(stderr, tc.stderr) {
@@ -74,16 +80,14 @@ func TestBadInvocationsFailFirst(t *testing.T) {
 	}
 }
 
-// Each command takes exactly the flags, with the defaults, of the binary
-// it replaced (leasesim, experiments, fleetsim and tracegen).
+// Each command takes exactly these flags, with these defaults.
 func TestCommandsKeepTheirFlags(t *testing.T) {
 	want := map[string]map[string]string{
 		"run": {"app": "Torch", "policy": "leaseos", "duration": "30m0s", "device": "Google Pixel XL",
 			"scenario": "", "trace": "", "trace-csv": "", "explain": "false", "list": "false"},
-		"experiments": {"quick": "false", "only": "", "format": "text", "out": "", "parallel": "0",
-			"cpuprofile": "", "memprofile": ""},
-		"fleet": {"devices": "20000", "seed": "1", "window": "30m0s", "parallelism": "0", "check": "false"},
-		"trace": {"kind": "slices", "seed": "1", "n": "20", "max": "10m0s"},
+		"experiments": {"quick": "false", "only": "", "parallel": "0", "cpuprofile": "", "memprofile": ""},
+		"fleet":       {"devices": "20000", "seed": "1", "window": "30m0s", "parallelism": "0", "check": "false"},
+		"trace":       {"kind": "slices", "seed": "1", "n": "20", "max": "10m0s"},
 	}
 	for _, c := range commands {
 		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)

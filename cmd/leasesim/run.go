@@ -41,7 +41,18 @@ func runFlags(fs *flag.FlagSet) func(io.Writer) error {
 			printList(w)
 			return nil
 		case *scenarioF != "":
+			var other string
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name != "scenario" && other == "" {
+					other = f.Name
+				}
+			})
+			if other != "" {
+				return fmt.Errorf("-%s does not apply to a -scenario run: the file sets its apps, policy, device and duration", other)
+			}
 			return runScenario(w, *scenarioF)
+		case *duration <= 0:
+			return fmt.Errorf("-duration must be positive, got %v", *duration)
 		}
 		policy, err := sim.ParsePolicy(*policyS)
 		if err != nil {

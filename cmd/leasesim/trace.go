@@ -28,6 +28,12 @@ func traceFlags(fs *flag.FlagSet) func(io.Writer) error {
 	return func(stdout io.Writer) error {
 		switch *kind {
 		case "slices":
+			if *n < 0 {
+				return fmt.Errorf("-n must not be negative, got %d", *n)
+			}
+			if *max <= 0 {
+				return fmt.Errorf("-max must be positive, got %v", *max)
+			}
 			enc := json.NewEncoder(stdout)
 			for _, sl := range apps.RandomSlices(*seed, *n, *max) {
 				if err := enc.Encode(struct {

@@ -50,10 +50,6 @@ func (b *base) Name() string   { return b.name }
 func (b *base) UID() power.UID { return b.proc.UID() }
 func (b *base) Stop()          { b.stopped = true }
 
-// Proc exposes the underlying process (for workload scripts that move apps
-// between foreground and background).
-func (b *base) Proc() *appfw.Process { return b.proc }
-
 // Spec describes one evaluated app: its Table 5 row plus how to trigger the
 // defect and construct the model.
 type Spec struct {

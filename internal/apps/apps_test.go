@@ -156,7 +156,7 @@ func TestHavenKeepsMonitoring(t *testing.T) {
 
 func TestSyncAppCompletesCyclesUnderLeaseOS(t *testing.T) {
 	s := sim.New(sim.Options{Policy: sim.LeaseOS})
-	app := NewPandora(s, appUID)
+	app := NewSyncApp(s, appUID, "Pandora", 2*time.Minute, time.Second, 2*time.Second)
 	app.Start()
 	s.Run(30 * time.Minute)
 	if app.Syncs < 14 {

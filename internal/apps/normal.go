@@ -194,21 +194,6 @@ func NewSyncApp(s *sim.Sim, uid power.UID, name string, period, work, net time.D
 	return &SyncApp{base: newBase(s, uid, name), period: period, workDur: work, netDur: net}
 }
 
-// NewPandora, NewTransdroid and NewFlym are the §2.3 normal apps.
-func NewPandora(s *sim.Sim, uid power.UID) *SyncApp {
-	return NewSyncApp(s, uid, "Pandora", 2*time.Minute, time.Second, 2*time.Second)
-}
-
-// NewTransdroid builds the Transdroid model.
-func NewTransdroid(s *sim.Sim, uid power.UID) *SyncApp {
-	return NewSyncApp(s, uid, "Transdroid", 5*time.Minute, 800*time.Millisecond, 3*time.Second)
-}
-
-// NewFlym builds the Flym feed-reader model.
-func NewFlym(s *sim.Sim, uid power.UID) *SyncApp {
-	return NewSyncApp(s, uid, "Flym", 10*time.Minute, 1500*time.Millisecond, 4*time.Second)
-}
-
 // Start implements App.
 func (a *SyncApp) Start() {
 	a.stopSync = a.proc.AlarmEvery(a.period, a.sync)

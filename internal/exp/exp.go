@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -85,62 +84,8 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Markdown renders the result as a markdown section: the rows inside a
-// code fence (so column alignment survives) and notes as block quotes.
-func (r Result) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n```\n", r.ID, r.Title)
-	for _, l := range r.Lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	b.WriteString("```\n")
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "\n> %s\n", n)
-	}
-	return b.String()
-}
-
 func (r *Result) addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
-}
-
-// The hottest row formatters (Figure12, Table5) build their lines with the
-// append helpers below instead of fmt — the profile showed ~5% of a full
-// run inside fmt.(*pp).doPrintf. Each helper mirrors one fmt verb exactly
-// (strconv formats floats identically to fmt, including NaN and ±Inf), so
-// rendered output stays byte-identical to the Sprintf versions.
-
-// appendPadRight appends s left-justified in a field of width runes,
-// mirroring %-Ns for the ASCII strings used in table rows.
-func appendPadRight(b []byte, s string, width int) []byte {
-	b = append(b, s...)
-	for n := width - len(s); n > 0; n-- {
-		b = append(b, ' ')
-	}
-	return b
-}
-
-// appendIntPadRight appends v left-justified in a field of width digits,
-// mirroring %-Nd.
-func appendIntPadRight(b []byte, v, width int) []byte {
-	start := len(b)
-	b = strconv.AppendInt(b, int64(v), 10)
-	for n := width - (len(b) - start); n > 0; n-- {
-		b = append(b, ' ')
-	}
-	return b
-}
-
-// appendFixed appends v with prec decimals right-justified in a field of
-// width bytes, mirroring %N.Pf (width 0 for the bare %.Pf).
-func appendFixed(b []byte, v float64, prec, width int) []byte {
-	var scratch [24]byte
-	s := strconv.AppendFloat(scratch[:0], v, 'f', prec, 64)
-	for n := width - len(s); n > 0; n-- {
-		b = append(b, ' ')
-	}
-	return append(b, s...)
 }
 
 func (r *Result) notef(format string, args ...any) {

@@ -410,10 +410,6 @@ func TestResultRendering(t *testing.T) {
 	if !strings.Contains(text, "== x: T ==") || !strings.Contains(text, "row 1") || !strings.Contains(text, "note: n") {
 		t.Fatalf("text rendering wrong:\n%s", text)
 	}
-	md := r.Markdown()
-	if !strings.Contains(md, "### x — T") || !strings.Contains(md, "```\nrow 1") || !strings.Contains(md, "> n") {
-		t.Fatalf("markdown rendering wrong:\n%s", md)
-	}
 }
 
 // TestSuiteDeterminism: the whole quick suite renders identically across

@@ -200,19 +200,17 @@ type FleetConfig struct {
 	Seed uint64
 	// Window is the simulated time each device runs (default 30 min).
 	Window time.Duration
-	// ChunkSize is the fixed work-batch size (default 512). It is part of
-	// the result's identity: aggregates merge per chunk, so a different
-	// chunk size may differ in final float ulps (never in counts). It is
-	// deliberately NOT derived from the worker count.
-	ChunkSize int
 }
+
+// fleetChunk is the fixed work-batch size, in devices. It is part of the
+// result's identity: aggregates merge per chunk, so a different chunk size
+// may differ in final float ulps (never in counts). It is deliberately NOT
+// derived from the worker count.
+const fleetChunk = 512
 
 func (cfg FleetConfig) withDefaults() FleetConfig {
 	if cfg.Window <= 0 {
 		cfg.Window = 30 * time.Minute
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 512
 	}
 	return cfg
 }
@@ -324,7 +322,7 @@ func RunFleet(cfg FleetConfig) FleetReport {
 	}
 
 	global := newFleetAccums(len(pols))
-	nChunks := (cfg.Devices + cfg.ChunkSize - 1) / cfg.ChunkSize
+	nChunks := (cfg.Devices + fleetChunk - 1) / fleetChunk
 	nw := Parallelism()
 	if nw > nChunks {
 		nw = nChunks
@@ -347,8 +345,8 @@ func RunFleet(cfg FleetConfig) FleetReport {
 				return
 			}
 			acc := newFleetAccums(len(pols))
-			lo := c * cfg.ChunkSize
-			hi := lo + cfg.ChunkSize
+			lo := c * fleetChunk
+			hi := lo + fleetChunk
 			if hi > cfg.Devices {
 				hi = cfg.Devices
 			}
@@ -397,7 +395,7 @@ func RunFleet(cfg FleetConfig) FleetReport {
 func (rep FleetReport) Render() Result {
 	r := Result{ID: "fleet", Title: "Population sweep: battery life and defaulter rate per policy"}
 	r.addf("devices %d, seed %d, window %s, chunk %d",
-		rep.Config.Devices, rep.Config.Seed, rep.Config.Window, rep.Config.ChunkSize)
+		rep.Config.Devices, rep.Config.Seed, rep.Config.Window, fleetChunk)
 	r.addf("%-16s %8s | %7s %7s %7s %7s | %9s %8s",
 		"policy", "devices", "p5 h", "p50 h", "p95 h", "mean h", "defaulter", "iv/dev")
 	for _, st := range rep.PerPolicy {
@@ -408,17 +406,6 @@ func (rep FleetReport) Render() Result {
 	r.notef("population: %d hardware profiles × %d app mixes × %d policies; device i seeded by SplitMix64(seed, i)",
 		len(fleetProfiles), len(fleetMixes), len(sim.Policies()))
 	return r
-}
-
-// fleetStatsByPolicy is a test/CLI convenience: the stats row for pol, or a
-// zero row if absent.
-func (rep FleetReport) fleetStatsByPolicy(pol sim.Policy) FleetPolicyStats {
-	for _, st := range rep.PerPolicy {
-		if st.Policy == pol {
-			return st
-		}
-	}
-	return FleetPolicyStats{Policy: pol}
 }
 
 // Degenerate reports whether the sweep produced trivially flat results —

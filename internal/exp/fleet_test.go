@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -76,8 +77,8 @@ func TestReseededRandDrawsSameDevices(t *testing.T) {
 
 // TestFleetOrderIndependence is the fleet's keystone guarantee: the rendered
 // report must be byte-identical whether devices run on one worker or eight,
-// and regardless of which worker finishes first. A small chunk size forces
-// many chunks so the ordered-merge path is genuinely contended.
+// and regardless of which worker finishes first. 2000 devices are four
+// chunks, so the ordered-merge path is genuinely contended.
 //
 // The sequential report is also compared against a golden file: a change to
 // any service, the framework or a policy that moves a fleet statistic fails
@@ -87,7 +88,7 @@ func TestFleetOrderIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~4k device-windows")
 	}
-	cfg := FleetConfig{Devices: 2000, Seed: 7, ChunkSize: 64}
+	cfg := FleetConfig{Devices: 2000, Seed: 7}
 
 	old := int(workers.Load())
 	defer SetParallelism(old)
@@ -132,8 +133,8 @@ func TestFleetSmokeShape(t *testing.T) {
 	if total != 1200 {
 		t.Errorf("per-policy devices sum to %d, want 1200", total)
 	}
-	v := rep.fleetStatsByPolicy(0) // sim.Vanilla
-	if v.DefaulterPct != 0 || v.InterventionsPerDevice != 0 {
+	v := rep.PerPolicy[0]
+	if v.Policy != sim.Vanilla || v.DefaulterPct != 0 || v.InterventionsPerDevice != 0 {
 		t.Errorf("vanilla reports interventions: defaulter %v%%, iv/dev %v",
 			v.DefaulterPct, v.InterventionsPerDevice)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/apps"
@@ -140,9 +139,6 @@ func Figure12(cases int) Result {
 		}
 		return 1 - waste(c.seed, sim.LeaseOS, time.Duration(c.lambda)*term)/base
 	})
-	// Rows render via the append helpers ("%-4d %.2f (± %.2f over %d
-	// cases)"), byte-identical to the Sprintf original.
-	row := make([]byte, 0, 48)
 	for lambda := 1; lambda <= 5; lambda++ {
 		kept := make([]float64, 0, cases)
 		for c := 0; c < cases; c++ {
@@ -150,15 +146,7 @@ func Figure12(cases int) Result {
 				kept = append(kept, v)
 			}
 		}
-		row = appendIntPadRight(row[:0], lambda, 4)
-		row = append(row, ' ')
-		row = appendFixed(row, stats.Mean(kept), 2, 0)
-		row = append(row, " (± "...)
-		row = appendFixed(row, stats.StdErr(kept), 2, 0)
-		row = append(row, " over "...)
-		row = strconv.AppendInt(row, int64(len(kept)), 10)
-		row = append(row, " cases)"...)
-		r.Lines = append(r.Lines, string(row))
+		r.addf("%-4d %.2f (± %.2f over %d cases)", lambda, stats.Mean(kept), stats.StdErr(kept), len(kept))
 	}
 	r.notef("paper: 0.49 / 0.66 / 0.74 / 0.78 / 0.82 — larger λ reduces more waste but raises the misjudgement penalty")
 	r.notef("scaled: %d cases of %d+%d slices (paper: 1000 cases of 1000+1000 slices)", cases, 20, 20)

@@ -217,9 +217,6 @@ func Table5() Result {
 		return RunTable5Row(sp)
 	})
 	var leaseRed, dozeRed, defRed []float64
-	// Rows render via the append helpers ("%-20s %-6s %-4s | %9.2f ×4 |
-	// %6.1f%% ×3"), byte-identical to the Sprintf original.
-	line := make([]byte, 0, 96)
 	for i, sp := range specs {
 		row := rows[i]
 		base := row[sim.Vanilla]
@@ -233,23 +230,9 @@ func Table5() Result {
 		leaseRed = append(leaseRed, lr)
 		dozeRed = append(dozeRed, dr)
 		defRed = append(defRed, fr)
-		line = appendPadRight(line[:0], sp.Name, 20)
-		line = append(line, ' ')
-		line = appendPadRight(line, sp.Resource.String(), 6)
-		line = append(line, ' ')
-		line = appendPadRight(line, sp.Behavior.String(), 4)
-		line = append(line, " |"...)
-		for _, w := range [4]float64{base, row[sim.LeaseOS], row[sim.DozeAggressive], row[sim.DefDroid]} {
-			line = append(line, ' ')
-			line = appendFixed(line, w, 2, 9)
-		}
-		line = append(line, " |"...)
-		for _, pct := range [3]float64{lr, dr, fr} {
-			line = append(line, ' ')
-			line = appendFixed(line, pct, 1, 6)
-			line = append(line, '%')
-		}
-		r.Lines = append(r.Lines, string(line))
+		r.addf("%-20s %-6s %-4s | %9.2f %9.2f %9.2f %9.2f | %6.1f%% %6.1f%% %6.1f%%",
+			sp.Name, sp.Resource, sp.Behavior, base,
+			row[sim.LeaseOS], row[sim.DozeAggressive], row[sim.DefDroid], lr, dr, fr)
 	}
 	r.addf("%-20s %-6s %-4s | %9s %9s %9s %9s | %6.1f%% %6.1f%% %6.1f%%",
 		"Average", "", "", "", "", "", "", stats.Mean(leaseRed), stats.Mean(dozeRed), stats.Mean(defRed))

@@ -15,13 +15,14 @@ type backoff struct {
 	attempt   int
 }
 
+// The backoff a client retries under: its first pause is at most
+// retryBase, and no pause exceeds retryMax.
+const (
+	retryBase = 25 * time.Millisecond
+	retryMax  = time.Second
+)
+
 func newBackoff(base, max time.Duration, rng *rand.Rand) backoff {
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
 	return backoff{base: base, max: max, rng: rng}
 }
 

@@ -92,9 +92,6 @@ type Options struct {
 	// it counts as a failure (default 4). Retries pause with jittered
 	// exponential backoff and honor the daemon's Retry-After hint.
 	Retries int
-	// RetryBase / RetryMax bound the backoff (defaults 25 ms / 1 s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Seed makes the fleet's jitter and injected faults reproducible.
 	Seed int64
 
@@ -331,7 +328,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 				batch:   opts.Batch,
 				cnt:     &cnt,
 				retries: opts.Retries,
-				bo:      newBackoff(opts.RetryBase, opts.RetryMax, rng),
+				bo:      newBackoff(retryBase, retryMax, rng),
 				shard:   -1,
 			}
 			wg.Add(1)

@@ -19,7 +19,6 @@ var kernels = []struct {
 }{
 	{"Set", setOp},
 	{"EnergyOf", energyOfOp},
-	{"Sampler", samplerOp},
 	{"Add", addOp},
 }
 
@@ -100,15 +99,6 @@ func addOp() func() {
 		h.Add(w - held)
 		held = w
 	})
-}
-
-// samplerOp is one sampler tick, the 100 ms Monsoon / Trepn instrument loop
-// of paper §7.1.
-func samplerOp() func() {
-	e := simclock.NewEngine()
-	m := meterWithLoad(e, 32)
-	NewSystemSamplerFor(e, m, SampleInterval, 0)
-	return func() { e.RunUntil(e.Now() + SampleInterval) }
 }
 
 // BenchmarkDrawHandleSet measures the pre-resolved draw update the app

@@ -17,10 +17,10 @@
 // lists, which supports two registration APIs: the string-tagged Set/Clear
 // for cold callers, and pre-resolved DrawHandles (Owner.Handle) for hot
 // callers, turning a draw change into a pure array store.
-// Two instruments from the paper's methodology are reproduced on top of it:
-// a system-wide sampler standing in for the Monsoon hardware power monitor
-// and a per-app sampler standing in for the Qualcomm Trepn profiler (paper
-// §7.1), both sampling every 100 ms.
+// The paper measured the same quantity with a Monsoon power monitor
+// (system-wide) and the Trepn profiler (per app), sampling every 100 ms
+// (§7.1); the meter integrates it exactly instead, and EnergyJ and EnergyOfJ
+// are the two readings every experiment takes.
 package power
 
 import (
@@ -524,72 +524,6 @@ func AvgPowerMW(deltaJ float64, over time.Duration) float64 {
 	return deltaJ / over.Seconds() * 1000
 }
 
-// Sample is one instrument reading.
-type Sample struct {
-	At      simclock.Time
-	PowerMW float64
-}
-
-// Sampler periodically records power readings, standing in for the Monsoon
-// monitor (system-wide) or the Trepn profiler (per-app), per paper §7.1.
-type Sampler struct {
-	Samples []Sample
-	stop    func()
-}
-
-// SampleInterval matches the paper's 100 ms power-sampling period.
-const SampleInterval = 100 * time.Millisecond
-
-// sampleCap sizes the Samples slice for a run of the given horizon so the
-// steady sampling loop never reallocates.
-func sampleCap(interval, horizon time.Duration) int {
-	if horizon <= 0 || interval <= 0 {
-		return 0
-	}
-	return int(horizon / interval)
-}
-
-// NewSystemSamplerFor starts sampling total system power every interval.
-// Samples is preallocated to hold horizon/interval readings up front (none
-// for a horizon of 0).
-func NewSystemSamplerFor(engine *simclock.Engine, m *Meter, interval, horizon time.Duration) *Sampler {
-	s := &Sampler{Samples: make([]Sample, 0, sampleCap(interval, horizon))}
-	s.stop = engine.Ticker(interval, func() {
-		s.Samples = append(s.Samples, Sample{engine.Now(), m.InstantPowerW() * 1000})
-	})
-	return s
-}
-
-// NewAppSamplerFor starts sampling the power attributed to uid every
-// interval, with NewSystemSamplerFor's horizon hint.
-func NewAppSamplerFor(engine *simclock.Engine, m *Meter, uid UID, interval, horizon time.Duration) *Sampler {
-	s := &Sampler{Samples: make([]Sample, 0, sampleCap(interval, horizon))}
-	s.stop = engine.Ticker(interval, func() {
-		s.Samples = append(s.Samples, Sample{engine.Now(), m.InstantPowerOfW(uid) * 1000})
-	})
-	return s
-}
-
-// Stop halts sampling. Samples remain available.
-func (s *Sampler) Stop() {
-	if s.stop != nil {
-		s.stop()
-		s.stop = nil
-	}
-}
-
-// MeanMW returns the mean of the recorded samples in milliwatts.
-func (s *Sampler) MeanMW() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, sm := range s.Samples {
-		sum += sm.PowerMW
-	}
-	return sum / float64(len(s.Samples))
-}
-
 // Battery tracks remaining charge against a capacity, draining from a Meter.
 type Battery struct {
 	meter     *Meter
@@ -615,11 +549,3 @@ func (b *Battery) RemainingJ() float64 {
 
 // Empty reports whether the battery has fully drained.
 func (b *Battery) Empty() bool { return b.RemainingJ() == 0 }
-
-// FractionRemaining reports remaining charge as a 0..1 fraction.
-func (b *Battery) FractionRemaining() float64 {
-	if b.capacityJ == 0 {
-		return 0
-	}
-	return b.RemainingJ() / b.capacityJ
-}

@@ -200,67 +200,6 @@ func TestAvgPowerMW(t *testing.T) {
 	}
 }
 
-func TestSystemSampler(t *testing.T) {
-	e := simclock.NewEngine()
-	m := NewMeter(e)
-	m.Set(1, CPU, "wl", 0.1) // 100 mW
-	s := NewSystemSamplerFor(e, m, SampleInterval, 0)
-	e.RunUntil(time.Second)
-	s.Stop()
-	e.RunUntil(2 * time.Second)
-	if len(s.Samples) != 10 {
-		t.Fatalf("samples = %d, want 10", len(s.Samples))
-	}
-	if got := s.MeanMW(); !almost(got, 100) {
-		t.Fatalf("MeanMW = %v, want 100", got)
-	}
-}
-
-func TestAppSamplerIsolation(t *testing.T) {
-	e := simclock.NewEngine()
-	m := NewMeter(e)
-	m.Set(1, CPU, "wl", 0.1)
-	m.Set(2, Screen, "s", 0.5)
-	s := NewAppSamplerFor(e, m, 1, SampleInterval, 0)
-	e.RunUntil(time.Second)
-	if got := s.MeanMW(); !almost(got, 100) {
-		t.Fatalf("per-app sampler leaked other uid's power: %v", got)
-	}
-}
-
-// TestSamplerForPreallocates: the horizon-hinted constructors size Samples
-// up front so the steady sampling loop never reallocates, and record
-// exactly the same readings as the unhinted ones.
-func TestSamplerForPreallocates(t *testing.T) {
-	e := simclock.NewEngine()
-	m := NewMeter(e)
-	m.Set(1, CPU, "wl", 0.1)
-	horizon := 10 * time.Second
-	s := NewSystemSamplerFor(e, m, SampleInterval, horizon)
-	a := NewAppSamplerFor(e, m, 1, SampleInterval, horizon)
-	if cap(s.Samples) != 100 || cap(a.Samples) != 100 {
-		t.Fatalf("preallocated caps = %d, %d, want 100", cap(s.Samples), cap(a.Samples))
-	}
-	e.RunUntil(horizon)
-	if len(s.Samples) != 100 || cap(s.Samples) != 100 {
-		t.Fatalf("system sampler reallocated: len %d cap %d", len(s.Samples), cap(s.Samples))
-	}
-	if got := s.MeanMW(); !almost(got, 100) {
-		t.Fatalf("MeanMW = %v, want 100", got)
-	}
-	if got := a.MeanMW(); !almost(got, 100) {
-		t.Fatalf("per-app MeanMW = %v, want 100", got)
-	}
-}
-
-func TestSamplerMeanEmpty(t *testing.T) {
-	var s Sampler
-	if s.MeanMW() != 0 {
-		t.Fatal("empty sampler mean should be 0")
-	}
-	s.Stop() // no-op, must not panic
-}
-
 func TestBatteryDrain(t *testing.T) {
 	e := simclock.NewEngine()
 	m := NewMeter(e)
@@ -276,9 +215,6 @@ func TestBatteryDrain(t *testing.T) {
 	e.RunUntil(20 * time.Second)
 	if !b.Empty() {
 		t.Fatalf("battery should be empty, remaining %v", b.RemainingJ())
-	}
-	if b.FractionRemaining() != 0 {
-		t.Fatal("fraction should be 0 when empty")
 	}
 }
 

@@ -73,15 +73,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // percentileSorted returns the p-th percentile (0 ≤ p ≤ 100) of an
 // already-sorted, non-empty slice using linear interpolation between
 // closest ranks.
