@@ -25,9 +25,6 @@ func (p *Process) NewActivity(name string) *Activity {
 	return &Activity{proc: p, name: name, alive: true}
 }
 
-// Name returns the activity's name.
-func (a *Activity) Name() string { return a.name }
-
 // Alive reports whether the activity is alive.
 func (a *Activity) Alive() bool { return a.alive }
 

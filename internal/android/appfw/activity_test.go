@@ -10,8 +10,8 @@ func TestActivityLifecycle(t *testing.T) {
 	r := newRig(nil)
 	p := r.fw.NewProcess(10, "app")
 	act := p.NewActivity("main")
-	if !act.Alive() || act.Name() != "main" {
-		t.Fatal("fresh activity should be alive and named")
+	if !act.Alive() {
+		t.Fatal("fresh activity should be alive")
 	}
 	l := &fakeBound{}
 	act.Bind(l)
@@ -39,31 +39,5 @@ func TestBindToDeadActivity(t *testing.T) {
 	act.Bind(l)
 	if l.alive {
 		t.Fatal("binding to a dead activity should mark the listener unused")
-	}
-}
-
-func TestAppServiceLifecycle(t *testing.T) {
-	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
-	svc := p.NewService("sync")
-	if !svc.Alive() || svc.Name() != "sync" {
-		t.Fatal("fresh service should be alive and named")
-	}
-	var order []int
-	svc.OnDestroy(func() { order = append(order, 1) })
-	svc.OnDestroy(func() { order = append(order, 2) })
-	svc.Destroy()
-	svc.Destroy() // idempotent
-	if svc.Alive() {
-		t.Fatal("destroyed service should not be alive")
-	}
-	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
-		t.Fatalf("cleanups should run LIFO once: %v", order)
-	}
-	// Registering after destruction runs immediately.
-	ran := false
-	svc.OnDestroy(func() { ran = true })
-	if !ran {
-		t.Fatal("OnDestroy on a dead service should run immediately")
 	}
 }

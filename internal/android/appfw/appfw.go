@@ -426,14 +426,8 @@ type Process struct {
 // UID returns the process uid.
 func (p *Process) UID() power.UID { return p.uid }
 
-// Name returns the app name.
-func (p *Process) Name() string { return p.name }
-
 // Foreground reports whether the app is in the foreground.
 func (p *Process) Foreground() bool { return p.foreground }
-
-// Dead reports whether the process has been killed.
-func (p *Process) Dead() bool { return p.dead }
 
 // SetForeground moves the app between foreground and background.
 func (p *Process) SetForeground(fg bool) {

@@ -298,7 +298,7 @@ func TestKillCleansEverything(t *testing.T) {
 	p.Every(time.Second, func() {})
 	r.engine.RunUntil(time.Second)
 	p.Kill()
-	if !p.Dead() {
+	if !p.dead {
 		t.Fatal("process should be dead")
 	}
 	if !wl.IsHeld() == false {

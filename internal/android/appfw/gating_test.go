@@ -580,8 +580,10 @@ func submitPaused(n int) (*rig, time.Duration) {
 	return r, time.Since(t0)
 }
 
-// TestBacklogIsLinear: four times the backlog costs about four times as
-// much. When every submission re-walked the list it cost sixteen.
+// TestBacklogIsLinear: sixteen times the backlog costs about sixteen times
+// as much. When every submission re-walked the list it cost 256 times, so a
+// bound of 64 leaves a linear backlog four times its cost in machine noise
+// and still fails a quadratic one by as much.
 func TestBacklogIsLinear(t *testing.T) {
 	best := func(n int) time.Duration {
 		var b time.Duration
@@ -592,11 +594,11 @@ func TestBacklogIsLinear(t *testing.T) {
 		}
 		return b
 	}
-	small, large := best(2000), best(8000)
+	small, large := best(1000), best(16000)
 	ratio := float64(large) / float64(small)
-	t.Logf("2000 paused submissions %v, 8000 %v: ratio %.1f", small, large, ratio)
-	if ratio >= 8 {
-		t.Errorf("8000 paused submissions cost %.1f× what 2000 do (%v against %v); linear is 4×", ratio, large, small)
+	t.Logf("1000 paused submissions %v, 16000 %v: ratio %.1f", small, large, ratio)
+	if ratio >= 64 {
+		t.Errorf("16000 paused submissions cost %.1f× what 1000 do (%v against %v); linear is 16×", ratio, large, small)
 	}
 }
 
@@ -617,9 +619,9 @@ func TestPausedBacklogHoldsNoDrawSlots(t *testing.T) {
 	if got := r.meter.DrawCount(10); got != 1 {
 		t.Fatalf("one tagged draw set twice holds %d slots, want 1", got)
 	}
-	r.meter.Clear(10, power.GPS, "fix")
+	r.meter.Set(10, power.GPS, "fix", 0)
 	if got := r.meter.InstantPowerOfW(10); got != 0 {
-		t.Fatalf("draw reads %v W after Clear, want 0", got)
+		t.Fatalf("draw reads %v W after it is set to 0, want 0", got)
 	}
 	// The backlog still runs once the CPU is up, all of it through the
 	// process's one CPU slot.

@@ -43,9 +43,6 @@ func (t *Token) ID() uint64 { return t.id }
 // Owner returns the uid the token belongs to.
 func (t *Token) Owner() power.UID { return t.owner }
 
-// Service names the system service holding the token.
-func (t *Token) Service() string { return t.service }
-
 // Dead reports whether the token has been destroyed.
 func (t *Token) Dead() bool { return t.dead }
 

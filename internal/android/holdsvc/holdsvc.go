@@ -65,9 +65,3 @@ func (l *Lock) Release() { l.svc.Call(l.obj, false) }
 
 // IsHeld reports whether the app holds the lock; suppression is invisible.
 func (l *Lock) IsHeld() bool { return l.obj.Held }
-
-// ObjectID returns the kernel-object id backing this lock.
-func (l *Lock) ObjectID() uint64 { return l.obj.ID() }
-
-// Destroy deallocates the kernel object.
-func (l *Lock) Destroy() { l.svc.Kill(l.obj) }

@@ -40,7 +40,7 @@ func TestSuppressionSemantics(t *testing.T) {
 	e, m, _, s := newSvc(nil)
 	l := s.NewLock(10)
 	l.Acquire()
-	id := l.ObjectID()
+	id := l.obj.ID()
 	e.RunUntil(5 * time.Second)
 	s.Suppress(id)
 	if got := m.InstantPowerOfW(10); got != 0 {
@@ -64,7 +64,7 @@ func TestReleaseDuringSuppressionSticks(t *testing.T) {
 	_, m, _, s := newSvc(nil)
 	l := s.NewLock(10)
 	l.Acquire()
-	id := l.ObjectID()
+	id := l.obj.ID()
 	s.Suppress(id)
 	l.Release()
 	s.Unsuppress(id)
@@ -149,9 +149,6 @@ func TestWifiKindAndService(t *testing.T) {
 	if gov.created.Kind != hooks.WifiLock {
 		t.Fatalf("kind = %v, want WifiLock", gov.created.Kind)
 	}
-	if gov.created.Control.ServiceName() != "wifi" {
-		t.Fatalf("service = %q", gov.created.Control.ServiceName())
-	}
 }
 
 func TestAudioSessionDrawsAudioPower(t *testing.T) {
@@ -173,9 +170,6 @@ func TestAudioKind(t *testing.T) {
 	svc.NewLock(10).Acquire()
 	if gov.created.Kind != hooks.AudioSession {
 		t.Fatalf("kind = %v, want AudioSession", gov.created.Kind)
-	}
-	if gov.created.Control.ServiceName() != "audio" {
-		t.Fatalf("service = %q", gov.created.Control.ServiceName())
 	}
 }
 

@@ -166,8 +166,6 @@ type Controller interface {
 	// TermStats returns the usage counters accumulated since the last call
 	// for this object, and resets them.
 	TermStats(id uint64) TermStats
-	// ServiceName names the owning service, for diagnostics.
-	ServiceName() string
 }
 
 // Governor observes resource lifecycle events from every service and decides

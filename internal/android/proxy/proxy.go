@@ -238,6 +238,3 @@ func (t *Table[X]) TermStats(id uint64) hooks.TermStats {
 	t.Settle(t.live[i])
 	return t.live[i].Pull()
 }
-
-// ServiceName implements hooks.Controller.
-func (t *Table[X]) ServiceName() string { return t.name }

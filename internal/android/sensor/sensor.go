@@ -136,9 +136,6 @@ func (r *Registration) SetBoundAlive(alive bool) { r.svc.SetBoundAlive(r.l, aliv
 // Registered reports whether events are currently requested.
 func (r *Registration) Registered() bool { return r.l.Held }
 
-// ObjectID returns the kernel-object id backing this registration.
-func (r *Registration) ObjectID() uint64 { return r.l.ID() }
-
 // Destroy deallocates the kernel object.
 func (r *Registration) Destroy() { r.svc.Kill(r.l) }
 

@@ -26,20 +26,15 @@ import (
 type App interface {
 	// Name is the app's display name.
 	Name() string
-	// UID is the app's process uid.
-	UID() power.UID
 	// Start launches the app's behaviour.
 	Start()
-	// Stop halts the behaviour without killing the process.
-	Stop()
 }
 
 // base carries the plumbing every app model shares.
 type base struct {
-	s       *sim.Sim
-	proc    *appfw.Process
-	name    string
-	stopped bool
+	s    *sim.Sim
+	proc *appfw.Process
+	name string
 }
 
 func newBase(s *sim.Sim, uid power.UID, name string) base {
@@ -48,7 +43,6 @@ func newBase(s *sim.Sim, uid power.UID, name string) base {
 
 func (b *base) Name() string   { return b.name }
 func (b *base) UID() power.UID { return b.proc.UID() }
-func (b *base) Stop()          { b.stopped = true }
 
 // Spec describes one evaluated app: its Table 5 row plus how to trigger the
 // defect and construct the model.

@@ -302,20 +302,3 @@ func TestFleetStaggered(t *testing.T) {
 		t.Fatal("fleet did no work")
 	}
 }
-
-func TestStopHaltsApps(t *testing.T) {
-	s := sim.New(sim.Options{Policy: sim.Vanilla})
-	s.World.SetNetwork(false, false)
-	k9 := NewK9(s, appUID)
-	k9.Start()
-	s.Run(time.Minute)
-	k9.Stop()
-	exc := s.Apps.ExceptionsOf(appUID)
-	s.Run(5 * time.Minute)
-	if after := s.Apps.ExceptionsOf(appUID); after > exc+2 {
-		t.Fatalf("K-9 kept throwing after Stop: %d → %d", exc, after)
-	}
-	if s.Power.Awake() {
-		t.Fatal("wakelock should be released by Stop")
-	}
-}

@@ -3,7 +3,6 @@ package apps
 import (
 	"time"
 
-	"repro/internal/android/appfw"
 	"repro/internal/android/hooks"
 	"repro/internal/android/powermgr"
 	"repro/internal/power"
@@ -17,8 +16,6 @@ import (
 // battery".
 type Facebook struct {
 	base
-	wl      *powermgr.Wakelock
-	session interface{ Release() }
 }
 
 // NewFacebook builds the model.
@@ -28,22 +25,8 @@ func NewFacebook(s *sim.Sim, uid power.UID) *Facebook {
 
 // Start implements App.
 func (a *Facebook) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "fb-audio-wl")
-	a.wl.Acquire()
-	sess := a.s.Audio.NewLock(a.UID())
-	sess.Acquire() // the leaked audio session: nothing ever plays
-	a.session = sess
-}
-
-// Stop implements App.
-func (a *Facebook) Stop() {
-	a.base.Stop()
-	if a.session != nil {
-		a.session.Release()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "fb-audio-wl").Acquire()
+	a.s.Audio.NewLock(a.UID()).Acquire() // the leaked audio session: nothing ever plays
 }
 
 // Torch models the CyanogenMod Torch defect (Table 5 row 2): the flashlight
@@ -52,7 +35,6 @@ func (a *Facebook) Stop() {
 // used for Figure 9.
 type Torch struct {
 	base
-	wl *powermgr.Wakelock
 }
 
 // NewTorch builds the model.
@@ -62,16 +44,7 @@ func NewTorch(s *sim.Sim, uid power.UID) *Torch {
 
 // Start implements App.
 func (a *Torch) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "torch")
-	a.wl.Acquire()
-}
-
-// Stop implements App.
-func (a *Torch) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "torch").Acquire()
 }
 
 // Kontalk models the Kontalk defect (§2.1 case II, Table 5 row 3): the
@@ -80,8 +53,7 @@ func (a *Torch) Stop() {
 // stay up with nothing to do — and the service is never destroyed.
 type Kontalk struct {
 	base
-	wl  *powermgr.Wakelock
-	svc *appfw.AppService
+	wl *powermgr.Wakelock
 }
 
 // NewKontalk builds the model.
@@ -91,11 +63,10 @@ func NewKontalk(s *sim.Sim, uid power.UID) *Kontalk {
 
 // Start implements App.
 func (a *Kontalk) Start() {
-	// onCreate: acquire the wakelock; the release is parked in onDestroy.
-	a.svc = a.proc.NewService("MessageCenterService")
+	// onCreate: acquire the wakelock; the release sits in onDestroy, which
+	// never runs.
 	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "kontalk-svc")
 	a.wl.Acquire()
-	a.svc.OnDestroy(a.wl.Release)
 	// Authenticate: some CPU, one round trip — then nothing, forever.
 	a.proc.RunWork(2*time.Second, func() {
 		a.proc.NetworkRequest(time.Second, nil)
@@ -105,14 +76,6 @@ func (a *Kontalk) Start() {
 // WakelockID exposes the service wakelock's kernel-object id for profilers
 // (Figure 3 samples its per-minute holding time).
 func (a *Kontalk) WakelockID() uint64 { return a.wl.ObjectID() }
-
-// Stop implements App.
-func (a *Kontalk) Stop() {
-	a.base.Stop()
-	if a.svc != nil {
-		a.svc.Destroy() // the missing onDestroy finally runs
-	}
-}
 
 // K9 models the K-9 Mail defect (§2.1 case I, Table 5 row 4): the push
 // service acquires a wakelock and loops over a network request; when the
@@ -139,9 +102,6 @@ func NewK9(s *sim.Sim, uid power.UID) *K9 {
 	a := &K9{base: newBase(s, uid, "K-9")}
 	a.serialized = func() { a.proc.NetworkRequest(3*time.Second, a.pushReply) }
 	a.pushReply = func(err error) {
-		if a.stopped {
-			return
-		}
 		if err != nil {
 			// The defect: catch, log, retry immediately — no back-off.
 			a.proc.ThrowException()
@@ -166,17 +126,11 @@ func (a *K9) Start() {
 }
 
 func (a *K9) startPush() {
-	if a.stopped {
-		return
-	}
 	a.wl.Acquire()
 	a.iterate()
 }
 
 func (a *K9) iterate() {
-	if a.stopped {
-		return
-	}
 	// Serialize folders, then send the push request (Figure 8's ➋ and ➌).
 	a.proc.RunWork(30*time.Millisecond, a.serialized)
 }
@@ -185,21 +139,11 @@ func (a *K9) iterate() {
 // (Figures 2 and 4 sample its per-minute holding time).
 func (a *K9) WakelockID() uint64 { return a.wl.ObjectID() }
 
-// Stop implements App.
-func (a *K9) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
-}
-
 // ServalMesh models the Serval Mesh defect (Table 5 row 5): when not
 // connected to a Wi-Fi access point the mesh service keeps scanning and
 // erroring in a tight loop under a held wakelock.
 type ServalMesh struct {
 	base
-	wl       *powermgr.Wakelock
-	stopScan func()
 }
 
 // NewServalMesh builds the model.
@@ -209,10 +153,9 @@ func NewServalMesh(s *sim.Sim, uid power.UID) *ServalMesh {
 
 // Start implements App.
 func (a *ServalMesh) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "serval")
-	a.wl.Acquire()
-	a.stopScan = a.proc.Every(3*time.Second, func() {
-		if a.stopped || a.s.World.NetworkOnWiFi() {
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "serval").Acquire()
+	a.proc.Every(3*time.Second, func() {
+		if a.s.World.NetworkOnWiFi() {
 			return
 		}
 		a.proc.ThrowException() // scan fails: no access point
@@ -220,23 +163,10 @@ func (a *ServalMesh) Start() {
 	})
 }
 
-// Stop implements App.
-func (a *ServalMesh) Stop() {
-	a.base.Stop()
-	if a.stopScan != nil {
-		a.stopScan()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
-}
-
 // TextSecure models the TextSecure defect (Table 5 row 6): a message-send
 // retry loop that never backs off while the network is down.
 type TextSecure struct {
 	base
-	wl        *powermgr.Wakelock
-	stopRetry func()
 }
 
 // NewTextSecure builds the model.
@@ -246,12 +176,8 @@ func NewTextSecure(s *sim.Sim, uid power.UID) *TextSecure {
 
 // Start implements App.
 func (a *TextSecure) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "textsecure")
-	a.wl.Acquire()
-	a.stopRetry = a.proc.Every(4*time.Second, func() {
-		if a.stopped {
-			return
-		}
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "textsecure").Acquire()
+	a.proc.Every(4*time.Second, func() {
 		a.proc.NetworkRequest(time.Second, func(err error) {
 			if err != nil {
 				a.proc.ThrowException()
@@ -259,15 +185,4 @@ func (a *TextSecure) Start() {
 			}
 		})
 	})
-}
-
-// Stop implements App.
-func (a *TextSecure) Stop() {
-	a.base.Stop()
-	if a.stopRetry != nil {
-		a.stopRetry()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
 }

@@ -38,15 +38,9 @@ func (a *FixedK9) Start() {
 }
 
 func (a *FixedK9) attempt() {
-	if a.stopped {
-		return
-	}
 	a.wl.Acquire()
 	a.proc.RunWork(30*time.Millisecond, func() {
 		a.proc.NetworkRequest(3*time.Second, func(err error) {
-			if a.stopped {
-				return
-			}
 			if err != nil {
 				// The fix: release promptly, back off exponentially.
 				a.wl.Release()
@@ -65,18 +59,9 @@ func (a *FixedK9) attempt() {
 	})
 }
 
-// Stop implements App.
-func (a *FixedK9) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
-}
-
 // FixedKontalk releases its wakelock as soon as authentication completes.
 type FixedKontalk struct {
 	base
-	wl *powermgr.Wakelock
 }
 
 // NewFixedKontalk builds the repaired model.
@@ -86,30 +71,21 @@ func NewFixedKontalk(s *sim.Sim, uid power.UID) *FixedKontalk {
 
 // Start implements App.
 func (a *FixedKontalk) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "kontalk-fixed")
-	a.wl.Acquire()
+	wl := a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "kontalk-fixed")
+	wl.Acquire()
 	a.proc.RunWork(2*time.Second, func() {
 		a.proc.NetworkRequest(time.Second, func(error) {
-			a.wl.Release() // the fix: release right after authentication
+			wl.Release() // the fix: release right after authentication
 		})
 	})
-}
-
-// Stop implements App.
-func (a *FixedKontalk) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
 }
 
 // FixedBetterWeather gives up the GPS search after one bounded attempt per
 // refresh and backs off to a long retry period under weak signal.
 type FixedBetterWeather struct {
 	base
-	wl        *powermgr.Wakelock
-	req       *location.Request
-	stopCycle func()
+	wl  *powermgr.Wakelock
+	req *location.Request
 }
 
 // NewFixedBetterWeather builds the repaired model.
@@ -121,9 +97,6 @@ func NewFixedBetterWeather(s *sim.Sim, uid power.UID) *FixedBetterWeather {
 func (a *FixedBetterWeather) Start() {
 	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "bw-fixed")
 	try := func() {
-		if a.stopped {
-			return
-		}
 		a.wl.Acquire()
 		if a.req == nil {
 			a.req = a.s.Location.Register(a.UID(), 10*time.Second, func(location.Fix) {
@@ -142,19 +115,5 @@ func (a *FixedBetterWeather) Start() {
 		})
 	}
 	a.s.Engine.Schedule(0, try)
-	a.stopCycle = a.proc.AlarmEvery(15*time.Minute, try)
-}
-
-// Stop implements App.
-func (a *FixedBetterWeather) Stop() {
-	a.base.Stop()
-	if a.stopCycle != nil {
-		a.stopCycle()
-	}
-	if a.req != nil {
-		a.req.Unregister()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.proc.AlarmEvery(15*time.Minute, try)
 }

@@ -18,9 +18,8 @@ import (
 // "around 60% of the time asking for the GPS lock".
 type BetterWeather struct {
 	base
-	wl        *powermgr.Wakelock
-	req       *location.Request
-	stopCycle func()
+	wl  *powermgr.Wakelock
+	req *location.Request
 	// GotWeather counts successful weather refreshes (fixes received).
 	GotWeather int
 }
@@ -34,9 +33,6 @@ func NewBetterWeather(s *sim.Sim, uid power.UID) *BetterWeather {
 func (a *BetterWeather) Start() {
 	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "bw-refresh")
 	try := func() {
-		if a.stopped {
-			return
-		}
 		a.wl.Acquire()
 		if a.req == nil {
 			a.req = a.s.Location.Register(a.UID(), 10*time.Second, func(location.Fix) {
@@ -54,7 +50,7 @@ func (a *BetterWeather) Start() {
 		})
 	}
 	a.s.Engine.Schedule(0, try)
-	a.stopCycle = a.proc.AlarmEvery(time.Minute, try)
+	a.proc.AlarmEvery(time.Minute, try)
 }
 
 // GPSObjectID exposes the GPS registration's kernel-object id for
@@ -67,26 +63,11 @@ func (a *BetterWeather) GPSObjectID() uint64 {
 	return a.req.ObjectID()
 }
 
-// Stop implements App.
-func (a *BetterWeather) Stop() {
-	a.base.Stop()
-	if a.stopCycle != nil {
-		a.stopCycle()
-	}
-	if a.req != nil {
-		a.req.Unregister()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
-}
-
 // Where models the WHERE travel app (Table 5 row 11): a continuous GPS
 // search with no give-up logic at all — under weak signal the radio asks
 // forever.
 type Where struct {
 	base
-	req *location.Request
 }
 
 // NewWhere builds the model.
@@ -96,17 +77,9 @@ func NewWhere(s *sim.Sim, uid power.UID) *Where {
 
 // Start implements App.
 func (a *Where) Start() {
-	a.req = a.s.Location.Register(a.UID(), 5*time.Second, func(location.Fix) {
+	a.s.Location.Register(a.UID(), 5*time.Second, func(location.Fix) {
 		a.proc.NoteUIUpdate()
 	})
-}
-
-// Stop implements App.
-func (a *Where) Stop() {
-	a.base.Stop()
-	if a.req != nil {
-		a.req.Unregister()
-	}
 }
 
 // gpsLeak is the shared shape of the GPS Long-Holding defects: a listener
@@ -123,7 +96,6 @@ type gpsLeak struct {
 	// (the MozStumbler interval-scanning pattern), resetting any penalty a
 	// governor applied to the old registration.
 	rebindEvery time.Duration
-	stopRebind  func()
 }
 
 // Start implements App.
@@ -139,25 +111,11 @@ func (a *gpsLeak) Start() {
 		a.activity.Destroy() // the user leaves; the listener leaks
 	})
 	if a.rebindEvery > 0 {
-		a.stopRebind = a.proc.AlarmEvery(a.rebindEvery, func() {
-			if a.stopped || a.req == nil {
-				return
-			}
+		a.proc.AlarmEvery(a.rebindEvery, func() {
 			// A fresh scan session: tear down and immediately re-register.
 			a.req.Unregister()
 			a.req.Reregister()
 		})
-	}
-}
-
-// Stop implements App.
-func (a *gpsLeak) Stop() {
-	a.base.Stop()
-	if a.stopRebind != nil {
-		a.stopRebind()
-	}
-	if a.req != nil {
-		a.req.Unregister()
 	}
 }
 
@@ -199,24 +157,21 @@ func NewBostonBusMap(s *sim.Sim, uid power.UID) App {
 // the data — consumption without value.
 type gpsIdleStream struct {
 	base
-	req      *location.Request
 	interval time.Duration
 	// workPerFix, when non-zero, burns CPU per fix (OpenGPSTracker's
 	// track-recording pipeline), with failEvery-th fixes throwing storage
 	// exceptions.
 	workPerFix time.Duration
 	failEvery  int
-	wl         *powermgr.Wakelock
 	nfix       int
 }
 
 // Start implements App.
 func (a *gpsIdleStream) Start() {
 	if a.workPerFix > 0 {
-		a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "gps-pipeline")
-		a.wl.Acquire()
+		a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "gps-pipeline").Acquire()
 	}
-	a.req = a.s.Location.Register(a.UID(), a.interval, func(location.Fix) {
+	a.s.Location.Register(a.UID(), a.interval, func(location.Fix) {
 		a.nfix++
 		if a.workPerFix > 0 {
 			a.proc.RunWork(a.workPerFix, nil)
@@ -225,17 +180,6 @@ func (a *gpsIdleStream) Start() {
 			}
 		}
 	})
-}
-
-// Stop implements App.
-func (a *gpsIdleStream) Stop() {
-	a.base.Stop()
-	if a.req != nil {
-		a.req.Unregister()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
 }
 
 // NewAIMSICD models the AIMSI-Catcher-Detector defect (Table 5 row 16):

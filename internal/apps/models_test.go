@@ -146,9 +146,4 @@ func TestFacebookLeaksWakelockAndAudio(t *testing.T) {
 	if got < wantJ*0.99 || got > wantJ*1.01 {
 		t.Fatalf("energy = %v, want ≈ %v (wakelock + audio session)", got, wantJ)
 	}
-	app.Stop()
-	s.Run(time.Minute)
-	if s.Meter.InstantPowerOfW(appUID) != 0 {
-		t.Fatal("Stop should release both leaks")
-	}
 }

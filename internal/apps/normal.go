@@ -18,8 +18,6 @@ import (
 // GPS utility is genuinely high — LeaseOS must keep renewing its leases.
 type RunKeeper struct {
 	base
-	req *location.Request
-	reg *sensor.Registration
 
 	// TrackPoints counts recorded fixes: the §7.4 disruption metric is a
 	// gap in this stream.
@@ -40,25 +38,14 @@ func (a *RunKeeper) Start() {
 	// Starting a workout initialises the session (route storage, GPS
 	// warm-up, audio cue) — real CPU work in the first lease term.
 	a.proc.RunWork(600*time.Millisecond, nil)
-	a.req = a.s.Location.Register(a.UID(), 2*time.Second, func(location.Fix) {
+	a.s.Location.Register(a.UID(), 2*time.Second, func(location.Fix) {
 		a.TrackPoints++
 		// Write the track point, map-match, update pace statistics.
 		a.proc.RunWork(100*time.Millisecond, nil)
 	})
-	a.reg = a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 500*time.Millisecond, func(sensor.Event) {
+	a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 500*time.Millisecond, func(sensor.Event) {
 		a.proc.RunWork(15*time.Millisecond, nil) // step counting
 	})
-}
-
-// Stop implements App.
-func (a *RunKeeper) Stop() {
-	a.base.Stop()
-	if a.req != nil {
-		a.req.Unregister()
-	}
-	if a.reg != nil {
-		a.reg.Unregister()
-	}
 }
 
 // Spotify models background music streaming (§7.4): an audio session, a
@@ -101,9 +88,8 @@ func (a *Spotify) Start() {
 	})
 }
 
-// Stop implements App.
+// Stop ends playback: the music stops when the user leaves.
 func (a *Spotify) Stop() {
-	a.base.Stop()
 	if a.stopPlay != nil {
 		a.stopPlay()
 	}
@@ -123,8 +109,6 @@ func (a *Spotify) Stop() {
 // utility comes entirely from processing the data it asked for.
 type Haven struct {
 	base
-	accel  *sensor.Registration
-	camera *sensor.Registration
 
 	// EventsAnalyzed counts processed sensor readings.
 	EventsAnalyzed int
@@ -145,19 +129,8 @@ func (a *Haven) Start() {
 	analyze := func(sensor.Event) {
 		a.proc.RunWork(60*time.Millisecond, analyzed)
 	}
-	a.accel = a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 500*time.Millisecond, analyze)
-	a.camera = a.s.Sensors.Register(a.UID(), sensor.Camera, time.Second, analyze)
-}
-
-// Stop implements App.
-func (a *Haven) Stop() {
-	a.base.Stop()
-	if a.accel != nil {
-		a.accel.Unregister()
-	}
-	if a.camera != nil {
-		a.camera.Unregister()
-	}
+	a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 500*time.Millisecond, analyze)
+	a.s.Sensors.Register(a.UID(), sensor.Camera, time.Second, analyze)
 }
 
 // SyncApp models a well-behaved background app (Pandora, Transdroid, Flym —
@@ -166,12 +139,10 @@ func (a *Haven) Stop() {
 // the network, processes the result, and releases promptly.
 type SyncApp struct {
 	base
-	wl       *powermgr.Wakelock
-	stopSync func()
-	period   time.Duration
-	workDur  time.Duration
-	netDur   time.Duration
-	free     *syncCycle // finished cycles, their callbacks bound
+	period  time.Duration
+	workDur time.Duration
+	netDur  time.Duration
+	free    *syncCycle // finished cycles, their callbacks bound
 
 	// Syncs counts completed cycles.
 	Syncs int
@@ -196,13 +167,10 @@ func NewSyncApp(s *sim.Sim, uid power.UID, name string, period, work, net time.D
 
 // Start implements App.
 func (a *SyncApp) Start() {
-	a.stopSync = a.proc.AlarmEvery(a.period, a.sync)
+	a.proc.AlarmEvery(a.period, a.sync)
 }
 
 func (a *SyncApp) sync() {
-	if a.stopped {
-		return
-	}
 	c := a.free
 	if c != nil {
 		a.free, c.next = c.next, nil
@@ -213,7 +181,6 @@ func (a *SyncApp) sync() {
 	// Real sync adapters create a fresh wakelock instance per cycle, so
 	// every sync is a short-lived kernel object (and lease).
 	c.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, a.name+"-sync")
-	a.wl = c.wl
 	c.wl.Acquire()
 	a.proc.NetworkRequest(a.netDur, c.fetched)
 }
@@ -238,22 +205,12 @@ func (c *syncCycle) done() {
 	c.next, c.app.free = c.app.free, c
 }
 
-// Stop implements App.
-func (a *SyncApp) Stop() {
-	a.base.Stop()
-	if a.stopSync != nil {
-		a.stopSync()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
-}
-
 // Foreground models an interactively-used app (YouTube, a game, a browser):
 // heavy CPU and network with continuous UI updates and user interactions.
 // It exists for the overhead and latency experiments (Figures 13 and 14).
 type Foreground struct {
 	base
+	stopped    bool
 	stopRender func()
 	stopFetch  func()
 	netEvery   time.Duration
@@ -293,9 +250,9 @@ func (a *Foreground) Start() {
 // Interact delivers one user interaction (tap/scroll).
 func (a *Foreground) Interact() { a.proc.NoteInteraction() }
 
-// Stop implements App.
+// Stop ends the session: the user leaves the app.
 func (a *Foreground) Stop() {
-	a.base.Stop()
+	a.stopped = true
 	if a.stopRender != nil {
 		a.stopRender()
 	}

@@ -1,9 +1,7 @@
 package apps
 
 import (
-	"repro/internal/android/holdsvc"
 	"repro/internal/android/hooks"
-	"repro/internal/android/powermgr"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -14,7 +12,6 @@ import (
 // display burns on.
 type ConnectBotScreen struct {
 	base
-	wl *powermgr.Wakelock
 }
 
 // NewConnectBotScreen builds the model.
@@ -24,16 +21,7 @@ func NewConnectBotScreen(s *sim.Sim, uid power.UID) *ConnectBotScreen {
 
 // Start implements App.
 func (a *ConnectBotScreen) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.ScreenWakelock, "connectbot-screen")
-	a.wl.Acquire()
-}
-
-// Stop implements App.
-func (a *ConnectBotScreen) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.s.Power.NewWakelock(a.UID(), hooks.ScreenWakelock, "connectbot-screen").Acquire()
 }
 
 // StandupTimer models the standup-timer defect (Table 5 row 8): the
@@ -42,7 +30,6 @@ func (a *ConnectBotScreen) Stop() {
 // code path never ran.
 type StandupTimer struct {
 	base
-	wl *powermgr.Wakelock
 }
 
 // NewStandupTimer builds the model.
@@ -52,16 +39,7 @@ func NewStandupTimer(s *sim.Sim, uid power.UID) *StandupTimer {
 
 // Start implements App.
 func (a *StandupTimer) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.ScreenWakelock, "standup-screen")
-	a.wl.Acquire()
-}
-
-// Stop implements App.
-func (a *StandupTimer) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.s.Power.NewWakelock(a.UID(), hooks.ScreenWakelock, "standup-screen").Acquire()
 }
 
 // ConnectBotWifi models ConnectBot's Wi-Fi lock defect (Table 5 row 9): the
@@ -69,7 +47,6 @@ func (a *StandupTimer) Stop() {
 // network actually is Wi-Fi; on cellular the lock just burns radio power.
 type ConnectBotWifi struct {
 	base
-	lock *holdsvc.Lock
 }
 
 // NewConnectBotWifi builds the model.
@@ -79,14 +56,5 @@ func NewConnectBotWifi(s *sim.Sim, uid power.UID) *ConnectBotWifi {
 
 // Start implements App.
 func (a *ConnectBotWifi) Start() {
-	a.lock = a.s.Wifi.NewLock(a.UID())
-	a.lock.Acquire() // the missing "only lock Wi-Fi if our network is Wi-Fi" check
-}
-
-// Stop implements App.
-func (a *ConnectBotWifi) Stop() {
-	a.base.Stop()
-	if a.lock != nil {
-		a.lock.Release()
-	}
+	a.s.Wifi.NewLock(a.UID()).Acquire() // the missing "only lock Wi-Fi if our network is Wi-Fi" check
 }

@@ -15,7 +15,6 @@ import (
 // events that trigger no icon, no click, no work.
 type TapAndTurn struct {
 	base
-	reg *sensor.Registration
 
 	// IconShown / IconClicked reproduce the Figure 6 ClickUtility inputs:
 	// how often the rotation icon appeared and how often it was clicked.
@@ -30,7 +29,7 @@ func NewTapAndTurn(s *sim.Sim, uid power.UID) *TapAndTurn {
 
 // Start implements App.
 func (a *TapAndTurn) Start() {
-	a.reg = a.s.Sensors.Register(a.UID(), sensor.Orientation, 250*time.Millisecond, func(sensor.Event) {
+	a.s.Sensors.Register(a.UID(), sensor.Orientation, 250*time.Millisecond, func(sensor.Event) {
 		// Screen is off: orientation changes never show the icon, so the
 		// events are pure waste. (When the icon does appear, the model's
 		// RecordRotation is invoked by the workload script.)
@@ -59,20 +58,11 @@ func (a *TapAndTurn) ClickUtility() lease.UtilityCounter {
 	})
 }
 
-// Stop implements App.
-func (a *TapAndTurn) Stop() {
-	a.base.Stop()
-	if a.reg != nil {
-		a.reg.Unregister()
-	}
-}
-
 // Riot models the Riot/vector-im accelerometer defect (Table 5 row 20): the
 // Google-Play build samples the accelerometer continuously for a debug
 // shake-gesture nobody uses.
 type Riot struct {
 	base
-	reg *sensor.Registration
 }
 
 // NewRiot builds the model.
@@ -82,13 +72,5 @@ func NewRiot(s *sim.Sim, uid power.UID) *Riot {
 
 // Start implements App.
 func (a *Riot) Start() {
-	a.reg = a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 200*time.Millisecond, nil)
-}
-
-// Stop implements App.
-func (a *Riot) Stop() {
-	a.base.Stop()
-	if a.reg != nil {
-		a.reg.Unregister()
-	}
+	a.s.Sensors.Register(a.UID(), sensor.Accelerometer, 200*time.Millisecond, nil)
 }

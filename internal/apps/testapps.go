@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/android/hooks"
-	"repro/internal/android/powermgr"
 	"repro/internal/android/sensor"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -16,7 +15,6 @@ import (
 // releases it".
 type LongHolder struct {
 	base
-	wl *powermgr.Wakelock
 }
 
 // NewLongHolder builds the model.
@@ -26,16 +24,7 @@ func NewLongHolder(s *sim.Sim, uid power.UID) *LongHolder {
 
 // Start implements App.
 func (a *LongHolder) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "longhold")
-	a.wl.Acquire()
-}
-
-// Stop implements App.
-func (a *LongHolder) Stop() {
-	a.base.Stop()
-	if a.wl != nil {
-		a.wl.Release()
-	}
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "longhold").Acquire()
 }
 
 // Slice is one phase of a SliceApp trace.
@@ -68,11 +57,9 @@ func RandomSlices(seed int64, n int, maxLen time.Duration) []Slice {
 // Figure 12 sensitivity experiment.
 type SliceApp struct {
 	base
-	wl       *powermgr.Wakelock
-	slices   []Slice
-	idx      int
-	stopWork func()
-	busy     bool
+	slices []Slice
+	idx    int
+	busy   bool
 
 	// misbehaving mirrors the current slice's phase; Figure 12 samples it
 	// to split energy into wasted and legitimate.
@@ -86,9 +73,8 @@ func NewSliceApp(s *sim.Sim, uid power.UID, slices []Slice) *SliceApp {
 
 // Start implements App.
 func (a *SliceApp) Start() {
-	a.wl = a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "slices")
-	a.wl.Acquire()
-	a.stopWork = a.proc.Every(time.Second, func() {
+	a.s.Power.NewWakelock(a.UID(), hooks.Wakelock, "slices").Acquire()
+	a.proc.Every(time.Second, func() {
 		if a.busy {
 			a.proc.RunWork(400*time.Millisecond, nil)
 		}
@@ -100,7 +86,7 @@ func (a *SliceApp) Start() {
 func (a *SliceApp) Misbehaving() bool { return a.misbehaving }
 
 func (a *SliceApp) nextSlice() {
-	if a.stopped || a.idx >= len(a.slices) {
+	if a.idx >= len(a.slices) {
 		a.busy = false
 		a.misbehaving = false
 		return
@@ -112,17 +98,6 @@ func (a *SliceApp) nextSlice() {
 	// Slice transitions are wall-clock (the trace advances regardless of
 	// CPU state), so schedule on the engine, not the process.
 	a.s.Engine.Schedule(sl.Length, a.nextSlice)
-}
-
-// Stop implements App.
-func (a *SliceApp) Stop() {
-	a.base.Stop()
-	if a.stopWork != nil {
-		a.stopWork()
-	}
-	if a.wl != nil {
-		a.wl.Release()
-	}
 }
 
 // InteractionApp supports the Figure 14 end-to-end latency experiment: a

@@ -7,11 +7,10 @@
 //
 //   - Append writes one length-prefixed, CRC32-checked record to the
 //     journal. Records are replayed in append order on the next Open.
-//   - Checkpoint atomically replaces the snapshot (tmp + rename) and resets
-//     the journal, so recovery cost stays bounded by the snapshot cadence.
-//     CheckpointStream is the same for a payload produced in pieces, which
-//     is how the daemon writes its multi-megabyte shard state without ever
-//     holding it whole.
+//   - CheckpointStream atomically replaces the snapshot (tmp + rename) and
+//     resets the journal, so recovery cost stays bounded by the snapshot
+//     cadence. The payload streams in pieces, which is how the daemon
+//     writes its multi-megabyte shard state without ever holding it whole.
 //   - Open reads the snapshot (if any), replays the journal's intact
 //     prefix, and truncates any torn tail left by a crash mid-write.
 //
@@ -404,33 +403,24 @@ func (s *Store) Stats() Stats {
 // journal header and the next snapshot's predecessor.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// Checkpoint atomically replaces the snapshot with payload and resets the
-// journal. Order matters: the snapshot (carrying epoch+1) is durable before
-// the journal is touched, so a crash at any instant leaves either the old
-// state (snapshot N + its journal) or the new one (snapshot N+1 + an empty
-// or stale-and-discardable journal).
-func (s *Store) Checkpoint(payload []byte) error {
-	return s.CheckpointAt(payload, s.epoch+1)
-}
-
-// CheckpointAt is Checkpoint with an explicit target epoch. The replication
-// layer uses it to jump a promoted follower's store into its leadership
-// generation's EpochBand, fencing any journal a stale ex-primary left behind
-// (see EpochBand). The target must move the epoch forward; going backwards
-// would un-fence already-discarded records.
-func (s *Store) CheckpointAt(payload []byte, epoch uint64) error {
-	return s.CheckpointStream(epoch, func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	})
-}
-
-// CheckpointStream is CheckpointAt for a payload produced in pieces: write
-// streams it into the snapshot file through w, which keeps the running
-// length and CRC, so a multi-megabyte state never has to exist as one
-// buffer. Any failure — write's own error, a payload past the header's
-// 32-bit length, the disk — leaves the old snapshot and journal intact and
-// no tmp file behind.
+// CheckpointStream atomically replaces the snapshot with the payload write
+// produces and resets the journal, stamping epoch on both. Order matters:
+// the snapshot (carrying the new epoch) is durable before the journal is
+// touched, so a crash at any instant leaves either the old state (snapshot
+// N + its journal) or the new one (snapshot N+1 + an empty or
+// stale-and-discardable journal).
+//
+// The epoch must move forward; going backwards would un-fence
+// already-discarded records. The next epoch is the usual target; the
+// replication layer jumps a promoted follower's store into its leadership
+// generation's EpochBand, fencing any journal a stale ex-primary left
+// behind (see EpochBand).
+//
+// write streams the payload into the snapshot file through w, which keeps
+// the running length and CRC, so a multi-megabyte state never has to exist
+// as one buffer. Any failure — write's own error, a payload past the
+// header's 32-bit length, the disk — leaves the old snapshot and journal
+// intact and no tmp file behind.
 func (s *Store) CheckpointStream(epoch uint64, write func(w io.Writer) error) error {
 	if epoch <= s.epoch {
 		return fmt.Errorf("durable: checkpoint epoch %d does not advance current epoch %d", epoch, s.epoch)

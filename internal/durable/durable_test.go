@@ -13,6 +13,17 @@ import (
 	"testing"
 )
 
+// checkpointAt streams payload into a checkpoint at epoch.
+func checkpointAt(s *Store, payload []byte, epoch uint64) error {
+	return s.CheckpointStream(epoch, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// checkpoint checkpoints payload at the next epoch.
+func checkpoint(s *Store, payload []byte) error { return checkpointAt(s, payload, s.Epoch()+1) }
+
 func openT(t *testing.T, dir string) (*Store, OpenResult) {
 	t.Helper()
 	s, res, err := Open(dir, false)
@@ -145,7 +156,7 @@ func TestCheckpointResetsJournal(t *testing.T) {
 	if s.SinceCheckpoint() != 2 {
 		t.Fatalf("since = %d, want 2", s.SinceCheckpoint())
 	}
-	if err := s.Checkpoint([]byte("STATE")); err != nil {
+	if err := checkpoint(s, []byte("STATE")); err != nil {
 		t.Fatal(err)
 	}
 	if s.SinceCheckpoint() != 0 {
@@ -193,7 +204,7 @@ func TestStaleJournalDiscardedAfterCrashBetweenSnapshotAndReset(t *testing.T) {
 func TestCorruptSnapshotIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	if err := s.Checkpoint([]byte("STATE")); err != nil {
+	if err := checkpoint(s, []byte("STATE")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -393,7 +404,7 @@ func TestBatchStatsCountMembers(t *testing.T) {
 	if st := s.Stats(); st.AppendedTotal != 4 {
 		t.Fatalf("appended_total = %d, want 4", st.AppendedTotal)
 	}
-	if err := s.Checkpoint([]byte("S")); err != nil {
+	if err := checkpoint(s, []byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	batchAppend(t, s, "five", "six")
@@ -419,13 +430,13 @@ func assertNoTmp(t *testing.T, dir string) {
 func TestOversizedSnapshotIsRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	if err := s.Checkpoint([]byte("STATE")); err != nil {
+	if err := checkpoint(s, []byte("STATE")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, s, "post-1", "post-2")
 	s.maxSnapshot = 1 << 10
 
-	err := s.Checkpoint(make([]byte, 1<<10+1))
+	err := checkpoint(s, make([]byte, 1<<10+1))
 	if err == nil || !strings.Contains(err.Error(), "exceeds the format's 1024-byte limit") {
 		t.Fatalf("oversized payload: err = %v", err)
 	}
@@ -447,10 +458,10 @@ func TestOversizedSnapshotIsRefused(t *testing.T) {
 		t.Fatalf("refused checkpoint moved the store: epoch %d, since %d", s.Epoch(), s.SinceCheckpoint())
 	}
 	// Exactly at the limit is fine.
-	if err := s.Checkpoint(make([]byte, 1<<10)); err != nil {
+	if err := checkpoint(s, make([]byte, 1<<10)); err != nil {
 		t.Fatalf("payload at the limit: %v", err)
 	}
-	if err := s.CheckpointAt([]byte("STATE-2"), 1); err == nil {
+	if err := checkpointAt(s, []byte("STATE-2"), 1); err == nil {
 		t.Fatal("non-advancing epoch accepted")
 	}
 	assertNoTmp(t, dir)
@@ -468,7 +479,7 @@ func TestOversizedSnapshotIsRefused(t *testing.T) {
 func TestFailedCheckpointKeepsOldState(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	if err := s.Checkpoint([]byte("STATE")); err != nil {
+	if err := checkpoint(s, []byte("STATE")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, s, "post-1")
@@ -544,7 +555,7 @@ func TestReadJournalIsReadOnly(t *testing.T) {
 
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
-	if err := s.Checkpoint([]byte("STATE")); err != nil {
+	if err := checkpoint(s, []byte("STATE")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, s, "alpha")

@@ -134,22 +134,22 @@ func FuzzScanJournal(f *testing.F) {
 func TestCheckpointAtRejectsNonAdvancingEpoch(t *testing.T) {
 	s, _ := openT(t, t.TempDir())
 	defer s.Close()
-	if err := s.Checkpoint([]byte("state-1")); err != nil {
+	if err := checkpoint(s, []byte("state-1")); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != 1 {
 		t.Fatalf("epoch after first checkpoint: %d", got)
 	}
 	for _, target := range []uint64{0, 1} {
-		if err := s.CheckpointAt([]byte("state-x"), target); err == nil {
-			t.Fatalf("CheckpointAt(%d) accepted a non-advancing epoch", target)
+		if err := checkpointAt(s, []byte("state-x"), target); err == nil {
+			t.Fatalf("checkpoint at epoch %d accepted a non-advancing epoch", target)
 		}
 	}
 	if got := s.Epoch(); got != 1 {
 		t.Fatalf("failed checkpoint moved the epoch to %d", got)
 	}
 	// A band jump — what promotion does — is just a big forward move.
-	if err := s.CheckpointAt([]byte("state-2"), EpochBand); err != nil {
+	if err := checkpointAt(s, []byte("state-2"), EpochBand); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Epoch(); got != EpochBand {

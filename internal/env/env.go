@@ -158,9 +158,3 @@ func (e *Environment) SetUserPresent(present bool) {
 	e.userPresent = present
 	e.notify()
 }
-
-// At schedules a mutation of the environment at an absolute virtual instant.
-// It is sugar for scenario scripts.
-func (e *Environment) At(t simclock.Time, fn func(*Environment)) {
-	e.engine.ScheduleAt(t, func() { fn(e) })
-}

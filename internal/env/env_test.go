@@ -58,7 +58,7 @@ func TestSpeedWhileMoving(t *testing.T) {
 func TestScheduledMutation(t *testing.T) {
 	eng := simclock.NewEngine()
 	e := New(eng)
-	e.At(10*time.Second, func(e *Environment) { e.SetGPS(GPSNone) })
+	eng.ScheduleAt(10*time.Second, func() { e.SetGPS(GPSNone) })
 	eng.RunUntil(5 * time.Second)
 	if e.GPS() != GPSGood {
 		t.Fatal("mutation fired early")

@@ -137,13 +137,6 @@ func Runners(quick bool) []Runner {
 	}
 }
 
-// All runs every experiment in paper order. Independent runners execute on
-// the harness worker pool (see SetParallelism); the output slice is always
-// in paper order regardless of completion order.
-func All(quick bool) []Result {
-	return RunSelected(Runners(quick))
-}
-
 // RunSelected executes the given runners and returns their results in the
 // given order. Non-isolated runners fan out across the worker pool;
 // isolated runners (host wall-clock micro benchmarks) run strictly alone

@@ -39,7 +39,7 @@ func TestExperimentsOutputGolden(t *testing.T) {
 		t.Fatalf("reading committed snapshot: %v", err)
 	}
 	var b strings.Builder
-	for _, res := range All(false) {
+	for _, res := range RunSelected(Runners(false)) {
 		// Mirror leasesim experiments: each artefact rendered then Println'd.
 		b.WriteString(res.String())
 		b.WriteString("\n")

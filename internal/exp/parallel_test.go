@@ -13,7 +13,7 @@ func renderAll(n int) (ids []string, rendered string) {
 	SetParallelism(n)
 	defer SetParallelism(0)
 	var b strings.Builder
-	for _, res := range All(true) {
+	for _, res := range RunSelected(Runners(true)) {
 		ids = append(ids, res.ID)
 		if res.ID != "table-4" {
 			b.WriteString(res.String())

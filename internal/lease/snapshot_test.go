@@ -31,7 +31,6 @@ func (c *snapCtrl) Unsuppress(id uint64) { delete(c.suppressed, id) }
 func (c *snapCtrl) TermStats(id uint64) hooks.TermStats {
 	return hooks.TermStats{Held: 5 * time.Second, Active: 5 * time.Second}
 }
-func (c *snapCtrl) ServiceName() string { return "snaptest" }
 
 func snapObj(ctrl *snapCtrl, id uint64, uid power.UID) hooks.Object {
 	return hooks.Object{ID: id, UID: uid, Kind: hooks.Wakelock, Control: ctrl}

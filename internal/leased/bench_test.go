@@ -123,7 +123,7 @@ func BenchmarkBatchApply(b *testing.B) {
 }
 
 // followerApplyOp is what a follower pays for one replicated renew: a burst
-// of one group of one through Server.ApplyBatch — decode, clock section,
+// of one group of one through Server.ApplyBurst — decode, clock section,
 // apply, the dedup entry when the record carries a request ID, and the
 // journal frame (a real file; checkpoints out of reach). The op replays one
 // record at one instant, so no term boundary is ever crossed.
@@ -145,7 +145,7 @@ func followerApplyOp(tb testing.TB, reqID string) func() {
 	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).lease.ID(), Report: &rep, ReqID: reqID})
 	group := [][]byte{renew}
 	return func() {
-		if err := s.ApplyBatch(0, group); err != nil {
+		if err := s.ApplyBurst(0, [][][]byte{group}); err != nil {
 			tb.Fatal(err)
 		}
 	}

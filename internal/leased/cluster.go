@@ -333,14 +333,9 @@ func (s *Server) ApplySnapshot(shard int, payload []byte) error {
 	return nil
 }
 
-// ApplyRecord replays one replicated record: a batch of one.
+// ApplyRecord replays one replicated record: a burst of one group of one.
 func (s *Server) ApplyRecord(shard int, payload []byte) error {
-	return s.ApplyBatch(shard, [][]byte{payload})
-}
-
-// ApplyBatch replays one replicated group: a burst of one.
-func (s *Server) ApplyBatch(shard int, payloads [][]byte) error {
-	return s.ApplyBurst(shard, [][][]byte{payloads})
+	return s.ApplyBurst(shard, [][][]byte{{payload}})
 }
 
 // ApplyBurst implements cluster.Applier: under one clock section each group

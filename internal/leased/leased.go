@@ -862,9 +862,6 @@ func (o *robj) TermStats(id uint64) hooks.TermStats {
 	return o.Pull()
 }
 
-// ServiceName implements hooks.Controller.
-func (o *robj) ServiceName() string { return "leased" }
-
 var _ hooks.Controller = (*robj)(nil)
 
 // --- the client table (lease.AppStats) ---
@@ -954,11 +951,6 @@ func (c *clientRec) reported() bool {
 // keeps it as its lease.AppStats while append moves recs.
 type clientTable struct {
 	recs []clientRec
-}
-
-// known reports whether uid has been issued.
-func (t *clientTable) known(uid power.UID) bool {
-	return uid > 0 && int(uid) < len(t.recs)
 }
 
 // The manager asks only about holders of its leases, whose UIDs acquire

@@ -41,9 +41,10 @@ type proxyRig struct {
 type lifecycleGov struct {
 	hooks.Nop
 	created, destroyed int
+	newest             uint64 // the id of the object created last
 }
 
-func (g *lifecycleGov) ObjectCreated(hooks.Object)   { g.created++ }
+func (g *lifecycleGov) ObjectCreated(o hooks.Object) { g.created++; g.newest = o.ID }
 func (g *lifecycleGov) ObjectDestroyed(hooks.Object) { g.destroyed++ }
 
 // simWorld is the part of a simulated device every service needs.
@@ -59,10 +60,16 @@ func newSimWorld() *simWorld {
 	return &simWorld{engine: e, meter: power.NewMeter(e), registry: binder.NewRegistry(), gov: &lifecycleGov{}}
 }
 
-func (w *simWorld) rig(ctl hooks.Controller, create func() uint64, hold, drop, kill func()) proxyRig {
+// rig reads the object's id from the governor, which hears of it by the
+// time it is first held, and kills it as its owner's death does: the
+// registry reaps the token, and the service's death recipient destroys
+// the object.
+func (w *simWorld) rig(ctl hooks.Controller, create func(), hold, drop func()) proxyRig {
 	return proxyRig{
 		advance: func(d time.Duration) { w.engine.RunUntil(w.engine.Now() + d) },
-		create:  create, hold: hold, drop: drop, kill: kill, ctl: ctl,
+		create:  func() uint64 { create(); return w.gov.newest },
+		hold:    hold, drop: drop, ctl: ctl,
+		kill:  func() { w.registry.KillOwner(10) },
 		heard: func() (int, int) { return w.gov.created, w.gov.destroyed },
 	}
 }
@@ -72,27 +79,23 @@ func (w *simWorld) rig(ctl hooks.Controller, create func() uint64, hold, drop, k
 type lockDesc interface {
 	Acquire()
 	Release()
-	Destroy()
-	ObjectID() uint64
 }
 
 type listenerDesc interface {
 	Reregister()
 	Unregister()
-	Destroy()
-	ObjectID() uint64
 }
 
+// lockRig holds the lock as it creates it: the script holds it next, at
+// the same instant.
 func (w *simWorld) lockRig(ctl hooks.Controller, mk func() lockDesc) proxyRig {
 	var d lockDesc
-	return w.rig(ctl, func() uint64 { d = mk(); return d.ObjectID() },
-		func() { d.Acquire() }, func() { d.Release() }, func() { d.Destroy() })
+	return w.rig(ctl, func() { d = mk(); d.Acquire() }, func() { d.Acquire() }, func() { d.Release() })
 }
 
 func (w *simWorld) listenerRig(ctl hooks.Controller, mk func() listenerDesc) proxyRig {
 	var d listenerDesc
-	return w.rig(ctl, func() uint64 { d = mk(); return d.ObjectID() },
-		func() { d.Reregister() }, func() { d.Unregister() }, func() { d.Destroy() })
+	return w.rig(ctl, func() { d = mk() }, func() { d.Reregister() }, func() { d.Unregister() })
 }
 
 func wakelockRig(kind hooks.Kind) func() proxyRig {

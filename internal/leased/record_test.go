@@ -191,7 +191,7 @@ func TestOldFormatJournalRefused(t *testing.T) {
 			}
 		}
 		refused("record", fol.ApplyRecord(0, tc.payload))
-		refused("group", fol.ApplyBatch(0, [][]byte{good, tc.payload}))
+		refused("group", fol.ApplyBurst(0, [][][]byte{{good, tc.payload}}))
 		sh := fol.shards[0]
 		sh.do(func() {
 			if sh.clients.n != 0 || len(sh.table.recs) != 1 || sh.dedup.size() != 0 {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -359,7 +360,7 @@ func snapshotScript(tb testing.TB) *Server {
 		for i, rec := range recs {
 			group[i] = encodeRecord(rec)
 		}
-		if err := s.ApplyBatch(shard, group); err != nil {
+		if err := s.ApplyBurst(shard, [][][]byte{group}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -649,7 +650,10 @@ func TestOldFormatSnapshotRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Checkpoint(legacy); err != nil {
+	if err := store.CheckpointStream(1, func(w io.Writer) error {
+		_, err := w.Write(legacy)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()

@@ -44,7 +44,7 @@ func TestHandleDoesNotCollideWithStringTags(t *testing.T) {
 	if got := m.InstantPowerOfW(1); !almost(got, 0.75) {
 		t.Fatalf("watts = %v, want 0.75 (two independent draws)", got)
 	}
-	m.Clear(1, CPU, "")
+	m.Set(1, CPU, "", 0)
 	if got := m.InstantPowerOfW(1); !almost(got, 0.5) {
 		t.Fatalf("watts = %v, want 0.5 (handle draw untouched)", got)
 	}

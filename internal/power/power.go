@@ -283,11 +283,6 @@ func (m *Meter) Set(owner UID, comp Component, tag string, watts float64) {
 	m.Owner(owner).Set(comp, tag, watts)
 }
 
-// Clear removes a draw entry.
-func (m *Meter) Clear(owner UID, comp Component, tag string) {
-	m.Owner(owner).Set(comp, tag, 0)
-}
-
 // Set is Meter.Set on a resolved owner: no lookup by UID, one scan of the
 // owner's handful of slots for the tag.
 func (o *Owner) Set(comp Component, tag string, watts float64) {
@@ -317,7 +312,7 @@ func (o *Owner) Set(comp Component, tag string, watts float64) {
 	}
 }
 
-// Clear is Meter.Clear on a resolved owner.
+// Clear removes a draw entry of a resolved owner.
 func (o *Owner) Clear(comp Component, tag string) { o.Set(comp, tag, 0) }
 
 // DrawHandle is a pre-resolved reference to one draw slot: it carries its

@@ -74,7 +74,7 @@ func TestMeterClear(t *testing.T) {
 	m := NewMeter(e)
 	m.Set(1, CPU, "wl", 1.0)
 	e.RunUntil(time.Second)
-	m.Clear(1, CPU, "wl")
+	m.Set(1, CPU, "wl", 0)
 	e.RunUntil(10 * time.Second)
 	if got := m.EnergyOfJ(1); !almost(got, 1.0) {
 		t.Fatalf("energy after clear = %v, want 1", got)

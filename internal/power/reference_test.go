@@ -119,7 +119,7 @@ func (r *meterRig) share(u, c, k int, w float64) {
 
 func (r *meterRig) setTagged(u, c, k int, w float64) {
 	if w == 0 && k == 0 {
-		r.m.Clear(fuzzUIDs[u], fuzzComps[c], fuzzTags[k])
+		r.m.Set(fuzzUIDs[u], fuzzComps[c], fuzzTags[k], 0)
 	} else {
 		r.m.Owner(fuzzUIDs[u]).Set(fuzzComps[c], fuzzTags[k], w)
 	}
@@ -226,7 +226,7 @@ func (r *meterRig) check(t *testing.T, instr int) {
 }
 
 // FuzzMeterMatchesReference runs random programs of per-item Set, shared-slot
-// Add, tagged Set and Clear, Release, ClearOwner and clock steps of 0, under
+// Add, tagged Set (to zero too), Release, ClearOwner and clock steps of 0, under
 // a second and over one, and after every instruction requires each owner's,
 // component's and the total's energy, watts and last instant to equal the
 // reference's bit for bit.

@@ -134,13 +134,6 @@ func (w *Writer) Float64(v float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
-// Bytes appends a uvarint length and the raw bytes.
-func (w *Writer) Bytes(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.room(len(b))
-	w.buf = append(w.buf, b...)
-}
-
 // String appends a uvarint length and the string's bytes.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))

