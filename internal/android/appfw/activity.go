@@ -14,15 +14,13 @@ type BoundListener interface {
 // listener counts as used; once it is destroyed, a surviving listener is a
 // leak the Long-Holding metric can see.
 type Activity struct {
-	proc  *Process
-	name  string
 	alive bool
 	bound []BoundListener
 }
 
 // NewActivity creates a live activity for the process.
 func (p *Process) NewActivity(name string) *Activity {
-	return &Activity{proc: p, name: name, alive: true}
+	return &Activity{alive: true}
 }
 
 // Alive reports whether the activity is alive.

@@ -178,7 +178,7 @@ func (fw *Framework) NewProcess(uid power.UID, name string) *Process {
 	if a.proc != nil {
 		panic(fmt.Sprintf("appfw: uid %d already registered", uid))
 	}
-	p := &Process{fw: fw, uid: uid, name: name, acct: a, owner: owner}
+	p := &Process{fw: fw, uid: uid, acct: a, owner: owner}
 	a.proc = p
 	fw.procList = append(fw.procList, p)
 	return p
@@ -377,7 +377,6 @@ type workItem struct {
 type Process struct {
 	fw         *Framework
 	uid        power.UID
-	name       string
 	foreground bool
 	dead       bool
 

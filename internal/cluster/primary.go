@@ -53,8 +53,6 @@ const (
 // process lifetime; they are connection-scoped in meaning only through
 // Welcome.SnapSeq.
 type ShardStream struct {
-	shard int
-
 	mu      sync.Mutex
 	seq     int64
 	scratch []byte // batch-payload packing buffer, reused
@@ -385,7 +383,7 @@ func NewPrimary(src Source, shards int, clock runtime.Clock) *Primary {
 	p := &Primary{src: src, clock: clock, tune: Tuning{}.WithDefaults(), subs: make(map[*Subscriber]struct{})}
 	p.streams = make([]*ShardStream, shards)
 	for i := range p.streams {
-		p.streams[i] = &ShardStream{shard: i}
+		p.streams[i] = &ShardStream{}
 	}
 	return p
 }

@@ -38,8 +38,6 @@ func (q GPSQuality) String() string {
 // Environment is the mutable world state. Create with New; mutate through
 // the setter methods so that subscribers are notified.
 type Environment struct {
-	engine *simclock.Engine
-
 	networkConnected bool
 	networkOnWiFi    bool
 	serverHealthy    bool
@@ -55,7 +53,6 @@ type Environment struct {
 // servers, good GPS, stationary device, no user present.
 func New(engine *simclock.Engine) *Environment {
 	return &Environment{
-		engine:           engine,
 		networkConnected: true,
 		networkOnWiFi:    true,
 		serverHealthy:    true,

@@ -166,11 +166,6 @@ func RunSelected(runners []Runner) []Result {
 // that samples a vector of per-app metrics every 60s, e.g., wakelock time,
 // CPU usage (sysTime + userTime)".
 type minuteProfiler struct {
-	s    *sim.Sim
-	uid  power.UID
-	ctrl hooks.Controller
-	obj  func() uint64
-
 	lastCPU time.Duration
 	stop    func()
 
@@ -186,7 +181,7 @@ type minuteProfiler struct {
 // interval. obj is a func because some apps create the kernel object
 // lazily.
 func newMinuteProfiler(s *sim.Sim, uid power.UID, ctrl hooks.Controller, obj func() uint64, interval time.Duration) *minuteProfiler {
-	p := &minuteProfiler{s: s, uid: uid, ctrl: ctrl, obj: obj}
+	p := &minuteProfiler{}
 	p.stop = s.Engine.Ticker(interval, func() {
 		id := obj()
 		var ts hooks.TermStats

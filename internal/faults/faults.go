@@ -56,7 +56,7 @@ func (in *Injector) Site(name string) *Site {
 	defer in.mu.Unlock()
 	s := in.sites[name]
 	if s == nil {
-		s = &Site{in: in, name: name}
+		s = &Site{in: in}
 		in.sites[name] = s
 	}
 	return s
@@ -157,7 +157,6 @@ func (in *Injector) Names() []string {
 // Site is one injection point. The zero of *Site (nil) never fires.
 type Site struct {
 	in    *Injector
-	name  string
 	prob  float64       // guarded by in.mu
 	delay time.Duration // guarded by in.mu
 	code  int           // guarded by in.mu

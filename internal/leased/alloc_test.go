@@ -10,15 +10,15 @@ package leased
 //	BatchApply/size={16,64,256}    0          TestBenchmarkAllocs
 //	HandlerBatch64/{mem,durable}   0          TestBenchmarkAllocs
 //	HandlerRenew/durable+reqid     1 (= no ID) TestBenchmarkAllocs
-//	HandlerBatch64/durable+reqid   64         TestBenchmarkAllocs
+//	HandlerBatch64/durable+reqid   0          TestBenchmarkAllocs
 //	LoopRenew/{mem,durable}        0          TestBenchmarkAllocs
-//	LoopRenew/durable+reqid        1          TestBenchmarkAllocs
+//	LoopRenew/durable+reqid        0          TestBenchmarkAllocs
 //	LoopBatch64/{mem,durable}      0          TestBenchmarkAllocs
-//	LoopBatch64/durable+reqid      64         TestBenchmarkAllocs
+//	LoopBatch64/durable+reqid      0          TestBenchmarkAllocs
 //	Dedup/{hit,miss,put-full,      0          TestBenchmarkAllocs
 //	  miss+put,hit-rendered}
 //	Checkpoint                     17 (≤ 40)  TestBenchmarkAllocs
-//	FollowerApply/reqid            1          TestBenchmarkAllocs
+//	FollowerApply/reqid            0          TestBenchmarkAllocs
 //	FollowerApply/plain            0          TestBenchmarkAllocs
 //
 // The first three tests drive the full HTTP serving path — record → admit →
@@ -33,6 +33,7 @@ package leased
 // its benchmark cannot drift apart.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -238,25 +239,24 @@ func TestBenchmarkAllocs(t *testing.T) {
 		{"BatchApply/size=256", 0, batchApplyOp(t, 256)},
 		{"HandlerBatch64/mem", 0, handlerOp(t, "mem", batch64Target)},
 		{"HandlerBatch64/durable", 0, handlerOp(t, "durable", batch64Target)},
-		// Under request IDs, with the dedup window full, the cache itself
-		// allocates nothing: a renew costs what it costs without one (its ID
-		// arrives as a header string net/http made), a batch the ID string
-		// its decoder makes for each of its 64 ops.
+		// Under request IDs, with the dedup window full, nothing is
+		// allocated for them: each op's ID is a view of the bytes it came in
+		// (the header string net/http made, a batch body's member), which the
+		// dedup log copies. A renew costs what it costs without one.
 		{"HandlerRenew/durable+reqid", muxOnly, handlerOp(t, "durable+reqid", renewTarget)},
-		{"HandlerBatch64/durable+reqid", 64, handlerOp(t, "durable+reqid", batch64Target)},
+		{"HandlerBatch64/durable+reqid", 0, handlerOp(t, "durable+reqid", batch64Target)},
 		// The connection loop's turn — read, dispatch, render, write — adds
-		// nothing to what it dispatches to: a renew's one allocation is the ID
-		// string it hands the dedup ring (net/http made the handler's).
+		// nothing to what it dispatches to, a request ID included.
 		{"LoopRenew/mem", 0, loopOp(t, "mem", renewTarget)},
 		{"LoopRenew/durable", 0, loopOp(t, "durable", renewTarget)},
-		{"LoopRenew/durable+reqid", 1, loopOp(t, "durable+reqid", renewTarget)},
+		{"LoopRenew/durable+reqid", 0, loopOp(t, "durable+reqid", renewTarget)},
 		{"LoopBatch64/mem", 0, loopOp(t, "mem", batch64Target)},
 		{"LoopBatch64/durable", 0, loopOp(t, "durable", batch64Target)},
-		{"LoopBatch64/durable+reqid", 64, loopOp(t, "durable+reqid", batch64Target)},
+		{"LoopBatch64/durable+reqid", 0, loopOp(t, "durable+reqid", batch64Target)},
 		{"Checkpoint", 40, checkpoint},
-		// What is left under a request ID is the ID string the record decoder
-		// makes; the cache slot keeps the verdict, and nothing is rendered.
-		{"FollowerApply/reqid", 1, followerApplyOp(t, "follower-alloc-1")},
+		// A replayed record's request ID is a view into the record; the
+		// dedup log keeps the verdict, and nothing is rendered.
+		{"FollowerApply/reqid", 0, followerApplyOp(t, "follower-alloc-1")},
 		{"Dedup/hit", 0, dedupOp("hit")},
 		{"Dedup/miss", 0, dedupOp("miss")},
 		{"Dedup/put-full", 0, dedupOp("put-full")},
@@ -276,7 +276,9 @@ func TestBenchmarkAllocs(t *testing.T) {
 
 // TestBatchServePathAllocatesO1 pins the batch path's allocation count as
 // independent of op count: a 128-op batch may cost a small constant, not
-// O(ops).
+// O(ops). Every op carries a req_id member, renumbered in place before each
+// run so that each is new, and each run's ops miss the dedup window and
+// are put into it.
 func TestBatchServePathAllocatesO1(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses itself under the race detector; allocation pins hold only in normal builds")
@@ -290,15 +292,32 @@ func TestBatchServePathAllocatesO1(t *testing.T) {
 		if i > 0 {
 			body = append(body, ',')
 		}
-		body = append(body, fmt.Sprintf(`{"op":"renew","lease_id":%d,"report":{"cpu_ms":1,"ui_updates":1}}`, lr)...)
+		body = append(body, fmt.Sprintf(`{"op":"renew","lease_id":%d,%s"report":{"cpu_ms":1,"ui_updates":1}}`, lr, benchReqID)...)
 	}
 	body = append(body, ']', '}')
+	var members []int
+	for at := 0; ; {
+		i := bytes.Index(body[at:], []byte(benchReqID))
+		if i < 0 {
+			break
+		}
+		at += i + len(benchReqID)
+		members = append(members, at-len(`00000000",`))
+	}
+	if len(members) != ops {
+		t.Fatalf("the body carries %d req_id members, want %d", len(members), ops)
+	}
 
 	handler := s.record(routeBatch, s.admit(s.handleBatch))
 	req, rb := newReplayRequest("POST", "/v1/batch", body)
 	w := newNullWriter()
 
+	var seq uint32
 	run := func() {
+		for _, at := range members {
+			renumber(body[at:], seq)
+			seq++
+		}
 		rb.off = 0
 		w.reset()
 		handler(w, req)
@@ -306,8 +325,15 @@ func TestBatchServePathAllocatesO1(t *testing.T) {
 			t.Fatalf("batch: status %d", w.status)
 		}
 	}
-	if avg := measureAllocs(t, 100, run); avg > 8 {
+	avg := measureAllocs(t, 100, run)
+	t.Logf("a %d-op batch under request IDs: %.2f allocs/op", ops, avg)
+	if avg > 8 {
 		t.Errorf("%d-op batch allocates %.2f times per request, want O(1) (≤8)", ops, avg)
+	}
+	for _, sh := range s.shards {
+		if n := sh.metrics.deduped.Load(); n != 0 {
+			t.Fatalf("%d ops hit the dedup window; every request ID was to be new", n)
+		}
 	}
 }
 

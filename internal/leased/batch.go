@@ -225,7 +225,7 @@ func (s *Server) routeBatchOps(env *batchEnv) {
 		}
 		// The same key X-Request-ID feeds: a single-op retry of a batched
 		// op (or the reverse) dedups cleanly.
-		sl.rec.ReqID = string(op.reqID)
+		sl.rec.ReqID = op.reqID
 		op.routed = true
 	}
 }

@@ -142,7 +142,7 @@ func followerApplyOp(tb testing.TB, reqID string) func() {
 	}
 	sh := s.shards[0]
 	rep := usageReport{CPUMS: 1, UIUpdates: 1}
-	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).lease.ID(), Report: &rep, ReqID: reqID})
+	renew := encodeRecord(&opRecord{Op: opRenew, LeaseID: sh.objOf(acq.Client, acq.Kind).lease.ID(), Report: &rep, ReqID: []byte(reqID)})
 	group := [][]byte{renew}
 	return func() {
 		if err := s.ApplyBurst(0, [][][]byte{group}); err != nil {
@@ -383,7 +383,7 @@ func BenchmarkLoopBatch64(b *testing.B) { benchModes(b, loopOp, batch64Target) }
 // dedupOp is one call on a full default-sized dedup cache, the ID hashed as
 // an op hashes it: "hit" finds a resident ID's verdict, "miss" looks up an ID
 // never stored — a request's first attempt, the common case — "put-full"
-// stores under a new ID, evicting the oldest entry and recycling its slot,
+// stores under a new ID, evicting the oldest entry and appending to the log,
 // and "miss+put" is what a live op under a new ID runs: the miss and the put
 // under its one hash. IDs are made beforehand; a pool four windows long keeps
 // every put a miss.
@@ -391,26 +391,26 @@ func dedupOp(kind string) func() {
 	const window = 4096
 	c := newDedupCache(window)
 	v := verdictN(1)
-	ids := make([]string, 4*window)
+	ids := make([][]byte, 4*window)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("bench-%08x", i)
+		ids[i] = fmt.Appendf(nil, "bench-%08x", i)
 		if i < window {
-			c.store(ids[i], v)
+			c.put(ids[i], c.hashID(ids[i]), v)
 		}
 	}
 	next := 0
-	fresh := func() string { next++; return ids[(window+next)%len(ids)] }
+	fresh := func() []byte { next++; return ids[(window+next)%len(ids)] }
 	switch kind {
 	case "hit":
-		return func() { id := ids[next%window]; c.get(id, c.hash(id)); next++ }
+		return func() { id := ids[next%window]; c.get(id, c.hashID(id)); next++ }
 	case "miss":
-		return func() { id := ids[window+next%window]; c.get(id, c.hash(id)); next++ }
+		return func() { id := ids[window+next%window]; c.get(id, c.hashID(id)); next++ }
 	case "put-full":
-		return func() { id := fresh(); c.put(id, c.hash(id), v) }
+		return func() { id := fresh(); c.put(id, c.hashID(id), v) }
 	default:
 		return func() {
 			id := fresh()
-			h := c.hash(id)
+			h := c.hashID(id)
 			if _, hit := c.get(id, h); !hit {
 				c.put(id, h, v)
 			}
@@ -427,8 +427,9 @@ func hitOp(tb testing.TB) func() {
 	sh, local := benchAcquire(tb, s, "hit-client")
 	env := getOpEnv()
 	tb.Cleanup(func() { putOpEnv(env) })
+	id := []byte("hit-request")
 	renew := func() {
-		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, ReqID: "hit-request"}
+		env.slot.rec = opRecord{Op: opRenew, LeaseID: local, ReqID: id}
 		env.apply(sh, time.Time{})
 	}
 	renew() // the first attempt, which applies

@@ -235,12 +235,12 @@ func TestBurstLandsAsOneJournalFrame(t *testing.T) {
 	term := opts.Lease.Term
 	rep := usageReport{CPUMS: 2, UIUpdates: 1}
 	groups := [][][]byte{
-		{encodeRecord(&opRecord{At: term / 4, Op: opAcquire, Client: "burst", Kind: hooks.Wakelock, ReqID: "b-1"})},
+		{encodeRecord(&opRecord{At: term / 4, Op: opAcquire, Client: "burst", Kind: hooks.Wakelock, ReqID: []byte("b-1")})},
 		{ // the first lease on a shard is lease 1
-			encodeRecord(&opRecord{At: term / 2, Op: opRenew, LeaseID: 1, Report: &rep, ReqID: "b-2"}),
+			encodeRecord(&opRecord{At: term / 2, Op: opRenew, LeaseID: 1, Report: &rep, ReqID: []byte("b-2")}),
 			encodeRecord(&opRecord{At: term / 2, Op: opRenew, LeaseID: 1, Report: &rep}),
 		},
-		{encodeRecord(&opRecord{At: 3 * term, Op: opRelease, LeaseID: 1, ReqID: "b-3"})},
+		{encodeRecord(&opRecord{At: 3 * term, Op: opRelease, LeaseID: 1, ReqID: []byte("b-3")})},
 	}
 	var log [][]byte
 	for _, g := range groups {

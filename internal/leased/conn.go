@@ -45,7 +45,8 @@ type conn struct {
 	armed   time.Time // when the deadlines were last set
 	head    fastHead
 	req     opReq
-	in      []byte // a request body the buffer did not hold whole
+	reqID   [maxRequestIDLen]byte // req.reqID's bytes
+	in      []byte                // a request body the buffer did not hold whole
 
 	hdr      http.Header
 	keys     []string
@@ -145,9 +146,9 @@ func (c *conn) run(h http.HandlerFunc, r *http.Request) (ok bool) {
 func (c *conn) serveFast(buf []byte) (keep, answer bool) {
 	hd, q := &c.head, &c.req
 	*q = opReq{wire: hd.wire, destroy: hd.destroy}
-	if len(hd.reqID) > 0 {
-		q.reqID = string(hd.reqID) // the path's one allocation: the dedup ring keeps it
-	}
+	// The ID is copied off the read buffer, which reading the rest of the
+	// body may slide under a view of it; the dedup log copies it again.
+	q.reqID = c.reqID[:copy(c.reqID[:], hd.reqID)]
 	limit := maxBodyBytes
 	if hd.route == routeBatch {
 		limit = batchMaxBodyBytes

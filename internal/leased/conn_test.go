@@ -614,7 +614,7 @@ func FuzzFastHead(f *testing.F) {
 		if wire, err := strconv.ParseUint(id, 10, 64); id != "" && (err != nil || wire != hd.wire) {
 			t.Fatalf("%q: lease %d, the path says %q", data, hd.wire, id)
 		}
-		if req.ContentLength != int64(hd.bodyLen) || requestID(req) != string(hd.reqID) {
+		if req.ContentLength != int64(hd.bodyLen) || string(requestID(req)) != string(hd.reqID) {
 			t.Fatalf("%q: length %d, request ID %q; net/http says %d, %q", data, hd.bodyLen, hd.reqID, req.ContentLength, requestID(req))
 		}
 		if req.Close || req.Host == "" || len(req.TransferEncoding) > 0 || len(req.Trailer) > 0 ||

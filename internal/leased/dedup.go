@@ -1,6 +1,14 @@
 package leased
 
-import "repro/internal/snapenc"
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+	"unsafe"
+
+	"repro/internal/snapenc"
+)
 
 // dedupCache makes mutations idempotent across retries: a client that lost a
 // response (crash, dropped connection, timeout) resends the same request
@@ -15,31 +23,44 @@ import "repro/internal/snapenc"
 // which are fixed for the shard's lifetime, so a retry still gets the first
 // answer byte for byte.
 //
-// The cache is one ring of slots, oldest at head, found through a cellIndex
-// of ring positions + 1. The ring grows geometrically with the entries it
-// holds (doubling to 1 024 slots, then by a quarter) up to the window; head
-// stays 0 until the window is full, so growing moves no entry's position.
-// Only a full window evicts. Nothing in it is a runtime map, and once the
-// window is full nothing is allocated per entry but the ID string the caller
-// hands over: the entry that evicts a slot overwrites it, and its index cell
-// is freed by backward-shift deletion, so there are no tombstones. The
+// The cache is one append-only byte log, oldest entry at head, found through
+// a cellIndex of log offsets + 1. An entry is
+//
+//	[ID length][ID bytes][verdict width w][verdict: w bytes of varints]
+//
+// A new ID is appended at the tail, its bytes copied from the caller's view
+// of them (a request buffer); a full window first evicts the entry at head,
+// hashing its ID again to find and free its cell — backward-shift deletion,
+// so there are no tombstones — and moving head past it. The bytes before
+// head are dead. When the log is out of room and they are at least half of
+// it, the live suffix is copied to the front and head's offset is taken off
+// every cell, so a compaction is paid for by the evictions that made its
+// dead bytes; otherwise the log grows (doubling to 32 KiB, then by a
+// quarter, while the window fills; to twice its live bytes once it evicts).
+// Neither the log nor the cells hold a pointer: the collector never scans
+// them, and once the log has reached its size a put allocates nothing. The
 // index cell's 32 hash bits are the only copy of the hash: a probe reads the
-// ring only for an entry that very likely is the one sought, and an eviction
-// hashes the evicted ID again to find its cell. An op hashes its ID once
-// (hash, under the index's own seed) and hands the hash to get and put.
+// log only for an entry that very likely is the one sought. An op hashes its
+// ID once (hashID, under the index's own seed) and hands the hash to get and
+// put.
 type dedupCache struct {
-	ring      []dedupSlot
-	head      int // ring position of the oldest live entry
-	window    int // the most entries the ring grows to hold
-	cellIndex     // its n counts the live entries (≤ len(ring))
+	log       []byte
+	head      int // log offset of the oldest live entry
+	window    int // the most entries the log holds
+	cellIndex     // its n counts the live entries
 }
 
-// dedupSlot is one ring entry, 48 bytes with nothing behind a pointer but
-// the ID.
-type dedupSlot struct {
-	id string
-	v  dedupVerdict
-}
+// The bounds an entry's bytes are laid out within: a request ID fits its
+// one-byte length (every door refuses a longer one), a packed verdict its
+// width byte, and the log's offsets the index's 32-bit values. The log is
+// at most twice its live bytes and one entry, so a window of maxDedupWindow
+// entries keeps every offset below 2³², and newDedupCache holds a larger
+// one to it (a log of gigabytes).
+const (
+	maxVerdictBytes = 3 + 3*binary.MaxVarintLen64 + binary.MaxVarintLen32
+	maxEntryBytes   = 2 + maxRequestIDLen + maxVerdictBytes
+	maxDedupWindow  = math.MaxUint32 / (4 * maxEntryBytes)
+)
 
 // dedupVerdict is what an op's answer said, in the fields verdictOf takes
 // from a lease: everything of the lease response but the client name, the
@@ -81,77 +102,179 @@ func (e *dedupEntry) verdict() dedupVerdict {
 }
 
 func newDedupCache(window int) *dedupCache {
-	return &dedupCache{window: max(window, 0), cellIndex: newCellIndex()}
+	return &dedupCache{window: min(max(window, 0), maxDedupWindow), cellIndex: newCellIndex()}
 }
 
 func (c *dedupCache) size() int { return c.n }
 
-// find returns the ring position of id, whose hash is h, or -1. A miss —
-// every first attempt — stops at the first empty cell having compared only
-// hash bits, all of them in the index.
-func (c *dedupCache) find(id string, h uint64) int {
+// footprint is what the cache occupies: its log and its index.
+func (c *dedupCache) footprint() int { return cap(c.log) + 8*cap(c.cells) }
+
+// hashID is id's hash under the index's seed.
+func (c *dedupCache) hashID(id []byte) uint64 { return maphash.Bytes(c.seed, id) }
+
+// idAt is the ID of the entry at log offset off, a view into the log.
+func (c *dedupCache) idAt(off int) []byte { return c.log[off+1 : off+1+int(c.log[off])] }
+
+// widthAt is the log offset of the verdict width byte of the entry at off.
+func (c *dedupCache) widthAt(off int) int { return off + 1 + int(c.log[off]) }
+
+// next is the log offset of the entry after the one at off.
+func (c *dedupCache) next(off int) int {
+	w := c.widthAt(off)
+	return w + 1 + int(c.log[w])
+}
+
+// verdictAt is the verdict of the entry at off.
+func (c *dedupCache) verdictAt(off int) dedupVerdict {
+	w := c.widthAt(off)
+	return unpackVerdict(c.log[w+1 : w+1+int(c.log[w])])
+}
+
+// find returns the log offset of id, whose hash is h, or -1. A miss — every
+// first attempt — stops at the first empty cell having compared only hash
+// bits, all of them in the index.
+func (c *dedupCache) find(id []byte, h uint64) int {
 	for i := h; ; i++ {
 		var v uint32
 		if i, v = c.probe(i, h); v == 0 {
 			return -1
 		}
-		if pos := int(v) - 1; c.ring[pos].id == id {
-			return pos
+		if off := int(v) - 1; bytes.Equal(c.idAt(off), id) {
+			return off
 		}
 	}
 }
 
 // get returns the verdict stored under id, whose hash is h, and whether there
 // was one.
-func (c *dedupCache) get(id string, h uint64) (dedupVerdict, bool) {
-	pos := c.find(id, h)
-	if pos < 0 {
+func (c *dedupCache) get(id []byte, h uint64) (dedupVerdict, bool) {
+	off := c.find(id, h)
+	if off < 0 {
 		return dedupVerdict{}, false
 	}
-	return c.ring[pos].v, true
+	return c.verdictAt(off), true
 }
 
-// put stores v under id, whose hash is h. A live id keeps its place in the
+// put stores v under id, whose hash is h, copying id's bytes: the caller's
+// view of them need outlive only the call. A live id keeps its place in the
 // eviction order and takes the new verdict; a new one evicts the oldest
-// entry once the window is full.
-func (c *dedupCache) put(id string, h uint64, v dedupVerdict) {
+// entry once the window is full. id is at most maxRequestIDLen bytes.
+func (c *dedupCache) put(id []byte, h uint64, v dedupVerdict) {
 	if c.window == 0 {
 		return
 	}
-	pos := c.find(id, h)
-	if pos < 0 {
-		if c.n == len(c.ring) && c.n < c.window {
-			c.growRing()
-		}
-		if c.n < len(c.ring) {
-			pos = c.n // head is 0 until the window is full
-		} else {
-			// Full: the oldest entry's slot is the next one to write. Only
-			// a full window evicts, once per new entry, so the evicted ID
-			// is hashed again here rather than its hash kept in the slot.
-			pos = c.head
-			c.remove(c.hash(c.ring[pos].id), uint32(pos+1))
-			c.head = (c.head + 1) % len(c.ring)
-		}
-		c.ring[pos].id = id
-		c.insert(h, uint32(pos+1))
+	var buf [maxVerdictBytes]byte
+	packed := packVerdict(buf[:0], &v)
+	if off := c.find(id, h); off >= 0 {
+		c.rewrite(off, packed)
+		return
 	}
-	c.ring[pos].v = v
+	if c.n == c.window {
+		// Only a full window evicts, once per new entry, so the evicted ID
+		// is hashed again here rather than its hash kept in the log.
+		off := c.head
+		c.remove(c.hashID(c.idAt(off)), uint32(off+1))
+		c.head = c.next(off)
+	}
+	c.room(2 + len(id) + len(packed))
+	off := len(c.log)
+	c.log = append(c.log, byte(len(id)))
+	c.log = append(c.log, id...)
+	c.log = append(c.log, byte(len(packed)))
+	c.log = append(c.log, packed...)
+	c.insert(h, uint32(off+1))
 }
 
-// growRing gives a full ring below the window more slots: twice as many up to
-// 1 024, a quarter more after that, at least 16 and at most the window. The
-// entries keep their positions, so the index's values stay valid.
-func (c *dedupCache) growRing() {
-	n := len(c.ring)
-	if n < 1024 {
-		n = max(2*n, 16)
-	} else {
-		n += n / 4
+// rewrite makes packed the verdict of the entry at off. An entry's verdict
+// width is set when it is appended, and a narrower verdict is zero-padded to
+// it. A wider one — a replayed record under an ID the cache still holds,
+// whose answer takes more varint bytes — widens the entry where it stands:
+// the log after it moves up, and every later entry's cell with it.
+func (c *dedupCache) rewrite(off int, packed []byte) {
+	at := c.widthAt(off)
+	w := int(c.log[at])
+	if wider := len(packed) - w; wider > 0 {
+		end := at + 1 + w
+		c.log = append(c.log, packed[:wider]...)
+		copy(c.log[end+wider:], c.log[end:])
+		for i, cell := range c.cells {
+			if cell != 0 && int(uint32(cell))-1 > off {
+				c.cells[i] = cell + uint64(wider)
+			}
+		}
+		w = len(packed)
+		c.log[at] = byte(w)
 	}
-	ring := make([]dedupSlot, min(n, c.window))
-	copy(ring, c.ring)
-	c.ring = ring
+	clear(c.log[at+1+copy(c.log[at+1:], packed) : at+1+w])
+}
+
+// room makes space for n more bytes at the log's tail. When the dead bytes
+// before head are at least half the log and that frees enough, it compacts
+// the log in place; otherwise it moves the live entries into a larger log.
+// Either way they move down by head bytes, and every cell's offset with them.
+func (c *dedupCache) room(n int) {
+	if len(c.log)+n <= cap(c.log) {
+		return
+	}
+	live := len(c.log) - c.head
+	dst := c.log[:live]
+	if c.head < live || cap(c.log)-live < n {
+		size := live + n
+		switch {
+		case c.head > 0: // evicting: room for as many dead bytes as live ones
+			size += live
+		case cap(c.log) < 32<<10:
+			size = max(size, 2*cap(c.log), 256)
+		default:
+			size = max(size, cap(c.log)+cap(c.log)/4)
+		}
+		dst = make([]byte, live, size)
+	}
+	copy(dst, c.log[c.head:])
+	if c.head > 0 {
+		for i, cell := range c.cells {
+			if cell != 0 {
+				c.cells[i] = cell - uint64(c.head)
+			}
+		}
+	}
+	c.log, c.head = dst, 0
+}
+
+// packVerdict appends v's log form to b: a tag byte — 0 for a mark's empty
+// verdict, which is all of it; 1, or 2 if held — then kind and state, a byte
+// each, and lease, uid, terms and acquires as varints.
+func packVerdict(b []byte, v *dedupVerdict) []byte {
+	if v.empty {
+		return append(b, 0)
+	}
+	tag := byte(1)
+	if v.held {
+		tag = 2
+	}
+	b = append(b, tag, v.kind, v.state)
+	b = binary.AppendUvarint(b, v.lease)
+	b = binary.AppendUvarint(b, uint64(v.uid))
+	b = binary.AppendVarint(b, v.terms)
+	return binary.AppendVarint(b, v.acquires)
+}
+
+// unpackVerdict reads what packVerdict wrote, ignoring padding after it.
+func unpackVerdict(b []byte) dedupVerdict {
+	if b[0] == 0 {
+		return dedupVerdict{empty: true}
+	}
+	v := dedupVerdict{held: b[0] == 2, kind: b[1], state: b[2]}
+	b = b[3:]
+	var n int
+	v.lease, n = binary.Uvarint(b)
+	b = b[n:]
+	uid, n := binary.Uvarint(b)
+	v.uid, b = uint32(uid), b[n:]
+	v.terms, n = binary.Varint(b)
+	v.acquires, _ = binary.Varint(b[n:])
+	return v
 }
 
 // encodeState writes the cache oldest-first into the checkpoint payload: a
@@ -159,21 +282,35 @@ func (c *dedupCache) growRing() {
 // mark's empty verdict and otherwise 1 and the seven fields.
 func (c *dedupCache) encodeState(w *snapenc.Writer) {
 	w.Uvarint(uint64(c.n))
-	for i := 0; i < c.n; i++ {
-		s := &c.ring[(c.head+i)%len(c.ring)]
-		w.String(s.id)
-		w.Bool(!s.v.empty)
-		if !s.v.empty {
-			w.Uvarint(s.v.lease)
-			w.Int(int(s.v.uid))
-			w.Int(int(s.v.kind))
-			w.Int(int(s.v.state))
-			w.Bool(s.v.held)
-			w.Varint(s.v.terms)
-			w.Varint(s.v.acquires)
+	for off := c.head; off < len(c.log); off = c.next(off) {
+		v := c.verdictAt(off)
+		w.String(viewString(c.idAt(off)))
+		w.Bool(!v.empty)
+		if !v.empty {
+			w.Uvarint(v.lease)
+			w.Int(int(v.uid))
+			w.Int(int(v.kind))
+			w.Int(int(v.state))
+			w.Bool(v.held)
+			w.Varint(v.terms)
+			w.Varint(v.acquires)
 		}
 	}
 }
+
+// Request IDs reach the cache as views of the bytes they came in — a
+// request's header or body, a journal record — valid for the op, and the
+// cache copies what it keeps, so no path makes a string per ID. These two
+// view one form as the other without a copy, for a reader that is done with
+// the view before its source can change.
+
+// viewString views b as a string, for a callee that copies it
+// (snapenc.Writer.String).
+func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// viewBytes views s as bytes that nothing may write to: net/http's
+// X-Request-ID value as an op's request ID, a restored entry's ID as put's.
+func viewBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // decodeDedupState reads what encodeState wrote. A row is at least two
 // bytes (the ID's length prefix and the presence byte), which bounds the

@@ -3,20 +3,41 @@ package leased
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	goruntime "runtime"
 	"testing"
-	"unsafe"
 
 	"repro/internal/android/hooks"
 	"repro/internal/snapenc"
 )
 
 // lookup is get with the hash taken here.
-func (c *dedupCache) lookup(id string) (dedupVerdict, bool) { return c.get(id, c.hash(id)) }
+func (c *dedupCache) lookup(id string) (dedupVerdict, bool) {
+	return c.get([]byte(id), c.hashID([]byte(id)))
+}
 
 // store is put with the hash taken here.
-func (c *dedupCache) store(id string, v dedupVerdict) { c.put(id, c.hash(id), v) }
+func (c *dedupCache) store(id string, v dedupVerdict) { c.put([]byte(id), c.hashID([]byte(id)), v) }
+
+// walk counts the log's entries from head and the bytes they take, failing
+// unless the index finds each at its offset and they end exactly at the
+// log's end.
+func (c *dedupCache) walk(tb testing.TB) (entries, live int) {
+	tb.Helper()
+	off := c.head
+	for ; off < len(c.log); off = c.next(off) {
+		if id := c.idAt(off); c.find(id, c.hashID(id)) != off {
+			tb.Fatalf("the index does not find the entry at log offset %d (%q)", off, id)
+		}
+		entries++
+	}
+	if off != len(c.log) {
+		tb.Fatalf("the log's last entry ends at %d, past its %d bytes", off, len(c.log))
+	}
+	return entries, len(c.log) - c.head
+}
 
 // indexed counts the index's occupied cells.
 func (c *dedupCache) indexed() int {
@@ -35,8 +56,8 @@ func verdictN(n int) dedupVerdict {
 }
 
 // TestDedupBoundedRetention fills the cache many times over its cap and
-// checks retention stays bounded: the ring never past cap slots, exactly cap
-// live entries, ring and index in lockstep, the index no larger once the
+// checks retention stays bounded: the log never past cap entries, exactly
+// cap live entries, log and index in lockstep, the index no larger once the
 // window is full, and only the newest cap ids resident. This is the
 // regression test for the sliced-forward eviction (order = order[1:]) that
 // kept the backing array — and through it every evicted id and response —
@@ -48,8 +69,8 @@ func TestDedupBoundedRetention(t *testing.T) {
 	const total = 10 * cap
 	for i := 0; i < total; i++ {
 		c.store(fmt.Sprintf("req-%03d", i), verdictN(i))
-		if len(c.ring) > cap {
-			t.Fatalf("after %d inserts the ring has %d slots, capped at %d", i+1, len(c.ring), cap)
+		if n, _ := c.walk(t); n > cap || n != c.size() {
+			t.Fatalf("after %d inserts the log holds %d entries (size %d), capped at %d", i+1, n, c.size(), cap)
 		}
 		if c.size() == cap && cells == 0 {
 			cells = len(c.cells)
@@ -127,7 +148,8 @@ func TestDedupFIFOOrder(t *testing.T) {
 }
 
 // TestDedupUpdateInPlace: re-putting a live id must replace its verdict
-// without consuming a ring slot or disturbing eviction order.
+// without adding an entry or disturbing eviction order, whether the new
+// verdict packs narrower than the entry's or wider.
 func TestDedupUpdateInPlace(t *testing.T) {
 	c := newDedupCache(3)
 	c.store("a", verdictN(1))
@@ -140,6 +162,14 @@ func TestDedupUpdateInPlace(t *testing.T) {
 	if v, _ := c.lookup("a"); v != verdictN(11) {
 		t.Fatalf("a = %+v, want the update", v)
 	}
+	wide := dedupVerdict{lease: 1 << 62, terms: -1 << 60, acquires: 1 << 61, uid: 1 << 31, kind: 5, state: 3, held: true}
+	c.store("b", wide)
+	if v, _ := c.lookup("b"); v != wide {
+		t.Fatalf("b = %+v, want the wide update %+v", v, wide)
+	}
+	if v, _ := c.lookup("c"); v != verdictN(3) {
+		t.Fatalf("c = %+v after b widened, want %+v", v, verdictN(3))
+	}
 	// Next insert evicts "a" (still oldest), not "b".
 	c.store("d", verdictN(4))
 	if _, ok := c.lookup("a"); ok {
@@ -147,6 +177,14 @@ func TestDedupUpdateInPlace(t *testing.T) {
 	}
 	if _, ok := c.lookup("b"); !ok {
 		t.Fatal("b was wrongly evicted")
+	}
+	// And the next evicts "b", widened in place, before "c".
+	c.store("e", verdictN(5))
+	if _, ok := c.lookup("b"); ok {
+		t.Fatal("b survived eviction; widening must not refresh FIFO position")
+	}
+	if _, ok := c.lookup("c"); !ok {
+		t.Fatal("c was wrongly evicted")
 	}
 }
 
@@ -184,64 +222,107 @@ func (m *dedupModel) put(id string, v dedupVerdict) {
 	m.m[id] = v
 }
 
+// encode is the checkpoint payload the model's contents make, written field
+// by field from the format's definition rather than through the cache.
+func (m *dedupModel) encode() []byte {
+	w := snapenc.NewWriter(nil)
+	w.Uvarint(uint64(len(m.order)))
+	for _, id := range m.order {
+		v := m.m[id]
+		w.String(id)
+		w.Bool(!v.empty)
+		if !v.empty {
+			w.Uvarint(v.lease)
+			w.Int(int(v.uid))
+			w.Int(int(v.kind))
+			w.Int(int(v.state))
+			w.Bool(v.held)
+			w.Varint(v.terms)
+			w.Varint(v.acquires)
+		}
+	}
+	return w.Payload()
+}
+
+// modelID is the request ID a script's argument byte names: one of 64, each
+// 1 to maxRequestIDLen bytes long (its first byte alone tells them apart),
+// so that a window of 40 evicts and entries differ in size.
+func modelID(arg byte) string {
+	k := int(arg % 64)
+	id := make([]byte, 1+k*37%maxRequestIDLen)
+	for i := range id {
+		id[i] = byte('!' + (k+i)%90)
+	}
+	return string(id)
+}
+
+// modelVerdict is the verdict a put op stores: the empty one a mark gets,
+// one whose fields take every varint byte, or one of small values.
+func modelVerdict(op, arg byte) dedupVerdict {
+	n := int(op)*256 + int(arg)
+	switch op % 16 {
+	case 3:
+		return dedupVerdict{empty: true}
+	case 11:
+		return dedupVerdict{lease: math.MaxUint64 - uint64(n), terms: math.MinInt64 + int64(n), acquires: math.MaxInt64 - int64(n), uid: math.MaxUint32 - uint32(n), kind: op, state: arg, held: true}
+	}
+	return verdictN(n)
+}
+
 // checkDedupAgainstModel interprets script as an op stream — put, get, and
 // encode → load into a fresh cache — run against the cache and the model
 // side by side. IDs come from a small alphabet so that updates, hits and
-// evictions all occur; verdicts include the empty one a mark gets. After
-// every op: same size, index occupancy equal to it, a ring that holds the
-// entries and is no longer than the window, and an index at most half full.
+// evictions all occur; verdicts include the empty one a mark gets and ones
+// that widen an entry when they replace a narrow one. After every op: the
+// cache's checkpoint encoding equal to the model's byte for byte, the log
+// holding exactly its entries, index occupancy equal to them, and an index
+// at most half full.
 func checkDedupAgainstModel(t *testing.T, capacity int, script []byte) {
 	t.Helper()
 	c := newDedupCache(capacity)
 	model := &dedupModel{cap: capacity, m: map[string]dedupVerdict{}}
+	w := snapenc.NewWriter(nil)
 	for pc := 0; pc+1 < len(script); pc += 2 {
 		op, arg := script[pc], script[pc+1]
-		id := fmt.Sprintf("id-%d", arg%24)
+		id := modelID(arg)
 		switch op % 8 {
 		case 0, 1, 2, 3: // put
-			v := verdictN(int(op)*256 + int(arg))
-			if op%16 == 3 {
-				v = dedupVerdict{empty: true}
-			}
+			v := modelVerdict(op, arg)
 			c.store(id, v)
 			model.put(id, v)
 		case 4, 5, 6: // get
 			got, hit := c.lookup(id)
 			want, live := model.m[id]
 			if hit != live || got != want {
-				t.Fatalf("op %d: get(%s) = %+v, %v; the model says %+v, %v", pc/2, id, got, hit, want, live)
+				t.Fatalf("op %d: get(%q) = %+v, %v; the model says %+v, %v", pc/2, id, got, hit, want, live)
 			}
 		case 7: // checkpoint and restore
 			entries := c.entries()
-			if len(entries) != len(model.order) {
-				t.Fatalf("op %d: entries() lists %d, the model holds %d", pc/2, len(entries), len(model.order))
-			}
-			for i, e := range entries {
-				if e.ID != model.order[i] || e.verdict() != model.m[e.ID] {
-					t.Fatalf("op %d: entries()[%d] = %+v, the model's is %s %+v", pc/2, i, e, model.order[i], model.m[model.order[i]])
-				}
-			}
 			c = newDedupCache(capacity)
 			c.load(entries)
 		}
-		if c.size() != len(model.order) || c.indexed() != c.size() {
-			t.Fatalf("op %d: size %d with %d index cells occupied, the model holds %d", pc/2, c.size(), c.indexed(), len(model.order))
+		w.Reset()
+		c.encodeState(w)
+		if want := model.encode(); !bytes.Equal(w.Payload(), want) {
+			t.Fatalf("op %d: the cache encodes to %x, the model to %x", pc/2, w.Payload(), want)
 		}
-		if c.size() > len(c.ring) || len(c.ring) > capacity || 2*c.size() > len(c.cells) {
-			t.Fatalf("op %d: %d entries in a ring of %d slots (window %d) and an index of %d cells", pc/2, c.size(), len(c.ring), capacity, len(c.cells))
+		if n, _ := c.walk(t); n != c.size() || c.size() != len(model.order) || c.indexed() != c.size() {
+			t.Fatalf("op %d: size %d with %d entries in the log and %d index cells occupied, the model holds %d", pc/2, c.size(), n, c.indexed(), len(model.order))
+		}
+		if c.size() > capacity || 2*c.size() > len(c.cells) {
+			t.Fatalf("op %d: %d entries (window %d) in an index of %d cells", pc/2, c.size(), capacity, len(c.cells))
 		}
 	}
 	for _, id := range model.order {
 		if got, hit := c.lookup(id); !hit || got != model.m[id] {
-			t.Fatalf("at the end: get(%s) = %+v, %v; the model says %+v", id, got, hit, model.m[id])
+			t.Fatalf("at the end: get(%q) = %+v, %v; the model says %+v", id, got, hit, model.m[id])
 		}
 	}
 }
 
-// dedupModelCapacities are the windows the model runs at. 5, 20 and 40 are
-// not powers of two, so the ring's last growth stops short at the window;
-// 40 is more than the 24 IDs a script names, so its ring grows and never
-// evicts.
+// dedupModelCapacities are the windows the model runs at. At 1, 5 and 8 the
+// log evicts, and so compacts, every few ops; 20 and 40 also grow it while
+// the window fills, and none but 8 is a power of two.
 var dedupModelCapacities = []int{0, 1, 8, 5, 20, 40}
 
 // TestDedupMatchesModel runs seeded random op streams at each capacity.
@@ -269,33 +350,32 @@ func FuzzDedupCache(f *testing.F) {
 	})
 }
 
-// TestDedupWindowHoldsNoResponseBytes: filling a default window keeps
-// nothing per entry but the request ID — no copy of the answer. An empty
-// cache is filled twice over through the pipeline's own put with a real
-// lease's verdict, and the live heap that adds, less the IDs (made and held
-// beforehand), is bounded per entry: the full window's ring and index cost
-// 48 + 16 bytes an entry (the slot size pinned here too), and the rings it
-// grew through must be garbage. The bound leaves 8 bytes of slack over that
-// for the runtime's own allocations. The parent build copied each answer's
-// ~170 rendered bytes into a buffer of the slot's own: ~240 B an entry with
-// its slot and the index.
+// TestDedupWindowHoldsNoResponseBytes: filling a default window keeps what
+// an entry needs — its ID's bytes and its packed verdict — and no copy of
+// the answer. An empty cache is filled twice over through the pipeline's own
+// put with a real lease's verdict, and the live heap that adds is bounded
+// per entry. The IDs are made beforehand, so what is counted of them is the
+// copy the log owns. A full window's log is at most twice its live bytes
+// (entries of 2 + 19 + 8 bytes here) and its index 16 bytes an entry, and
+// the logs it grew through must be garbage: ≤ 74 B, and the bound leaves 10
+// bytes of slack over that for the runtime's own allocations. Keeping each
+// answer's ~170 rendered bytes breaks it alone, as the build before the
+// verdicts did (~240 B an entry beyond the IDs); the ring of ID strings and
+// 48-byte slots before the log kept ~88 B.
 func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
 	}
-	const maxPerEntry = 72
-	if size := unsafe.Sizeof(dedupSlot{}); size > 48 {
-		t.Errorf("a dedup slot is %d bytes, pinned at ≤ 48: what grew it?", size)
-	}
+	const maxPerEntry = 84
 	s := NewServer(benchOptions(1))
 	defer s.Close()
 	sh := s.shards[0]
 	window := sh.opts.DedupWindow
 	var v dedupVerdict
 	sh.do(func() { v = verdictOf(sh.acquire("window-client", hooks.GPSListener)) })
-	ids := make([]string, 2*window)
+	ids := make([][]byte, 2*window)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("request-id-%08x", i)
+		ids[i] = fmt.Appendf(nil, "request-id-%08x", i)
 	}
 	var c *dedupCache
 
@@ -308,7 +388,7 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	c = newDedupCache(window)
 	for i, id := range ids {
 		v.acquires = int64(i)
-		c.put(id, c.hash(id), v)
+		c.put(id, c.hashID(id), v)
 	}
 	goruntime.GC()
 	goruntime.GC()
@@ -316,16 +396,18 @@ func TestDedupWindowHoldsNoResponseBytes(t *testing.T) {
 	if c.size() != window {
 		t.Fatalf("window holds %d entries, want it full at %d", c.size(), window)
 	}
+	_, live := c.walk(t)
 	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(window)
-	t.Logf("filling a %d-entry window kept %.1f B an entry beyond its IDs (%d-byte slot, %d index cells)", window, perEntry, unsafe.Sizeof(dedupSlot{}), len(c.cells))
+	t.Logf("filling a %d-entry window kept %.1f B an entry, its ID's %d bytes among them: %.1f live log bytes an entry, a %d B log and %d index cells (%d B); %.1f B an entry in all",
+		window, perEntry, len(ids[0]), float64(live)/float64(window), cap(c.log), len(c.cells), 8*len(c.cells), float64(c.footprint())/float64(window))
 	if perEntry > maxPerEntry {
-		t.Errorf("filling a %d-entry window kept %.1f B an entry beyond its IDs, pinned at ≤ %d: is an answer's rendering being kept?", window, perEntry, maxPerEntry)
+		t.Errorf("filling a %d-entry window kept %.1f B an entry, pinned at ≤ %d: is an answer's rendering being kept?", window, perEntry, maxPerEntry)
 	}
 	goruntime.KeepAlive(ids)
 }
 
 // TestEmptyShardDedupCost: an empty shard at the default options reserves
-// next to nothing for its dedup window before its first op: no ring, and an
+// next to nothing for its dedup window before its first op: no log, and an
 // index of two cells. A ring fixed at the window reserved 256 KiB here
 // (4 096 48-byte slots and 8 192 eight-byte cells).
 func TestEmptyShardDedupCost(t *testing.T) {
@@ -335,25 +417,18 @@ func TestEmptyShardDedupCost(t *testing.T) {
 	if c.window != 4096 {
 		t.Fatalf("the default window is %d entries, want 4096", c.window)
 	}
-	ring, index := dedupBytes(c)
-	t.Logf("an empty default shard's dedup window: ring %d B + index %d B", ring, index)
-	if ring+index > maxBytes {
-		t.Errorf("an empty default shard's dedup window is %d B (ring %d, index %d), pinned at ≤ %d", ring+index, ring, index, maxBytes)
+	t.Logf("an empty default shard's dedup window: log %d B + index %d B", cap(c.log), 8*cap(c.cells))
+	if c.footprint() > maxBytes {
+		t.Errorf("an empty default shard's dedup window is %d B (log %d, index %d), pinned at ≤ %d", c.footprint(), cap(c.log), 8*cap(c.cells), maxBytes)
 	}
 }
 
-// dedupBytes is what c's ring and index occupy.
-func dedupBytes(c *dedupCache) (ring, index uintptr) {
-	return uintptr(cap(c.ring)) * unsafe.Sizeof(dedupSlot{}), uintptr(cap(c.cells)) * unsafe.Sizeof(c.cells[0])
-}
-
-// TestDedupWindowFollowsTraffic: a default window's ring and index grow with
+// TestDedupWindowFollowsTraffic: a default window's log and index grow with
 // the IDs a shard has seen, not with the window. After k distinct IDs the
-// ring has at most max(16, 2k) slots while it doubles (below 1 024) and at
-// most 1.25k once it grows by quarters, and the index at most 4k cells (it
-// doubles before passing half full). Past the window, k = 10 000, the ring
-// is the window and the index no larger than one sized for it at half load:
-// a full window costs what a ring fixed at the window did.
+// log is at most twice the bytes of its live entries — while it fills and
+// once it evicts, its dead prefix included — and the index at most 4k cells
+// (it doubles before passing half full). Past the window, k = 10 000, the
+// index is no larger than one sized for it at half load.
 func TestDedupWindowFollowsTraffic(t *testing.T) {
 	window := Options{}.withDefaults().DedupWindow
 	for _, k := range []int{100, 2100, 10000} {
@@ -361,24 +436,40 @@ func TestDedupWindowFollowsTraffic(t *testing.T) {
 		for i := 0; i < k; i++ {
 			c.store(fmt.Sprintf("request-%05d", i), verdictN(i))
 		}
-		maxSlots := max(16, 2*k)
-		if k >= 1024 {
-			maxSlots = k + k/4
-		}
-		maxSlots = min(maxSlots, window)
-		ring, index := dedupBytes(c)
-		t.Logf("after %d IDs: %d entries, %d slots (%d B), %d cells (%d B)", k, c.size(), cap(c.ring), ring, cap(c.cells), index)
+		_, live := c.walk(t)
+		t.Logf("after %d IDs: %d entries, %d live of a %d B log, %d cells (%d B): %.1f B an entry", k, c.size(), live, cap(c.log), cap(c.cells), 8*cap(c.cells), float64(c.footprint())/float64(c.size()))
 		if c.size() != min(k, window) {
 			t.Errorf("after %d IDs the window holds %d entries, want %d", k, c.size(), min(k, window))
 		}
-		if cap(c.ring) > maxSlots {
-			t.Errorf("after %d IDs the ring has %d slots, want ≤ %d", k, cap(c.ring), maxSlots)
+		if cap(c.log) > 2*live {
+			t.Errorf("after %d IDs the log is %d B, want ≤ 2 × its %d live bytes", k, cap(c.log), live)
 		}
 		if cap(c.cells) > 4*min(k, window) {
 			t.Errorf("after %d IDs the index has %d cells, want ≤ %d", k, cap(c.cells), 4*min(k, window))
 		}
-		if k > window && (cap(c.ring) != window || cap(c.cells) > 2*window) {
-			t.Errorf("a full %d-entry window has %d slots and %d cells, want %d and ≤ %d", window, cap(c.ring), cap(c.cells), window, 2*window)
+		if k > window && cap(c.cells) > 2*window {
+			t.Errorf("a full %d-entry window has %d cells, want ≤ %d", window, cap(c.cells), 2*window)
 		}
 	}
+}
+
+// TestDedupStorageHoldsNoPointers: what the window keeps — the log's bytes,
+// the index's cells — holds no pointer, so the collector never scans it,
+// however many entries it keeps. A string per ID, as the ring of slots
+// before the log kept, fails here.
+func TestDedupStorageHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array, reflect.Slice: // a slice's header is the cache's own; its elements are the storage
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: the dedup window's storage holds a pointer", path, typ)
+		}
+	}
+	walk("dedupCache", reflect.TypeFor[dedupCache]())
 }

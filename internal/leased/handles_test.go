@@ -1,7 +1,7 @@
 package leased
 
 // The shard reaches its state by handle — a client table indexed by UID, a
-// *lease.Lease on every robj, a dedup ring that recycles its buffers — and
+// *lease.Lease on every robj, a dedup log that copies each request ID — and
 // these tests hold what that must never cost: a handle that outlives its
 // lease, a snapshot that indexes out of a table, a retry answered with any
 // bytes but the first answer's.

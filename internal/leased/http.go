@@ -146,7 +146,7 @@ func (sh *shard) appendVerdict(b []byte, v *dedupVerdict) []byte {
 type opReq struct {
 	wire    uint64 // the {id} path segment, on the routes that have one
 	destroy bool   // ?destroy=1 (release)
-	reqID   string // X-Request-ID as sent; the core validates it
+	reqID   []byte // X-Request-ID as sent, a view valid for the op; the core validates it
 	body    []byte // the whole request body, or
 	bodyErr error  // why there is none: over the route's limit, a read that failed
 }
@@ -528,20 +528,21 @@ func (s *Server) tookBody(w http.ResponseWriter, fast bool, err error) bool {
 // maxRequestIDLen bounds the client's idempotency key.
 const maxRequestIDLen = 128
 
-// requestID extracts the client's idempotency key. The header map is indexed
-// directly with the canonical key: Header.Get("X-Request-ID") would
-// re-canonicalize the name — an allocation — on every request.
-func requestID(r *http.Request) string {
+// requestID extracts the client's idempotency key, a view of the header's
+// string. The header map is indexed directly with the canonical key:
+// Header.Get("X-Request-ID") would re-canonicalize the name — an allocation —
+// on every request.
+func requestID(r *http.Request) []byte {
 	if v := r.Header["X-Request-Id"]; len(v) > 0 {
-		return v[0]
+		return viewBytes(v[0])
 	}
-	return ""
+	return nil
 }
 
 // checkRequestID validates an idempotency key. An absent key is fine (the
 // request is simply not idempotent); a malformed one is reported so the client
 // learns its retries are unprotected.
-func checkRequestID(w http.ResponseWriter, id string) bool {
+func checkRequestID(w http.ResponseWriter, id []byte) bool {
 	if len(id) > maxRequestIDLen {
 		writeError(w, http.StatusBadRequest, "X-Request-ID exceeds 128 bytes")
 		return false

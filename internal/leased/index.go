@@ -8,7 +8,7 @@ import (
 )
 
 // cellIndex is the open-addressed hash index under both of a shard's string
-// lookups, the dedup ring's request IDs and the client table's names. A cell
+// lookups, the dedup log's request IDs and the client table's names. A cell
 // is one uint64: the key's hash's low 32 bits in its high half and a nonzero
 // 32-bit value in its low half (0 is an empty cell). The value locates the
 // key in its owner's storage, which alone holds the key: the owner confirms

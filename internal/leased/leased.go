@@ -701,8 +701,8 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 	for _, sl := range group {
 		rec := &sl.rec
 		var h uint64 // the request ID's hash, for the lookup and the put
-		if rec.ReqID != "" {
-			h = sh.dedup.hash(rec.ReqID)
+		if len(rec.ReqID) > 0 {
+			h = sh.dedup.hashID(rec.ReqID)
 			if v, hit := sh.dedup.get(rec.ReqID, h); hit && live {
 				sh.metrics.deduped.Add(1)
 				start := len(out)
@@ -734,7 +734,7 @@ func (sh *shard) applyLocked(group []*opSlot, out []byte, live bool) []byte {
 			out = sh.appendVerdict(out, &v)
 			sl.body = out[start:len(out):len(out)]
 		}
-		if rec.ReqID != "" {
+		if len(rec.ReqID) > 0 {
 			sh.dedup.put(rec.ReqID, h, v)
 		}
 	}

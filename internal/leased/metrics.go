@@ -325,6 +325,7 @@ type DurabilityStats struct {
 	JournalErrors int64 `json:"journal_errors"`
 	Checkpoints   int64 `json:"checkpoints"`
 	DedupEntries  int   `json:"dedup_entries"`
+	DedupBytes    int   `json:"dedup_bytes"` // the dedup window's log and index
 	// CheckpointLastUS is how long the most recent checkpoint held the
 	// shard clock — the stall every request routed to that shard waited
 	// out. Merged across shards it is the worst of them.
@@ -345,6 +346,7 @@ func (d *DurabilityStats) merge(o DurabilityStats) {
 	d.JournalErrors += o.JournalErrors
 	d.Checkpoints += o.Checkpoints
 	d.DedupEntries += o.DedupEntries
+	d.DedupBytes += o.DedupBytes
 	d.CheckpointLastUS = max(d.CheckpointLastUS, o.CheckpointLastUS)
 	d.SnapshotEvery = o.SnapshotEvery
 	d.Fsync = o.Fsync
@@ -468,6 +470,7 @@ func (sh *shard) collect() ShardSnapshot {
 				JournalErrors:    sh.metrics.journalErrors.Load(),
 				Checkpoints:      sh.metrics.checkpoints.Load(),
 				DedupEntries:     sh.dedup.size(),
+				DedupBytes:       sh.dedup.footprint(),
 				CheckpointLastUS: sh.metrics.checkpointLastUS.Load(),
 			}
 			rec := sh.recovery

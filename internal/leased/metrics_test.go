@@ -195,3 +195,34 @@ func TestBatchBillsItsShard(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsReportDedupFootprint: a durable daemon's /metrics gives each
+// shard's dedup window as entries and bytes — its log and index — and the
+// merged durability section sums them, so an operator can read what the
+// window costs.
+func TestMetricsReportDedupFootprint(t *testing.T) {
+	opts := testOptions()
+	opts.Shards = 2
+	r := newDurableRig(t, t.TempDir(), opts)
+	const n = 20
+	for i := 0; i < n; i++ {
+		if code, _, _ := r.callWithID("POST", "/v1/leases", fmt.Sprintf("footprint-%02d", i), acquireRequest{Client: fmt.Sprintf("fp-%02d", i), Kind: "wakelock"}); code != 200 {
+			t.Fatalf("acquire %d: status %d", i, code)
+		}
+	}
+	var snap Snapshot
+	if code := r.call("GET", "/metrics", nil, &snap); code != 200 || snap.Durability == nil || len(snap.PerShard) != 2 {
+		t.Fatalf("metrics: status %d, durability %v, %d shards", code, snap.Durability, len(snap.PerShard))
+	}
+	entries, bytes := 0, 0
+	for i, ps := range snap.PerShard {
+		d := ps.Durability
+		if d == nil || d.DedupEntries != r.s.shards[i].dedup.size() || d.DedupBytes != r.s.shards[i].dedup.footprint() {
+			t.Fatalf("shard %d reports %+v, its window holds %d entries in %d B", i, d, r.s.shards[i].dedup.size(), r.s.shards[i].dedup.footprint())
+		}
+		entries, bytes = entries+d.DedupEntries, bytes+d.DedupBytes
+	}
+	if entries != n || snap.Durability.DedupEntries != n || snap.Durability.DedupBytes != bytes || bytes <= 0 {
+		t.Fatalf("merged dedup_entries %d, dedup_bytes %d; the shards sum to %d entries, %d B; want %d entries", snap.Durability.DedupEntries, snap.Durability.DedupBytes, entries, bytes, n)
+	}
+}

@@ -31,8 +31,8 @@ func decodeRecord(payload []byte) (opRecord, error) {
 	return rec, err
 }
 
-// recordsEqual compares records field by field, floats by their bits, and
-// the reports they point to rather than the pointers.
+// recordsEqual compares records field by field, floats by their bits, the
+// reports they point to rather than the pointers, and the request IDs' bytes.
 func recordsEqual(a, b opRecord) bool {
 	if (a.Report == nil) != (b.Report == nil) {
 		return false
@@ -40,8 +40,11 @@ func recordsEqual(a, b opRecord) bool {
 	if a.Report != nil && !bitwiseEqual(reflect.ValueOf(*a.Report), reflect.ValueOf(*b.Report)) {
 		return false
 	}
-	a.Report, b.Report = nil, nil
-	return a == b
+	if !bytes.Equal(a.ReqID, b.ReqID) {
+		return false
+	}
+	a.Report, b.Report, a.ReqID, b.ReqID = nil, nil, nil, nil
+	return reflect.DeepEqual(a, b)
 }
 
 // randomRecord fills every field of an opRecord (and, half the time, of its
@@ -100,10 +103,10 @@ func sampleRecords() []opRecord {
 	return []opRecord{
 		{At: 12345, Op: opMark},
 		{At: 0, Op: opAcquire, Client: "alice", Kind: allKinds[0]},
-		{At: 99, Op: opAcquire, Client: `esc"ape<d>`, Kind: allKinds[len(allKinds)-1], ReqID: "r-1"},
+		{At: 99, Op: opAcquire, Client: `esc"ape<d>`, Kind: allKinds[len(allKinds)-1], ReqID: []byte("r-1")},
 		{At: 7e9, Op: opRenew, LeaseID: 256, Report: &usageReport{CPUMS: 1.5, Exceptions: 2}},
 		{At: 7e9, Op: opRenew, LeaseID: 256},
-		{At: 8e12, Op: opRelease, LeaseID: 1 << 40, Destroy: true, ReqID: "x"},
+		{At: 8e12, Op: opRelease, LeaseID: 1 << 40, Destroy: true, ReqID: []byte("x")},
 	}
 }
 
@@ -152,7 +155,7 @@ func TestDecodeRecordRefusals(t *testing.T) {
 // after its end. Nothing of a refused group is applied; in the middle of a
 // burst, the groups before it are applied and journaled, and nothing after.
 func TestOldFormatJournalRefused(t *testing.T) {
-	good := encodeRecord(&opRecord{Op: opAcquire, Client: "c", ReqID: "r"})
+	good := encodeRecord(&opRecord{Op: opAcquire, Client: "c", ReqID: []byte("r")})
 	for _, tc := range []struct {
 		name    string
 		payload []byte
@@ -198,8 +201,8 @@ func TestOldFormatJournalRefused(t *testing.T) {
 				t.Errorf("%s: a refused group left %d clients (%d table rows) and %d dedup entries behind", tc.name, sh.clients.n, len(sh.table.recs)-1, sh.dedup.size())
 			}
 		})
-		before := encodeRecord(&opRecord{Op: opAcquire, Client: "before", ReqID: "rb"})
-		after := encodeRecord(&opRecord{Op: opAcquire, Client: "after", ReqID: "ra"})
+		before := encodeRecord(&opRecord{Op: opAcquire, Client: "before", ReqID: []byte("rb")})
+		after := encodeRecord(&opRecord{Op: opAcquire, Client: "after", ReqID: []byte("ra")})
 		refused("burst", fol.ApplyBurst(0, [][][]byte{{before}, {good, tc.payload}, {after}}))
 		sh.do(func() {
 			if sh.uidNamed("before") == 0 || sh.clients.n != 1 || len(sh.table.recs) != 2 || sh.dedup.size() != 1 {

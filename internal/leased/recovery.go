@@ -83,7 +83,9 @@ type opRecord struct {
 
 	// ReqID is the client's idempotency key, if it sent one; replay uses it
 	// to rebuild the dedup cache in the same order the live run filled it.
-	ReqID string
+	// It is a view of the bytes the op arrived in, valid for the op: the
+	// dedup cache copies what it keeps.
+	ReqID []byte
 }
 
 // The journal record: one versioned binary encoding (snapenc primitives, as
@@ -124,13 +126,14 @@ func encodeOpRecord(w *snapenc.Writer, rec *opRecord) {
 		w.Int(rep.Interactions)
 		w.Int(rep.Exceptions)
 	}
-	w.String(rec.ReqID)
+	w.String(viewString(rec.ReqID))
 }
 
 // decodeOpRecord reads one record into rec, with its usage report, if it
 // carries one, in *rep. It never panics on any input, allocates nothing but
-// the record's two strings, and refuses the old JSON format, an unknown
-// version byte, an op code or resource kind this build does not have, and
+// the client name (rec.ReqID is a view into payload), and refuses the old
+// JSON format, an unknown version byte, an op code or resource kind this
+// build does not have, a request ID longer than any door admits, and
 // trailing bytes.
 func decodeOpRecord(payload []byte, rec *opRecord, rep *usageReport) error {
 	if len(payload) == 0 {
@@ -162,9 +165,12 @@ func decodeOpRecord(payload []byte, rec *opRecord, rep *usageReport) error {
 		rep.Exceptions = r.Int()
 		rec.Report = rep
 	}
-	rec.ReqID = r.String()
+	rec.ReqID = r.Bytes()
 	if err := r.Done(); err != nil {
 		return err
+	}
+	if len(rec.ReqID) > maxRequestIDLen {
+		return fmt.Errorf("request ID of %d bytes exceeds %d", len(rec.ReqID), maxRequestIDLen)
 	}
 	if !rec.Op.valid() {
 		return fmt.Errorf("unknown op code %d", rec.Op)
@@ -599,6 +605,8 @@ func validate(st *persistedState) error {
 	// naming its kind and state, so those are checked like any index.
 	for i, e := range st.Dedup {
 		switch {
+		case len(e.ID) > maxRequestIDLen:
+			return fmt.Errorf("leased: snapshot dedup row %d: request ID of %d bytes exceeds %d", i, len(e.ID), maxRequestIDLen)
 		case e.Empty:
 		case !known(e.UID):
 			return fmt.Errorf("leased: snapshot dedup row %d: unknown uid %d", i, e.UID)
@@ -673,7 +681,8 @@ func (sh *shard) build(st *persistedState) {
 	}
 	for i := range st.Dedup {
 		e := &st.Dedup[i]
-		sh.dedup.put(e.ID, sh.dedup.hash(e.ID), e.verdict())
+		id := viewBytes(e.ID)
+		sh.dedup.put(id, sh.dedup.hashID(id), e.verdict())
 	}
 	// A lease's object is the one in its uid's slot of its kind. Restore is
 	// the second of the two points an object's lease handle is resolved at

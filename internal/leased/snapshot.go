@@ -321,7 +321,7 @@ func DumpSnapshot(dir string, w io.Writer) error {
 			if err := decodeOpRecord(raw, &rec, new(usageReport)); err != nil {
 				return fmt.Errorf("leased: %s: journal record %d: %w", filepath.Base(p), i, err)
 			}
-			e := journalEntry{At: rec.At, Op: opNames[rec.Op], Client: rec.Client, LeaseID: rec.LeaseID, Destroy: rec.Destroy, Report: rec.Report, ReqID: rec.ReqID}
+			e := journalEntry{At: rec.At, Op: opNames[rec.Op], Client: rec.Client, LeaseID: rec.LeaseID, Destroy: rec.Destroy, Report: rec.Report, ReqID: string(rec.ReqID)}
 			if rec.Op == opAcquire {
 				e.Kind = rec.Kind.String()
 			}

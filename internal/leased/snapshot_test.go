@@ -91,7 +91,7 @@ func populatedShard(tb testing.TB, opts Options, leases, terms int) *shard {
 				continue // idle holder
 			}
 			rep := usageReport{CPUMS: 40 + float64(i%7), UsedMS: 300, DataPoints: i % 5, DistanceM: float64(i%11) * 1.5, UIUpdates: 1 + i%3}
-			group = append(group, encodeRecord(&opRecord{At: at, Op: opRenew, LeaseID: id, Report: &rep, ReqID: fmt.Sprintf("req-%d-%d", n, i)}))
+			group = append(group, encodeRecord(&opRecord{At: at, Op: opRenew, LeaseID: id, Report: &rep, ReqID: []byte(fmt.Sprintf("req-%d-%d", n, i))}))
 		}
 		if err := sh.replay([][][]byte{group}, false); err != nil {
 			tb.Fatal(err)
@@ -370,7 +370,7 @@ func snapshotScript(tb testing.TB) *Server {
 	}
 	acquire := func(at time.Duration, client string, kind hooks.Kind, reqID string) held {
 		shard := shardIndex(client, opts.Shards)
-		apply(shard, &opRecord{At: at, Op: opAcquire, Client: client, Kind: kind, ReqID: reqID})
+		apply(shard, &opRecord{At: at, Op: opAcquire, Client: client, Kind: kind, ReqID: []byte(reqID)})
 		created[shard]++
 		return held{shard, created[shard]}
 	}
@@ -390,7 +390,7 @@ func snapshotScript(tb testing.TB) *Server {
 				continue // idle holders: deferred, escalated, restored
 			}
 			rep := &usageReport{CPUMS: 40 + float64(i), UsedMS: 300, RequestMS: 20, FailedRequestMS: float64(i % 3), DataPoints: i % 4, DistanceM: float64(i) * 1.5, UIUpdates: 1 + i%3, Interactions: i % 2, Exceptions: i % 7 / 6}
-			groups[l.shard] = append(groups[l.shard], &opRecord{At: at, Op: opRenew, LeaseID: l.local, Report: rep, ReqID: fmt.Sprintf("renew-%d-%d", n, i)})
+			groups[l.shard] = append(groups[l.shard], &opRecord{At: at, Op: opRenew, LeaseID: l.local, Report: rep, ReqID: []byte(fmt.Sprintf("renew-%d-%d", n, i))})
 		}
 		for shard, g := range groups {
 			apply(shard, g...)
@@ -398,8 +398,8 @@ func snapshotScript(tb testing.TB) *Server {
 	}
 
 	at := 9 * term
-	apply(leases[0].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[0].local, ReqID: "release-0"})
-	apply(leases[1].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[1].local, Destroy: true, ReqID: "destroy-1"})
+	apply(leases[0].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[0].local, ReqID: []byte("release-0")})
+	apply(leases[1].shard, &opRecord{At: at, Op: opRelease, LeaseID: leases[1].local, Destroy: true, ReqID: []byte("destroy-1")})
 	apply(second.shard, &opRecord{At: at, Op: opRelease, LeaseID: second.local, Destroy: true})
 	// The freed (client, kind) slot takes a fresh lease; a released one is
 	// re-acquired in place.
@@ -407,7 +407,7 @@ func snapshotScript(tb testing.TB) *Server {
 	acquire(at+2*time.Millisecond, "client-00", hooks.Wakelock, "")
 	// A record replayed under a request ID the cache still holds replaces the
 	// entry's response without moving it in the eviction order.
-	apply(leases[2].shard, &opRecord{At: at + 3*time.Millisecond, Op: opRenew, LeaseID: leases[2].local, ReqID: "renew-8-2"})
+	apply(leases[2].shard, &opRecord{At: at + 3*time.Millisecond, Op: opRenew, LeaseID: leases[2].local, ReqID: []byte("renew-8-2")})
 	return s
 }
 
@@ -878,7 +878,7 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 	// And an apps row and a dedup row naming a uid past the clients
 	// section's four. The encoder writes an apps row's uid from its client
 	// slot, so that row is rewritten in the payload; the dedup row's uid is
-	// set in the ring.
+	// set in the log.
 	sh = populated()
 	good = encodeShard(sh)
 	decoded, err := decodeSnapshot(good)
@@ -904,12 +904,20 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 	out = append(out, refusedSnapshot{name: "apps row names an unknown uid", payload: bad,
 		wantText: "snapshot apps row 0: unknown uid 60"})
 	sh = populated()
-	if sh.dedup.n == 0 || sh.dedup.ring[sh.dedup.head].v.empty {
+	c := sh.dedup
+	if c.n == 0 || c.verdictAt(c.head).empty {
 		tb.Fatal("the populated shard's oldest dedup entry is not a lease answer")
 	}
-	sh.dedup.ring[sh.dedup.head].v.uid = 61
+	id, v := bytes.Clone(c.idAt(c.head)), c.verdictAt(c.head)
+	v.uid = 61
+	c.put(id, c.hashID(id), v)
 	out = append(out, refusedSnapshot{name: "dedup row names an unknown uid", payload: encodeShard(sh),
 		wantText: "snapshot dedup row 0: unknown uid 61"})
+	sh = populated()
+	long := bytes.Repeat([]byte{'r'}, maxRequestIDLen+1)
+	sh.dedup.put(long, sh.dedup.hashID(long), dedupVerdict{empty: true})
+	out = append(out, refusedSnapshot{name: "dedup row's request ID is longer than a request's", payload: encodeShard(sh),
+		wantText: fmt.Sprintf("snapshot dedup row %d: request ID of %d bytes exceeds %d", sh.dedup.n-1, maxRequestIDLen+1, maxRequestIDLen)})
 	for _, r := range out {
 		got, err := decodeSnapshot(r.payload)
 		if err != nil {

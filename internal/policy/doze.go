@@ -55,7 +55,6 @@ type Doze struct {
 
 	dozing        bool
 	inMaintenance bool
-	idleSince     simclock.Time
 	idleTimer     simclock.EventID
 	maintTimer    simclock.EventID
 
@@ -112,7 +111,6 @@ func (d *Doze) Reset() {
 	d.order = d.order[:0]
 	d.dozing = false
 	d.inMaintenance = false
-	d.idleSince = 0
 	d.idleTimer = 0
 	d.maintTimer = 0
 	d.DozeEnterCount = 0

@@ -153,8 +153,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader returns a Reader over b. It does not retain b past the decode:
-// Bytes and String copy.
+// NewReader returns a Reader over b. String copies; Bytes returns a view
+// into b, valid while b is.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 func (r *Reader) fail(err error) {
@@ -257,15 +257,14 @@ func (r *Reader) Count(minBytes int) int {
 	return int(n)
 }
 
-// Bytes reads a length-prefixed byte slice into fresh memory; an empty one
-// decodes as nil.
+// Bytes reads a length-prefixed byte slice as a view into the input, which
+// a caller that keeps it must copy; an empty one decodes as nil.
 func (r *Reader) Bytes() []byte {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:])
+	b := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
