@@ -237,7 +237,7 @@ func BenchmarkAblationReputation(b *testing.B) {
 				cfg := lease.DefaultConfig()
 				cfg.EnableReputation = enable
 				s := sim.New(sim.Options{Policy: pol, Lease: cfg})
-				s.Apps.NewProcess(100, "leaker")
+				s.Apps.NewProcess(100)
 				for c := 0; c < 12; c++ {
 					wl := s.Power.NewWakelock(100, hooks.Wakelock, "cycle")
 					wl.Acquire()

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"maps"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -100,5 +102,40 @@ func TestCommandsKeepTheirFlags(t *testing.T) {
 	}
 	if len(commands) != len(want) {
 		t.Errorf("%d commands, want %d", len(commands), len(want))
+	}
+}
+
+// TestRunTraceMatchesGolden: `run -trace` writes each lease event as its
+// lease.AppendEventLine line, one for each of Table 5's three defect
+// classes. The goldens hold the trace's lease lines, without its samples:
+// leasesim run -app A -duration 5m -trace F; grep -v '"op":"power"\|"op":"leases"' F
+func TestRunTraceMatchesGolden(t *testing.T) {
+	for app, golden := range map[string]string{
+		"Torch":         "testdata/trace_torch_5m.golden",         // LHB
+		"BetterWeather": "testdata/trace_betterweather_5m.golden", // FAB
+		"K-9":           "testdata/trace_k9_5m.golden",            // LUB
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		if code, _, stderr := invoke("run", "-app", app, "-duration", "5m", "-trace", path); code != 0 {
+			t.Fatalf("run -app %s: exit %d, stderr %q", app, code, stderr)
+		}
+		trace, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(string(trace), "\n") {
+			var rec struct{ Op string }
+			if json.Unmarshal([]byte(line), &rec) == nil && rec.Op != "power" && rec.Op != "leases" {
+				got.WriteString(line)
+			}
+		}
+		if got.String() != string(want) {
+			t.Errorf("run -app %s -trace: lease lines\n%s\nwant (%s):\n%s", app, got.String(), golden, want)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package main
 
 // A recorder keeps a run's event trace for external analysis (`leasesim run
 // -trace` / `-trace-csv`): periodic power samples per app, lease-population
-// snapshots, and the full lease transition log. Traces serialise as JSON
-// lines (one event per line) or as a CSV power matrix.
+// snapshots, and every lease event. Traces serialise as JSON lines (one
+// record per line, each named by its "op") or as a CSV power matrix.
 
 import (
 	"encoding/csv"
@@ -19,13 +19,12 @@ import (
 	"repro/internal/sim"
 )
 
-// traceEvent is one trace record. Exactly one of the payload groups is set,
-// selected by Kind.
+// traceEvent is one trace record: a sample, or a lease event's line.
 type traceEvent struct {
-	// AtMS is the virtual timestamp in milliseconds.
-	AtMS int64 `json:"at_ms"`
-	// Kind is "power", "leases" or "transition".
-	Kind string `json:"kind"`
+	// AtNS is the virtual timestamp in nanoseconds, as a lease line's.
+	AtNS int64 `json:"at_ns"`
+	// Op is "power" or "leases" for a sample.
+	Op string `json:"op"`
 
 	// power: total system draw and per-app draws in milliwatts.
 	TotalMW float64            `json:"total_mw,omitempty"`
@@ -35,11 +34,7 @@ type traceEvent struct {
 	LeasesLive   int `json:"leases_live,omitempty"`
 	LeasesActive int `json:"leases_active,omitempty"`
 
-	// transition: one lease state change.
-	LeaseID uint64 `json:"lease_id,omitempty"`
-	From    string `json:"from,omitempty"`
-	To      string `json:"to,omitempty"`
-	Reason  string `json:"reason,omitempty"`
+	line []byte // a lease event's line, as lease.AppendEventLine writes it, and a newline
 }
 
 // recorder samples a simulation while it runs.
@@ -51,52 +46,45 @@ type recorder struct {
 }
 
 // attachRecorder starts recording on s: a power and lease snapshot every
-// interval, and each lease transition as it fires. It installs Note as the
-// lease manager's sink; a caller with its own sink calls Note from it
-// instead. uids selects the apps whose draw is broken out per sample.
+// interval, and each lease event the lease manager's sink passes to Note.
+// uids selects the apps whose draw is broken out per sample.
 func attachRecorder(s *sim.Sim, interval time.Duration, uids ...power.UID) *recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	r := &recorder{s: s, uids: uids}
 	r.stop = s.Engine.Ticker(interval, r.sample)
-	if s.Leases != nil {
-		s.Leases.OnEvent = r.Note
-	}
 	return r
 }
 
-// Note records ev if it is a lease transition and the recorder is running;
-// a nil recorder records nothing.
+// Note records ev if the recorder is running; a nil recorder records
+// nothing.
 func (r *recorder) Note(ev lease.Event) {
-	if r == nil || r.stop == nil || ev.Op != lease.EventTransition {
+	if r == nil || r.stop == nil {
 		return
 	}
-	r.events = append(r.events, traceEvent{
-		AtMS: ev.At.Milliseconds(), Kind: "transition",
-		LeaseID: ev.Lease, From: ev.From.String(), To: ev.To.String(), Reason: ev.Reason,
-	})
+	r.events = append(r.events, traceEvent{AtNS: int64(ev.At), Op: ev.Op, line: append(lease.AppendEventLine(nil, ev), '\n')})
 }
 
 func (r *recorder) sample() {
-	now := r.s.Engine.Now().Milliseconds()
+	now := int64(r.s.Engine.Now())
 	apps := make(map[string]float64, len(r.uids))
 	for _, uid := range r.uids {
 		apps[fmt.Sprintf("uid%d", uid)] = r.s.Meter.InstantPowerOfW(uid) * 1000
 	}
 	r.events = append(r.events, traceEvent{
-		AtMS: now, Kind: "power",
+		AtNS: now, Op: "power",
 		TotalMW: r.s.Meter.InstantPowerW() * 1000, AppsMW: apps,
 	})
 	if r.s.Leases != nil {
 		r.events = append(r.events, traceEvent{
-			AtMS: now, Kind: "leases",
+			AtNS: now, Op: "leases",
 			LeasesLive: r.s.Leases.LeaseCount(), LeasesActive: r.s.Leases.ActiveLeaseCount(),
 		})
 	}
 }
 
-// Stop halts sampling and transition recording; events stay available.
+// Stop halts sampling and event recording; events stay available.
 func (r *recorder) Stop() {
 	if r.stop != nil {
 		r.stop()
@@ -108,7 +96,13 @@ func (r *recorder) Stop() {
 func (r *recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range r.events {
-		if err := enc.Encode(ev); err != nil {
+		var err error
+		if ev.line != nil {
+			_, err = w.Write(ev.line)
+		} else {
+			err = enc.Encode(ev)
+		}
+		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}
@@ -118,34 +112,24 @@ func (r *recorder) WriteJSON(w io.Writer) error {
 // WriteCSV writes the power samples as a CSV matrix: at_ms, total_mw, then
 // one column per tracked uid (sorted by uid label).
 func (r *recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-
 	var cols []string
 	for _, uid := range r.uids {
 		cols = append(cols, fmt.Sprintf("uid%d", uid))
 	}
 	slices.Sort(cols)
-	cols = slices.Compact(cols)
-
-	header := append([]string{"at_ms", "total_mw"}, cols...)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
+	rows := [][]string{append([]string{"at_ms", "total_mw"}, slices.Compact(cols)...)}
 	for _, ev := range r.events {
-		if ev.Kind != "power" {
+		if ev.Op != "power" {
 			continue
 		}
-		row := []string{
-			strconv.FormatInt(ev.AtMS, 10),
-			strconv.FormatFloat(ev.TotalMW, 'f', 3, 64),
-		}
-		for _, c := range cols {
+		row := []string{strconv.FormatInt(time.Duration(ev.AtNS).Milliseconds(), 10), strconv.FormatFloat(ev.TotalMW, 'f', 3, 64)}
+		for _, c := range rows[0][2:] {
 			row = append(row, strconv.FormatFloat(ev.AppsMW[c], 'f', 3, 64))
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
+		rows = append(rows, row)
 	}
-	return cw.Error()
+	if err := csv.NewWriter(w).WriteAll(rows); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"repro/internal/android/hooks"
+	"repro/internal/lease"
 	"repro/internal/sim"
 )
 
 func buildTracedSim(t *testing.T) (*sim.Sim, *recorder) {
 	t.Helper()
 	s := sim.New(sim.Options{Policy: sim.LeaseOS})
-	s.Apps.NewProcess(100, "app")
+	s.Apps.NewProcess(100)
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "x")
 	wl.Acquire()
 	r := attachRecorder(s, time.Second, 100)
+	s.Leases.OnEvent = r.Note
 	s.Run(time.Minute)
 	r.Stop()
 	return s, r
@@ -26,21 +28,21 @@ func buildTracedSim(t *testing.T) (*sim.Sim, *recorder) {
 
 func TestRecorderCapturesAllKinds(t *testing.T) {
 	_, r := buildTracedSim(t)
-	kinds := map[string]int{}
+	ops := map[string]int{}
 	for i, ev := range r.events {
-		kinds[ev.Kind]++
-		if i > 0 && ev.AtMS < r.events[i-1].AtMS {
-			t.Fatalf("event %d at %d ms follows one at %d ms", i, ev.AtMS, r.events[i-1].AtMS)
+		ops[ev.Op]++
+		if i > 0 && ev.AtNS < r.events[i-1].AtNS {
+			t.Fatalf("event %d at %d ns follows one at %d ns", i, ev.AtNS, r.events[i-1].AtNS)
 		}
 	}
-	if kinds["power"] != 60 {
-		t.Fatalf("power samples = %d, want 60", kinds["power"])
+	if ops["power"] != 60 {
+		t.Fatalf("power samples = %d, want 60", ops["power"])
 	}
-	if kinds["leases"] != 60 {
-		t.Fatalf("lease snapshots = %d, want 60", kinds["leases"])
+	if ops["leases"] != 60 {
+		t.Fatalf("lease snapshots = %d, want 60", ops["leases"])
 	}
-	if kinds["transition"] == 0 {
-		t.Fatal("no transitions captured (the leak defers at 5 s)")
+	if ops[lease.EventTransition] == 0 || ops[lease.EventTermCheck] == 0 {
+		t.Fatalf("lease events %v, want term checks and transitions (the leak defers at 5 s)", ops)
 	}
 }
 
@@ -67,8 +69,13 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("first line is not valid JSON: %v", err)
 	}
-	if ev.Kind != "power" || ev.AppsMW["uid100"] <= 0 {
+	if ev.Op != "power" || ev.AppsMW["uid100"] <= 0 {
 		t.Fatalf("first event unexpected: %+v", ev)
+	}
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Op != r.events[i].Op || ev.AtNS != r.events[i].AtNS {
+			t.Fatalf("line %d %s decodes to %+v (%v), want op %q at %d ns", i, line, ev, err, r.events[i].Op, r.events[i].AtNS)
+		}
 	}
 }
 
@@ -112,8 +119,8 @@ func TestAttachDefaults(t *testing.T) {
 		t.Fatalf("events = %d, want 5 power samples", len(r.events))
 	}
 	for _, ev := range r.events {
-		if ev.Kind != "power" {
-			t.Fatalf("vanilla trace should be power-only, got %q", ev.Kind)
+		if ev.Op != "power" {
+			t.Fatalf("vanilla trace should be power-only, got %q", ev.Op)
 		}
 	}
 }

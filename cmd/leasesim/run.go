@@ -155,9 +155,11 @@ func runApp(w io.Writer, s *sim.Sim, named namedApp, d time.Duration, traceJSON,
 		rec = attachRecorder(s, time.Second, uid)
 	}
 	// One sink keeps what this report reads: each lease's behaviour counts,
-	// the transitions, and the trace's transition events.
+	// each transition's event line — a deferral's after the line of the term
+	// check that decided it — and the trace's events.
 	counts := map[uint64][lease.EUB + 1]int{}
-	var txns []lease.Event
+	var txns [][]byte
+	var check lease.Event
 	if s.Leases != nil {
 		s.Leases.OnEvent = func(ev lease.Event) {
 			switch ev.Op {
@@ -165,8 +167,13 @@ func runApp(w io.Writer, s *sim.Sim, named namedApp, d time.Duration, traceJSON,
 				c := counts[ev.Lease]
 				c[ev.Term.Behavior]++
 				counts[ev.Lease] = c
+				check = ev
 			case lease.EventTransition:
-				txns = append(txns, ev)
+				var lines []byte
+				if ev.To == lease.Deferred {
+					lines = fmt.Appendf(lines, "  %s\n", lease.AppendEventLine(nil, check))
+				}
+				txns = append(txns, fmt.Appendf(lines, "  %s\n", lease.AppendEventLine(nil, ev)))
 			}
 			rec.Note(ev)
 		}
@@ -210,7 +217,7 @@ func runApp(w io.Writer, s *sim.Sim, named namedApp, d time.Duration, traceJSON,
 			fmt.Fprintf(w, "transitions (%d):\n", n)
 			limit := min(n, 12)
 			for _, tr := range txns[:limit] {
-				fmt.Fprintf(w, "  %8v  %v -> %v (%s)\n", tr.At.Truncate(time.Second), tr.From, tr.To, tr.Reason)
+				w.Write(tr)
 			}
 			if limit < n {
 				fmt.Fprintf(w, "  ... %d more\n", n-limit)

@@ -24,7 +24,7 @@ func reputationDemo() {
 		cfg := leaseos.DefaultLeaseConfig()
 		cfg.EnableReputation = enable
 		s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS, Lease: cfg})
-		s.Apps.NewProcess(100, "leaker")
+		s.Apps.NewProcess(100)
 		for i := 0; i < 12; i++ {
 			wl := s.Power.NewWakelock(100, leaseos.Wakelock, "cycle")
 			wl.Acquire()
@@ -47,7 +47,7 @@ func dvfsDemo() {
 			Device: leaseos.PixelXL.WithDVFS(alpha),
 		})
 		for uid := leaseos.UID(100); uid <= 101; uid++ {
-			p := s.Apps.NewProcess(uid, fmt.Sprintf("grinder-%d", uid))
+			p := s.Apps.NewProcess(uid)
 			wl := s.Power.NewWakelock(uid, leaseos.Wakelock, "grind")
 			wl.Acquire()
 			p.RunWork(time.Minute, nil)
@@ -64,7 +64,7 @@ func dvfsDemo() {
 func eubDemo() {
 	fmt.Println("3. EUB observability: a heavy game under LeaseOS for 10 minutes")
 	s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS})
-	p := s.Apps.NewProcess(100, "game")
+	p := s.Apps.NewProcess(100)
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "game-loop")
 	wl.Acquire()
 	stop := p.Every(time.Second, func() {

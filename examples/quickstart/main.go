@@ -17,7 +17,7 @@ func main() {
 		// An app (uid 100) acquires a wakelock and forgets it — the classic
 		// no-sleep energy bug.
 		const appUID leaseos.UID = 100
-		s.Apps.NewProcess(appUID, "leaky-app")
+		s.Apps.NewProcess(appUID)
 		wl := s.Power.NewWakelock(appUID, leaseos.Wakelock, "forgotten")
 		wl.Acquire()
 

@@ -19,7 +19,7 @@ type Activity struct {
 }
 
 // NewActivity creates a live activity for the process.
-func (p *Process) NewActivity(name string) *Activity {
+func (p *Process) NewActivity() *Activity {
 	return &Activity{alive: true}
 }
 

@@ -8,8 +8,8 @@ func (f *fakeBound) SetBoundAlive(a bool) { f.alive = a }
 
 func TestActivityLifecycle(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
-	act := p.NewActivity("main")
+	p := r.fw.NewProcess(10)
+	act := p.NewActivity()
 	if !act.Alive() {
 		t.Fatal("fresh activity should be alive")
 	}
@@ -32,8 +32,8 @@ func TestActivityLifecycle(t *testing.T) {
 
 func TestBindToDeadActivity(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
-	act := p.NewActivity("gone")
+	p := r.fw.NewProcess(10)
+	act := p.NewActivity()
 	act.Destroy()
 	l := &fakeBound{alive: true}
 	act.Bind(l)

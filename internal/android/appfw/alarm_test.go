@@ -11,7 +11,7 @@ import (
 
 func TestAlarmFiresWhileCPUAsleep(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	ticks := 0
 	p.AlarmEvery(time.Minute, func() { ticks++ })
 	r.engine.RunUntil(5*time.Minute + time.Second)
@@ -23,7 +23,7 @@ func TestAlarmFiresWhileCPUAsleep(t *testing.T) {
 func TestAlarmGatedByGovernor(t *testing.T) {
 	// Use the denyGov from appfw_test and verify alarms defer like Doze.
 	r := newRig(denyGov{})
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	ticks := 0
 	p.AlarmEvery(time.Minute, func() { ticks++ })
 	r.engine.RunUntil(10 * time.Minute)
@@ -41,7 +41,7 @@ func TestAlarmGatedByGovernor(t *testing.T) {
 
 func TestAlarmAfterOnce(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	fired := 0
 	p.AlarmAfter(30*time.Second, func() { fired++ })
 	r.engine.RunUntil(5 * time.Minute)
@@ -52,7 +52,7 @@ func TestAlarmAfterOnce(t *testing.T) {
 
 func TestAlarmAfterCancel(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	fired := 0
 	cancel := p.AlarmAfter(30*time.Second, func() { fired++ })
 	cancel()
@@ -64,7 +64,7 @@ func TestAlarmAfterCancel(t *testing.T) {
 
 func TestAlarmStopsOnKill(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	ticks := 0
 	p.AlarmEvery(time.Minute, func() { ticks++ })
 	p.Kill()
@@ -78,7 +78,7 @@ func TestAlarmWakeAcquirePattern(t *testing.T) {
 	// The canonical sync pattern: alarm fires while asleep, acquires a
 	// wakelock, does work, releases.
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "sync")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	wl.Release() // start asleep
 	var done int
@@ -115,7 +115,7 @@ func (g *switchGov) AllowBackgroundWork(power.UID) bool { return g.allow }
 func pendingRig(t *testing.T, setup func(p *Process, gov *switchGov, fired *[]string)) (*rig, *switchGov, *[]string) {
 	gov := &switchGov{}
 	r := newRig(gov)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	var fired []string
 	setup(p, gov, &fired)

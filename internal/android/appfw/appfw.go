@@ -164,7 +164,7 @@ func (fw *Framework) search(uid power.UID) *account {
 
 // NewProcess registers an app process. Each app has a unique uid, like
 // Android's per-app Linux uids.
-func (fw *Framework) NewProcess(uid power.UID, name string) *Process {
+func (fw *Framework) NewProcess(uid power.UID) *Process {
 	if uid == power.SystemUID {
 		panic("appfw: uid 0 is reserved for the system")
 	}

@@ -30,7 +30,7 @@ func newRig(gov hooks.Governor) *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
 	r := binder.NewRegistry()
-	w := env.New(e)
+	w := env.New()
 	pm := powermgr.New(e, m, r, device.PixelXL, gov)
 	fw := New(e, m, device.PixelXL, w, pm, r, gov)
 	return &rig{engine: e, meter: m, reg: r, world: w, pm: pm, fw: fw}
@@ -47,7 +47,7 @@ func (r *rig) hold(uid power.UID) *powermgr.Wakelock {
 
 func TestWorkRunsWhileAwake(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	done := false
 	p.RunWork(5*time.Second, func() { done = true })
@@ -66,7 +66,7 @@ func TestWorkRunsWhileAwake(t *testing.T) {
 
 func TestWorkDrawsActiveCPUPower(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.RunWork(10*time.Second, nil)
 	r.engine.RunUntil(time.Second)
@@ -78,7 +78,7 @@ func TestWorkDrawsActiveCPUPower(t *testing.T) {
 
 func TestWorkPausesWhenCPUSleeps(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	done := false
 	p.RunWork(10*time.Second, func() { done = true })
@@ -105,10 +105,10 @@ func TestWorkScalesWithDeviceSpeed(t *testing.T) {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
-	w := env.New(e)
+	w := env.New()
 	pm := powermgr.New(e, m, reg, device.MotoG, hooks.Nop{})
 	fw := New(e, m, device.MotoG, w, pm, reg, hooks.Nop{})
-	p := fw.NewProcess(10, "app")
+	p := fw.NewProcess(10)
 	wl := pm.NewWakelock(10, hooks.Wakelock, "t")
 	wl.Acquire()
 	done := false
@@ -125,7 +125,7 @@ func TestWorkScalesWithDeviceSpeed(t *testing.T) {
 
 func TestForegroundRunsWithoutWakelock(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	p.SetForeground(true)
 	r.pm.SetUserScreen(true) // screen keeps CPU awake
 	done := false
@@ -142,7 +142,7 @@ func (denyGov) AllowBackgroundWork(power.UID) bool { return false }
 
 func TestBackgroundGatingByGovernor(t *testing.T) {
 	r := newRig(denyGov{})
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	done := false
 	p.RunWork(time.Second, func() { done = true })
@@ -159,7 +159,7 @@ func TestBackgroundGatingByGovernor(t *testing.T) {
 
 func TestNetworkRequestSuccess(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	var result error
 	called := false
@@ -173,7 +173,7 @@ func TestNetworkRequestSuccess(t *testing.T) {
 func TestNetworkRequestDisconnected(t *testing.T) {
 	r := newRig(nil)
 	r.world.SetNetwork(false, false)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	var result error
 	p.NetworkRequest(time.Second, func(err error) { result = err })
@@ -186,7 +186,7 @@ func TestNetworkRequestDisconnected(t *testing.T) {
 func TestNetworkRequestServerFailure(t *testing.T) {
 	r := newRig(nil)
 	r.world.SetServerHealthy(false)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	var result error
 	p.NetworkRequest(time.Second, func(err error) { result = err })
@@ -198,7 +198,7 @@ func TestNetworkRequestServerFailure(t *testing.T) {
 
 func TestNetworkRequestTimesOutAfterLongPause(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	var result error
 	called := false
@@ -218,7 +218,7 @@ func TestNetworkRequestTimesOutAfterLongPause(t *testing.T) {
 
 func TestTimerFiresOnlyWhileRunnable(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	ticks := 0
 	p.Every(time.Second, func() { ticks++ })
@@ -240,7 +240,7 @@ func TestTimerFiresOnlyWhileRunnable(t *testing.T) {
 
 func TestTimerStop(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	ticks := 0
 	stop := p.Every(time.Second, func() { ticks++ })
@@ -255,7 +255,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestAfter(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	fired := 0
 	p.After(2*time.Second, func() { fired++ })
@@ -267,7 +267,7 @@ func TestAfter(t *testing.T) {
 
 func TestAfterCancel(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	fired := 0
 	cancel := p.After(2*time.Second, func() { fired++ })
@@ -280,7 +280,7 @@ func TestAfterCancel(t *testing.T) {
 
 func TestSignals(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	p.ThrowException()
 	p.ThrowException()
 	p.NoteUIUpdate()
@@ -292,7 +292,7 @@ func TestSignals(t *testing.T) {
 
 func TestKillCleansEverything(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	p.RunWork(time.Minute, nil)
 	p.Every(time.Second, func() {})
@@ -316,18 +316,18 @@ func TestKillCleansEverything(t *testing.T) {
 
 func TestDuplicateUIDPanics(t *testing.T) {
 	r := newRig(nil)
-	r.fw.NewProcess(10, "a")
+	r.fw.NewProcess(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate uid should panic")
 		}
 	}()
-	r.fw.NewProcess(10, "b")
+	r.fw.NewProcess(10)
 }
 
 func TestCPUTimeIncludesRunningWork(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.RunWork(10*time.Second, nil)
 	r.engine.RunUntil(3 * time.Second)
@@ -339,7 +339,7 @@ func TestCPUTimeIncludesRunningWork(t *testing.T) {
 func TestRadioTailOnCellular(t *testing.T) {
 	r := newRig(nil)
 	r.world.SetNetwork(true, false) // cellular
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.NetworkRequest(2*time.Second, nil)
 	r.engine.RunUntil(3 * time.Second) // transfer done at 2 s, tail until 7 s
@@ -357,7 +357,7 @@ func TestRadioTailOnCellular(t *testing.T) {
 
 func TestNoRadioTailOnWiFi(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.NetworkRequest(2*time.Second, nil)
 	r.engine.RunUntil(3 * time.Second)
@@ -370,7 +370,7 @@ func TestNoRadioTailOnWiFi(t *testing.T) {
 func TestRadioTailRefreshedByNextTransfer(t *testing.T) {
 	r := newRig(nil)
 	r.world.SetNetwork(true, false)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.NetworkRequest(time.Second, func(error) {
 		p.fw.engine.Schedule(3*time.Second, func() {

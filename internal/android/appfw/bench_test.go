@@ -49,7 +49,7 @@ func BenchmarkFramework(b *testing.B) {
 // simulated app.
 func runWorkOp() func() {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	return func() {
 		p.RunWork(time.Millisecond, nil)
@@ -63,7 +63,7 @@ func runWorkOp() func() {
 func networkRequestOp() func() {
 	r := newRig(nil)
 	r.world.SetNetwork(true, false) // cellular: exercises the radio tail
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	onDone := func(error) {}
 	return func() {
@@ -77,7 +77,7 @@ func networkRequestOp() func() {
 // callback rather than allocate a fresh closure.
 func timerChurnOp() func() {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.Every(time.Millisecond, func() {})
 	return func() { r.engine.RunUntil(r.engine.Now() + time.Millisecond) }
@@ -92,7 +92,7 @@ func timerChurnOp() func() {
 // TestRecomputeDoesNotAllocate).
 func workPauseResumeOp() func() {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.hold(10)
 	p.RunWork(time.Hour, nil)
 	return func() {
@@ -109,7 +109,7 @@ func workPauseResumeOp() func() {
 // from their pools.
 func gatedSubmitOp() func() {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	wl := r.pm.NewWakelock(10, hooks.Wakelock, "test")
 	return func() {
 		p.RunWork(500*time.Microsecond, nil) // CPU asleep: a backlog node

@@ -19,7 +19,7 @@ func newDVFSRig(alpha float64) *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
 	r := binder.NewRegistry()
-	w := env.New(e)
+	w := env.New()
 	pm := powermgr.New(e, m, r, prof, hooks.Nop{})
 	fw := New(e, m, prof, w, pm, r, hooks.Nop{})
 	return &rig{engine: e, meter: m, reg: r, world: w, pm: pm, fw: fw}
@@ -27,8 +27,8 @@ func newDVFSRig(alpha float64) *rig {
 
 func TestDVFSSuperlinearDraw(t *testing.T) {
 	r := newDVFSRig(0.3)
-	p := r.fw.NewProcess(10, "a")
-	q := r.fw.NewProcess(20, "b")
+	p := r.fw.NewProcess(10)
+	q := r.fw.NewProcess(20)
 	r.hold(10)
 
 	p.RunWork(10*time.Second, nil)
@@ -51,8 +51,8 @@ func TestDVFSSuperlinearDraw(t *testing.T) {
 
 func TestDVFSDrawDropsWhenLoadEnds(t *testing.T) {
 	r := newDVFSRig(0.5)
-	p := r.fw.NewProcess(10, "a")
-	q := r.fw.NewProcess(20, "b")
+	p := r.fw.NewProcess(10)
+	q := r.fw.NewProcess(20)
 	r.hold(10)
 	p.RunWork(20*time.Second, nil)
 	q.RunWork(2*time.Second, nil)
@@ -65,8 +65,8 @@ func TestDVFSDrawDropsWhenLoadEnds(t *testing.T) {
 
 func TestDVFSZeroAlphaIsFlat(t *testing.T) {
 	r := newDVFSRig(0)
-	p := r.fw.NewProcess(10, "a")
-	q := r.fw.NewProcess(20, "b")
+	p := r.fw.NewProcess(10)
+	q := r.fw.NewProcess(20)
 	r.hold(10)
 	p.RunWork(10*time.Second, nil)
 	q.RunWork(10*time.Second, nil)
@@ -84,8 +84,8 @@ func TestDVFSEnergyConservation(t *testing.T) {
 	flat := newDVFSRig(0)
 	dvfs := newDVFSRig(0.3)
 	for _, r := range []*rig{flat, dvfs} {
-		p := r.fw.NewProcess(10, "a")
-		q := r.fw.NewProcess(20, "b")
+		p := r.fw.NewProcess(10)
+		q := r.fw.NewProcess(20)
 		r.hold(10)
 		p.RunWork(10*time.Second, nil)
 		q.RunWork(10*time.Second, nil)
@@ -106,8 +106,8 @@ func TestDVFSEnergyConservation(t *testing.T) {
 // owner must read exactly 0 W with no slots left for ClearOwner.
 func TestKillLeavesExactZeros(t *testing.T) {
 	r := newDVFSRig(0.3)
-	p := r.fw.NewProcess(10, "a")
-	q := r.fw.NewProcess(20, "b")
+	p := r.fw.NewProcess(10)
+	q := r.fw.NewProcess(20)
 	r.hold(20)
 	for i := 1; i <= 7; i++ {
 		p.RunWork(time.Duration(i)*1300*time.Millisecond, nil)
@@ -151,7 +151,7 @@ func TestBacklogRunsOutAsASlotPerItem(t *testing.T) {
 		{0.0001, [5]uint64{0x3f9eb85205a26a00, 0x3e1a1d4b48000000, 0x3f80624e072a9690, 0x40b69cbab9cb4d83, 0x40b6b98786981762}},
 	} {
 		r := newDVFSRig(tc.alpha)
-		p := r.fw.NewProcess(10, "app")
+		p := r.fw.NewProcess(10)
 		for i := 0; i < 8000; i++ {
 			p.RunWork(time.Duration(1+i*7919%997)*time.Millisecond, nil)
 			if i%3 == 0 {

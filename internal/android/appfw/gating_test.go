@@ -248,7 +248,7 @@ func newGatingPair(t *testing.T) *gatingPair {
 
 func (g *gatingPair) newProcess() {
 	uid := power.UID(100 + len(g.procs))
-	p := g.r.fw.NewProcess(uid, fmt.Sprint("app", uid))
+	p := g.r.fw.NewProcess(uid)
 	g.procs = append(g.procs, p)
 	g.shared = append(g.shared, func() {
 		g.log = append(g.log, completion(sharedLabel(uid), g.r.engine.Now(), nil))
@@ -572,7 +572,7 @@ func FuzzGatingMatchesFullWalk(f *testing.F) {
 // its own.
 func submitPaused(n int) (*rig, time.Duration) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		p.RunWork(time.Duration(1+i%2)*time.Second, nil)

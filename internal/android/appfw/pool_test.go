@@ -1,7 +1,6 @@
 package appfw
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -15,7 +14,7 @@ import (
 
 func TestRunWorkOnDeadProcessIsNoOp(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.Kill()
 	called := false
@@ -31,7 +30,7 @@ func TestRunWorkOnDeadProcessIsNoOp(t *testing.T) {
 
 func TestNetworkRequestOnDeadProcessIsNoOp(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	p.Kill()
 	called := false
@@ -52,7 +51,7 @@ func TestKilledWorkNeverCompletesOnReusedSlot(t *testing.T) {
 	r := newRig(nil)
 	r.hold(1)
 	r.hold(2)
-	a := r.fw.NewProcess(1, "a")
+	a := r.fw.NewProcess(1)
 	aDone := 0
 	a.RunWork(5*time.Second, func() { aDone++ })
 	r.engine.RunUntil(2 * time.Second)
@@ -61,7 +60,7 @@ func TestKilledWorkNeverCompletesOnReusedSlot(t *testing.T) {
 	if slot == nil {
 		t.Fatal("Kill must return the work slot to the pool")
 	}
-	b := r.fw.NewProcess(2, "b")
+	b := r.fw.NewProcess(2)
 	bDone := 0
 	b.RunWork(3*time.Second, func() { bDone++ })
 	if b.workHead != slot {
@@ -83,7 +82,7 @@ func TestKilledWorkNeverCompletesOnReusedSlot(t *testing.T) {
 // (the common self-rescheduling app pattern) runs on clean state.
 func TestCompletedSlotReusedCleanly(t *testing.T) {
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	r.hold(10)
 	var first *workItem
 	n := 0
@@ -112,7 +111,7 @@ func reevaluateFireOrder(n int) []power.UID {
 	var order []power.UID
 	for i := 0; i < n; i++ {
 		uid := power.UID(100 + i)
-		p := r.fw.NewProcess(uid, fmt.Sprintf("app%d", i))
+		p := r.fw.NewProcess(uid)
 		// CPU is asleep (no wakelock yet), so the item queues paused.
 		p.RunWork(time.Second, func() { order = append(order, uid) })
 	}
@@ -182,7 +181,7 @@ func TestBacklogNodesArePooled(t *testing.T) {
 		}},
 		{"Kill", func(r *rig, p *Process) *Process {
 			p.Kill()
-			return r.fw.NewProcess(11, "next")
+			return r.fw.NewProcess(11)
 		}},
 		{"Reset", func(r *rig, p *Process) *Process {
 			r.engine.Reset()
@@ -191,11 +190,11 @@ func TestBacklogNodesArePooled(t *testing.T) {
 			r.world.Reset()
 			r.pm.Reset()
 			r.fw.Reset()
-			return r.fw.NewProcess(10, "app")
+			return r.fw.NewProcess(10)
 		}},
 	} {
 		r := newRig(nil)
-		p := r.fw.NewProcess(10, "app")
+		p := r.fw.NewProcess(10)
 		base := live()
 		submit(p)
 		held := live() - base
@@ -226,7 +225,7 @@ func TestBacklogNodesArePooled(t *testing.T) {
 func TestAlikeSubmissionsShareANode(t *testing.T) {
 	const n = 8000
 	r := newRig(nil)
-	p := r.fw.NewProcess(10, "app")
+	p := r.fw.NewProcess(10)
 	done := 0
 	onDone := func() { done++ }
 	p.RunWork(time.Second, onDone) // the node itself, allocated here
@@ -251,7 +250,7 @@ func TestAlikeSubmissionsShareANode(t *testing.T) {
 
 	var got []int
 	r2 := newRig(nil)
-	q := r2.fw.NewProcess(20, "other")
+	q := r2.fw.NewProcess(20)
 	for i := 0; i < 3; i++ {
 		q.RunWork(time.Second, func() { got = append(got, i) })
 	}
@@ -291,8 +290,8 @@ func TestKillOfNeverRunWorkIsNoWork(t *testing.T) {
 	run := func(backlog int, own bool) [4]uint64 {
 		gov := &gateGov{deny: map[power.UID]bool{10: true}}
 		r := newRig(gov)
-		p := r.fw.NewProcess(10, "app")
-		q := r.fw.NewProcess(20, "other")
+		p := r.fw.NewProcess(10)
+		q := r.fw.NewProcess(20)
 		slots := 0
 		if own {
 			r.hold(10)

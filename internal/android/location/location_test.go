@@ -28,7 +28,7 @@ func newRig(gov hooks.Governor) *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
 	r := binder.NewRegistry()
-	w := env.New(e)
+	w := env.New()
 	return &rig{engine: e, meter: m, reg: r, world: w, svc: New(e, m, r, device.PixelXL, w, gov)}
 }
 

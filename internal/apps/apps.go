@@ -38,7 +38,7 @@ type base struct {
 }
 
 func newBase(s *sim.Sim, uid power.UID, name string) base {
-	return base{s: s, proc: s.Apps.NewProcess(uid, name), name: name}
+	return base{s: s, proc: s.Apps.NewProcess(uid), name: name}
 }
 
 func (b *base) Name() string   { return b.name }

@@ -100,7 +100,7 @@ type gpsLeak struct {
 
 // Start implements App.
 func (a *gpsLeak) Start() {
-	a.activity = a.proc.NewActivity("map")
+	a.activity = a.proc.NewActivity()
 	a.req = a.s.Location.Register(a.UID(), a.interval, func(location.Fix) {
 		if a.activity.Alive() {
 			a.proc.NoteUIUpdate()

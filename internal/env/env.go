@@ -10,8 +10,6 @@
 // subsystems subscribe to changes.
 package env
 
-import "repro/internal/simclock"
-
 // GPSQuality describes how easily a GPS fix can be obtained.
 type GPSQuality int
 
@@ -51,7 +49,7 @@ type Environment struct {
 
 // New returns a benign default environment: connected Wi-Fi network, healthy
 // servers, good GPS, stationary device, no user present.
-func New(engine *simclock.Engine) *Environment {
+func New() *Environment {
 	return &Environment{
 		networkConnected: true,
 		networkOnWiFi:    true,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDefaults(t *testing.T) {
-	e := New(simclock.NewEngine())
+	e := New()
 	if !e.NetworkConnected() || !e.NetworkOnWiFi() || !e.ServerHealthy() {
 		t.Fatal("defaults should be benign")
 	}
@@ -21,7 +21,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestSubscribersNotifiedOnChange(t *testing.T) {
-	e := New(simclock.NewEngine())
+	e := New()
 	n := 0
 	e.Subscribe(func() { n++ })
 	e.SetNetwork(false, false)
@@ -36,7 +36,7 @@ func TestSubscribersNotifiedOnChange(t *testing.T) {
 }
 
 func TestWiFiRequiresConnectivity(t *testing.T) {
-	e := New(simclock.NewEngine())
+	e := New()
 	e.SetNetwork(false, true)
 	if e.NetworkOnWiFi() {
 		t.Fatal("disconnected network cannot be on Wi-Fi")
@@ -44,7 +44,7 @@ func TestWiFiRequiresConnectivity(t *testing.T) {
 }
 
 func TestSpeedWhileMoving(t *testing.T) {
-	e := New(simclock.NewEngine())
+	e := New()
 	e.SetMotion(true, 3)
 	if e.SpeedMps() != 3 {
 		t.Fatalf("SpeedMps = %v, want 3", e.SpeedMps())
@@ -57,7 +57,7 @@ func TestSpeedWhileMoving(t *testing.T) {
 
 func TestScheduledMutation(t *testing.T) {
 	eng := simclock.NewEngine()
-	e := New(eng)
+	e := New()
 	eng.ScheduleAt(10*time.Second, func() { e.SetGPS(GPSNone) })
 	eng.RunUntil(5 * time.Second)
 	if e.GPS() != GPSGood {

@@ -18,7 +18,7 @@ func TestActivityReportBasics(t *testing.T) {
 	short.Acquire()
 	s.Run(2 * time.Second)
 	short.Destroy()
-	p := s.Apps.NewProcess(11, "long")
+	p := s.Apps.NewProcess(11)
 	long := s.Power.NewWakelock(11, hooks.Wakelock, "long")
 	long.Acquire()
 	stop := p.Every(time.Second, func() { p.RunWork(500*time.Millisecond, nil) })

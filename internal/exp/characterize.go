@@ -195,7 +195,7 @@ func Figure5() Result {
 	// Drive one lease through every state: misbehave (idle hold), recover
 	// (healthy work), release, re-acquire, die.
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "fsm")
-	proc := s.Apps.NewProcess(100, "fsm-app")
+	proc := s.Apps.NewProcess(100)
 	wl.Acquire()
 	s.Run(31 * time.Second) // LHB at 5 s → DEFERRED for τ=25 s → restored at 30 s
 	stop := proc.Every(time.Second, func() { proc.RunWork(500*time.Millisecond, nil) })

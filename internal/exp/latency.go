@@ -26,7 +26,7 @@ func DetectionLatency() Result {
 	measure := func(pol sim.Policy) (time.Duration, bool) {
 		s := borrowSim(sim.Options{Policy: pol})
 		defer returnSim(s)
-		s.Apps.NewProcess(100, "leaker")
+		s.Apps.NewProcess(100)
 		s.Engine.ScheduleAt(onset, func() {
 			wl := s.Power.NewWakelock(100, hooks.Wakelock, "leak")
 			wl.Acquire()
@@ -84,7 +84,7 @@ func windowCost(window int) (steadyDetect time.Duration, burstyDeferrals int) {
 			steadyDetect = time.Duration(ev.At)
 		}
 	}
-	s.Apps.NewProcess(100, "leak")
+	s.Apps.NewProcess(100)
 	wl := s.Power.NewWakelock(100, hooks.Wakelock, "leak")
 	wl.Acquire()
 	s.Run(10 * time.Minute)
@@ -92,7 +92,7 @@ func windowCost(window int) (steadyDetect time.Duration, burstyDeferrals int) {
 	// Bursty-but-legitimate app: deferral count (misjudgements).
 	b := borrowSim(sim.Options{Policy: sim.LeaseOS, Lease: cfg})
 	defer returnSim(b)
-	p := b.Apps.NewProcess(100, "bursty")
+	p := b.Apps.NewProcess(100)
 	wl2 := b.Power.NewWakelock(100, hooks.Wakelock, "bursty")
 	wl2.Acquire()
 	busy := false

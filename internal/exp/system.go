@@ -54,7 +54,7 @@ func Table4() Result {
 	r := Result{ID: "table-4", Title: "Latency of major lease operations"}
 	s := borrowSim(sim.Options{Policy: sim.LeaseOS})
 	defer returnSim(s)
-	proc := s.Apps.NewProcess(100, "bench")
+	proc := s.Apps.NewProcess(100)
 	_ = proc
 
 	const (

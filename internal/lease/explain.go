@@ -78,21 +78,15 @@ func (e Explanation) String() string {
 		}
 		return "ok"
 	}
-	if e.Kind.CanFrequentAsk() {
-		fabAsk := float64(rec.RequestTime) >= fabMinAskFraction*float64(rec.Duration)
-		fabFail := rec.SuccessRatio <= fabSuccessThreshold
+	c := rec.check(e.Kind)
+	if c.canAsk {
 		fmt.Fprintf(&b, "  frequent-ask: request %v (≥%.0f%% of term: %v), success ratio %.2f (≤%.2f: %s)\n",
-			rec.RequestTime, 100*fabMinAskFraction, fabAsk, rec.SuccessRatio,
-			fabSuccessThreshold, mark(fabAsk && fabFail))
+			rec.RequestTime, 100*c.askMin, c.fabAsk, rec.SuccessRatio, c.successMax, mark(c.fabAsk && c.fabFail))
 	}
-	longHold := float64(rec.Held) >= lhbHoldFraction*float64(rec.Duration)
 	fmt.Fprintf(&b, "  long-holding: held fraction %.2f (≥%.2f: %v), utilization %.3f (<%.2f: %s)\n",
-		ratioOf(rec.Held, rec.Duration), lhbHoldFraction, longHold,
-		rec.Utilization, utilizationThreshold,
-		mark(longHold && rec.Utilization < utilizationThreshold))
+		ratioOf(rec.Held, rec.Duration), c.holdMin, c.longHold, rec.Utilization, c.utilMin, mark(c.longHold && c.lowUtil))
 	fmt.Fprintf(&b, "  low-utility: score %.0f (<%.0f: %s)\n",
-		rec.UtilityScore, utilityThreshold,
-		mark(longHold && rec.Utilization >= utilizationThreshold && rec.UtilityScore < utilityThreshold))
+		rec.UtilityScore, c.utilityMin, mark(c.longHold && !c.lowUtil && c.lowUtility))
 	fmt.Fprintf(&b, "  verdict: %v", rec.Behavior)
 	switch {
 	case rec.Behavior.Misbehaving() && e.State == Deferred:
@@ -109,7 +103,7 @@ func (e Explanation) String() string {
 	return b.String()
 }
 
-func ratioOf(a, b interface{ Seconds() float64 }) float64 {
+func ratioOf[T interface{ Seconds() float64 }](a, b T) float64 {
 	if b.Seconds() == 0 {
 		return 0
 	}

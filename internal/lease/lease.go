@@ -23,7 +23,10 @@ package lease
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/android/hooks"
 	"repro/internal/power"
@@ -48,19 +51,13 @@ const (
 	Dead
 )
 
+var stateNames = [...]string{Active: "ACTIVE", Inactive: "INACTIVE", Deferred: "DEFERRED", Dead: "DEAD"}
+
 func (s State) String() string {
-	switch s {
-	case Active:
-		return "ACTIVE"
-	case Inactive:
-		return "INACTIVE"
-	case Deferred:
-		return "DEFERRED"
-	case Dead:
-		return "DEAD"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s))
 }
 
 // Behavior classifies one term of resource usage (paper Table 1 and §2.4).
@@ -83,21 +80,13 @@ const (
 	EUB
 )
 
+var behaviorNames = [...]string{Normal: "Normal", FAB: "FAB", LHB: "LHB", LUB: "LUB", EUB: "EUB"}
+
 func (b Behavior) String() string {
-	switch b {
-	case Normal:
-		return "Normal"
-	case FAB:
-		return "FAB"
-	case LHB:
-		return "LHB"
-	case LUB:
-		return "LUB"
-	case EUB:
-		return "EUB"
-	default:
-		return fmt.Sprintf("behavior(%d)", int(b))
+	if b >= 0 && int(b) < len(behaviorNames) {
+		return behaviorNames[b]
 	}
+	return fmt.Sprintf("behavior(%d)", int(b))
 }
 
 // Misbehaving reports whether b is one of the three defect classes LeaseOS
@@ -182,3 +171,68 @@ const (
 	EventTransition = "transition"
 	EventRemove     = "remove"
 )
+
+// AppendEventLine appends ev to b as one flat JSON object, with no newline,
+// and returns the extended buffer; it allocates nothing when b has room.
+// Every event carries at_ns, op, lease, uid and kind. A term check adds its
+// index and length, then each measure beside the threshold it is held to
+// (ask and success only for a kind that can frequent-ask) and its class; a
+// transition adds from, to and reason, and into DEFERRED, τ and the restore
+// instant. Durations and instants are integer nanoseconds; a non-finite
+// float, which JSON has no number for, is the string "NaN", "+Inf" or "-Inf".
+func AppendEventLine(b []byte, ev Event) []byte {
+	b = appendInt(append(b, '{'), `"at_ns":`, int64(ev.At))
+	b = strconv.AppendUint(append(appendString(b, `,"op":`, ev.Op), `,"lease":`...), ev.Lease, 10)
+	b = appendString(appendInt(b, `,"uid":`, int64(ev.UID)), `,"kind":`, ev.Kind.String())
+	switch ev.Op {
+	case EventTermCheck:
+		rec, c := ev.Term, ev.Term.check(ev.Kind)
+		b = appendInt(appendInt(b, `,"term":`, int64(rec.Index)), `,"term_ns":`, int64(rec.Duration))
+		if c.canAsk {
+			b = appendFloat(appendFloat(b, `,"ask":`, ratioOf(rec.RequestTime, rec.Duration)), `,"ask_min":`, c.askMin)
+			b = appendFloat(appendFloat(b, `,"success":`, rec.SuccessRatio), `,"success_max":`, c.successMax)
+		}
+		b = appendFloat(appendFloat(b, `,"hold":`, ratioOf(rec.Held, rec.Duration)), `,"hold_min":`, c.holdMin)
+		b = appendFloat(appendFloat(b, `,"utilization":`, rec.Utilization), `,"utilization_min":`, c.utilMin)
+		b = appendFloat(appendFloat(b, `,"utility":`, rec.UtilityScore), `,"utility_min":`, c.utilityMin)
+		b = appendString(appendFloat(b, `,"eub_floor":`, c.eubFloor), `,"class":`, rec.Behavior.String())
+	case EventTransition:
+		b = appendString(appendString(b, `,"from":`, ev.From.String()), `,"to":`, ev.To.String())
+		b = appendString(b, `,"reason":`, ev.Reason)
+		if ev.To == Deferred {
+			b = appendInt(appendInt(b, `,"tau_ns":`, int64(ev.Tau)), `,"restore_ns":`, int64(ev.At+ev.Tau))
+		}
+	}
+	return append(b, '}')
+}
+
+// appendInt, appendFloat and appendString append a key, given with its
+// quotes and colon, and the member's value.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendFloat writes a non-finite float as a string.
+func appendFloat(b []byte, key string, v float64) []byte {
+	if b = append(b, key...); math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(strconv.AppendFloat(append(b, '"'), v, 'g', -1, 64), '"')
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendString escapes quotes, backslashes and control bytes, and writes
+// each byte of invalid UTF-8 as U+FFFD, as encoding/json does.
+func appendString(b []byte, key, s string) []byte {
+	b = append(append(b, key...), '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < ' ':
+			b = append(b, '\\', 'u', '0', '0', "0123456789abcdef"[r>>4], "0123456789abcdef"[r&0xf])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, '"')
+}

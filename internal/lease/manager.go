@@ -149,21 +149,11 @@ func (m *Manager) Config() Config { return m.cfg }
 // so pending check/restore events need no cancellation.
 func (m *Manager) Reset() {
 	m.leases.reset()
-	for k := range m.byObj {
-		delete(m.byObj, k)
-	}
-	for k := range m.proxies {
-		delete(m.proxies, k)
-	}
-	for k := range m.counters {
-		delete(m.counters, k)
-	}
-	for k := range m.reputations {
-		delete(m.reputations, k)
-	}
-	for k := range m.eubTime {
-		delete(m.eubTime, k)
-	}
+	clear(m.byObj)
+	clear(m.proxies)
+	clear(m.counters)
+	clear(m.reputations)
+	clear(m.eubTime)
 	m.nextID = 0
 	m.OnEvent = nil
 	m.createdTotal = 0
@@ -505,25 +495,15 @@ func (m *Manager) collect(l *Lease, termDur time.Duration) TermRecord {
 	ui := m.apps.UIUpdatesOf(l.obj.UID)
 	inter := m.apps.InteractionsOf(l.obj.UID)
 
-	in := termInputs{
-		kind:              l.obj.Kind,
-		term:              termDur,
-		held:              ts.Held,
-		active:            ts.Active,
-		used:              ts.Used,
-		requestTime:       ts.RequestTime,
-		failedRequestTime: ts.FailedRequestTime,
-		cpuTime:           cpu - l.lastCPU,
-		dataPoints:        ts.DataPoints,
-		distanceM:         ts.DistanceM,
-		exceptions:        exc - l.lastExc,
-		uiUpdates:         ui - l.lastUI,
-		interactions:      inter - l.lastInter,
-		custom:            m.counters[counterKey{l.obj.UID, l.obj.Kind}],
+	rec := TermRecord{
+		Duration: termDur, Held: ts.Held, Active: ts.Active, Used: ts.Used,
+		RequestTime: ts.RequestTime, FailedRequestTime: ts.FailedRequestTime,
+		CPUTime: cpu - l.lastCPU, DataPoints: ts.DataPoints, DistanceM: ts.DistanceM,
+		Exceptions: exc - l.lastExc, UIUpdates: ui - l.lastUI, Interactions: inter - l.lastInter,
 	}
 	l.lastCPU, l.lastExc, l.lastUI, l.lastInter = cpu, exc, ui, inter
-
-	return classify(in, m.cfg)
+	rec.classify(l.obj.Kind, m.counters[counterKey{l.obj.UID, l.obj.Kind}], m.cfg)
+	return rec
 }
 
 // deferReasons are the constant transition reasons of the three behaviours

@@ -10,6 +10,34 @@ import (
 
 func cfg() Config { return DefaultConfig() }
 
+// termInputs are one term's raw observations, as the classifier tests
+// write them.
+type termInputs struct {
+	kind hooks.Kind
+	term time.Duration
+
+	held, active, used, requestTime, failedRequestTime, cpuTime time.Duration
+
+	dataPoints int
+	distanceM  float64
+
+	exceptions, uiUpdates, interactions int
+
+	custom UtilityCounter // nil when the app registered none
+}
+
+// classify classifies in as the manager classifies a collected term.
+func classify(in termInputs, cfg Config) TermRecord {
+	rec := TermRecord{
+		Duration: in.term, Held: in.held, Active: in.active, Used: in.used,
+		RequestTime: in.requestTime, FailedRequestTime: in.failedRequestTime, CPUTime: in.cpuTime,
+		DataPoints: in.dataPoints, DistanceM: in.distanceM,
+		Exceptions: in.exceptions, UIUpdates: in.uiUpdates, Interactions: in.interactions,
+	}
+	rec.classify(in.kind, in.custom, cfg)
+	return rec
+}
+
 // base returns inputs describing a benign wakelock term: held briefly with
 // proportionate CPU.
 func base(kind hooks.Kind) termInputs {

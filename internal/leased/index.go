@@ -1,6 +1,7 @@
 package leased
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 
@@ -74,10 +75,15 @@ func (x *cellIndex) place(cell uint64) {
 // remove frees the cell holding value v under hash h and closes the gap:
 // each later cell of the same probe run moves back into the hole unless that
 // would put it before its own home (backward-shift deletion), so every key
-// stays reachable from its hash with no tombstone.
+// stays reachable from its hash with no tombstone. The value must be
+// indexed under h: a search that reaches the end of h's probe run panics,
+// rather than wrap the index for ever.
 func (x *cellIndex) remove(h uint64, v uint32) {
 	hole := h & x.mask
 	for uint32(x.cells[hole]) != v {
+		if x.cells[hole] == 0 {
+			panic(fmt.Sprintf("leased: value %d is not indexed under hash %#x", v, h))
+		}
 		hole = (hole + 1) & x.mask
 	}
 	x.n--

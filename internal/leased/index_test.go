@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/power"
 )
@@ -95,4 +96,26 @@ func FuzzNameIndexMatchesMap(f *testing.F) {
 			t.Fatalf("%d names in %d occupied cells of %d (count %d); want one cell each, at most half full", len(model), occupied, len(x.cells), x.n)
 		}
 	})
+}
+
+// TestRemoveAbsentPanics: removing a value the index does not hold panics
+// at the end of its hash's probe run instead of searching the cells for
+// ever, which under a shard clock wedges the shard.
+func TestRemoveAbsentPanics(t *testing.T) {
+	x := newCellIndex()
+	x.insert(x.hash("present"), 1)
+	h := x.hash("absent")
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		x.remove(h, 2)
+	}()
+	select {
+	case r := <-done:
+		if want := fmt.Sprintf("leased: value 2 is not indexed under hash %#x", h); r != want {
+			t.Fatalf("remove of an absent value recovered %v, want the panic %q", r, want)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("remove of an absent value did not return within 1 s")
+	}
 }

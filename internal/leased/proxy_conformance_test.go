@@ -146,7 +146,7 @@ var proxies = []struct {
 	}},
 	{"location", func() proxyRig {
 		w := newSimWorld()
-		svc := location.New(w.engine, w.meter, w.registry, device.PixelXL, env.New(w.engine), w.gov)
+		svc := location.New(w.engine, w.meter, w.registry, device.PixelXL, env.New(), w.gov)
 		return w.listenerRig(svc, func() listenerDesc { return svc.Register(10, time.Second, nil) })
 	}},
 	{"sensor", func() proxyRig {

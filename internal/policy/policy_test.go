@@ -27,7 +27,7 @@ func newRig(gov hooks.Governor) *rig {
 	e := simclock.NewEngine()
 	m := power.NewMeter(e)
 	r := binder.NewRegistry()
-	w := env.New(e)
+	w := env.New()
 	pm := powermgr.New(e, m, r, device.PixelXL, gov)
 	loc := location.New(e, m, r, device.PixelXL, w, gov)
 	return &rig{engine: e, meter: m, reg: r, world: w, pm: pm, loc: loc}
@@ -40,7 +40,7 @@ func TestDefaultDozeTooConservativeForShortRuns(t *testing.T) {
 	// be triggered for most cases" — a 30-minute experiment ends just as
 	// the idle threshold is reached.
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, false, nil, nil)
 	r := &rig{engine: e, world: w}
 	_ = r
@@ -52,7 +52,7 @@ func TestDefaultDozeTooConservativeForShortRuns(t *testing.T) {
 
 func TestForcedDozeSuppressesBackgroundWakelock(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
@@ -70,7 +70,7 @@ func TestForcedDozeSuppressesBackgroundWakelock(t *testing.T) {
 
 func TestDozeMaintenanceWindowRestores(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
@@ -91,7 +91,7 @@ func TestDozeMaintenanceWindowRestores(t *testing.T) {
 func TestDozeNeverDefersScreen(t *testing.T) {
 	// Table 5: Doze reduces ConnectBot's screen defect by only 0.57%.
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
@@ -106,7 +106,7 @@ func TestDozeNeverDefersScreen(t *testing.T) {
 
 func TestUserActivityInterruptsDoze(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()
@@ -131,7 +131,7 @@ func TestUserActivityInterruptsDoze(t *testing.T) {
 
 func TestDozeExemptsForegroundApp(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	fgUID := power.UID(42)
 	d := NewDoze(e, w, true, func(u power.UID) bool { return u == fgUID }, nil)
 	m := power.NewMeter(e)
@@ -153,7 +153,7 @@ func TestDozeExemptsForegroundApp(t *testing.T) {
 
 func TestDefaultDozeEngagesAfterLongIdle(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, false, nil, nil)
 	e.RunUntil(31 * time.Minute)
 	if !d.Dozing() {
@@ -387,7 +387,7 @@ func TestDefDroidListenerGraceAccumulatesAcrossEpisodes(t *testing.T) {
 
 func TestDozeObjectCreatedDuringDozeSuppressed(t *testing.T) {
 	e := simclock.NewEngine()
-	w := env.New(e)
+	w := env.New()
 	d := NewDoze(e, w, true, nil, nil)
 	m := power.NewMeter(e)
 	reg := binder.NewRegistry()

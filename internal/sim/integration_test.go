@@ -16,7 +16,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	run := func() (float64, int) {
 		s := New(Options{Policy: LeaseOS})
-		p := s.Apps.NewProcess(100, "app")
+		p := s.Apps.NewProcess(100)
 		wl := s.Power.NewWakelock(100, hooks.Wakelock, "x")
 		wl.Acquire()
 		p.Every(time.Second, func() { p.RunWork(300*time.Millisecond, nil) })
@@ -37,11 +37,11 @@ func TestDeterminism(t *testing.T) {
 func TestMultiAppIsolation(t *testing.T) {
 	s := New(Options{Policy: LeaseOS})
 	// App A leaks; app B works hard and legitimately.
-	s.Apps.NewProcess(100, "leaker")
+	s.Apps.NewProcess(100)
 	leak := s.Power.NewWakelock(100, hooks.Wakelock, "leak")
 	leak.Acquire()
 
-	b := s.Apps.NewProcess(200, "worker")
+	b := s.Apps.NewProcess(200)
 	wlB := s.Power.NewWakelock(200, hooks.Wakelock, "work")
 	wlB.Acquire()
 	done := 0
@@ -77,7 +77,7 @@ func TestPolicyEnergyOrderingOnLeak(t *testing.T) {
 	energy := map[Policy]float64{}
 	for _, pol := range Policies() {
 		s := New(Options{Policy: pol})
-		s.Apps.NewProcess(100, "torch")
+		s.Apps.NewProcess(100)
 		wl := s.Power.NewWakelock(100, hooks.Wakelock, "leak")
 		wl.Acquire()
 		s.Run(30 * time.Minute)
@@ -104,7 +104,7 @@ func TestSystemEnergyNeverNegativeAndAdditive(t *testing.T) {
 	uids := []power.UID{100, 101, 102}
 	for _, uid := range uids {
 		uid := uid
-		p := s.Apps.NewProcess(uid, "app")
+		p := s.Apps.NewProcess(uid)
 		wl := s.Power.NewWakelock(uid, hooks.Wakelock, "w")
 		wl.Acquire()
 		p.Every(time.Second, func() { p.RunWork(200*time.Millisecond, nil) })
@@ -161,7 +161,7 @@ func TestPropertyRandomAppChaos(t *testing.T) {
 		}, nApps)
 		for i := 0; i < nApps; i++ {
 			uid := power.UID(100 + i)
-			s.Apps.NewProcess(uid, "chaos")
+			s.Apps.NewProcess(uid)
 			wls[i] = s.Power.NewWakelock(uid, hooks.Wakelock, "chaos")
 			procs[i] = &struct {
 				uid  power.UID
@@ -242,7 +242,7 @@ func TestPropertyLeaseTermAnalysis(t *testing.T) {
 		s := New(Options{Policy: LeaseOS, Lease: lease.Config{
 			Term: term, Tau: tau, NoTauEscalation: true, NoAdaptiveTerms: true,
 		}})
-		s.Apps.NewProcess(100, "holder")
+		s.Apps.NewProcess(100)
 		wl := s.Power.NewWakelock(100, hooks.Wakelock, "hold")
 		wl.Acquire()
 		const runFor = 2 * time.Hour

@@ -131,7 +131,7 @@ func New(opts Options) *Sim {
 	engine := simclock.NewEngine()
 	meter := power.NewMeter(engine)
 	registry := binder.NewRegistry()
-	world := env.New(engine)
+	world := env.New()
 
 	s := &Sim{
 		Engine: engine, Meter: meter, Registry: registry, World: world,

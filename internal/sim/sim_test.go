@@ -38,7 +38,7 @@ func TestPolicyWiring(t *testing.T) {
 
 func TestEndToEndLeaseDefersLeakedWakelock(t *testing.T) {
 	s := New(Options{Policy: LeaseOS})
-	p := s.Apps.NewProcess(10, "torch")
+	p := s.Apps.NewProcess(10)
 	wl := s.Power.NewWakelock(p.UID(), hooks.Wakelock, "leak")
 	wl.Acquire()
 	s.Run(30 * time.Minute)
@@ -46,7 +46,7 @@ func TestEndToEndLeaseDefersLeakedWakelock(t *testing.T) {
 	withLease := s.Meter.EnergyOfJ(10)
 
 	v := New(Options{Policy: Vanilla})
-	vp := v.Apps.NewProcess(10, "torch")
+	vp := v.Apps.NewProcess(10)
 	vwl := v.Power.NewWakelock(vp.UID(), hooks.Wakelock, "leak")
 	vwl.Acquire()
 	v.Run(30 * time.Minute)
@@ -59,7 +59,7 @@ func TestEndToEndLeaseDefersLeakedWakelock(t *testing.T) {
 
 func TestForegroundQueryUsedByDoze(t *testing.T) {
 	s := New(Options{Policy: DozeAggressive})
-	p := s.Apps.NewProcess(10, "game")
+	p := s.Apps.NewProcess(10)
 	p.SetForeground(true)
 	s.Run(time.Second)
 	wl := s.Power.NewWakelock(10, hooks.Wakelock, "fg")

@@ -5,7 +5,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -42,7 +41,7 @@ const (
 func runSession(s *sim.Sim, uid power.UID, kind sessionKind, d time.Duration) {
 	proc := s.Apps.ProcessOf(uid)
 	if proc == nil {
-		proc = s.Apps.NewProcess(uid, fmt.Sprintf("session-%d", uid))
+		proc = s.Apps.NewProcess(uid)
 	}
 	proc.SetForeground(true)
 

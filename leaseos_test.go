@@ -11,7 +11,7 @@ import (
 
 func TestFacadeEndToEnd(t *testing.T) {
 	s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS})
-	s.Apps.NewProcess(100, "app")
+	s.Apps.NewProcess(100)
 	wl := s.Power.NewWakelock(100, leaseos.Wakelock, "x")
 	wl.Acquire()
 	s.Run(time.Minute)
@@ -129,7 +129,7 @@ func TestDefaultLeaseConfigMatchesPaper(t *testing.T) {
 // Example demonstrates the headline quickstart flow.
 func Example() {
 	s := leaseos.New(leaseos.Options{Policy: leaseos.LeaseOS})
-	s.Apps.NewProcess(100, "leaky-app")
+	s.Apps.NewProcess(100)
 	wl := s.Power.NewWakelock(100, leaseos.Wakelock, "forgotten")
 	wl.Acquire()
 	s.Run(30 * time.Minute)
