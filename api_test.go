@@ -59,7 +59,11 @@ var testFacing = map[string]string{
 // a called interface method reaches each implementation of it, promoted
 // methods included; a method that implements a standard-library interface
 // is reached. Code that only its own tests reach goes, or is listed in
-// testFacing with the reason it stays.
+// testFacing with the reason it stays. The same program's unexported struct
+// fields are held to being read (readFields says what reads one): a field
+// that non-test code only writes goes, or is listed in unreadFields.
+// Exported fields are not checked, since any importer or encoding/json may
+// read them.
 func TestExportedFuncsHaveCallers(t *testing.T) {
 	prog := loadProgram(t)
 	byName := map[string]*types.Func{}
@@ -82,21 +86,47 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		t.Errorf("%s: %s has no caller outside tests: delete it, or list it in testFacing with a reason",
 			prog.fset.Position(f.Pos()), prog.name[f])
 	}
+	for name := range unreadFields {
+		switch v := prog.fieldNamed(name); {
+		case v == nil:
+			t.Errorf("unreadFields lists %s, which is not an unexported field of this repository", name)
+		case prog.read[v]:
+			t.Errorf("unreadFields lists %s, which non-test code now reads: drop it from the list", name)
+		}
+	}
+	for _, v := range prog.writtenOnly() {
+		if _, ok := unreadFields[prog.fields[v]]; !ok {
+			t.Errorf("%s: field %s is written but never read outside tests: delete it, or list it in unreadFields with a reason",
+				prog.fset.Position(v.Pos()), prog.fields[v])
+		}
+	}
+}
+
+// unreadFields are unexported struct fields, keyed by qualified name, that
+// non-test code writes and never reads, each kept on purpose.
+var unreadFields = map[string]string{
+	"exp.appMix.name":             "TestBitIdentityFingerprint writes each fleet device's mix name into its golden",
+	"benchmark.metricSpec.better": "benchmark/ is frozen; each spec keeps the direction BENCHMARK.json states beside it",
+	"benchmark.simYard.sink":      "benchmark/ is frozen; the yardstick's loop adds into it so its floating-point work stays live",
 }
 
 // program is both modules' non-test code, type-checked, reduced to what the
-// reachability walk needs.
+// reachability walk and the field reads need.
 type program struct {
 	fset  *token.FileSet
 	name  map[*types.Func]string        // every repository function and interface method, by qualified name
 	uses  map[*types.Func][]*types.Func // the functions and methods a function's body names
 	roots []*types.Func                 // the walk's roots, and what package-level declarations name
 	named []types.Type                  // declared named types and their instances, and pointers to them
+
+	fields map[*types.Var]string // every unexported, non-embedded struct field, by qualified name
+	read   map[*types.Var]bool   // the fields some non-test code reads
 }
 
 func loadProgram(t *testing.T) *program {
 	t.Helper()
-	p := &program{fset: token.NewFileSet(), name: map[*types.Func]string{}, uses: map[*types.Func][]*types.Func{}}
+	p := &program{fset: token.NewFileSet(), name: map[*types.Func]string{}, uses: map[*types.Func][]*types.Func{},
+		fields: map[*types.Var]string{}, read: map[*types.Var]bool{}}
 	files := map[string][]*ast.File{} // by import path
 	dirs := map[string]string{}
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
@@ -127,9 +157,11 @@ func loadProgram(t *testing.T) *program {
 	}
 
 	info := &types.Info{
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Instances: map[*ast.Ident]types.Instance{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	std := importer.Default()
 	checked := map[string]*types.Package{}
@@ -172,6 +204,8 @@ func loadProgram(t *testing.T) *program {
 	for pkg, fs := range files {
 		dir := dirs[pkg]
 		for _, f := range fs {
+			p.declareFields(f, info, qualifier(checked[pkg]))
+			p.readFields(f, info)
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
@@ -204,6 +238,158 @@ func loadProgram(t *testing.T) *program {
 	}
 	p.roots = append(p.roots, p.stdlibImplementations(checked)...)
 	return p
+}
+
+// declareFields names each unexported field that a struct type in f declares:
+// pkg.Type.field, or pkg.struct{}.field for a struct literal type outside a
+// type declaration. Embedded fields are reached through their promoted
+// fields and methods, so they are not checked.
+func (p *program) declareFields(f *ast.File, info *types.Info, pkg string) {
+	var outer []string // the enclosing type declarations' names
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case nil:
+			outer = outer[:len(outer)-1]
+			return true
+		case *ast.TypeSpec:
+			outer = append(outer, n.Name.Name)
+		case *ast.StructType:
+			owner := "struct{}"
+			for i := len(outer) - 1; i >= 0; i-- {
+				if outer[i] != "" {
+					owner = outer[i]
+					break
+				}
+			}
+			for _, field := range n.Fields.List {
+				for _, id := range field.Names {
+					if !id.IsExported() && id.Name != "_" {
+						p.fields[info.Defs[id].(*types.Var)] = pkg + "." + owner + "." + id.Name
+					}
+				}
+			}
+			outer = append(outer, "")
+		default:
+			outer = append(outer, "")
+		}
+		return true
+	})
+}
+
+// readFields marks what f reads of struct fields. A selector reads its field
+// unless it is the whole left side of an assignment (= and op= alike) or of
+// ++/--; a composite literal's keys only write. Every field of a struct type
+// is read where its values are compared (==, !=, a map's key type), since
+// the comparison reads them all, and where a value of a type that holds the
+// struct reaches the fmt, log or encoding/json functions, which print
+// unexported fields under %v. Fields of generic types are resolved to the
+// declaration.
+func (p *program) readFields(f *ast.File, info *types.Info) {
+	written := map[*ast.SelectorExpr]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs(e)
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
+				p.read[sel.Obj().(*types.Var).Origin()] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				p.readHeld(info.TypeOf(n.X), map[types.Type]bool{})
+			}
+		case *ast.MapType:
+			p.readHeld(info.TypeOf(n.Key), map[types.Type]bool{})
+		case *ast.CallExpr:
+			var callee *types.Func
+			switch fn := ast.Unparen(n.Fun).(type) {
+			case *ast.SelectorExpr:
+				callee, _ = info.Uses[fn.Sel].(*types.Func)
+			case *ast.Ident:
+				callee, _ = info.Uses[fn].(*types.Func)
+			}
+			if callee == nil || callee.Pkg() == nil {
+				break
+			}
+			switch callee.Pkg().Path() {
+			case "fmt", "log", "encoding/json":
+				for _, arg := range n.Args {
+					p.readAll(info.TypeOf(arg), map[types.Type]bool{})
+				}
+			}
+		}
+		return true
+	})
+}
+
+// readAll is readHeld through t itself if t is a pointer, as fmt prints a
+// pointer argument's struct; a pointer it meets inside a value it prints as
+// an address.
+func (p *program) readAll(t types.Type, seen map[types.Type]bool) {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	p.readHeld(t, seen)
+}
+
+// readHeld marks every field of every struct type that a value of t holds in
+// place, or through arrays, slices and maps, as read: what comparing or
+// printing the value reads. It does not follow pointers.
+func (p *program) readHeld(t types.Type, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		p.readHeld(u.Elem(), seen)
+	case *types.Slice:
+		p.readHeld(u.Elem(), seen)
+	case *types.Map:
+		p.readHeld(u.Key(), seen)
+		p.readHeld(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			p.read[u.Field(i).Origin()] = true
+			p.readHeld(u.Field(i).Type(), seen)
+		}
+	}
+}
+
+// writtenOnly lists, in source order, the checked fields nothing reads.
+func (p *program) writtenOnly() []*types.Var {
+	var out []*types.Var
+	for v := range p.fields {
+		if !p.read[v] {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
+	return out
+}
+
+// fieldNamed is the checked field with this qualified name, or nil.
+func (p *program) fieldNamed(name string) *types.Var {
+	for v, n := range p.fields {
+		if n == name {
+			return v
+		}
+	}
+	return nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

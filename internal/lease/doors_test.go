@@ -73,7 +73,7 @@ func TestHandleAndObjectDoorsAgree(t *testing.T) {
 
 	var ls [4]*Lease // by object ID 1..3
 	for id := uint64(1); id <= 3; id++ {
-		ls[id] = h.mgr.CreateLease(h.obj(id))
+		ls[id] = createLease(h.mgr, h.obj(id))
 		if got := o.mgr.Create(o.obj(id)); got != ls[id].ID() {
 			t.Fatalf("object %d: CreateLease made lease %d, Create %d", id, ls[id].ID(), got)
 		}
@@ -103,11 +103,11 @@ func TestHandleAndObjectDoorsAgree(t *testing.T) {
 	if err := ValidateState(st); err != nil {
 		t.Fatal(err)
 	}
-	r.mgr.RestoreState(st, func(ls LeaseState) hooks.Object {
+	r.mgr.RestoreState(st, func(ls LeaseState) (*Lease, hooks.Object) {
 		if State(ls.State) == Deferred {
 			r.ctrl.Suppress(ls.ObjID)
 		}
-		return r.obj(ls.ObjID)
+		return new(Lease), r.obj(ls.ObjID)
 	})
 	r.events = h.events
 	h = r
@@ -164,4 +164,11 @@ func TestHandleAndObjectDoorsAgree(t *testing.T) {
 	o.mgr.Create(o.obj(1))
 	run(70 * time.Second)
 	step("after the adoption")
+}
+
+// createLease is CreateLease into fresh storage.
+func createLease(m *Manager, o hooks.Object) *Lease {
+	l := new(Lease)
+	m.CreateLease(l, o)
+	return l
 }

@@ -91,8 +91,8 @@ func TestNewestRecordRestores(t *testing.T) {
 	stats2.cpu[20] = stats.cpu[20]
 	mgr2 := NewManager(eng2, stats2, Config{})
 	ctrl2 := newSnapCtrl()
-	mgr2.RestoreState(mgr.CaptureState(), func(ls LeaseState) hooks.Object {
-		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
+	mgr2.RestoreState(mgr.CaptureState(), func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
 	})
 	if !bytes.Equal(encodeManager(mgr), encodeManager(mgr2)) {
 		t.Fatal("restored manager encodes to different bytes")

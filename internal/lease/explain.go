@@ -47,9 +47,9 @@ type Explanation struct {
 // Explanation copies what Explain would print about l, a live lease of m.
 func (m *Manager) Explanation(l *Lease) Explanation {
 	e := Explanation{
-		ID: l.id, UID: l.obj.UID, Kind: l.obj.Kind, State: l.state,
+		ID: l.id, UID: l.UID(), Kind: l.Kind(), State: l.state,
 		Terms: l.termIndex, Term: l.term, Escalation: l.escalation,
-		Reputation: m.ReputationOf(l.obj.UID),
+		Reputation: m.ReputationOf(l.UID()),
 	}
 	if l.last != nil {
 		e.HasLast, e.Last = true, *l.last

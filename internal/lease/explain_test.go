@@ -16,7 +16,9 @@ import (
 func mkLease(m *Manager, id uint64, uid power.UID, kind hooks.Kind, st State, esc int, hist ...TermRecord) *Lease {
 	l := &Lease{
 		id:         id,
-		obj:        hooks.Object{ID: id, UID: uid, Kind: kind},
+		objID:      id,
+		uid:        int32(uid),
+		kind:       uint8(kind),
 		state:      st,
 		term:       5 * time.Second,
 		termIndex:  len(hist),

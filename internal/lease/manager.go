@@ -22,11 +22,20 @@ type AppStats interface {
 // Lease is one lease in the manager's table (paper §4.3). Fields are read
 // via accessors; mutation happens only inside the manager.
 type Lease struct {
-	id  uint64
-	obj hooks.Object
+	id uint64
 
-	state     State
-	held      bool
+	// The leased kernel object: its ID and controller, and its holder and
+	// kind held narrow beside the lease's state and held flag, in one word
+	// (a lease of 152 bytes, not 168; the daemon's object that holds one, 240
+	// not 256). UIDs are small in a simulation and issued densely from 1 by
+	// the daemon, and every kind fits a byte.
+	objID   uint64
+	control hooks.Controller
+	uid     int32
+	kind    uint8
+	state   State
+	held    bool
+
 	createdAt simclock.Time
 	termStart simclock.Time
 	term      time.Duration
@@ -48,11 +57,10 @@ type Lease struct {
 
 	// event is the one pending event, at due: the term check while the
 	// lease is Active, the deferral's restore while it is Deferred, none
-	// otherwise. fire is its callback, bound once per lease (bindEvent) so
-	// per-term scheduling never allocates a closure; it dispatches on the
-	// state. due lets CaptureState re-arm the event on restore.
+	// otherwise. Its handler is the manager and its argument the lease ID
+	// (Manager.Fire), so scheduling one allocates nothing. due lets
+	// CaptureState re-arm the event on restore.
 	event simclock.EventID
-	fire  func()
 	due   simclock.Time
 }
 
@@ -63,10 +71,13 @@ func (l *Lease) ID() uint64 { return l.id }
 func (l *Lease) State() State { return l.state }
 
 // UID returns the lease holder.
-func (l *Lease) UID() power.UID { return l.obj.UID }
+func (l *Lease) UID() power.UID { return power.UID(l.uid) }
 
 // Kind returns the leased resource kind.
-func (l *Lease) Kind() hooks.Kind { return l.obj.Kind }
+func (l *Lease) Kind() hooks.Kind { return hooks.Kind(l.kind) }
+
+// ObjectID returns the leased kernel object's ID.
+func (l *Lease) ObjectID() uint64 { return l.objID }
 
 // Terms returns how many terms have completed.
 func (l *Lease) Terms() int { return l.termIndex }
@@ -174,17 +185,21 @@ func (m *Manager) Create(o hooks.Object) uint64 {
 	if l := m.leaseOf(o); l != nil {
 		return l.id
 	}
-	return m.CreateLease(o).id
+	l := new(Lease)
+	m.CreateLease(l, o)
+	return l.id
 }
 
-// CreateLease makes a lease for the kernel object o, which must have no live
-// lease, and returns it: Create for a proxy that keeps the handle, without
-// the by-object lookup.
-func (m *Manager) CreateLease(o hooks.Object) *Lease {
+// CreateLease makes a lease in l for the kernel object o, which must have no
+// live lease: Create for a proxy that keeps the handle, without the
+// by-object lookup. l is storage the caller provides, such as a field of its
+// own record for o; whatever it held is overwritten, so it must not hold a
+// live lease. The manager keeps l until the lease dies.
+func (m *Manager) CreateLease(l *Lease, o hooks.Object) {
 	m.nextID++
 	now := m.clock.Now()
-	l := &Lease{
-		id: m.nextID, obj: o,
+	*l = Lease{
+		id: m.nextID, objID: o.ID, control: o.Control, uid: int32(o.UID), kind: uint8(o.Kind),
 		state: Active, createdAt: now, termStart: now,
 		term: m.cfg.Term, held: true,
 		lastCPU:   m.apps.CPUTimeOf(o.UID),
@@ -192,7 +207,6 @@ func (m *Manager) CreateLease(o hooks.Object) *Lease {
 		lastUI:    m.apps.UIUpdatesOf(o.UID),
 		lastInter: m.apps.InteractionsOf(o.UID),
 	}
-	l.bindEvent(m)
 	m.leases.add(l)
 	if m.byObj != nil {
 		m.byObj[o.ID] = l.id
@@ -201,19 +215,19 @@ func (m *Manager) CreateLease(o hooks.Object) *Lease {
 	m.emit(l, Event{Op: EventCreate})
 	m.applyReputation(l)
 	m.scheduleCheck(l)
-	return l
 }
 
-// bindEvent creates the lease's event callback, paid once at creation so
-// that every term check and deferral schedules allocation-free.
-func (l *Lease) bindEvent(m *Manager) {
-	l.fire = func() {
-		l.event = 0
-		if l.state == Deferred {
-			m.restore(l)
-		} else {
-			m.endOfTerm(l)
-		}
+// Fire implements simclock.Handler: lease id's pending event is due, its
+// term check while Active, its deferral's restore while Deferred. Every
+// lease event is scheduled with the manager as its handler and the lease ID
+// as its argument.
+func (m *Manager) Fire(id uint64) {
+	l := m.leases.get(id)
+	l.event = 0
+	if l.state == Deferred {
+		m.restore(l)
+	} else {
+		m.endOfTerm(l)
 	}
 }
 
@@ -234,7 +248,7 @@ func (m *Manager) emit(l *Lease, ev Event) {
 
 // send stamps ev with l's identity and the current instant for the sink.
 func (m *Manager) send(l *Lease, ev Event) {
-	ev.At, ev.Lease, ev.UID, ev.Kind = m.clock.Now(), l.id, l.obj.UID, l.obj.Kind
+	ev.At, ev.Lease, ev.UID, ev.Kind = m.clock.Now(), l.id, l.UID(), l.Kind()
 	m.OnEvent(ev)
 }
 
@@ -344,12 +358,13 @@ func (m *Manager) ObjectDestroyed(o hooks.Object) {
 
 // --- the same three upcalls by lease handle ---
 //
-// A proxy that keeps the *Lease it was given for an object (by CreateLease,
-// or LeaseByID after RestoreState) reports the object's lifecycle through these
-// and skips the descriptor lookups; the Governor methods above are leaseOf
-// followed by one of them, so both doors run the same code. l must be a
-// live lease of this manager: a lease dies only through Destroyed, Remove or
-// the holder's ObjectDestroyed, after which its handle must be dropped.
+// A proxy that keeps the *Lease it gave the manager for an object (to
+// CreateLease, or to RestoreState's resolve) reports the object's lifecycle
+// through these and skips the descriptor lookups; the Governor methods above
+// are leaseOf followed by one of them, so both doors run the same code. l
+// must be a live lease of this manager: a lease dies only through Destroyed,
+// Remove or the holder's ObjectDestroyed, after which its handle must be
+// dropped.
 
 // Released is ObjectReleased for a lease already in hand.
 func (m *Manager) Released(l *Lease) { l.held = false }
@@ -369,7 +384,10 @@ func (m *Manager) Destroyed(l *Lease) { m.kill(l) }
 // directly — it acts through resource revocation.
 func (m *Manager) AllowBackgroundWork(power.UID) bool { return true }
 
-var _ hooks.Governor = (*Manager)(nil)
+var (
+	_ hooks.Governor   = (*Manager)(nil)
+	_ simclock.Handler = (*Manager)(nil)
+)
 
 // --- internals ---
 
@@ -388,7 +406,7 @@ func (m *Manager) leaseOf(o hooks.Object) *Lease {
 func (m *Manager) indexObjects() {
 	m.byObj = make(map[uint64]uint64, len(m.leases.ids))
 	for _, l := range m.leases.ls {
-		m.byObj[l.obj.ID] = l.id
+		m.byObj[l.objID] = l.id
 	}
 }
 
@@ -412,7 +430,7 @@ func (m *Manager) beginTerm(l *Lease) {
 func (m *Manager) scheduleCheck(l *Lease) {
 	m.cancelEvent(l)
 	l.due = m.clock.Now() + l.term
-	l.event = m.clock.Schedule(l.term, l.fire)
+	l.event = m.clock.ScheduleHandler(l.term, m, l.id)
 }
 
 // cancelEvent drops the lease's pending event, if it has one.
@@ -460,7 +478,7 @@ func (m *Manager) endOfTerm(l *Lease) {
 			}
 			return
 		}
-		m.repNote(l.obj.UID, true)
+		m.repNote(l.UID(), true)
 		m.defer_(l, rec)
 		return
 	}
@@ -470,9 +488,9 @@ func (m *Manager) endOfTerm(l *Lease) {
 	// EUBTimeOf so a user-facing layer can act on the paper's §8 "grey
 	// area" with intent information LeaseOS itself lacks).
 	if rec.Behavior == EUB {
-		m.eubTime[l.obj.UID] += rec.Held
+		m.eubTime[l.UID()] += rec.Held
 	}
-	m.repNote(l.obj.UID, false)
+	m.repNote(l.UID(), false)
 	l.escalation = 0
 	l.normalStreak++
 	m.adaptTerm(l)
@@ -488,12 +506,12 @@ func (m *Manager) endOfTerm(l *Lease) {
 // collect pulls the term statistics from the service and app framework and
 // classifies them.
 func (m *Manager) collect(l *Lease, termDur time.Duration) TermRecord {
-	ts := l.obj.Control.TermStats(l.obj.ID)
+	ts := l.control.TermStats(l.objID)
 
-	cpu := m.apps.CPUTimeOf(l.obj.UID)
-	exc := m.apps.ExceptionsOf(l.obj.UID)
-	ui := m.apps.UIUpdatesOf(l.obj.UID)
-	inter := m.apps.InteractionsOf(l.obj.UID)
+	cpu := m.apps.CPUTimeOf(l.UID())
+	exc := m.apps.ExceptionsOf(l.UID())
+	ui := m.apps.UIUpdatesOf(l.UID())
+	inter := m.apps.InteractionsOf(l.UID())
 
 	rec := TermRecord{
 		Duration: termDur, Held: ts.Held, Active: ts.Active, Used: ts.Used,
@@ -502,7 +520,7 @@ func (m *Manager) collect(l *Lease, termDur time.Duration) TermRecord {
 		Exceptions: exc - l.lastExc, UIUpdates: ui - l.lastUI, Interactions: inter - l.lastInter,
 	}
 	l.lastCPU, l.lastExc, l.lastUI, l.lastInter = cpu, exc, ui, inter
-	rec.classify(l.obj.Kind, m.counters[counterKey{l.obj.UID, l.obj.Kind}], m.cfg)
+	rec.classify(l.Kind(), m.counters[counterKey{l.UID(), l.Kind()}], m.cfg)
 	return rec
 }
 
@@ -530,8 +548,8 @@ func (m *Manager) defer_(l *Lease, rec TermRecord) {
 
 	l.due = m.clock.Now() + tau
 	m.transition(l, Deferred, deferReasons[rec.Behavior])
-	l.obj.Control.Suppress(l.obj.ID)
-	l.event = m.clock.Schedule(tau, l.fire)
+	l.control.Suppress(l.objID)
+	l.event = m.clock.ScheduleHandler(tau, m, l.id)
 }
 
 // restore ends a deferral: the capability and resource are restored and the
@@ -541,14 +559,14 @@ func (m *Manager) restore(l *Lease) {
 	if l.state != Deferred {
 		return
 	}
-	l.obj.Control.Unsuppress(l.obj.ID)
+	l.control.Unsuppress(l.objID)
 	// Discard stats accumulated during the deferral window so the next
 	// term is judged on fresh behaviour.
-	l.obj.Control.TermStats(l.obj.ID)
-	l.lastCPU = m.apps.CPUTimeOf(l.obj.UID)
-	l.lastExc = m.apps.ExceptionsOf(l.obj.UID)
-	l.lastUI = m.apps.UIUpdatesOf(l.obj.UID)
-	l.lastInter = m.apps.InteractionsOf(l.obj.UID)
+	l.control.TermStats(l.objID)
+	l.lastCPU = m.apps.CPUTimeOf(l.UID())
+	l.lastExc = m.apps.ExceptionsOf(l.UID())
+	l.lastUI = m.apps.UIUpdatesOf(l.UID())
+	l.lastInter = m.apps.InteractionsOf(l.UID())
 
 	if !l.held {
 		m.transition(l, Inactive, "deferral ended with resource released")
@@ -583,7 +601,7 @@ func (m *Manager) kill(l *Lease) {
 	m.transition(l, Dead, "kernel object deallocated")
 	m.deadTotal++
 	if m.byObj != nil {
-		delete(m.byObj, l.obj.ID)
+		delete(m.byObj, l.objID)
 	}
 	m.leases.remove(l.id)
 }

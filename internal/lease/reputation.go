@@ -52,7 +52,7 @@ func (m *Manager) applyReputation(l *Lease) {
 	if !m.cfg.EnableReputation {
 		return
 	}
-	r := m.reputations[l.obj.UID]
+	r := m.reputations[l.UID()]
 	if r == nil {
 		return
 	}

@@ -21,6 +21,7 @@ package lease
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -141,9 +142,9 @@ func (m *Manager) EncodeState(w *snapenc.Writer) {
 
 func (l *Lease) encodeState(w *snapenc.Writer) {
 	w.Uvarint(l.id)
-	w.Uvarint(l.obj.ID)
-	w.Int(int(l.obj.UID))
-	w.Int(int(l.obj.Kind))
+	w.Uvarint(l.objID)
+	w.Int(int(l.UID()))
+	w.Int(int(l.Kind()))
 	w.Int(int(l.state))
 	w.Varint(int64(l.createdAt))
 	w.Varint(int64(l.termStart))
@@ -391,8 +392,9 @@ var ErrPendingEvent = errors.New("a lease's pending event must match its state")
 
 // ValidateState refuses a capture RestoreState cannot build faithfully: lease
 // IDs out of order or past next_id (ErrLeaseID), a completed-term count that
-// disagrees with the last record's presence, an unknown state, and a pending
-// event the lease's state cannot have (ErrPendingEvent). It reads only st.
+// disagrees with the last record's presence, an unknown state, a pending
+// event the lease's state cannot have (ErrPendingEvent), and a holder past
+// 32 bits or an unknown kind. It reads only st.
 func ValidateState(st ManagerState) error {
 	var prev uint64 // IDs are issued from 1
 	for _, ls := range st.Leases {
@@ -409,18 +411,22 @@ func ValidateState(st ManagerState) error {
 			return fmt.Errorf("lease: ValidateState: lease %d has unknown state %d", ls.ID, ls.State)
 		case ls.HasCheck && state != Active, ls.HasRestor && state != Deferred:
 			return fmt.Errorf("lease: ValidateState: lease %d is %v with a pending check %v and restore %v: %w", ls.ID, state, ls.HasCheck, ls.HasRestor, ErrPendingEvent)
+		case ls.UID < 0 || ls.UID > math.MaxInt32 || ls.Kind < 0 || ls.Kind >= hooks.NumKinds:
+			// A lease holds its holder and kind narrow.
+			return fmt.Errorf("lease: ValidateState: lease %d has uid %d and kind %d, which a lease cannot hold", ls.ID, ls.UID, ls.Kind)
 		}
 	}
 	return nil
 }
 
 // RestoreState builds a freshly-created manager from a capture ValidateState
-// accepted; resolve maps each serialized lease back to its live kernel
-// object (the caller owns the object table and its Controller). Pending term
-// checks and deferral restores are re-scheduled at their captured due
-// instants, so the restored manager's future evolution matches the captured
-// one's. It panics on a manager that already holds state.
-func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) hooks.Object) {
+// accepted; resolve maps each serialized lease to the storage its lease is
+// rebuilt in and to its live kernel object (the caller owns the object table
+// and its Controller), as CreateLease takes them. Pending term checks and
+// deferral restores are re-scheduled at their captured due instants, so the
+// restored manager's future evolution matches the captured one's. It panics
+// on a manager that already holds state.
+func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (*Lease, hooks.Object)) {
 	if len(m.leases.ls) != 0 || m.createdTotal != 0 {
 		panic("lease: RestoreState on a non-empty manager")
 	}
@@ -441,8 +447,9 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) hooks.O
 	m.leases.ls = slices.Grow(m.leases.ls, len(st.Leases))
 	now := m.clock.Now()
 	for _, ls := range st.Leases {
-		l := &Lease{
-			id: ls.ID, obj: resolve(ls),
+		l, obj := resolve(ls)
+		*l = Lease{
+			id: ls.ID, objID: obj.ID, control: obj.Control, uid: int32(obj.UID), kind: uint8(obj.Kind),
 			state: State(ls.State), createdAt: ls.CreatedAt, termStart: ls.TermStart,
 			term: ls.Term, termIndex: ls.TermIndex,
 			held: ls.Held, normalStreak: ls.NormalStreak,
@@ -453,14 +460,13 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) hooks.O
 			rec := *ls.Last
 			l.last = &rec
 		}
-		l.bindEvent(m)
 		m.leases.add(l)
 		if ls.HasCheck || ls.HasRestor {
 			l.due = ls.CheckAt
 			if ls.HasRestor {
 				l.due = ls.RestoreAt
 			}
-			l.event = m.clock.Schedule(until(now, l.due), l.fire)
+			l.event = m.clock.ScheduleHandler(until(now, l.due), m, l.id)
 		}
 	}
 }

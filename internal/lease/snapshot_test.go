@@ -99,11 +99,11 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if err := ValidateState(decoded); err != nil {
 		t.Fatal(err)
 	}
-	mgr2.RestoreState(decoded, func(ls LeaseState) hooks.Object {
+	mgr2.RestoreState(decoded, func(ls LeaseState) (*Lease, hooks.Object) {
 		if State(ls.State) == Deferred {
 			ctrl2.suppressed[ls.ObjID] = true
 		}
-		return snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
+		return new(Lease), snapObj(ctrl2, ls.ObjID, power.UID(ls.UID))
 	})
 	if got := mgr2.CaptureState(); !reflect.DeepEqual(st, got) {
 		t.Fatalf("restored capture differs:\n pre: %+v\npost: %+v", st, got)
@@ -189,8 +189,8 @@ func TestRestoreRejectsNonEmptyManager(t *testing.T) {
 			t.Fatal("RestoreState built over a non-empty manager")
 		}
 	}()
-	mgr.RestoreState(st, func(ls LeaseState) hooks.Object {
-		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	mgr.RestoreState(st, func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
 	})
 }
 
@@ -227,8 +227,8 @@ func TestRestoreSurvivesInstantsFarInThePast(t *testing.T) {
 	if err := ValidateState(st); err != nil {
 		t.Fatal(err)
 	}
-	mgr2.RestoreState(st, func(ls LeaseState) hooks.Object {
-		return snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	mgr2.RestoreState(st, func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
 	})
 	eng2.RunUntil(7*time.Second + time.Millisecond) // both events fire, at once
 	if mgr2.TermChecks == st.TermChecks {
@@ -425,8 +425,8 @@ func TestParentFormDecodesToNewest(t *testing.T) {
 	if err := ValidateState(got); err != nil {
 		t.Fatal(err)
 	}
-	mgr2.RestoreState(got, func(ls LeaseState) hooks.Object {
-		return snapObj(newSnapCtrl(), ls.ObjID, power.UID(ls.UID))
+	mgr2.RestoreState(got, func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(newSnapCtrl(), ls.ObjID, power.UID(ls.UID))
 	})
 	w = snapenc.NewWriter(nil)
 	writeV2(w, st, newest, false)
@@ -497,6 +497,35 @@ func TestRestoreRejectsTermRecordMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesWhatALeaseCannotHold: a lease keeps its holder in 32
+// bits and its kind in a byte, so a capture with a holder or a kind past
+// those, or a kind no resource has, is refused rather than truncated.
+func TestRestoreRefusesWhatALeaseCannotHold(t *testing.T) {
+	eng := simclock.NewEngine()
+	mgr := NewManager(eng, newFakeStats(), Config{})
+	ctrl := newSnapCtrl()
+	mgr.Create(snapObj(ctrl, 1, 10))
+	mgr.Create(snapObj(ctrl, 2, 20))
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*LeaseState)
+	}{
+		{"uid past 32 bits", func(ls *LeaseState) { ls.UID = 1 << 40 }},
+		{"negative uid", func(ls *LeaseState) { ls.UID = -1 }},
+		{"kind 300", func(ls *LeaseState) { ls.Kind = 300 }},
+		{"unknown kind", func(ls *LeaseState) { ls.Kind = hooks.NumKinds }},
+	} {
+		st := mgr.CaptureState()
+		tc.corrupt(&st.Leases[1])
+		if err := ValidateState(st); err == nil || !strings.Contains(err.Error(), "which a lease cannot hold") {
+			t.Errorf("%s: ValidateState err = %v", tc.name, err)
+		}
+	}
+	if err := ValidateState(mgr.CaptureState()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreRefusesRepeatedOrUnissuedLeaseID: the manager issues lease IDs
 // in order and never twice, so a capture's leases must have strictly rising
 // IDs no greater than its next ID. A repeated row would overwrite the first
@@ -532,8 +561,10 @@ func TestRestoreRefusesRepeatedOrUnissuedLeaseID(t *testing.T) {
 		t.Fatalf("the unmodified capture: %v", err)
 	}
 	restored := NewManager(simclock.NewEngine(), newFakeStats(), Config{})
-	restored.RestoreState(good, func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) })
-	if l := restored.CreateLease(snapObj(ctrl, 4, 40)); l.ID() != good.NextID+1 {
+	restored.RestoreState(good, func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	})
+	if l := createLease(restored, snapObj(ctrl, 4, 40)); l.ID() != good.NextID+1 {
 		t.Fatalf("the restored manager issued lease %d, want %d", l.ID(), good.NextID+1)
 	}
 }
@@ -576,7 +607,9 @@ func TestRefusedRestoreLeavesNothing(t *testing.T) {
 
 	eng2 := simclock.NewEngine()
 	fresh := NewManager(eng2, newFakeStats(), Config{})
-	fresh.RestoreState(good, func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) })
+	fresh.RestoreState(good, func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	})
 	if n, events := len(fresh.leases.ls), eng2.Len(); n != 3 || events != armed {
 		t.Errorf("the capture without its bad row built %d leases and %d events, want 3 and %d", n, events, armed)
 	}

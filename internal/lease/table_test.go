@@ -56,7 +56,9 @@ const (
 func checkLeaseTable(t *testing.T, steps []byte) {
 	eng := simclock.NewEngine()
 	ctrl := newSnapCtrl()
-	resolve := func(ls LeaseState) hooks.Object { return snapObj(ctrl, ls.ObjID, power.UID(ls.UID)) }
+	resolve := func(ls LeaseState) (*Lease, hooks.Object) {
+		return new(Lease), snapObj(ctrl, ls.ObjID, power.UID(ls.UID))
+	}
 	mgr := NewManager(eng, newFakeStats(), Config{})
 	model := make(map[uint64]*Lease)
 	var issued uint64
@@ -65,7 +67,7 @@ func checkLeaseTable(t *testing.T, steps []byte) {
 		switch op {
 		case create, create + 1:
 			issued++
-			if l := mgr.CreateLease(snapObj(ctrl, issued, power.UID(issued%7+1))); l.ID() != issued {
+			if l := createLease(mgr, snapObj(ctrl, issued, power.UID(issued%7+1))); l.ID() != issued {
 				t.Fatalf("step %d: created lease %d, want %d", i, l.ID(), issued)
 			} else {
 				model[issued] = l

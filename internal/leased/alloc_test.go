@@ -358,24 +358,27 @@ func httpAcquire(t *testing.T, s *Server, client string) uint64 {
 
 // TestDaemonHeapPerLease: what a distinct client's first lease keeps live —
 // its 64-byte client table row and client index cells (one or two of 8
-// bytes at half load), its kernel object, the manager's lease and its 16
-// bytes in the manager's ID-ordered table, and its pending term check —
-// bounded per lease over 2 000 acquires, names made beforehand: ≈ 460 B,
-// where a map for the lease table, a slot per kind in each row and the
-// §7.2 activity fields in each lease kept ≈ 546 B, a runtime map from name
-// to UID and a 128-byte robj ≈ 600 B, and a manager that also indexed every
-// lease by object ≈ 683 B. The same bound holds for the shard rebuilt from
-// its own checkpoint, restored from a payload decoded beforehand, so a
-// restore that indexes what the live shard does not fails it too. The three
-// per-lease records' sizes are pinned first, race detector or not. The
-// acquires and both readings share one clock section, so no term check
-// fires between the readings.
+// bytes at half load), its kernel object with the manager's lease inside it
+// (one 240-byte record), its 16 bytes in the manager's ID-ordered table, and
+// its pending term check's 32-byte engine slot and 24-byte queue entry —
+// bounded per lease over 2 000 acquires, names made beforehand, with one
+// allocation a lease, table growth aside: ≈ 407 B, where a 176-byte lease
+// allocated apart from its 112-byte object, with a closure bound for its
+// term check, kept ≈ 479 B in three allocations; a map for the lease table,
+// a slot per kind in each row and the §7.2 activity fields in each lease
+// ≈ 546 B; a runtime map from name to UID and a 128-byte robj ≈ 600 B; and
+// a manager that also indexed every lease by object ≈ 683 B. The same bound
+// holds for the shard rebuilt from its own checkpoint, restored from a
+// payload decoded beforehand, so a restore that indexes what the live shard
+// does not fails it too. The per-lease records' sizes are pinned first, race
+// detector or not. The acquires and both readings share one clock section,
+// so no term check fires between the readings.
 func TestDaemonHeapPerLease(t *testing.T) {
-	if size := unsafe.Sizeof(robj{}); size > 112 {
-		t.Errorf("a robj is %d bytes, pinned at ≤ 112: what grew it?", size)
+	if size := unsafe.Sizeof(robj{}); size > 240 {
+		t.Errorf("a robj is %d bytes, pinned at ≤ 240, one size class with its lease inside: what grew it?", size)
 	}
-	if size := unsafe.Sizeof(lease.Lease{}); size > 176 {
-		t.Errorf("a lease.Lease is %d bytes, pinned at ≤ 176: what grew it?", size)
+	if size := unsafe.Sizeof(lease.Lease{}); size > 152 {
+		t.Errorf("a lease.Lease is %d bytes, pinned at ≤ 152: what grew it?", size)
 	}
 	if size := unsafe.Sizeof(clientRec{}); size > 64 {
 		t.Errorf("a clientRec is %d bytes, pinned at ≤ 64: what grew it?", size)
@@ -383,7 +386,7 @@ func TestDaemonHeapPerLease(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
 	}
-	const leases, maxPerLease = 2000, 500
+	const leases, maxPerLease = 2000, 424
 	s := NewServer(benchOptions(1))
 	defer s.Close()
 	sh := s.shards[0]
@@ -394,21 +397,34 @@ func TestDaemonHeapPerLease(t *testing.T) {
 	check := func(what string, before, after *goruntime.MemStats) {
 		t.Helper()
 		perLease := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / leases
-		t.Logf("%d leases %s kept %.1f B a lease (robj %d B, lease.Lease %d B)", leases, what, perLease, unsafe.Sizeof(robj{}), unsafe.Sizeof(lease.Lease{}))
+		allocs := float64(after.Mallocs-before.Mallocs) / leases
+		t.Logf("%d leases %s kept %.1f B a lease in %.2f allocations (robj %d B, lease.Lease %d B)",
+			leases, what, perLease, allocs, unsafe.Sizeof(robj{}), unsafe.Sizeof(lease.Lease{}))
 		if perLease > maxPerLease {
 			t.Errorf("%d leases %s kept %.1f B a lease, pinned at ≤ %d", leases, what, perLease, maxPerLease)
 		}
+		// One record a lease; table growth and a restore's indexes add a few
+		// allocations over all 2 000.
+		if allocs >= 1.5 {
+			t.Errorf("%d leases %s made %.2f allocations a lease: the lease is not inside its object", leases, what, allocs)
+		}
+	}
+	// Each reading follows two collections: sync.Pool contents that earlier
+	// tests left, which the first only moves to the victim cache, are freed
+	// before it, not between the readings.
+	read := func(ms *goruntime.MemStats) {
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(ms)
 	}
 	var before, after goruntime.MemStats
 	var payload []byte
 	sh.do(func() {
-		goruntime.GC()
-		goruntime.ReadMemStats(&before)
+		read(&before)
 		for _, name := range names {
 			sh.acquire(name, hooks.Wakelock)
 		}
-		goruntime.GC()
-		goruntime.ReadMemStats(&after)
+		read(&after)
 		payload = encodeShard(sh)
 	})
 	if n := sh.mgr.LeaseCount(); n != leases {
@@ -422,13 +438,11 @@ func TestDaemonHeapPerLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := freshShard(benchOptions(1))
-	goruntime.GC()
-	goruntime.ReadMemStats(&before)
+	read(&before)
 	if err := restored.validateAndBuild(st); err != nil {
 		t.Fatal(err)
 	}
-	goruntime.GC()
-	goruntime.ReadMemStats(&after)
+	read(&after)
 	if n := restored.mgr.LeaseCount(); n != leases {
 		t.Fatalf("%d restored leases, want %d", n, leases)
 	}

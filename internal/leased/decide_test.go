@@ -206,9 +206,16 @@ type skewed struct {
 
 func (c *skewed) Now() simclock.Time { return simclock.Time(float64(c.eng.Now()) * c.rate) }
 
-// Schedule rounds up, so that the node's clock has moved d when fn runs.
+// Schedule and ScheduleHandler round up, so that the node's clock has moved d
+// when the event runs.
 func (c *skewed) Schedule(d time.Duration, fn func()) simclock.EventID {
-	return c.eng.Schedule(time.Duration(math.Ceil(float64(d)/c.rate)), fn)
+	return c.eng.Schedule(c.trueDelay(d), fn)
+}
+func (c *skewed) ScheduleHandler(d time.Duration, h simclock.Handler, arg uint64) simclock.EventID {
+	return c.eng.ScheduleHandler(c.trueDelay(d), h, arg)
+}
+func (c *skewed) trueDelay(d time.Duration) time.Duration {
+	return time.Duration(math.Ceil(float64(d) / c.rate))
 }
 func (c *skewed) Cancel(id simclock.EventID) bool { return c.eng.Cancel(id) }
 func (c *skewed) Do(fn func())                    { fn() }

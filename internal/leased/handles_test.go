@@ -1,7 +1,7 @@
 package leased
 
 // The shard reaches its state by handle — a client table indexed by UID, a
-// *lease.Lease on every robj, a dedup log that copies each request ID — and
+// lease.Lease inside every robj, a dedup log that copies each request ID — and
 // these tests hold what that must never cost: a handle that outlives its
 // lease, a snapshot that indexes out of a table, a retry answered with any
 // bytes but the first answer's.
@@ -48,9 +48,10 @@ func clientNames(sh *shard) []string {
 
 // checkHandles walks the client table, the one table that holds a robj, and
 // requires each row's name to resolve to it through the client index, which
-// holds nothing else; each object to sit in its own slot with the handle of
-// its own live lease in the shard's current manager, which resolves back to
-// it; and the manager to hold no lease beyond those. Callers hold the shard
+// holds nothing else; each object to sit in its own slot holding a live
+// lease that the shard's current manager resolves, by LeaseByID, to that very
+// record, and that objByLease resolves back to the object; and the manager to
+// hold no lease beyond those. Callers hold the shard
 // clock (or own an unstarted shard).
 func checkHandles(t *testing.T, sh *shard) {
 	t.Helper()
@@ -64,19 +65,16 @@ func checkHandles(t *testing.T, sh *shard) {
 	}
 	objs := liveObjects(sh)
 	for _, o := range objs {
+		l := &o.lease
 		switch {
-		case sh.table.recs[o.uid].objOf(hooks.Kind(o.kind)) != o:
-			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, o.id, o.uid, hooks.Kind(o.kind))
-		case o.destroyed:
-			t.Errorf("shard %d: destroyed object %d still in the client table", sh.id, o.id)
-		case o.lease == nil:
-			t.Errorf("shard %d: object %d has no lease handle", sh.id, o.id)
-		case o.lease.State() == lease.Dead:
-			t.Errorf("shard %d: object %d holds the handle of a dead lease", sh.id, o.id)
-		case o.lease != sh.mgr.LeaseByID(o.lease.ID()):
-			t.Errorf("shard %d: object %d holds a handle that is not lease %d in the current manager", sh.id, o.id, o.lease.ID())
-		case sh.objByLease(o.lease.ID()) != o:
-			t.Errorf("shard %d: lease %d does not resolve to its object %d", sh.id, o.lease.ID(), o.id)
+		case sh.table.recs[l.UID()].objOf(l.Kind()) != o:
+			t.Errorf("shard %d: object %d of (%d, %v) is not in that client table slot", sh.id, l.ObjectID(), l.UID(), l.Kind())
+		case l.State() == lease.Dead:
+			t.Errorf("shard %d: object %d in the client table holds a dead lease", sh.id, l.ObjectID())
+		case sh.mgr.LeaseByID(l.ID()) != l:
+			t.Errorf("shard %d: object %d holds lease %d, which the current manager does not resolve to that record", sh.id, l.ObjectID(), l.ID())
+		case sh.objByLease(l.ID()) != o:
+			t.Errorf("shard %d: lease %d does not resolve to its object %d", sh.id, l.ID(), l.ObjectID())
 		}
 	}
 	if len(objs) != sh.mgr.LeaseCount() {
@@ -87,8 +85,8 @@ func checkHandles(t *testing.T, sh *shard) {
 // TestHandlesNeverOutliveTheirLease: after creates, destroys and re-acquires,
 // after the whole state is replaced through ApplySnapshot (a new manager:
 // every old handle is foreign), and after more of the same on the restored
-// state, no table reaches a robj whose handle is dead or another manager's —
-// and the ops that follow a restore work through the re-resolved handles.
+// state, no table reaches a robj whose lease is dead or another manager's —
+// and the ops that follow a restore work through the restored leases.
 func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 	s := snapshotScript(t)
 	check := func(stage string) {
@@ -119,12 +117,12 @@ func TestHandlesNeverOutliveTheirLease(t *testing.T) {
 	check("ApplySnapshot")
 
 	// Renew, destroy and re-acquire on the restored state: every lease of
-	// shard 0, through the handles restore resolved.
+	// shard 0, through the leases restore rebuilt.
 	sh := s.shards[0]
 	at := sh.clock.Now() + time.Millisecond
 	for _, o := range liveObjects(sh) {
 		id := o.lease.ID()
-		client, kind := sh.table.recs[o.uid].name, hooks.Kind(o.kind)
+		client, kind := sh.table.recs[o.lease.UID()].name, o.lease.Kind()
 		for _, rec := range []*opRecord{
 			{At: at, Op: opRenew, LeaseID: id, Report: &usageReport{CPUMS: 5}},
 			{At: at, Op: opRelease, LeaseID: id, Destroy: true},

@@ -89,7 +89,7 @@ type errorResponse struct {
 // verdictOf is what an op's answer says of o as of now; a lease just
 // destroyed is DEAD with no terms. Callers hold the shard clock.
 func verdictOf(o *robj) dedupVerdict {
-	v := dedupVerdict{lease: o.lease.ID(), acquires: o.acquires, uid: o.uid, kind: o.kind, state: uint8(o.lease.State()), held: o.Held}
+	v := dedupVerdict{lease: o.lease.ID(), acquires: o.acquires, uid: uint32(o.lease.UID()), kind: uint8(o.lease.Kind()), state: uint8(o.lease.State()), held: o.Held}
 	if o.lease.State() != lease.Dead {
 		v.terms = int64(o.lease.Terms())
 	}
@@ -751,7 +751,7 @@ func (s *Server) serveGet(w http.ResponseWriter, env *opEnv, q *opReq) {
 			found = true
 			v := verdictOf(o)
 			resp = sh.view(&v)
-			why = sh.mgr.Explanation(o.lease)
+			why = sh.mgr.Explanation(&o.lease)
 		}
 	})
 	if late {

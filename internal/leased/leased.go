@@ -560,14 +560,14 @@ func (sh *shard) acquire(client string, kind hooks.Kind) *robj {
 	o := c.objOf(kind)
 	if o == nil {
 		sh.nextObjID++
-		o = &robj{Hold: hooks.Hold{Held: true, LastSettle: sh.clock.Now()}, clock: sh.clock, id: sh.nextObjID, uid: uint32(uid), kind: uint8(kind), acquires: 1}
-		c.setObj(o)
-		o.lease = sh.mgr.CreateLease(o.hookObject())
+		o = &robj{Hold: hooks.Hold{Held: true, LastSettle: sh.clock.Now()}, clock: sh.clock, acquires: 1}
+		c.setObj(o, kind)
+		sh.mgr.CreateLease(&o.lease, hooks.Object{ID: sh.nextObjID, UID: uid, Kind: kind, Control: o})
 		return o
 	}
 	o.acquires++
 	sh.hold(o)
-	sh.mgr.Reacquired(o.lease)
+	sh.mgr.Reacquired(&o.lease)
 	return o
 }
 
@@ -580,7 +580,7 @@ func (sh *shard) objByLease(id uint64) *robj {
 	if l == nil {
 		return nil
 	}
-	if o := sh.table.recs[l.UID()].objOf(l.Kind()); o != nil && o.lease == l {
+	if o := sh.table.recs[l.UID()].objOf(l.Kind()); o != nil && &o.lease == l {
 		return o
 	}
 	return nil
@@ -593,7 +593,7 @@ func (sh *shard) objByLease(id uint64) *robj {
 func (sh *shard) renew(o *robj, rep usageReport) {
 	sh.foldReport(o, rep)
 	sh.hold(o)
-	sh.mgr.Reacquired(o.lease)
+	sh.mgr.Reacquired(&o.lease)
 }
 
 // hold re-asserts that the client holds o. Callers hold the shard clock.
@@ -608,27 +608,26 @@ func (sh *shard) hold(o *robj) {
 // boundary (paper §3.2). Releasing an unheld lease is a no-op. Callers
 // hold the shard clock.
 func (sh *shard) release(o *robj) {
-	if !o.Held || o.destroyed {
+	if !o.Held || o.lease.State() == lease.Dead {
 		return
 	}
 	o.Settle(sh.clock.Now())
 	o.Held = false
-	sh.mgr.Released(o.lease)
+	sh.mgr.Released(&o.lease)
 }
 
 // destroy deallocates the kernel object: the lease dies and the (client,
 // kind) slot is freed for a fresh lease. It is the only way a daemon lease
 // dies, and it empties the object's slot in the same step, so no table ever
-// reaches a robj whose lease handle is dead. Callers hold the shard clock.
+// reaches a robj whose lease is dead. Callers hold the shard clock.
 func (sh *shard) destroy(o *robj) {
-	if o.destroyed {
+	if o.lease.State() == lease.Dead {
 		return
 	}
 	o.Settle(sh.clock.Now())
-	o.destroyed = true
 	o.Held = false
-	sh.mgr.Destroyed(o.lease)
-	sh.table.recs[o.uid].clearObj(o)
+	sh.mgr.Destroyed(&o.lease)
+	sh.table.recs[o.lease.UID()].clearObj(o)
 }
 
 // The write path is one pipeline. Every mutation — a single-op request (a
@@ -790,32 +789,28 @@ func (sh *shard) foldReport(o *robj, rep usageReport) {
 	if rep.DistanceM > 0 {
 		o.Acc.DistanceM += rep.DistanceM
 	}
-	sh.table.recs[o.uid].add(rep)
+	sh.table.recs[o.lease.UID()].add(rep)
 }
 
 // --- the server-side lease proxy (hooks.Controller) ---
 
 // robj is one kernel object: the server-side record of a (client, kind)
-// resource instance, and its own lease proxy. Its proxy state is the
-// simulator services' hooks.Hold, settled against the shard's wall clock:
-// Held and Active accrue from the clock, the rest of Acc from the usage
-// reports clients send with renewals (foldReport), and the manager pulls the
-// lot each term. The holder's name is its client table row's. uid and kind
-// are a power.UID and a hooks.Kind held narrow, beside destroyed in one word
-// (112 bytes, not 128): hookObject widens them for the manager.
+// resource instance, its own lease proxy, and the storage of its lease, so a
+// daemon lease is one 240-byte allocation. Its proxy state is the simulator
+// services' hooks.Hold, settled against the shard's wall clock: Held and
+// Active accrue from the clock, the rest of Acc from the usage reports
+// clients send with renewals (foldReport), and the manager pulls the lot
+// each term. The holder's name is its client table row's.
 type robj struct {
+	// lease is the manager's lease on this object, made in place when the
+	// object is created (acquire) or restored (build): the record is the
+	// handle ops reach the manager through. It names the object's ID, holder
+	// and kind, and it is Dead once destroy has taken the object out of its
+	// slot.
+	lease lease.Lease
 	hooks.Hold
 
 	clock *runtime.Wall // the shard's
-	id    uint64
-	// lease is the manager's lease on this object, resolved when the lease is
-	// created (acquire) or restored (build) and live for as long as the
-	// object sits in its slot: destroy kills both together.
-	lease *lease.Lease
-
-	uid       uint32
-	kind      uint8
-	destroyed bool
 
 	// acquires counts applied acquire operations (initial create plus
 	// re-acquires). Exposed to clients in every lease response so a
@@ -825,18 +820,14 @@ type robj struct {
 	acquires int64
 }
 
-// hookObject is the manager's view of o, which is its own Controller: the
-// manager's calls reach the object without a lookup.
-func (o *robj) hookObject() hooks.Object {
-	return hooks.Object{ID: o.id, UID: power.UID(o.uid), Kind: hooks.Kind(o.kind), Control: o}
-}
-
 // The manager calls these with the shard clock held: from inside term-check
 // events or server operations. As a service with one object, o answers a
 // call about any other ID, or about itself once destroyed, as about an
 // object it does not have.
 
-func (o *robj) has(id uint64) bool { return id == o.id && !o.destroyed }
+func (o *robj) has(id uint64) bool {
+	return id == o.lease.ObjectID() && o.lease.State() != lease.Dead
+}
 
 func (o *robj) setSuppressed(id uint64, suppressed bool) {
 	if o.has(id) && o.Suppressed != suppressed {
@@ -886,7 +877,7 @@ type clientRec struct {
 
 // objOf returns the client's object of kind k, or nil.
 func (c *clientRec) objOf(k hooks.Kind) *robj {
-	if o := c.obj; o != nil && hooks.Kind(o.kind) == k {
+	if o := c.obj; o != nil && o.lease.Kind() == k {
 		return o
 	}
 	if c.more != nil {
@@ -895,8 +886,9 @@ func (c *clientRec) objOf(k hooks.Kind) *robj {
 	return nil
 }
 
-// setObj gives o its kind's slot, which objOf has found empty.
-func (c *clientRec) setObj(o *robj) {
+// setObj gives o the slot of its kind k, which objOf has found empty. o's
+// lease may not be made yet, so k is given.
+func (c *clientRec) setObj(o *robj, k hooks.Kind) {
 	if c.obj == nil {
 		c.obj = o
 		return
@@ -904,15 +896,15 @@ func (c *clientRec) setObj(o *robj) {
 	if c.more == nil {
 		c.more = new([hooks.NumKinds]*robj)
 	}
-	c.more[o.kind] = o
+	c.more[k] = o
 }
 
 // clearObj empties o's slot.
 func (c *clientRec) clearObj(o *robj) {
 	if c.obj == o {
 		c.obj = nil
-	} else if c.more != nil && c.more[o.kind] == o {
-		c.more[o.kind] = nil
+	} else if k := o.lease.Kind(); c.more != nil && c.more[k] == o {
+		c.more[k] = nil
 	}
 }
 

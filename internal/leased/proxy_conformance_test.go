@@ -117,7 +117,7 @@ func daemonRig() proxyRig {
 	o := sh.acquire("conformance", hooks.Wakelock)
 	return proxyRig{
 		advance: func(d time.Duration) { sh.clock.RunVirtual(sh.clock.Now() + d) },
-		create:  func() uint64 { return o.id },
+		create:  func() uint64 { return o.lease.ObjectID() },
 		hold:    func() { sh.renew(o, usageReport{}) },
 		drop:    func() { sh.release(o) },
 		kill:    func() { sh.destroy(o) },

@@ -15,6 +15,7 @@ import (
 	"repro/internal/android/hooks"
 	"repro/internal/durable"
 	"repro/internal/lease"
+	"repro/internal/power"
 	"repro/internal/runtime"
 	"repro/internal/simclock"
 	"repro/internal/snapenc"
@@ -656,13 +657,32 @@ func (sh *shard) build(st *persistedState) {
 		}
 	}
 	sh.shardState = newShardState(sh.clock, sh.opts)
+	sh.table.recs = slices.Grow(sh.table.recs, len(st.Clients))
 	for _, c := range st.Clients {
 		sh.addClient(c.Name, sh.clients.hash(c.Name))
 	}
 	sh.nextObjID = st.NextObjID
-	for _, os := range st.Objects {
-		sh.table.recs[os.UID].setObj(&robj{
-			clock: sh.clock, id: os.ID, uid: uint32(os.UID), kind: uint8(os.Kind),
+	for _, a := range st.Apps {
+		c := &sh.table.recs[a.UID]
+		c.cpu, c.exc, c.ui, c.inter = time.Duration(a.CPU), a.Exc, a.UI, a.Inter
+	}
+	for i := range st.Dedup {
+		e := &st.Dedup[i]
+		id := viewBytes(e.ID)
+		sh.dedup.put(id, sh.dedup.hashID(id), e.verdict())
+	}
+	// Each lease is rebuilt inside a fresh object made from the object row
+	// naming it, in the row's uid's slot of its kind (validate has paired
+	// them off): the other point, beside acquire, where an object and its
+	// lease are made together.
+	rows := make(map[uint64]*objState, len(st.Objects))
+	for i := range st.Objects {
+		rows[st.Objects[i].LeaseID] = &st.Objects[i]
+	}
+	sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (*lease.Lease, hooks.Object) {
+		os := rows[ls.ID]
+		o := &robj{
+			clock: sh.clock,
 			Hold: hooks.Hold{
 				Held: os.Held, Suppressed: os.Suppressed, LastSettle: os.LastSettle,
 				Acc: hooks.TermStats{
@@ -673,25 +693,8 @@ func (sh *shard) build(st *persistedState) {
 				},
 			},
 			acquires: os.Acquires,
-		})
-	}
-	for _, a := range st.Apps {
-		c := &sh.table.recs[a.UID]
-		c.cpu, c.exc, c.ui, c.inter = time.Duration(a.CPU), a.Exc, a.UI, a.Inter
-	}
-	for i := range st.Dedup {
-		e := &st.Dedup[i]
-		id := viewBytes(e.ID)
-		sh.dedup.put(id, sh.dedup.hashID(id), e.verdict())
-	}
-	// A lease's object is the one in its uid's slot of its kind. Restore is
-	// the second of the two points an object's lease handle is resolved at
-	// (acquire is the first): the handle is what ops reach the manager
-	// through.
-	objOf := func(ls *lease.LeaseState) *robj { return sh.table.recs[ls.UID].objOf(hooks.Kind(ls.Kind)) }
-	sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) hooks.Object { return objOf(&ls).hookObject() })
-	for i := range st.Manager.Leases {
-		ls := &st.Manager.Leases[i]
-		objOf(ls).lease = sh.mgr.LeaseByID(ls.ID)
-	}
+		}
+		sh.table.recs[os.UID].setObj(o, hooks.Kind(os.Kind))
+		return &o.lease, hooks.Object{ID: os.ID, UID: power.UID(os.UID), Kind: hooks.Kind(os.Kind), Control: o}
+	})
 }

@@ -73,14 +73,14 @@ func (sh *shard) encodeState(w *snapenc.Writer) {
 			}
 		}
 	}
-	slices.SortFunc(objs, func(a, b objRow) int { return cmp.Compare(a.o.id, b.o.id) })
+	slices.SortFunc(objs, func(a, b objRow) int { return cmp.Compare(a.o.lease.ObjectID(), b.o.lease.ObjectID()) })
 	w.Uvarint(sh.nextObjID)
 	w.Uvarint(uint64(len(objs)))
 	for _, row := range objs {
 		o := row.o
-		w.Uvarint(o.id)
-		w.Int(int(o.uid))
-		w.Int(int(o.kind))
+		w.Uvarint(o.lease.ObjectID())
+		w.Int(int(o.lease.UID()))
+		w.Int(int(o.lease.Kind()))
 		w.String(row.client)
 		w.Uvarint(o.lease.ID())
 		w.Bool(o.Held)

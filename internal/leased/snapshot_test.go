@@ -739,6 +739,49 @@ func termRecordBytes(rec lease.TermRecord) []byte {
 	return w.Payload()
 }
 
+// objRowBytes is os as a snapshot encodes it.
+func objRowBytes(os objState) []byte {
+	w := snapenc.NewWriter(nil)
+	w.Uvarint(os.ID)
+	w.Int(os.UID)
+	w.Int(os.Kind)
+	w.String(os.Client)
+	w.Uvarint(os.LeaseID)
+	w.Bool(os.Held)
+	w.Bool(os.Suppressed)
+	for _, n := range []int64{int64(os.LastSettle), os.AccHeld, os.AccActive, os.Used, os.ReqTime, os.FailedReqTime} {
+		w.Varint(n)
+	}
+	w.Int(os.DataPoints)
+	w.Float64(os.DistanceM)
+	w.Varint(os.Acquires)
+	return w.Payload()
+}
+
+// withObjRow is sh's payload with the object row of lease id rewritten by
+// corrupt.
+func withObjRow(tb testing.TB, sh *shard, id uint64, corrupt func(*objState)) []byte {
+	tb.Helper()
+	good := encodeShard(sh)
+	st, err := decodeSnapshot(good)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, os := range st.Objects {
+		if os.LeaseID != id {
+			continue
+		}
+		row := objRowBytes(os)
+		if bytes.Count(good, row) != 1 {
+			tb.Fatalf("the payload does not hold lease %d's object row once", id)
+		}
+		corrupt(&os)
+		return bytes.Replace(good, row, objRowBytes(os), 1)
+	}
+	tb.Fatalf("the payload has no object row for lease %d", id)
+	return nil
+}
+
 // leaseRowBytes is ls as a snapshot encodes it.
 func leaseRowBytes(ls lease.LeaseState) []byte {
 	w := snapenc.NewWriter(nil)
@@ -811,18 +854,17 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 		return sh
 	}
 	var out []refusedSnapshot
-	// An object whose uid and whose kind would index out of the client
-	// table.
+	// An object row whose uid and whose kind would index out of the client
+	// table (lease 1's row, rewritten in the payload: an object's uid and
+	// kind are its lease's).
 	for _, tc := range []struct {
 		name, text string
-		corrupt    func(*robj)
+		corrupt    func(*objState)
 	}{
-		{"object uid out of range", "unknown uid", func(o *robj) { o.uid = math.MaxUint32 }},
-		{"object kind out of range", "unknown resource kind", func(o *robj) { o.kind = 200 }},
+		{"object uid out of range", "unknown uid", func(os *objState) { os.UID = math.MaxUint32 }},
+		{"object kind out of range", "unknown resource kind", func(os *objState) { os.Kind = 200 }},
 	} {
-		sh := populated()
-		tc.corrupt(sh.objByLease(1))
-		out = append(out, refusedSnapshot{name: tc.name, payload: encodeShard(sh), wantText: tc.text})
+		out = append(out, refusedSnapshot{name: tc.name, payload: withObjRow(tb, populated(), 1, tc.corrupt), wantText: tc.text})
 	}
 	// And three whose copies disagree: an object row that names a client
 	// other than its uid's (lease 1's object moved into the next client's
@@ -830,20 +872,24 @@ func refusedSnapshots(tb testing.TB) []refusedSnapshot {
 	// that names it, and two clients rows that read one name.
 	for _, tc := range []struct {
 		name    string
-		corrupt func(*shard)
+		corrupt func(*shard) []byte
 		want    error
 	}{
-		{"object row names another client", func(sh *shard) {
+		{"object row names another client", func(sh *shard) []byte {
 			o := sh.objByLease(1)
-			sh.table.recs[o.uid].clearObj(o)
-			sh.table.recs[o.uid+1].setObj(o)
+			sh.table.recs[o.lease.UID()].clearObj(o)
+			sh.table.recs[o.lease.UID()+1].setObj(o, o.lease.Kind())
+			return encodeShard(sh)
 		}, errObjectClientMismatch},
-		{"lease names another object", func(sh *shard) { sh.objByLease(1).id = 1 << 40 }, errLeaseObjectMismatch},
-		{"two clients rows, one name", func(sh *shard) { sh.table.recs[2].name = sh.table.recs[1].name }, errDuplicateClient},
+		{"lease names another object", func(sh *shard) []byte {
+			return withObjRow(tb, sh, 1, func(os *objState) { os.ID = 1 << 40 })
+		}, errLeaseObjectMismatch},
+		{"two clients rows, one name", func(sh *shard) []byte {
+			sh.table.recs[2].name = sh.table.recs[1].name
+			return encodeShard(sh)
+		}, errDuplicateClient},
 	} {
-		sh := populated()
-		tc.corrupt(sh)
-		out = append(out, refusedSnapshot{name: tc.name, payload: encodeShard(sh), want: tc.want})
+		out = append(out, refusedSnapshot{name: tc.name, payload: tc.corrupt(populated()), want: tc.want})
 	}
 	// And a lease with completed terms but no term record: the payload ends
 	// with the last lease's one-record list, which becomes an empty one.

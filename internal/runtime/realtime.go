@@ -27,6 +27,10 @@ type realtime struct {
 
 func (*realtime) Now() simclock.Time { return simclock.Time(time.Since(processStart)) }
 
+func (r *realtime) ScheduleHandler(d time.Duration, h simclock.Handler, arg uint64) simclock.EventID {
+	return r.Schedule(d, func() { h.Fire(arg) })
+}
+
 func (r *realtime) Schedule(d time.Duration, fn func()) simclock.EventID {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -4,12 +4,13 @@
 // time.
 //
 // The Clock interface is the exact scheduling surface lease.Manager needs:
-// the current instant, one-shot scheduling, and cancellation. It is
-// satisfied natively by *simclock.Engine — the simulation path pays no
-// adapter and behaves bit-for-bit as before — by Realtime, the host clock,
-// and by *Wall, which runs an engine on another Clock: the shard clock of
-// the networked leased daemon (cmd/leased), on Realtime or, in its tests, on
-// a view of the test's engine.
+// the current instant, one-shot scheduling of a closure or of a
+// simclock.Handler, and cancellation. It is satisfied natively by
+// *simclock.Engine — the simulation path pays no adapter and behaves
+// bit-for-bit as before — by Realtime, the host clock, and by *Wall, which
+// runs an engine on another Clock: the shard clock of the networked leased
+// daemon (cmd/leased), on Realtime or, in its tests, on a view of the test's
+// engine.
 package runtime
 
 import (
@@ -30,6 +31,9 @@ type Clock interface {
 	Now() simclock.Time
 	// Schedule arranges for fn to run after d, returning an id for Cancel.
 	Schedule(d time.Duration, fn func()) simclock.EventID
+	// ScheduleHandler arranges for h.Fire(arg) to run after d, binding no
+	// closure on an engine.
+	ScheduleHandler(d time.Duration, h simclock.Handler, arg uint64) simclock.EventID
 	// Cancel removes a pending event, reporting whether it was still
 	// pending.
 	Cancel(id simclock.EventID) bool

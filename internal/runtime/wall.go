@@ -197,6 +197,11 @@ func (w *Wall) Now() simclock.Time { return w.eng.Now() }
 // Schedule implements Clock.
 func (w *Wall) Schedule(d time.Duration, fn func()) simclock.EventID { return w.eng.Schedule(d, fn) }
 
+// ScheduleHandler implements Clock.
+func (w *Wall) ScheduleHandler(d time.Duration, h simclock.Handler, arg uint64) simclock.EventID {
+	return w.eng.ScheduleHandler(d, h, arg)
+}
+
 // Cancel implements Clock.
 func (w *Wall) Cancel(id simclock.EventID) bool { return w.eng.Cancel(id) }
 

@@ -3,6 +3,7 @@ package simclock
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // kernels is the package's allocation contract, stated once: each row is one
@@ -16,6 +17,8 @@ var kernels = []struct {
 	{"Schedule", scheduleOp(0)},
 	{"ScheduleShort", scheduleOp(6)},
 	{"ScheduleDeep", scheduleOp(1024)},
+	{"ScheduleHandler", handlerOp(6)},
+	{"ScheduleHandlerDeep", handlerOp(1024)},
 	{"Cancel", cancelOp},
 	{"Rearm", rearmOp},
 	{"Ticker", tickerOp},
@@ -23,9 +26,21 @@ var kernels = []struct {
 
 func TestKernelAllocs(t *testing.T) {
 	for _, k := range kernels {
-		if got := testing.AllocsPerRun(1000, k.setup()); got != 0 {
+		got := testing.AllocsPerRun(1000, k.setup())
+		t.Logf("Engine %s: %v allocs/op", k.name, got)
+		if got != 0 {
 			t.Errorf("Engine %s: %v allocs/op, pinned at 0", k.name, got)
 		}
+	}
+}
+
+// TestEventSlotSize pins what each pending event keeps in the engine beside
+// its 24-byte queue entry: a daemon shard holds one per live lease.
+func TestEventSlotSize(t *testing.T) {
+	size := unsafe.Sizeof(slot{})
+	t.Logf("an event slot is %d B", size)
+	if size > 32 {
+		t.Errorf("an event slot is %d B, pinned at ≤ 32: what grew it?", size)
 	}
 }
 
@@ -56,6 +71,32 @@ func scheduleOp(pending int) func() func() {
 		}
 		return func() {
 			e.Schedule(time.Millisecond, fn)
+			e.Step()
+		}
+	}
+}
+
+// counter is a Handler serving many events, as lease.Manager serves its
+// leases': the argument says which. Like the manager it is a pointer, which
+// an interface holds without allocating.
+type counter [8]int
+
+func (c *counter) Fire(arg uint64) { c[arg%uint64(len(c))]++ }
+
+// handlerOp is scheduleOp for a handler event, the door lease.Manager's term
+// checks take: the handler and its argument go into the slot, and no
+// closure is bound.
+func handlerOp(pending int) func() func() {
+	return func() func() {
+		e := NewEngine()
+		c := new(counter)
+		for i := 0; i < pending; i++ {
+			e.ScheduleHandler(time.Duration(i+1)*time.Hour, c, uint64(i))
+		}
+		var arg uint64
+		return func() {
+			arg++
+			e.ScheduleHandler(time.Millisecond, c, arg)
 			e.Step()
 		}
 	}

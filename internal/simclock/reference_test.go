@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzEngineMatchesReference runs one random program of Schedule,
-// ScheduleAt, Cancel, Ticker, stop, Step, RunUntil and Reset calls against
+// ScheduleHandler, ScheduleAt, Cancel, Ticker, stop, Step, RunUntil and Reset
+// calls against
 // the engine and against refEngine, a slice re-sorted by (at, seq) on every
 // call, and requires the same firings, Cancel results, Now, Len and Next
 // after every operation. A program is a list of 4-byte ops (opSchedule…);
@@ -69,6 +70,7 @@ type api interface {
 	Len() int
 	Next() (Time, bool)
 	Schedule(time.Duration, func()) EventID
+	ScheduleHandler(time.Duration, Handler, uint64) EventID
 	ScheduleAt(Time, func()) EventID
 	Cancel(EventID) bool
 	Ticker(time.Duration, func()) func()
@@ -88,7 +90,8 @@ const (
 	opStep              // Step()
 	opRunUntil          // RunUntil(Now()+delay(a))
 	opReset             // Reset()
-	opBurst             // Schedule maxRun+a%8 events at spread delays, action b
+	opBurst             // Schedule maxRun+a%8 events at spread delays, action b, odd ones through ScheduleHandler
+	opHandler           // ScheduleHandler(delay(a), the driver, the event's label), action b with arg c; a%32 == 31 is a negative delay
 	numOps
 )
 
@@ -116,25 +119,39 @@ type entry struct {
 
 // driver applies ops to one engine and logs what happens. Labels index ids
 // in scheduling order; both sides agree on them as long as they fire alike.
+// The driver is also the Handler of the events it schedules through
+// ScheduleHandler, with their label as the argument.
 type driver struct {
 	e     api
 	ids   []EventID // one-shot ids by label, since the last Reset
+	fns   []func()  // their callbacks, by label
 	stops []func()  // ticker stops, since the last Reset
 	log   []entry
+}
+
+func (d *driver) Fire(label uint64) { d.fns[label]() }
+
+// viaHandler issues an event at delay dl through ScheduleHandler.
+func (d *driver) viaHandler(dl time.Duration) func(int) EventID {
+	return func(label int) EventID { return d.e.ScheduleHandler(dl, d, uint64(label)) }
+}
+
+// viaFunc issues an event through a closure-taking door.
+func (d *driver) viaFunc(door func(func()) EventID) func(int) EventID {
+	return func(label int) EventID { return door(d.fns[label]) }
 }
 
 func (d *driver) do(op []byte) {
 	kind, a, b, c := op[0]%numOps, op[1], op[2], op[3]
 	switch kind {
 	case opSchedule:
-		dl := delay(a)
-		if a%32 == 31 {
-			dl = -time.Millisecond
-		}
-		d.schedule(func(fn func()) EventID { return d.e.Schedule(dl, fn) }, b, c)
+		dl := signedDelay(a)
+		d.schedule(d.viaFunc(func(fn func()) EventID { return d.e.Schedule(dl, fn) }), b, c)
+	case opHandler:
+		d.schedule(d.viaHandler(signedDelay(a)), b, c)
 	case opScheduleAt:
 		at := d.e.Now() + delay(a)
-		d.schedule(func(fn func()) EventID { return d.e.ScheduleAt(at, fn) }, b, c)
+		d.schedule(d.viaFunc(func(fn func()) EventID { return d.e.ScheduleAt(at, fn) }), b, c)
 	case opCancel:
 		d.cancel(int(a))
 	case opTicker:
@@ -152,32 +169,45 @@ func (d *driver) do(op []byte) {
 		d.e.RunUntil(d.e.Now() + delay(a))
 	case opReset:
 		d.e.Reset()
-		d.ids, d.stops = d.ids[:0], d.stops[:0]
+		d.ids, d.fns, d.stops = d.ids[:0], d.fns[:0], d.stops[:0]
 	case opBurst:
 		x := uint32(b) + 1
 		for i := 0; i < maxRun+int(a%8); i++ {
 			x = x*1103515245 + 12345
 			dl := time.Duration(x>>16%200) * time.Millisecond
-			d.schedule(func(fn func()) EventID { return d.e.Schedule(dl, fn) }, b, byte(i))
+			issue := d.viaFunc(func(fn func()) EventID { return d.e.Schedule(dl, fn) })
+			if i%2 == 1 {
+				issue = d.viaHandler(dl)
+			}
+			d.schedule(issue, b, byte(i))
 		}
 	}
 }
 
+// signedDelay is delay(x), or a negative delay when x%32 == 31.
+func signedDelay(x byte) time.Duration {
+	if x%32 == 31 {
+		return -time.Millisecond
+	}
+	return delay(x)
+}
+
 // schedule issues one one-shot event under the next label.
-func (d *driver) schedule(issue func(func()) EventID, act, arg byte) {
+func (d *driver) schedule(issue func(label int) EventID, act, arg byte) {
 	label := len(d.ids)
 	d.ids = append(d.ids, 0)
-	d.ids[label] = issue(func() {
+	d.fns = append(d.fns, func() {
 		d.log = append(d.log, entry{kind: 'f', label: label, now: d.e.Now()})
 		switch act % numActs {
 		case actCancelSelf:
 			d.cancel(label)
 		case actChild:
-			d.schedule(func(fn func()) EventID { return d.e.Schedule(delay(arg), fn) }, actNone, 0)
+			d.schedule(d.viaHandler(delay(arg)), actNone, 0)
 		case actCancelOther:
 			d.cancel(int(arg))
 		}
 	})
+	d.ids[label] = issue(label)
 }
 
 func (d *driver) cancel(k int) {
@@ -199,7 +229,7 @@ func (d *driver) ticker(period time.Duration, stopAt int, child bool, childDelay
 			d.stops[n]()
 		}
 		if child {
-			d.schedule(func(fn func()) EventID { return d.e.Schedule(childDelay, fn) }, actNone, 0)
+			d.schedule(d.viaFunc(func(fn func()) EventID { return d.e.Schedule(childDelay, fn) }), actNone, 0)
 		}
 	})
 }
@@ -244,6 +274,10 @@ func (r *refEngine) Next() (Time, bool) {
 
 func (r *refEngine) Schedule(d time.Duration, fn func()) EventID {
 	return r.ScheduleAt(r.now+max(d, 0), fn)
+}
+
+func (r *refEngine) ScheduleHandler(d time.Duration, h Handler, arg uint64) EventID {
+	return r.Schedule(d, func() { h.Fire(arg) })
 }
 
 func (r *refEngine) ScheduleAt(at Time, fn func()) EventID {
@@ -355,6 +389,15 @@ func seedPrograms() [][]byte {
 			[4]byte{opRunUntil, 6, 0, 0}, [4]byte{opCancel, 0, 0, 0}, [4]byte{opBurst, 7, actCancelOther, 0},
 			[4]byte{opRunUntil, 30, 0, 0}, [4]byte{opReset, 0, 0, 0}, [4]byte{opSchedule, 1, actNone, 0},
 			[4]byte{opStep, 0, 0, 0}),
+		// The handler door beside the closure doors at shared instants: a
+		// handler event cancelling another, one with a child, one at a
+		// negative delay cancelling itself, a ticker whose child ties with
+		// its next tick.
+		cat([4]byte{opHandler, 5, actCancelOther, 1}, [4]byte{opSchedule, 5, actNone, 0},
+			[4]byte{opHandler, 5, actChild, 5}, [4]byte{opTicker, 4, 6, 5},
+			[4]byte{opHandler, 31, actCancelSelf, 0}, [4]byte{opCancel, 0, 0, 0},
+			[4]byte{opRunUntil, 12, 0, 0}, [4]byte{opHandler, 0, actNone, 0},
+			[4]byte{opStep, 0, 0, 0}, [4]byte{opRunUntil, 30, 0, 0}),
 		// Heap form drained by Step and RunUntil, ids reused by new events
 		// and cancelled stale, two bursts back to back.
 		cat([4]byte{opBurst, 0, actCancelSelf, 0}, [4]byte{opBurst, 5, actNone, 0},

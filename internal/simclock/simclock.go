@@ -2,10 +2,11 @@
 // other subsystem in this repository is built on.
 //
 // The kernel models virtual time as a time.Duration measured from the start
-// of the simulation. Work is expressed as events: closures scheduled to fire
-// at a particular virtual instant. Events fire in timestamp order; events
-// with equal timestamps fire in scheduling order, which makes every run of a
-// simulation fully deterministic for a fixed input.
+// of the simulation. Work is expressed as events: a Handler and its argument,
+// or a plain closure, scheduled to fire at a particular virtual instant.
+// Events fire in timestamp order; events with equal timestamps fire in
+// scheduling order, which makes every run of a simulation fully
+// deterministic for a fixed input.
 //
 // Internally the engine is allocation-free on the steady state: pending
 // events live in a slice of value slots addressed by index, scheduling
@@ -49,24 +50,42 @@ func splitID(id EventID) (idx int32, gen uint32) {
 	return int32(uint32(id) - 1), uint32(id >> 32)
 }
 
-// slot state machine: free → queued → (firing for periodic slots) → free.
-const (
-	slotFree    = iota
-	slotQueued  // in the queue, waiting to fire
-	slotFiring  // periodic slot popped, callback running
-	slotStopped // periodic slot cancelled from inside its own callback
+// Handler is an event's callback as a value: Fire runs with the argument the
+// event was scheduled with. One handler can serve many events, telling them
+// apart by the argument, so scheduling one binds no closure.
+type Handler interface {
+	Fire(arg uint64)
+}
+
+// funcHandler is a plain callback as a Handler, and tickFunc a Ticker's. A
+// func value is one pointer, so converting it to an interface allocates
+// nothing.
+type (
+	funcHandler func()
+	tickFunc    func()
 )
 
-// slot is the storage for one event. Slots are value structs owned by the
-// engine's slots slice and recycled through the free list; only the closure
-// itself forces an allocation (at the caller, not here).
+func (f funcHandler) Fire(uint64) { f() }
+func (f tickFunc) Fire(uint64)    { f() }
+
+// slot is the storage for one event, 32 bytes. Slots are value structs owned
+// by the engine's slots slice and recycled through the free list; a closure
+// the caller schedules is its only allocation, made at the caller, not here.
+// A slot is free while h is nil; a queued one's pos is its index in the
+// queue in heap form, and 0 in run form; a Ticker's slot, popped to run its
+// callback, is firing, or stopped if cancelled from inside it.
 type slot struct {
-	fn        func()
-	period    Time   // > 0 for periodic (Ticker) slots
-	gen       uint32 // bumped on release; stale EventIDs stop matching
-	state     uint8
-	heapIndex int32 // position in Engine.queue while queued in heap form
+	h   Handler
+	arg uint64 // h's argument; a tickFunc's period
+	gen uint32 // bumped on release; stale EventIDs stop matching
+	pos int32
 }
+
+// The pos of a Ticker's slot that is out of the queue running its callback.
+const (
+	firing  = -1
+	stopped = -2
+)
 
 // item is one entry of the queue. The ordering key is held inline so
 // placing and sifting touch contiguous memory and never chase the slot;
@@ -154,13 +173,12 @@ func (e *Engine) alloc() int32 {
 }
 
 // release returns a slot to the free list, bumping its generation so any
-// outstanding EventID for it stops matching, and dropping the closure so
+// outstanding EventID for it stops matching, and dropping the handler so
 // the GC can reclaim captured state.
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
-	s.fn = nil
+	s.h = nil
 	s.gen++
-	s.state = slotFree
 	e.free = append(e.free, idx)
 }
 
@@ -205,7 +223,7 @@ func (e *Engine) toHeap() {
 		q[i], q[j] = q[j], q[i]
 	}
 	for i := range q {
-		e.slots[q[i].idx].heapIndex = int32(i)
+		e.slots[q[i].idx].pos = int32(i)
 	}
 	e.isHeap = true
 }
@@ -221,7 +239,7 @@ func (e *Engine) remove(idx int32) {
 			}
 		}
 	}
-	i := int(e.slots[idx].heapIndex)
+	i := int(e.slots[idx].pos)
 	n := len(e.queue) - 1
 	if i != n {
 		e.queue[i] = e.queue[n]
@@ -260,11 +278,11 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		e.queue[i] = e.queue[parent]
-		e.slots[e.queue[i].idx].heapIndex = int32(i)
+		e.slots[e.queue[i].idx].pos = int32(i)
 		i = parent
 	}
 	e.queue[i] = it
-	e.slots[it.idx].heapIndex = int32(i)
+	e.slots[it.idx].pos = int32(i)
 }
 
 func (e *Engine) siftDown(i int) bool {
@@ -283,25 +301,32 @@ func (e *Engine) siftDown(i int) bool {
 			break
 		}
 		e.queue[i] = e.queue[child]
-		e.slots[e.queue[i].idx].heapIndex = int32(i)
+		e.slots[e.queue[i].idx].pos = int32(i)
 		i = child
 	}
 	e.queue[i] = it
-	e.slots[it.idx].heapIndex = int32(i)
+	e.slots[it.idx].pos = int32(i)
 	return i > start
 }
 
-// Schedule arranges for fn to run after delay d. A negative d is treated as
-// zero: the event fires at the current instant, after any events already
-// queued for that instant. Schedule returns an EventID usable with Cancel.
+// Schedule arranges for fn to run after delay d: ScheduleHandler with fn as
+// the handler. A negative d is treated as zero: the event fires at the
+// current instant, after any events already queued for that instant.
+// Schedule returns an EventID usable with Cancel.
 func (e *Engine) Schedule(d time.Duration, fn func()) EventID {
 	if fn == nil {
 		panic("simclock: Schedule called with nil fn")
 	}
-	if d < 0 {
-		d = 0
+	return e.schedule(e.now+max(d, 0), funcHandler(fn), 0)
+}
+
+// ScheduleHandler arranges for h.Fire(arg) to run after delay d, as Schedule
+// does for a closure.
+func (e *Engine) ScheduleHandler(d time.Duration, h Handler, arg uint64) EventID {
+	if h == nil {
+		panic("simclock: ScheduleHandler called with nil handler")
 	}
-	return e.ScheduleAt(e.now+d, fn)
+	return e.schedule(e.now+max(d, 0), h, arg)
 }
 
 // ScheduleAt arranges for fn to run at the absolute virtual instant at.
@@ -311,15 +336,18 @@ func (e *Engine) ScheduleAt(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("simclock: ScheduleAt called with nil fn")
 	}
+	return e.schedule(at, funcHandler(fn), 0)
+}
+
+// schedule fills a fresh slot and queues it at at with the engine's next seq.
+func (e *Engine) schedule(at Time, h Handler, arg uint64) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("simclock: ScheduleAt(%v) is in the past (now %v)", at, e.now))
 	}
 	e.nextSeq++
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.fn = fn
-	s.period = 0
-	s.state = slotQueued
+	s.h, s.arg, s.pos = h, arg, 0
 	e.push(item{at: at, seq: e.nextSeq, idx: idx})
 	return makeID(idx, s.gen)
 }
@@ -335,23 +363,22 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	s := &e.slots[idx]
-	if s.gen != gen {
+	if s.gen != gen || s.h == nil {
 		return false
 	}
-	switch s.state {
-	case slotQueued:
-		e.remove(idx)
-		e.release(idx)
-		return true
-	case slotFiring:
-		// A periodic slot cancelled from inside its own callback: it is
-		// not in the queue right now, so just tell the fire loop not to
+	switch s.pos {
+	case firing:
+		// A ticker cancelled from inside its own callback: it is not in
+		// the queue right now, so just tell the fire loop not to
 		// reschedule it.
-		s.state = slotStopped
+		s.pos = stopped
 		return true
-	default:
+	case stopped:
 		return false
 	}
+	e.remove(idx)
+	e.release(idx)
+	return true
 }
 
 // fire pops the earliest item, advances the clock, and runs its callback.
@@ -363,19 +390,25 @@ func (e *Engine) fire() {
 	it := e.pop()
 	s := &e.slots[it.idx]
 	e.now = it.at
-	if s.period <= 0 {
-		fn := s.fn
+	switch h := s.h.(type) {
+	case funcHandler: // the closure doors: called directly, not through Fire
 		e.release(it.idx)
-		fn()
+		h()
+		return
+	case tickFunc:
+		s.pos = firing
+		h()
+	default:
+		arg := s.arg
+		e.release(it.idx)
+		h.Fire(arg)
 		return
 	}
-	s.state = slotFiring
-	s.fn()
 	// The callback may have scheduled events and grown e.slots, moving the
 	// backing array out from under s — re-fetch the pointer before touching
 	// the slot again.
 	s = &e.slots[it.idx]
-	if s.state != slotFiring { // stopped from inside the callback
+	if s.pos == stopped {
 		e.release(it.idx)
 		return
 	}
@@ -383,8 +416,8 @@ func (e *Engine) fire() {
 	// stop function keeps working), fresh seq — exactly the ordering a
 	// hand-rolled "fn then Schedule(period, tick)" chain would produce.
 	e.nextSeq++
-	s.state = slotQueued
-	e.push(item{at: it.at + s.period, seq: e.nextSeq, idx: it.idx})
+	s.pos = 0
+	e.push(item{at: it.at + Time(s.arg), seq: e.nextSeq, idx: it.idx})
 }
 
 // Step fires the single earliest pending event, advancing the clock to its
@@ -436,13 +469,6 @@ func (e *Engine) Ticker(period time.Duration, fn func()) (stop func()) {
 	if fn == nil {
 		panic("simclock: Ticker called with nil fn")
 	}
-	e.nextSeq++
-	idx := e.alloc()
-	s := &e.slots[idx]
-	s.fn = fn
-	s.period = period
-	s.state = slotQueued
-	e.push(item{at: e.now + period, seq: e.nextSeq, idx: idx})
-	id := makeID(idx, s.gen)
+	id := e.schedule(e.now+period, tickFunc(fn), uint64(period))
 	return func() { e.Cancel(id) }
 }

@@ -1,7 +1,9 @@
 package simclock
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -439,5 +441,68 @@ func TestClockMonotonicAcrossManyEvents(t *testing.T) {
 	e.Run()
 	if !ok {
 		t.Fatal("clock moved backwards")
+	}
+}
+
+// logger is a Handler that logs each firing's argument.
+type logger struct {
+	e   *Engine
+	got []string
+}
+
+func (l *logger) Fire(arg uint64) { l.got = append(l.got, fmt.Sprintf("h%d@%v", arg, l.e.Now())) }
+
+func (l *logger) fn(name string) func() {
+	return func() { l.got = append(l.got, fmt.Sprintf("%s@%v", name, l.e.Now())) }
+}
+
+// TestHandlerAndFuncEventsShareOneOrder: handler events and closure events
+// are one queue, so at one instant they fire in scheduling order, whichever
+// door each came through, and each handler firing gets its own argument.
+func TestHandlerAndFuncEventsShareOneOrder(t *testing.T) {
+	e := NewEngine()
+	l := &logger{e: e}
+	e.ScheduleHandler(time.Second, l, 1)
+	e.Schedule(time.Second, l.fn("f2"))
+	e.ScheduleAt(time.Second, l.fn("f3"))
+	e.ScheduleHandler(time.Second, l, 4)
+	e.ScheduleHandler(-time.Second, l, 0) // clamped to now, first to fire
+	e.Cancel(e.ScheduleHandler(time.Second, l, 99))
+	e.Run()
+	want := []string{"h0@0s", "h1@1s", "f2@1s", "f3@1s", "h4@1s"}
+	if !slices.Equal(l.got, want) {
+		t.Fatalf("fired %v, want %v", l.got, want)
+	}
+}
+
+// TestTickerKeepsItsOrder: ticks, the closure and handler events that share
+// their instants, and the events a tick schedules fire in the order the
+// engine gave them before events carried a handler; the list below is that
+// engine's, with each handler event a closure there.
+func TestTickerKeepsItsOrder(t *testing.T) {
+	e := NewEngine()
+	l := &logger{e: e}
+	e.ScheduleHandler(10*time.Millisecond, l, 1) // before the ticker's first tick
+	var stop func()
+	ticks := 0
+	stop = e.Ticker(10*time.Millisecond, func() {
+		ticks++
+		l.fn("tick")()
+		e.ScheduleHandler(10*time.Millisecond, l, uint64(10+ticks)) // ties with the next tick
+		if ticks == 3 {
+			stop()
+		}
+	})
+	e.Schedule(10*time.Millisecond, l.fn("f2"))  // after it
+	e.ScheduleHandler(20*time.Millisecond, l, 3) // before the second tick
+	e.RunUntil(50 * time.Millisecond)
+	want := []string{
+		"h1@10ms", "tick@10ms", "f2@10ms",
+		"h3@20ms", "h11@20ms", "tick@20ms",
+		"h12@30ms", "tick@30ms",
+		"h13@40ms",
+	}
+	if !slices.Equal(l.got, want) {
+		t.Fatalf("fired %v, want %v", l.got, want)
 	}
 }
