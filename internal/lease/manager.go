@@ -57,8 +57,8 @@ type Lease struct {
 
 	// event is the one pending event, at due: the term check while the
 	// lease is Active, the deferral's restore while it is Deferred, none
-	// otherwise. Its handler is the manager and its argument the lease ID
-	// (Manager.Fire), so scheduling one allocates nothing. due lets
+	// otherwise. Its handler is the manager, as leaseEvents, and its
+	// argument the lease ID, so scheduling one allocates nothing. due lets
 	// CaptureState re-arm the event on restore.
 	event simclock.EventID
 	due   simclock.Time
@@ -217,11 +217,15 @@ func (m *Manager) CreateLease(l *Lease, o hooks.Object) {
 	m.scheduleCheck(l)
 }
 
-// Fire implements simclock.Handler: lease id's pending event is due, its
-// term check while Active, its deferral's restore while Deferred. Every
-// lease event is scheduled with the manager as its handler and the lease ID
-// as its argument.
-func (m *Manager) Fire(id uint64) {
+// leaseEvents is the manager as the simclock.Handler of its leases' events,
+// a type of its own so that Fire stays out of the Manager's API.
+type leaseEvents Manager
+
+// Fire runs lease id's pending event: its term check while Active, its
+// deferral's restore while Deferred. Every lease event is scheduled with
+// the manager as its handler and the lease ID as its argument.
+func (e *leaseEvents) Fire(id uint64) {
+	m := (*Manager)(e)
 	l := m.leases.get(id)
 	l.event = 0
 	if l.state == Deferred {
@@ -386,7 +390,7 @@ func (m *Manager) AllowBackgroundWork(power.UID) bool { return true }
 
 var (
 	_ hooks.Governor   = (*Manager)(nil)
-	_ simclock.Handler = (*Manager)(nil)
+	_ simclock.Handler = (*leaseEvents)(nil)
 )
 
 // --- internals ---
@@ -430,7 +434,7 @@ func (m *Manager) beginTerm(l *Lease) {
 func (m *Manager) scheduleCheck(l *Lease) {
 	m.cancelEvent(l)
 	l.due = m.clock.Now() + l.term
-	l.event = m.clock.ScheduleHandler(l.term, m, l.id)
+	l.event = m.clock.ScheduleHandler(l.term, (*leaseEvents)(m), l.id)
 }
 
 // cancelEvent drops the lease's pending event, if it has one.
@@ -549,7 +553,7 @@ func (m *Manager) defer_(l *Lease, rec TermRecord) {
 	l.due = m.clock.Now() + tau
 	m.transition(l, Deferred, deferReasons[rec.Behavior])
 	l.control.Suppress(l.objID)
-	l.event = m.clock.ScheduleHandler(tau, m, l.id)
+	l.event = m.clock.ScheduleHandler(tau, (*leaseEvents)(m), l.id)
 }
 
 // restore ends a deferral: the capability and resource are restored and the

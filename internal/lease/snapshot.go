@@ -466,7 +466,7 @@ func (m *Manager) RestoreState(st ManagerState, resolve func(LeaseState) (*Lease
 			if ls.HasRestor {
 				l.due = ls.RestoreAt
 			}
-			l.event = m.clock.ScheduleHandler(until(now, l.due), m, l.id)
+			l.event = m.clock.ScheduleHandler(until(now, l.due), (*leaseEvents)(m), l.id)
 		}
 	}
 }

@@ -209,6 +209,10 @@ type persistedState struct {
 
 	Apps  []appEntry   `json:"apps,omitempty"`
 	Dedup []dedupEntry `json:"dedup,omitempty"`
+
+	// byLease is the object row naming each lease, set by validate for
+	// build; it is not part of the payload.
+	byLease map[uint64]*objState
 }
 
 type clientEntry struct {
@@ -557,7 +561,7 @@ func (sh *shard) loadSnapshot(payload []byte, from string) (persistedState, erro
 }
 
 // validate refuses a decoded snapshot that build cannot stand up as written.
-// It reads only st. A table indexed by a decoded number takes nothing from
+// It reads only st, and writes only st.byLease, for build. A table indexed by a decoded number takes nothing from
 // the payload on trust, and each refusal names the section and the row.
 func validate(st *persistedState) error {
 	if st.NextUID != len(st.Clients)+1 {
@@ -637,6 +641,7 @@ func validate(st *persistedState) error {
 			return fmt.Errorf("leased: snapshot objects: object %d names lease %d, which the manager section does not hold", os.ID, os.LeaseID)
 		}
 	}
+	st.byLease = byLease
 	return nil
 }
 
@@ -673,14 +678,10 @@ func (sh *shard) build(st *persistedState) {
 	}
 	// Each lease is rebuilt inside a fresh object made from the object row
 	// naming it, in the row's uid's slot of its kind (validate has paired
-	// them off): the other point, beside acquire, where an object and its
-	// lease are made together.
-	rows := make(map[uint64]*objState, len(st.Objects))
-	for i := range st.Objects {
-		rows[st.Objects[i].LeaseID] = &st.Objects[i]
-	}
+	// them off in st.byLease): the other point, beside acquire, where an
+	// object and its lease are made together.
 	sh.mgr.RestoreState(st.Manager, func(ls lease.LeaseState) (*lease.Lease, hooks.Object) {
-		os := rows[ls.ID]
+		os := st.byLease[ls.ID]
 		o := &robj{
 			clock: sh.clock,
 			Hold: hooks.Hold{

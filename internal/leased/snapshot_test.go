@@ -135,14 +135,15 @@ func (sh *shard) validateAndBuild(st persistedState) error {
 }
 
 // bitwiseEqual is reflect.DeepEqual with floats compared by their bits: NaN
-// equals the same NaN, and 0 does not equal −0.
+// equals the same NaN, and 0 does not equal −0. Unexported fields, which no
+// payload carries, are skipped.
 func bitwiseEqual(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if !bitwiseEqual(a.Field(i), b.Field(i)) {
+			if a.Type().Field(i).IsExported() && !bitwiseEqual(a.Field(i), b.Field(i)) {
 				return false
 			}
 		}
@@ -171,12 +172,14 @@ func bitwiseEqual(a, b reflect.Value) bool {
 // all occur), one to three elements per slice, a pointer nil or set at
 // random. A field added to any
 // snapshot struct is filled — and so must round-trip — without touching
-// this test.
+// this test; an unexported one is not in the payload and stays zero.
 func fillRandom(v reflect.Value, rng *rand.Rand) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillRandom(v.Field(i), rng)
+			if v.Type().Field(i).IsExported() {
+				fillRandom(v.Field(i), rng)
+			}
 		}
 	case reflect.Slice:
 		n := 1 + rng.Intn(3)

@@ -391,10 +391,6 @@ func (e *Engine) fire() {
 	s := &e.slots[it.idx]
 	e.now = it.at
 	switch h := s.h.(type) {
-	case funcHandler: // the closure doors: called directly, not through Fire
-		e.release(it.idx)
-		h()
-		return
 	case tickFunc:
 		s.pos = firing
 		h()
